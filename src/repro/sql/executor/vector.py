@@ -7,8 +7,17 @@ idea to plain SELECT blocks over a single base table: instead of pulling
 one dict-row at a time through the Volcano ``next()`` chain (one
 ``EvalContext`` allocation and a closure-tree walk per row), the engine
 pulls **column batches** of ~:data:`BATCH_SIZE` rows straight from
-``HeapTable.visible_rows`` and evaluates batch-compiled expressions in
-tight loops over the columns.
+``HeapTable.visible_rows`` and evaluates each expression's *batch form*
+in tight loops over the columns.
+
+This module holds no expression semantics.  What a node computes is one
+entry of the kernel table in :mod:`repro.sql.expr` (its children, null
+rule, type guard and scalar kernel, or its laziness rule), and
+``ExprCompiler.compile_batch`` derives ``(batch, sel) -> column`` from the
+same entry the row closure ``ctx -> value`` comes from.  An entry is
+*row-only* — and the SELECT core then keeps its row plan — when it has no
+batch form (subqueries, outer and composite column references) or is not
+side-effect free (user-defined and volatile function calls).
 
 Pipeline stages (one instance per execution, composed by
 :class:`BatchAdapterState`):
@@ -18,11 +27,11 @@ Pipeline stages (one instance per execution, composed by
   at plan or instantiation time, so same-transaction DML is always seen
   (the stale-batch read-your-own-writes bug class).  Cancellation is
   polled once per batch.
-* :class:`VectorFilter` — evaluates the batch-compiled WHERE predicate
+* :class:`VectorFilter` — evaluates the WHERE predicate's batch form
   over the whole batch and attaches a *selection vector* (row indices
   where it is TRUE) instead of copying the columns.
 * :class:`VectorProject` — either a C-speed ``itemgetter`` row projection
-  (when every select item is a bare column) or per-item batch evaluators.
+  (when every select item is a bare column) or per-item batch forms.
 * :class:`VectorAggregate` — grouped/ungrouped aggregation whose
   accumulators fold each column **in the exact order SeqScan delivers**
   with the scalar aggregates' own step semantics (see
@@ -35,9 +44,10 @@ Pipeline stages (one instance per execution, composed by
 emits ordinary row tuples, so parents (Sort, Limit, joins, set ops,
 recursion) keep consuming rows unchanged.
 
-**Row fallback.**  The batch compiler only supports pure expressions
-(no subqueries, UDF calls, or volatile builtins), so batch evaluation has
-no observable side effects.  That makes a very simple error story sound:
+**Row fallback.**  Only side-effect-free entries have a batch form, so
+batch evaluation has no observable side effects, and every kernel raises
+classified engine errors (:class:`~repro.sql.errors.SqlError`), never bare
+Python ones.  That makes a very simple error story sound:
 if *any* engine error is raised while evaluating a batch, the adapter
 poisons itself and transparently re-runs the statement through the
 inherited row-at-a-time machinery, skipping the rows it already emitted
@@ -57,18 +67,14 @@ sweep batch-boundary edge cases).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .. import ast as A
-from ..errors import QueryCanceledError, SqlError, TypeError_
-from ..expr import (EvalContext, Scope, _ARITH_FNS, _INT_FAST_FNS, _as_bool,
-                    _concat, _like_to_regex)
-from ..functions import (SCALAR_BUILTINS, VOLATILE_FUNCTIONS, AvgAgg,
-                         CountAgg, SumAgg, is_aggregate_name, make_aggregate)
+from ..errors import (NameResolutionError, QueryCanceledError, SqlError,
+                      TypeError_)
+from ..expr import BatchExpr, EvalContext, ExprCompiler, RowOnly, Scope
+from ..functions import AvgAgg, CountAgg, SumAgg, make_aggregate
 from ..profiler import VECTOR_BATCHES, VECTOR_ROWS
-from ..types import cast_value
-from ..values import (Row, sql_and, sql_eq, sql_ge, sql_gt, sql_le, sql_lt,
-                      sql_ne, sql_not, sql_or)
 from ..values import hashable_row as _hashable_row
 from ..values import hashable_value as _hashable_value
 from .select_core import AggStagePlan, SelectCorePlan, SelectCoreState
@@ -77,8 +83,6 @@ from .select_core import AggStagePlan, SelectCorePlan, SelectCoreState
 #: the differential suite runs batch sizes 1 and rows±1 to flush
 #: off-by-one drain bugs that would hide at the default size.
 BATCH_SIZE = 1024
-
-import re
 
 
 class Batch:
@@ -115,578 +119,6 @@ class Batch:
             return self.rows
         rows = self.rows
         return [rows[i] for i in self.sel]
-
-
-#: A batch-compiled expression: ``fn(batch, sel) -> column`` where *sel* is
-#: a selection vector (None = the whole batch) and the result column has
-#: one element per selected row.
-VectorFn = Callable[[Batch, Optional[list[int]]], list]
-
-
-def _out_n(batch: Batch, sel: Optional[list[int]]) -> int:
-    return batch.n if sel is None else len(sel)
-
-
-class VectorExprCompiler:
-    """Compiles a *supported subset* of the expression AST into batch
-    evaluators mirroring :class:`~repro.sql.expr.ExprCompiler` node for
-    node (same helpers — ``sql_*``, ``_ARITH_FNS``, ``cast_value`` — same
-    three-valued logic, same per-element short-circuit via selection
-    vectors).  ``compile`` returns ``None`` for anything unsupported
-    (subqueries, UDF calls, volatile builtins, correlated or composite
-    column references, window/aggregate calls); the planner then keeps the
-    row path, which is trivially parity-safe.
-    """
-
-    def __init__(self, scope: Scope):
-        self.scope = scope
-
-    def compile(self, expr: A.Expr) -> Optional[VectorFn]:
-        method = getattr(self, "_compile_" + type(expr).__name__, None)
-        if method is None:
-            return None
-        return method(expr)
-
-    def compile_many(self, exprs: Sequence[A.Expr]) -> Optional[list[VectorFn]]:
-        out = []
-        for expr in exprs:
-            fn = self.compile(expr)
-            if fn is None:
-                return None
-            out.append(fn)
-        return out
-
-    # -- leaves ---------------------------------------------------------
-
-    def _compile_Literal(self, expr: A.Literal) -> VectorFn:
-        value = expr.value
-        return lambda batch, sel: [value] * _out_n(batch, sel)
-
-    def _compile_Param(self, expr: A.Param) -> Optional[VectorFn]:
-        index = expr.index - 1
-        if index < 0:
-            return None
-
-        def run(batch: Batch, sel):
-            params = batch.rt.params
-            if index >= len(params):
-                # Same error as the scalar compiler; surfacing it here
-                # triggers the row fallback, which re-raises it.
-                from ..errors import ExecutionError
-                raise ExecutionError(
-                    f"no value supplied for parameter ${index + 1}")
-            return [params[index]] * _out_n(batch, sel)
-
-        return run
-
-    def _compile_ColumnRef(self, expr: A.ColumnRef) -> Optional[VectorFn]:
-        try:
-            level, rel_index, col_index, fields = self.scope.resolve(expr.parts)
-        except SqlError:
-            return None
-        if level != 0 or rel_index != 0 or fields:
-            return None
-
-        def run(batch: Batch, sel):
-            col = batch.cols[col_index]
-            if sel is None:
-                return col
-            return [col[i] for i in sel]
-
-        run.col_index = col_index  # marks a bare column (fast projection)
-        return run
-
-    # -- operators ------------------------------------------------------
-
-    _COMPARE_FNS = {"=": sql_eq, "<>": sql_ne, "<": sql_lt, "<=": sql_le,
-                    ">": sql_gt, ">=": sql_ge}
-
-    def _compile_BinaryOp(self, expr: A.BinaryOp) -> Optional[VectorFn]:
-        op = expr.op
-        left = self.compile(expr.left)
-        if left is None:
-            return None
-        right = self.compile(expr.right)
-        if right is None:
-            return None
-        if op == "and":
-            def run_and(batch: Batch, sel):
-                lcol = left(batch, sel)
-                base = sel if sel is not None else range(batch.n)
-                # Per-element short circuit: rows whose lhs is already
-                # False never evaluate the rhs (matches run_and's
-                # ``if lhs is False: return False``).
-                sub = [i for i, v in zip(base, lcol) if v is not False]
-                if len(sub) == len(lcol):
-                    rcol = right(batch, sel)
-                    return [sql_and(_as_bool(a), _as_bool(b))
-                            for a, b in zip(lcol, rcol)]
-                rit = iter(right(batch, sub))
-                out = []
-                for v in lcol:
-                    b = _as_bool(v)
-                    out.append(False if b is False
-                               else sql_and(b, _as_bool(next(rit))))
-                return out
-
-            return run_and
-        if op == "or":
-            def run_or(batch: Batch, sel):
-                lcol = left(batch, sel)
-                base = sel if sel is not None else range(batch.n)
-                sub = [i for i, v in zip(base, lcol) if v is not True]
-                if len(sub) == len(lcol):
-                    rcol = right(batch, sel)
-                    return [sql_or(_as_bool(a), _as_bool(b))
-                            for a, b in zip(lcol, rcol)]
-                rit = iter(right(batch, sub))
-                out = []
-                for v in lcol:
-                    b = _as_bool(v)
-                    out.append(True if b is True
-                               else sql_or(b, _as_bool(next(rit))))
-                return out
-
-            return run_or
-        if op in self._COMPARE_FNS:
-            cmp_fn = self._COMPARE_FNS[op]
-            # Constant-int specialization: ``col <op> 42`` inlines the
-            # native comparison for exact-int elements (identical to
-            # compare()'s ``type() is int`` fast path — bools and mixed
-            # types take cmp_fn, preserving error/NULL/NaN semantics) and
-            # skips materializing + zipping the constant column.
-            if isinstance(expr.right, A.Literal) \
-                    and type(expr.right.value) is int:
-                c = expr.right.value
-                if op == "=":
-                    return lambda batch, sel: [
-                        (a == c) if type(a) is int else cmp_fn(a, c)
-                        for a in left(batch, sel)]
-                if op == "<>":
-                    return lambda batch, sel: [
-                        (a != c) if type(a) is int else cmp_fn(a, c)
-                        for a in left(batch, sel)]
-                if op == "<":
-                    return lambda batch, sel: [
-                        (a < c) if type(a) is int else cmp_fn(a, c)
-                        for a in left(batch, sel)]
-                if op == "<=":
-                    return lambda batch, sel: [
-                        (a <= c) if type(a) is int else cmp_fn(a, c)
-                        for a in left(batch, sel)]
-                if op == ">":
-                    return lambda batch, sel: [
-                        (a > c) if type(a) is int else cmp_fn(a, c)
-                        for a in left(batch, sel)]
-                return lambda batch, sel: [
-                    (a >= c) if type(a) is int else cmp_fn(a, c)
-                    for a in left(batch, sel)]
-
-            def run_cmp(batch: Batch, sel):
-                return [cmp_fn(a, b)
-                        for a, b in zip(left(batch, sel), right(batch, sel))]
-
-            return run_cmp
-        if op == "||":
-            def run_concat(batch: Batch, sel):
-                return [_concat(a, b)
-                        for a, b in zip(left(batch, sel), right(batch, sel))]
-
-            return run_concat
-        arith = _ARITH_FNS.get(op)
-        if arith is None:
-            return None
-        fast = _INT_FAST_FNS.get(op)
-        # Constant-int specialization, same shape as the comparisons: the
-        # exact-int fast path inlines to native syntax, NULLs stay NULL,
-        # everything else (floats, type errors) routes through the generic
-        # helper exactly as run_arith would.
-        if fast is not None and isinstance(expr.right, A.Literal) \
-                and type(expr.right.value) is int and expr.right.value != 0:
-            c = expr.right.value
-            if op == "+":
-                return lambda batch, sel: [
-                    (a + c) if type(a) is int else
-                    (None if a is None else arith(a, c))
-                    for a in left(batch, sel)]
-            if op == "-":
-                return lambda batch, sel: [
-                    (a - c) if type(a) is int else
-                    (None if a is None else arith(a, c))
-                    for a in left(batch, sel)]
-            if op == "*":
-                return lambda batch, sel: [
-                    (a * c) if type(a) is int else
-                    (None if a is None else arith(a, c))
-                    for a in left(batch, sel)]
-            if op == "%" and c > 0:
-                # _int_mod with a positive constant divisor: remainder
-                # keeps the dividend's sign (PostgreSQL), inlined.
-                return lambda batch, sel: [
-                    ((a % c) if a >= 0 else -((-a) % c))
-                    if type(a) is int else
-                    (None if a is None else arith(a, c))
-                    for a in left(batch, sel)]
-            if op == "/" and c > 0:
-                # _int_div truncates toward zero, inlined for positive
-                # constant divisors.
-                return lambda batch, sel: [
-                    ((a // c) if a >= 0 else -((-a) // c))
-                    if type(a) is int else
-                    (None if a is None else arith(a, c))
-                    for a in left(batch, sel)]
-            ifast = fast
-
-            def run_arith_const(batch: Batch, sel):
-                return [ifast(a, c) if type(a) is int else
-                        (None if a is None else arith(a, c))
-                        for a in left(batch, sel)]
-
-            return run_arith_const
-
-        def run_arith(batch: Batch, sel):
-            out = []
-            for a, b in zip(left(batch, sel), right(batch, sel)):
-                if a is None or b is None:
-                    out.append(None)
-                elif fast is not None and type(a) is int and type(b) is int:
-                    out.append(fast(a, b))
-                else:
-                    out.append(arith(a, b))
-            return out
-
-        return run_arith
-
-    def _compile_UnaryOp(self, expr: A.UnaryOp) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        if operand is None:
-            return None
-        if expr.op == "not":
-            return lambda batch, sel: [sql_not(_as_bool(v))
-                                       for v in operand(batch, sel)]
-        if expr.op == "-":
-            def run_neg(batch: Batch, sel):
-                out = []
-                for v in operand(batch, sel):
-                    if v is None:
-                        out.append(None)
-                    elif isinstance(v, bool) or not isinstance(v, (int, float)):
-                        raise TypeError_("unary minus expects a number")
-                    else:
-                        out.append(-v)
-                return out
-
-            return run_neg
-        if expr.op == "+":
-            return operand
-        return None
-
-    def _compile_IsNull(self, expr: A.IsNull) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        if operand is None:
-            return None
-        if expr.negated:
-            return lambda batch, sel: [v is not None
-                                       for v in operand(batch, sel)]
-        return lambda batch, sel: [v is None for v in operand(batch, sel)]
-
-    def _compile_IsBool(self, expr: A.IsBool) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        if operand is None:
-            return None
-        wanted = expr.value
-        negated = expr.negated
-
-        def run(batch: Batch, sel):
-            out = []
-            for v in operand(batch, sel):
-                result = _as_bool(v) is wanted
-                out.append((not result) if negated else result)
-            return out
-
-        return run
-
-    def _compile_Between(self, expr: A.Between) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        low = self.compile(expr.low)
-        high = self.compile(expr.high)
-        if operand is None or low is None or high is None:
-            return None
-        negated = expr.negated
-
-        def run(batch: Batch, sel):
-            out = []
-            for v, lo, hi in zip(operand(batch, sel), low(batch, sel),
-                                 high(batch, sel)):
-                result = sql_and(sql_ge(v, lo), sql_le(v, hi))
-                out.append(sql_not(result) if negated else result)
-            return out
-
-        return run
-
-    def _compile_InList(self, expr: A.InList) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        if operand is None:
-            return None
-        item_fns = self.compile_many(expr.items)
-        if item_fns is None:
-            return None
-        negated = expr.negated
-
-        def run(batch: Batch, sel):
-            opcol = operand(batch, sel)
-            n = len(opcol)
-            out: list = [False] * n
-            # Items are evaluated lazily per remaining row, exactly like
-            # the scalar loop that breaks at the first TRUE equality.
-            pend_pos = list(range(n))
-            pend_glob = (list(sel) if sel is not None else list(range(batch.n)))
-            for item_fn in item_fns:
-                if not pend_pos:
-                    break
-                icol = item_fn(batch, pend_glob)
-                next_pos: list[int] = []
-                next_glob: list[int] = []
-                for p, g, iv in zip(pend_pos, pend_glob, icol):
-                    part = sql_eq(opcol[p], iv)
-                    if part is True:
-                        out[p] = True
-                    else:
-                        if part is None:
-                            out[p] = None
-                        next_pos.append(p)
-                        next_glob.append(g)
-                pend_pos, pend_glob = next_pos, next_glob
-            if negated:
-                return [sql_not(v) for v in out]
-            return out
-
-        return run
-
-    def _compile_Like(self, expr: A.Like) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        pattern = self.compile(expr.pattern)
-        if operand is None or pattern is None:
-            return None
-        negated = expr.negated
-        flags = re.IGNORECASE if expr.case_insensitive else 0
-        cache: dict[str, re.Pattern] = {}
-
-        def run(batch: Batch, sel):
-            out = []
-            for value, pat in zip(operand(batch, sel), pattern(batch, sel)):
-                if value is None or pat is None:
-                    out.append(None)
-                    continue
-                regex = cache.get(pat)
-                if regex is None:
-                    regex = re.compile(_like_to_regex(pat), flags)
-                    if len(cache) < 64:
-                        cache[pat] = regex
-                result = regex.fullmatch(value) is not None
-                out.append((not result) if negated else result)
-            return out
-
-        return run
-
-    def _compile_CaseExpr(self, expr: A.CaseExpr) -> Optional[VectorFn]:
-        whens = []
-        for cond, result in expr.whens:
-            cond_fn = self.compile(cond)
-            result_fn = self.compile(result)
-            if cond_fn is None or result_fn is None:
-                return None
-            whens.append((cond_fn, result_fn))
-        else_fn = None
-        if expr.else_result is not None:
-            else_fn = self.compile(expr.else_result)
-            if else_fn is None:
-                return None
-        operand_fn = None
-        if expr.operand is not None:
-            operand_fn = self.compile(expr.operand)
-            if operand_fn is None:
-                return None
-
-        def run(batch: Batch, sel):
-            n = _out_n(batch, sel)
-            out: list = [None] * n
-            pend_pos = list(range(n))
-            pend_glob = (list(sel) if sel is not None else list(range(batch.n)))
-            opvals = operand_fn(batch, sel) if operand_fn is not None else None
-            # WHEN arms evaluate only over still-undecided rows (the
-            # scalar CASE's per-row first-match laziness).
-            for cond_fn, result_fn in whens:
-                if not pend_pos:
-                    break
-                ccol = cond_fn(batch, pend_glob)
-                hit_pos: list[int] = []
-                hit_glob: list[int] = []
-                rest_pos: list[int] = []
-                rest_glob: list[int] = []
-                for p, g, cv in zip(pend_pos, pend_glob, ccol):
-                    if opvals is None:
-                        hit = _as_bool(cv) is True
-                    else:
-                        hit = sql_eq(opvals[p], cv) is True
-                    if hit:
-                        hit_pos.append(p)
-                        hit_glob.append(g)
-                    else:
-                        rest_pos.append(p)
-                        rest_glob.append(g)
-                if hit_pos:
-                    for p, rv in zip(hit_pos, result_fn(batch, hit_glob)):
-                        out[p] = rv
-                pend_pos, pend_glob = rest_pos, rest_glob
-            if else_fn is not None and pend_pos:
-                for p, ev in zip(pend_pos, else_fn(batch, pend_glob)):
-                    out[p] = ev
-            return out
-
-        return run
-
-    def _compile_Cast(self, expr: A.Cast) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        if operand is None:
-            return None
-        type_name = expr.type_name
-
-        def run(batch: Batch, sel):
-            composite = batch.rt.catalog.get_type(type_name)
-            return [cast_value(v, type_name, composite)
-                    for v in operand(batch, sel)]
-
-        return run
-
-    def _compile_RowExpr(self, expr: A.RowExpr) -> Optional[VectorFn]:
-        if not expr.items:
-            return None
-        item_fns = self.compile_many(expr.items)
-        if item_fns is None:
-            return None
-        type_name = expr.type_name
-
-        def run(batch: Batch, sel):
-            cols = [fn(batch, sel) for fn in item_fns]
-            composite = (batch.rt.catalog.get_type(type_name)
-                         if type_name is not None else None)
-            out = []
-            for values in zip(*cols):
-                values = list(values)
-                if composite is not None:
-                    out.append(composite.make_row(values))
-                else:
-                    out.append(Row(values, type_name=type_name))
-            return out
-
-        return run
-
-    def _compile_ArrayExpr(self, expr: A.ArrayExpr) -> Optional[VectorFn]:
-        item_fns = self.compile_many(expr.items)
-        if item_fns is None:
-            return None
-        if not item_fns:
-            return lambda batch, sel: [[] for _ in range(_out_n(batch, sel))]
-
-        def run(batch: Batch, sel):
-            cols = [fn(batch, sel) for fn in item_fns]
-            return [list(values) for values in zip(*cols)]
-
-        return run
-
-    def _compile_ArrayIndex(self, expr: A.ArrayIndex) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        index = self.compile(expr.index)
-        if operand is None or index is None:
-            return None
-
-        def run(batch: Batch, sel):
-            out = []
-            for arr, i in zip(operand(batch, sel), index(batch, sel)):
-                if arr is None or i is None:
-                    out.append(None)
-                    continue
-                if not isinstance(arr, list):
-                    raise TypeError_("cannot subscript a non-array value")
-                if not isinstance(i, int) or isinstance(i, bool):
-                    raise TypeError_("array subscript must be an integer")
-                out.append(arr[i - 1] if 1 <= i <= len(arr) else None)
-            return out
-
-        return run
-
-    def _compile_FieldAccess(self, expr: A.FieldAccess) -> Optional[VectorFn]:
-        operand = self.compile(expr.operand)
-        if operand is None:
-            return None
-        name = expr.fieldname
-
-        def run(batch: Batch, sel):
-            out = []
-            for value in operand(batch, sel):
-                if value is None:
-                    out.append(None)
-                    continue
-                if not isinstance(value, Row):
-                    raise TypeError_(f"cannot access field {name!r} of "
-                                     f"{type(value).__name__}")
-                out.append(value.field(name))
-            return out
-
-        return run
-
-    # -- function calls -------------------------------------------------
-
-    def _compile_FuncCall(self, expr: A.FuncCall) -> Optional[VectorFn]:
-        name = expr.name.lower()
-        if expr.window is not None or is_aggregate_name(name):
-            return None
-        if name == "coalesce":
-            item_fns = self.compile_many(expr.args)
-            if item_fns is None:
-                return None
-
-            def run_coalesce(batch: Batch, sel):
-                n = _out_n(batch, sel)
-                out: list = [None] * n
-                pend_pos = list(range(n))
-                pend_glob = (list(sel) if sel is not None
-                             else list(range(batch.n)))
-                for fn in item_fns:
-                    if not pend_pos:
-                        break
-                    col = fn(batch, pend_glob)
-                    next_pos: list[int] = []
-                    next_glob: list[int] = []
-                    for p, g, v in zip(pend_pos, pend_glob, col):
-                        if v is not None:
-                            out[p] = v
-                        else:
-                            next_pos.append(p)
-                            next_glob.append(g)
-                    pend_pos, pend_glob = next_pos, next_glob
-                return out
-
-            return run_coalesce
-        builtin = SCALAR_BUILTINS.get(name)
-        if builtin is None or name in VOLATILE_FUNCTIONS:
-            # UDFs / compiled functions / volatile builtins keep the row
-            # path: the fallback contract requires side-effect-free batch
-            # evaluation.
-            return None
-        arg_fns = self.compile_many(expr.args)
-        if arg_fns is None:
-            return None
-
-        def run(batch: Batch, sel):
-            rt = batch.rt
-            if not arg_fns:
-                return [builtin(rt) for _ in range(_out_n(batch, sel))]
-            cols = [fn(batch, sel) for fn in arg_fns]
-            return [builtin(rt, *vals) for vals in zip(*cols)]
-
-        return run
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +170,7 @@ class VectorFilter:
 
     __slots__ = ("fn",)
 
-    def __init__(self, fn: VectorFn):
+    def __init__(self, fn: BatchExpr):
         self.fn = fn
 
     def apply(self, batch: Batch) -> Batch:
@@ -759,7 +191,7 @@ class VectorProject:
 
     __slots__ = ("fns", "fast")
 
-    def __init__(self, fns: list[VectorFn]):
+    def __init__(self, fns: list[BatchExpr]):
         self.fns = fns
         indices = [getattr(fn, "col_index", None) for fn in fns]
         self.fast = None
@@ -831,8 +263,8 @@ class VectorAggregate:
     __slots__ = ("stage", "key_fns", "arg_fns", "aggs", "groups",
                  "group_values", "distinct_seen", "states", "dsets")
 
-    def __init__(self, stage: AggStagePlan, key_fns: list[VectorFn],
-                 arg_fns: list[Optional[VectorFn]]):
+    def __init__(self, stage: AggStagePlan, key_fns: list[BatchExpr],
+                 arg_fns: list[Optional[BatchExpr]]):
         self.stage = stage
         self.key_fns = key_fns
         self.arg_fns = arg_fns
@@ -963,10 +395,10 @@ class VectorSpec:
 
     __slots__ = ("table_name", "where_fn", "project", "key_fns", "arg_fns")
 
-    def __init__(self, table_name: str, where_fn: Optional[VectorFn],
+    def __init__(self, table_name: str, where_fn: Optional[BatchExpr],
                  project: Optional[VectorProject],
-                 key_fns: Optional[list[VectorFn]],
-                 arg_fns: Optional[list[Optional[VectorFn]]]):
+                 key_fns: Optional[list[BatchExpr]],
+                 arg_fns: Optional[list[Optional[BatchExpr]]]):
         self.table_name = table_name
         self.where_fn = where_fn
         self.project = project
@@ -979,7 +411,7 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
                    table_name: str) -> Optional["VectorizedCorePlan"]:
     """Batch-compile *base* (already fully planned for the row engine) into
     a :class:`VectorizedCorePlan`, or return ``None`` when any needed
-    expression is outside the supported subset.
+    expression contains a row-only kernel-table entry.
 
     The caller (the planner) has already established the structural
     preconditions: single non-lateral base-table FROM still on a SeqScan,
@@ -989,35 +421,18 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
     post-aggregation projections run row-wise over the few group rows, so
     they stay on the scalar closures and need no batch support).
     """
-    compiler = VectorExprCompiler(scope)
-    where_fn = None
-    if core.where is not None:
-        where_fn = compiler.compile(core.where)
-        if where_fn is None:
-            return None
-    project = None
-    key_fns: Optional[list[VectorFn]] = None
-    arg_fns: Optional[list[Optional[VectorFn]]] = None
-    if base.agg_stage is not None:
-        key_fns = compiler.compile_many(core.group_by)
-        if key_fns is None:
-            return None
-        arg_fns = []
-        for call in base.agg_stage.agg_calls:
-            if call.star:
-                arg_fns.append(None)
-                continue
-            if call.arg_ast is None:
-                return None
-            fn = compiler.compile(call.arg_ast)
-            if fn is None:
-                return None
-            arg_fns.append(fn)
-    else:
-        project_fns = compiler.compile_many(item_exprs)
-        if project_fns is None:
-            return None
-        project = VectorProject(project_fns)
+    batch = ExprCompiler(scope).compile_batch
+    project = key_fns = arg_fns = None
+    try:
+        where_fn = batch(core.where) if core.where is not None else None
+        if base.agg_stage is not None:
+            key_fns = [batch(key) for key in core.group_by]
+            arg_fns = [None if call.star else batch(call.arg_ast)
+                       for call in base.agg_stage.agg_calls]
+        else:
+            project = VectorProject([batch(item) for item in item_exprs])
+    except RowOnly:
+        return None
     spec = VectorSpec(table_name, where_fn, project, key_fns, arg_fns)
     return VectorizedCorePlan(base, spec)
 
@@ -1104,7 +519,6 @@ class BatchAdapterState(SelectCoreState):
         self._ictx = ictx
         table = rt.catalog.tables.get(plan.vspec.table_name)
         if table is None:
-            from ..errors import NameResolutionError
             raise NameResolutionError(
                 f"unknown table {plan.vspec.table_name!r}")
         self._scan = VectorScan(rt, table)

@@ -15,14 +15,17 @@ compiled ``WITH RECURSIVE`` plan evaluate the paper's embedded queries
 
 from __future__ import annotations
 
+import math
 import re
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+import textwrap
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from . import ast as A
-from .errors import (ExecutionError, NameResolutionError, PlanError,
+from .errors import (ExecutionError, NameResolutionError, PlanError, SqlError,
                      TypeError_)
-from .functions import (SCALAR_BUILTINS, is_aggregate_name,
-                        is_window_function_name)
+from .functions import SCALAR_BUILTINS, VOLATILE_FUNCTIONS, is_aggregate_name
 from .types import cast_value
 from .values import (Row, Value, sql_and, sql_eq, sql_ge, sql_gt, sql_le,
                      sql_lt, sql_ne, sql_not, sql_or)
@@ -155,9 +158,310 @@ class Scope:
 
 CompiledExpr = Callable[[EvalContext], Value]
 
+#: The batch form of an expression: ``fn(batch, sel) -> column``.  *batch*
+#: is the executor's ``Batch`` (``cols``, ``n``, ``rt``), *sel* a selection
+#: vector of row indices (``None`` = the whole batch); the column has one
+#: element per selected row.
+BatchExpr = Callable[[Any, Optional[list]], list]
+
+
+# ---------------------------------------------------------------------------
+# The kernel table: entry kinds and the derivation of the two forms
+# ---------------------------------------------------------------------------
+#
+# What an expression node computes is written down once, as a table entry
+# (``KERNELS`` below).  An entry names the node's children and holds its
+# scalar semantics as Python expression *templates*; ``derive`` generates
+# from them both executable forms — the per-row closure ``ctx -> value`` the
+# Volcano operators call and the per-batch function ``(batch, sel) ->
+# column`` the vectorized core calls — so the two cannot disagree.  The
+# templates name their inputs (``a``, ``b``, ``c``, ``xs``, ``v``, ``t``,
+# ``acc``, ``op``), this module's helpers, and whatever the entry binds in
+# ``env``; they never contain statement data, which is what lets
+# the generators below cache each distinct shape, compiled once per process.
+
+
+def _make(lines: list, names: tuple, kernel: str) -> Callable:
+    """``make(*names) -> run`` for the ``def run`` spelled by *lines*;
+    *kernel* is the file name tracebacks and profiles show for it."""
+    scope: dict = {}
+    source = textwrap.indent("\n".join(lines), "    ")
+    source = f"def make({', '.join(names)}):\n{source}\n    return run"
+    exec(compile(source, f"<kernel {kernel}>", "exec"), globals(), scope)
+    return scope["make"]
+
+
+def _count(batch, sel: Optional[list]) -> int:
+    """The number of rows a batch form must produce."""
+    return batch.n if sel is None else len(sel)
+
+
+#: What a scalar builtin may leak on ill-typed or out-of-domain arguments;
+#: reclassified by entries that set ``errors`` so clients (and the
+#: vectorized core's row fallback, which nets ``SqlError``) see an engine
+#: error.
+_PY_ERRORS = (TypeError, AttributeError, ValueError, ArithmeticError,
+              MemoryError)
+
+
+def _classified(name: str, exc: Exception) -> SqlError:
+    ill_typed = isinstance(exc, (TypeError, AttributeError))
+    return (TypeError_ if ill_typed else ExecutionError)(f"{name}(): {exc}")
+
+
+class RowOnly(Exception):
+    """Raised by :meth:`ExprCompiler.compile_batch` for an expression that
+    contains a row-only entry."""
+
+
+@dataclass(slots=True)
+class Leaf:
+    """Entry for a node without value-producing children.  Its two forms
+    are written out; an entry without a batch form is *row-only*."""
+
+    row: CompiledExpr
+    batch: Optional[BatchExpr] = None
+
+    @property
+    def vectorizable(self) -> bool:
+        return self.batch is not None
+
+    def derive(self, compile, batch: bool):
+        return self.batch if batch else self.row
+
+
+@dataclass(slots=True)
+class Strict:
+    """Entry for a node whose value is a function of its arguments' values.
+
+    * ``args`` — the child expressions, bound to ``a``, ``b``, ``c`` in the
+      templates (``variadic``: all of them as the sequence ``xs``).  The
+      batch form binds a non-NULL literal argument once, as a constant,
+      instead of zipping a column of copies per row.
+    * ``body`` — the scalar kernel.
+    * ``fast`` — type guard: the kernel used instead of ``body`` when every
+      argument is an exact ``int`` (``type(x) is int``, so never a bool).
+    * ``null`` — null rule: any NULL argument makes the result NULL without
+      running the kernel (the row form stops evaluating arguments there).
+    * ``pre`` — an expression over ``rt`` evaluated once per row evaluation,
+      or once per batch, and bound to ``t``.
+    * ``errors`` — a function name: Python errors escaping the kernel are
+      re-raised as classified engine errors under it.
+    * ``vectorizable`` — False keeps the node row-only (side effects).
+    """
+
+    args: Sequence[A.Expr]
+    body: str
+    env: dict = field(default_factory=dict)
+    fast: Optional[str] = None
+    null: bool = False
+    pre: Optional[str] = None
+    variadic: bool = False
+    errors: Optional[str] = None
+    vectorizable: bool = True
+
+    def derive(self, compile, batch: bool):
+        env, fast = dict(self.env), self.fast
+        if self.variadic:
+            env["kids"] = [compile(arg) for arg in self.args]
+            live = None
+        else:
+            live = ""  # names of the arguments that vary by row
+            for name, arg in zip("abc", self.args):
+                # Batch form only: it saves zipping a column of copies.  In
+                # the row form it would save one closure call per row, a
+                # measured 10% on filter scans that this table's
+                # introduction leaves unclaimed (bench_vectorized gates the
+                # row/batch *ratio*).
+                if batch and isinstance(arg, A.Literal) \
+                        and arg.value is not None:
+                    env[name] = arg.value
+                    if type(arg.value) is not int:
+                        fast = None
+                else:
+                    env["k" + name] = compile(arg)
+                    live += name
+        if self.errors is not None:
+            env["name"] = self.errors
+        return _strict_form(self.body, fast, self.null, self.pre,
+                            self.errors is not None, live, bool(self.args),
+                            batch, tuple(env))(**env)
+
+
+@lru_cache(maxsize=None)
+def _strict_form(body: str, fast: Optional[str], null: bool,
+                 pre: Optional[str], errors: bool, live: Optional[str],
+                 has_args: bool, batch: bool, names: tuple) -> Callable:
+    """Generate one form of a :class:`Strict` entry whose arguments *live*
+    vary by row (None: variadic).  The templates never contain statement
+    data, so a process compiles each distinct shape once."""
+    lines = ["def run(batch, sel):" if batch else "def run(ctx):"]
+    if pre is not None:
+        lines += [f"    rt = {'batch' if batch else 'ctx'}.rt",
+                  f"    t = {pre}"]
+    value = body
+    if live is None:
+        fetch = ["    xs = [k(ctx) for k in kids]"]
+        loop = ("for xs in zip(*[k(batch, sel) for k in kids])" if has_args
+                else "for xs in [()] * _count(batch, sel)")
+    else:
+        fetch = []
+        for name in live:
+            fetch.append(f"    {name} = k{name}(ctx)")
+            if null:
+                fetch.append(f"    if {name} is None: return None")
+        if batch and null and live:
+            nulls = " or ".join(f"{name} is None" for name in live)
+            value = f"None if {nulls} else {value}"
+        if fast is not None and live:
+            guard = " and ".join(f"type({name}) is int" for name in live)
+            value = f"({fast}) if {guard} else ({value})"
+        elif fast is not None:
+            value = fast
+        cols = ", ".join(f"k{name}(batch, sel)" for name in live)
+        loop = ("for _ in range(_count(batch, sel))" if not live
+                else f"for {live} in {cols}" if len(live) == 1
+                else f"for {', '.join(live)} in zip({cols})")
+    if batch:
+        value = f"[{value} {loop}]"
+    else:
+        lines += fetch
+    if errors:
+        lines += ["    try:",
+                  f"        return {value}",
+                  "    except _PY_ERRORS as exc:",
+                  "        raise _classified(name, exc) from None"]
+    else:
+        lines.append(f"    return {value}")
+    return _make(lines, names, body)
+
+
+@dataclass(slots=True)
+class Lazy:
+    """Entry for a node that evaluates its arms in order, each only for the
+    rows no earlier arm decided (AND, OR, CASE, COALESCE, IN).
+
+    For each arm, ``test`` turns the arm's value ``v`` into ``t``; when
+    ``hit`` holds the row is decided and takes the value of the arm's
+    *result* child (CASE) or of the ``value`` template; otherwise ``step``
+    updates the row's accumulator ``acc`` (initially ``start``).  A row no
+    arm decided takes the ``default`` child's value, else ``end``.
+    ``operand``, if any, is evaluated first for every row and is ``op`` in
+    the templates.
+    """
+
+    tests: Sequence[A.Expr]
+    test: str
+    hit: str
+    value: str = "None"
+    results: Optional[Sequence[A.Expr]] = None
+    default: Optional[A.Expr] = None
+    operand: Optional[A.Expr] = None
+    start: Optional[str] = None
+    step: Optional[str] = None
+    end: str = "None"
+    vectorizable = True
+
+    def derive(self, compile, batch: bool):
+        arms = [compile(e) for e in self.tests]
+        if self.results is not None:
+            arms = list(zip(arms, [compile(e) for e in self.results]))
+        env = {"arms": arms}
+        if self.operand is not None:
+            env["operand"] = compile(self.operand)
+        if self.default is not None:
+            env["default"] = compile(self.default)
+        return _lazy_form(self.test, self.hit, self.value, self.start,
+                          self.step, self.end, self.results is not None,
+                          batch, tuple(env))(**env)
+
+
+@lru_cache(maxsize=None)
+def _lazy_form(test: str, hit: str, value: str, start: Optional[str],
+               step: Optional[str], end: str, results: bool, batch: bool,
+               names: tuple) -> Callable:
+    """Generate one form of a :class:`Lazy` entry (*names* says whether it
+    has an ``operand`` and a ``default``)."""
+    each = "for test, result in arms:" if results else "for test in arms:"
+    if not batch:
+        lines = ["def run(ctx):"]
+        if "operand" in names:
+            lines.append("    op = operand(ctx)")
+        if start is not None:
+            lines.append(f"    acc = {start}")
+        lines += [f"    {each}",
+                  "        v = test(ctx)",
+                  f"        t = {test}",
+                  f"        if {hit}:",
+                  "            return " + ("result(ctx)" if results else value)]
+        if step is not None:
+            lines.append(f"        acc = {step}")
+        lines.append("    return " + ("default(ctx)" if "default" in names
+                                      else end))
+        return _make(lines, names, test)
+    # ``pos`` are the output positions still undecided, ``idx`` the batch
+    # rows they stand for; until an arm decides some row they are the
+    # caller's own (range, sel), so children see ``sel`` unchanged.
+    lines = ["def run(batch, sel):",
+             "    n = _count(batch, sel)",
+             "    out = [None] * n",
+             "    pos, idx = range(n), sel"]
+    if "operand" in names:
+        lines.append("    ops = operand(batch, sel)")
+    if start is not None:
+        lines.append(f"    accs = [{start}] * n")
+    lines += [f"    {each}",
+              "        if not pos:",
+              "            break",
+              "        hits, rest = [], []",
+              "        for p, v in zip(pos, test(batch, idx)):"]
+    if "operand" in names:
+        lines.append("            op = ops[p]")
+    if start is not None:
+        lines.append("            acc = accs[p]")
+    lines += [f"            t = {test}",
+              f"            if {hit}:",
+              "                hits.append(p)" if results
+              else f"                out[p] = {value}",
+              "            else:",
+              "                rest.append(p)"]
+    if step is not None:
+        lines.append(f"                accs[p] = {step}")
+    if results:
+        lines += ["        if hits:",
+                  "            _scatter(out, hits, "
+                  "result(batch, _rows(sel, hits)))"]
+    lines += ["        if len(rest) < len(pos):",
+              "            pos, idx = rest, _rows(sel, rest)"]
+    if "default" in names:
+        lines += ["    if pos:",
+                  "        _scatter(out, pos, default(batch, idx))"]
+    elif end != "None":
+        lines += ["    for p in pos:",
+                  "        acc = accs[p]",
+                  f"        out[p] = {end}"]
+    lines.append("    return out")
+    return _make(lines, names, test)
+
+
+def _rows(sel: Optional[list], pos: list) -> list:
+    """The batch rows behind output positions *pos* of selection *sel*."""
+    return pos if sel is None else [sel[p] for p in pos]
+
+
+def _scatter(out: list, pos, values: list) -> None:
+    for p, value in zip(pos, values):
+        out[p] = value
+
+
+# ---------------------------------------------------------------------------
+# The compiler
+# ---------------------------------------------------------------------------
+
 
 class ExprCompiler:
-    """Compiles AST expressions to closures within one plan node's scope.
+    """Compiles AST expressions within one plan node's scope, by deriving
+    the wanted form from the node's :data:`KERNELS` entry.
 
     After compiling all of a node's expressions, :attr:`slot_count` tells the
     node how many subplan slots its PlanState must allocate.
@@ -173,337 +477,90 @@ class ExprCompiler:
 
     # ------------------------------------------------------------------
 
+    def entry(self, expr: A.Expr):
+        """The table entry of *expr*; None for a row-only node (a
+        :data:`ROW_ONLY` class or a user-defined function call), which
+        :meth:`compile` hands to ``_compile_<Node>``."""
+        node = type(expr)
+        build = KERNELS.get(node)
+        if build is not None:
+            return build(self, expr)
+        if node in ROW_ONLY:
+            return None
+        raise PlanError(f"cannot compile expression node {node.__name__}")
+
     def compile(self, expr: A.Expr) -> CompiledExpr:
-        method = getattr(self, "_compile_" + type(expr).__name__, None)
-        if method is None:
-            raise PlanError(f"cannot compile expression node {type(expr).__name__}")
-        return method(expr)
+        """The per-row closure ``ctx -> value`` of *expr*."""
+        entry = self.entry(expr)
+        if entry is None:
+            return getattr(self, "_compile_" + type(expr).__name__)(expr)
+        return entry.derive(self.compile, False)
 
     def compile_many(self, exprs: Sequence[A.Expr]) -> list[CompiledExpr]:
         return [self.compile(e) for e in exprs]
+
+    def compile_batch(self, expr: A.Expr) -> BatchExpr:
+        """The per-batch function ``(batch, sel) -> column`` of *expr*;
+        raises :class:`RowOnly` when the tree contains a row-only entry."""
+        entry = self.entry(expr)
+        if entry is None or not entry.vectorizable:
+            raise RowOnly(type(expr).__name__)
+        return entry.derive(self.compile_batch, True)
 
     def _alloc_slot(self) -> int:
         index = self.slot_count
         self.slot_count += 1
         return index
 
-    # -- leaves -----------------------------------------------------------
+    # -- entries that need the scope -------------------------------------
 
-    def _compile_Literal(self, expr: A.Literal) -> CompiledExpr:
-        value = expr.value
-        return lambda ctx: value
-
-    def _compile_Param(self, expr: A.Param) -> CompiledExpr:
-        index = expr.index - 1
-        if index < 0:
-            raise PlanError("parameters are numbered from $1")
-
-        def run(ctx: EvalContext) -> Value:
-            params = ctx.rt.params
-            if index >= len(params):
-                raise ExecutionError(f"no value supplied for parameter ${index + 1}")
-            return params[index]
-
-        return run
-
-    def _compile_ColumnRef(self, expr: A.ColumnRef) -> CompiledExpr:
+    def _column(self, expr: A.ColumnRef) -> Leaf:
         level, rel_index, col_index, fields = self.scope.resolve(expr.parts)
-        if not fields:
-            if level == 0:
-                return lambda ctx: ctx.rows[rel_index][col_index]
+        if not level and not fields:
+            def column(batch, sel):
+                col = batch.cols[col_index]
+                return col if sel is None else [col[i] for i in sel]
 
-            def run_outer(ctx: EvalContext) -> Value:
-                target = ctx
-                for _ in range(level):
-                    if target.parent is None:
-                        raise ExecutionError(
-                            f"missing outer context for {expr.display!r}")
-                    target = target.parent
-                return target.rows[rel_index][col_index]
+            column.col_index = col_index  # a bare column: fast projection
+            # Batches hold the rows of one relation.
+            return Leaf(lambda ctx: ctx.rows[rel_index][col_index],
+                        column if rel_index == 0 else None)
 
-            return run_outer
-
-        field_tail = tuple(fields)
-
-        def run_fields(ctx: EvalContext) -> Value:
+        # Outer (correlated) and composite-field references are row-only.
+        def run(ctx: EvalContext) -> Value:
             target = ctx
             for _ in range(level):
-                target = target.parent  # type: ignore[assignment]
+                if target.parent is None:
+                    raise ExecutionError(
+                        f"missing outer context for {expr.display!r}")
+                target = target.parent
             value = target.rows[rel_index][col_index]
-            for name in field_tail:
-                if value is None:
-                    return None
-                if not isinstance(value, Row):
-                    raise TypeError_(
-                        f"cannot access field {name!r} of non-composite value")
-                value = value.field(name)
+            for name in fields:
+                if value is not None:
+                    value = _field(value, name)
             return value
 
-        return run_fields
+        return Leaf(run)
 
-    # -- operators --------------------------------------------------------
-
-    _COMPARE_FNS = {"=": sql_eq, "<>": sql_ne, "<": sql_lt, "<=": sql_le,
-                    ">": sql_gt, ">=": sql_ge}
-
-    def _compile_BinaryOp(self, expr: A.BinaryOp) -> CompiledExpr:
-        op = expr.op
-        if op == "and":
-            left, right = self.compile(expr.left), self.compile(expr.right)
-
-            def run_and(ctx: EvalContext):
-                lhs = _as_bool(left(ctx))
-                if lhs is False:
-                    return False
-                return sql_and(lhs, _as_bool(right(ctx)))
-
-            return run_and
-        if op == "or":
-            left, right = self.compile(expr.left), self.compile(expr.right)
-
-            def run_or(ctx: EvalContext):
-                lhs = _as_bool(left(ctx))
-                if lhs is True:
-                    return True
-                return sql_or(lhs, _as_bool(right(ctx)))
-
-            return run_or
-        left, right = self.compile(expr.left), self.compile(expr.right)
-        if op in self._COMPARE_FNS:
-            cmp_fn = self._COMPARE_FNS[op]
-            return lambda ctx: cmp_fn(left(ctx), right(ctx))
-        if op == "||":
-            return lambda ctx: _concat(left(ctx), right(ctx))
-        arith = _ARITH_FNS.get(op)
-        if arith is None:
-            raise PlanError(f"unknown binary operator {op!r}")
-        fast = _INT_FAST_FNS.get(op)
-        if fast is None:
-            def run_arith(ctx: EvalContext):
-                a = left(ctx)
-                if a is None:
-                    return None
-                b = right(ctx)
-                if b is None:
-                    return None
-                return arith(a, b)
-
-            return run_arith
-
-        def run_arith_fast(ctx: EvalContext):
-            a = left(ctx)
-            if a is None:
-                return None
-            b = right(ctx)
-            if b is None:
-                return None
-            if type(a) is int and type(b) is int:
-                # Exact-int fast path (bool is excluded by ``type() is``);
-                # / and % keep their SQL division/sign semantics helpers.
-                return fast(a, b)
-            return arith(a, b)
-
-        return run_arith_fast
-
-    def _compile_UnaryOp(self, expr: A.UnaryOp) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        if expr.op == "not":
-            return lambda ctx: sql_not(_as_bool(operand(ctx)))
-        if expr.op == "-":
-            def run_neg(ctx: EvalContext):
-                value = operand(ctx)
-                if value is None:
-                    return None
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TypeError_("unary minus expects a number")
-                return -value
-            return run_neg
-        if expr.op == "+":
-            return operand
-        raise PlanError(f"unknown unary operator {expr.op!r}")
-
-    def _compile_IsNull(self, expr: A.IsNull) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        if expr.negated:
-            return lambda ctx: operand(ctx) is not None
-        return lambda ctx: operand(ctx) is None
-
-    def _compile_IsBool(self, expr: A.IsBool) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        wanted = expr.value
-        negated = expr.negated
-
-        def run(ctx: EvalContext):
-            value = _as_bool(operand(ctx))
-            result = value is wanted
-            return (not result) if negated else result
-
-        return run
-
-    def _compile_Between(self, expr: A.Between) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        low = self.compile(expr.low)
-        high = self.compile(expr.high)
-        negated = expr.negated
-
-        def run(ctx: EvalContext):
-            value = operand(ctx)
-            result = sql_and(sql_ge(value, low(ctx)), sql_le(value, high(ctx)))
-            return sql_not(result) if negated else result
-
-        return run
-
-    def _compile_InList(self, expr: A.InList) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        items = self.compile_many(expr.items)
-        negated = expr.negated
-
-        def run(ctx: EvalContext):
-            value = operand(ctx)
-            result: Optional[bool] = False
-            for item in items:
-                part = sql_eq(value, item(ctx))
-                if part is True:
-                    result = True
-                    break
-                if part is None:
-                    result = None
-            return sql_not(result) if negated else result
-
-        return run
-
-    def _compile_Like(self, expr: A.Like) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        pattern = self.compile(expr.pattern)
-        negated = expr.negated
-        flags = re.IGNORECASE if expr.case_insensitive else 0
-        cache: dict[str, re.Pattern] = {}
-
-        def run(ctx: EvalContext):
-            value = operand(ctx)
-            pat = pattern(ctx)
-            if value is None or pat is None:
-                return None
-            regex = cache.get(pat)
-            if regex is None:
-                regex = re.compile(_like_to_regex(pat), flags)
-                if len(cache) < 64:
-                    cache[pat] = regex
-            result = regex.fullmatch(value) is not None
-            return (not result) if negated else result
-
-        return run
-
-    def _compile_CaseExpr(self, expr: A.CaseExpr) -> CompiledExpr:
-        whens = [(self.compile(c), self.compile(r)) for c, r in expr.whens]
-        else_result = (self.compile(expr.else_result)
-                       if expr.else_result is not None else None)
-        if expr.operand is None:
-            def run_searched(ctx: EvalContext):
-                for cond, result in whens:
-                    if _as_bool(cond(ctx)) is True:
-                        return result(ctx)
-                return else_result(ctx) if else_result is not None else None
-            return run_searched
-
-        operand = self.compile(expr.operand)
-
-        def run_simple(ctx: EvalContext):
-            value = operand(ctx)
-            for cond, result in whens:
-                if sql_eq(value, cond(ctx)) is True:
-                    return result(ctx)
-            return else_result(ctx) if else_result is not None else None
-
-        return run_simple
-
-    def _compile_Cast(self, expr: A.Cast) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        type_name = expr.type_name
-        planner = self.planner
-
-        def run(ctx: EvalContext):
-            composite = ctx.rt.catalog.get_type(type_name) if planner is not None \
-                else ctx.rt.catalog.get_type(type_name)
-            return cast_value(operand(ctx), type_name, composite)
-
-        return run
-
-    def _compile_RowExpr(self, expr: A.RowExpr) -> CompiledExpr:
-        items = self.compile_many(expr.items)
-        type_name = expr.type_name
-
-        def run(ctx: EvalContext):
-            values = [item(ctx) for item in items]
-            if type_name is not None:
-                composite = ctx.rt.catalog.get_type(type_name)
-                if composite is not None:
-                    return composite.make_row(values)
-            return Row(values, type_name=type_name)
-
-        return run
-
-    def _compile_ArrayExpr(self, expr: A.ArrayExpr) -> CompiledExpr:
-        items = self.compile_many(expr.items)
-        return lambda ctx: [item(ctx) for item in items]
-
-    def _compile_ArrayIndex(self, expr: A.ArrayIndex) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        index = self.compile(expr.index)
-
-        def run(ctx: EvalContext):
-            arr = operand(ctx)
-            i = index(ctx)
-            if arr is None or i is None:
-                return None
-            if not isinstance(arr, list):
-                raise TypeError_("cannot subscript a non-array value")
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise TypeError_("array subscript must be an integer")
-            if i < 1 or i > len(arr):
-                return None
-            return arr[i - 1]
-
-        return run
-
-    def _compile_FieldAccess(self, expr: A.FieldAccess) -> CompiledExpr:
-        operand = self.compile(expr.operand)
-        name = expr.fieldname
-
-        def run(ctx: EvalContext):
-            value = operand(ctx)
-            if value is None:
-                return None
-            if not isinstance(value, Row):
-                raise TypeError_(f"cannot access field {name!r} of "
-                                 f"{type(value).__name__}")
-            return value.field(name)
-
-        return run
-
-    # -- function calls -----------------------------------------------------
-
-    def _compile_FuncCall(self, expr: A.FuncCall) -> CompiledExpr:
+    def _call(self, expr: A.FuncCall):
         name = expr.name.lower()
         if expr.window is not None:
             raise PlanError(f"window function {name}() not allowed here")
         if is_aggregate_name(name):
             raise PlanError(f"aggregate {name}() not allowed here")
         if name == "coalesce":
-            items = self.compile_many(expr.args)
-
-            def run_coalesce(ctx: EvalContext):
-                for item in items:
-                    value = item(ctx)
-                    if value is not None:
-                        return value
-                return None
-
-            return run_coalesce
+            return Lazy(expr.args, "v", "t is not None", value="t")
         builtin = SCALAR_BUILTINS.get(name)
-        if builtin is not None:
-            args = self.compile_many(expr.args)
-            return lambda ctx: builtin(ctx.rt, *[a(ctx) for a in args])
+        if builtin is None:
+            return None  # user-defined: row-only, _compile_FuncCall
+        return Strict(expr.args, "builtin(t, *xs)", {"builtin": builtin},
+                      pre="rt", variadic=True, errors=name,
+                      vectorizable=name not in VOLATILE_FUNCTIONS)
+
+    # -- row-only nodes: user-defined functions and subqueries ---------------
+
+    def _compile_FuncCall(self, expr: A.FuncCall) -> CompiledExpr:
+        name = expr.name.lower()
         if self.planner is not None:
             fdef = self.planner.catalog.get_function(name)
             if fdef is None:
@@ -518,8 +575,8 @@ class ExprCompiler:
                 from .astutil import substitute_params_select
                 inlined = substitute_params_select(fdef.query, list(expr.args))
                 return self._compile_ScalarSubquery(A.ScalarSubquery(inlined))
-        # User-defined function (SQL / PL/pgSQL / compiled-but-not-inlined):
-        # every evaluation is a Q→f context switch through the engine.
+        # SQL / PL/pgSQL / compiled-but-not-inlined: every evaluation is a
+        # Q→f context switch through the engine.
         args = self.compile_many(expr.args)
 
         def run_udf(ctx: EvalContext):
@@ -530,8 +587,6 @@ class ExprCompiler:
             return ctx.rt.db.call_function(fdef, values)
 
         return run_udf
-
-    # -- subqueries ----------------------------------------------------------
 
     def _plan_subquery(self, query: A.SelectStmt) -> "Plan":
         if self.planner is None:
@@ -617,6 +672,168 @@ class ExprCompiler:
 
 
 # ---------------------------------------------------------------------------
+# The kernel table: entries
+# ---------------------------------------------------------------------------
+
+
+def _broadcast(value: Value, batch, sel) -> list:
+    return [value] * _count(batch, sel)
+
+
+def _literal(c: ExprCompiler, e: A.Literal) -> Leaf:
+    value = e.value
+    return Leaf(lambda ctx: value,
+                lambda batch, sel: _broadcast(value, batch, sel))
+
+
+def _param(c: ExprCompiler, e: A.Param) -> Leaf:
+    index = e.index - 1
+    if index < 0:
+        raise PlanError("parameters are numbered from $1")
+
+    def run(ctx) -> Value:
+        params = ctx.rt.params
+        if index >= len(params):
+            raise ExecutionError(f"no value supplied for parameter ${index + 1}")
+        return params[index]
+
+    # A Batch carries ``rt`` like an EvalContext, which is all ``run`` reads.
+    return Leaf(run, lambda batch, sel: _broadcast(run(batch), batch, sel))
+
+
+#: operator -> (exact-int kernel, generic kernel).
+_COMPARE = {"=": ("a == b", "sql_eq(a, b)"), "<>": ("a != b", "sql_ne(a, b)"),
+            "<": ("a < b", "sql_lt(a, b)"), "<=": ("a <= b", "sql_le(a, b)"),
+            ">": ("a > b", "sql_gt(a, b)"), ">=": ("a >= b", "sql_ge(a, b)")}
+
+#: ``^`` has no exact-int kernel: SQL power always yields double precision.
+_ARITH = {"+": ("a + b", "_number(a) + _number(b)"),
+          "-": ("a - b", "_number(a) - _number(b)"),
+          "*": ("a * b", "_number(a) * _number(b)"),
+          "/": ("_int_div(a, b)", "_div(a, b)"),
+          "%": ("_int_mod(a, b)", "_mod(a, b)"), "^": (None, "_pow(a, b)")}
+
+#: ``_int_div`` / ``_int_mod`` written out for a positive literal divisor.
+_POSITIVE_DIVISOR = {"/": "(a // b) if a >= 0 else -((-a) // b)",
+                     "%": "(a % b) if a >= 0 else -((-a) % b)"}
+
+
+def _binary(c: ExprCompiler, e: A.BinaryOp):
+    op, args = e.op, [e.left, e.right]
+    if op in ("and", "or"):
+        # ``decides`` is the truth value that settles the connective.
+        decides = op == "or"
+        return Lazy(args, "_as_bool(v)", f"t is {decides}",
+                    value=str(decides), start=str(not decides),
+                    step=f"sql_{op}(acc, t)", end="acc")
+    if op in _COMPARE:
+        fast, body = _COMPARE[op]
+        return Strict(args, body, fast=fast)
+    if op == "||":
+        return Strict(args, "_concat(a, b)")
+    if op not in _ARITH:
+        raise PlanError(f"unknown binary operator {op!r}")
+    fast, body = _ARITH[op]
+    divisor = e.right.value if isinstance(e.right, A.Literal) else None
+    if op in _POSITIVE_DIVISOR and type(divisor) is int and divisor > 0:
+        fast = _POSITIVE_DIVISOR[op]
+    return Strict(args, body, fast=fast, null=True)
+
+
+def _unary(c: ExprCompiler, e: A.UnaryOp) -> Strict:
+    if e.op == "not":
+        return Strict([e.operand], "sql_not(_as_bool(a))")
+    if e.op == "-":
+        return Strict([e.operand], "-_number(a)", fast="-a", null=True)
+    if e.op == "+":
+        return Strict([e.operand], "a")
+    raise PlanError(f"unknown unary operator {e.op!r}")
+
+
+def _between(c: ExprCompiler, e: A.Between) -> Strict:
+    body = "sql_and(sql_ge(a, b), sql_le(a, c))"
+    return Strict([e.operand, e.low, e.high],
+                  f"sql_not({body})" if e.negated else body)
+
+
+def _in_list(c: ExprCompiler, e: A.InList) -> Lazy:
+    return Lazy(e.items, "sql_eq(op, v)", "t is True", operand=e.operand,
+                value=str(not e.negated), start="False",
+                step="None if t is None else acc",
+                end="sql_not(acc)" if e.negated else "acc")
+
+
+def _like(c: ExprCompiler, e: A.Like) -> Strict:
+    flags = re.IGNORECASE if e.case_insensitive else 0
+    negated = e.negated
+    cache: dict[str, re.Pattern] = {}
+
+    def like(value: Value, pattern: Value) -> bool:
+        if not isinstance(value, str) or not isinstance(pattern, str):
+            raise TypeError_("LIKE expects text operands, got "
+                             f"{type(value).__name__} and "
+                             f"{type(pattern).__name__}")
+        regex = cache.get(pattern)
+        if regex is None:
+            regex = re.compile(_like_to_regex(pattern), flags)
+            if len(cache) < 64:
+                cache[pattern] = regex
+        return (regex.fullmatch(value) is not None) is not negated
+
+    return Strict([e.operand, e.pattern], "like(a, b)", {"like": like},
+                  null=True)
+
+
+def _case(c: ExprCompiler, e: A.CaseExpr) -> Lazy:
+    conds, results = zip(*e.whens)
+    test = "_as_bool(v)" if e.operand is None else "sql_eq(op, v)"
+    return Lazy(conds, test, "t is True", results=results,
+                default=e.else_result, operand=e.operand)
+
+
+def _row(c: ExprCompiler, e: A.RowExpr) -> Strict:
+    if e.type_name is None:
+        return Strict(e.items, "Row(xs)", variadic=True)
+    return Strict(e.items, "t.make_row(xs) if t is not None "
+                           "else Row(xs, type_name=type_name)",
+                  {"type_name": e.type_name},
+                  pre="rt.catalog.get_type(type_name)", variadic=True)
+
+
+#: AST node -> ``build(compiler, node) -> entry``.  Every ``ast.Expr``
+#: subclass is here or in :data:`ROW_ONLY`.
+KERNELS: dict[type, Callable] = {
+    A.Literal: _literal,
+    A.Param: _param,
+    A.ColumnRef: ExprCompiler._column,
+    A.BinaryOp: _binary,
+    A.UnaryOp: _unary,
+    A.IsNull: lambda c, e: Strict(
+        [e.operand], "a is not None" if e.negated else "a is None"),
+    A.IsBool: lambda c, e: Strict(
+        [e.operand], f"(_as_bool(a) is {e.value}) is not {e.negated}"),
+    A.Between: _between,
+    A.InList: _in_list,
+    A.Like: _like,
+    A.CaseExpr: _case,
+    A.Cast: lambda c, e: Strict(
+        [e.operand], "cast_value(a, type_name, t)",
+        {"type_name": e.type_name}, pre="rt.catalog.get_type(type_name)"),
+    A.RowExpr: _row,
+    A.ArrayExpr: lambda c, e: Strict(e.items, "list(xs)", variadic=True),
+    A.ArrayIndex: lambda c, e: Strict(
+        [e.operand, e.index], "_subscript(a, b)", null=True),
+    A.FieldAccess: lambda c, e: Strict(
+        [e.operand], "_field(a, name)", {"name": e.fieldname}, null=True),
+    A.FuncCall: ExprCompiler._call,
+}
+
+#: Nodes that run a subplan: compiled by ``ExprCompiler._compile_<Node>``,
+#: never vectorized.
+ROW_ONLY = frozenset({A.ScalarSubquery, A.Exists, A.InSubquery})
+
+
+# ---------------------------------------------------------------------------
 # Value-level helpers
 # ---------------------------------------------------------------------------
 
@@ -627,24 +844,10 @@ def _as_bool(value: Value) -> Optional[bool]:
     raise TypeError_(f"expected boolean, got {type(value).__name__}")
 
 
-def _check_number(value: Value) -> None:
+def _number(value: Value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError_(f"expected number, got {type(value).__name__}")
-
-
-def _add(a, b):
-    _check_number(a), _check_number(b)
-    return a + b
-
-
-def _sub(a, b):
-    _check_number(a), _check_number(b)
-    return a - b
-
-
-def _mul(a, b):
-    _check_number(a), _check_number(b)
-    return a * b
+    return value
 
 
 def _int_div(a: int, b: int) -> int:
@@ -664,7 +867,7 @@ def _int_mod(a: int, b: int) -> int:
 
 
 def _div(a, b):
-    _check_number(a), _check_number(b)
+    _number(a), _number(b)
     if isinstance(a, int) and isinstance(b, int):
         return _int_div(a, b)
     if b == 0:
@@ -673,19 +876,17 @@ def _div(a, b):
 
 
 def _mod(a, b):
-    _check_number(a), _check_number(b)
+    _number(a), _number(b)
     if isinstance(a, int) and isinstance(b, int):
         return _int_mod(a, b)
     if b == 0:
         raise ExecutionError("division by zero")
-    import math
-    return math.fmod(a, b)
+    # IEEE: the remainder of an infinite dividend is NaN (fmod raises).
+    return math.nan if math.isinf(a) else math.fmod(a, b)
 
 
 def _pow(a, b):
-    import math
-
-    _check_number(a), _check_number(b)
+    _number(a), _number(b)
     # PostgreSQL ^ semantics: double-precision result, with the two error
     # cases numeric exponentiation rejects.  Infinite/NaN exponents skip the
     # integrality test and take IEEE semantics ((-2) ^ inf = inf).
@@ -700,13 +901,19 @@ def _pow(a, b):
         raise ExecutionError("value out of range: overflow")
 
 
-_ARITH_FNS = {"+": _add, "-": _sub, "*": _mul, "/": _div, "%": _mod,
-              "^": _pow}
+def _subscript(arr: Value, i: Value) -> Value:
+    if not isinstance(arr, list):
+        raise TypeError_("cannot subscript a non-array value")
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise TypeError_("array subscript must be an integer")
+    return arr[i - 1] if 1 <= i <= len(arr) else None
 
-#: Exact-int shortcuts taken by ``run_arith`` (``^`` stays on the generic
-#: path: SQL power always yields double precision).
-_INT_FAST_FNS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-                 "*": lambda a, b: a * b, "/": _int_div, "%": _int_mod}
+
+def _field(value: Value, name: str) -> Value:
+    if not isinstance(value, Row):
+        raise TypeError_(f"cannot access field {name!r} of "
+                         f"{type(value).__name__}")
+    return value.field(name)
 
 
 def _concat(a: Value, b: Value) -> Value:

@@ -457,8 +457,8 @@ class Planner:
         # run batch-at-a-time.  The WHERE clause is batch-compiled from
         # the *original* AST — predicate pushdown split it between leaf
         # filter and residual, and for pure predicates the conjunction is
-        # equivalent.  vectorize_core returns None when any expression is
-        # outside the supported subset, keeping this plan unchanged.
+        # equivalent.  vectorize_core returns None when any expression
+        # contains a row-only kernel-table entry, keeping this plan unchanged.
         if (not order_by and self.enable_vectorize
                 and window_stage is None and batch_stage is None
                 and len(relations) == 1

@@ -81,6 +81,8 @@ def cast_value(value: Value, type_name: str,
             # SQL rounds half away from zero; Python's round is banker's.
             if isinstance(value, float):
                 import math
+                if not math.isfinite(value):
+                    raise TypeError_(f"cannot cast {value!r} to int")
                 return int(math.floor(value + 0.5)) if value >= 0 else int(math.ceil(value - 0.5))
             return int(value)
         if isinstance(value, str):

@@ -188,6 +188,37 @@ profiler.bump(PLAN_CACHE_HIT)
     assert lint_source(tmp_path, "repro/sql/anywhere.py", source) == []
 
 
+# ---------------------------------------------------------------------------
+# rule 4: one expression compiler
+# ---------------------------------------------------------------------------
+
+SECOND_COMPILER = """
+class VectorExprCompiler:
+    def _compile_BinaryOp(self, expr):
+        return None
+
+    def _compile_order_keys(self, order_by):
+        return None
+"""
+
+
+def test_compile_node_method_outside_expr_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/sql/executor/vector.py",
+                           SECOND_COMPILER)
+    assert rules(findings) == ["second-compiler"]  # not _compile_order_keys
+    assert "_compile_BinaryOp" in findings[0].message
+
+
+def test_compile_node_method_in_expr_is_clean(tmp_path):
+    assert lint_source(tmp_path, "repro/sql/expr.py", SECOND_COMPILER) == []
+
+
+def test_expr_node_names_come_from_the_ast_module():
+    names = lint_internal.expr_node_names()
+    assert {"BinaryOp", "FuncCall", "ScalarSubquery"} <= names
+    assert "SelectStmt" not in names and "Expr" not in names
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

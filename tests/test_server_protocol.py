@@ -247,10 +247,18 @@ class TestErrors:
         assert fields["C"] == "42601"  # syntax_error
         assert fields["M"]
 
-    def test_unknown_relation_sqlstate(self, client):
-        messages = client.query("SELECT * FROM missing_table")
+    @pytest.mark.parametrize("sql, sqlstate", [
+        ("SELECT * FROM missing_table", "42704"),  # name-resolution label
+        # Ill-typed operands are classified by the expression kernels,
+        # never Python's TypeError / ValueError surfacing as XX000.
+        ("SELECT 5 LIKE 'a'", "42804"),
+        ("SELECT name LIKE 1 FROM items", "42804"),
+        ("SELECT substr(name, 'q') FROM items", "22000"),
+    ])
+    def test_error_sqlstates(self, client, sql, sqlstate):
+        messages = client.query(sql)
         fields = decode_fields(messages[0][1])
-        assert fields["C"] == "42704"  # name-resolution taxonomy label
+        assert fields["C"] == sqlstate
 
     def test_error_does_not_kill_the_connection(self, client):
         client.query("SELEC 1")

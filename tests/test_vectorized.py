@@ -122,6 +122,24 @@ class TestRowFallback:
         db.execute("SET enable_vectorize = off")
         assert db.query_all(sql) == [(10,), (5,)]
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT (CASE WHEN a > 2 THEN a ELSE b END) LIKE 'x' FROM w LIMIT 1",
+        "SELECT substr(b, CASE WHEN a > 2 THEN 'q' ELSE 1 END) FROM w LIMIT 1",
+    ])
+    def test_ill_typed_rows_beyond_the_limit_fall_back(self, db, sql):
+        # Rows with a > 2 feed LIKE an int / substr a non-numeric start.
+        # The kernels raise classified errors (once Python's TypeError /
+        # ValueError, which the SqlError net let through), so the batch
+        # falls back and the row engine stops at LIMIT 1 before them.
+        db.execute("CREATE TABLE w(a int, b text)")
+        for i in range(6):
+            db.execute("INSERT INTO w VALUES ($1, 'abcdef')", [i])
+        assert "Vectorized" in _explain(db, sql)
+        vectorized = db.query_all(sql)
+        db.execute("SET enable_vectorize = off")
+        assert db.query_all(sql) == vectorized
+        assert len(vectorized) == 1
+
     def test_scan_level_error_falls_back(self, vdb, monkeypatch):
         def boom(self):
             raise ExecutionError("injected scan failure")

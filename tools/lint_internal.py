@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Three checks, each born from a real failure mode in this codebase:
+Four checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
    loops (`WITH RECURSIVE`, batched UDFs) and the PL/pgSQL interpreter
@@ -26,6 +26,12 @@ Three checks, each born from a real failure mode in this codebase:
    :mod:`repro.sql.profiler` (string literals are rejected too), and the
    name must be assigned a string constant there.
 
+4. **One expression compiler.**  Expression semantics live in the kernel
+   table of ``repro/sql/expr.py``, from which the row and the batch
+   evaluator are both derived.  A ``_compile_<Node>`` method (``<Node>`` an
+   ``ast.Expr`` subclass) defined anywhere else is a second compiler
+   regrowing, to be kept in agreement by tests instead of by construction.
+
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
 """
@@ -39,6 +45,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 PROFILER = SRC / "repro" / "sql" / "profiler.py"
+SQL_AST = SRC / "repro" / "sql" / "ast.py"
+#: The one module allowed to define ``_compile_<Node>`` methods.
+EXPR_COMPILER = "repro/sql/expr.py"
 
 #: Modules whose while-loops iterate user-controlled amounts of work.
 CANCEL_POLLED_MODULES = (
@@ -183,10 +192,37 @@ def check_profiler_counters(path: Path, tree: ast.Module,
     return findings
 
 
+# -- rule 4: one expression compiler ----------------------------------------
+
+def expr_node_names() -> set[str]:
+    """Names of the ``Expr`` subclasses declared in sql/ast.py."""
+    tree = ast.parse(SQL_AST.read_text(), filename=str(SQL_AST))
+    return {node.name for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "Expr"
+                    for base in node.bases)}
+
+
+def check_second_compiler(path: Path, tree: ast.Module,
+                          nodes: set[str]) -> list[Finding]:
+    if path.relative_to(SRC).as_posix() == EXPR_COMPILER:
+        return []
+    banned = {"_compile_" + name for name in nodes}
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in banned:
+            findings.append(Finding(
+                path, node.lineno, "second-compiler",
+                f"{node.name}: expression nodes are compiled from the "
+                f"kernel table in {EXPR_COMPILER} only"))
+    return findings
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
     declared = declared_counters()
+    nodes = expr_node_names()
     findings: list[Finding] = []
     for path in (paths if paths is not None else iter_sources()):
         source = path.read_text()
@@ -200,6 +236,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_cancel_polling(path, tree, source_lines))
         findings.extend(check_bare_except(path, tree))
         findings.extend(check_profiler_counters(path, tree, declared))
+        findings.extend(check_second_compiler(path, tree, nodes))
     return findings
 
 
