@@ -1,4 +1,4 @@
-"""Set-oriented compiled-UDF execution vs the per-row scalar path.
+"""The trampoline machine (batched and per call) vs the inlined Qf.
 
 The paper compiles a PL/SQL function f into one ``WITH RECURSIVE`` query
 Qf.  The engine's scalar finalization splices Qf into the calling query as
@@ -16,13 +16,22 @@ once per call, and — because the whole argument relation is in hand and
 batching requires non-volatile functions — rows with identical arguments
 share one activation (``planner.batch_dedup``).
 
+A call that may not batch (here an aggregate argument,
+``SELECT sum(tetra_c(x)) FROM t``) has neither advantage: it runs one
+activation of the same machine rules per row.  What it still saves over
+the inlined Qf is the generic recursive-CTE machinery per step and the
+re-planning of the spliced ``WITH RECURSIVE`` per statement.
+
 Asserted here (the PR's acceptance criteria):
 
 * the batched trampoline beats the per-row scalar path by >= 10x on the
   10k-row workload (it also stays >= 5x with argument dedup disabled,
   i.e. running all 10,000 activations),
-* EXPLAIN names the ``BatchedUdf`` operator for the batched plan and not
-  for the scalar one,
+* at the non-batchable site the per-call machine beats the inlined Qf
+  by >= 3x, over all 10,000 activations on both sides,
+* EXPLAIN names the ``BatchedUdf`` operator for the batched plan, the
+  per-call ``Trampoline`` for the aggregate-argument plan, and neither
+  for the scalar ones,
 * both strategies of the operator ("machine" and "sql") and the scalar
   path return identical results.
 """
@@ -54,6 +63,8 @@ END;
 $$ LANGUAGE plpgsql"""
 
 QUERY = "SELECT tetra_c(x) FROM t"
+#: A site that may not batch: the call is an aggregate's argument.
+PER_CALL_QUERY = "SELECT sum(tetra_c(x)) FROM t"
 
 
 def _build_db() -> Database:
@@ -67,12 +78,12 @@ def _build_db() -> Database:
 
 
 def _timed(db: Database, batched: bool, strategy: str = "machine",
-           dedup: bool = True, runs: int = 3) -> float:
+           dedup: bool = True, runs: int = 3, query: str = QUERY) -> float:
     db.planner.batch_compiled = batched
     db.planner.batch_strategy = strategy
     db.planner.batch_dedup = dedup
     db.clear_plan_cache()
-    return time_query(db, QUERY, runs=runs, warmup=1).minimum
+    return time_query(db, query, runs=runs, warmup=1).minimum
 
 
 def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
@@ -87,20 +98,30 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
     db.planner.batch_strategy = "sql"
     db.clear_plan_cache()
     sql_rows = db.query_all(QUERY)
+    per_call_sum = db.query_value(PER_CALL_QUERY)
+    explain_per_call = db.explain(PER_CALL_QUERY)
     db.planner.batch_compiled = False
     db.clear_plan_cache()
     scalar_rows = db.query_all(QUERY)
     explain_scalar = db.explain(QUERY)
     assert machine_rows == sql_rows == scalar_rows
+    assert per_call_sum == db.query_value(PER_CALL_QUERY) \
+        == sum(row[0] for row in scalar_rows)
     assert "BatchedUdf" in explain_batched
+    assert "Trampoline tetra_c(x)  [machine, per call" in explain_per_call
+    assert "BatchedUdf" not in explain_per_call
     assert "BatchedUdf" not in explain_scalar
+    assert "Trampoline" not in explain_scalar + db.explain(PER_CALL_QUERY)
 
     machine_s = _timed(db, batched=True, strategy="machine")
     raw_s = _timed(db, batched=True, strategy="machine", dedup=False)
     sql_s = _timed(db, batched=True, strategy="sql", runs=1)
     scalar_s = _timed(db, batched=False, runs=1)
+    per_call_s = _timed(db, batched=True, query=PER_CALL_QUERY)
+    inlined_s = _timed(db, batched=False, runs=1, query=PER_CALL_QUERY)
     speedup = scalar_s / machine_s
     raw_speedup = scalar_s / raw_s
+    per_call_speedup = inlined_s / per_call_s
 
     # One instrumented run for the new profiler counters.
     db.planner.batch_compiled = True
@@ -129,6 +150,12 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
          round(machine_s * 1000, 1)],
         ["speedup (default batched vs scalar)", round(speedup, 1)],
         ["speedup (no-dedup batched vs scalar)", round(raw_speedup, 1)],
+        ["sum(f(x)): inlined Qf per row (batch_compiled=off)",
+         round(inlined_s * 1000, 1)],
+        ["sum(f(x)): per-call trampoline machine (default)",
+         round(per_call_s * 1000, 1)],
+        ["speedup (per-call machine vs inlined Qf)",
+         round(per_call_speedup, 1)],
         ["trampoline iterations (batched)", counts[TRAMPOLINE_ITERATIONS]],
         ["batch size / distinct activations",
          f"{counts[BATCHED_UDF_ROWS]} / {counts[BATCHED_UDF_DISTINCT]}"],
@@ -145,14 +172,20 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
             "batched_sql_strategy": sql_s,
             "batched_machine_no_dedup": raw_s,
             "batched_machine": machine_s,
+            "aggregate_arg_inlined_qf": inlined_s,
+            "aggregate_arg_per_call_machine": per_call_s,
         },
-        "speedups": {"batched": speedup, "batched_no_dedup": raw_speedup},
+        "speedups": {"batched": speedup, "batched_no_dedup": raw_speedup,
+                     "per_call_machine": per_call_speedup},
         "rows_per_s": {"batched_machine": ROWS / machine_s},
     })
 
     assert speedup >= 10.0, f"batched trampoline only {speedup:.1f}x faster"
     assert raw_speedup >= 5.0, \
         f"no-dedup trampoline only {raw_speedup:.1f}x faster"
+    assert per_call_speedup >= 3.0, \
+        f"per-call machine only {per_call_speedup:.1f}x faster than the " \
+        f"inlined Qf ({per_call_s * 1000:.1f} vs {inlined_s * 1000:.1f} ms)"
 
     db.planner.batch_compiled = True
     db.planner.batch_strategy = "machine"

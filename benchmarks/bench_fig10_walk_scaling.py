@@ -8,6 +8,11 @@ Scaled here to 250..2000 iterations (Python engine), 5 runs.  Shape
 criteria: the compiled variant is consistently faster at every sweep point,
 and the relative runtime does not degrade as iterations grow (the saving is
 per-iteration, not a fixed cost).
+
+The three paper series run the paper's inlined Qf (``conftest.demo`` pins
+``batch_compiled = off``).  A fourth, "trampoline machine", is ``walk_c``
+under the engine's default settings: the same transition rules stepped as
+compiled closures, one activation per call, no working table at all.
 """
 
 from __future__ import annotations
@@ -29,7 +34,16 @@ def build_series(db, runs: int = 5):
         "WITH ITERATE": lambda steps: (walk_query("walk_it", per_call=True),
                                        [WIN, LOOSE, steps]),
     }
-    return measure_series(db, ITERATIONS, variants, runs=runs)
+    series = measure_series(db, ITERATIONS, variants, runs=runs)
+    db.execute("RESET batch_compiled")
+    try:
+        machine = measure_series(
+            db, ITERATIONS,
+            {"trampoline machine": variants["WITH RECURSIVE"]}, runs=runs)
+    finally:
+        db.execute("SET batch_compiled = off")
+    series.variants.update(machine.variants)
+    return series
 
 
 def test_fig10_report(demo, write_artifact, benchmark):
@@ -47,6 +61,7 @@ def test_fig10_report(demo, write_artifact, benchmark):
         interp = series.variants["PL/SQL"][i]
         compiled = series.variants["WITH RECURSIVE"][i]
         iterate = series.variants["WITH ITERATE"][i]
+        machine = series.variants["trampoline machine"][i]
         rows.append([
             steps,
             round(interp.mean * 1000, 1),
@@ -54,12 +69,14 @@ def test_fig10_report(demo, write_artifact, benchmark):
             round(compiled.mean * 1000, 1),
             f"[{compiled.minimum * 1000:.1f}..{compiled.maximum * 1000:.1f}]",
             round(iterate.mean * 1000, 1),
+            round(machine.mean * 1000, 1),
             round(100.0 * compiled.mean / interp.mean, 1),
         ])
     table = render_table(
         ["#iterations", "PL/SQL ms", "env", "RECURSIVE ms", "env",
-         "ITERATE ms", "rel %"],
-        rows, "Figure 10: walk() wall-clock, one invocation (scaled sweep)")
+         "ITERATE ms", "machine ms", "rel %"],
+        rows, "Figure 10: walk() wall-clock, one invocation (scaled sweep; "
+              "machine = walk_c under default settings)")
     write_artifact("fig10_walk_scaling.txt", table)
 
     relative = series.relative("WITH RECURSIVE", "PL/SQL")

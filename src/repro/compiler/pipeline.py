@@ -107,12 +107,16 @@ class CompiledFunction:
     # ------------------------------------------------------------------
 
     def register(self, db, name: Optional[str] = None):
-        """Register Qf with *db* so calls to it are inlined at plan time.
+        """Register Qf with *db* so calls to it are planned with the query.
 
-        Recursive, non-volatile functions additionally register the
-        *batched* Qf (one trampoline advancing a whole relation of calls;
-        see :func:`repro.compiler.template.build_batched_template_query`)
-        so the planner can evaluate ``SELECT f(x) FROM t`` set-oriented.
+        Recursive functions additionally register the trampoline's *machine
+        form* (:func:`repro.compiler.template.build_batched_machine`), which
+        the engine runs in place of the inlined ``WITH RECURSIVE`` unless
+        ``batch_compiled`` is off, and - when no expression in the body is
+        volatile - the *batched* Qf (one trampoline advancing a whole
+        relation of calls; see
+        :func:`repro.compiler.template.build_batched_template_query`) so
+        the planner can evaluate ``SELECT f(x) FROM t`` set-oriented.
         """
         from .template import (batch_input_columns, build_batched_machine,
                                build_batched_template_query,
@@ -120,10 +124,11 @@ class CompiledFunction:
         batched_query = None
         batch_columns = None
         batch_machine = None
-        if self.is_recursive and not udf_contains_volatile(self.udf):
-            batched_query = build_batched_template_query(self.udf)
-            batch_columns = batch_input_columns(self.udf)
+        if self.is_recursive:
             batch_machine = build_batched_machine(self.udf)
+            if not udf_contains_volatile(self.udf):
+                batched_query = build_batched_template_query(self.udf)
+                batch_columns = batch_input_columns(self.udf)
         return db.register_compiled_function(
             name or self.name, self.param_names, self.param_types,
             self.return_type, self.query,

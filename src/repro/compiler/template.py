@@ -197,8 +197,8 @@ def udf_contains_volatile(udf: SqlUdf) -> bool:
 
     Batched (set-oriented) execution interleaves the machine steps of many
     caller rows in one trampoline, which reorders volatile draws relative
-    to the one-call-at-a-time scalar path; such functions therefore stay on
-    the scalar path entirely.
+    to one-call-at-a-time evaluation; such functions therefore get no
+    batched Qf and run every call as its own activation of the machine.
     """
     from .anf import AnfCall, AnfIf, AnfLet, AnfRet
     from .optimize import expr_is_volatile
@@ -382,14 +382,16 @@ def _dispatch_body(udf: SqlUdf, let_style: str) -> A.Expr:
 # The machine form of the batched template
 # ---------------------------------------------------------------------------
 #
-# The batched Qf above *spells* a state machine in SQL: every run row is a
+# The templates above *spell* a state machine in SQL: every run row is a
 # machine state ``(fn, <vars...>)`` and the recursive term is its transition
-# function.  The engine's BatchedUdf operator can evaluate that machine
-# directly — compiled condition/argument expressions over the working set,
-# no generic operator overhead per step — exactly as WITH ITERATE is an
-# engine-side evaluation strategy for the same template.  The structures
-# below are that machine, handed to the engine alongside the SQL form
-# (``planner.batch_strategy`` picks which one runs; both must agree).
+# function.  The engine evaluates that machine directly — compiled
+# condition/argument expressions over the live states, no generic operator
+# overhead per step — exactly as WITH ITERATE is an engine-side evaluation
+# strategy for the same template.  The structures below are that machine,
+# handed to the engine alongside the SQL forms: the BatchedUdf operator
+# advances a relation of calls through it (``planner.batch_strategy`` may
+# pick the batched Qf instead; both must agree), and every other call site
+# runs one activation of it per call (executor/batched_udf.py).
 
 
 @dataclass
@@ -447,10 +449,17 @@ class BatchedMachine:
 
 
 def build_batched_machine(udf: SqlUdf) -> BatchedMachine:
-    """Derive the transition rules of the batched template from the ANF."""
+    """Derive the transition rules of the batched template from the ANF.
+
+    Volatile bodies get a machine too: a :class:`MachineLet` evaluates its
+    binding exactly once per step, so there is none of the split rewrite's
+    expression duplication for :func:`_assert_not_volatile` to guard.  What
+    a volatile body may not do is *share* a trampoline with other callers
+    (see :func:`udf_contains_volatile`); the planner runs its calls one
+    activation at a time.
+    """
     if not udf_is_recursive(udf):
         raise CompileError("the machine form requires a recursive UDF")
-    _assert_not_volatile(udf)
     anf = udf.anf
     state_vars = udf.rec_params[1:]  # "fn" is the dispatch slot
 

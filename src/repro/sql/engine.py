@@ -845,12 +845,16 @@ class Database:
                                    ) -> FunctionDef:
         """Register the pure-SQL query produced by the compiler as *name*.
 
-        Subsequent queries calling ``name(...)`` get the query inlined at
-        plan time (replacing any previous PL/pgSQL definition).  When
-        *batched_query* is supplied (see
-        :func:`repro.compiler.template.build_batched_template_query`), the
-        planner may evaluate whole relations of calls through one
-        set-oriented trampoline instead of one scalar subquery per row.
+        Subsequent queries calling ``name(...)`` are planned with it
+        (replacing any previous PL/pgSQL definition): with *batch_machine*
+        (every recursive function; see
+        :func:`repro.compiler.template.build_batched_machine`) a call steps
+        the trampoline machine, and when *batched_query* is supplied too
+        (see :func:`repro.compiler.template.build_batched_template_query`)
+        the planner may advance whole relations of calls through one
+        set-oriented trampoline; without either, or under
+        ``batch_compiled = off``, *query* is inlined at the call site as a
+        scalar subquery.
         """
         fdef = FunctionDef(name=name.lower(), kind="compiled",
                            param_names=list(param_names),

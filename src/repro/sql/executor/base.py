@@ -53,9 +53,20 @@ class Plan:
     def explain(self, indent: int = 0) -> str:
         lines = ["  " * indent + "-> " + self.label()
                  + f"  [{', '.join(self.output_columns)}]"]
+        lines.extend(call_site_lines(indent + 1,
+                                     getattr(self, "subplans", ())))
         for child in self.children():
             lines.append(child.explain(indent + 1))
         return "\n".join(lines)
+
+
+def call_site_lines(indent: int, *slot_lists) -> list[str]:
+    """EXPLAIN lines for the per-call trampoline sites parked in an
+    operator's expression subplan slots (executor/batched_udf.py).  The
+    subquery plans sharing those slots print nothing, as before: only a
+    site says which evaluator a compiled call runs on."""
+    return [plan.explain(indent) for subplans in slot_lists
+            for plan in subplans if getattr(plan, "per_call", False)]
 
 
 class PlanState:

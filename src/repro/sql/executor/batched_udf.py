@@ -1,41 +1,52 @@
-"""Set-oriented compiled-UDF execution: the ``BatchedUdf`` operator.
+"""The trampoline machine: batched (``BatchedUdf``) and per-call sites.
 
-The planner's scalar finalization inlines a compiled function as a
-*correlated scalar subquery*, so ``SELECT f(x) FROM t`` re-opens (and hence
-re-materializes) the whole ``WITH RECURSIVE`` trampoline once per input
-row.  This module evaluates the same workload through **one** trampoline:
+The paper's finalization step splices a compiled function's Qf into the
+call site as a *correlated scalar subquery*, so every evaluation re-opens
+(and hence re-materializes) the whole ``WITH RECURSIVE`` trampoline through
+the generic recursive-CTE operators, and every statement re-plans it.  With
+``batch_compiled`` on (the default) a call to a *recursive* compiled
+function instead runs the template's **machine form**
+(:class:`repro.compiler.template.BatchedMachine`): the transition rules the
+SQL template spells out, compiled once into expression closures
+(:func:`compile_machine`, cached on the ``FunctionDef`` and so shared by
+every call site of every statement) and stepped over the live machine
+states only - the same engine-side move as ``WITH ITERATE``.  Two kinds of
+site share those rules and one stepping loop (:meth:`MachineCallState.run`):
 
-1. the owning SELECT block materializes its surviving row vectors,
-2. for each batched call site the argument expressions are evaluated per
-   row, producing a *batch input* relation ``(k, <args...>)`` keyed by the
-   row's position,
-3. the function's batched Qf (see
-   :func:`repro.compiler.template.build_batched_template_query`) runs once,
-   its recursive working set carrying ``k`` alongside the machine state so
-   every pending call advances in lock-step,
-4. the ``(k, result)`` output is joined back positionally — a key join on
-   ``k`` against an array — and exposed to the projection as the
-   ``__batch`` relation.
+* **Batched** (``BatchedUdf``; select-list calls the planner proves safe to
+  evaluate eagerly, see :meth:`repro.sql.planner.Planner._batchable`):
 
-Two interchangeable evaluation strategies execute the trampoline
-(``planner.batch_strategy``):
+  1. the owning SELECT block materializes its surviving row vectors,
+  2. for each call site the argument expressions are evaluated per row,
+     producing a *batch input* relation ``(k, <args...>)`` keyed by the
+     row's position (rows with equal argument vectors share one entry
+     under ``batch_dedup``),
+  3. one trampoline advances every pending call in lock-step,
+  4. the ``(k, result)`` output is joined back positionally - a key join on
+     ``k`` against an array - and exposed to the projection as the
+     ``__batch`` relation.
 
-* ``"machine"`` (default) — the batched template's *machine form*
-  (:class:`repro.compiler.template.BatchedMachine`): the transition rules
-  the SQL template spells out, evaluated as compiled expression closures
-  over the working set.  One condition/argument evaluation per pending
-  call per step, no generic operator overhead — the same engine-side move
-  as ``WITH ITERATE``.
-* ``"sql"`` — plan the batched Qf like any query and run it through the
-  generic recursive-CTE executor, with the batch input injected as a
-  pre-materialized CTE.  Slower, but shares every code path with ordinary
-  queries; the differential tests hold both strategies to identical
-  results.
+  ``planner.batch_strategy = sql`` swaps step 3 for the batched Qf (see
+  :func:`repro.compiler.template.build_batched_template_query`) planned
+  like any query and run by the generic recursive-CTE executor with the
+  batch input injected as a pre-materialized CTE.  Slower, but it shares
+  every code path with ordinary queries; the differential tests hold both
+  strategies to identical results.
 
-The per-row scalar path remains the fallback: volatile argument
-expressions, volatile function bodies, loop-free functions, calls outside
-the select list, and ``planner.batch_compiled = False`` all keep the seed
-behaviour (see :meth:`repro.sql.planner.Planner._plan_batched_udfs`).
+* **Per call** (``Trampoline``; every other site: volatile bodies, volatile
+  or subquery arguments, WHERE / CASE / aggregate-argument / LIMIT-ed /
+  nested-subquery positions): the site is parked in the owning
+  expression's subplan slots (:meth:`repro.sql.expr.ExprCompiler.
+  _compile_FuncCall`) and each evaluation of the call runs **one**
+  activation to completion, alone and in place.  Nothing is evaluated
+  earlier, later or more often than the inlined Qf would evaluate it, so
+  volatile draw order, the RNG state a statement leaves behind and the
+  not-evaluated cases (untaken CASE arm, rows past LIMIT, rows WHERE
+  rejects) all agree with the inlined Qf and with the interpreter.
+
+``batch_compiled = off`` is the single switch back to the paper's inlined
+pure-SQL Qf at every site; loop-free (Froid) functions have no trampoline
+and always inline as plain expressions.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from ..profiler import (BATCHED_UDF_BATCHES, BATCHED_UDF_DISTINCT,
                         BATCHED_UDF_ROWS, TRAMPOLINE_ITERATIONS,
                         TRAMPOLINE_WORKING_ROWS)
 from ..values import Row
-from .base import Plan
+from .base import Plan, call_site_lines
 from .recursion import CteDef, CteRuntime, InstantiationContext
 from .scan import make_slots
 
@@ -74,8 +85,8 @@ class BatchedUdfStagePlan:
     ``dedup`` (``planner.batch_dedup``): batching materializes the whole
     argument relation before the trampoline runs, so rows with identical
     argument vectors can share one activation — sound because batching
-    already requires non-volatile functions.  The per-row scalar path can
-    never see this: it evaluates calls one at a time.
+    already requires non-volatile functions.  A per-call site can never
+    see this: it evaluates calls one at a time.
     """
 
     __slots__ = ("calls", "subplans", "dedup")
@@ -159,7 +170,8 @@ class BatchedUdfStageState:
 
 
 # ---------------------------------------------------------------------------
-# Strategy: "machine" — compiled transition rules over the working set
+# The machine: compiled transition rules over the live states (batched
+# strategy "machine" and every per-call site)
 # ---------------------------------------------------------------------------
 
 
@@ -276,18 +288,21 @@ def _compile_node(node, planner, rels: list, subplans: list):
 
 
 class MachineCallPlan:
-    """One batched call site evaluated via compiled transition rules."""
+    """One call site evaluated via compiled transition rules: a batched
+    site of a :class:`BatchedUdfStagePlan`, or (``per_call``) a site parked
+    in an expression's subplan slots that runs one activation per call."""
 
     strategy = "machine"
 
-    __slots__ = ("name", "arg_display", "args", "volatility", "base",
-                 "base_subplans", "transitions", "trans_subplans")
+    __slots__ = ("name", "arg_display", "args", "volatility", "per_call",
+                 "base", "base_subplans", "transitions", "trans_subplans")
 
     def __init__(self, base, base_subplans, transitions, trans_subplans):
         self.name = ""
         self.arg_display = ""
         self.args: list = []
         self.volatility = ""
+        self.per_call = False
         self.base = base
         self.base_subplans = base_subplans
         self.transitions = transitions
@@ -304,11 +319,26 @@ class MachineCallPlan:
         site.volatility = self.volatility
         return site
 
+    def explain(self, indent: int = 0) -> str:
+        """The EXPLAIN line of a per-call site (listed by the operator that
+        owns the expression), with the sites its own rules call beneath."""
+        tags = "machine, per call"
+        if self.volatility:
+            tags += f"; volatility={self.volatility}"
+        lines = ["  " * indent
+                 + f"-> Trampoline {self.name}({self.arg_display})  [{tags}]"]
+        lines.extend(self._nested_sites(indent + 1))
+        return "\n".join(lines)
+
     def explain_children(self, indent: int) -> list[str]:
         return ["  " * indent
                 + f"-> Trampoline machine ({len(self.transitions)} "
                 + ("transition rule)" if len(self.transitions) == 1
-                   else "transition rules)")]
+                   else "transition rules)")] + self._nested_sites(indent + 1)
+
+    def _nested_sites(self, indent: int) -> list[str]:
+        return call_site_lines(indent, self.base_subplans,
+                               self.trans_subplans)
 
     def instantiate(self, rt, ictx) -> "MachineCallState":
         return MachineCallState(rt, self, ictx)
@@ -323,7 +353,12 @@ class MachineCallState:
         self.base_slots = make_slots(rt, ictx, plan.base_subplans)
         self.trans_slots = make_slots(rt, ictx, plan.trans_subplans)
 
-    def run(self, batch_rows: list[tuple]) -> list:
+    def call(self, values: tuple):
+        """One activation, run to completion at the call's own evaluation
+        point (the per-call site)."""
+        return self.run(((0,) + values,))[0]
+
+    def run(self, batch_rows) -> list:
         """Advance every pending call in lock-step; results aligned by k."""
         rt = self.rt
         plan = self.plan
@@ -355,8 +390,9 @@ class MachineCallState:
             cancel.check()
             iterations += 1
             if iterations > limit:
+                kind = "per-call" if plan.per_call else "batched"
                 raise ExecutionError(
-                    f"batched evaluation of {plan.name}() exceeded {limit} "
+                    f"{kind} evaluation of {plan.name}() exceeded {limit} "
                     "iterations (possible infinite recursion)")
             profiler.bump(TRAMPOLINE_ITERATIONS)
             profiler.bump(TRAMPOLINE_WORKING_ROWS, len(working))

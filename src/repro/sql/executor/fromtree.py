@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..expr import EvalContext
-from .base import Plan, PlanState
+from .base import Plan, PlanState, call_site_lines
 from .scan import make_slots
 
 
@@ -100,7 +100,9 @@ class FromLeafPlan(FromNodePlan):
         head += f" #{self.rel_index}"
         if self.filter is not None:
             head += "  (pushed-down filter)"
-        return head + "\n" + self.source.explain(indent + 1)
+        return "\n".join([head,
+                          *call_site_lines(indent + 1, self.filter_subplans),
+                          self.source.explain(indent + 1)])
 
 
 class FromLeafState(FromNodeState):
@@ -180,6 +182,8 @@ class FromJoinPlan(FromNodePlan):
     def explain(self, indent: int = 0) -> str:
         head = "  " * indent + f"-> NestLoop {self.kind.upper()} JOIN"
         return "\n".join([head,
+                          *call_site_lines(indent + 1,
+                                           self.condition_subplans),
                           self.left.explain(indent + 1),
                           self.right.explain(indent + 1)])
 

@@ -37,6 +37,7 @@ from ..expr import EvalContext
 from ..profiler import HASHJOIN_BUILD_ROWS, HASHJOIN_BUILDS
 from ..values import Row, hashable_value
 from ..values import key_class as _key_class
+from .base import call_site_lines
 from .fromtree import FromNodePlan, FromNodeState
 from .scan import make_slots
 
@@ -100,6 +101,7 @@ class HashJoinPlan(FromNodePlan):
                 + f"-> HashJoin {self.kind.upper()} JOIN"
                 + f" ({self.key_display}) [build={self.build_side}]")
         return "\n".join([head,
+                          *call_site_lines(indent + 1, self.subplans),
                           self.left.explain(indent + 1),
                           self.right.explain(indent + 1)])
 

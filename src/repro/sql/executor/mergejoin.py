@@ -37,6 +37,7 @@ from __future__ import annotations
 from ..expr import EvalContext
 from ..profiler import MERGEJOIN_SCANS
 from ..values import compare, sort_key
+from .base import call_site_lines
 from .fromtree import FromNodePlan, FromNodeState
 from .scan import make_slots
 
@@ -75,6 +76,7 @@ class MergeJoinPlan(FromNodePlan):
         head = ("  " * indent
                 + f"-> MergeJoin INNER JOIN ({self.key_display})")
         return "\n".join([head,
+                          *call_site_lines(indent + 1, self.subplans),
                           self.left.explain(indent + 1),
                           self.right.explain(indent + 1)])
 

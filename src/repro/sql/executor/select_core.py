@@ -21,7 +21,7 @@ from ..functions import make_aggregate
 from ..profiler import TOPN_INPUT_ROWS, TOPN_SCANS
 from ..values import hashable_row as _hashable_row
 from ..values import hashable_value as _hashable_value
-from .base import Plan, PlanState
+from .base import Plan, PlanState, call_site_lines
 from .batched_udf import BatchedUdfStagePlan, BatchedUdfStageState
 from .fromtree import FromNodePlan
 from .scan import make_slots
@@ -228,6 +228,14 @@ class SelectCorePlan(Plan):
                  + f"  [{', '.join(self.output_columns)}]"]
         if self.batch_stage is not None:
             lines.append(self.batch_stage.explain(indent + 1))
+        slot_lists = [self.where_subplans]
+        if self.agg_stage is not None:
+            slot_lists += [self.agg_stage.subplans,
+                           self.agg_stage.having_subplans]
+        if self.window_stage is not None:
+            slot_lists.append(self.window_stage.subplans)
+        slot_lists.append(self.project_subplans)
+        lines.extend(call_site_lines(indent + 1, *slot_lists))
         if self.from_plan is not None:
             lines.append(self.from_plan.explain(indent + 1))
         return "\n".join(lines)

@@ -570,6 +570,9 @@ class ExprCompiler:
                     f"function {name}() takes {fdef.arity} arguments, "
                     f"got {len(expr.args)}")
             if fdef.kind == "compiled" and self.planner.inline_compiled:
+                if self.planner.batch_compiled \
+                        and fdef.batch_machine is not None:
+                    return self._compile_trampoline_call(fdef, expr)
                 # The paper's finalization step: splice the compiled pure-SQL
                 # query Qf into the call site so Q and Qf are planned as one.
                 from .astutil import substitute_params_select
@@ -587,6 +590,22 @@ class ExprCompiler:
             return ctx.rt.db.call_function(fdef, values)
 
         return run_udf
+
+    def _compile_trampoline_call(self, fdef, expr: A.FuncCall) -> CompiledExpr:
+        """A per-call trampoline: the function's machine rules (compiled
+        once per function, not per statement) parked as a site in this
+        node's subplan slots; every evaluation of the call runs one
+        activation to completion, here and now - as lazily as the inlined
+        Qf it stands in for (executor/batched_udf.py)."""
+        args = self.compile_many(expr.args)
+        slot = self._alloc_slot()
+        self.subplans.append(
+            self.planner.trampoline_site(fdef, expr, args, per_call=True))
+
+        def run_trampoline(ctx: EvalContext):
+            return ctx.slots[slot].call(tuple([a(ctx) for a in args]))
+
+        return run_trampoline
 
     def _plan_subquery(self, query: A.SelectStmt) -> "Plan":
         if self.planner is None:

@@ -111,11 +111,15 @@ class Planner:
         #: Push single-relation WHERE conjuncts down to the scans that bind
         #: them, and promote cross-join equality conjuncts to join keys.
         self.enable_pushdown = True
-        #: Evaluate select-list calls to compiled functions set-oriented:
-        #: one batched trampoline per call site over all surviving rows
-        #: (executor/batched_udf.py) instead of one correlated scalar
-        #: subquery per row.  Volatile arguments, volatile bodies, and
-        #: loop-free functions always keep the scalar path.
+        #: Run calls to recursive compiled functions on the trampoline
+        #: machine (executor/batched_udf.py) instead of splicing Qf in as
+        #: a correlated scalar subquery: select-list calls that may be
+        #: evaluated eagerly share one batched trampoline per call site
+        #: over all surviving rows, every other call (volatile body or
+        #: arguments, WHERE / CASE / aggregate argument, LIMIT, nested
+        #: subquery) runs one activation per evaluation, in place.  Off is
+        #: the paper's inlined pure-SQL Qf everywhere; loop-free functions
+        #: have no trampoline and always inline.
         self.batch_compiled = True
         #: How the BatchedUdf operator evaluates the trampoline:
         #: "machine" runs the batched template's transition rules as
@@ -148,8 +152,8 @@ class Planner:
         self._cte_env: Optional[CteEnv] = None
         #: Nesting depth of expression subqueries (EXISTS / IN / scalar)
         #: currently being planned.  Those consumers stop pulling rows
-        #: early, so eager batching inside them could evaluate calls the
-        #: lazy scalar path never reaches (see _plan_query_tail's LIMIT
+        #: early, so eager batching inside them could evaluate calls a
+        #: lazy per-call site never reaches (see _plan_query_tail's LIMIT
         #: note); ExprCompiler._plan_subquery maintains the counter.
         self.expr_subquery_depth = 0
 
@@ -189,7 +193,7 @@ class Planner:
         body = stmt.body
         # A streaming LIMIT/OFFSET (no ORDER BY) may legitimately never
         # evaluate the tail rows' expressions; batching is eager over all
-        # surviving rows, so those statements keep the lazy scalar path.
+        # surviving rows, so those statements keep lazy per-call sites.
         # With ORDER BY the sort materializes every projected row anyway,
         # so batching there changes nothing observable.
         limited = stmt.limit is not None or stmt.offset is not None
@@ -409,9 +413,7 @@ class Planner:
 
         # Set-oriented compiled-UDF calls ---------------------------------
         # Only calls over a FROM clause batch: a table-less SELECT is a
-        # single activation, and several paper artifacts (Table 2's page
-        # writes, the ITERATE ablation) measure exactly the generic
-        # recursive-CTE behaviour of that scalar form.
+        # single activation, which a per-call site runs as it stands.
         batch_stage: Optional[BatchedUdfStagePlan] = None
         if allow_batch and self.expr_subquery_depth == 0 \
                 and self.batch_compiled and self.inline_compiled \
@@ -1280,13 +1282,8 @@ class Planner:
                 fdef = self.catalog.get_function(expr.name)
                 assert fdef is not None
                 column = f"__b{len(calls)}"
-                site = self._batched_qf_plan(fdef).at_call_site(
-                    fdef.name,
-                    ", ".join(_display_expr(a) for a in expr.args),
-                    [compiler.compile(a) for a in expr.args])
-                from ..analysis.volatility import effective_volatility
-                site.volatility = effective_volatility(fdef, self.catalog)
-                calls.append(site)
+                calls.append(self.trampoline_site(
+                    fdef, expr, [compiler.compile(a) for a in expr.args]))
                 originals.append(expr)
                 columns.append(column)
                 return A.ColumnRef(("__batch", column))
@@ -1302,15 +1299,17 @@ class Planner:
                 rewritten, post_scope)
 
     def _batchable(self, call: A.FuncCall, scope: Scope) -> bool:
-        """May *call* run through the batched trampoline?  Requires a
-        compiled function carrying a batched Qf (loop-free and volatile
-        bodies never get one) and argument expressions whose evaluation can
-        safely move into the batch stage — no subqueries, no volatile
-        calls (``column_bindings``'s ``unknown`` oracle).  User-defined
-        calls in argument position pass when the static analyzer proves
-        them pure (repro.analysis.volatility); before that inference the
-        planner pessimistically dropped such sites to the per-row scalar
-        path."""
+        """May *call* share the batched trampoline?  Requires a compiled
+        function carrying a batched Qf (loop-free bodies and bodies calling
+        a volatile builtin never get one) that the analyzer does not class
+        volatile - a body can also be volatile through a user-defined
+        helper, and sharing a trampoline reorders draws and, with argument
+        dedup, drops them - and argument expressions whose evaluation can
+        safely move into the batch stage: no subqueries, no volatile calls
+        (``column_bindings``'s ``unknown`` oracle; user-defined calls in
+        argument position pass when the static analyzer proves them pure,
+        repro.analysis.volatility).  A site that fails any of this runs
+        one activation per call instead (ExprCompiler._compile_FuncCall)."""
         if call.window is not None or call.star or call.distinct:
             return False
         fdef = self.catalog.get_function(call.name)
@@ -1318,34 +1317,63 @@ class Planner:
                 or fdef.batched_query is None:
             return False
         if len(call.args) != fdef.arity:
-            return False  # the scalar path raises the arity error
+            return False  # the per-call site raises the arity error
+        from ..analysis.volatility import effective_volatility
+        if effective_volatility(fdef, self.catalog) == "volatile":
+            return False
         return all(not column_bindings(arg, scope, self.catalog).unknown
                    for arg in call.args)
 
-    def _batched_qf_plan(self, fdef):
-        """The batched trampoline for *fdef*, per the current strategy.
+    def trampoline_site(self, fdef, call: A.FuncCall, args: list,
+                        per_call: bool = False):
+        """The plan of one call site of *fdef* on the trampoline: *args*
+        are the compiled argument expressions of *call*.  A per-call site
+        always steps the machine rules; a batched one follows
+        ``batch_strategy``."""
+        from ..analysis.volatility import effective_volatility
+        strategy = "machine" if per_call else self.batch_strategy
+        site = self._trampoline_template(fdef, strategy).at_call_site(
+            fdef.name, ", ".join(_display_expr(a) for a in call.args), args)
+        if per_call:
+            site.per_call = True
+        site.volatility = effective_volatility(fdef, self.catalog)
+        return site
 
-        Cached on the FunctionDef: the batched query takes its arguments
-        from the batch-input relation rather than spliced-in expressions,
-        so one compiled trampoline serves every call site
-        (Database.clear_plan_cache resets it)."""
-        strategy = self.batch_strategy
-        cached = fdef.batched_plan
-        if cached is not None and cached[0] == strategy:
-            return cached[1]
-        if strategy == "machine":
-            template = compile_machine(fdef.batch_machine, self)
-        elif strategy == "sql":
-            batch_def = CteDef("__batch_input",
-                               [c.lower() for c in fdef.batch_columns])
-            env = CteEnv()
-            env.defs[batch_def.name] = batch_def
-            plan = self.plan_select(fdef.batched_query, outer_scope=None,
-                                    cte_env=env)
-            template = SqlCallPlan(plan, batch_def)
-        else:
-            raise PlanError(f"unknown batch_strategy {strategy!r}")
-        fdef.batched_plan = (strategy, template)
+    def _trampoline_template(self, fdef, strategy: str):
+        """The trampoline of *fdef* in its *strategy* form, compiled once.
+
+        Cached on the FunctionDef: the trampoline takes its arguments as
+        values (a batch-input relation, a parameter row) rather than as
+        spliced-in expressions, so one compiled template serves every call
+        site of every statement until a plan-affecting change drops it
+        (Database._clear_function_plan_caches).  It is therefore compiled
+        outside the calling statement's context: that statement's CTE
+        names and its subquery nesting must not leak into a plan other
+        statements will run."""
+        cache = fdef.batched_plan
+        if cache is None:
+            cache = fdef.batched_plan = {}
+        template = cache.get(strategy)
+        if template is not None:
+            return template
+        saved = self._cte_env, self.expr_subquery_depth
+        self._cte_env, self.expr_subquery_depth = None, 0
+        try:
+            if strategy == "machine":
+                template = compile_machine(fdef.batch_machine, self)
+            elif strategy == "sql":
+                batch_def = CteDef("__batch_input",
+                                   [c.lower() for c in fdef.batch_columns])
+                env = CteEnv()
+                env.defs[batch_def.name] = batch_def
+                plan = self.plan_select(fdef.batched_query, outer_scope=None,
+                                        cte_env=env)
+                template = SqlCallPlan(plan, batch_def)
+            else:
+                raise PlanError(f"unknown batch_strategy {strategy!r}")
+        finally:
+            self._cte_env, self.expr_subquery_depth = saved
+        cache[strategy] = template
         return template
 
     def _resolve_window_spec(self, window, core: A.SelectCore) -> A.WindowSpec:

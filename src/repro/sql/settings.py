@@ -163,7 +163,9 @@ def _default_settings() -> list[Setting]:
         ("enable_pushdown",
          "Push single-relation WHERE conjuncts down to their scans."),
         ("batch_compiled",
-         "Evaluate compiled-UDF call sites set-oriented (BatchedUdf)."),
+         "Run recursive compiled-UDF calls on the trampoline machine "
+         "(BatchedUdf where safe, else one activation per call); off "
+         "inlines the WITH RECURSIVE Qf at every site."),
         ("batch_dedup",
          "Share one trampoline activation between equal argument vectors."),
         ("inline_compiled",

@@ -13,6 +13,9 @@ results:
   strategies, with and without argument dedup — against the per-row
   scalar-subquery path and the interpreter, including NULL arguments and
   zero-row inputs,
+* calls that may not batch (volatile bodies, WHERE, CASE arms, aggregate
+  arguments, LIMIT) on the per-call trampoline machine against the inlined
+  Qf and the interpreter, draw for draw,
 * join queries executed by the hash-join operator *and* the seed
   nested-loop path (inner/left/cross, NULL join keys),
 * ordered access paths — IndexRangeScan, index-ordered delivery (sort
@@ -37,7 +40,8 @@ import pytest
 from repro.compiler import compile_plsql
 from repro.fuzz.oracle import rows_equal
 from repro.sql import Database
-from repro.sql.errors import ExecutionError, ParseError, QueryCanceledError
+from repro.sql.errors import (ExecutionError, NameResolutionError, ParseError,
+                              QueryCanceledError)
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +211,35 @@ class TestBatchedUdfEquivalence:
         _register_both(db, GCD)
         db.execute("CREATE TABLE pairs(a int, b int)")
         plan = db.explain("SELECT gcd_c(a, b) FROM pairs")
-        assert "BatchedUdf" in plan
-        db.planner.batch_compiled = False
-        db.clear_plan_cache()
-        assert "BatchedUdf" not in db.explain("SELECT gcd_c(a, b) FROM pairs")
+        assert "BatchedUdf" in plan and "per call" not in plan
+        # A site that cannot batch (aggregate argument, WHERE) is named
+        # too: the per-call trampoline, under the operator that owns it.
+        per_call = "-> Trampoline gcd_c(a, b)  [machine, per call; " \
+                   "volatility=immutable]"
+        where = "-> Trampoline gcd_c(b, a)  [machine, per call; " \
+                "volatility=immutable]"
+        aggregate = "SELECT sum(gcd_c(a, b)) FROM pairs WHERE gcd_c(b, a) > 1"
+        lines = db.explain(aggregate).splitlines()
+        assert lines[0].startswith("-> Aggregate+Select")
+        assert lines[1:3] == ["  " + where, "  " + per_call]
+        db.execute("SET batch_compiled = off")
+        for sql in ("SELECT gcd_c(a, b) FROM pairs", aggregate):
+            plan = db.explain(sql)
+            assert "BatchedUdf" not in plan and "Trampoline" not in plan
 
     def test_volatile_args_keep_scalar_path(self, db):
         """random() in an argument must evaluate per row in call order, so
-        the call may not move into the batch stage."""
+        the call may not move into the batch stage: it runs one activation
+        per row, in place."""
         _register_both(db, GCD)
         db.execute("CREATE TABLE pairs(a int, b int)")
-        plan = db.explain("SELECT gcd_c(cast(random() * 10 AS int), b) "
-                          "FROM pairs")
+        sql = "SELECT gcd_c(cast(random() * 10 AS int), b) FROM pairs"
+        plan = db.explain(sql)
         assert "BatchedUdf" not in plan
+        assert "-> Trampoline gcd_c(<expr>, b)  [machine, per call; " \
+               "volatility=immutable]" in plan
+        db.execute("SET batch_compiled = off")
+        assert "Trampoline" not in db.explain(sql)
 
     def test_volatile_body_never_batches(self, db):
         from repro.compiler import compile_plsql
@@ -231,10 +251,45 @@ class TestBatchedUdfEquivalence:
         END; $$ LANGUAGE plpgsql"""
         compiled = compile_plsql(source, db)
         fdef = compiled.register(db, name="jitter_c")
-        assert fdef.batched_query is None
+        assert fdef.batched_query is None and fdef.batch_machine is not None
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (3), (4)")
-        assert "BatchedUdf" not in db.explain("SELECT jitter_c(x) FROM t")
+        plan = db.explain("SELECT jitter_c(x) FROM t")
+        assert "BatchedUdf" not in plan
+        assert "-> Trampoline jitter_c(x)  [machine, per call; " \
+               "volatility=volatile]" in plan
+        db.execute("SET batch_compiled = off")
+        assert "Trampoline" not in db.explain("SELECT jitter_c(x) FROM t")
+
+    def test_volatile_helper_body_never_batches(self, db):
+        """A body that is volatile only through a user-defined helper has
+        no volatile *builtin* for the compiler to see, so it carries a
+        batched Qf; the planner must still take the analyzer's verdict.
+        Batched and argument-dedup'd, three equal arguments used to share
+        one draw."""
+        db.execute("CREATE FUNCTION noise() RETURNS double precision AS "
+                   "$$ BEGIN RETURN random(); END; $$ LANGUAGE plpgsql")
+        source = """CREATE FUNCTION jit(n int) RETURNS double precision AS $$
+        DECLARE i int := 0; acc double precision := 0;
+        BEGIN
+          WHILE i < n LOOP acc := acc + noise(); i := i + 1; END LOOP;
+          RETURN acc;
+        END; $$ LANGUAGE plpgsql"""
+        db.execute(source)
+        fdef = compile_plsql(source, db).register(db, name="jit_c")
+        assert fdef.batched_query is not None
+        db.execute("CREATE TABLE t(x int)")
+        db.execute("INSERT INTO t VALUES (3), (3), (3)")
+        plan = db.explain("SELECT jit_c(x) FROM t")
+        assert "BatchedUdf" not in plan
+        assert "Trampoline jit_c(x)  [machine, per call; " \
+               "volatility=volatile]" in plan
+        db.reseed(5)
+        interpreted = db.query_all("SELECT jit(x) FROM t")
+        db.reseed(5)
+        compiled = db.query_all("SELECT jit_c(x) FROM t")
+        assert compiled == interpreted
+        assert len({row[0] for row in compiled}) == 3
 
     def test_loop_free_functions_stay_inlined(self, db):
         """Froid-style functions are already one planned expression; the
@@ -371,6 +426,191 @@ class TestBatchedUdfEquivalence:
         # ... and clear_plan_cache() drops it with the statement cache.
         db.clear_plan_cache()
         assert fdef.parsed_body is None
+
+
+# ---------------------------------------------------------------------------
+# The per-call trampoline vs the inlined Qf vs the interpreter
+# ---------------------------------------------------------------------------
+
+JITTER = """
+CREATE FUNCTION jitter(n int) RETURNS double precision AS $$
+DECLARE i int := 0; acc double precision := 0;
+BEGIN
+  WHILE i < n LOOP acc := acc + random(); i := i + 1; END LOOP;
+  RETURN acc;
+END;
+$$ LANGUAGE plpgsql"""
+
+#: Where a call can sit without being batched ({f}: the function, {a}: its
+#: arguments over the driving table ``sites(x int)``).  An activation runs alone,
+#: in place and lazily, so each shape must consume the RNG exactly as the
+#: interpreter does.
+CALL_SHAPES = [
+    ("select list beside random()", "SELECT {f}({a}), random() FROM sites"),
+    ("where", "SELECT x FROM sites WHERE {f}({a}) >= 0.9"),
+    ("aggregate argument", "SELECT sum({f}({a})), count(*) FROM sites"),
+    ("untaken case arm",
+     "SELECT CASE WHEN x < 0 THEN {f}({a}) ELSE random() END FROM sites"),
+    ("taken case arm",
+     "SELECT CASE WHEN x > 1 THEN {f}({a}) ELSE -1 END FROM sites"),
+    ("limit 1", "SELECT {f}({a}) FROM sites LIMIT 1"),
+]
+
+
+def _rows_and_next_draw(db: Database, seed: int, sql: str) -> tuple:
+    """The statement's rows and the RNG state it leaves behind."""
+    db.reseed(seed)
+    return db.query_all(sql), db.query_value("SELECT random()")
+
+
+def _three_ways(db: Database, seed: int, shape: str, name: str,
+                args: str) -> tuple:
+    """*shape* interpreted, on the per-call machine, and as inlined Qf."""
+    db.execute("RESET batch_compiled")
+    interpreted = _rows_and_next_draw(db, seed,
+                                      shape.format(f=name, a=args))
+    compiled = shape.format(f=f"{name}_c", a=args)
+    assert "per call" in db.explain(compiled)
+    machine = _rows_and_next_draw(db, seed, compiled)
+    db.execute("SET batch_compiled = off")
+    assert "Trampoline" not in db.explain(compiled)
+    inlined = _rows_and_next_draw(db, seed, compiled)
+    db.execute("RESET batch_compiled")
+    return interpreted, machine, inlined
+
+
+class TestPerCallTrampoline:
+    @pytest.mark.parametrize("label,shape", CALL_SHAPES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_volatile_loop_agrees_draw_for_draw(self, db, seed, label,
+                                                shape):
+        _register_both(db, JITTER)
+        db.execute("CREATE TABLE sites(x int)")
+        db.execute("INSERT INTO sites VALUES (3), (1), (4), (0), (2)")
+        interpreted, machine, inlined = _three_ways(db, seed, shape,
+                                                    "jitter", "x")
+        assert machine == interpreted, label
+        assert inlined == interpreted, label
+
+    @pytest.mark.parametrize("label,shape", CALL_SHAPES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_walk_agrees_draw_for_draw(self, demo, seed, label, shape):
+        db = demo.db
+        if db.catalog.tables.get("sites") is None:
+            db.execute("CREATE TABLE sites(x int)")
+            db.execute("INSERT INTO sites VALUES (3), (1), (4), (0), (2)")
+        interpreted, machine, inlined = _three_ways(
+            db, seed, shape, "walk", "row(0,0)::coord, 5 + x, -5 - x, 30")
+        assert machine == interpreted, label
+        assert inlined == interpreted, label
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_walk_matches_the_python_reference(self, demo, seed):
+        """One activation (LIMIT 1 stops after the first row) against the
+        plain-Python walk over the same RNG model."""
+        from repro.workloads.robot import walk_reference
+        db = demo.db
+        db.reseed(seed)
+        got = db.query_value("SELECT walk_c(row(0,0)::coord, 8, -8, 40) "
+                             "FROM actions LIMIT 1")
+        assert got == walk_reference(db, demo.grid, (0, 0), 8, -8, 40, seed)
+
+    def test_compiled_function_calling_a_compiled_function(self, db):
+        """The callee's site sits in the caller's transition rules, and
+        EXPLAIN lists it beneath the caller's."""
+        _register_both(db, GCD)
+        source = """CREATE FUNCTION gcd_sum(n int) RETURNS int AS $$
+        DECLARE i int := 1; acc int := 0;
+        BEGIN
+          WHILE i <= n LOOP acc := acc + {gcd}(n, i); i := i + 1; END LOOP;
+          RETURN acc;
+        END; $$ LANGUAGE plpgsql"""
+        db.execute(source.format(gcd="gcd"))
+        compile_plsql(source.format(gcd="gcd_c"), db).register(
+            db, name="gcd_sum_c")
+        db.execute("CREATE TABLE t(x int)")
+        db.execute("INSERT INTO t VALUES (12), (7), (0), (30)")
+        sql = "SELECT x FROM t WHERE {f}(x) > x ORDER BY x"
+        lines = db.explain(sql.format(f="gcd_sum_c")).splitlines()
+        outer = next(i for i, line in enumerate(lines)
+                     if "Trampoline gcd_sum_c(x)" in line)
+        assert "Trampoline gcd_c(" in lines[outer + 1]
+        assert lines[outer + 1].startswith("  " + lines[outer][:2])
+        expected = db.query_all(sql.format(f="gcd_sum"))
+        assert db.query_all(sql.format(f="gcd_sum_c")) == expected
+        db.execute("SET batch_compiled = off")
+        assert db.query_all(sql.format(f="gcd_sum_c")) == expected
+
+    def test_timeout_trips_inside_an_activation(self, db):
+        _register_both(db, SUM_LOOP)
+        db.execute("SET statement_timeout = 50")
+        with pytest.raises(QueryCanceledError, match="statement timeout"):
+            db.query_value("SELECT count(*) WHERE sum_to_c(2000000000) > 0")
+
+    def test_cancel_trips_inside_an_activation(self, db):
+        import threading
+        _register_both(db, SUM_LOOP)
+        conn = db.connect()
+        timer = threading.Timer(0.05, conn.cancel.trip)
+        timer.start()
+        try:
+            with pytest.raises(QueryCanceledError, match="user request"):
+                conn.execute("SELECT sum(sum_to_c(2000000000))")
+        finally:
+            timer.join()
+        assert conn.query_value("SELECT sum_to_c(3)") == 6
+
+    def test_iteration_limit_names_the_kind_of_site(self, db):
+        _register_both(db, SUM_LOOP)
+        db.execute("CREATE TABLE t(x int)")
+        db.execute("INSERT INTO t VALUES (5000)")
+        db.execute("SET max_recursion_iterations = 100")
+        with pytest.raises(ExecutionError,
+                           match=r"per-call evaluation of sum_to_c\(\) "
+                                 "exceeded 100 iterations"):
+            db.query_all("SELECT x FROM t WHERE sum_to_c(x) > 0")
+        with pytest.raises(ExecutionError,
+                           match=r"batched evaluation of sum_to_c\(\) "
+                                 "exceeded 100 iterations"):
+            db.query_all("SELECT sum_to_c(x) FROM t")
+
+    def test_rules_are_shared_across_sites_and_statements(self, db):
+        """Compiled once per function: a second site, a second statement
+        and an unprepared re-plan all reuse the cached rules, and a
+        plan-affecting change drops them."""
+        _register_both(db, GCD)
+        db.execute("CREATE TABLE pairs(a int, b int)")
+        db.execute("INSERT INTO pairs VALUES (12, 18), (7, 13)")
+        fdef = db.catalog.get_function("gcd_c")
+        assert fdef.batched_plan is None
+        db.query_all("SELECT a FROM pairs WHERE gcd_c(a, b) > 1")
+        rules = fdef.batched_plan["machine"]
+        db.execute("SET plan_cache_enabled = off")
+        db.query_all("SELECT sum(gcd_c(a, b)), max(gcd_c(b, a)) FROM pairs")
+        db.query_all("SELECT gcd_c(a, b) FROM pairs")  # the batched site
+        assert fdef.batched_plan["machine"] is rules
+        db.execute("SET enable_hashjoin = off")
+        assert fdef.batched_plan is None
+
+    def test_prepared_statement_survives_drop_and_reregister(self, db):
+        source = """CREATE FUNCTION steps(n int) RETURNS int AS $$
+        DECLARE i int := 0; acc int := 0;
+        BEGIN
+          WHILE i < n LOOP acc := acc + {step}; i := i + 1; END LOOP;
+          RETURN acc;
+        END; $$ LANGUAGE plpgsql"""
+        compile_plsql(source.format(step=1), db).register(db, name="steps_c")
+        db.execute("CREATE TABLE t(x int)")
+        db.execute("INSERT INTO t VALUES (3), (4)")
+        db.execute("PREPARE q AS SELECT sum(steps_c(x)) FROM t WHERE x >= $1")
+        assert "Trampoline steps_c(x)" in db.explain("EXECUTE q(0)")
+        assert db.query_value("EXECUTE q(0)") == 7
+        db.execute("DROP FUNCTION steps_c")
+        with pytest.raises(NameResolutionError, match="steps_c"):
+            db.query_value("EXECUTE q(0)")
+        compile_plsql(source.format(step=10), db).register(db,
+                                                           name="steps_c")
+        assert db.query_value("EXECUTE q(4)") == 40
 
 
 # ---------------------------------------------------------------------------
