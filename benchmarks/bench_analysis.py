@@ -18,7 +18,7 @@ the analyzer's verdict widened batching.
 
 The pessimistic side is not the inlined ``WITH RECURSIVE`` per row: a
 site that may not batch runs one activation of the same machine rules per
-row (350-400 ms here, against ~120 ms batched and deduplicated), which is
+row (350-450 ms here, against 120-140 ms batched and deduplicated), which is
 why the gate is 2x and why both absolute times are printed
 (``benchmarks/README.md`` has the history of the gate).
 
