@@ -14,7 +14,7 @@ Figure 10/11 sweeps use.  Set-orientation wins twice: the trampoline pays
 its per-step machinery once per step for the whole relation instead of
 once per call, and — because the whole argument relation is in hand and
 batching requires non-volatile functions — rows with identical arguments
-share one activation (``planner.batch_dedup``).
+share one activation.
 
 A call that may not batch (here an aggregate argument,
 ``SELECT sum(tetra_c(x)) FROM t``) has neither advantage: it runs one
@@ -25,15 +25,14 @@ re-planning of the spliced ``WITH RECURSIVE`` per statement.
 Asserted here (the PR's acceptance criteria):
 
 * the batched trampoline beats the per-row scalar path by >= 10x on the
-  10k-row workload (it also stays >= 5x with argument dedup disabled,
-  i.e. running all 10,000 activations),
+  10k-row workload,
 * at the non-batchable site the per-call machine beats the inlined Qf
-  by >= 3x, over all 10,000 activations on both sides,
+  by >= 3x, over all 10,000 activations on both sides (no sharing: this
+  is the machine without argument dedup's help),
 * EXPLAIN names the ``BatchedUdf`` operator for the batched plan, the
   per-call ``Trampoline`` for the aggregate-argument plan, and neither
   for the scalar ones,
-* both strategies of the operator ("machine" and "sql") and the scalar
-  path return identical results.
+* the machine and the scalar path return identical results.
 """
 
 from __future__ import annotations
@@ -77,11 +76,9 @@ def _build_db() -> Database:
     return db
 
 
-def _timed(db: Database, batched: bool, strategy: str = "machine",
-           dedup: bool = True, runs: int = 3, query: str = QUERY) -> float:
+def _timed(db: Database, batched: bool, runs: int = 3,
+           query: str = QUERY) -> float:
     db.planner.batch_compiled = batched
-    db.planner.batch_strategy = strategy
-    db.planner.batch_dedup = dedup
     db.clear_plan_cache()
     return time_query(db, query, runs=runs, warmup=1).minimum
 
@@ -89,22 +86,18 @@ def _timed(db: Database, batched: bool, strategy: str = "machine",
 def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
     db = _build_db()
 
-    # Sanity: all three evaluation paths agree before we time anything.
+    # Sanity: both evaluation paths agree before we time anything.
     db.planner.batch_compiled = True
-    db.planner.batch_strategy = "machine"
     db.clear_plan_cache()
     machine_rows = db.query_all(QUERY)
     explain_batched = db.explain(QUERY)
-    db.planner.batch_strategy = "sql"
-    db.clear_plan_cache()
-    sql_rows = db.query_all(QUERY)
     per_call_sum = db.query_value(PER_CALL_QUERY)
     explain_per_call = db.explain(PER_CALL_QUERY)
     db.planner.batch_compiled = False
     db.clear_plan_cache()
     scalar_rows = db.query_all(QUERY)
     explain_scalar = db.explain(QUERY)
-    assert machine_rows == sql_rows == scalar_rows
+    assert machine_rows == scalar_rows
     assert per_call_sum == db.query_value(PER_CALL_QUERY) \
         == sum(row[0] for row in scalar_rows)
     assert "BatchedUdf" in explain_batched
@@ -113,20 +106,15 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
     assert "BatchedUdf" not in explain_scalar
     assert "Trampoline" not in explain_scalar + db.explain(PER_CALL_QUERY)
 
-    machine_s = _timed(db, batched=True, strategy="machine")
-    raw_s = _timed(db, batched=True, strategy="machine", dedup=False)
-    sql_s = _timed(db, batched=True, strategy="sql", runs=1)
+    machine_s = _timed(db, batched=True)
     scalar_s = _timed(db, batched=False, runs=1)
     per_call_s = _timed(db, batched=True, query=PER_CALL_QUERY)
     inlined_s = _timed(db, batched=False, runs=1, query=PER_CALL_QUERY)
     speedup = scalar_s / machine_s
-    raw_speedup = scalar_s / raw_s
     per_call_speedup = inlined_s / per_call_s
 
     # One instrumented run for the new profiler counters.
     db.planner.batch_compiled = True
-    db.planner.batch_strategy = "machine"
-    db.planner.batch_dedup = True
     db.clear_plan_cache()
     db.profiler.enabled = True
     db.profiler.reset()
@@ -142,14 +130,9 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
 
     rows = [
         ["scalar subquery per row (seed path)", round(scalar_s * 1000, 1)],
-        ["batched Qf via generic executor (batch_strategy=sql)",
-         round(sql_s * 1000, 1)],
-        ["batched, trampoline machine, no arg dedup",
-         round(raw_s * 1000, 1)],
         ["batched, trampoline machine (default)",
          round(machine_s * 1000, 1)],
         ["speedup (default batched vs scalar)", round(speedup, 1)],
-        ["speedup (no-dedup batched vs scalar)", round(raw_speedup, 1)],
         ["sum(f(x)): inlined Qf per row (batch_compiled=off)",
          round(inlined_s * 1000, 1)],
         ["sum(f(x)): per-call trampoline machine (default)",
@@ -169,25 +152,20 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
         "rows": ROWS,
         "timings_s": {
             "scalar_per_row": scalar_s,
-            "batched_sql_strategy": sql_s,
-            "batched_machine_no_dedup": raw_s,
             "batched_machine": machine_s,
             "aggregate_arg_inlined_qf": inlined_s,
             "aggregate_arg_per_call_machine": per_call_s,
         },
-        "speedups": {"batched": speedup, "batched_no_dedup": raw_speedup,
+        "speedups": {"batched": speedup,
                      "per_call_machine": per_call_speedup},
         "rows_per_s": {"batched_machine": ROWS / machine_s},
     })
 
     assert speedup >= 10.0, f"batched trampoline only {speedup:.1f}x faster"
-    assert raw_speedup >= 5.0, \
-        f"no-dedup trampoline only {raw_speedup:.1f}x faster"
     assert per_call_speedup >= 3.0, \
         f"per-call machine only {per_call_speedup:.1f}x faster than the " \
         f"inlined Qf ({per_call_s * 1000:.1f} vs {inlined_s * 1000:.1f} ms)"
 
     db.planner.batch_compiled = True
-    db.planner.batch_strategy = "machine"
     db.clear_plan_cache()
     benchmark.pedantic(lambda: db.query_all(QUERY), rounds=3, iterations=1)

@@ -36,7 +36,7 @@ from .dialects import (DIALECTS, POSTGRES, Dialect, render_create_function,
                        render_select)
 from .optimize import optimize_ssa
 from .ssa import SsaProgram, build_ssa
-from .template import build_template_query
+from .template import build_batched_machine, build_template_query
 from .udf import (LET_STYLE_LATERAL, LET_STYLE_NESTED, SqlUdf, build_udf,
                   udf_is_recursive)
 
@@ -112,27 +112,15 @@ class CompiledFunction:
         Recursive functions additionally register the trampoline's *machine
         form* (:func:`repro.compiler.template.build_batched_machine`), which
         the engine runs in place of the inlined ``WITH RECURSIVE`` unless
-        ``batch_compiled`` is off, and - when no expression in the body is
-        volatile - the *batched* Qf (one trampoline advancing a whole
-        relation of calls; see
-        :func:`repro.compiler.template.build_batched_template_query`) so
-        the planner can evaluate ``SELECT f(x) FROM t`` set-oriented.
+        ``batch_compiled`` is off: one trampoline advancing a whole relation
+        of calls (``SELECT f(x) FROM t``) when no expression in the body is
+        volatile, one activation per call otherwise.
         """
-        from .template import (batch_input_columns, build_batched_machine,
-                               build_batched_template_query,
-                               udf_contains_volatile)
-        batched_query = None
-        batch_columns = None
-        batch_machine = None
-        if self.is_recursive:
-            batch_machine = build_batched_machine(self.udf)
-            if not udf_contains_volatile(self.udf):
-                batched_query = build_batched_template_query(self.udf)
-                batch_columns = batch_input_columns(self.udf)
+        batch_machine = (build_batched_machine(self.udf)
+                         if self.is_recursive else None)
         return db.register_compiled_function(
             name or self.name, self.param_names, self.param_types,
             self.return_type, self.query,
-            batched_query=batched_query, batch_columns=batch_columns,
             batch_machine=batch_machine, source=self.source)
 
     def register_udf_form(self, db, name: Optional[str] = None) -> str:

@@ -37,20 +37,10 @@ from .udf import LET_STYLE_LATERAL, SqlUdf, translate_anf, udf_is_recursive
 
 RUN_ALIAS = "r"
 CALL_COLUMN = "call?"
-#: The batched template's caller row-key column and batch-input names.
-BATCH_KEY = "k"
-BATCH_ALIAS = "b"
-BATCH_TABLE = "__batch_input"
 
 
 def run_columns(udf: SqlUdf) -> list[str]:
     return [CALL_COLUMN] + udf.rec_params + ["result"]
-
-
-def batch_input_columns(udf: SqlUdf) -> list[str]:
-    """Schema of the batch-input relation feeding the batched template:
-    one caller row key plus one column per UDF parameter."""
-    return [BATCH_KEY] + [p.lower() for p in udf.params]
 
 
 def _call_row(udf: SqlUdf, call: AnfCall) -> A.Expr:
@@ -197,8 +187,10 @@ def udf_contains_volatile(udf: SqlUdf) -> bool:
 
     Batched (set-oriented) execution interleaves the machine steps of many
     caller rows in one trampoline, which reorders volatile draws relative
-    to one-call-at-a-time evaluation; such functions therefore get no
-    batched Qf and run every call as its own activation of the machine.
+    to one-call-at-a-time evaluation; such functions therefore never
+    batch and run every call as its own activation of the machine.  This
+    is a fact about the body's own text, so a declared ``IMMUTABLE`` does
+    not override it.
     """
     from .anf import AnfCall, AnfIf, AnfLet, AnfRet
     from .optimize import expr_is_volatile
@@ -216,76 +208,6 @@ def udf_contains_volatile(udf: SqlUdf) -> bool:
         raise CompileError(f"unknown ANF node {type(expr).__name__}")
 
     return any(check(func.body) for func in udf.anf.functions.values())
-
-
-def build_batched_template_query(udf: SqlUdf,
-                                 batch_table: str = BATCH_TABLE) -> A.SelectStmt:
-    """The set-oriented Qf: one trampoline advancing *all* pending calls.
-
-    The scalar template (Fig. 8) simulates one activation of ``f*``; applied
-    per caller row it re-runs the whole recursive CTE N times.  The batched
-    variant instead seeds the working set from a *batch-input* relation
-    ``__batch_input(k, <params...>)`` — one machine state per caller row,
-    tagged with the caller's row key ``k`` — and carries ``k`` through every
-    step, so a single ``WITH RECURSIVE`` evaluation advances every pending
-    call in lock-step::
-
-        WITH RECURSIVE run(k, "call?", fn, <vars...>, result) AS (
-          SELECT b.k, <adapted main>            -- one seed per caller row
-          FROM __batch_input AS b
-          UNION ALL
-          SELECT r.k, <adapted body>            -- all pending calls advance
-          FROM run AS r WHERE r."call?"
-        )
-        SELECT r.k, r.result FROM run AS r WHERE NOT r."call?"
-
-    The run columns use the LATERAL-free split rewrite (each column an
-    independent scalar expression) so a step over N machine states is N
-    plain expression evaluations instead of N lateral subquery rescans.
-    ``WITH ITERATE`` is never used here: callers finish at different steps,
-    and ITERATE would drop every result produced before the last one.
-    """
-    if not udf_is_recursive(udf):
-        raise CompileError("the batched template requires a recursive UDF; "
-                           "loop-free functions inline as plain expressions")
-    _assert_not_volatile(udf)
-    columns = run_columns(udf)
-    anf = udf.anf
-    # SSA names always carry a version suffix ("x_1"), so the bare batch
-    # key cannot collide with machine-state columns.
-    assert BATCH_KEY not in columns
-
-    param_map = {name: A.ColumnRef((BATCH_ALIAS, name.lower()))
-                 for name in udf.params}
-    entry = anf.functions[anf.entry]
-    base_items = [A.SelectItem(A.ColumnRef((BATCH_ALIAS, BATCH_KEY)),
-                               alias=BATCH_KEY)]
-    base_items.extend(
-        A.SelectItem(e, alias=columns[i]) for i, e in enumerate(
-            _split_column_exprs(udf, entry.body, lambda n: param_map.get(n))))
-    base_core = A.SelectCore(
-        items=base_items,
-        from_clause=A.TableName(batch_table, alias=BATCH_ALIAS))
-
-    rec_items = [A.SelectItem(A.ColumnRef((RUN_ALIAS, BATCH_KEY)),
-                              alias=BATCH_KEY)]
-    rec_items.extend(_split_rec_items(udf))
-    rec_core = A.SelectCore(
-        items=rec_items,
-        from_clause=A.TableName("run", alias=RUN_ALIAS),
-        where=A.ColumnRef((RUN_ALIAS, CALL_COLUMN)))
-
-    cte = A.CommonTableExpr(
-        "run", [BATCH_KEY] + list(columns),
-        A.SelectStmt(None, A.SetOp("union_all", base_core, rec_core)))
-    final_core = A.SelectCore(
-        items=[A.SelectItem(A.ColumnRef((RUN_ALIAS, BATCH_KEY)),
-                            alias=BATCH_KEY),
-               A.SelectItem(A.ColumnRef((RUN_ALIAS, "result")),
-                            alias="result")],
-        from_clause=A.TableName("run", alias=RUN_ALIAS),
-        where=A.UnaryOp("not", A.ColumnRef((RUN_ALIAS, CALL_COLUMN))))
-    return A.SelectStmt(A.WithClause(recursive=True, ctes=[cte]), final_core)
 
 
 def build_template_query(udf: SqlUdf, iterate: bool = False,
@@ -379,7 +301,7 @@ def _dispatch_body(udf: SqlUdf, let_style: str) -> A.Expr:
 
 
 # ---------------------------------------------------------------------------
-# The machine form of the batched template
+# The machine form of the template
 # ---------------------------------------------------------------------------
 #
 # The templates above *spell* a state machine in SQL: every run row is a
@@ -388,10 +310,9 @@ def _dispatch_body(udf: SqlUdf, let_style: str) -> A.Expr:
 # condition/argument expressions over the live states, no generic operator
 # overhead per step — exactly as WITH ITERATE is an engine-side evaluation
 # strategy for the same template.  The structures below are that machine,
-# handed to the engine alongside the SQL forms: the BatchedUdf operator
-# advances a relation of calls through it (``planner.batch_strategy`` may
-# pick the batched Qf instead; both must agree), and every other call site
-# runs one activation of it per call (executor/batched_udf.py).
+# handed to the engine alongside the SQL form: the BatchedUdf operator
+# advances a relation of calls through it, and every other call site runs
+# one activation of it per call (executor/batched_udf.py).
 
 
 @dataclass
@@ -430,7 +351,7 @@ class MachineResult:
 
 @dataclass
 class BatchedMachine:
-    """The batched template's trampoline as explicit transition rules.
+    """The template's trampoline as explicit transition rules.
 
     ``base`` is evaluated over one row of ``(param_columns)`` per caller;
     ``transitions[label]`` over one state row of ``(state_columns)``, where
@@ -438,25 +359,28 @@ class BatchedMachine:
     values (the rest are another rule's slots — see
     :func:`_dispatch_body`'s per-function binding note).  Expressions
     reference variables as bare SSA names, resolved against those columns
-    plus any enclosing :class:`MachineLet` bindings.
+    plus any enclosing :class:`MachineLet` bindings.  ``shareable``: may
+    the calls of many caller rows advance through one trampoline run
+    (:func:`udf_contains_volatile` is false for the body)?
     """
 
     param_columns: list[str]
     state_columns: list[str]          # ["fn"] + machine variables
     own_params: dict[int, frozenset]  # label -> that rule's live columns
+    shareable: bool
     base: object = field(repr=False)  # type: ignore[assignment]
     transitions: dict[int, object] = field(repr=False)  # type: ignore[assignment]
 
 
 def build_batched_machine(udf: SqlUdf) -> BatchedMachine:
-    """Derive the transition rules of the batched template from the ANF.
+    """Derive the template's transition rules from the ANF.
 
     Volatile bodies get a machine too: a :class:`MachineLet` evaluates its
     binding exactly once per step, so there is none of the split rewrite's
     expression duplication for :func:`_assert_not_volatile` to guard.  What
     a volatile body may not do is *share* a trampoline with other callers
-    (see :func:`udf_contains_volatile`); the planner runs its calls one
-    activation at a time.
+    (``shareable`` is false); the planner runs its calls one activation at
+    a time.
     """
     if not udf_is_recursive(udf):
         raise CompileError("the machine form requires a recursive UDF")
@@ -492,6 +416,7 @@ def build_batched_machine(udf: SqlUdf) -> BatchedMachine:
         param_columns=[p.lower() for p in udf.params],
         state_columns=[p.lower() for p in udf.rec_params],
         own_params=own_params,
+        shareable=not udf_contains_volatile(udf),
         base=node(anf.functions[anf.entry].body),
         transitions=transitions)
 

@@ -1,9 +1,7 @@
 """Deterministic fault injection: named points, seeded triggers.
 
-PR 6 grew a one-off ``REPRO_WAL_FAULT`` environment hook that could kill
-the process while appending the N-th WAL record.  This module generalizes
-it into a process-wide registry of **named fault points** that any layer
-can declare inline::
+A process-wide registry of **named fault points** that any layer can
+declare inline::
 
     from repro.faults import FAULTS
     FAULTS.fire("wal.checkpoint.rename", profiler)
@@ -43,9 +41,7 @@ Fault points currently wired in (the catalog ARCHITECTURE.md documents):
 
 Environment syntax (parsed once at import): ``REPRO_FAULTS`` is a
 comma-separated list of ``point:kind:N`` (or ``point:kind:N:delay_ms``
-for delays), e.g. ``REPRO_FAULTS=wal.checkpoint.rename:crash:1``.  The
-legacy ``REPRO_WAL_FAULT=crash:N|torn:N`` keeps working — the WAL
-manager maps it onto ``wal.append`` here.
+for delays), e.g. ``REPRO_FAULTS=wal.checkpoint.rename:crash:1``.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ One generated case is checked three ways:
   joins this matrix automatically.
 * **Interpreted-vs-compiled-vs-batched** — case functions register twice
   (PL/pgSQL interpreter and compiled trampoline); function queries run
-  with both names under every configuration, so the scalar, inlined,
-  batched-machine and batched-SQL execution strategies all face the same
-  inputs.
+  with both names under every configuration, so the interpreter, the
+  inlined Qf and the trampoline machine (batched and per call) all face
+  the same inputs.
 * **Engine-vs-SQLite** — dialect-portable queries over SQLite-safe data
   also run on :mod:`sqlite3`, with a *lax* value normalization (bools are
   ints, ``5.0`` is ``5``) and a known-dialect classifier that explains
@@ -222,10 +222,10 @@ def settings_matrix(db: Database) -> list[OracleConfig]:
     Mechanical construction: a baseline with every finite plan-affecting
     setting at its first domain value (all booleans off — seq scan, full
     sort, nested loop, scalar UDF calls), each setting toggled through its
-    other values on top of *both* the baseline and the defaults (so
-    features that only act in combination, like batching under inlining,
-    still get isolated), the plain defaults, and the defaults without the
-    statement plan cache.
+    other values on top of *both* the baseline and the defaults (so a
+    feature is seen both alone - the trampoline machine over an otherwise
+    all-off planner - and beside every other default), the plain defaults,
+    and the defaults without the statement plan cache.
     """
     axes = db.settings.plan_axes()
     baseline = {s.name: values[0] for s, values in axes}

@@ -60,19 +60,13 @@ class FunctionDef:
     impl: Optional[Callable] = None
     body: Optional[str] = None
     query: Optional[A.SelectStmt] = None
-    #: Set-oriented variant of ``query`` for compiled functions: a batched
-    #: Qf reading its arguments from a ``__batch_input(k, <params>)``
-    #: relation so the planner can advance a whole relation of calls in one
-    #: trampoline (see repro.compiler.template.build_batched_template_query).
-    #: None when the function is loop-free or its body calls a volatile
-    #: builtin — such calls never share a trampoline.
-    batched_query: Optional[A.SelectStmt] = None
-    batch_columns: list[str] = field(default_factory=list)
     #: The trampoline as explicit transition rules (the template's machine
     #: form; repro.compiler.template.BatchedMachine), for every recursive
-    #: function: the BatchedUdf operator's default strategy and every
-    #: per-call site step it directly (executor/batched_udf.py).  None for
-    #: loop-free functions, which inline as plain expressions.
+    #: function: the BatchedUdf operator and every per-call site step it
+    #: directly (executor/batched_udf.py).  Its ``shareable`` flag says
+    #: whether calls may share one trampoline (no volatile builtin in the
+    #: body).  None for loop-free functions, which inline as plain
+    #: expressions.
     batch_machine: object = None
     #: Volatility class declared in CREATE FUNCTION (IMMUTABLE/STABLE/
     #: VOLATILE), or None when omitted — then the analyzer's inference
@@ -86,11 +80,11 @@ class FunctionDef:
     plsql_source: object = None
     # Caches populated by front ends on first use:
     parsed_body: object = None
-    #: Plan-time cache of the compiled trampoline, ``{strategy: template}``
-    #: (the machine rules as closures, the planned batched Qf), shared by
-    #: every call site of every statement and reset by
+    #: Plan-time cache of the compiled trampoline (the machine rules as
+    #: closures; executor.batched_udf.MachineCallPlan), shared by every
+    #: call site of every statement and reset by
     #: Database._clear_function_plan_caches().
-    batched_plan: Optional[dict] = None
+    batched_plan: object = None
     #: Facts cached by the static analyzer (repro.analysis.volatility):
     #: inferred volatility class, whether the body may raise at run time,
     #: and whether it contains loops.  None until inferred; reset together

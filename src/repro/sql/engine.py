@@ -400,12 +400,12 @@ class Database:
         self._clear_function_plan_caches()
 
     def _clear_function_plan_caches(self) -> None:
-        """Drop the per-function body plan caches (compiled/SQL bodies,
-        PL/pgSQL runtimes).  Unlike statement plans and prepared handles,
-        these are *not* fingerprint-stamped, so any plan-affecting
-        settings change must clear them explicitly — globally via
-        ``SettingsRegistry.assign``, per-session via the overlay
-        activation in :mod:`repro.sql.session`."""
+        """Drop the per-function body plan caches (SQL bodies, PL/pgSQL
+        runtimes, trampoline machine rules).  Unlike statement plans and
+        prepared handles, these are *not* fingerprint-stamped, so any
+        plan-affecting settings change must clear them explicitly —
+        globally via ``SettingsRegistry.assign``, per-session via the
+        overlay activation in :mod:`repro.sql.session`."""
         for fdef in self.catalog.functions.values():
             fdef.parsed_body = None
             fdef.batched_plan = None
@@ -761,7 +761,9 @@ class Database:
     # ------------------------------------------------------------------
 
     def call_function(self, fdef: FunctionDef, args: list[Value]) -> Value:
-        """Invoke a registered function from a SQL expression."""
+        """Invoke a registered function from a SQL expression.  Compiled
+        functions never arrive here: the expression compiler inlines Qf or
+        parks a trampoline site (ExprCompiler._compile_FuncCall)."""
         if len(args) != fdef.arity:
             raise ExecutionError(
                 f"function {fdef.name}() takes {fdef.arity} arguments, "
@@ -775,19 +777,6 @@ class Database:
             return call_plpgsql(self, fdef, args)
         if fdef.kind == "sql":
             return self._call_sql_function(fdef, args)
-        if fdef.kind == "compiled":
-            # Not inlined (planner.inline_compiled off, or dynamic call):
-            # run the stored query with the arguments as parameters.  The
-            # plan is cached on the FunctionDef (invalidated together with
-            # the statement plan cache) — Qf never changes between calls,
-            # so re-planning it per invocation was pure overhead.
-            plan = fdef.parsed_body
-            if plan is None:
-                with self.profiler.phase(PLAN):
-                    plan = self.planner.plan_select(fdef.query)
-                if self.plan_cache_enabled:
-                    fdef.parsed_body = plan
-            return self._run_plan(plan, args).scalar()
         raise ExecutionError(f"unknown function kind {fdef.kind!r}")
 
     def _call_sql_function(self, fdef: FunctionDef, args: list[Value]) -> Value:
@@ -837,8 +826,6 @@ class Database:
     def register_compiled_function(self, name: str, param_names: list[str],
                                    param_types: list[str], return_type: str,
                                    query: A.SelectStmt,
-                                   batched_query: Optional[A.SelectStmt] = None,
-                                   batch_columns: Optional[list[str]] = None,
                                    batch_machine: object = None,
                                    source: object = None,
                                    declared_volatility: Optional[str] = None,
@@ -849,19 +836,15 @@ class Database:
         (replacing any previous PL/pgSQL definition): with *batch_machine*
         (every recursive function; see
         :func:`repro.compiler.template.build_batched_machine`) a call steps
-        the trampoline machine, and when *batched_query* is supplied too
-        (see :func:`repro.compiler.template.build_batched_template_query`)
-        the planner may advance whole relations of calls through one
-        set-oriented trampoline; without either, or under
-        ``batch_compiled = off``, *query* is inlined at the call site as a
-        scalar subquery.
+        the trampoline machine, whole relations of calls through one
+        set-oriented trampoline where the planner proves that safe; without
+        it, or under ``batch_compiled = off``, *query* is inlined at the
+        call site as a scalar subquery.
         """
         fdef = FunctionDef(name=name.lower(), kind="compiled",
                            param_names=list(param_names),
                            param_types=list(param_types),
                            return_type=return_type, query=query,
-                           batched_query=batched_query,
-                           batch_columns=list(batch_columns or []),
                            batch_machine=batch_machine,
                            plsql_source=source,
                            declared_volatility=declared_volatility)

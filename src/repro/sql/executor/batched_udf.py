@@ -19,19 +19,12 @@ site share those rules and one stepping loop (:meth:`MachineCallState.run`):
   1. the owning SELECT block materializes its surviving row vectors,
   2. for each call site the argument expressions are evaluated per row,
      producing a *batch input* relation ``(k, <args...>)`` keyed by the
-     row's position (rows with equal argument vectors share one entry
-     under ``batch_dedup``),
+     row's position; rows with equal argument vectors share one entry
+     (sound because a batched function is never volatile),
   3. one trampoline advances every pending call in lock-step,
   4. the ``(k, result)`` output is joined back positionally - a key join on
      ``k`` against an array - and exposed to the projection as the
      ``__batch`` relation.
-
-  ``planner.batch_strategy = sql`` swaps step 3 for the batched Qf (see
-  :func:`repro.compiler.template.build_batched_template_query`) planned
-  like any query and run by the generic recursive-CTE executor with the
-  batch input injected as a pre-materialized CTE.  Slower, but it shares
-  every code path with ordinary queries; the differential tests hold both
-  strategies to identical results.
 
 * **Per call** (``Trampoline``; every other site: volatile bodies, volatile
   or subquery arguments, WHERE / CASE / aggregate-argument / LIMIT-ed /
@@ -59,8 +52,7 @@ from ..profiler import (BATCHED_UDF_BATCHES, BATCHED_UDF_DISTINCT,
                         BATCHED_UDF_ROWS, TRAMPOLINE_ITERATIONS,
                         TRAMPOLINE_WORKING_ROWS)
 from ..values import Row
-from .base import Plan, call_site_lines
-from .recursion import CteDef, CteRuntime, InstantiationContext
+from .base import call_site_lines
 from .scan import make_slots
 
 
@@ -75,31 +67,20 @@ def _dedup_key(value):
         return ("arr",) + tuple(_dedup_key(v) for v in value)
     return (type(value).__name__, value)
 
-#: Sentinel distinguishing "no result row arrived for this k" from NULL.
-_MISSING = object()
-
 
 class BatchedUdfStagePlan:
-    """All batched call sites of one SELECT block (plan-time).
+    """All batched call sites of one SELECT block (plan-time)."""
 
-    ``dedup`` (``planner.batch_dedup``): batching materializes the whole
-    argument relation before the trampoline runs, so rows with identical
-    argument vectors can share one activation — sound because batching
-    already requires non-volatile functions.  A per-call site can never
-    see this: it evaluates calls one at a time.
-    """
+    __slots__ = ("calls", "subplans")
 
-    __slots__ = ("calls", "subplans", "dedup")
-
-    def __init__(self, calls: list, subplans, dedup: bool = True):
+    def __init__(self, calls: list, subplans):
         self.calls = calls
         self.subplans = subplans
-        self.dedup = dedup
 
     def explain(self, indent: int = 0) -> str:
         lines = []
         for call in self.calls:
-            tags = f"one trampoline, keyed on k; {call.strategy}"
+            tags = "one trampoline, keyed on k; machine"
             if call.volatility:
                 tags += f"; volatility={call.volatility}"
             lines.append("  " * indent
@@ -123,55 +104,43 @@ class BatchedUdfStageState:
     def attach(self, vectors: list[tuple], outer: Optional[EvalContext]
                ) -> list[tuple]:
         """Evaluate every batched call over *vectors*; returns the
-        ``__batch`` relation row (one result column per call) per vector."""
+        ``__batch`` relation row (one result column per call) per vector.
+        The whole argument relation is in hand before the trampoline runs,
+        which is what lets equal argument vectors share one activation; a
+        per-call site sees one call at a time and cannot."""
         if not vectors:
             return []
         profiler = self.rt.db.profiler
-        dedup = self.stage.dedup
         columns = []
         for call_state in self.calls:
             args = call_state.plan.args
             profiler.bump(BATCHED_UDF_BATCHES)
             profiler.bump(BATCHED_UDF_ROWS, len(vectors))
-            if dedup:
-                # One activation per *distinct* argument vector; every
-                # caller row keeps a remap index into the unique batch.
-                seen: dict = {}
-                batch_rows: list[tuple] = []
-                remap = []
-                for vec in vectors:
-                    ctx = EvalContext(self.rt, vec, parent=outer,
-                                      slots=self.slots)
-                    values = tuple(arg(ctx) for arg in args)
-                    key = tuple(_dedup_key(v) for v in values)
-                    index = seen.get(key)
-                    if index is None:
-                        index = len(batch_rows)
-                        seen[key] = index
-                        batch_rows.append((index,) + values)
-                    remap.append(index)
-                profiler.bump(BATCHED_UDF_DISTINCT, len(batch_rows))
-                unique = call_state.run(batch_rows)
-                columns.append([unique[index] for index in remap])
-            else:
-                batch_rows = []
-                for k, vec in enumerate(vectors):
-                    ctx = EvalContext(self.rt, vec, parent=outer,
-                                      slots=self.slots)
-                    batch_rows.append((k,) + tuple(arg(ctx) for arg in args))
-                profiler.bump(BATCHED_UDF_DISTINCT, len(batch_rows))
-                columns.append(call_state.run(batch_rows))
+            # One activation per *distinct* argument vector; every caller
+            # row keeps a remap index into the unique batch.
+            seen: dict = {}
+            batch_rows: list[tuple] = []
+            remap = []
+            for vec in vectors:
+                ctx = EvalContext(self.rt, vec, parent=outer,
+                                  slots=self.slots)
+                values = tuple(arg(ctx) for arg in args)
+                key = tuple(_dedup_key(v) for v in values)
+                index = seen.get(key)
+                if index is None:
+                    index = len(batch_rows)
+                    seen[key] = index
+                    batch_rows.append((index,) + values)
+                remap.append(index)
+            profiler.bump(BATCHED_UDF_DISTINCT, len(batch_rows))
+            unique = call_state.run(batch_rows)
+            columns.append([unique[index] for index in remap])
         return [tuple(column[k] for column in columns)
                 for k in range(len(vectors))]
 
-    def close(self) -> None:
-        for call_state in self.calls:
-            call_state.close()
-
 
 # ---------------------------------------------------------------------------
-# The machine: compiled transition rules over the live states (batched
-# strategy "machine" and every per-call site)
+# The machine: compiled transition rules over the live states
 # ---------------------------------------------------------------------------
 
 
@@ -292,8 +261,6 @@ class MachineCallPlan:
     site of a :class:`BatchedUdfStagePlan`, or (``per_call``) a site parked
     in an expression's subplan slots that runs one activation per call."""
 
-    strategy = "machine"
-
     __slots__ = ("name", "arg_display", "args", "volatility", "per_call",
                  "base", "base_subplans", "transitions", "trans_subplans")
 
@@ -389,7 +356,10 @@ class MachineCallState:
         while working:
             cancel.check()
             iterations += 1
-            if iterations > limit:
+            # ">=": the inlined WITH RECURSIVE spends one more (empty) step
+            # filtering the result row out of its working table, so it
+            # fails a call that needs *limit* steps; fail the same calls.
+            if iterations >= limit:
                 kind = "per-call" if plan.per_call else "batched"
                 raise ExecutionError(
                     f"{kind} evaluation of {plan.name}() exceeded {limit} "
@@ -418,79 +388,3 @@ class MachineCallState:
                         append((k, out))
             working = next_working
         return results
-
-    def close(self) -> None:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# Strategy: "sql" — the batched Qf through the generic executor
-# ---------------------------------------------------------------------------
-
-
-class SqlCallPlan:
-    """One batched call site evaluated by planning the batched Qf and
-    injecting the batch input as a pre-materialized CTE."""
-
-    strategy = "sql"
-
-    __slots__ = ("name", "arg_display", "args", "volatility",
-                 "inner_plan", "batch_def")
-
-    def __init__(self, inner_plan: Plan, batch_def: CteDef):
-        self.name = ""
-        self.arg_display = ""
-        self.args: list = []
-        self.volatility = ""
-        self.inner_plan = inner_plan
-        self.batch_def = batch_def
-
-    def at_call_site(self, name: str, arg_display: str,
-                     args: list) -> "SqlCallPlan":
-        site = SqlCallPlan(self.inner_plan, self.batch_def)
-        site.name = name
-        site.arg_display = arg_display
-        site.args = args
-        site.volatility = self.volatility
-        return site
-
-    def explain_children(self, indent: int) -> list[str]:
-        return [self.inner_plan.explain(indent)]
-
-    def instantiate(self, rt, ictx) -> "SqlCallState":
-        return SqlCallState(rt, self)
-
-
-class SqlCallState:
-    __slots__ = ("rt", "plan", "runtime", "state")
-
-    def __init__(self, rt, plan: SqlCallPlan):
-        self.rt = rt
-        self.plan = plan
-        # Bind the batch-input CteDef to a runtime whose rows this state
-        # injects directly (there is no defining plan to materialize).
-        ictx = InstantiationContext()
-        self.runtime = CteRuntime(plan.batch_def, rt)
-        ictx.bindings[plan.batch_def] = self.runtime
-        self.state = plan.inner_plan.instantiate(rt, ictx)
-
-    def run(self, batch_rows: list[tuple]) -> list:
-        """One trampoline over *batch_rows*; results aligned with k."""
-        self.runtime.rows = batch_rows
-        self.state.open(None)
-        results: list = [_MISSING] * len(batch_rows)
-        for row in self.state.fetch_all():
-            k = row[0]
-            if results[k] is not _MISSING:
-                raise ExecutionError(
-                    f"batched evaluation of {self.plan.name}() produced "
-                    "more than one result row for a single call")
-            results[k] = row[1]
-        if any(value is _MISSING for value in results):
-            raise ExecutionError(
-                f"batched evaluation of {self.plan.name}() lost a call "
-                "(no result row for its key)")
-        return results
-
-    def close(self) -> None:
-        self.state.close()

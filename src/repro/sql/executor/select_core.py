@@ -311,8 +311,6 @@ class SelectCoreState(PlanState):
     def close(self) -> None:
         if self.from_state is not None:
             self.from_state.close()
-        if self.batch_state is not None:
-            self.batch_state.close()
 
     # ------------------------------------------------------------------
 

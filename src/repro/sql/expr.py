@@ -569,7 +569,7 @@ class ExprCompiler:
                 raise PlanError(
                     f"function {name}() takes {fdef.arity} arguments, "
                     f"got {len(expr.args)}")
-            if fdef.kind == "compiled" and self.planner.inline_compiled:
+            if fdef.kind == "compiled":
                 if self.planner.batch_compiled \
                         and fdef.batch_machine is not None:
                     return self._compile_trampoline_call(fdef, expr)
@@ -578,8 +578,8 @@ class ExprCompiler:
                 from .astutil import substitute_params_select
                 inlined = substitute_params_select(fdef.query, list(expr.args))
                 return self._compile_ScalarSubquery(A.ScalarSubquery(inlined))
-        # SQL / PL/pgSQL / compiled-but-not-inlined: every evaluation is a
-        # Q→f context switch through the engine.
+        # SQL / PL/pgSQL: every evaluation is a Q→f context switch through
+        # the engine.
         args = self.compile_many(expr.args)
 
         def run_udf(ctx: EvalContext):

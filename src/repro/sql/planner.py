@@ -29,8 +29,7 @@ from .astutil import (column_bindings, conjoin, contains_aggregate,
 from .errors import NameResolutionError, PlanError
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
-from .executor.batched_udf import (BatchedUdfStagePlan, SqlCallPlan,
-                                   compile_machine)
+from .executor.batched_udf import BatchedUdfStagePlan, compile_machine
 from .executor.fromtree import FromJoinPlan, FromLeafPlan, FromNodePlan
 from .executor.hashjoin import HashJoinPlan
 from .executor.mergejoin import MergeJoinPlan
@@ -100,9 +99,6 @@ class Planner:
 
     def __init__(self, db: "Database"):
         self.db = db
-        #: Inline compiled functions at call sites (the paper's default).
-        #: Disable to measure the cost of calling them like ordinary UDFs.
-        self.inline_compiled = True
         #: Plan equi-joins as build/probe hash joins (executor/hashjoin.py).
         #: Disable to force the seed nested-loop path.  Flags are consulted
         #: at plan time only — call ``Database.clear_plan_cache()`` after
@@ -121,16 +117,6 @@ class Planner:
         #: the paper's inlined pure-SQL Qf everywhere; loop-free functions
         #: have no trampoline and always inline.
         self.batch_compiled = True
-        #: How the BatchedUdf operator evaluates the trampoline:
-        #: "machine" runs the batched template's transition rules as
-        #: compiled closures over the working set; "sql" plans the batched
-        #: Qf and runs it through the generic recursive-CTE executor.
-        #: Both produce identical results (differentially tested).
-        self.batch_strategy = "machine"
-        #: Share one trampoline activation between rows with identical
-        #: argument vectors (sound: batching requires non-volatile
-        #: functions).  Turn off to measure the raw trampoline.
-        self.batch_dedup = True
         #: Ordered access paths.  ``enable_rangescan``: push range
         #: conjuncts (< <= > >= BETWEEN) on a base-table column into a
         #: bisect-backed IndexRangeScan.  ``enable_sort_elim``: skip the
@@ -416,7 +402,7 @@ class Planner:
         # single activation, which a per-call site runs as it stands.
         batch_stage: Optional[BatchedUdfStagePlan] = None
         if allow_batch and self.expr_subquery_depth == 0 \
-                and self.batch_compiled and self.inline_compiled \
+                and self.batch_compiled \
                 and from_plan is not None:
             batch_stage, item_exprs, current_scope = self._plan_batched_udfs(
                 item_exprs, current_scope, outer_scope)
@@ -1294,18 +1280,19 @@ class Planner:
             return None, item_exprs, scope
         post_scope = Scope(scope.relations + [Relation("__batch", columns)],
                            parent=outer_scope)
-        return (BatchedUdfStagePlan(calls, compiler.subplans,
-                                    dedup=self.batch_dedup),
+        return (BatchedUdfStagePlan(calls, compiler.subplans),
                 rewritten, post_scope)
 
     def _batchable(self, call: A.FuncCall, scope: Scope) -> bool:
         """May *call* share the batched trampoline?  Requires a compiled
-        function carrying a batched Qf (loop-free bodies and bodies calling
-        a volatile builtin never get one) that the analyzer does not class
+        function whose machine is ``shareable`` (loop-free bodies have no
+        machine; a body calling a volatile builtin is never shareable,
+        whatever its declaration says) and that the analyzer does not class
         volatile - a body can also be volatile through a user-defined
-        helper, and sharing a trampoline reorders draws and, with argument
-        dedup, drops them - and argument expressions whose evaluation can
-        safely move into the batch stage: no subqueries, no volatile calls
+        helper, and sharing a trampoline reorders draws and, through
+        argument dedup, drops them - and argument expressions whose
+        evaluation can safely move into the batch stage: no subqueries, no
+        volatile calls
         (``column_bindings``'s ``unknown`` oracle; user-defined calls in
         argument position pass when the static analyzer proves them pure,
         repro.analysis.volatility).  A site that fails any of this runs
@@ -1314,7 +1301,8 @@ class Planner:
             return False
         fdef = self.catalog.get_function(call.name)
         if fdef is None or fdef.kind != "compiled" \
-                or fdef.batched_query is None:
+                or fdef.batch_machine is None \
+                or not fdef.batch_machine.shareable:
             return False
         if len(call.args) != fdef.arity:
             return False  # the per-call site raises the arity error
@@ -1327,20 +1315,17 @@ class Planner:
     def trampoline_site(self, fdef, call: A.FuncCall, args: list,
                         per_call: bool = False):
         """The plan of one call site of *fdef* on the trampoline: *args*
-        are the compiled argument expressions of *call*.  A per-call site
-        always steps the machine rules; a batched one follows
-        ``batch_strategy``."""
+        are the compiled argument expressions of *call*."""
         from ..analysis.volatility import effective_volatility
-        strategy = "machine" if per_call else self.batch_strategy
-        site = self._trampoline_template(fdef, strategy).at_call_site(
+        site = self._trampoline_template(fdef).at_call_site(
             fdef.name, ", ".join(_display_expr(a) for a in call.args), args)
         if per_call:
             site.per_call = True
         site.volatility = effective_volatility(fdef, self.catalog)
         return site
 
-    def _trampoline_template(self, fdef, strategy: str):
-        """The trampoline of *fdef* in its *strategy* form, compiled once.
+    def _trampoline_template(self, fdef):
+        """The machine rules of *fdef*, compiled once.
 
         Cached on the FunctionDef: the trampoline takes its arguments as
         values (a batch-input relation, a parameter row) rather than as
@@ -1350,31 +1335,14 @@ class Planner:
         outside the calling statement's context: that statement's CTE
         names and its subquery nesting must not leak into a plan other
         statements will run."""
-        cache = fdef.batched_plan
-        if cache is None:
-            cache = fdef.batched_plan = {}
-        template = cache.get(strategy)
-        if template is not None:
-            return template
-        saved = self._cte_env, self.expr_subquery_depth
-        self._cte_env, self.expr_subquery_depth = None, 0
-        try:
-            if strategy == "machine":
-                template = compile_machine(fdef.batch_machine, self)
-            elif strategy == "sql":
-                batch_def = CteDef("__batch_input",
-                                   [c.lower() for c in fdef.batch_columns])
-                env = CteEnv()
-                env.defs[batch_def.name] = batch_def
-                plan = self.plan_select(fdef.batched_query, outer_scope=None,
-                                        cte_env=env)
-                template = SqlCallPlan(plan, batch_def)
-            else:
-                raise PlanError(f"unknown batch_strategy {strategy!r}")
-        finally:
-            self._cte_env, self.expr_subquery_depth = saved
-        cache[strategy] = template
-        return template
+        if fdef.batched_plan is None:
+            saved = self._cte_env, self.expr_subquery_depth
+            self._cte_env, self.expr_subquery_depth = None, 0
+            try:
+                fdef.batched_plan = compile_machine(fdef.batch_machine, self)
+            finally:
+                self._cte_env, self.expr_subquery_depth = saved
+        return fdef.batched_plan
 
     def _resolve_window_spec(self, window, core: A.SelectCore) -> A.WindowSpec:
         if isinstance(window, str):

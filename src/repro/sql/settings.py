@@ -166,20 +166,11 @@ def _default_settings() -> list[Setting]:
          "Run recursive compiled-UDF calls on the trampoline machine "
          "(BatchedUdf where safe, else one activation per call); off "
          "inlines the WITH RECURSIVE Qf at every site."),
-        ("batch_dedup",
-         "Share one trampoline activation between equal argument vectors."),
-        ("inline_compiled",
-         "Inline compiled functions at call sites at plan time."),
     ]
     settings = [
         Setting(name, "planner", name, "bool", True, description)
         for name, description in planner_flags
     ]
-    settings.append(Setting(
-        "batch_strategy", "planner", "batch_strategy", "enum", True,
-        "How BatchedUdf runs the trampoline: compiled transition closures "
-        "(machine) or the batched Qf through the recursive-CTE executor "
-        "(sql).", choices=("machine", "sql")))
     settings.extend([
         Setting("max_udf_depth", "db", "max_udf_depth", "int", False,
                 "Stack-depth limit for directly recursive SQL UDFs.",

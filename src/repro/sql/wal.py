@@ -49,11 +49,9 @@ logged or checkpointed — they live in Python objects, not SQL text — and
 must be re-registered after a durable reopen.
 
 Fault injection: the ``wal.append`` and ``wal.checkpoint.*`` points of
-:data:`repro.faults.FAULTS` cover this module.  The legacy
-``REPRO_WAL_FAULT=crash:N|torn:N`` environment hook still works — it is
-mapped onto the ``wal.append`` point at open (crash: hard-exit right
-after appending the N-th record; torn: write half of the N-th record
-with no newline, then hard-exit).
+:data:`repro.faults.FAULTS` cover this module.  On ``wal.append``, crash
+hard-exits right after appending the N-th record; torn writes half of
+the N-th record with no newline, then hard-exits.
 """
 
 from __future__ import annotations
@@ -107,13 +105,6 @@ class WalManager:
         self.db = db
         self.path = path
         self.profiler = db.profiler
-        fault = os.environ.get("REPRO_WAL_FAULT")
-        if fault:
-            kind, _, at = fault.partition(":")
-            if kind in ("crash", "torn") and at.isdigit():
-                # Legacy hook, kept for the recovery suite: mapped onto
-                # the generalized fault registry's wal.append point.
-                FAULTS.arm("wal.append", kind, int(at))
         #: Records appended since the last checkpoint (or since open,
         #: seeded with the replayed backlog so a long-lived log compacts
         #: on the first eligible commit after reopening).

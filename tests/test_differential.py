@@ -9,10 +9,9 @@ results:
   ``WITH RECURSIVE`` query (argument sweeps over gcd, sign, a summing loop,
   and a bounded Collatz),
 * compiled functions over whole relations through the set-oriented
-  ``BatchedUdf`` operator — both its trampoline-machine and generic-SQL
-  strategies, with and without argument dedup — against the per-row
-  scalar-subquery path and the interpreter, including NULL arguments and
-  zero-row inputs,
+  ``BatchedUdf`` operator (the trampoline machine, argument dedup
+  included) against the per-row scalar-subquery path and the
+  interpreter, including NULL arguments and zero-row inputs,
 * calls that may not batch (volatile bodies, WHERE, CASE arms, aggregate
   arguments, LIMIT) on the per-call trampoline machine against the inlined
   Qf and the interpreter, draw for draw,
@@ -160,14 +159,9 @@ BEGIN
 END;
 $$ LANGUAGE plpgsql"""
 
-#: (mode label, planner settings) for every BatchedUdf configuration.
+#: (mode label, planner settings) for both evaluators of a compiled call.
 BATCH_MODES = [
-    ("machine", dict(batch_compiled=True, batch_strategy="machine",
-                     batch_dedup=True)),
-    ("machine-nodedup", dict(batch_compiled=True, batch_strategy="machine",
-                             batch_dedup=False)),
-    ("sql", dict(batch_compiled=True, batch_strategy="sql",
-                 batch_dedup=True)),
+    ("machine", dict(batch_compiled=True)),
     ("scalar", dict(batch_compiled=False)),
 ]
 
@@ -251,7 +245,8 @@ class TestBatchedUdfEquivalence:
         END; $$ LANGUAGE plpgsql"""
         compiled = compile_plsql(source, db)
         fdef = compiled.register(db, name="jitter_c")
-        assert fdef.batched_query is None and fdef.batch_machine is not None
+        assert fdef.batch_machine is not None
+        assert not fdef.batch_machine.shareable
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (3), (4)")
         plan = db.explain("SELECT jitter_c(x) FROM t")
@@ -263,8 +258,8 @@ class TestBatchedUdfEquivalence:
 
     def test_volatile_helper_body_never_batches(self, db):
         """A body that is volatile only through a user-defined helper has
-        no volatile *builtin* for the compiler to see, so it carries a
-        batched Qf; the planner must still take the analyzer's verdict.
+        no volatile *builtin* for the compiler to see, so its machine is
+        shareable; the planner must still take the analyzer's verdict.
         Batched and argument-dedup'd, three equal arguments used to share
         one draw."""
         db.execute("CREATE FUNCTION noise() RETURNS double precision AS "
@@ -277,7 +272,7 @@ class TestBatchedUdfEquivalence:
         END; $$ LANGUAGE plpgsql"""
         db.execute(source)
         fdef = compile_plsql(source, db).register(db, name="jit_c")
-        assert fdef.batched_query is not None
+        assert fdef.batch_machine.shareable
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (3), (3), (3)")
         plan = db.explain("SELECT jit_c(x) FROM t")
@@ -351,8 +346,10 @@ class TestBatchedUdfEquivalence:
 
     def test_dedup_distinguishes_sql_equal_representations(self, db):
         """5 and 5.0 are SQL-equal but integer vs float division differ;
-        argument dedup must never merge their activations."""
+        argument dedup must never merge their activations.  Nor NULL with
+        0, and all-distinct arguments lose nothing."""
         from repro.compiler import compile_plsql
+        from repro.sql.profiler import BATCHED_UDF_DISTINCT
         source = """CREATE FUNCTION halver(n int) RETURNS int AS $$
         DECLARE i int := 0; acc int := 0;
         BEGIN
@@ -364,10 +361,23 @@ class TestBatchedUdfEquivalence:
         db.execute("INSERT INTO t VALUES (0), (1)")
         sql = ("SELECT halver_c(CASE WHEN g = 0 THEN 5 ELSE 5.0 END) "
                "FROM t ORDER BY g")
-        batched = db.query_all(sql)
-        db.planner.batch_compiled = False
-        db.clear_plan_cache()
-        assert batched == db.query_all(sql) == [(4,), (5.0,)]
+        db.execute("CREATE TABLE u(x int)")
+        db.execute("INSERT INTO u VALUES (0), (NULL), (0), (NULL)")
+        nulls = "SELECT halver_c(x) FROM u"
+        db.execute("CREATE TABLE d(x int)")
+        db.execute("INSERT INTO d VALUES "
+                   + ", ".join(f"({x})" for x in range(1, 11)))
+        distinct = "SELECT halver_c(x) FROM d ORDER BY x"
+        batched = []
+        for query, vectors in ((sql, 2), (nulls, 2), (distinct, 10)):
+            assert "BatchedUdf" in db.explain(query)
+            db.profiler.reset()
+            batched.append(db.query_all(query))
+            assert db.profiler.counts[BATCHED_UDF_DISTINCT] == vectors
+        db.execute("SET batch_compiled = off")
+        assert batched == [db.query_all(q) for q in (sql, nulls, distinct)] \
+            == [[(4,), (5.0,)], [(0,), (None,), (0,), (None,)],
+                [(2 * (x // 2),) for x in range(1, 11)]]
 
     def test_duplicate_call_sites_share_one_batch(self, db):
         _register_both(db, GCD)
@@ -404,28 +414,6 @@ class TestBatchedUdfEquivalence:
         db.planner.batch_compiled = False
         db.clear_plan_cache()
         assert db.query_all(sql, [1]) == grouped == [(0, 10), (1, 36)]
-
-    def test_dynamic_call_plan_is_cached_on_function(self, db):
-        """The bugfix: dynamically-invoked compiled functions plan Qf once,
-        not per call (plan phase cached on the FunctionDef)."""
-        from repro.sql.profiler import PLAN
-        name = _register_both(db, GCD)
-        db.planner.inline_compiled = False  # force the dynamic path
-        db.clear_plan_cache()
-        fdef = db.catalog.get_function(f"{name}_c")
-        assert fdef.parsed_body is None
-        sql = f"SELECT {name}_c($1, $2)"
-        assert db.query_value(sql, [12, 18]) == 6
-        assert fdef.parsed_body is not None
-        # Outer statement and Qf are both planned now; later calls (same
-        # text, fresh arguments) must not enter the Plan phase again.
-        planned = db.profiler.times.get(PLAN, 0.0)
-        for args in ([270, 192], [1071, 462], [100, 75]):
-            db.query_value(sql, args)
-        assert db.profiler.times.get(PLAN, 0.0) == planned
-        # ... and clear_plan_cache() drops it with the statement cache.
-        db.clear_plan_cache()
-        assert fdef.parsed_body is None
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +562,33 @@ class TestPerCallTrampoline:
                                  "exceeded 100 iterations"):
             db.query_all("SELECT sum_to_c(x) FROM t")
 
+    @pytest.mark.parametrize("limit", range(1, 7))
+    def test_iteration_limit_trips_where_the_inlined_qf_does(self, db, limit):
+        """The machine drops a finished activation at once; the inlined
+        WITH RECURSIVE spends one more (empty) step filtering the result
+        row.  Both must refuse the same calls at the same limit."""
+        _register_both(db, SUM_LOOP)
+        db.execute("CREATE TABLE t(x int)")
+        db.execute("INSERT INTO t VALUES (2)")
+        db.execute(f"SET max_recursion_iterations = {limit}")
+        batched = "SELECT sum_to_c(x) FROM t"
+        per_call = "SELECT sum(sum_to_c(x)) FROM t"
+        assert "BatchedUdf" in db.explain(batched)
+        assert "per call" in db.explain(per_call)
+
+        def outcome(sql):
+            try:
+                return db.query_value(sql)
+            except ExecutionError as exc:
+                assert f"exceeded {limit} iterations" in str(exc)
+                return "raised"
+
+        on_machine = outcome(batched), outcome(per_call)
+        db.execute("SET batch_compiled = off")
+        inlined = outcome(batched), outcome(per_call)
+        assert on_machine == inlined
+        assert inlined == (("raised",) * 2 if limit <= 3 else (3, 3))
+
     def test_rules_are_shared_across_sites_and_statements(self, db):
         """Compiled once per function: a second site, a second statement
         and an unprepared re-plan all reuse the cached rules, and a
@@ -584,11 +599,11 @@ class TestPerCallTrampoline:
         fdef = db.catalog.get_function("gcd_c")
         assert fdef.batched_plan is None
         db.query_all("SELECT a FROM pairs WHERE gcd_c(a, b) > 1")
-        rules = fdef.batched_plan["machine"]
+        rules = fdef.batched_plan
         db.execute("SET plan_cache_enabled = off")
         db.query_all("SELECT sum(gcd_c(a, b)), max(gcd_c(b, a)) FROM pairs")
         db.query_all("SELECT gcd_c(a, b) FROM pairs")  # the batched site
-        assert fdef.batched_plan["machine"] is rules
+        assert fdef.batched_plan is rules
         db.execute("SET enable_hashjoin = off")
         assert fdef.batched_plan is None
 

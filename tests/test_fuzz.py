@@ -198,12 +198,11 @@ class TestSettingsMatrix:
         assert "defaults" in labels
         assert len(labels) == len(set(labels))
         # Every finite plan-affecting setting contributes an axis in each
-        # direction; the enum sweeps its non-default choice too.
+        # direction.
         axes = db.settings.plan_axes()
         assert {s.name for s, _ in axes} >= {
             "enable_hashjoin", "enable_rangescan", "enable_topn",
-            "enable_mergejoin", "enable_vectorize", "batch_compiled",
-            "batch_strategy"}
+            "enable_mergejoin", "enable_vectorize", "batch_compiled"}
         for setting, values in axes:
             assert values is not None and len(values) >= 2
             assert any(setting.name in label for label in labels)
@@ -213,8 +212,8 @@ class TestSettingsMatrix:
         registry = db.settings
         assert registry.lookup("enable_topn").enumerable_values() == \
             (False, True)
-        assert registry.lookup("batch_strategy").enumerable_values() == \
-            ("machine", "sql")
+        assert registry.lookup("check_function_bodies").enumerable_values() \
+            == ("off", "warn", "error")
         assert registry.lookup("plan_cache_size").enumerable_values() is None
 
     def test_configs_apply_through_set(self, db):

@@ -2,9 +2,10 @@
 
 The child (``recovery_child.py``) opens a durable database, creates a
 table plus a declared index, then commits transactions of two rows each,
-printing ``COMMITTED k`` as each COMMIT returns.  ``REPRO_WAL_FAULT``
-makes the WAL layer hard-exit (``os._exit``) while appending its N-th
-record — before, on, or after a commit marker depending on N.
+printing ``COMMITTED k`` as each COMMIT returns.
+``REPRO_FAULTS=wal.append:crash:N`` (or ``torn``) makes the WAL layer
+hard-exit (``os._exit``) while appending its N-th record — before, on, or
+after a commit marker depending on N.
 
 The parent reopens the log and checks the recovery contract:
 
@@ -34,20 +35,12 @@ CHILD = os.path.join(os.path.dirname(__file__), "recovery_child.py")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_child(path: str, fault: str = "", faults: str = "",
+def run_child(path: str, faults: str,
               checkpoint_after: int = 0) -> list[int]:
-    """Run the child under a fault; return the acknowledged ks.
-
-    *fault* uses the legacy ``REPRO_WAL_FAULT=kind:N`` hook; *faults*
-    the generalized ``REPRO_FAULTS=point:kind:N`` registry spec.
-    """
+    """Run the child under *faults* (a ``REPRO_FAULTS=point:kind:N``
+    registry spec); return the acknowledged ks."""
     env = dict(os.environ)
-    env.pop("REPRO_WAL_FAULT", None)
-    env.pop("REPRO_FAULTS", None)
-    if fault:
-        env["REPRO_WAL_FAULT"] = fault
-    if faults:
-        env["REPRO_FAULTS"] = faults
+    env["REPRO_FAULTS"] = faults
     if checkpoint_after:
         env["REPRO_CHILD_CHECKPOINT"] = str(checkpoint_after)
     env["PYTHONPATH"] = os.path.abspath(SRC)
@@ -102,14 +95,14 @@ def check_recovered(path: str, acked: list[int]) -> None:
 ])
 def test_kill_and_recover(tmp_path, fault):
     path = str(tmp_path / "crash.wal")
-    acked = run_child(path, fault)
+    acked = run_child(path, f"wal.append:{fault}")
     check_recovered(path, acked)
 
 
 def test_unfaulted_child_then_recover(tmp_path):
     """No fault: all 8 transactions acknowledged and recovered."""
     env = dict(os.environ)
-    env.pop("REPRO_WAL_FAULT", None)
+    env.pop("REPRO_FAULTS", None)
     env["PYTHONPATH"] = os.path.abspath(SRC)
     path = str(tmp_path / "clean.wal")
     proc = subprocess.run([sys.executable, CHILD, path],
@@ -142,7 +135,7 @@ def test_crash_during_checkpoint_recovers(tmp_path, faults):
     transaction either way, and a leftover ``.ckpt`` temp file never
     shadows the live log."""
     path = str(tmp_path / "ckpt.wal")
-    acked = run_child(path, faults=faults, checkpoint_after=4)
+    acked = run_child(path, faults, checkpoint_after=4)
     assert acked == [1, 2, 3, 4]  # died inside the checkpoint, after 4
     check_recovered(path, acked)
     assert not os.path.exists(path + ".ckpt")  # reopen cleaned it up
@@ -155,7 +148,7 @@ def test_crash_after_checkpoint_keeps_compacting_log(tmp_path):
     # The fault counts appends, and the snapshot writes bypass _append:
     # DDL is records 1-4, txns 1-5 are 5-19, so 20 is txn 6's first
     # insert — appended to the compacted log the checkpoint left behind.
-    acked = run_child(path, fault="crash:20", checkpoint_after=4)
+    acked = run_child(path, "wal.append:crash:20", checkpoint_after=4)
     assert acked == [1, 2, 3, 4, 5]
     check_recovered(path, acked)
 
@@ -164,7 +157,6 @@ def test_checkpointed_child_then_recover(tmp_path):
     """No fault: CHECKPOINT mid-run compacts and all 8 transactions
     survive a reopen (the snapshot is an ordinary replayable prefix)."""
     env = dict(os.environ)
-    env.pop("REPRO_WAL_FAULT", None)
     env.pop("REPRO_FAULTS", None)
     env["REPRO_CHILD_CHECKPOINT"] = "4"
     env["PYTHONPATH"] = os.path.abspath(SRC)
@@ -181,10 +173,10 @@ def test_double_crash_recovery(tmp_path):
     """Crash, recover, crash again later, recover again: the log keeps
     accumulating and both committed prefixes survive."""
     path = str(tmp_path / "double.wal")
-    acked1 = run_child(path, "crash:12")
+    acked1 = run_child(path, "wal.append:crash:12")
     # Run 2 replays first, so its own appends start at record 1 again
     # (DDL is IF NOT EXISTS and logs nothing): txn k = records 3k-2..3k.
-    acked2 = run_child(path, "crash:20")
+    acked2 = run_child(path, "wal.append:crash:20")
     db = Database(path=path)
     rows = db.execute("SELECT a, b FROM t").rows
     firsts = [a for a, _ in rows if a < 100]

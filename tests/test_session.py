@@ -14,6 +14,9 @@ Regression focus of this PR:
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.sql import Database
@@ -155,10 +158,10 @@ class TestSettings:
         assert db.max_udf_depth == 64
         db.execute("SET max_udf_depth = 60 + 4")  # expressions are fine
         assert db.max_udf_depth == 64
-        db.execute("SET batch_strategy = sql")
-        assert db.planner.batch_strategy == "sql"
-        db.execute("SET batch_strategy = 'machine'")
-        assert db.planner.batch_strategy == "machine"
+        db.execute("SET check_function_bodies = error")
+        assert db.check_function_bodies == "error"
+        db.execute("SET check_function_bodies = 'warn'")
+        assert db.check_function_bodies == "warn"
 
     def test_set_default_is_reset(self, db):
         db.execute("SET max_udf_depth = 17")
@@ -173,7 +176,7 @@ class TestSettings:
         with pytest.raises(SettingError, match="unrecognized"):
             db.execute("RESET no_such_setting")
         with pytest.raises(SettingError, match="one of"):
-            db.execute("SET batch_strategy = bogus")
+            db.execute("SET check_function_bodies = bogus")
         with pytest.raises(SettingError, match="boolean"):
             db.execute("SET enable_topn = 'maybe'")
         with pytest.raises(SettingError, match="out of range"):
@@ -181,12 +184,51 @@ class TestSettings:
         with pytest.raises(SettingError, match="integer"):
             db.execute("SET max_udf_depth = 1.5")
 
+    @pytest.mark.parametrize("statement", [
+        "SET batch_strategy = sql",
+        "SET batch_dedup = off",
+        "SET inline_compiled = off",
+    ])
+    def test_removed_settings_are_unrecognized(self, db, statement):
+        """One switch governs a compiled call (``batch_compiled``); the
+        knobs it replaced are gone, not aliased."""
+        with pytest.raises(SettingError, match="unrecognized"):
+            db.execute(statement)
+
+    def test_architecture_table_matches_registry(self, db):
+        """ARCHITECTURE.md's settings table lists exactly the registry's
+        settings, with their type, default and plan-affecting flag."""
+        text = (Path(__file__).parent.parent / "ARCHITECTURE.md").read_text(
+            encoding="utf-8")
+        header = "| Name | Type | Default | Plan-affecting |"
+        documented = {}
+        for line in text[text.index(header):].splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            name, type_, default, plan = (
+                # "int ≥ 0 (ms)", "0 (off)": the parenthesis is a gloss.
+                re.sub(r"\s*\(.*\)$", "", cell.strip())
+                for cell in line.strip("|").split("|"))
+            documented[name.strip("`")] = (type_, default,
+                                           plan.split()[0] == "yes")
+
+        def doc_type(setting):
+            if setting.type == "int":
+                return f"int ≥ {setting.minimum}"
+            if setting.type == "enum":
+                return "enum " + "/".join(f"`{c}`" for c in setting.choices)
+            return setting.type
+
+        assert documented == {
+            s.name: (doc_type(s), db.settings.show(s.name), s.plan_affecting)
+            for s in db.settings}  # a fresh database shows its defaults
+
     def test_show_all_lists_every_setting(self, db):
         result = db.execute("SHOW ALL")
         assert result.columns == ["name", "setting", "description"]
         names = [row[0] for row in result.rows]
         assert names == sorted(names)
-        for expected in ("enable_rangescan", "batch_strategy",
+        for expected in ("enable_rangescan", "batch_compiled",
                          "plan_cache_size", "max_interp_statements"):
             assert expected in names
 
@@ -244,7 +286,7 @@ class TestSettings:
 
 PLAN_FLAGS = ["enable_rangescan", "enable_sort_elim", "enable_topn",
               "enable_mergejoin", "enable_hashjoin", "enable_pushdown",
-              "batch_compiled", "batch_dedup", "inline_compiled"]
+              "batch_compiled"]
 
 WORKLOADS = [
     "SELECT b FROM t WHERE b >= 12 AND b < 47 ORDER BY b LIMIT 5",
