@@ -19,8 +19,8 @@ from .dialects import POSTGRES, Dialect, render_select
 from .pipeline import CompiledFunction, _resolve_dialect
 
 
-def inline_compiled_calls(stmt: A.SelectStmt,
-                          functions: dict[str, A.SelectStmt]) -> A.SelectStmt:
+def inline_calls(stmt: A.SelectStmt,
+                 functions: dict[str, A.SelectStmt]) -> A.SelectStmt:
     """Replace calls to the given compiled functions with scalar subqueries.
 
     *functions* maps lower-case function names to their parameterised Qf
@@ -65,5 +65,5 @@ def inline_into_query(sql: str,
         compiled = [compiled]
     functions = {c.name.lower(): c.query for c in compiled}
     stmt = parse_select(sql)
-    merged = inline_compiled_calls(stmt, functions)
+    merged = inline_calls(stmt, functions)
     return render_select(merged, _resolve_dialect(dialect))

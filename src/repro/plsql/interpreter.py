@@ -94,7 +94,10 @@ class FunctionRuntime:
             with self.db.profiler.phase(PLAN):
                 compiler = ExprCompiler(self.scope, self.db.planner)
                 closure = compiler.compile(expr)
-            cached = CompiledPlExpr(closure, compiler.subplans, _is_simple(expr))
+            # A call to a recursive compiled function parks a trampoline
+            # site in the subplans without any subquery in the AST.
+            simple = _is_simple(expr) and not compiler.subplans
+            cached = CompiledPlExpr(closure, compiler.subplans, simple)
             self._expr_cache[key] = cached
         return cached
 

@@ -388,3 +388,7 @@ class MachineCallState:
                         append((k, out))
             working = next_working
         return results
+
+    def close(self) -> None:
+        """Nothing to release; a per-call site is a slot state, and the
+        PL/pgSQL interpreter closes every slot of an embedded expression."""

@@ -589,6 +589,30 @@ class TestPerCallTrampoline:
         assert on_machine == inlined
         assert inlined == (("raised",) * 2 if limit <= 3 else (3, 3))
 
+    @pytest.mark.parametrize("body", [
+        "RETURN sum_to_c(n);",
+        "RETURN sum_to_c(n) + 1;",
+        "RETURN sum_to_c(n) + (SELECT 1);",
+        "IF sum_to_c(n) > 5 THEN RETURN sum_to_c(n - 1); END IF; RETURN 0;",
+    ])
+    def test_interpreted_caller_of_a_compiled_function(self, db, body):
+        """A PL/pgSQL expression calling a recursive compiled function
+        holds a trampoline site (or the inlined Qf) in its subplans, so it
+        is not "simple" whatever its AST looks like: the interpreter must
+        instantiate and close those slots."""
+        _register_both(db, SUM_LOOP)
+        for callee in ("sum_to", "sum_to_c"):
+            db.execute(
+                f"CREATE FUNCTION via_{callee}(n int) RETURNS int AS $$ "
+                f"BEGIN {body.replace('sum_to_c', callee)} END; "
+                "$$ LANGUAGE plpgsql")
+        db.execute("CREATE TABLE t(x int)")
+        db.execute("INSERT INTO t VALUES (4), (0), (4), (7)")
+        expected = db.query_all("SELECT via_sum_to(x) FROM t")
+        for setting in ("on", "off"):
+            db.execute(f"SET batch_compiled = {setting}")
+            assert db.query_all("SELECT via_sum_to_c(x) FROM t") == expected
+
     def test_rules_are_shared_across_sites_and_statements(self, db):
         """Compiled once per function: a second site, a second statement
         and an unprepared re-plan all reuse the cached rules, and a
