@@ -6,11 +6,12 @@ these costs):
 * Invoking a PL/pgSQL function from SQL is a **Q→f** context switch
   (counted by :meth:`repro.sql.engine.Database.call_function`); the body is
   then executed statement by statement under the ``Interp`` profiling phase.
-* Every *embedded query* evaluation — any expression containing a subquery —
-  is an **f→Qi** switch: its (cached) plan is *instantiated* anew
+* Every *embedded query* evaluation — any expression containing a subquery
+  or a call to a recursive compiled function (its Qf, or its trampoline
+  site, is a subplan of the expression) — is an **f→Qi** switch: its (cached) plan is *instantiated* anew
   (ExecutorStart), run, and torn down (ExecutorEnd), once per evaluation.
   A loop multiplies this toll, exactly as in Section 1.
-* *Simple* expressions (no subquery) take the fast path: a one-time compile,
+* *Simple* expressions (no subplan) take the fast path: a one-time compile,
   then direct evaluation with no ExecutorStart/End — reproducing Table 1's
   ``fibonacci`` row, whose Exec·Start and Exec·End columns are zero.
 """
