@@ -24,10 +24,11 @@ temporaries and never reported.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from typing import Optional
 
 from ..compiler.cfg import CondGoto, ControlFlowGraph, Return
+from ..sql import ast as A
+from ..sql.astutil import walk
 from .diagnostics import DiagnosticSink
 from .controlflow import reachable_blocks
 
@@ -36,22 +37,9 @@ def expr_reads(expr, known: set[str]) -> set[str]:
     """Names from *known* that *expr* reads, including inside subqueries.
     A ColumnRef's head part counts (qualified refs like ``t.c`` name a
     table, not a variable)."""
-    from ..sql import ast as A
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, A.ColumnRef):
-            if len(node.parts) == 1 and node.parts[0].lower() in known:
-                out.add(node.parts[0].lower())
-            continue
-        if is_dataclass(node) and not isinstance(node, type):
-            stack.extend(getattr(node, f.name) for f in fields(node))
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-        elif isinstance(node, dict):
-            stack.extend(node.values())
-    return out
+    return {node.parts[0].lower() for node in walk(expr)
+            if isinstance(node, A.ColumnRef) and len(node.parts) == 1
+            and node.parts[0].lower() in known}
 
 
 class _BlockSummary:

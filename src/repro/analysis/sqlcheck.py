@@ -24,10 +24,10 @@ on valid SQL would poison the ``check_function_bodies=error`` gate.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from typing import Optional
 
 from ..sql import ast as A
+from ..sql.astutil import walk
 from ..sql.functions import (SCALAR_BUILTINS, is_aggregate_name,
                              is_window_function_name)
 from .diagnostics import DiagnosticSink
@@ -39,19 +39,6 @@ NUMERIC_TYPES = {"int", "integer", "bigint", "smallint", "numeric",
 #: Relations the engine synthesises (batched-execution input); never in
 #: the user catalog but always valid.
 SYNTHETIC_TABLES = {"__batch_input"}
-
-
-def _walk(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if is_dataclass(node) and not isinstance(node, type):
-            stack.extend(getattr(node, f.name) for f in fields(node))
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-        elif isinstance(node, dict):
-            stack.extend(node.values())
 
 
 def _from_sources(from_clause) -> list:
@@ -91,13 +78,11 @@ class SqlChecker:
 
     def _check_nodes(self, root, ctes: frozenset) -> None:
         """Walk *root* checking calls; recurse into SELECTs with scope."""
-        for node in _walk_shallow(root):
+        for node in walk(root, into_subqueries=False):
             if isinstance(node, A.SelectStmt):
                 self._check_select(node, ctes)
             elif isinstance(node, A.FuncCall):
                 self._check_call(node)
-                for arg in node.args:
-                    self._check_nodes(arg, ctes)
 
     def _check_call(self, node: A.FuncCall) -> None:
         name = node.name.lower()
@@ -194,7 +179,7 @@ class SqlChecker:
     def _check_columns(self, expr, known_columns: set[str],
                        alias_columns: dict[str, set[str]],
                        opaque: bool, ctes: frozenset) -> None:
-        for node in _walk_shallow(expr):
+        for node in walk(expr, into_subqueries=False):
             if isinstance(node, A.SelectStmt):
                 # Correlated subquery: its own scope, plus everything from
                 # ours — resolving across levels is beyond this checker,
@@ -205,9 +190,6 @@ class SqlChecker:
                                        opaque)
             elif isinstance(node, A.FuncCall):
                 self._check_call(node)
-                for arg in node.args:
-                    self._check_columns(arg, known_columns, alias_columns,
-                                        opaque, ctes)
 
     def _check_column_ref(self, node: A.ColumnRef, known_columns: set[str],
                           alias_columns: dict[str, set[str]],
@@ -230,28 +212,6 @@ class SqlChecker:
             return
         self.sink.add("SQ002", f"column {name!r} does not exist",
                       line=self.line, must_execute=self.must_execute)
-
-
-def _children(node):
-    if is_dataclass(node) and not isinstance(node, type):
-        return [getattr(node, f.name) for f in fields(node)]
-    if isinstance(node, (list, tuple)):
-        return list(node)
-    if isinstance(node, dict):
-        return list(node.values())
-    return []
-
-
-def _walk_shallow(root):
-    """Yield nodes without descending past SelectStmt/FuncCall boundaries
-    (the caller recurses into those explicitly with updated scope)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (A.SelectStmt, A.FuncCall)):
-            continue
-        stack.extend(_children(node))
 
 
 def literal_type_mismatch(expr, declared_type: Optional[str]

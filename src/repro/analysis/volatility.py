@@ -39,11 +39,11 @@ Results are cached on the :class:`~repro.sql.catalog.FunctionDef`
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from typing import Optional
 
 from ..plsql import ast as P
 from ..sql import ast as A
+from ..sql.astutil import walk
 from ..sql.functions import (SCALAR_BUILTINS, VOLATILE_FUNCTIONS,
                              is_aggregate_name, is_window_function_name)
 
@@ -88,21 +88,6 @@ def _is_nonzero_literal(expr: A.Expr) -> bool:
             and expr.value != 0)
 
 
-def _walk_nodes(root):
-    """Generic dataclass walk yielding every AST node, crossing statement
-    and subquery boundaries (same idiom as astutil.references_table)."""
-    stack = [root]
-    while stack:
-        current = stack.pop()
-        yield current
-        if is_dataclass(current) and not isinstance(current, type):
-            stack.extend(getattr(current, f.name) for f in fields(current))
-        elif isinstance(current, (list, tuple)):
-            stack.extend(current)
-        elif isinstance(current, dict):
-            stack.extend(current.values())
-
-
 def _fold_node(node, facts: Facts, catalog, stack: frozenset) -> None:
     """Fold one AST node (SQL or PL/pgSQL) into *facts*."""
     if isinstance(node, A.TableName):
@@ -134,7 +119,7 @@ def _fold_node(node, facts: Facts, catalog, stack: frozenset) -> None:
 
 def _scan_expr(expr, facts: Facts, catalog, stack: frozenset) -> None:
     """Fold one expression (or whole SELECT) into *facts*."""
-    for node in _walk_nodes(expr):
+    for node in walk(expr):
         _fold_node(node, facts, catalog, stack)
 
 
@@ -166,7 +151,7 @@ def _scan_call(node: A.FuncCall, facts: Facts, catalog,
 
 def _scan_plsql(func: P.PlsqlFunctionDef, facts: Facts, catalog,
                 stack: frozenset) -> None:
-    for node in _walk_nodes([list(func.declarations), list(func.body)]):
+    for node in walk([list(func.declarations), list(func.body)]):
         _fold_node(node, facts, catalog, stack)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..sql import ast as A
-from ..sql.astutil import substitute_params_select, transform_select
+from ..sql.astutil import substitute_params, transform_select
 from ..sql.errors import CompileError
 from ..sql.parser import parse_select
 from .dialects import POSTGRES, Dialect, render_select
@@ -36,7 +36,7 @@ def inline_calls(stmt: A.SelectStmt,
                 if node.star or node.distinct:
                     raise CompileError(
                         f"cannot inline {node.name}(*) / DISTINCT call")
-                inlined = substitute_params_select(query, list(node.args))
+                inlined = substitute_params(query, list(node.args))
                 return A.ScalarSubquery(inlined)
         return None
 

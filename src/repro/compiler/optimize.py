@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sql import ast as A
-from ..sql.astutil import walk_expr
+from ..sql.astutil import transform_expr, walk
 from ..sql.functions import VOLATILE_FUNCTIONS
 from ..sql.values import sql_and, sql_eq, sql_ge, sql_gt, sql_le, sql_lt, sql_ne, sql_not, sql_or
 from .cfg import CondGoto, Goto, Return
@@ -35,34 +35,9 @@ from .ssa import Phi, SsaAssign, SsaProgram
 
 def expr_is_volatile(expr: A.Expr) -> bool:
     """True when *expr* (or an embedded query) calls a volatile function."""
-    for node in walk_expr(expr):
-        if isinstance(node, A.FuncCall) and node.name.lower() in VOLATILE_FUNCTIONS:
-            return True
-        if isinstance(node, A.ScalarSubquery):
-            if _select_is_volatile(node.query):
-                return True
-        elif isinstance(node, A.Exists):
-            if _select_is_volatile(node.subquery):
-                return True
-        elif isinstance(node, A.InSubquery):
-            if _select_is_volatile(node.subquery):
-                return True
-    return False
-
-
-def _select_is_volatile(stmt: A.SelectStmt) -> bool:
-    from ..sql.astutil import _walk_select
-
-    hit = False
-
-    class _Visitor:
-        def visit(self, expr: A.Expr) -> None:
-            nonlocal hit
-            if not hit and expr_is_volatile(expr):
-                hit = True
-
-    _walk_select(stmt, _Visitor())
-    return hit
+    return any(isinstance(node, A.FuncCall)
+               and node.name.lower() in VOLATILE_FUNCTIONS
+               for node in walk(expr))
 
 
 class _Subst:
@@ -192,36 +167,13 @@ _FOLD_COMPARE = {"=": sql_eq, "<>": sql_ne, "<": sql_lt, "<=": sql_le,
 
 
 def _fold_expr(expr: A.Expr) -> A.Expr:
-    """Bottom-up constant folding of pure scalar operators."""
-    import dataclasses
+    """Bottom-up constant folding of pure scalar operators (not crossing
+    subqueries)."""
+    return transform_expr(expr, _fold_node)
 
-    # Fold children first (shallow rebuild, not crossing subqueries).
-    changes = {}
-    for fld in dataclasses.fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, fld.name)
-        if isinstance(value, A.Expr):
-            new = _fold_expr(value)
-            if new is not value:
-                changes[fld.name] = new
-        elif isinstance(value, list) and value and all(
-                isinstance(v, (A.Expr, tuple)) for v in value):
-            new_list = []
-            dirty = False
-            for element in value:
-                if isinstance(element, A.Expr):
-                    new_element = _fold_expr(element)
-                elif isinstance(element, tuple):
-                    new_element = tuple(_fold_expr(p) if isinstance(p, A.Expr)
-                                        else p for p in element)
-                else:
-                    new_element = element
-                dirty = dirty or new_element is not element
-                new_list.append(new_element)
-            if dirty:
-                changes[fld.name] = new_list
-    if changes:
-        expr = dataclasses.replace(expr, **changes)  # type: ignore[type-var]
 
+def _fold_node(expr: A.Expr) -> A.Expr:
+    """Fold one node whose children are already folded."""
     if isinstance(expr, A.UnaryOp) and isinstance(expr.operand, A.Literal):
         value = expr.operand.value
         if expr.op == "not" and (value is None or isinstance(value, bool)):

@@ -14,10 +14,10 @@ derived tables from their alias lists or select-item names.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Optional
 
 from ..sql import ast as A
+from ..sql.astutil import rebuild
 from ..sql.errors import CompileError
 
 Renamer = Callable[[str], Optional[A.Expr]]
@@ -40,9 +40,14 @@ class _Renamer:
         self.rename = rename
         self.catalog = catalog
 
-    # -- expressions -----------------------------------------------------
-
-    def expr(self, node: A.Expr, shadowed: frozenset[str]) -> A.Expr:
+    def expr(self, node, shadowed: frozenset[str]):
+        """Rename under *shadowed*.  The traversal is astutil's; what this
+        pass decides is which children of a query node see which columns:
+        a SELECT block's FROM clause, a join's inputs and a statement's CTEs
+        and body see only the enclosing scope (a FROM subquery cannot see
+        its siblings' columns, but the function's variables are globals from
+        SQL's perspective), every other clause also sees the columns its
+        FROM clause / body / join inputs contribute."""
         if isinstance(node, A.ColumnRef):
             if len(node.parts) == 1:
                 name = node.parts[0].lower()
@@ -56,116 +61,19 @@ class _Renamer:
                             "variable")
                     return replacement
             return node
-        if isinstance(node, A.ScalarSubquery):
-            return A.ScalarSubquery(self.select(node.query, shadowed))
-        if isinstance(node, A.Exists):
-            return A.Exists(self.select(node.subquery, shadowed))
-        if isinstance(node, A.InSubquery):
-            return A.InSubquery(self.expr(node.operand, shadowed),
-                                self.select(node.subquery, shadowed),
-                                node.negated)
-        return self._rebuild(node, shadowed)
-
-    def _rebuild(self, node: A.Expr, shadowed: frozenset[str]) -> A.Expr:
-        changes = {}
-        for fld in dataclasses.fields(node):  # type: ignore[arg-type]
-            value = getattr(node, fld.name)
-            if isinstance(value, A.Expr):
-                new = self.expr(value, shadowed)
-                if new is not value:
-                    changes[fld.name] = new
-            elif isinstance(value, list) and value:
-                new_list = []
-                dirty = False
-                for item in value:
-                    if isinstance(item, A.Expr):
-                        new_item = self.expr(item, shadowed)
-                    elif isinstance(item, tuple) and any(
-                            isinstance(p, A.Expr) for p in item):
-                        new_item = tuple(self.expr(p, shadowed)
-                                         if isinstance(p, A.Expr) else p
-                                         for p in item)
-                    else:
-                        new_item = item
-                    dirty = dirty or new_item is not item
-                    new_list.append(new_item)
-                if dirty:
-                    changes[fld.name] = new_list
-        if not changes:
-            return node
-        return dataclasses.replace(node, **changes)  # type: ignore[type-var]
-
-    # -- queries ----------------------------------------------------------
-
-    def select(self, stmt: A.SelectStmt, shadowed: frozenset[str]) -> A.SelectStmt:
-        with_clause = stmt.with_clause
-        if with_clause is not None:
-            with_clause = A.WithClause(
-                with_clause.recursive,
-                [A.CommonTableExpr(c.name, c.column_names,
-                                   self.select(c.query, shadowed))
-                 for c in with_clause.ctes],
-                with_clause.iterate)
-        body = self.body(stmt.body, shadowed)
-        inner = shadowed | self._body_columns(stmt.body)
-        return A.SelectStmt(
-            with_clause, body,
-            order_by=[A.SortItem(self.expr(s.expr, inner), s.descending,
-                                 s.nulls_first) for s in stmt.order_by],
-            limit=self.expr(stmt.limit, inner) if stmt.limit is not None else None,
-            offset=(self.expr(stmt.offset, inner)
-                    if stmt.offset is not None else None),
-        )
-
-    def body(self, body, shadowed: frozenset[str]):
-        if isinstance(body, A.SetOp):
-            return A.SetOp(body.op, self.body(body.left, shadowed),
-                           self.body(body.right, shadowed))
-        if isinstance(body, A.ValuesClause):
-            return A.ValuesClause([[self.expr(e, shadowed) for e in row]
-                                   for row in body.rows])
-        core: A.SelectCore = body
-        inner = shadowed | self._from_columns(core.from_clause)
-        items = [item if isinstance(item, A.Star)
-                 else A.SelectItem(self.expr(item.expr, inner), item.alias)
-                 for item in core.items]
-        return A.SelectCore(
-            items=items,
-            from_clause=self.table(core.from_clause, shadowed),
-            where=(self.expr(core.where, inner)
-                   if core.where is not None else None),
-            group_by=[self.expr(e, inner) for e in core.group_by],
-            having=(self.expr(core.having, inner)
-                    if core.having is not None else None),
-            distinct=core.distinct,
-            windows={name: A.WindowSpec(
-                ref_name=spec.ref_name,
-                partition_by=[self.expr(e, inner) for e in spec.partition_by],
-                order_by=[A.SortItem(self.expr(s.expr, inner), s.descending,
-                                     s.nulls_first) for s in spec.order_by],
-                frame=spec.frame)
-                for name, spec in core.windows.items()},
-        )
-
-    def table(self, ref, shadowed: frozenset[str]):
-        if ref is None:
-            return None
-        if isinstance(ref, A.TableName):
-            return ref
-        if isinstance(ref, A.SubqueryRef):
-            # A non-lateral FROM subquery cannot see the outer variables of
-            # its own level, but *can* see the function's variables (they are
-            # globals from SQL's perspective); lateral additionally sees
-            # sibling columns.  Either way the same shadow set applies.
-            return A.SubqueryRef(self.select(ref.query, shadowed), ref.alias,
-                                 ref.column_aliases, ref.lateral)
-        if isinstance(ref, A.Join):
-            inner = shadowed | self._from_columns(ref)
-            condition = (self.expr(ref.condition, inner)
-                         if ref.condition is not None else None)
-            return A.Join(ref.kind, self.table(ref.left, shadowed),
-                          self.table(ref.right, shadowed), condition)
-        raise CompileError(f"unknown table ref {type(ref).__name__}")
+        if isinstance(node, A.SelectStmt):
+            outer = (node.with_clause, node.body)
+            inner = shadowed | self._body_columns(node.body)
+        elif isinstance(node, A.SelectCore):
+            outer = (node.from_clause,)
+            inner = shadowed | self._from_columns(node.from_clause)
+        elif isinstance(node, A.Join):
+            outer = (node.left, node.right)
+            inner = shadowed | self._from_columns(node)
+        else:
+            return rebuild(node, lambda child: self.expr(child, shadowed))
+        return rebuild(node, lambda child: self.expr(
+            child, shadowed if any(child is o for o in outer) else inner))
 
     # -- shadow sets --------------------------------------------------------
 

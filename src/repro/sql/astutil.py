@@ -1,125 +1,185 @@
-"""Generic AST utilities: structural equality, traversal, and substitution.
+"""The one AST traversal, and what is built on it.
 
-Used by the planner (GROUP BY matching, aggregate/window extraction,
-compiled-function inlining) and by the PL/SQL compiler (parameter
-substitution when splicing argument expressions into a compiled query).
+"The children of a node" is defined here and nowhere else: a child table
+derived from the dataclass declarations (:data:`CHILD_FIELDS`) and two
+algorithms over it, :func:`walk` and :func:`rebuild`.  Every other walk or
+rewrite of a SQL tree - in this module, the planner, the session layer, the
+PL/SQL compiler and the analyzer - is a few lines on top of those two, so a
+new AST field needs no traversal edit (``tools/lint_internal.py`` rule 5
+keeps a second traversal from regrowing).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, get_args, get_type_hints
 
 from . import ast as A
 from .errors import PlanError
 from .functions import is_aggregate_name
 
 
-def expr_children(expr: A.Expr) -> Iterator[A.Expr]:
-    """Yield the direct sub-expressions of *expr* (not subquery internals)."""
-    for fld in dataclasses.fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, fld.name)
-        if isinstance(value, A.Expr):
-            yield value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, A.Expr):
-                    yield item
-                elif isinstance(item, tuple):
-                    for part in item:
-                        if isinstance(part, A.Expr):
-                            yield part
+_SCALARS = (str, int, float, bool, type(None), Any)
 
 
-def walk_expr(expr: A.Expr) -> Iterator[A.Expr]:
-    """Depth-first pre-order walk of *expr*, not descending into subqueries."""
-    yield expr
-    for child in expr_children(expr):
-        yield from walk_expr(child)
+def _may_hold_node(annotation) -> bool:
+    """Can a field annotated *annotation* hold an AST node (directly or
+    inside a list / tuple / dict)?  True unless it mentions scalars only."""
+    args = get_args(annotation)
+    if args:
+        return any(_may_hold_node(arg) for arg in args)
+    return isinstance(annotation, type) and annotation not in _SCALARS
+
+
+class _ChildTable(dict):
+    """type -> names of the dataclass fields that can hold child nodes,
+    in declaration order; ``None`` for a type that is not an AST node
+    (containers, strings, values).
+
+    This is the one definition of "the children of a node": a row is
+    derived from the node class's own field declarations the first time the
+    class is seen (every dataclass of ``sql/ast.py``, and the PL/pgSQL
+    statement classes the analyzer walks), so a new AST field needs no
+    traversal edit anywhere."""
+
+    def __missing__(self, cls):
+        names = None
+        if dataclasses.is_dataclass(cls):
+            hints = get_type_hints(cls)
+            names = tuple(f.name for f in dataclasses.fields(cls)
+                          if _may_hold_node(hints[f.name]))
+        self[cls] = names
+        return names
+
+
+CHILD_FIELDS = _ChildTable()
+
+
+def walk(node, into_subqueries: bool = True) -> Iterator:
+    """Every AST node reachable from *node* (a node, or a list / tuple /
+    dict of nodes), depth-first, parents before children, siblings in field
+    order.  With ``into_subqueries=False`` a :class:`SelectStmt` is yielded
+    but not entered."""
+    stack = [node]
+    pop = stack.pop
+    while stack:
+        current = pop()
+        cls = type(current)
+        names = CHILD_FIELDS[cls]
+        if names is None:
+            if cls is list or cls is tuple:
+                stack.extend(reversed(current))
+            elif cls is dict:
+                stack.extend(reversed(current.values()))
+            continue
+        yield current
+        if names and (into_subqueries or cls is not A.SelectStmt):
+            for name in reversed(names):
+                value = getattr(current, name)
+                if value is not None:
+                    stack.append(value)
+
+
+def rebuild(node, fn: Callable):
+    """*node* with *fn* applied to each direct child node (through list,
+    tuple and dict fields); *node* itself when every child came back
+    unchanged, so an untouched subtree is shared, never copied."""
+    changes = {}
+    for name in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if value is not None:
+            new = _map_nodes(value, fn)
+            if new is not value:
+                changes[name] = new
+    return dataclasses.replace(node, **changes) if changes else node
+
+
+def _map_nodes(value, fn):
+    cls = type(value)
+    if CHILD_FIELDS[cls] is not None:
+        return fn(value)
+    if cls is list or cls is tuple:
+        new = [_map_nodes(item, fn) for item in value]
+        if all(a is b for a, b in zip(new, value)):
+            return value
+        return new if cls is list else tuple(new)
+    if cls is dict:
+        new = {key: _map_nodes(item, fn) for key, item in value.items()}
+        if all(new[key] is item for key, item in value.items()):
+            return value
+        return new
+    return value
+
+
+def walk_expr(expr: A.Expr) -> Iterator:
+    """:func:`walk` over *expr* without entering subqueries."""
+    return walk(expr, into_subqueries=False)
 
 
 def expr_equal(a: Optional[A.Expr], b: Optional[A.Expr]) -> bool:
-    """Structural equality of two expressions (used for GROUP BY matching)."""
-    if a is None or b is None:
-        return a is b
-    if type(a) is not type(b):
-        return False
-    for fld in dataclasses.fields(a):  # type: ignore[arg-type]
-        va, vb = getattr(a, fld.name), getattr(b, fld.name)
-        if isinstance(va, A.Expr) or isinstance(vb, A.Expr):
-            if not expr_equal(va, vb):
-                return False
-        elif isinstance(va, list) and isinstance(vb, list):
-            if len(va) != len(vb):
-                return False
-            for ia, ib in zip(va, vb):
-                if isinstance(ia, A.Expr) or isinstance(ib, A.Expr):
-                    if not expr_equal(ia, ib):
-                        return False
-                elif isinstance(ia, tuple) and isinstance(ib, tuple):
-                    if len(ia) != len(ib) or not all(
-                            expr_equal(x, y) if isinstance(x, A.Expr) else x == y
-                            for x, y in zip(ia, ib)):
-                        return False
-                elif ia != ib:
-                    return False
-        elif va != vb:
-            # Subqueries compare by identity (good enough for GROUP BY use).
-            return False
-    return True
+    """Structural equality of two expressions (used for GROUP BY matching):
+    the dataclass-generated ``==``, which compares every declared field."""
+    return a == b
 
 
-def transform_expr(expr: A.Expr,
-                   fn: Callable[[A.Expr], Optional[A.Expr]]) -> A.Expr:
-    """Bottom-up rewrite: apply *fn* to every node; ``None`` keeps the node.
-
-    Children are rewritten first, then *fn* sees the rebuilt node.  Subquery
-    boundaries are **not** crossed (the planner recurses into subqueries when
-    planning them).
-    """
-    rebuilt = _rebuild_with_children(expr, lambda c: transform_expr(c, fn))
-    replacement = fn(rebuilt)
-    return rebuilt if replacement is None else replacement
+ExprFn = Callable[[A.Expr], Optional[A.Expr]]
 
 
-def _rebuild_with_children(expr: A.Expr, rec) -> A.Expr:
-    changes = {}
-    for fld in dataclasses.fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, fld.name)
-        if isinstance(value, A.Expr):
-            new = rec(value)
-            if new is not value:
-                changes[fld.name] = new
-        elif isinstance(value, list) and value and any(
-                isinstance(v, (A.Expr, tuple)) for v in value):
-            new_list = []
-            dirty = False
-            for item in value:
-                if isinstance(item, A.Expr):
-                    new_item = rec(item)
-                elif isinstance(item, tuple) and any(isinstance(p, A.Expr) for p in item):
-                    new_item = tuple(rec(p) if isinstance(p, A.Expr) else p
-                                     for p in item)
-                else:
-                    new_item = item
-                dirty = dirty or new_item is not item
-                new_list.append(new_item)
-            if dirty:
-                changes[fld.name] = new_list
-    if not changes:
-        return expr
-    return dataclasses.replace(expr, **changes)  # type: ignore[type-var]
+def _transform(node, fn: ExprFn, into_subqueries: bool):
+    """Bottom-up rewrite: children first, then *fn* sees each rebuilt
+    expression node; ``None`` keeps it."""
+    def visit(current):
+        if not into_subqueries and type(current) is A.SelectStmt:
+            return current
+        current = rebuild(current, visit)
+        if isinstance(current, A.Expr):
+            replacement = fn(current)
+            if replacement is not None:
+                return replacement
+        return current
+
+    return visit(node)
 
 
-def substitute_params(expr: A.Expr, args: list[A.Expr]) -> A.Expr:
-    """Replace ``$n`` parameter nodes with the n-th expression from *args*.
+def transform_expr(expr: A.Expr, fn: ExprFn) -> A.Expr:
+    """Bottom-up rewrite: apply *fn* to every expression node; ``None``
+    keeps the node.  Subquery boundaries are **not** crossed (the planner
+    recurses into subqueries when planning them)."""
+    return _transform(expr, fn, into_subqueries=False)
 
-    This is how the planner inlines a compiled function: the stored query
-    template has one ``Param`` hole per function parameter, and the call
-    site's argument expressions are spliced in.  Substitution also recurses
-    into subqueries, since compiled templates are built around scalar
-    subqueries and CTEs.
-    """
+
+def transform_select(stmt: A.SelectStmt, leaf: ExprFn) -> A.SelectStmt:
+    """Bottom-up rewrite of every expression node everywhere in *stmt*
+    (select list, FROM subqueries, window specs, CTE bodies, ...), crossing
+    subqueries.  Used e.g. to bind a SQL function body's named parameters
+    to ``$n`` placeholders."""
+    return _transform(stmt, leaf, into_subqueries=True)
+
+
+def rewrite_expr(node, fn: ExprFn):
+    """Top-down rewrite for the planner's stage extraction: where *fn*
+    returns a replacement the expression is swapped for it and not entered;
+    ``None`` descends.  Subquery boundaries are not crossed (an aggregate
+    inside a subquery belongs to the subquery)."""
+    def visit(current):
+        if type(current) is A.SelectStmt:
+            return current
+        if isinstance(current, A.Expr):
+            replacement = fn(current)
+            if replacement is not None:
+                return replacement
+        return rebuild(current, visit)
+
+    return visit(node)
+
+
+def substitute_params(node, args: list[A.Expr]):
+    """Replace every ``$n`` in *node* - a SELECT or an expression - with
+    the n-th expression of *args*, crossing subqueries.
+
+    This is how a compiled function is inlined: the stored query template
+    has one ``Param`` hole per function parameter, and the call site's
+    argument expressions are spliced in."""
 
     def leaf(node: A.Expr) -> Optional[A.Expr]:
         if isinstance(node, A.Param):
@@ -127,169 +187,9 @@ def substitute_params(expr: A.Expr, args: list[A.Expr]) -> A.Expr:
                 raise PlanError(f"parameter ${node.index} out of range "
                                 f"({len(args)} arguments)")
             return args[node.index - 1]
-        for name, sub in _subquery_fields(node):
-            substituted = substitute_params_select(sub, args)
-            node = dataclasses.replace(node, **{name: substituted})  # type: ignore[type-var]
-        return node
+        return None
 
-    return transform_expr(expr, leaf)
-
-
-def _subquery_fields(node: A.Expr):
-    if isinstance(node, (A.ScalarSubquery, A.Exists)):
-        attr = "query" if isinstance(node, A.ScalarSubquery) else "subquery"
-        yield attr, getattr(node, attr)
-    elif isinstance(node, A.InSubquery):
-        yield "subquery", node.subquery
-
-
-def substitute_params_select(stmt: A.SelectStmt, args: list[A.Expr]) -> A.SelectStmt:
-    """Parameter substitution over a whole SELECT statement (deep copy)."""
-
-    def sub_expr(e: Optional[A.Expr]) -> Optional[A.Expr]:
-        return None if e is None else substitute_params(e, args)
-
-    def sub_body(body):
-        if isinstance(body, A.SetOp):
-            return A.SetOp(body.op, sub_body(body.left), sub_body(body.right))
-        if isinstance(body, A.ValuesClause):
-            return A.ValuesClause([[sub_expr(e) for e in row] for row in body.rows])
-        core: A.SelectCore = body
-        items = []
-        for item in core.items:
-            if isinstance(item, A.Star):
-                items.append(item)
-            else:
-                items.append(A.SelectItem(sub_expr(item.expr), item.alias))
-        return A.SelectCore(
-            items=items,
-            from_clause=sub_table(core.from_clause),
-            where=sub_expr(core.where),
-            group_by=[sub_expr(e) for e in core.group_by],
-            having=sub_expr(core.having),
-            distinct=core.distinct,
-            windows={name: _sub_window(spec, args)
-                     for name, spec in core.windows.items()},
-        )
-
-    def sub_table(ref):
-        if ref is None:
-            return None
-        if isinstance(ref, A.TableName):
-            return ref
-        if isinstance(ref, A.SubqueryRef):
-            return A.SubqueryRef(substitute_params_select(ref.query, args),
-                                 ref.alias, ref.column_aliases, ref.lateral)
-        if isinstance(ref, A.Join):
-            return A.Join(ref.kind, sub_table(ref.left), sub_table(ref.right),
-                          sub_expr(ref.condition))
-        raise PlanError(f"unknown table ref {type(ref).__name__}")
-
-    with_clause = None
-    if stmt.with_clause is not None:
-        with_clause = A.WithClause(
-            stmt.with_clause.recursive,
-            [A.CommonTableExpr(c.name, c.column_names,
-                               substitute_params_select(c.query, args))
-             for c in stmt.with_clause.ctes],
-            stmt.with_clause.iterate,
-        )
-    return A.SelectStmt(
-        with_clause=with_clause,
-        body=sub_body(stmt.body),
-        order_by=[A.SortItem(sub_expr(s.expr), s.descending, s.nulls_first)
-                  for s in stmt.order_by],
-        limit=sub_expr(stmt.limit),
-        offset=sub_expr(stmt.offset),
-    )
-
-
-def _sub_window(spec: A.WindowSpec, args: list[A.Expr]) -> A.WindowSpec:
-    return A.WindowSpec(
-        ref_name=spec.ref_name,
-        partition_by=[substitute_params(e, args) for e in spec.partition_by],
-        order_by=[A.SortItem(substitute_params(s.expr, args), s.descending,
-                             s.nulls_first) for s in spec.order_by],
-        frame=spec.frame,
-    )
-
-
-def transform_select(stmt: A.SelectStmt,
-                     leaf: Callable[[A.Expr], Optional[A.Expr]]) -> A.SelectStmt:
-    """Deep expression rewrite over a whole SELECT, crossing subqueries.
-
-    *leaf* is applied bottom-up to every expression node everywhere in the
-    statement (select list, FROM subqueries, WHERE, CTE bodies, ...); return
-    ``None`` to keep a node.  Used e.g. to bind a SQL function body's named
-    parameters to ``$n`` placeholders.
-    """
-
-    def fix(node: A.Expr) -> Optional[A.Expr]:
-        for attr, sub in _subquery_fields(node):
-            node = dataclasses.replace(  # type: ignore[type-var]
-                node, **{attr: transform_select(sub, leaf)})
-        replacement = leaf(node)
-        return node if replacement is None else replacement
-
-    def sub_expr(e: Optional[A.Expr]) -> Optional[A.Expr]:
-        return None if e is None else transform_expr(e, fix)
-
-    def sub_body(body):
-        if isinstance(body, A.SetOp):
-            return A.SetOp(body.op, sub_body(body.left), sub_body(body.right))
-        if isinstance(body, A.ValuesClause):
-            return A.ValuesClause([[sub_expr(e) for e in row]
-                                   for row in body.rows])
-        core: A.SelectCore = body
-        items = [item if isinstance(item, A.Star)
-                 else A.SelectItem(sub_expr(item.expr), item.alias)
-                 for item in core.items]
-        return A.SelectCore(
-            items=items,
-            from_clause=sub_table(core.from_clause),
-            where=sub_expr(core.where),
-            group_by=[sub_expr(e) for e in core.group_by],
-            having=sub_expr(core.having),
-            distinct=core.distinct,
-            windows={name: A.WindowSpec(
-                ref_name=spec.ref_name,
-                partition_by=[sub_expr(e) for e in spec.partition_by],
-                order_by=[A.SortItem(sub_expr(s.expr), s.descending,
-                                     s.nulls_first) for s in spec.order_by],
-                frame=spec.frame)
-                for name, spec in core.windows.items()},
-        )
-
-    def sub_table(ref):
-        if ref is None:
-            return None
-        if isinstance(ref, A.TableName):
-            return ref
-        if isinstance(ref, A.SubqueryRef):
-            return A.SubqueryRef(transform_select(ref.query, leaf), ref.alias,
-                                 ref.column_aliases, ref.lateral)
-        if isinstance(ref, A.Join):
-            return A.Join(ref.kind, sub_table(ref.left), sub_table(ref.right),
-                          sub_expr(ref.condition))
-        raise PlanError(f"unknown table ref {type(ref).__name__}")
-
-    with_clause = None
-    if stmt.with_clause is not None:
-        with_clause = A.WithClause(
-            stmt.with_clause.recursive,
-            [A.CommonTableExpr(c.name, c.column_names,
-                               transform_select(c.query, leaf))
-             for c in stmt.with_clause.ctes],
-            stmt.with_clause.iterate,
-        )
-    return A.SelectStmt(
-        with_clause=with_clause,
-        body=sub_body(stmt.body),
-        order_by=[A.SortItem(sub_expr(s.expr), s.descending, s.nulls_first)
-                  for s in stmt.order_by],
-        limit=sub_expr(stmt.limit),
-        offset=sub_expr(stmt.offset),
-    )
+    return _transform(node, leaf, into_subqueries=True)
 
 
 def split_conjuncts(expr: A.Expr) -> list[A.Expr]:
@@ -399,125 +299,20 @@ def contains_window_call(expr: A.Expr) -> bool:
     return False
 
 
-def max_param_index(stmt: A.SelectStmt) -> int:
-    """Highest ``$n`` used anywhere in *stmt* (0 when parameter-free)."""
-    best = 0
-
-    class _Finder:
-        def visit(self, e: A.Expr):
-            nonlocal best
-            for node in walk_expr(e):
-                if isinstance(node, A.Param):
-                    best = max(best, node.index)
-                for _, sub in _subquery_fields(node):
-                    _walk_select(sub, self)
-
-    finder = _Finder()
-    _walk_select(stmt, finder)
-    return best
-
-
 def references_table(node, table: str) -> bool:
     """True when *node* (any AST statement/expression) names *table* in a
     FROM clause anywhere — including CTE bodies and subqueries nested in
     expressions.  Conservative on purpose: a CTE merely *shadowing* the
     name still counts, so callers using this as a "reads the table" test
     may over-approximate but never miss a read."""
-    from dataclasses import fields, is_dataclass
     target = table.lower()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, A.TableName):
-            if current.name.lower() == target:
-                return True
-            continue
-        if is_dataclass(current) and not isinstance(current, type):
-            stack.extend(getattr(current, f.name) for f in fields(current))
-        elif isinstance(current, (list, tuple)):
-            stack.extend(current)
-        elif isinstance(current, dict):
-            stack.extend(current.values())
-    return False
+    return any(type(n) is A.TableName and n.name.lower() == target
+               for n in walk(node))
 
 
-def statement_param_count(stmt: A.Statement) -> int:
-    """Highest ``$n`` used anywhere in a SELECT / INSERT / UPDATE / DELETE
-    statement (0 when parameter-free).  PREPARE uses this to derive the
-    parameter count a later EXECUTE must supply."""
-    if isinstance(stmt, A.SelectStmt):
-        return max_param_index(stmt)
-    if isinstance(stmt, A.Insert):
-        return max_param_index(stmt.source)
-    best = 0
-
-    def scan(expr: Optional[A.Expr]) -> None:
-        nonlocal best
-        if expr is None:
-            return
-        for node in walk_expr(expr):
-            if isinstance(node, A.Param):
-                best = max(best, node.index)
-            for _, sub in _subquery_fields(node):
-                best = max(best, max_param_index(sub))
-
-    if isinstance(stmt, A.Update):
-        for _, expr in stmt.assignments:
-            scan(expr)
-        scan(stmt.where)
-        return best
-    if isinstance(stmt, A.Delete):
-        scan(stmt.where)
-        return best
-    return 0
-
-
-def _walk_select(stmt: A.SelectStmt, visitor) -> None:
-    def do_body(body):
-        if isinstance(body, A.SetOp):
-            do_body(body.left)
-            do_body(body.right)
-            return
-        if isinstance(body, A.ValuesClause):
-            for row in body.rows:
-                for e in row:
-                    visitor.visit(e)
-            return
-        core: A.SelectCore = body
-        for item in core.items:
-            if isinstance(item, A.SelectItem):
-                visitor.visit(item.expr)
-        do_table(core.from_clause)
-        if core.where is not None:
-            visitor.visit(core.where)
-        for e in core.group_by:
-            visitor.visit(e)
-        if core.having is not None:
-            visitor.visit(core.having)
-        for spec in core.windows.values():
-            for e in spec.partition_by:
-                visitor.visit(e)
-            for s in spec.order_by:
-                visitor.visit(s.expr)
-
-    def do_table(ref):
-        if ref is None:
-            return
-        if isinstance(ref, A.SubqueryRef):
-            _walk_select(ref.query, visitor)
-        elif isinstance(ref, A.Join):
-            do_table(ref.left)
-            do_table(ref.right)
-            if ref.condition is not None:
-                visitor.visit(ref.condition)
-
-    if stmt.with_clause is not None:
-        for cte in stmt.with_clause.ctes:
-            _walk_select(cte.query, visitor)
-    do_body(stmt.body)
-    for s in stmt.order_by:
-        visitor.visit(s.expr)
-    if stmt.limit is not None:
-        visitor.visit(stmt.limit)
-    if stmt.offset is not None:
-        visitor.visit(stmt.offset)
+def statement_param_count(stmt) -> int:
+    """Highest ``$n`` used anywhere in a statement or expression (0 when
+    parameter-free).  PREPARE uses this to derive the parameter count a
+    later EXECUTE must supply."""
+    return max((n.index for n in walk(stmt) if type(n) is A.Param),
+               default=0)

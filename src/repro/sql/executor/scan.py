@@ -135,8 +135,8 @@ class IndexScanState(PlanState):
         if None in key:
             self.rows = _NO_ROWS  # col = NULL matches nothing
             return
-        index = self.table.equality_index(self.plan.key_columns)
-        versions = index.get(key, _NO_ROWS)
+        versions = self.table.equality_index(
+            self.plan.key_columns).lookup(key)
         if not versions:
             self.rows = _NO_ROWS
             return

@@ -575,8 +575,8 @@ class ExprCompiler:
                     return self._compile_trampoline_call(fdef, expr)
                 # The paper's finalization step: splice the compiled pure-SQL
                 # query Qf into the call site so Q and Qf are planned as one.
-                from .astutil import substitute_params_select
-                inlined = substitute_params_select(fdef.query, list(expr.args))
+                from .astutil import substitute_params
+                inlined = substitute_params(fdef.query, list(expr.args))
                 return self._compile_ScalarSubquery(A.ScalarSubquery(inlined))
         # SQL / PL/pgSQL: every evaluation is a Q→f context switch through
         # the engine.

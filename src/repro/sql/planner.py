@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ast as A
 from .astutil import (column_bindings, conjoin, contains_aggregate,
-                      contains_window_call, expr_equal, split_conjuncts)
+                      contains_window_call, expr_equal, references_table,
+                      rewrite_expr, split_conjuncts)
 from .errors import NameResolutionError, PlanError
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
@@ -279,7 +280,7 @@ class Planner:
         name = cte.name.lower()
         cte_def = CteDef(name, list(cte.column_names or []))
         self_referencing = (with_clause.recursive
-                            and _references_table(cte.query, name))
+                            and references_table(cte.query, name))
         if not self_referencing:
             plan = self.plan_select(cte.query, outer_scope, cte_env=env)
             cte_def.plan = plan
@@ -300,9 +301,8 @@ class Planner:
         # single-self-reference rule), the rest form the base.
         op = body.op
         terms = _flatten_union(body, op, cte.name)
-        base_terms = [t for t in terms
-                      if not _body_references_table(t, name)]
-        rec_terms = [t for t in terms if _body_references_table(t, name)]
+        base_terms = [t for t in terms if not references_table(t, name)]
+        rec_terms = [t for t in terms if references_table(t, name)]
         if not base_terms:
             raise PlanError(f"recursive CTE {cte.name!r} needs a base term "
                             "without a self-reference")
@@ -1125,7 +1125,7 @@ class Planner:
         key_names = [f"__key{i}" for i in range(len(core.group_by))]
         agg_rel_columns = list(key_names)
 
-        def rewrite(expr: A.Expr) -> A.Expr:
+        def to_agg_column(expr: A.Expr) -> Optional[A.Expr]:
             for key_index, key_expr in enumerate(core.group_by):
                 if expr_equal(expr, key_expr):
                     return A.ColumnRef(("__agg", key_names[key_index]))
@@ -1136,7 +1136,10 @@ class Planner:
                 column = f"__agg{agg_index}"
                 agg_rel_columns.append(column)
                 return A.ColumnRef(("__agg", column))
-            return _rewrite_children(expr, rewrite)
+            return None
+
+        def rewrite(node):
+            return rewrite_expr(node, to_agg_column)
 
         rewritten_items = [rewrite(e) for e in item_exprs]
         rewritten_having = rewrite(having) if having is not None else None
@@ -1180,7 +1183,7 @@ class Planner:
         calls: list[WindowCallPlan] = []
         columns: list[str] = []
 
-        def rewrite(expr: A.Expr) -> A.Expr:
+        def to_window_column(expr: A.Expr) -> Optional[A.Expr]:
             if isinstance(expr, A.FuncCall) and expr.window is not None:
                 index = len(calls)
                 calls.append(self._make_window_call(expr, core, compiler,
@@ -1188,9 +1191,9 @@ class Planner:
                 column = f"__w{index}"
                 columns.append(column)
                 return A.ColumnRef(("__win", column))
-            return _rewrite_children(expr, rewrite)
+            return None
 
-        rewritten = [rewrite(e) for e in item_exprs]
+        rewritten = [rewrite_expr(e, to_window_column) for e in item_exprs]
         post_scope = Scope(scope.relations + [Relation("__win", columns)],
                            parent=outer_scope)
         return WindowStagePlan(calls, compiler.subplans), rewritten, post_scope
@@ -1206,12 +1209,7 @@ class Planner:
             # Grouped query: the spec's PARTITION BY / ORDER BY expressions
             # reference pre-aggregation columns; map them to the __agg
             # relation exactly like the select list was mapped.
-            spec = A.WindowSpec(
-                ref_name=None,
-                partition_by=[agg_rewrite(e) for e in spec.partition_by],
-                order_by=[A.SortItem(agg_rewrite(s.expr), s.descending,
-                                     s.nulls_first) for s in spec.order_by],
-                frame=spec.frame)
+            spec = agg_rewrite(spec)
         separator = ""
         args = list(call.args)
         if name == "string_agg":
@@ -1260,7 +1258,7 @@ class Planner:
         columns: list[str] = []
         compiler = ExprCompiler(scope, self)
 
-        def rewrite(expr: A.Expr) -> A.Expr:
+        def to_batch_column(expr: A.Expr) -> Optional[A.Expr]:
             if isinstance(expr, A.FuncCall) and self._batchable(expr, scope):
                 for index, seen in enumerate(originals):
                     if expr_equal(expr, seen):
@@ -1273,9 +1271,9 @@ class Planner:
                 originals.append(expr)
                 columns.append(column)
                 return A.ColumnRef(("__batch", column))
-            return _rewrite_children(expr, rewrite)
+            return None
 
-        rewritten = [rewrite(e) for e in item_exprs]
+        rewritten = [rewrite_expr(e, to_batch_column) for e in item_exprs]
         if not calls:
             return None, item_exprs, scope
         post_scope = Scope(scope.relations + [Relation("__batch", columns)],
@@ -1492,98 +1490,3 @@ def _derive_name(item: A.SelectItem) -> str:
     if isinstance(expr, A.CaseExpr):
         return "case"
     return "?column?"
-
-
-def _rewrite_children(expr: A.Expr, fn) -> A.Expr:
-    """Shallow rebuild applying *fn* to each direct child expression."""
-    import dataclasses
-
-    changes = {}
-    for fld in dataclasses.fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, fld.name)
-        if isinstance(value, A.Expr):
-            new = fn(value)
-            if new is not value:
-                changes[fld.name] = new
-        elif isinstance(value, list) and value:
-            new_list = []
-            dirty = False
-            for element in value:
-                if isinstance(element, A.Expr):
-                    new_element = fn(element)
-                elif isinstance(element, tuple) and any(
-                        isinstance(p, A.Expr) for p in element):
-                    new_element = tuple(fn(p) if isinstance(p, A.Expr) else p
-                                        for p in element)
-                else:
-                    new_element = element
-                dirty = dirty or new_element is not element
-                new_list.append(new_element)
-            if dirty:
-                changes[fld.name] = new_list
-    if not changes:
-        return expr
-    return dataclasses.replace(expr, **changes)  # type: ignore[type-var]
-
-
-def _references_table(stmt: A.SelectStmt, name: str) -> bool:
-    """Does *stmt* (recursively) scan a table/CTE called *name*?"""
-    found = False
-
-    def visit_body(body) -> None:
-        nonlocal found
-        if found:
-            return
-        if isinstance(body, A.SetOp):
-            visit_body(body.left)
-            visit_body(body.right)
-            return
-        if isinstance(body, A.ValuesClause):
-            return
-        visit_table(body.from_clause)
-        for item in body.items:
-            if isinstance(item, A.SelectItem):
-                visit_expr(item.expr)
-        if body.where is not None:
-            visit_expr(body.where)
-
-    def visit_table(ref) -> None:
-        nonlocal found
-        if ref is None or found:
-            return
-        if isinstance(ref, A.TableName):
-            if ref.name.lower() == name:
-                found = True
-        elif isinstance(ref, A.SubqueryRef):
-            visit_stmt(ref.query)
-        elif isinstance(ref, A.Join):
-            visit_table(ref.left)
-            visit_table(ref.right)
-
-    def visit_expr(expr: A.Expr) -> None:
-        nonlocal found
-        if found:
-            return
-        from .astutil import walk_expr
-        for node in walk_expr(expr):
-            if isinstance(node, (A.ScalarSubquery, A.Exists)):
-                visit_stmt(node.query if isinstance(node, A.ScalarSubquery)
-                           else node.subquery)
-            elif isinstance(node, A.InSubquery):
-                visit_stmt(node.subquery)
-
-    def visit_stmt(stmt_: A.SelectStmt) -> None:
-        if stmt_.with_clause is not None:
-            for cte in stmt_.with_clause.ctes:
-                if cte.name.lower() == name:
-                    # Shadowed inside; still conservative: treat as reference.
-                    pass
-                visit_stmt(cte.query)
-        visit_body(stmt_.body)
-
-    visit_stmt(stmt)
-    return found
-
-
-def _body_references_table(body, name: str) -> bool:
-    return _references_table(A.SelectStmt(None, body), name)

@@ -1,5 +1,8 @@
 """Unit tests for AST utilities, type casts, and SQL-text round-trips."""
 
+import dataclasses
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +10,9 @@ from hypothesis import strategies as st
 from repro.compiler.dialects import render_expression, render_select
 from repro.sql import ast as A
 from repro.sql.astutil import (contains_aggregate, contains_window_call,
-                               expr_equal, max_param_index,
-                               substitute_params, substitute_params_select,
-                               transform_expr, walk_expr)
+                               expr_equal, rebuild, statement_param_count,
+                               substitute_params, transform_expr, walk,
+                               walk_expr)
 from repro.sql.errors import PlanError, TypeError_
 from repro.sql.parser import parse_expression, parse_select
 from repro.sql.types import CompositeType, cast_value, normalize_type_name
@@ -96,7 +99,7 @@ class TestParamSubstitution:
     def test_substitute_crosses_subqueries(self):
         stmt = parse_select("SELECT (SELECT $1 + t.x FROM t) FROM u "
                             "WHERE u.y = $2")
-        out = substitute_params_select(stmt, [A.Literal(7), A.Literal("z")])
+        out = substitute_params(stmt, [A.Literal(7), A.Literal("z")])
         text = render_select(out)
         assert "$" not in text and "7" in text and "'z'" in text
 
@@ -104,10 +107,120 @@ class TestParamSubstitution:
         with pytest.raises(PlanError):
             substitute_params(parse_expression("$3"), [A.Literal(1)])
 
-    def test_max_param_index(self):
+    def test_statement_param_count(self):
         stmt = parse_select("SELECT $2 FROM t WHERE (SELECT $5) IS NULL")
-        assert max_param_index(stmt) == 5
-        assert max_param_index(parse_select("SELECT 1")) == 0
+        assert statement_param_count(stmt) == 5
+        assert statement_param_count(parse_select("SELECT 1")) == 0
+
+
+# ---------------------------------------------------------------------------
+# Completeness of the one traversal, from the AST's own declarations
+# ---------------------------------------------------------------------------
+
+SENTINEL = A.Param(99)
+
+
+def _filler(hint):
+    """A small sentinel-free value of type *hint*."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return None if type(None) in args else _filler(args[0])
+    if origin is tuple:
+        return tuple(_filler(a) for a in args if a is not Ellipsis)
+    if origin is not None:
+        return origin()
+    if hint is A.Expr or hint is typing.Any:
+        return A.Literal(1)
+    if hint is A.TableRef:
+        return A.TableName("t")
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(**{f.name: _filler(hints[f.name])
+                       for f in dataclasses.fields(hint)
+                       if f.default is dataclasses.MISSING
+                       and f.default_factory is dataclasses.MISSING})
+    return hint()  # str, int, bool
+
+
+def _plantings(hint, stack=(), strict=False):
+    """``(path, value)`` for every way of putting SENTINEL into a value of
+    type *hint*: into each field of each node class, through lists, tuples,
+    dicts and unions.  A class already on the path, and a nested SELECT
+    (which has its own top-level expansion), is not expanded again: it
+    contributes its first non-recursive planting (nothing in *strict* mode,
+    which is how that first planting is found)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is A.Expr:
+        yield "", SENTINEL
+    elif origin is typing.Union:
+        for arg in args:
+            yield from _plantings(arg, stack, strict)
+    elif origin is list:
+        for path, value in _plantings(args[0], stack, strict):
+            yield "[0]" + path, [value]
+    elif origin is dict:
+        for path, value in _plantings(args[1], stack, strict):
+            yield "['k']" + path, {"k": value}
+    elif origin is tuple:
+        for index, arg in enumerate(args):
+            for path, value in _plantings(arg, stack, strict):
+                items = [_filler(a) for a in args]
+                items[index] = value
+                yield f"[{index}]" + path, tuple(items)
+    elif dataclasses.is_dataclass(hint):
+        if hint in stack or (stack and hint is A.SelectStmt):
+            if not strict:
+                yield next(_plantings(hint, (), strict=True))
+            return
+        hints = typing.get_type_hints(hint)
+        for fld in dataclasses.fields(hint):
+            for path, value in _plantings(hints[fld.name], stack + (hint,),
+                                          strict):
+                node = _filler(hint)
+                setattr(node, fld.name, value)
+                yield f".{fld.name}{path}", node
+    elif isinstance(hint, type) and hint.__module__ == A.__name__:
+        for sub in hint.__subclasses__():  # TableRef
+            yield from _plantings(sub, stack, strict)
+    elif origin is not None:
+        raise TypeError(f"annotation form {hint!r} is new to this test")
+
+
+AST_CLASSES = [cls for cls in vars(A).values()
+               if dataclasses.is_dataclass(cls)]
+PLANTINGS = [pytest.param(node, id=cls.__name__ + path)
+             for cls in AST_CLASSES for path, node in _plantings(cls)]
+
+
+class TestTraversalCompleteness:
+    """Every field of every ``sql/ast.py`` dataclass that can hold an
+    expression or a statement is reached by the one traversal - derived
+    from the declarations, so a new field is covered the day it is added."""
+
+    def test_enumeration_reaches_the_known_blind_spots(self):
+        ids = {p.id for p in PLANTINGS}
+        assert "FuncCall.window.order_by[0].expr" in ids
+        assert "FuncCall.window.frame.start.offset" in ids
+        assert "FrameBound.offset" in ids
+        assert "SelectCore.windows['k'].partition_by[0]" in ids
+        assert "Update.assignments[0][1]" in ids
+        assert "SelectStmt.with_clause.ctes[0].query.body.items[0].expr" in ids
+
+    @pytest.mark.parametrize("node", PLANTINGS)
+    def test_walk_rebuild_and_param_count_reach_it(self, node):
+        assert any(n is SENTINEL for n in walk(node))
+        assert statement_param_count(node) == 99
+
+        replacement = A.Literal("swapped")
+
+        def swap(n):
+            return replacement if n is SENTINEL else rebuild(n, swap)
+
+        swapped = swap(node)
+        found = list(walk(swapped))
+        assert any(n is replacement for n in found)
+        assert not any(n is SENTINEL for n in found)
+        assert any(n is SENTINEL for n in walk(node))  # input untouched
 
 
 EXPRESSION_SAMPLES = [

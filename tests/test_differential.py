@@ -97,6 +97,24 @@ END;
 $$ LANGUAGE plpgsql"""
 
 
+#: A variable inside an inline OVER (...): min(s) is 1, 3 or 6 by the sign
+#: of k (6 for NULL too: every row is a peer), so a compiled twin that
+#: failed to pass k into the window spec cannot agree by accident.
+WINDOW_VAR = """
+CREATE FUNCTION window_var(k int) RETURNS int AS $$
+DECLARE total int := 0; i int := 0;
+BEGIN
+  WHILE i < 2 LOOP
+    total := total + (SELECT min(s) FROM (
+        SELECT sum(x) OVER (ORDER BY x * k) AS s
+        FROM (VALUES (1), (2), (3)) AS v(x)) AS q);
+    i := i + 1;
+  END LOOP;
+  RETURN total;
+END;
+$$ LANGUAGE plpgsql"""
+
+
 def _register_both(db: Database, source: str) -> str:
     """Register *source* interpreted under its own name and compiled under
     ``<name>_c``; return the base name."""
@@ -117,6 +135,7 @@ class TestInterpreterVsCompiled:
         (SIGN_FN, [(n,) for n in range(-3, 4)]),
         (SUM_LOOP, [(n,) for n in (-1, 0, 1, 2, 10, 100)]),
         (COLLATZ, [(n, 200) for n in (1, 2, 6, 7, 27, 97)]),
+        (WINDOW_VAR, [(k,) for k in (-2, 0, 1, None)]),
     ])
     def test_argument_sweep_agrees(self, db, source, calls):
         name = _register_both(db, source)
@@ -175,7 +194,8 @@ def _query_with(db: Database, settings: dict, sql: str,
 
 
 class TestBatchedUdfEquivalence:
-    @pytest.mark.parametrize("source", [GCD, SUM_LOOP, COLLATZ, NESTED_LOOPS])
+    @pytest.mark.parametrize("source", [GCD, SUM_LOOP, COLLATZ, NESTED_LOOPS,
+                                        WINDOW_VAR])
     def test_all_paths_agree_over_table(self, db, source):
         """Interpreter, per-row scalar, and every BatchedUdf mode return
         identical rows over an argument sweep that includes NULLs."""

@@ -143,6 +143,15 @@ class TestFunctions:
                    "'SELECT a + b' LANGUAGE SQL")
         assert db.query_value("SELECT add2(3, 4)") == 7
 
+    def test_sql_function_parameter_inside_over_clause(self, tdb):
+        """Binding parameters by name reaches an inline OVER (...): min of
+        the running sum is 1 ascending (k > 0), 4 descending (k < 0)."""
+        tdb.execute(
+            "CREATE FUNCTION low(k int) RETURNS int AS 'SELECT min(s) FROM "
+            "(SELECT sum(x) OVER (ORDER BY x * k) AS s FROM t) AS q' "
+            "LANGUAGE SQL")
+        assert tdb.query_all("SELECT low(1), low(-1)") == [(1, 4)]
+
     def test_sql_function_arity_check(self, db):
         db.execute("CREATE FUNCTION one() RETURNS int AS 'SELECT 1' "
                    "LANGUAGE SQL")

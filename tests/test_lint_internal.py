@@ -219,6 +219,45 @@ def test_expr_node_names_come_from_the_ast_module():
     assert "SelectStmt" not in names and "Expr" not in names
 
 
+# ---------------------------------------------------------------------------
+# rule 5: one AST traversal
+# ---------------------------------------------------------------------------
+
+SECOND_TRAVERSAL = """
+import dataclasses
+from dataclasses import dataclass, field, is_dataclass
+
+@dataclass
+class Note:
+    tags: list = field(default_factory=list)
+
+def children(node):
+    if is_dataclass(node):
+        return [getattr(node, f.name) for f in dataclasses.fields(node)]
+    return []
+
+def retag(node, text):
+    return dataclasses.replace(node, name=text.replace("a", "b"))
+"""
+
+
+def test_hand_written_traversal_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/compiler/rename.py",
+                           SECOND_TRAVERSAL)
+    # is_dataclass, dataclasses.fields, dataclasses.replace - not
+    # @dataclass, field() or str.replace.
+    assert rules(findings) == ["second-traversal"] * 3
+    assert sorted(f.line for f in findings) == [10, 11, 15]
+
+
+def test_traversal_calls_allowed_in_astutil_and_outside_the_ast_packages(
+        tmp_path):
+    assert lint_source(tmp_path, "repro/sql/astutil.py",
+                       SECOND_TRAVERSAL) == []
+    assert lint_source(tmp_path, "repro/fuzz/reduce.py",
+                       SECOND_TRAVERSAL) == []
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

@@ -28,6 +28,36 @@ def db():
     return database
 
 
+def _outcome(db, sql):
+    try:
+        return sorted(db.query_all(sql))
+    except TypeError_ as error:
+        return str(error)
+
+
+class TestEqualityProbeAgreesWithScan:
+    """The hash IndexScan answers ``col = value`` exactly like SeqScan +
+    filter does for the same predicate written ``col + 0 = value``."""
+
+    @pytest.mark.parametrize("value,expected", [
+        ("'a'", "cannot compare int with str"),
+        ("true", "cannot compare int with bool"),
+        ("5.0", [(5, 5 + 10 * i) for i in range(10)]),
+        ("NULL", []),
+    ])
+    def test_indexed_and_scanned_agree(self, db, value, expected):
+        indexed = f"SELECT a, b FROM t WHERE a = {value}"
+        scanned = f"SELECT a, b FROM t WHERE a + 0 = {value}"
+        assert "IndexScan on t (a)" in db.explain(indexed)
+        assert "IndexScan" not in db.explain(scanned)
+        assert _outcome(db, indexed) == _outcome(db, scanned) == expected
+
+    def test_empty_table_compares_nothing(self, db):
+        db.execute("DELETE FROM t")
+        assert db.query_all("SELECT b FROM t WHERE a = 'a'") == []
+        assert db.query_all("SELECT b FROM t WHERE a + 0 = 'a'") == []
+
+
 # ---------------------------------------------------------------------------
 # CREATE INDEX / DROP INDEX DDL
 # ---------------------------------------------------------------------------

@@ -454,6 +454,20 @@ class TestPreparedStatements:
             db.execute("EXECUTE q(1, 2, 3)")
         assert db.execute("EXECUTE q(1, 2)").scalar() == 3
 
+    def test_params_inside_over_clause_count_and_bind(self, db):
+        """``$n`` in an inline window's ORDER BY and in a frame offset is
+        part of the statement's arity like any other."""
+        over = db.connect().prepare(
+            "SELECT b, sum(b) OVER (ORDER BY b * $1) FROM t WHERE b < 3")
+        assert over.param_count == 1
+        assert sorted(over.execute([-1]).rows) == [(0, 3), (1, 3), (2, 2)]
+        db.execute("PREPARE fr AS SELECT b, sum(b) OVER (ORDER BY b ROWS "
+                   "BETWEEN $1 PRECEDING AND CURRENT ROW) FROM t WHERE b < $2")
+        with pytest.raises(ExecutionError, match="requires 2 parameters"):
+            db.execute("EXECUTE fr(1)")
+        assert sorted(db.execute("EXECUTE fr(1, 4)").rows) == [
+            (0, 0), (1, 1), (2, 3), (3, 5)]
+
     def test_declared_types_fix_arity(self, db):
         db.execute("PREPARE q(int, int) AS SELECT $1 FROM t LIMIT 1")
         with pytest.raises(ExecutionError, match="requires 2 parameters"):

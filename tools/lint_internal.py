@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Four checks, each born from a real failure mode in this codebase:
+Five checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
    loops (`WITH RECURSIVE`, batched UDFs) and the PL/pgSQL interpreter
@@ -32,6 +32,15 @@ Four checks, each born from a real failure mode in this codebase:
    ``ast.Expr`` subclass) defined anywhere else is a second compiler
    regrowing, to be kept in agreement by tests instead of by construction.
 
+5. **One AST traversal.**  "The children of a node" is defined once, by
+   the child table in ``repro/sql/astutil.py`` (derived from the
+   dataclass declarations of ``sql/ast.py``), with ``walk`` and
+   ``rebuild`` over it.  Under ``repro/{sql,compiler,analysis,plsql}`` no
+   other module may call ``dataclasses.fields``, ``dataclasses.replace`` or
+   ``is_dataclass``: that is how a hand-written traversal starts, and the
+   last thirteen of them disagreed about ``FuncCall.window``.  (The fuzz
+   reducer edits its own case records and is out of scope.)
+
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
 """
@@ -48,6 +57,14 @@ PROFILER = SRC / "repro" / "sql" / "profiler.py"
 SQL_AST = SRC / "repro" / "sql" / "ast.py"
 #: The one module allowed to define ``_compile_<Node>`` methods.
 EXPR_COMPILER = "repro/sql/expr.py"
+
+#: The one module allowed to enumerate dataclass fields of AST nodes.
+AST_TRAVERSAL = "repro/sql/astutil.py"
+#: Packages that handle AST nodes (rule 5's scope).
+AST_PACKAGES = ("repro/sql/", "repro/compiler/", "repro/analysis/",
+                "repro/plsql/")
+#: ``dataclasses`` functions a generic node traversal is written with.
+TRAVERSAL_CALLS = {"fields", "replace", "is_dataclass"}
 
 #: Modules whose while-loops iterate user-controlled amounts of work.
 CANCEL_POLLED_MODULES = (
@@ -218,6 +235,37 @@ def check_second_compiler(path: Path, tree: ast.Module,
     return findings
 
 
+# -- rule 5: one AST traversal ----------------------------------------------
+
+def check_second_traversal(path: Path, tree: ast.Module) -> list[Finding]:
+    rel = path.relative_to(SRC).as_posix()
+    if rel == AST_TRAVERSAL or not rel.startswith(AST_PACKAGES):
+        return []
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "dataclasses"
+                for alias in node.names} & TRAVERSAL_CALLS
+    findings = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            name = func.id
+        elif isinstance(func, ast.Attribute) and func.attr in TRAVERSAL_CALLS \
+                and isinstance(func.value, ast.Name) \
+                and func.value.id == "dataclasses":
+            name = func.attr
+        else:
+            continue
+        findings.append(Finding(
+            path, node.lineno, "second-traversal",
+            f"dataclasses.{name}(): AST nodes are walked and rebuilt "
+            f"through walk / rebuild of {AST_TRAVERSAL} only"))
+    return findings
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
@@ -237,6 +285,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_bare_except(path, tree))
         findings.extend(check_profiler_counters(path, tree, declared))
         findings.extend(check_second_compiler(path, tree, nodes))
+        findings.extend(check_second_traversal(path, tree))
     return findings
 
 
