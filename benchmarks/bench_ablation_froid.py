@@ -90,7 +90,7 @@ def test_ablation_froid_report(demo, write_artifact, benchmark):
                          "form")
     table += ("\nFroid rejected (loops): " + ", ".join(rejected)
               + f"\nrecursive UDF at depth 100000: stack depth limit "
-                f"(max_udf_depth={db.max_udf_depth})")
+                f"(max_udf_depth={db.settings.get('max_udf_depth')})")
     write_artifact("ablation_froid.txt", table)
 
     # The UDF form pays per-call instantiation: visibly slower than the CTE.

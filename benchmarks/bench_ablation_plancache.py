@@ -22,9 +22,10 @@ STEPS = 300
 
 def _clear_function_caches(db) -> None:
     for fdef in db.catalog.functions.values():
-        if fdef.kind == "plpgsql" and fdef.parsed_body is not None:
-            fdef.parsed_body._expr_cache.clear()
-            fdef.parsed_body._query_cache.clear()
+        if fdef.kind == "plpgsql":
+            for runtime in fdef.body_plans.values():
+                runtime._expr_cache.clear()
+                runtime._query_cache.clear()
 
 
 def test_ablation_plancache_report(demo, write_artifact, benchmark):

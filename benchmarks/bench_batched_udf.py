@@ -6,7 +6,7 @@ a *correlated scalar subquery*, so ``SELECT f(x) FROM t`` re-materializes
 the whole recursive trampoline once per input row.  The ``BatchedUdf``
 operator instead seeds one trampoline from all 10,000 rows at once — the
 working set carries a caller row key ``k`` — and advances every pending
-call in lock-step (``planner.batch_compiled``, on by default).
+call in lock-step (``batch_compiled``, on by default).
 
 The workload is a loop-heavy integer function over a 10k-row table with
 realistically skewed argument values (20 distinct), the shape the paper's
@@ -78,8 +78,7 @@ def _build_db() -> Database:
 
 def _timed(db: Database, batched: bool, runs: int = 3,
            query: str = QUERY) -> float:
-    db.planner.batch_compiled = batched
-    db.clear_plan_cache()
+    db.settings.assign("batch_compiled", batched)
     return time_query(db, query, runs=runs, warmup=1).minimum
 
 
@@ -87,14 +86,12 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
     db = _build_db()
 
     # Sanity: both evaluation paths agree before we time anything.
-    db.planner.batch_compiled = True
-    db.clear_plan_cache()
+    db.execute("SET batch_compiled = on")
     machine_rows = db.query_all(QUERY)
     explain_batched = db.explain(QUERY)
     per_call_sum = db.query_value(PER_CALL_QUERY)
     explain_per_call = db.explain(PER_CALL_QUERY)
-    db.planner.batch_compiled = False
-    db.clear_plan_cache()
+    db.execute("SET batch_compiled = off")
     scalar_rows = db.query_all(QUERY)
     explain_scalar = db.explain(QUERY)
     assert machine_rows == scalar_rows
@@ -114,8 +111,7 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
     per_call_speedup = inlined_s / per_call_s
 
     # One instrumented run for the new profiler counters.
-    db.planner.batch_compiled = True
-    db.clear_plan_cache()
+    db.execute("SET batch_compiled = on")
     db.profiler.enabled = True
     db.profiler.reset()
     db.query_all(QUERY)
@@ -166,6 +162,5 @@ def test_batched_udf_beats_scalar_path(write_artifact, write_json, benchmark):
         f"per-call machine only {per_call_speedup:.1f}x faster than the " \
         f"inlined Qf ({per_call_s * 1000:.1f} vs {inlined_s * 1000:.1f} ms)"
 
-    db.planner.batch_compiled = True
-    db.clear_plan_cache()
+    db.execute("SET batch_compiled = on")
     benchmark.pedantic(lambda: db.query_all(QUERY), rounds=3, iterations=1)

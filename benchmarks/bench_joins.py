@@ -41,9 +41,8 @@ def _build_db() -> Database:
 
 
 def _timed(db: Database, sql: str, hashjoin: bool, runs: int = 3) -> float:
-    db.planner.enable_hashjoin = hashjoin
-    db.planner.enable_pushdown = hashjoin
-    db.clear_plan_cache()
+    db.settings.assign("enable_hashjoin", hashjoin)
+    db.settings.assign("enable_pushdown", hashjoin)
     return time_query(db, sql, runs=runs, warmup=1).minimum
 
 
@@ -51,14 +50,12 @@ def test_hash_join_beats_nested_loop(write_artifact, write_json, benchmark):
     db = _build_db()
 
     # Sanity: both strategies agree before we time anything.
-    db.planner.enable_hashjoin = True
-    db.clear_plan_cache()
+    db.execute("SET enable_hashjoin = on")
     hash_rows = db.query_all(EQUI_JOIN)
     explain_hash = db.explain(EQUI_JOIN)
     explain_non_equi = db.explain(NON_EQUI_JOIN)
-    db.planner.enable_hashjoin = False
-    db.planner.enable_pushdown = False
-    db.clear_plan_cache()
+    db.execute("SET enable_hashjoin = off")
+    db.execute("SET enable_pushdown = off")
     nested_rows = db.query_all(EQUI_JOIN)
     explain_nested = db.explain(EQUI_JOIN)
     assert hash_rows == nested_rows
@@ -97,7 +94,6 @@ def test_hash_join_beats_nested_loop(write_artifact, write_json, benchmark):
 
     assert speedup >= 10.0, f"hash join only {speedup:.1f}x faster"
 
-    db.planner.enable_hashjoin = True
-    db.planner.enable_pushdown = True
-    db.clear_plan_cache()
+    db.execute("SET enable_hashjoin = on")
+    db.execute("SET enable_pushdown = on")
     benchmark.pedantic(lambda: db.query_all(EQUI_JOIN), rounds=3, iterations=1)

@@ -59,11 +59,10 @@ def _build_db() -> Database:
 
 
 def _fast(db: Database, enabled: bool) -> None:
-    db.planner.enable_rangescan = enabled
-    db.planner.enable_sort_elim = enabled
-    db.planner.enable_topn = enabled
-    db.planner.enable_mergejoin = enabled
-    db.clear_plan_cache()
+    db.settings.assign("enable_rangescan", enabled)
+    db.settings.assign("enable_sort_elim", enabled)
+    db.settings.assign("enable_topn", enabled)
+    db.settings.assign("enable_mergejoin", enabled)
 
 
 def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):

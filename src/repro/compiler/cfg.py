@@ -118,8 +118,11 @@ class ControlFlowGraph:
                 preds[successor].append(bid)
         return preds
 
-    def variables(self) -> set[str]:
-        return set(self.var_types)
+    def variables(self) -> list[str]:
+        """In declaration order: the order φs are placed in, and through
+        them the parameter order of the ANF functions and the column order
+        of the emitted query, must not depend on the process's hash seed."""
+        return list(self.var_types)
 
     def pretty(self) -> str:
         """Render the CFG in the paper's Figure 5 style."""

@@ -305,9 +305,10 @@ def evaluate_ssa(program: SsaProgram, db, args: list) -> object:
     bid = program.entry
     previous: Optional[int] = None
     steps = 0
+    limit = db.settings.active.max_recursion_iterations
     while True:
         steps += 1
-        if steps > db.max_recursion_iterations:
+        if steps > limit:
             raise CompileError("SSA evaluation did not terminate")
         block = program.blocks[bid]
         # φs read their operands simultaneously (pre-update snapshot).

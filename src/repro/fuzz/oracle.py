@@ -158,11 +158,14 @@ class Outcome:
         return f"{self.error}: {self.message}"
 
 
-def run_statement(db: Database, sql: str, params=()) -> Outcome:
-    """Execute one statement, folding the result or failure into an
-    :class:`Outcome` with the engine's error taxonomy applied."""
+def run_statement(db: Database, sql: str, params=(),
+                  script: bool = False) -> Outcome:
+    """Execute one statement (or, with *script*, a ``;``-separated script,
+    keeping the last statement's rows), folding the result or failure into
+    an :class:`Outcome` with the engine's error taxonomy applied."""
     try:
-        result = db.execute(sql, list(params))
+        result = db.execute_script(sql)[-1] if script \
+            else db.execute(sql, list(params))
     except Exception as error:  # noqa: BLE001 — taxonomy decides severity
         return Outcome("error", error=error_class(error),
                        message=f"{type(error).__name__}: {error}")
@@ -229,7 +232,7 @@ def settings_matrix(db: Database) -> list[OracleConfig]:
     """
     axes = db.settings.plan_axes()
     baseline = {s.name: values[0] for s, values in axes}
-    defaults = {s.name: db._setting_defaults[s.name] for s, _ in axes}
+    defaults = {s.name: s.default for s, _ in axes}
 
     def config(label: str, overrides: dict) -> OracleConfig:
         statements = tuple(
@@ -257,8 +260,8 @@ def settings_matrix(db: Database) -> list[OracleConfig]:
             if value != defaults[setting.name]:
                 add(f"defaults+{setting.name}={setting.format(value)}",
                     {**defaults, setting.name: value})
-    nocache = OracleConfig("defaults+plan_cache_enabled=off",
-                           ("SET plan_cache_enabled = off",))
+    nocache = OracleConfig("defaults+plan_cache_size=0",
+                           ("SET plan_cache_size = 0",))
     configs.append(nocache)
     return configs
 

@@ -23,6 +23,11 @@ on both and the outcomes must agree:
   the text rows that crossed the wire (ordered comparison when the
   query's ORDER BY is total, bag comparison otherwise).
 
+One variant per case is sent a second time as a two-statement payload,
+``SET LOCAL <planner flag> = off; <query>``, against ``execute_script`` on
+the embedded twin: a ``Query`` message is a script (the scope of ``SET
+LOCAL``) on both sides, so both plan the query with the flag off.
+
 Like the txn axis there is no reducer: a failing case prints its script
 and seed, and ``--index`` replays it.
 """
@@ -94,6 +99,12 @@ def check_wire_case(case: Case, *, profiler: Optional[Profiler] = None
             twin = compiled.get(query.function)
             if twin:
                 variants.append((query, query.sql.format(f=twin)))
+    script = None
+    if variants:  # one of them again, as the second statement of a script
+        flags = [s.name for s, _ in embedded.settings.plan_axes()]
+        query, sql = variants[case.seed % len(variants)]
+        script = f"SET LOCAL {flags[case.seed % len(flags)]} = off; {sql}"
+        variants.append((query, script))
 
     discrepancies: list[WireDiscrepancy] = []
 
@@ -106,7 +117,7 @@ def check_wire_case(case: Case, *, profiler: Optional[Profiler] = None
     with ServerThread(served, workers=2) as address:
         with connect(*address) as client:
             for query, sql in variants:
-                emb = run_statement(embedded, sql)
+                emb = run_statement(embedded, sql, script=sql is script)
                 wire = wire_outcome(client, sql)
                 profiler.bump(FUZZ_EXECUTIONS, 2)
                 profiler.bump(FUZZ_COMPARISONS)

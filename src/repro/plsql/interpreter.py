@@ -73,7 +73,8 @@ def _is_simple(expr: SA.Expr) -> bool:
 
 
 class FunctionRuntime:
-    """Parsed body + compiled-expression cache, kept on the FunctionDef."""
+    """Parsed body + compiled-expression cache, kept on the FunctionDef
+    (one per plan stamp: the cached plans are that stamp's)."""
 
     def __init__(self, db, fdef: FunctionDef):
         self.db = db
@@ -119,7 +120,7 @@ class Interpreter:
         self.db = db
         self.runtime = runtime
         self.values: list[Value] = [None] * len(runtime.var_names)
-        self._stmt_budget = db.max_interp_statements
+        self._stmt_budget = db.settings.active.max_interp_statements
         self._stmt_count = 0
         # The enclosing SQL statement's cancel token (an activation never
         # outlives its statement), so every interpreted statement polls
@@ -423,10 +424,11 @@ def stmt_label(stmt: P.Stmt) -> str:
 
 def call_plpgsql(db, fdef: FunctionDef, args: list[Value]) -> Value:
     """Interpret one invocation of PL/pgSQL function *fdef* (Q→f switch)."""
-    if fdef.parsed_body is None:
+    stamp = db.plan_stamp()
+    runtime: FunctionRuntime = fdef.body_plans.get(stamp)
+    if runtime is None:
         with db.profiler.phase(PLAN):
-            fdef.parsed_body = FunctionRuntime(db, fdef)
-    runtime: FunctionRuntime = fdef.parsed_body  # type: ignore[assignment]
+            runtime = fdef.body_plans[stamp] = FunctionRuntime(db, fdef)
     db.profiler.push(INTERP)
     try:
         return Interpreter(db, runtime, args).run()

@@ -196,30 +196,36 @@ def run_script(session: "Connection", sql: str,
         statements = []
     if error is None and not statements:
         outputs.append(("empty",))
-    for stmt in statements:
-        notices_before = len(session.notices)
-        try:
-            with session._activated():
-                # Only the dispatch holds the engine lock; tag
-                # derivation and row rendering happen outside it so
-                # concurrent sessions overlap their non-engine CPU.
-                kind, result = db._dispatch_ast(stmt, (), session)
-        except Exception as exc:
-            error = exc
+    # One Query payload is one script - the scope of SET LOCAL outside a
+    # transaction block - exactly as Connection.execute_script.
+    session.begin_script()
+    try:
+        for stmt in statements:
+            notices_before = len(session.notices)
+            try:
+                with session._activated():
+                    # Only the dispatch holds the engine lock; tag
+                    # derivation and row rendering happen outside it so
+                    # concurrent sessions overlap their non-engine CPU.
+                    kind, result = db._dispatch_ast(stmt, (), session)
+            except Exception as exc:
+                error = exc
+                for message in session.notices[notices_before:]:
+                    outputs.append(("notice", message))
+                message = str(exc) if isinstance(exc, SqlError) \
+                    else f"{type(exc).__name__}: {exc}"
+                outputs.append(("error", sqlstate_for(exc), message))
+                break
+            tag = command_tag(stmt, kind, result, session)
             for message in session.notices[notices_before:]:
                 outputs.append(("notice", message))
-            message = str(exc) if isinstance(exc, SqlError) \
-                else f"{type(exc).__name__}: {exc}"
-            outputs.append(("error", sqlstate_for(exc), message))
-            break
-        tag = command_tag(stmt, kind, result, session)
-        for message in session.notices[notices_before:]:
-            outputs.append(("notice", message))
-        if kind == ROWS:
-            outputs.append(("rows", list(result.columns),
-                            [render_row(row) for row in result.rows], tag))
-        else:
-            outputs.append(("complete", tag))
+            if kind == ROWS:
+                outputs.append(("rows", list(result.columns),
+                                [render_row(row) for row in result.rows], tag))
+            else:
+                outputs.append(("complete", tag))
+    finally:
+        session.end_script()
     return _account(profiler, telemetry, sql, started, error, outputs)
 
 

@@ -75,20 +75,17 @@ class FunctionDef:
     #: Parsed PL/pgSQL body (repro.plsql.ast.PlsqlFunctionDef) for the
     #: static analyzer: compiled functions keep the pipeline's source here,
     #: plpgsql functions cache a parse of ``body`` on first analysis.
-    #: Distinct from ``parsed_body``, which the interpreter claims for its
-    #: FunctionRuntime cache.
     plsql_source: object = None
-    # Caches populated by front ends on first use:
-    parsed_body: object = None
-    #: Plan-time cache of the compiled trampoline (the machine rules as
-    #: closures; executor.batched_udf.MachineCallPlan), shared by every
-    #: call site of every statement and reset by
-    #: Database._clear_function_plan_caches().
-    batched_plan: object = None
+    #: What a front end built from the body on first use - the SQL body's
+    #: plan, the PL/pgSQL interpreter's FunctionRuntime, the trampoline's
+    #: machine rules as closures (executor.batched_udf.MachineCallPlan,
+    #: shared by every call site of every statement) - keyed by the
+    #: ``Database.plan_stamp()`` it was built under, so sessions with
+    #: different plan-affecting settings each keep their own.
+    body_plans: dict = field(default_factory=dict)
     #: Facts cached by the static analyzer (repro.analysis.volatility):
     #: inferred volatility class, whether the body may raise at run time,
-    #: and whether it contains loops.  None until inferred; reset together
-    #: with the plan caches.
+    #: and whether it contains loops.  None until inferred; reset by DDL.
     inferred_volatility: Optional[str] = None
     inferred_may_raise: Optional[bool] = None
     inferred_has_loops: Optional[bool] = None

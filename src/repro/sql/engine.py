@@ -23,13 +23,14 @@ on the SQL text.
 
 ``Database.execute`` remains the thin compatibility facade over the layered
 session API in :mod:`repro.sql.session`: it runs every statement in the
-*root session*, whose settings overlay writes straight through to the
-global values.  ``Database.connect()`` opens an isolated session with its
-own settings overlay, notices, and prepared-statement registry.
+*root session*, the one whose settings are the global values.
+``Database.connect()`` opens an isolated session with its own settings
+overlay, notices, and prepared-statement registry.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 from collections import OrderedDict
@@ -97,8 +98,8 @@ class Result:
 class PlanCache:
     """LRU cache of SELECT plans keyed by (SQL text, settings fingerprint).
 
-    The fingerprint component (see :meth:`repro.sql.settings.
-    SettingsRegistry.fingerprint`) makes plan-affecting SET statements —
+    The fingerprint component (see :class:`repro.sql.settings.
+    SettingValues`) makes plan-affecting SET statements —
     and per-session overlays — safe without explicit invalidation: a plan
     built under one combination of flags is simply invisible under any
     other.  The LRU bound (``SET plan_cache_size = N``) keeps long-running
@@ -187,15 +188,15 @@ class _TxnScope:
         mgr.current = txn
         self.mark = txn.begin_statement()
         # Arm the session's cancel token for this statement: clears any
-        # stale trip and starts the statement_timeout clock (the session
-        # overlay was applied before the scope opened, so a SET LOCAL
+        # stale trip and starts the statement_timeout clock (the session's
+        # values were installed before the scope opened, so a SET LOCAL
         # statement_timeout is already in effect here).  The token is
         # published on the database so RuntimeContexts built anywhere on
         # this statement's call path (subplans, UDFs, the interpreter)
         # poll the same flag the wire server trips cross-thread.
         if session is not None:
             token = session.cancel
-            token.arm(self.db.statement_timeout)
+            token.arm(self.db.settings.active.statement_timeout)
             self.db._active_cancel = token
         return self
 
@@ -282,44 +283,16 @@ class Database:
         self.catalog = Catalog(self.buffers, self.txnman)
         self.planner = Planner(self)
         self._plan_cache = PlanCache()
-        #: Bumped by clear_plan_cache() (every DDL path): prepared-statement
-        #: handles stamp it and replan when it moved under them.
+        #: The DDL half of plan_stamp(): clear_plan_cache() (every DDL
+        #: path) moves it to a number never used before, so a stamp taken
+        #: inside a rolled-back transaction cannot come true again.
+        self._generations = itertools.count(1)
         self._plan_generation = 0
-        self.max_recursion_iterations = 10_000_000
-        #: Matches PostgreSQL's max_stack_depth behaviour: directly recursive
-        #: SQL UDFs (the paper's intermediate UDF form) blow this quickly.
-        self.max_udf_depth = 192
         self._udf_depth = 0
-        #: Statement budget per PL/pgSQL activation: a loop that never exits
-        #: (WHILE over a diverging Collatz sequence, say) raises
-        #: ExecutionError instead of hanging the process.  Mirrors the
-        #: max_udf_depth guard above; lower it for tests, raise it for
-        #: genuinely long-running functions.
-        self.max_interp_statements = 10_000_000
-        self.plan_cache_enabled = True
-        #: LRU bound on cached statement plans (``SET plan_cache_size``);
-        #: 0 disables statement-plan caching entirely.
-        self.plan_cache_size = 256
-        #: Cancel any statement running longer than this many milliseconds
-        #: (0 = no timeout).  Armed per statement on the session's
-        #: CancelToken by _TxnScope; honors SET LOCAL via the overlay.
-        self.statement_timeout = 0
-        #: Auto-checkpoint the WAL once this many records have been
-        #: appended since the last compaction (0 disables; CHECKPOINT
-        #: still works).  Large enough that short-lived test logs never
-        #: compact behind the tests' backs.
-        self.wal_checkpoint_interval = 10_000
         #: The cancel token of the statement currently holding the
         #: execution lock (None between statements).  RuntimeContext
         #: snapshots it; the wire server trips it from the event loop.
         self._active_cancel = None
-        #: Static-analyzer gate at CREATE FUNCTION time (``SET
-        #: check_function_bodies``): 'off' skips analysis, 'warn' reports
-        #: diagnostics as notices, 'error' additionally rejects functions
-        #: carrying error-severity diagnostics.  Named after PostgreSQL's
-        #: setting, but runs the full repro.analysis pass, not just a
-        #: syntax check.
-        self.check_function_bodies = "warn"
         #: RAISE NOTICE/WARNING/INFO messages from PL/pgSQL execution.
         #: Sessions swap in their own list while executing, so notices
         #: raised on a Connection land on that Connection.
@@ -328,11 +301,9 @@ class Database:
         #: statement phase timings into it (Figure 3's profile bars):
         #: label -> {phase -> seconds}.
         self.plsql_statement_profile: Optional[dict] = None
-        #: Declarative settings registry (SET / SHOW / RESET); bound to the
-        #: attributes above and on the planner, so the legacy attribute
-        #: surface and the SQL surface always agree.
+        #: The settings store (SET / SHOW / RESET): every setting's value
+        #: lives there and nowhere else; the engine reads ``.active``.
         self.settings = SettingsRegistry(self)
-        self._setting_defaults = self.settings.defaults()
         self._root_session: Optional["Connection"] = None
         #: Durable mode (``Database(path=...)``): a write-ahead log that
         #: replays committed transactions on open and fsyncs on commit.
@@ -350,9 +321,9 @@ class Database:
     def session(self) -> "Connection":
         """The root session backing the ``Database.execute`` facade.
 
-        Its settings overlay writes through to the global values and its
-        notices list *is* ``Database.notices`` — the legacy surface is one
-        particular session, not a separate code path.
+        Its settings are the global values and its notices list *is*
+        ``Database.notices`` — the legacy surface is one particular
+        session, not a separate code path.
         """
         if self._root_session is None:
             from .session import Connection
@@ -394,37 +365,44 @@ class Database:
         """Reset the engine RNG (``random()``) for reproducible runs."""
         self.rng = random.Random(seed)
 
-    def clear_plan_cache(self) -> None:
-        self._plan_cache.clear()
-        self._plan_generation += 1
-        self._clear_function_plan_caches()
+    @property
+    def wal_checkpoint_interval(self) -> int:
+        """The one setting still spelled as an attribute, because
+        ``benchmarks/e2e/serve.py`` (which no PR may edit) assigns it;
+        everything else says ``SET`` or ``settings.assign``."""
+        return self.settings.active.wal_checkpoint_interval
 
-    def _clear_function_plan_caches(self) -> None:
-        """Drop the per-function body plan caches (SQL bodies, PL/pgSQL
-        runtimes, trampoline machine rules).  Unlike statement plans and
-        prepared handles, these are *not* fingerprint-stamped, so any
-        plan-affecting settings change must clear them explicitly —
-        globally via ``SettingsRegistry.assign``, per-session via the
-        overlay activation in :mod:`repro.sql.session`."""
+    @wal_checkpoint_interval.setter
+    def wal_checkpoint_interval(self, value: int) -> None:
+        self.settings.assign("wal_checkpoint_interval", value)
+
+    def plan_stamp(self) -> tuple:
+        """What a cached plan is valid for: the DDL generation and the
+        executing session's plan-affecting setting values.  Prepared
+        handles and function-body plans (``FunctionDef.body_plans``) carry
+        it; either half moving makes them replan on next use."""
+        return (self._plan_generation, self.settings.active.fingerprint)
+
+    def clear_plan_cache(self) -> None:
+        """The catalog changed: start a new DDL generation."""
+        self._plan_cache.clear()
+        self._plan_generation = next(self._generations)
         for fdef in self.catalog.functions.values():
-            fdef.parsed_body = None
-            fdef.batched_plan = None
-            # Inferred volatility depends on callees and the schema, both
-            # of which DDL can change; re-inference on next use is cheap.
+            # Plans of earlier generations can never match again; inferred
+            # volatility depends on callees and the schema, both of which
+            # DDL can change (re-inference on next use is cheap).
+            fdef.body_plans.clear()
             fdef.reset_analysis()
 
     def _trim_plan_cache(self) -> None:
         """Apply a lowered ``plan_cache_size`` immediately."""
-        evicted = self._plan_cache.trim(self.plan_cache_size)
+        evicted = self._plan_cache.trim(self.settings.active.plan_cache_size)
         if evicted:
             self.profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
 
     # ------------------------------------------------------------------
     # Parse -> classify -> dispatch
     # ------------------------------------------------------------------
-
-    def _cache_enabled(self) -> bool:
-        return self.plan_cache_enabled and self.plan_cache_size > 0
 
     def _execute_info(self, sql: str, params: Sequence[Value],
                       session: "Connection") -> tuple[str, Result]:
@@ -439,8 +417,9 @@ class Database:
         profiler = self.profiler
         with _TxnScope(self, session):
             key = None
-            if self._cache_enabled():
-                key = (sql, self.settings.fingerprint())
+            values = self.settings.active
+            if values.plan_cache_size > 0:
+                key = (sql, values.fingerprint)
                 plan = self._plan_cache.get(key)
                 if plan is not None:
                     profiler.bump(PLAN_CACHE_HIT)
@@ -453,7 +432,7 @@ class Database:
                     plan = self.planner.plan_select(stmt)
                 if key is not None:
                     evicted = self._plan_cache.put(key, plan,
-                                                   self.plan_cache_size)
+                                                   values.plan_cache_size)
                     if evicted:
                         profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
                 return ROWS, self._run_plan(plan, params)
@@ -715,16 +694,13 @@ class Database:
         if stmt.name is not None:
             return Result([stmt.name.lower()],
                           [(self.settings.show(stmt.name),)])
-        rows = [(s.name, s.format(s.get(self)), s.description)
+        rows = [(s.name, self.settings.show(s.name), s.description)
                 for s in sorted(self.settings, key=lambda s: s.name)]
         return Result(["name", "setting", "description"], rows)
 
     def _do_reset(self, stmt: A.ResetStmt, session: "Connection") -> Result:
         self.profiler.bump(SETTINGS_ASSIGNMENTS)
-        if stmt.name is None:
-            session.reset_all_settings()
-        else:
-            session.reset_setting(stmt.name)
+        session.reset_setting(stmt.name)
         return Result([], [])
 
     # ------------------------------------------------------------------
@@ -787,12 +763,15 @@ class Database:
         happen per call — and direct recursion hits the stack-depth limit,
         which is exactly why the paper pushes on to WITH RECURSIVE.
         """
-        if self._udf_depth >= self.max_udf_depth:
+        max_depth = self.settings.active.max_udf_depth
+        if self._udf_depth >= max_depth:
             raise ExecutionError(
                 f"stack depth limit exceeded while evaluating {fdef.name}() "
-                f"(max_udf_depth={self.max_udf_depth}); consider compiling "
+                f"(max_udf_depth={max_depth}); consider compiling "
                 "the function away")
-        if fdef.parsed_body is None:
+        stamp = self.plan_stamp()
+        plan = fdef.body_plans.get(stamp)
+        if plan is None:
             with self.profiler.phase(PARSE):
                 stmt = parse_statement(fdef.body)
             if not isinstance(stmt, A.SelectStmt):
@@ -812,10 +791,10 @@ class Database:
             stmt = transform_select(stmt, bind)
             with self.profiler.phase(PLAN):
                 plan = self.planner.plan_select(stmt)
-            fdef.parsed_body = plan
+            fdef.body_plans[stamp] = plan
         self._udf_depth += 1
         try:
-            result = self._run_plan(fdef.parsed_body, args)
+            result = self._run_plan(plan, args)
         finally:
             self._udf_depth -= 1
         if len(result.columns) != 1 or len(result.rows) > 1:
@@ -948,7 +927,7 @@ class Database:
         additionally rejects (and unregisters) functions carrying
         error-severity findings — PostgreSQL's invalid_function_definition,
         SQLSTATE 42P13 territory, surfaced as a CompileError."""
-        mode = self.check_function_bodies
+        mode = self.settings.active.check_function_bodies
         if mode == "off":
             return
         from ..analysis import SEVERITIES, analyze_function

@@ -7,6 +7,6 @@ Instantiation is the engine's ``ExecutorStart`` — the cost the paper's
 a compiled ``WITH RECURSIVE`` query pays exactly once.
 """
 
-from .base import ExecContext, PlanState
+from .base import PlanState
 
-__all__ = ["ExecContext", "PlanState"]
+__all__ = ["PlanState"]

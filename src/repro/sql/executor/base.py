@@ -101,8 +101,3 @@ class PlanState:
             if row is None:
                 return out
             out.append(row)
-
-
-class ExecContext:
-    """Deprecated alias kept for symmetry with the design doc; the runtime
-    context actually lives in :class:`repro.sql.expr.RuntimeContext`."""

@@ -350,7 +350,7 @@ class MachineCallState:
         single = (next(iter(transitions.values()))
                   if len(transitions) == 1 else None)
         ctx = EvalContext(rt, vector, slots=self.trans_slots)
-        limit = rt.db.max_recursion_iterations
+        limit = rt.db.settings.active.max_recursion_iterations
         cancel = rt.cancel
         iterations = 0
         while working:

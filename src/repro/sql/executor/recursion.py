@@ -173,7 +173,7 @@ class CteRuntime:
         if trace is not None:
             trace.extend(working)
         last_nonempty = working
-        limit = self.rt.db.max_recursion_iterations
+        limit = self.rt.db.settings.active.max_recursion_iterations
         cancel = self.rt.cancel
         self.iterations = 0
         while working:

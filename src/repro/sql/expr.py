@@ -570,7 +570,7 @@ class ExprCompiler:
                     f"function {name}() takes {fdef.arity} arguments, "
                     f"got {len(expr.args)}")
             if fdef.kind == "compiled":
-                if self.planner.batch_compiled \
+                if self.planner.flags.batch_compiled \
                         and fdef.batch_machine is not None:
                     return self._compile_trampoline_call(fdef, expr)
                 # The paper's finalization step: splice the compiled pure-SQL

@@ -1,7 +1,8 @@
 """Builtin scalar functions, aggregates, and window functions.
 
-Scalar builtins receive an :class:`ExecContext`-like object (anything with an
-``rng`` attribute and a ``catalog``) as their first argument so that, e.g.,
+Scalar builtins receive a :class:`~repro.sql.expr.RuntimeContext`-like
+object (anything with an ``rng`` attribute and a ``catalog``) as their first
+argument so that, e.g.,
 ``random()`` draws from the engine's seedable RNG — determinism matters for
 the interpreted-vs-compiled equivalence tests.
 

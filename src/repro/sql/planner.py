@@ -98,44 +98,12 @@ _DEFAULT_CARDINALITY = 1000
 class Planner:
     """Plans SELECT statements against a database's catalog."""
 
+    # No stray attributes: planner flags live in the settings store, and
+    # assigning one on the planner must fail, not be silently ignored.
+    __slots__ = ("db", "_cte_env", "expr_subquery_depth")
+
     def __init__(self, db: "Database"):
         self.db = db
-        #: Plan equi-joins as build/probe hash joins (executor/hashjoin.py).
-        #: Disable to force the seed nested-loop path.  Flags are consulted
-        #: at plan time only — call ``Database.clear_plan_cache()`` after
-        #: toggling, or cached plans keep their old strategy.
-        self.enable_hashjoin = True
-        #: Push single-relation WHERE conjuncts down to the scans that bind
-        #: them, and promote cross-join equality conjuncts to join keys.
-        self.enable_pushdown = True
-        #: Run calls to recursive compiled functions on the trampoline
-        #: machine (executor/batched_udf.py) instead of splicing Qf in as
-        #: a correlated scalar subquery: select-list calls that may be
-        #: evaluated eagerly share one batched trampoline per call site
-        #: over all surviving rows, every other call (volatile body or
-        #: arguments, WHERE / CASE / aggregate argument, LIMIT, nested
-        #: subquery) runs one activation per evaluation, in place.  Off is
-        #: the paper's inlined pure-SQL Qf everywhere; loop-free functions
-        #: have no trampoline and always inline.
-        self.batch_compiled = True
-        #: Ordered access paths.  ``enable_rangescan``: push range
-        #: conjuncts (< <= > >= BETWEEN) on a base-table column into a
-        #: bisect-backed IndexRangeScan.  ``enable_sort_elim``: skip the
-        #: Sort when an existing sorted index already delivers the ORDER
-        #: BY.  ``enable_topn``: bounded heap for constant ORDER BY ..
-        #: LIMIT when no index applies.  ``enable_mergejoin``: merge join
-        #: when both inner-equi-join inputs are index-ordered on the key.
-        #: All are plan-time choices — clear_plan_cache() after toggling.
-        self.enable_rangescan = True
-        self.enable_sort_elim = True
-        self.enable_topn = True
-        self.enable_mergejoin = True
-        #: Batch-at-a-time execution of single-table SELECT cores: pull
-        #: column batches straight off the heap and evaluate batch-compiled
-        #: predicates/projections/aggregations in tight loops
-        #: (executor/vector.py) instead of per-row closure dispatch.
-        #: Plan-time choice — clear_plan_cache() after toggling.
-        self.enable_vectorize = True
         self._cte_env: Optional[CteEnv] = None
         #: Nesting depth of expression subqueries (EXISTS / IN / scalar)
         #: currently being planned.  Those consumers stop pulling rows
@@ -147,6 +115,12 @@ class Planner:
     @property
     def catalog(self):
         return self.db.catalog
+
+    @property
+    def flags(self):
+        """The executing session's setting values (plan-time choices all:
+        a plan carries the fingerprint of the values it was built under)."""
+        return self.db.settings.active
 
     # ------------------------------------------------------------------
     # Statement level
@@ -203,7 +177,7 @@ class Planner:
             # the whole input.  (When sort elimination already removed the
             # Sort, the streaming LimitPlan alone stops after k rows.)
             count = _constant_topn_count(stmt)
-            if (self.enable_topn and count is not None
+            if (self.flags.enable_topn and count is not None
                     and isinstance(plan, SortPlan)):
                 plan = TopNPlan(plan, count)
             plan = LimitPlan(plan, limit, offset, compiler.subplans)
@@ -402,7 +376,7 @@ class Planner:
         # single activation, which a per-call site runs as it stands.
         batch_stage: Optional[BatchedUdfStagePlan] = None
         if allow_batch and self.expr_subquery_depth == 0 \
-                and self.batch_compiled \
+                and self.flags.batch_compiled \
                 and from_plan is not None:
             batch_stage, item_exprs, current_scope = self._plan_batched_udfs(
                 item_exprs, current_scope, outer_scope)
@@ -413,7 +387,7 @@ class Planner:
         # stays streaming, so an enclosing LIMIT stops pulling after k
         # rows — ORDER BY .. LIMIT over an index costs O(log n + k).
         sort_eliminated = False
-        if (order_by and self.enable_sort_elim and not core.distinct
+        if (order_by and self.flags.enable_sort_elim and not core.distinct
                 and agg_stage is None and window_stage is None
                 and isinstance(from_plan, FromLeafPlan)
                 and not from_plan.lateral):
@@ -447,7 +421,7 @@ class Planner:
         # filter and residual, and for pure predicates the conjunction is
         # equivalent.  vectorize_core returns None when any expression
         # contains a row-only kernel-table entry, keeping this plan unchanged.
-        if (not order_by and self.enable_vectorize
+        if (not order_by and self.flags.enable_vectorize
                 and window_stage is None and batch_stage is None
                 and len(relations) == 1
                 and isinstance(from_plan, FromLeafPlan)
@@ -625,7 +599,7 @@ class Planner:
         residual: list[A.Expr] = []
         for conjunct in conjuncts:
             info = column_bindings(conjunct, scope, self.catalog)
-            if (self.enable_pushdown and not info.unknown and info.rels
+            if (self.flags.enable_pushdown and not info.unknown and info.rels
                     and not (info.rels & protected)):
                 pushable.append((conjunct, info.rels))
             else:
@@ -690,7 +664,7 @@ class Planner:
             (key_pairs.append(pair) if pair is not None
              else residual_on.append(conjunct))
         where_keys: list[tuple[A.Expr, frozenset, tuple]] = []
-        if node.kind in ("inner", "cross") and self.enable_pushdown:
+        if node.kind in ("inner", "cross") and self.flags.enable_pushdown:
             for conjunct, rels in spanning:
                 pair = self._equi_key(conjunct, left_slots, right_slots, scope)
                 if pair is not None:
@@ -703,7 +677,7 @@ class Planner:
         # Merge join: preferred when both inputs are base-table leaves with
         # an existing sorted index on their (single) join key — the ordered
         # scans make the join one synchronized pass and rescans free.
-        if (self.enable_mergejoin and node.kind in ("inner", "cross")
+        if (self.flags.enable_mergejoin and node.kind in ("inner", "cross")
                 and len(key_pairs) + len(where_keys) == 1):
             pair = key_pairs[0] if key_pairs else where_keys[0][2]
             merge = self._try_merge_join(left_plan, right_plan, pair,
@@ -719,7 +693,7 @@ class Planner:
                                        or residual_info.unknown)))
                 return merge, leftover, stable
 
-        can_hash = (self.enable_hashjoin
+        can_hash = (self.flags.enable_hashjoin
                     and node.kind in ("inner", "left", "cross")
                     and bool(key_pairs or where_keys)
                     and not _contains_lateral(left_plan)
@@ -931,7 +905,7 @@ class Planner:
                                     len(source.output_columns),
                                     index_plan, lateral=False)
             return new_leaf, conjoin(residual)
-        if self.enable_rangescan:
+        if self.flags.enable_rangescan:
             range_leaf, residual = self._try_range_pushdown(
                 residual, leaf, source, scope, compiler, independent)
             if range_leaf is not None:
@@ -1328,19 +1302,22 @@ class Planner:
         Cached on the FunctionDef: the trampoline takes its arguments as
         values (a batch-input relation, a parameter row) rather than as
         spliced-in expressions, so one compiled template serves every call
-        site of every statement until a plan-affecting change drops it
-        (Database._clear_function_plan_caches).  It is therefore compiled
+        site of every statement running under the same plan stamp
+        (Database.plan_stamp).  It is therefore compiled
         outside the calling statement's context: that statement's CTE
         names and its subquery nesting must not leak into a plan other
         statements will run."""
-        if fdef.batched_plan is None:
+        stamp = self.db.plan_stamp()
+        template = fdef.body_plans.get(stamp)
+        if template is None:
             saved = self._cte_env, self.expr_subquery_depth
             self._cte_env, self.expr_subquery_depth = None, 0
             try:
-                fdef.batched_plan = compile_machine(fdef.batch_machine, self)
+                template = compile_machine(fdef.batch_machine, self)
             finally:
                 self._cte_env, self.expr_subquery_depth = saved
-        return fdef.batched_plan
+            fdef.body_plans[stamp] = template
+        return template
 
     def _resolve_window_spec(self, window, core: A.SelectCore) -> A.WindowSpec:
         if isinstance(window, str):

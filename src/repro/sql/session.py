@@ -8,17 +8,17 @@ a :class:`Cursor` exposes the familiar DB-API shape (``execute`` /
 ``executemany`` / ``description`` / ``fetchone`` / iteration).
 
 ``Database.execute`` keeps working unchanged — it is a thin facade over the
-*root* session, whose settings overlay writes straight through to the
-global values.
+*root* session, the one session whose settings *are* the global values.
 
 Isolation model (single-process, cooperative):
 
-* **Settings** — ``SET`` on a connection lands in its overlay; the overlay
-  is applied to the engine attributes for the duration of each statement
-  and restored afterwards.  Cached plans can never leak across differing
-  plan-affecting settings because every plan-cache key and prepared-
-  statement stamp embeds the settings fingerprint
-  (:meth:`repro.sql.settings.SettingsRegistry.fingerprint`).
+* **Settings** — ``SET`` on a connection lands in its overlay; the
+  session's effective values (``globals.replace(**overlay)``, an immutable
+  :class:`~repro.sql.settings.SettingValues`) are installed as
+  ``db.settings.active`` for the duration of each statement.  Cached plans
+  can never leak across differing plan-affecting settings because every
+  plan-cache key, prepared-statement stamp and function-body plan embeds
+  the settings fingerprint (:meth:`repro.sql.engine.Database.plan_stamp`).
 * **Prepared statements** — per-session by name (SQL ``PREPARE``/
   ``EXECUTE``/``DEALLOCATE`` or the programmatic :meth:`Connection.
   prepare`).  A handle's plan is stamped with the DDL generation and the
@@ -105,15 +105,13 @@ class PreparedStatement:
     def plan(self):
         """The current plan, replanning when the stamp went stale.
 
-        The stamp pairs the DDL generation (bumped by every
-        ``clear_plan_cache``) with the plan-affecting settings
-        fingerprint; either moving means the cached plan may name dropped
-        structures or the wrong access paths, so it is rebuilt — against
-        whatever catalog now exists, raising the same clean error a fresh
-        query would (e.g. after ``DROP TABLE``).
+        Either half of ``Database.plan_stamp`` moving means the cached
+        plan may name dropped structures or the wrong access paths, so it
+        is rebuilt — against whatever catalog now exists, raising the same
+        clean error a fresh query would (e.g. after ``DROP TABLE``).
         """
         db = self.db
-        stamp = (db._plan_generation, db.settings.fingerprint())
+        stamp = db.plan_stamp()
         if self._plan is None or self._stamp != stamp:
             if self._plan is not None:
                 db.profiler.bump(PREPARED_REPLANS)
@@ -169,9 +167,9 @@ class PreparedStatement:
 class Connection:
     """One session against a :class:`~repro.sql.engine.Database`.
 
-    Root sessions (``Database``'s own facade) write settings straight
-    through to the global values; ordinary sessions keep them in an
-    overlay applied around each statement.
+    The root session (``Database``'s own facade) assigns the global
+    values; ordinary sessions keep their assignments in an overlay on top
+    of them.
     """
 
     def __init__(self, db: "Database", root: bool = False):
@@ -189,8 +187,10 @@ class Connection:
         #: tripped cross-thread by the wire server's CancelRequest path.
         self.cancel = CancelToken()
         self._active_depth = 0
-        self._saved: dict[str, object] = {}
-        self._saved_notices: Optional[list[str]] = None
+        #: ``(globals, globals.replace(**overlay))`` as last computed;
+        #: stale once either side is a different object.
+        self._effective: tuple = (None, None)
+        self._outer_notices: Optional[list[str]] = None
         #: One list of SET LOCAL restore records per nested script.
         self._script_stack: list[list] = []
         self._anon_counter = 0
@@ -338,56 +338,53 @@ class Connection:
 
     # -- settings --------------------------------------------------------
 
+    def _values(self):
+        """This session's effective setting values, recomputed only when
+        the globals or the overlay changed since the last call."""
+        base = self.db.settings.globals
+        if not self._overlay:
+            return base
+        if self._effective[0] is not base:
+            self._effective = (base, base.replace(**self._overlay))
+        return self._effective[1]
+
+    def _store(self, name: str, value) -> None:
+        """Record this session's (typed) *value* for setting *name*, None
+        for "no assignment of its own"; takes effect at once when a
+        statement of the session is running."""
+        settings = self.db.settings
+        if self._root:
+            settings.assign(name, settings.lookup(name).default
+                            if value is None else value)
+        elif value is None:
+            self._overlay.pop(name, None)
+        else:
+            self._overlay[name] = value
+        self._effective = (None, None)
+        if self._active_depth:
+            settings.active = self._values()
+
     def get_setting(self, name: str):
         """Effective (typed) value of *name* as this session sees it."""
-        setting = self.db.settings.lookup(name)
-        if not self._root and setting.name in self._overlay:
-            return self._overlay[setting.name]
-        return setting.get(self.db)
+        return getattr(self._values(), self.db.settings.lookup(name).name)
 
     def set_setting(self, name: str, raw) -> object:
-        """Session-scoped assignment (global write-through on the root
-        session).  Validates against the setting's declared type/domain."""
+        """Session-scoped assignment (global on the root session).
+        Validates against the setting's declared type/domain."""
         self._check_open()
-        if self._root:
-            return self.db.settings.assign(name, raw)
         setting = self.db.settings.lookup(name)
         value = setting.parse(raw)
-        self._overlay[setting.name] = value
-        if self._active_depth:
-            # Mid-statement/script SET: take effect now; the pre-activation
-            # global value is restored when the session deactivates.
-            changed = setting.get(self.db) != value
-            self._saved.setdefault(setting.name, setting.get(self.db))
-            setting.set_raw(self.db, value)
-            if changed and setting.plan_affecting:
-                # Statement plans and prepared handles are fingerprint-
-                # stamped, but function-body plan caches are not.
-                self.db._clear_function_plan_caches()
+        self._store(setting.name, value)
         return value
 
-    def reset_setting(self, name: str) -> None:
-        """Drop the session override (root: restore the boot default)."""
+    def reset_setting(self, name: Optional[str]) -> None:
+        """Drop the session override of *name*, or of every setting
+        (``name`` None) — root: restore the default."""
         self._check_open()
-        if self._root:
-            self.db.settings.reset(name)
-            return
-        setting = self.db.settings.lookup(name)
-        self._overlay.pop(setting.name, None)
-        if self._active_depth and setting.name in self._saved:
-            old = self._saved[setting.name]
-            changed = setting.get(self.db) != old
-            setting.set_raw(self.db, old)
-            if changed and setting.plan_affecting:
-                self.db._clear_function_plan_caches()
-
-    def reset_all_settings(self) -> None:
-        if self._root:
-            for name in self.db.settings.names():
-                self.db.settings.reset(name)
-            return
-        for name in list(self._overlay):
-            self.reset_setting(name)
+        settings = self.db.settings
+        for key in (settings.names() if name is None
+                    else [settings.lookup(name).name]):
+            self._store(key, None)
 
     def set_local(self, name: str, raw) -> None:
         """``SET LOCAL``: scoped to the enclosing transaction block
@@ -396,24 +393,19 @@ class Connection:
         a no-op with a notice, matching PostgreSQL's behaviour outside a
         transaction block."""
         self._check_open()
+        setting = self.db.settings.lookup(name)
         txn = self._txn if self._txn is not None and not self._txn.finished \
             else None
         if txn is None and not self._script_stack:
-            self.db.settings.lookup(name)   # still validate the name
             self._notices.append(
                 "WARNING: SET LOCAL has no effect outside a script")
             return
-        setting = self.db.settings.lookup(name)
-        if self._root:
-            restore = ("global", setting.name, setting.get(self.db))
-        else:
-            had = setting.name in self._overlay
-            restore = ("overlay", setting.name, had,
-                       self._overlay.get(setting.name))
-        if txn is not None:
-            txn.local_restores.append(restore)
-        else:
-            self._script_stack[-1].append(restore)
+        # The restore record: what _store is to be called with afterwards.
+        previous = (getattr(self.db.settings.globals, setting.name)
+                    if self._root else self._overlay.get(setting.name))
+        records = txn.local_restores if txn is not None \
+            else self._script_stack[-1]
+        records.append((setting.name, previous))
         self.set_setting(name, raw)
 
     def begin_script(self) -> None:
@@ -425,33 +417,23 @@ class Connection:
     def _apply_restore_records(self, records: list) -> None:
         """Revert a batch of SET LOCAL restore records (newest first) —
         shared by script end and transaction finish."""
-        for record in reversed(records):
-            if record[0] == "global":
-                _, name, old = record
-                self.db.settings.assign(name, old)
-            else:
-                _, name, had, old = record
-                if had:
-                    self.set_setting(name, old)
-                else:
-                    self.reset_setting(name)
+        for name, previous in reversed(records):
+            self._store(name, previous)
 
     # -- activation ------------------------------------------------------
 
     def _activated(self):
-        """Context manager applying this session's state to the engine:
-        overlay values are written to the backing attributes (saving the
-        globals) and the notices list is swapped in; both are restored on
-        exit.  Reentrant; a no-op for the root session."""
+        """Context manager making this session the executing one: its
+        setting values and its notices list are installed on the database
+        and the previous ones put back on exit.  Reentrant."""
         return _Activation(self)
 
 
 class _Activation:
-    """Applies a session's overlay/notices to the engine — under the
-    database's execution lock, so two threads activating different
-    sessions can never interleave their save/restore of the globals
-    (the lock is reentrant; the per-statement ``_TxnScope`` nests
-    inside it)."""
+    """Installs a session's setting values and notices on the engine —
+    under the database's execution lock, so two threads activating
+    different sessions can never interleave (the lock is reentrant; the
+    per-statement ``_TxnScope`` nests inside it)."""
 
     __slots__ = ("conn",)
 
@@ -460,51 +442,25 @@ class _Activation:
 
     def __enter__(self):
         conn = self.conn
-        conn.db._exec_lock.acquire()
-        conn._active_depth += 1
-        if conn._root or conn._active_depth > 1:
-            return conn
         db = conn.db
-        conn._saved_notices = db.notices
-        db.notices = conn._notices
-        registry = db.settings
-        plan_changed = False
-        for name, value in conn._overlay.items():
-            setting = registry.lookup(name)
-            conn._saved[name] = setting.get(db)
-            setting.set_raw(db, value)
-            if setting.plan_affecting and conn._saved[name] != value:
-                plan_changed = True
-        if plan_changed:
-            # Function-body plan caches are not fingerprint-stamped; an
-            # overlay that changes plan-affecting values must not reuse
-            # bodies planned under the globals (nor leave session-planned
-            # bodies behind — see __exit__).
-            db._clear_function_plan_caches()
+        db._exec_lock.acquire()
+        conn._active_depth += 1
+        if conn._active_depth == 1:
+            conn._outer_notices = db.notices
+            db.notices = conn._notices
+            db.settings.active = conn._values()
         return conn
 
     def __exit__(self, *exc) -> None:
         conn = self.conn
+        db = conn.db
         try:
             conn._active_depth -= 1
-            if conn._root or conn._active_depth > 0:
-                return
-            db = conn.db
-            registry = db.settings
-            plan_changed = False
-            for name, value in conn._saved.items():
-                setting = registry.lookup(name)
-                if setting.plan_affecting and setting.get(db) != value:
-                    plan_changed = True
-                setting.set_raw(db, value)
-            conn._saved.clear()
-            if plan_changed:
-                db._clear_function_plan_caches()
-            if conn._saved_notices is not None:
-                db.notices = conn._saved_notices
-                conn._saved_notices = None
+            if conn._active_depth == 0:
+                db.notices = conn._outer_notices
+                db.settings.active = db.settings.globals
         finally:
-            conn.db._exec_lock.release()
+            db._exec_lock.release()
 
 
 class Cursor:

@@ -1,34 +1,34 @@
-"""GUC-style settings registry: declarative, validated engine configuration.
+"""GUC-style settings: one declared table, one store, one pointer.
 
-Before this module, plan-affecting knobs were bare attributes
-(``db.planner.enable_rangescan = False``) that the caller had to remember to
-follow with ``db.clear_plan_cache()`` — forget it and cached plans keep the
-old strategy.  The registry replaces that imperative knob-poking with a
-declarative surface (``SET name = value`` / ``SHOW name`` / ``RESET name``):
+Every setting is declared once, in :data:`SETTINGS`: its **type** (bool /
+int / enum), **domain** (choices, minimum), **default** and whether it is
+**plan-affecting**.  Values never live anywhere else:
 
-* every setting declares its **type** (bool / int / enum), **domain**
-  (choices, minimum) and whether it is **plan-affecting**,
-* values are validated before they are applied (`SettingError` otherwise),
-* the tuple of all plan-affecting values is the :meth:`~SettingsRegistry.
-  fingerprint` — part of every statement-plan-cache key and of every
-  prepared-statement stamp, so a plan-affecting change can never resurrect
-  a plan built under different flags,
-* assigning a plan-affecting setting through :meth:`SettingsRegistry.assign`
-  additionally clears the function-body plan caches (the part the
-  fingerprint cannot reach), replacing the manual ``clear_plan_cache()``
-  idiom.
+* a :class:`SettingValues` is one immutable assignment of *every* setting,
+  carrying the tuple of its plan-affecting values as ``fingerprint``
+  (computed when the object is built, not when it is read);
+* :attr:`SettingsRegistry.globals` is the database-wide assignment
+  (``SET`` on the root session, :meth:`SettingsRegistry.assign`);
+  a session's effective values are ``globals`` or
+  ``globals.replace(**overlay)``;
+* :attr:`SettingsRegistry.active` is what the engine reads - planner,
+  executor, interpreter, WAL.  Session activation installs the session's
+  values there with one assignment under the execution lock and puts
+  ``globals`` back on exit (:class:`repro.sql.session._Activation`).
 
-Settings are *bound* to the pre-existing attributes on
-:class:`~repro.sql.engine.Database` and :class:`~repro.sql.planner.Planner`
-rather than duplicated: direct attribute access (the legacy surface, still
-used by tests and benchmarks) and SET/SHOW always agree.
+``SET name = value`` / ``SHOW name`` / ``RESET name`` validate against the
+declaration (:class:`SettingError` otherwise).  No assignment invalidates
+anything: every cached plan - statement plan-cache key, prepared-statement
+stamp, function-body plan - carries the fingerprint it was built under
+(:meth:`repro.sql.engine.Database.plan_stamp`), so a plan built under one
+combination of flags is simply invisible under any other.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .errors import SettingError
 
@@ -43,35 +43,19 @@ _BOOL_WORDS = {
 
 @dataclass(frozen=True)
 class Setting:
-    """One registered configuration parameter.
+    """One declared configuration parameter.
 
-    ``scope`` names the object carrying the backing attribute (``"db"`` or
-    ``"planner"``); ``attr`` the attribute itself.  ``plan_affecting``
-    settings participate in the plan fingerprint: cached plans depend on
-    their value at plan time.
+    ``plan_affecting`` settings make up the plan fingerprint: cached plans
+    depend on their value at plan time.
     """
 
     name: str
-    scope: str                      # 'db' | 'planner'
-    attr: str
     type: str                       # 'bool' | 'int' | 'enum'
+    default: object
     plan_affecting: bool
     description: str
     choices: Optional[tuple[str, ...]] = None
     minimum: Optional[int] = None
-
-    def _target(self, db: "Database"):
-        return db if self.scope == "db" else db.planner
-
-    def get(self, db: "Database"):
-        return getattr(self._target(db), self.attr)
-
-    def set_raw(self, db: "Database", value) -> None:
-        """Write the backing attribute without any validation or cache
-        invalidation (session overlays use this: the value was validated
-        when it entered the overlay, and plan correctness is carried by the
-        fingerprint in the plan-cache keys)."""
-        setattr(self._target(db), self.attr, value)
 
     # -- value conversion ------------------------------------------------
 
@@ -136,7 +120,7 @@ class Setting:
         choices; int settings have no finite domain and return None.  This
         is the hook the differential fuzzer's oracle matrix is built from
         (:func:`repro.fuzz.oracle.settings_matrix`): a new planner flag
-        declared in :func:`_default_settings` joins the fuzzed
+        declared in :data:`SETTINGS` joins the fuzzed
         configuration space with no fuzzer change.
         """
         if self.type == "bool":
@@ -146,112 +130,104 @@ class Setting:
         return None
 
 
-def _default_settings() -> list[Setting]:
-    planner_flags = [
-        ("enable_rangescan",
-         "Push range conjuncts into bisect-backed IndexRangeScans."),
-        ("enable_sort_elim",
-         "Drop Sort nodes an existing sorted index already satisfies."),
-        ("enable_topn",
-         "Fuse constant ORDER BY .. LIMIT into a bounded-heap TopN."),
-        ("enable_mergejoin",
-         "Merge join when both equi-join inputs are index-ordered."),
-        ("enable_vectorize",
-         "Run single-table SELECT cores batch-at-a-time (column batches)."),
-        ("enable_hashjoin",
-         "Plan equi-joins as build/probe hash joins."),
-        ("enable_pushdown",
-         "Push single-relation WHERE conjuncts down to their scans."),
-        ("batch_compiled",
-         "Run recursive compiled-UDF calls on the trampoline machine "
-         "(BatchedUdf where safe, else one activation per call); off "
-         "inlines the WITH RECURSIVE Qf at every site."),
-    ]
-    settings = [
-        Setting(name, "planner", name, "bool", True, description)
-        for name, description in planner_flags
-    ]
-    settings.extend([
-        Setting("max_udf_depth", "db", "max_udf_depth", "int", False,
-                "Stack-depth limit for directly recursive SQL UDFs.",
-                minimum=1),
-        Setting("max_interp_statements", "db", "max_interp_statements",
-                "int", False,
-                "Statement budget per PL/pgSQL activation (runaway guard).",
-                minimum=1),
-        Setting("max_recursion_iterations", "db",
-                "max_recursion_iterations", "int", False,
-                "Iteration limit for WITH RECURSIVE evaluation.", minimum=1),
-        Setting("plan_cache_size", "db", "plan_cache_size", "int", False,
-                "Maximum cached statement plans (LRU; 0 disables caching).",
-                minimum=0),
-        Setting("plan_cache_enabled", "db", "plan_cache_enabled", "bool",
-                False, "Master switch for the statement plan cache."),
-        Setting("statement_timeout", "db", "statement_timeout", "int", False,
-                "Cancel any statement running longer than this many "
-                "milliseconds (0 disables the timeout).", minimum=0),
-        Setting("wal_checkpoint_interval", "db", "wal_checkpoint_interval",
-                "int", False,
-                "Auto-checkpoint the WAL after this many appended records "
-                "(0 disables auto-checkpointing; CHECKPOINT always works).",
-                minimum=0),
-        # Deliberately not plan_affecting: it gates DDL-time diagnostics,
-        # never a plan choice, and must stay out of the fuzzer's
-        # settings matrix (plan_axes) and the plan fingerprint.
-        Setting("check_function_bodies", "db", "check_function_bodies",
-                "enum", False,
-                "Run the static analyzer at CREATE FUNCTION time: off "
-                "(skip), warn (report diagnostics as notices), error "
-                "(reject functions with error-severity diagnostics).",
-                choices=("off", "warn", "error")),
-    ])
-    return settings
+#: Every setting there is.  The seven ``enable_*`` flags and
+#: ``batch_compiled`` are the A/B levers of the checked-in benches
+#: (bench_joins, bench_ordered_paths, bench_vectorized, bench_batched_udf)
+#: and the axes of the fuzzer's settings matrix.
+SETTINGS: tuple[Setting, ...] = (
+    Setting("enable_rangescan", "bool", True, True,
+            "Push range conjuncts into bisect-backed IndexRangeScans."),
+    Setting("enable_sort_elim", "bool", True, True,
+            "Drop Sort nodes an existing sorted index already satisfies."),
+    Setting("enable_topn", "bool", True, True,
+            "Fuse constant ORDER BY .. LIMIT into a bounded-heap TopN."),
+    Setting("enable_mergejoin", "bool", True, True,
+            "Merge join when both equi-join inputs are index-ordered."),
+    Setting("enable_vectorize", "bool", True, True,
+            "Run single-table SELECT cores batch-at-a-time (column batches)."),
+    Setting("enable_hashjoin", "bool", True, True,
+            "Plan equi-joins as build/probe hash joins."),
+    Setting("enable_pushdown", "bool", True, True,
+            "Push single-relation WHERE conjuncts down to their scans."),
+    Setting("batch_compiled", "bool", True, True,
+            "Run recursive compiled-UDF calls on the trampoline machine "
+            "(BatchedUdf where safe, else one activation per call); off "
+            "inlines the WITH RECURSIVE Qf at every site."),
+    # PostgreSQL's max_stack_depth: directly recursive SQL UDFs (the
+    # paper's intermediate UDF form) blow this quickly.
+    Setting("max_udf_depth", "int", 192, False,
+            "Stack-depth limit for directly recursive SQL UDFs.",
+            minimum=1),
+    Setting("max_interp_statements", "int", 10_000_000, False,
+            "Statement budget per PL/pgSQL activation (runaway guard).",
+            minimum=1),
+    Setting("max_recursion_iterations", "int", 10_000_000, False,
+            "Iteration limit for WITH RECURSIVE evaluation.", minimum=1),
+    Setting("plan_cache_size", "int", 256, False,
+            "Maximum cached statement plans (LRU; 0 disables caching).",
+            minimum=0),
+    Setting("statement_timeout", "int", 0, False,
+            "Cancel any statement running longer than this many "
+            "milliseconds (0 disables the timeout).", minimum=0),
+    # The default is large enough that short-lived test logs never compact
+    # behind the tests' backs.
+    Setting("wal_checkpoint_interval", "int", 10_000, False,
+            "Auto-checkpoint the WAL after this many appended records "
+            "(0 disables auto-checkpointing; CHECKPOINT always works).",
+            minimum=0),
+    # Deliberately not plan_affecting: it gates DDL-time diagnostics,
+    # never a plan choice, and must stay out of the fuzzer's
+    # settings matrix (plan_axes) and the plan fingerprint.
+    Setting("check_function_bodies", "enum", "warn", False,
+            "Run the static analyzer at CREATE FUNCTION time: off "
+            "(skip), warn (report diagnostics as notices), error "
+            "(reject functions with error-severity diagnostics).",
+            choices=("off", "warn", "error")),
+)
+
+_BY_NAME = {s.name: s for s in SETTINGS}
+_PLAN_AFFECTING = tuple(s for s in SETTINGS if s.plan_affecting)
 
 
-def _tuple_getter(attrs: list[str]):
-    """A callable reading *attrs* off one object as a tuple, C-fast."""
-    if not attrs:
-        empty = ()
-        return lambda obj: empty
-    if len(attrs) == 1:
-        single = attrgetter(attrs[0])
-        return lambda obj: (single(obj),)
-    return attrgetter(*attrs)
+class SettingValues(namedtuple(
+        "SettingValues", [s.name for s in SETTINGS] + ["fingerprint"])):
+    """One immutable assignment of every setting, plus the tuple of the
+    plan-affecting values (``fingerprint``: part of every plan-cache key
+    and plan stamp, so it is computed here, once per assignment)."""
+
+    __slots__ = ()
+
+    def replace(self, **changes) -> "SettingValues":
+        values = self._replace(**changes)
+        return values._replace(fingerprint=tuple(
+            getattr(values, s.name) for s in _PLAN_AFFECTING))
+
+
+DEFAULTS = SettingValues(*(s.default for s in SETTINGS),
+                         fingerprint=()).replace()
 
 
 class SettingsRegistry:
-    """All registered settings of one :class:`~repro.sql.engine.Database`.
+    """The settings store of one :class:`~repro.sql.engine.Database`.
 
-    The registry itself is stateless about values — it reads and writes the
-    backing attributes — so the legacy attribute-poking surface and SET/SHOW
-    can never disagree.
+    ``globals`` is the database-wide assignment; ``active`` is what the
+    engine reads: the executing session's values while a statement runs
+    (installed by session activation), ``globals`` otherwise.
     """
 
     def __init__(self, db: "Database"):
         self._db = db
-        self._settings: dict[str, Setting] = {
-            s.name: s for s in _default_settings()}
-        self._plan_affecting: tuple[Setting, ...] = tuple(
-            s for s in self._settings.values() if s.plan_affecting)
-        # Composite attrgetters make fingerprint() two C calls instead of
-        # a Python-level get() per setting — it runs on every prepared
-        # execution and every plan-cache probe, which the wire server
-        # turned into a per-request cost.  (Values are still read live:
-        # tests poke backing attributes directly, so caching the tuple
-        # would go stale.)
-        self._fp_db_get = _tuple_getter(
-            [s.attr for s in self._plan_affecting if s.scope == "db"])
-        self._fp_planner_get = _tuple_getter(
-            [s.attr for s in self._plan_affecting if s.scope == "planner"])
+        self.globals = DEFAULTS
+        self.active = DEFAULTS
 
     def __iter__(self):
-        return iter(self._settings.values())
+        return iter(SETTINGS)
 
     def names(self) -> list[str]:
-        return sorted(self._settings)
+        return sorted(_BY_NAME)
 
     def lookup(self, name: str) -> Setting:
-        setting = self._settings.get(name.lower())
+        setting = _BY_NAME.get(name.lower())
         if setting is None:
             raise SettingError(
                 f"unrecognized configuration parameter {name!r}")
@@ -259,17 +235,11 @@ class SettingsRegistry:
 
     def get(self, name: str):
         """Current effective (typed) value of *name*."""
-        return self.lookup(name).get(self._db)
+        return getattr(self.active, self.lookup(name).name)
 
     def show(self, name: str) -> str:
         """Current effective value of *name*, rendered for SHOW."""
-        setting = self.lookup(name)
-        return setting.format(setting.get(self._db))
-
-    def defaults(self) -> dict[str, object]:
-        """The boot-time defaults, captured by :class:`~repro.sql.engine.
-        Database` right after construction (RESET targets)."""
-        return {name: s.get(self._db) for name, s in self._settings.items()}
+        return self.lookup(name).format(self.get(name))
 
     def plan_axes(self) -> list[tuple[Setting, tuple]]:
         """The machine-enumerable plan-affecting settings with their domains.
@@ -277,44 +247,28 @@ class SettingsRegistry:
         Each entry is ``(setting, values)`` where *values* is the setting's
         full finite domain (see :meth:`Setting.enumerable_values`).  The
         differential fuzzer derives its oracle configuration matrix from
-        this list, so the matrix tracks the registry: adding a planner flag
-        here is all it takes for the fuzzer to sweep it.
+        this list, so the matrix tracks the declarations: adding a planner
+        flag to :data:`SETTINGS` is all it takes for the fuzzer to sweep it.
         """
-        return [(s, s.enumerable_values()) for s in self._plan_affecting
+        return [(s, s.enumerable_values()) for s in _PLAN_AFFECTING
                 if s.enumerable_values() is not None]
-
-    def fingerprint(self) -> tuple:
-        """The tuple of all plan-affecting values, read live.
-
-        Part of every statement-plan-cache key and prepared-statement
-        stamp: a plan built under one fingerprint is invisible under any
-        other, which is what makes SET safe without manual
-        ``clear_plan_cache()`` calls — including for per-session overlays
-        that swap values around single statements.
-        """
-        db = self._db
-        return self._fp_db_get(db) + self._fp_planner_get(db.planner)
 
     def assign(self, name: str, raw) -> object:
         """Validate and apply a global assignment; returns the typed value.
 
-        Plan-affecting changes also drop the function-body plan caches
-        (compiled/SQL function bodies are not fingerprint-stamped), so the
-        next call replans under the new flags — the automatic version of
-        the manual ``clear_plan_cache()`` idiom.
+        Under the execution lock: no statement of another thread is
+        running, so ``active`` is either the old ``globals`` (follow it) or
+        the overlay values of a session of this thread (which reinstalls
+        its own, see ``Connection._store``).
         """
         setting = self.lookup(name)
         value = setting.parse(raw)
-        changed = setting.get(self._db) != value
-        setting.set_raw(self._db, value)
-        if changed and setting.plan_affecting:
-            self._db.clear_plan_cache()
+        with self._db._exec_lock:
+            if getattr(self.globals, setting.name) != value:
+                follow = self.active is self.globals
+                self.globals = self.globals.replace(**{setting.name: value})
+                if follow:
+                    self.active = self.globals
         if setting.name == "plan_cache_size":
             self._db._trim_plan_cache()
         return value
-
-    def reset(self, name: str) -> object:
-        """Restore *name* to its boot-time default (global scope)."""
-        setting = self.lookup(name)
-        return self.assign(setting.name,
-                           self._db._setting_defaults[setting.name])

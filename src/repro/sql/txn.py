@@ -291,18 +291,17 @@ class Transaction:
         self.finished = True
         if self.ddl_bumps and not self.ddl_partial_undo and self.db is not None:
             db = self.db
-            if db._plan_generation == self.gen_at_begin + self.ddl_bumps:
-                # Only our own DDL bumped the generation and every one
-                # of those operations was just undone: restore the
-                # pre-transaction stamp so prepared handles planned
+            only_ours = (db._plan_generation
+                         == self.gen_at_begin + self.ddl_bumps)
+            db.clear_plan_cache()
+            if only_ours:
+                # Only our own DDL moved the generation and every one of
+                # those operations was just undone: go back to the
+                # pre-transaction generation so prepared handles planned
                 # before BEGIN stay valid (no spurious replan).  Plans
-                # cached *during* the transaction carry in-transaction
-                # stamps and will replan on next use.
+                # stamped *during* the transaction replan on next use:
+                # clear_plan_cache never hands their generation out again.
                 db._plan_generation = self.gen_at_begin
-                db._plan_cache.clear()
-                db._clear_function_plan_caches()
-            else:
-                db.clear_plan_cache()
         self._apply_local_restores()
         mgr.after_finish(self)
 

@@ -267,7 +267,7 @@ class WalManager:
         fails the commit that triggered it: the old log is still intact
         and authoritative, so the error is recorded and swallowed.
         """
-        interval = getattr(self.db, "wal_checkpoint_interval", 0)
+        interval = self.db.settings.active.wal_checkpoint_interval
         if not interval or self._since_checkpoint < interval:
             return False
         txnman = self.db.txnman

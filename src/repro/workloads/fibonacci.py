@@ -38,4 +38,3 @@ def fibonacci_reference(n: int) -> int:
 
 def setup_fibonacci(db: Database) -> None:
     db.execute(FIBONACCI_SOURCE)
-    db.clear_plan_cache()

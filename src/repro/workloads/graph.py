@@ -89,5 +89,4 @@ def setup_graph(db: Database, graph: Digraph | None = None) -> Digraph:
     for src, dst, weight in graph.edges:
         edges_table.insert((src, dst, weight))
     db.execute(PARAMETRIC_TRAVERSE_SOURCE)
-    db.clear_plan_cache()
     return graph

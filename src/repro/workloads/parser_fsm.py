@@ -142,5 +142,4 @@ def setup_parser(db: Database, fsm: Fsm | None = None) -> Fsm:
     for state in sorted(states):
         accept_table.insert((state, state in fsm.accepting))
     db.execute(PARSE_SOURCE)
-    db.clear_plan_cache()
     return fsm

@@ -239,7 +239,6 @@ def setup_robot(db: Database, grid: Optional[GridWorld] = None,
                                       probability))
 
     db.execute(WALK_SOURCE)
-    db.clear_plan_cache()
     return grid
 
 

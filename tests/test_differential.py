@@ -187,9 +187,8 @@ BATCH_MODES = [
 
 def _query_with(db: Database, settings: dict, sql: str,
                 params: list = ()) -> list[tuple]:
-    for attr, value in settings.items():
-        setattr(db.planner, attr, value)
-    db.clear_plan_cache()
+    for name, value in settings.items():
+        db.settings.assign(name, value)
     return db.query_all(sql, params)
 
 
@@ -338,8 +337,7 @@ class TestBatchedUdfEquivalence:
         assert "BatchedUdf" in db.explain(ordered)
         with pytest.raises(ExecutionError, match="division by zero"):
             db.query_all(ordered)
-        db.planner.batch_compiled = False
-        db.clear_plan_cache()
+        db.execute("SET batch_compiled = off")
         with pytest.raises(ExecutionError, match="division by zero"):
             db.query_all(ordered)
 
@@ -431,8 +429,7 @@ class TestBatchedUdfEquivalence:
         grouped = db.query_all(sql, [1])
         assert "BatchedUdf" in db.explain(
             "SELECT g, sum_to_c(sum(x) + $1) FROM t GROUP BY g ORDER BY g")
-        db.planner.batch_compiled = False
-        db.clear_plan_cache()
+        db.execute("SET batch_compiled = off")
         assert db.query_all(sql, [1]) == grouped == [(0, 10), (1, 36)]
 
 
@@ -634,22 +631,27 @@ class TestPerCallTrampoline:
             assert db.query_all("SELECT via_sum_to_c(x) FROM t") == expected
 
     def test_rules_are_shared_across_sites_and_statements(self, db):
-        """Compiled once per function: a second site, a second statement
-        and an unprepared re-plan all reuse the cached rules, and a
-        plan-affecting change drops them."""
+        """Compiled once per function and plan stamp: a second site, a
+        second statement and an unprepared re-plan all reuse the cached
+        rules; a plan-affecting SET compiles its own beside them, and DDL
+        drops them all."""
         _register_both(db, GCD)
         db.execute("CREATE TABLE pairs(a int, b int)")
         db.execute("INSERT INTO pairs VALUES (12, 18), (7, 13)")
         fdef = db.catalog.get_function("gcd_c")
-        assert fdef.batched_plan is None
+        assert fdef.body_plans == {}
         db.query_all("SELECT a FROM pairs WHERE gcd_c(a, b) > 1")
-        rules = fdef.batched_plan
-        db.execute("SET plan_cache_enabled = off")
+        [(stamp, rules)] = fdef.body_plans.items()
+        assert stamp == db.plan_stamp()
+        db.execute("SET plan_cache_size = 0")
         db.query_all("SELECT sum(gcd_c(a, b)), max(gcd_c(b, a)) FROM pairs")
         db.query_all("SELECT gcd_c(a, b) FROM pairs")  # the batched site
-        assert fdef.batched_plan is rules
+        assert fdef.body_plans == {stamp: rules}
         db.execute("SET enable_hashjoin = off")
-        assert fdef.batched_plan is None
+        db.query_all("SELECT gcd_c(a, b) FROM pairs")
+        assert len(fdef.body_plans) == 2 and fdef.body_plans[stamp] is rules
+        db.execute("CREATE TABLE other(x int)")
+        assert fdef.body_plans == {}
 
     def test_prepared_statement_survives_drop_and_reregister(self, db):
         source = """CREATE FUNCTION steps(n int) RETURNS int AS $$
@@ -774,7 +776,7 @@ $$ LANGUAGE plpgsql"""
 class TestStatementBudget:
     def test_nonterminating_loop_raises_instead_of_hanging(self, db):
         db.execute(DIVERGING)
-        db.max_interp_statements = 10_000
+        db.execute("SET max_interp_statements = 10000")
         # Budget exhaustion classifies with cancellation (SQLSTATE 57014).
         with pytest.raises(QueryCanceledError, match="diverge"):
             # Collatz from 0 loops 0 -> 0 forever.
@@ -782,7 +784,7 @@ class TestStatementBudget:
 
     def test_error_names_the_limit(self, db):
         db.execute(DIVERGING)
-        db.max_interp_statements = 5_000
+        db.execute("SET max_interp_statements = 5000")
         with pytest.raises(QueryCanceledError,
                            match="max_interp_statements=5000"):
             db.query_value("SELECT diverge(0)")
@@ -793,7 +795,7 @@ class TestStatementBudget:
 
     def test_budget_is_per_activation(self, db):
         db.execute(DIVERGING)
-        db.max_interp_statements = 2_000
+        db.execute("SET max_interp_statements = 2000")
         # Many short activations must not accumulate into the budget.
         for _ in range(5):
             assert db.query_value("SELECT diverge(97)") == 1
@@ -805,7 +807,7 @@ class TestStatementBudget:
               END LOOP;
               RETURN 0;
             END; $$ LANGUAGE plpgsql""")
-        db.max_interp_statements = 1_000
+        db.execute("SET max_interp_statements = 1000")
         with pytest.raises(QueryCanceledError, match="spin"):
             db.query_value("SELECT spin()")
 
@@ -823,8 +825,8 @@ def _join_db(hashjoin: bool) -> Database:
                "(NULL,'ln')")
     db.execute("INSERT INTO r VALUES (2,'R2'), (3,'R3'), (3,'R3b'), (4,'R4'), "
                "(NULL,'rn')")
-    db.planner.enable_hashjoin = hashjoin
-    db.planner.enable_pushdown = hashjoin
+    db.settings.assign("enable_hashjoin", hashjoin)
+    db.settings.assign("enable_pushdown", hashjoin)
     return db
 
 
@@ -931,8 +933,8 @@ class TestHashJoinEquivalence:
             db.execute("CREATE TABLE b(y int)")
             db.execute("INSERT INTO a VALUES (1), (2), (3)")
             db.execute("INSERT INTO b VALUES (1), (2), (3)")
-            db.planner.enable_hashjoin = hashjoin
-            db.planner.enable_pushdown = hashjoin
+            db.settings.assign("enable_hashjoin", hashjoin)
+            db.settings.assign("enable_pushdown", hashjoin)
             db.reseed(7)
             results.append(db.query_value(
                 "SELECT count(*) FROM a, b WHERE a.x > random() * 2"))
@@ -946,7 +948,7 @@ class TestHashJoinEquivalence:
             db.execute("CREATE TABLE t(s text)")
             db.execute("INSERT INTO a VALUES (1)")
             db.execute("INSERT INTO t VALUES ('1')")
-            db.planner.enable_hashjoin = hashjoin
+            db.settings.assign("enable_hashjoin", hashjoin)
             with pytest.raises(TypeError_):
                 db.query_all("SELECT * FROM a JOIN t ON a.x = t.s")
 
@@ -983,11 +985,10 @@ def _ordered_db(seed: int, rows: int = 400) -> Database:
 
 def _baseline(db: Database) -> None:
     """Force the seed access paths (SeqScan + full Sort + hash/nested)."""
-    db.planner.enable_rangescan = False
-    db.planner.enable_sort_elim = False
-    db.planner.enable_topn = False
-    db.planner.enable_mergejoin = False
-    db.clear_plan_cache()
+    db.execute("SET enable_rangescan = off")
+    db.execute("SET enable_sort_elim = off")
+    db.execute("SET enable_topn = off")
+    db.execute("SET enable_mergejoin = off")
 
 
 class TestOrderedPathsDifferential:
@@ -1089,15 +1090,13 @@ class TestOrderedPathsDifferential:
         ]
         assert "MergeJoin" in db.explain(queries[0])
         merge = [db.query_all(sql) for sql in queries]
-        db.planner.enable_mergejoin = False
-        db.clear_plan_cache()
+        db.execute("SET enable_mergejoin = off")
         hashed = [db.query_all(sql) for sql in queries]
-        db.planner.enable_hashjoin = False
-        db.planner.enable_pushdown = False
-        db.planner.enable_rangescan = False
-        db.planner.enable_sort_elim = False
-        db.planner.enable_topn = False
-        db.clear_plan_cache()
+        db.execute("SET enable_hashjoin = off")
+        db.execute("SET enable_pushdown = off")
+        db.execute("SET enable_rangescan = off")
+        db.execute("SET enable_sort_elim = off")
+        db.execute("SET enable_topn = off")
         nested = [db.query_all(sql) for sql in queries]
         for sql, m, h, n in zip(queries, merge, hashed, nested):
             assert rows_equal(n, h, ordered=True), sql
@@ -1119,13 +1118,11 @@ class TestOrderedPathsDifferential:
         for statement in statements:
             db.execute(statement)
             fast = db.query_all(probe)
-            db.planner.enable_rangescan = False
-            db.planner.enable_sort_elim = False
-            db.clear_plan_cache()
+            db.execute("SET enable_rangescan = off")
+            db.execute("SET enable_sort_elim = off")
             slow = db.query_all(probe)
-            db.planner.enable_rangescan = True
-            db.planner.enable_sort_elim = True
-            db.clear_plan_cache()
+            db.execute("SET enable_rangescan = on")
+            db.execute("SET enable_sort_elim = on")
             assert rows_equal(slow, fast, ordered=True), statement
 
 

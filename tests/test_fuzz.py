@@ -206,7 +206,7 @@ class TestSettingsMatrix:
         for setting, values in axes:
             assert values is not None and len(values) >= 2
             assert any(setting.name in label for label in labels)
-        assert "defaults+plan_cache_enabled=off" in labels
+        assert "defaults+plan_cache_size=0" in labels
 
     def test_enumerable_values_hook(self, db):
         registry = db.settings
@@ -462,8 +462,8 @@ class TestWireFuzz:
         from repro.fuzz.querygen import generate_case
         real = wire_module.run_statement
 
-        def lying(db, sql, params=()):
-            outcome = real(db, sql, params)
+        def lying(db, sql, **options):
+            outcome = real(db, sql, **options)
             if outcome.status == "ok" and outcome.rows:
                 outcome.rows = list(outcome.rows) + [outcome.rows[0]]
             return outcome

@@ -258,6 +258,56 @@ def test_traversal_calls_allowed_in_astutil_and_outside_the_ast_packages(
                        SECOND_TRAVERSAL) == []
 
 
+# ---------------------------------------------------------------------------
+# rule 6: one settings store
+# ---------------------------------------------------------------------------
+
+SECOND_STORE = """
+class Planner:
+    def __init__(self, db):
+        self.db = db
+        self.enable_topn = True
+        self.hits, self.max_udf_depth = 0, 192
+        self.enable_topn_seen = False
+
+    @property
+    def statement_timeout(self):
+        return self.db.settings.active.statement_timeout
+
+def poke(db):
+    db.plan_cache_size += 1
+    db.settings.assign("enable_hashjoin", False)
+"""
+
+
+def test_setting_attribute_outside_the_store_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/sql/planner.py", SECOND_STORE)
+    assert rules(findings) == ["second-store"] * 4
+    assert sorted(f.line for f in findings) == [5, 6, 10, 14]
+
+
+def test_settings_module_and_the_documented_property_are_exempt(tmp_path):
+    assert lint_source(tmp_path, "repro/sql/settings.py", SECOND_STORE) == []
+    source = """
+class Database:
+    @property
+    def wal_checkpoint_interval(self):
+        return self.settings.active.wal_checkpoint_interval
+
+    @wal_checkpoint_interval.setter
+    def wal_checkpoint_interval(self, value):
+        self.settings.assign("wal_checkpoint_interval", value)
+"""
+    assert lint_source(tmp_path, "repro/sql/engine.py", source) == []
+    assert rules(lint_source(tmp_path, "repro/sql/wal.py", source)) \
+        == ["second-store"] * 2
+
+
+def test_setting_names_come_from_the_declarations():
+    from repro.sql.settings import SETTINGS
+    assert lint_internal.setting_names() == {s.name for s in SETTINGS}
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

@@ -145,8 +145,7 @@ class TestIndexRangeScan:
         assert "IndexRangeScan" not in plan
 
     def test_flag_disables_the_path(self, db):
-        db.planner.enable_rangescan = False
-        db.clear_plan_cache()
+        db.execute("SET enable_rangescan = off")
         plan = db.explain("SELECT count(*) FROM t WHERE b >= 10 AND b < 20")
         assert "IndexRangeScan" not in plan
 
@@ -231,8 +230,7 @@ class TestOrderedDelivery:
 
     def test_flag_disables_elimination(self, db):
         db.execute("CREATE INDEX t_b ON t(b)")
-        db.planner.enable_sort_elim = False
-        db.clear_plan_cache()
+        db.execute("SET enable_sort_elim = off")
         assert "Sort" in db.explain("SELECT b FROM t ORDER BY b")
 
 
@@ -262,8 +260,7 @@ class TestTopN:
     def test_ties_match_the_stable_sort(self, db):
         # Equal keys keep arrival order, exactly like the full sort.
         rows_topn = db.query_all("SELECT a, b FROM t ORDER BY a LIMIT 12")
-        db.planner.enable_topn = False
-        db.clear_plan_cache()
+        db.execute("SET enable_topn = off")
         rows_sort = db.query_all("SELECT a, b FROM t ORDER BY a LIMIT 12")
         assert rows_topn == rows_sort
 
@@ -280,8 +277,7 @@ class TestTopN:
         assert db.profiler.counts[TOPN_INPUT_ROWS] == 100
 
     def test_flag_disables_topn(self, db):
-        db.planner.enable_topn = False
-        db.clear_plan_cache()
+        db.execute("SET enable_topn = off")
         assert "TopN" not in db.explain(
             "SELECT b FROM t ORDER BY a + b LIMIT 5")
 
@@ -311,12 +307,10 @@ class TestMergeJoin:
         sql = ("SELECT t.a, t.b, s.v FROM t JOIN s ON t.a = s.a "
                "ORDER BY t.b, s.v")
         merge_rows = joined.query_all(sql)
-        joined.planner.enable_mergejoin = False
-        joined.clear_plan_cache()
+        joined.execute("SET enable_mergejoin = off")
         hash_rows = joined.query_all(sql)
-        joined.planner.enable_hashjoin = False
-        joined.planner.enable_pushdown = False
-        joined.clear_plan_cache()
+        joined.execute("SET enable_hashjoin = off")
+        joined.execute("SET enable_pushdown = off")
         nested_rows = joined.query_all(sql)
         assert merge_rows == hash_rows == nested_rows
 
@@ -328,9 +322,8 @@ class TestMergeJoin:
         sql = "SELECT count(*) FROM t JOIN s ON t.a = s.a AND t.b < s.v"
         assert "MergeJoin" in joined.explain(sql)
         merge = joined.query_value(sql)
-        joined.planner.enable_mergejoin = False
-        joined.planner.enable_hashjoin = False
-        joined.clear_plan_cache()
+        joined.execute("SET enable_mergejoin = off")
+        joined.execute("SET enable_hashjoin = off")
         assert merge == joined.query_value(sql)
 
     def test_unindexed_side_falls_back_to_hash(self, joined):
@@ -349,8 +342,7 @@ class TestMergeJoin:
         joined.execute("INSERT INTO s VALUES (NULL, -2)")
         sql = "SELECT count(*) FROM t JOIN s ON t.a = s.a"
         merge = joined.query_value(sql)
-        joined.planner.enable_mergejoin = False
-        joined.clear_plan_cache()
+        joined.execute("SET enable_mergejoin = off")
         assert merge == joined.query_value(sql)
 
     def test_null_fields_inside_composite_keys_never_match(self):
@@ -367,12 +359,10 @@ class TestMergeJoin:
         sql = "SELECT count(*) FROM l JOIN r ON l.a = r.a"
         assert "MergeJoin" in db.explain(sql)
         merge = db.query_value(sql)
-        db.planner.enable_mergejoin = False
-        db.clear_plan_cache()
+        db.execute("SET enable_mergejoin = off")
         hashed = db.query_value(sql)
-        db.planner.enable_hashjoin = False
-        db.planner.enable_pushdown = False
-        db.clear_plan_cache()
+        db.execute("SET enable_hashjoin = off")
+        db.execute("SET enable_pushdown = off")
         nested = db.query_value(sql)
         assert merge == hashed == nested == 1
 
@@ -382,8 +372,7 @@ class TestMergeJoin:
         assert joined.profiler.counts[MERGEJOIN_SCANS] == 1
 
     def test_flag_disables_merge(self, joined):
-        joined.planner.enable_mergejoin = False
-        joined.clear_plan_cache()
+        joined.execute("SET enable_mergejoin = off")
         assert "MergeJoin" not in joined.explain(
             "SELECT count(*) FROM t JOIN s ON t.a = s.a")
 
@@ -443,9 +432,8 @@ class TestIndexFreshnessAfterDml:
         indexed.execute("INSERT INTO t VALUES (1, 42)")
         with_index = indexed.query_value(self.RANGE)
         ordered = indexed.query_all("SELECT b FROM t ORDER BY b")
-        indexed.planner.enable_rangescan = False
-        indexed.planner.enable_sort_elim = False
-        indexed.clear_plan_cache()
+        indexed.execute("SET enable_rangescan = off")
+        indexed.execute("SET enable_sort_elim = off")
         assert indexed.query_value(self.RANGE) == with_index
         assert indexed.query_all("SELECT b FROM t ORDER BY b") == ordered
 
@@ -471,8 +459,7 @@ class TestReviewRegressions:
         db.execute("INSERT INTO f VALUES (7.0)")
         probe = "SELECT k FROM f WHERE k >= 2 AND k <= 8"
         fast = sorted(db.query_all(probe))
-        db.planner.enable_rangescan = False
-        db.clear_plan_cache()
+        db.execute("SET enable_rangescan = off")
         assert fast == sorted(db.query_all(probe)) == [(3.0,), (5.0,), (7.0,)]
 
     def test_drop_index_keeps_structures_other_declarations_share(self, db):
@@ -497,9 +484,8 @@ class TestReviewRegressions:
         db.execute("CREATE INDEX t_b ON t(b)")
         db.execute("INSERT INTO t SELECT a, b + 1000 FROM t")
         fast = db.query_all("SELECT b FROM t WHERE b >= 1090 ORDER BY b")
-        db.planner.enable_rangescan = False
-        db.planner.enable_sort_elim = False
-        db.clear_plan_cache()
+        db.execute("SET enable_rangescan = off")
+        db.execute("SET enable_sort_elim = off")
         assert fast == db.query_all(
             "SELECT b FROM t WHERE b >= 1090 ORDER BY b")
 
@@ -534,8 +520,7 @@ class TestReviewRegressions:
         db.execute("CREATE INDEX t_b ON t(b)")
         db.execute("UPDATE t SET b = b % 7")
         fast = db.query_all("SELECT b FROM t WHERE b >= 2 AND b <= 4")
-        db.planner.enable_rangescan = False
-        db.clear_plan_cache()
+        db.execute("SET enable_rangescan = off")
         assert sorted(fast) == sorted(
             db.query_all("SELECT b FROM t WHERE b >= 2 AND b <= 4"))
 

@@ -77,9 +77,8 @@ def check_recovered(path: str, acked: list[int]) -> None:
         query = "SELECT a, b FROM t WHERE b >= 0 ORDER BY b"
         assert "IndexRangeScan" in db.explain(query)
         fast = db.execute(query).rows
-        db.planner.enable_rangescan = False
-        db.planner.enable_sort_elim = False
-        db.clear_plan_cache()
+        db.execute("SET enable_rangescan = off")
+        db.execute("SET enable_sort_elim = off")
         assert fast == db.execute(query).rows
     db.wal.close()
 

@@ -70,14 +70,14 @@ class TestRecursiveCtes:
     def test_term_order_does_not_matter(self, db):
         # Extension over PostgreSQL: terms are classified by self-reference,
         # not position, so base-after-recursive also works.
-        db.max_recursion_iterations = 50
+        db.execute("SET max_recursion_iterations = 50")
         rows = db.query_all(
             "WITH RECURSIVE r(n) AS (SELECT n + 1 FROM r WHERE n < 3 "
             "UNION ALL SELECT 1) SELECT n FROM r ORDER BY n")
         assert rows == [(1,), (2,), (3,)]
 
     def test_runaway_recursion_guarded(self, db):
-        db.max_recursion_iterations = 100
+        db.execute("SET max_recursion_iterations = 100")
         with pytest.raises(ExecutionError, match="iterations"):
             db.query_all("WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL "
                          "SELECT n + 1 FROM r) SELECT count(*) FROM r")

@@ -232,6 +232,22 @@ class TestMultiStatement:
         finally:
             client.query("DROP TABLE se")
 
+    def test_query_payload_is_the_scope_of_set_local(self, client):
+        """Embedded = served: a Query message is a script exactly as
+        ``Connection.execute_script`` is, so ``SET LOCAL`` holds until the
+        end of the payload and is gone in the next one, without the
+        "no effect outside a script" warning."""
+        script = "SET LOCAL enable_topn = off; SHOW enable_topn"
+        embedded = Database().connect()
+        assert embedded.execute_script(script)[-1].rows == [("off",)]
+        assert embedded.notices == []
+        messages = client.query(script)
+        assert types_of(messages) == [b"C", b"T", b"D", b"C", b"Z"]
+        assert decode_data_row(dict(messages)[b"D"]) == ["off"]
+        after = client.query("SHOW enable_topn")
+        assert decode_data_row(dict(after)[b"D"]) == ["on"]
+        assert embedded.execute("SHOW enable_topn").rows == [("on",)]
+
 
 # ---------------------------------------------------------------------------
 # Errors and notices

@@ -123,13 +123,6 @@ class TestPlanCacheLru:
         db.execute("SELECT a FROM t LIMIT 1")
         assert db.profiler.counts[PLAN_CACHE_HIT] == 1
 
-    def test_legacy_plan_cache_enabled_still_honoured(self, db):
-        db.plan_cache_enabled = False
-        db.profiler.reset()
-        db.execute("SELECT a FROM t LIMIT 1")
-        db.execute("SELECT a FROM t LIMIT 1")
-        assert db.profiler.counts[PLAN_CACHE_MISS] == 2
-
 
 # ---------------------------------------------------------------------------
 # Settings registry: SET / SHOW / RESET
@@ -141,32 +134,32 @@ class TestSettings:
         assert db.execute("SHOW enable_hashjoin").scalar() == "on"
         db.execute("SET enable_hashjoin = off")
         assert db.execute("SHOW enable_hashjoin").scalar() == "off"
-        assert db.planner.enable_hashjoin is False
+        assert db.settings.get("enable_hashjoin") is False
         db.execute("RESET enable_hashjoin")
-        assert db.planner.enable_hashjoin is True
+        assert db.settings.get("enable_hashjoin") is True
 
     def test_set_to_and_word_forms(self, db):
         for word, expected in (("true", True), ("false", False),
                                ("on", True), ("off", False),
                                ("1", True), ("0", False)):
             db.execute(f"SET enable_topn TO {word}")
-            assert db.planner.enable_topn is expected
+            assert db.settings.get("enable_topn") is expected
         db.execute("RESET enable_topn")
 
     def test_set_int_and_enum(self, db):
         db.execute("SET max_udf_depth = 64")
-        assert db.max_udf_depth == 64
+        assert db.settings.get("max_udf_depth") == 64
         db.execute("SET max_udf_depth = 60 + 4")  # expressions are fine
-        assert db.max_udf_depth == 64
+        assert db.settings.get("max_udf_depth") == 64
         db.execute("SET check_function_bodies = error")
-        assert db.check_function_bodies == "error"
+        assert db.settings.get("check_function_bodies") == "error"
         db.execute("SET check_function_bodies = 'warn'")
-        assert db.check_function_bodies == "warn"
+        assert db.settings.get("check_function_bodies") == "warn"
 
     def test_set_default_is_reset(self, db):
         db.execute("SET max_udf_depth = 17")
         db.execute("SET max_udf_depth = DEFAULT")
-        assert db.max_udf_depth == 192
+        assert db.settings.get("max_udf_depth") == 192
 
     def test_validation_errors(self, db):
         with pytest.raises(SettingError, match="unrecognized"):
@@ -222,6 +215,8 @@ class TestSettings:
         assert documented == {
             s.name: (doc_type(s), db.settings.show(s.name), s.plan_affecting)
             for s in db.settings}  # a fresh database shows its defaults
+        shown = [row[0] for row in db.execute("SHOW ALL").rows]
+        assert shown == sorted(documented) and len(shown) == 15
 
     def test_show_all_lists_every_setting(self, db):
         result = db.execute("SHOW ALL")
@@ -232,18 +227,18 @@ class TestSettings:
                          "plan_cache_size", "max_interp_statements"):
             assert expected in names
 
-    def test_attribute_and_sql_surface_agree(self, db):
-        db.planner.enable_mergejoin = False  # legacy poking
+    def test_programmatic_and_sql_surface_agree(self, db):
+        db.settings.assign("enable_mergejoin", False)
         assert db.execute("SHOW enable_mergejoin").scalar() == "off"
         db.execute("SET enable_mergejoin = on")
-        assert db.planner.enable_mergejoin is True
+        assert db.settings.get("enable_mergejoin") is True
 
     def test_reset_all(self, db):
         db.execute("SET enable_topn = off")
         db.execute("SET max_udf_depth = 7")
         db.execute("RESET ALL")
-        assert db.planner.enable_topn is True
-        assert db.max_udf_depth == 192
+        assert db.settings.get("enable_topn") is True
+        assert db.settings.get("max_udf_depth") == 192
 
     def test_assignment_counter(self, db):
         db.profiler.reset()
@@ -266,11 +261,11 @@ class TestSettings:
     def test_set_local_scoped_to_script(self, db):
         db.execute_script(
             "SET LOCAL max_udf_depth = 5; SELECT 1")
-        assert db.max_udf_depth == 192
+        assert db.settings.get("max_udf_depth") == 192
 
     def test_set_local_outside_script_is_noop_with_notice(self, db):
         db.execute("SET LOCAL max_udf_depth = 5")
-        assert db.max_udf_depth == 192
+        assert db.settings.get("max_udf_depth") == 192
         assert any("SET LOCAL" in notice for notice in db.notices)
 
     def test_set_local_unknown_name_still_validates(self, db):
@@ -321,7 +316,7 @@ class TestSettingsMatrix:
 
     def test_overlay_reaches_function_body_plans(self, wdb):
         """Plan-affecting session overlays must apply to UDF *body* plans
-        too (they are not fingerprint-stamped), in both directions: the
+        too (stamped like every other plan), in both directions: the
         session must not reuse a globally-planned body, and the global
         surface must not inherit a session-planned one."""
         from repro.sql.profiler import INDEX_RANGE_SCANS
@@ -364,7 +359,7 @@ class TestConnection:
         assert first.execute("SHOW enable_topn").scalar() == "off"
         assert second.execute("SHOW enable_topn").scalar() == "on"
         assert db.execute("SHOW enable_topn").scalar() == "on"
-        assert db.planner.enable_topn is True  # restored after statements
+        assert db.settings.get("enable_topn") is True  # globals untouched
 
     def test_overlay_reset(self, db):
         conn = db.connect()
@@ -420,7 +415,7 @@ class TestConnection:
         conn.execute("SET max_udf_depth = 50")
         conn.execute_script("SET LOCAL max_udf_depth = 5; SELECT 1")
         assert conn.get_setting("max_udf_depth") == 50
-        assert db.max_udf_depth == 192
+        assert db.settings.get("max_udf_depth") == 192
 
 
 # ---------------------------------------------------------------------------

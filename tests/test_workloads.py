@@ -1,5 +1,10 @@
 """The paper's four workloads: oracles, equivalence, and scenario pieces."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +195,37 @@ class TestLoader:
         assert len(rows) == cell_count * 4
         for _here, _action, total in rows:
             assert total == pytest.approx(1.0)
+
+    def test_compiled_sql_is_the_same_in_every_process(self):
+        """The paper's artifact is a text: compiling the four functions in
+        two processes with different hash seeds must give the same SQL
+        byte for byte (phi placement once iterated a set of names, so the
+        parameter order of the ANF functions - Qf's column order - came
+        out of the hash seed)."""
+        script = (
+            "from repro.compiler import compile_plsql\n"
+            "from repro.sql.errors import CompileError\n"
+            "from repro.workloads import WORKLOADS, build_demo_database\n"
+            "db = build_demo_database(compile_functions=False).db\n"
+            "for name, source in sorted(WORKLOADS.items()):\n"
+            "    compiled = compile_plsql(source, db)\n"
+            "    for dialect in ('postgres', 'sqlite'):\n"
+            "        for render in (compiled.sql, compiled.udf_sql):\n"
+            "            try:\n"
+            "                text = render(dialect)\n"
+            "            except CompileError as error:\n"
+            "                text = f'CompileError: {error}'\n"
+            "            print(f'-- {name} {dialect} {render.__name__}')\n"
+            "            print(text)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True).stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"WITH RECURSIVE") >= 4
 
 
 class TestInputGenerator:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Five checks, each born from a real failure mode in this codebase:
+Six checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
    loops (`WITH RECURSIVE`, batched UDFs) and the PL/pgSQL interpreter
@@ -41,6 +41,17 @@ Five checks, each born from a real failure mode in this codebase:
    last thirteen of them disagreed about ``FuncCall.window``.  (The fuzz
    reducer edits its own case records and is out of scope.)
 
+6. **One settings store.**  A setting's value lives in the
+   ``SettingValues`` objects of ``repro/sql/settings.py`` and nowhere
+   else; the engine reads ``db.settings.active``.  Anywhere else under
+   ``src/repro``, an assignment to an attribute named like a declared
+   setting (``self.enable_topn = True``, ``db.max_udf_depth = 5``), or a
+   method or property of that name, is the attribute surface regrowing - a
+   second copy of the value that no ``SET`` reaches and no plan stamp
+   covers.  The one exception is documented where it is defined:
+   ``Database.wal_checkpoint_interval``, a property over the store that
+   ``benchmarks/e2e/serve.py`` assigns.
+
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
 """
@@ -55,6 +66,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 PROFILER = SRC / "repro" / "sql" / "profiler.py"
 SQL_AST = SRC / "repro" / "sql" / "ast.py"
+SETTINGS = SRC / "repro" / "sql" / "settings.py"
 #: The one module allowed to define ``_compile_<Node>`` methods.
 EXPR_COMPILER = "repro/sql/expr.py"
 
@@ -65,6 +77,11 @@ AST_PACKAGES = ("repro/sql/", "repro/compiler/", "repro/analysis/",
                 "repro/plsql/")
 #: ``dataclasses`` functions a generic node traversal is written with.
 TRAVERSAL_CALLS = {"fields", "replace", "is_dataclass"}
+
+#: The one module allowed to hold setting values (rule 6) ...
+SETTINGS_STORE = "repro/sql/settings.py"
+#: ... and the one attribute spelling kept outside it: (module, name).
+SETTING_PROPERTY = ("repro/sql/engine.py", "wal_checkpoint_interval")
 
 #: Modules whose while-loops iterate user-controlled amounts of work.
 CANCEL_POLLED_MODULES = (
@@ -266,11 +283,53 @@ def check_second_traversal(path: Path, tree: ast.Module) -> list[Finding]:
     return findings
 
 
+# -- rule 6: one settings store ---------------------------------------------
+
+def setting_names() -> set[str]:
+    """First argument of every ``Setting(...)`` declared in settings.py."""
+    tree = ast.parse(SETTINGS.read_text(), filename=str(SETTINGS))
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "Setting"
+            and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+def check_second_store(path: Path, tree: ast.Module,
+                       names: set[str]) -> list[Finding]:
+    rel = path.relative_to(SRC).as_posix()
+    if rel == SETTINGS_STORE:
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.FunctionDef) and node.name in names \
+                and (rel, node.name) != SETTING_PROPERTY:
+            findings.append(Finding(
+                path, node.lineno, "second-store",
+                f"def {node.name}: a setting is read through "
+                "db.settings.active, not through an accessor of its name"))
+            continue
+        else:
+            continue
+        for target in targets:
+            for leaf in ast.walk(target):  # tuple targets: a.x, a.y = ...
+                if isinstance(leaf, ast.Attribute) and leaf.attr in names:
+                    findings.append(Finding(
+                        path, node.lineno, "second-store",
+                        f".{leaf.attr} = ...: setting values live in "
+                        f"{SETTINGS_STORE} only (SET / settings.assign)"))
+    return findings
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
     declared = declared_counters()
     nodes = expr_node_names()
+    settings = setting_names()
     findings: list[Finding] = []
     for path in (paths if paths is not None else iter_sources()):
         source = path.read_text()
@@ -286,6 +345,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_profiler_counters(path, tree, declared))
         findings.extend(check_second_compiler(path, tree, nodes))
         findings.extend(check_second_traversal(path, tree))
+        findings.extend(check_second_store(path, tree, settings))
     return findings
 
 
