@@ -11,7 +11,12 @@ pins the claim with numbers:
   indexed 10k-row table — prepared handle vs. uncached text execution
   (``SET plan_cache_size = 0``: every call re-parses and re-plans), with
   the text-plan-cache path as the middle reference.  Acceptance gate:
-  prepared >= 5x over uncached.
+  a profiled pass of the prepared loop enters neither the PARSE nor the
+  PLAN phase and counts no plan-cache miss (what "once" means), with
+  prepared >= 3x over uncached as the floor.  The ratio alone is no
+  gate: its denominator is parse + plan + run, so it *falls* whenever the
+  front end gets cheaper (6.8-8.7x before the table-driven lexer and
+  parser, 5.0-6.8x after, the prepared loop itself unchanged).
 * **bulk INSERT**: ``Cursor.executemany`` (source planned once, one
   ``insert_many`` / index-maintenance pass per call) vs. a loop of
   single-row INSERT statements.
@@ -25,6 +30,8 @@ import time
 
 from repro.bench.harness import render_table
 from repro.sql import Database
+from repro.sql.profiler import (PARSE, PLAN, PLAN_CACHE_MISS,
+                                PREPARED_EXECUTIONS)
 
 ROWS = 10_000
 LOOKUPS = 10_000
@@ -82,6 +89,17 @@ def test_prepared_beats_uncached_text(write_artifact, write_json):
     prepared_speedup = uncached_s / prepared_s
     cached_speedup = uncached_s / cached_s
 
+    # What the handle is for: a profiled pass of the same loop never
+    # parses, never plans and never misses the plan cache.
+    profiler = db.profiler
+    profiler.enabled = True
+    profiler.reset()
+    run_prepared()
+    profiler.enabled = False
+    front_end_s = {phase: profiler.times.get(phase) for phase in (PARSE, PLAN)}
+    plan_cache_misses = profiler.counts.get(PLAN_CACHE_MISS, 0)
+    assert profiler.counts[PREPARED_EXECUTIONS] == LOOKUPS
+
     # Bulk INSERT: executemany's single insert_many per call vs. a loop of
     # single-row INSERTs (each parsed, planned, and index-maintained alone).
     cur = conn.cursor()
@@ -130,6 +148,11 @@ def test_prepared_beats_uncached_text(write_artifact, write_json):
             "insert_loop": loop_s,
             "insert_executemany": executemany_s,
         },
+        "prepared_loop": {
+            "parse_phase_entered": front_end_s[PARSE] is not None,
+            "plan_phase_entered": front_end_s[PLAN] is not None,
+            "plan_cache_misses": plan_cache_misses,
+        },
         "speedups": {
             "prepared_vs_uncached": prepared_speedup,
             "cached_text_vs_uncached": cached_speedup,
@@ -142,11 +165,13 @@ def test_prepared_beats_uncached_text(write_artifact, write_json):
         },
     })
 
-    # Acceptance gates: the PR's >= 5x for prepared execution over
-    # uncached text on the 10k-iteration loop, and executemany clearly
-    # ahead of row-at-a-time INSERT.
-    assert prepared_speedup >= 5, (
-        f"prepared speedup {prepared_speedup:.1f}x < 5x "
+    # Acceptance gates: the prepared loop pays for no parse and no plan
+    # (and is at least 3x ahead of uncached text for it), and executemany
+    # is clearly ahead of row-at-a-time INSERT.
+    assert front_end_s == {PARSE: None, PLAN: None}, front_end_s
+    assert plan_cache_misses == 0, plan_cache_misses
+    assert prepared_speedup >= 3, (
+        f"prepared speedup {prepared_speedup:.1f}x < 3x "
         f"({uncached_s * 1e3:.0f} ms -> {prepared_s * 1e3:.0f} ms)")
     assert bulk_speedup >= 2, (
         f"executemany speedup {bulk_speedup:.1f}x < 2x "

@@ -26,8 +26,9 @@ from typing import Optional
 
 from ..sql import ast as A
 from ..sql.astutil import transform_expr, walk
+from ..sql.errors import SqlError
+from ..sql.expr import ExprCompiler, Scope
 from ..sql.functions import VOLATILE_FUNCTIONS
-from ..sql.values import sql_and, sql_eq, sql_ge, sql_gt, sql_le, sql_lt, sql_ne, sql_not, sql_or
 from .cfg import CondGoto, Goto, Return
 from .rename import collect_variable_uses, rename_variables
 from .ssa import Phi, SsaAssign, SsaProgram
@@ -162,10 +163,6 @@ def propagate_copies_and_constants(program: SsaProgram, catalog=None) -> bool:
     return changed
 
 
-_FOLD_COMPARE = {"=": sql_eq, "<>": sql_ne, "<": sql_lt, "<=": sql_le,
-                 ">": sql_gt, ">=": sql_ge}
-
-
 def _fold_expr(expr: A.Expr) -> A.Expr:
     """Bottom-up constant folding of pure scalar operators (not crossing
     subqueries)."""
@@ -174,42 +171,15 @@ def _fold_expr(expr: A.Expr) -> A.Expr:
 
 def _fold_node(expr: A.Expr) -> A.Expr:
     """Fold one node whose children are already folded."""
-    if isinstance(expr, A.UnaryOp) and isinstance(expr.operand, A.Literal):
-        value = expr.operand.value
-        if expr.op == "not" and (value is None or isinstance(value, bool)):
-            return A.Literal(sql_not(value))
-        if expr.op == "-" and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            return A.Literal(-value)
-    if isinstance(expr, A.BinaryOp) and isinstance(expr.left, A.Literal) \
-            and isinstance(expr.right, A.Literal):
-        a, b = expr.left.value, expr.right.value
-        op = expr.op
+    if (isinstance(expr, A.UnaryOp) and isinstance(expr.operand, A.Literal)) \
+            or (isinstance(expr, A.BinaryOp)
+                and isinstance(expr.left, A.Literal)
+                and isinstance(expr.right, A.Literal)):
+        # The operator's kernel says what the node evaluates to; an error
+        # (zero divisor, incomparable pair) is left to happen at run time.
         try:
-            if op in _FOLD_COMPARE:
-                return A.Literal(_FOLD_COMPARE[op](a, b))
-            if op == "and":
-                return A.Literal(sql_and(a, b))
-            if op == "or":
-                return A.Literal(sql_or(a, b))
-            if a is None or b is None:
-                if op in ("+", "-", "*", "/", "%", "||"):
-                    return A.Literal(None)
-            elif isinstance(a, (int, float)) and isinstance(b, (int, float)) \
-                    and not isinstance(a, bool) and not isinstance(b, bool):
-                if op == "+":
-                    return A.Literal(a + b)
-                if op == "-":
-                    return A.Literal(a - b)
-                if op == "*":
-                    return A.Literal(a * b)
-                # '/' and '%' fold only for non-zero literal divisors.
-                if op in ("/", "%") and b != 0:
-                    from ..sql.expr import _div, _mod
-                    return A.Literal(_div(a, b) if op == "/" else _mod(a, b))
-            elif isinstance(a, str) and isinstance(b, str) and op == "||":
-                return A.Literal(a + b)
-        except Exception:
+            return A.Literal(ExprCompiler(Scope([])).compile(expr)(None))
+        except SqlError:
             return expr
     if isinstance(expr, A.CaseExpr) and expr.operand is None:
         whens = []

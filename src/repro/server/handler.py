@@ -30,7 +30,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from ..sql import ast as A
-from ..sql.engine import COUNT, ROWS
+from ..sql.ast import ROWS
 from ..sql.errors import SqlError
 from ..sql.parser import parse_script
 from ..sql.profiler import (SERVER_ERRORS, SERVER_QUERIES,
@@ -41,62 +41,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sql.session import Connection
     from .telemetry import Telemetry
 
-#: AST class -> fixed CommandComplete tag.  Row-producing and
-#: count-producing statements are tagged dynamically below.
-_FIXED_TAGS = {
-    A.BeginStmt: "BEGIN",
-    A.CommitStmt: "COMMIT",
-    A.RollbackStmt: "ROLLBACK",
-    A.SavepointStmt: "SAVEPOINT",
-    A.ReleaseStmt: "RELEASE",
-    A.CreateTable: "CREATE TABLE",
-    A.CreateType: "CREATE TYPE",
-    A.CreateFunction: "CREATE FUNCTION",
-    A.CreateIndex: "CREATE INDEX",
-    A.DropTable: "DROP TABLE",
-    A.DropIndex: "DROP INDEX",
-    A.DropFunction: "DROP FUNCTION",
-    A.SetStmt: "SET",
-    A.ResetStmt: "RESET",
-    A.ShowStmt: "SHOW",
-    A.ExplainStmt: "EXPLAIN",
-    A.PrepareStmt: "PREPARE",
-    A.DeallocateStmt: "DEALLOCATE",
-    A.CheckpointStmt: "CHECKPOINT",
-}
-
-_DML_TAGS = {
-    A.Insert: "INSERT 0 {n}",
-    A.Update: "UPDATE {n}",
-    A.Delete: "DELETE {n}",
-}
-
-
 def command_tag(stmt, kind: str, result, session: "Connection") -> str:
-    """The CommandComplete tag for one executed statement."""
-    template = _DML_TAGS.get(type(stmt))
-    if template is not None:
-        n = result.rows[0][0] if result.rows else 0
-        return template.format(n=n)
-    tag = _FIXED_TAGS.get(type(stmt))
-    if tag is not None:
-        return tag
+    """The CommandComplete tag for one executed statement: the template
+    of its row in the statement table; EXECUTE has none and is tagged by
+    the prepared statement's kind, like PostgreSQL."""
     if isinstance(stmt, A.ExecuteStmt):
-        # Tag by the prepared statement's underlying kind, like PostgreSQL.
         try:
-            underlying = session.lookup_prepared(stmt.name).statement
-        except SqlError:
-            underlying = None
-        template = _DML_TAGS.get(type(underlying))
-        if template is not None and kind == COUNT:
-            n = result.rows[0][0] if result.rows else 0
-            return template.format(n=n)
+            stmt = session.lookup_prepared(stmt.name).statement
+        except SqlError:  # deallocated meanwhile: tag by result kind
+            stmt = None
+    return _tag(stmt, kind, result)
+
+
+def _tag(stmt, kind: str, result) -> str:
+    row = A.STATEMENTS.get(type(stmt))
+    template = row.tag if row is not None else "SELECT {n}"
     if kind == ROWS:
-        return f"SELECT {len(result.rows)}"
-    if kind == COUNT:
-        n = result.rows[0][0] if result.rows else 0
-        return f"SELECT {n}"
-    return "OK"
+        return template.format(n=len(result.rows))
+    return template.format(n=result.rows[0][0] if result.rows else 0)
 
 
 #: Fast path for the hottest wire shape: ``EXECUTE name(literal, ...)``.
@@ -156,12 +118,7 @@ def _fast_execute(session: "Connection", sql: str):
             else f"{type(exc).__name__}: {exc}"
         outputs.append(("error", sqlstate_for(exc), message))
         return outputs, exc
-    template = _DML_TAGS.get(type(handle.statement))
-    if template is not None and kind == COUNT:
-        tag = template.format(
-            n=result.rows[0][0] if result.rows else 0)
-    else:
-        tag = f"SELECT {len(result.rows)}"
+    tag = _tag(handle.statement, kind, result)
     outputs = [("notice", m) for m in session.notices[notices_before:]]
     if kind == ROWS:
         outputs.append(("rows", list(result.columns),

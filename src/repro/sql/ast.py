@@ -11,7 +11,7 @@ annotate them, but they should be treated as immutable by convention).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .values import Value
 
@@ -604,9 +604,97 @@ class CheckpointStmt:
     transaction block it is rejected like PostgreSQL rejects VACUUM."""
 
 
-Statement = Union[SelectStmt, CreateTable, CreateType, CreateFunction,
-                  CreateIndex, Insert, Update, Delete, DropTable,
-                  DropFunction, DropIndex, PrepareStmt, ExecuteStmt,
-                  DeallocateStmt, SetStmt, ShowStmt, ResetStmt, ExplainStmt,
-                  BeginStmt, CommitStmt, RollbackStmt, SavepointStmt,
-                  ReleaseStmt, CheckpointStmt, CheckFunctionStmt]
+# ---------------------------------------------------------------------------
+# The statement table
+# ---------------------------------------------------------------------------
+
+#: Result kinds of the dispatch layer; cursors map them to PEP-249
+#: ``description`` / ``rowcount`` semantics.
+ROWS = "rows"        # produces a result set (SELECT, VALUES, SHOW, EXPLAIN)
+COUNT = "count"      # DML returning an affected-row count
+UTILITY = "utility"  # DDL and session statements with no result
+
+
+class StatementKind(NamedTuple):
+    """One row of :data:`STATEMENTS`: everything the front end and the
+    engine know about a kind of statement."""
+
+    node: type
+    #: The bare words (or ``(``) a statement of this kind may start with.
+    keywords: tuple[str, ...]
+    #: The ``SqlParser`` method that parses it, given by name (the parser
+    #: imports this module, not the other way round); kinds sharing a
+    #: keyword share the rule, which tells them apart further in.
+    parse: str
+    #: ROWS / COUNT / UTILITY; None for EXECUTE, whose handler returns the
+    #: ``(kind, Result)`` of the statement it ran.
+    kind: Optional[str]
+    #: CommandComplete tag of the wire protocol; ``{n}`` is the number of
+    #: rows returned (ROWS) or affected (COUNT).  None for EXECUTE, which is
+    #: tagged as the statement it ran.
+    tag: Optional[str]
+    #: The ``Database`` method ``(stmt, params, session) -> Result`` that
+    #: runs it, by name for the same reason.
+    run: str
+    #: May PREPARE wrap it (PostgreSQL's rule)?
+    preparable: bool = False
+
+
+#: THE list of statement kinds.  ``Statement``, the parser's dispatch on the
+#: leading keyword, the engine's dispatch on the node class, the wire tag
+#: and the PREPARE rule are all read from here; a new kind is one row plus
+#: the dataclass, the parse rule and the handler the row names.
+STATEMENTS: dict[type, StatementKind] = {row.node: row for row in (
+    StatementKind(SelectStmt, ("select", "with", "values", "("),
+                  "parse_select", ROWS, "SELECT {n}", "_do_select", True),
+    StatementKind(Insert, ("insert",), "_parse_insert",
+                  COUNT, "INSERT 0 {n}", "_do_insert", True),
+    StatementKind(Update, ("update",), "_parse_update",
+                  COUNT, "UPDATE {n}", "_do_update", True),
+    StatementKind(Delete, ("delete",), "_parse_delete",
+                  COUNT, "DELETE {n}", "_do_delete", True),
+    StatementKind(CreateTable, ("create",), "_parse_create",
+                  UTILITY, "CREATE TABLE", "_do_create_table"),
+    StatementKind(CreateType, ("create",), "_parse_create",
+                  UTILITY, "CREATE TYPE", "_do_create_type"),
+    StatementKind(CreateFunction, ("create",), "_parse_create",
+                  UTILITY, "CREATE FUNCTION", "_do_create_function"),
+    StatementKind(CreateIndex, ("create",), "_parse_create",
+                  UTILITY, "CREATE INDEX", "_do_create_index"),
+    StatementKind(DropTable, ("drop",), "_parse_drop",
+                  UTILITY, "DROP TABLE", "_do_drop_table"),
+    StatementKind(DropFunction, ("drop",), "_parse_drop",
+                  UTILITY, "DROP FUNCTION", "_do_drop_function"),
+    StatementKind(DropIndex, ("drop",), "_parse_drop",
+                  UTILITY, "DROP INDEX", "_do_drop_index"),
+    StatementKind(PrepareStmt, ("prepare",), "_parse_prepare",
+                  UTILITY, "PREPARE", "_do_prepare"),
+    StatementKind(ExecuteStmt, ("execute",), "_parse_execute",
+                  None, None, "_do_execute"),
+    StatementKind(DeallocateStmt, ("deallocate",), "_parse_deallocate",
+                  UTILITY, "DEALLOCATE", "_do_deallocate"),
+    StatementKind(SetStmt, ("set",), "_parse_set",
+                  UTILITY, "SET", "_do_set"),
+    StatementKind(ShowStmt, ("show",), "_parse_show",
+                  ROWS, "SHOW", "_do_show"),
+    StatementKind(ResetStmt, ("reset",), "_parse_reset",
+                  UTILITY, "RESET", "_do_reset"),
+    StatementKind(ExplainStmt, ("explain",), "_parse_explain",
+                  ROWS, "EXPLAIN", "_do_explain"),
+    StatementKind(BeginStmt, ("begin", "start"), "_parse_begin",
+                  UTILITY, "BEGIN", "_do_begin"),
+    StatementKind(CommitStmt, ("commit", "end"), "_parse_commit",
+                  UTILITY, "COMMIT", "_do_commit"),
+    StatementKind(RollbackStmt, ("rollback", "abort"), "_parse_rollback",
+                  UTILITY, "ROLLBACK", "_do_rollback"),
+    StatementKind(SavepointStmt, ("savepoint",), "_parse_savepoint",
+                  UTILITY, "SAVEPOINT", "_do_savepoint"),
+    StatementKind(ReleaseStmt, ("release",), "_parse_release",
+                  UTILITY, "RELEASE", "_do_release"),
+    StatementKind(CheckpointStmt, ("checkpoint",), "_parse_checkpoint",
+                  UTILITY, "CHECKPOINT", "_do_checkpoint"),
+    StatementKind(CheckFunctionStmt, ("check",), "_parse_check_function",
+                  ROWS, "SELECT {n}", "_do_check_function"),
+)}
+
+Statement = Union[tuple(STATEMENTS)]

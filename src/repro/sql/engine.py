@@ -17,9 +17,11 @@ calling query by the planner and thus passes through steps 1–3 exactly once.
 
 Statement dispatch is a single **parse → classify → dispatch** path: every
 statement kind (including SELECTs behind leading comments or parentheses)
-is parsed once and routed from its AST type, and plan-cache eligibility is
-an AST property (only ``SelectStmt`` plans are cached), not a prefix match
-on the SQL text.
+is parsed once and routed from its AST type through the statement table
+(:data:`repro.sql.ast.STATEMENTS`: node class -> result kind and the
+``_do_*`` handler, each ``(stmt, params, session) -> Result``), and
+plan-cache eligibility is an AST property (only ``SelectStmt`` plans are
+cached), not a prefix match on the SQL text.
 
 ``Database.execute`` remains the thin compatibility facade over the layered
 session API in :mod:`repro.sql.session`: it runs every statement in the
@@ -37,6 +39,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ast as A
+from .ast import COUNT, ROWS, UTILITY
 from .catalog import Catalog, FunctionDef
 from .errors import (CatalogError, CompileError, ExecutionError,
                      NameResolutionError, PlanError, PlsqlError,
@@ -57,13 +60,6 @@ from .values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Connection
-
-#: Classification tags returned by the dispatch layer; cursors map them to
-#: PEP-249 ``description`` / ``rowcount`` semantics.
-ROWS = "rows"       # produces a result set (SELECT, VALUES, SHOW, EXPLAIN)
-COUNT = "count"     # DML returning an affected-row count
-UTILITY = "utility"  # DDL and session statements with no result
-
 
 class Result:
     """A query result: column names plus a list of row tuples."""
@@ -482,63 +478,18 @@ class Database:
 
     def _dispatch_in_txn(self, stmt: A.Statement, params: Sequence[Value],
                          session: "Connection") -> tuple[str, Result]:
-        if isinstance(stmt, A.SelectStmt):
-            with self.profiler.phase(PLAN):
-                plan = self.planner.plan_select(stmt)
-            return ROWS, self._run_plan(plan, params)
-        if isinstance(stmt, A.Insert):
-            return COUNT, self._do_insert(stmt, params)
-        if isinstance(stmt, A.Update):
-            return COUNT, self._do_update(stmt, params)
-        if isinstance(stmt, A.Delete):
-            return COUNT, self._do_delete(stmt, params)
-        if isinstance(stmt, A.ExecuteStmt):
-            return self._do_execute_prepared(stmt, params, session)
-        if isinstance(stmt, A.PrepareStmt):
-            session.register_prepared(stmt.name, stmt.statement,
-                                      stmt.param_types)
-            return UTILITY, Result([], [])
-        if isinstance(stmt, A.DeallocateStmt):
-            session.deallocate(stmt.name)
-            return UTILITY, Result([], [])
-        if isinstance(stmt, A.SetStmt):
-            return UTILITY, self._do_set(stmt, params, session)
-        if isinstance(stmt, A.ShowStmt):
-            return ROWS, self._do_show(stmt)
-        if isinstance(stmt, A.ResetStmt):
-            return UTILITY, self._do_reset(stmt, session)
-        if isinstance(stmt, A.ExplainStmt):
-            lines = self._explain_ast(stmt.statement, session).split("\n")
-            return ROWS, Result(["QUERY PLAN"], [(line,) for line in lines])
-        if isinstance(stmt, A.CreateTable):
-            return UTILITY, self._do_create_table(stmt)
-        if isinstance(stmt, A.CreateType):
-            return UTILITY, self._do_create_type(stmt)
-        if isinstance(stmt, A.CreateFunction):
-            return UTILITY, self._do_create_function(stmt)
-        if isinstance(stmt, A.CreateIndex):
-            return UTILITY, self._do_create_index(stmt)
-        if isinstance(stmt, A.DropIndex):
-            return UTILITY, self._do_drop_index(stmt)
-        if isinstance(stmt, A.DropTable):
-            return UTILITY, self._do_drop_table(stmt)
-        if isinstance(stmt, A.DropFunction):
-            return UTILITY, self._do_drop_function(stmt)
-        if isinstance(stmt, A.BeginStmt):
-            return UTILITY, self._do_begin(session)
-        if isinstance(stmt, A.CommitStmt):
-            return UTILITY, self._do_commit(session)
-        if isinstance(stmt, A.RollbackStmt):
-            return UTILITY, self._do_rollback(stmt, session)
-        if isinstance(stmt, A.SavepointStmt):
-            return UTILITY, self._do_savepoint(stmt, session)
-        if isinstance(stmt, A.ReleaseStmt):
-            return UTILITY, self._do_release(stmt, session)
-        if isinstance(stmt, A.CheckpointStmt):
-            return UTILITY, self._do_checkpoint(session)
-        if isinstance(stmt, A.CheckFunctionStmt):
-            return ROWS, self._do_check_function(stmt)
-        raise SqlError(f"unsupported statement {type(stmt).__name__}")
+        row = A.STATEMENTS.get(type(stmt))
+        if row is None:
+            raise SqlError(f"unsupported statement {type(stmt).__name__}")
+        outcome = getattr(self, row.run)(stmt, params, session)
+        # EXECUTE (no kind of its own) hands back the pair of what it ran.
+        return outcome if row.kind is None else (row.kind, outcome)
+
+    def _do_select(self, stmt: A.SelectStmt, params: Sequence[Value],
+                   session: "Connection") -> Result:
+        with self.profiler.phase(PLAN):
+            plan = self.planner.plan_select(stmt)
+        return self._run_plan(plan, params)
 
     # ------------------------------------------------------------------
     # Transaction control
@@ -551,7 +502,7 @@ class Database:
             return txn
         return None
 
-    def _do_begin(self, session: "Connection") -> Result:
+    def _do_begin(self, stmt, params, session: "Connection") -> Result:
         if self._session_txn(session) is not None:
             self.notices.append(
                 "WARNING: there is already a transaction in progress")
@@ -564,7 +515,7 @@ class Database:
         self.profiler.bump(TXN_BEGUN)
         return Result([], [])
 
-    def _do_commit(self, session: "Connection") -> Result:
+    def _do_commit(self, stmt, params, session: "Connection") -> Result:
         txn = self._session_txn(session)
         if txn is None:
             self.notices.append(
@@ -574,7 +525,7 @@ class Database:
         session._txn = None
         return Result([], [])
 
-    def _do_rollback(self, stmt: A.RollbackStmt,
+    def _do_rollback(self, stmt: A.RollbackStmt, params,
                      session: "Connection") -> Result:
         txn = self._session_txn(session)
         if stmt.savepoint is not None:
@@ -592,7 +543,7 @@ class Database:
         session._txn = None
         return Result([], [])
 
-    def _do_savepoint(self, stmt: A.SavepointStmt,
+    def _do_savepoint(self, stmt: A.SavepointStmt, params,
                       session: "Connection") -> Result:
         txn = self._session_txn(session)
         if txn is None:
@@ -601,7 +552,7 @@ class Database:
         txn.define_savepoint(stmt.name)
         return Result([], [])
 
-    def _do_release(self, stmt: A.ReleaseStmt,
+    def _do_release(self, stmt: A.ReleaseStmt, params,
                     session: "Connection") -> Result:
         txn = self._session_txn(session)
         if txn is None:
@@ -610,7 +561,7 @@ class Database:
         txn.release_savepoint(stmt.name)
         return Result([], [])
 
-    def _do_checkpoint(self, session: "Connection") -> Result:
+    def _do_checkpoint(self, stmt, params, session: "Connection") -> Result:
         if session is not None and self._session_txn(session) is not None:
             raise ExecutionError(
                 "CHECKPOINT cannot run inside a transaction block")
@@ -626,8 +577,13 @@ class Database:
         self.wal.checkpoint()
         return Result([], [])
 
+    def _do_explain(self, stmt: A.ExplainStmt, params,
+                    session: "Connection") -> Result:
+        lines = self._explain_ast(stmt.statement, session).split("\n")
+        return Result(["QUERY PLAN"], [(line,) for line in lines])
+
     def _explain_ast(self, stmt: A.Statement, session: "Connection") -> str:
-        if isinstance(stmt, A.ExplainStmt):
+        while isinstance(stmt, A.ExplainStmt):
             stmt = stmt.statement
         if isinstance(stmt, A.SelectStmt):
             with self.profiler.phase(PLAN):
@@ -643,11 +599,20 @@ class Database:
     # Session statements: prepared execution and settings
     # ------------------------------------------------------------------
 
-    def _do_execute_prepared(self, stmt: A.ExecuteStmt,
-                             params: Sequence[Value],
-                             session: "Connection") -> tuple[str, Result]:
+    def _do_prepare(self, stmt: A.PrepareStmt, params,
+                    session: "Connection") -> Result:
+        session.register_prepared(stmt.name, stmt.statement, stmt.param_types)
+        return Result([], [])
+
+    def _do_execute(self, stmt: A.ExecuteStmt, params: Sequence[Value],
+                    session: "Connection") -> tuple[str, Result]:
         handle = session.lookup_prepared(stmt.name)
         return handle.dispatch(self._eval_standalone(stmt.args, params))
+
+    def _do_deallocate(self, stmt: A.DeallocateStmt, params,
+                       session: "Connection") -> Result:
+        session.deallocate(stmt.name)
+        return Result([], [])
 
     def run_prepared(self, handle, args: Sequence[Value]) -> tuple[str, Result]:
         """Execute a :class:`~repro.sql.session.PreparedStatement` body.
@@ -678,7 +643,7 @@ class Database:
     def _do_set(self, stmt: A.SetStmt, params: Sequence[Value],
                 session: "Connection") -> Result:
         if stmt.value is None:          # SET name = DEFAULT
-            return self._do_reset(A.ResetStmt(stmt.name), session)
+            return self._do_reset(A.ResetStmt(stmt.name), params, session)
         if isinstance(stmt.value, A.Literal):
             raw = stmt.value.value
         else:
@@ -690,7 +655,7 @@ class Database:
             session.set_setting(stmt.name, raw)
         return Result([], [])
 
-    def _do_show(self, stmt: A.ShowStmt) -> Result:
+    def _do_show(self, stmt: A.ShowStmt, params, session) -> Result:
         if stmt.name is not None:
             return Result([stmt.name.lower()],
                           [(self.settings.show(stmt.name),)])
@@ -698,7 +663,8 @@ class Database:
                 for s in sorted(self.settings, key=lambda s: s.name)]
         return Result(["name", "setting", "description"], rows)
 
-    def _do_reset(self, stmt: A.ResetStmt, session: "Connection") -> Result:
+    def _do_reset(self, stmt: A.ResetStmt, params,
+                  session: "Connection") -> Result:
         self.profiler.bump(SETTINGS_ASSIGNMENTS)
         session.reset_setting(stmt.name)
         return Result([], [])
@@ -844,7 +810,7 @@ class Database:
             txn.record_ddl(undo, wal_op)
         self.clear_plan_cache()
 
-    def _do_create_table(self, stmt: A.CreateTable) -> Result:
+    def _do_create_table(self, stmt: A.CreateTable, params, session) -> Result:
         if stmt.if_not_exists and self.catalog.has_table(stmt.name):
             self.catalog.create_table(stmt.name,
                                       [c.name for c in stmt.columns],
@@ -861,7 +827,7 @@ class Database:
                        ["create_table", key, list(table.column_names), types])
         return Result([], [])
 
-    def _do_create_index(self, stmt: A.CreateIndex) -> Result:
+    def _do_create_index(self, stmt: A.CreateIndex, params, session) -> Result:
         from .profiler import SORTED_INDEX_BUILDS
         columns = [(column.name, column.descending)
                    for column in stmt.columns]
@@ -882,7 +848,7 @@ class Database:
              [[name.lower(), bool(desc)] for name, desc in columns]])
         return Result([], [])
 
-    def _do_create_type(self, stmt: A.CreateType) -> Result:
+    def _do_create_type(self, stmt: A.CreateType, params, session) -> Result:
         field_names = [f.name for f in stmt.fields]
         field_types = [f.type_name for f in stmt.fields]
         ctype = self.catalog.create_type(stmt.name, field_names, field_types)
@@ -892,7 +858,8 @@ class Database:
             ["create_type", key, list(ctype.field_names), field_types])
         return Result([], [])
 
-    def _do_create_function(self, stmt: A.CreateFunction) -> Result:
+    def _do_create_function(self, stmt: A.CreateFunction, params,
+                            session) -> Result:
         language = stmt.language.lower()
         if language not in ("sql", "plpgsql"):
             raise CatalogError(f"unsupported function language {stmt.language!r}")
@@ -957,7 +924,8 @@ class Database:
                 + "; ".join(f"{d.code}: {d.message}" for d in diagnostics
                             if d.severity == "error"))
 
-    def _do_check_function(self, stmt: A.CheckFunctionStmt) -> Result:
+    def _do_check_function(self, stmt: A.CheckFunctionStmt, params,
+                           session) -> Result:
         """``CHECK FUNCTION name | ALL``: run the static analyzer and
         return its findings as rows, one per diagnostic."""
         from ..analysis import analyze_function
@@ -978,7 +946,7 @@ class Database:
         return Result(["function", "severity", "code", "line", "message"],
                       rows)
 
-    def _do_drop_index(self, stmt: A.DropIndex) -> Result:
+    def _do_drop_index(self, stmt: A.DropIndex, params, session) -> Result:
         key = stmt.name.lower()
         index_def = self.catalog.indexes.get(key)
         self.catalog.drop_index(stmt.name, stmt.if_exists)
@@ -999,7 +967,7 @@ class Database:
         self._ddl_done(undo, ["drop_index", key])
         return Result([], [])
 
-    def _do_drop_table(self, stmt: A.DropTable) -> Result:
+    def _do_drop_table(self, stmt: A.DropTable, params, session) -> Result:
         key = stmt.name.lower()
         table = self.catalog.tables.get(key)
         if table is None:  # raises unless IF EXISTS
@@ -1021,7 +989,8 @@ class Database:
         self._ddl_done(undo, ["drop_table", key])
         return Result([], [])
 
-    def _do_drop_function(self, stmt: A.DropFunction) -> Result:
+    def _do_drop_function(self, stmt: A.DropFunction, params,
+                          session) -> Result:
         key = stmt.name.lower()
         prior = self.catalog.functions.get(key)
         self.catalog.drop_function(stmt.name, stmt.if_exists)
@@ -1057,7 +1026,8 @@ class Database:
                 full[position] = self._coerce(value, table.column_types[position])
             out.append(tuple(full))
 
-    def _do_insert(self, stmt: A.Insert, params: Sequence[Value]) -> Result:
+    def _do_insert(self, stmt: A.Insert, params: Sequence[Value],
+                   session) -> Result:
         table, positions = self._insert_target(stmt)
         with self.profiler.phase(PLAN):
             plan = self.planner.plan_select(stmt.source)
@@ -1134,7 +1104,8 @@ class Database:
 
         return check, rt, compiler
 
-    def _do_update(self, stmt: A.Update, params: Sequence[Value]) -> Result:
+    def _do_update(self, stmt: A.Update, params: Sequence[Value],
+                   session) -> Result:
         table = self.catalog.get_table(stmt.table)
         check, rt, compiler = self._table_predicate(table, stmt.where)
         rt.params = tuple(params)
@@ -1154,7 +1125,8 @@ class Database:
         count = table.update_where(check, updater)
         return Result(["count"], [(count,)])
 
-    def _do_delete(self, stmt: A.Delete, params: Sequence[Value]) -> Result:
+    def _do_delete(self, stmt: A.Delete, params: Sequence[Value],
+                   session) -> Result:
         table = self.catalog.get_table(stmt.table)
         check, rt, _compiler = self._table_predicate(table, stmt.where)
         rt.params = tuple(params)

@@ -1,9 +1,10 @@
 """A lexer shared by the SQL parser and the PL/pgSQL parser.
 
-Produces a flat list of :class:`Token` objects.  Keywords are not
-distinguished from identifiers at the lexing stage — parsers match identifier
-tokens case-insensitively — which keeps the keyword set extensible and lets
-the two parsers disagree about what is reserved.
+One compiled pattern (:data:`_TOKEN`) produces a flat list of
+:class:`Token` records.  Keywords are not distinguished from identifiers at
+the lexing stage — parsers match the lower-cased identifier tokens against
+lower-case keywords — which keeps the keyword set extensible and lets the
+two parsers disagree about what is reserved.
 
 Supported lexical forms:
 
@@ -22,7 +23,8 @@ Supported lexical forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -35,24 +37,49 @@ PARAM = "PARAM"        # $1 style positional parameter, value is int index
 OP = "OP"              # operator or punctuation, value is the operator text
 EOF = "EOF"
 
-#: Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
+#: Every operator and punctuation string, longest first so maximal munch
+#: works.  The SQL parser files each under its operator table or its
+#: punctuation set (tests/test_sql_parser.py checks none is left over).
+OPERATORS = (
     "::", ":=", "..", "||", "<=", ">=", "<>", "!=", "=>",
     "(", ")", ",", ";", ".", "=", "<", ">", "+", "-", "*", "/", "%", "^",
     "[", "]", ":",
-]
+)
+
+#: THE token pattern: one alternative per lexical form, tried in order at
+#: each position after blanks; the name of the group that matched is the
+#: kind of token.  ``comment`` and ``dollar`` match only the opener - a
+#: nested comment and a ``$tag$`` body end where no regular expression can
+#: say - and ``bad`` matches whatever no other form does, so the pattern
+#: never fails and the error names the character.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<ident>   [^\W\d]\w* )
+  | (?P<newline> \n )
+  | (?P<skip>    --[^\n]* )
+  | (?P<comment> /\* )
+  | (?P<float>   (?: \d+\.(?!\.)\d* | \.\d+ ) (?:[eE][+-]?\d+)?
+               | \d+[eE][+-]?\d+ )
+  | (?P<int>     \d+ )
+  | (?P<string>  '[^']*(?:''[^']*)*' )
+  | (?P<qident>  "[^"]*(?:""[^"]*)*" )
+  | (?P<dollar>  \$\w*\$ )
+  | (?P<param>   \$\d+(?!\w) )
+  | (?P<op>      %s )
+  | (?P<end>     \Z )
+  | (?P<bad>     . )
+)""" % "|".join(map(re.escape, OPERATORS)), re.VERBOSE | re.DOTALL)
+
+_COMMENT_EDGE = re.compile(r"/\*|\*/")
+
+_UNTERMINATED = {"'": "unterminated string literal",
+                 '"': "unterminated quoted identifier"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str
     value: object
-    line: int
+    line: int      # of the token's first character, as is ``column``
     column: int
-
-    def matches_keyword(self, keyword: str) -> bool:
-        """True when this token is the bare identifier *keyword* (any case)."""
-        return self.type == IDENT and self.value == keyword.lower()
 
     def __repr__(self) -> str:  # compact, for parser error messages
         return f"{self.type}:{self.value!r}"
@@ -61,161 +88,64 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Lex *text* into a token list ending with an EOF token."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-
-    def col(pos: int) -> int:
-        return pos - line_start + 1
-
-    def error(message: str, pos: int):
-        raise ParseError(message, line, col(pos))
-
-    while i < n:
-        ch = text[i]
-        # Whitespace ----------------------------------------------------
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    match = _TOKEN.match
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        column = start - line_start + 1
+        if kind == "ident":
+            append(Token(IDENT, text[start:pos].lower(), line, column))
+        elif kind == "op":
+            append(Token(OP, text[start:pos], line, column))
+        elif kind == "int":
+            append(Token(NUMBER, int(text[start:pos]), line, column))
+        elif kind == "newline":
             line += 1
-            line_start = i
-            continue
-        # Comments ------------------------------------------------------
-        if ch == "-" and text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            depth = 1
-            j = i + 2
-            while j < n and depth:
-                if text.startswith("/*", j):
-                    depth += 1
-                    j += 2
-                elif text.startswith("*/", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    if text[j] == "\n":
-                        line += 1
-                        line_start = j + 1
-                    j += 1
-            if depth:
-                error("unterminated block comment", i)
-            i = j
-            continue
-        # String literal --------------------------------------------------
-        if ch == "'":
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    error("unterminated string literal", i)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                if text[j] == "\n":
-                    line += 1
-                    line_start = j + 1
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token(STRING, "".join(parts), line, col(i)))
-            i = j
-            continue
-        # Quoted identifier ----------------------------------------------
-        if ch == '"':
-            j = i + 1
-            parts = []
-            while True:
-                if j >= n:
-                    error("unterminated quoted identifier", i)
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        parts.append('"')
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token(QIDENT, "".join(parts), line, col(i)))
-            i = j
-            continue
-        # Dollar quoting / positional parameters --------------------------
-        if ch == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j < n and text[j] == "$":
-                tag = text[i:j + 1]  # e.g. "$$" or "$body$"
-                end = text.find(tag, j + 1)
-                if end == -1:
-                    error(f"unterminated dollar-quoted string {tag}", i)
-                body = text[j + 1:end]
-                line += body.count("\n")
-                if "\n" in body:
-                    line_start = j + 1 + body.rfind("\n") + 1
-                tokens.append(Token(STRING, body, line, col(i)))
-                i = end + len(tag)
-                continue
-            digits = text[i + 1:j]
-            if digits.isdigit():
-                tokens.append(Token(PARAM, int(digits), line, col(i)))
-                i = j
-                continue
-            error("unexpected character '$'", i)
-        # Numbers ---------------------------------------------------------
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            # A '.' begins a fraction only if NOT followed by another '.'
-            # (so "1..n" lexes as NUMBER OP OP-range).
-            if j < n and text[j] == "." and not text.startswith("..", j):
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            literal = text[i:j]
-            value = float(literal) if is_float else int(literal)
-            tokens.append(Token(NUMBER, value, line, col(i)))
-            i = j
-            continue
-        # Identifiers -------------------------------------------------------
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j].lower(), line, col(i)))
-            i = j
-            continue
-        # Operators ----------------------------------------------------------
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(OP, op, line, col(i)))
-                i += len(op)
-                break
-        else:
-            error(f"unexpected character {ch!r}", i)
-    tokens.append(Token(EOF, None, line, col(i)))
-    return tokens
+            line_start = pos
+        elif kind == "float":
+            append(Token(NUMBER, float(text[start:pos]), line, column))
+        elif kind == "param":
+            append(Token(PARAM, int(text[start + 1:pos]), line, column))
+        elif kind == "end":
+            append(Token(EOF, None, line, column))
+            return tokens
+        elif kind == "bad":
+            ch = text[start]
+            raise ParseError(
+                _UNTERMINATED.get(ch) or f"unexpected character {ch!r}",
+                line, column)
+        elif kind != "skip":  # the four forms that may span lines
+            if kind == "string":
+                value = text[start + 1:pos - 1].replace("''", "'")
+                append(Token(STRING, value, line, column))
+            elif kind == "qident":
+                value = text[start + 1:pos - 1].replace('""', '"')
+                append(Token(QIDENT, value, line, column))
+            elif kind == "dollar":
+                tag = text[start:pos]  # "$$" or "$body$"
+                close = text.find(tag, pos)
+                if close == -1:
+                    raise ParseError(
+                        f"unterminated dollar-quoted string {tag}",
+                        line, column)
+                append(Token(STRING, text[pos:close], line, column))
+                pos = close + len(tag)
+            else:  # comment: to the ``*/`` that closes this ``/*``
+                depth = 1
+                while depth:
+                    edge = _COMMENT_EDGE.search(text, pos)
+                    if edge is None:
+                        raise ParseError("unterminated block comment",
+                                         line, column)
+                    depth += 1 if edge.group() == "/*" else -1
+                    pos = edge.end()
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", start, pos) + 1
 
 
 class TokenStream:
@@ -231,19 +161,27 @@ class TokenStream:
 
     # -- inspection ----------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        try:
+            return self._tokens[self._pos + offset]
+        except IndexError:  # looking past the end keeps seeing EOF
+            return self._tokens[-1]
 
     def at_end(self) -> bool:
         return self.peek().type == EOF
 
     def at_keyword(self, *keywords: str) -> bool:
-        token = self.peek()
-        return token.type == IDENT and token.value in {k.lower() for k in keywords}
+        """Is the next token one of these (lower-case) bare words?"""
+        token = self._tokens[self._pos]
+        return token.type == IDENT and token.value in keywords
 
     def at_op(self, *ops: str) -> bool:
-        token = self.peek()
+        token = self._tokens[self._pos]
         return token.type == OP and token.value in ops
+
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the next token's position."""
+        token = self.peek()
+        return ParseError(message, token.line, token.column)
 
     def save(self) -> int:
         return self._pos
@@ -253,7 +191,7 @@ class TokenStream:
 
     # -- consumption ---------------------------------------------------
     def advance(self) -> Token:
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.type != EOF:
             self._pos += 1
         return token
@@ -270,24 +208,19 @@ class TokenStream:
 
     def expect_keyword(self, keyword: str) -> Token:
         if not self.at_keyword(keyword):
-            token = self.peek()
-            raise ParseError(f"expected {keyword.upper()}, found {token}",
-                             token.line, token.column)
+            raise self.error(
+                f"expected {keyword.upper()}, found {self.peek()}")
         return self.advance()
 
     def expect_op(self, op: str) -> Token:
         if not self.at_op(op):
-            token = self.peek()
-            raise ParseError(f"expected {op!r}, found {token}", token.line, token.column)
+            raise self.error(f"expected {op!r}, found {self.peek()}")
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> str:
         """Consume a bare or quoted identifier and return its name."""
         token = self.peek()
-        if token.type == IDENT:
-            self.advance()
-            return str(token.value)
-        if token.type == QIDENT:
-            self.advance()
-            return str(token.value)
-        raise ParseError(f"expected {what}, found {token}", token.line, token.column)
+        if token.type not in (IDENT, QIDENT):
+            raise self.error(f"expected {what}, found {token}")
+        self.advance()
+        return str(token.value)

@@ -20,9 +20,12 @@ Entry points: :func:`parse_statement`, :func:`parse_select`,
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable, NamedTuple, Optional
+
 from . import ast as A
 from .errors import ParseError
-from .lexer import EOF, IDENT, NUMBER, OP, PARAM, QIDENT, STRING, Token, TokenStream
+from .lexer import EOF, IDENT, NUMBER, OP, PARAM, QIDENT, STRING, TokenStream
 
 # Keywords that terminate an expression / cannot start an alias.
 _CLAUSE_KEYWORDS = {
@@ -38,6 +41,61 @@ _CLAUSE_KEYWORDS = {
 
 _TYPE_KEYWORDS_TWO_WORDS = {("double", "precision"), ("character", "varying")}
 
+_CONSTANTS = {"true": True, "false": False, "null": None}
+
+#: Leading keyword (or ``(``) -> name of the rule that parses the statement.
+_STATEMENT_RULES = {keyword: row.parse for row in A.STATEMENTS.values()
+                    for keyword in row.keywords}
+
+# Binding powers, loosest first.  PostgreSQL's order: ^ binds tighter than
+# * / % and associates left (2 ^ 3 ^ 3 = 512).
+_OR, _AND, _COMPARISON, _ADDITIVE, _MULTIPLICATIVE, _POWER = range(1, 7)
+
+
+class Operator(NamedTuple):
+    """One row of :data:`OPERATORS`."""
+
+    type: str    # IDENT for a keyword, OP for a symbol
+    power: int   # binding power
+    #: ``(left, right) -> node``; None for the keywords that start a
+    #: comparison-level tail with a grammar of its own.
+    build: Optional[Callable[[A.Expr, A.Expr], A.Expr]]
+
+
+def _infix(type: str, power: int, op: str) -> Operator:
+    return Operator(type, power, partial(A.BinaryOp, op))
+
+
+_TAIL = Operator(IDENT, _COMPARISON, None)
+
+#: THE operator table: token value -> row.  ``_expr`` is driven by it; what
+#: the lexer calls an operator and this table does not is PUNCTUATION.
+OPERATORS: dict[str, Operator] = {
+    "or": _infix(IDENT, _OR, "or"),
+    "and": _infix(IDENT, _AND, "and"),
+    "=": _infix(OP, _COMPARISON, "="),
+    "<>": _infix(OP, _COMPARISON, "<>"),
+    "!=": _infix(OP, _COMPARISON, "<>"),
+    "<": _infix(OP, _COMPARISON, "<"),
+    "<=": _infix(OP, _COMPARISON, "<="),
+    ">": _infix(OP, _COMPARISON, ">"),
+    ">=": _infix(OP, _COMPARISON, ">="),
+    "is": _TAIL, "not": _TAIL, "between": _TAIL, "in": _TAIL,
+    "like": _TAIL, "ilike": _TAIL,
+    "+": _infix(OP, _ADDITIVE, "+"),
+    "-": _infix(OP, _ADDITIVE, "-"),
+    "||": _infix(OP, _ADDITIVE, "||"),
+    "*": _infix(OP, _MULTIPLICATIVE, "*"),
+    "/": _infix(OP, _MULTIPLICATIVE, "/"),
+    "%": _infix(OP, _MULTIPLICATIVE, "%"),
+    "^": _infix(OP, _POWER, "^"),
+}
+
+#: The lexer's other OP tokens: grouping, separators, casts, subscripts and
+#: PL/pgSQL's ``:=`` / ``..`` - matched by name where a rule expects them.
+PUNCTUATION = frozenset({"(", ")", "[", "]", ",", ";", ".", ":", "::", ":=",
+                         "..", "=>"})
+
 
 class SqlParser:
     """Stateful wrapper pairing a :class:`TokenStream` with grammar rules."""
@@ -50,64 +108,58 @@ class SqlParser:
     # ------------------------------------------------------------------
 
     def parse_statement(self) -> A.Statement:
-        ts = self.ts
-        if ts.at_keyword("select", "with", "values") or ts.at_op("("):
-            return self.parse_select()
-        if ts.at_keyword("create"):
-            return self._parse_create()
-        if ts.at_keyword("insert"):
-            return self._parse_insert()
-        if ts.at_keyword("update"):
-            return self._parse_update()
-        if ts.at_keyword("delete"):
-            return self._parse_delete()
-        if ts.at_keyword("drop"):
-            return self._parse_drop()
-        if ts.at_keyword("prepare"):
-            return self._parse_prepare()
-        if ts.at_keyword("execute"):
-            return self._parse_execute()
-        if ts.at_keyword("deallocate"):
-            return self._parse_deallocate()
-        if ts.at_keyword("set"):
-            return self._parse_set()
-        if ts.at_keyword("show"):
-            return self._parse_show()
-        if ts.at_keyword("reset"):
-            return self._parse_reset()
-        if ts.at_keyword("explain"):
-            ts.advance()
-            return A.ExplainStmt(self.parse_statement())
-        if ts.at_keyword("begin", "start"):
-            return self._parse_begin()
-        if ts.at_keyword("commit", "end"):
-            ts.advance()
-            self._accept_txn_noise()
-            return A.CommitStmt()
-        if ts.at_keyword("rollback", "abort"):
-            return self._parse_rollback()
-        if ts.at_keyword("savepoint"):
-            ts.advance()
-            return A.SavepointStmt(ts.expect_ident("savepoint name"))
-        if ts.at_keyword("release"):
-            ts.advance()
-            ts.accept_keyword("savepoint")
-            return A.ReleaseStmt(ts.expect_ident("savepoint name"))
-        if ts.at_keyword("checkpoint"):
-            ts.advance()
-            return A.CheckpointStmt()
-        if ts.at_keyword("check"):
-            ts.advance()
-            ts.expect_keyword("function")
-            if ts.accept_keyword("all"):
-                return A.CheckFunctionStmt(None)
-            return A.CheckFunctionStmt(ts.expect_ident("function name"))
-        token = ts.peek()
-        raise ParseError(f"unexpected start of statement: {token}",
-                         token.line, token.column)
+        token = self.ts.peek()
+        rule = _STATEMENT_RULES.get(token.value) \
+            if token.type in (IDENT, OP) else None
+        if rule is None:
+            raise self.ts.error(f"unexpected start of statement: {token}")
+        return getattr(self, rule)()
+
+    def parse_script(self) -> list[A.Statement]:
+        """Parse a ``;``-separated sequence of statements."""
+        statements = []
+        while True:
+            while self.ts.accept_op(";"):
+                pass
+            if self.ts.at_end():
+                break
+            statements.append(self.parse_statement())
+        return statements
+
+    def expect_end(self, what: str) -> None:
+        if not self.ts.at_end():
+            raise self.ts.error(
+                f"trailing input after {what}: {self.ts.peek()}")
 
     # ------------------------------------------------------------------
-    # Transaction control
+    # Comma-separated lists
+    # ------------------------------------------------------------------
+
+    def _list(self, rule) -> list:
+        """``rule [, rule]...``"""
+        items = [rule()]
+        while self.ts.accept_op(","):
+            items.append(rule())
+        return items
+
+    def _parenthesised(self, rule, close: str = ")") -> list:
+        """``rule [, rule]... )`` with the opener already consumed."""
+        items = self._list(rule)
+        self.ts.expect_op(close)
+        return items
+
+    def _arguments(self, close: str = ")") -> list[A.Expr]:
+        """``[expr [, expr]...] )`` with the opener already consumed."""
+        if self.ts.accept_op(close):
+            return []
+        return self._parenthesised(self.parse_expression, close)
+
+    def _names(self, what: str) -> list[str]:
+        """``name [, name]... )`` with the opener already consumed."""
+        return self._parenthesised(partial(self.ts.expect_ident, what))
+
+    # ------------------------------------------------------------------
+    # Transaction control and other one-line statements
     # ------------------------------------------------------------------
 
     def _accept_txn_noise(self) -> None:
@@ -123,6 +175,11 @@ class SqlParser:
             self._accept_txn_noise()
         return A.BeginStmt()
 
+    def _parse_commit(self) -> A.CommitStmt:
+        self.ts.advance()  # COMMIT or END
+        self._accept_txn_noise()
+        return A.CommitStmt()
+
     def _parse_rollback(self) -> A.RollbackStmt:
         ts = self.ts
         ts.advance()  # ROLLBACK or ABORT
@@ -133,16 +190,28 @@ class SqlParser:
             savepoint = ts.expect_ident("savepoint name")
         return A.RollbackStmt(savepoint)
 
-    def parse_script(self) -> list[A.Statement]:
-        """Parse a ``;``-separated sequence of statements."""
-        statements = []
-        while True:
-            while self.ts.accept_op(";"):
-                pass
-            if self.ts.at_end():
-                break
-            statements.append(self.parse_statement())
-        return statements
+    def _parse_savepoint(self) -> A.SavepointStmt:
+        self.ts.advance()
+        return A.SavepointStmt(self.ts.expect_ident("savepoint name"))
+
+    def _parse_release(self) -> A.ReleaseStmt:
+        self.ts.advance()
+        self.ts.accept_keyword("savepoint")
+        return A.ReleaseStmt(self.ts.expect_ident("savepoint name"))
+
+    def _parse_checkpoint(self) -> A.CheckpointStmt:
+        self.ts.advance()
+        return A.CheckpointStmt()
+
+    def _parse_check_function(self) -> A.CheckFunctionStmt:
+        ts = self.ts
+        ts.advance()
+        ts.expect_keyword("function")
+        return A.CheckFunctionStmt(self._name_or_all("function name"))
+
+    def _parse_explain(self) -> A.ExplainStmt:
+        self.ts.advance()
+        return A.ExplainStmt(self.parse_statement())
 
     # ------------------------------------------------------------------
     # SELECT
@@ -171,20 +240,13 @@ class SqlParser:
         if not recursive and self.ts.accept_keyword("iterate"):
             recursive = True
             iterate = True
-        ctes = [self._parse_cte()]
-        while self.ts.accept_op(","):
-            ctes.append(self._parse_cte())
-        return A.WithClause(recursive, ctes, iterate)
+        return A.WithClause(recursive, self._list(self._parse_cte), iterate)
 
     def _parse_cte(self) -> A.CommonTableExpr:
         name = self.ts.expect_ident("CTE name")
         column_names = None
-        if self.ts.at_op("("):
-            self.ts.advance()
-            column_names = [self.ts.expect_ident("column name")]
-            while self.ts.accept_op(","):
-                column_names.append(self.ts.expect_ident("column name"))
-            self.ts.expect_op(")")
+        if self.ts.accept_op("("):
+            column_names = self._names("column name")
         self.ts.expect_keyword("as")
         self.ts.expect_op("(")
         query = self.parse_select()
@@ -226,18 +288,11 @@ class SqlParser:
 
     def _parse_values(self) -> A.ValuesClause:
         self.ts.expect_keyword("values")
-        rows = [self._parse_values_row()]
-        while self.ts.accept_op(","):
-            rows.append(self._parse_values_row())
-        return A.ValuesClause(rows)
+        return A.ValuesClause(self._list(self._parse_values_row))
 
     def _parse_values_row(self) -> list[A.Expr]:
         self.ts.expect_op("(")
-        row = [self.parse_expression()]
-        while self.ts.accept_op(","):
-            row.append(self.parse_expression())
-        self.ts.expect_op(")")
-        return row
+        return self._parenthesised(self.parse_expression)
 
     def _parse_select_core(self) -> A.SelectCore:
         self.ts.expect_keyword("select")
@@ -251,9 +306,7 @@ class SqlParser:
             distinct = True
         elif self.ts.accept_keyword("all"):
             pass
-        items = [self._parse_select_item()]
-        while self.ts.accept_op(","):
-            items.append(self._parse_select_item())
+        items = self._list(self._parse_select_item)
         from_clause = None
         if self.ts.accept_keyword("from"):
             from_clause = self._parse_table_expr()
@@ -263,9 +316,7 @@ class SqlParser:
         group_by: list[A.Expr] = []
         if self.ts.accept_keyword("group"):
             self.ts.expect_keyword("by")
-            group_by.append(self.parse_expression())
-            while self.ts.accept_op(","):
-                group_by.append(self.parse_expression())
+            group_by = self._list(self.parse_expression)
         having = None
         if self.ts.accept_keyword("having"):
             having = self.parse_expression()
@@ -365,8 +416,7 @@ class SqlParser:
         name = ts.expect_ident("table name")
         alias, column_aliases = self._parse_table_alias(required=False)
         if lateral:
-            token = ts.peek()
-            raise ParseError("LATERAL requires a subquery", token.line, token.column)
+            raise ts.error("LATERAL requires a subquery")
         return A.TableName(name, alias, column_aliases)
 
     def _parse_table_alias(self, required: bool):
@@ -378,16 +428,10 @@ class SqlParser:
                 ts.peek().type == IDENT and ts.peek().value not in _CLAUSE_KEYWORDS):
             alias = ts.expect_ident("table alias")
         elif required:
-            token = ts.peek()
-            raise ParseError("subquery in FROM must have an alias",
-                             token.line, token.column)
+            raise ts.error("subquery in FROM must have an alias")
         column_aliases = None
-        if alias is not None and ts.at_op("("):
-            ts.advance()
-            column_aliases = [ts.expect_ident("column alias")]
-            while ts.accept_op(","):
-                column_aliases.append(ts.expect_ident("column alias"))
-            ts.expect_op(")")
+        if alias is not None and ts.accept_op("("):
+            column_aliases = self._names("column alias")
         return alias, column_aliases
 
     # ------------------------------------------------------------------
@@ -404,9 +448,7 @@ class SqlParser:
             spec.ref_name = ts.expect_ident("window name")
         if ts.accept_keyword("partition"):
             ts.expect_keyword("by")
-            spec.partition_by.append(self.parse_expression())
-            while ts.accept_op(","):
-                spec.partition_by.append(self.parse_expression())
+            spec.partition_by = self._list(self.parse_expression)
         if ts.accept_keyword("order"):
             ts.expect_keyword("by")
             spec.order_by = self._parse_sort_items()
@@ -437,9 +479,7 @@ class SqlParser:
                 ts.expect_keyword("others")
                 exclusion = None
             else:
-                token = ts.peek()
-                raise ParseError(f"bad EXCLUDE clause at {token}",
-                                 token.line, token.column)
+                raise ts.error(f"bad EXCLUDE clause at {ts.peek()}")
         return A.FrameSpec(str(mode), start, end, exclusion)
 
     def _parse_frame_bound(self) -> A.FrameBound:
@@ -459,10 +499,7 @@ class SqlParser:
         return A.FrameBound("following", offset)
 
     def _parse_sort_items(self) -> list[A.SortItem]:
-        items = [self._parse_sort_item()]
-        while self.ts.accept_op(","):
-            items.append(self._parse_sort_item())
-        return items
+        return self._list(self._parse_sort_item)
 
     def _parse_sort_item(self) -> A.SortItem:
         expr = self.parse_expression()
@@ -485,76 +522,65 @@ class SqlParser:
     # ------------------------------------------------------------------
 
     def parse_expression(self) -> A.Expr:
-        return self._parse_or()
+        return self._expr(0)
 
-    def _parse_or(self) -> A.Expr:
-        left = self._parse_and()
-        while self.ts.accept_keyword("or"):
-            left = A.BinaryOp("or", left, self._parse_and())
-        return left
-
-    def _parse_and(self) -> A.Expr:
-        left = self._parse_not()
-        while self.ts.accept_keyword("and"):
-            left = A.BinaryOp("and", left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> A.Expr:
-        if self.ts.accept_keyword("not"):
-            return A.UnaryOp("not", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> A.Expr:
-        left = self._parse_additive()
+    def _expr(self, floor: int) -> A.Expr:
+        """Precedence climbing over :data:`OPERATORS`: one operand, then
+        every operator that binds tighter than *floor*.  All of them
+        associate left, so a right operand is parsed with the operator's
+        own power as its floor."""
+        ts = self.ts
+        # NOT sits between AND and the comparisons: only an operand of AND
+        # / OR (or a whole expression) may start with it, and it takes in
+        # everything down to the comparisons.
+        if floor < _COMPARISON and ts.accept_keyword("not"):
+            left: A.Expr = A.UnaryOp("not", self._expr(_AND))
+        else:
+            left = self._parse_unary()
         while True:
-            ts = self.ts
-            if ts.at_op("=", "<>", "!=", "<", "<=", ">", ">="):
-                op = str(ts.advance().value)
-                if op == "!=":
-                    op = "<>"
-                right = self._parse_additive()
-                left = A.BinaryOp(op, left, right)
-                continue
-            if ts.at_keyword("is"):
+            token = ts.peek()
+            operator = OPERATORS.get(token.value)
+            if operator is None or operator.type != token.type \
+                    or operator.power <= floor:
+                return left
+            if operator.build is not None:
                 ts.advance()
-                negated = bool(ts.accept_keyword("not"))
-                if ts.accept_keyword("null"):
-                    left = A.IsNull(left, negated)
-                elif ts.accept_keyword("true"):
-                    left = A.IsBool(left, True, negated)
-                elif ts.accept_keyword("false"):
-                    left = A.IsBool(left, False, negated)
-                elif ts.accept_keyword("distinct"):
-                    ts.expect_keyword("from")
-                    right = self._parse_additive()
-                    left = _is_distinct(left, right, negated)
-                else:
-                    token = ts.peek()
-                    raise ParseError(f"bad IS expression at {token}",
-                                     token.line, token.column)
+                left = operator.build(left, self._expr(operator.power))
                 continue
-            negated = False
-            mark = ts.save()
-            if ts.at_keyword("not"):
-                ts.advance()
-                negated = True
-            if ts.accept_keyword("between"):
-                low = self._parse_additive()
-                ts.expect_keyword("and")
-                high = self._parse_additive()
-                left = A.Between(left, low, high, negated)
-                continue
-            if ts.accept_keyword("in"):
-                left = self._parse_in_tail(left, negated)
-                continue
-            if ts.at_keyword("like", "ilike"):
-                ci = ts.advance().value == "ilike"
-                pattern = self._parse_additive()
-                left = A.Like(left, pattern, negated, bool(ci))
-                continue
-            if negated:
-                ts.restore(mark)
-            return left
+            tail = self._parse_comparison_tail(left)
+            if tail is None:  # a NOT that starts no BETWEEN / IN / LIKE
+                return left
+            left = tail
+
+    def _parse_comparison_tail(self, left: A.Expr) -> Optional[A.Expr]:
+        """``IS ...``, ``[NOT] BETWEEN``, ``[NOT] IN``, ``[NOT] LIKE``
+        applied to *left*; their operands are additive-level."""
+        ts = self.ts
+        if ts.accept_keyword("is"):
+            negated = bool(ts.accept_keyword("not"))
+            if ts.accept_keyword("null"):
+                return A.IsNull(left, negated)
+            if ts.accept_keyword("true"):
+                return A.IsBool(left, True, negated)
+            if ts.accept_keyword("false"):
+                return A.IsBool(left, False, negated)
+            if ts.accept_keyword("distinct"):
+                ts.expect_keyword("from")
+                return _is_distinct(left, self._expr(_COMPARISON), negated)
+            raise ts.error(f"bad IS expression at {ts.peek()}")
+        mark = ts.save()
+        negated = bool(ts.accept_keyword("not"))
+        if ts.accept_keyword("between"):
+            low = self._expr(_COMPARISON)
+            ts.expect_keyword("and")
+            return A.Between(left, low, self._expr(_COMPARISON), negated)
+        if ts.accept_keyword("in"):
+            return self._parse_in_tail(left, negated)
+        if ts.at_keyword("like", "ilike"):
+            ci = ts.advance().value == "ilike"
+            return A.Like(left, self._expr(_COMPARISON), negated, ci)
+        ts.restore(mark)
+        return None
 
     def _parse_in_tail(self, operand: A.Expr, negated: bool) -> A.Expr:
         ts = self.ts
@@ -563,45 +589,22 @@ class SqlParser:
             query = self.parse_select()
             ts.expect_op(")")
             return A.InSubquery(operand, query, negated)
-        items = [self.parse_expression()]
-        while ts.accept_op(","):
-            items.append(self.parse_expression())
-        ts.expect_op(")")
+        items = self._parenthesised(self.parse_expression)
         return A.InList(operand, items, negated)
 
-    def _parse_additive(self) -> A.Expr:
-        left = self._parse_multiplicative()
-        while self.ts.at_op("+", "-", "||"):
-            op = str(self.ts.advance().value)
-            left = A.BinaryOp(op, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> A.Expr:
-        left = self._parse_power()
-        while self.ts.at_op("*", "/", "%"):
-            op = str(self.ts.advance().value)
-            left = A.BinaryOp(op, left, self._parse_power())
-        return left
-
-    def _parse_power(self) -> A.Expr:
-        # PostgreSQL precedence: ^ binds tighter than * / % but looser than
-        # unary minus (-2 ^ 2 = 4), and associates left (2 ^ 3 ^ 3 = 512).
-        left = self._parse_unary()
-        while self.ts.at_op("^"):
-            self.ts.advance()
-            left = A.BinaryOp("^", left, self._parse_unary())
-        return left
-
     def _parse_unary(self) -> A.Expr:
-        if self.ts.at_op("-", "+"):
-            op = str(self.ts.advance().value)
-            operand = self._parse_unary()
-            if op == "-" and isinstance(operand, A.Literal) and \
-                    isinstance(operand.value, (int, float)) and \
-                    not isinstance(operand.value, bool):
-                return A.Literal(-operand.value)
-            return A.UnaryOp(op, operand) if op == "-" else operand
-        return self._parse_postfix()
+        # Tighter than every binary operator: -2 ^ 2 = 4.
+        sign = self.ts.accept_op("-", "+")
+        if sign is None:
+            return self._parse_postfix()
+        operand = self._parse_unary()
+        if sign.value == "+":
+            return operand
+        if isinstance(operand, A.Literal) and \
+                isinstance(operand.value, (int, float)) and \
+                not isinstance(operand.value, bool):
+            return A.Literal(-operand.value)
+        return A.UnaryOp("-", operand)
 
     def _parse_postfix(self) -> A.Expr:
         expr = self._parse_primary()
@@ -630,21 +633,15 @@ class SqlParser:
     def _parse_primary(self) -> A.Expr:
         ts = self.ts
         token = ts.peek()
-        if token.type == NUMBER:
-            ts.advance()
-            return A.Literal(token.value)
-        if token.type == STRING:
+        if token.type in (NUMBER, STRING):
             ts.advance()
             return A.Literal(token.value)
         if token.type == PARAM:
             ts.advance()
             return A.Param(int(token.value))  # type: ignore[arg-type]
-        if ts.accept_keyword("true"):
-            return A.Literal(True)
-        if ts.accept_keyword("false"):
-            return A.Literal(False)
-        if ts.accept_keyword("null"):
-            return A.Literal(None)
+        if token.type == IDENT and token.value in _CONSTANTS:
+            ts.advance()
+            return A.Literal(_CONSTANTS[token.value])
         if ts.at_keyword("case"):
             return self._parse_case()
         if ts.at_keyword("cast"):
@@ -664,46 +661,26 @@ class SqlParser:
         if ts.at_keyword("array") and ts.peek(1).type == OP and ts.peek(1).value == "[":
             ts.advance()
             ts.advance()
-            items = []
-            if not ts.at_op("]"):
-                items.append(self.parse_expression())
-                while ts.accept_op(","):
-                    items.append(self.parse_expression())
-            ts.expect_op("]")
-            return A.ArrayExpr(items)
+            return A.ArrayExpr(self._arguments("]"))
         if ts.at_keyword("row") and ts.peek(1).type == OP and ts.peek(1).value == "(":
             ts.advance()
             ts.advance()
-            items = []
-            if not ts.at_op(")"):
-                items.append(self.parse_expression())
-                while ts.accept_op(","):
-                    items.append(self.parse_expression())
-            ts.expect_op(")")
-            return A.RowExpr(items)
+            return A.RowExpr(self._arguments())
         if ts.at_op("("):
             ts.advance()
             if ts.at_keyword("select", "with", "values"):
                 query = self.parse_select()
                 ts.expect_op(")")
                 return A.ScalarSubquery(query)
-            expr = self.parse_expression()
-            if ts.at_op(","):
-                items = [expr]
-                while ts.accept_op(","):
-                    items.append(self.parse_expression())
-                ts.expect_op(")")
-                return A.RowExpr(items)
-            ts.expect_op(")")
-            return expr
+            items = self._parenthesised(self.parse_expression)
+            return items[0] if len(items) == 1 else A.RowExpr(items)
         if token.type in (IDENT, QIDENT):
             # Function call?
             if ts.peek(1).type == OP and ts.peek(1).value == "(":
                 return self._parse_func_call()
             name = ts.expect_ident()
             return A.ColumnRef((name,))
-        raise ParseError(f"unexpected token in expression: {token}",
-                         token.line, token.column)
+        raise ts.error(f"unexpected token in expression: {token}")
 
     def _parse_case(self) -> A.CaseExpr:
         ts = self.ts
@@ -722,28 +699,22 @@ class SqlParser:
             else_result = self.parse_expression()
         ts.expect_keyword("end")
         if not whens:
-            token = ts.peek()
-            raise ParseError("CASE requires at least one WHEN",
-                             token.line, token.column)
+            raise ts.error("CASE requires at least one WHEN")
         return A.CaseExpr(operand, whens, else_result)
 
     def _parse_func_call(self) -> A.Expr:
         ts = self.ts
         name = ts.expect_ident("function name")
         ts.expect_op("(")
-        star = False
-        distinct = False
-        args: list[A.Expr] = []
-        if ts.at_op("*"):
-            ts.advance()
-            star = True
-        elif not ts.at_op(")"):
-            if ts.accept_keyword("distinct"):
-                distinct = True
-            args.append(self.parse_expression())
-            while ts.accept_op(","):
-                args.append(self.parse_expression())
-        ts.expect_op(")")
+        star = bool(ts.accept_op("*"))
+        distinct = not star and bool(ts.accept_keyword("distinct"))
+        if star:
+            ts.expect_op(")")
+            args = []
+        elif distinct:
+            args = self._parenthesised(self.parse_expression)
+        else:
+            args = self._arguments()
         window: A.WindowSpec | str | None = None
         if ts.accept_keyword("over"):
             if ts.at_op("("):
@@ -787,47 +758,28 @@ class SqlParser:
             ts.expect_keyword("replace")
             replace = True
         if ts.accept_keyword("table"):
-            if_not_exists = False
-            if ts.accept_keyword("if"):
-                ts.expect_keyword("not")
-                ts.expect_keyword("exists")
-                if_not_exists = True
+            if_not_exists = self._parse_if_exists(negated=True)
             name = ts.expect_ident("table name")
             ts.expect_op("(")
-            columns = [self._parse_column_def()]
-            while ts.accept_op(","):
-                columns.append(self._parse_column_def())
-            ts.expect_op(")")
+            columns = self._parenthesised(self._parse_column_def)
             return A.CreateTable(name, columns, if_not_exists)
         if ts.accept_keyword("type"):
             name = ts.expect_ident("type name")
             ts.expect_keyword("as")
             ts.expect_op("(")
-            fields = [self._parse_column_def()]
-            while ts.accept_op(","):
-                fields.append(self._parse_column_def())
-            ts.expect_op(")")
-            return A.CreateType(name, fields)
+            return A.CreateType(name,
+                                self._parenthesised(self._parse_column_def))
         if ts.accept_keyword("function"):
             return self._parse_create_function(replace)
         if ts.accept_keyword("index"):
-            if_not_exists = False
-            if ts.accept_keyword("if"):
-                ts.expect_keyword("not")
-                ts.expect_keyword("exists")
-                if_not_exists = True
+            if_not_exists = self._parse_if_exists(negated=True)
             name = ts.expect_ident("index name")
             ts.expect_keyword("on")
             table = ts.expect_ident("table name")
             ts.expect_op("(")
-            columns = [self._parse_indexed_column()]
-            while ts.accept_op(","):
-                columns.append(self._parse_indexed_column())
-            ts.expect_op(")")
+            columns = self._parenthesised(self._parse_indexed_column)
             return A.CreateIndex(name, table, columns, if_not_exists)
-        token = ts.peek()
-        raise ParseError(f"unsupported CREATE statement at {token}",
-                         token.line, token.column)
+        raise ts.error(f"unsupported CREATE statement at {ts.peek()}")
 
     def _parse_indexed_column(self) -> A.IndexedColumn:
         name = self.ts.expect_ident("column name")
@@ -850,19 +802,15 @@ class SqlParser:
             elif self.ts.accept_keyword("unique"):
                 pass
             elif self.ts.accept_keyword("default"):
-                self._parse_additive()
+                self._expr(_COMPARISON)
         return A.ColumnDef(name, type_name)
 
     def _parse_create_function(self, replace: bool) -> A.CreateFunction:
         ts = self.ts
         name = ts.expect_ident("function name")
         ts.expect_op("(")
-        params: list[A.FunctionParam] = []
-        if not ts.at_op(")"):
-            params.append(self._parse_function_param())
-            while ts.accept_op(","):
-                params.append(self._parse_function_param())
-        ts.expect_op(")")
+        params = [] if ts.accept_op(")") \
+            else self._parenthesised(self._parse_function_param)
         ts.expect_keyword("returns")
         return_type = self._parse_type_name()
         body: str | None = None
@@ -870,28 +818,17 @@ class SqlParser:
         volatility: str | None = None
         while True:
             if ts.accept_keyword("as"):
-                token = ts.peek()
-                if token.type != STRING:
-                    raise ParseError("function body must be a string literal",
-                                     token.line, token.column)
-                ts.advance()
-                body = str(token.value)
+                if ts.peek().type != STRING:
+                    raise ts.error("function body must be a string literal")
+                body = str(ts.advance().value)
             elif ts.accept_keyword("language"):
                 language = ts.expect_ident("language name").lower()
-            elif ts.accept_keyword("immutable"):
-                volatility = "immutable"
-            elif ts.accept_keyword("stable"):
-                volatility = "stable"
-            elif ts.accept_keyword("volatile"):
-                volatility = "volatile"
-            elif ts.at_keyword("strict"):
-                ts.advance()
-            else:
+            elif ts.at_keyword("immutable", "stable", "volatile"):
+                volatility = str(ts.advance().value)
+            elif not ts.accept_keyword("strict"):
                 break
         if body is None or language is None:
-            token = ts.peek()
-            raise ParseError("CREATE FUNCTION needs AS body and LANGUAGE",
-                             token.line, token.column)
+            raise ts.error("CREATE FUNCTION needs AS body and LANGUAGE")
         return A.CreateFunction(name, params, return_type, language, body,
                                 replace, volatility=volatility)
 
@@ -905,24 +842,15 @@ class SqlParser:
         ts.expect_keyword("insert")
         ts.expect_keyword("into")
         table = ts.expect_ident("table name")
-        columns = None
-        if ts.at_op("("):
-            ts.advance()
-            columns = [ts.expect_ident("column name")]
-            while ts.accept_op(","):
-                columns.append(ts.expect_ident("column name"))
-            ts.expect_op(")")
-        source = self.parse_select()
-        return A.Insert(table, columns, source)
+        columns = self._names("column name") if ts.accept_op("(") else None
+        return A.Insert(table, columns, self.parse_select())
 
     def _parse_update(self) -> A.Update:
         ts = self.ts
         ts.expect_keyword("update")
         table = ts.expect_ident("table name")
         ts.expect_keyword("set")
-        assignments = [self._parse_assignment()]
-        while ts.accept_op(","):
-            assignments.append(self._parse_assignment())
+        assignments = self._list(self._parse_assignment)
         where = None
         if ts.accept_keyword("where"):
             where = self.parse_expression()
@@ -955,11 +883,13 @@ class SqlParser:
         if ts.accept_keyword("index"):
             if_exists = self._parse_if_exists()
             return A.DropIndex(ts.expect_ident("index name"), if_exists)
-        token = ts.peek()
-        raise ParseError(f"unsupported DROP at {token}", token.line, token.column)
+        raise ts.error(f"unsupported DROP at {ts.peek()}")
 
-    def _parse_if_exists(self) -> bool:
+    def _parse_if_exists(self, negated: bool = False) -> bool:
+        """``[IF EXISTS]``, or ``[IF NOT EXISTS]`` when *negated*."""
         if self.ts.accept_keyword("if"):
+            if negated:
+                self.ts.expect_keyword("not")
             self.ts.expect_keyword("exists")
             return True
         return False
@@ -973,13 +903,8 @@ class SqlParser:
         ts = self.ts
         ts.expect_keyword("prepare")
         name = ts.expect_ident("prepared statement name")
-        param_types = None
-        if ts.at_op("("):
-            ts.advance()
-            param_types = [self._parse_type_name()]
-            while ts.accept_op(","):
-                param_types.append(self._parse_type_name())
-            ts.expect_op(")")
+        param_types = self._parenthesised(self._parse_type_name) \
+            if ts.accept_op("(") else None
         ts.expect_keyword("as")
         return A.PrepareStmt(name, param_types, self.parse_statement())
 
@@ -987,23 +912,14 @@ class SqlParser:
         ts = self.ts
         ts.expect_keyword("execute")
         name = ts.expect_ident("prepared statement name")
-        args: list[A.Expr] = []
-        if ts.at_op("("):
-            ts.advance()
-            if not ts.at_op(")"):
-                args.append(self.parse_expression())
-                while ts.accept_op(","):
-                    args.append(self.parse_expression())
-            ts.expect_op(")")
-        return A.ExecuteStmt(name, args)
+        return A.ExecuteStmt(name,
+                             self._arguments() if ts.accept_op("(") else [])
 
     def _parse_deallocate(self) -> A.DeallocateStmt:
         ts = self.ts
         ts.expect_keyword("deallocate")
         ts.accept_keyword("prepare")
-        if ts.accept_keyword("all"):
-            return A.DeallocateStmt(None)
-        return A.DeallocateStmt(ts.expect_ident("prepared statement name"))
+        return A.DeallocateStmt(self._name_or_all("prepared statement name"))
 
     def _parse_set(self) -> A.SetStmt:
         ts = self.ts
@@ -1033,18 +949,18 @@ class SqlParser:
         return A.SetStmt(name, self.parse_expression(), local)
 
     def _parse_show(self) -> A.ShowStmt:
-        ts = self.ts
-        ts.expect_keyword("show")
-        if ts.accept_keyword("all"):
-            return A.ShowStmt(None)
-        return A.ShowStmt(ts.expect_ident("setting name"))
+        self.ts.expect_keyword("show")
+        return A.ShowStmt(self._name_or_all("setting name"))
 
     def _parse_reset(self) -> A.ResetStmt:
-        ts = self.ts
-        ts.expect_keyword("reset")
-        if ts.accept_keyword("all"):
-            return A.ResetStmt(None)
-        return A.ResetStmt(ts.expect_ident("setting name"))
+        self.ts.expect_keyword("reset")
+        return A.ResetStmt(self._name_or_all("setting name"))
+
+    def _name_or_all(self, what: str) -> Optional[str]:
+        """A name, or None for the keyword ``ALL``."""
+        if self.ts.accept_keyword("all"):
+            return None
+        return self.ts.expect_ident(what)
 
 
 def _is_distinct(left: A.Expr, right: A.Expr, negated: bool) -> A.Expr:
@@ -1066,10 +982,7 @@ def parse_statement(text: str) -> A.Statement:
     parser = SqlParser(TokenStream.from_text(text))
     statement = parser.parse_statement()
     parser.ts.accept_op(";")
-    if not parser.ts.at_end():
-        token = parser.ts.peek()
-        raise ParseError(f"trailing input after statement: {token}",
-                         token.line, token.column)
+    parser.expect_end("statement")
     return statement
 
 
@@ -1083,10 +996,7 @@ def parse_select(text: str) -> A.SelectStmt:
 def parse_expression(text: str) -> A.Expr:
     parser = SqlParser(TokenStream.from_text(text))
     expr = parser.parse_expression()
-    if not parser.ts.at_end():
-        token = parser.ts.peek()
-        raise ParseError(f"trailing input after expression: {token}",
-                         token.line, token.column)
+    parser.expect_end("expression")
     return expr
 
 

@@ -62,7 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import Database, Result
 
 #: Statement kinds a prepared statement may wrap (PostgreSQL's rule).
-_PREPARABLE = (A.SelectStmt, A.Insert, A.Update, A.Delete)
+_PREPARABLE = tuple(row.node for row in A.STATEMENTS.values()
+                    if row.preparable)
 
 
 class PreparedStatement:
@@ -524,13 +525,12 @@ class Cursor:
         return self
 
     def _absorb(self, kind: str, result: "Result") -> None:
-        from .engine import COUNT, ROWS
-        if kind == ROWS:
+        if kind == A.ROWS:
             self.description = [(name, None, None, None, None, None, None)
                                 for name in result.columns]
             self._rows = list(result.rows)
             self.rowcount = len(self._rows)
-        elif kind == COUNT:
+        elif kind == A.COUNT:
             self.description = None
             self._rows = None
             self.rowcount = result.rows[0][0] if result.rows else 0

@@ -82,6 +82,44 @@ class TestErrors:
         assert info.value.line == 2
 
 
+def positions(text):
+    return [(t.type, t.line, t.column) for t in tokenize(text)]
+
+
+class TestPositions:
+    """A token is reported where it starts, whatever it spans."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("SELECT 'a\nbcd' x",
+         [(IDENT, 1, 1), (STRING, 1, 8), (IDENT, 2, 6), (EOF, 2, 7)]),
+        ("f($$ a\n b\n$$, 1)",
+         [(IDENT, 1, 1), (OP, 1, 2), (STRING, 1, 3), (OP, 3, 3),
+          (NUMBER, 3, 5), (OP, 3, 6), (EOF, 3, 7)]),
+        ("  $fn$ BEGIN\nEND $fn$ ;",
+         [(STRING, 1, 3), (OP, 2, 10), (EOF, 2, 11)]),
+        ('a "b\n\nc" d\n e',
+         [(IDENT, 1, 1), (QIDENT, 1, 3), (IDENT, 3, 4), (IDENT, 4, 2),
+          (EOF, 4, 3)]),
+        ("1 /* x\n /* y\n */ z */ 2\n3",
+         [(NUMBER, 1, 1), (NUMBER, 3, 10), (NUMBER, 4, 1), (EOF, 4, 2)]),
+    ])
+    def test_multi_line_tokens(self, text, expected):
+        assert positions(text) == expected
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("SELECT 'abc\n  def\nghi", "unterminated string literal", 1, 8),
+        ('x\n  "abc\n', "unterminated quoted identifier", 2, 3),
+        ("1 /* a\n b\n c", "unterminated block comment", 1, 3),
+        ("a\n $q$ b\n c", "unterminated dollar-quoted string $q$", 2, 2),
+    ])
+    def test_unterminated_token_names_its_opener(self, text, message, line,
+                                                 column):
+        with pytest.raises(ParseError, match=message.replace("$", r"\$")) \
+                as info:
+            tokenize(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
+
 class TestTokenStream:
     def test_peek_and_advance(self):
         ts = TokenStream.from_text("a b")

@@ -308,6 +308,69 @@ def test_setting_names_come_from_the_declarations():
     assert lint_internal.setting_names() == {s.name for s in SETTINGS}
 
 
+# ---------------------------------------------------------------------------
+# rule 7: one statement table
+# ---------------------------------------------------------------------------
+
+SECOND_STATEMENT_LIST = """
+from . import ast as A
+from .ast import CommitStmt, Delete
+
+TAGS = {A.BeginStmt: "BEGIN", CommitStmt: "COMMIT", A.RollbackStmt: "ROLLBACK"}
+PREPARABLE = (A.SelectStmt, A.Insert, A.Update, Delete)
+PAIR = (A.Insert, A.Update, A.Literal)
+
+def dispatch(self, stmt):
+    if isinstance(stmt, A.SelectStmt):
+        return self.select(stmt)
+    if isinstance(stmt, A.Insert):
+        return self.insert(stmt)
+    elif isinstance(stmt, A.Update):
+        return self.update(stmt)
+    raise ValueError(stmt)
+
+def special_cases(self, stmt):
+    while isinstance(stmt, A.ExplainStmt):
+        stmt = stmt.statement
+    if isinstance(stmt, A.SelectStmt):
+        return self.plan(stmt)
+    if isinstance(stmt, A.ExecuteStmt):
+        return self.lookup(stmt)
+    if isinstance(stmt, A.Literal):
+        return None
+    try:
+        return self.other(stmt)
+    except ValueError:
+        if isinstance(stmt, Delete):
+            return None
+        elif isinstance(stmt, A.Update):
+            return None
+        elif isinstance(stmt, A.Insert):
+            return None
+        elif isinstance(stmt, A.DropTable):
+            return None
+"""
+
+
+def test_second_listing_of_statement_kinds_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/sql/engine.py",
+                           SECOND_STATEMENT_LIST)
+    assert rules(findings) == ["second-statement-list"] * 4
+    assert sorted(f.line for f in findings) == [5, 6, 10, 30]
+    assert "4 isinstance arms" in max(findings, key=lambda f: f.line).message
+
+
+def test_the_statement_table_module_is_exempt(tmp_path):
+    assert lint_source(tmp_path, "repro/sql/ast.py",
+                       SECOND_STATEMENT_LIST) == []
+
+
+def test_statement_class_names_come_from_the_table():
+    from repro.sql import ast as A
+    assert lint_internal.statement_class_names() \
+        == {node.__name__ for node in A.STATEMENTS}
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

@@ -30,6 +30,8 @@ import pytest
 
 from repro.server import ServerThread
 from repro.sql import Database
+from repro.sql import ast as A
+from repro.sql.parser import parse_statement
 from wireclient import (RawWireClient, decode_data_row, decode_fields,
                         decode_row_description, query_bytes, startup_bytes,
                         terminate_bytes)
@@ -486,6 +488,62 @@ class TestPreparedOverWire:
             messages = c2.query("EXECUTE mine(1)")
             assert decode_fields(messages[0][1])["C"] == "42P01"
             c1.query("DEALLOCATE mine")
+
+
+# ---------------------------------------------------------------------------
+# Command tags: one per kind of statement
+# ---------------------------------------------------------------------------
+
+#: One session's worth of statements, in an order that runs, with the tag
+#: each is answered by; between them they are every row of the statement
+#: table (the test checks that, so a new kind needs a line here).
+TAGGED = [
+    ("CREATE TYPE tagpair AS (a int, b int)", "CREATE TYPE"),
+    ("CREATE TABLE tags(k int, v text)", "CREATE TABLE"),
+    ("CREATE INDEX tags_k ON tags(k)", "CREATE INDEX"),
+    ("CREATE FUNCTION tagfn(n int) RETURNS int AS 'SELECT n + 1' "
+     "LANGUAGE sql", "CREATE FUNCTION"),
+    ("INSERT INTO tags VALUES (1, 'a'), (2, 'b'), (3, 'c')", "INSERT 0 3"),
+    ("UPDATE tags SET v = 'z' WHERE k > 1", "UPDATE 2"),
+    ("DELETE FROM tags WHERE k = 3", "DELETE 1"),
+    ("SELECT k FROM tags", "SELECT 2"),
+    ("VALUES (1), (2), (3)", "SELECT 3"),
+    ("PREPARE tagsel(int) AS SELECT v FROM tags WHERE k >= $1", "PREPARE"),
+    ("PREPARE tagdel(int) AS DELETE FROM tags WHERE k = $1", "PREPARE"),
+    ("EXECUTE tagsel(1)", "SELECT 2"),            # the literal fast path
+    ("EXECUTE tagsel(0 + 1)", "SELECT 2"),        # the full parser
+    ("EXECUTE tagdel(2)", "DELETE 1"),
+    ("EXECUTE tagdel(1 + 0)", "DELETE 1"),
+    ("EXPLAIN SELECT k FROM tags", "EXPLAIN"),
+    ("DEALLOCATE ALL", "DEALLOCATE"),
+    ("SET enable_topn = off", "SET"),
+    ("SHOW enable_topn", "SHOW"),
+    ("RESET enable_topn", "RESET"),
+    ("BEGIN", "BEGIN"),
+    ("SAVEPOINT s", "SAVEPOINT"),
+    ("ROLLBACK TO s", "ROLLBACK"),
+    ("RELEASE s", "RELEASE"),
+    ("COMMIT", "COMMIT"),
+    ("START TRANSACTION", "BEGIN"),
+    ("ABORT", "ROLLBACK"),
+    ("CHECKPOINT", "CHECKPOINT"),
+    ("CHECK FUNCTION tagfn", "SELECT {rows}"),  # one per diagnostic
+    ("DROP INDEX tags_k", "DROP INDEX"),
+    ("DROP FUNCTION tagfn", "DROP FUNCTION"),
+    ("DROP TABLE tags", "DROP TABLE"),
+]
+
+
+class TestCommandTags:
+    def test_every_statement_kind_is_tagged(self, client):
+        for sql, tag in TAGGED:
+            messages = client.query(sql)
+            tags = [payload.rstrip(b"\x00").decode()
+                    for t, payload in messages if t == b"C"]
+            rows = types_of(messages).count(b"D")
+            assert tags == [tag.format(rows=rows)], sql
+        kinds = {type(parse_statement(sql)) for sql, _ in TAGGED}
+        assert kinds == set(A.STATEMENTS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,16 @@
 
 import pytest
 
+import inspect
+
+from repro.plsql.parser import parse_plpgsql_body
 from repro.sql import ast as A
+from repro.sql import lexer
+from repro.sql.engine import Database
 from repro.sql.errors import ParseError
-from repro.sql.parser import (parse_expression, parse_script, parse_select,
-                              parse_statement)
+from repro.sql.parser import (_CLAUSE_KEYWORDS, OPERATORS, PUNCTUATION,
+                              SqlParser, parse_expression, parse_script,
+                              parse_select, parse_statement)
 
 
 class TestExpressions:
@@ -262,3 +268,116 @@ class TestStatements:
     def test_missing_from_alias_ok_for_tables(self):
         s = parse_select("SELECT * FROM (SELECT 1) AS q")
         assert s.body.from_clause.alias == "q"
+
+
+def col(name):
+    return A.ColumnRef((name,))
+
+
+def lit(value):
+    return A.Literal(value)
+
+
+def op(symbol, left, right):
+    return A.BinaryOp(symbol, left, right)
+
+
+def neg(operand):
+    return A.UnaryOp("not", operand)
+
+
+a, b, c, d, x = (col(name) for name in "abcdx")
+
+#: Precedence and associativity as the ladder of seven methods had them,
+#: taken as AST equalities from the commit before the operator table.
+PRECEDENCE = [
+    ("-2 ^ 2", op("^", lit(-2), lit(2))),
+    ("-x ^ 2", op("^", A.UnaryOp("-", x), lit(2))),
+    ("- - 1", lit(1)),
+    ("a - -1", op("-", a, lit(-1))),
+    ("2 ^ 3 ^ 3", op("^", op("^", lit(2), lit(3)), lit(3))),
+    ("a + b * c ^ d", op("+", a, op("*", b, op("^", c, d)))),
+    ("a * b / c % d", op("%", op("/", op("*", a, b), c), d)),
+    ("a || b + c", op("+", op("||", a, b), c)),
+    ("a::int + 1", op("+", A.Cast(a, "int"), lit(1))),
+    ("a != b", op("<>", a, b)),
+    ("a = b = c", op("=", op("=", a, b), c)),
+    ("a < b IS NULL", A.IsNull(op("<", a, b))),
+    ("NOT a = b", neg(op("=", a, b))),
+    ("NOT NOT x", neg(neg(x))),
+    ("NOT a AND b", op("and", neg(a), b)),
+    ("NOT a BETWEEN 1 AND 2", neg(A.Between(a, lit(1), lit(2)))),
+    ("a = b OR c", op("or", op("=", a, b), c)),
+    ("a OR b AND NOT c", op("or", a, op("and", b, neg(c)))),
+    ("a BETWEEN b AND c AND d", op("and", A.Between(a, b, c), d)),
+    ("x NOT IN (1, 2)", A.InList(x, [lit(1), lit(2)], True)),
+    ("x NOT LIKE 'a' || 'b'",
+     A.Like(x, op("||", lit("a"), lit("b")), True, False)),
+    ("a IS NOT DISTINCT FROM b + 1",
+     op("or",
+        op("and", A.IsNull(a), A.IsNull(op("+", b, lit(1)))),
+        op("and",
+           op("and", A.IsNull(a, True), A.IsNull(op("+", b, lit(1)), True)),
+           op("=", a, op("+", b, lit(1)))))),
+]
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize("text, expected", PRECEDENCE,
+                             ids=[text for text, _ in PRECEDENCE])
+    def test_precedence_and_associativity(self, text, expected):
+        assert parse_expression(text) == expected
+
+    def test_range_dots_end_a_plpgsql_bound(self):
+        _, [loop] = parse_plpgsql_body(
+            "BEGIN FOR i IN 1..n+1 BY 2 LOOP NULL; END LOOP; END")
+        assert (loop.start, loop.stop, loop.step) == \
+            (lit(1), op("+", col("n"), lit(1)), lit(2))
+
+    def test_every_lexer_operator_is_filed(self):
+        """What the token pattern can emit as OP is an operator of the
+        table or declared punctuation, never both, never neither."""
+        symbols = {name for name, row in OPERATORS.items()
+                   if row.type == lexer.OP}
+        assert symbols | PUNCTUATION == set(lexer.OPERATORS)
+        assert not symbols & PUNCTUATION
+        emitted = lexer.tokenize(" ".join(lexer.OPERATORS))[:-1]
+        assert [(t.type, t.value) for t in emitted] == \
+            [(lexer.OP, symbol) for symbol in lexer.OPERATORS]
+
+    def test_keyword_operators_cannot_be_aliases(self):
+        words = {name for name, row in OPERATORS.items()
+                 if row.type == lexer.IDENT}
+        assert words and words <= _CLAUSE_KEYWORDS
+        assert all(name.isalpha() == (row.type == lexer.IDENT)
+                   for name, row in OPERATORS.items())
+
+
+class TestStatementTable:
+    def test_every_row_is_complete(self):
+        assert A.Statement.__args__ == tuple(A.STATEMENTS)
+        rules = {}
+        for node, row in A.STATEMENTS.items():
+            assert row.node is node and inspect.isclass(node)
+            assert row.keywords, node
+            assert callable(getattr(SqlParser, row.parse)), row.parse
+            for keyword in row.keywords:  # one keyword, one rule
+                assert rules.setdefault(keyword, row.parse) == row.parse
+            handler = inspect.signature(getattr(Database, row.run))
+            assert list(handler.parameters) == \
+                ["self", "stmt", "params", "session"], row.run
+            if node is A.ExecuteStmt:  # runs, and is tagged as, another
+                assert row.kind is None and row.tag is None
+            else:
+                assert row.kind in (A.ROWS, A.COUNT, A.UTILITY), node
+                assert row.tag.format(n=3), node
+                if row.kind == A.COUNT:  # the affected-row count is sent
+                    assert row.tag.format(n=3).endswith(" 3"), node
+
+    def test_what_is_not_in_the_table_is_rejected(self):
+        with pytest.raises(Exception, match="unsupported statement object"):
+            Database().execute_ast(object())
+        with pytest.raises(ParseError, match="unexpected start of statement"):
+            parse_statement("VACUUM")
+        with pytest.raises(ParseError, match="unexpected start of statement"):
+            parse_statement('"select" 1')

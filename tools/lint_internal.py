@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Six checks, each born from a real failure mode in this codebase:
+Seven checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
    loops (`WITH RECURSIVE`, batched UDFs) and the PL/pgSQL interpreter
@@ -52,6 +52,15 @@ Six checks, each born from a real failure mode in this codebase:
    ``Database.wal_checkpoint_interval``, a property over the store that
    ``benchmarks/e2e/serve.py`` assigns.
 
+7. **One statement table.**  The kinds of statement are listed once, in
+   ``STATEMENTS`` of ``repro/sql/ast.py`` (node class -> leading keywords,
+   parse rule, result kind, command tag, engine handler, preparable); the
+   parser's dispatch, the engine's dispatch, the wire tags and the PREPARE
+   rule are read from it.  Anywhere else under ``src/repro``, a dict /
+   tuple / list / set literal naming three or more statement classes, or a
+   run of three or more ``if isinstance(x, <statement class>)`` arms, is a
+   second listing that a new kind would have to be added to by hand.
+
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
 """
@@ -82,6 +91,11 @@ TRAVERSAL_CALLS = {"fields", "replace", "is_dataclass"}
 SETTINGS_STORE = "repro/sql/settings.py"
 #: ... and the one attribute spelling kept outside it: (module, name).
 SETTING_PROPERTY = ("repro/sql/engine.py", "wal_checkpoint_interval")
+
+#: The one module allowed to list the statement classes (rule 7).
+STATEMENT_TABLE = "repro/sql/ast.py"
+#: Fewer arms or elements than this is a special case, not a listing.
+STATEMENT_LIST_MIN = 3
 
 #: Modules whose while-loops iterate user-controlled amounts of work.
 CANCEL_POLLED_MODULES = (
@@ -324,12 +338,93 @@ def check_second_store(path: Path, tree: ast.Module,
     return findings
 
 
+# -- rule 7: one statement table --------------------------------------------
+
+def statement_class_names() -> set[str]:
+    """First argument of every ``StatementKind(...)`` row in sql/ast.py."""
+    tree = ast.parse(SQL_AST.read_text(), filename=str(SQL_AST))
+    return {node.args[0].id for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "StatementKind"
+            and node.args and isinstance(node.args[0], ast.Name)}
+
+
+def _statement_class(node: ast.expr, names: set[str]) -> bool:
+    """Is *node* ``Insert`` or ``<module alias>.Insert``?"""
+    return (isinstance(node, ast.Name) and node.id in names) \
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+
+
+def _isinstance_arm(node: ast.stmt, names: set[str]) -> bool:
+    """Is *node* ``if isinstance(x, <statement class>): ...``?"""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    return isinstance(test, ast.Call) and isinstance(test.func, ast.Name) \
+        and test.func.id == "isinstance" and len(test.args) == 2 \
+        and _statement_class(test.args[1], names)
+
+
+def _chain(arm: ast.If, names: set[str]) -> int:
+    """Arms of the ``if`` / ``elif`` chain that starts at *arm*."""
+    rest = arm.orelse
+    if len(rest) == 1 and _isinstance_arm(rest[0], names):
+        return 1 + _chain(rest[0], names)
+    return 1
+
+
+def _arm_runs(block: list, names: set[str]):
+    """``(first arm, arms)`` per maximal run of consecutive arms."""
+    first, arms = None, 0
+    for stmt in block + [None]:
+        if stmt is not None and _isinstance_arm(stmt, names):
+            first = first or stmt
+            arms += _chain(stmt, names)
+        elif arms:
+            yield first, arms
+            first, arms = None, 0
+
+
+def check_second_statement_list(path: Path, tree: ast.Module,
+                                names: set[str]) -> list[Finding]:
+    if path.relative_to(SRC).as_posix() == STATEMENT_TABLE:
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Dict, ast.Tuple, ast.List, ast.Set)):
+            elements = node.keys + node.values \
+                if isinstance(node, ast.Dict) else node.elts
+            listed = sum(_statement_class(element, names)
+                         for element in elements if element is not None)
+            if listed >= STATEMENT_LIST_MIN:
+                findings.append(Finding(
+                    path, node.lineno, "second-statement-list",
+                    f"literal naming {listed} statement classes: the kinds "
+                    f"of statement are listed in STATEMENTS of "
+                    f"{STATEMENT_TABLE} only"))
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list) or (
+                    field == "orelse" and _isinstance_arm(node, names)
+                    and _chain(node, names) > 1):
+                continue  # an ``elif`` arm is counted with its ``if``
+            for first, arms in _arm_runs(block, names):
+                if arms >= STATEMENT_LIST_MIN:
+                    findings.append(Finding(
+                        path, first.lineno, "second-statement-list",
+                        f"{arms} isinstance arms over statement classes: "
+                        f"dispatch through STATEMENTS of {STATEMENT_TABLE}"))
+    return findings
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
     declared = declared_counters()
     nodes = expr_node_names()
     settings = setting_names()
+    statements = statement_class_names()
     findings: list[Finding] = []
     for path in (paths if paths is not None else iter_sources()):
         source = path.read_text()
@@ -346,6 +441,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_second_compiler(path, tree, nodes))
         findings.extend(check_second_traversal(path, tree))
         findings.extend(check_second_store(path, tree, settings))
+        findings.extend(check_second_statement_list(path, tree, statements))
     return findings
 
 
