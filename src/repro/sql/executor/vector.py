@@ -66,15 +66,19 @@ sweep batch-boundary edge cases).
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import compress
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .. import ast as A
 from ..errors import (NameResolutionError, QueryCanceledError, SqlError,
                       TypeError_)
-from ..expr import BatchExpr, EvalContext, ExprCompiler, RowOnly, Scope
+from ..expr import (BatchExpr, BoolColumn, EvalContext, ExprCompiler,
+                    IntColumn, RowOnly, Scope)
 from ..functions import AvgAgg, CountAgg, SumAgg, make_aggregate
-from ..profiler import VECTOR_BATCHES, VECTOR_ROWS
+from ..profiler import (VECTOR_BATCHES, VECTOR_FALLBACKS, VECTOR_ROWS,
+                        VECTOR_TYPED_ROWS)
 from ..values import hashable_row as _hashable_row
 from ..values import hashable_value as _hashable_value
 from .select_core import AggStagePlan, SelectCorePlan, SelectCoreState
@@ -86,30 +90,47 @@ BATCH_SIZE = 1024
 
 
 class Batch:
-    """A batch of rows with lazily transposed parallel column vectors.
+    """A batch of rows and their parallel column vectors.
 
-    ``rows`` is a slice of the table's visible-row snapshot (tuples).
-    ``cols`` transposes on first touch — projections that only need
-    ``itemgetter`` row access never pay for it.  ``sel`` is the selection
-    vector the filter stage attaches: ``None`` means "all rows", otherwise
-    a list of row indices that survived the predicate.
+    ``rows`` is a slice of the table's visible-row snapshot (tuples) and
+    ``source`` the table's ``(row list, columns, exact_int)`` entry for
+    that snapshot, of which this batch is rows ``lo .. lo + n``; without
+    one (see ``HeapTable.columns``) the batch transposes itself on first
+    touch — projections that only need ``itemgetter`` row access pay for
+    neither.  ``sel`` is the selection vector the filter stage attaches:
+    ``None`` means "all rows", otherwise a list of row indices that
+    survived the predicate.
     """
 
-    __slots__ = ("rows", "n", "rt", "sel", "_cols")
+    __slots__ = ("rows", "n", "rt", "sel", "source", "lo", "_cols")
 
-    def __init__(self, rows: Sequence[tuple], rt):
+    def __init__(self, rows: Sequence[tuple], rt, source=None, lo: int = 0):
         self.rows = rows
         self.n = len(rows)
         self.rt = rt
         self.sel: Optional[list[int]] = None
+        self.source = source
+        self.lo = lo
         self._cols: Optional[list[tuple]] = None
 
-    @property
-    def cols(self) -> list[tuple]:
-        cols = self._cols
-        if cols is None:
-            cols = self._cols = list(zip(*self.rows))
-        return cols
+    def column(self, index: int, sel: Optional[list]) -> list:
+        """Column *index* of the rows *sel* (None: all of them), as an
+        :class:`~repro.sql.expr.IntColumn` when the table vouches for it —
+        a gather of exact ints is still all exact ints."""
+        source = self.source
+        if source is None:
+            cols = self._cols
+            if cols is None:
+                cols = self._cols = list(zip(*self.rows))
+            col, exact = cols[index], False
+        else:
+            col = source[1][index][self.lo:self.lo + self.n]
+            exact = source[2][index]
+        if sel is not None:
+            col = map(col.__getitem__, sel)
+        elif not exact:
+            return col
+        return IntColumn(col) if exact else list(col)
 
     def selected(self) -> int:
         return self.n if self.sel is None else len(self.sel)
@@ -132,22 +153,29 @@ class VectorScan:
     The snapshot is read at :meth:`open` — the same late binding as
     ``SeqScanState.open`` — so a rescan after same-transaction DML sees
     the new row list, and a batch can never outlive the ``visible_rows``
-    cache entry it was built from.  Cancellation is polled once per batch
-    (the batch bounds the reaction latency); the profiler counts batches
-    and the rows they carried.
+    cache entry it was built from.  With it comes the table's column entry
+    for that very list (``HeapTable.columns``): a *draining* scan
+    (aggregation reads every row) has it built, a streaming one only uses
+    what is there.  Cancellation is polled once per batch (the batch
+    bounds the reaction latency); the profiler counts batches, the rows
+    they carried, and those of them that came with a typed column.
     """
 
-    __slots__ = ("rt", "table", "rows", "pos", "size")
+    __slots__ = ("rt", "table", "rows", "source", "typed", "pos", "size")
 
     def __init__(self, rt, table):
         self.rt = rt
         self.table = table
         self.rows: Sequence[tuple] = ()
+        self.source: Optional[tuple] = None
+        self.typed = False
         self.pos = 0
         self.size = BATCH_SIZE
 
-    def open(self) -> None:
-        self.rows = self.table.rows
+    def open(self, draining: bool) -> None:
+        self.rows = rows = self.table.rows
+        self.source = source = self.table.columns(rows, draining)
+        self.typed = source is not None and any(source[2])
         self.pos = 0
         self.size = max(1, BATCH_SIZE)
 
@@ -162,7 +190,9 @@ class VectorScan:
         profiler = self.rt.db.profiler
         profiler.bump(VECTOR_BATCHES)
         profiler.bump(VECTOR_ROWS, len(chunk))
-        return Batch(chunk, self.rt)
+        if self.typed:
+            profiler.bump(VECTOR_TYPED_ROWS, len(chunk))
+        return Batch(chunk, self.rt, self.source, pos)
 
 
 class VectorFilter:
@@ -175,7 +205,10 @@ class VectorFilter:
 
     def apply(self, batch: Batch) -> Batch:
         pred = self.fn(batch, None)
-        sel = [i for i, v in enumerate(pred) if v is True]
+        if type(pred) is BoolColumn:
+            sel = list(compress(range(batch.n), pred))
+        else:
+            sel = [i for i, v in enumerate(pred) if v is True]
         batch.sel = None if len(sel) == batch.n else sel
         return batch
 
@@ -220,7 +253,19 @@ def _accumulate(agg, state, col):
     calls the scalar ``step`` itself.  Either way values are accumulated
     in the order SeqScan delivers them, so row and batch engines agree
     bit for bit.
+
+    An :class:`~repro.sql.expr.IntColumn` has nothing to skip or reject,
+    and ``sum(col, state)`` *is* that left-to-right fold, in C — taken only
+    while the running total is itself an exact int, so a total some
+    earlier float made a float keeps the loop below and its rounding.
     """
+    if type(col) is IntColumn:
+        if type(agg) is SumAgg and (state is None or type(state) is int):
+            return sum(col, state or 0) if col else state
+        if type(agg) is AvgAgg and type(state[1]) is int:
+            return (state[0] + len(col), sum(col, state[1]))
+        if type(agg) is CountAgg and not agg.star:
+            return state + len(col)
     if type(agg) is SumAgg:
         for v in col:
             if v is None:
@@ -250,14 +295,23 @@ def _accumulate(agg, state, col):
     return state
 
 
+def _gather(col, rows: list) -> list:
+    """The elements of *col* at *rows*, keeping an exact-int tag."""
+    kind = IntColumn if type(col) is IntColumn else list
+    return kind(map(col.__getitem__, rows))
+
+
 class VectorAggregate:
     """Grouped/ungrouped aggregation over batches.
 
     Reuses the scalar aggregate state machines (``make_aggregate``) for
     creation and finalization; accumulation goes through
     :func:`_accumulate`.  The ungrouped case folds whole argument columns
-    per aggregate; the grouped case walks the batch row-major (exactly the
-    scalar loop, minus the per-row ``EvalContext`` and closure dispatch).
+    per aggregate; the grouped case buckets the batch's rows by key and
+    folds each bucket's values (exactly the scalar loop's per-group order,
+    minus the per-row ``EvalContext`` and closure dispatch).  Calls over
+    the same argument (``sum(v), avg(v)``) share one ``arg_fns`` entry,
+    so the argument is evaluated, and gathered per group, once.
     """
 
     __slots__ = ("stage", "key_fns", "arg_fns", "aggs", "groups",
@@ -286,13 +340,17 @@ class VectorAggregate:
         m = batch.selected()
         if m == 0:
             return
+        arg_cols: dict = {}
+        for fn in self.arg_fns:
+            if fn is not None and fn not in arg_cols:
+                arg_cols[fn] = fn(batch, sel)
         if self.states is not None:
             for index, (call, agg) in enumerate(zip(calls, self.aggs)):
                 if call.star:
                     # count(*): CountAgg's ``state + 1`` per row, m times.
                     self.states[index] += m
                     continue
-                col = self.arg_fns[index](batch, sel)
+                col = arg_cols[self.arg_fns[index]]
                 dset = self.dsets[index]
                 if dset is None:
                     self.states[index] = _accumulate(agg, self.states[index],
@@ -309,45 +367,31 @@ class VectorAggregate:
                 self.states[index] = state
             return
         key_cols = [fn(batch, sel) for fn in self.key_fns]
-        arg_cols = [None if call.star else fn(batch, sel)
-                    for call, fn in zip(calls, self.arg_fns)]
         # Bucket the batch's rows by group key (dict order = first
         # occurrence in scan order, exactly the row engine's group order),
         # then fold each bucket's argument values column-at-a-time.  Each
         # group's values arrive in scan order relative to that group, so
         # per-group aggregate states match the row engine's interleaved
         # per-row stepping bit for bit.
-        buckets: dict = {}
-        key_tuples: dict = {}
-        if len(key_cols) == 1:
-            kc = key_cols[0]
-            for r in range(m):
-                v = kc[r]
-                key = _hashable_value(v)
-                rows = buckets.get(key)
-                if rows is None:
-                    buckets[key] = [r]
-                    key_tuples[key] = (v,)
-                else:
-                    rows.append(r)
+        if len(key_cols) > 1:
+            keys = map(_hashable_row, zip(*key_cols))
+        elif type(key_cols[0]) is IntColumn:
+            keys = key_cols[0]  # an exact int is its own hashable stand-in
         else:
-            for r in range(m):
-                key_values = tuple(col[r] for col in key_cols)
-                key = _hashable_row(key_values)
-                rows = buckets.get(key)
-                if rows is None:
-                    buckets[key] = [r]
-                    key_tuples[key] = key_values
-                else:
-                    rows.append(r)
+            keys = map(_hashable_value, key_cols[0])
+        buckets: dict = defaultdict(list)
+        for r, key in enumerate(keys):
+            buckets[key].append(r)
         groups = self.groups
         for key, rows in buckets.items():
             states = groups.get(key)
             if states is None:
                 states = groups[key] = [agg.create() for agg in self.aggs]
-                self.group_values[key] = key_tuples[key]
+                first = rows[0]
+                self.group_values[key] = tuple(col[first] for col in key_cols)
                 self.distinct_seen[key] = [set() for _ in self.aggs]
             dsets = self.distinct_seen[key]
+            gathered: dict = {}
             for index, (call, agg) in enumerate(zip(calls, self.aggs)):
                 if call.star:
                     if type(agg) is CountAgg:
@@ -359,8 +403,9 @@ class VectorAggregate:
                             state = step(state, True)
                         states[index] = state
                     continue
-                col = arg_cols[index]
+                fn = self.arg_fns[index]
                 if call.distinct:
+                    col = arg_cols[fn]
                     seen = dsets[index]
                     step = agg.step
                     state = states[index]
@@ -373,8 +418,10 @@ class VectorAggregate:
                         state = step(state, value)
                     states[index] = state
                 else:
-                    states[index] = _accumulate(agg, states[index],
-                                                [col[r] for r in rows])
+                    col = gathered.get(fn)
+                    if col is None:
+                        col = gathered[fn] = _gather(arg_cols[fn], rows)
+                    states[index] = _accumulate(agg, states[index], col)
 
     def finish(self) -> tuple[dict, dict]:
         """The (groups, group_values) maps, with the ungrouped fold folded
@@ -427,8 +474,18 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
         where_fn = batch(core.where) if core.where is not None else None
         if base.agg_stage is not None:
             key_fns = [batch(key) for key in core.group_by]
-            arg_fns = [None if call.star else batch(call.arg_ast)
-                       for call in base.agg_stage.agg_calls]
+            # One batch form per distinct argument: ``sum(v), avg(v)``
+            # evaluate ``v`` once per batch.
+            arg_fns, distinct_args = [], []
+            for call in base.agg_stage.agg_calls:
+                fn = None
+                if not call.star:
+                    fn = next((fn for arg, fn in distinct_args
+                               if arg == call.arg_ast), None)
+                    if fn is None:
+                        fn = batch(call.arg_ast)
+                        distinct_args.append((call.arg_ast, fn))
+                arg_fns.append(fn)
         else:
             project = VectorProject([batch(item) for item in item_exprs])
     except RowOnly:
@@ -539,13 +596,13 @@ class BatchAdapterState(SelectCoreState):
             self._vbuf_pos = 0
             self._emitted = 0
             try:
-                self._scan.open()
+                self._scan.open(draining=self.plan.agg_stage is not None)
                 super().open(outer)  # aggregation runs vectorized in here
                 return
             except QueryCanceledError:
                 raise
             except SqlError:
-                self._poisoned = True
+                self._poison()
         self._use_vector = False
         super().open(outer)
 
@@ -586,11 +643,15 @@ class BatchAdapterState(SelectCoreState):
             self._vbuf = project.rows(batch)
             self._vbuf_pos = 0
 
+    def _poison(self) -> None:
+        self._poisoned = True
+        self.rt.db.profiler.bump(VECTOR_FALLBACKS)
+
     def _fall_back(self) -> Optional[tuple]:
         """Re-execute through the inherited row engine, skipping the rows
         already emitted (pure expressions over the same snapshot reproduce
         them exactly)."""
-        self._poisoned = True
+        self._poison()
         self._use_vector = False
         emitted = self._emitted
         super().open(self.outer)

@@ -165,6 +165,23 @@ CompiledExpr = Callable[[EvalContext], Value]
 BatchExpr = Callable[[Any, Optional[list]], list]
 
 
+class IntColumn(list):
+    """A column whose every element is an exact ``int`` (``type(v) is int``:
+    no NULL, no bool).  The type *is* the tag: a consumer tests it once per
+    column instead of testing every element, and anything that is not sure
+    hands on a plain ``list``.  The executor's ``Batch.column`` tags a table
+    column from the storage layer's per-column fact; a :class:`Strict`
+    entry's typed form tags what ``fast`` yields."""
+
+    __slots__ = ()
+
+
+class BoolColumn(list):
+    """A column whose every element is ``True`` or ``False`` (no NULL)."""
+
+    __slots__ = ()
+
+
 # ---------------------------------------------------------------------------
 # The kernel table: entry kinds and the derivation of the two forms
 # ---------------------------------------------------------------------------
@@ -241,6 +258,11 @@ class Strict:
     * ``body`` — the scalar kernel.
     * ``fast`` — type guard: the kernel used instead of ``body`` when every
       argument is an exact ``int`` (``type(x) is int``, so never a bool).
+    * ``fast_yields`` — what ``fast`` makes of exact ints:
+      :class:`IntColumn` or :class:`BoolColumn`.  With it the batch form
+      gets a third, *typed* shape: when every argument column is an
+      :class:`IntColumn` the guard has been answered for the whole column,
+      so ``fast`` runs bare and its result carries this tag.
     * ``null`` — null rule: any NULL argument makes the result NULL without
       running the kernel (the row form stops evaluating arguments there).
     * ``pre`` — an expression over ``rt`` evaluated once per row evaluation,
@@ -254,6 +276,7 @@ class Strict:
     body: str
     env: dict = field(default_factory=dict)
     fast: Optional[str] = None
+    fast_yields: Optional[type] = None
     null: bool = False
     pre: Optional[str] = None
     variadic: bool = False
@@ -283,15 +306,16 @@ class Strict:
                     live += name
         if self.errors is not None:
             env["name"] = self.errors
-        return _strict_form(self.body, fast, self.null, self.pre,
-                            self.errors is not None, live, bool(self.args),
-                            batch, tuple(env))(**env)
+        return _strict_form(self.body, fast, self.fast_yields, self.null,
+                            self.pre, self.errors is not None, live,
+                            bool(self.args), batch, tuple(env))(**env)
 
 
 @lru_cache(maxsize=None)
-def _strict_form(body: str, fast: Optional[str], null: bool,
-                 pre: Optional[str], errors: bool, live: Optional[str],
-                 has_args: bool, batch: bool, names: tuple) -> Callable:
+def _strict_form(body: str, fast: Optional[str], fast_yields: Optional[type],
+                 null: bool, pre: Optional[str], errors: bool,
+                 live: Optional[str], has_args: bool, batch: bool,
+                 names: tuple) -> Callable:
     """Generate one form of a :class:`Strict` entry whose arguments *live*
     vary by row (None: variadic).  The templates never contain statement
     data, so a process compiles each distinct shape once."""
@@ -299,17 +323,18 @@ def _strict_form(body: str, fast: Optional[str], null: bool,
     if pre is not None:
         lines += [f"    rt = {'batch' if batch else 'ctx'}.rt",
                   f"    t = {pre}"]
+    stmts = []
     value = body
     if live is None:
-        fetch = ["    xs = [k(ctx) for k in kids]"]
+        fetch = ["xs = [k(ctx) for k in kids]"]
         loop = ("for xs in zip(*[k(batch, sel) for k in kids])" if has_args
                 else "for xs in [()] * _count(batch, sel)")
     else:
         fetch = []
         for name in live:
-            fetch.append(f"    {name} = k{name}(ctx)")
+            fetch.append(f"{name} = k{name}(ctx)")
             if null:
-                fetch.append(f"    if {name} is None: return None")
+                fetch.append(f"if {name} is None: return None")
         if batch and null and live:
             nulls = " or ".join(f"{name} is None" for name in live)
             value = f"None if {nulls} else {value}"
@@ -318,21 +343,27 @@ def _strict_form(body: str, fast: Optional[str], null: bool,
             value = f"({fast}) if {guard} else ({value})"
         elif fast is not None:
             value = fast
-        cols = ", ".join(f"k{name}(batch, sel)" for name in live)
+        if batch:
+            stmts += [f"col_{name} = k{name}(batch, sel)" for name in live]
+        cols = [f"col_{name}" for name in live]
         loop = ("for _ in range(_count(batch, sel))" if not live
-                else f"for {live} in {cols}" if len(live) == 1
-                else f"for {', '.join(live)} in zip({cols})")
+                else f"for {live} in {cols[0]}" if len(live) == 1
+                else f"for {', '.join(live)} in zip({', '.join(cols)})")
+        if batch and live and fast is not None and fast_yields is not None:
+            # The typed shape: the guard asked once per argument column.
+            tagged = " and ".join(f"type({col}) is IntColumn" for col in cols)
+            stmts += [f"if {tagged}:",
+                      f"    return {fast_yields.__name__}([{fast} {loop}])"]
     if batch:
         value = f"[{value} {loop}]"
     else:
-        lines += fetch
+        lines += ["    " + stmt for stmt in fetch]
+    stmts.append(f"return {value}")
     if errors:
-        lines += ["    try:",
-                  f"        return {value}",
-                  "    except _PY_ERRORS as exc:",
-                  "        raise _classified(name, exc) from None"]
-    else:
-        lines.append(f"    return {value}")
+        stmts = (["try:"] + ["    " + stmt for stmt in stmts]
+                 + ["except _PY_ERRORS as exc:",
+                    "    raise _classified(name, exc) from None"])
+    lines += ["    " + stmt for stmt in stmts]
     return _make(lines, names, body)
 
 
@@ -518,8 +549,7 @@ class ExprCompiler:
         level, rel_index, col_index, fields = self.scope.resolve(expr.parts)
         if not level and not fields:
             def column(batch, sel):
-                col = batch.cols[col_index]
-                return col if sel is None else [col[i] for i in sel]
+                return batch.column(col_index, sel)
 
             column.col_index = col_index  # a bare column: fast projection
             # Batches hold the rows of one relation.
@@ -747,7 +777,7 @@ def _binary(c: ExprCompiler, e: A.BinaryOp):
                     step=f"sql_{op}(acc, t)", end="acc")
     if op in _COMPARE:
         fast, body = _COMPARE[op]
-        return Strict(args, body, fast=fast)
+        return Strict(args, body, fast=fast, fast_yields=BoolColumn)
     if op == "||":
         return Strict(args, "_concat(a, b)")
     if op not in _ARITH:
@@ -756,14 +786,15 @@ def _binary(c: ExprCompiler, e: A.BinaryOp):
     divisor = e.right.value if isinstance(e.right, A.Literal) else None
     if op in _POSITIVE_DIVISOR and type(divisor) is int and divisor > 0:
         fast = _POSITIVE_DIVISOR[op]
-    return Strict(args, body, fast=fast, null=True)
+    return Strict(args, body, fast=fast, fast_yields=IntColumn, null=True)
 
 
 def _unary(c: ExprCompiler, e: A.UnaryOp) -> Strict:
     if e.op == "not":
         return Strict([e.operand], "sql_not(_as_bool(a))")
     if e.op == "-":
-        return Strict([e.operand], "-_number(a)", fast="-a", null=True)
+        return Strict([e.operand], "-_number(a)", fast="-a",
+                      fast_yields=IntColumn, null=True)
     if e.op == "+":
         return Strict([e.operand], "a")
     raise PlanError(f"unknown unary operator {e.op!r}")

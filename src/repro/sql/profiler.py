@@ -115,10 +115,14 @@ SERVER_SLOW_QUERIES = "server slow queries"
 #: Vectorized execution (executor/vector.py): one "batch" per column
 #: batch the VectorScan stage produced (cancellation is polled once per
 #: batch), "rows" summing the rows those batches carried before
-#: filtering.  A statement that falls back to the row engine mid-flight
-#: keeps the bumps of the batches it already produced.
+#: filtering, "typed rows" those of them whose batch came with at least
+#: one column the table vouches is all exact ints (``HeapTable.columns``).
+#: A statement that falls back to the row engine mid-flight keeps the
+#: bumps of the batches it already produced and counts one "fallback".
 VECTOR_BATCHES = "vector batches"
 VECTOR_ROWS = "vector rows"
+VECTOR_TYPED_ROWS = "vector typed rows"
+VECTOR_FALLBACKS = "vector fallbacks"
 #: Resource governance: statements killed by the cooperative cancel token
 #: (wire CancelRequest, statement_timeout, interpreter budget), WAL logs
 #: compacted to a snapshot prefix (CHECKPOINT or the auto-checkpoint

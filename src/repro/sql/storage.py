@@ -388,6 +388,9 @@ class HeapTable:
         #: (write counter, snapshot xmax, visible row tuples) — see
         #: :meth:`visible_rows` for the exact build/serve conditions.
         self._vis_cache: Optional[tuple[int, int, list]] = None
+        #: (that cache's row list, its transposed columns, per column
+        #: "every value is an exact int") — see :meth:`columns`.
+        self._col_cache: Optional[tuple[list, list[tuple], list[bool]]] = None
         self._indexes: dict[tuple[int, ...], tuple[int, HashIndex]] = {}
         #: Sorted indexes, keyed by (column positions, descending flags).
         #: Unlike the version-invalidated hash indexes above, these are
@@ -440,7 +443,31 @@ class HeapTable:
         if (not snapshot.active and not mgr.active_xids
                 and snapshot.xmax == mgr.next_xid):
             self._vis_cache = (self._version, snapshot.xmax, rows)
+            self._col_cache = None
         return rows
+
+    def columns(self, rows: list, build: bool) -> Optional[tuple]:
+        """``(rows, columns, exact_int)`` for the row list *rows* a scan got
+        from :meth:`visible_rows`: its transposed columns and, per column,
+        whether every value is an exact ``int`` (``type(v) is int``: no
+        NULL, no bool), so a vector kernel tests a column's type once
+        instead of once per element.  Served only for the very list it
+        was built from (``is``, not equal) and dropped with the
+        visible-rows cache entry holding that list; a list that entry does
+        not hold (uncommitted writes, an older snapshot) gets None and
+        the scan transposes batch by batch.  Built only on request
+        (*build*: the scan is going to read the whole table anyway), so a
+        ``LIMIT 3`` after a write stays O(batch)."""
+        cache = self._col_cache
+        if cache is not None and cache[0] is rows:
+            return cache
+        vis = self._vis_cache
+        if not build or not rows or vis is None or vis[2] is not rows:
+            return None
+        cols = list(zip(*rows))
+        exact = [set(map(type, col)) == {int} for col in cols]
+        self._col_cache = cache = (rows, cols, exact)
+        return cache
 
     @property
     def rows(self) -> list[tuple[Value, ...]]:
@@ -610,7 +637,7 @@ class HeapTable:
         self._live = 0
         self._dead_possible = 0
         self._version += 1
-        self._vis_cache = None
+        self._vis_cache = self._col_cache = None
         for index in self._sorted.values():
             index.rebuild(())
 

@@ -96,6 +96,8 @@ def comparison_class(value: Value) -> str:
     (:mod:`repro.sql.executor.hashjoin`), so the two join strategies raise
     on exactly the same operand combinations.
     """
+    if type(value) is int:  # the common key; never a bool
+        return "num"
     if isinstance(value, bool):
         return "bool"
     if isinstance(value, (int, float)):
@@ -337,6 +339,8 @@ def hashable_value(value: Value):
     Python objects) hash by content, and booleans never collide with the
     integers they equal in Python.
     """
+    if type(value) is int:  # the common key; never a bool
+        return value
     if isinstance(value, Row):
         return ("row",) + tuple(hashable_value(v) for v in value)
     if isinstance(value, list):

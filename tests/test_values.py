@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sql.errors import TypeError_
-from repro.sql.values import (Row, compare, render_value, row_sort_key,
+from repro.sql.values import (Row, compare, comparison_class,
+                              hashable_value, render_value, row_sort_key,
                               sort_key, sql_and, sql_eq, sql_ge, sql_gt,
                               sql_le, sql_lt, sql_ne, sql_not, sql_or,
                               value_byte_size)
@@ -154,6 +155,32 @@ class TestSortKeys:
         assert non_null == sorted(non_null)
         if None in values:
             assert ordered[-1] is None
+
+
+class TestKeyClasses:
+    """``hashable_value`` / ``comparison_class`` answer an exact int before
+    anything else; every other value keeps the class it had."""
+
+    def test_comparison_classes(self):
+        assert comparison_class(7) == comparison_class(2 ** 70) == "num"
+        assert comparison_class(1.0) == comparison_class(float("nan")) == "num"
+        assert comparison_class(True) == "bool"
+        assert comparison_class(Row([1])) == "row"
+        assert comparison_class([1]) == "arr"
+        assert comparison_class("1") == "str"
+        assert comparison_class(None) == "NoneType"
+
+    def test_hashable_stand_ins(self):
+        assert hashable_value(7) == 7 and type(hashable_value(7)) is int
+        assert hashable_value(True) == ("bool", True)
+        assert hashable_value(True) != hashable_value(1)
+        assert hashable_value(False) != hashable_value(0)
+        assert hashable_value(1.0) == hashable_value(1)  # SQL-equal numbers
+        assert hashable_value(float("nan")) == ("nan",)
+        assert hashable_value(None) == ("null",)
+        assert hashable_value(Row([1, True])) == ("row", 1, ("bool", True))
+        assert hashable_value([1, None]) == ("arr", 1, ("null",))
+        assert hashable_value("1") == "1"
 
 
 class TestByteSizes:

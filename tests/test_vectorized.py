@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sql import Database
-from repro.sql.errors import ExecutionError, QueryCanceledError
+from repro.sql.errors import ExecutionError, QueryCanceledError, SqlError
 from repro.sql.executor import vector
 
 
@@ -229,3 +229,193 @@ class TestCancellation:
         monkeypatch.setattr(cancel_mod.CancelToken, "check", counting_check)
         vdb.execute("SELECT sum(a) FROM t")
         assert polls["n"] >= 5  # one per 2-row batch over 10 rows
+
+
+# ---------------------------------------------------------------------------
+# Typed columns: the table's per-column "all exact ints" fact, trusted once
+# per column instead of tested once per element
+# ---------------------------------------------------------------------------
+
+ROWS = 15
+
+#: Everything the typed shapes touch: tagged arithmetic and comparison
+#: feeding the compress() selection, the int folds, grouped keys by value,
+#: a shared argument, streaming projection.
+TYPED_QUERIES = [
+    "SELECT count(*), sum(v), avg(v), count(v) FROM f",
+    "SELECT count(*), sum(v) FROM f WHERE k + v < 60",
+    "SELECT count(*), sum(k * 2 - v), avg(-v) FROM f WHERE k % 3 = 0",
+    "SELECT g, count(*), sum(v), avg(v), count(v) FROM f GROUP BY g",
+    "SELECT v, count(*), sum(k) FROM f WHERE k + v >= 10 GROUP BY v",
+    "SELECT g, k / 2, sum(v + 1) FROM f GROUP BY g, k / 2",
+    "SELECT k, v + 1, k < v FROM f WHERE v <> 3",
+    "SELECT min(v), max(v), count(DISTINCT v), sum(DISTINCT g) FROM f",
+]
+
+
+def _table(db, odd):
+    """``f(k, g, v)``: ROWS rows of exact ints, the last row's ``v``
+    replaced by *odd* — through the storage API, since INSERT would coerce
+    a bool or a float to the column's declared int."""
+    db.execute("CREATE TABLE f(k int, g int, v int)")
+    table = db.catalog.tables["f"]
+    for i in range(ROWS - 1):
+        table.insert((i, i % 3, (i * 7) % 11))
+    table.insert((ROWS - 1, (ROWS - 1) % 3, odd))
+    return table
+
+
+def _outcome(db, sql):
+    """The statement's rows (by ``repr``: 1, 1.0 and True differ) or its
+    error, asserted equal under ``enable_vectorize`` on and off."""
+    seen = []
+    for setting in ("on", "off"):
+        db.execute(f"SET enable_vectorize = {setting}")
+        try:
+            seen.append(repr(db.query_all(sql)))
+        except SqlError as error:
+            seen.append(f"{type(error).__name__}: {error}")
+    db.execute("RESET enable_vectorize")
+    assert seen[0] == seen[1], sql
+    return seen[0]
+
+
+class TestTypedColumns:
+    @pytest.mark.parametrize("size", [1, 7, ROWS - 1, ROWS, ROWS + 1])
+    @pytest.mark.parametrize("odd", [5, None, True, 2.5, 2 ** 63, -2 ** 63],
+                             ids=repr)
+    def test_one_odd_value_in_the_last_batch(self, db, monkeypatch, odd,
+                                             size):
+        monkeypatch.setattr(vector, "BATCH_SIZE", size)
+        table = _table(db, odd)
+        for sql in TYPED_QUERIES:
+            assert "Vectorized" in _explain(db, sql)
+            _outcome(db, sql)
+        # k and g are all exact ints; v only if the odd value is one.
+        assert table._col_cache[2] == [True, True, type(odd) is int]
+
+    def test_typed_batches_are_counted(self, db):
+        _table(db, 5)
+        db.profiler.reset()
+        db.query_all("SELECT sum(v) FROM f WHERE k + v < 60")
+        assert db.profiler.counts["vector typed rows"] == ROWS
+        assert db.profiler.counts["vector fallbacks"] == 0
+
+    @pytest.mark.parametrize("arg", ["x", "v * 1.5", "x + v"])
+    def test_float_folds_stay_sequential(self, db, monkeypatch, arg):
+        # 1e16 + 1.0 + 1.0 .. is order-sensitive: a blocked or reordered
+        # float sum would not reproduce the row engine's digits.
+        monkeypatch.setattr(vector, "BATCH_SIZE", 4)
+        db.execute("CREATE TABLE f(g int, v int, x float)")
+        table = db.catalog.tables["f"]
+        for i in range(ROWS):
+            table.insert((i % 2, 10 ** 16 if i == 2 else i,
+                          (1e16, 1.0, -1e16, 0.1)[i % 4]))
+        _outcome(db, f"SELECT sum({arg}), avg({arg}) FROM f")
+        _outcome(db, f"SELECT g, sum({arg}), avg({arg}) FROM f GROUP BY g")
+
+    def test_float_total_refuses_the_int_fold(self):
+        # An untyped first batch may leave a float total behind; the int
+        # fold must not take over from it.
+        from repro.sql.expr import IntColumn
+        from repro.sql.functions import AvgAgg, SumAgg
+        ints = IntColumn([1, 2, 3])
+        assert repr(vector._accumulate(SumAgg(), 1e16, ints)) \
+            == repr(1e16 + 1 + 2 + 3)
+        assert repr(vector._accumulate(AvgAgg(), (1, 1e16), ints)) \
+            == repr((4, 1e16 + 1 + 2 + 3))
+        assert vector._accumulate(SumAgg(), None, IntColumn()) is None
+        assert vector._accumulate(SumAgg(), None, ints) == 6
+        assert vector._accumulate(AvgAgg(), (2, 2 ** 63), ints) \
+            == (5, 2 ** 63 + 6)
+
+    def test_update_to_null_and_back_flips_the_fact(self, db):
+        table = _table(db, 5)
+        sql = "SELECT count(v), sum(v), avg(v) FROM f WHERE k + v >= 0"
+        before = _outcome(db, sql)
+        assert table._col_cache[2] == [True, True, True]
+        db.execute("UPDATE f SET v = NULL WHERE k = 3")
+        assert _outcome(db, sql) != before
+        assert table._col_cache[2] == [True, True, False]
+        db.execute("UPDATE f SET v = 10 WHERE k = 3")
+        assert _outcome(db, sql) == before
+        assert table._col_cache[2] == [True, True, True]
+        assert table._col_cache[0] is table.rows
+
+    def test_uncached_row_lists_get_no_columns(self, db):
+        table = _table(db, 5)
+        sql = "SELECT count(v), sum(v) FROM f WHERE k + v >= 0"
+        committed = _outcome(db, sql)
+        cached = table._col_cache
+        reader, writer = db.connect(), db.connect()
+        reader.execute("BEGIN")
+        assert repr(reader.execute(sql).rows) == committed  # snapshot taken
+        writer.execute("BEGIN")
+        writer.execute("UPDATE f SET v = NULL WHERE k = 3")
+        # Uncommitted writes: the writer's row list is nobody's cache entry.
+        assert repr(writer.execute(sql).rows) != committed
+        assert repr(reader.execute(sql).rows) == committed
+        assert table._col_cache is cached
+        assert table.columns(table.rows, True) is None
+        writer.execute("COMMIT")
+        # The reader's older snapshot is not served the new list's columns.
+        assert repr(reader.execute(sql).rows) == committed
+        reader.execute("COMMIT")
+        assert _outcome(db, sql) != committed
+        assert table._col_cache[2] == [True, True, False]
+
+    def test_streaming_projection_builds_no_columns(self, db):
+        table = _table(db, 5)
+        _outcome(db, "SELECT sum(v) FROM f")
+        assert table._col_cache is not None
+        db.execute("INSERT INTO f VALUES (99, 0, 1)")
+        sql = "SELECT v + 1 FROM f LIMIT 3"
+        assert "VectorProject" in _explain(db, sql)
+        assert db.query_all(sql) == [(1,), (8,), (4,)]
+        assert table._col_cache is None  # dropped with the old row list
+        # ...but a streaming scan uses what a draining scan left behind.
+        db.query_all("SELECT sum(v) FROM f")
+        db.profiler.reset()
+        assert db.query_all(sql) == [(1,), (8,), (4,)]
+        assert db.profiler.counts["vector typed rows"] == ROWS + 1
+
+    def test_row_engine_builds_no_columns(self, db):
+        table = _table(db, 5)
+        db.execute("SET enable_vectorize = off")
+        for sql in TYPED_QUERIES:
+            db.query_all(sql)
+        assert table._col_cache is None
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT sum(v), avg(v), count(v) FROM f",
+        "SELECT g, sum(v), avg(v), count(v) FROM f GROUP BY g",
+        "SELECT sum(v + k), avg(v + k), sum(k + v) FROM f WHERE g + 1 > 0",
+    ])
+    def test_shared_argument_is_evaluated_once(self, db, monkeypatch, sql):
+        _table(db, 5)
+        expected = _outcome(db, sql)
+        fetched = []
+        real = vector.Batch.column
+
+        def counting(self, index, sel):
+            fetched.append(index)
+            return real(self, index, sel)
+
+        monkeypatch.setattr(vector.Batch, "column", counting)
+        assert repr(db.query_all(sql)) == expected
+        assert fetched.count(2) == (2 if "k + v" in sql else 1)  # v
+
+    @pytest.mark.parametrize("size", [1, 7, ROWS])
+    def test_error_in_a_later_batch_falls_back(self, db, monkeypatch, size):
+        monkeypatch.setattr(vector, "BATCH_SIZE", size)
+        _table(db, 5)
+        db.profiler.reset()
+        assert _outcome(db, "SELECT sum(1 / (k - 9)) FROM f") \
+            == "ExecutionError: division by zero"
+        assert _outcome(db, "SELECT 1 / (k - 9) FROM f") \
+            == "ExecutionError: division by zero"
+        # Row 9 lies beyond the LIMIT: the row engine never divides by 0.
+        assert _outcome(db, "SELECT 1 / (k - 9) FROM f LIMIT 3") \
+            == "[(0,), (0,), (0,)]"
+        assert db.profiler.counts["vector fallbacks"] == (3 if size > 9
+                                                          else 2)
