@@ -15,8 +15,10 @@ keep that refactor honest:
   reopen.
 * **version-chain scan overhead**: a warm ``SELECT count(v)`` over a
   50k-row table vs. the same query with ``HeapTable.rows``
-  monkeypatched to return a plain pre-materialized list — i.e. the
-  pre-MVCC storage layout with every visibility check deleted.
+  monkeypatched to return a plain pre-materialized list (and
+  ``HeapTable.columns`` that list's pre-materialized typed columns, so
+  both sides run the vector core's typed kernels) — i.e. the pre-MVCC
+  storage layout with every visibility and cache-validity check deleted.
   Acceptance gate: warm MVCC scans stay within **1.3x** of the plain
   list.  (The cold number — first scan after a write, which pays one
   full visibility pass to rebuild the cache — is reported alongside,
@@ -116,14 +118,19 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
     # Baseline: the pre-MVCC layout — rows as one plain list, no
     # versions, no snapshots, no visibility anywhere on the read path.
     plain_rows = list(table.rows)
+    plain_columns = (plain_rows,) + table.columns(table.rows, True)[1:]
     original_rows = storage_mod.HeapTable.rows
+    original_columns = storage_mod.HeapTable.columns
     try:
         storage_mod.HeapTable.rows = property(lambda self: plain_rows)
+        storage_mod.HeapTable.columns = \
+            lambda self, rows, build: plain_columns
         assert sdb.execute(SCAN).scalar() == expected
         run_scan()
         plain_s = _time(run_scan)
     finally:
         storage_mod.HeapTable.rows = original_rows
+        storage_mod.HeapTable.columns = original_columns
     assert sdb.execute(SCAN).scalar() == expected
     overhead = mvcc_s / plain_s
     cold_overhead = cold_s / plain_s

@@ -18,7 +18,8 @@ from pathlib import Path
 from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_EXECUTIONS,
-                                FUZZ_SQLITE_CHECKS, Profiler)
+                                FUZZ_SQLITE_CHECKS, VECTOR_FALLBACKS,
+                                VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 
 from .chaos import check_chaos_case
 from .oracle import DifferentialChecker, check_txn_case
@@ -94,6 +95,9 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
               f"({counts[FUZZ_DIALECT_EXPLAINED]} dialect diffs explained), "
               f"{counts.get(FUZZ_ANALYZER_CHECKS, 0)} analyzer soundness "
               f"checks, "
+              f"{counts[VECTOR_ROWS]} vector rows "
+              f"({counts[VECTOR_TYPED_ROWS] / max(1, counts[VECTOR_ROWS]):.0%}"
+              f" with a typed column, {counts[VECTOR_FALLBACKS]} fallbacks), "
               f"{counts[FUZZ_DISCREPANCIES]} discrepancies, "
               f"{failures} failing cases "
               f"in {time.monotonic() - started:.1f}s")

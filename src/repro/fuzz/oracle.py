@@ -40,7 +40,8 @@ from repro.sql.errors import CRASH, SqlError, error_class
 from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_EXECUTIONS,
-                                FUZZ_SQLITE_CHECKS, Profiler)
+                                FUZZ_SQLITE_CHECKS, VECTOR_FALLBACKS,
+                                VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 from repro.sql.values import Row, row_sort_key
 
 from .datagen import data_sqlite_safe, value_sqlite_safe
@@ -327,8 +328,9 @@ class DifferentialChecker:
     """Runs a case's queries across all oracles and reports disagreements.
 
     ``profiler`` (a :class:`repro.sql.profiler.Profiler`) aggregates the
-    fuzz counters across cases; the per-case scratch databases run
-    unprofiled for speed.
+    fuzz counters across cases; the per-case scratch databases are loaded
+    unprofiled for speed and count only while the checked statements run,
+    to say how much of the vectorized core the row = vector oracle met.
     """
 
     def __init__(self, use_sqlite: bool = True,
@@ -393,6 +395,7 @@ class DifferentialChecker:
         outcomes: list[dict[str, dict[str, Outcome]]] = [
             {label: {} for label, _ in variants}
             for variants in variants_per_query]
+        db.profiler.enabled = True
         for config in configs:
             config.apply(db)
             for qi, variants in enumerate(variants_per_query):
@@ -400,6 +403,8 @@ class DifferentialChecker:
                     outcomes[qi][label][config.label] = run_statement(
                         db, sql)
                     profiler.bump(FUZZ_EXECUTIONS)
+        for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FALLBACKS):
+            profiler.bump(counter, db.profiler.counts[counter])
 
         discrepancies: list[Discrepancy] = []
 

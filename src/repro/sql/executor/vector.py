@@ -26,7 +26,11 @@ Pipeline stages (one instance per execution, composed by
   :class:`Batch` objects.  The snapshot is (re)read at *open* time, never
   at plan or instantiation time, so same-transaction DML is always seen
   (the stale-batch read-your-own-writes bug class).  Cancellation is
-  polled once per batch.
+  polled once per batch.  A batch's columns are slices of the columns the
+  table keeps for that very row list (``HeapTable.columns``: transposed
+  once per table version, each with the fact "every value is an exact
+  int"), handed on as :class:`~repro.sql.expr.IntColumn` so a kernel tests
+  a column's type once instead of once per element.
 * :class:`VectorFilter` — evaluates the WHERE predicate's batch form
   over the whole batch and attaches a *selection vector* (row indices
   where it is TRUE) instead of copying the columns.

@@ -390,7 +390,7 @@ class HeapTable:
         self._vis_cache: Optional[tuple[int, int, list]] = None
         #: (that cache's row list, its transposed columns, per column
         #: "every value is an exact int") — see :meth:`columns`.
-        self._col_cache: Optional[tuple[list, list[tuple], list[bool]]] = None
+        self._col_cache: Optional[tuple[list, list[list], list[bool]]] = None
         self._indexes: dict[tuple[int, ...], tuple[int, HashIndex]] = {}
         #: Sorted indexes, keyed by (column positions, descending flags).
         #: Unlike the version-invalidated hash indexes above, these are
@@ -464,7 +464,8 @@ class HeapTable:
         vis = self._vis_cache
         if not build or not rows or vis is None or vis[2] is not rows:
             return None
-        cols = list(zip(*rows))
+        cols = [list(map(itemgetter(index), rows))
+                for index in range(len(self.column_names))]
         exact = [set(map(type, col)) == {int} for col in cols]
         self._col_cache = cache = (rows, cols, exact)
         return cache

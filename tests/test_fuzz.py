@@ -375,6 +375,19 @@ class TestFuzzCounters:
         assert counts[FUZZ_EXECUTIONS] > len(PADDING_QUERIES)
         assert counts[FUZZ_COMPARISONS] > 0
 
+    def test_sweep_meets_typed_columns(self):
+        """The row = vector oracle says nothing about the typed kernels
+        unless generated int columns are NULL-free often enough for the
+        table to vouch for them (4% of 20-row columns at a flat NULL rate
+        of 0.15)."""
+        from repro.sql.profiler import VECTOR_ROWS, VECTOR_TYPED_ROWS
+        checker = DifferentialChecker(use_sqlite=False)
+        for index in range(12):
+            assert checker.check_case(generate_case(0, index)) == []
+        counts = checker.profiler.counts
+        assert counts[VECTOR_ROWS] > 0
+        assert counts[VECTOR_TYPED_ROWS] >= 0.2 * counts[VECTOR_ROWS]
+
 
 # ---------------------------------------------------------------------------
 # The transaction axis (multi-session interleaved scripts)
