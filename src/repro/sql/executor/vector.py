@@ -480,16 +480,14 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
             key_fns = [batch(key) for key in core.group_by]
             # One batch form per distinct argument: ``sum(v), avg(v)``
             # evaluate ``v`` once per batch.
-            arg_fns, distinct_args = [], []
-            for call in base.agg_stage.agg_calls:
-                fn = None
-                if not call.star:
-                    fn = next((fn for arg, fn in distinct_args
-                               if arg == call.arg_ast), None)
-                    if fn is None:
-                        fn = batch(call.arg_ast)
-                        distinct_args.append((call.arg_ast, fn))
-                arg_fns.append(fn)
+            calls = base.agg_stage.agg_calls
+            args = [call.arg_ast for call in calls if not call.star]
+            distinct = [arg for i, arg in enumerate(args)
+                        if arg not in args[:i]]
+            forms = [batch(arg) for arg in distinct]
+            arg_fns = [None if call.star
+                       else forms[distinct.index(call.arg_ast)]
+                       for call in calls]
         else:
             project = VectorProject([batch(item) for item in item_exprs])
     except RowOnly:
