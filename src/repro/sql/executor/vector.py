@@ -93,17 +93,25 @@ from .select_core import AggStagePlan, SelectCorePlan, SelectCoreState
 BATCH_SIZE = 1024
 
 
+def _gather(col, rows: list) -> list:
+    """The elements of *col* at *rows*; a gather of exact ints is still
+    all exact ints, so the tag goes with them."""
+    kind = IntColumn if type(col) is IntColumn else list
+    return kind(map(col.__getitem__, rows))
+
+
 class Batch:
     """A batch of rows and their parallel column vectors.
 
     ``rows`` is a slice of the table's visible-row snapshot (tuples) and
     ``source`` the table's ``(row list, columns, exact_int)`` entry for
-    that snapshot, of which this batch is rows ``lo .. lo + n``; without
-    one (see ``HeapTable.columns``) the batch transposes itself on first
-    touch — projections that only need ``itemgetter`` row access pay for
-    neither.  ``sel`` is the selection vector the filter stage attaches:
-    ``None`` means "all rows", otherwise a list of row indices that
-    survived the predicate.
+    that snapshot, of which this batch is rows ``lo .. lo + n``: a column
+    is sliced out of it on first reference.  Without one (see
+    ``HeapTable.columns``) the batch transposes itself on first touch —
+    projections that only need ``itemgetter`` row access pay for neither.
+    ``sel`` is the selection vector the filter stage attaches: ``None``
+    means "all rows", otherwise a list of row indices that survived the
+    predicate.
     """
 
     __slots__ = ("rows", "n", "rt", "sel", "source", "lo", "_cols")
@@ -115,26 +123,24 @@ class Batch:
         self.sel: Optional[list[int]] = None
         self.source = source
         self.lo = lo
-        self._cols: Optional[list[tuple]] = None
+        self._cols: Optional[list] = None
 
     def column(self, index: int, sel: Optional[list]) -> list:
         """Column *index* of the rows *sel* (None: all of them), as an
-        :class:`~repro.sql.expr.IntColumn` when the table vouches for it —
-        a gather of exact ints is still all exact ints."""
-        source = self.source
-        if source is None:
-            cols = self._cols
-            if cols is None:
-                cols = self._cols = list(zip(*self.rows))
-            col, exact = cols[index], False
-        else:
-            col = source[1][index][self.lo:self.lo + self.n]
-            exact = source[2][index]
-        if sel is not None:
-            col = map(col.__getitem__, sel)
-        elif not exact:
-            return col
-        return IntColumn(col) if exact else list(col)
+        :class:`~repro.sql.expr.IntColumn` when the table vouches for it.
+        The batch's own slice of a column is cut (and tagged) on its first
+        reference and kept, so ``k + k`` or ``k`` in WHERE and again in an
+        aggregate argument share it."""
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = (list(zip(*self.rows)) if self.source is None
+                                 else [None] * len(self.source[1]))
+        col = cols[index]
+        if col is None:
+            _, columns, exact = self.source
+            col = columns[index][self.lo:self.lo + self.n]
+            cols[index] = col = IntColumn(col) if exact[index] else col
+        return col if sel is None else _gather(col, sel)
 
     def selected(self) -> int:
         return self.n if self.sel is None else len(self.sel)
@@ -299,12 +305,6 @@ def _accumulate(agg, state, col):
     return state
 
 
-def _gather(col, rows: list) -> list:
-    """The elements of *col* at *rows*, keeping an exact-int tag."""
-    kind = IntColumn if type(col) is IntColumn else list
-    return kind(map(col.__getitem__, rows))
-
-
 class VectorAggregate:
     """Grouped/ungrouped aggregation over batches.
 
@@ -314,8 +314,9 @@ class VectorAggregate:
     per aggregate; the grouped case buckets the batch's rows by key and
     folds each bucket's values (exactly the scalar loop's per-group order,
     minus the per-row ``EvalContext`` and closure dispatch).  Calls over
-    the same argument (``sum(v), avg(v)``) share one ``arg_fns`` entry,
-    so the argument is evaluated, and gathered per group, once.
+    the same argument (``sum(v), avg(v)``; :func:`vectorize_core` says
+    what "same" is) share one ``arg_fns`` entry, so the argument is
+    evaluated, and gathered per group, once.
     """
 
     __slots__ = ("stage", "key_fns", "arg_fns", "aggs", "groups",
@@ -479,15 +480,16 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
         if base.agg_stage is not None:
             key_fns = [batch(key) for key in core.group_by]
             # One batch form per distinct argument: ``sum(v), avg(v)``
-            # evaluate ``v`` once per batch.
-            calls = base.agg_stage.agg_calls
-            args = [call.arg_ast for call in calls if not call.star]
-            distinct = [arg for i, arg in enumerate(args)
-                        if arg not in args[:i]]
-            forms = [batch(arg) for arg in distinct]
-            arg_fns = [None if call.star
-                       else forms[distinct.index(call.arg_ast)]
-                       for call in calls]
+            # evaluate ``v`` once per batch.  Told apart by ``repr``, not
+            # ``==``: ``Literal(2) == Literal(2.0) == Literal(True)``, and
+            # ``v / 2`` is not ``v / 2.0``.
+            forms: dict = {}
+            arg_fns = []
+            for call in base.agg_stage.agg_calls:
+                key = repr(call.arg_ast)
+                if not call.star and key not in forms:
+                    forms[key] = batch(call.arg_ast)
+                arg_fns.append(None if call.star else forms[key])
         else:
             project = VectorProject([batch(item) for item in item_exprs])
     except RowOnly:

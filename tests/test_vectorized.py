@@ -405,6 +405,26 @@ class TestTypedColumns:
         assert repr(db.query_all(sql)) == expected
         assert fetched.count(2) == (2 if "k + v" in sql else 1)  # v
 
+    @pytest.mark.parametrize("group", ["", " GROUP BY g"])
+    @pytest.mark.parametrize("select, differ", [
+        ("sum(v / 2), sum(v / 2.0)", True),
+        ("sum(v + 1), avg(v + 1.0), sum(v + 1.0)", True),
+        ("sum(v * 0), sum(v * -0.0)", True),
+        ("count(v = 1), count(v = true)", False),  # the second is an error
+        ("count(v + 1), count(v + '1')", False),
+    ])
+    def test_arguments_equal_but_for_a_literal_type_are_not_shared(
+            self, db, select, differ, group):
+        # Literal(2) == Literal(2.0) == Literal(True) as dataclasses; the
+        # calls must still each get the form of their own argument.
+        _table(db, 5)
+        sql = f"SELECT {select} FROM f{group}"
+        assert "Vectorized" in _explain(db, sql)
+        _outcome(db, sql)
+        if differ:
+            for row in db.query_all(sql):
+                assert repr(row[0]) != repr(row[-1])
+
     @pytest.mark.parametrize("size", [1, 7, ROWS])
     def test_error_in_a_later_batch_falls_back(self, db, monkeypatch, size):
         monkeypatch.setattr(vector, "BATCH_SIZE", size)
