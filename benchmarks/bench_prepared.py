@@ -17,9 +17,9 @@ pins the claim with numbers:
   gate: its denominator is parse + plan + run, so it *falls* whenever the
   front end gets cheaper (6.8-8.7x before the table-driven lexer and
   parser, 5.0-6.8x after, the prepared loop itself unchanged).
-* **bulk INSERT**: ``Cursor.executemany`` (source planned once, one
-  ``insert_many`` / index-maintenance pass per call) vs. a loop of
-  single-row INSERT statements.
+* **bulk INSERT**: ``Cursor.executemany`` (parsed and planned once, the
+  plan run once per parameter set, one transaction) vs. a loop of
+  single-row INSERT statements (each parsed, planned and committed alone).
 
 ``BENCH_prepared.json`` is emitted for the cross-PR perf trajectory.
 """
@@ -100,8 +100,8 @@ def test_prepared_beats_uncached_text(write_artifact, write_json):
     plan_cache_misses = profiler.counts.get(PLAN_CACHE_MISS, 0)
     assert profiler.counts[PREPARED_EXECUTIONS] == LOOKUPS
 
-    # Bulk INSERT: executemany's single insert_many per call vs. a loop of
-    # single-row INSERTs (each parsed, planned, and index-maintained alone).
+    # Bulk INSERT: executemany's one plan run per parameter set vs. a loop
+    # of single-row INSERTs (each parsed, planned, and committed alone).
     cur = conn.cursor()
     sets = [(i, i * 3) for i in range(BULK_ROWS)]
 

@@ -24,6 +24,15 @@ keep that refactor honest:
   full visibility pass to rebuild the cache — is reported alongside,
   unasserted.)
 
+* **keyed write**: 1000 ``UPDATE .. WHERE id = $1`` through a prepared
+  handle on a 10k-row indexed table.  An UPDATE is a plan like a SELECT
+  is, so the gate is on structure, not on time: the whole loop builds the
+  hash index once (no write rebuilds it), resolves no table-wide
+  visibility, and after the first execution enters neither Parse nor Plan
+  and replans nothing.  The per-statement time is reported beside the
+  keyed SELECT's, with a loose ceiling of 5x (it was 69x when UPDATE
+  tested its WHERE on every version).
+
 ``BENCH_txn.json`` is emitted for the cross-PR perf trajectory.
 """
 
@@ -34,11 +43,15 @@ import time
 import repro.sql.storage as storage_mod
 from repro.bench.harness import render_table
 from repro.sql import Database
+from repro.sql.profiler import (HASH_INDEX_BUILDS, PARSE, PLAN,
+                                PREPARED_REPLANS, SNAPSHOT_SCANS)
 
 COMMITS = 2_000          # single-row INSERT commits per in-memory mode
 DURABLE_COMMITS = 400    # per-commit fsync makes each one far pricier
 SCAN_ROWS = 50_000
 SCAN_REPS = 30
+KEYED_ROWS = 10_000
+KEYED_WRITES = 1_000
 
 INSERT = "INSERT INTO tally VALUES ($1, $2)"
 SCAN = "SELECT count(v) FROM big"
@@ -135,6 +148,48 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
     overhead = mvcc_s / plain_s
     cold_overhead = cold_s / plain_s
 
+    # -- keyed write: a prepared UPDATE by key probes, like the SELECT ---
+    kdb = Database()
+    kdb.execute("CREATE TABLE acct(id int, bal int)")
+    kdb.execute("CREATE INDEX acct_id ON acct(id)")
+    kdb.catalog.get_table("acct").insert_many(
+        [(i, 100) for i in range(KEYED_ROWS)])
+    kconn = kdb.connect()
+    keyed_update = kconn.prepare("UPDATE acct SET bal = bal + 1 WHERE id = $1")
+    keyed_select = kconn.prepare("SELECT bal FROM acct WHERE id = $1")
+    keys = [(i * 7919) % KEYED_ROWS for i in range(KEYED_WRITES)]
+    profiler = kdb.profiler
+
+    def run_keyed(handle):
+        for key in keys:
+            handle.execute([key])
+
+    # A profiled pass for the structural facts: the first execution plans
+    # and builds the hash index, the other 999 do neither.
+    profiler.reset()
+    keyed_update.execute([keys[0]])
+    first = dict(profiler.counts)
+    front_end_before = {phase: profiler.times.get(phase)
+                        for phase in (PARSE, PLAN)}
+    for key in keys[1:]:
+        keyed_update.execute([key])
+    keyed_facts = {
+        "hash_index_builds": profiler.counts[HASH_INDEX_BUILDS],
+        "snapshot_scans": profiler.counts[SNAPSHOT_SCANS],
+        "prepared_replans": profiler.counts[PREPARED_REPLANS],
+        "front_end_after_first": {
+            phase: profiler.times.get(phase) != front_end_before[phase]
+            for phase in (PARSE, PLAN)},
+    }
+    assert first[HASH_INDEX_BUILDS] == 1
+    assert kdb.query_value("SELECT sum(bal) FROM acct") == \
+        100 * KEYED_ROWS + KEYED_WRITES
+    profiler.enabled = False
+    run_keyed(keyed_select)
+    keyed_select_s = _time(lambda: run_keyed(keyed_select))
+    keyed_update_s = _time(lambda: run_keyed(keyed_update))
+    keyed_ratio = keyed_update_s / keyed_select_s
+
     rows_table = [
         [f"autocommit x {COMMITS}", round(autocommit_s * 1e6 / COMMITS, 1)],
         [f"one BEGIN..COMMIT x {COMMITS}",
@@ -152,6 +207,13 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
         ["cold scan: rebuild visibility cache",
          round(cold_s * 1e6 / SCAN_REPS, 1)],
         ["  cold overhead (x, unasserted)", round(cold_overhead, 2)],
+        [f"prepared SELECT by key, {KEYED_ROWS} rows",
+         round(keyed_select_s * 1e6 / KEYED_WRITES, 1)],
+        [f"prepared UPDATE by key, {KEYED_ROWS} rows",
+         round(keyed_update_s * 1e6 / KEYED_WRITES, 1)],
+        ["  UPDATE vs SELECT (x, ceiling 5)", round(keyed_ratio, 2)],
+        [f"  hash index builds over {KEYED_WRITES} UPDATEs (gate: 1)",
+         keyed_facts["hash_index_builds"]],
     ]
     write_artifact(
         "bench_txn.txt",
@@ -163,6 +225,9 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
         "durable_commits": DURABLE_COMMITS,
         "scan_rows": SCAN_ROWS,
         "scan_reps": SCAN_REPS,
+        "keyed_rows": KEYED_ROWS,
+        "keyed_writes": KEYED_WRITES,
+        "keyed_write": keyed_facts,
         "timings_s": {
             "commit_autocommit": autocommit_s,
             "commit_batched": batched_s,
@@ -171,6 +236,8 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
             "scan_warm_mvcc": mvcc_s,
             "scan_warm_plain": plain_s,
             "scan_cold_mvcc": cold_s,
+            "keyed_select": keyed_select_s,
+            "keyed_update": keyed_update_s,
         },
         "speedups": {
             "batched_vs_autocommit": batched_speedup,
@@ -178,11 +245,13 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
         "overheads": {
             "scan_warm_mvcc_vs_plain": overhead,
             "scan_cold_mvcc_vs_plain": cold_overhead,
+            "keyed_update_vs_select": keyed_ratio,
         },
         "ops_per_s": {
             "commit_autocommit": COMMITS / autocommit_s,
             "commit_batched": COMMITS / batched_s,
             "commit_durable": DURABLE_COMMITS / durable_s,
+            "keyed_update": KEYED_WRITES / keyed_update_s,
         },
     })
 
@@ -197,3 +266,12 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
     assert overhead <= 1.3, (
         f"warm version-chain scan overhead {overhead:.2f}x > 1.3x "
         f"({plain_s * 1e3:.1f} ms -> {mvcc_s * 1e3:.1f} ms)")
+    # The keyed write is gated on what it does, not on how long it takes:
+    # one index build for the whole loop, no table-wide visibility pass,
+    # no front end after the first execution.
+    assert keyed_facts == {
+        "hash_index_builds": 1, "snapshot_scans": 0, "prepared_replans": 0,
+        "front_end_after_first": {PARSE: False, PLAN: False}}, keyed_facts
+    assert keyed_ratio <= 5, (
+        f"prepared keyed UPDATE {keyed_ratio:.1f}x the keyed SELECT "
+        f"({keyed_select_s * 1e3:.0f} ms -> {keyed_update_s * 1e3:.0f} ms)")

@@ -64,11 +64,11 @@ def session_tour(db) -> None:
     print("\n-- session surface " + "-" * 40)
     conn = db.connect()
 
-    # PEP-249-style cursor; executemany takes one bulk-insert path.
+    # PEP-249-style cursor; executemany plans once and runs per parameter set.
     cur = conn.cursor()
     cur.executemany("INSERT INTO pairs VALUES ($1, $2)",
                     [(21, 14), (9, 6), (25, 15)])
-    print(f"executemany inserted {cur.rowcount} rows in one bulk insert")
+    print(f"executemany inserted {cur.rowcount} rows with one plan")
     cur.execute("SELECT a, b FROM pairs ORDER BY a LIMIT 3")
     print("columns:", [col[0] for col in cur.description])
     for a, b in cur:

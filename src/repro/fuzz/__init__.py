@@ -27,14 +27,15 @@ Quickstart::
 from .oracle import (DifferentialChecker, Discrepancy, Outcome,
                      TxnDiscrepancy, check_txn_case, rows_equal,
                      run_statement, settings_matrix)
-from .querygen import Case, FunctionSpec, Query, case_seed, generate_case
+from .querygen import (Case, FunctionSpec, Modification, Query, case_seed,
+                       generate_case)
 from .reduce import Reducer, ddmin, emit_pytest
 from .schema import SchemaSpec, TableSpec, generate_schema
 from .txngen import TxnCase, TxnStep, generate_txn_case
 
 __all__ = [
     "Case", "DifferentialChecker", "Discrepancy", "FunctionSpec",
-    "Outcome", "Query", "Reducer", "SchemaSpec", "TableSpec", "TxnCase",
+    "Modification", "Outcome", "Query", "Reducer", "SchemaSpec", "TableSpec", "TxnCase",
     "TxnDiscrepancy", "TxnStep", "case_seed", "check_txn_case", "ddmin",
     "emit_pytest", "generate_case", "generate_schema", "generate_txn_case",
     "rows_equal", "run_statement", "settings_matrix",

@@ -17,9 +17,10 @@ from pathlib import Path
 
 from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
-                                FUZZ_DISCREPANCIES, FUZZ_EXECUTIONS,
-                                FUZZ_SQLITE_CHECKS, VECTOR_FALLBACKS,
-                                VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
+                                FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
+                                FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
+                                VECTOR_FALLBACKS, VECTOR_ROWS,
+                                VECTOR_TYPED_ROWS, Profiler)
 
 from .chaos import check_chaos_case
 from .oracle import DifferentialChecker, check_txn_case
@@ -95,6 +96,7 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
               f"({counts[FUZZ_DIALECT_EXPLAINED]} dialect diffs explained), "
               f"{counts.get(FUZZ_ANALYZER_CHECKS, 0)} analyzer soundness "
               f"checks, "
+              f"{counts[FUZZ_DML_CHECKS]} dml checks, "
               f"{counts[VECTOR_ROWS]} vector rows "
               f"({counts[VECTOR_TYPED_ROWS] / max(1, counts[VECTOR_ROWS]):.0%}"
               f" with a typed column, {counts[VECTOR_FALLBACKS]} fallbacks), "

@@ -20,6 +20,13 @@ One generated case is checked three ways:
   ints, ``5.0`` is ``5``) and a known-dialect classifier that explains
   away representation limits (int64 overflow) instead of reporting them.
 
+A case's **modifications** (two UPDATE / DELETE statements over one table
+each) join the first and the third oracle: each runs on a fresh
+copy of its table under every configuration, whichever target scan that
+configuration plans; the affected-row count must equal ``count(*)`` over
+the same WHERE, and the table's contents afterwards must be the same bag
+under all configurations and on SQLite.
+
 Outcomes compare as row *bags* by default; a query whose ORDER BY covers
 every output column compares as a list, and a partial ordering is checked
 for sortedness under the engine's NULL/NaN placement rules.  Errors
@@ -39,13 +46,14 @@ from repro.sql import Database
 from repro.sql.errors import CRASH, SqlError, error_class
 from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
-                                FUZZ_DISCREPANCIES, FUZZ_EXECUTIONS,
-                                FUZZ_SQLITE_CHECKS, VECTOR_FALLBACKS,
+                                FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
+                                FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
+                                VECTOR_FALLBACKS,
                                 VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 from repro.sql.values import Row, row_sort_key
 
 from .datagen import data_sqlite_safe, value_sqlite_safe
-from .querygen import Case, Query
+from .querygen import Case, Modification, Query
 from .txngen import CONFLICT, OK, TxnCase
 
 # ---------------------------------------------------------------------------
@@ -164,9 +172,13 @@ def run_statement(db: Database, sql: str, params=(),
     """Execute one statement (or, with *script*, a ``;``-separated script,
     keeping the last statement's rows), folding the result or failure into
     an :class:`Outcome` with the engine's error taxonomy applied."""
+    return _outcome(lambda: db.execute_script(sql)[-1] if script
+                    else db.execute(sql, list(params)))
+
+
+def _outcome(run) -> Outcome:
     try:
-        result = db.execute_script(sql)[-1] if script \
-            else db.execute(sql, list(params))
+        result = run()
     except Exception as error:  # noqa: BLE001 — taxonomy decides severity
         return Outcome("error", error=error_class(error),
                        message=f"{type(error).__name__}: {error}")
@@ -178,9 +190,10 @@ class Discrepancy:
     """One disagreement between two oracles on one statement."""
 
     kind: str            # 'result' | 'status' | 'order' | 'crash' |
-    #                      'sqlite' | 'analyzer-unsound' | 'analyzer-crash'
+    #                      'sqlite' | 'analyzer-unsound' | 'analyzer-crash' |
+    #                      'count' (a modification's affected rows)
     case: Case
-    query: Query
+    query: Query | Modification
     sql: str
     config_a: str
     config_b: str
@@ -291,6 +304,7 @@ def _sqlite_database(case: Case) -> sqlite3.Connection:
             holes = ", ".join("?" * len(table.columns))
             conn.executemany(
                 f"INSERT INTO {table.name} VALUES ({holes})", rows)
+    conn.commit()  # a modification is checked, then rolled back to here
     return conn
 
 
@@ -395,6 +409,15 @@ class DifferentialChecker:
         outcomes: list[dict[str, dict[str, Outcome]]] = [
             {label: {} for label, _ in variants}
             for variants in variants_per_query]
+        # Per modification: what count(*) over its WHERE says (baseline),
+        # then per config label the statement's outcome and the table's
+        # contents after it.
+        expected_counts: list[Outcome] = []
+        modified: list[dict[str, tuple[Outcome, list]]] = [
+            {} for _ in case.modifications]
+        loaded: dict[str, list] = {}    # table -> its rows before any ran
+        handles = [db.session.prepare(modification.sql)
+                   for modification in case.modifications]
         db.profiler.enabled = True
         for config in configs:
             config.apply(db)
@@ -403,6 +426,13 @@ class DifferentialChecker:
                     outcomes[qi][label][config.label] = run_statement(
                         db, sql)
                     profiler.bump(FUZZ_EXECUTIONS)
+            for mi, modification in enumerate(case.modifications):
+                if config is configs[0]:
+                    expected_counts.append(
+                        run_statement(db, modification.count_sql))
+                modified[mi][config.label] = self._modify_fresh_copy(
+                    db, modification.table, handles[mi], loaded)
+                profiler.bump(FUZZ_EXECUTIONS)
         for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FALLBACKS):
             profiler.bump(counter, db.profiler.counts[counter])
 
@@ -417,6 +447,29 @@ class DifferentialChecker:
 
         baseline_label = configs[0].label
         sqlite_conn = None
+
+        def cross_check(statement, engine: Outcome, label: str, run_lite,
+                        ordered: bool = False) -> None:
+            """SQLite as oracle for a portable *statement* that succeeded
+            here: ``run_lite(connection)`` must yield *engine*'s rows."""
+            nonlocal sqlite_conn
+            if not (self.use_sqlite and statement.sqlite_sql is not None
+                    and engine.status == "ok"
+                    and data_sqlite_safe(case.data)):
+                return
+            if sqlite_conn is None:
+                sqlite_conn = _sqlite_database(case)
+            profiler.bump(FUZZ_SQLITE_CHECKS)
+            lite = run_lite(sqlite_conn)
+            if lite.status == "ok" and rows_equal(
+                    engine.rows, lite.rows, ordered=ordered, lax=True):
+                return
+            if _sqlite_difference_explained(engine, lite):
+                profiler.bump(FUZZ_DIALECT_EXPLAINED)
+            else:
+                report("sqlite", statement, statement.sqlite_sql, label,
+                       "sqlite3", engine, lite)
+
         for qi, (query, variants) in enumerate(
                 zip(case.queries, variants_per_query)):
             ref_variant = variants[0][0]
@@ -471,29 +524,82 @@ class DifferentialChecker:
                             outcome.rows, query.order_keys):
                         report("order", query, sql, where, where,
                                outcome, outcome)
-            if (self.use_sqlite and query.sqlite_sql is not None
-                    and reference.status == "ok"
-                    and data_sqlite_safe(case.data)):
-                if sqlite_conn is None:
-                    sqlite_conn = _sqlite_database(case)
-                profiler.bump(FUZZ_SQLITE_CHECKS)
-                lite = _run_sqlite(sqlite_conn, query.sqlite_sql)
-                agree = (lite.status == "ok"
-                         and rows_equal(reference.rows, lite.rows,
-                                        ordered=query.order == "total",
-                                        lax=True))
-                if not agree:
-                    if _sqlite_difference_explained(reference, lite):
-                        profiler.bump(FUZZ_DIALECT_EXPLAINED)
-                    else:
-                        report("sqlite", query, query.sqlite_sql,
-                               baseline_label, "sqlite3", reference, lite)
+            cross_check(query, reference, baseline_label,
+                        lambda conn: _run_sqlite(conn, query.sqlite_sql),
+                        ordered=query.order == "total")
+        for modification, expected, by_config in zip(
+                case.modifications, expected_counts, modified):
+            profiler.bump(FUZZ_DML_CHECKS)
+            reference, contents = by_config[baseline_label]
+            base = f"{baseline_label}/table"
+            if reference.crashed:
+                report("crash", modification, modification.sql,
+                       baseline_label, baseline_label, reference, reference)
+                continue
+            if reference.status == "ok" and reference.rows != expected.rows:
+                report("count", modification, modification.sql,
+                       baseline_label, f"{baseline_label}/count(*)",
+                       reference, expected)
+            for config in configs[1:]:
+                outcome, after = by_config[config.label]
+                profiler.bump(FUZZ_COMPARISONS)
+                if outcome.crashed:
+                    report("crash", modification, modification.sql,
+                           baseline_label, config.label, reference, outcome)
+                elif (outcome.status, outcome.error) != (
+                        reference.status, reference.error):
+                    report("status", modification, modification.sql,
+                           baseline_label, config.label, reference, outcome)
+                elif outcome.rows != reference.rows:
+                    report("count", modification, modification.sql,
+                           baseline_label, config.label, reference, outcome)
+                elif after != contents and not rows_equal(contents, after):
+                    report("result", modification, modification.sql, base,
+                           f"{config.label}/table",
+                           Outcome("ok", rows=contents),
+                           Outcome("ok", rows=after))
+
+            def table_after(conn: sqlite3.Connection) -> Outcome:
+                lite = _run_sqlite(conn, modification.sqlite_sql)
+                if lite.status == "ok":
+                    lite = _run_sqlite(
+                        conn, f"SELECT * FROM {modification.table}")
+                conn.rollback()
+                return lite
+
+            if reference.status == "ok":
+                cross_check(modification, Outcome("ok", rows=contents),
+                            base, table_after)
         if sqlite_conn is not None:
             sqlite_conn.close()
         discrepancies.extend(self._check_analyzer_soundness(
             case, db, compiled, variants_per_query, outcomes,
             baseline_label))
         return discrepancies
+
+    @staticmethod
+    def _modify_fresh_copy(db: Database, name: str, handle,
+                           loaded: dict) -> tuple[Outcome, list]:
+        """Run the modification *handle* prepared (it replans whenever the
+        settings in force differ from those it was last planned under),
+        read what table *name* holds afterwards and, if that is not what
+        it held when the case was *loaded*, put those rows back: truncate
+        and reload, through the table API, so that the next configuration
+        (and the queries it runs first) starts from the loaded state
+        whatever this one did - transactions are not what is under test
+        here."""
+        table = db.catalog.tables.get(name)
+        if table is None:  # the reducer dropped it
+            return _outcome(handle.execute), []
+        before = loaded.get(name)
+        if before is None:
+            before = loaded[name] = list(table.rows)
+        outcome = _outcome(handle.execute)
+        contents = list(table.rows)
+        if contents != before:
+            table.truncate()
+            table.insert_many(before)
+        return outcome, contents
 
     def _check_analyzer_soundness(self, case: Case, db: Database,
                                   compiled: dict,

@@ -59,6 +59,22 @@ class Query:
 
 
 @dataclass(frozen=True)
+class Modification:
+    """One generated UPDATE or DELETE over a single table.  The oracle
+    runs it on a fresh copy of the table under every configuration, so
+    whichever target scan a configuration picks must change the same
+    rows."""
+
+    sql: str
+    #: SQLite rendering (the same text), or None when engine-only.
+    sqlite_sql: Optional[str]
+    table: str
+    #: ``SELECT count(*)`` over the same table and WHERE: what the
+    #: statement's affected-row count must equal.
+    count_sql: str
+
+
+@dataclass(frozen=True)
 class FunctionSpec:
     """One generated PL/pgSQL function (interpreted name; the oracle
     registers the compiled twin as ``<name>_c``)."""
@@ -77,6 +93,7 @@ class Case:
     data: dict[str, list[tuple]]
     functions: tuple[FunctionSpec, ...]
     queries: tuple[Query, ...]
+    modifications: tuple[Modification, ...] = ()
 
     def setup_statements(self) -> list[str]:
         return self.schema.statements()
@@ -84,8 +101,10 @@ class Case:
     def statement_count(self) -> int:
         """Statements a written-out reproducer needs: one CREATE TABLE and
         (when non-empty) one INSERT per table, one CREATE INDEX per index,
-        one CREATE FUNCTION per function, plus the checked queries."""
-        count = len(self.queries) + len(self.functions)
+        one CREATE FUNCTION per function, plus the checked queries and
+        modifications."""
+        count = (len(self.queries) + len(self.modifications)
+                 + len(self.functions))
         for table in self.schema.tables:
             count += 1 + len(table.indexes)
             if self.data.get(table.name):
@@ -107,6 +126,9 @@ class Case:
         for query in self.queries:
             lines.append(f"-- order={query.order} keys={query.order_keys}")
             lines.append(query.sql + ";")
+        for modification in self.modifications:
+            lines.append("-- on a fresh copy")
+            lines.append(modification.sql + ";")
         return "\n".join(lines) + "\n"
 
 
@@ -717,6 +739,68 @@ class QueryGen:
         return self._finish(body, None, len(items), function=fn.name)
 
 
+    # -- row-changing statements -----------------------------------------
+
+    def modification(self, data: dict) -> Modification:
+        """An UPDATE or DELETE whose WHERE is drawn from the single-table
+        filter grammar of :meth:`_simple_select` (equality, range,
+        BETWEEN, IN, correlated EXISTS ...), the table standing under its
+        own name since neither statement takes an alias.  Half of them
+        lead with an equality or a range on an int column against a value
+        the column holds in *data*, so that the index paths find targets
+        and not only the scan.  SET assigns a literal, NULL, another
+        column of the same dtype or, to an int column, itself plus a
+        constant - indexed columns included."""
+        rng = self.rng
+        table = self._table()
+        gen = _ExprGen(rng, [(table.name, table)], self._subquery,
+                       self._exists_subquery)
+        conjuncts = []
+        sqlite_ok = True
+        column = rng.choice(table.columns_of_dtype("int"))
+        held = [row[table.columns.index(column)]
+                for row in data.get(table.name, [])]
+        held = [value for value in held if type(value) is int]
+        if held and rng.random() < 0.5:
+            low, high = (str(v) if v >= 0 else f"({v})"
+                         for v in sorted(rng.choices(held, k=2)))
+            name = f"{table.name}.{column.name}"
+            conjuncts.append(rng.choice((
+                f"({name} = {low})", f"({name} >= {high})",
+                f"({name} < {high})",
+                f"({name} BETWEEN {low} AND {high})")))
+        if not conjuncts or rng.random() < 0.6:
+            pred = gen.predicate(2)
+            conjuncts.append(pred.text)
+            sqlite_ok = pred.sqlite_ok
+        where = " WHERE " + " AND ".join(conjuncts) \
+            if rng.random() < 0.95 else ""
+        if rng.random() < 0.4:
+            head = f"DELETE FROM {table.name}"
+        else:
+            assignments = []
+            for column in rng.sample(table.columns,
+                                     rng.randint(1, min(2, len(table.columns)))):
+                roll = rng.random()
+                peers = [c for c in table.columns_of_dtype(column.dtype)
+                         if c is not column]
+                if roll < 0.1:
+                    value = "NULL"
+                elif roll < 0.4 and column.dtype == "int":
+                    value = f"{column.name} + {rng.randint(1, 9)}"
+                elif roll < 0.6 and peers:
+                    value = rng.choice(peers).name
+                else:
+                    value = gen.literal(column.cls, column.dtype).text
+                assignments.append(f"{column.name} = {value}")
+            head = f"UPDATE {table.name} SET {', '.join(assignments)}"
+        sql = head + where
+        return Modification(
+            sql=sql, sqlite_sql=sql if sqlite_ok else None,
+            table=table.name,
+            count_sql=f"SELECT count(*) FROM {table.name}{where}")
+
+
 # ---------------------------------------------------------------------------
 # PL/pgSQL function generation
 # ---------------------------------------------------------------------------
@@ -805,5 +889,10 @@ def generate_case(run_seed: int, index: int,
                           for i in range(rng.randint(1, 2)))
     qgen = QueryGen(rng, schema, functions)
     count = queries if queries is not None else rng.randint(2, 5)
+    drawn = tuple(qgen.generate() for _ in range(count))
+    # Drawn last, so the queries of a seed are what they were before
+    # cases carried modifications.
     return Case(seed=seed, schema=schema, data=data, functions=functions,
-                queries=tuple(qgen.generate() for _ in range(count)))
+                queries=drawn,
+                modifications=(qgen.modification(data),
+                               qgen.modification(data)))

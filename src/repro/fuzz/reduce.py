@@ -2,12 +2,12 @@
 
 Given a case on which the checker reports a discrepancy, the reducer
 shrinks the (schema, data, statements) triple while the discrepancy keeps
-reproducing: first the checked queries (classic ddmin), then unreferenced
-functions, whole tables, indexes, table rows (ddmin again), and finally
-individual columns.  Every candidate is re-checked from scratch — a
-candidate that errors uniformly under all configurations counts as
-agreement and is rejected, which is what keeps e.g. a column a query still
-references from being dropped.
+reproducing: first the checked queries and modifications (classic ddmin
+each), then unreferenced functions, whole tables, indexes, table rows
+(ddmin again), and finally individual columns.  Every candidate is
+re-checked from scratch — a candidate that errors uniformly under all
+configurations counts as agreement and is rejected, which is what keeps
+e.g. a column a query still references from being dropped.
 
 The result is emitted as a ready-to-paste pytest regression: the minimized
 :class:`~repro.fuzz.querygen.Case` as a literal, plus an assertion that the
@@ -138,10 +138,17 @@ class Reducer:
         return case
 
     def _reduce_queries(self, case: Case) -> Case:
-        queries = ddmin(
-            list(case.queries),
-            lambda qs: self._fails(replace(case, queries=tuple(qs))))
-        return replace(case, queries=tuple(queries))
+        for field in ("queries", "modifications"):
+            def keeping(statements: list) -> Case:
+                return replace(case, **{field: tuple(statements)})
+
+            # ddmin keeps at least one; a discrepancy in a modification
+            # needs no query at all, and the other way round.
+            kept = [] if self._fails(keeping([])) else ddmin(
+                list(getattr(case, field)),
+                lambda statements: self._fails(keeping(statements)))
+            case = keeping(kept)
+        return case
 
     def _reduce_functions(self, case: Case) -> Case:
         for fn in list(case.functions):
@@ -238,7 +245,7 @@ Case as SQL (data loads through parameter binding):
 from math import inf, nan  # noqa: F401 — boundary values in the case repr
 
 from repro.fuzz.oracle import DifferentialChecker
-from repro.fuzz.querygen import Case, FunctionSpec, Query
+from repro.fuzz.querygen import Case, FunctionSpec, Modification, Query
 from repro.fuzz.schema import ColumnSpec, IndexSpec, SchemaSpec, TableSpec
 
 CASE = {case!r}

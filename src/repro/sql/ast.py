@@ -636,8 +636,10 @@ class StatementKind(NamedTuple):
     #: The ``Database`` method ``(stmt, params, session) -> Result`` that
     #: runs it, by name for the same reason.
     run: str
-    #: May PREPARE wrap it (PostgreSQL's rule)?
-    preparable: bool = False
+    #: The ``Planner`` method that plans it, for the kinds that are plans
+    #: (``Planner.plan_statement``): those run through ``_do_planned``,
+    #: show in EXPLAIN, and are what PREPARE may wrap (PostgreSQL's rule).
+    plan: Optional[str] = None
 
 
 #: THE list of statement kinds.  ``Statement``, the parser's dispatch on the
@@ -646,13 +648,14 @@ class StatementKind(NamedTuple):
 #: the dataclass, the parse rule and the handler the row names.
 STATEMENTS: dict[type, StatementKind] = {row.node: row for row in (
     StatementKind(SelectStmt, ("select", "with", "values", "("),
-                  "parse_select", ROWS, "SELECT {n}", "_do_select", True),
+                  "parse_select", ROWS, "SELECT {n}", "_do_planned",
+                  "plan_select"),
     StatementKind(Insert, ("insert",), "_parse_insert",
-                  COUNT, "INSERT 0 {n}", "_do_insert", True),
+                  COUNT, "INSERT 0 {n}", "_do_planned", "_plan_insert"),
     StatementKind(Update, ("update",), "_parse_update",
-                  COUNT, "UPDATE {n}", "_do_update", True),
+                  COUNT, "UPDATE {n}", "_do_planned", "_plan_update"),
     StatementKind(Delete, ("delete",), "_parse_delete",
-                  COUNT, "DELETE {n}", "_do_delete", True),
+                  COUNT, "DELETE {n}", "_do_planned", "_plan_delete"),
     StatementKind(CreateTable, ("create",), "_parse_create",
                   UTILITY, "CREATE TABLE", "_do_create_table"),
     StatementKind(CreateType, ("create",), "_parse_create",

@@ -19,9 +19,13 @@ Statement dispatch is a single **parse → classify → dispatch** path: every
 statement kind (including SELECTs behind leading comments or parentheses)
 is parsed once and routed from its AST type through the statement table
 (:data:`repro.sql.ast.STATEMENTS`: node class -> result kind and the
-``_do_*`` handler, each ``(stmt, params, session) -> Result``), and
-plan-cache eligibility is an AST property (only ``SelectStmt`` plans are
-cached), not a prefix match on the SQL text.
+``_do_*`` handler, each ``(stmt, params, session) -> Result``).  SELECT,
+INSERT, UPDATE and DELETE share one handler: each is planned
+(``Planner.plan_statement``) and the plan run by ``_run_plan``, whichever
+door it came in by - text, script, AST, prepared handle, ``executemany``,
+``EXPLAIN``.  Plan-cache eligibility is a property of the statement's row
+in that table (a planned kind producing rows), not a prefix match on the
+SQL text.
 
 ``Database.execute`` remains the thin compatibility facade over the layered
 session API in :mod:`repro.sql.session`: it runs every statement in the
@@ -44,7 +48,7 @@ from .catalog import Catalog, FunctionDef
 from .errors import (CatalogError, CompileError, ExecutionError,
                      NameResolutionError, PlanError, PlsqlError,
                      QueryCanceledError, SqlError, TypeError_)
-from .expr import EvalContext, ExprCompiler, Relation, RuntimeContext, Scope
+from .expr import EvalContext, ExprCompiler, RuntimeContext, Scope
 from .parser import parse_script, parse_statement
 from .planner import Planner
 from .profiler import (EXEC_END, EXEC_RUN, EXEC_START, PARSE, PLAN,
@@ -351,7 +355,8 @@ class Database:
         return self.execute(sql, params).rows
 
     def explain(self, sql: str) -> str:
-        """Render the plan tree for a SELECT (or EXECUTE), EXPLAIN-style."""
+        """Render the plan tree of a SELECT, INSERT, UPDATE or DELETE (or
+        of the statement an EXECUTE names), EXPLAIN-style; nothing runs."""
         with self._exec_lock:
             with self.profiler.phase(PARSE):
                 stmt = parse_statement(sql)
@@ -405,10 +410,12 @@ class Database:
         """Execute *sql* in *session*; returns ``(kind, result)``.
 
         The plan-cache probe happens on the raw text *before* parsing —
-        the cache only ever holds SELECT plans (an AST-derived property),
-        so a hit both classifies and plans in one dictionary lookup.
-        Leading comments and parenthesised SELECTs therefore take exactly
-        the same cached path as a bare ``SELECT``.
+        the cache only ever holds plans of kind ROWS (whether the plans
+        of the row-changing kinds are worth a slot is the admission
+        question of ROADMAP item 1(a)), so a hit both classifies and plans
+        in one dictionary lookup.  Leading comments and parenthesised
+        SELECTs therefore take exactly the same cached path as a bare
+        ``SELECT``.
         """
         profiler = self.profiler
         with _TxnScope(self, session):
@@ -422,17 +429,17 @@ class Database:
                     return ROWS, self._run_plan(plan, params)
             with profiler.phase(PARSE):
                 stmt = parse_statement(sql)
-            if isinstance(stmt, A.SelectStmt):
-                profiler.bump(PLAN_CACHE_MISS)
-                with profiler.phase(PLAN):
-                    plan = self.planner.plan_select(stmt)
-                if key is not None:
-                    evicted = self._plan_cache.put(key, plan,
-                                                   values.plan_cache_size)
-                    if evicted:
-                        profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
-                return ROWS, self._run_plan(plan, params)
-            return self._dispatch_ast(stmt, params, session)
+            row = A.STATEMENTS[type(stmt)]
+            if row.plan is None or row.kind != ROWS:
+                return self._dispatch_ast(stmt, params, session)
+            profiler.bump(PLAN_CACHE_MISS)
+            plan = self._plan(stmt)
+            if key is not None:
+                evicted = self._plan_cache.put(key, plan,
+                                               values.plan_cache_size)
+                if evicted:
+                    profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
+            return ROWS, self._run_plan(plan, params)
 
     def _execute_script(self, sql: str, session: "Connection") -> list[Result]:
         with self.profiler.phase(PARSE):
@@ -446,27 +453,34 @@ class Database:
 
     def _execute_many(self, sql: str, param_sets,
                       session: "Connection") -> tuple[str, Result]:
-        """``Cursor.executemany``: parse once, run per parameter set.
-
-        INSERT is special-cased into :meth:`_do_insert_many` — one bulk
-        ``insert_many`` for the whole batch.  Other DML loops over the
-        parsed AST and sums the affected-row counts; statements producing
-        result sets run but their rows are discarded (PEP-249 leaves this
-        undefined; we keep the side effects and report no result).
-        """
+        """``Cursor.executemany``: parse and plan once, run the plan per
+        parameter set, as one statement - an error in any set undoes them
+        all.  Each set sees what the sets before it wrote (loop-of-execute
+        semantics).  The affected-row counts are summed; a statement
+        producing result sets runs but its rows are discarded (PEP-249
+        leaves this undefined; we keep the side effects and report no
+        result)."""
         with self.profiler.phase(PARSE):
             stmt = parse_statement(sql)
-        if isinstance(stmt, A.Insert):
-            with _TxnScope(self, session):
-                return COUNT, self._do_insert_many(stmt, list(param_sets))
-        total = 0
-        saw_count = False
-        for params in param_sets:
-            kind, result = self._dispatch_ast(stmt, params, session)
-            if kind == COUNT:
-                saw_count = True
-                total += result.rows[0][0] if result.rows else 0
-        if saw_count:
+        row = A.STATEMENTS[type(stmt)]
+        if row.plan is None:
+            raise PlanError(
+                f"executemany supports SELECT, INSERT, UPDATE and DELETE, "
+                f"not {type(stmt).__name__}")
+        kind = row.kind
+        with _TxnScope(self, session):
+            plan = self._plan(stmt)
+            txn = self.txnman.current
+            total = 0
+            for index, params in enumerate(param_sets):
+                if index:
+                    # A row written at command N is visible from command
+                    # N + 1 on.
+                    txn.begin_statement()
+                result = self._run_plan(plan, params)
+                if kind == COUNT:
+                    total += result.rows[0][0]
+        if kind == COUNT:
             return COUNT, Result(["count"], [(total,)])
         return UTILITY, Result([], [])
 
@@ -485,11 +499,14 @@ class Database:
         # EXECUTE (no kind of its own) hands back the pair of what it ran.
         return outcome if row.kind is None else (row.kind, outcome)
 
-    def _do_select(self, stmt: A.SelectStmt, params: Sequence[Value],
-                   session: "Connection") -> Result:
+    def _plan(self, stmt: A.Statement):
         with self.profiler.phase(PLAN):
-            plan = self.planner.plan_select(stmt)
-        return self._run_plan(plan, params)
+            return self.planner.plan_statement(stmt)
+
+    def _do_planned(self, stmt: A.Statement, params: Sequence[Value],
+                    session: "Connection") -> Result:
+        """SELECT, INSERT, UPDATE, DELETE: plan it, run the plan."""
+        return self._run_plan(self._plan(stmt), params)
 
     # ------------------------------------------------------------------
     # Transaction control
@@ -585,15 +602,14 @@ class Database:
     def _explain_ast(self, stmt: A.Statement, session: "Connection") -> str:
         while isinstance(stmt, A.ExplainStmt):
             stmt = stmt.statement
-        if isinstance(stmt, A.SelectStmt):
-            with self.profiler.phase(PLAN):
-                plan = self.planner.plan_select(stmt)
-            return plan.explain()
         if isinstance(stmt, A.ExecuteStmt):
             return session.lookup_prepared(stmt.name).explain()
-        raise PlanError(
-            f"EXPLAIN supports SELECT and EXECUTE, not "
-            f"{type(stmt).__name__}")
+        row = A.STATEMENTS.get(type(stmt))
+        if row is None or row.plan is None:
+            raise PlanError(
+                f"EXPLAIN supports SELECT, INSERT, UPDATE, DELETE and "
+                f"EXECUTE, not {type(stmt).__name__}")
+        return self._plan(stmt).explain()
 
     # ------------------------------------------------------------------
     # Session statements: prepared execution and settings
@@ -615,18 +631,14 @@ class Database:
         return Result([], [])
 
     def run_prepared(self, handle, args: Sequence[Value]) -> tuple[str, Result]:
-        """Execute a :class:`~repro.sql.session.PreparedStatement` body.
-
-        SELECT handles run their per-handle cached plan (replanned lazily
-        when the DDL generation or settings fingerprint moved — see
-        ``PreparedStatement.plan``); DML handles re-dispatch their AST.
-        """
+        """Execute a :class:`~repro.sql.session.PreparedStatement` body:
+        run the plan the handle carries (replanned lazily when the DDL
+        generation or settings fingerprint moved — see
+        ``PreparedStatement.plan``)."""
         self.profiler.bump(PREPARED_EXECUTIONS)
-        stmt = handle.statement
         with _TxnScope(self, handle.session):
-            if isinstance(stmt, A.SelectStmt):
-                return ROWS, self._run_plan(handle.plan(), args)
-            return self._dispatch_in_txn(stmt, args, handle.session)
+            return (A.STATEMENTS[type(handle.statement)].kind,
+                    self._run_plan(handle.plan(), args))
 
     def _eval_standalone(self, exprs: Sequence[A.Expr],
                          params: Sequence[Value]) -> list[Value]:
@@ -670,7 +682,7 @@ class Database:
         return Result([], [])
 
     # ------------------------------------------------------------------
-    # Planning and running SELECTs
+    # Running plans
     # ------------------------------------------------------------------
 
     def _run_plan(self, plan, params: Sequence[Value]) -> Result:
@@ -798,7 +810,7 @@ class Database:
         return fdef
 
     # ------------------------------------------------------------------
-    # DDL / DML
+    # DDL
     # ------------------------------------------------------------------
 
     def _ddl_done(self, undo, wal_op) -> None:
@@ -1004,79 +1016,6 @@ class Database:
         self._ddl_done(undo, ["drop_function", key])
         return Result([], [])
 
-    def _insert_target(self, stmt: A.Insert):
-        """Resolve the target table and column positions of an INSERT."""
-        table = self.catalog.get_table(stmt.table)
-        if stmt.columns is not None:
-            positions = [table.column_index(c) for c in stmt.columns]
-        else:
-            positions = list(range(len(table.column_names)))
-        return table, positions
-
-    def _materialize_insert_rows(self, table, positions,
-                                 source_rows, out: list[tuple]) -> None:
-        """Coerce source rows into full-width heap tuples, appending to
-        *out*; shared by single INSERT and the executemany bulk path."""
-        for row in source_rows:
-            if len(row) != len(positions):
-                raise ExecutionError(
-                    f"INSERT expects {len(positions)} values, got {len(row)}")
-            full: list[Value] = [None] * len(table.column_names)
-            for position, value in zip(positions, row):
-                full[position] = self._coerce(value, table.column_types[position])
-            out.append(tuple(full))
-
-    def _do_insert(self, stmt: A.Insert, params: Sequence[Value],
-                   session) -> Result:
-        table, positions = self._insert_target(stmt)
-        with self.profiler.phase(PLAN):
-            plan = self.planner.plan_select(stmt.source)
-        source = self._run_plan(plan, params)
-        full_rows: list[tuple] = []
-        self._materialize_insert_rows(table, positions, source.rows, full_rows)
-        # One bulk insert: index maintenance sees the whole batch at once.
-        inserted = table.insert_many(full_rows)
-        return Result(["count"], [(inserted,)])
-
-    def _do_insert_many(self, stmt: A.Insert,
-                        param_sets: Sequence[Sequence[Value]]) -> Result:
-        """``executemany`` fast path: the INSERT source is planned once,
-        instantiated per parameter set, and the accumulated rows land in
-        **one** ``insert_many`` — one index-maintenance pass for the whole
-        batch instead of N single-row inserts (each of which would also
-        re-plan unless the text cache happened to hold the statement).
-
-        A source that reads the target table must see the rows earlier
-        parameter sets produced (loop-of-execute semantics), so it keeps
-        the plan-once but insert-per-set path.
-        """
-        from .astutil import references_table
-        table, positions = self._insert_target(stmt)
-        with self.profiler.phase(PLAN):
-            plan = self.planner.plan_select(stmt.source)
-        if references_table(stmt.source, table.name):
-            txn = self.txnman.current
-            total = 0
-            for index, params in enumerate(param_sets):
-                if txn is not None and index:
-                    # Each parameter set must see the rows earlier sets
-                    # produced: advance the command id (a row inserted at
-                    # command N is visible from command N+1 on).
-                    txn.begin_statement()
-                source = self._run_plan(plan, params)
-                rows: list[tuple] = []
-                self._materialize_insert_rows(table, positions, source.rows,
-                                              rows)
-                total += table.insert_many(rows)
-            return Result(["count"], [(total,)])
-        full_rows: list[tuple] = []
-        for params in param_sets:
-            source = self._run_plan(plan, params)
-            self._materialize_insert_rows(table, positions, source.rows,
-                                          full_rows)
-        inserted = table.insert_many(full_rows)
-        return Result(["count"], [(inserted,)])
-
     def _coerce(self, value: Value, type_name: str) -> Value:
         if value is None:
             return None
@@ -1085,50 +1024,3 @@ class Database:
             return cast_value(value, type_name, composite)
         except TypeError_:
             return value  # keep as-is; the engine is dynamically typed
-
-    def _table_predicate(self, table, where: Optional[A.Expr]):
-        """Compile *where* against the table's row scope; return row->bool."""
-        scope = Scope([Relation(table.name, table.column_names)])
-        compiler = ExprCompiler(scope, self.planner)
-        predicate = compiler.compile(where) if where is not None else None
-        subplans = compiler.subplans
-        rt = RuntimeContext(self, ())
-        from .executor.scan import make_slots
-        slots = make_slots(rt, None, subplans)
-
-        def check(row) -> bool:
-            if predicate is None:
-                return True
-            ctx = EvalContext(rt, (row,), slots=slots)
-            return predicate(ctx) is True
-
-        return check, rt, compiler
-
-    def _do_update(self, stmt: A.Update, params: Sequence[Value],
-                   session) -> Result:
-        table = self.catalog.get_table(stmt.table)
-        check, rt, compiler = self._table_predicate(table, stmt.where)
-        rt.params = tuple(params)
-        assignments = [(table.column_index(name), compiler.compile(expr))
-                       for name, expr in stmt.assignments]
-        from .executor.scan import make_slots
-        slots = make_slots(rt, None, compiler.subplans)
-
-        def updater(row):
-            ctx = EvalContext(rt, (row,), slots=slots)
-            new_row = list(row)
-            for position, compiled in assignments:
-                new_row[position] = self._coerce(
-                    compiled(ctx), table.column_types[position])
-            return new_row
-
-        count = table.update_where(check, updater)
-        return Result(["count"], [(count,)])
-
-    def _do_delete(self, stmt: A.Delete, params: Sequence[Value],
-                   session) -> Result:
-        table = self.catalog.get_table(stmt.table)
-        check, rt, _compiler = self._table_predicate(table, stmt.where)
-        rt.params = tuple(params)
-        count = table.delete_where(check)
-        return Result(["count"], [(count,)])

@@ -1,4 +1,10 @@
-"""Leaf tuple sources: sequential scans, VALUES, one-row, row expansion."""
+"""Leaf tuple sources: sequential scans, VALUES, one-row, row expansion.
+
+The three base-table scans can also serve as the *target scan* of an
+UPDATE or DELETE (executor/modify.py): with ``versions`` set on the plan
+they hand out the :class:`~repro.sql.txn.RowVersion` objects the snapshot
+sees instead of their row tuples.
+"""
 
 from __future__ import annotations
 
@@ -10,15 +16,19 @@ from ..values import Row
 from .base import Plan, PlanState
 
 
+_NO_ROWS: list = []
+
+
 class SeqScanPlan(Plan):
     """Full scan of a base table.  The table is looked up at instantiation
     (late binding, like PostgreSQL's relation open in ExecutorStart)."""
 
-    __slots__ = ("table_name",)
+    __slots__ = ("table_name", "versions")
 
     def __init__(self, table_name: str, output_columns: list[str]):
         super().__init__(output_columns)
         self.table_name = table_name
+        self.versions = False
 
     def label(self) -> str:
         return f"SeqScan on {self.table_name}"
@@ -28,19 +38,21 @@ class SeqScanPlan(Plan):
 
 
 class SeqScanState(PlanState):
-    __slots__ = ("table", "rows", "pos")
+    __slots__ = ("table", "versions", "rows", "pos")
 
     def __init__(self, rt, plan: SeqScanPlan):
         super().__init__(rt)
         self.table = rt.catalog.tables.get(plan.table_name)
         if self.table is None:
             raise NameResolutionError(f"unknown table {plan.table_name!r}")
-        self.rows = self.table.rows
+        self.versions = plan.versions
+        self.rows = _NO_ROWS
         self.pos = 0
 
     def open(self, outer) -> None:
-        # Re-read the row list: DML may have replaced it since instantiation.
-        self.rows = self.table.rows
+        # Read the list per open: DML may have replaced it since the last.
+        self.rows = (self.table.visible_versions() if self.versions
+                     else self.table.rows)
         self.pos = 0
 
     def next(self) -> Optional[tuple]:
@@ -56,9 +68,6 @@ class SeqScanState(PlanState):
         row = self.rows[pos]
         self.pos = pos + 1
         return row
-
-
-_NO_ROWS: list = []
 
 
 def mirror_outer_context(state, outer):
@@ -95,7 +104,8 @@ class IndexScanPlan(Plan):
     the outer context, so correlated lookups re-probe per outer row.
     """
 
-    __slots__ = ("table_name", "key_columns", "key_exprs", "subplans")
+    __slots__ = ("table_name", "key_columns", "key_exprs", "subplans",
+                 "versions")
 
     def __init__(self, table_name: str, output_columns: list[str],
                  key_columns: list[int], key_exprs, subplans):
@@ -104,6 +114,7 @@ class IndexScanPlan(Plan):
         self.key_columns = tuple(key_columns)
         self.key_exprs = key_exprs
         self.subplans = subplans
+        self.versions = False
 
     def label(self) -> str:
         keys = ", ".join(self.output_columns[c] for c in self.key_columns)
@@ -143,11 +154,10 @@ class IndexScanState(PlanState):
         # The index stores row *versions*; keep the ones this statement's
         # snapshot may see.
         snapshot = self.table.current_snapshot()
-        if self.table.all_visible(snapshot):
-            self.rows = [version.data for version in versions]
-        else:
-            self.rows = [version.data for version in versions
-                         if snapshot.visible(version)]
+        if not self.table.all_visible(snapshot):
+            versions = list(filter(snapshot.visible, versions))
+        self.rows = (versions if self.plan.versions
+                     else [version.data for version in versions])
 
     def next(self) -> Optional[tuple]:
         if self.pos >= len(self.rows):
@@ -180,7 +190,7 @@ class IndexRangeScanPlan(Plan):
     """
 
     __slots__ = ("table_name", "key_columns", "key_desc", "lower", "upper",
-                 "reverse", "subplans")
+                 "reverse", "subplans", "versions")
 
     def __init__(self, table_name: str, output_columns: list[str],
                  key_columns, key_desc, lower, upper,
@@ -193,6 +203,7 @@ class IndexRangeScanPlan(Plan):
         self.upper = upper
         self.reverse = reverse
         self.subplans = list(subplans)
+        self.versions = False
 
     def label(self) -> str:
         column = self.output_columns[self.key_columns[0]]
@@ -286,7 +297,7 @@ class IndexRangeScanState(PlanState):
             self.pos += self.step
             if self.check and not self.snapshot.visible(version):
                 continue
-            return version.data
+            return version if self.plan.versions else version.data
         return None
 
 

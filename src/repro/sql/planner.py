@@ -34,6 +34,7 @@ from .executor.batched_udf import BatchedUdfStagePlan, compile_machine
 from .executor.fromtree import FromJoinPlan, FromLeafPlan, FromNodePlan
 from .executor.hashjoin import HashJoinPlan
 from .executor.mergejoin import MergeJoinPlan
+from .executor.modify import DeletePlan, InsertPlan, UpdatePlan
 from .executor.recursion import CteDef, CTEScanPlan, SelectStmtPlan
 from .executor.scan import (IndexRangeScanPlan, OneRowPlan, RowExpandPlan,
                             SeqScanPlan, ValuesPlan)
@@ -96,7 +97,8 @@ _DEFAULT_CARDINALITY = 1000
 
 
 class Planner:
-    """Plans SELECT statements against a database's catalog."""
+    """Plans SELECT, INSERT, UPDATE and DELETE statements against a
+    database's catalog."""
 
     # No stray attributes: planner flags live in the settings store, and
     # assigning one on the planner must fail, not be silently ignored.
@@ -125,6 +127,53 @@ class Planner:
     # ------------------------------------------------------------------
     # Statement level
     # ------------------------------------------------------------------
+
+    def plan_statement(self, stmt: A.Statement) -> Plan:
+        """The plan of a statement of one of the kinds that are plans:
+        the rows of :data:`repro.sql.ast.STATEMENTS` naming a ``plan``
+        rule (SELECT, INSERT, UPDATE, DELETE)."""
+        return getattr(self, A.STATEMENTS[type(stmt)].plan)(stmt)
+
+    def _plan_insert(self, stmt: A.Insert) -> Plan:
+        table = self.catalog.get_table(stmt.table)
+        if stmt.columns is not None:
+            positions = [table.column_index(c) for c in stmt.columns]
+        else:
+            positions = list(range(len(table.column_names)))
+        return InsertPlan(table.name, positions,
+                          [table.column_types[p] for p in positions],
+                          self.plan_select(stmt.source))
+
+    def _plan_target(self, table_name: str, where: Optional[A.Expr]):
+        """The target scan of an UPDATE or DELETE: the access path a
+        SELECT over the same table and WHERE would get (SeqScan,
+        IndexScan, IndexRangeScan), set to hand out row versions.
+        Returns it with the compiler of the statement's row expressions
+        and what the scan left of WHERE, compiled (or None)."""
+        relations: list[Relation] = []
+        leaf = self._plan_from_table(A.TableName(table_name), relations)
+        scope = Scope(relations)
+        if where is not None:
+            leaf, where = self._try_index_pushdown(where, leaf, scope)
+        leaf.source.versions = True
+        compiler = ExprCompiler(scope, self)
+        return (leaf.source, compiler,
+                compiler.compile(where) if where is not None else None)
+
+    def _plan_update(self, stmt: A.Update) -> Plan:
+        scan, compiler, where = self._plan_target(stmt.table, stmt.where)
+        table = self.catalog.get_table(stmt.table)
+        assignments = []
+        for name, expr in stmt.assignments:
+            position = table.column_index(name)
+            assignments.append((position, table.column_types[position],
+                                compiler.compile(expr)))
+        return UpdatePlan(table.name, scan, where, assignments,
+                          compiler.subplans)
+
+    def _plan_delete(self, stmt: A.Delete) -> Plan:
+        scan, compiler, where = self._plan_target(stmt.table, stmt.where)
+        return DeletePlan(scan.table_name, scan, where, compiler.subplans)
 
     def plan_select(self, stmt: A.SelectStmt,
                     outer_scope: Optional[Scope] = None,

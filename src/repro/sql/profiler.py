@@ -58,11 +58,14 @@ RECURSION_DEDUP_DROPPED = "recursion dedup dropped rows"
 BATCHED_UDF_BATCHES = "batched udf batches"
 BATCHED_UDF_ROWS = "batched udf rows"
 BATCHED_UDF_DISTINCT = "batched udf distinct calls"
-#: Ordered access paths: one "build" per sorted index constructed (lazily
+#: Index upkeep and ordered access paths: one "build" per hash index built
+#: from scratch (its first probe; vacuum or TRUNCATE rebuilding the heap
+#: under it - never a write), one per sorted index constructed (lazily
 #: by a scan, or eagerly by CREATE INDEX), one "scan" per IndexRangeScan
 #: open (each correlated re-probe is one open), one TopN bump per bounded
 #: heap evaluation ("input rows" counts what streamed through the heap
 #: instead of a full sort), and one merge-join bump per operator open.
+HASH_INDEX_BUILDS = "hash index builds"
 SORTED_INDEX_BUILDS = "sorted index builds"
 INDEX_RANGE_SCANS = "index range scans"
 TOPN_SCANS = "topn scans"
@@ -80,8 +83,10 @@ PLAN_CACHE_EVICTIONS = "plan cache evictions"
 #: statement executions across the oracle settings matrix, outcome pairs
 #: compared, statements cross-checked against SQLite, discrepancies found,
 #: and engine-vs-SQLite differences explained away by the known-dialect
-#: classifier (integer width, NaN storage, ...).  Bumped on the harness's
-#: own profiler, not the per-case scratch databases.
+#: classifier (integer width, NaN storage, ...), and UPDATE / DELETE
+#: statements checked across the matrix (affected rows against count(*),
+#: the table afterwards against every other plan's and SQLite's).  Bumped
+#: on the harness's own profiler, not the per-case scratch databases.
 FUZZ_CASES = "fuzz cases"
 FUZZ_EXECUTIONS = "fuzz oracle executions"
 FUZZ_COMPARISONS = "fuzz oracle comparisons"
@@ -89,6 +94,7 @@ FUZZ_SQLITE_CHECKS = "fuzz sqlite cross-checks"
 FUZZ_DISCREPANCIES = "fuzz discrepancies"
 FUZZ_DIALECT_EXPLAINED = "fuzz dialect differences explained"
 FUZZ_ANALYZER_CHECKS = "fuzz analyzer soundness checks"
+FUZZ_DML_CHECKS = "fuzz dml checks"
 #: Transactions & durability: explicit BEGIN blocks opened, write
 #: transactions committed / rolled back (read-only transactions never
 #: take an xid and are not counted), WAL records written (including the

@@ -61,18 +61,15 @@ from .profiler import PLAN, PREPARED_REPLANS
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Database, Result
 
-#: Statement kinds a prepared statement may wrap (PostgreSQL's rule).
-_PREPARABLE = tuple(row.node for row in A.STATEMENTS.values()
-                    if row.preparable)
+#: Statement kinds a prepared statement may wrap (PostgreSQL's rule): the
+#: kinds that are plans.
+_PREPARABLE = tuple(row.node for row in A.STATEMENTS.values() if row.plan)
 
 
 class PreparedStatement:
-    """A named, parsed, plan-carrying statement handle.
-
-    For SELECTs the plan is cached on the handle and revalidated against
-    ``(ddl generation, settings fingerprint)`` before every use; DML
-    statements re-dispatch their (already parsed) AST per execution.
-    """
+    """A named, parsed, plan-carrying statement handle: the plan is
+    cached on the handle and revalidated against ``(ddl generation,
+    settings fingerprint)`` before every use."""
 
     __slots__ = ("session", "db", "name", "statement", "param_types",
                  "param_count", "_plan", "_stamp")
@@ -118,7 +115,7 @@ class PreparedStatement:
                 db.profiler.bump(PREPARED_REPLANS)
             self._plan = None  # a failed replan must not leave a stale plan
             with db.profiler.phase(PLAN):
-                self._plan = db.planner.plan_select(self.statement)
+                self._plan = db.planner.plan_statement(self.statement)
             self._stamp = stamp
         return self._plan
 
@@ -150,10 +147,6 @@ class PreparedStatement:
     def explain(self) -> str:
         """Render the *current* plan (replanned if stale) — the SQL-level
         ``EXPLAIN EXECUTE name`` goes through here."""
-        if not isinstance(self.statement, A.SelectStmt):
-            raise PlanError(
-                f"EXPLAIN EXECUTE supports SELECT prepared statements, "
-                f"not {type(self.statement).__name__}")
         return self.plan().explain()
 
     def deallocate(self) -> None:
@@ -516,9 +509,8 @@ class Cursor:
 
     def executemany(self, sql: str,
                     param_sets: Iterable[Sequence]) -> "Cursor":
-        """Execute once per parameter set.  INSERTs take a bulk path: the
-        source is planned once and all rows land in one ``insert_many``
-        (one index-maintenance pass), instead of N single-row plans."""
+        """Parse and plan once, run the plan once per parameter set; an
+        error in any set undoes them all."""
         self._check_open()
         kind, result = self.connection._execute_many(sql, param_sets)
         self._absorb(kind, result)

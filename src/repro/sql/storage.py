@@ -50,11 +50,11 @@ lock-free fast paths here without revisiting that invariant
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import CatalogError, SerializationError, TypeError_
-from .profiler import SNAPSHOT_SCANS
+from .profiler import HASH_INDEX_BUILDS, SNAPSHOT_SCANS
 from .txn import (ABORTED_XID, COMMITTED, FROZEN_XID, RowVersion, Snapshot,
                   TransactionManager)
 from .values import (Row, Value, _Reversed, comparison_class, hashable_value,
@@ -124,6 +124,15 @@ class TupleStore:
         return iter(self.rows)
 
 
+_SLOT = attrgetter("slot")
+
+#: Up to this many replacement versions are inserted into the heap's list
+#: one by one (a memmove of the tail each, 0.4 ns per version behind the
+#: insertion point); beyond it the list is rebuilt once from slices (a
+#: reference count touched per version, 5 ns each whatever the number of
+#: insertions).  Both costs grow with the table, so their ratio does not.
+_SPLICE_IN_PLACE = 8
+
 #: Sort-key prefix of SQL NULL — NULLs sit at the tail of every ascending
 #: key column (see :func:`repro.sql.values.sort_key`), so bounded range
 #: probes can exclude them with one bisect.
@@ -156,8 +165,7 @@ class SortedIndex:
     snapshot, and vacuum rebuilds the index when dead versions are
     reclaimed.  Maintenance stays incremental on the DML paths: point
     maintenance is O(log n) to locate plus O(n) list shift, against
-    O(n log n) for the rebuild that a version-counter invalidation (the
-    hash ``equality_index`` strategy) would pay per probe after DML.
+    O(n log n) for a rebuild.
 
     Per-column comparability classes are tracked so range probes can raise
     the same :class:`~repro.sql.errors.TypeError_` a scan-and-compare
@@ -305,38 +313,46 @@ class HashIndex:
     probe of an all-ROW column is taken as comparable, its fields compare
     as Python values, and a ROW of another arity finds nothing."""
 
-    __slots__ = ("buckets", "classes", "plain")
+    __slots__ = ("columns", "buckets", "classes", "plain", "_samples")
 
     #: the types whose values key as themselves, by comparability class
     _PLAIN_TYPE = {"num": int, "str": str, "row": Row}
 
     def __init__(self, columns: tuple[int, ...],
                  versions: Iterable[RowVersion]):
+        self.columns = columns
         self.buckets: dict = {}
         #: per key column: comparability class -> display type name
         self.classes: list[dict] = [{} for _ in columns]
-        samples: list = [None] * len(columns)  # a key value per column
-        hash_key = self._hash_key
-        for version in versions:
-            data = version.data
-            key = []
-            for position, column in enumerate(columns):
-                value = data[column]
-                if value is None:
-                    break  # NULL keys are excluded: col = NULL is never TRUE
-                kind = type(value)
-                if kind is not type(samples[position]) or kind is Row:
-                    samples[position] = value  # a new class, possibly
-                    self.classes[position].setdefault(key_class(value),
-                                                      kind.__name__)
-                key.append(hash_key(value))
-            else:
-                self.buckets.setdefault(tuple(key), []).append(version)
         #: per key column: the plain type of its one class, if it has one -
         #: a probe of exactly that type is comparable and keys as itself
-        self.plain = [self._PLAIN_TYPE.get(comparison_class(sample))
-                      if len(seen) == 1 else None
-                      for seen, sample in zip(self.classes, samples)]
+        self.plain: list = [None] * len(columns)
+        self._samples: list = [None] * len(columns)  # a key value per column
+        for version in versions:
+            self.add(version)
+
+    def add(self, version: RowVersion) -> None:
+        """File *version* under its key.  Entries are only ever added:
+        like the sorted index this one holds every version, dead ones
+        included, until the table rebuilds it from the versions vacuum
+        kept."""
+        data = version.data
+        samples = self._samples
+        key = []
+        for position, column in enumerate(self.columns):
+            value = data[column]
+            if value is None:
+                return  # NULL keys are excluded: col = NULL is never TRUE
+            kind = type(value)
+            if kind is not type(samples[position]) or kind is Row:
+                samples[position] = value  # a new class, possibly
+                seen = self.classes[position]
+                seen.setdefault(key_class(value), kind.__name__)
+                self.plain[position] = (
+                    self._PLAIN_TYPE.get(comparison_class(value))
+                    if len(seen) == 1 else None)
+            key.append(self._hash_key(value))
+        self.buckets.setdefault(tuple(key), []).append(version)
 
     @staticmethod
     def _hash_key(value: Value):
@@ -391,11 +407,11 @@ class HeapTable:
         #: (that cache's row list, its transposed columns, per column
         #: "every value is an exact int") — see :meth:`columns`.
         self._col_cache: Optional[tuple[list, list[list], list[bool]]] = None
-        self._indexes: dict[tuple[int, ...], tuple[int, HashIndex]] = {}
-        #: Sorted indexes, keyed by (column positions, descending flags).
-        #: Unlike the version-invalidated hash indexes above, these are
-        #: maintained incrementally by every DML method — probing them
-        #: never pays a rebuild after DML.
+        #: Hash indexes by column positions, and sorted indexes by (column
+        #: positions, descending flags).  Both kinds hold every version
+        #: and are kept up where versions are created and where
+        #: ``_versions`` is rebuilt, so a probe never pays a rebuild.
+        self._indexes: dict[tuple[int, ...], HashIndex] = {}
         self._sorted: dict[tuple[tuple[int, ...], tuple[bool, ...]],
                            SortedIndex] = {}
 
@@ -499,24 +515,29 @@ class HeapTable:
                 f"got {len(row)} values")
         return row if type(row) is tuple else tuple(row)
 
-    def _new_version(self, data: tuple, txn) -> RowVersion:
-        """Create and account one version (caller places it and maintains
-        the sorted indexes — insert appends, update splices)."""
+    def _new_version(self, data: tuple, txn,
+                     slot: Optional[int] = None) -> RowVersion:
+        """Create and account one version and file it in the hash indexes
+        (caller places it and maintains the sorted indexes — insert
+        appends, update splices at *slot*)."""
         self._rid_counter += 1
         if txn is not None:
             xid = txn.ensure_xid()
-            version = RowVersion(data, xid, txn.cid, self._rid_counter)
+            version = RowVersion(data, xid, txn.cid, self._rid_counter, slot)
             txn.undo.append(("ins", self, version))
             txn.tables_touched.add(self)
             if self._txnman.wal is not None:
                 txn.wal_buf.append(self._txnman.wal.insert_record(
                     xid, self.name, version.rid, data))
         else:
-            version = RowVersion(data, FROZEN_XID, 0, self._rid_counter)
+            version = RowVersion(data, FROZEN_XID, 0, self._rid_counter,
+                                 slot)
         self._live += 1
         self._version += 1
         if self._buffers is not None:
             self._buffers.charge(row_byte_size(data))
+        for index in self._indexes.values():
+            index.add(version)
         return version
 
     def insert(self, row: Sequence[Value]) -> None:
@@ -577,60 +598,67 @@ class HeapTable:
         self._dead_possible += 1
         self._version += 1
 
-    def delete_where(self, predicate) -> int:
-        """Delete rows for which *predicate(row)* is truthy; return count."""
-        mgr = self._txnman
-        txn = mgr.current
-        snapshot = mgr.current_snapshot()
+    def visible_versions(self) -> list[RowVersion]:
+        """The versions the current snapshot sees, in heap order: what a
+        sequential scan hands a modifying statement as its targets."""
+        snapshot = self._txnman.current_snapshot()
         if self.all_visible(snapshot):
-            targets = [v for v in self._versions if predicate(v.data)]
-        else:
-            vis = snapshot.visible
-            targets = [v for v in self._versions
-                       if vis(v) and predicate(v.data)]
-        for version in targets:
-            self._stamp_delete(version, txn)
-        if txn is None and targets:
-            self.maybe_vacuum()
-        return len(targets)
+            return list(self._versions)
+        return list(filter(snapshot.visible, self._versions))
 
-    def update_where(self, predicate, updater) -> int:
-        """Replace rows matching *predicate* with *updater(row)*.
+    def delete_versions(self, versions: Sequence[RowVersion]) -> int:
+        """Stamp every one of *versions* deleted; return their number."""
+        txn = self._txnman.current
+        for version in versions:
+            self._stamp_delete(version, txn)
+        if txn is None and versions:
+            self.maybe_vacuum()
+        return len(versions)
+
+    def update_versions(self, pairs: Sequence[tuple[RowVersion, Sequence[Value]]]
+                        ) -> int:
+        """Replace each ``(version, new row)`` of *pairs*.
 
         MVCC-style: the old version gets ``xmax`` stamped, the new one is
         spliced in right after it so sequential scans deliver the updated
         row where the original sat (the seed engine's in-place order).
-        All replacement tuples are computed before anything is stamped,
-        so an updater error leaves the heap untouched.
+        Every replacement tuple is validated before anything is stamped.
         """
-        mgr = self._txnman
-        txn = mgr.current
-        snapshot = mgr.current_snapshot()
-        vis = None if self.all_visible(snapshot) else snapshot.visible
-        targets = []
-        for version in self._versions:
-            if (vis is None or vis(version)) and predicate(version.data):
-                targets.append(
-                    (version, self._prepare_row(tuple(updater(version.data)))))
-        if not targets:
+        staged = sorted((self._position(version), version,
+                         self._prepare_row(row)) for version, row in pairs)
+        if not staged:
             return 0
-        for version, _ in targets:
+        versions = self._versions
+        txn = self._txnman.current
+        for _, version, _ in staged:
             self._stamp_delete(version, txn)
-        replacement = {id(version): data for version, data in targets}
-        out = []
-        added = []
-        for version in self._versions:
-            out.append(version)
-            data = replacement.get(id(version))
-            if data is not None:
-                new_version = self._new_version(data, txn)
-                out.append(new_version)
-                added.append(new_version)
-        self._versions = out
+        added = [self._new_version(data, txn, version.slot)
+                 for _, version, data in staged]
+        if len(staged) <= _SPLICE_IN_PLACE:
+            for (position, _, _), new in zip(reversed(staged),
+                                             reversed(added)):
+                versions.insert(position + 1, new)  # last first
+        else:
+            out = []
+            done = 0
+            for (position, _, _), new in zip(staged, added):
+                out += versions[done:position + 1]
+                out.append(new)
+                done = position + 1
+            out += versions[done:]
+            self._versions = out
         self._maintain_sorted(added=added)
         if txn is None:
             self.maybe_vacuum()
-        return len(targets)
+        return len(staged)
+
+    def _position(self, version: RowVersion) -> int:
+        """Where *version* sits in the heap's list, which is sorted by
+        slot; the versions sharing one (a row's successive replacements)
+        are few."""
+        versions = self._versions
+        return versions.index(
+            version, bisect_left(versions, version.slot, key=_SLOT))
 
     def truncate(self) -> None:
         """Drop every version unconditionally (non-transactional reset)."""
@@ -639,8 +667,7 @@ class HeapTable:
         self._dead_possible = 0
         self._version += 1
         self._vis_cache = self._col_cache = None
-        for index in self._sorted.values():
-            index.rebuild(())
+        self._reindex()
 
     # -- undo (called by Transaction.rollback_to_mark) -------------------
 
@@ -688,8 +715,7 @@ class HeapTable:
         if len(live) != len(self._versions):
             self._versions = live
             self._version += 1
-            for index in self._sorted.values():
-                index.rebuild(live)
+            self._reindex()
         self._dead_possible = sum(1 for v in live if v.xmax is not None)
         self._live = len(live) - self._dead_possible
 
@@ -698,13 +724,15 @@ class HeapTable:
     def equality_index(self, columns: tuple[int, ...]) -> HashIndex:
         """The :class:`HashIndex` over *columns*.
 
-        Built lazily over every version (snapshot-independent — scans
-        filter hits through their own snapshot) and invalidated by any
-        write (cheap counter); NULL keys are excluded, matching SQL's
-        ``col = NULL`` semantics.  The planner uses these for correlated
-        equality lookups — the moral equivalent of the B-tree probes
-        PostgreSQL would use on the paper's ``policy`` / ``actions`` /
-        ``cells`` tables.
+        Built on its first probe over every version (snapshot-independent
+        — scans filter hits through their own snapshot) and kept up from
+        then on like a sorted index: a new version is filed where it is
+        created, and the index is rebuilt where ``_versions`` is.  NULL
+        keys are excluded, matching SQL's ``col = NULL`` semantics.  The
+        planner uses these for equality lookups, correlated ones included
+        — the moral equivalent of the B-tree probes PostgreSQL would use
+        on the paper's ``policy`` / ``actions`` / ``cells`` tables — and
+        to find the targets of a keyed UPDATE or DELETE.
 
         Why this exists beside :class:`SortedIndex` (ROADMAP 4(b),
         measured on a 10k-row table): an equality probe costs 0.21 us here,
@@ -714,12 +742,24 @@ class HeapTable:
         read (18-20 us).  The planner picks by predicate shape - equality
         here, range / order there - so no setting chooses between them.
         """
-        cached = self._indexes.get(columns)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        index = HashIndex(columns, self._versions)
-        self._indexes[columns] = (self._version, index)
+        index = self._indexes.get(columns)
+        if index is None:
+            index = self._indexes[columns] = self._build_hash(columns)
         return index
+
+    def _build_hash(self, columns: tuple[int, ...]) -> HashIndex:
+        profiler = self._txnman.profiler
+        if profiler is not None:
+            profiler.bump(HASH_INDEX_BUILDS)
+        return HashIndex(columns, self._versions)
+
+    def _reindex(self) -> None:
+        """``_versions`` was replaced by a list holding fewer versions
+        (vacuum, truncate): rebuild every index over it."""
+        for index in self._sorted.values():
+            index.rebuild(self._versions)
+        for columns in self._indexes:
+            self._indexes[columns] = self._build_hash(columns)
 
     # -- sorted indexes --------------------------------------------------
 
@@ -728,7 +768,7 @@ class HeapTable:
                      ) -> SortedIndex:
         """The sorted index over *columns* (per-column *descending* flags,
         default all-ascending), built lazily like :meth:`equality_index`
-        and then maintained incrementally by every DML method.  Serves
+        and then maintained incrementally by every write.  Serves
         range probes, ordered delivery (sort elimination) and merge-join
         inputs."""
         key = self._sorted_key(columns, descending)

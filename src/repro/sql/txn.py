@@ -61,17 +61,24 @@ class RowVersion:
     when ``cmin < cid`` and still sees versions it deleted while
     ``cmax >= cid`` (i.e. its own deletions take effect for the *next*
     statement, not mid-scan).
+
+    ``slot`` is the version's place in heap order: a heap's version list
+    is sorted by it.  An inserted row takes a fresh one (its ``rid``), the
+    replacement an UPDATE creates takes its predecessor's and sits right
+    after it, so where to splice is found by bisection.
     """
 
-    __slots__ = ("data", "xmin", "cmin", "xmax", "cmax", "rid")
+    __slots__ = ("data", "xmin", "cmin", "xmax", "cmax", "rid", "slot")
 
-    def __init__(self, data: tuple, xmin: int, cmin: int, rid: int):
+    def __init__(self, data: tuple, xmin: int, cmin: int, rid: int,
+                 slot: Optional[int] = None):
         self.data = data
         self.xmin = xmin
         self.cmin = cmin
         self.xmax: Optional[int] = None
         self.cmax = 0
         self.rid = rid
+        self.slot = rid if slot is None else slot
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RowVersion(rid={self.rid}, xmin={self.xmin}, "

@@ -80,6 +80,26 @@ class TestStatementTimeout:
         with pytest.raises(QueryCanceledError, match="statement timeout"):
             db.query_value("SELECT spin()")
 
+    @pytest.mark.parametrize("statement", [
+        "UPDATE big SET v = v + 1 WHERE v * 2 + 1 > id + 5",
+        "DELETE FROM big WHERE v * 2 + 1 > id + 5"])
+    def test_timeout_reaches_update_and_delete(self, db, statement):
+        """A modifying statement polls the token while it collects its
+        targets (it used to run its whole table scan in the storage
+        layer, which polls nothing) and, cancelled, changes no row."""
+        db.execute("CREATE TABLE big(id int, v int)")
+        db.catalog.get_table("big").insert_many(
+            [(i, i) for i in range(300_000)])
+        checksum = "SELECT count(*), sum(v) FROM big"
+        before = db.execute(checksum).rows
+        db.execute("SET statement_timeout = 20")
+        started = time.monotonic()
+        with pytest.raises(QueryCanceledError, match="statement timeout"):
+            db.execute(statement)
+        assert time.monotonic() - started < 0.5
+        db.execute("SET statement_timeout = 0")
+        assert db.execute(checksum).rows == before
+
     def test_timeout_survives_show_roundtrip(self, db):
         db.execute("SET statement_timeout = 75")
         assert db.execute("SHOW statement_timeout").scalar() == "75"

@@ -20,7 +20,7 @@ from repro.fuzz import (Case, DifferentialChecker, Query, Reducer, ddmin,
                         emit_pytest, generate_case, rows_equal,
                         settings_matrix)
 from repro.fuzz.oracle import is_sorted_by, normalize_value, run_statement
-from repro.fuzz.querygen import case_seed
+from repro.fuzz.querygen import Modification, case_seed
 from repro.fuzz.schema import ColumnSpec, SchemaSpec, TableSpec
 from repro.sql import Database
 from repro.sql.errors import (CRASH, CatalogError, ExecutionError,
@@ -241,7 +241,8 @@ class TestDdmin:
         assert ddmin(items, lambda xs: xs == items) == items
 
 
-def _handmade_case(queries, rows=None, extra_table=True) -> Case:
+def _handmade_case(queries, rows=None, extra_table=True,
+                   modifications=()) -> Case:
     """A hand-built case: t9(k int, v int) with deterministic rows, plus
     an (optional) unused second table for the reducer to discard."""
     t9 = TableSpec("t9", (ColumnSpec("k", "int", "num", "int"),
@@ -254,7 +255,8 @@ def _handmade_case(queries, rows=None, extra_table=True) -> Case:
         tables.append(pad)
         data["t8"] = [(1,), (2,)]
     return Case(seed=999, schema=SchemaSpec(tuple(tables)), data=data,
-                functions=(), queries=tuple(queries))
+                functions=(), queries=tuple(queries),
+                modifications=tuple(modifications))
 
 
 PADDING_QUERIES = (
@@ -331,6 +333,97 @@ class TestReducerConvergence:
         namespace: dict = {}
         exec(compile(text, "<emitted>", "exec"), namespace)
         namespace["test_emitted"]()   # healthy engine: no discrepancies
+
+
+# ---------------------------------------------------------------------------
+# Modifications: UPDATE / DELETE on the plan-equivalence axis
+# ---------------------------------------------------------------------------
+
+
+def _modification(sql: str, where: str) -> Modification:
+    sql = f"{sql} WHERE {where}"
+    return Modification(sql=sql, sqlite_sql=sql, table="t9",
+                        count_sql=f"SELECT count(*) FROM t9 WHERE {where}")
+
+
+MODIFICATIONS = (
+    _modification("UPDATE t9 SET v = v + 1, k = k + 1", "(t9.k >= 2)"),
+    _modification("DELETE FROM t9", "(t9.k = 3) AND (t9.v < 100)"),
+    _modification("DELETE FROM t9",
+                  "(EXISTS (SELECT 1 FROM t9 e WHERE e.v = t9.k))"),
+)
+
+
+class TestModifications:
+    def test_generated_cases_carry_two(self):
+        for index in range(20):
+            case = generate_case(4, index)
+            assert case == generate_case(4, index)
+            assert len(case.modifications) == 2
+            for modification in case.modifications:
+                assert modification.sql.startswith(("UPDATE ", "DELETE "))
+                assert modification.table in case.data
+
+    def test_clean_case_is_clean_and_counted(self):
+        from repro.sql.profiler import FUZZ_DML_CHECKS, FUZZ_SQLITE_CHECKS
+        case = _handmade_case(queries=PADDING_QUERIES,
+                              modifications=MODIFICATIONS)
+        checker = DifferentialChecker(use_sqlite=True)
+        assert checker.check_case(case) == []
+        assert checker.profiler.counts[FUZZ_DML_CHECKS] == 3
+        assert checker.profiler.counts[FUZZ_SQLITE_CHECKS] == 3
+
+    def test_every_configuration_starts_from_the_loaded_table(self):
+        """The first statement changes most rows; were they not put back
+        the second would find other targets under later configurations -
+        and the padding queries other rows."""
+        case = _handmade_case(queries=PADDING_QUERIES,
+                              modifications=MODIFICATIONS[:2])
+        assert DifferentialChecker().check_case(case) == []
+
+    def test_an_index_scan_dropping_a_target_is_caught(self, monkeypatch):
+        """Plant it where only some configurations go: the range scan
+        skips the first version it would hand a modify node."""
+        from repro.sql.executor import scan
+        original = scan.IndexRangeScanState.open
+
+        def broken_open(self, outer):
+            original(self, outer)
+            if self.plan.versions and self.pos != self.stop:
+                self.pos += self.step
+
+        monkeypatch.setattr(scan.IndexRangeScanState, "open", broken_open)
+        case = _handmade_case(queries=PADDING_QUERIES,
+                              modifications=MODIFICATIONS[:1])
+        checker = DifferentialChecker(use_sqlite=False)
+        discrepancies = checker.check_case(case)
+        assert {d.kind for d in discrepancies} == {"count"}
+        assert all("enable_rangescan=on" in d.config_b
+                   or d.config_b.startswith("defaults")
+                   for d in discrepancies)
+        assert not any(d.config_b == "defaults+enable_rangescan=off"
+                       for d in discrepancies)
+        reduced = Reducer(checker.check_case).reduce(case)
+        assert reduced.queries == ()
+        assert len(reduced.modifications) == 1
+        assert len(reduced.schema.tables) == 1
+
+    def test_a_hash_probe_dropping_a_target_is_caught(self, monkeypatch):
+        """Every configuration probes the hash index for ``k = 3``, so
+        the plans agree with each other - count(*) over the same WHERE
+        and SQLite do not agree with them."""
+        from repro.sql.executor import scan
+        original = scan.IndexScanState.open
+
+        def broken_open(self, outer):
+            original(self, outer)
+            if self.plan.versions:
+                self.rows = self.rows[1:]
+
+        monkeypatch.setattr(scan.IndexScanState, "open", broken_open)
+        case = _handmade_case(queries=(), modifications=MODIFICATIONS[1:2])
+        kinds = [d.kind for d in DifferentialChecker().check_case(case)]
+        assert kinds == ["count", "sqlite"]
 
 
 # ---------------------------------------------------------------------------

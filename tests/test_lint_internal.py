@@ -120,6 +120,12 @@ def walk(node):
     assert lint_source(tmp_path, "repro/sql/executor/fake.py", source) == []
 
 
+def test_the_modify_nodes_are_a_hot_module(tmp_path):
+    findings = lint_source(tmp_path, "repro/sql/executor/modify.py",
+                           UNPOLLED_LOOP)
+    assert rules(findings) == ["cancel-poll"]
+
+
 def test_loops_outside_hot_modules_are_ignored(tmp_path):
     findings = lint_source(tmp_path, "repro/sql/parser_helper.py",
                            UNPOLLED_LOOP)
@@ -369,6 +375,54 @@ def test_statement_class_names_come_from_the_table():
     from repro.sql import ast as A
     assert lint_internal.statement_class_names() \
         == {node.__name__ for node in A.STATEMENTS}
+
+
+# ---------------------------------------------------------------------------
+# rule 8: one WHERE evaluator
+# ---------------------------------------------------------------------------
+
+SECOND_EVALUATOR_ENGINE = """
+class Database:
+    def _eval_standalone(self, exprs, params):
+        compiler = ExprCompiler(Scope([]), self.planner)
+        return [compiler.compile(e) for e in exprs]
+
+    def _table_predicate(self, table, where):
+        compiler = ExprCompiler(Scope([table]), self.planner)
+        return compiler.compile(where)
+"""
+
+SECOND_EVALUATOR_STORAGE = """
+class SortedIndex:
+    def remove_if(self, predicate):
+        pass
+
+class HeapTable:
+    def delete_versions(self, versions):
+        pass
+
+    def delete_where(self, predicate):
+        pass
+
+    def update_where(self, check, *, updater):
+        pass
+"""
+
+
+def test_expression_compiler_in_the_engine_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/sql/engine.py",
+                           SECOND_EVALUATOR_ENGINE)
+    assert rules(findings) == ["second-evaluator"]
+    assert findings[0].line == 8
+    assert lint_source(tmp_path, "repro/sql/planner.py",
+                       SECOND_EVALUATOR_ENGINE) == []
+
+
+def test_heap_method_taking_a_callable_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/sql/storage.py",
+                           SECOND_EVALUATOR_STORAGE)
+    assert rules(findings) == ["second-evaluator"] * 2
+    assert [f.line for f in findings] == [10, 13]
 
 
 def test_main_exit_status(tmp_path, capsys):

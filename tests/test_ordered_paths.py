@@ -4,8 +4,9 @@ sort elimination, Top-N, and merge joins.
 Covers the planner's access-path choices (visible in EXPLAIN), the
 executor semantics of the new operators, the DDL surface, and — the PR's
 regression focus — index freshness across every DML path (INSERT, UPDATE,
-DELETE, TRUNCATE) for both the version-invalidated hash indexes and the
-incrementally-maintained sorted indexes.
+DELETE, TRUNCATE, rollback, vacuum) for the hash and the sorted indexes,
+both maintained where versions are created and rebuilt only where the
+heap is.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import pytest
 
 from repro.sql import Database
 from repro.sql.errors import CatalogError, ExecutionError, TypeError_
-from repro.sql.profiler import (INDEX_RANGE_SCANS, MERGEJOIN_SCANS,
-                                SORTED_INDEX_BUILDS, TOPN_INPUT_ROWS,
-                                TOPN_SCANS)
+from repro.sql.profiler import (HASH_INDEX_BUILDS, INDEX_RANGE_SCANS,
+                                MERGEJOIN_SCANS, SORTED_INDEX_BUILDS,
+                                TOPN_INPUT_ROWS, TOPN_SCANS)
 
 
 @pytest.fixture
@@ -384,9 +385,9 @@ class TestMergeJoin:
 
 class TestIndexFreshnessAfterDml:
     """Probes after UPDATE / DELETE / INSERT / TRUNCATE must see the new
-    state on every access path: hash equality indexes are invalidated by
-    the table version counter, sorted indexes are maintained in place.
-    Plans stay cached throughout — the probe, not the plan, must refresh.
+    state on every access path: hash and sorted indexes alike are
+    maintained in place.  Plans stay cached throughout — the probe, not
+    the plan, must refresh.
     """
 
     EQ = "SELECT count(*) FROM t WHERE b = $1"
@@ -444,6 +445,131 @@ class TestIndexFreshnessAfterDml:
         assert indexed.execute(self.EQ, (4242,)).scalar() == 1
         assert indexed.query_all(
             "SELECT b FROM t ORDER BY b DESC LIMIT 1") == [(4242,)]
+
+
+class TestIndexUpkeep:
+    """Both index kinds follow one rule: a version is filed where it is
+    created, an index is rebuilt where the heap's version list is (vacuum,
+    TRUNCATE), and a probe never rebuilds.  Every probe below is compared
+    with the sequential scan of the same predicate (``b + 0`` hides the
+    column from access-path selection)."""
+
+    KEYS = (40, 41, 1040, 4242, -1)
+
+    @pytest.fixture
+    def indexed(self, db):
+        db.execute("CREATE INDEX t_b ON t(b)")
+        self.agree(db)                      # builds the hash index on b
+        db.profiler.reset()
+        return db
+
+    def agree(self, conn) -> None:
+        for key in self.KEYS:
+            truth = conn.query_all(
+                f"SELECT a, b FROM t WHERE b + 0 = {key}")
+            assert conn.query_all(
+                f"SELECT a, b FROM t WHERE b = {key}") == truth
+            assert conn.query_all(
+                f"SELECT a, b FROM t WHERE b >= {key} AND b <= {key}") == truth
+        assert conn.query_all("SELECT b FROM t ORDER BY b") == sorted(
+            conn.query_all("SELECT b FROM t WHERE b + 0 = b"))
+
+    def builds(self, db) -> tuple[int, int]:
+        return (db.profiler.counts[HASH_INDEX_BUILDS],
+                db.profiler.counts[SORTED_INDEX_BUILDS])
+
+    def test_the_plans_probe_both_kinds(self, indexed):
+        assert "IndexScan on t (b)" in indexed.explain(
+            "SELECT a FROM t WHERE b = 40")
+        assert "IndexRangeScan on t" in indexed.explain(
+            "SELECT a FROM t WHERE b >= 40 AND b <= 40")
+
+    def test_old_and_new_key_after_update_of_the_indexed_column(
+            self, indexed):
+        indexed.execute("UPDATE t SET b = b + 1000 WHERE b = 40")
+        assert indexed.query_all("SELECT a FROM t WHERE b = 40") == []
+        assert indexed.query_all("SELECT a FROM t WHERE b = 1040") == [(0,)]
+        self.agree(indexed)
+        assert self.builds(indexed) == (0, 0)
+
+    def test_after_delete(self, indexed):
+        indexed.execute("DELETE FROM t WHERE b = 41")
+        assert indexed.query_all("SELECT a FROM t WHERE b = 41") == []
+        self.agree(indexed)
+        assert self.builds(indexed) == (0, 0)
+
+    def test_after_a_rolled_back_insert(self, indexed):
+        conn = indexed.connect()
+        conn.execute("BEGIN")
+        conn.execute("INSERT INTO t VALUES (7, 4242)")
+        assert conn.query_all("SELECT a FROM t WHERE b = 4242") == [(7,)]
+        conn.execute("ROLLBACK")
+        assert indexed.query_all("SELECT a FROM t WHERE b = 4242") == []
+        self.agree(indexed)
+        assert self.builds(indexed) == (0, 0)
+
+    def test_inside_the_writing_transaction_before_commit(self, indexed):
+        writer, reader = indexed.connect(), indexed.connect()
+        writer.execute("BEGIN")
+        writer.execute("UPDATE t SET b = 1040 WHERE b = 40")
+        writer.execute("DELETE FROM t WHERE b = 41")
+        writer.execute("INSERT INTO t VALUES (7, 4242)")
+        self.agree(writer)
+        assert writer.query_all("SELECT a FROM t WHERE b = 1040") == [(0,)]
+        assert writer.query_all("SELECT a FROM t WHERE b = 41") == []
+        self.agree(reader)
+        assert reader.query_all("SELECT a FROM t WHERE b = 40") == [(0,)]
+        assert reader.query_all("SELECT a FROM t WHERE b = 4242") == []
+        writer.execute("COMMIT")
+        self.agree(reader)
+        assert reader.query_all("SELECT a FROM t WHERE b = 4242") == [(7,)]
+        assert self.builds(indexed) == (0, 0)
+
+    def test_vacuum_rebuilds_each_index_once(self, indexed):
+        table = indexed.catalog.get_table("t")
+        indexed.execute("UPDATE t SET b = b + 1000 WHERE b = 40")
+        indexed.execute("DELETE FROM t WHERE b >= 60 AND b + 0 < 90")
+        # Vacuum ran as the DELETE's transaction finished: the dead
+        # versions are gone from the heap and from both indexes.
+        assert len(table._versions) == len(table) == 70
+        assert len(table.equality_index((1,)).buckets) == 70
+        assert len(table.sorted_index((1,))) == 70
+        assert self.builds(indexed) == (1, 0)   # sorted: rebuilt in place
+        self.agree(indexed)
+        assert self.builds(indexed) == (1, 0)
+
+    def test_truncate_rebuilds_to_empty(self, indexed):
+        indexed.catalog.get_table("t").truncate()
+        self.agree(indexed)
+        assert indexed.query_all("SELECT a FROM t WHERE b = 40") == []
+        indexed.execute("INSERT INTO t VALUES (1, 40)")
+        assert indexed.query_all("SELECT a FROM t WHERE b = 40") == [(1,)]
+        self.agree(indexed)
+        assert self.builds(indexed) == (1, 0)
+
+    def test_a_write_never_rebuilds_the_hash_index(self, indexed):
+        for key in range(100, 115):        # too few dead versions to vacuum
+            indexed.execute("INSERT INTO t VALUES (0, $1)", (key,))
+            indexed.execute("UPDATE t SET a = a + 1 WHERE b = $1", (key,))
+            assert indexed.execute("SELECT a FROM t WHERE b = $1",
+                                   (key,)).rows == [(1,)]
+        assert self.builds(indexed) == (0, 0)
+
+    @pytest.mark.parametrize("column", ["a", "b"])
+    def test_grown_index_raises_like_a_fresh_one(self, db, column):
+        """Comparability classes are kept as versions are added: probing
+        an int column with a string fails alike through an index that
+        grew row by row and through one built over the finished table."""
+        db.execute("CREATE TABLE g(a int, b int)")
+        assert db.query_all(f"SELECT 1 FROM g WHERE {column} = 'a'") == []
+        for i in range(5):
+            db.execute("INSERT INTO g VALUES ($1, $1)", (i,))
+        db.execute("UPDATE g SET a = a + 1, b = b + 1")
+        grown = _outcome(db, f"SELECT a FROM g WHERE {column} = 'a'")
+        fresh = _outcome(db, f"SELECT a FROM t WHERE {column} = 'a'")
+        scanned = _outcome(db, f"SELECT a FROM g WHERE {column} + 0 = 'a'")
+        assert grown == fresh == scanned == "cannot compare int with str"
+        assert _outcome(db, f"SELECT a FROM g WHERE {column} = 3.0") == [(3,)]
 
 
 class TestReviewRegressions:

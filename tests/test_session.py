@@ -597,10 +597,30 @@ class TestPreparedVsDdl:
         db.execute("RESET enable_rangescan")
         assert "IndexRangeScan" in db.explain("EXECUTE q")
 
-    def test_explain_execute_of_dml_rejected(self, db):
+    def test_explain_execute_of_dml_shows_its_plan(self, db):
         db.execute("PREPARE ins AS INSERT INTO t VALUES ($1, $2)")
-        with pytest.raises(PlanError, match="EXPLAIN EXECUTE"):
-            db.explain("EXECUTE ins")
+        assert db.explain("EXECUTE ins").startswith("-> Insert on t")
+
+    def test_prepared_dml_carries_its_plan_under_the_plan_stamp(self, db):
+        """A DML handle is planned once and replans exactly when a SELECT
+        handle would: DDL or a plan-affecting SET moved the stamp."""
+        db.execute("CREATE INDEX t_b ON t(b)")
+        handle = db.connect().prepare(
+            "UPDATE t SET b = b WHERE b >= $1 AND b <= $2")
+        db.profiler.reset()
+        for _ in range(3):
+            assert handle.execute([10, 20]).scalar() == \
+                db.query_value("SELECT count(*) FROM t "
+                               "WHERE b >= 10 AND b <= 20")
+        assert db.profiler.counts[PREPARED_REPLANS] == 0
+        assert "IndexRangeScan" in handle.explain()
+        db.execute("SET enable_rangescan = off")
+        assert "IndexRangeScan" not in handle.explain()
+        assert db.profiler.counts[PREPARED_REPLANS] == 1
+        db.execute("RESET enable_rangescan")
+        db.execute("DROP INDEX t_b")
+        handle.execute([10, 20])
+        assert db.profiler.counts[PREPARED_REPLANS] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
-"""Print ``EXPLAIN`` for every SELECT of the fuzz corpus, to be diffed.
+"""Print ``EXPLAIN`` for every statement of the fuzz corpus, to be diffed.
 
 A no-behaviour-change refactor of the planner (or of anything the planner
 calls) must leave every plan as it was.  This tool renders the plan of each
 checked query of ``--seeds`` x ``--cases`` generated fuzz cases - function
 queries once per twin (interpreted and compiled) - under the default
-settings and under ``batch_compiled = off``, into one text file.  Run it at
-two commits and compare the files::
+settings and under ``batch_compiled = off``, into one text file, followed
+by the plans of the cases' UPDATE / DELETE statements (default settings
+and ``enable_rangescan = off``, the one axis a target scan has; after all
+the SELECTs, so that part of the file compares with a commit that had no
+modify plans).  Run it at two commits and compare the files::
 
     python tools/explain_corpus.py --out /tmp/after.txt
     (cd ../parent && python tools/explain_corpus.py --out /tmp/before.txt)
@@ -19,6 +22,7 @@ so a change in *which* statements plan shows up in the diff as well.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -29,7 +33,16 @@ from repro.fuzz.querygen import generate_case  # noqa: E402
 from repro.sql.errors import SqlError  # noqa: E402
 
 
-def explain_case(seed: int, index: int, out) -> None:
+def explain(db, header: str, sql: str, out) -> None:
+    out.write(f"{header}\n{sql}\n")
+    try:
+        out.write(db.explain(sql).rstrip() + "\n\n")
+    except SqlError as error:
+        out.write(f"!! {type(error).__name__}: {error}\n\n")
+
+
+def explain_case(seed: int, index: int, out, later: io.StringIO) -> None:
+    """The case's SELECT plans to *out*, its modify plans to *later*."""
     case = generate_case(seed, index)
     db, compiled = DifferentialChecker(use_sqlite=False).build_database(case)
     for batch_compiled in ("on", "off"):
@@ -42,12 +55,15 @@ def explain_case(seed: int, index: int, out) -> None:
                 statements = [query.sql.format(f=name)
                               for name in twins if name]
             for sql in statements:
-                out.write(f"-- seed {seed} case {index} "
-                          f"batch_compiled={batch_compiled}\n{sql}\n")
-                try:
-                    out.write(db.explain(sql).rstrip() + "\n\n")
-                except SqlError as error:
-                    out.write(f"!! {type(error).__name__}: {error}\n\n")
+                explain(db, f"-- seed {seed} case {index} "
+                            f"batch_compiled={batch_compiled}", sql, out)
+    db.execute("RESET ALL")
+    for rangescan in ("on", "off"):
+        db.execute(f"SET enable_rangescan = {rangescan}")
+        for modification in case.modifications:
+            explain(db, f"-- seed {seed} case {index} "
+                        f"enable_rangescan={rangescan}",
+                    modification.sql, later)
 
 
 def main(argv=None) -> int:
@@ -60,10 +76,12 @@ def main(argv=None) -> int:
                         help="output file (default stdout)")
     args = parser.parse_args(argv)
     out = sys.stdout if args.out == "-" else open(args.out, "w")
+    modifications = io.StringIO()
     try:
         for seed in range(args.seeds):
             for index in range(args.cases):
-                explain_case(seed, index, out)
+                explain_case(seed, index, out, modifications)
+        out.write(modifications.getvalue())
     finally:
         if out is not sys.stdout:
             out.close()

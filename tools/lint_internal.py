@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Seven checks, each born from a real failure mode in this codebase:
+Eight checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
-   loops (`WITH RECURSIVE`, batched UDFs) and the PL/pgSQL interpreter
+   loops (`WITH RECURSIVE`, batched UDFs), the target collection of UPDATE
+   and DELETE (``executor/modify.py``) and the PL/pgSQL interpreter
    run user-controlled iteration counts; any such loop that forgets to
    poll a :class:`repro.sql.cancel.CancelToken` turns query cancellation
    and statement timeouts into dead letters.  In the designated hot
@@ -54,12 +55,23 @@ Seven checks, each born from a real failure mode in this codebase:
 
 7. **One statement table.**  The kinds of statement are listed once, in
    ``STATEMENTS`` of ``repro/sql/ast.py`` (node class -> leading keywords,
-   parse rule, result kind, command tag, engine handler, preparable); the
-   parser's dispatch, the engine's dispatch, the wire tags and the PREPARE
-   rule are read from it.  Anywhere else under ``src/repro``, a dict /
-   tuple / list / set literal naming three or more statement classes, or a
-   run of three or more ``if isinstance(x, <statement class>)`` arms, is a
-   second listing that a new kind would have to be added to by hand.
+   parse rule, result kind, command tag, engine handler, plan rule); the
+   parser's dispatch, the engine's dispatch, the planner's dispatch, the
+   wire tags and the PREPARE rule are read from it.  Anywhere else under
+   ``src/repro``, a dict / tuple / list / set literal naming three or more
+   statement classes, or a run of three or more
+   ``if isinstance(x, <statement class>)`` arms, is a second listing that
+   a new kind would have to be added to by hand.
+
+8. **One WHERE evaluator.**  A row-changing statement is a plan: its
+   WHERE and SET expressions are compiled by the planner and evaluated by
+   the modify node over a target scan (``executor/modify.py``).  The fork
+   this replaced - the engine compiling a predicate closure of its own
+   and the heap testing it on every version - regrows in two places, so
+   both are closed: ``repro/sql/engine.py`` may construct an
+   ``ExprCompiler`` only inside ``_eval_standalone`` (row-free EXECUTE
+   arguments and SET values), and no method of ``HeapTable`` may take a
+   parameter named ``predicate`` or ``updater``.
 
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
@@ -97,7 +109,17 @@ STATEMENT_TABLE = "repro/sql/ast.py"
 #: Fewer arms or elements than this is a special case, not a listing.
 STATEMENT_LIST_MIN = 3
 
-#: Modules whose while-loops iterate user-controlled amounts of work.
+#: The engine module and the one function in it that may compile
+#: expressions (rule 8) ...
+ENGINE = "repro/sql/engine.py"
+STANDALONE_EVAL = "_eval_standalone"
+#: ... and the heap, whose methods take versions, never callables.
+STORAGE = "repro/sql/storage.py"
+HEAP_CLASS = "HeapTable"
+CALLABLE_PARAMS = {"predicate", "updater"}
+
+#: Modules (path prefixes) whose while-loops iterate user-controlled
+#: amounts of work; the executor prefix takes in executor/modify.py.
 CANCEL_POLLED_MODULES = (
     "repro/sql/executor",
     "repro/plsql/interpreter.py",
@@ -418,6 +440,45 @@ def check_second_statement_list(path: Path, tree: ast.Module,
     return findings
 
 
+# -- rule 8: one WHERE evaluator --------------------------------------------
+
+def check_second_evaluator(path: Path, tree: ast.Module) -> list[Finding]:
+    rel = path.relative_to(SRC).as_posix()
+    findings = []
+    if rel == ENGINE:
+        allowed = {id(call) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == STANDALONE_EVAL
+                   for call in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id == "ExprCompiler":
+                findings.append(Finding(
+                    path, node.lineno, "second-evaluator",
+                    f"ExprCompiler(...) in {ENGINE} outside "
+                    f"{STANDALONE_EVAL}: statements are compiled by the "
+                    "planner (Planner.plan_statement)"))
+    elif rel == STORAGE:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name == HEAP_CLASS):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                arguments = method.args
+                for arg in (arguments.posonlyargs + arguments.args
+                            + arguments.kwonlyargs):
+                    if arg.arg in CALLABLE_PARAMS:
+                        findings.append(Finding(
+                            path, method.lineno, "second-evaluator",
+                            f"{HEAP_CLASS}.{method.name}({arg.arg}): the "
+                            "heap is handed versions (update_versions / "
+                            "delete_versions), not a callable to test "
+                            "on each"))
+    return findings
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
@@ -442,6 +503,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_second_traversal(path, tree))
         findings.extend(check_second_store(path, tree, settings))
         findings.extend(check_second_statement_list(path, tree, statements))
+        findings.extend(check_second_evaluator(path, tree))
     return findings
 
 
