@@ -9,7 +9,10 @@ ordered-access subsystem that removes the remaining O(n) scans:
 * **range + Top-N workload** (the PR's acceptance gate, asserted >= 10x):
   a selective range predicate with ``ORDER BY .. LIMIT`` over 100k rows —
   bisect-backed ``IndexRangeScan`` + bounded-heap ``TopN`` against the
-  seed's SeqScan + full sort,
+  seed's SeqScan + full sort (row engine: the seed configuration also
+  turns ``enable_vectorize`` off, since a sort no longer keeps a scan off
+  the vectorized core; that scan + sort and the batch hash join are
+  reported beside the seed's),
 * **index-ordered Top-N**: ``ORDER BY .. LIMIT k`` over a declared index —
   sort elimination makes the streaming LIMIT stop after k rows,
 * **trampoline probes**: a recursive CTE whose every iteration runs a
@@ -58,11 +61,13 @@ def _build_db() -> Database:
     return db
 
 
-def _fast(db: Database, enabled: bool) -> None:
+def _fast(db: Database, enabled: bool, vectorize: bool = None) -> None:
     db.settings.assign("enable_rangescan", enabled)
     db.settings.assign("enable_sort_elim", enabled)
     db.settings.assign("enable_topn", enabled)
     db.settings.assign("enable_mergejoin", enabled)
+    db.settings.assign("enable_vectorize",
+                       enabled if vectorize is None else vectorize)
 
 
 def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
@@ -110,6 +115,9 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
     ordered_slow = time_query(db, ORDERED_TOPN, runs=3, warmup=1).minimum
     tramp_slow = time_query(db, TRAMPOLINE, runs=1, warmup=0).minimum
     merge_slow = time_query(db, MERGE_JOIN, runs=3, warmup=1).minimum
+    _fast(db, False, vectorize=True)
+    range_vector = time_query(db, RANGE_TOPN, runs=3, warmup=1).minimum
+    merge_vector = time_query(db, MERGE_JOIN, runs=3, warmup=1).minimum
 
     range_speedup = range_slow / range_fast
     ordered_speedup = ordered_slow / ordered_fast
@@ -118,6 +126,8 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
 
     rows = [
         ["range + Top-N, SeqScan + Sort (seed)", round(range_slow * 1e3, 2)],
+        ["range + Top-N, vectorized SeqScan + Sort",
+         round(range_vector * 1e3, 2)],
         ["range + Top-N, IndexRangeScan + TopN", round(range_fast * 1e3, 2)],
         ["  speedup", round(range_speedup, 1)],
         ["ORDER BY .. LIMIT, full sort", round(ordered_slow * 1e3, 2)],
@@ -129,6 +139,8 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
          round(tramp_fast * 1e3, 2)],
         ["  speedup", round(tramp_speedup, 1)],
         ["equi-join 100k x 2k, hash", round(merge_slow * 1e3, 2)],
+        ["equi-join 100k x 2k, batch hash (vectorized)",
+         round(merge_vector * 1e3, 2)],
         ["equi-join 100k x 2k, merge", round(merge_fast * 1e3, 2)],
         ["  speedup", round(merge_speedup, 1)],
     ]
@@ -140,12 +152,14 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
         "rows": ROWS,
         "timings_s": {
             "range_topn_seqscan_sort": range_slow,
+            "range_topn_vectorized_seqscan_sort": range_vector,
             "range_topn_index": range_fast,
             "ordered_limit_sort": ordered_slow,
             "ordered_limit_index": ordered_fast,
             "trampoline_seqscan": tramp_slow,
             "trampoline_index": tramp_fast,
             "merge_join_hash": merge_slow,
+            "merge_join_batch_hash": merge_vector,
             "merge_join_merge": merge_fast,
         },
         "speedups": {

@@ -1,9 +1,9 @@
 """Vectorized executor core: what batch-at-a-time buys over row-at-a-time.
 
 The paper's thesis is set-oriented beats tuple-at-a-time dispatch; PR 10
-applies it to plain single-table SELECT cores (executor/vector.py).  This
-benchmark runs the same 100k-row workloads under ``enable_vectorize`` on
-and off — same engine, same plans otherwise.
+applies it to plain SELECT cores over base tables (executor/vector.py).
+This benchmark runs the same 100k-row workloads under ``enable_vectorize``
+on and off — same engine, same plans otherwise.
 
 **Gated: the structural facts** the speedups rest on, read from ``EXPLAIN``
 and the profiler's counters on one counted execution of each workload —
@@ -12,13 +12,15 @@ the row engine; and on this all-int table every row travelled in a batch
 whose columns carry the table's exact-int fact (``HeapTable.columns``), so
 the kernels ran their typed shape.  These do not depend on the host.
 
-**Reported: the time ratios.**  Vector vs row on four workloads —
+**Reported: the time ratios.**  Vector vs row on five workloads —
 **full-table aggregate** (``count(*) / sum / avg`` over every row: the
 purest measure of per-row closure dispatch vs column-loop accumulation),
 **filtered aggregate** (predicate rejects 2/3 of the table, sum the rest:
 selection vectors feeding the fold), **filter+project** and **grouped
 aggregate** (10 groups), which carry per-row output or bucketing costs the
-batch engine cannot amortize away.  The first two used to be gated at 5x
+batch engine cannot amortize away, and the **grouped aggregate under ORDER
+BY**, whose Sort consumes the vectorized core's ten rows (it used to send
+the whole core to the row engine).  The first two used to be gated at 5x
 and read 4-7x from run to run on one commit (ROADMAP item 6); they keep a
 loose 3x floor.  Beside them, **typed vs untyped**: the same statement on
 ``big_null``, the same table with one NULL per column, where every kernel
@@ -33,7 +35,7 @@ from __future__ import annotations
 import gc
 import time
 
-from repro.bench.harness import render_table
+from repro.bench.harness import counted, render_table
 from repro.sql import Database
 from repro.sql.profiler import (VECTOR_BATCHES, VECTOR_FALLBACKS, VECTOR_ROWS,
                                 VECTOR_TYPED_ROWS)
@@ -50,6 +52,8 @@ WORKLOADS = [
      "SELECT k, v FROM big WHERE v % 7 = 3"),
     ("grouped_aggregate",
      "SELECT v % 10, count(*), sum(k) FROM big GROUP BY v % 10"),
+    ("grouped_aggregate_ordered",
+     "SELECT v % 10, count(*), sum(k) FROM big GROUP BY v % 10 ORDER BY 1"),
 ]
 
 #: Loose floors under the reported vector-vs-row ratios; the gate proper is
@@ -71,18 +75,6 @@ def _build() -> Database:
                "SELECT CASE WHEN k = 1 THEN NULL ELSE k END, "
                "CASE WHEN k = 2 THEN NULL ELSE v END FROM big")
     return db
-
-
-def _counted(db: Database, query: str) -> dict:
-    """The profiler's counters over one execution of *query*."""
-    profiler = db.profiler
-    profiler.enabled = True
-    profiler.reset()
-    try:
-        db.execute(query)
-        return dict(profiler.counts)
-    finally:
-        profiler.enabled = False
 
 
 def _best(db: Database, query: str) -> float:
@@ -112,9 +104,10 @@ def test_vectorized_speedups(write_artifact, write_json):
         db.execute("SET enable_vectorize = on")
         vec_rows = db.execute(query).rows
         untyped_rows = db.execute(untyped_query).rows
-        assert "Vector" in db.execute("EXPLAIN " + query).rows[0][0], \
+        assert any("Vectorized" in line
+                   for line, in db.execute("EXPLAIN " + query).rows), \
             f"{name}: expected a vectorized plan"
-        counts = _counted(db, query)
+        counts = counted(db, query)
         facts[name] = {counter: counts.get(counter, 0)
                        for counter in (VECTOR_BATCHES, VECTOR_ROWS,
                                        VECTOR_TYPED_ROWS, VECTOR_FALLBACKS)}
@@ -122,7 +115,7 @@ def test_vectorized_speedups(write_artifact, write_json):
         assert counts.get(VECTOR_FALLBACKS, 0) == 0, f"{name}: fell back"
         assert counts.get(VECTOR_TYPED_ROWS, 0) == counts[VECTOR_ROWS] \
             == ROWS, f"{name}: untyped batches on the all-int table"
-        assert _counted(db, untyped_query).get(VECTOR_TYPED_ROWS, 0) == 0, \
+        assert counted(db, untyped_query).get(VECTOR_TYPED_ROWS, 0) == 0, \
             f"{name}: big_null has a NULL in every column"
         on_s = _best(db, query)
         untyped_s = _best(db, untyped_query)

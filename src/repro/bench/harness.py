@@ -59,6 +59,20 @@ def time_query(db: Database, sql: str, params: Sequence = (),
     return Timing(samples)
 
 
+def counted(db: Database, sql: str) -> dict:
+    """The profiler's counters over one execution of *sql* on a database
+    that otherwise runs unprofiled - what the benches gate on (facts that
+    do not depend on the host) beside the time ratios they report."""
+    profiler = db.profiler
+    profiler.enabled = True
+    profiler.reset()
+    try:
+        db.execute(sql)
+        return dict(profiler.counts)
+    finally:
+        profiler.enabled = False
+
+
 # ---------------------------------------------------------------------------
 # Machine-readable results
 # ---------------------------------------------------------------------------

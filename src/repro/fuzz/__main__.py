@@ -19,7 +19,7 @@ from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
-                                VECTOR_FALLBACKS, VECTOR_ROWS,
+                                VECTOR_FALLBACKS, VECTOR_JOIN_ROWS, VECTOR_ROWS,
                                 VECTOR_TYPED_ROWS, Profiler)
 
 from .chaos import check_chaos_case
@@ -100,6 +100,7 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
               f"{counts[VECTOR_ROWS]} vector rows "
               f"({counts[VECTOR_TYPED_ROWS] / max(1, counts[VECTOR_ROWS]):.0%}"
               f" with a typed column, {counts[VECTOR_FALLBACKS]} fallbacks), "
+              f"{counts[VECTOR_JOIN_ROWS]} vector join rows, "
               f"{counts[FUZZ_DISCREPANCIES]} discrepancies, "
               f"{failures} failing cases "
               f"in {time.monotonic() - started:.1f}s")

@@ -48,7 +48,7 @@ from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
-                                VECTOR_FALLBACKS,
+                                VECTOR_FALLBACKS, VECTOR_JOIN_ROWS,
                                 VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 from repro.sql.values import Row, row_sort_key
 
@@ -433,7 +433,8 @@ class DifferentialChecker:
                 modified[mi][config.label] = self._modify_fresh_copy(
                     db, modification.table, handles[mi], loaded)
                 profiler.bump(FUZZ_EXECUTIONS)
-        for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FALLBACKS):
+        for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_JOIN_ROWS,
+                        VECTOR_FALLBACKS):
             profiler.bump(counter, db.profiler.counts[counter])
 
         discrepancies: list[Discrepancy] = []

@@ -545,18 +545,38 @@ class QueryGen:
         return self._finish(body, body if sqlite_ok else None, len(items))
 
     def _join_select(self) -> Query:
+        """Two tables, sometimes three, joined on same-class column pairs;
+        above them plain select items (``_finish`` adds ORDER BY .. LIMIT
+        tails) or an aggregate.  A small share of inner joins pair columns
+        of *different* classes: every plan must then fail alike, the
+        vectorized core's batch hash join by falling back to the row engine
+        (``vector fallbacks`` in the summary line)."""
         left = self._table()
         right = self._table()
         ctx = [("a", left), ("b", right)]
-        gen = _ExprGen(self.rng, ctx, self._subquery,
-                        self._exists_subquery)
         kind = self.rng.choices(("JOIN", "LEFT JOIN", "CROSS JOIN", ","),
                                 weights=(5, 4, 1, 2))[0]
+        third = self._table() if self.rng.random() < 0.3 else None
+        if third is not None:
+            ctx.append(("c", third))
+        gen = _ExprGen(self.rng, ctx, self._subquery,
+                        self._exists_subquery)
         pairs = [(lc, rc) for lc in left.columns for rc in right.columns
                  if lc.cls == rc.cls]
+        mixed = [(lc, rc) for lc in left.columns for rc in right.columns
+                 if lc.cls != rc.cls]
         on = ""
         where_parts = []
-        if kind in ("JOIN", "LEFT JOIN"):
+        sqlite_ok = True
+        # No filter beside a mixed pair: a pushed-down one could empty a
+        # side and spare one plan the comparison another still makes.
+        cross_class = kind == "JOIN" and bool(mixed) \
+            and self.rng.random() < 0.08
+        if cross_class:
+            lc, rc = self.rng.choice(mixed)
+            on = f" ON a.{lc.name} = b.{rc.name}"
+            sqlite_ok = False  # SQLite compares across classes
+        elif kind in ("JOIN", "LEFT JOIN"):
             if not pairs:
                 kind = "CROSS JOIN"
             else:
@@ -569,15 +589,26 @@ class QueryGen:
         elif kind == "," and pairs:
             lc, rc = self.rng.choice(pairs)
             where_parts.append(f"a.{lc.name} = b.{rc.name}")
-        items = [gen.scalar(2) for _ in range(self.rng.randint(1, 3))]
-        sqlite_ok = all(e.sqlite_ok for e in items)
-        if self.rng.random() < 0.4:
-            pred = gen.predicate(1)
-            where_parts.append(pred.text)
-            sqlite_ok = sqlite_ok and pred.sqlite_ok
         from_clause = (f"{left.name} a{kind}{on} {right.name} b"
                        if kind == ","
                        else f"{left.name} a {kind} {right.name} b{on}")
+        if third is not None:
+            alias, table = self.rng.choice(ctx[:2])
+            # Every generated table has an int column, so a pair exists.
+            oc, tc = self.rng.choice(
+                [(oc, tc) for oc in table.columns for tc in third.columns
+                 if oc.cls == tc.cls])
+            from_clause += (f" JOIN {third.name} c "
+                            f"ON {alias}.{oc.name} = c.{tc.name}")
+        if self.rng.random() < 0.25:
+            return self._aggregate_over(ctx, from_clause, gen, where_parts,
+                                        sqlite_ok, filtered=not cross_class)
+        items = [gen.scalar(2) for _ in range(self.rng.randint(1, 3))]
+        sqlite_ok = sqlite_ok and all(e.sqlite_ok for e in items)
+        if not cross_class and self.rng.random() < 0.4:
+            pred = gen.predicate(1)
+            where_parts.append(pred.text)
+            sqlite_ok = sqlite_ok and pred.sqlite_ok
         where = f" WHERE {' AND '.join(where_parts)}" if where_parts else ""
         body = (f"SELECT {', '.join(e.text for e in items)} "
                 f"FROM {from_clause}{where}")
@@ -587,34 +618,40 @@ class QueryGen:
         table = self._table()
         gen = _ExprGen(self.rng, [("a", table)], self._subquery,
                         self._exists_subquery)
-        num_cols = table.columns_of_class("num")
+        return self._aggregate_over([("a", table)], f"{table.name} a", gen,
+                                    [], True)
+
+    def _aggregate_over(self, ctx, from_clause: str, gen: _ExprGen,
+                        where_parts: list, sqlite_ok: bool,
+                        filtered: bool = True) -> Query:
+        """Aggregates, grouped or not, over *from_clause* (whose relations
+        are *ctx*); *where_parts* are conjuncts the caller already needs."""
+        columns = [f"{alias}.{c.name}" for alias, t in ctx for c in t.columns]
+        num_cols = [f"{alias}.{c.name}" for alias, t in ctx
+                    for c in t.columns_of_class("num")]
         aggs = []
         for _ in range(self.rng.randint(1, 2)):
             choice = self.rng.random()
             if choice < 0.25 or not num_cols:
                 aggs.append("count(*)")
             elif choice < 0.45:
-                aggs.append(f"count(a.{self.rng.choice(table.columns).name})")
+                aggs.append(f"count({self.rng.choice(columns)})")
             else:
                 fn = self.rng.choice(("sum", "min", "max", "avg"))
-                aggs.append(f"{fn}(a.{self.rng.choice(num_cols).name})")
-        where = ""
-        sqlite_ok = True
-        if self.rng.random() < 0.5:
+                aggs.append(f"{fn}({self.rng.choice(num_cols)})")
+        if filtered and self.rng.random() < 0.5:
             pred = gen.predicate(1)
-            where = f" WHERE {pred.text}"
-            sqlite_ok = pred.sqlite_ok
-        if self.rng.random() < 0.7 and table.columns:
-            group_cols = self.rng.sample(
-                list(table.columns), self.rng.randint(1, 2))
-            group_refs = [f"a.{c.name}" for c in group_cols]
+            where_parts = where_parts + [pred.text]
+            sqlite_ok = sqlite_ok and pred.sqlite_ok
+        where = f" WHERE {' AND '.join(where_parts)}" if where_parts else ""
+        if self.rng.random() < 0.7 and columns:
+            group_refs = self.rng.sample(columns, self.rng.randint(1, 2))
             select = ", ".join(group_refs + aggs)
             having = ""
             if self.rng.random() < 0.3:
                 having = f" HAVING count(*) > {self.rng.randint(0, 2)}"
-            body = (f"SELECT {select} FROM {table.name} a{where} "
+            body = (f"SELECT {select} FROM {from_clause}{where} "
                     f"GROUP BY {', '.join(group_refs)}{having}")
-            n_output = len(group_refs) + len(aggs)
             # Grouped rows are unique on the group keys, so ordering by
             # exactly those keys already pins the full row order.
             keys = tuple((i, self.rng.random() < 0.35)
@@ -630,7 +667,7 @@ class QueryGen:
                 return Query(sql=sql, sqlite_sql=lite, order="total",
                              order_keys=keys)
             return Query(sql=body, sqlite_sql=body if sqlite_ok else None)
-        body = f"SELECT {', '.join(aggs)} FROM {table.name} a{where}"
+        body = f"SELECT {', '.join(aggs)} FROM {from_clause}{where}"
         return Query(sql=body, sqlite_sql=body if sqlite_ok else None)
 
     def _window_select(self) -> Query:

@@ -15,6 +15,7 @@ pays it per embedded-query evaluation.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,6 +70,12 @@ def call_site_lines(indent: int, *slot_lists) -> list[str]:
             for plan in subplans if getattr(plan, "per_call", False)]
 
 
+#: Rows a bulk pull (:meth:`PlanState.next_rows`) hands on at least, unless
+#: the stream ends first.  Module-level (not a GUC) so tests can sweep it;
+#: read where it is used, never copied.
+ROWS_PER_PULL = 256
+
+
 class PlanState:
     """Base class for per-execution operator state.
 
@@ -76,6 +83,10 @@ class PlanState:
     row tuples until ``None``.  :meth:`open` may be called again at any time
     (rescan), possibly with a different outer context — lateral and
     correlated subplans rely on this.
+
+    The bulk pull: :meth:`next_rows` hands on the next rows as a list, for
+    consumers that take every row anyway (``fetch_all``, Sort, TopN).  It
+    and :meth:`next` read the same stream and may be mixed.
     """
 
     __slots__ = ("rt",)
@@ -92,12 +103,44 @@ class PlanState:
     def close(self) -> None:
         pass
 
+    def next_rows(self) -> list[tuple]:
+        """The next rows of the stream, in a list that is the caller's: at
+        least :data:`ROWS_PER_PULL` of them unless the stream ends with
+        them, so a shorter list - an empty one included - says it has
+        ended.  The default is a short loop over :meth:`next` (which it
+        never calls again after a ``None``); an operator whose rows already
+        sit in a list hands that on instead."""
+        return list(islice(iter(self.next, None), ROWS_PER_PULL))
+
     # -- convenience ----------------------------------------------------
     def fetch_all(self) -> list[tuple]:
-        out = []
+        out = rows = self.next_rows()
         # lint: bounded — drains a finite child stream; leaf scans poll
-        while True:
-            row = self.next()
-            if row is None:
-                return out
-            out.append(row)
+        while len(rows) >= ROWS_PER_PULL:
+            rows = self.next_rows()
+            out += rows
+        return out
+
+
+class RowListState(PlanState):
+    """An operator whose :meth:`open` leaves its whole output in ``rows``
+    (Sort, TopN, set operations): both pulls serve it from there."""
+
+    __slots__ = ("rows", "pos")
+
+    def __init__(self, rt: "RuntimeContext"):
+        super().__init__(rt)
+        self.rows: list[tuple] = []
+        self.pos = 0
+
+    def next(self) -> Optional[tuple]:
+        if self.pos >= len(self.rows):
+            return None
+        row = self.rows[self.pos]
+        self.pos += 1
+        return row
+
+    def next_rows(self) -> list[tuple]:
+        rows = self.rows[self.pos:]
+        self.pos = len(self.rows)
+        return rows

@@ -74,10 +74,13 @@ class FromLeafPlan(FromNodePlan):
 
     ``filter`` (set by the planner's predicate pushdown) is a compiled
     conjunction of the WHERE conjuncts that reference only this relation;
-    rows failing it never reach the enclosing join.
+    rows failing it never reach the enclosing join.  ``filter_ast`` is the
+    conjunction it was compiled from, kept for the vectorized core's batch
+    form of the same filter.
     """
 
-    __slots__ = ("rel_index", "source", "lateral", "filter", "filter_subplans")
+    __slots__ = ("rel_index", "source", "lateral", "filter", "filter_subplans",
+                 "filter_ast")
 
     def __init__(self, rel_index: int, width: int, source: Plan, lateral: bool):
         super().__init__([(rel_index, width)])
@@ -86,6 +89,7 @@ class FromLeafPlan(FromNodePlan):
         self.lateral = lateral
         self.filter = None
         self.filter_subplans: list = []
+        self.filter_ast = None
 
     def instantiate(self, rt, ictx, vector: list) -> "FromLeafState":
         return FromLeafState(rt, vector, self,

@@ -28,12 +28,20 @@ Semantics kept identical to the nested loop:
 LATERAL subtrees never reach this operator — the right side of a lateral
 join must be re-evaluated per left tick, so the planner keeps those on the
 nested-loop path.
+
+The rules of the build table — what a row's hash key is, which rows have
+none, which probe values raise — are :func:`hash_key` and its column form
+:func:`hash_keys`, shared with the vectorized core's batch hash join
+(:class:`repro.sql.executor.vector.VectorHashJoin`), which runs the same
+plan node a batch of probe rows at a time.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Optional, Sequence
+
 from ..errors import TypeError_
-from ..expr import EvalContext
+from ..expr import EvalContext, IntColumn
 from ..profiler import HASHJOIN_BUILD_ROWS, HASHJOIN_BUILDS
 from ..values import Row, hashable_value
 from ..values import key_class as _key_class
@@ -49,6 +57,51 @@ def _key_type_error(probe_value, build_class, build_display) -> TypeError_:
         return TypeError_("cannot compare rows of different arity")
     return TypeError_(f"cannot compare {type(probe_value).__name__} "
                       f"with {build_display}")
+
+
+def hash_key(values: Iterable, classes: Sequence[dict], probe: bool):
+    """The build-table key of one row's join-key *values*, or None when a
+    component is NULL: ``NULL = x`` is not TRUE, so such a build row is not
+    hashed and such a probe row finds nothing.
+
+    A component keys as its :func:`~repro.sql.values.hashable_value`; one
+    component is the key itself, several make a tuple.  ``classes`` holds,
+    per component, the comparability classes the build side had (class ->
+    a type name for the message): a build row records its own — NULL
+    components' neighbours included — and a *probe* value of a class the
+    build side never saw raises the error the nested loop would raise on
+    the first such pair.  *values* may be lazy: nothing past a raising
+    component is evaluated.
+    """
+    key: Optional[list] = []
+    for value, seen in zip(values, classes):
+        if value is None:
+            key = None
+            continue
+        kind = _key_class(value)
+        if not probe:
+            seen.setdefault(kind, type(value).__name__)
+        elif seen and kind not in seen:
+            build_class, display = next(iter(seen.items()))
+            raise _key_type_error(value, build_class, display)
+        if key is not None:
+            key.append(hashable_value(value))
+    if key is None:
+        return None
+    return key[0] if len(key) == 1 else tuple(key)
+
+
+def hash_keys(cols: Sequence[list], classes: Sequence[dict],
+              probe: bool) -> Iterable:
+    """:func:`hash_key` of every row of the parallel key columns *cols*.
+    Columns of exact ints have no NULL, one class — recorded or checked on
+    the first row for all of them — and each value is its own hashable
+    stand-in, so they key as they are."""
+    if all(type(col) is IntColumn for col in cols):
+        if cols[0]:
+            hash_key([col[0] for col in cols], classes, probe)
+        return cols[0] if len(cols) == 1 else zip(*cols)
+    return [hash_key(values, classes, probe) for values in zip(*cols)]
 
 
 class HashJoinPlan(FromNodePlan):
@@ -67,16 +120,21 @@ class HashJoinPlan(FromNodePlan):
     uncorrelated keys and filters): the hash table is then built once per
     execution and reused across rescans — e.g. when this join sits under
     the re-opened right side of an enclosing nested loop.
+
+    ``asts`` keeps what the closures were compiled from — ``(left key
+    expressions, right key expressions, residual or None, their scope)`` —
+    for the vectorized core, which derives the batch forms of the same
+    expressions when the whole FROM tree qualifies.
     """
 
     __slots__ = ("kind", "left", "right", "left_keys", "right_keys",
                  "residual", "subplans", "build_side", "key_display",
-                 "rebuild_on_rescan")
+                 "rebuild_on_rescan", "asts")
 
     def __init__(self, kind: str, left: FromNodePlan, right: FromNodePlan,
                  left_keys, right_keys, residual, subplans,
                  build_side: str, key_display: str,
-                 rebuild_on_rescan: bool = True):
+                 rebuild_on_rescan: bool = True, asts: tuple = ()):
         super().__init__(left.rel_slots + right.rel_slots)
         self.kind = kind
         self.left = left
@@ -88,6 +146,7 @@ class HashJoinPlan(FromNodePlan):
         self.build_side = build_side
         self.key_display = key_display
         self.rebuild_on_rescan = rebuild_on_rescan
+        self.asts = asts
 
     def instantiate(self, rt, ictx, vector: list) -> "HashJoinState":
         return HashJoinState(
@@ -160,20 +219,12 @@ class HashJoinState(FromNodeState):
         count = 0
         while build_state.next():
             cancel.check()
-            key = []
-            for index, key_expr in enumerate(build_keys):
-                value = key_expr(ctx)
-                if value is None:
-                    key = None  # NULL keys can never match: skip the row
-                    continue    # (still record later components' types)
-                key_cats[index].setdefault(_key_class(value),
-                                           type(value).__name__)
-                if key is not None:
-                    key.append(hashable_value(value))
+            key = hash_key([key_expr(ctx) for key_expr in build_keys],
+                           key_cats, False)
             if key is None:
                 continue
             count += 1
-            table.setdefault(tuple(key), []).append(
+            table.setdefault(key, []).append(
                 tuple(vector[i] for i in slot_ids))
         self._table = table
         self._key_cats = key_cats
@@ -217,23 +268,12 @@ class HashJoinState(FromNodeState):
             if not self._probe.next():
                 return False
             self._matched = False
-            key = []
-            for index, key_expr in enumerate(self._probe_keys):
-                value = key_expr(ctx)
-                if value is None:
-                    key = None  # NULL never matches (but keep type-checking)
-                    continue
-                cats = self._key_cats[index]
-                kind = _key_class(value)
-                if cats and kind not in cats:
-                    # The nested loop would raise on the first such pair;
-                    # keep the strategies observably equivalent.
-                    build_class, display = next(iter(cats.items()))
-                    raise _key_type_error(value, build_class, display)
-                if key is not None:
-                    key.append(hashable_value(value))
+            # Lazily: a key expression after a mismatched one never runs,
+            # as in the nested loop's AND.
+            key = hash_key((key_expr(ctx) for key_expr in self._probe_keys),
+                           self._key_cats, True)
             self._matches = (_NO_MATCHES if key is None
-                             else self._table.get(tuple(key), _NO_MATCHES))
+                             else self._table.get(key, _NO_MATCHES))
             self._match_pos = 0
 
     def close(self) -> None:

@@ -301,5 +301,8 @@ class SelectStmtState(PlanState):
     def next(self) -> Optional[tuple]:
         return self.child.next()
 
+    def next_rows(self) -> list[tuple]:
+        return self.child.next_rows()
+
     def close(self) -> None:
         self.child.close()

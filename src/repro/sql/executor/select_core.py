@@ -13,6 +13,8 @@ scope chain exactly.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from ..errors import ExecutionError
@@ -21,25 +23,28 @@ from ..functions import make_aggregate
 from ..profiler import TOPN_INPUT_ROWS, TOPN_SCANS
 from ..values import hashable_row as _hashable_row
 from ..values import hashable_value as _hashable_value
-from .base import Plan, PlanState, call_site_lines
+from . import base
+from .base import Plan, PlanState, RowListState, call_site_lines
 from .batched_udf import BatchedUdfStagePlan, BatchedUdfStageState
 from .fromtree import FromNodePlan
 from .scan import make_slots
-from .tuples import SortPlan, make_row_key
+from .tuples import SortPlan, cut_sort_keys, make_row_keys
 from .window import WindowCallPlan, compute_window_columns
 
 
 class TopNPlan(Plan):
-    """Bounded-heap ``ORDER BY ... LIMIT``: Sort's answer to small limits.
+    """Bounded ``ORDER BY ... LIMIT``: Sort's answer to small limits.
 
     Replaces a :class:`~repro.sql.executor.tuples.SortPlan` when the
     statement carries a constant LIMIT (plus optional constant OFFSET) and
     no index delivers the order: instead of materializing and sorting all
-    n input rows (O(n log n) comparisons), a max-heap of the best
-    ``count = limit + offset`` rows is maintained while streaming
-    (O(n log count)).  Key semantics (direction, NULLS placement, stable
-    ties by arrival order) are shared with Sort via
-    :func:`~repro.sql.executor.tuples.make_row_key`, so the two operators
+    n input rows (O(n log n) comparisons), the best
+    ``count = limit + offset`` rows are kept while the child is pulled a
+    chunk at a time (``heapq.nsmallest`` over the kept entries and the
+    chunk's: O(n log count) comparisons, O(count + one chunk) memory).
+    Key semantics (direction, NULLS placement, stable ties by arrival
+    order) are shared with Sort via
+    :func:`~repro.sql.executor.tuples.make_row_keys`, so the two operators
     are observably identical — differentially tested.
     """
 
@@ -66,74 +71,43 @@ class TopNPlan(Plan):
         return TopNState(rt, self, self.child.instantiate(rt, ictx))
 
 
-class _TopItem:
-    """Heap entry ordered *inversely* by (key, arrival), making ``heap[0]``
-    the worst kept row; ties fall to arrival order so the survivors match
-    a stable full sort cut at ``count``."""
-
-    __slots__ = ("key", "seq", "row")
-
-    def __init__(self, key, seq: int, row: tuple):
-        self.key = key
-        self.seq = seq
-        self.row = row
-
-    def __lt__(self, other: "_TopItem") -> bool:
-        if self.key == other.key:
-            return other.seq < self.seq
-        return other.key < self.key
-
-
-class TopNState(PlanState):
-    __slots__ = ("plan", "child", "rows", "pos")
+class TopNState(RowListState):
+    __slots__ = ("plan", "child")
 
     def __init__(self, rt, plan: TopNPlan, child: PlanState):
         super().__init__(rt)
         self.plan = plan
         self.child = child
-        self.rows: list[tuple] = []
-        self.pos = 0
 
     def open(self, outer) -> None:
         plan = self.plan
         self.child.open(outer)
-        key_fn = make_row_key(plan)
+        keys_of = make_row_keys(plan)
         count = plan.count
-        heap: list[_TopItem] = []
-        seq = 0
+        #: The best ``count`` (key, arrival, row) entries so far, in order.
+        #: Arrival numbers are unique, so ties fall to arrival order - a
+        #: stable full sort cut at ``count`` - and rows are never compared.
+        best: list[tuple] = []
+        seen = 0
         # Drain the child completely, exactly as Sort would: expression
         # side effects and row counts stay identical to the sort path.
-        child_next = self.child.next
+        pull = self.child.next_rows
         cancel = self.rt.cancel
         while True:
             cancel.check()
-            row = child_next()
-            if row is None:
+            rows = pull()
+            arrived = seen + len(rows)
+            best = heapq.nsmallest(
+                count, chain(best, zip(keys_of(rows), range(seen, arrived),
+                                       rows)))
+            seen = arrived
+            if len(rows) < base.ROWS_PER_PULL:
                 break
-            item = _TopItem(key_fn(row), seq, row)
-            seq += 1
-            if len(heap) < count:
-                heapq.heappush(heap, item)
-            elif heap and heap[0] < item:
-                # Under the inverted __lt__, heap[0] is the worst kept row
-                # and "worst < item" means the new row sorts before it.
-                heapq.heapreplace(heap, item)
         profiler = self.rt.db.profiler
         profiler.bump(TOPN_SCANS)
-        profiler.bump(TOPN_INPUT_ROWS, seq)
-        heap.sort(key=lambda item: (item.key, item.seq))
-        if plan.strip and plan.key_indices is None:
-            self.rows = [item.row[:plan.key_start] for item in heap]
-        else:
-            self.rows = [item.row for item in heap]
+        profiler.bump(TOPN_INPUT_ROWS, seen)
+        self.rows = cut_sort_keys(plan, map(itemgetter(2), best))
         self.pos = 0
-
-    def next(self) -> Optional[tuple]:
-        if self.pos >= len(self.rows):
-            return None
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
 
     def close(self) -> None:
         self.child.close()
@@ -307,6 +281,13 @@ class SelectCoreState(PlanState):
                     return row
             return None
         return self._next_streaming()
+
+    def next_rows(self) -> list[tuple]:
+        if self.materialized is None or self.seen is not None:
+            return super().next_rows()
+        rows = self.materialized[self.mat_pos:]
+        self.mat_pos = len(self.materialized)
+        return rows
 
     def close(self) -> None:
         if self.from_state is not None:

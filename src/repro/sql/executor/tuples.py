@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from ..errors import ExecutionError
-from ..values import row_sort_key
-from .base import Plan, PlanState
 from ..values import hashable_row as _hashable_row
+from ..values import sort_keys
+from .base import Plan, PlanState, RowListState
 
 
 class SortPlan(Plan):
@@ -42,68 +43,55 @@ class SortPlan(Plan):
         return SortState(rt, self, self.child.instantiate(rt, ictx))
 
 
-class SortState(PlanState):
-    __slots__ = ("plan", "child", "rows", "pos")
+class SortState(RowListState):
+    __slots__ = ("plan", "child")
 
     def __init__(self, rt, plan: SortPlan, child: PlanState):
         super().__init__(rt)
         self.plan = plan
         self.child = child
-        self.rows: list[tuple] = []
-        self.pos = 0
 
     def open(self, outer) -> None:
         self.child.open(outer)
         plan = self.plan
         rows = self.child.fetch_all()
-        rows.sort(key=make_row_key(plan))
-        if plan.strip and plan.key_indices is None:
-            self.rows = [row[:plan.key_start] for row in rows]
-        else:
-            self.rows = rows
+        # Stable: equal keys keep arrival order.
+        keys = make_row_keys(plan)(rows)
+        order = sorted(range(len(rows)), key=keys.__getitem__)
+        self.rows = cut_sort_keys(plan, map(rows.__getitem__, order))
         self.pos = 0
-
-    def next(self) -> Optional[tuple]:
-        if self.pos >= len(self.rows):
-            return None
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
 
     def close(self) -> None:
         self.child.close()
 
 
-def make_row_key(plan) -> Callable[[tuple], tuple]:
-    """The row -> sort-key closure for a :class:`SortPlan`-shaped node
-    (``key_start`` / ``key_indices`` / ``descending`` / ``nulls_first``).
-    Shared by :class:`SortState` and the bounded-heap TopN operator
-    (:mod:`repro.sql.executor.select_core`), which must order rows
-    identically to stay differentially equivalent."""
+def make_row_keys(plan) -> Callable[[list[tuple]], list[tuple]]:
+    """The rows -> sort keys function for a :class:`SortPlan`-shaped node
+    (``key_start`` / ``key_indices`` / ``descending`` / ``nulls_first``):
+    one key per row, built a key column at a time
+    (:func:`~repro.sql.values.sort_keys`).  Shared by :class:`SortState`
+    and the TopN operator (:mod:`repro.sql.executor.select_core`), which
+    must order rows identically to stay differentially equivalent."""
+    indices = plan.key_indices
+    if indices is None:
+        indices = range(plan.key_start,
+                        plan.key_start + len(plan.descending))
+    columns = list(zip(map(itemgetter, indices), plan.descending,
+                       plan.nulls_first))
 
-    def key(row: tuple):
-        if plan.key_indices is not None:
-            keys = tuple(row[i] for i in plan.key_indices)
-        else:
-            keys = row[plan.key_start:]
-        base = row_sort_key(keys, plan.descending)
-        # NULLS FIRST/LAST overrides: wrap once more when requested.
-        return tuple(
-            _null_adjust(part, value, plan.descending[i],
-                         plan.nulls_first[i])
-            for i, (part, value) in enumerate(zip(base, keys)))
+    def keys(rows: list[tuple]) -> list[tuple]:
+        return list(zip(*[sort_keys(list(map(getter, rows)), desc, flag)
+                          for getter, desc, flag in columns]))
 
-    return key
+    return keys
 
 
-def _null_adjust(key_part, value, descending: bool, nulls_first: Optional[bool]):
-    """Re-wrap a sort key to honour an explicit NULLS FIRST/LAST."""
-    if nulls_first is None:
-        return key_part
-    is_null = value is None
-    # Default placement: NULLS LAST for ASC, NULLS FIRST for DESC.
-    rank = 0 if (is_null and nulls_first) else (2 if is_null else 1)
-    return (rank, key_part if not is_null else 0)
+def cut_sort_keys(plan, rows) -> list[tuple]:
+    """*rows* as the node emits them: without the trailing hidden key
+    columns when the plan says ``strip``."""
+    if plan.strip and plan.key_indices is None:
+        return list(map(itemgetter(slice(plan.key_start)), rows))
+    return list(rows)
 
 
 class LimitPlan(Plan):
@@ -241,16 +229,14 @@ class SetOpPlan(Plan):
                           self.right.instantiate(rt, ictx))
 
 
-class SetOpState(PlanState):
-    __slots__ = ("plan", "left", "right", "rows", "pos")
+class SetOpState(RowListState):
+    __slots__ = ("plan", "left", "right")
 
     def __init__(self, rt, plan: SetOpPlan, left: PlanState, right: PlanState):
         super().__init__(rt)
         self.plan = plan
         self.left = left
         self.right = right
-        self.rows: list[tuple] = []
-        self.pos = 0
 
     def open(self, outer) -> None:
         self.left.open(outer)
@@ -284,13 +270,6 @@ class SetOpState(PlanState):
             raise ExecutionError(f"unknown set operation {op!r}")
         self.rows = out
         self.pos = 0
-
-    def next(self) -> Optional[tuple]:
-        if self.pos >= len(self.rows):
-            return None
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
 
     def close(self) -> None:
         self.left.close()

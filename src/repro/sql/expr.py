@@ -159,7 +159,7 @@ class Scope:
 CompiledExpr = Callable[[EvalContext], Value]
 
 #: The batch form of an expression: ``fn(batch, sel) -> column``.  *batch*
-#: is the executor's ``Batch`` (``cols``, ``n``, ``rt``), *sel* a selection
+#: is the executor's ``Batch`` (``column``, ``n``, ``rt``), *sel* a selection
 #: vector of row indices (``None`` = the whole batch); the column has one
 #: element per selected row.
 BatchExpr = Callable[[Any, Optional[list]], list]
@@ -549,12 +549,11 @@ class ExprCompiler:
         level, rel_index, col_index, fields = self.scope.resolve(expr.parts)
         if not level and not fields:
             def column(batch, sel):
-                return batch.column(col_index, sel)
+                return batch.column(rel_index, col_index, sel)
 
-            column.col_index = col_index  # a bare column: fast projection
-            # Batches hold the rows of one relation.
-            return Leaf(lambda ctx: ctx.rows[rel_index][col_index],
-                        column if rel_index == 0 else None)
+            # A bare column: fast projection.
+            column.col_ref = (rel_index, col_index)
+            return Leaf(lambda ctx: ctx.rows[rel_index][col_index], column)
 
         # Outer (correlated) and composite-field references are row-only.
         def run(ctx: EvalContext) -> Value:

@@ -446,9 +446,10 @@ class Planner:
         # Final projection (+ hidden ORDER BY keys) -----------------------
         project_compiler = ExprCompiler(current_scope, self)
         project_exprs = [project_compiler.compile(e) for e in item_exprs]
-        hidden = ([] if sort_eliminated else
-                  self._compile_order_keys(order_by, items, project_exprs,
-                                           project_compiler, core.distinct))
+        hidden, hidden_asts = ([], []) if sort_eliminated else \
+            self._compile_order_keys(order_by, items, item_exprs,
+                                     project_exprs, project_compiler,
+                                     core.distinct)
         plan: Plan = SelectCorePlan(
             output_columns=output_columns,
             n_relations=len(relations),
@@ -462,24 +463,18 @@ class Planner:
             distinct=core.distinct and not hidden,
             batch_stage=batch_stage,
         )
-        # Vectorization: a single-table SELECT core still on a plain
-        # SeqScan (index pushdown, range scans and sort elimination keep
-        # the row path) with no ORDER BY / window / batched-UDF stage can
-        # run batch-at-a-time.  The WHERE clause is batch-compiled from
-        # the *original* AST — predicate pushdown split it between leaf
-        # filter and residual, and for pure predicates the conjunction is
-        # equivalent.  vectorize_core returns None when any expression
-        # contains a row-only kernel-table entry, keeping this plan unchanged.
-        if (not order_by and self.flags.enable_vectorize
-                and window_stage is None and batch_stage is None
-                and len(relations) == 1
-                and isinstance(from_plan, FromLeafPlan)
-                and not from_plan.lateral
-                and isinstance(from_plan.source, SeqScanPlan)):
-            vectorized = vectorize_core(plan, core, item_exprs, scope,
-                                        from_plan.source.table_name)
-            if vectorized is not None:
-                plan = vectorized
+        # Vectorization: a SELECT core with no window / batched-UDF stage
+        # whose FROM tree is INNER hash joins over plain SeqScans (index
+        # pushdown, range scans and sort elimination swap the scan and keep
+        # the row path) can run batch-at-a-time; a Sort / TopN / Limit
+        # above it keeps consuming its row tuples.  vectorize_core looks at
+        # the FROM tree first and returns None for any other, or when an
+        # expression contains a row-only kernel-table entry, keeping this
+        # plan unchanged.
+        if (self.flags.enable_vectorize and window_stage is None
+                and batch_stage is None):
+            plan = vectorize_core(plan, core, item_exprs + hidden_asts, scope,
+                                  residual_where, bool(order_by)) or plan
         if hidden:
             # DISTINCT with hidden keys was rejected in _compile_order_keys,
             # so stripping the keys after the sort is always safe here.
@@ -511,11 +506,12 @@ class Planner:
                 indices.append(value)
         return indices
 
-    def _compile_order_keys(self, order_by, items, project_exprs,
+    def _compile_order_keys(self, order_by, items, item_exprs, project_exprs,
                             compiler: ExprCompiler, distinct: bool):
-        """Compile ORDER BY keys; return hidden key closures (may be [])."""
+        """Compile ORDER BY keys; return the hidden key closures (may be
+        []) and the expressions they were compiled from."""
         if not order_by:
-            return []
+            return [], []
         aliases = [(_derive_name(i) or "").lower() for i in items]
         all_positional = True
         for sort_item in order_by:
@@ -526,20 +522,21 @@ class Planner:
             elif kind == "expr":
                 all_positional = False
         if all_positional:
-            return []
+            return [], []
         if distinct:
             raise PlanError("for SELECT DISTINCT, ORDER BY expressions must "
                             "appear in the select list")
-        hidden = []
+        hidden, asts = [], []
         for sort_item in order_by:
             kind, value = _sort_item_target(sort_item.expr, items, aliases)
-            if kind == "position":
-                hidden.append(project_exprs[value - 1])
-            elif kind == "alias":
-                hidden.append(project_exprs[value])
-            else:
+            if kind == "expr":
                 hidden.append(compiler.compile(value))
-        return hidden
+                asts.append(value)
+            else:
+                index = value - 1 if kind == "position" else value
+                hidden.append(project_exprs[index])
+                asts.append(item_exprs[index])
+        return hidden, asts
 
     # ------------------------------------------------------------------
     # FROM planning
@@ -676,7 +673,8 @@ class Planner:
                     column_bindings(c, scope, self.catalog).outer
                     for c in mine)
                 compiler = ExprCompiler(scope, self)
-                node.filter = compiler.compile(conjoin(mine))
+                node.filter_ast = conjoin(mine)
+                node.filter = compiler.compile(node.filter_ast)
                 node.filter_subplans = compiler.subplans
             return node, rest, stable
 
@@ -801,7 +799,9 @@ class Planner:
         plan = HashJoinPlan(kind, left_plan, right_plan, left_keys,
                             right_keys, residual, compiler.subplans,
                             build_side, key_display,
-                            rebuild_on_rescan=rebuild)
+                            rebuild_on_rescan=rebuild,
+                            asts=(left_key_asts, right_key_asts,
+                                  residual_ast, on_scope))
         residual_info = (column_bindings(residual_ast, on_scope,
                                          self.catalog)
                          if residual_ast is not None else None)

@@ -123,11 +123,15 @@ SERVER_SLOW_QUERIES = "server slow queries"
 #: batch), "rows" summing the rows those batches carried before
 #: filtering, "typed rows" those of them whose batch came with at least
 #: one column the table vouches is all exact ints (``HeapTable.columns``).
+#: "join rows" sums the joined rows the batch hash join (VectorHashJoin)
+#: handed on, before its residual condition; its builds are counted as
+#: hash-join builds, like the row operator's.
 #: A statement that falls back to the row engine mid-flight keeps the
 #: bumps of the batches it already produced and counts one "fallback".
 VECTOR_BATCHES = "vector batches"
 VECTOR_ROWS = "vector rows"
 VECTOR_TYPED_ROWS = "vector typed rows"
+VECTOR_JOIN_ROWS = "vector join rows"
 VECTOR_FALLBACKS = "vector fallbacks"
 #: Resource governance: statements killed by the cooperative cancel token
 #: (wire CancelRequest, statement_timeout, interpreter budget), WAL logs

@@ -57,8 +57,8 @@ from .errors import CatalogError, SerializationError, TypeError_
 from .profiler import HASH_INDEX_BUILDS, SNAPSHOT_SCANS
 from .txn import (ABORTED_XID, COMMITTED, FROZEN_XID, RowVersion, Snapshot,
                   TransactionManager)
-from .values import (Row, Value, _Reversed, comparison_class, hashable_value,
-                     key_class, sort_key, value_byte_size)
+from .values import (Row, Value, comparison_class, desc_sort_key,
+                     hashable_value, key_class, sort_key, value_byte_size)
 
 PAGE_SIZE = 8192
 ROW_OVERHEAD = 24  # PostgreSQL HeapTupleHeader is 23 bytes + padding
@@ -153,8 +153,8 @@ class SortedIndex:
     """A bisect-backed ordered access path over one or more columns.
 
     ``keys`` is a sorted list of per-row key tuples (one
-    :func:`~repro.sql.values.sort_key` component per index column, wrapped
-    in :class:`~repro.sql.values._Reversed` for DESC columns) and ``rows``
+    :func:`~repro.sql.values.sort_key` component per index column,
+    :func:`~repro.sql.values.desc_sort_key` for DESC columns) and ``rows``
     the parallel list of :class:`~repro.sql.txn.RowVersion` objects.
     Ascending columns therefore deliver NULLS LAST and descending columns
     NULLS FIRST — PostgreSQL's defaults — and a reversed scan of the whole
@@ -197,8 +197,8 @@ class SortedIndex:
         data = version.data
         parts = []
         for column, desc in zip(self.columns, self.descending):
-            part = sort_key(data[column])
-            parts.append(_Reversed(part) if desc else part)
+            value = data[column]
+            parts.append(desc_sort_key(value) if desc else sort_key(value))
         return tuple(parts)
 
     def nonnull_end(self) -> int:

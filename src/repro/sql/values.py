@@ -23,6 +23,8 @@ ORDER BY / window frames, where NULL sorts last (PostgreSQL's default of
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import neg
 from typing import Any, Iterable, Sequence
 
 from .errors import ExecutionError, TypeError_
@@ -236,6 +238,8 @@ _SORT_RANK = {bool: 0, int: 1, float: 1, str: 2, list: 3, Row: 4}
 
 def sort_key(value: Value):
     """A total-order key: NULLs sort last, then by value within a type."""
+    if type(value) is int:  # the common key; never a bool
+        return (0, 1, value)
     if value is None:
         return (1, 0, 0)
     if isinstance(value, Row):
@@ -254,22 +258,59 @@ def sort_key(value: Value):
     return (0, _SORT_RANK[type(value)], value)
 
 
-def row_sort_key(values: Iterable[Value], descending: Sequence[bool]):
-    """Sort key for a tuple of ORDER BY expressions with per-key direction.
+def desc_sort_key(value: Value):
+    """:func:`sort_key`'s order exactly reversed (NULLs first), as a key
+    that still sorts ascending.
 
-    Descending keys are realised by wrapping in :class:`_Reversed`; NULLs keep
-    sorting last for ascending keys and first for descending keys, matching
-    PostgreSQL defaults.
+    Ranks are negated, and a boolean, a number or a NaN is inverted *by
+    value* (``-v`` is exact for ints of any size and for floats, infinities
+    and ``-0.0`` included), so the key is a plain tuple that compares in C.
+    Text, arrays and ROWs have no negation: their payload is wrapped in
+    :class:`_Reversed`, which is therefore only ever compared with another
+    one of the same rank.
     """
-    out = []
-    for value, desc in zip(values, descending):
-        key = sort_key(value)
-        out.append(_Reversed(key) if desc else key)
-    return tuple(out)
+    if type(value) is int:
+        return (1, -1, -value)
+    if value is None:
+        return (0, 0, 0)
+    _, rank, payload = sort_key(value)
+    return (1, -rank, -payload if rank < 2 else _Reversed(payload))
+
+
+def sort_keys(col: Sequence[Value], descending: bool = False,
+              nulls_first: bool | None = None) -> list:
+    """The sort key of every value of *col*: :func:`sort_key`'s, or
+    :func:`desc_sort_key`'s when *descending*.  An explicit NULLS FIRST /
+    LAST (*nulls_first*; None = the direction's default) only moves the
+    NULLs' own key to the other side of everything else's.
+
+    A column of exact ints is keyed by ``zip`` alone, to the same keys the
+    scalar functions give - so keys made a chunk at a time (TopN) compare
+    across chunks whichever way each was keyed.
+    """
+    if set(map(type, col)) == {int}:
+        if descending:
+            return list(zip(repeat(1), repeat(-1), map(neg, col)))
+        return list(zip(repeat(0), repeat(1), col))
+    scalar = desc_sort_key if descending else sort_key
+    if nulls_first is None or nulls_first == descending:
+        return list(map(scalar, col))
+    null = (-1, 0, 0) if nulls_first else (2, 0, 0)
+    return [null if value is None else scalar(value) for value in col]
+
+
+def row_sort_key(values: Iterable[Value], descending: Sequence[bool]):
+    """Sort key for a tuple of ORDER BY expressions with per-key direction:
+    NULLs sort last for ascending keys and first for descending keys,
+    matching PostgreSQL defaults.
+    """
+    return tuple(desc_sort_key(value) if desc else sort_key(value)
+                 for value, desc in zip(values, descending))
 
 
 class _Reversed:
-    """Wrapper inverting the order of an arbitrary key (for DESC sorts)."""
+    """Wrapper inverting the order of a key that cannot be negated (the
+    text, array or ROW payload of a :func:`desc_sort_key`)."""
 
     __slots__ = ("key",)
 

@@ -32,6 +32,7 @@ import pytest
 from repro.server import ServerError, ServerThread, connect
 from repro.sql import Database
 from repro.sql.errors import ExecutionError, QueryCanceledError
+from repro.sql.executor import vector
 from repro.sql.profiler import QUERIES_CANCELED, WAL_CHECKPOINTS
 
 #: ~2e9 iterations of the recursive-CTE loop: minutes of work if nothing
@@ -192,6 +193,59 @@ class TestCancelInTransactionBlock:
         # PostgreSQL-compatible: a cancel racing the statement boundary
         # may be lost; arming at statement start clears the stale trip.
         assert conn.query_value("SELECT 1") == 1
+
+
+class TestCancelInBatchJoin:
+    def test_cancel_lands_mid_probe(self, db, monkeypatch):
+        monkeypatch.setattr(vector, "BATCH_SIZE", 4)
+        db.execute("CREATE TABLE a(k int)")
+        db.execute("CREATE TABLE b(k int)")
+        for table in "ab":
+            for _ in range(20):
+                db.execute(f"INSERT INTO {table} VALUES (1)")
+        conn = db.connect()
+        emitted = []
+        real = vector.VectorHashJoin._emit
+
+        def emit(self, batch, ppos, bpos):
+            emitted.append(len(bpos))
+            if len(emitted) == 3:
+                conn.cancel.trip()
+            return real(self, batch, ppos, bpos)
+
+        monkeypatch.setattr(vector.VectorHashJoin, "_emit", emit)
+        db.profiler.reset()
+        with pytest.raises(QueryCanceledError):
+            conn.execute("SELECT count(*) FROM a JOIN b ON a.k = b.k")
+        # 400 joined rows were due, in pieces of 20 (one probe row each).
+        assert emitted == [20, 20, 20]
+        assert db.profiler.counts["vector fallbacks"] == 0
+
+    def test_cancel_lands_mid_build(self, db, monkeypatch):
+        monkeypatch.setattr(vector, "BATCH_SIZE", 4)
+        db.execute("CREATE TABLE a(k int)")
+        db.execute("CREATE TABLE b(k int)")
+        for table in "ab":
+            for i in range(20):
+                db.execute(f"INSERT INTO {table} VALUES ($1)", [i])
+        conn = db.connect()
+        keyed = []
+        real = vector.hash_keys
+
+        def hash_keys(cols, classes, probe):
+            keyed.append(probe)
+            if len(keyed) == 2:
+                conn.cancel.trip()
+            return real(cols, classes, probe)
+
+        monkeypatch.setattr(vector, "hash_keys", hash_keys)
+        db.profiler.reset()
+        with pytest.raises(QueryCanceledError):
+            conn.execute("SELECT count(*) FROM a JOIN b ON a.k = b.k")
+        # Two of the build side's five batches were keyed, nothing probed.
+        assert keyed == [False, False]
+        assert db.profiler.counts["hash join builds"] == 0
+        assert db.profiler.counts["vector fallbacks"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -378,13 +378,14 @@ class TestKernelTable:
                        for row in rows]
             assert ("error", CRASH) not in per_row, form
             for row, expected in zip(rows, per_row):
-                single = _outcome(lambda: batch_fn(Batch([row], rt), None)[0])
+                single = _outcome(
+                    lambda: batch_fn(Batch([[row]], 1, rt, [None]), None)[0])
                 assert single == expected, (form, row)
             # Size n: the batch form raises at its first failing row, so
             # run it over exactly the rows the row form evaluated cleanly.
             ok = [i for i, (status, _) in enumerate(per_row)
                   if status == "ok"]
-            column = batch_fn(Batch(rows, rt),
+            column = batch_fn(Batch([rows], len(rows), rt, [None]),
                               None if len(ok) == len(rows) else ok)
             assert [repr(v) for v in column] == [per_row[i][1] for i in ok], \
                 form

@@ -408,6 +408,35 @@ class TestModifications:
         assert len(reduced.modifications) == 1
         assert len(reduced.schema.tables) == 1
 
+    def test_a_batch_probe_dropping_its_last_match_is_caught(self,
+                                                             monkeypatch):
+        """Plant it where only the vectorized configurations go: every
+        joined batch of the batch hash join loses its last row."""
+        from repro.sql.executor import vector
+        original = vector.VectorHashJoin._emit
+
+        def broken_emit(self, batch, ppos, bpos):
+            return original(self, batch, ppos[:-1], bpos[:-1])
+
+        monkeypatch.setattr(vector.VectorHashJoin, "_emit", broken_emit)
+        join = Query(sql="SELECT a.k, b.p FROM t9 a JOIN t8 b ON a.k = b.p",
+                     sqlite_sql=None)
+        case = _handmade_case(queries=PADDING_QUERIES + (join,))
+        checker = DifferentialChecker(use_sqlite=False)
+        discrepancies = checker.check_case(case)
+        assert {d.kind for d in discrepancies} == {"result"}
+        failing = {d.config_b for d in discrepancies}
+        assert "defaults/plain" in failing
+        assert not any("enable_vectorize=off" in label
+                       or "enable_hashjoin=off" in label for label in failing)
+        reduced = Reducer(checker.check_case).reduce(case)
+        assert [q.sql for q in reduced.queries] == [join.sql]
+        assert len(reduced.schema.tables) == 2
+        assert checker.check_case(reduced), "reduced case still fails"
+        # And the generated cases catch it too, within a dozen of seed 0.
+        assert any(checker.check_case(generate_case(0, index))
+                   for index in range(12))
+
     def test_a_hash_probe_dropping_a_target_is_caught(self, monkeypatch):
         """Every configuration probes the hash index for ``k = 3``, so
         the plans agree with each other - count(*) over the same WHERE
@@ -480,6 +509,28 @@ class TestFuzzCounters:
         counts = checker.profiler.counts
         assert counts[VECTOR_ROWS] > 0
         assert counts[VECTOR_TYPED_ROWS] >= 0.2 * counts[VECTOR_ROWS]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_meets_the_batch_hash_join(self, seed):
+        """Every seed's first dozen cases put rows through the vectorized
+        core's hash join, so row = vector is checked on joined batches."""
+        from repro.sql.profiler import VECTOR_JOIN_ROWS
+        checker = DifferentialChecker(use_sqlite=False)
+        for index in range(12):
+            assert checker.check_case(generate_case(seed, index)) == []
+            if checker.profiler.counts[VECTOR_JOIN_ROWS]:
+                return
+        pytest.fail(f"seed {seed}: no vector join rows in 12 cases")
+
+    def test_generated_join_reaches_the_row_fallback(self):
+        """Case 3 of seed 3 joins on a cross-class key pair: every plan
+        fails alike, the vectorized ones by falling back (no generated
+        query raised inside a vectorized core before ``_join_select`` drew
+        such pairs)."""
+        from repro.sql.profiler import VECTOR_FALLBACKS
+        checker = DifferentialChecker(use_sqlite=False)
+        assert checker.check_case(generate_case(3, 3)) == []
+        assert checker.profiler.counts[VECTOR_FALLBACKS] > 0
 
 
 # ---------------------------------------------------------------------------

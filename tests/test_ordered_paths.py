@@ -265,6 +265,32 @@ class TestTopN:
         rows_sort = db.query_all("SELECT a, b FROM t ORDER BY a LIMIT 12")
         assert rows_topn == rows_sort
 
+    @pytest.mark.parametrize("order", [
+        "n NULLS FIRST, b", "n DESC NULLS LAST, b DESC", "n DESC, b",
+        "a NULLS FIRST, n DESC NULLS FIRST, b"])
+    def test_explicit_nulls_placement_matches_the_full_sort(self, db, order):
+        # Sort and TopN share one key closure, default placement or not.
+        sql = (f"SELECT CASE WHEN b % 3 = 0 THEN NULL ELSE b % 7 END AS n, "
+               f"a, b FROM t ORDER BY {order} LIMIT 15")
+        assert "TopN" in db.explain(sql)
+        rows_topn = db.query_all(sql)
+        db.execute("SET enable_topn = off")
+        assert db.query_all(sql) == rows_topn
+        nulls = [row[0] is None for row in rows_topn]
+        if order.startswith("n NULLS FIRST"):
+            assert all(nulls)
+        elif order.startswith("n DESC NULLS LAST"):
+            assert not any(nulls)
+
+    def test_count_beyond_the_input_and_zero(self, db):
+        sql = "SELECT a, b FROM t ORDER BY a DESC, b LIMIT {}"
+        assert "TopN (n=500)" in db.explain(sql.format(500))
+        everything = db.query_all(sql.format(500))
+        assert len(everything) == 100
+        assert db.query_all(sql.format(0)) == []
+        db.execute("SET enable_topn = off")
+        assert db.query_all(sql.format(500)) == everything
+
     def test_set_operation_output_goes_through_topn(self, db):
         sql = ("SELECT b FROM t UNION ALL SELECT b FROM t "
                "ORDER BY b DESC LIMIT 2")
@@ -655,3 +681,106 @@ class TestLimitErrorsUnchanged:
     def test_negative_limit_still_raises_at_runtime(self, db):
         with pytest.raises(ExecutionError):
             db.query_all("SELECT b FROM t ORDER BY b LIMIT -1")
+
+
+class TestSortEqualsTopN:
+    """Sort and TopN order rows through one key function, whatever the
+    direction, the NULLS placement, the mix of value kinds in a key column
+    and the size of the chunks TopN takes its input in."""
+
+    #: (k, id): ``k`` is exact ints for the first rows a chunk holds, then
+    #: a NULL, a float equal to an int key, text, more ints and NULLs;
+    #: ``g`` has three values, so equal keys straddle every chunk boundary.
+    KEYS = [3, 1, 2, 1, None, 2.0, "b", 0, 3, None, 1.5, "a", 2, -1, None, 7]
+
+    ORDERS = ["k", "k DESC", "k NULLS FIRST", "k NULLS LAST",
+              "k DESC NULLS FIRST", "k DESC NULLS LAST",
+              "g, k DESC", "g DESC, k NULLS FIRST", "g"]
+
+    @pytest.fixture
+    def mixed(self):
+        from repro.sql.executor import base
+        database = Database()
+        database.execute("CREATE TABLE m(id int, g int, k int)")
+        table = database.catalog.tables["m"]  # no coercion to int
+        for i, key in enumerate(self.KEYS):
+            table.insert((i, i % 3, key))
+        return database, base
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 5, 256])
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_every_limit_is_a_prefix_of_the_full_sort(self, mixed,
+                                                      monkeypatch, order,
+                                                      chunk):
+        db, base = mixed
+        monkeypatch.setattr(base, "ROWS_PER_PULL", chunk, raising=False)
+        sql = f"SELECT id, g, k FROM m ORDER BY {order}"
+        db.execute("SET enable_topn = off")
+        full = db.query_all(sql)
+        assert sorted(row[0] for row in full) == list(range(len(self.KEYS)))
+        for enable_vectorize in ("on", "off"):
+            db.execute(f"SET enable_vectorize = {enable_vectorize}")
+            for enable_topn in ("on", "off"):
+                db.execute(f"SET enable_topn = {enable_topn}")
+                assert repr(db.query_all(sql)) == repr(full)
+                for count in (0, 1, 5, len(full), len(full) + 3):
+                    limited = f"{sql} LIMIT {count}"
+                    assert ("TopN" in db.explain(limited)) \
+                        == (enable_topn == "on")
+                    assert repr(db.query_all(limited)) \
+                        == repr(full[:count]), (limited, enable_topn)
+
+    def test_the_order_itself(self, mixed):
+        db, _ = mixed
+        up = [row[0] for row in db.query_all("SELECT k FROM m ORDER BY k, id")]
+        assert [repr(v) for v in up] == [repr(v) for v in [
+            -1, 0, 1, 1, 1.5, 2, 2.0, 2, 3, 3, 7, "a", "b",
+            None, None, None]]
+        down = [row[0] for row in
+                db.query_all("SELECT k FROM m ORDER BY k DESC, id")]
+        assert [repr(v) for v in down] == [repr(v) for v in [
+            None, None, None, "b", "a", 7, 3, 3, 2, 2.0, 2, 1.5, 1, 1, 0,
+            -1]]
+        first = db.query_all("SELECT k FROM m ORDER BY k NULLS FIRST LIMIT 4")
+        assert first == [(None,), (None,), (None,), (-1,)]
+        last = db.query_all("SELECT k FROM m ORDER BY k DESC NULLS LAST, id "
+                            "LIMIT 20")
+        assert [row[0] for row in last] == down[3:] + [None] * 3
+
+
+class TestWindowOrderOnThePapersWalk:
+    """``window.py`` orders frames with the sort keys ORDER BY uses: the
+    running sums of the paper's ``walk`` (Figure 3), taken over
+    ``ORDER BY a.there DESC`` - a descending ROW key - stay what a plain
+    Python fold over the same rows gives."""
+
+    def test_descending_frames(self):
+        from repro.workloads.robot import setup_robot
+        database = Database()
+        setup_robot(database)
+        rows = database.query_all(
+            "SELECT a.here, a.action, a.there, a.prob FROM actions AS a")
+        groups: dict = {}
+        for here, action, there, prob in rows:
+            groups.setdefault((tuple(here), action), []).append(
+                (tuple(there), prob))
+        checked = 0
+        for (here, action), targets in sorted(groups.items()):
+            targets.sort(reverse=True)
+            expected, low = [], 0.0
+            for position, (there, prob) in enumerate(targets, 1):
+                expected.append((there, low, low + prob, position))
+                low += prob
+            got = database.query_all(
+                "SELECT a.there, COALESCE(SUM(a.prob) OVER lt, 0.0), "
+                "SUM(a.prob) OVER geq, row_number() OVER geq "
+                "FROM actions AS a "
+                f"WHERE a.here = ROW({here[0]}, {here[1]})::coord "
+                f"AND a.action = '{action}' "
+                "WINDOW geq AS (ORDER BY a.there DESC), "
+                "lt AS (geq ROWS UNBOUNDED PRECEDING EXCLUDE CURRENT ROW) "
+                "ORDER BY 4")
+            assert [(tuple(there), lo, hi, n) for there, lo, hi, n in got] \
+                == expected, (here, action)
+            checked += len(got) > 1
+        assert checked > 10

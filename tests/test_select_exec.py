@@ -319,3 +319,31 @@ class TestIndexPushdown:
         assert tdb.query_all("SELECT y FROM t WHERE x = 7", []) == [("new",)]
         tdb.execute("DELETE FROM t WHERE x = 7")
         assert tdb.query_all("SELECT y FROM t WHERE x = 7", []) == []
+
+
+class TestBulkPull:
+    """``PlanState.next_rows`` / ``fetch_all`` over an operator that only
+    has ``next()``."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    def test_a_plain_operator_is_asked_once_per_row_and_once_more(self, n):
+        from repro.sql.executor.base import ROWS_PER_PULL, PlanState
+
+        class Counting(PlanState):
+            __slots__ = ("left", "calls")
+
+            def next(self):
+                self.calls += 1
+                if not self.left:
+                    return None
+                self.left -= 1
+                return (self.left,)
+
+        state = Counting(None)
+        state.left, state.calls = n, 0
+        assert state.fetch_all() == [(i,) for i in reversed(range(n))]
+        assert state.calls == n + 1  # as the row-at-a-time loop did
+        state.left, state.calls = n, 0
+        assert state.next() == ((n - 1,) if n else None)  # the two mix
+        rows = state.next_rows()
+        assert len(rows) == min(max(n - 1, 0), ROWS_PER_PULL)

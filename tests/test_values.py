@@ -156,6 +156,68 @@ class TestSortKeys:
         if None in values:
             assert ordered[-1] is None
 
+    #: One value of every kind in ascending key order: booleans, numbers
+    #: (int and float interleaved by value, NaN above them all), text,
+    #: arrays, rows, NULL last.
+    LADDER = [False, True, -2 ** 63, -1.5, 0, 0.5, 1, 2 ** 70, float("inf"),
+              float("nan"), "", "a", "b", [1], [1, 0], [2], Row([1, "a"]),
+              Row([1, "b"]), Row([2, "a"]), None]
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_every_kind_has_its_place(self, descending):
+        shuffled = self.LADDER[7::-1] + self.LADDER[:7:-1]
+        ordered = sorted(shuffled,
+                         key=lambda v: row_sort_key((v,), [descending]))
+        expected = self.LADDER[::-1] if descending else self.LADDER
+        assert [repr(v) for v in ordered] == [repr(v) for v in expected]
+
+    #: Numbers whose order a careless negation (through a float, or of an
+    #: int into a fixed width) would disturb, ascending; equal neighbours
+    #: (``-0.0`` / ``0``, ``2 ** 63`` / ``2.0 ** 63``) stay in arrival order.
+    EDGES = [float("-inf"), -1e308, -2 ** 63 - 1, -2 ** 63, -2.0 ** 63,
+             -2 ** 63 + 1, -1, -0.0, 0, 5e-324, 1, 2 ** 63 - 1, 2 ** 63,
+             2.0 ** 63, 2 ** 63 + 1, 2 ** 64, 1e308, 2 ** 1024,
+             float("inf"), float("nan")]
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_numbers_at_the_edges_keep_their_order(self, descending):
+        arrival = self.EDGES[::2] + self.EDGES[1::2]
+        ordered = sorted(arrival,
+                         key=lambda v: row_sort_key((v,), [descending]))
+        expected = sorted(arrival, key=sort_key)
+        if descending:
+            # The exact reverse, except that equal keys keep arrival order.
+            expected = [v for key in sorted({sort_key(v) for v in arrival},
+                                            reverse=True)
+                        for v in arrival if sort_key(v) == key]
+        assert [repr(v) for v in ordered] == [repr(v) for v in expected]
+        assert [repr(v) for v in sorted(self.EDGES, key=sort_key)] \
+            == [repr(v) for v in self.EDGES]
+
+    def test_nested_keys_descending(self):
+        # Arrays and rows compare element by element, NULL elements last
+        # ascending - so first descending - at every depth.
+        ladder = [[1], [1, 0], [1, [2]], [1, None], [2], [None],
+                  Row([1, Row([1, "a"])]), Row([1, Row([1, "b"])]),
+                  Row([1, Row([2, None])]), Row([1, None]), Row([2, [0]])]
+        arrival = ladder[1::2] + ladder[::2]
+        up = sorted(arrival, key=lambda v: row_sort_key((v,), [False]))
+        down = sorted(arrival, key=lambda v: row_sort_key((v,), [True]))
+        assert [repr(v) for v in up] == [repr(v) for v in ladder]
+        assert [repr(v) for v in down] == [repr(v) for v in ladder[::-1]]
+
+    def test_descending_second_key_breaks_ties_of_the_first(self):
+        rows = [(1, "a"), (0, None), (1, None), (0, "b"), (1, "b"), (0, 2.5)]
+        ordered = sorted(rows, key=lambda r: row_sort_key(r, [False, True]))
+        assert ordered == [(0, None), (0, "b"), (0, 2.5),
+                           (1, None), (1, "b"), (1, "a")]
+
+    def test_exact_int_keys_as_the_numbers_do(self):
+        assert sort_key(7) == (0, 1, 7) and sort_key(7) == sort_key(7.0)
+        assert sort_key(True) == (0, 0, True) != sort_key(1)
+        assert sort_key(2 ** 70) < sort_key(float("inf")) \
+            < sort_key(float("nan")) < sort_key("")
+
 
 class TestKeyClasses:
     """``hashable_value`` / ``comparison_class`` answer an exact int before

@@ -1,6 +1,7 @@
 """The vectorized executor core (executor/vector.py): plan shape, the
 profiler's batch counters, the statement-level row fallback, snapshot
-freshness under same-transaction DML, and cancellation.
+freshness under same-transaction DML, cancellation, typed columns, and the
+batch hash join with ORDER BY / LIMIT above it.
 
 Numeric parity lives in ``test_fuzz_regressions.py`` (the adversarial
 bigint sweep) and ``test_differential.py`` (randomized row/batch
@@ -14,7 +15,7 @@ import pytest
 
 from repro.sql import Database
 from repro.sql.errors import ExecutionError, QueryCanceledError, SqlError
-from repro.sql.executor import vector
+from repro.sql.executor import base, vector
 
 
 @pytest.fixture()
@@ -56,17 +57,27 @@ class TestPlanShape:
         assert "VectorScan" in _explain(vdb, sql)
 
     def test_row_only_shapes_keep_the_row_plan(self, vdb):
-        # Joins, ORDER BY, window functions and subqueries all stay on the
-        # row engine; the vectorized core never appears under them.
+        # LEFT and nested-loop joins, index-scan / subquery / CTE leaves,
+        # window functions and subqueries all keep the outermost core on
+        # the row engine.
         vdb.execute("CREATE TABLE u(x int)")
         for sql in [
-            "SELECT t.a FROM t, u WHERE t.a = u.x",
-            "SELECT a FROM t ORDER BY b",
+            "SELECT t.a FROM t LEFT JOIN u ON t.a = u.x",
+            "SELECT t.a FROM t JOIN u ON t.a < u.x",
+            "SELECT t.a FROM t, u WHERE t.a = u.x AND t.b = 1 + (SELECT 1)",
+            "SELECT t.a FROM t JOIN (SELECT x FROM u) AS s ON t.a = s.x",
+            "WITH w AS (SELECT x FROM u) SELECT t.a FROM t JOIN w "
+            "ON t.a = w.x",
+            "SELECT t.a FROM t JOIN LATERAL (SELECT t.a AS x) AS l "
+            "ON t.a = l.x",
+            "SELECT a FROM t WHERE a = 3 ORDER BY b",
             "SELECT a, row_number() OVER (ORDER BY a) FROM t",
             "SELECT a, (SELECT max(x) FROM u) FROM t",
             "SELECT random() FROM t",
         ]:
-            assert "Vector" not in _explain(vdb, sql), sql
+            core = next(line for line in _explain(vdb, sql).splitlines()
+                        if "Select" in line)
+            assert "Vectorized" not in core, sql
 
     def test_vectorized_axis_is_plan_affecting(self, vdb):
         assert any(s.name == "enable_vectorize" and values == (False, True)
@@ -147,11 +158,14 @@ class TestRowFallback:
         monkeypatch.setattr(vector.VectorScan, "next_batch", boom)
         assert vdb.query_value("SELECT sum(a) FROM t") == 45
 
+    @pytest.mark.parametrize("pull", [1, 4, base.ROWS_PER_PULL])
     def test_streaming_fallback_resumes_after_emitted_rows(self, vdb,
-                                                           monkeypatch):
+                                                           monkeypatch, pull):
         # Let two batches stream out vectorized, then poison the scan:
-        # the fallback must skip exactly the rows already emitted.
+        # the fallback must skip exactly the rows already emitted - handed
+        # on singly, or in bulk with the rows gathered before the failure.
         monkeypatch.setattr(vector, "BATCH_SIZE", 3)
+        monkeypatch.setattr(base, "ROWS_PER_PULL", pull)
         original = vector.VectorScan.next_batch
         calls = {"n": 0}
 
@@ -163,6 +177,11 @@ class TestRowFallback:
 
         monkeypatch.setattr(vector.VectorScan, "next_batch", flaky)
         assert vdb.query_all("SELECT a FROM t") == [(i,) for i in range(10)]
+        calls["n"] = 0
+        vdb.profiler.reset()
+        assert vdb.query_all("SELECT a FROM t ORDER BY b DESC, a LIMIT 4") \
+            == [(2,), (5,), (8,), (1,)]
+        assert vdb.profiler.counts["vector fallbacks"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +416,9 @@ class TestTypedColumns:
         fetched = []
         real = vector.Batch.column
 
-        def counting(self, index, sel):
+        def counting(self, rel, index, sel):
             fetched.append(index)
-            return real(self, index, sel)
+            return real(self, rel, index, sel)
 
         monkeypatch.setattr(vector.Batch, "column", counting)
         assert repr(db.query_all(sql)) == expected
@@ -439,3 +458,198 @@ class TestTypedColumns:
             == "[(0,), (0,), (0,)]"
         assert db.profiler.counts["vector fallbacks"] == (3 if size > 9
                                                           else 2)
+
+
+# ---------------------------------------------------------------------------
+# The batch hash join: joins and ORDER BY no longer send a core to the row
+# engine
+# ---------------------------------------------------------------------------
+
+JROWS = 15
+
+#: 2- and 3-way joins: duplicate keys on both sides, NULL keys, multi-column
+#: keys, an ON residual, WHERE conjuncts on both leaves, aggregates over the
+#: join, ORDER BY .. LIMIT above it, a streaming LIMIT.
+JOIN_QUERIES = [
+    "SELECT o.id, c.name FROM o JOIN c ON o.cust = c.id",
+    "SELECT o.id, c.name FROM c JOIN o ON o.cust = c.id",
+    "SELECT o.id, c.id, o.v + c.seg FROM o, c WHERE o.cust = c.id "
+    "AND o.k < 60 AND c.seg <> 1",
+    "SELECT o.id, c.name FROM o JOIN c ON o.cust = c.id AND o.v = c.seg",
+    "SELECT o.id, c.name FROM o JOIN c ON o.cust = c.id AND o.v > c.seg "
+    "WHERE o.k + c.seg < 70",
+    "SELECT o.id, c.name, s.label, o.v FROM o JOIN c ON o.cust = c.id "
+    "JOIN s ON c.seg = s.id WHERE o.k < 80 AND s.w < 8",
+    "SELECT o.id, s.label FROM s JOIN (c JOIN o ON o.cust = c.id) "
+    "ON c.seg = s.id WHERE c.name <> 'c2'",
+    "SELECT count(*), sum(o.v), avg(o.k + c.seg), min(c.name) "
+    "FROM o JOIN c ON o.cust = c.id",
+    "SELECT c.seg, count(*), sum(o.v) FROM o JOIN c ON o.cust = c.id "
+    "JOIN s ON c.seg = s.id GROUP BY c.seg",
+    "SELECT s.label, count(*), sum(o.v) FROM o JOIN c ON o.cust = c.id "
+    "JOIN s ON c.seg = s.id GROUP BY s.label ORDER BY 2 DESC, 1 LIMIT 2",
+    "SELECT o.id, c.name, s.label, o.v FROM o JOIN c ON o.cust = c.id "
+    "JOIN s ON c.seg = s.id WHERE o.k < 80 ORDER BY o.v DESC, o.id LIMIT 4",
+    "SELECT o.id, c.name FROM o JOIN c ON o.cust = c.id "
+    "ORDER BY c.name DESC NULLS LAST, o.id",
+    "SELECT DISTINCT c.seg FROM o JOIN c ON o.cust = c.id ORDER BY 1",
+    "SELECT o.id, c.name FROM o JOIN c ON o.cust = c.id LIMIT 3",
+    "SELECT o.id FROM o JOIN c ON o.cust = c.id WHERE c.id < 0",  # no build
+    "SELECT o.id FROM o JOIN c ON o.cust = c.id WHERE o.id < 0",  # no probe
+]
+
+
+def _join_tables(db):
+    """``o`` (JROWS rows), ``c`` (6), ``s`` (3): ``o.cust`` repeats and is
+    NULL in places, ``c.id`` has a duplicate and a NULL, ``c.seg`` repeats."""
+    db.execute("CREATE TABLE o(id int, cust int, k int, v int)")
+    db.execute("CREATE TABLE c(id int, seg int, name text)")
+    db.execute("CREATE TABLE s(id int, label text, w int)")
+    for i in range(JROWS):
+        db.execute("INSERT INTO o VALUES ($1, $2, $3, $4)",
+                   [i, None if i % 7 == 3 else i % 5, (i * 37) % 100, i % 4])
+    for row in [(0, 0, "c0"), (1, 1, "c1"), (2, 1, "c2"), (2, 2, "c2b"),
+                (None, 0, "cn"), (4, None, None)]:
+        db.execute("INSERT INTO c VALUES ($1, $2, $3)", list(row))
+    for row in [(0, "s0", 3), (1, "s1", 9), (2, "s2", 5)]:
+        db.execute("INSERT INTO s VALUES ($1, $2, $3)", list(row))
+
+
+class TestVectorJoin:
+    @pytest.mark.parametrize("pull", [1, 3, base.ROWS_PER_PULL])
+    @pytest.mark.parametrize("size", [1, 7, JROWS - 1, JROWS, JROWS + 1])
+    def test_joins_equal_the_row_engine(self, db, monkeypatch, size, pull):
+        monkeypatch.setattr(vector, "BATCH_SIZE", size)
+        monkeypatch.setattr(base, "ROWS_PER_PULL", pull)
+        _join_tables(db)
+        db.profiler.reset()
+        for sql in JOIN_QUERIES:
+            assert "VectorHashJoin" in _explain(db, sql), sql
+            _outcome(db, sql)
+        assert db.profiler.counts["vector fallbacks"] == 0
+        assert db.profiler.counts["vector join rows"] > 0
+
+    def test_both_build_sides(self, db):
+        _join_tables(db)
+        left = "SELECT o.id, c.name FROM c JOIN o ON o.cust = c.id"
+        right = "SELECT o.id, c.name FROM o JOIN c ON o.cust = c.id"
+        assert "[build=left]" in _explain(db, left)
+        assert "[build=right]" in _explain(db, right)
+        # Same pairs, in the probe side's (o's) order either way.
+        assert _outcome(db, left) == _outcome(db, right)
+
+    def test_analytic_shape_runs_under_topn(self, db):
+        _join_tables(db)
+        sql = ("SELECT o.id, c.name, s.label, o.v FROM o "
+               "JOIN c ON o.cust = c.id JOIN s ON c.seg = s.id "
+               "WHERE o.k < 80 AND s.w < 8 ORDER BY o.v DESC, o.id LIMIT 4")
+        lines = _explain(db, sql).splitlines()
+        assert lines[1].strip().startswith("-> TopN (n=4)")
+        assert lines[2].strip().startswith("-> VectorizedSelect")
+        assert sum("VectorHashJoin" in line for line in lines) == 2
+        assert sum("(pushed-down filter)" in line for line in lines) == 2
+        db.profiler.reset()
+        _outcome(db, sql)
+        assert db.profiler.counts["vector fallbacks"] == 0
+        assert db.profiler.counts["hash join builds"] == 4  # 2 per engine
+
+    def test_grouped_aggregate_sorts_the_vector_engines_output(self, db):
+        # ROADMAP item 2's second mis-selection: ORDER BY over a grouped
+        # aggregate used to send the whole core to the row engine.
+        _table(db, 5)
+        for tail, above in [("ORDER BY g", "Sort"),
+                            ("ORDER BY 2 DESC LIMIT 3", "TopN (n=3)")]:
+            sql = f"SELECT g, count(*), sum(v) FROM f GROUP BY g {tail}"
+            lines = _explain(db, sql).splitlines()
+            assert any(above in line for line in lines[:2]), sql
+            assert any("VectorizedAggregate+Select" in line
+                       for line in lines[1:3]), sql
+            db.profiler.reset()
+            _outcome(db, sql)
+            assert db.profiler.counts["vector batches"] > 0
+            assert db.profiler.counts["vector fallbacks"] == 0
+
+    def test_streaming_limit_probes_one_batch(self, db, monkeypatch):
+        monkeypatch.setattr(vector, "BATCH_SIZE", 4)
+        _join_tables(db)
+        sql = "SELECT o.id, c.name FROM o JOIN c ON o.cust = c.id LIMIT 3"
+        expected = _outcome(db, sql)
+        db.profiler.reset()
+        assert repr(db.query_all(sql)) == expected
+        # Two batches drain c (6 rows, the build side), one probes o.
+        assert db.profiler.counts["vector batches"] == 3
+        assert db.profiler.counts["hash join build rows"] == 5  # c.id NULL
+
+    def test_key_class_mismatch_falls_back_to_the_row_engines_error(self, db):
+        _join_tables(db)
+        sql = "SELECT o.id FROM o JOIN c ON o.cust = c.name"
+        assert "VectorHashJoin" in _explain(db, sql)
+        db.profiler.reset()
+        assert _outcome(db, sql) == "TypeError_: cannot compare int with str"
+        assert db.profiler.counts["vector fallbacks"] == 1
+
+    def test_key_class_mismatch_beyond_the_limit_is_silent(self, db,
+                                                           monkeypatch):
+        # One text key in o's last row: the batch join probes it with the
+        # rest of its batch and falls back; the row engine stops at LIMIT 3
+        # before reaching it.
+        monkeypatch.setattr(vector, "BATCH_SIZE", JROWS + 1)
+        _join_tables(db)
+        db.catalog.tables["o"].insert((99, "zero", 1, 1))
+        sql = "SELECT o.id, c.name FROM o JOIN c ON o.cust = c.id"
+        db.profiler.reset()
+        assert _outcome(db, sql) == "TypeError_: cannot compare str with int"
+        assert len(eval(_outcome(db, sql + " LIMIT 3"))) == 3
+        assert db.profiler.counts["vector fallbacks"] == 2
+
+    def test_same_transaction_dml_is_seen(self, db):
+        _join_tables(db)
+        sql = ("SELECT count(*), sum(o.v) FROM o JOIN c ON o.cust = c.id "
+               "WHERE c.seg < 2")
+        conn = db.connect()
+        before = conn.execute(sql).rows
+        conn.execute("BEGIN")
+        conn.execute("UPDATE c SET seg = 5 WHERE id = 1")
+        conn.execute("INSERT INTO o VALUES (50, 0, 1, 100)")
+        inside = conn.execute(sql).rows
+        conn.execute("SET enable_vectorize = off")
+        assert conn.execute(sql).rows == inside != before
+        conn.execute("ROLLBACK")
+        conn.execute("RESET enable_vectorize")
+        assert conn.execute(sql).rows == before
+
+    def test_other_doors_answer_the_same(self, db):
+        # INSERT .. SELECT and a prepared handle run the same plans.
+        _join_tables(db)
+        select = ("SELECT o.id, c.name, o.v FROM o JOIN c ON o.cust = c.id "
+                  "WHERE o.k < $1 ORDER BY o.v DESC, o.id")
+        conn = db.connect()
+        handle = conn.prepare(select)
+        assert "VectorHashJoin" in handle.explain()
+        db.execute("CREATE TABLE sink(id int, name text, v int)")
+        seen = []
+        for setting in ("on", "off"):
+            conn.execute(f"SET enable_vectorize = {setting}")
+            db.execute(f"SET enable_vectorize = {setting}")
+            db.execute("DELETE FROM sink")
+            db.execute("INSERT INTO sink " + select.replace("$1", "70"))
+            seen.append((repr(handle.execute([70]).rows),
+                         repr(handle.execute([30]).rows),
+                         repr(db.query_all("SELECT * FROM sink"))))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == seen[0][2] != seen[0][1]
+
+    def test_build_is_kept_across_rescans(self, db):
+        # The joining subquery is the re-opened right side of a nested
+        # loop: its uncorrelated build side is hashed once per execution.
+        _join_tables(db)
+        sql = ("SELECT s.id, j.name FROM s JOIN (SELECT o.v, c.name FROM o "
+               "JOIN c ON o.cust = c.id) AS j ON j.v < s.id")
+        text = _explain(db, sql)
+        assert "NestLoop" in text and "VectorHashJoin" in text
+        for setting in ("on", "off"):
+            db.execute(f"SET enable_vectorize = {setting}")
+            db.profiler.reset()
+            db.query_all(sql)
+            assert db.profiler.counts["hash join builds"] == 1, setting
+        _outcome(db, sql)
