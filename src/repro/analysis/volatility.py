@@ -33,6 +33,9 @@ recursion, embedded query) is pushed to the conservative top.  Inference
 can therefore over-classify (losing an optimization) but never
 under-classify (changing semantics).
 
+The same walk answers the compiler's question about one expression
+(:func:`expr_is_volatile`), so "volatile" means one thing on both sides.
+
 Results are cached on the :class:`~repro.sql.catalog.FunctionDef`
 (``inferred_*`` fields) and reset together with the plan caches.
 """
@@ -121,6 +124,19 @@ def _scan_expr(expr, facts: Facts, catalog, stack: frozenset) -> None:
     """Fold one expression (or whole SELECT) into *facts*."""
     for node in walk(expr):
         _fold_node(node, facts, catalog, stack)
+
+
+def expr_is_volatile(expr, catalog=None) -> bool:
+    """Does *expr* (embedded queries included) call a volatile function: a
+    volatile builtin, a user function whose body is inferred volatile, an
+    unknown function or one on a recursive cycle?  The inferred class of a
+    callee counts, not its declaration - a declared ``IMMUTABLE`` does not
+    make its ``random()`` draw once.  This is the one test of "volatile"
+    the compiler asks (dead-code elimination, the SQLite split rewrite,
+    the machine's ``shareable``)."""
+    facts = Facts()
+    _scan_expr(expr, facts, catalog, frozenset())
+    return facts.level == LEVELS["volatile"]
 
 
 def _scan_call(node: A.FuncCall, facts: Facts, catalog,

@@ -15,8 +15,9 @@ ones the UDF stage must defunctionalize.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator
 
 from ..sql import ast as A
 from ..sql.errors import CompileError
@@ -84,35 +85,119 @@ class AnfProgram:
     def pretty(self) -> str:
         from .dialects import render_expression
 
-        def render(expr: AnfExpr, indent: int) -> list[str]:
-            pad = "  " * indent
-            if isinstance(expr, AnfLet):
-                lines = [f"{pad}let {expr.var} = "
-                         f"{render_expression(expr.value)} in"]
-                lines.extend(render(expr.body, indent))
-                return lines
-            if isinstance(expr, AnfIf):
-                lines = [f"{pad}if {render_expression(expr.condition)} then"]
-                lines.extend(render(expr.then_branch, indent + 1))
-                lines.append(f"{pad}else")
-                lines.extend(render(expr.else_branch, indent + 1))
-                return lines
-            if isinstance(expr, AnfCall):
-                args = ", ".join(render_expression(a) for a in expr.args)
-                return [f"{pad}{expr.func}({args})"]
-            if isinstance(expr, AnfRet):
-                return [f"{pad}{render_expression(expr.expr)}"]
-            raise CompileError(f"unknown ANF node {type(expr).__name__}")
+        def indent(lines: list[str]) -> list[str]:
+            return ["  " + line for line in lines]
+
+        def render(body: AnfExpr) -> list[str]:
+            return indent(indent(fold(
+                body,
+                let=lambda node, rest: [f"let {node.var} = "
+                                        f"{render_expression(node.value)} in",
+                                        *rest],
+                if_=lambda node, then, else_: [
+                    f"if {render_expression(node.condition)} then",
+                    *indent(then), "else", *indent(else_)],
+                call=lambda node: [f"{node.func}(" + ", ".join(
+                    render_expression(a) for a in node.args) + ")"],
+                ret=lambda node: [render_expression(node.expr)])))
 
         lines = [f"function {self.func_name}({', '.join(self.params)}) ="]
-        for name, func in sorted(self.functions.items()):
-            if name == self.entry:
-                continue
-            lines.append(f"  letrec {name}({', '.join(func.params)}) =")
-            lines.extend(render(func.body, 2))
+        for func in self.recursive_functions():
+            lines.append(f"  letrec {func.name}({', '.join(func.params)}) =")
+            lines.extend(render(func.body))
         lines.append("  in")
-        lines.extend(render(self.functions[self.entry].body, 2))
+        lines.extend(render(self.functions[self.entry].body))
         return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The one traversal
+# ---------------------------------------------------------------------------
+#
+# Every pass over an ANF body goes through ``_match`` - the one place that
+# knows the four node kinds - by way of the helpers below.  Callers pass one
+# callback per kind; none of them tests a node's class.
+
+
+def _match(expr: AnfExpr, let, if_, call, ret):
+    """``let(expr)`` / ``if_(expr)`` / ``call(expr)`` / ``ret(expr)`` by
+    the kind of *expr*."""
+    if isinstance(expr, AnfLet):
+        return let(expr)
+    if isinstance(expr, AnfIf):
+        return if_(expr)
+    if isinstance(expr, AnfCall):
+        return call(expr)
+    if isinstance(expr, AnfRet):
+        return ret(expr)
+    raise CompileError(f"unknown ANF node {type(expr).__name__}")
+
+
+def children(expr: AnfExpr) -> tuple[AnfExpr, ...]:
+    """The ANF nodes directly under *expr* (none under a tail)."""
+    return _match(expr,
+                  let=lambda node: (node.body,),
+                  if_=lambda node: (node.then_branch, node.else_branch),
+                  call=lambda node: (),
+                  ret=lambda node: ())
+
+
+def exprs(expr: AnfExpr) -> Iterator[A.Expr]:
+    """Every SQL expression held in the tree under *expr*: let values,
+    conditions, call arguments and results, in source order."""
+    yield from _match(expr,
+                      let=lambda node: (node.value,),
+                      if_=lambda node: (node.condition,),
+                      call=lambda node: node.args,
+                      ret=lambda node: (node.expr,))
+    for child in children(expr):
+        yield from exprs(child)
+
+
+def _rebuild_let(node: AnfLet, body) -> AnfLet:
+    return AnfLet(node.var, node.value, body)
+
+
+def _rebuild_if(node: AnfIf, then, else_) -> AnfIf:
+    return AnfIf(node.condition, then, else_)
+
+
+def _same(node: AnfExpr) -> AnfExpr:
+    return node
+
+
+def fold(expr: AnfExpr, let=_rebuild_let, if_=_rebuild_if, call=_same,
+         ret=_same):
+    """Fold the tree under *expr* bottom-up: ``let(node, body)``,
+    ``if_(node, then, else_)`` receive their children's results,
+    ``call(node)`` and ``ret(node)`` fold the tails.  The defaults rebuild
+    the node, so ``fold(expr, call=f)`` replaces just the calls."""
+    def go(node: AnfExpr):
+        return _match(
+            node,
+            let=lambda n: let(n, go(n.body)),
+            if_=lambda n: if_(n, go(n.then_branch), go(n.else_branch)),
+            call=call, ret=ret)
+    return go(expr)
+
+
+def map_exprs(expr: AnfExpr, fn) -> AnfExpr:
+    """A copy of the tree under *expr* with ``fn`` applied to each SQL
+    expression it holds."""
+    return fold(expr,
+                let=lambda node, body: AnfLet(node.var, fn(node.value), body),
+                if_=lambda node, then, else_: AnfIf(fn(node.condition),
+                                                    then, else_),
+                call=lambda node: AnfCall(node.func,
+                                          [fn(a) for a in node.args]),
+                ret=lambda node: AnfRet(fn(node.expr)))
+
+
+def calls(expr: AnfExpr) -> list[str]:
+    """The callee of every tail call in the tree under *expr*."""
+    return fold(expr, let=lambda node, body: body,
+                if_=lambda node, then, else_: then + else_,
+                call=lambda node: [node.func], ret=lambda node: [])
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +240,6 @@ def ssa_to_anf(program: SsaProgram, catalog=None) -> AnfProgram:
 
     free: dict[int, set[str]] = {bid: direct_uses[bid] - local_defs[bid]
                                  for bid in program.blocks}
-    if program.entry in free:
-        # The entry's frees are the function parameters themselves.
-        pass
     changed = True
     while changed:
         changed = False
@@ -226,41 +308,8 @@ def ssa_to_anf(program: SsaProgram, catalog=None) -> AnfProgram:
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(program: AnfProgram) -> dict[str, int]:
-    counts = {name: 0 for name in program.functions}
-
-    def visit(expr: AnfExpr) -> None:
-        if isinstance(expr, AnfLet):
-            visit(expr.body)
-        elif isinstance(expr, AnfIf):
-            visit(expr.then_branch)
-            visit(expr.else_branch)
-        elif isinstance(expr, AnfCall):
-            counts[expr.func] = counts.get(expr.func, 0) + 1
-
-    for func in program.functions.values():
-        visit(func.body)
-    return counts
-
-
-def _calls_in(expr: AnfExpr) -> set[str]:
-    out: set[str] = set()
-
-    def visit(node: AnfExpr) -> None:
-        if isinstance(node, AnfLet):
-            visit(node.body)
-        elif isinstance(node, AnfIf):
-            visit(node.then_branch)
-            visit(node.else_branch)
-        elif isinstance(node, AnfCall):
-            out.add(node.func)
-
-    visit(expr)
-    return out
-
-
 def _call_edges(program: AnfProgram) -> dict[str, set[str]]:
-    return {name: _calls_in(func.body)
+    return {name: set(calls(func.body))
             for name, func in program.functions.items()}
 
 
@@ -302,10 +351,11 @@ def inline_anf(program: AnfProgram) -> AnfProgram:
     progress = True
     while progress:
         progress = False
-        counts = _count_calls(program)
+        counts = Counter(name for func in program.functions.values()
+                         for name in calls(func.body))
         # Unreachable functions (no call sites) simply disappear.
         for name in list(program.functions):
-            if name != program.entry and counts.get(name, 0) == 0:
+            if name != program.entry and counts[name] == 0:
                 del program.functions[name]
                 progress = True
         if progress:
@@ -314,32 +364,27 @@ def inline_anf(program: AnfProgram) -> AnfProgram:
         for name, func in list(program.functions.items()):
             if name == program.entry:
                 continue
-            if counts.get(name, 0) != 1 and name in cyclic:
+            if counts[name] != 1 and name in cyclic:
                 continue
-            if name in _calls_in(func.body):
+            if name in calls(func.body):
                 continue  # self-recursive: calls itself directly
 
-            def splice(expr: AnfExpr) -> AnfExpr:
-                if isinstance(expr, AnfLet):
-                    return AnfLet(expr.var, expr.value, splice(expr.body))
-                if isinstance(expr, AnfIf):
-                    return AnfIf(expr.condition, splice(expr.then_branch),
-                                 splice(expr.else_branch))
-                if isinstance(expr, AnfCall) and expr.func == name:
-                    body = func.body
-                    for param, arg in zip(reversed(func.params),
-                                          reversed(expr.args)):
-                        body = AnfLet(param, arg, body)
-                    return body
-                return expr
+            def graft(call: AnfCall) -> AnfExpr:
+                if call.func != name:
+                    return call
+                body = func.body
+                for param, arg in zip(reversed(func.params),
+                                      reversed(call.args)):
+                    body = AnfLet(param, arg, body)
+                return body
 
             callers = [caller for caller_name, caller in
                        program.functions.items()
-                       if caller_name != name and name in _calls_in(caller.body)]
+                       if caller_name != name and name in calls(caller.body)]
             if not callers:
                 continue
             for caller in callers:
-                caller.body = splice(caller.body)
+                caller.body = fold(caller.body, call=graft)
             del program.functions[name]
             progress = True
             break
@@ -355,35 +400,13 @@ def _simplify_trivial_lets(program: AnfProgram) -> None:
     """
     from .rename import rename_variables
 
-    def subst_in_sql(expr: A.Expr, var: str, value: A.Expr) -> A.Expr:
-        return rename_variables(
-            expr, lambda name: value if name == var else None)
-
-    def subst(expr: AnfExpr, var: str, value: A.Expr) -> AnfExpr:
-        if isinstance(expr, AnfLet):
-            return AnfLet(expr.var, subst_in_sql(expr.value, var, value),
-                          subst(expr.body, var, value))
-        if isinstance(expr, AnfIf):
-            return AnfIf(subst_in_sql(expr.condition, var, value),
-                         subst(expr.then_branch, var, value),
-                         subst(expr.else_branch, var, value))
-        if isinstance(expr, AnfCall):
-            return AnfCall(expr.func,
-                           [subst_in_sql(a, var, value) for a in expr.args])
-        assert isinstance(expr, AnfRet)
-        return AnfRet(subst_in_sql(expr.expr, var, value))
-
-    def simplify(expr: AnfExpr) -> AnfExpr:
-        if isinstance(expr, AnfLet):
-            value = expr.value
-            if isinstance(value, A.Literal) or (
-                    isinstance(value, A.ColumnRef) and len(value.parts) == 1):
-                return simplify(subst(expr.body, expr.var, value))
-            return AnfLet(expr.var, value, simplify(expr.body))
-        if isinstance(expr, AnfIf):
-            return AnfIf(expr.condition, simplify(expr.then_branch),
-                         simplify(expr.else_branch))
-        return expr
+    def let(node: AnfLet, body: AnfExpr) -> AnfExpr:
+        value = node.value
+        if isinstance(value, A.Literal) or (
+                isinstance(value, A.ColumnRef) and len(value.parts) == 1):
+            return map_exprs(body, lambda expr: rename_variables(
+                expr, lambda name: value if name == node.var else None))
+        return AnfLet(node.var, value, body)
 
     for func in program.functions.values():
-        func.body = simplify(func.body)
+        func.body = fold(func.body, let=let)

@@ -9,9 +9,10 @@ small because SSA makes them small:
 * copy propagation and constant propagation,
 * constant folding (pure operators only; division is never folded unless
   the divisor is a non-zero literal — errors must stay at run time),
-* dead code elimination (volatile expressions such as ``random()`` are
-  never removed: the compiled function must draw the same random sequence
-  as the interpreted one),
+* dead code elimination (volatile expressions - ``random()``, or a call to
+  a user-defined helper the analyzer classes volatile - are never removed:
+  the compiled function must draw the same random sequence as the
+  interpreted one),
 * jump threading (empty forwarding blocks disappear),
 * block merging (straight-line chains collapse — this is what shrinks the
   paper's L0 into L1 between Figures 5 and 6).
@@ -24,21 +25,14 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..analysis.volatility import expr_is_volatile
 from ..sql import ast as A
-from ..sql.astutil import transform_expr, walk
+from ..sql.astutil import transform_expr
 from ..sql.errors import SqlError
 from ..sql.expr import ExprCompiler, Scope
-from ..sql.functions import VOLATILE_FUNCTIONS
 from .cfg import CondGoto, Goto, Return
 from .rename import collect_variable_uses, rename_variables
 from .ssa import Phi, SsaAssign, SsaProgram
-
-
-def expr_is_volatile(expr: A.Expr) -> bool:
-    """True when *expr* (or an embedded query) calls a volatile function."""
-    return any(isinstance(node, A.FuncCall)
-               and node.name.lower() in VOLATILE_FUNCTIONS
-               for node in walk(expr))
 
 
 class _Subst:
@@ -247,8 +241,9 @@ def fold_constants(program: SsaProgram) -> bool:
 def eliminate_dead_code(program: SsaProgram, catalog=None) -> bool:
     """Remove assignments and φs whose targets are never used.
 
-    Volatile expressions (``random()``) survive: removing one would shift
-    the RNG sequence and desynchronise compiled vs interpreted runs.
+    Volatile expressions (``random()``, a volatile helper) survive:
+    removing one would shift the RNG sequence and desynchronise compiled
+    vs interpreted runs.
     """
     names = set(program.var_types)
     changed = False
@@ -270,7 +265,8 @@ def eliminate_dead_code(program: SsaProgram, catalog=None) -> bool:
         for block in program.blocks.values():
             kept_stmts = []
             for stmt in block.stmts:
-                if stmt.target not in used and not expr_is_volatile(stmt.expr):
+                if stmt.target not in used \
+                        and not expr_is_volatile(stmt.expr, catalog):
                     removed = True
                     continue
                 kept_stmts.append(stmt)

@@ -58,6 +58,9 @@ class CompiledFunction:
     query: A.SelectStmt = field(repr=False)
     iterate: bool = False
     optimized: bool = True
+    #: The catalog compiled against: the split rewrite asks it which
+    #: called helpers are volatile.
+    catalog: object = field(repr=False, default=None)
 
     # ------------------------------------------------------------------
 
@@ -73,7 +76,8 @@ class CompiledFunction:
         if dialect.let_style == LET_STYLE_NESTED or dialect.name == "sqlite":
             # LATERAL-free target: column-wise split template (SQLite).
             from .template import build_split_template_query
-            query = build_split_template_query(self.udf, self.iterate)
+            query = build_split_template_query(self.udf, self.iterate,
+                                               self.catalog)
         if self.iterate and not dialect.supports_iterate:
             raise CompileError(f"dialect {dialect.name} lacks WITH ITERATE")
         return render_select(query, dialect)
@@ -116,7 +120,7 @@ class CompiledFunction:
         of calls (``SELECT f(x) FROM t``) when no expression in the body is
         volatile, one activation per call otherwise.
         """
-        batch_machine = (build_batched_machine(self.udf)
+        batch_machine = (build_batched_machine(self.udf, db.catalog)
                          if self.is_recursive else None)
         return db.register_compiled_function(
             name or self.name, self.param_names, self.param_types,
@@ -238,4 +242,5 @@ def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
         query=query,
         iterate=iterate,
         optimized=optimize,
+        catalog=catalog,
     )

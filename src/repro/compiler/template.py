@@ -29,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.volatility import expr_is_volatile
 from ..sql import ast as A
 from ..sql.errors import CompileError
-from .anf import AnfCall
+from .anf import AnfCall, exprs, fold
 from .rename import rename_variables
-from .udf import LET_STYLE_LATERAL, SqlUdf, translate_anf, udf_is_recursive
+from .udf import (LET_STYLE_LATERAL, SqlUdf, call_args, translate_anf,
+                  udf_is_recursive)
 
 RUN_ALIAS = "r"
 CALL_COLUMN = "call?"
@@ -44,16 +46,9 @@ def run_columns(udf: SqlUdf) -> list[str]:
 
 
 def _call_row(udf: SqlUdf, call: AnfCall) -> A.Expr:
-    anf = udf.anf
-    target = anf.functions.get(call.func)
-    if target is None:
-        raise CompileError(f"call to unknown function {call.func!r}")
-    by_param = dict(zip(target.params, call.args))
-    items: list[A.Expr] = [A.Literal(True), A.Literal(udf.labels[call.func])]
-    for param in udf.rec_params[1:]:
-        items.append(by_param.get(param, A.Literal(None)))
-    items.append(A.Cast(A.Literal(None), udf.return_type))
-    return A.RowExpr(items)
+    args = call_args(udf.anf, call, udf.rec_params[1:])
+    return A.RowExpr([A.Literal(True), A.Literal(udf.labels[call.func]),
+                      *args, A.Cast(A.Literal(None), udf.return_type)])
 
 
 def _result_row(udf: SqlUdf, value: A.Expr) -> A.Expr:
@@ -63,66 +58,33 @@ def _result_row(udf: SqlUdf, value: A.Expr) -> A.Expr:
     return A.RowExpr(items)
 
 
-def _translate_substituted(expr, on_tail) -> A.Expr:
+def _translate_substituted(expr, call, ret) -> A.Expr:
     """Translate an ANF expression to a *single scalar expression* with let
-    bindings inlined by substitution (no FROM chains at all).
+    bindings inlined by substitution (no FROM chains at all); *call* and
+    *ret* render the tails.
 
     This is the SQLite rewrite: the engine lacks LATERAL, and correlated
     derived tables are off the menu too, so each ``run`` column is computed
     by an independent copy of the body with lets substituted away.  The
     duplication is only sound for non-volatile bodies — the caller checks.
     """
-    from .anf import AnfCall, AnfIf, AnfLet, AnfRet
-
-    if isinstance(expr, AnfRet) or isinstance(expr, AnfCall):
-        return on_tail(expr)
-    if isinstance(expr, AnfIf):
-        return A.CaseExpr(None, [(expr.condition,
-                                  _translate_substituted(expr.then_branch,
-                                                         on_tail))],
-                          _translate_substituted(expr.else_branch, on_tail))
-    if isinstance(expr, AnfLet):
-        body = _translate_substituted(expr.body, on_tail)
-        value = expr.value
-        condition_free = rename_variables(
-            body, lambda name: value if name == expr.var else None)
-        return condition_free
-    raise CompileError(f"unknown ANF node {type(expr).__name__}")
-
-
-def _assert_not_volatile(udf: SqlUdf) -> None:
-    from .anf import AnfCall, AnfIf, AnfLet, AnfRet
-    from .optimize import expr_is_volatile
-
-    def check(expr) -> None:
-        if isinstance(expr, AnfLet):
-            if expr_is_volatile(expr.value):
-                raise CompileError(
-                    "the LATERAL-free (SQLite) rewrite duplicates "
-                    "expressions per output column; volatile functions "
-                    "(random()) would be drawn more than once — not "
-                    "supported for this function")
-            check(expr.body)
-        elif isinstance(expr, AnfIf):
-            check(expr.then_branch)
-            check(expr.else_branch)
-
-    for func in udf.anf.functions.values():
-        check(func.body)
+    return fold(
+        expr,
+        let=lambda node, body: rename_variables(
+            body, lambda name: node.value if name == node.var else None),
+        if_=lambda node, then, else_: A.CaseExpr(
+            None, [(node.condition, then)], else_),
+        call=call, ret=ret)
 
 
 def _split_column_exprs(udf: SqlUdf, body, binder) -> list[A.Expr]:
     """One independent scalar expression per run column (split rewrite)."""
-    columns = run_columns(udf)
     out = []
-    for index in range(len(columns)):
-        def on_tail(tail, index=index):
-            from .anf import AnfCall
-            row = (_call_row(udf, tail) if isinstance(tail, AnfCall)
-                   else _result_row(udf, tail.expr))
-            return row.items[index]
-
-        expr = _translate_substituted(body, on_tail)
+    for index in range(len(run_columns(udf))):
+        expr = _translate_substituted(
+            body,
+            call=lambda node: _call_row(udf, node).items[index],
+            ret=lambda node: _result_row(udf, node.expr).items[index])
         out.append(rename_variables(expr, binder))
     return out
 
@@ -150,12 +112,17 @@ def _split_rec_items(udf: SqlUdf) -> list[A.SelectItem]:
     return rec_items
 
 
-def build_split_template_query(udf: SqlUdf, iterate: bool = False) -> A.SelectStmt:
+def build_split_template_query(udf: SqlUdf, iterate: bool = False,
+                               catalog=None) -> A.SelectStmt:
     """The Figure 8 template without any LATERAL: each run column is an
     independent scalar expression (SQLite-compatible rewrite)."""
     if not udf_is_recursive(udf):
         return build_template_query(udf, iterate, "nested")
-    _assert_not_volatile(udf)
+    if udf_contains_volatile(udf, catalog):
+        raise CompileError(
+            "the LATERAL-free (SQLite) rewrite duplicates expressions per "
+            "output column; volatile functions (random()) would be drawn "
+            "more than once — not supported for this function")
     columns = run_columns(udf)
     anf = udf.anf
     param_map = {name: A.Param(index + 1)
@@ -182,32 +149,23 @@ def build_split_template_query(udf: SqlUdf, iterate: bool = False) -> A.SelectSt
                                      iterate=iterate), final_core)
 
 
-def udf_contains_volatile(udf: SqlUdf) -> bool:
-    """Does any expression anywhere in the UDF call a volatile function?
+def udf_contains_volatile(udf: SqlUdf, catalog=None) -> bool:
+    """Does any expression anywhere in the UDF call a volatile function -
+    a volatile builtin, or a user-defined function the analyzer classes
+    volatile (:func:`repro.analysis.volatility.expr_is_volatile`)?
 
-    Batched (set-oriented) execution interleaves the machine steps of many
-    caller rows in one trampoline, which reorders volatile draws relative
-    to one-call-at-a-time evaluation; such functions therefore never
-    batch and run every call as its own activation of the machine.  This
-    is a fact about the body's own text, so a declared ``IMMUTABLE`` does
-    not override it.
+    Two consumers.  The split rewrite copies expressions once per run
+    column, which would draw a volatile call more than once.  Batched
+    (set-oriented) execution interleaves the machine steps of many caller
+    rows in one trampoline, which reorders volatile draws relative to
+    one-call-at-a-time evaluation; such functions therefore never batch and
+    run every call as its own activation of the machine.  This is a fact
+    about the body's own text (through the helpers it calls), so a
+    declared ``IMMUTABLE`` does not override it.
     """
-    from .anf import AnfCall, AnfIf, AnfLet, AnfRet
-    from .optimize import expr_is_volatile
-
-    def check(expr) -> bool:
-        if isinstance(expr, AnfLet):
-            return expr_is_volatile(expr.value) or check(expr.body)
-        if isinstance(expr, AnfIf):
-            return (expr_is_volatile(expr.condition)
-                    or check(expr.then_branch) or check(expr.else_branch))
-        if isinstance(expr, AnfRet):
-            return expr_is_volatile(expr.expr)
-        if isinstance(expr, AnfCall):
-            return any(expr_is_volatile(a) for a in expr.args)
-        raise CompileError(f"unknown ANF node {type(expr).__name__}")
-
-    return any(check(func.body) for func in udf.anf.functions.values())
+    return any(expr_is_volatile(expr, catalog)
+               for func in udf.anf.functions.values()
+               for expr in exprs(func.body))
 
 
 def build_template_query(udf: SqlUdf, iterate: bool = False,
@@ -361,7 +319,8 @@ class BatchedMachine:
     reference variables as bare SSA names, resolved against those columns
     plus any enclosing :class:`MachineLet` bindings.  ``shareable``: may
     the calls of many caller rows advance through one trampoline run
-    (:func:`udf_contains_volatile` is false for the body)?
+    (:func:`udf_contains_volatile` is false for the body: no volatile
+    builtin and no call to a volatile user-defined helper)?
     """
 
     param_columns: list[str]
@@ -372,52 +331,45 @@ class BatchedMachine:
     transitions: dict[int, object] = field(repr=False)  # type: ignore[assignment]
 
 
-def build_batched_machine(udf: SqlUdf) -> BatchedMachine:
+def build_batched_machine(udf: SqlUdf, catalog=None) -> BatchedMachine:
     """Derive the template's transition rules from the ANF.
 
     Volatile bodies get a machine too: a :class:`MachineLet` evaluates its
     binding exactly once per step, so there is none of the split rewrite's
-    expression duplication for :func:`_assert_not_volatile` to guard.  What
-    a volatile body may not do is *share* a trampoline with other callers
-    (``shareable`` is false); the planner runs its calls one activation at
-    a time.
+    expression duplication to guard against.  What a volatile body may not
+    do is *share* a trampoline with other callers (``shareable`` is false);
+    the planner runs its calls one activation at a time.
     """
     if not udf_is_recursive(udf):
         raise CompileError("the machine form requires a recursive UDF")
     anf = udf.anf
     state_vars = udf.rec_params[1:]  # "fn" is the dispatch slot
 
-    def node(expr):
-        from .anf import AnfIf, AnfLet, AnfRet
+    def call(node: AnfCall) -> MachineCall:
+        args = call_args(anf, node, state_vars)
+        return MachineCall(udf.labels[node.func], args)
 
-        if isinstance(expr, AnfLet):
-            return MachineLet(expr.var, expr.value, node(expr.body))
-        if isinstance(expr, AnfIf):
-            return MachineIf(expr.condition, node(expr.then_branch),
-                             node(expr.else_branch))
-        if isinstance(expr, AnfCall):
-            target = anf.functions.get(expr.func)
-            if target is None:
-                raise CompileError(f"call to unknown function {expr.func!r}")
-            by_param = dict(zip(target.params, expr.args))
-            args = [by_param.get(p, A.Literal(None)) for p in state_vars]
-            return MachineCall(udf.labels[expr.func], args)
-        if isinstance(expr, AnfRet):
-            return MachineResult(expr.expr)
-        raise CompileError(f"unknown ANF node {type(expr).__name__}")
+    def rules(body):
+        return fold(body,
+                    let=lambda node, rest: MachineLet(node.var, node.value,
+                                                      rest),
+                    if_=lambda node, then, else_: MachineIf(node.condition,
+                                                            then, else_),
+                    call=call,
+                    ret=lambda node: MachineResult(node.expr))
 
     transitions = {}
     own_params = {}
     for func in anf.recursive_functions():
         label = udf.labels[func.name]
-        transitions[label] = node(func.body)
+        transitions[label] = rules(func.body)
         own_params[label] = frozenset(p.lower() for p in func.params)
     return BatchedMachine(
         param_columns=[p.lower() for p in udf.params],
         state_columns=[p.lower() for p in udf.rec_params],
         own_params=own_params,
-        shareable=not udf_contains_volatile(udf),
-        base=node(anf.functions[anf.entry].body),
+        shareable=not udf_contains_volatile(udf, catalog),
+        base=rules(anf.functions[anf.entry].body),
         transitions=transitions)
 
 

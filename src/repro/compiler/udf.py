@@ -18,11 +18,11 @@ SQLite dialect with a nested-subquery ``let`` style instead of LATERAL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from ..sql import ast as A
 from ..sql.errors import CompileError
-from .anf import AnfCall, AnfExpr, AnfFunction, AnfIf, AnfLet, AnfProgram, AnfRet
+from .anf import AnfCall, AnfExpr, AnfProgram, fold
 
 #: How ``let`` chains are rendered:
 #: - "lateral": (SELECT e1) AS _0(v1) LEFT JOIN LATERAL (SELECT e2) AS _1(v2)
@@ -39,25 +39,14 @@ def translate_anf(expr: AnfExpr,
 
     *on_call* renders tail calls (a recursive UDF invocation for the UDF
     form, a ``ROW(true, args, NULL)`` constructor for the CTE template);
-    *on_return* renders base-case results likewise.
+    *on_return* renders base-case results likewise.  A run of ``let``s
+    becomes one chain (the fold carries ``(bindings, item)`` up to the
+    nearest ``if`` or the root, which closes it).
     """
-    if isinstance(expr, AnfRet):
-        return on_return(expr.expr)
-    if isinstance(expr, AnfCall):
-        return on_call(expr)
-    if isinstance(expr, AnfIf):
-        return A.CaseExpr(
-            None,
-            [(expr.condition,
-              translate_anf(expr.then_branch, on_call, on_return, let_style))],
-            translate_anf(expr.else_branch, on_call, on_return, let_style))
-    if isinstance(expr, AnfLet):
-        bindings: list[tuple[str, A.Expr]] = []
-        tail: AnfExpr = expr
-        while isinstance(tail, AnfLet):
-            bindings.append((tail.var, tail.value))
-            tail = tail.body
-        item = translate_anf(tail, on_call, on_return, let_style)
+    def close(folded) -> A.Expr:
+        bindings, item = folded
+        if not bindings:
+            return item
         if let_style == LET_STYLE_LATERAL:
             from_clause = _lateral_chain(bindings)
         elif let_style == LET_STYLE_NESTED:
@@ -66,7 +55,26 @@ def translate_anf(expr: AnfExpr,
             raise CompileError(f"unknown let style {let_style!r}")
         core = A.SelectCore(items=[A.SelectItem(item)], from_clause=from_clause)
         return A.ScalarSubquery(A.SelectStmt(None, core))
-    raise CompileError(f"unknown ANF node {type(expr).__name__}")
+
+    return close(fold(
+        expr,
+        let=lambda node, body: ([(node.var, node.value)] + body[0], body[1]),
+        if_=lambda node, then, else_: ([], A.CaseExpr(
+            None, [(node.condition, close(then))], close(else_))),
+        call=lambda node: ([], on_call(node)),
+        ret=lambda node: ([], on_return(node.expr))))
+
+
+def call_args(program: AnfProgram, call: AnfCall,
+              params: list[str]) -> list[A.Expr]:
+    """What *call* passes for each of *params* (NULL for a parameter the
+    callee does not have): the flattened argument list of a dispatched
+    call."""
+    target = program.functions.get(call.func)
+    if target is None:
+        raise CompileError(f"call to unknown function {call.func!r}")
+    by_param = dict(zip(target.params, call.args))
+    return [by_param.get(param, A.Literal(None)) for param in params]
 
 
 def _one_row_select(value: A.Expr) -> A.SelectStmt:
@@ -119,7 +127,6 @@ class SqlUdf:
     rec_param_types: list[str]
     star_body: A.Expr               # dispatch CASE with recursive calls
     wrapper_body: A.Expr            # the entry expression calling f*
-    entry_call_args: Optional[list[A.Expr]] = None  # None if entry has lets
     anf: AnfProgram = field(repr=False, default=None)  # type: ignore[assignment]
 
 
@@ -142,14 +149,8 @@ def build_udf(program: AnfProgram, let_style: str = LET_STYLE_LATERAL) -> SqlUdf
     rec_param_types = [program.var_types.get(p, "int") for p in rec_params]
 
     def on_call(call: AnfCall) -> A.Expr:
-        target = program.functions.get(call.func)
-        if target is None:
-            raise CompileError(f"call to unknown function {call.func!r}")
-        by_param = dict(zip(target.params, call.args))
-        args: list[A.Expr] = [A.Literal(labels[call.func])]
-        for param in rec_params:
-            args.append(by_param.get(param, A.Literal(None)))
-        return A.FuncCall(star_name, args)
+        args = call_args(program, call, rec_params)
+        return A.FuncCall(star_name, [A.Literal(labels[call.func])] + args)
 
     def on_return(value: A.Expr) -> A.Expr:
         return value
@@ -171,9 +172,6 @@ def build_udf(program: AnfProgram, let_style: str = LET_STYLE_LATERAL) -> SqlUdf
 
     entry = program.functions[program.entry]
     wrapper_body = translate_anf(entry.body, on_call, on_return, let_style)
-    entry_call_args = None
-    if isinstance(entry.body, AnfCall):
-        entry_call_args = _entry_args(entry.body, program, rec_params, labels)
 
     return SqlUdf(
         name=program.func_name,
@@ -186,19 +184,8 @@ def build_udf(program: AnfProgram, let_style: str = LET_STYLE_LATERAL) -> SqlUdf
         rec_param_types=["int"] + rec_param_types,
         star_body=star_body,
         wrapper_body=wrapper_body,
-        entry_call_args=entry_call_args,
         anf=program,
     )
-
-
-def _entry_args(call: AnfCall, program: AnfProgram, rec_params: list[str],
-                labels: dict[str, int]) -> list[A.Expr]:
-    target = program.functions[call.func]
-    by_param = dict(zip(target.params, call.args))
-    args: list[A.Expr] = [A.Literal(labels[call.func])]
-    for param in rec_params:
-        args.append(by_param.get(param, A.Literal(None)))
-    return args
 
 
 def udf_is_recursive(udf: SqlUdf) -> bool:

@@ -64,9 +64,9 @@ class FunctionDef:
     #: form; repro.compiler.template.BatchedMachine), for every recursive
     #: function: the BatchedUdf operator and every per-call site step it
     #: directly (executor/batched_udf.py).  Its ``shareable`` flag says
-    #: whether calls may share one trampoline (no volatile builtin in the
-    #: body).  None for loop-free functions, which inline as plain
-    #: expressions.
+    #: whether calls may share one trampoline (no call in the body that
+    #: the analyzer classes volatile - a builtin or a user-defined helper).
+    #: None for loop-free functions, which inline as plain expressions.
     batch_machine: object = None
     #: Volatility class declared in CREATE FUNCTION (IMMUTABLE/STABLE/
     #: VOLATILE), or None when omitted — then the analyzer's inference

@@ -1307,11 +1307,11 @@ class Planner:
     def _batchable(self, call: A.FuncCall, scope: Scope) -> bool:
         """May *call* share the batched trampoline?  Requires a compiled
         function whose machine is ``shareable`` (loop-free bodies have no
-        machine; a body calling a volatile builtin is never shareable,
-        whatever its declaration says) and that the analyzer does not class
-        volatile - a body can also be volatile through a user-defined
-        helper, and sharing a trampoline reorders draws and, through
-        argument dedup, drops them - and argument expressions whose
+        machine; a body calling a volatile builtin or a volatile
+        user-defined helper is never shareable, whatever its declaration
+        says: sharing a trampoline reorders draws and, through argument
+        dedup, drops them) and that the analyzer does not class volatile
+        (a declared VOLATILE counts here), and argument expressions whose
         evaluation can safely move into the batch stage: no subqueries, no
         volatile calls
         (``column_bindings``'s ``unknown`` oracle; user-defined calls in

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler import compile_plsql
+from repro.compiler import anf as anf_module
 from repro.compiler.anf import AnfCall, AnfIf, AnfLet, AnfRet, inline_anf, ssa_to_anf
 from repro.compiler.cfg import CondGoto, Goto, Return, build_cfg
 from repro.compiler.dominators import DominatorInfo, reverse_postorder
@@ -217,6 +219,34 @@ class TestSsa:
         assert any("random" in str(s.expr) for s in exprs), \
             "random() call must survive DCE"
 
+    def test_volatile_helper_not_eliminated(self, db):
+        """A dead call to a user-defined wrapper of random() is a draw too:
+        dropping it shifts every later random() of the statement's
+        session, so the compiled twin must keep it."""
+        db.execute("CREATE FUNCTION noise() RETURNS float AS "
+                   "$$ SELECT random() $$ LANGUAGE sql")
+        source = """CREATE FUNCTION g(n int) RETURNS int AS $$
+        DECLARE i int := 0; x float;
+        BEGIN
+          WHILE i < n LOOP x := noise(); i := i + 1; END LOOP;
+          RETURN i;
+        END; $$ LANGUAGE plpgsql"""
+        db.execute(source)
+        compiled = compile_plsql(source, db)
+        exprs = [s.expr for b in compiled.ssa.blocks.values()
+                 for s in b.stmts]
+        assert any("noise" in str(e) for e in exprs), \
+            "noise() call must survive DCE"
+        compiled.register(db, name="g_c")
+        for batch_compiled in ("on", "off"):
+            db.execute(f"SET batch_compiled = {batch_compiled}")
+            draws = []
+            for name in ("g", "g_c"):
+                db.reseed(7)
+                assert db.query_value(f"SELECT {name}(3)") == 3
+                draws.append(db.query_value("SELECT random()"))
+            assert draws[0] == draws[1]
+
     def test_constant_folding(self):
         source = "DECLARE v int = 2 + 3; BEGIN RETURN v * 10; END"
         ssa = build_ssa(build_cfg(func_of(source)))
@@ -258,19 +288,41 @@ class TestAnf:
 
     def test_calls_are_tail_position_only(self):
         anf = self._anf(SSA_SOURCES[4])
-
-        def tails_only(expr, in_tail=True):
-            if isinstance(expr, AnfLet):
-                # the bound value is a SQL expression, never an AnfCall
-                tails_only(expr.body, in_tail)
-            elif isinstance(expr, AnfIf):
-                tails_only(expr.then_branch, in_tail)
-                tails_only(expr.else_branch, in_tail)
-            elif isinstance(expr, AnfCall):
-                assert in_tail
-
         for func in anf.functions.values():
-            tails_only(func.body)
+            # bound values, conditions and arguments are SQL expressions,
+            # never ANF nodes: a call can only be a tail
+            assert not any(isinstance(e, anf_module.AnfExpr)
+                           for e in anf_module.exprs(func.body))
+
+    def test_the_one_traversal(self):
+        from repro.sql import ast as A
+        x, y = A.ColumnRef(("x",)), A.ColumnRef(("y",))
+        body = AnfLet("x", A.Literal(1),
+                      AnfIf(x, AnfCall("f", [x, y]), AnfRet(y)))
+        assert anf_module.children(body) == (body.body,)
+        assert anf_module.children(body.body.then_branch) == ()
+        assert list(anf_module.exprs(body)) == [A.Literal(1), x, x, y, y]
+        assert anf_module.calls(body) == ["f"]
+        copy = anf_module.fold(body)
+        assert copy == body and copy is not body
+        mapped = anf_module.map_exprs(
+            body, lambda e: A.Literal(0) if e == y else e)
+        assert list(anf_module.exprs(mapped)) == \
+            [A.Literal(1), x, x, A.Literal(0), A.Literal(0)]
+        assert anf_module.fold(
+            body, let=lambda n, b: b + 1, if_=lambda n, t, e: max(t, e) + 1,
+            call=lambda n: 0, ret=lambda n: 0) == 2
+
+    def test_unknown_node_is_one_compile_error(self):
+        class Stray(anf_module.AnfExpr):
+            pass
+
+        with pytest.raises(CompileError, match="unknown ANF node Stray"):
+            anf_module.children(Stray())
+        for walk in (anf_module.calls, lambda e: list(anf_module.exprs(e)),
+                     lambda e: anf_module.map_exprs(e, lambda x: x)):
+            with pytest.raises(CompileError, match="unknown ANF node Stray"):
+                walk(AnfLet("v", None, Stray()))
 
     def test_lambda_lifting_adds_free_parameters(self):
         anf = self._anf(SSA_SOURCES[2], optimize=False)

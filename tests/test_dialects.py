@@ -74,6 +74,31 @@ class TestEmission:
         with pytest.raises(CompileError):
             iterate.sql("oracle")
 
+    @pytest.mark.parametrize("step", [
+        "s := s + (random() < 2)::int;",                  # a let value
+        "IF random() < 0.5 THEN s := s + 1; ELSE s := s + 2; END IF;",
+        "IF noise() < 0.5 THEN s := s + 1; END IF;",     # through a helper
+    ])
+    def test_sqlite_refuses_every_volatile_shape(self, step):
+        """The split rewrite copies the body once per run column, so a
+        volatile call anywhere in it - a let value, an IF condition, a
+        helper's body - would be drawn once per column and step."""
+        from repro.sql import Database
+        db = Database()
+        db.execute("CREATE FUNCTION noise() RETURNS float AS "
+                   "$$ SELECT random() $$ LANGUAGE sql")
+        compiled = compile_plsql(f"""
+            CREATE FUNCTION jitter(n int) RETURNS int AS $$
+            DECLARE s int = 0; i int = 0;
+            BEGIN
+              WHILE i < n LOOP {step} i := i + 1; END LOOP;
+              RETURN s;
+            END; $$ LANGUAGE plpgsql""", db)
+        assert "random()" in compiled.sql("postgres") \
+            or "noise()" in compiled.sql("postgres")
+        with pytest.raises(CompileError, match="volatile functions"):
+            compiled.sql("sqlite")
+
     def test_udf_sql_renders_per_dialect(self, compiled):
         pg = compiled.udf_sql("postgres")
         assert "CREATE FUNCTION" in pg and "steps__rec" in pg

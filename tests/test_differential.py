@@ -276,11 +276,11 @@ class TestBatchedUdfEquivalence:
         assert "Trampoline" not in db.explain("SELECT jitter_c(x) FROM t")
 
     def test_volatile_helper_body_never_batches(self, db):
-        """A body that is volatile only through a user-defined helper has
-        no volatile *builtin* for the compiler to see, so its machine is
-        shareable; the planner must still take the analyzer's verdict.
-        Batched and argument-dedup'd, three equal arguments used to share
-        one draw."""
+        """A body that is volatile only through a user-defined helper is
+        volatile to the compiler too (it asks the same analyzer as the
+        planner), so its machine is not shareable and every call runs as
+        its own activation.  Batched and argument-dedup'd, three equal
+        arguments used to share one draw."""
         db.execute("CREATE FUNCTION noise() RETURNS double precision AS "
                    "$$ BEGIN RETURN random(); END; $$ LANGUAGE plpgsql")
         source = """CREATE FUNCTION jit(n int) RETURNS double precision AS $$
@@ -291,7 +291,7 @@ class TestBatchedUdfEquivalence:
         END; $$ LANGUAGE plpgsql"""
         db.execute(source)
         fdef = compile_plsql(source, db).register(db, name="jit_c")
-        assert fdef.batch_machine.shareable
+        assert not fdef.batch_machine.shareable
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (3), (3), (3)")
         plan = db.explain("SELECT jit_c(x) FROM t")

@@ -425,6 +425,48 @@ def test_heap_method_taking_a_callable_is_flagged(tmp_path):
     assert [f.line for f in findings] == [10, 13]
 
 
+# ---------------------------------------------------------------------------
+# rule 9: one ANF traversal
+# ---------------------------------------------------------------------------
+
+SECOND_ANF_TRAVERSAL = """
+from . import anf
+from .anf import AnfCall, AnfLet, fold
+
+def size(expr):
+    if isinstance(expr, AnfLet):
+        return 1 + size(expr.body)
+    if isinstance(expr, (anf.AnfIf, int)):
+        return 1
+    return 0
+
+def is_tail(expr):
+    return isinstance(expr, AnfCall | anf.AnfRet)
+"""
+
+ANF_FOLD = """
+from .anf import fold
+
+def tails(expr):
+    return fold(expr, let=lambda node, body: body,
+                if_=lambda node, then, else_: then + else_,
+                call=lambda node: [node], ret=lambda node: [node])
+"""
+
+
+def test_anf_kind_test_outside_anf_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/compiler/template.py",
+                           SECOND_ANF_TRAVERSAL)
+    assert rules(findings) == ["second-anf-traversal"] * 3
+    assert [f.line for f in findings] == [6, 8, 13]
+
+
+def test_anf_module_and_fold_callbacks_are_clean(tmp_path):
+    assert lint_source(tmp_path, "repro/compiler/anf.py",
+                       SECOND_ANF_TRAVERSAL) == []
+    assert lint_source(tmp_path, "repro/compiler/udf.py", ANF_FOLD) == []
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.analysis.volatility import expr_is_volatile
 from repro.compiler.cfg import Goto, Return, build_cfg
-from repro.compiler.optimize import (eliminate_dead_code, expr_is_volatile,
+from repro.compiler.optimize import (eliminate_dead_code,
                                      fold_constants, merge_blocks,
                                      propagate_copies_and_constants,
                                      simplify_phis, thread_jumps)
@@ -108,6 +109,22 @@ class TestVolatility:
         assert expr_is_volatile(
             parse_expression("exists (SELECT 1 WHERE random() > 0.5)"))
         assert not expr_is_volatile(parse_expression("(SELECT max(x) FROM t)"))
+
+    def test_through_a_user_defined_helper(self, db):
+        """A helper's inferred class counts, its declaration does not; a
+        pure helper and a table read (stable) are not volatile."""
+        db.execute("CREATE FUNCTION noise() RETURNS float AS "
+                   "$$ SELECT random() $$ LANGUAGE sql IMMUTABLE")
+        db.execute("CREATE FUNCTION twice(x int) RETURNS int AS "
+                   "$$ SELECT 2 * x $$ LANGUAGE sql")
+        db.execute("CREATE TABLE t(x int)")
+        catalog = db.catalog
+        assert expr_is_volatile(parse_expression("1 + noise()"), catalog)
+        assert expr_is_volatile(
+            parse_expression("(SELECT noise() FROM t)"), catalog)
+        assert not expr_is_volatile(parse_expression("twice(3)"), catalog)
+        assert not expr_is_volatile(
+            parse_expression("(SELECT max(x) FROM t)"), catalog)
 
 
 class TestRenamer:

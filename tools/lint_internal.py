@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Eight checks, each born from a real failure mode in this codebase:
+Nine checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
    loops (`WITH RECURSIVE`, batched UDFs), the target collection of UPDATE
@@ -73,6 +73,16 @@ Eight checks, each born from a real failure mode in this codebase:
    arguments and SET values), and no method of ``HeapTable`` may take a
    parameter named ``predicate`` or ``updater``.
 
+9. **One ANF traversal.**  The four ANF node kinds (``AnfLet``, ``AnfIf``,
+   ``AnfCall``, ``AnfRet``) are told apart in one place, the ``_match`` of
+   ``repro/compiler/anf.py``; every pass over an ANF body goes through its
+   ``fold`` / ``map_exprs`` / ``exprs`` / ``children`` / ``calls`` with one
+   callback per kind.  Eleven hand-written recursions preceded them, five
+   with their own "unknown ANF node" error, and two volatility checks that
+   disagreed about which of a node's expressions to look at.  Anywhere
+   else under ``src/repro``, an ``isinstance`` test naming an ANF node
+   class is such a recursion regrowing.
+
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
 """
@@ -117,6 +127,11 @@ STANDALONE_EVAL = "_eval_standalone"
 STORAGE = "repro/sql/storage.py"
 HEAP_CLASS = "HeapTable"
 CALLABLE_PARAMS = {"predicate", "updater"}
+
+#: The one module allowed to test the kind of an ANF node (rule 9) ...
+ANF_MODULE = "repro/compiler/anf.py"
+#: ... and the node classes it tells apart.
+ANF_NODES = {"AnfLet", "AnfIf", "AnfCall", "AnfRet"}
 
 #: Modules (path prefixes) whose while-loops iterate user-controlled
 #: amounts of work; the executor prefix takes in executor/modify.py.
@@ -479,6 +494,30 @@ def check_second_evaluator(path: Path, tree: ast.Module) -> list[Finding]:
     return findings
 
 
+# -- rule 9: one ANF traversal ---------------------------------------------
+
+def check_anf_dispatch(path: Path, tree: ast.Module) -> list[Finding]:
+    if path.relative_to(SRC).as_posix() == ANF_MODULE:
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        for leaf in ast.walk(node.args[1]):  # a tuple or a | union too
+            name = (leaf.id if isinstance(leaf, ast.Name)
+                    else leaf.attr if isinstance(leaf, ast.Attribute)
+                    else None)
+            if name in ANF_NODES:
+                findings.append(Finding(
+                    path, node.lineno, "second-anf-traversal",
+                    f"isinstance(.., {name}): ANF nodes are told apart in "
+                    f"{ANF_MODULE} only (fold / map_exprs / exprs with one "
+                    "callback per kind)"))
+                break
+    return findings
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
@@ -504,6 +543,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_second_store(path, tree, settings))
         findings.extend(check_second_statement_list(path, tree, statements))
         findings.extend(check_second_evaluator(path, tree))
+        findings.extend(check_anf_dispatch(path, tree))
     return findings
 
 
