@@ -1,34 +1,48 @@
 """Ordered access paths: sorted-index range scans, Top-N, sort elimination
-and the trampoline's per-iteration range probes.
+and the trampoline's per-iteration range probes, plus the equi-joins the
+same indexes used to feed.
 
 The paper's compiled UDFs become ``WITH RECURSIVE`` plans whose trampoline
 re-evaluates its access paths every iteration (Fig. 10's walk scaling), so
 per-probe cost multiplies by iteration count.  This benchmark measures the
-ordered-access subsystem that removes the remaining O(n) scans:
+ordered-access subsystem that removes the remaining O(n) scans.
 
-* **range + Top-N workload** (the PR's acceptance gate, asserted >= 10x):
-  a selective range predicate with ``ORDER BY .. LIMIT`` over 100k rows —
-  bisect-backed ``IndexRangeScan`` + bounded-heap ``TopN`` against the
-  seed's SeqScan + full sort (row engine: the seed configuration also
-  turns ``enable_vectorize`` off, since a sort no longer keeps a scan off
-  the vectorized core; that scan + sort and the batch hash join are
-  reported beside the seed's),
-* **index-ordered Top-N**: ``ORDER BY .. LIMIT k`` over a declared index —
-  sort elimination makes the streaming LIMIT stop after k rows,
+**Gated: what the speedups rest on**, read from ``EXPLAIN`` and the
+profiler's counters on one counted execution per statement (ROADMAP item
+6: none of it depends on the host) —
+
+* **range + Top-N**: a selective range predicate with ``ORDER BY ..
+  LIMIT`` over 100k rows plans an ``IndexRangeScan`` (and a ``TopN``
+  where no index serves the order),
+* **index-ordered Top-N**: ``ORDER BY .. LIMIT k`` over a declared index
+  plans an ``IndexRangeScan`` and no ``Sort``, and no row goes through a
+  TopN heap - sort elimination makes the streaming LIMIT stop after k
+  rows,
 * **trampoline probes**: a recursive CTE whose every iteration runs a
-  correlated range probe — O(log n + k) per iteration instead of O(n).
+  correlated range probe opens exactly one ``IndexRangeScan`` per hop,
+  O(log n + k) each instead of an O(n) scan,
+* **correlated join**: a 100k x 2k equi-join (both keys indexed) inside a
+  scalar subquery re-opened for 20 outer rows, its small side filtered on
+  the outer row, hashes the stable big side once for all 20.
 
-EXPLAIN must name ``IndexRangeScan``, ``TopN`` and ``MergeJoin``, and the
-machine-readable ``BENCH_ordered_paths.json`` is emitted for the cross-PR
-perf trajectory.
+**Reported: the times.**  Each ordered path against the seed's SeqScan +
+full sort on the row engine (the seed configuration also turns
+``enable_vectorize`` off, since a sort no longer keeps a scan off the
+vectorized core; the vectorized scan + sort is reported beside it), the
+100k x 2k join on the row and the batch hash join, and the correlated
+join.  ``BENCH_ordered_paths.json`` carries them for the cross-PR perf
+trajectory.
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import render_table, time_query
+from repro.bench.harness import counted, render_table, time_query
 from repro.sql import Database
+from repro.sql.profiler import (HASHJOIN_BUILDS, INDEX_RANGE_SCANS,
+                                TOPN_INPUT_ROWS)
 
 ROWS = 100_000
+OUTER_ROWS = 20
 
 RANGE_TOPN = ("SELECT id, v FROM events WHERE ts >= 500000 AND ts < 508000 "
               "ORDER BY v DESC LIMIT 10")
@@ -43,7 +57,10 @@ WITH RECURSIVE hop(ts, n) AS (
          hop.n + 1
   FROM hop WHERE hop.n < {HOPS} AND hop.ts IS NOT NULL
 ) SELECT count(*), max(n) FROM hop"""
-MERGE_JOIN = ("SELECT count(*) FROM events e JOIN marks m ON e.ts = m.ts")
+JOIN = "SELECT count(*) FROM events e JOIN marks m ON e.ts = m.ts"
+CORRELATED_JOIN = ("SELECT c.cut, (SELECT count(*) FROM events e "
+                   "JOIN marks m ON e.ts = m.ts WHERE m.ts < c.cut) "
+                   "FROM cuts c ORDER BY c.cut")
 
 
 def _build_db() -> Database:
@@ -58,6 +75,10 @@ def _build_db() -> Database:
     marks = db.catalog.get_table("marks")
     for i in range(2_000):
         marks.insert((((i * 7919) % 1_000_000),))
+    # The last cut is above every ts: its row is the whole join's count.
+    db.execute("CREATE TABLE cuts(cut int)")
+    db.catalog.get_table("cuts").insert_many(
+        [((i + 1) * 1_000_000 // OUTER_ROWS,) for i in range(OUTER_ROWS)])
     return db
 
 
@@ -65,7 +86,6 @@ def _fast(db: Database, enabled: bool, vectorize: bool = None) -> None:
     db.settings.assign("enable_rangescan", enabled)
     db.settings.assign("enable_sort_elim", enabled)
     db.settings.assign("enable_topn", enabled)
-    db.settings.assign("enable_mergejoin", enabled)
     db.settings.assign("enable_vectorize",
                        enabled if vectorize is None else vectorize)
 
@@ -83,25 +103,38 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
     explain_ordered = db.explain(ORDERED_TOPN)
     db.execute("CREATE INDEX events_ts ON events(ts)")
     db.execute("CREATE INDEX marks_ts ON marks(ts)")
-    explain_merge = db.explain(MERGE_JOIN)
-    merge_count = db.query_value(MERGE_JOIN)
+    explain_join = db.explain(JOIN)
+    join_count = db.query_value(JOIN)
+    correlated = db.query_all(CORRELATED_JOIN)
     # TopN shows where no index serves the order.
     explain_topn = db.explain(
         "SELECT id FROM events ORDER BY v + 0 LIMIT 10")
+    facts = {name: {counter: counted(db, sql).get(counter, 0)
+                    for counter in (INDEX_RANGE_SCANS, TOPN_INPUT_ROWS,
+                                    HASHJOIN_BUILDS)}
+             for name, sql in (("ordered_limit", ORDERED_TOPN),
+                               ("trampoline", TRAMPOLINE),
+                               ("correlated_join", CORRELATED_JOIN))}
     _fast(db, False)
     slow_rows = db.query_all(RANGE_TOPN)
     slow_ordered = db.query_all(ORDERED_TOPN)
     trampoline_slow = db.query_all(TRAMPOLINE)
-    slow_merge = db.query_value(MERGE_JOIN)
+    row_join_count = db.query_value(JOIN)
     assert fast_rows == slow_rows
     assert ordered_rows == slow_ordered
     assert trampoline_fast == trampoline_slow
-    assert merge_count == slow_merge
+    assert join_count == row_join_count == correlated[-1][1]
+    assert len(correlated) == OUTER_ROWS
+
+    # The gate: plan shape and counts.
     assert "IndexRangeScan" in explain_range
     assert "TopN" in explain_topn
-    assert "MergeJoin" in explain_merge
     assert "IndexRangeScan" in explain_ordered
     assert "Sort" not in explain_ordered
+    assert "VectorHashJoin" in explain_join
+    assert facts["ordered_limit"][TOPN_INPUT_ROWS] == 0, facts
+    assert facts["trampoline"][INDEX_RANGE_SCANS] == HOPS, facts
+    assert facts["correlated_join"][HASHJOIN_BUILDS] == 1, facts
 
     # Timings.  The warmup run builds / reuses the sorted indexes, so the
     # timed runs measure steady-state probes — the trampoline regime.
@@ -109,20 +142,20 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
     range_fast = time_query(db, RANGE_TOPN, runs=3, warmup=1).minimum
     ordered_fast = time_query(db, ORDERED_TOPN, runs=3, warmup=1).minimum
     tramp_fast = time_query(db, TRAMPOLINE, runs=1, warmup=1).minimum
-    merge_fast = time_query(db, MERGE_JOIN, runs=3, warmup=1).minimum
+    join_batch = time_query(db, JOIN, runs=3, warmup=1).minimum
+    correlated_s = time_query(db, CORRELATED_JOIN, runs=3, warmup=1).minimum
     _fast(db, False)
     range_slow = time_query(db, RANGE_TOPN, runs=3, warmup=1).minimum
     ordered_slow = time_query(db, ORDERED_TOPN, runs=3, warmup=1).minimum
     tramp_slow = time_query(db, TRAMPOLINE, runs=1, warmup=0).minimum
-    merge_slow = time_query(db, MERGE_JOIN, runs=3, warmup=1).minimum
+    join_row = time_query(db, JOIN, runs=3, warmup=1).minimum
     _fast(db, False, vectorize=True)
     range_vector = time_query(db, RANGE_TOPN, runs=3, warmup=1).minimum
-    merge_vector = time_query(db, MERGE_JOIN, runs=3, warmup=1).minimum
 
     range_speedup = range_slow / range_fast
     ordered_speedup = ordered_slow / ordered_fast
     tramp_speedup = tramp_slow / tramp_fast
-    merge_speedup = merge_slow / merge_fast
+    join_speedup = join_row / join_batch
 
     rows = [
         ["range + Top-N, SeqScan + Sort (seed)", round(range_slow * 1e3, 2)],
@@ -138,16 +171,20 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
         ["trampoline probes via index, O(log n + k)",
          round(tramp_fast * 1e3, 2)],
         ["  speedup", round(tramp_speedup, 1)],
-        ["equi-join 100k x 2k, hash", round(merge_slow * 1e3, 2)],
-        ["equi-join 100k x 2k, batch hash (vectorized)",
-         round(merge_vector * 1e3, 2)],
-        ["equi-join 100k x 2k, merge", round(merge_fast * 1e3, 2)],
-        ["  speedup", round(merge_speedup, 1)],
+        ["equi-join 100k x 2k, row hash join", round(join_row * 1e3, 2)],
+        ["equi-join 100k x 2k, batch hash join", round(join_batch * 1e3, 2)],
+        ["  speedup", round(join_speedup, 1)],
+        [f"same join in a subquery correlated over {OUTER_ROWS} rows, "
+         f"one build", round(correlated_s * 1e3, 2)],
     ]
     write_artifact(
         "bench_ordered_paths.txt",
         render_table(["configuration", "ms"], rows,
-                     title=f"Ordered access paths over {ROWS} rows"))
+                     title=f"Ordered access paths over {ROWS} rows; gated on: "
+                           f"IndexRangeScan and no Sort for the ordered "
+                           f"LIMIT, no TopN input there, one range scan "
+                           f"per trampoline hop, one hash build for the "
+                           f"correlated join"))
     write_json("ordered_paths", {
         "rows": ROWS,
         "timings_s": {
@@ -158,28 +195,19 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
             "ordered_limit_index": ordered_fast,
             "trampoline_seqscan": tramp_slow,
             "trampoline_index": tramp_fast,
-            "merge_join_hash": merge_slow,
-            "merge_join_batch_hash": merge_vector,
-            "merge_join_merge": merge_fast,
+            "equi_join_hash": join_row,
+            "equi_join_batch_hash": join_batch,
+            "correlated_join_hash": correlated_s,
         },
         "speedups": {
             "range_topn": range_speedup,
             "ordered_limit": ordered_speedup,
             "trampoline": tramp_speedup,
-            "merge_join": merge_speedup,
+            "equi_join_batch_vs_row": join_speedup,
         },
         "rows_per_s": {
             "range_topn_seqscan_sort": ROWS / range_slow,
             "range_topn_index": ROWS / range_fast,
         },
+        "counters": facts,
     })
-
-    # Acceptance gates: >= 10x on the 100k range + Top-N workload, and the
-    # trampoline's per-iteration probes clearly off the O(n) cliff.
-    assert range_speedup >= 10, (
-        f"range + Top-N speedup {range_speedup:.1f}x < 10x "
-        f"({range_slow * 1e3:.1f} ms -> {range_fast * 1e3:.1f} ms)")
-    assert ordered_speedup >= 10, (
-        f"index-ordered Top-N speedup {ordered_speedup:.1f}x < 10x")
-    assert tramp_speedup >= 5, (
-        f"trampoline probe speedup {tramp_speedup:.1f}x < 5x")

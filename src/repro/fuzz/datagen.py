@@ -1,7 +1,7 @@
 """Seeded random table contents for the differential fuzzer.
 
 Values are drawn from small per-type pools so that duplicates — the food
-of GROUP BY, DISTINCT, hash builds and merge-join group buffering — occur
+of GROUP BY, DISTINCT, hash builds and equal-key join matches — occur
 constantly, with NULLs sprinkled into most columns (each column draws its
 own NULL rate, see :data:`_NULL_RATES`) and, for *extreme* schemas, the boundary values that historically break engines: IEEE NaN and
 infinities (which must order as one equality class above every number),

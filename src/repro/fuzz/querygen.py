@@ -405,7 +405,11 @@ class QueryGen:
 
     def _subquery(self, outer: _ExprGen) -> Optional[_Expr]:
         """A scalar subquery (aggregate, hence at most one row), sometimes
-        correlated with the outer context on a same-class column pair."""
+        correlated with the outer context on a same-class column pair.  A
+        share of them join a second table on a same-class equality and are
+        always correlated, on one side of the join only: the side a hash
+        join must probe, not build, when the subquery is re-opened per
+        outer row."""
         table = self._table()
         self._sub_alias += 1
         alias = f"x{self._sub_alias}"
@@ -418,24 +422,38 @@ class QueryGen:
         else:
             select = "count(*)"
             dtype = "int"
+        source = f"{table.name} {alias}"
+        sides = [(alias, table)]
+        if self.rng.random() < 0.2:
+            other = self._table()
+            partner = f"y{self._sub_alias}"
+            # Every generated table has an int column, so a pair exists.
+            mine, theirs = self.rng.choice(
+                [(c, o) for c in table.columns for o in other.columns
+                 if c.cls == o.cls])
+            source += (f" JOIN {other.name} {partner} "
+                       f"ON {alias}.{mine.name} = {partner}.{theirs.name}")
+            sides.append((partner, other))
+        joined = len(sides) > 1
+        side_alias, side = self.rng.choice(sides)
         where = ""
         sqlite_ok = True
-        if self.rng.random() < 0.6:
+        if joined or self.rng.random() < 0.6:
             pairs = [(o, c) for _, t in outer.ctx for o in t.columns
-                     for c in table.columns if o.cls == c.cls]
-            if pairs and self.rng.random() < 0.6:
+                     for c in side.columns if o.cls == c.cls]
+            if pairs and (joined or self.rng.random() < 0.6):
                 outer_col, inner_col = self.rng.choice(pairs)
                 outer_alias = next(a for a, t in outer.ctx
                                    if outer_col in t.columns)
                 op = self.rng.choice(("=", "<", ">"))
-                where = (f" WHERE {alias}.{inner_col.name} {op} "
+                where = (f" WHERE {side_alias}.{inner_col.name} {op} "
                          f"{outer_alias}.{outer_col.name}")
             else:
-                inner = _ExprGen(self.rng, [(alias, table)])
+                inner = _ExprGen(self.rng, [(side_alias, side)])
                 pred = inner.predicate(1)
                 where = f" WHERE {pred.text}"
                 sqlite_ok = pred.sqlite_ok
-        return _Expr(f"(SELECT {select} FROM {table.name} {alias}{where})",
+        return _Expr(f"(SELECT {select} FROM {source}{where})",
                      "num", dtype, sqlite_ok=sqlite_ok)
 
     def _exists_subquery(self, outer: _ExprGen) -> Optional[_Expr]:
@@ -831,6 +849,10 @@ class QueryGen:
                     value = gen.literal(column.cls, column.dtype).text
                 assignments.append(f"{column.name} = {value}")
             head = f"UPDATE {table.name} SET {', '.join(assignments)}"
+            # A subquery over the target table sees the rows SQLite's
+            # UPDATE already changed, not the statement's snapshot.
+            if f"FROM {table.name} " in where or f"JOIN {table.name} " in where:
+                sqlite_ok = False
         sql = head + where
         return Modification(
             sql=sql, sqlite_sql=sql if sqlite_ok else None,

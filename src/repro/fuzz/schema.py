@@ -3,7 +3,7 @@
 A :class:`SchemaSpec` is the structural half of a fuzz case: a handful of
 tables with typed columns (the engine's four storable scalar types) plus a
 few sorted indexes, so that every access path the planner can choose —
-range scans, sort elimination, merge joins — has raw material to fire on.
+range scans, sort elimination, Top-N — has raw material to fire on.
 
 Generation is a pure function of the :class:`random.Random` stream handed
 in: the same seed always yields byte-identical DDL, which is what makes a

@@ -387,7 +387,7 @@ class CreateIndex:
 
     Declares a sorted index (see :class:`repro.sql.storage.SortedIndex`):
     built eagerly, maintained incrementally by DML, consulted by the
-    planner for range scans, sort elimination and merge joins.
+    planner for range scans and sort elimination.
     """
 
     name: str

@@ -170,7 +170,7 @@ class IndexScanState(PlanState):
 class IndexRangeScanPlan(Plan):
     """Ordered access via a :class:`~repro.sql.storage.SortedIndex`.
 
-    One operator, three planner-chosen roles:
+    One operator, two planner-chosen roles:
 
     * **range scan** — ``lower`` / ``upper`` are ``(compiled expr,
       inclusive, display)`` bounds on a single ascending key column,
@@ -179,9 +179,7 @@ class IndexRangeScanPlan(Plan):
       SeqScan + filter),
     * **ordered delivery** — no bounds: the whole index in key order
       (NULLS LAST ascending / NULLS FIRST descending, matching the sort
-      operator's defaults), letting the planner skip the sort,
-    * **merge-join input** — ordered delivery feeding
-      :class:`~repro.sql.executor.mergejoin.MergeJoinPlan`.
+      operator's defaults), letting the planner skip the sort.
 
     ``reverse`` flips the iteration direction (DESC ordering from an ASC
     index and vice versa).  The index is fetched from the table at open —

@@ -62,7 +62,7 @@ streaming LIMIT stops after the batch that satisfies it) or a projected
 batch or more at a time (the bulk pull ``next_rows()``, which Sort, TopN
 and ``fetch_all`` drain through).
 
-**What stays row-only.**  LEFT joins, nested-loop and merge joins, LATERAL,
+**What stays row-only.**  LEFT joins, nested-loop joins, LATERAL,
 index-scan / subquery / CTE leaves, window and batched-UDF stages, and any
 row-only expression: such a core keeps its :class:`SelectCorePlan`.
 
@@ -678,8 +678,8 @@ class JoinSource:
 
 def _batchable(node) -> bool:
     """Is this FROM tree made only of INNER hash joins over non-lateral
-    base-table scans?  (Index-scan, subquery and CTE leaves, LEFT joins,
-    nested loops and merge joins keep the row engine.)"""
+    base-table scans?  (Index-scan, subquery and CTE leaves, LEFT joins
+    and nested loops keep the row engine.)"""
     if isinstance(node, FromLeafPlan):
         return not node.lateral and isinstance(node.source, SeqScanPlan)
     return (isinstance(node, HashJoinPlan) and node.kind == "inner"

@@ -33,7 +33,6 @@ from .executor.base import Plan
 from .executor.batched_udf import BatchedUdfStagePlan, compile_machine
 from .executor.fromtree import FromJoinPlan, FromLeafPlan, FromNodePlan
 from .executor.hashjoin import HashJoinPlan
-from .executor.mergejoin import MergeJoinPlan
 from .executor.modify import DeletePlan, InsertPlan, UpdatePlan
 from .executor.recursion import CteDef, CTEScanPlan, SelectStmtPlan
 from .executor.scan import (IndexRangeScanPlan, OneRowPlan, RowExpandPlan,
@@ -650,33 +649,36 @@ class Planner:
                 pushable.append((conjunct, info.rels))
             else:
                 residual.append(conjunct)
-        plan, leftover, _stable = self._finalize_node(node, pushable, scope)
+        plan, leftover = self._finalize_node(node, pushable, scope)[:2]
         residual.extend(conjunct for conjunct, _ in leftover)
         return plan, conjoin(residual)
 
     def _finalize_node(self, node, conjs: list, scope: Scope):
         """Recursively finalize *node*, consuming WHERE conjuncts from
-        *conjs* where they can sink; returns ``(plan, unconsumed, stable)``.
+        *conjs* where they can sink; returns ``(plan, unconsumed, stable,
+        correlated)``.
 
-        ``stable`` means: for a fixed database state, the subtree produces
-        the same rows on every rescan regardless of outer context — only
-        plain base-table scans with uncorrelated predicates qualify.  Hash
-        joins use it to keep their build table across rescans.
+        ``correlated`` means a pushed-down leaf filter, join key or join
+        condition of the subtree references an outer column, so its rows
+        may change with the outer row.  ``stable`` means: for a fixed
+        database state, the subtree produces the same rows on every rescan
+        regardless of outer context — only uncorrelated plain base-table
+        scans qualify.  Hash joins use both to build on a side they can keep
+        across rescans.
         """
         if isinstance(node, FromLeafPlan):
             mine = [c for c, rels in conjs if rels == {node.rel_index}]
             rest = [(c, rels) for c, rels in conjs
                     if rels != {node.rel_index}]
-            stable = not node.lateral and isinstance(node.source, SeqScanPlan)
+            correlated = self._reads_outer(mine, scope)
             if mine:
-                stable = stable and not any(
-                    column_bindings(c, scope, self.catalog).outer
-                    for c in mine)
                 compiler = ExprCompiler(scope, self)
                 node.filter_ast = conjoin(mine)
                 node.filter = compiler.compile(node.filter_ast)
                 node.filter_subplans = compiler.subplans
-            return node, rest, stable
+            stable = (not node.lateral and not correlated
+                      and isinstance(node.source, SeqScanPlan))
+            return node, rest, stable, correlated
 
         left_slots = frozenset(i for i, _ in node.left.rel_slots)
         right_slots = frozenset(i for i, _ in node.right.rel_slots)
@@ -688,10 +690,10 @@ class Planner:
                 to_right.append((conjunct, rels))
             else:
                 spanning.append((conjunct, rels))
-        left_plan, leftover_left, left_stable = self._finalize_node(
-            node.left, to_left, scope)
-        right_plan, leftover_right, right_stable = self._finalize_node(
-            node.right, to_right, scope)
+        left_plan, leftover_left, left_stable, left_correlated = \
+            self._finalize_node(node.left, to_left, scope)
+        right_plan, leftover_right, right_stable, right_correlated = \
+            self._finalize_node(node.right, to_right, scope)
         leftover = leftover_left + leftover_right
 
         # ON conditions must not see FROM items planned after the join —
@@ -721,33 +723,11 @@ class Planner:
         else:
             leftover.extend(spanning)
 
-        # Merge join: preferred when both inputs are base-table leaves with
-        # an existing sorted index on their (single) join key — the ordered
-        # scans make the join one synchronized pass and rescans free.
-        if (self.flags.enable_mergejoin and node.kind in ("inner", "cross")
-                and len(key_pairs) + len(where_keys) == 1):
-            pair = key_pairs[0] if key_pairs else where_keys[0][2]
-            merge = self._try_merge_join(left_plan, right_plan, pair,
-                                         residual_on, on_scope)
-            if merge is not None:
-                residual_ast = conjoin(residual_on)
-                residual_info = (column_bindings(residual_ast, on_scope,
-                                                 self.catalog)
-                                 if residual_ast is not None else None)
-                stable = (left_stable and right_stable
-                          and (residual_info is None
-                               or not (residual_info.outer
-                                       or residual_info.unknown)))
-                return merge, leftover, stable
-
         can_hash = (self.flags.enable_hashjoin
                     and node.kind in ("inner", "left", "cross")
                     and bool(key_pairs or where_keys)
                     and not _contains_lateral(left_plan)
                     and not _contains_lateral(right_plan))
-        condition_info = (column_bindings(node.condition, on_scope,
-                                          self.catalog)
-                          if node.condition is not None else None)
         if not can_hash:
             # Nested-loop fallback: WHERE key candidates go back to WHERE,
             # the ON condition is compiled whole, exactly like the seed.
@@ -756,12 +736,11 @@ class Planner:
             compiler = ExprCompiler(on_scope, self)
             condition = (compiler.compile(node.condition)
                          if node.condition is not None else None)
-            stable = (left_stable and right_stable
-                      and (condition_info is None
-                           or not (condition_info.outer
-                                   or condition_info.unknown)))
-            return FromJoinPlan(node.kind, left_plan, right_plan, condition,
-                                compiler.subplans), leftover, stable
+            return (FromJoinPlan(node.kind, left_plan, right_plan, condition,
+                                 compiler.subplans), leftover,
+                    *self._join_facts(node.condition, on_scope,
+                                      left_stable and right_stable,
+                                      left_correlated or right_correlated))
 
         left_key_asts = [pair[0] for pair in key_pairs]
         right_key_asts = [pair[1] for pair in key_pairs]
@@ -776,11 +755,19 @@ class Planner:
         residual_ast = conjoin(residual_on)
         residual = (compiler.compile(residual_ast)
                     if residual_ast is not None else None)
+        left_keys_outer = self._reads_outer(left_key_asts, on_scope)
+        right_keys_outer = self._reads_outer(right_key_asts, on_scope)
+        left_outer = left_correlated or left_keys_outer
+        right_outer = right_correlated or right_keys_outer
         kind = "inner" if node.kind == "cross" else node.kind
         if kind == "left":
             # The preserved side must stream so unmatched rows can be
             # NULL-filled: always build on the nullable right side.
             build_side = "right"
+        elif left_outer != right_outer:
+            # Under a re-opened subquery only one side follows the outer
+            # row: build on the other, which rescans keep (see below).
+            build_side = "right" if left_outer else "left"
         else:
             build_side = ("left" if self._estimate_node(left_plan)
                           < self._estimate_node(right_plan) else "right")
@@ -789,75 +776,35 @@ class Planner:
             for l, r in zip(left_key_asts, right_key_asts))
         # Rebuild the hash table per rescan only when the build side (or
         # its keys) can observe the outer context.
-        build_stable, build_key_asts = (
-            (right_stable, right_key_asts) if build_side == "right"
-            else (left_stable, left_key_asts))
-        keys_correlated = any(column_bindings(ast, on_scope,
-                                              self.catalog).outer
-                              for ast in build_key_asts)
-        rebuild = not build_stable or keys_correlated
+        build_stable, build_keys_outer = (
+            (right_stable, right_keys_outer) if build_side == "right"
+            else (left_stable, left_keys_outer))
         plan = HashJoinPlan(kind, left_plan, right_plan, left_keys,
                             right_keys, residual, compiler.subplans,
                             build_side, key_display,
-                            rebuild_on_rescan=rebuild,
+                            rebuild_on_rescan=(not build_stable
+                                               or build_keys_outer),
                             asts=(left_key_asts, right_key_asts,
                                   residual_ast, on_scope))
-        residual_info = (column_bindings(residual_ast, on_scope,
-                                         self.catalog)
-                         if residual_ast is not None else None)
-        all_keys_local = not keys_correlated and not any(
-            column_bindings(ast, on_scope, self.catalog).outer
-            for ast in (left_key_asts if build_side == "right"
-                        else right_key_asts))
-        stable = (left_stable and right_stable and all_keys_local
-                  and (residual_info is None
-                       or not (residual_info.outer or residual_info.unknown)))
-        return plan, leftover, stable
+        return (plan, leftover,
+                *self._join_facts(residual_ast, on_scope,
+                                  left_stable and right_stable,
+                                  left_outer or right_outer))
 
-    def _try_merge_join(self, left_plan, right_plan,
-                        pair: tuple[A.Expr, A.Expr], residual_on: list,
-                        on_scope: Scope) -> Optional[MergeJoinPlan]:
-        """A MergeJoinPlan when both join inputs are non-lateral base-table
-        leaves whose single-column join keys have an *existing* ascending
-        sorted index (declared via CREATE INDEX or left behind by an
-        earlier ordered scan) — else None.  The leaves' scans are swapped
-        for ordered index scans; pushed-down leaf filters survive (a
-        filtered subsequence of an ordered stream stays ordered)."""
-        left_ast, right_ast = pair
-        sides = []
-        for leaf, ast in ((left_plan, left_ast), (right_plan, right_ast)):
-            if not isinstance(leaf, FromLeafPlan) or leaf.lateral:
-                return None
-            source = leaf.source
-            if not isinstance(source, SeqScanPlan):
-                return None
-            if not isinstance(ast, A.ColumnRef):
-                return None
-            try:
-                level, rel_index, col_index, fields = \
-                    on_scope.resolve(ast.parts)
-            except NameResolutionError:
-                return None
-            if level != 0 or rel_index != leaf.rel_index or fields:
-                return None
-            table = self.catalog.tables.get(source.table_name)
-            if table is None or table.sorted_index_if_exists(
-                    (col_index,), (False,)) is None:
-                return None
-            sides.append((leaf, source, col_index))
-        for leaf, source, col_index in sides:
-            leaf.source = IndexRangeScanPlan(
-                source.table_name, source.output_columns,
-                (col_index,), (False,), None, None)
-        compiler = ExprCompiler(on_scope, self)
-        left_key = compiler.compile(left_ast)
-        right_key = compiler.compile(right_ast)
-        residual_ast = conjoin(residual_on)
-        residual = (compiler.compile(residual_ast)
-                    if residual_ast is not None else None)
-        key_display = f"{_display_expr(left_ast)} = {_display_expr(right_ast)}"
-        return MergeJoinPlan(left_plan, right_plan, left_key, right_key,
-                             residual, compiler.subplans, key_display)
+    def _reads_outer(self, exprs, scope: Scope) -> bool:
+        """Does any of *exprs* reference a column of an enclosing query?"""
+        return any(column_bindings(expr, scope, self.catalog).outer
+                   for expr in exprs)
+
+    def _join_facts(self, condition, scope: Scope, stable: bool,
+                    correlated: bool) -> tuple[bool, bool]:
+        """``(stable, correlated)`` of a join whose inputs are all *stable*
+        and some *correlated*, once it evaluates *condition* (or None)."""
+        if condition is not None:
+            info = column_bindings(condition, scope, self.catalog)
+            correlated = correlated or info.outer
+            stable = stable and not info.unknown
+        return stable and not correlated, correlated
 
     def _equi_key(self, conjunct: A.Expr, left_slots: frozenset,
                   right_slots: frozenset, scope: Scope):

@@ -64,13 +64,12 @@ BATCHED_UDF_DISTINCT = "batched udf distinct calls"
 #: by a scan, or eagerly by CREATE INDEX), one "scan" per IndexRangeScan
 #: open (each correlated re-probe is one open), one TopN bump per bounded
 #: heap evaluation ("input rows" counts what streamed through the heap
-#: instead of a full sort), and one merge-join bump per operator open.
+#: instead of a full sort).
 HASH_INDEX_BUILDS = "hash index builds"
 SORTED_INDEX_BUILDS = "sorted index builds"
 INDEX_RANGE_SCANS = "index range scans"
 TOPN_SCANS = "topn scans"
 TOPN_INPUT_ROWS = "topn input rows"
-MERGEJOIN_SCANS = "merge join scans"
 #: Session surface: executions through a PreparedStatement handle (SQL
 #: EXECUTE or the programmatic API), replans a stale handle paid after DDL
 #: or a plan-affecting SET, declarative settings assignments (SET / RESET),

@@ -130,7 +130,7 @@ class Setting:
         return None
 
 
-#: Every setting there is.  The seven ``enable_*`` flags and
+#: Every setting there is.  The six ``enable_*`` flags and
 #: ``batch_compiled`` are the A/B levers of the checked-in benches
 #: (bench_joins, bench_ordered_paths, bench_vectorized, bench_batched_udf)
 #: and the axes of the fuzzer's settings matrix.
@@ -141,8 +141,6 @@ SETTINGS: tuple[Setting, ...] = (
             "Drop Sort nodes an existing sorted index already satisfies."),
     Setting("enable_topn", "bool", True, True,
             "Fuse constant ORDER BY .. LIMIT into a bounded-heap TopN."),
-    Setting("enable_mergejoin", "bool", True, True,
-            "Merge join when both equi-join inputs are index-ordered."),
     Setting("enable_vectorize", "bool", True, True,
             "Run single-table SELECT cores batch-at-a-time (column batches)."),
     Setting("enable_hashjoin", "bool", True, True,

@@ -769,8 +769,7 @@ class HeapTable:
         """The sorted index over *columns* (per-column *descending* flags,
         default all-ascending), built lazily like :meth:`equality_index`
         and then maintained incrementally by every write.  Serves
-        range probes, ordered delivery (sort elimination) and merge-join
-        inputs."""
+        range probes and ordered delivery (sort elimination)."""
         key = self._sorted_key(columns, descending)
         index = self._sorted.get(key)
         if index is None:

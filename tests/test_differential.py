@@ -18,8 +18,8 @@ results:
 * join queries executed by the hash-join operator *and* the seed
   nested-loop path (inner/left/cross, NULL join keys),
 * ordered access paths — IndexRangeScan, index-ordered delivery (sort
-  elimination), the bounded-heap TopN and the merge join — against
-  SeqScan + full Sort and the other join strategies, on randomized data
+  elimination), the bounded-heap TopN and hash joins over indexed keys —
+  against SeqScan + full Sort and the nested loop, on randomized data
   with DESC orderings, duplicate keys, NULL keys, empty ranges, LIMIT 0
   and DML interleaved between probes.
 
@@ -898,6 +898,50 @@ class TestHashJoinEquivalence:
         assert "[build=right]" in db.explain(
             "SELECT 1 FROM big JOIN small ON small.id = big.id")
 
+    def test_correlated_side_is_probed_and_the_stable_side_built_once(self):
+        """Under a subquery re-opened per outer row, the side filtered on
+        the outer column is probed and the stable side is hashed once for
+        all outer rows, though the estimates would build the small side."""
+        db = Database()
+        for ddl in ("CREATE TABLE big(id int, v int)",
+                    "CREATE TABLE small(id int)", "CREATE TABLE cuts(cut int)",
+                    "CREATE INDEX big_id ON big(id)",
+                    "CREATE INDEX small_id ON small(id)"):
+            db.execute(ddl)
+        db.catalog.get_table("big").insert_many(
+            [(i % 40, i) for i in range(400)])
+        db.catalog.get_table("small").insert_many(
+            [(i,) for i in range(0, 40, 3)] + [(None,)])
+        db.catalog.get_table("cuts").insert_many(
+            [(cut,) for cut in (-1, 5, 20, None, 39, 100)])
+        sql = ("SELECT c.cut, (SELECT sum(big.v) FROM big JOIN small "
+               "ON big.id = small.id WHERE small.id < c.cut) FROM cuts c")
+        answers = []
+        for setting in ("on", "off"):
+            db.execute(f"SET enable_vectorize = {setting}")
+            db.profiler.reset()
+            answers.append(db.query_all(sql))
+            assert db.profiler.counts["hash join builds"] == 1, setting
+        db.execute("SET enable_hashjoin = off")
+        answers.append(db.query_all(sql))
+        assert answers[0] == answers[1] == answers[2]
+        assert answers[0][:3] == [(-1, None), (5, 3630), (20, 13230)]
+
+    def test_derived_table_join_keeps_the_estimate_rule(self):
+        """A derived-table leaf is not stable, but it reads no outer row:
+        at top level the estimates still choose the build side."""
+        db = Database()
+        db.execute("CREATE TABLE big(id int)")
+        db.execute("CREATE TABLE small(id int)")
+        db.catalog.get_table("big").insert_many(
+            [(i,) for i in range(1200)])
+        db.catalog.get_table("small").insert_many([(i,) for i in range(80)])
+        sql = ("SELECT count(*) FROM big JOIN (SELECT id FROM small "
+               "WHERE id < 50) d ON big.id = d.id")
+        assert "HashJoin INNER JOIN (big.id = d.id) [build=right]" in \
+            db.explain(sql)
+        assert db.query_value(sql) == 50
+
     def test_profiler_counts_builds(self):
         db = _join_db(True)
         db.query_all("SELECT 1 FROM l JOIN r ON l.id = r.id")
@@ -988,11 +1032,10 @@ def _baseline(db: Database) -> None:
     db.execute("SET enable_rangescan = off")
     db.execute("SET enable_sort_elim = off")
     db.execute("SET enable_topn = off")
-    db.execute("SET enable_mergejoin = off")
 
 
 class TestOrderedPathsDifferential:
-    """IndexRangeScan / TopN / MergeJoin vs. SeqScan + Sort / NestLoop on
+    """IndexRangeScan / TopN / HashJoin vs. SeqScan + Sort / NestLoop on
     randomized data — DESC, duplicate keys, NULL keys, empty ranges and
     LIMIT 0 included.  ORDER BY keys always end in the unique column so
     tie order is pinned and row-for-row comparison is exact."""
@@ -1067,7 +1110,7 @@ class TestOrderedPathsDifferential:
             [row[0] for row in db.query_all(sql)]
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_merge_join_agrees_with_hash_and_nested_loop(self, seed):
+    def test_join_over_indexed_keys_agrees_with_nested_loop(self, seed):
         import random as _random
 
         rng = _random.Random(seed)
@@ -1088,9 +1131,9 @@ class TestOrderedPathsDifferential:
             "SELECT count(*) FROM l, r WHERE l.k = r.k AND l.a < r.b",
             "SELECT count(*) FROM l JOIN r ON l.k = r.k AND l.a % 2 = 0",
         ]
-        assert "MergeJoin" in db.explain(queries[0])
-        merge = [db.query_all(sql) for sql in queries]
-        db.execute("SET enable_mergejoin = off")
+        assert "VectorHashJoin" in db.explain(queries[0])
+        batch = [db.query_all(sql) for sql in queries]
+        db.execute("SET enable_vectorize = off")
         hashed = [db.query_all(sql) for sql in queries]
         db.execute("SET enable_hashjoin = off")
         db.execute("SET enable_pushdown = off")
@@ -1098,9 +1141,9 @@ class TestOrderedPathsDifferential:
         db.execute("SET enable_sort_elim = off")
         db.execute("SET enable_topn = off")
         nested = [db.query_all(sql) for sql in queries]
-        for sql, m, h, n in zip(queries, merge, hashed, nested):
+        for sql, b, h, n in zip(queries, batch, hashed, nested):
             assert rows_equal(n, h, ordered=True), sql
-            assert rows_equal(n, m, ordered=True), sql
+            assert rows_equal(n, b, ordered=True), sql
 
     def test_dml_between_probes_agrees(self):
         """The incrementally-maintained index and a fresh scan must agree

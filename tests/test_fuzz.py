@@ -13,6 +13,7 @@ most five statements.
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -202,7 +203,7 @@ class TestSettingsMatrix:
         axes = db.settings.plan_axes()
         assert {s.name for s, _ in axes} >= {
             "enable_hashjoin", "enable_rangescan", "enable_topn",
-            "enable_mergejoin", "enable_vectorize", "batch_compiled"}
+            "enable_sort_elim", "enable_vectorize", "batch_compiled"}
         for setting, values in axes:
             assert values is not None and len(values) >= 2
             assert any(setting.name in label for label in labels)
@@ -521,6 +522,26 @@ class TestFuzzCounters:
             if checker.profiler.counts[VECTOR_JOIN_ROWS]:
                 return
         pytest.fail(f"seed {seed}: no vector join rows in 12 cases")
+
+    #: A scalar subquery joining two tables whose WHERE correlates one of
+    #: its two sides with the outer row (``querygen.QueryGen._subquery``).
+    SUBQUERY_JOIN = re.compile(r"JOIN \w+ y(\d+) ON x\1\.\w+ = y\1\.\w+ "
+                               r"WHERE [xy]\1\.\w+ [=<>] \w+\.\w+\)")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_meets_a_join_under_a_correlated_subquery(self, seed):
+        """Every seed's first four dozen cases re-open a join per outer row
+        with one side correlated - the shape whose hash join builds on the
+        other side - and that case checks clean across the matrix."""
+        for index in range(48):
+            case = generate_case(seed, index)
+            if any(self.SUBQUERY_JOIN.search(statement.sql) for statement
+                   in case.queries + case.modifications):
+                checker = DifferentialChecker(use_sqlite=False)
+                assert checker.check_case(case) == []
+                return
+        pytest.fail(f"seed {seed}: no join under a correlated subquery "
+                    f"in 48 cases")
 
     def test_generated_join_reaches_the_row_fallback(self):
         """Case 3 of seed 3 joins on a cross-class key pair: every plan

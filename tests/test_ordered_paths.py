@@ -1,5 +1,5 @@
 """Ordered access paths: sorted indexes, CREATE INDEX DDL, range scans,
-sort elimination, Top-N, and merge joins.
+sort elimination, Top-N, and equi-joins over indexed keys.
 
 Covers the planner's access-path choices (visible in EXPLAIN), the
 executor semantics of the new operators, the DDL surface, and — the PR's
@@ -15,8 +15,8 @@ import pytest
 
 from repro.sql import Database
 from repro.sql.errors import CatalogError, ExecutionError, TypeError_
-from repro.sql.profiler import (HASH_INDEX_BUILDS, INDEX_RANGE_SCANS,
-                                MERGEJOIN_SCANS, SORTED_INDEX_BUILDS,
+from repro.sql.profiler import (HASH_INDEX_BUILDS, HASHJOIN_BUILDS,
+                                INDEX_RANGE_SCANS, SORTED_INDEX_BUILDS,
                                 TOPN_INPUT_ROWS, TOPN_SCANS)
 
 
@@ -310,11 +310,28 @@ class TestTopN:
 
 
 # ---------------------------------------------------------------------------
-# Merge joins
+# Equi-joins over indexed keys
 # ---------------------------------------------------------------------------
 
 
-class TestMergeJoin:
+def _join_strategies(db, sql):
+    """*sql*'s :func:`_outcome` under the batch hash join, the row hash
+    join and the nested loop, in that order."""
+    answers = []
+    for settings in ({}, {"enable_vectorize": False},
+                     {"enable_hashjoin": False, "enable_pushdown": False}):
+        for name, value in settings.items():
+            db.settings.assign(name, value)
+        answers.append(_outcome(db, sql))
+        db.execute("RESET ALL")
+    return answers
+
+
+class TestJoinOverIndexedKeys:
+    """A sorted index on both join keys changes no join plan: the equi-join
+    is a hash join whose answer is the nested loop's, duplicates, NULL
+    keys, residual conditions and LEFT JOIN included."""
+
     @pytest.fixture
     def joined(self, db):
         db.execute("CREATE TABLE s(a int, v int)")
@@ -324,58 +341,51 @@ class TestMergeJoin:
         db.execute("CREATE INDEX s_a ON s(a)")
         return db
 
-    def test_chosen_when_both_sides_are_indexed(self, joined):
+    def test_plans_a_hash_join_over_scans(self, joined):
         plan = joined.explain("SELECT count(*) FROM t JOIN s ON t.a = s.a")
-        assert "MergeJoin INNER JOIN (t.a = s.a)" in plan
-        assert "IndexRangeScan on t" in plan
-        assert "IndexRangeScan on s" in plan
+        assert "VectorHashJoin INNER JOIN (t.a = s.a)" in plan
+        assert "IndexRangeScan" not in plan
 
-    def test_agrees_with_hash_and_nested_loop(self, joined):
+    def test_agrees_with_nested_loop(self, joined):
         sql = ("SELECT t.a, t.b, s.v FROM t JOIN s ON t.a = s.a "
                "ORDER BY t.b, s.v")
-        merge_rows = joined.query_all(sql)
-        joined.execute("SET enable_mergejoin = off")
-        hash_rows = joined.query_all(sql)
-        joined.execute("SET enable_hashjoin = off")
-        joined.execute("SET enable_pushdown = off")
-        nested_rows = joined.query_all(sql)
-        assert merge_rows == hash_rows == nested_rows
+        batch, row, nested = _join_strategies(joined, sql)
+        assert batch == row == nested and len(nested) == 260
 
     def test_where_derived_key_over_cross_join(self, joined):
-        plan = joined.explain("SELECT count(*) FROM t, s WHERE t.a = s.a")
-        assert "MergeJoin" in plan
+        sql = "SELECT count(*) FROM t, s WHERE t.a = s.a"
+        assert "HashJoin" in joined.explain(sql)
+        assert len(set(map(repr, _join_strategies(joined, sql)))) == 1
 
     def test_residual_condition_filters_pairs(self, joined):
         sql = "SELECT count(*) FROM t JOIN s ON t.a = s.a AND t.b < s.v"
-        assert "MergeJoin" in joined.explain(sql)
-        merge = joined.query_value(sql)
-        joined.execute("SET enable_mergejoin = off")
-        joined.execute("SET enable_hashjoin = off")
-        assert merge == joined.query_value(sql)
+        assert "HashJoin" in joined.explain(sql)
+        batch, row, nested = _join_strategies(joined, sql)
+        assert batch == row == nested
 
-    def test_unindexed_side_falls_back_to_hash(self, joined):
+    def test_the_index_does_not_change_the_plan(self, joined):
+        sql = "SELECT count(*) FROM t JOIN s ON t.a = s.a"
+        plan = joined.explain(sql)
         joined.execute("DROP INDEX s_a")
-        plan = joined.explain("SELECT count(*) FROM t JOIN s ON t.a = s.a")
-        assert "MergeJoin" not in plan
-        assert "HashJoin" in plan
+        assert joined.explain(sql) == plan
 
-    def test_left_join_never_merges(self, joined):
-        plan = joined.explain(
-            "SELECT count(*) FROM t LEFT JOIN s ON t.a = s.a")
-        assert "MergeJoin" not in plan
+    def test_left_join_builds_the_nullable_side(self, joined):
+        sql = ("SELECT t.b, s.v FROM t LEFT JOIN s ON t.a = s.a "
+               "ORDER BY t.b, s.v")
+        assert "HashJoin LEFT JOIN (t.a = s.a) [build=right]" in \
+            joined.explain(sql)
+        batch, row, nested = _join_strategies(joined, sql)
+        assert batch == row == nested
 
     def test_null_keys_never_match(self, joined):
         joined.execute("INSERT INTO t VALUES (NULL, -1)")
         joined.execute("INSERT INTO s VALUES (NULL, -2)")
         sql = "SELECT count(*) FROM t JOIN s ON t.a = s.a"
-        merge = joined.query_value(sql)
-        joined.execute("SET enable_mergejoin = off")
-        assert merge == joined.query_value(sql)
+        batch, row, nested = _join_strategies(joined, sql)
+        assert batch == row == nested == [(260,)]
 
     def test_null_fields_inside_composite_keys_never_match(self):
-        """compare() yields NULL (not 0) for array/row keys containing a
-        NULL field; the merge must skip such pairs like the other join
-        strategies, not treat 'not less, not greater' as equal."""
+        """An array key with a NULL field compares NULL, never equal."""
         db = Database()
         db.execute("CREATE TABLE l(a int[])")
         db.execute("CREATE TABLE r(a int[])")
@@ -383,25 +393,27 @@ class TestMergeJoin:
         db.catalog.get_table("r").insert_many([([1, 2],), ([3, 4],)])
         db.execute("CREATE INDEX l_a ON l(a)")
         db.execute("CREATE INDEX r_a ON r(a)")
-        sql = "SELECT count(*) FROM l JOIN r ON l.a = r.a"
-        assert "MergeJoin" in db.explain(sql)
-        merge = db.query_value(sql)
-        db.execute("SET enable_mergejoin = off")
-        hashed = db.query_value(sql)
-        db.execute("SET enable_hashjoin = off")
-        db.execute("SET enable_pushdown = off")
-        nested = db.query_value(sql)
-        assert merge == hashed == nested == 1
+        batch, row, nested = _join_strategies(
+            db, "SELECT count(*) FROM l JOIN r ON l.a = r.a")
+        assert batch == row == nested == [(1,)]
+
+    def test_incomparable_keys_raise_under_every_strategy(self, joined):
+        joined.execute("CREATE TABLE w(a text)")
+        joined.execute("INSERT INTO w VALUES ('x')")
+        joined.execute("CREATE INDEX w_a ON w(a)")
+        answers = _join_strategies(
+            joined, "SELECT count(*) FROM t JOIN w ON t.a = w.a")
+        assert answers == ["cannot compare int with str"] * 3
 
     def test_counter(self, joined):
         joined.profiler.reset()
         joined.query_value("SELECT count(*) FROM t JOIN s ON t.a = s.a")
-        assert joined.profiler.counts[MERGEJOIN_SCANS] == 1
+        assert joined.profiler.counts[HASHJOIN_BUILDS] == 1
 
-    def test_flag_disables_merge(self, joined):
-        joined.execute("SET enable_mergejoin = off")
-        assert "MergeJoin" not in joined.explain(
-            "SELECT count(*) FROM t JOIN s ON t.a = s.a")
+    def test_flag_disables_the_hash_join(self, joined):
+        joined.execute("SET enable_hashjoin = off")
+        plan = joined.explain("SELECT count(*) FROM t JOIN s ON t.a = s.a")
+        assert "NestLoop" in plan and "HashJoin" not in plan
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ class TestSettings:
             s.name: (doc_type(s), db.settings.show(s.name), s.plan_affecting)
             for s in db.settings}  # a fresh database shows its defaults
         shown = [row[0] for row in db.execute("SHOW ALL").rows]
-        assert shown == sorted(documented) and len(shown) == 15
+        assert shown == sorted(documented) and len(shown) == 14
 
     def test_show_all_lists_every_setting(self, db):
         result = db.execute("SHOW ALL")
@@ -228,10 +228,10 @@ class TestSettings:
             assert expected in names
 
     def test_programmatic_and_sql_surface_agree(self, db):
-        db.settings.assign("enable_mergejoin", False)
-        assert db.execute("SHOW enable_mergejoin").scalar() == "off"
-        db.execute("SET enable_mergejoin = on")
-        assert db.settings.get("enable_mergejoin") is True
+        db.settings.assign("enable_sort_elim", False)
+        assert db.execute("SHOW enable_sort_elim").scalar() == "off"
+        db.execute("SET enable_sort_elim = on")
+        assert db.settings.get("enable_sort_elim") is True
 
     def test_reset_all(self, db):
         db.execute("SET enable_topn = off")
@@ -280,7 +280,7 @@ class TestSettings:
 
 
 PLAN_FLAGS = ["enable_rangescan", "enable_sort_elim", "enable_topn",
-              "enable_mergejoin", "enable_hashjoin", "enable_pushdown",
+              "enable_vectorize", "enable_hashjoin", "enable_pushdown",
               "batch_compiled"]
 
 WORKLOADS = [
@@ -338,7 +338,7 @@ class TestSettingsMatrix:
         baseline = [wdb.query_all(sql) for sql in WORKLOADS]
         conn = wdb.connect()
         conn.execute("SET enable_rangescan = off")
-        conn.execute("SET enable_mergejoin = off")
+        conn.execute("SET enable_hashjoin = off")
         for sql, expected in zip(WORKLOADS, baseline):
             assert conn.query_all(sql) == expected
         # ... while the global surface keeps its default plans and results.

@@ -169,7 +169,7 @@ class TestFunctionBodyPlansAreStamped:
 class TestOneStore:
     def test_no_object_carries_a_setting_as_an_attribute(self, db):
         names = {setting.name for setting in SETTINGS}
-        assert len(names) == len(db.settings.names()) == 15
+        assert len(names) == len(db.settings.names()) == 14
         for obj in (db, db.planner):
             slots = getattr(type(obj), "__slots__", ())
             carried = (set(getattr(obj, "__dict__", {})) | set(slots)) & names
