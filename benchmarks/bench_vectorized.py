@@ -8,9 +8,11 @@ on and off — same engine, same plans otherwise.
 **Gated: the structural facts** the speedups rest on, read from ``EXPLAIN``
 and the profiler's counters on one counted execution of each workload —
 the plan says ``Vector``; the scan produced batches; no batch fell back to
-the row engine; and on this all-int table every row travelled in a batch
-whose columns carry the table's exact-int fact (``HeapTable.columns``), so
-the kernels ran their typed shape.  These do not depend on the host.
+the row engine; on this all-int table every row travelled in a batch
+whose columns carry the table's exact-int fact (``HeapTable.columns``);
+and every row of each aggregate went through its core's one fused loop
+(``vector fused rows`` = ``ROWS``), while ``big_null`` and the streaming
+``filter_project`` fuse none.  These do not depend on the host.
 
 **Reported: the time ratios.**  Vector vs row on five workloads —
 **full-table aggregate** (``count(*) / sum / avg`` over every row: the
@@ -23,8 +25,11 @@ BY**, whose Sort consumes the vectorized core's ten rows (it used to send
 the whole core to the row engine).  The first two used to be gated at 5x
 and read 4-7x from run to run on one commit (ROADMAP item 6); they keep a
 loose 3x floor.  Beside them, **typed vs untyped**: the same statement on
-``big_null``, the same table with one NULL per column, where every kernel
-keeps its per-element guard — what testing a column's type once is worth.
+``big_null``, the same table with one NULL per column, where an aggregate
+takes the per-kernel path instead of the fused loop and every kernel keeps
+its per-element guard — so for the four aggregates it reads fused vs
+per-kernel, and for ``filter_project`` what testing a column's type once
+is worth.
 
 All queries verify identical results under both settings before timing.
 ``BENCH_vectorized.json`` is emitted for the cross-PR perf trajectory.
@@ -37,7 +42,8 @@ import time
 
 from repro.bench.harness import counted, render_table
 from repro.sql import Database
-from repro.sql.profiler import (VECTOR_BATCHES, VECTOR_FALLBACKS, VECTOR_ROWS,
+from repro.sql.profiler import (VECTOR_BATCHES, VECTOR_FALLBACKS,
+                                VECTOR_FUSED_ROWS, VECTOR_ROWS,
                                 VECTOR_TYPED_ROWS)
 
 ROWS = 100_000
@@ -59,6 +65,10 @@ WORKLOADS = [
 #: Loose floors under the reported vector-vs-row ratios; the gate proper is
 #: the structural facts (see the module docstring).
 FLOORS = {"full_table_aggregate": 3.0, "filtered_aggregate": 3.0}
+
+#: The workloads whose core runs as one fused loop on the all-int table.
+FUSED = {"full_table_aggregate", "filtered_aggregate", "grouped_aggregate",
+         "grouped_aggregate_ordered"}
 
 
 def _build() -> Database:
@@ -110,13 +120,19 @@ def test_vectorized_speedups(write_artifact, write_json):
         counts = counted(db, query)
         facts[name] = {counter: counts.get(counter, 0)
                        for counter in (VECTOR_BATCHES, VECTOR_ROWS,
-                                       VECTOR_TYPED_ROWS, VECTOR_FALLBACKS)}
+                                       VECTOR_TYPED_ROWS, VECTOR_FUSED_ROWS,
+                                       VECTOR_FALLBACKS)}
         assert counts.get(VECTOR_BATCHES, 0) > 0, f"{name}: no batches"
         assert counts.get(VECTOR_FALLBACKS, 0) == 0, f"{name}: fell back"
         assert counts.get(VECTOR_TYPED_ROWS, 0) == counts[VECTOR_ROWS] \
             == ROWS, f"{name}: untyped batches on the all-int table"
-        assert counted(db, untyped_query).get(VECTOR_TYPED_ROWS, 0) == 0, \
+        assert counts.get(VECTOR_FUSED_ROWS, 0) == \
+            (ROWS if name in FUSED else 0), f"{name}: fused rows"
+        untyped = counted(db, untyped_query)
+        assert untyped.get(VECTOR_TYPED_ROWS, 0) == 0, \
             f"{name}: big_null has a NULL in every column"
+        assert untyped.get(VECTOR_FUSED_ROWS, 0) == 0, \
+            f"{name}: fused a loop over big_null"
         on_s = _best(db, query)
         untyped_s = _best(db, untyped_query)
         db.execute("SET enable_vectorize = off")
@@ -138,11 +154,12 @@ def test_vectorized_speedups(write_artifact, write_json):
 
     write_artifact("bench_vectorized.txt", render_table(
         ("workload", "vector[ms]", "row[ms]", "speedup", "floor",
-         "untyped vector[ms]", "typed gain"),
+         "untyped vector[ms]", "typed (fused) gain"),
         rows,
         title=f"Vectorized vs row-at-a-time execution "
               f"({ROWS} rows, best of {REPS}); gated on: Vector plan, "
-              f"batches > 0, fallbacks = 0, typed rows = {ROWS}"))
+              f"batches > 0, fallbacks = 0, typed rows = {ROWS}, fused "
+              f"rows = {ROWS} for the aggregates and 0 otherwise"))
     write_json("vectorized", {
         "rows": ROWS,
         "reps": REPS,

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .datagen import data_sqlite_safe, generate_data
+from .datagen import data_sqlite_safe, generate_data, null_free_table
 from .schema import ColumnSpec, SchemaSpec, TableSpec, generate_schema
 
 # ---------------------------------------------------------------------------
@@ -670,23 +670,77 @@ class QueryGen:
                 having = f" HAVING count(*) > {self.rng.randint(0, 2)}"
             body = (f"SELECT {select} FROM {from_clause}{where} "
                     f"GROUP BY {', '.join(group_refs)}{having}")
-            # Grouped rows are unique on the group keys, so ordering by
-            # exactly those keys already pins the full row order.
-            keys = tuple((i, self.rng.random() < 0.35)
-                         for i in range(len(group_refs)))
-            engine_tail = ", ".join(
-                f"{p + 1} DESC" if d else f"{p + 1}" for p, d in keys)
-            lite_tail = ", ".join(
-                f"{p + 1} DESC NULLS FIRST" if d else f"{p + 1} NULLS LAST"
-                for p, d in keys)
-            if self.rng.random() < 0.7:
-                sql = f"{body} ORDER BY {engine_tail}"
-                lite = f"{body} ORDER BY {lite_tail}" if sqlite_ok else None
-                return Query(sql=sql, sqlite_sql=lite, order="total",
-                             order_keys=keys)
-            return Query(sql=body, sqlite_sql=body if sqlite_ok else None)
+            return self._grouped(body, len(group_refs), sqlite_ok)
         body = f"SELECT {', '.join(aggs)} FROM {from_clause}{where}"
         return Query(sql=body, sqlite_sql=body if sqlite_ok else None)
+
+    def _grouped(self, body: str, n_keys: int, sqlite_ok: bool) -> Query:
+        """A grouped statement whose select list leads with its *n_keys*
+        group keys, ordered by them on most draws."""
+        # Grouped rows are unique on the group keys, so ordering by
+        # exactly those keys already pins the full row order.
+        keys = tuple((i, self.rng.random() < 0.35) for i in range(n_keys))
+        engine_tail = ", ".join(
+            f"{p + 1} DESC" if d else f"{p + 1}" for p, d in keys)
+        lite_tail = ", ".join(
+            f"{p + 1} DESC NULLS FIRST" if d else f"{p + 1} NULLS LAST"
+            for p, d in keys)
+        if self.rng.random() < 0.7:
+            sql = f"{body} ORDER BY {engine_tail}"
+            lite = f"{body} ORDER BY {lite_tail}" if sqlite_ok else None
+            return Query(sql=sql, sqlite_sql=lite, order="total",
+                         order_keys=keys)
+        return Query(sql=body, sqlite_sql=body if sqlite_ok else None)
+
+    def typed_aggregate(self, table: TableSpec) -> Query:
+        """count / sum / avg over *table*'s int columns, filtered by one or
+        two comparisons and grouped on most draws, built from those
+        columns, int literals, ``+ - *``, unary minus, ``/`` and ``%`` by
+        a positive literal, and a division by a column behind its ``<> 0``
+        guard: the shape the vectorized core runs as one fused loop when
+        the columns are NULL-free (``datagen.null_free_table``)."""
+        rng = self.rng
+        gen = _ExprGen(rng, [("a", table)])
+        columns = [f"a.{c.name}" for c in table.columns_of_dtype("int")]
+
+        def term(depth: int) -> str:
+            roll = rng.random()
+            if depth <= 0 or roll < 0.4:
+                return (rng.choice(columns) if rng.random() < 0.8
+                        else gen.int_literal().text)
+            if roll < 0.8:
+                op = rng.choice(("+", "-", "*"))
+                return f"({term(depth - 1)} {op} {term(depth - 1)})"
+            if roll < 0.92:
+                op = rng.choice(("/", "%"))
+                return f"({term(depth - 1)} {op} {rng.randint(1, 9)})"
+            return f"(-{term(depth - 1)})"
+
+        def condition() -> str:
+            op = rng.choice(_CMP_OPS)
+            if rng.random() < 0.2:
+                divisor = rng.choice(columns)
+                return (f"({divisor} <> 0 AND ({term(1)} / {divisor}) {op} "
+                        f"{gen.int_literal().text})")
+            return f"({term(2)} {op} {term(1)})"
+
+        aggs = []
+        for _ in range(rng.randint(1, 3)):
+            fn = rng.choice(("count(*)", "count", "sum", "avg"))
+            aggs.append(fn if fn == "count(*)" else f"{fn}({term(2)})")
+        where = " AND ".join(condition() for _ in range(rng.randint(1, 2)))
+        if rng.random() < 0.3:
+            body = (f"SELECT {', '.join(aggs)} FROM {table.name} a "
+                    f"WHERE {where}")
+            return Query(sql=body, sqlite_sql=body)
+        # A key reads a column: a bare literal would be an output ordinal.
+        keys = [key if "a." in key else rng.choice(columns)
+                for key in (term(1) for _ in range(rng.randint(1, 2)))]
+        having = (f" HAVING count(*) > {rng.randint(0, 2)}"
+                  if rng.random() < 0.2 else "")
+        body = (f"SELECT {', '.join(keys + aggs)} FROM {table.name} a "
+                f"WHERE {where} GROUP BY {', '.join(keys)}{having}")
+        return self._grouped(body, len(keys), True)
 
     def _window_select(self) -> Query:
         """An aggregate over a window.  The default RANGE frame includes
@@ -950,8 +1004,12 @@ def generate_case(run_seed: int, index: int,
     count = queries if queries is not None else rng.randint(2, 5)
     drawn = tuple(qgen.generate() for _ in range(count))
     # Drawn last, so the queries of a seed are what they were before
-    # cases carried modifications.
+    # cases carried modifications ...
+    modifications = (qgen.modification(data), qgen.modification(data))
+    # ... and everything above what it was before a share of them carried
+    # a NULL-free int table with a fused-shape aggregate over it.
+    typed = null_free_table(rng, schema, data)
+    if typed is not None:
+        drawn += (qgen.typed_aggregate(typed),)
     return Case(seed=seed, schema=schema, data=data, functions=functions,
-                queries=drawn,
-                modifications=(qgen.modification(data),
-                               qgen.modification(data)))
+                queries=drawn, modifications=modifications)

@@ -54,6 +54,16 @@ Stages over whatever source the core has (composed by
   identical — including the order-dependent ``avg()`` over
   ``{7, -2^63, 2^63}`` bigints that PR 5's fuzzer pinned.
 
+**Fused aggregate cores.**  An aggregating core over one scan whose
+conditions, group keys and arguments are exact-int expressions, and whose
+aggregates are non-DISTINCT count / sum / avg, also carries a
+:class:`FusedAggregate`: one generated loop per core shape that filters,
+keys and collects a batch's rows in a single pass, composed from the
+kernel table's own ``fast`` templates (:meth:`ExprCompiler.typed_form`),
+instead of one list per kernel, a selection vector and a gather per
+argument.  It runs when the snapshot vouches at open that every column it
+reads is all exact ints, and otherwise the per-kernel chain does.
+
 :class:`BatchAdapterState` is the boundary operator: it extends
 :class:`~.select_core.SelectCoreState`, drains the batch pipeline and
 emits ordinary row tuples, so parents (Sort, TopN, Limit, joins, set ops,
@@ -91,19 +101,21 @@ sweep batch-boundary edge cases).
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .. import ast as A
+from ..astutil import split_conjuncts
 from ..errors import (NameResolutionError, QueryCanceledError, SqlError,
                       TypeError_)
 from ..expr import (BatchExpr, BoolColumn, EvalContext, ExprCompiler,
-                    IntColumn, RowOnly, Scope)
+                    IntColumn, RowOnly, Scope, _make)
 from ..functions import AvgAgg, CountAgg, SumAgg, make_aggregate
 from ..profiler import (HASHJOIN_BUILD_ROWS, HASHJOIN_BUILDS, VECTOR_BATCHES,
-                        VECTOR_FALLBACKS, VECTOR_JOIN_ROWS, VECTOR_ROWS,
-                        VECTOR_TYPED_ROWS)
+                        VECTOR_FALLBACKS, VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
+                        VECTOR_ROWS, VECTOR_TYPED_ROWS)
 from ..values import hashable_row as _hashable_row
 from ..values import hashable_value as _hashable_value
 from . import base
@@ -116,6 +128,12 @@ from .select_core import AggStagePlan, SelectCorePlan, SelectCoreState
 #: the differential suite runs batch sizes 1 and rows±1 to flush
 #: off-by-one drain bugs that would hide at the default size.
 BATCH_SIZE = 1024
+
+#: Batches whose rows a grouped fused core files by group key before it
+#: folds them into the group states: folding each group once per batch
+#: was a fifth of ``analytic_scan``'s grouped shape, and this bounds what
+#: is held in between.
+FUSED_FOLD_BATCHES = 16
 
 
 def _gather(col, rows: list) -> list:
@@ -247,22 +265,32 @@ class VectorScan:
         self.pos = 0
         self.size = max(1, BATCH_SIZE)
 
-    def next_batch(self) -> Optional[Batch]:
+    def next_range(self) -> Optional[tuple[int, int]]:
+        """Claim the next batch — ``(lo, n)``: rows ``lo .. lo + n`` of the
+        snapshot — polling cancellation and counting it; None when the
+        snapshot is drained.  A fused aggregate core slices its columns
+        out of the column entry itself and applies no filter here."""
         pos = self.pos
-        rows = self.rows
-        if pos >= len(rows):
+        n = min(self.size, len(self.rows) - pos)
+        if n <= 0:
             return None
         self.rt.cancel.check()
-        chunk = rows[pos:pos + self.size]
-        self.pos = pos + len(chunk)
+        self.pos = pos + n
         profiler = self.rt.db.profiler
         profiler.bump(VECTOR_BATCHES)
-        profiler.bump(VECTOR_ROWS, len(chunk))
+        profiler.bump(VECTOR_ROWS, n)
         if self.typed:
-            profiler.bump(VECTOR_TYPED_ROWS, len(chunk))
+            profiler.bump(VECTOR_TYPED_ROWS, n)
+        return pos, n
+
+    def next_batch(self) -> Optional[Batch]:
+        claimed = self.next_range()
+        if claimed is None:
+            return None
+        lo, n = claimed
         rels: list = [None] * len(self.facts)
-        rels[self.rel] = chunk
-        batch = Batch(rels, len(chunk), self.rt, self.facts, pos)
+        rels[self.rel] = self.rows[lo:lo + n]
+        batch = Batch(rels, n, self.rt, self.facts, lo)
         return batch if self.filter is None else self.filter.apply(batch)
 
 
@@ -433,8 +461,9 @@ class VectorProject:
         return list(zip(*cols))
 
 
-def _accumulate(agg, state, col):
-    """Fold *col* into *state* in column order.
+def _accumulate(agg, state, col, exact: bool = False):
+    """Fold *col* into *state* in column order (*exact*: *col* holds exact
+    ints, whatever its type says).
 
     ``sum``/``avg``/``count`` get inlined loops that are statement-for-
     statement the scalar ``step`` bodies (same None skip, same bool/type
@@ -449,7 +478,7 @@ def _accumulate(agg, state, col):
     while the running total is itself an exact int, so a total some
     earlier float made a float keeps the loop below and its rounding.
     """
-    if type(col) is IntColumn:
+    if exact or type(col) is IntColumn:
         if type(agg) is SumAgg and (state is None or type(state) is int):
             return sum(col, state or 0) if col else state
         if type(agg) is AvgAgg and type(state[1]) is int:
@@ -500,13 +529,19 @@ class VectorAggregate:
     """
 
     __slots__ = ("stage", "key_fns", "arg_fns", "aggs", "groups",
-                 "group_values", "distinct_seen", "states", "dsets")
+                 "group_values", "distinct_seen", "states", "dsets", "fused",
+                 "filed", "filed_batches")
 
     def __init__(self, stage: AggStagePlan, key_fns: list[BatchExpr],
-                 arg_fns: list[Optional[BatchExpr]]):
+                 arg_fns: list[Optional[BatchExpr]],
+                 fused: Optional["FusedAggregate"] = None):
         self.stage = stage
         self.key_fns = key_fns
         self.arg_fns = arg_fns
+        #: The fused loop, when it runs: its batches go to add_fused.
+        self.fused = fused
+        self.filed: dict = defaultdict(list)
+        self.filed_batches = 0
         self.aggs = [make_aggregate(c.name, c.star, c.separator)
                      for c in stage.agg_calls]
         self.groups: dict[tuple, list] = {}
@@ -608,9 +643,53 @@ class VectorAggregate:
                         col = gathered[fn] = _gather(arg_cols[fn], rows)
                     states[index] = _accumulate(agg, states[index], col)
 
+    def add_fused(self, cols: list) -> None:
+        """Run one batch through the fused core's generated loop; *cols*
+        are the batch's slices of the columns it reads.  Ungrouped, what
+        the passing rows carry is folded at once.  Grouped, it is filed
+        under the group keys, in the order the loop meets them (scan
+        order), and folded every :data:`FUSED_FOLD_BATCHES` batches."""
+        if self.states is not None:
+            self._fold(self.states, self.fused.run(*cols))
+            return
+        self.fused.run(self.filed, *cols)
+        self.filed_batches += 1
+        if self.filed_batches >= FUSED_FOLD_BATCHES:
+            self._fold_filed()
+
+    def _fold_filed(self) -> None:
+        groups = self.groups
+        for key, items in self.filed.items():
+            states = groups.get(key)
+            if states is None:
+                states = groups[key] = [agg.create() for agg in self.aggs]
+                self.group_values[key] = (key if self.fused.keys > 1
+                                          else (key,))
+            self._fold(states, items)
+        self.filed.clear()
+        self.filed_batches = 0
+
+    def _fold(self, states: list, items: list) -> None:
+        """Fold what one group's passing rows carried (one item per row,
+        see :func:`_fused_form`) into its states: ``count(*)`` adds the
+        row count, the others fold their argument's exact ints."""
+        width = self.fused.width
+        if width == 1:
+            cols = [items]
+        elif width:
+            cols = list(zip(*items)) or [()] * width
+        else:
+            cols = []
+        for index, (arg, agg) in enumerate(zip(self.fused.arg_of,
+                                               self.aggs)):
+            states[index] = (states[index] + len(items) if arg is None else
+                             _accumulate(agg, states[index], cols[arg], True))
+
     def finish(self) -> tuple[dict, dict]:
         """The (groups, group_values) maps, with the ungrouped fold folded
         in — including the empty-input "one row of empty finals" case."""
+        if self.filed:
+            self._fold_filed()
         if self.states is not None:
             self.groups[()] = self.states
             self.group_values[()] = ()
@@ -704,16 +783,142 @@ def _source(node, scope: Scope):
         None if residual is None else VectorFilter(batch(residual)))
 
 
+@lru_cache(maxsize=None)
+def _fused_form(conds: tuple, keys: tuple, args: tuple, columns: int,
+                literals: int) -> Callable:
+    """Generate the loop of one fused aggregate core shape: ``make(l0, ..)
+    -> run``.  ``run(c0, ..)`` takes one batch's slices of the columns the
+    core reads and returns, per row that passes every condition, its item:
+    the value of the one distinct aggregate argument, a tuple of them, or
+    0 when no aggregate takes one.  Grouped, ``run(groups, c0, ..)`` files
+    the items under their group key in *groups*, a ``defaultdict(list)``.
+    The texts name columns and literals, never a value, so the statements
+    of one shape share one entry whatever their literals."""
+    cols = [f"c{i}" for i in range(columns)]
+    names = [f"x{i}" for i in range(columns)]
+    loop = (f"for {names[0]} in {cols[0]}" if columns == 1
+            else f"for {', '.join(names)} in zip({', '.join(cols)})")
+    cond = " and ".join(f"({text})" for text in conds)
+    item = "0" if not args else f"({args[0]})" if len(args) == 1 \
+        else f"({', '.join(args)})"
+    if keys:
+        key = f"({keys[0]})" if len(keys) == 1 else f"({', '.join(keys)})"
+        body = f"groups[{key}].append({item})"
+        lines = [f"def run(groups, {', '.join(cols)}):", f"    {loop}:"]
+        lines += [f"        if {cond}:", f"            {body}"] if conds \
+            else [f"        {body}"]
+    elif not conds and (not args or len(args) == 1 and args[0] in names):
+        # Every row passes: the column itself is the items (or, with no
+        # argument, as many as there are rows) - copying it per batch would
+        # make ``sum(v)`` over a whole table slower than the per-kernel
+        # path's one ``sum()``.
+        bare = names.index(args[0]) if args else 0
+        lines = [f"def run({', '.join(cols)}):", f"    return {cols[bare]}"]
+    else:
+        test = f" if {cond}" if conds else ""
+        lines = [f"def run({', '.join(cols)}):",
+                 f"    return [{item} {loop}{test}]"]
+    return _make(lines, tuple(f"l{i}" for i in range(literals)),
+                 "fused aggregate")
+
+
+class FusedAggregate:
+    """Plan of a fused aggregate core: the generated loop of its shape
+    (:func:`_fused_form`, the statement's literals bound) over the columns
+    ``columns`` of relation ``rel``, its number of group ``keys``, the
+    ``width`` of an item and, per aggregate call, the item position of its
+    argument (None: ``count(*)``).
+
+    It runs only when, at open, the scan's snapshot vouches that every one
+    of those columns is all exact ints (``HeapTable.columns``); otherwise
+    the core takes the per-kernel path.  Its texts are the kernel table's
+    ``fast`` templates (:meth:`ExprCompiler.typed_form`), which for exact
+    ints are what the typed batch shapes run, and Python's ``and`` over
+    them is SQL AND over non-NULL booleans with the row engine's per-row
+    laziness.  An engine error it raises (a division by zero) sends the
+    statement to the row engine like any batch error."""
+
+    __slots__ = ("rel", "columns", "run", "keys", "width", "arg_of")
+
+    def __init__(self, rel: int, columns: list[int], run: Callable,
+                 keys: int, width: int, arg_of: list[Optional[int]]):
+        self.rel = rel
+        self.columns = columns
+        self.run = run
+        self.keys = keys
+        self.width = width
+        self.arg_of = arg_of
+
+    def table_columns(self, facts: Sequence) -> Optional[list]:
+        """The whole columns the loop reads, out of the scan's column
+        entry *facts*, if it vouches that each is all exact ints."""
+        fact = facts[self.rel]
+        if fact is None or not all(fact[2][c] for c in self.columns):
+            return None
+        return [fact[1][c] for c in self.columns]
+
+
+#: The aggregates a fused core folds: over exact ints each is a ``len`` or
+#: a ``sum`` (:func:`_accumulate`).
+_FUSED_AGGREGATES = ("count", "sum", "avg")
+
+
+def _fuse(base: SelectCorePlan, core: A.SelectCore, where: Optional[A.Expr],
+          scope: Scope) -> Optional[FusedAggregate]:
+    """The :class:`FusedAggregate` of an aggregating core over one scan, or
+    None: when an aggregate is DISTINCT or not a count / sum / avg, or a
+    condition (a conjunct of the leaf's pushed-down filter, then of
+    *where*), group key or argument has no exact-int form."""
+    leaf, calls = base.from_plan, base.agg_stage.agg_calls
+    if not isinstance(leaf, FromLeafPlan) or any(
+            call.distinct or call.name not in _FUSED_AGGREGATES
+            for call in calls):
+        return None
+    typed_form = ExprCompiler(scope).typed_form
+    columns: dict = {}
+    literals: list = []
+
+    def texts(exprs, yields) -> Optional[tuple]:
+        out = []
+        for expr in exprs:
+            form = typed_form(expr, columns, literals)
+            if form is None or form[1] is not yields:
+                return None
+            out.append(form[0])
+        return tuple(out)
+
+    conds = texts([conjunct for pred in (leaf.filter_ast, where)
+                   if pred is not None for conjunct in split_conjuncts(pred)],
+                  BoolColumn)
+    keys = texts(core.group_by, IntColumn)
+    # One item position per distinct argument, told apart by ``repr`` as
+    # in vectorize_core.
+    distinct: dict = {}
+    for call in calls:
+        if not call.star:
+            distinct.setdefault(repr(call.arg_ast), call.arg_ast)
+    positions = {key: index for index, key in enumerate(distinct)}
+    arg_of = [None if call.star else positions[repr(call.arg_ast)]
+              for call in calls]
+    args = texts(distinct.values(), IntColumn)
+    if conds is None or keys is None or args is None or not columns:
+        return None
+    make = _fused_form(conds, keys, args, len(columns), len(literals))
+    return FusedAggregate(leaf.rel_index, [col for _, col in columns],
+                          make(*literals), len(keys), len(args), arg_of)
+
+
 class VectorSpec:
     """Batch-compiled artifacts of one vectorizable SELECT core."""
 
     __slots__ = ("source", "draining", "where", "project", "key_fns",
-                 "arg_fns")
+                 "arg_fns", "fused")
 
     def __init__(self, source, draining: bool, where: Optional[VectorFilter],
                  project: Optional[VectorProject],
                  key_fns: Optional[list[BatchExpr]],
-                 arg_fns: Optional[list[Optional[BatchExpr]]]):
+                 arg_fns: Optional[list[Optional[BatchExpr]]],
+                 fused: Optional[FusedAggregate] = None):
         self.source = source
         #: Will every row be read (aggregation, a sort above)?
         self.draining = draining
@@ -721,6 +926,8 @@ class VectorSpec:
         self.project = project
         self.key_fns = key_fns
         self.arg_fns = arg_fns
+        #: The one-loop form of an aggregating core over one scan.
+        self.fused = fused
 
 
 def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
@@ -767,8 +974,11 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
     except RowOnly:
         return None
     draining = base.agg_stage is not None or sorted_above
+    fused = (_fuse(base, core, where, scope)
+             if base.agg_stage is not None and isinstance(source, ScanSource)
+             else None)
     spec = VectorSpec(source, draining, where_filter, project, key_fns,
-                      arg_fns)
+                      arg_fns, fused)
     return VectorizedCorePlan(base, spec)
 
 
@@ -967,17 +1177,30 @@ class BatchAdapterState(SelectCoreState):
         if not self._use_vector:
             return super()._run_aggregation(stage)
         spec = self.plan.vspec
-        vagg = VectorAggregate(stage, spec.key_fns, spec.arg_fns)
         source = self._source
+        fused = spec.fused
+        columns = None if fused is None else fused.table_columns(source.facts)
+        vagg = VectorAggregate(stage, spec.key_fns, spec.arg_fns,
+                               None if columns is None else fused)
         # The source drains finite row snapshots and polls the cancel token
         # once per batch.
-        while True:  # lint: bounded
-            batch = source.next_batch()
-            if batch is None:
-                break
-            if self._filter is not None:
-                self._filter.apply(batch)
-            vagg.add_batch(batch)
+        if columns is not None:
+            profiler = self.rt.db.profiler
+            while True:  # lint: bounded
+                claimed = source.next_range()
+                if claimed is None:
+                    break
+                lo, n = claimed
+                vagg.add_fused([col[lo:lo + n] for col in columns])
+                profiler.bump(VECTOR_FUSED_ROWS, n)
+        else:
+            while True:  # lint: bounded
+                batch = source.next_batch()
+                if batch is None:
+                    break
+                if self._filter is not None:
+                    self._filter.apply(batch)
+                vagg.add_batch(batch)
         groups, group_values = vagg.finish()
         # Finalization + HAVING: the inherited row-engine tail, verbatim.
         out: list[tuple] = []

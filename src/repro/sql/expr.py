@@ -15,6 +15,7 @@ compiled ``WITH RECURSIVE`` plan evaluate the paper's embedded queries
 
 from __future__ import annotations
 
+import ast as pyast
 import math
 import re
 import textwrap
@@ -196,6 +197,9 @@ class BoolColumn(list):
 # ``acc``, ``op``), this module's helpers, and whatever the entry binds in
 # ``env``; they never contain statement data, which is what lets
 # the generators below cache each distinct shape, compiled once per process.
+# ``ExprCompiler.typed_form`` nests the ``fast`` templates of a whole
+# exact-int expression tree into one expression, the vectorized core's
+# fused aggregates loop over (``executor/vector.py``).
 
 
 def _make(lines: list, names: tuple, kernel: str) -> Callable:
@@ -206,6 +210,24 @@ def _make(lines: list, names: tuple, kernel: str) -> Callable:
     source = f"def make({', '.join(names)}):\n{source}\n    return run"
     exec(compile(source, f"<kernel {kernel}>", "exec"), globals(), scope)
     return scope["make"]
+
+
+@lru_cache(maxsize=None)
+def _template_pieces(template: str) -> tuple:
+    """*template* cut at its argument names ``a`` / ``b`` / ``c``, as Python
+    parses it: text, name, text, .. , text (so ``a`` inside ``_int_div`` or
+    ``abs`` is no argument).  :meth:`ExprCompiler.typed_form` substitutes
+    the odd pieces."""
+    tree = pyast.parse(template, mode="eval")
+    spots = sorted((node.col_offset, node.end_col_offset, node.id)
+                   for node in pyast.walk(tree)
+                   if isinstance(node, pyast.Name)
+                   and node.id in ("a", "b", "c"))
+    pieces, pos = [], 0
+    for start, end, name in spots:
+        pieces += [template[pos:start], name]
+        pos = end
+    return tuple(pieces + [template[pos:]])
 
 
 def _count(batch, sel: Optional[list]) -> int:
@@ -537,6 +559,48 @@ class ExprCompiler:
         if entry is None or not entry.vectorizable:
             raise RowOnly(type(expr).__name__)
         return entry.derive(self.compile_batch, True)
+
+    def typed_form(self, expr: A.Expr, columns: dict,
+                   literals: list) -> Optional[tuple[str, type]]:
+        """*expr* over exact ints as the text of one Python expression, and
+        the tag of what it makes (:class:`IntColumn` / :class:`BoolColumn`),
+        or None.  The text is the :class:`Strict` entries' ``fast``
+        templates with their arguments substituted (parenthesized): a bare
+        column is the name *columns* gives it (``x<i>``, keyed by ``(rel,
+        col)``), an exact-int literal the name ``l<i>`` (its value appended
+        to *literals*, so the text holds no statement data).  None for any
+        other node, and for a template that repeats a compound argument
+        (its text would evaluate the argument twice)."""
+        if type(expr) is A.Literal:
+            if type(expr.value) is not int:
+                return None
+            literals.append(expr.value)
+            return f"l{len(literals) - 1}", IntColumn
+        entry = self.entry(expr)
+        if isinstance(entry, Leaf):
+            ref = getattr(entry.batch, "col_ref", None)
+            if ref is None:
+                return None
+            return columns.setdefault(ref, f"x{len(columns)}"), IntColumn
+        if not isinstance(entry, Strict) or entry.fast_yields is None \
+                or entry.variadic or entry.pre is not None \
+                or entry.errors is not None:
+            return None
+        pieces = _template_pieces(entry.fast)
+        args = {}
+        for name, arg in zip("abc", entry.args):
+            form = self.typed_form(arg, columns, literals)
+            if form is None or form[1] is not IntColumn:
+                return None
+            text = form[0]
+            if not text.isidentifier():
+                if pieces[1::2].count(name) > 1:
+                    return None
+                text = f"({text})"
+            args[name] = text
+        text = "".join(args[piece] if i % 2 else piece
+                       for i, piece in enumerate(pieces))
+        return text, entry.fast_yields
 
     def _alloc_slot(self) -> int:
         index = self.slot_count

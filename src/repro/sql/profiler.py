@@ -124,12 +124,15 @@ SERVER_SLOW_QUERIES = "server slow queries"
 #: one column the table vouches is all exact ints (``HeapTable.columns``).
 #: "join rows" sums the joined rows the batch hash join (VectorHashJoin)
 #: handed on, before its residual condition; its builds are counted as
-#: hash-join builds, like the row operator's.
+#: hash-join builds, like the row operator's.  "fused rows" sums the rows
+#: of the batches a fused aggregate core's one generated loop consumed
+#: instead of the per-kernel chain.
 #: A statement that falls back to the row engine mid-flight keeps the
 #: bumps of the batches it already produced and counts one "fallback".
 VECTOR_BATCHES = "vector batches"
 VECTOR_ROWS = "vector rows"
 VECTOR_TYPED_ROWS = "vector typed rows"
+VECTOR_FUSED_ROWS = "vector fused rows"
 VECTOR_JOIN_ROWS = "vector join rows"
 VECTOR_FALLBACKS = "vector fallbacks"
 #: Resource governance: statements killed by the cooperative cancel token

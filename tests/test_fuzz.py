@@ -72,10 +72,15 @@ class TestGeneratorDeterminism:
 
 class TestSmokeSweep:
     def test_fifty_cases_clean_across_matrix(self):
+        # The sweep reaches the fused aggregate loops, so row = fused is
+        # among what it checks (datagen.null_free_table).
         from repro.fuzz.__main__ import run_fuzz
+        from repro.sql.profiler import VECTOR_FUSED_ROWS, Profiler
+        profiler = Profiler()
         failures = run_fuzz(seed=0, cases=50, reduce_failures=False,
-                            emit_dir=None, verbose=False)
+                            emit_dir=None, verbose=False, profiler=profiler)
         assert failures == 0
+        assert profiler.counts[VECTOR_FUSED_ROWS] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The vectorized executor core (executor/vector.py): plan shape, the
 profiler's batch counters, the statement-level row fallback, snapshot
-freshness under same-transaction DML, cancellation, typed columns, and the
-batch hash join with ORDER BY / LIMIT above it.
+freshness under same-transaction DML, cancellation, typed columns, the
+batch hash join with ORDER BY / LIMIT above it, and fused aggregate cores
+(fused = per-kernel = row engine).
 
 Numeric parity lives in ``test_fuzz_regressions.py`` (the adversarial
 bigint sweep) and ``test_differential.py`` (randomized row/batch
@@ -155,8 +156,10 @@ class TestRowFallback:
         def boom(self):
             raise ExecutionError("injected scan failure")
 
-        monkeypatch.setattr(vector.VectorScan, "next_batch", boom)
+        monkeypatch.setattr(vector.VectorScan, "next_range", boom)
+        vdb.profiler.reset()
         assert vdb.query_value("SELECT sum(a) FROM t") == 45
+        assert vdb.profiler.counts["vector fallbacks"] == 1
 
     @pytest.mark.parametrize("pull", [1, 4, base.ROWS_PER_PULL])
     def test_streaming_fallback_resumes_after_emitted_rows(self, vdb,
@@ -227,10 +230,12 @@ class TestCancellation:
         # QueryCanceledError must escape the fallback's SqlError net —
         # were it swallowed, the row engine would quietly re-run the
         # statement to completion and this would return 45.
+        # Both the per-kernel and the fused aggregate claim their batches
+        # through next_range.
         def canceled(self):
             raise QueryCanceledError("canceling statement")
 
-        monkeypatch.setattr(vector.VectorScan, "next_batch", canceled)
+        monkeypatch.setattr(vector.VectorScan, "next_range", canceled)
         with pytest.raises(QueryCanceledError):
             vdb.execute("SELECT sum(a) FROM t")
 
@@ -411,7 +416,8 @@ class TestTypedColumns:
         "SELECT sum(v + k), avg(v + k), sum(k + v) FROM f WHERE g + 1 > 0",
     ])
     def test_shared_argument_is_evaluated_once(self, db, monkeypatch, sql):
-        _table(db, 5)
+        # The per-kernel path: one NULL keeps v untyped, hence unfused.
+        _table(db, None)
         expected = _outcome(db, sql)
         fetched = []
         real = vector.Batch.column
@@ -653,3 +659,183 @@ class TestVectorJoin:
             db.query_all(sql)
             assert db.profiler.counts["hash join builds"] == 1, setting
         _outcome(db, sql)
+
+
+# ---------------------------------------------------------------------------
+# Fused aggregate cores: one generated loop per typed aggregate over a scan
+# ---------------------------------------------------------------------------
+
+FROWS = 12
+#: Exact ints around the int64 limits (sums run past 2^63), zeros for the
+#: guarded division, and group keys whose first occurrences are not sorted.
+FUSED_V = [2 ** 63 - 1, 3, 2 ** 63 - 1, -2 ** 63, 7, 0, 2 ** 63 - 1, -5, 2,
+           2 ** 63 - 1, 0, 1]
+FUSED_G = [5, 2, 5, 9, 2, 5, 9, 2, 7, 5, 7, 2]
+
+#: Every condition compares an expression, not a bare column, so no range
+#: scan takes the place of the vectorized one.
+GROUPED = "SELECT g, count(*), sum(v), avg(v) FROM f WHERE k - g >= -4 " \
+    "GROUP BY g"
+GUARDED = "SELECT count(*), sum(k) FROM f WHERE v <> 0 AND k / v > 1"
+EMPTY = "SELECT count(*), sum(v), avg(v) FROM f WHERE k + g > 100"
+EMPTY_GROUPED = "SELECT g, count(*) FROM f WHERE k + g > 100 GROUP BY g"
+FUSED_QUERIES = [
+    "SELECT count(*), sum(v), avg(v), count(v) FROM f",
+    "SELECT sum(v), avg(k), count(g) FROM f",
+    "SELECT count(*), sum(v) FROM f WHERE k + g < 12",
+    GROUPED,
+    "SELECT g, k % 2, count(*), sum(v + k), avg(-k) FROM f GROUP BY g, k % 2",
+    GUARDED,
+    "SELECT g, sum(v) FROM f WHERE k * 2 > k + 3 AND g + 0 <> 7 GROUP BY g "
+    "HAVING count(*) > 1",
+    EMPTY,
+    EMPTY_GROUPED,
+]
+
+
+def _fused_table(db):
+    """``f(k, g, v)``: FROWS rows of exact ints, ``k`` the row number."""
+    db.execute("CREATE TABLE f(k int, g int, v int)")
+    table = db.catalog.tables["f"]
+    for row in zip(range(FROWS), FUSED_G, FUSED_V):
+        table.insert(row)
+    return table
+
+
+def _three_ways(db, monkeypatch, sql):
+    """The statement's outcome and the rows it fused, asserted equal (by
+    ``repr``) fused, on the per-kernel path and on the row engine."""
+    db.profiler.reset()
+    fused = _outcome(db, sql)
+    rows = db.profiler.counts["vector fused rows"]
+    with monkeypatch.context() as patch:
+        patch.setattr(vector.FusedAggregate, "table_columns",
+                      lambda self, facts: None)
+        db.profiler.reset()
+        assert _outcome(db, sql) == fused, sql
+        assert db.profiler.counts["vector fused rows"] == 0
+    return fused, rows
+
+
+class TestFusedAggregates:
+    @pytest.mark.parametrize("size", [1, 3, FROWS - 1, FROWS, FROWS + 1])
+    def test_fused_equals_per_kernel_equals_the_row_engine(
+            self, db, monkeypatch, size):
+        monkeypatch.setattr(vector, "BATCH_SIZE", size)
+        monkeypatch.setattr(vector, "FUSED_FOLD_BATCHES", 2)
+        _fused_table(db)
+        for sql in FUSED_QUERIES:
+            assert "Vectorized" in _explain(db, sql), sql
+            assert _three_ways(db, monkeypatch, sql)[1] == FROWS, sql
+        assert db.profiler.counts["vector fallbacks"] == 0
+
+    def test_exact_sums_past_int64_and_avg_over_ints(self, db, monkeypatch):
+        _fused_table(db)
+        outcome, _ = _three_ways(db, monkeypatch,
+                                 "SELECT sum(v), avg(v) FROM f")
+        assert outcome == repr([(sum(FUSED_V), sum(FUSED_V) / FROWS)])
+        assert sum(FUSED_V) > 2 ** 64
+
+    def test_empty_input(self, db, monkeypatch):
+        # Every batch is consumed, no row passes: one row of empty
+        # finals ungrouped, no row grouped.
+        _fused_table(db)
+        assert _three_ways(db, monkeypatch, EMPTY) \
+            == ("[(0, None, None)]", FROWS)
+        assert _three_ways(db, monkeypatch, EMPTY_GROUPED) == ("[]", FROWS)
+
+    @pytest.mark.parametrize("fold", [1, 2, vector.FUSED_FOLD_BATCHES])
+    @pytest.mark.parametrize("size", [1, 5, FROWS])
+    def test_groups_come_in_first_occurrence_order(self, db, monkeypatch,
+                                                   size, fold):
+        # Groups filed over several batches keep the order they first
+        # occurred in, folded every batch or every few.
+        monkeypatch.setattr(vector, "BATCH_SIZE", size)
+        monkeypatch.setattr(vector, "FUSED_FOLD_BATCHES", fold)
+        _fused_table(db)
+        outcome, _ = _three_ways(db, monkeypatch,
+                                 "SELECT g, count(*) FROM f GROUP BY g")
+        assert [g for g, _ in eval(outcome)] == [5, 2, 9, 7]
+
+    def test_a_guarded_division_does_not_raise(self, db, monkeypatch):
+        _fused_table(db)
+        assert _three_ways(db, monkeypatch, GUARDED) \
+            == ("[(2, 19)]", FROWS)
+
+    def test_an_unguarded_division_raises_the_row_engines_error(
+            self, db, monkeypatch):
+        _fused_table(db)
+        db.profiler.reset()
+        outcome, fused = _three_ways(db, monkeypatch,
+                                     "SELECT g, sum(k / 0) FROM f GROUP BY g")
+        assert outcome == "ExecutionError: division by zero"
+        assert fused == 0  # the first batch raised and fell back
+
+    def test_same_transaction_dml_is_seen_at_open(self, db):
+        _fused_table(db)
+        sql = "SELECT g, count(*), sum(v) FROM f WHERE k + g < 20 GROUP BY g"
+        conn = db.connect()
+        before = conn.execute(sql).rows
+        conn.execute("BEGIN")
+        conn.execute("UPDATE f SET v = v - 1 WHERE k + 0 = 1")
+        conn.execute("INSERT INTO f VALUES (3, 4, 100)")
+        inside = conn.execute(sql).rows
+        conn.execute("SET enable_vectorize = off")
+        assert conn.execute(sql).rows == inside != before
+        conn.execute("ROLLBACK")
+        conn.execute("RESET enable_vectorize")
+        db.profiler.reset()
+        assert conn.execute(sql).rows == before
+        assert db.profiler.counts["vector fused rows"] == FROWS
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT count(DISTINCT v), sum(k) FROM f WHERE k + g < 12",
+        "SELECT g, min(v), max(k) FROM f GROUP BY g",
+        "SELECT count(*), sum(f.v) FROM f JOIN f AS h ON f.k = h.g",
+        "SELECT count(*), sum(v) FROM f WHERE k + v < $1",
+        "SELECT count(*), sum(v / 2.0) FROM f",
+        # The positive-divisor template names its dividend twice.
+        "SELECT count(*), sum((k + g) / 2) FROM f",
+    ])
+    def test_other_shapes_take_the_per_kernel_path(self, db, monkeypatch,
+                                                    sql):
+        _fused_table(db)
+        db.execute("PREPARE p AS " + sql)
+        sql = "EXECUTE p (7)" if "$1" in sql else sql
+        assert _three_ways(db, monkeypatch, sql)[1] == 0
+        assert db.profiler.counts["vector batches"] > 0
+
+    def test_one_null_keeps_the_per_kernel_path_until_it_is_gone(
+            self, db, monkeypatch):
+        # The plan is cached; the snapshot's facts are asked at open.
+        _fused_table(db)
+        sql = GROUPED
+        assert _three_ways(db, monkeypatch, sql)[1] == FROWS
+        db.execute("UPDATE f SET v = NULL WHERE k + 0 = 3")
+        assert _three_ways(db, monkeypatch, sql)[1] == 0
+        db.execute("UPDATE f SET v = 1 WHERE k + 0 = 3")
+        assert _three_ways(db, monkeypatch, sql)[1] == FROWS
+
+    def test_one_compiled_loop_per_shape(self, db, monkeypatch):
+        # Literals are arguments of the generated loop, never its text: the
+        # ten variants of each shape share one compiled function.
+        _fused_table(db)
+        sources = []
+        real = vector._make
+
+        def recording(lines, names, kernel):
+            sources.append("\n".join(lines))
+            return real(lines, names, kernel)
+
+        monkeypatch.setattr(vector, "_make", recording)
+        vector._fused_form.cache_clear()
+        thresholds = [107 + 80 * i for i in range(10)]
+        db.profiler.reset()
+        for t in thresholds:
+            db.query_all(f"SELECT count(*), sum(v) FROM f WHERE k + v < {t}")
+            db.query_all(f"SELECT g, count(*), sum(v), avg(v) FROM f "
+                         f"WHERE k + v >= {t} GROUP BY g")
+        assert db.profiler.counts["vector fused rows"] == 20 * FROWS
+        assert vector._fused_form.cache_info().currsize == len(sources) == 2
+        for source in sources:
+            assert not any(str(t) in source for t in thresholds), source
