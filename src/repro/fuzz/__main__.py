@@ -19,9 +19,9 @@ from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
-                                VECTOR_FALLBACKS, VECTOR_FUSED_ROWS,
-                                VECTOR_JOIN_ROWS, VECTOR_ROWS,
-                                VECTOR_TYPED_ROWS, Profiler)
+                                MEMO_HITS, MEMO_MISSES, VECTOR_FALLBACKS,
+                                VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
+                                VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 
 from .chaos import check_chaos_case
 from .oracle import DifferentialChecker, check_txn_case
@@ -103,6 +103,7 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
               f" with a typed column, {counts[VECTOR_FUSED_ROWS]} fused, "
               f"{counts[VECTOR_FALLBACKS]} fallbacks), "
               f"{counts[VECTOR_JOIN_ROWS]} vector join rows, "
+              f"{counts[MEMO_HITS]} memo hits / {counts[MEMO_MISSES]} misses, "
               f"{counts[FUZZ_DISCREPANCIES]} discrepancies, "
               f"{failures} failing cases "
               f"in {time.monotonic() - started:.1f}s")

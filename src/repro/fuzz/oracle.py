@@ -48,9 +48,9 @@ from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
-                                VECTOR_FALLBACKS, VECTOR_FUSED_ROWS,
-                                VECTOR_JOIN_ROWS, VECTOR_ROWS,
-                                VECTOR_TYPED_ROWS, Profiler)
+                                MEMO_HITS, MEMO_MISSES, VECTOR_FALLBACKS,
+                                VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
+                                VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 from repro.sql.values import Row, row_sort_key
 
 from .datagen import data_sqlite_safe, value_sqlite_safe
@@ -435,7 +435,8 @@ class DifferentialChecker:
                     db, modification.table, handles[mi], loaded)
                 profiler.bump(FUZZ_EXECUTIONS)
         for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FUSED_ROWS,
-                        VECTOR_JOIN_ROWS, VECTOR_FALLBACKS):
+                        VECTOR_JOIN_ROWS, VECTOR_FALLBACKS, MEMO_HITS,
+                        MEMO_MISSES):
             profiler.bump(counter, db.profiler.counts[counter])
 
         discrepancies: list[Discrepancy] = []

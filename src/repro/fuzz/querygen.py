@@ -848,6 +848,27 @@ class QueryGen:
         return self._finish(body, None, len(items), function=fn.name)
 
 
+    def correlated_in(self) -> Query:
+        """``a.x [NOT] IN (SELECT z.v FROM t z WHERE z.k = a.k)``: probed
+        with one outer column, correlated on another, over tables whose
+        values repeat.  Outer rows sharing a key re-open the subquery with
+        different probes, so the memoized IN stops at a different row each
+        time, and a hit that wants more rows than an earlier open pulled
+        refills the prefix (executor/memo.py)."""
+        outer, inner = self._table(), self._table()
+        # Every generated table has an int column, so a pair exists.
+        pairs = [(o, c) for o in outer.columns for c in inner.columns
+                 if o.cls == c.cls]
+        key_outer, key_inner = self.rng.choice(pairs)
+        probe, value = self.rng.choice(pairs)
+        negate = " NOT" if self.rng.random() < 0.3 else ""
+        body = (f"SELECT a.{probe.name}, a.{key_outer.name}, "
+                f"(a.{probe.name}{negate} IN (SELECT z.{value.name} "
+                f"FROM {inner.name} z "
+                f"WHERE z.{key_inner.name} = a.{key_outer.name})) "
+                f"FROM {outer.name} a")
+        return self._finish(body, body, 3)
+
     # -- row-changing statements -----------------------------------------
 
     def modification(self, data: dict) -> Modification:
@@ -983,6 +1004,10 @@ $$ LANGUAGE plpgsql"""
 # ---------------------------------------------------------------------------
 
 
+#: Share of cases that end with a :meth:`QueryGen.correlated_in` query.
+CORRELATED_IN_SHARE = 0.3
+
+
 def case_seed(run_seed: int, index: int) -> int:
     """The per-case sub-seed: a pure function of (run seed, case index),
     so any case from a run is regenerable without replaying the run."""
@@ -1011,5 +1036,9 @@ def generate_case(run_seed: int, index: int,
     typed = null_free_table(rng, schema, data)
     if typed is not None:
         drawn += (qgen.typed_aggregate(typed),)
+    # ... and everything above what it was before a share of them carried
+    # a correlated IN over repeated keys.
+    if rng.random() < CORRELATED_IN_SHARE:
+        drawn += (qgen.correlated_in(),)
     return Case(seed=seed, schema=schema, data=data, functions=functions,
                 queries=drawn, modifications=modifications)

@@ -86,6 +86,8 @@ class FunctionRuntime:
         self.var_types = [type_name for _, type_name in variables]
         self.var_index = {name: i for i, name in enumerate(self.var_names)}
         self.scope = Scope([Relation(_VARS_REL, self.var_names)])
+        # Every embedded-query evaluation instantiates its plan anew.
+        self.scope.one_shot = True
         self._expr_cache: dict[int, CompiledPlExpr] = {}
         self._query_cache: dict[int, object] = {}
 
@@ -190,6 +192,7 @@ class Interpreter:
             for state in slots:
                 state.close()
             del slots
+            rt.release()
         finally:
             profiler.pop()
         return result
@@ -219,6 +222,7 @@ class Interpreter:
         try:
             state.close()
             del state
+            rt.release()
         finally:
             profiler.pop()
         return rows, list(plan.output_columns)

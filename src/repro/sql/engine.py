@@ -706,6 +706,7 @@ class Database:
         try:
             state.close()
             del state
+            rt.release()
         finally:
             profiler.pop()
         return Result(list(plan.output_columns), rows)

@@ -51,21 +51,9 @@ from ..expr import EvalContext, ExprCompiler, Relation, Scope
 from ..profiler import (BATCHED_UDF_BATCHES, BATCHED_UDF_DISTINCT,
                         BATCHED_UDF_ROWS, TRAMPOLINE_ITERATIONS,
                         TRAMPOLINE_WORKING_ROWS)
-from ..values import Row
+from ..values import representation_key
 from .base import call_site_lines
 from .scan import make_slots
-
-
-def _dedup_key(value):
-    """Hashable dedup key distinguishing *representations*, not just SQL
-    equality: ``f(5)`` and ``f(5.0)`` compare equal in SQL yet can produce
-    different results (integer vs float division), so unlike join keys the
-    argument dedup must never merge them."""
-    if isinstance(value, Row):
-        return ("row",) + tuple(_dedup_key(v) for v in value.values)
-    if isinstance(value, list):
-        return ("arr",) + tuple(_dedup_key(v) for v in value)
-    return (type(value).__name__, value)
 
 
 class BatchedUdfStagePlan:
@@ -125,7 +113,9 @@ class BatchedUdfStageState:
                 ctx = EvalContext(self.rt, vec, parent=outer,
                                   slots=self.slots)
                 values = tuple(arg(ctx) for arg in args)
-                key = tuple(_dedup_key(v) for v in values)
+                # By representation, not SQL equality: f(5) and f(5.0),
+                # f(0.0) and f(-0.0) may answer differently.
+                key = tuple(representation_key(v) for v in values)
                 index = seen.get(key)
                 if index is None:
                     index = len(batch_rows)

@@ -1,0 +1,206 @@
+"""Memoize: a re-opened subplan answers from the rows it produced before.
+
+A correlated subquery is re-opened (rescanned) once per outer row, and it
+recomputes its rows every time even when the outer values it reads repeat.
+The compiled ``walk`` re-opens three per trampoline step - the ``policy``
+lookup, the windowed ``actions`` derived table and the ``cells`` lookup -
+over outer values that take two dozen distinct values.  This is
+PostgreSQL 14's Memoize node, which caches a parameterized inner side by its
+parameter values, and the subquery result caching of Elhemali et al.
+("Execution strategies for SQL subqueries", SIGMOD 2007).  The planner puts
+it over a re-openable subquery (:meth:`repro.sql.planner.Planner.
+plan_subquery`) whose rows :func:`memoize` finds a function of the outer
+values it reads and of the tables it names.
+
+* **First open** passes straight through to the child: a subplan opened
+  once per instantiation never pays for a key.
+* **Key**: from the second open on, the outer columns the subquery reads,
+  recorded at plan time as ``(depth, relation, column)``, each value keyed
+  by representation (:func:`repro.sql.values.representation_key`, the
+  BatchedUdf argument dedup's key).
+* **Entries** hold the *pulled prefix* and whether the child ran dry: the
+  child is pulled only as far as a consumer asks (EXISTS one row, a scalar
+  subquery two, IN up to its first match), so nothing is evaluated that
+  the plain rescan would not evaluate.  A hit that wants more rows than
+  the prefix holds re-opens the child, skips the prefix and goes on
+  extending the entry.
+* **Errors** are never cached: an entry exists only once its child opened,
+  and a row that raised is in no prefix, so a hit re-raises it on reaching
+  it.
+* **Invalidation**: the entries are dropped when a table the subquery names
+  has moved its write counter since they were made.
+* **Bound**: :data:`MEMO_ENTRIES` per state; past it, misses go uncached.
+* **Release**: the tables are freed at ExecutorEnd
+  (:meth:`repro.sql.expr.RuntimeContext.release`), since expression slot
+  states are never closed.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .. import ast as A
+from ..astutil import walk
+from ..profiler import MEMO_HITS, MEMO_MISSES
+from ..values import representation_key
+from .base import Plan, PlanState
+
+#: Entries one Memoize state keeps, at most.  Module-level (not a GUC) so
+#: tests can sweep it - 0 caches nothing, the plan the memo must agree
+#: with; read where it is used, never copied.
+MEMO_ENTRIES = 256
+
+
+def memoize(plan: Plan, query: A.SelectStmt, reads: dict, catalog,
+            cte_env) -> Plan:
+    """*plan*, of the re-openable subquery *query*, under a MemoizePlan
+    keyed by *reads* (``(depth, rel_index, col_index)`` -> display name:
+    the outer columns it reads); *plan* itself when it reads none, or when
+    its rows may change while those do not: it calls something volatile
+    (``expr_is_volatile``, or a callee declared VOLATILE), a user function
+    that reads tables of its own (the memo watches only the tables *query*
+    names), or a CTE of the enclosing statement's *cte_env* (a recursive
+    working table changes under an unchanged key).  Names no catalog table
+    has are CTEs of *query*'s own WITH: a function of the key like the rest
+    of it."""
+    from ...analysis.volatility import expr_is_volatile, function_facts
+    if not reads or expr_is_volatile(query, catalog):
+        return plan
+    tables: set[str] = set()
+    for node in walk(query):
+        if isinstance(node, A.TableName):
+            name = node.name.lower()
+            if cte_env is not None and cte_env.lookup(name) is not None:
+                return plan
+            if name in catalog.tables:
+                tables.add(name)
+        elif isinstance(node, A.FuncCall):
+            fdef = catalog.get_function(node.name)
+            if fdef is not None and (
+                    fdef.declared_volatility == "volatile"
+                    or function_facts(fdef, catalog)[0] != "immutable"):
+                return plan
+    return MemoizePlan(plan, list(reads), list(reads.values()),
+                       sorted(tables))
+
+
+class MemoizePlan(Plan):
+    """A re-openable subplan, memoized by the outer values it reads.
+
+    ``keys`` are ``(depth, rel_index, col_index)``: the value sits in
+    ``rows[rel_index][col_index]`` of the context *depth* parents out from
+    the one the subplan is opened with.  ``tables`` names the base tables
+    whose write counters the entries depend on.
+    """
+
+    __slots__ = ("child", "keys", "key_names", "tables")
+
+    def __init__(self, child: Plan, keys, key_names, tables):
+        super().__init__(child.output_columns)
+        self.child = child
+        self.keys = tuple(keys)
+        self.key_names = tuple(key_names)
+        self.tables = tuple(tables)
+
+    def label(self) -> str:
+        return f"Memoize (keys: {', '.join(self.key_names)})"
+
+    def children(self) -> list[Plan]:
+        return [self.child]
+
+    def explain(self, indent: int = 0) -> str:
+        # A line above the child, which keeps its indent: EXPLAIN of a
+        # memoized plan is the plan's EXPLAIN plus this line.
+        return "\n".join(["  " * indent + "-> " + self.label(),
+                          self.child.explain(indent)])
+
+    def instantiate(self, rt, ictx=None) -> "MemoizeState":
+        return MemoizeState(rt, self, self.child.instantiate(rt, ictx))
+
+
+class MemoizeState(PlanState):
+    """``entries`` maps a key to ``[prefix rows, child ran dry]``; ``entry``
+    is the one this open serves (None: passing through), and ``live`` says
+    the child stands right after its prefix."""
+
+    __slots__ = ("plan", "child", "tables", "versions", "entries", "entry",
+                 "pos", "live", "outer", "opened")
+
+    def __init__(self, rt, plan: MemoizePlan, child: PlanState):
+        super().__init__(rt)
+        self.plan = plan
+        self.child = child
+        self.tables = [rt.catalog.get_table(name) for name in plan.tables]
+        self.versions: Optional[tuple] = None
+        self.entries: dict = {}
+        self.entry: Optional[list] = None
+        self.pos = 0
+        self.live = False
+        self.outer = None
+        self.opened = False
+        rt.memos.append(self)
+
+    def open(self, outer) -> None:
+        self.entry = None
+        if not self.opened:
+            self.opened = True
+            self.child.open(outer)
+            return
+        key = self._key(outer)
+        versions = tuple([table._version for table in self.tables])
+        if versions != self.versions:
+            self.entries.clear()
+            self.versions = versions
+        entry = self.entries.get(key)
+        if entry is None:
+            self.rt.db.profiler.bump(MEMO_MISSES)
+            self.child.open(outer)
+            entry = [[], False]
+            if len(self.entries) < MEMO_ENTRIES:
+                self.entries[key] = entry
+            self.live = True
+        else:
+            self.rt.db.profiler.bump(MEMO_HITS)
+            self.live = False
+        self.entry, self.pos, self.outer = entry, 0, outer
+
+    def _key(self, outer) -> tuple:
+        key = []
+        for depth, rel_index, col_index in self.plan.keys:
+            ctx = outer
+            for _ in range(depth):
+                ctx = ctx.parent
+            key.append(representation_key(ctx.rows[rel_index][col_index]))
+        return tuple(key)
+
+    def next(self) -> Optional[tuple]:
+        entry = self.entry
+        if entry is None:
+            return self.child.next()
+        rows, pos = entry[0], self.pos
+        if pos < len(rows):
+            self.pos = pos + 1
+            return rows[pos]
+        if entry[1]:
+            return None
+        if not self.live:
+            # Same outer values, same tables: the child makes the same
+            # rows again, so it resumes right after the prefix.
+            self.child.open(self.outer)
+            for _ in range(pos):
+                self.child.next()
+            self.live = True
+        row = self.child.next()
+        if row is None:
+            entry[1] = True
+            return None
+        rows.append(row)
+        self.pos = pos + 1
+        return row
+
+    def close(self) -> None:
+        self.child.close()
+
+    def release(self) -> None:
+        self.entries = {}
+        self.entry = self.outer = None

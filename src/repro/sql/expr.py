@@ -19,6 +19,7 @@ import ast as pyast
 import math
 import re
 import textwrap
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
@@ -43,9 +44,12 @@ class RuntimeContext:
     :mod:`repro.sql.cancel`) at instantiation time so executor hot loops
     can poll it with two attribute loads; outside any statement it falls
     back to a token nothing ever trips.
+
+    ``memos`` are the Memoize states instantiated under this context
+    (executor/memo.py); :meth:`release` frees their tables at ExecutorEnd.
     """
 
-    __slots__ = ("db", "params", "depth", "cancel")
+    __slots__ = ("db", "params", "depth", "cancel", "memos")
 
     def __init__(self, db: "Database", params: Sequence[Value] = ()):
         self.db = db
@@ -56,6 +60,7 @@ class RuntimeContext:
             from .cancel import NEVER_CANCELED
             cancel = NEVER_CANCELED
         self.cancel = cancel
+        self.memos: list = []
 
     @property
     def rng(self):
@@ -64,6 +69,14 @@ class RuntimeContext:
     @property
     def catalog(self):
         return self.db.catalog
+
+    def release(self) -> None:
+        """ExecutorEnd for what ``close`` does not reach: expression slot
+        states are never closed, so the memo tables they hold are freed
+        here, where the statement (or embedded-query evaluation) ends."""
+        for memo in self.memos:
+            memo.release()
+        self.memos.clear()
 
 
 class EvalContext:
@@ -104,7 +117,13 @@ class Scope:
     ``observer``, when set, is called with ``(rel_index, col_index)`` every
     time a name (from any nesting depth) resolves into *this* scope's
     relations — the planner's index-pushdown probe uses this to prove that
-    a key expression never touches the scanned relation.
+    a key expression never touches the scanned relation, and its subquery
+    planning to record the outer values a subquery reads.  Install one
+    with :meth:`observe`, which chains it after any already there.
+
+    ``one_shot`` marks a scope whose row is bound once per instantiation of
+    what is planned under it (the PL/pgSQL interpreter's variables): a
+    subquery whose outer scope it is opens once per ExecutorStart.
     """
 
     def __init__(self, relations: Sequence[Relation],
@@ -112,9 +131,26 @@ class Scope:
         self.relations = list(relations)
         self.parent = parent
         self.observer = None
+        self.one_shot = False
 
     def child(self, relations: Sequence[Relation]) -> "Scope":
         return Scope(relations, parent=self)
+
+    @contextmanager
+    def observe(self, observer: Callable[[int, int], None]):
+        """Call *observer* too while the block runs."""
+        previous = self.observer
+        if previous is None:
+            self.observer = observer
+        else:
+            def both(rel_index: int, col_index: int) -> None:
+                previous(rel_index, col_index)
+                observer(rel_index, col_index)
+            self.observer = both
+        try:
+            yield
+        finally:
+            self.observer = previous
 
     def resolve(self, parts: tuple[str, ...]):
         """Resolve a (possibly qualified) name to
@@ -709,7 +745,7 @@ class ExprCompiler:
         # while this depth is nonzero.
         self.planner.expr_subquery_depth += 1
         try:
-            return self.planner.plan_select(query, outer_scope=self.scope)
+            return self.planner.plan_subquery(query, self.scope)
         finally:
             self.planner.expr_subquery_depth -= 1
 

@@ -21,6 +21,8 @@ Highlights:
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ast as A
@@ -33,6 +35,7 @@ from .executor.base import Plan
 from .executor.batched_udf import BatchedUdfStagePlan, compile_machine
 from .executor.fromtree import FromJoinPlan, FromLeafPlan, FromNodePlan
 from .executor.hashjoin import HashJoinPlan
+from .executor.memo import memoize
 from .executor.modify import DeletePlan, InsertPlan, UpdatePlan
 from .executor.recursion import CteDef, CTEScanPlan, SelectStmtPlan
 from .executor.scan import (IndexRangeScanPlan, OneRowPlan, RowExpandPlan,
@@ -195,6 +198,31 @@ class Planner:
         if cte_defs:
             plan = SelectStmtPlan(cte_defs, plan)
         return plan
+
+    def plan_subquery(self, query: A.SelectStmt,
+                      outer_scope: Optional[Scope]) -> Plan:
+        """The plan of a subquery its consumer re-opens per outer row: an
+        expression subquery (ExprCompiler._plan_subquery) or a FROM
+        subquery, LATERAL or not.
+
+        It comes wrapped in a :class:`~.executor.memo.MemoizePlan` keyed by
+        the outer columns it reads (recorded through ``Scope.observe`` on
+        every scope of *outer_scope*'s chain) when
+        :func:`~.executor.memo.memoize` finds its rows a function of those
+        and of the tables it names, and *outer_scope* is not ``one_shot``
+        (the PL/pgSQL interpreter's embedded query opens once per
+        instantiation, where a memo could only cost)."""
+        if outer_scope is None or outer_scope.one_shot:
+            return self.plan_select(query, outer_scope=outer_scope)
+        reads: dict[tuple[int, int, int], str] = {}
+        with ExitStack() as stack:
+            scope, depth = outer_scope, 0
+            while scope is not None:
+                stack.enter_context(scope.observe(
+                    partial(_record_read, reads, depth, scope)))
+                scope, depth = scope.parent, depth + 1
+            plan = self.plan_select(query, outer_scope=outer_scope)
+        return memoize(plan, query, reads, self.catalog, self._cte_env)
 
     def _plan_query_tail(self, stmt: A.SelectStmt,
                          outer_scope: Optional[Scope]) -> Plan:
@@ -601,7 +629,7 @@ class Planner:
                                                parent=outer_scope)
         else:
             sub_outer = outer_scope
-        subplan = self.plan_select(ref.query, outer_scope=sub_outer)
+        subplan = self.plan_subquery(ref.query, sub_outer)
         columns = list(subplan.output_columns)
         if ref.column_aliases:
             aliases = [c.lower() for c in ref.column_aliases]
@@ -866,13 +894,11 @@ class Planner:
             """Compile *value_side* when it provably never reads the
             scanned relation; None otherwise."""
             hits: list = []
-            scope.observer = lambda rel, col: hits.append((rel, col))
             try:
-                compiled = compiler.compile(value_side)
+                with scope.observe(lambda rel, col: hits.append((rel, col))):
+                    compiled = compiler.compile(value_side)
             except NameResolutionError:
                 return None
-            finally:
-                scope.observer = None
             return None if hits else compiled
 
         for conjunct in conjuncts:
@@ -1343,6 +1369,16 @@ class Planner:
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _record_read(reads: dict, depth: int, scope: Scope, rel_index: int,
+                 col_index: int) -> None:
+    """``Scope.observe`` callback of :meth:`Planner.plan_subquery`: a name
+    resolved into *scope*, *depth* scopes out from the subquery's outer
+    scope; keeps its display name."""
+    relation = scope.relations[rel_index]
+    reads.setdefault((depth, rel_index, col_index),
+                     f"{relation.alias}.{relation.columns[col_index]}")
 
 
 def _sort_item_target(expr: A.Expr, items: list, aliases: list):

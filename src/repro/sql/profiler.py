@@ -135,6 +135,12 @@ VECTOR_TYPED_ROWS = "vector typed rows"
 VECTOR_FUSED_ROWS = "vector fused rows"
 VECTOR_JOIN_ROWS = "vector join rows"
 VECTOR_FALLBACKS = "vector fallbacks"
+#: Memoized subplans (executor/memo.py): a re-open of a Memoize node is a
+#: "hit" when an earlier open with the same outer values left rows to
+#: serve, else a "miss" that runs its child.  The first open of each
+#: Memoize state passes straight through and counts as neither.
+MEMO_HITS = "memo hits"
+MEMO_MISSES = "memo misses"
 #: Resource governance: statements killed by the cooperative cancel token
 #: (wire CancelRequest, statement_timeout, interpreter budget), WAL logs
 #: compacted to a snapshot prefix (CHECKPOINT or the auto-checkpoint

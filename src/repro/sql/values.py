@@ -399,3 +399,21 @@ def hashable_value(value: Value):
 
 def hashable_row(row) -> tuple:
     return tuple(hashable_value(v) for v in row)
+
+
+def representation_key(value: Value):
+    """A hashable key telling apart any two values a function could tell
+    apart, where :func:`hashable_value` keeps only SQL equality classes:
+    ``5`` and ``5.0`` compare equal yet divide differently, ``0.0`` and
+    ``-0.0`` compare equal yet cast to different text, and rows equal by
+    value may name their fields differently.  Whatever shares one result
+    among equal inputs - the BatchedUdf argument dedup, the Memoize node's
+    outer-value key (executor/memo.py) - keys by this."""
+    if isinstance(value, Row):
+        return (("row", value.names)
+                + tuple(representation_key(v) for v in value.values))
+    if isinstance(value, list):
+        return ("arr",) + tuple(representation_key(v) for v in value)
+    if type(value) is float:
+        return ("float", value.hex())  # signs its zero; one NaN
+    return (type(value).__name__, value)

@@ -73,14 +73,17 @@ class TestGeneratorDeterminism:
 class TestSmokeSweep:
     def test_fifty_cases_clean_across_matrix(self):
         # The sweep reaches the fused aggregate loops, so row = fused is
-        # among what it checks (datagen.null_free_table).
+        # among what it checks (datagen.null_free_table), and it answers
+        # re-opened subqueries from the memo, which the SQLite twin
+        # checks without one.
         from repro.fuzz.__main__ import run_fuzz
-        from repro.sql.profiler import VECTOR_FUSED_ROWS, Profiler
+        from repro.sql.profiler import MEMO_HITS, VECTOR_FUSED_ROWS, Profiler
         profiler = Profiler()
         failures = run_fuzz(seed=0, cases=50, reduce_failures=False,
                             emit_dir=None, verbose=False, profiler=profiler)
         assert failures == 0
         assert profiler.counts[VECTOR_FUSED_ROWS] > 0
+        assert profiler.counts[MEMO_HITS] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,353 @@
+"""Memoized subplans (executor/memo.py): memo = no memo.
+
+Every statement runs twice - with the Memoize states' capacity at its
+default and at 0, where a state caches nothing and every re-open runs the
+child as before - and the two outcomes must agree by ``repr``, row order
+included, errors by class and message.  Beside that: where the planner
+wraps (correlated, nothing volatile, base tables only, not the PL/pgSQL
+interpreter's own embedded query), the prefix semantics (a hit pulls what
+the consumer pulls, a longer pull refills), invalidation by a write in the
+same statement, signed-zero keys, release at ExecutorEnd, and the
+BatchedUdf argument dedup that shares the memo's key function.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.sql import Database
+from repro.sql.catalog import FunctionDef
+from repro.sql.errors import SqlError
+from repro.sql.executor import memo
+from repro.sql.profiler import (MEMO_HITS, MEMO_MISSES, PLAN_INSTANTIATIONS,
+                                SWITCH_F_TO_Q, TRAMPOLINE_ITERATIONS)
+
+
+def outcome(db: Database, sql: str, before: str = ""):
+    if before:
+        db.execute(before)
+    db.profiler.reset()
+    try:
+        return repr(db.query_all(sql))
+    except SqlError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def memo_equals_no_memo(db: Database, sql: str, monkeypatch,
+                        before: str = "") -> dict:
+    """Run *sql* (after *before*) with and without the memo; assert the
+    outcomes agree and return the memo counters of the run with it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(memo, "MEMO_ENTRIES", 0)
+        without = outcome(db, sql, before)
+    with_memo = outcome(db, sql, before)
+    counts = {name: db.profiler.counts[name]
+              for name in (MEMO_HITS, MEMO_MISSES)}
+    assert with_memo == without, (sql, with_memo, without)
+    return counts
+
+
+@pytest.fixture()
+def kdb() -> Database:
+    """t: twelve outer rows over three keys; u: three rows per key."""
+    db = Database(seed=0)
+    db.execute("CREATE TABLE t(id int, k int, x int)")
+    db.execute("CREATE TABLE u(k int, v int, name text)")
+    db.execute("INSERT INTO t VALUES " + ", ".join(
+        f"({i}, {i % 3}, {i % 5})" for i in range(12)))
+    db.execute("INSERT INTO u VALUES " + ", ".join(
+        f"({k}, {v}, 'n{k}{v}')" for k in range(3) for v in range(4)
+        if v != k))
+    return db
+
+
+SHAPES = {
+    "scalar": "SELECT t.id, (SELECT sum(u.v) FROM u WHERE u.k = t.k) "
+              "FROM t ORDER BY t.id",
+    "exists": "SELECT t.id FROM t WHERE EXISTS "
+              "(SELECT 1 FROM u WHERE u.k = t.k AND u.v > 1) ORDER BY 1",
+    "derived window": "SELECT t.id, (SELECT max(w.r * w.v) FROM "
+                      "(SELECT u.v, row_number() OVER (ORDER BY u.v DESC) "
+                      "AS r FROM u WHERE u.k = t.k) AS w) FROM t",
+    "derived aggregate": "SELECT t.id, (SELECT s.n + s.m FROM "
+                         "(SELECT count(*) AS n, max(u.v) AS m FROM u "
+                         "WHERE u.k = t.k) AS s) FROM t",
+    "lateral": "SELECT t.id, s.name FROM t, LATERAL (SELECT u.name FROM u "
+               "WHERE u.k = t.k ORDER BY u.v LIMIT 2) AS s",
+    # The inner subquery reads t.k one scope further out than u2.v.
+    "nested": "SELECT t.id, (SELECT max(u2.v * 10 + (SELECT sum(u.v) FROM u "
+              "WHERE u.k = t.k AND u.v <> u2.v)) FROM u AS u2 "
+              "WHERE u2.k = 0) FROM t",
+    "in": "SELECT t.id, t.x IN (SELECT u.v FROM u WHERE u.k = t.k) FROM t",
+    "not in": "SELECT t.id, t.x NOT IN (SELECT u.v FROM u WHERE u.k = t.k) "
+              "FROM t",
+}
+
+
+class TestMemoEqualsNoMemo:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape(self, kdb, monkeypatch, shape):
+        counts = memo_equals_no_memo(kdb, SHAPES[shape], monkeypatch)
+        assert counts[MEMO_HITS] > 0, shape
+
+    def test_lateral_source_shows_in_explain(self, kdb):
+        plan = kdb.explain(SHAPES["lateral"])
+        assert "-> Memoize (keys: t.k)" in plan
+        lines = plan.splitlines()
+        at = next(i for i, line in enumerate(lines) if "Memoize" in line)
+        # A line added above the child, which keeps its indent.
+        assert lines[at + 1].index("->") == lines[at].index("->")
+
+    def test_in_refills_the_prefix(self, kdb, monkeypatch):
+        """Rows sharing a key probe different values: a hit that wants
+        more rows than an earlier open pulled re-opens the child past the
+        prefix.  Key 0 holds v = 1, 2, 3.  The first open passes through;
+        probe 1 misses and stops at the first row, probe 4 wants all three
+        (a refill after one row), 2 and 3 are served from the prefix."""
+        kdb.execute("DELETE FROM t")
+        kdb.execute("INSERT INTO t VALUES (0, 0, 1), (1, 0, 1), (2, 0, 4), "
+                    "(3, 0, 2), (4, 0, 3)")
+        refills = []
+        original = memo.MemoizeState.next
+
+        def counting(state):
+            entry = state.entry
+            if entry is not None and not state.live and not entry[1] \
+                    and state.pos == len(entry[0]):
+                refills.append(state.pos)
+            return original(state)
+
+        # IN reads duplicates like the rows they repeat, so the entry the
+        # refill leaves is checked itself, as ExecutorEnd finds it.
+        entries = []
+        release = memo.MemoizeState.release
+
+        def keep_entries(state):
+            entries.append(dict(state.entries))
+            release(state)
+
+        monkeypatch.setattr(memo.MemoizeState, "next", counting)
+        monkeypatch.setattr(memo.MemoizeState, "release", keep_entries)
+        counts = memo_equals_no_memo(kdb, SHAPES["in"], monkeypatch)
+        assert refills == [1]
+        assert counts == {MEMO_HITS: 3, MEMO_MISSES: 1}
+        assert entries[-1] == {(("int", 0),): [[(1,), (2,), (3,)], True]}
+        assert kdb.query_all(SHAPES["in"]) == [
+            (0, True), (1, True), (2, False), (3, True), (4, True)]
+
+    def test_laziness_survives_hits(self, kdb, monkeypatch):
+        """EXISTS stops at its first row with or without the memo, so the
+        division by zero in a later row raises exactly when it did."""
+        kdb.execute("INSERT INTO u VALUES (0, 20, 'z'), (1, 20, 'z')")
+        stops = ("SELECT t.id FROM t WHERE EXISTS (SELECT 1 FROM u "
+                 "WHERE u.k = t.k AND 100 / (u.v - 20) < 0) ORDER BY 1")
+        assert memo_equals_no_memo(kdb, stops, monkeypatch)[MEMO_HITS] > 0
+        assert "division by zero" not in outcome(kdb, stops)
+        raises = ("SELECT t.id, t.x IN (SELECT 100 / (u.v - 20) FROM u "
+                  "WHERE u.k = t.k) FROM t")
+        memo_equals_no_memo(kdb, raises, monkeypatch)
+        assert "division by zero" in outcome(kdb, raises)
+
+    def test_signed_zero_keys(self, monkeypatch):
+        db = Database(seed=0)
+        db.execute("CREATE TABLE z(id int, f float)")
+        db.execute("INSERT INTO z VALUES (1, 0.0), (2, -0.0), (3, 0.0), "
+                   "(4, -0.0)")
+        db.execute("CREATE TABLE one(n int)")
+        db.execute("INSERT INTO one VALUES (1)")
+        sql = ("SELECT z.id, (SELECT CAST(z.f AS text) FROM one "
+               "WHERE one.n = 1) FROM z")
+        # The first open passes through: 0.0 misses once, -0.0 hits once.
+        counts = memo_equals_no_memo(db, sql, monkeypatch)
+        assert counts == {MEMO_HITS: 1, MEMO_MISSES: 2}
+        assert db.query_all(sql) == [(1, "0.0"), (2, "-0.0"), (3, "0.0"),
+                                     (4, "-0.0")]
+
+
+class TestWhereItWraps:
+    def counts(self, db, sql) -> tuple[int, int]:
+        outcome(db, sql)
+        return db.profiler.counts[MEMO_HITS], db.profiler.counts[MEMO_MISSES]
+
+    def test_uncorrelated_subquery_is_not_wrapped(self, kdb):
+        sql = "SELECT t.id, (SELECT max(u.v) FROM u) FROM t"
+        assert self.counts(kdb, sql) == (0, 0)
+
+    def test_random_is_not_memoized(self, kdb):
+        sql = ("SELECT t.id, (SELECT sum(u.v) + random() FROM u "
+               "WHERE u.k = t.k) FROM t")
+        assert self.counts(kdb, sql) == (0, 0)
+
+    def test_declared_volatile_callee_is_not_memoized(self, kdb):
+        kdb.execute("CREATE FUNCTION twice(n int) RETURNS int AS $$ "
+                    "BEGIN RETURN n * 2; END; $$ LANGUAGE plpgsql VOLATILE")
+        sql = ("SELECT t.id, (SELECT sum(twice(u.v)) FROM u "
+               "WHERE u.k = t.k) FROM t")
+        assert self.counts(kdb, sql) == (0, 0)
+        kdb.execute("DROP FUNCTION twice")
+        kdb.execute("CREATE FUNCTION twice(n int) RETURNS int AS $$ "
+                    "BEGIN RETURN n * 2; END; $$ LANGUAGE plpgsql")
+        assert self.counts(kdb, sql)[0] > 0
+
+    def test_callee_reading_a_table_is_not_memoized(self, kdb):
+        kdb.execute("CREATE FUNCTION size() RETURNS int AS $$ "
+                    "BEGIN RETURN (SELECT count(*) FROM t); END; $$ "
+                    "LANGUAGE plpgsql")
+        sql = ("SELECT t.id, (SELECT sum(u.v) + size() FROM u "
+               "WHERE u.k = t.k) FROM t")
+        assert self.counts(kdb, sql) == (0, 0)
+
+    def test_subquery_reading_a_cte_is_not_memoized(self, kdb):
+        sql = ("WITH c AS (SELECT u.k, u.v FROM u) SELECT t.id, "
+               "(SELECT sum(c.v) FROM c WHERE c.k = t.k) FROM t")
+        assert self.counts(kdb, sql) == (0, 0)
+        own = ("SELECT t.id, (WITH c AS (SELECT u.k, u.v FROM u) "
+               "SELECT sum(c.v) FROM c WHERE c.k = t.k) FROM t")
+        assert self.counts(kdb, own)[0] > 0
+
+    def test_write_in_the_same_statement_invalidates(self, kdb,
+                                                     monkeypatch):
+        """A callee that INSERTs into the memoized table (a Python builtin:
+        PL/pgSQL here has no INSERT) runs before the subquery on every
+        row.  The statement's snapshot does not see its own writes, so the
+        counts hold either way; each write still drops the entries (not
+        one hit), which keeps a hit from serving rows of a table state
+        that has since changed."""
+        target = ["u"]
+
+        def add_row(rt, k):
+            rt.catalog.get_table(target[0]).insert((k, 100, "new"))
+            return k
+
+        kdb.catalog.register_function(FunctionDef(
+            name="add_row", kind="builtin", param_names=["k"],
+            param_types=["int"], impl=add_row,
+            declared_volatility="volatile"))
+        kdb.execute("CREATE TABLE other(k int, v int, name text)")
+        sql = ("SELECT t.id, add_row(t.k), (SELECT count(*) FROM u "
+               "WHERE u.k = t.k) FROM t")
+        reset = "DELETE FROM u WHERE name = 'new'"
+        assert memo_equals_no_memo(kdb, sql, monkeypatch,
+                                   reset)[MEMO_HITS] == 0
+        assert outcome(kdb, sql, reset) == repr(
+            [(i, i % 3, 3) for i in range(12)])
+        assert kdb.query_all("SELECT count(*) FROM u") == [(21,)]
+        target[0] = "other"
+        assert memo_equals_no_memo(kdb, sql, monkeypatch,
+                                   reset)[MEMO_HITS] > 0
+
+
+@pytest.fixture()
+def instantiated(monkeypatch) -> list:
+    """Every Memoize state instantiated while the test runs."""
+    states = []
+    original = memo.MemoizePlan.instantiate
+
+    def keep(plan, rt, ictx=None):
+        state = original(plan, rt, ictx)
+        states.append(state)
+        return state
+
+    monkeypatch.setattr(memo.MemoizePlan, "instantiate", keep)
+    return states
+
+
+def test_tables_are_freed_at_executor_end(kdb, instantiated):
+    kdb.profiler.reset()
+    kdb.query_all(SHAPES["scalar"])
+    assert kdb.profiler.counts[MEMO_HITS] > 0
+    assert instantiated
+    for state in instantiated:
+        assert state.entries == {} and state.outer is None
+        assert state.rt.memos == []
+
+
+WALK = "SELECT c.id, {f}(row(0,0)::coord, 20, -20, 32) FROM calls AS c"
+
+
+@pytest.fixture(scope="module")
+def robot() -> Database:
+    from repro.compiler import compile_plsql
+    from repro.workloads.loader import WORKLOADS
+    from repro.workloads.robot import setup_robot
+    db = Database(seed=0)
+    setup_robot(db)
+    compile_plsql(WORKLOADS["walk"], db).register(db, name="walk_c")
+    db.execute("CREATE TABLE calls(id int)")
+    db.execute("INSERT INTO calls VALUES (0), (1)")
+    return db
+
+
+def walk_counts(db, function: str, monkeypatch, entries: int):
+    with monkeypatch.context() as patch:
+        patch.setattr(memo, "MEMO_ENTRIES", entries)
+        db.reseed(5)
+        db.profiler.reset()
+        rows = db.query_all(WALK.format(f=function))
+        counts = dict(db.profiler.counts)
+        draw = db.query_all("SELECT random()")
+    return rows, draw, counts
+
+
+class TestWalk:
+    def test_machine_memo_equals_no_memo(self, robot, monkeypatch):
+        rows, draw, counts = walk_counts(robot, "walk_c", monkeypatch,
+                                         memo.MEMO_ENTRIES)
+        rows0, draw0, counts0 = walk_counts(robot, "walk_c", monkeypatch, 0)
+        assert (rows, draw) == (rows0, draw0)
+        assert counts[TRAMPOLINE_ITERATIONS] == counts0[TRAMPOLINE_ITERATIONS]
+        assert counts[MEMO_HITS] > counts[MEMO_MISSES] // 2 > 0
+
+    def test_inlined_qf_memo_equals_no_memo(self, robot, monkeypatch):
+        robot.execute("SET batch_compiled = off")
+        try:
+            rows, draw, counts = walk_counts(robot, "walk_c", monkeypatch,
+                                             memo.MEMO_ENTRIES)
+            rows0, draw0, _ = walk_counts(robot, "walk_c", monkeypatch, 0)
+        finally:
+            robot.execute("RESET batch_compiled")
+        assert (rows, draw) == (rows0, draw0)
+        assert counts[MEMO_HITS] > 0
+
+    def test_interpreter_counts_are_untouched(self, robot, monkeypatch,
+                                              instantiated):
+        """Table 1's f->Q switches and plan instantiations: the
+        interpreter's embedded queries instantiate per evaluation and are
+        never wrapped, so nothing about them moves."""
+        rows, draw, counts = walk_counts(robot, "walk", monkeypatch,
+                                         memo.MEMO_ENTRIES)
+        rows0, draw0, counts0 = walk_counts(robot, "walk", monkeypatch, 0)
+        assert (rows, draw) == (rows0, draw0)
+        for name in (PLAN_INSTANTIATIONS, SWITCH_F_TO_Q):
+            assert counts[name] == counts0[name] > 0
+        assert instantiated == []
+
+
+GFLOAT = """CREATE FUNCTION g(x float) RETURNS text AS $$
+DECLARE i int = 0;
+BEGIN
+  WHILE i < 2 LOOP
+    i = i + 1;
+  END LOOP;
+  RETURN CAST(x AS text);
+END;
+$$ LANGUAGE plpgsql"""
+
+
+def test_batched_udf_keeps_signed_zeros_apart():
+    """The BatchedUdf argument dedup keyed 0.0 and -0.0 alike, so every
+    row got the first one's '0.0'; the interpreter and the inlined Qf
+    answer '-0.0' for rows 2 and 4."""
+    from repro.compiler import compile_plsql
+    db = Database(seed=0)
+    db.execute(GFLOAT)
+    compile_plsql(GFLOAT, db).register(db, name="g_c")
+    db.execute("CREATE TABLE zs(id int, x float)")
+    db.execute("INSERT INTO zs VALUES (1, 0.0), (2, -0.0), (3, 0.0), "
+               "(4, -0.0)")
+    expected = [(1, "0.0"), (2, "-0.0"), (3, "0.0"), (4, "-0.0")]
+    assert "BatchedUdf g_c(x)" in db.explain("SELECT id, g_c(x) FROM zs")
+    assert db.query_all("SELECT id, g_c(x) FROM zs") == expected
+    assert db.query_all("SELECT id, g(x) FROM zs") == expected
+    db.execute("SET batch_compiled = off")
+    assert db.query_all("SELECT id, g_c(x) FROM zs") == expected
