@@ -1,38 +1,31 @@
-"""Volatility inference widening batched-UDF execution, plus analyzer cost.
+"""Volatility inference at a compiled call site, plus analyzer cost.
 
-Before the static analyzer, the planner's batching eligibility test
-(``planner._batchable``) had to treat any user-defined call in argument
-position as potentially volatile: ``SELECT f_c(g(x)) FROM t`` could not
-share one trampoline even when ``g`` was a one-line pure helper, because
-nothing could *prove* it pure.  Volatility inference
-(repro.analysis.volatility) closes that gap: ``g``'s body is classified
-IMMUTABLE / no-raise / no-loop, ``column_bindings`` accepts the argument
-expression, and the loop-heavy outer function runs as one set-oriented
-trampoline with argument dedup (20 distinct arguments over 10k rows).
+Before the call memo, the planner decided per call site whether a
+compiled call could move into a set-oriented stage, and a user-defined
+call in argument position blocked that unless the analyzer proved it
+pure: ``SELECT f_c(g(x)) FROM t`` ran one activation per row when ``g``
+was pinned VOLATILE and one shared trampoline when inference showed it
+IMMUTABLE.  Every site now evaluates its arguments in place, on every
+row, exactly where the row engine evaluates the call, so the argument's
+volatility class decides nothing: what a site's memo keys on are the
+argument *values*, and whether it keeps one at all depends on the callee
+(``f``), not on its arguments.
 
-The A/B here isolates exactly that knowledge.  Both variants run the
-same query with batching enabled; the baseline pins ``g`` to VOLATILE
-(the planner's only safe assumption pre-analyzer), the contender lets
-inference run.  The only difference between the two plans is whether
-the analyzer's verdict widened batching.
-
-The pessimistic side is not the inlined ``WITH RECURSIVE`` per row: a
-site that may not batch runs one activation of the same machine rules per
-row (350-450 ms here, against 120-140 ms batched and deduplicated), which is
-why the ratio was a loose 2x and why both absolute times are printed
-(``benchmarks/README.md`` has the history of the gate).
+The A/B here therefore checks that the knowledge no longer matters.  Both
+variants run the same query; the baseline pins ``g`` to VOLATILE (the
+planner's only safe assumption pre-analyzer), the contender lets inference
+run.
 
 **Gated: the structural facts**, which do not depend on the host —
-EXPLAIN shows ``BatchedUdf`` with ``volatility=immutable`` for the widened
-plan and a per-call ``Trampoline`` for the pessimistic one; both plans
-return identical results; and one profiled execution of each runs one
-trampoline for the whole statement when widened (one batch of all rows,
-20 activations, at most 25 lock-step iterations) and none when
-pessimistic.
+EXPLAIN shows the per-call ``Trampoline`` with ``volatility=immutable``
+(``f``'s class) in both variants, both return identical rows, and one
+profiled execution of each makes 10,000 calls and runs 20 activations
+(one per distinct argument value).
 
-**Reported** — the widened-vs-pessimistic time ratio (once gated at
->= 2x) and the analyzer's cost: a full ``CHECK FUNCTION ALL`` sweep over
-the paper workloads, per function (once gated at < 500 ms).
+**Reported** — both times and their ratio (once gated at >= 2x, when it
+measured the widened batching), and the analyzer's cost: a full
+``CHECK FUNCTION ALL`` sweep over the paper workloads, per function (once
+gated at < 500 ms).
 """
 
 from __future__ import annotations
@@ -43,12 +36,11 @@ from repro.analysis import analyze_function
 from repro.bench.harness import counted, render_table, time_query
 from repro.compiler import compile_plsql
 from repro.sql import Database
-from repro.sql.profiler import (BATCHED_UDF_BATCHES, BATCHED_UDF_DISTINCT,
-                                BATCHED_UDF_ROWS, TRAMPOLINE_ITERATIONS)
+from repro.sql.profiler import BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS
 
 ROWS = 10_000
 
-#: The loop-heavy outer function (compiled; carries a batched Qf).
+#: The loop-heavy outer function (compiled; runs on the machine).
 OUTER = """
 CREATE FUNCTION tetra(n int) RETURNS int AS $$
 DECLARE s int := 0; q int := 0; i int := 1;
@@ -99,40 +91,32 @@ def _timed(db: Database, runs: int = 3) -> float:
     return time_query(db, QUERY, runs=runs, warmup=1).minimum
 
 
-def test_inferred_volatility_widens_batching(write_artifact, write_json,
+def test_argument_volatility_decides_nothing(write_artifact, write_json,
                                              benchmark, demo):
     db = _build_db()
+    explains, results, counts = {}, {}, {}
+    # Pessimistic: helper assumed volatile (pre-analyzer rule); inferred:
+    # the analyzer proves it pure.
+    for variant, declared in (("pessimistic", "volatile"),
+                              ("inferred", None)):
+        _set_inner_volatility(db, declared)
+        explains[variant] = db.explain(QUERY)
+        results[variant] = db.query_all(QUERY)
+        counts[variant] = counted(db, QUERY)
 
-    # Pessimistic baseline: helper assumed volatile (pre-analyzer rule).
+    # The gate: the same site, the same rows, the same activations.
+    for variant, plan in explains.items():
+        assert "Trampoline tetra_c(<expr>)  [machine, per call; " \
+            "volatility=immutable]" in plan, variant
+        assert counts[variant].get(BATCHED_UDF_ROWS) == ROWS, variant
+        assert counts[variant].get(BATCHED_UDF_DISTINCT) == 20, variant
+    assert results["pessimistic"] == results["inferred"]
+
     _set_inner_volatility(db, "volatile")
-    explain_pessimistic = db.explain(QUERY)
-    pessimistic_rows = db.query_all(QUERY)
-    assert "BatchedUdf" not in explain_pessimistic
-    assert "Trampoline tetra_c(<expr>)  [machine, per call" \
-        in explain_pessimistic
-
-    # Widened: inference proves the helper pure; the call site batches.
+    pessimistic_s = _timed(db)
     _set_inner_volatility(db, None)
-    explain_widened = db.explain(QUERY)
-    widened_rows = db.query_all(QUERY)
-    assert "BatchedUdf" in explain_widened
-    assert "volatility=immutable" in explain_widened
-    assert widened_rows == pessimistic_rows
-
-    # The gate: one trampoline per statement when widened, none (one
-    # activation per row) when pessimistic.
-    widened = counted(db, QUERY)
-    assert widened.get(BATCHED_UDF_BATCHES) == 1
-    assert widened.get(BATCHED_UDF_ROWS) == ROWS
-    assert widened.get(BATCHED_UDF_DISTINCT) == 20
-    assert widened.get(TRAMPOLINE_ITERATIONS, 0) <= 25
-    _set_inner_volatility(db, "volatile")
-    assert counted(db, QUERY).get(BATCHED_UDF_BATCHES, 0) == 0
-
-    pessimistic_s = _timed(db, runs=1)
-    _set_inner_volatility(db, None)
-    widened_s = _timed(db)
-    speedup = pessimistic_s / widened_s
+    inferred_s = _timed(db)
+    ratio = pessimistic_s / inferred_s
 
     # Analyzer cost: a full diagnostic sweep over the paper workloads.
     functions = [fdef for fdef in demo.db.catalog.functions.values()
@@ -147,35 +131,34 @@ def test_inferred_volatility_widens_batching(write_artifact, write_json,
     per_function_s = sweep_s / len(functions)
 
     rows = [
-        ["per-call machine (helper assumed volatile)",
-         round(pessimistic_s * 1000, 1)],
-        ["batched via inferred purity", round(widened_s * 1000, 1)],
-        ["speedup (widened vs pessimistic)", round(speedup, 1)],
+        ["helper assumed volatile", round(pessimistic_s * 1000, 1)],
+        ["helper inferred immutable", round(inferred_s * 1000, 1)],
+        ["ratio (pessimistic / inferred)", round(ratio, 2)],
         ["functions analyzed / diagnostics",
          f"{len(functions)} / {diagnostics}"],
         ["analyzer ms per function", round(per_function_s * 1000, 2)],
     ]
     write_artifact("bench_analysis.txt", render_table(
         ["variant", "ms (min) / count"], rows,
-        title=f"f(g(x)) over a {ROWS}-row table: volatility inference "
-              "unlocks the batched trampoline; gated on: BatchedUdf "
-              "volatility=immutable / per-call Trampoline in EXPLAIN, one "
-              "trampoline per statement when widened"))
+        title=f"f(g(x)) over a {ROWS}-row table: g's volatility decides "
+              "nothing; gated on: per-call Trampoline volatility=immutable "
+              f"in EXPLAIN, identical rows, {ROWS} calls and 20 "
+              "activations in both variants"))
 
     write_json("analysis", {
         "rows": ROWS,
         "timings_s": {
-            "pessimistic_per_call": pessimistic_s,
-            "widened_batched": widened_s,
+            "pessimistic": pessimistic_s,
+            "inferred": inferred_s,
             "analyzer_sweep": sweep_s,
         },
-        "speedups": {"widened_batching": speedup},
+        "ratios": {"pessimistic_vs_inferred": ratio},
         "analyzer": {
             "functions": len(functions),
             "diagnostics": diagnostics,
             "s_per_function": per_function_s,
         },
-        "rows_per_s": {"widened_batched": ROWS / widened_s},
+        "rows_per_s": {"inferred": ROWS / inferred_s},
     })
 
     _set_inner_volatility(db, None)

@@ -14,7 +14,8 @@ One driver, :func:`analyze_function`, runs four families of passes:
 * embedded SQL (:mod:`.sqlcheck`) — unknown tables/columns/functions,
   arity and literal-type mismatches, checked against the live catalog,
 * volatility (:mod:`.volatility`) — IMMUTABLE/STABLE/VOLATILE inference
-  that the planner consumes to widen batched execution.
+  that the planner consumes to decide which compiled call sites are
+  memoized and which expressions may move.
 
 Results surface three ways: the ``CHECK FUNCTION name | ALL`` statement
 (diagnostic rows), the ``check_function_bodies`` setting (off/warn/error

@@ -36,11 +36,6 @@ from .diagnostics import DiagnosticSink
 NUMERIC_TYPES = {"int", "integer", "bigint", "smallint", "numeric",
                  "decimal", "real", "float", "double precision", "float8"}
 
-#: Relations the engine synthesises (batched-execution input); never in
-#: the user catalog but always valid.
-SYNTHETIC_TABLES = {"__batch_input"}
-
-
 def _from_sources(from_clause) -> list:
     """Flatten a FROM tree (joins included) into its leaf sources."""
     out = []
@@ -139,7 +134,7 @@ class SqlChecker:
             if isinstance(source, A.TableName):
                 name = source.name.lower()
                 alias = (source.alias or source.name).lower()
-                if name in ctes or name in SYNTHETIC_TABLES:
+                if name in ctes:
                     opaque = True
                     continue
                 table = (self.catalog.tables.get(name)

@@ -14,9 +14,12 @@ same lattice PostgreSQL documents::
   (declared class when the user supplied one),
 * recursion and calls to unknown functions are conservatively **volatile**.
 
-Besides the class, inference records two planner-grade facts used by the
-purity test (:func:`function_is_pure`) that gates expression motion and
-set-oriented batching in :mod:`repro.sql.astutil` / ``planner.py``:
+The class decides which compiled call sites keep a memo of their results
+(:meth:`repro.sql.planner.Planner._trampoline_template`): a function
+classed volatile never shares a result between calls.  Besides the class,
+inference records two planner-grade facts used by the purity test
+(:func:`function_is_pure`) that gates expression motion (predicate
+pushdown, index probes) in :mod:`repro.sql.astutil` / ``planner.py``:
 
 * ``may_raise`` — the body contains an expression that can raise at run
   time (division with a non-constant divisor, a domain-limited builtin
@@ -238,8 +241,7 @@ def effective_volatility(fdef, catalog) -> str:
 
 
 def function_is_pure(fdef, catalog) -> bool:
-    """May calls to *fdef* move freely (pushdown, batching argument
-    analysis)?  Requires the full conjunction: immutable (declared or
+    """May calls to *fdef* move freely (pushdown, index probes)?  Requires the full conjunction: immutable (declared or
     inferred), provably raise-free, and loop-free — the same bar builtins
     meet implicitly in :func:`repro.sql.astutil.column_bindings`."""
     volatility, may_raise, has_loops = function_facts(fdef, catalog)

@@ -116,9 +116,8 @@ class CompiledFunction:
         Recursive functions additionally register the trampoline's *machine
         form* (:func:`repro.compiler.template.build_batched_machine`), which
         the engine runs in place of the inlined ``WITH RECURSIVE`` unless
-        ``batch_compiled`` is off: one trampoline advancing a whole relation
-        of calls (``SELECT f(x) FROM t``) when no expression in the body is
-        volatile, one activation per call otherwise.
+        ``batch_compiled`` is off: one activation per call, shared by calls
+        with equal arguments when no expression in the body is volatile.
         """
         batch_machine = (build_batched_machine(self.udf, db.catalog)
                          if self.is_recursive else None)

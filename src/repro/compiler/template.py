@@ -268,9 +268,9 @@ def _dispatch_body(udf: SqlUdf, let_style: str) -> A.Expr:
 # condition/argument expressions over the live states, no generic operator
 # overhead per step — exactly as WITH ITERATE is an engine-side evaluation
 # strategy for the same template.  The structures below are that machine,
-# handed to the engine alongside the SQL form: the BatchedUdf operator
-# advances a relation of calls through it, and every other call site runs
-# one activation of it per call (executor/batched_udf.py).
+# handed to the engine alongside the SQL form: every call site runs one
+# activation of it per call, memoized by argument values when the machine
+# is shareable (executor/batched_udf.py).
 
 
 @dataclass
@@ -318,7 +318,7 @@ class BatchedMachine:
     :func:`_dispatch_body`'s per-function binding note).  Expressions
     reference variables as bare SSA names, resolved against those columns
     plus any enclosing :class:`MachineLet` bindings.  ``shareable``: may
-    the calls of many caller rows advance through one trampoline run
+    calls with equal arguments share one activation's result
     (:func:`udf_contains_volatile` is false for the body: no volatile
     builtin and no call to a volatile user-defined helper)?
     """
@@ -337,8 +337,8 @@ def build_batched_machine(udf: SqlUdf, catalog=None) -> BatchedMachine:
     Volatile bodies get a machine too: a :class:`MachineLet` evaluates its
     binding exactly once per step, so there is none of the split rewrite's
     expression duplication to guard against.  What a volatile body may not
-    do is *share* a trampoline with other callers (``shareable`` is false);
-    the planner runs its calls one activation at a time.
+    do is *share* a result with other callers (``shareable`` is false);
+    every one of its calls runs its own activation.
     """
     if not udf_is_recursive(udf):
         raise CompileError("the machine form requires a recursive UDF")

@@ -15,7 +15,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
+from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
+                                FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
@@ -104,6 +105,8 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
               f"{counts[VECTOR_FALLBACKS]} fallbacks), "
               f"{counts[VECTOR_JOIN_ROWS]} vector join rows, "
               f"{counts[MEMO_HITS]} memo hits / {counts[MEMO_MISSES]} misses, "
+              f"{counts[BATCHED_UDF_ROWS]} memoized calls / "
+              f"{counts[BATCHED_UDF_DISTINCT]} activations, "
               f"{counts[FUZZ_DISCREPANCIES]} discrepancies, "
               f"{failures} failing cases "
               f"in {time.monotonic() - started:.1f}s")

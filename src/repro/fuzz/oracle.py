@@ -10,11 +10,13 @@ One generated case is checked three ways:
   baseline and the defaults, the defaults themselves, and the defaults
   with the plan cache disabled.  A planner flag added to the registry
   joins this matrix automatically.
-* **Interpreted-vs-compiled-vs-batched** — case functions register twice
-  (PL/pgSQL interpreter and compiled trampoline); function queries run
-  with both names under every configuration, so the interpreter, the
-  inlined Qf and the trampoline machine (batched and per call) all face
-  the same inputs.
+* **Interpreted-vs-compiled** — case functions register twice (PL/pgSQL
+  interpreter and compiled trampoline); function queries run with both
+  names under every configuration, so the interpreter, the inlined Qf and
+  the trampoline machine (its call memo included) all face the same
+  inputs.  A query whose outcome may rightly depend on the plan
+  (``Query.per_config``) compares the two names within each
+  configuration, both run from one RNG state.
 * **Engine-vs-SQLite** — dialect-portable queries over SQLite-safe data
   also run on :mod:`sqlite3`, with a *lax* value normalization (bools are
   ints, ``5.0`` is ``5``) and a known-dialect classifier that explains
@@ -44,7 +46,8 @@ from typing import Optional
 
 from repro.sql import Database
 from repro.sql.errors import CRASH, SqlError, error_class
-from repro.sql.profiler import (FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
+from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
+                                FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
@@ -422,10 +425,12 @@ class DifferentialChecker:
         db.profiler.enabled = True
         for config in configs:
             config.apply(db)
-            for qi, variants in enumerate(variants_per_query):
+            for query, variants, by_variant in zip(
+                    case.queries, variants_per_query, outcomes):
                 for label, sql in variants:
-                    outcomes[qi][label][config.label] = run_statement(
-                        db, sql)
+                    if query.per_config:
+                        db.reseed(0)
+                    by_variant[label][config.label] = run_statement(db, sql)
                     profiler.bump(FUZZ_EXECUTIONS)
             for mi, modification in enumerate(case.modifications):
                 if config is configs[0]:
@@ -436,7 +441,7 @@ class DifferentialChecker:
                 profiler.bump(FUZZ_EXECUTIONS)
         for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FUSED_ROWS,
                         VECTOR_JOIN_ROWS, VECTOR_FALLBACKS, MEMO_HITS,
-                        MEMO_MISSES):
+                        MEMO_MISSES, BATCHED_UDF_ROWS, BATCHED_UDF_DISTINCT):
             profiler.bump(counter, db.profiler.counts[counter])
 
         discrepancies: list[Discrepancy] = []
@@ -494,34 +499,38 @@ class DifferentialChecker:
             for label, sql in variants:
                 for config in configs:
                     outcome = outcomes[qi][label][config.label]
-                    if label == ref_variant and \
-                            config.label == baseline_label:
+                    if query.per_config:
+                        against = outcomes[qi][ref_variant][config.label]
+                        base = f"{config.label}/{ref_variant}"
+                    else:
+                        against = reference
+                        base = f"{baseline_label}/{ref_variant}"
+                    if outcome is against:
                         continue
                     profiler.bump(FUZZ_COMPARISONS)
                     where = f"{config.label}/{label}"
-                    base = f"{baseline_label}/{ref_variant}"
                     if outcome.crashed:
                         report("crash", query, sql, base, where,
-                               reference, outcome)
+                               against, outcome)
                         continue
-                    if outcome.status != reference.status:
+                    if outcome.status != against.status:
                         report("status", query, sql, base, where,
-                               reference, outcome)
+                               against, outcome)
                         continue
                     if outcome.status == "error":
                         # Both reject: agreement only at the same stage
                         # of the taxonomy (an execution error in one
                         # strategy vs a plan error in another is a
                         # divergence worth seeing).
-                        if outcome.error != reference.error:
+                        if outcome.error != against.error:
                             report("status", query, sql, base, where,
-                                   reference, outcome)
+                                   against, outcome)
                         continue
                     ordered = query.order == "total"
-                    if not rows_equal(reference.rows, outcome.rows,
+                    if not rows_equal(against.rows, outcome.rows,
                                       ordered=ordered):
                         report("result", query, sql, base, where,
-                               reference, outcome)
+                               against, outcome)
                         continue
                     if query.order == "partial" and not is_sorted_by(
                             outcome.rows, query.order_keys):

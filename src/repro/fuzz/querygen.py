@@ -56,6 +56,12 @@ class Query:
     #: Set when the SQL contains the ``{f}`` function-name placeholder;
     #: the oracle formats it with the interpreted and compiled names.
     function: Optional[str] = None
+    #: Set when the outcome may rightly depend on the plan (a full sort
+    #: evaluates calls a streaming LIMIT never reaches; a volatile call
+    #: draws in scan order): the oracle then compares the compiled twin
+    #: with the interpreter under each configuration, each statement run
+    #: from the same RNG state, instead of every run with the baseline.
+    per_config: bool = False
 
 
 @dataclass(frozen=True)
@@ -869,6 +875,73 @@ class QueryGen:
                 f"FROM {outer.name} a")
         return self._finish(body, body, 3)
 
+    def lazy_call(self, fn: FunctionSpec, data: dict) -> Query:
+        """A call of *fn* (:func:`generate_dividing_function`) that the
+        row engine evaluates lazily or over repeated values (the
+        trampoline site's memo), one of three shapes:
+
+        * in a derived table under a streaming LIMIT, dividing by zero on
+          the last row in heap order, past the LIMIT;
+        * beside the leading int column of an index under ``ORDER BY ..
+          LIMIT`` (sort elimination keeps the block streaming), dividing by
+          zero on the row that sorts last;
+        * in WHERE and in an aggregate argument, over ``% 3`` of an int
+          column, so values repeat, never dividing by zero.
+
+        An evaluator that runs a block's calls eagerly raises on the first
+        two where the interpreter does not."""
+        rng = self.rng
+        ordered = [(table, index.columns[0]) for table in self.schema.tables
+                   for index in table.indexes
+                   if next(c for c in table.columns
+                           if c.name == index.columns[0][0]).dtype == "int"]
+        shape = rng.random()
+        if shape < 0.35:
+            table = self._table()
+            column = rng.choice(table.columns_of_dtype("int"))
+            call = f"{{f}}(a.{column.name} % 3, 7)"
+            body = (f"SELECT count(*), sum({call}) FROM {table.name} a "
+                    f"WHERE {call} % 2 = 0")
+            return Query(sql=body, sqlite_sql=None, function=fn.name)
+        key = None
+        if ordered and shape < 0.7:
+            table, (key, desc) = rng.choice(ordered)
+            position = table.columns.index(
+                next(c for c in table.columns if c.name == key))
+            rows = sorted((row for row in data.get(table.name, [])
+                           if row[position] is not None),
+                          key=lambda row: row[position], reverse=desc)
+        else:
+            table = self._table()
+            rows = data.get(table.name, [])
+        column = rng.choice(table.columns_of_dtype("int"))
+        poison = rows[-1][table.columns.index(column)] if rows else None
+        poison = poison if type(poison) is int else 0
+        call = f"{{f}}(a.{column.name}, {poison})"
+        limit = rng.randint(0, 3)
+        if key is None:
+            body = (f"SELECT * FROM (SELECT {call} AS y, a.{column.name} AS c "
+                    f"FROM {table.name} a) s LIMIT {limit}")
+            return Query(sql=body, sqlite_sql=None, function=fn.name,
+                         per_config=True)
+        direction = " DESC" if desc else ""
+        body = (f"SELECT a.{key}, {call} FROM {table.name} a "
+                f"ORDER BY a.{key}{direction} LIMIT {limit}")
+        return Query(sql=body, sqlite_sql=None, order="partial",
+                     order_keys=((0, desc),), function=fn.name,
+                     per_config=True)
+
+    def volatile_call(self, fn: FunctionSpec) -> Query:
+        """A call of *fn*, a function drawing through a volatile helper,
+        over repeated argument values: a memo keyed by them would drop
+        draws the interpreter makes."""
+        table = self._table()
+        column = self.rng.choice(table.columns_of_dtype("int"))
+        body = (f"SELECT a.{column.name}, {{f}}(a.{column.name} % 3) "
+                f"FROM {table.name} a")
+        return Query(sql=body, sqlite_sql=None, function=fn.name,
+                     per_config=True)
+
     # -- row-changing statements -----------------------------------------
 
     def modification(self, data: dict) -> Modification:
@@ -999,6 +1072,55 @@ $$ LANGUAGE plpgsql"""
     return FunctionSpec(name, arity, source)
 
 
+def generate_dividing_function(rng: random.Random, index: int
+                               ) -> FunctionSpec:
+    """A loop whose every iteration divides by ``a - v``: a call raises
+    exactly when ``a = v``, wherever and whenever it is evaluated.  (An
+    argument expression that raises would not do: the inlined Qf splices
+    argument expressions into the body, so a parameter the body never
+    reads leaves its argument unevaluated, where the interpreter and the
+    machine evaluate every argument first.)"""
+    name = f"fzd{index}"
+    source = f"""CREATE FUNCTION {name}(a int, v int) RETURNS int AS $$
+DECLARE acc int := {rng.randint(0, 5)}; i int := 0;
+BEGIN
+  WHILE i < {rng.randint(1, 3)} LOOP
+    acc := acc + 12 / (a - v) + i;
+    i := i + 1;
+  END LOOP;
+  RETURN acc;
+END;
+$$ LANGUAGE plpgsql"""
+    return FunctionSpec(name, 2, source)
+
+
+def generate_volatile_function(rng: random.Random, index: int
+                               ) -> tuple[FunctionSpec, FunctionSpec]:
+    """A loop-free helper that draws ``random()`` and a loop-bearing
+    function calling it once per iteration: the function is volatile only
+    through the helper, so the compiler must neither drop nor duplicate
+    the call, and no call site may share its results."""
+    helper = f"fzh{index}"
+    name = f"fzv{index}"
+    scale = rng.randint(2, 9)
+    helper_source = f"""CREATE FUNCTION {helper}(n int) RETURNS int AS $$
+BEGIN
+  RETURN n + floor(random() * {scale})::int;
+END;
+$$ LANGUAGE plpgsql"""
+    source = f"""CREATE FUNCTION {name}(a int) RETURNS int AS $$
+DECLARE acc int := 0; i int := 0;
+BEGIN
+  WHILE i < (a % 2 + {rng.randint(1, 2)}) LOOP
+    acc := acc + {helper}(i);
+    i := i + 1;
+  END LOOP;
+  RETURN acc;
+END;
+$$ LANGUAGE plpgsql"""
+    return FunctionSpec(helper, 1, helper_source), FunctionSpec(name, 1, source)
+
+
 # ---------------------------------------------------------------------------
 # Case assembly
 # ---------------------------------------------------------------------------
@@ -1006,6 +1128,12 @@ $$ LANGUAGE plpgsql"""
 
 #: Share of cases that end with a :meth:`QueryGen.correlated_in` query.
 CORRELATED_IN_SHARE = 0.3
+#: Share of cases that end with a :func:`generate_dividing_function` and a
+#: :meth:`QueryGen.lazy_call` of it.
+LAZY_CALL_SHARE = 0.12
+#: Share of cases that end with a :func:`generate_volatile_function` pair
+#: and a :meth:`QueryGen.volatile_call` of it.
+VOLATILE_FUNCTION_SHARE = 0.06
 
 
 def case_seed(run_seed: int, index: int) -> int:
@@ -1040,5 +1168,15 @@ def generate_case(run_seed: int, index: int,
     # a correlated IN over repeated keys.
     if rng.random() < CORRELATED_IN_SHARE:
         drawn += (qgen.correlated_in(),)
+    # ... and everything above what it was before a share of them carried
+    # compiled calls that must run lazily or must not be memoized.
+    if rng.random() < LAZY_CALL_SHARE:
+        divider = generate_dividing_function(rng, len(functions))
+        functions += (divider,)
+        drawn += (qgen.lazy_call(divider, data),)
+    if rng.random() < VOLATILE_FUNCTION_SHARE:
+        helper, volatile = generate_volatile_function(rng, len(functions))
+        functions += (helper, volatile)
+        drawn += (qgen.volatile_call(volatile),)
     return Case(seed=seed, schema=schema, data=data, functions=functions,
                 queries=drawn, modifications=modifications)

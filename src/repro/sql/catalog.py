@@ -62,10 +62,10 @@ class FunctionDef:
     query: Optional[A.SelectStmt] = None
     #: The trampoline as explicit transition rules (the template's machine
     #: form; repro.compiler.template.BatchedMachine), for every recursive
-    #: function: the BatchedUdf operator and every per-call site step it
-    #: directly (executor/batched_udf.py).  Its ``shareable`` flag says
-    #: whether calls may share one trampoline (no call in the body that
-    #: the analyzer classes volatile - a builtin or a user-defined helper).
+    #: function: every call site steps it directly
+    #: (executor/batched_udf.py).  Its ``shareable`` flag says whether
+    #: calls may share results (no call in the body that the analyzer
+    #: classes volatile - a builtin or a user-defined helper).
     #: None for loop-free functions, which inline as plain expressions.
     batch_machine: object = None
     #: Volatility class declared in CREATE FUNCTION (IMMUTABLE/STABLE/

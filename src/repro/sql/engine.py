@@ -794,10 +794,10 @@ class Database:
         (replacing any previous PL/pgSQL definition): with *batch_machine*
         (every recursive function; see
         :func:`repro.compiler.template.build_batched_machine`) a call steps
-        the trampoline machine, whole relations of calls through one
-        set-oriented trampoline where the planner proves that safe; without
-        it, or under ``batch_compiled = off``, *query* is inlined at the
-        call site as a scalar subquery.
+        the trampoline machine, one activation per call, memoized by
+        argument values where the function is not volatile; without it, or
+        under ``batch_compiled = off``, *query* is inlined at the call site
+        as a scalar subquery.
         """
         fdef = FunctionDef(name=name.lower(), kind="compiled",
                            param_names=list(param_names),

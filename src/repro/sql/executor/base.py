@@ -62,12 +62,13 @@ class Plan:
 
 
 def call_site_lines(indent: int, *slot_lists) -> list[str]:
-    """EXPLAIN lines for the per-call trampoline sites parked in an
-    operator's expression subplan slots (executor/batched_udf.py).  The
-    subquery plans sharing those slots print nothing, as before: only a
-    site says which evaluator a compiled call runs on."""
+    """EXPLAIN lines for the trampoline call sites parked in an operator's
+    expression subplan slots (executor/batched_udf.py).  The subquery
+    plans sharing those slots - the slots' only other kind, and a
+    :class:`Plan` - print nothing: only a site says which evaluator a
+    compiled call runs on."""
     return [plan.explain(indent) for subplans in slot_lists
-            for plan in subplans if getattr(plan, "per_call", False)]
+            for plan in subplans if not isinstance(plan, Plan)]
 
 
 #: Rows a bulk pull (:meth:`PlanState.next_rows`) hands on at least, unless

@@ -1,4 +1,4 @@
-"""Memoize: a re-opened subplan answers from the rows it produced before.
+"""Memoize: a re-opened subplan or a repeated call answers from before.
 
 A correlated subquery is re-opened (rescanned) once per outer row, and it
 recomputes its rows every time even when the outer values it reads repeat.
@@ -12,12 +12,17 @@ it over a re-openable subquery (:meth:`repro.sql.planner.Planner.
 plan_subquery`) whose rows :func:`memoize` finds a function of the outer
 values it reads and of the tables it names.
 
+The same entry table serves the other user, a per-call trampoline site of a
+compiled function (:class:`repro.sql.executor.batched_udf.MachineCallState`),
+keyed by its argument values: Hellerstein & Naughton's method caching
+("Query Execution Techniques for Caching Expensive Methods", SIGMOD 1996).
+
 * **First open** passes straight through to the child: a subplan opened
   once per instantiation never pays for a key.
 * **Key**: from the second open on, the outer columns the subquery reads,
   recorded at plan time as ``(depth, relation, column)``, each value keyed
-  by representation (:func:`repro.sql.values.representation_key`, the
-  BatchedUdf argument dedup's key).
+  by representation (:func:`repro.sql.values.representation_key`, the call
+  sites' key too).
 * **Entries** hold the *pulled prefix* and whether the child ran dry: the
   child is pulled only as far as a consumer asks (EXISTS one row, a scalar
   subquery two, IN up to its first match), so nothing is evaluated that
@@ -27,12 +32,8 @@ values it reads and of the tables it names.
 * **Errors** are never cached: an entry exists only once its child opened,
   and a row that raised is in no prefix, so a hit re-raises it on reaching
   it.
-* **Invalidation**: the entries are dropped when a table the subquery names
-  has moved its write counter since they were made.
-* **Bound**: :data:`MEMO_ENTRIES` per state; past it, misses go uncached.
-* **Release**: the tables are freed at ExecutorEnd
-  (:meth:`repro.sql.expr.RuntimeContext.release`), since expression slot
-  states are never closed.
+* **Invalidation**, **bound** and **release** are the :class:`MemoTable`'s,
+  shared with the call sites.
 """
 
 from __future__ import annotations
@@ -45,33 +46,28 @@ from ..profiler import MEMO_HITS, MEMO_MISSES
 from ..values import representation_key
 from .base import Plan, PlanState
 
-#: Entries one Memoize state keeps, at most.  Module-level (not a GUC) so
+#: Entries one memo table keeps, at most.  Module-level (not a GUC) so
 #: tests can sweep it - 0 caches nothing, the plan the memo must agree
 #: with; read where it is used, never copied.
 MEMO_ENTRIES = 256
 
 
-def memoize(plan: Plan, query: A.SelectStmt, reads: dict, catalog,
-            cte_env) -> Plan:
-    """*plan*, of the re-openable subquery *query*, under a MemoizePlan
-    keyed by *reads* (``(depth, rel_index, col_index)`` -> display name:
-    the outer columns it reads); *plan* itself when it reads none, or when
-    its rows may change while those do not: it calls something volatile
-    (``expr_is_volatile``, or a callee declared VOLATILE), a user function
-    that reads tables of its own (the memo watches only the tables *query*
-    names), or a CTE of the enclosing statement's *cte_env* (a recursive
+def memo_tables(asts, catalog, cte_env=None) -> Optional[list[str]]:
+    """The catalog tables *asts* name, sorted: what a memo of their value
+    must watch.  None when that value may change while those tables and
+    the key do not: a user callee declared VOLATILE or not inferred
+    immutable (it may read tables of its own, which the memo would not
+    watch), or a CTE of the enclosing statement's *cte_env* (a recursive
     working table changes under an unchanged key).  Names no catalog table
-    has are CTEs of *query*'s own WITH: a function of the key like the rest
-    of it."""
-    from ...analysis.volatility import expr_is_volatile, function_facts
-    if not reads or expr_is_volatile(query, catalog):
-        return plan
+    has are CTEs of the ASTs' own WITH: a function of the key like the
+    rest."""
+    from ...analysis.volatility import function_facts
     tables: set[str] = set()
-    for node in walk(query):
+    for node in walk(asts):
         if isinstance(node, A.TableName):
             name = node.name.lower()
             if cte_env is not None and cte_env.lookup(name) is not None:
-                return plan
+                return None
             if name in catalog.tables:
                 tables.add(name)
         elif isinstance(node, A.FuncCall):
@@ -79,9 +75,60 @@ def memoize(plan: Plan, query: A.SelectStmt, reads: dict, catalog,
             if fdef is not None and (
                     fdef.declared_volatility == "volatile"
                     or function_facts(fdef, catalog)[0] != "immutable"):
-                return plan
-    return MemoizePlan(plan, list(reads), list(reads.values()),
-                       sorted(tables))
+                return None
+    return sorted(tables)
+
+
+def memoize(plan: Plan, query: A.SelectStmt, reads: dict, catalog,
+            cte_env) -> Plan:
+    """*plan*, of the re-openable subquery *query*, under a MemoizePlan
+    keyed by *reads* (``(depth, rel_index, col_index)`` -> display name:
+    the outer columns it reads); *plan* itself when it reads none, when it
+    calls something volatile (``expr_is_volatile``) or when
+    :func:`memo_tables` refuses it."""
+    from ...analysis.volatility import expr_is_volatile
+    if not reads or expr_is_volatile(query, catalog):
+        return plan
+    tables = memo_tables(query, catalog, cte_env)
+    if tables is None:
+        return plan
+    return MemoizePlan(plan, list(reads), list(reads.values()), tables)
+
+
+class MemoTable:
+    """The entries of one memo, for one execution.
+
+    * **Invalidation**: the entries are dropped when a watched table has
+      moved its write counter since they were made.
+    * **Bound**: :data:`MEMO_ENTRIES`; past it, misses go uncached.
+    * **Release**: the entries are freed at ExecutorEnd
+      (:meth:`repro.sql.expr.RuntimeContext.release`), since expression
+      slot states are never closed.
+    """
+
+    __slots__ = ("tables", "versions", "entries")
+
+    def __init__(self, rt, table_names):
+        self.tables = [rt.catalog.get_table(name) for name in table_names]
+        self.versions: Optional[tuple] = None
+        self.entries: dict = {}
+        rt.memos.append(self)
+
+    def get(self, key):
+        """The entry under *key*, or None; drops every entry first when a
+        watched table has been written since they were made."""
+        versions = tuple([table._version for table in self.tables])
+        if versions != self.versions:
+            self.entries.clear()
+            self.versions = versions
+        return self.entries.get(key)
+
+    def put(self, key, entry) -> None:
+        if len(self.entries) < MEMO_ENTRIES:
+            self.entries[key] = entry
+
+    def release(self) -> None:
+        self.entries = {}
 
 
 class MemoizePlan(Plan):
@@ -119,26 +166,23 @@ class MemoizePlan(Plan):
 
 
 class MemoizeState(PlanState):
-    """``entries`` maps a key to ``[prefix rows, child ran dry]``; ``entry``
+    """``memo`` maps a key to ``[prefix rows, child ran dry]``; ``entry``
     is the one this open serves (None: passing through), and ``live`` says
     the child stands right after its prefix."""
 
-    __slots__ = ("plan", "child", "tables", "versions", "entries", "entry",
-                 "pos", "live", "outer", "opened")
+    __slots__ = ("plan", "child", "memo", "entry", "pos", "live", "outer",
+                 "opened")
 
     def __init__(self, rt, plan: MemoizePlan, child: PlanState):
         super().__init__(rt)
         self.plan = plan
         self.child = child
-        self.tables = [rt.catalog.get_table(name) for name in plan.tables]
-        self.versions: Optional[tuple] = None
-        self.entries: dict = {}
+        self.memo = MemoTable(rt, plan.tables)
         self.entry: Optional[list] = None
         self.pos = 0
         self.live = False
         self.outer = None
         self.opened = False
-        rt.memos.append(self)
 
     def open(self, outer) -> None:
         self.entry = None
@@ -147,17 +191,12 @@ class MemoizeState(PlanState):
             self.child.open(outer)
             return
         key = self._key(outer)
-        versions = tuple([table._version for table in self.tables])
-        if versions != self.versions:
-            self.entries.clear()
-            self.versions = versions
-        entry = self.entries.get(key)
+        entry = self.memo.get(key)
         if entry is None:
             self.rt.db.profiler.bump(MEMO_MISSES)
             self.child.open(outer)
             entry = [[], False]
-            if len(self.entries) < MEMO_ENTRIES:
-                self.entries[key] = entry
+            self.memo.put(key, entry)
             self.live = True
         else:
             self.rt.db.profiler.bump(MEMO_HITS)
@@ -200,7 +239,3 @@ class MemoizeState(PlanState):
 
     def close(self) -> None:
         self.child.close()
-
-    def release(self) -> None:
-        self.entries = {}
-        self.entry = self.outer = None

@@ -25,7 +25,6 @@ from ..values import hashable_row as _hashable_row
 from ..values import hashable_value as _hashable_value
 from . import base
 from .base import Plan, PlanState, RowListState, call_site_lines
-from .batched_udf import BatchedUdfStagePlan, BatchedUdfStageState
 from .fromtree import FromNodePlan
 from .scan import make_slots
 from .tuples import SortPlan, cut_sort_keys, make_row_keys
@@ -159,7 +158,7 @@ class WindowStagePlan:
 
 class SelectCorePlan(Plan):
     __slots__ = ("n_relations", "from_plan", "where", "where_subplans",
-                 "agg_stage", "window_stage", "batch_stage", "project_exprs",
+                 "agg_stage", "window_stage", "project_exprs",
                  "project_subplans", "distinct")
 
     def __init__(self, output_columns: list[str], n_relations: int,
@@ -168,8 +167,7 @@ class SelectCorePlan(Plan):
                  agg_stage: Optional[AggStagePlan],
                  window_stage: Optional[WindowStagePlan],
                  project_exprs: Sequence[Callable], project_subplans,
-                 distinct: bool,
-                 batch_stage: Optional[BatchedUdfStagePlan] = None):
+                 distinct: bool):
         super().__init__(output_columns)
         self.n_relations = n_relations
         self.from_plan = from_plan
@@ -177,7 +175,6 @@ class SelectCorePlan(Plan):
         self.where_subplans = where_subplans
         self.agg_stage = agg_stage
         self.window_stage = window_stage
-        self.batch_stage = batch_stage
         self.project_exprs = list(project_exprs)
         self.project_subplans = project_subplans
         self.distinct = distinct
@@ -197,11 +194,9 @@ class SelectCorePlan(Plan):
             out.extend(self.from_plan.children())
         return out
 
-    def explain(self, indent: int = 0) -> str:
-        lines = ["  " * indent + "-> " + self.label()
-                 + f"  [{', '.join(self.output_columns)}]"]
-        if self.batch_stage is not None:
-            lines.append(self.batch_stage.explain(indent + 1))
+    def call_sites(self, indent: int) -> list[str]:
+        """EXPLAIN lines of the trampoline sites in every expression of
+        the block, in evaluation order."""
         slot_lists = [self.where_subplans]
         if self.agg_stage is not None:
             slot_lists += [self.agg_stage.subplans,
@@ -209,7 +204,12 @@ class SelectCorePlan(Plan):
         if self.window_stage is not None:
             slot_lists.append(self.window_stage.subplans)
         slot_lists.append(self.project_subplans)
-        lines.extend(call_site_lines(indent + 1, *slot_lists))
+        return call_site_lines(indent, *slot_lists)
+
+    def explain(self, indent: int = 0) -> str:
+        lines = ["  " * indent + "-> " + self.label()
+                 + f"  [{', '.join(self.output_columns)}]"]
+        lines.extend(self.call_sites(indent + 1))
         if self.from_plan is not None:
             lines.append(self.from_plan.explain(indent + 1))
         return "\n".join(lines)
@@ -220,8 +220,7 @@ class SelectCorePlan(Plan):
 
 class SelectCoreState(PlanState):
     __slots__ = ("plan", "vector", "from_state", "where_slots", "agg_slots",
-                 "having_slots", "window_slots", "batch_state",
-                 "project_slots", "outer",
+                 "having_slots", "window_slots", "project_slots", "outer",
                  "materialized", "mat_pos", "seen", "exhausted",
                  "_where_ctx", "_project_ctx")
 
@@ -238,8 +237,6 @@ class SelectCoreState(PlanState):
                              if agg else [])
         win = plan.window_stage
         self.window_slots = make_slots(rt, ictx, win.subplans) if win else []
-        self.batch_state = (BatchedUdfStageState(rt, plan.batch_stage, ictx)
-                            if plan.batch_stage is not None else None)
         self.project_slots = make_slots(rt, ictx, plan.project_subplans)
         self.outer = None
         self.materialized: Optional[list[tuple]] = None
@@ -268,8 +265,7 @@ class SelectCoreState(PlanState):
         if self.from_state is not None:
             self.from_state.open(outer)
         plan = self.plan
-        if plan.agg_stage is not None or plan.window_stage is not None \
-                or plan.batch_stage is not None:
+        if plan.agg_stage is not None or plan.window_stage is not None:
             self.materialized = self._evaluate_materialized()
 
     def next(self) -> Optional[tuple]:
@@ -367,12 +363,6 @@ class SelectCoreState(PlanState):
                 self.rt, vectors, plan.window_stage.calls, self.outer,
                 self.window_slots)
             vectors = [vec + (win,) for vec, win in zip(vectors, win_cols)]
-        if plan.batch_stage is not None:
-            # Set-oriented compiled-UDF calls: one trampoline per call site
-            # over all surviving rows, results exposed as __batch columns.
-            batch_rows = self.batch_state.attach(vectors, self.outer)
-            vectors = [vec + (row,)
-                       for vec, row in zip(vectors, batch_rows)]
         return [self._project(vec) for vec in vectors]
 
     def _run_aggregation(self, stage: AggStagePlan) -> list[tuple]:

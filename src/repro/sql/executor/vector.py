@@ -940,7 +940,7 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
     when any needed expression contains a row-only kernel-table entry.
 
     The caller (the planner) has already established that the core has no
-    window / batched-UDF stage.  *where* is what predicate pushdown left of
+    window stage.  *where* is what predicate pushdown left of
     the WHERE clause above the FROM tree; the conjuncts it moved come back
     as the leaves' filters and the joins' keys.  Beyond those, expression
     support is needed for either every select item and hidden ORDER BY key
@@ -1010,7 +1010,6 @@ class VectorizedCorePlan(SelectCorePlan):
             project_exprs=base.project_exprs,
             project_subplans=base.project_subplans,
             distinct=base.distinct,
-            batch_stage=base.batch_stage,
         )
         self.vspec = vspec
 
@@ -1021,6 +1020,9 @@ class VectorizedCorePlan(SelectCorePlan):
         spec = self.vspec
         lines = ["  " * indent + "-> " + self.label()
                  + f"  [{', '.join(self.output_columns)}]"]
+        # Row-wise over the group rows: HAVING and the post-aggregation
+        # projections, which may call a compiled function.
+        lines.extend(self.call_sites(indent + 1))
         depth = indent + 1
         if self.agg_stage is not None:
             stage = self.agg_stage

@@ -45,8 +45,9 @@ class RuntimeContext:
     can poll it with two attribute loads; outside any statement it falls
     back to a token nothing ever trips.
 
-    ``memos`` are the Memoize states instantiated under this context
-    (executor/memo.py); :meth:`release` frees their tables at ExecutorEnd.
+    ``memos`` are the memo tables of the Memoize states and memoized call
+    sites instantiated under this context (executor/memo.py);
+    :meth:`release` frees them at ExecutorEnd.
     """
 
     __slots__ = ("db", "params", "depth", "cancel", "memos")
@@ -723,13 +724,13 @@ class ExprCompiler:
     def _compile_trampoline_call(self, fdef, expr: A.FuncCall) -> CompiledExpr:
         """A per-call trampoline: the function's machine rules (compiled
         once per function, not per statement) parked as a site in this
-        node's subplan slots; every evaluation of the call runs one
-        activation to completion, here and now - as lazily as the inlined
-        Qf it stands in for (executor/batched_udf.py)."""
+        node's subplan slots; every evaluation of the call answers here and
+        now, from the site's memo or by one activation run to completion -
+        as lazily as the inlined Qf it stands in for
+        (executor/batched_udf.py)."""
         args = self.compile_many(expr.args)
         slot = self._alloc_slot()
-        self.subplans.append(
-            self.planner.trampoline_site(fdef, expr, args, per_call=True))
+        self.subplans.append(self.planner.trampoline_site(fdef, expr))
 
         def run_trampoline(ctx: EvalContext):
             return ctx.slots[slot].call(tuple([a(ctx) for a in args]))
@@ -739,15 +740,7 @@ class ExprCompiler:
     def _plan_subquery(self, query: A.SelectStmt) -> "Plan":
         if self.planner is None:
             raise PlanError("subqueries are not allowed in this context")
-        # Expression subqueries (EXISTS / IN / scalar) stop pulling rows
-        # early, so everything planned beneath them must stay lazily
-        # evaluated — the planner declines eager compiled-UDF batching
-        # while this depth is nonzero.
-        self.planner.expr_subquery_depth += 1
-        try:
-            return self.planner.plan_subquery(query, self.scope)
-        finally:
-            self.planner.expr_subquery_depth -= 1
+        return self.planner.plan_subquery(query, self.scope)
 
     def _subplan_runner(self, query: A.SelectStmt):
         """Return ``run(ctx) -> PlanState`` fetching the pre-instantiated

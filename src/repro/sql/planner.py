@@ -32,10 +32,10 @@ from .astutil import (column_bindings, conjoin, contains_aggregate,
 from .errors import NameResolutionError, PlanError
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
-from .executor.batched_udf import BatchedUdfStagePlan, compile_machine
+from .executor.batched_udf import compile_machine
 from .executor.fromtree import FromJoinPlan, FromLeafPlan, FromNodePlan
 from .executor.hashjoin import HashJoinPlan
-from .executor.memo import memoize
+from .executor.memo import memo_tables, memoize
 from .executor.modify import DeletePlan, InsertPlan, UpdatePlan
 from .executor.recursion import CteDef, CTEScanPlan, SelectStmtPlan
 from .executor.scan import (IndexRangeScanPlan, OneRowPlan, RowExpandPlan,
@@ -104,17 +104,11 @@ class Planner:
 
     # No stray attributes: planner flags live in the settings store, and
     # assigning one on the planner must fail, not be silently ignored.
-    __slots__ = ("db", "_cte_env", "expr_subquery_depth")
+    __slots__ = ("db", "_cte_env")
 
     def __init__(self, db: "Database"):
         self.db = db
         self._cte_env: Optional[CteEnv] = None
-        #: Nesting depth of expression subqueries (EXISTS / IN / scalar)
-        #: currently being planned.  Those consumers stop pulling rows
-        #: early, so eager batching inside them could evaluate calls a
-        #: lazy per-call site never reaches (see _plan_query_tail's LIMIT
-        #: note); ExprCompiler._plan_subquery maintains the counter.
-        self.expr_subquery_depth = 0
 
     @property
     def catalog(self):
@@ -228,19 +222,10 @@ class Planner:
                          outer_scope: Optional[Scope]) -> Plan:
         """Plan body + ORDER BY + LIMIT (CTE env already in effect)."""
         body = stmt.body
-        # A streaming LIMIT/OFFSET (no ORDER BY) may legitimately never
-        # evaluate the tail rows' expressions; batching is eager over all
-        # surviving rows, so those statements keep lazy per-call sites.
-        # With ORDER BY the sort materializes every projected row anyway,
-        # so batching there changes nothing observable.
-        limited = stmt.limit is not None or stmt.offset is not None
-        allow_batch = not limited or bool(stmt.order_by)
         if isinstance(body, A.SelectCore):
-            plan = self._plan_core(body, outer_scope, stmt.order_by,
-                                   allow_batch=allow_batch)
+            plan = self._plan_core(body, outer_scope, stmt.order_by)
         else:
-            plan = self._plan_set_body(body, outer_scope,
-                                       allow_batch=allow_batch)
+            plan = self._plan_set_body(body, outer_scope)
             if stmt.order_by:
                 plan = self._sort_set_output(plan, stmt.order_by)
         if stmt.limit is not None or stmt.offset is not None:
@@ -259,16 +244,14 @@ class Planner:
             plan = LimitPlan(plan, limit, offset, compiler.subplans)
         return plan
 
-    def _plan_set_body(self, body, outer_scope: Optional[Scope],
-                       allow_batch: bool = True) -> Plan:
+    def _plan_set_body(self, body, outer_scope: Optional[Scope]) -> Plan:
         if isinstance(body, A.SelectCore):
-            return self._plan_core(body, outer_scope, [],
-                                   allow_batch=allow_batch)
+            return self._plan_core(body, outer_scope, [])
         if isinstance(body, A.ValuesClause):
             return self._plan_values(body, outer_scope)
         if isinstance(body, A.SetOp):
-            left = self._plan_set_body(body.left, outer_scope, allow_batch)
-            right = self._plan_set_body(body.right, outer_scope, allow_batch)
+            left = self._plan_set_body(body.left, outer_scope)
+            right = self._plan_set_body(body.right, outer_scope)
             if left.width != right.width:
                 raise PlanError(
                     f"set operation arms have different widths "
@@ -386,8 +369,7 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _plan_core(self, core: A.SelectCore, outer_scope: Optional[Scope],
-                   order_by: list[A.SortItem],
-                   allow_batch: bool = True) -> Plan:
+                   order_by: list[A.SortItem]) -> Plan:
         relations: list[Relation] = []
         from_node = None
         if core.from_clause is not None:
@@ -447,16 +429,6 @@ class Planner:
             window_stage, item_exprs, current_scope = self._plan_windows(
                 core, current_scope, outer_scope, item_exprs, agg_rewrite)
 
-        # Set-oriented compiled-UDF calls ---------------------------------
-        # Only calls over a FROM clause batch: a table-less SELECT is a
-        # single activation, which a per-call site runs as it stands.
-        batch_stage: Optional[BatchedUdfStagePlan] = None
-        if allow_batch and self.expr_subquery_depth == 0 \
-                and self.flags.batch_compiled \
-                and from_plan is not None:
-            batch_stage, item_exprs, current_scope = self._plan_batched_udfs(
-                item_exprs, current_scope, outer_scope)
-
         # Sort elimination -------------------------------------------------
         # A single base-table FROM whose scan can come from a sorted index
         # in the requested order drops the Sort node entirely.  The block
@@ -488,18 +460,15 @@ class Planner:
             project_exprs=project_exprs + hidden,
             project_subplans=project_compiler.subplans,
             distinct=core.distinct and not hidden,
-            batch_stage=batch_stage,
         )
-        # Vectorization: a SELECT core with no window / batched-UDF stage
-        # whose FROM tree is INNER hash joins over plain SeqScans (index
+        # Vectorization: a SELECT core with no window stage whose FROM tree is INNER hash joins over plain SeqScans (index
         # pushdown, range scans and sort elimination swap the scan and keep
         # the row path) can run batch-at-a-time; a Sort / TopN / Limit
         # above it keeps consuming its row tuples.  vectorize_core looks at
         # the FROM tree first and returns None for any other, or when an
         # expression contains a row-only kernel-table entry, keeping this
         # plan unchanged.
-        if (self.flags.enable_vectorize and window_stage is None
-                and batch_stage is None):
+        if self.flags.enable_vectorize and window_stage is None:
             plan = vectorize_core(plan, core, item_exprs + hidden_asts, scope,
                                   residual_where, bool(order_by)) or plan
         if hidden:
@@ -1235,109 +1204,47 @@ class Planner:
         )
 
     # ------------------------------------------------------------------
-    # Set-oriented compiled-UDF calls (the BatchedUdf operator)
+    # Compiled-UDF call sites (the trampoline machine)
     # ------------------------------------------------------------------
 
-    def _plan_batched_udfs(self, item_exprs: list[A.Expr], scope: Scope,
-                           outer_scope: Optional[Scope]):
-        """Rewrite eligible compiled-function calls in the select list to
-        read from the ``__batch`` relation computed by one set-oriented
-        trampoline run per call site (executor/batched_udf.py).
-
-        Returns ``(stage, item_exprs, scope)``; stage is None (and the
-        inputs pass through untouched) when nothing batches.  Identical
-        call sites share one batch column, so ``SELECT f(x), f(x)`` runs a
-        single trampoline.
-        """
-        calls: list = []
-        originals: list[A.FuncCall] = []
-        columns: list[str] = []
-        compiler = ExprCompiler(scope, self)
-
-        def to_batch_column(expr: A.Expr) -> Optional[A.Expr]:
-            if isinstance(expr, A.FuncCall) and self._batchable(expr, scope):
-                for index, seen in enumerate(originals):
-                    if expr_equal(expr, seen):
-                        return A.ColumnRef(("__batch", columns[index]))
-                fdef = self.catalog.get_function(expr.name)
-                assert fdef is not None
-                column = f"__b{len(calls)}"
-                calls.append(self.trampoline_site(
-                    fdef, expr, [compiler.compile(a) for a in expr.args]))
-                originals.append(expr)
-                columns.append(column)
-                return A.ColumnRef(("__batch", column))
-            return None
-
-        rewritten = [rewrite_expr(e, to_batch_column) for e in item_exprs]
-        if not calls:
-            return None, item_exprs, scope
-        post_scope = Scope(scope.relations + [Relation("__batch", columns)],
-                           parent=outer_scope)
-        return (BatchedUdfStagePlan(calls, compiler.subplans),
-                rewritten, post_scope)
-
-    def _batchable(self, call: A.FuncCall, scope: Scope) -> bool:
-        """May *call* share the batched trampoline?  Requires a compiled
-        function whose machine is ``shareable`` (loop-free bodies have no
-        machine; a body calling a volatile builtin or a volatile
-        user-defined helper is never shareable, whatever its declaration
-        says: sharing a trampoline reorders draws and, through argument
-        dedup, drops them) and that the analyzer does not class volatile
-        (a declared VOLATILE counts here), and argument expressions whose
-        evaluation can safely move into the batch stage: no subqueries, no
-        volatile calls
-        (``column_bindings``'s ``unknown`` oracle; user-defined calls in
-        argument position pass when the static analyzer proves them pure,
-        repro.analysis.volatility).  A site that fails any of this runs
-        one activation per call instead (ExprCompiler._compile_FuncCall)."""
-        if call.window is not None or call.star or call.distinct:
-            return False
-        fdef = self.catalog.get_function(call.name)
-        if fdef is None or fdef.kind != "compiled" \
-                or fdef.batch_machine is None \
-                or not fdef.batch_machine.shareable:
-            return False
-        if len(call.args) != fdef.arity:
-            return False  # the per-call site raises the arity error
+    def trampoline_site(self, fdef, call: A.FuncCall):
+        """The plan of one call site of *fdef* on the trampoline."""
         from ..analysis.volatility import effective_volatility
-        if effective_volatility(fdef, self.catalog) == "volatile":
-            return False
-        return all(not column_bindings(arg, scope, self.catalog).unknown
-                   for arg in call.args)
-
-    def trampoline_site(self, fdef, call: A.FuncCall, args: list,
-                        per_call: bool = False):
-        """The plan of one call site of *fdef* on the trampoline: *args*
-        are the compiled argument expressions of *call*."""
-        from ..analysis.volatility import effective_volatility
-        site = self._trampoline_template(fdef).at_call_site(
-            fdef.name, ", ".join(_display_expr(a) for a in call.args), args)
-        if per_call:
-            site.per_call = True
-        site.volatility = effective_volatility(fdef, self.catalog)
-        return site
+        return self._trampoline_template(fdef).at_call_site(
+            fdef.name, ", ".join(_display_expr(a) for a in call.args),
+            effective_volatility(fdef, self.catalog))
 
     def _trampoline_template(self, fdef):
-        """The machine rules of *fdef*, compiled once.
+        """The machine rules of *fdef*, compiled once, with the tables a
+        memo of its calls watches: a machine that is ``shareable`` (a body
+        calling a volatile builtin or a volatile user-defined helper never
+        is, whatever its declaration says), of a function the analyzer
+        does not class volatile (a declared VOLATILE counts), whose rules
+        :func:`~.executor.memo.memo_tables` accepts, is memoized by its
+        argument values.
 
         Cached on the FunctionDef: the trampoline takes its arguments as
-        values (a batch-input relation, a parameter row) rather than as
-        spliced-in expressions, so one compiled template serves every call
-        site of every statement running under the same plan stamp
-        (Database.plan_stamp).  It is therefore compiled
-        outside the calling statement's context: that statement's CTE
-        names and its subquery nesting must not leak into a plan other
-        statements will run."""
+        values (a parameter row) rather than as spliced-in expressions, so
+        one compiled template serves every call site of every statement
+        running under the same plan stamp (Database.plan_stamp).  It is
+        therefore compiled outside the calling statement's context: that
+        statement's CTE names must not leak into a plan other statements
+        will run."""
         stamp = self.db.plan_stamp()
         template = fdef.body_plans.get(stamp)
         if template is None:
-            saved = self._cte_env, self.expr_subquery_depth
-            self._cte_env, self.expr_subquery_depth = None, 0
+            from ..analysis.volatility import effective_volatility
+            machine = fdef.batch_machine
+            saved = self._cte_env
+            self._cte_env = None
             try:
-                template = compile_machine(fdef.batch_machine, self)
+                template = compile_machine(machine, self)
             finally:
-                self._cte_env, self.expr_subquery_depth = saved
+                self._cte_env = saved
+            if machine.shareable and effective_volatility(
+                    fdef, self.catalog) != "volatile":
+                template.memo_tables = memo_tables(
+                    [machine.base, machine.transitions], self.catalog)
             fdef.body_plans[stamp] = template
         return template
 

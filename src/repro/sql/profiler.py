@@ -46,16 +46,17 @@ PLAN_INSTANTIATIONS = "plan instantiations"
 HASHJOIN_BUILDS = "hash join builds"
 HASHJOIN_BUILD_ROWS = "hash join build rows"
 #: Recursive-CTE activity (the compiled trampoline): one "iteration" per
-#: evaluation of the recursive term, "working rows" summing the working-set
-#: sizes those evaluations saw, and the rows a UNION (not ALL) recursion's
-#: hash-based working-set dedup dropped.
+#: evaluation of the recursive term (on the trampoline machine: per step of
+#: one activation), "working rows" summing the working-set sizes those
+#: evaluations saw (one state per machine step), and the rows a UNION (not
+#: ALL) recursion's hash-based working-set dedup dropped.
 TRAMPOLINE_ITERATIONS = "trampoline iterations"
 TRAMPOLINE_WORKING_ROWS = "trampoline working rows"
 RECURSION_DEDUP_DROPPED = "recursion dedup dropped rows"
-#: Set-oriented compiled-UDF execution: one "batch" per trampoline launched
-#: by the BatchedUdf operator, "rows" counting the calls it carried and
-#: "distinct" the activations left after argument-vector dedup.
-BATCHED_UDF_BATCHES = "batched udf batches"
+#: Memoized compiled-UDF call sites (executor/batched_udf.py): "rows"
+#: counts the calls at a site memoized by argument values, "distinct" the
+#: activations those calls ran (the memo's misses).  The names are those of
+#: the set-oriented stage the memo replaced, which end-to-end reports read.
 BATCHED_UDF_ROWS = "batched udf rows"
 BATCHED_UDF_DISTINCT = "batched udf distinct calls"
 #: Index upkeep and ordered access paths: one "build" per hash index built

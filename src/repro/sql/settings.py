@@ -149,8 +149,9 @@ SETTINGS: tuple[Setting, ...] = (
             "Push single-relation WHERE conjuncts down to their scans."),
     Setting("batch_compiled", "bool", True, True,
             "Run recursive compiled-UDF calls on the trampoline machine "
-            "(BatchedUdf where safe, else one activation per call); off "
-            "inlines the WITH RECURSIVE Qf at every site."),
+            "(one activation per call, memoized by argument values where "
+            "the function is not volatile); off inlines the WITH "
+            "RECURSIVE Qf at every site."),
     # PostgreSQL's max_stack_depth: directly recursive SQL UDFs (the
     # paper's intermediate UDF form) blow this quickly.
     Setting("max_udf_depth", "int", 192, False,

@@ -407,8 +407,8 @@ def representation_key(value: Value):
     ``5`` and ``5.0`` compare equal yet divide differently, ``0.0`` and
     ``-0.0`` compare equal yet cast to different text, and rows equal by
     value may name their fields differently.  Whatever shares one result
-    among equal inputs - the BatchedUdf argument dedup, the Memoize node's
-    outer-value key (executor/memo.py) - keys by this."""
+    among equal inputs - a memoized call site's argument key, the Memoize
+    node's outer-value key (executor/memo.py) - keys by this."""
     if isinstance(value, Row):
         return (("row", value.names)
                 + tuple(representation_key(v) for v in value.values))

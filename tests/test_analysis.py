@@ -601,12 +601,13 @@ END;
 
 
 # ---------------------------------------------------------------------------
-# planner integration: inferred purity widens batched execution
+# planner integration: inferred volatility decides the call memo
 # ---------------------------------------------------------------------------
 
-def test_inferred_pure_udf_widens_batching(db):
+def test_inferred_pure_udf_argument_runs_on_the_trampoline(db):
     # g is interpreted PL/pgSQL with no declared volatility: only the
-    # analyzer can prove it pure.  f(g(x)) then batches end to end.
+    # analyzer can prove it pure.  f(g(x)) runs f's trampoline site with
+    # g evaluated in place as its argument.
     from repro.compiler import compile_plsql
     create(db, plpgsql("g_inner", """
 BEGIN
@@ -624,29 +625,41 @@ END;
 """)
     compile_plsql(f_source, db).register(db, name="f_outer")
     plan = db.explain("SELECT f_outer(g_inner(x)) FROM t")
-    assert "BatchedUdf" in plan
-    assert "volatility=" in plan
+    assert "Trampoline f_outer(<expr>)" in plan
+    assert "volatility=immutable" in plan
     rows = db.execute("SELECT f_outer(g_inner(x)) FROM t ORDER BY 1").rows
     # g(1..3) = 2..4; f(k) = k(k+1)/2 -> 3, 6, 10.
     assert rows == [(3,), (6,), (10,)]
 
 
-def test_volatile_udf_argument_blocks_batching(db):
+def test_volatile_udf_argument_is_evaluated_per_call(db):
+    """A volatile argument is evaluated in place on every row, draw for
+    draw as the interpreter evaluates it; the callee's memo only shares a
+    result between equal argument values."""
+    from repro.compiler import compile_plsql
     create(db, plpgsql("vol_arg", """
 BEGIN
   RETURN random() * n;
 END;
 """, returns="double precision"))
-    create(db, plpgsql("f_outer2", """
+    f_source = plpgsql("f_outer2", """
+DECLARE acc double precision = 0;
 BEGIN
-  RETURN n + 1;
+  FOR i IN 1..2 LOOP
+    acc = acc + n;
+  END LOOP;
+  RETURN acc;
 END;
-""", params="n double precision", returns="double precision"))
-    plan = db.explain("SELECT f_outer2(vol_arg(x)) FROM t")
-    # The volatile inner call must not be hoisted into a batched stage
-    # as an argument expression.
-    assert "vol_arg" not in plan.split("BatchedUdf")[0] or \
-        "BatchedUdf" not in plan
+""", params="n double precision", returns="double precision")
+    create(db, f_source)
+    compile_plsql(f_source, db).register(db, name="f_outer2_c")
+    sql = "SELECT f_outer2{}(vol_arg(x)) FROM t"
+    assert "Trampoline f_outer2_c(<expr>)" in db.explain(sql.format("_c"))
+    db.reseed(3)
+    interpreted = db.query_all(sql.format(""))
+    db.reseed(3)
+    assert db.query_all(sql.format("_c")) == interpreted
+    assert len(set(interpreted)) == 3
 
 
 def test_explain_shows_inferred_volatility(db):
@@ -655,9 +668,19 @@ BEGIN
   RETURN n * 2;
 END;
 """))
-    plan = db.explain("SELECT show_vol(x) FROM t")
-    if "BatchedUdf" in plan:
-        assert "volatility=immutable" in plan
+    from repro.compiler import compile_plsql
+    compile_plsql(plpgsql("show_vol", """
+DECLARE acc int = 0;
+BEGIN
+  FOR i IN 1..n LOOP
+    acc = acc + 2;
+  END LOOP;
+  RETURN acc;
+END;
+"""), db).register(db, name="show_vol_c")
+    plan = db.explain("SELECT show_vol_c(x) FROM t")
+    assert "Trampoline show_vol_c(x)  [machine, per call; " \
+           "volatility=immutable]" in plan
 
 
 def test_ddl_invalidates_inferred_volatility(db):

@@ -1,5 +1,5 @@
 """Differential testing: interpreter vs compiled, hash join vs nested loop,
-batched vs per-row compiled-UDF evaluation.
+the trampoline machine vs the inlined Qf.
 
 Inspired by coverage-driven configuration validation, this suite drives the
 same workload through independent execution paths and asserts identical
@@ -8,11 +8,11 @@ results:
 * PL/pgSQL functions executed by the interpreter *and* as the compiled
   ``WITH RECURSIVE`` query (argument sweeps over gcd, sign, a summing loop,
   and a bounded Collatz),
-* compiled functions over whole relations through the set-oriented
-  ``BatchedUdf`` operator (the trampoline machine, argument dedup
-  included) against the per-row scalar-subquery path and the
-  interpreter, including NULL arguments and zero-row inputs,
-* calls that may not batch (volatile bodies, WHERE, CASE arms, aggregate
+* compiled functions over whole relations through the per-call
+  trampoline site (the machine, its memo by argument values included)
+  against the inlined scalar-subquery Qf and the interpreter, including
+  NULL arguments, zero-row inputs and rows a LIMIT never reaches,
+* calls in every position (volatile bodies, WHERE, CASE arms, aggregate
   arguments, LIMIT) on the per-call trampoline machine against the inlined
   Qf and the interpreter, draw for draw,
 * join queries executed by the hash-join operator *and* the seed
@@ -159,7 +159,7 @@ class TestInterpreterVsCompiled:
 
 
 # ---------------------------------------------------------------------------
-# Batched (set-oriented) vs per-row compiled-UDF evaluation
+# The trampoline machine vs the inlined Qf, over whole relations
 # ---------------------------------------------------------------------------
 
 NESTED_LOOPS = """
@@ -192,12 +192,12 @@ def _query_with(db: Database, settings: dict, sql: str,
     return db.query_all(sql, params)
 
 
-class TestBatchedUdfEquivalence:
+class TestMachineEquivalence:
     @pytest.mark.parametrize("source", [GCD, SUM_LOOP, COLLATZ, NESTED_LOOPS,
                                         WINDOW_VAR])
     def test_all_paths_agree_over_table(self, db, source):
-        """Interpreter, per-row scalar, and every BatchedUdf mode return
-        identical rows over an argument sweep that includes NULLs."""
+        """Interpreter, inlined Qf and the machine return identical rows
+        over an argument sweep that includes NULLs."""
         name = _register_both(db, source)
         arity = len(db.catalog.get_function(name).param_names)
         db.execute("CREATE TABLE args(a int, b int)")
@@ -220,41 +220,44 @@ class TestBatchedUdfEquivalence:
             assert _query_with(db, settings,
                                "SELECT gcd_c(a, b) FROM empty") == [], label
 
-    def test_explain_names_batched_udf_with_scalar_fallback(self, db):
+    def test_explain_names_the_per_call_site(self, db):
+        """Every site is the per-call trampoline, listed under the
+        operator that owns its expression."""
         _register_both(db, GCD)
         db.execute("CREATE TABLE pairs(a int, b int)")
-        plan = db.explain("SELECT gcd_c(a, b) FROM pairs")
-        assert "BatchedUdf" in plan and "per call" not in plan
-        # A site that cannot batch (aggregate argument, WHERE) is named
-        # too: the per-call trampoline, under the operator that owns it.
         per_call = "-> Trampoline gcd_c(a, b)  [machine, per call; " \
                    "volatility=immutable]"
         where = "-> Trampoline gcd_c(b, a)  [machine, per call; " \
                 "volatility=immutable]"
+        select = "SELECT gcd_c(a, b) FROM pairs"
+        assert db.explain(select).splitlines()[:2] == [
+            "-> Select  [gcd_c]", "  " + per_call]
         aggregate = "SELECT sum(gcd_c(a, b)) FROM pairs WHERE gcd_c(b, a) > 1"
         lines = db.explain(aggregate).splitlines()
         assert lines[0].startswith("-> Aggregate+Select")
         assert lines[1:3] == ["  " + where, "  " + per_call]
         db.execute("SET batch_compiled = off")
-        for sql in ("SELECT gcd_c(a, b) FROM pairs", aggregate):
-            plan = db.explain(sql)
-            assert "BatchedUdf" not in plan and "Trampoline" not in plan
+        for sql in (select, aggregate):
+            assert "Trampoline" not in db.explain(sql)
 
-    def test_volatile_args_keep_scalar_path(self, db):
-        """random() in an argument must evaluate per row in call order, so
-        the call may not move into the batch stage: it runs one activation
-        per row, in place."""
+    def test_volatile_args_evaluate_in_place(self, db):
+        """random() in an argument evaluates per row in call order, where
+        the call stands: the draws and the RNG state left behind agree
+        with the inlined Qf."""
         _register_both(db, GCD)
         db.execute("CREATE TABLE pairs(a int, b int)")
+        db.execute("INSERT INTO pairs VALUES (12, 18), (270, 192), "
+                   "(7, 13), (100, 75)")
         sql = "SELECT gcd_c(cast(random() * 10 AS int), b) FROM pairs"
         plan = db.explain(sql)
-        assert "BatchedUdf" not in plan
         assert "-> Trampoline gcd_c(<expr>, b)  [machine, per call; " \
                "volatility=immutable]" in plan
+        machine = _rows_and_next_draw(db, 7, sql)
         db.execute("SET batch_compiled = off")
         assert "Trampoline" not in db.explain(sql)
+        assert _rows_and_next_draw(db, 7, sql) == machine
 
-    def test_volatile_body_never_batches(self, db):
+    def test_volatile_body_runs_on_an_unshared_machine(self, db):
         from repro.compiler import compile_plsql
         source = """CREATE FUNCTION jitter(n int) RETURNS double precision AS
         $$ DECLARE i int := 0; acc double precision := 0;
@@ -269,18 +272,16 @@ class TestBatchedUdfEquivalence:
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (3), (4)")
         plan = db.explain("SELECT jitter_c(x) FROM t")
-        assert "BatchedUdf" not in plan
         assert "-> Trampoline jitter_c(x)  [machine, per call; " \
                "volatility=volatile]" in plan
         db.execute("SET batch_compiled = off")
         assert "Trampoline" not in db.explain("SELECT jitter_c(x) FROM t")
 
-    def test_volatile_helper_body_never_batches(self, db):
+    def test_volatile_helper_body_is_never_shared(self, db):
         """A body that is volatile only through a user-defined helper is
         volatile to the compiler too (it asks the same analyzer as the
         planner), so its machine is not shareable and every call runs as
-        its own activation.  Batched and argument-dedup'd, three equal
-        arguments used to share one draw."""
+        its own activation: three equal arguments draw three times."""
         db.execute("CREATE FUNCTION noise() RETURNS double precision AS "
                    "$$ BEGIN RETURN random(); END; $$ LANGUAGE plpgsql")
         source = """CREATE FUNCTION jit(n int) RETURNS double precision AS $$
@@ -295,7 +296,6 @@ class TestBatchedUdfEquivalence:
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (3), (3), (3)")
         plan = db.explain("SELECT jit_c(x) FROM t")
-        assert "BatchedUdf" not in plan
         assert "Trampoline jit_c(x)  [machine, per call; " \
                "volatility=volatile]" in plan
         db.reseed(5)
@@ -306,20 +306,18 @@ class TestBatchedUdfEquivalence:
         assert len({row[0] for row in compiled}) == 3
 
     def test_loop_free_functions_stay_inlined(self, db):
-        """Froid-style functions are already one planned expression; the
-        batch stage must leave them alone."""
+        """Froid-style functions are already one planned expression; they
+        have no machine and no trampoline site."""
         name = _register_both(db, SIGN_FN)
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (-5), (0), (7)")
-        assert "BatchedUdf" not in db.explain(f"SELECT {name}_c(x) FROM t")
+        assert "Trampoline" not in db.explain(f"SELECT {name}_c(x) FROM t")
         assert db.query_all(f"SELECT {name}_c(x) FROM t") == \
             [(-1,), (0,), (1,)]
 
-    def test_streaming_limit_keeps_lazy_scalar_path(self, db):
-        """`LIMIT` without `ORDER BY` may never evaluate tail rows; an
-        eager batch would raise for a poison row LIMIT discards, so such
-        statements keep the scalar path (with ORDER BY every projected row
-        is evaluated under both paths, so batching stays on)."""
+    def test_streaming_limit_is_lazy(self, db):
+        """`LIMIT` without `ORDER BY` never evaluates the tail rows' calls;
+        with a full sort every projected row is evaluated, both ways."""
         from repro.compiler import compile_plsql
         source = """CREATE FUNCTION inv_sum(n int) RETURNS int AS $$
         DECLARE i int := 1; acc int := 0;
@@ -331,20 +329,48 @@ class TestBatchedUdfEquivalence:
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (1), (0)")
         limited = "SELECT inv_c(x) FROM t LIMIT 1"
-        assert "BatchedUdf" not in db.explain(limited)
-        assert db.query_all(limited) == [(900,)]
         ordered = "SELECT inv_c(x) FROM t ORDER BY x DESC LIMIT 1"
-        assert "BatchedUdf" in db.explain(ordered)
-        with pytest.raises(ExecutionError, match="division by zero"):
-            db.query_all(ordered)
-        db.execute("SET batch_compiled = off")
-        with pytest.raises(ExecutionError, match="division by zero"):
-            db.query_all(ordered)
+        for setting in ("on", "off"):
+            db.execute(f"SET batch_compiled = {setting}")
+            assert db.query_all(limited) == [(900,)]
+            with pytest.raises(ExecutionError, match="division by zero"):
+                db.query_all(ordered)
 
-    def test_short_circuiting_subqueries_keep_lazy_scalar_path(self, db):
-        """EXISTS / IN / scalar subqueries stop pulling rows early, so
-        batching inside them could evaluate poison rows the scalar path
-        never reaches — they must decline batching."""
+    @pytest.mark.parametrize("index,sql,expected", [
+        # Sort elimination keeps the block streaming: the index delivers
+        # x DESC and LIMIT stops before the row x = 0.
+        (True, "SELECT {f}(x) FROM t ORDER BY x DESC LIMIT 2",
+         [(60,), (99,)]),
+        # The LIMIT sits outside the block whose select list calls f.
+        (False, "SELECT * FROM (SELECT {f}(x) AS y FROM t) s LIMIT 2",
+         [(60,), (300,)]),
+    ])
+    def test_rows_past_a_streaming_limit_are_never_called(self, db, index,
+                                                          sql, expected):
+        """The set-oriented stage this machine replaced evaluated every
+        select-list call of a block before its first row left, so both
+        statements raised division by zero on x = 0, a row the interpreter
+        and the inlined Qf never reach."""
+        source = """CREATE FUNCTION inv(n int) RETURNS int AS $$
+        DECLARE i int := 0; s int := 0;
+        BEGIN
+          WHILE i < 3 LOOP s := s + 100 / n; i := i + 1; END LOOP;
+          RETURN s;
+        END; $$ LANGUAGE plpgsql"""
+        _register_both(db, source)
+        db.execute("CREATE TABLE t(x int)")
+        db.execute("INSERT INTO t VALUES (5), (1), (0), (3)")
+        if index:
+            db.execute("CREATE INDEX t_x ON t(x)")
+        assert db.query_all(sql.format(f="inv")) == expected
+        assert db.query_all(sql.format(f="inv_c")) == expected
+        assert "per call" in db.explain(sql.format(f="inv_c"))
+        db.execute("SET batch_compiled = off")
+        assert db.query_all(sql.format(f="inv_c")) == expected
+
+    def test_short_circuiting_subqueries_stay_lazy(self, db):
+        """EXISTS / IN / scalar subqueries stop pulling rows early, and the
+        calls of rows they never pull are never evaluated."""
         from repro.compiler import compile_plsql
         source = """CREATE FUNCTION inv2(n int) RETURNS int AS $$
         DECLARE i int := 1; acc int := 0;
@@ -359,12 +385,10 @@ class TestBatchedUdfEquivalence:
             == [(True,)]
         assert db.query_value(
             "SELECT 900 IN (SELECT inv2_c(x) FROM t)") is True
-        assert "BatchedUdf" not in db.explain(
-            "SELECT EXISTS (SELECT inv2_c(x) FROM t)")
 
     def test_dedup_distinguishes_sql_equal_representations(self, db):
         """5 and 5.0 are SQL-equal but integer vs float division differ;
-        argument dedup must never merge their activations.  Nor NULL with
+        the call memo must never merge their activations.  Nor NULL with
         0, and all-distinct arguments lose nothing."""
         from repro.compiler import compile_plsql
         from repro.sql.profiler import BATCHED_UDF_DISTINCT
@@ -386,27 +410,27 @@ class TestBatchedUdfEquivalence:
         db.execute("INSERT INTO d VALUES "
                    + ", ".join(f"({x})" for x in range(1, 11)))
         distinct = "SELECT halver_c(x) FROM d ORDER BY x"
-        batched = []
+        machine = []
         for query, vectors in ((sql, 2), (nulls, 2), (distinct, 10)):
-            assert "BatchedUdf" in db.explain(query)
+            assert "Trampoline halver_c" in db.explain(query)
             db.profiler.reset()
-            batched.append(db.query_all(query))
+            machine.append(db.query_all(query))
             assert db.profiler.counts[BATCHED_UDF_DISTINCT] == vectors
         db.execute("SET batch_compiled = off")
-        assert batched == [db.query_all(q) for q in (sql, nulls, distinct)] \
+        assert machine == [db.query_all(q) for q in (sql, nulls, distinct)] \
             == [[(4,), (5.0,)], [(0,), (None,), (0,), (None,)],
                 [(2 * (x // 2),) for x in range(1, 11)]]
 
-    def test_duplicate_call_sites_share_one_batch(self, db):
+    def test_duplicate_call_sites_keep_their_own_memo(self, db):
+        from repro.sql.profiler import BATCHED_UDF_DISTINCT
         _register_both(db, GCD)
         db.execute("CREATE TABLE pairs(a int, b int)")
         db.execute("INSERT INTO pairs VALUES (12, 18), (7, 13)")
-        plan = db.explain("SELECT gcd_c(a, b), gcd_c(a, b), gcd_c(b, a) "
-                          "FROM pairs")
-        assert plan.count("BatchedUdf") == 2
-        rows = db.query_all("SELECT gcd_c(a, b), gcd_c(a, b), gcd_c(b, a) "
-                            "FROM pairs")
-        assert rows == [(6, 6, 6), (1, 1, 1)]
+        sql = "SELECT gcd_c(a, b), gcd_c(a, b), gcd_c(b, a) FROM pairs"
+        assert db.explain(sql).count("Trampoline") == 3
+        db.profiler.reset()
+        assert db.query_all(sql) == [(6, 6, 6), (1, 1, 1)]
+        assert db.profiler.counts[BATCHED_UDF_DISTINCT] == 6
 
     def test_argument_dedup_counts_distinct_vectors(self, db):
         from repro.sql.profiler import (BATCHED_UDF_DISTINCT,
@@ -421,13 +445,13 @@ class TestBatchedUdfEquivalence:
         assert db.profiler.counts[BATCHED_UDF_ROWS] == 8
         assert db.profiler.counts[BATCHED_UDF_DISTINCT] == 2
 
-    def test_batched_call_with_group_by_and_params(self, db):
+    def test_call_over_group_by_and_params(self, db):
         _register_both(db, SUM_LOOP)
         db.execute("CREATE TABLE t(g int, x int)")
         db.execute("INSERT INTO t VALUES (0, 1), (0, 2), (1, 3), (1, 4)")
         sql = "SELECT g, sum_to_c(sum(x) + $1) FROM t GROUP BY g ORDER BY g"
         grouped = db.query_all(sql, [1])
-        assert "BatchedUdf" in db.explain(
+        assert "Trampoline sum_to_c(<expr>)" in db.explain(
             "SELECT g, sum_to_c(sum(x) + $1) FROM t GROUP BY g ORDER BY g")
         db.execute("SET batch_compiled = off")
         assert db.query_all(sql, [1]) == grouped == [(0, 10), (1, 36)]
@@ -565,7 +589,11 @@ class TestPerCallTrampoline:
             timer.join()
         assert conn.query_value("SELECT sum_to_c(3)") == 6
 
-    def test_iteration_limit_names_the_kind_of_site(self, db):
+    @pytest.mark.parametrize("sql", [
+        "SELECT x FROM t WHERE sum_to_c(x) > 0",
+        "SELECT sum_to_c(x) FROM t",
+    ])
+    def test_iteration_limit_names_the_function(self, db, sql):
         _register_both(db, SUM_LOOP)
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (5000)")
@@ -573,11 +601,7 @@ class TestPerCallTrampoline:
         with pytest.raises(ExecutionError,
                            match=r"per-call evaluation of sum_to_c\(\) "
                                  "exceeded 100 iterations"):
-            db.query_all("SELECT x FROM t WHERE sum_to_c(x) > 0")
-        with pytest.raises(ExecutionError,
-                           match=r"batched evaluation of sum_to_c\(\) "
-                                 "exceeded 100 iterations"):
-            db.query_all("SELECT sum_to_c(x) FROM t")
+            db.query_all(sql)
 
     @pytest.mark.parametrize("limit", range(1, 7))
     def test_iteration_limit_trips_where_the_inlined_qf_does(self, db, limit):
@@ -588,10 +612,10 @@ class TestPerCallTrampoline:
         db.execute("CREATE TABLE t(x int)")
         db.execute("INSERT INTO t VALUES (2)")
         db.execute(f"SET max_recursion_iterations = {limit}")
-        batched = "SELECT sum_to_c(x) FROM t"
-        per_call = "SELECT sum(sum_to_c(x)) FROM t"
-        assert "BatchedUdf" in db.explain(batched)
-        assert "per call" in db.explain(per_call)
+        select = "SELECT sum_to_c(x) FROM t"
+        aggregate = "SELECT sum(sum_to_c(x)) FROM t"
+        assert "per call" in db.explain(select)
+        assert "per call" in db.explain(aggregate)
 
         def outcome(sql):
             try:
@@ -600,9 +624,9 @@ class TestPerCallTrampoline:
                 assert f"exceeded {limit} iterations" in str(exc)
                 return "raised"
 
-        on_machine = outcome(batched), outcome(per_call)
+        on_machine = outcome(select), outcome(aggregate)
         db.execute("SET batch_compiled = off")
-        inlined = outcome(batched), outcome(per_call)
+        inlined = outcome(select), outcome(aggregate)
         assert on_machine == inlined
         assert inlined == (("raised",) * 2 if limit <= 3 else (3, 3))
 

@@ -75,15 +75,20 @@ class TestSmokeSweep:
         # The sweep reaches the fused aggregate loops, so row = fused is
         # among what it checks (datagen.null_free_table), and it answers
         # re-opened subqueries from the memo, which the SQLite twin
-        # checks without one.
+        # checks without one; compiled calls over repeated arguments
+        # answer from their sites' memos, which the interpreter checks.
         from repro.fuzz.__main__ import run_fuzz
-        from repro.sql.profiler import MEMO_HITS, VECTOR_FUSED_ROWS, Profiler
+        from repro.sql.profiler import (BATCHED_UDF_DISTINCT,
+                                        BATCHED_UDF_ROWS, MEMO_HITS,
+                                        VECTOR_FUSED_ROWS, Profiler)
         profiler = Profiler()
         failures = run_fuzz(seed=0, cases=50, reduce_failures=False,
                             emit_dir=None, verbose=False, profiler=profiler)
         assert failures == 0
         assert profiler.counts[VECTOR_FUSED_ROWS] > 0
         assert profiler.counts[MEMO_HITS] > 0
+        calls = profiler.counts[BATCHED_UDF_ROWS]
+        assert 0 < profiler.counts[BATCHED_UDF_DISTINCT] < calls
 
 
 # ---------------------------------------------------------------------------

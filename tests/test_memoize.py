@@ -1,14 +1,15 @@
-"""Memoized subplans (executor/memo.py): memo = no memo.
+"""Memoized subplans and call sites (executor/memo.py): memo = no memo.
 
-Every statement runs twice - with the Memoize states' capacity at its
-default and at 0, where a state caches nothing and every re-open runs the
-child as before - and the two outcomes must agree by ``repr``, row order
-included, errors by class and message.  Beside that: where the planner
-wraps (correlated, nothing volatile, base tables only, not the PL/pgSQL
-interpreter's own embedded query), the prefix semantics (a hit pulls what
-the consumer pulls, a longer pull refills), invalidation by a write in the
-same statement, signed-zero keys, release at ExecutorEnd, and the
-BatchedUdf argument dedup that shares the memo's key function.
+Every statement runs twice - with the memo tables' capacity at its default
+and at 0, where a table caches nothing and every re-open runs the child
+(every call runs an activation) as before - and the two outcomes must
+agree by ``repr``, row order included, errors by class and message.
+Beside that: where the planner wraps (correlated, nothing volatile, base
+tables only, not the PL/pgSQL interpreter's own embedded query), the
+prefix semantics (a hit pulls what the consumer pulls, a longer pull
+refills), invalidation by a write in the same statement, signed-zero keys,
+release at ExecutorEnd, and the compiled call sites memoized by argument
+values through the same table and key function.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import pytest
 from repro.sql import Database
 from repro.sql.catalog import FunctionDef
 from repro.sql.errors import SqlError
-from repro.sql.executor import memo
-from repro.sql.profiler import (MEMO_HITS, MEMO_MISSES, PLAN_INSTANTIATIONS,
+from repro.sql.executor import batched_udf, memo
+from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
+                                MEMO_HITS, MEMO_MISSES, PLAN_CACHE_HIT,
+                                PLAN_INSTANTIATIONS,
                                 SWITCH_F_TO_Q, TRAMPOLINE_ITERATIONS)
 
 
@@ -120,14 +123,14 @@ class TestMemoEqualsNoMemo:
         # IN reads duplicates like the rows they repeat, so the entry the
         # refill leaves is checked itself, as ExecutorEnd finds it.
         entries = []
-        release = memo.MemoizeState.release
+        release = memo.MemoTable.release
 
-        def keep_entries(state):
-            entries.append(dict(state.entries))
-            release(state)
+        def keep_entries(table):
+            entries.append(dict(table.entries))
+            release(table)
 
         monkeypatch.setattr(memo.MemoizeState, "next", counting)
-        monkeypatch.setattr(memo.MemoizeState, "release", keep_entries)
+        monkeypatch.setattr(memo.MemoTable, "release", keep_entries)
         counts = memo_equals_no_memo(kdb, SHAPES["in"], monkeypatch)
         assert refills == [1]
         assert counts == {MEMO_HITS: 3, MEMO_MISSES: 1}
@@ -258,7 +261,7 @@ def test_tables_are_freed_at_executor_end(kdb, instantiated):
     assert kdb.profiler.counts[MEMO_HITS] > 0
     assert instantiated
     for state in instantiated:
-        assert state.entries == {} and state.outer is None
+        assert state.memo.entries == {}
         assert state.rt.memos == []
 
 
@@ -323,6 +326,159 @@ class TestWalk:
         assert instantiated == []
 
 
+# ---------------------------------------------------------------------------
+# Compiled call sites, memoized by argument values
+# ---------------------------------------------------------------------------
+
+#: A loop over its argument: three machine steps per activation, and a
+#: division that raises on n = 5 (which only the "raises" shape reaches).
+STEPS = """CREATE FUNCTION steps(n int) RETURNS int AS $$
+DECLARE i int := 0; s int := 0;
+BEGIN
+  WHILE i < 3 LOOP s := s + 12 / (n - 5) + i; i := i + 1; END LOOP;
+  RETURN s;
+END; $$ LANGUAGE plpgsql"""
+
+
+def register(db: Database, source: str, name: str):
+    from repro.compiler import compile_plsql
+    return compile_plsql(source, db).register(db, name=name)
+
+
+@pytest.fixture()
+def sites(monkeypatch) -> dict:
+    """Calls and activations of every trampoline site while the test runs,
+    memoized or not."""
+    seen = {"calls": 0, "activations": 0}
+    call, run = batched_udf.MachineCallState.call, \
+        batched_udf.MachineCallState.run
+
+    def counting_call(state, values):
+        seen["calls"] += 1
+        return call(state, values)
+
+    def counting_run(state, values):
+        seen["activations"] += 1
+        return run(state, values)
+
+    monkeypatch.setattr(batched_udf.MachineCallState, "call", counting_call)
+    monkeypatch.setattr(batched_udf.MachineCallState, "run", counting_run)
+    return seen
+
+
+CALL_SHAPES = {
+    "select list": "SELECT t.id, steps_c(t.x) FROM t",
+    "where": "SELECT t.id FROM t WHERE steps_c(t.x) > 0",
+    "aggregate argument": "SELECT t.k, sum(steps_c(t.x)) FROM t "
+                          "GROUP BY t.k ORDER BY 1",
+    "case arm": "SELECT t.id, CASE WHEN t.k <> 0 THEN steps_c(t.x) "
+                "ELSE -1 END FROM t",
+    "correlated subquery": "SELECT t.id, (SELECT max(steps_c(u.v * t.k)) "
+                           "FROM u WHERE u.k = t.k) FROM t",
+    "raises": "SELECT t.id, steps_c(t.x + t.k) FROM t",
+}
+
+
+class TestCallMemoEqualsNoMemo:
+    @pytest.mark.parametrize("shape", sorted(CALL_SHAPES))
+    def test_shape(self, kdb, monkeypatch, sites, shape):
+        register(kdb, STEPS, "steps_c")
+        sql = CALL_SHAPES[shape]
+        # EXPLAIN lists no site inside a subquery, as no subquery plan.
+        assert ("Trampoline steps_c(" in kdb.explain(sql)) \
+            == (shape != "correlated subquery")
+        with monkeypatch.context() as patch:
+            patch.setattr(memo, "MEMO_ENTRIES", 0)
+            without = outcome(kdb, sql)
+        assert kdb.profiler.counts[BATCHED_UDF_ROWS] \
+            == kdb.profiler.counts[BATCHED_UDF_DISTINCT] > 0
+        sites.update(calls=0, activations=0)
+        assert outcome(kdb, sql) == without, shape
+        counts = kdb.profiler.counts
+        assert counts[BATCHED_UDF_ROWS] == sites["calls"]
+        assert counts[BATCHED_UDF_DISTINCT] == sites["activations"]
+        if shape == "raises":
+            assert "division by zero" in without
+        else:
+            assert sites["activations"] < sites["calls"], shape
+
+
+def test_call_memo_keeps_signed_zeros_apart():
+    """0.0 and -0.0 are SQL-equal but cast to different text: the key is
+    by representation, so 4 rows run 2 activations and rows 2 and 4
+    answer '-0.0', as the interpreter and the inlined Qf do."""
+    db = Database(seed=0)
+    db.execute(GFLOAT)
+    register(db, GFLOAT, "g_c")
+    db.execute("CREATE TABLE zs(id int, x float)")
+    db.execute("INSERT INTO zs VALUES (1, 0.0), (2, -0.0), (3, 0.0), "
+               "(4, -0.0)")
+    expected = [(1, "0.0"), (2, "-0.0"), (3, "0.0"), (4, "-0.0")]
+    assert "Trampoline g_c(x)" in db.explain("SELECT id, g_c(x) FROM zs")
+    db.profiler.reset()
+    assert db.query_all("SELECT id, g_c(x) FROM zs") == expected
+    assert db.profiler.counts[BATCHED_UDF_ROWS] == 4
+    assert db.profiler.counts[BATCHED_UDF_DISTINCT] == 2
+    assert db.query_all("SELECT id, g(x) FROM zs") == expected
+    db.execute("SET batch_compiled = off")
+    assert db.query_all("SELECT id, g_c(x) FROM zs") == expected
+
+
+@pytest.mark.parametrize("source,declared", [
+    (STEPS, "volatile"),
+    (STEPS.replace("12 / (n - 5)", "floor(random() * 2)::int"), None),
+])
+def test_volatile_sites_are_never_memoized(kdb, sites, source, declared):
+    """A function declared VOLATILE, or whose body draws, runs one
+    activation per call: activations = calls, and the memo counters stay
+    at zero."""
+    register(kdb, source, "steps_c").declared_volatility = declared
+    kdb.profiler.reset()
+    kdb.query_all("SELECT t.id, steps_c(t.x) FROM t")
+    assert sites["calls"] == sites["activations"] == 12, declared
+    assert kdb.profiler.counts[BATCHED_UDF_ROWS] == 0
+
+
+def test_stable_function_sees_writes_between_executions(kdb, sites):
+    """A function reading a table is memoized within a statement and
+    watches that table: a cached plan run again after a write answers from
+    the new table state."""
+    kdb.execute("CREATE TABLE w(v int)")
+    kdb.execute("INSERT INTO w VALUES (1)")
+    register(kdb, """CREATE FUNCTION scaled(n int) RETURNS int AS $$
+    DECLARE i int := 0; s int := 0;
+    BEGIN
+      WHILE i < n LOOP s := s + (SELECT max(v) FROM w); i := i + 1;
+      END LOOP;
+      RETURN s;
+    END; $$ LANGUAGE plpgsql""", "scaled_c")
+    sql = "SELECT t.id, scaled_c(t.x) FROM t ORDER BY t.id"
+    before = kdb.query_all(sql)
+    assert sites["activations"] == 5 and sites["calls"] == 12
+    kdb.execute("UPDATE w SET v = 10")
+    kdb.profiler.reset()
+    after = kdb.query_all(sql)
+    assert kdb.profiler.counts[PLAN_CACHE_HIT] == 1
+    assert after == [(i, 10 * x) for i, x in before]
+    assert before == [(i, i % 5) for i in range(12)]
+
+
+def test_call_memo_entries_are_freed_at_executor_end(kdb, monkeypatch):
+    register(kdb, STEPS, "steps_c")
+    states = []
+    init = batched_udf.MachineCallState.__init__
+
+    def keep(state, rt, plan, ictx):
+        init(state, rt, plan, ictx)
+        states.append(state)
+
+    monkeypatch.setattr(batched_udf.MachineCallState, "__init__", keep)
+    kdb.query_all(CALL_SHAPES["select list"])
+    [state] = states
+    assert state.memo is not None and state.memo.entries == {}
+    assert state.rt.memos == []
+
+
 GFLOAT = """CREATE FUNCTION g(x float) RETURNS text AS $$
 DECLARE i int = 0;
 BEGIN
@@ -332,22 +488,3 @@ BEGIN
   RETURN CAST(x AS text);
 END;
 $$ LANGUAGE plpgsql"""
-
-
-def test_batched_udf_keeps_signed_zeros_apart():
-    """The BatchedUdf argument dedup keyed 0.0 and -0.0 alike, so every
-    row got the first one's '0.0'; the interpreter and the inlined Qf
-    answer '-0.0' for rows 2 and 4."""
-    from repro.compiler import compile_plsql
-    db = Database(seed=0)
-    db.execute(GFLOAT)
-    compile_plsql(GFLOAT, db).register(db, name="g_c")
-    db.execute("CREATE TABLE zs(id int, x float)")
-    db.execute("INSERT INTO zs VALUES (1, 0.0), (2, -0.0), (3, 0.0), "
-               "(4, -0.0)")
-    expected = [(1, "0.0"), (2, "-0.0"), (3, "0.0"), (4, "-0.0")]
-    assert "BatchedUdf g_c(x)" in db.explain("SELECT id, g_c(x) FROM zs")
-    assert db.query_all("SELECT id, g_c(x) FROM zs") == expected
-    assert db.query_all("SELECT id, g(x) FROM zs") == expected
-    db.execute("SET batch_compiled = off")
-    assert db.query_all("SELECT id, g_c(x) FROM zs") == expected

@@ -109,9 +109,9 @@ class TestFunctionBodyPlansAreStamped:
                 row[0] for row in off.execute("EXPLAIN " + where).rows)
             assert "Trampoline gcd_c" in plan_on
             assert "Trampoline" not in plan_off     # Qf inlined at the site
-            assert "BatchedUdf" in "\n".join(
+            assert "Trampoline gcd_c(a, b)" in "\n".join(
                 row[0] for row in on.execute("EXPLAIN " + self.QUERY).rows)
-            assert "BatchedUdf" not in "\n".join(
+            assert "Trampoline" not in "\n".join(
                 row[0] for row in off.execute("EXPLAIN " + self.QUERY).rows)
             assert on.query_all(where) == off.query_all(where) \
                 == [(9,), (12,)]
