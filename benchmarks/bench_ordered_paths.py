@@ -24,22 +24,29 @@ profiler's counters on one counted execution per statement (ROADMAP item
 * **correlated join**: a 100k x 2k equi-join (both keys indexed) inside a
   scalar subquery re-opened for 20 outer rows, its small side filtered on
   the outer row, hashes the stable big side once for all 20.
+* **range width sweep**: ``count(*), sum(v)`` over a constant ``ts`` range
+  of 0.1% to 20% of the table plans an ``IndexRangeScan`` while the range
+  holds at most ``1 / WIDE_RANGE_DIVISOR`` of the rows, and above that a
+  vectorized core whose fused loop reads all ``ROWS`` rows.
 
 **Reported: the times.**  Each ordered path against the seed's SeqScan +
 full sort on the row engine (the seed configuration also turns
 ``enable_vectorize`` off, since a sort no longer keeps a scan off the
 vectorized core; the vectorized scan + sort is reported beside it), the
 100k x 2k join on the row and the batch hash join, and the correlated
-join.  ``BENCH_ordered_paths.json`` carries them for the cross-PR perf
-trajectory.
+join, and at each width of the sweep both the range scan (under the row
+engine's aggregate) and the vectorized scan: the crossover that sets
+``WIDE_RANGE_DIVISOR``.  ``BENCH_ordered_paths.json`` carries them for the
+cross-PR perf trajectory.
 """
 
 from __future__ import annotations
 
 from repro.bench.harness import counted, render_table, time_query
 from repro.sql import Database
+from repro.sql.planner import WIDE_RANGE_DIVISOR
 from repro.sql.profiler import (HASHJOIN_BUILDS, INDEX_RANGE_SCANS,
-                                TOPN_INPUT_ROWS)
+                                TOPN_INPUT_ROWS, VECTOR_FUSED_ROWS)
 
 ROWS = 100_000
 OUTER_ROWS = 20
@@ -61,6 +68,9 @@ JOIN = "SELECT count(*) FROM events e JOIN marks m ON e.ts = m.ts"
 CORRELATED_JOIN = ("SELECT c.cut, (SELECT count(*) FROM events e "
                    "JOIN marks m ON e.ts = m.ts WHERE m.ts < c.cut) "
                    "FROM cuts c ORDER BY c.cut")
+#: Shares of the table the swept range holds (ts spreads over [0, 1e6)).
+SWEEP = (0.001, 0.005, 0.01, 0.015, 0.03, 0.05, 0.1, 0.2)
+SWEPT = "SELECT count(*), sum(v) FROM events WHERE ts >= 0 AND ts < {}"
 
 
 def _build_db() -> Database:
@@ -177,6 +187,8 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
         [f"same join in a subquery correlated over {OUTER_ROWS} rows, "
          f"one build", round(correlated_s * 1e3, 2)],
     ]
+    sweep_rows, sweep_json = _range_width_sweep(db)
+    rows += sweep_rows
     write_artifact(
         "bench_ordered_paths.txt",
         render_table(["configuration", "ms"], rows,
@@ -184,7 +196,9 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
                            f"IndexRangeScan and no Sort for the ordered "
                            f"LIMIT, no TopN input there, one range scan "
                            f"per trampoline hop, one hash build for the "
-                           f"correlated join"))
+                           f"correlated join, IndexRangeScan up to "
+                           f"1/{WIDE_RANGE_DIVISOR} of the rows and a fused "
+                           f"vectorized core over all of them above"))
     write_json("ordered_paths", {
         "rows": ROWS,
         "timings_s": {
@@ -210,4 +224,38 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
             "range_topn_index": ROWS / range_fast,
         },
         "counters": facts,
+        "range_width_sweep": sweep_json,
     })
+
+
+def _range_width_sweep(db: Database):
+    """Gate the plan of each swept range width and time both paths: the
+    range scan (``enable_vectorize = off``, the plan it replaces) and the
+    vectorized scan (``enable_rangescan = off``).  Returns table rows and
+    the JSON entries."""
+    _fast(db, True)
+    rows, entries = [], []
+    for share in SWEEP:
+        sql = SWEPT.format(int(share * 1_000_000))
+        in_range = db.query_all(sql)[0][0]
+        plan = db.explain(sql)
+        counts = counted(db, sql)
+        if in_range * WIDE_RANGE_DIVISOR > ROWS:
+            assert "VectorScan on events" in plan, plan
+            assert counts.get(VECTOR_FUSED_ROWS, 0) == ROWS, counts
+        else:
+            assert "IndexRangeScan on events" in plan, plan
+            assert counts.get(INDEX_RANGE_SCANS, 0) == 1, counts
+        db.settings.assign("enable_vectorize", False)
+        ranged = time_query(db, sql, runs=3, warmup=1).minimum
+        db.settings.assign("enable_vectorize", True)
+        db.settings.assign("enable_rangescan", False)
+        scanned = time_query(db, sql, runs=3, warmup=1).minimum
+        db.settings.assign("enable_rangescan", True)
+        chosen = "vector" if "VectorScan" in plan else "range"
+        rows.append([f"count(*), sum(v) over {share:.1%} of ts: range scan "
+                     f"/ vectorized scan (plans {chosen})",
+                     f"{ranged * 1e3:.2f} / {scanned * 1e3:.2f}"])
+        entries.append({"share": share, "rows": in_range, "plan": chosen,
+                        "range_scan_s": ranged, "vector_scan_s": scanned})
+    return rows, entries

@@ -51,7 +51,8 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
-                                MEMO_HITS, MEMO_MISSES, VECTOR_FALLBACKS,
+                                MEMO_HITS, MEMO_MISSES, RANGE_SCANS_GIVEN_UP,
+                                VECTOR_FALLBACKS,
                                 VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
                                 VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 from repro.sql.values import Row, row_sort_key
@@ -441,7 +442,8 @@ class DifferentialChecker:
                 profiler.bump(FUZZ_EXECUTIONS)
         for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FUSED_ROWS,
                         VECTOR_JOIN_ROWS, VECTOR_FALLBACKS, MEMO_HITS,
-                        MEMO_MISSES, BATCHED_UDF_ROWS, BATCHED_UDF_DISTINCT):
+                        MEMO_MISSES, BATCHED_UDF_ROWS, BATCHED_UDF_DISTINCT,
+                        RANGE_SCANS_GIVEN_UP):
             profiler.bump(counter, db.profiler.counts[counter])
 
         discrepancies: list[Discrepancy] = []

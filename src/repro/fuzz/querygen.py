@@ -154,6 +154,13 @@ class _Expr:
 
 _CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
+#: Constant ranges over an int column ``{c}`` (QueryGen.range_aggregate):
+#: most of the int pool, or the gap between two of its values.
+_WIDE_RANGES = ("{c} >= -17", "{c} < 100", "{c} BETWEEN -3 AND 999",
+                "{c} >= 0 AND {c} < 1000", "{c} > -1 AND {c} <= 41")
+_NARROW_RANGES = ("{c} > 7 AND {c} < 41", "{c} BETWEEN 8 AND 40",
+                  "{c} > 100 AND {c} < 999")
+
 
 class _ExprGen:
     """Class- and dtype-aware expression generator over a FROM context.
@@ -942,6 +949,56 @@ class QueryGen:
         return Query(sql=body, sqlite_sql=None, function=fn.name,
                      per_config=True)
 
+    def range_aggregate(self) -> Query:
+        """count / sum / avg over a table, filtered by a constant range on
+        a bare int column (one that leads an index where there is one) and
+        grouped on some draws.  The range is wide - most of the value pool
+        - or narrow - between two pool values, so it holds no row: the
+        planner gives the first to the vectorized scan and keeps the range
+        scan for the second (``planner.WIDE_RANGE_DIVISOR``)."""
+        rng = self.rng
+        table = self._table()
+        ints = table.columns_of_dtype("int")
+        leading = [c for c in ints for index in table.indexes
+                   if index.columns[0][0] == c.name]
+        ranges = _WIDE_RANGES if rng.random() < 0.7 else _NARROW_RANGES
+        where = rng.choice(ranges).format(
+            c=f"a.{rng.choice(leading or ints).name}")
+        arg = f"a.{rng.choice(ints).name}"
+        aggs = ", ".join(rng.sample(
+            ("count(*)", f"sum({arg})", f"avg({arg})", f"count({arg})"),
+            rng.randint(1, 3)))
+        if rng.random() < 0.4:
+            body = f"SELECT {aggs} FROM {table.name} a WHERE {where}"
+            return Query(sql=body, sqlite_sql=body)
+        key = f"a.{rng.choice(table.columns).name}"
+        body = (f"SELECT {key}, {aggs} FROM {table.name} a WHERE {where} "
+                f"GROUP BY {key}")
+        return self._grouped(body, 1, True)
+
+    def guarded_conjuncts(self) -> Query:
+        """A WHERE of three conjuncts over a table's int columns: a
+        comparison that is NULL where its column is, a division by a
+        column that may hold 0, and a third comparison.  The second runs
+        (and may raise) on exactly the rows the first leaves TRUE or NULL,
+        in the row engine's lazy AND and in the vector filter alike.  No
+        conjunct is a bare column's range or equality and no ORDER BY ..
+        LIMIT can stop the scan early, so every plan reads every row."""
+        rng = self.rng
+        table = self._table()
+        ints = [f"a.{c.name}" for c in table.columns_of_dtype("int")]
+        first, divisor, third = (rng.choice(ints) for _ in range(3))
+        where = (f"({first} + 0 {rng.choice(_CMP_OPS)} "
+                 f"{rng.randint(-3, 7)}) AND (100 / {divisor} > "
+                 f"{rng.randint(-5, 40)}) AND ({third} * 2 <> "
+                 f"{rng.randint(-6, 14)})")
+        if rng.random() < 0.5:
+            body = f"SELECT count(*), sum({third}) FROM {table.name} a " \
+                   f"WHERE {where}"
+            return Query(sql=body, sqlite_sql=None)
+        body = f"SELECT {first}, {divisor} FROM {table.name} a WHERE {where}"
+        return self._finish(body, None, 2, orderable=False)
+
     # -- row-changing statements -----------------------------------------
 
     def modification(self, data: dict) -> Modification:
@@ -1134,6 +1191,10 @@ LAZY_CALL_SHARE = 0.12
 #: Share of cases that end with a :func:`generate_volatile_function` pair
 #: and a :meth:`QueryGen.volatile_call` of it.
 VOLATILE_FUNCTION_SHARE = 0.06
+#: Shares of cases that end with a :meth:`QueryGen.range_aggregate` and with
+#: a :meth:`QueryGen.guarded_conjuncts`.
+RANGE_AGGREGATE_SHARE = 0.25
+GUARDED_CONJUNCTS_SHARE = 0.15
 
 
 def case_seed(run_seed: int, index: int) -> int:
@@ -1178,5 +1239,12 @@ def generate_case(run_seed: int, index: int,
         helper, volatile = generate_volatile_function(rng, len(functions))
         functions += (helper, volatile)
         drawn += (qgen.volatile_call(volatile),)
+    # ... and everything above what it was before a share of them carried
+    # a constant range under an aggregate and a WHERE whose second conjunct
+    # can raise on rows its first leaves NULL.
+    if rng.random() < RANGE_AGGREGATE_SHARE:
+        drawn += (qgen.range_aggregate(),)
+    if rng.random() < GUARDED_CONJUNCTS_SHARE:
+        drawn += (qgen.guarded_conjuncts(),)
     return Case(seed=seed, schema=schema, data=data, functions=functions,
                 queries=drawn, modifications=modifications)

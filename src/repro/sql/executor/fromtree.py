@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..expr import EvalContext
+from ..expr import EvalContext, selects
 from .base import Plan, PlanState, call_site_lines
 from .scan import make_slots
 
@@ -150,7 +150,7 @@ class FromLeafState(FromNodeState):
             if row is None:
                 return False
             self.vector[self.rel_index] = row
-            if predicate is None or predicate(self._filter_ctx) is True:
+            if predicate is None or selects(predicate(self._filter_ctx)):
                 return True
 
     def close(self) -> None:
@@ -231,7 +231,7 @@ class FromJoinState(FromNodeState):
                 if plan.condition is not None:
                     ctx = EvalContext(self.rt, self.vector, parent=self.outer,
                                       slots=self.slots)
-                    if plan.condition(ctx) is not True:
+                    if not selects(plan.condition(ctx)):
                         continue
                 self.matched = True
                 return True

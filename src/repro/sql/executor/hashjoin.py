@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ..errors import TypeError_
-from ..expr import EvalContext, IntColumn
+from ..expr import EvalContext, IntColumn, selects
 from ..profiler import HASHJOIN_BUILD_ROWS, HASHJOIN_BUILDS
 from ..values import Row, hashable_value
 from ..values import key_class as _key_class
@@ -256,7 +256,7 @@ class HashJoinState(FromNodeState):
                     self._match_pos += 1
                     for slot, value in zip(slot_ids, snapshot):
                         vector[slot] = value
-                    if residual is None or residual(ctx) is True:
+                    if residual is None or selects(residual(ctx)):
                         self._matched = True
                         return True
                 self._matches = None

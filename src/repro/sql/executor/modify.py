@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..errors import ExecutionError, NameResolutionError
-from ..expr import EvalContext
+from ..expr import EvalContext, selects
 from .base import Plan, PlanState
 from .scan import make_slots
 
@@ -154,7 +154,7 @@ class _TargetState(_ModifyState):
             if version is None:
                 return
             vector[0] = version.data
-            if where is None or where(ctx) is True:
+            if where is None or selects(where(ctx)):
                 yield version, ctx
 
 

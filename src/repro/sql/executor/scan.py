@@ -173,7 +173,7 @@ class IndexRangeScanPlan(Plan):
     One operator, two planner-chosen roles:
 
     * **range scan** — ``lower`` / ``upper`` are ``(compiled expr,
-      inclusive, display)`` bounds on a single ascending key column,
+      inclusive, display, ast)`` bounds on a single ascending key column,
       evaluated per (re)open against the outer context (correlated range
       probes re-bisect per outer row: O(log n + k) instead of the O(n)
       SeqScan + filter),

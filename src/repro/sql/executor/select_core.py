@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from ..errors import ExecutionError
-from ..expr import EvalContext
+from ..expr import EvalContext, selects
 from ..functions import make_aggregate
 from ..profiler import TOPN_INPUT_ROWS, TOPN_SCANS
 from ..values import hashable_row as _hashable_row
@@ -306,14 +306,14 @@ class SelectCoreState(PlanState):
         where = plan.where
         ctx = self._where_ctx
         if self.from_state is None:
-            if where is None or where(ctx) is True:
+            if where is None or selects(where(ctx)):
                 yield ctx
             return
         from_next = self.from_state.next
         cancel = self.rt.cancel
         while from_next():
             cancel.check()
-            if where is None or where(ctx) is True:
+            if where is None or selects(where(ctx)):
                 yield ctx
 
     def _next_streaming(self) -> Optional[tuple]:
@@ -325,7 +325,7 @@ class SelectCoreState(PlanState):
         if self.from_state is None:
             # Table-less SELECT: exactly one candidate tick.
             self.exhausted = True
-            if where is not None and where(where_ctx) is not True:
+            if where is not None and not selects(where(where_ctx)):
                 return None
             return self._project_current()
         from_next = self.from_state.next
@@ -335,7 +335,7 @@ class SelectCoreState(PlanState):
             if not from_next():
                 self.exhausted = True
                 return None
-            if where is not None and where(where_ctx) is not True:
+            if where is not None and not selects(where(where_ctx)):
                 continue
             row = self._project_current()
             if self.seen is None or self._distinct_ok(row):
@@ -404,7 +404,7 @@ class SelectCoreState(PlanState):
             if stage.having is not None:
                 ctx = EvalContext(self.rt, vec, parent=self.outer,
                                   slots=self.having_slots)
-                if stage.having(ctx) is not True:
+                if not selects(stage.having(ctx)):
                     continue
             out.append(vec)
         return out

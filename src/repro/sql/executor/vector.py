@@ -41,9 +41,12 @@ execution, planned by :class:`ScanSource` / :class:`JoinSource`):
 Stages over whatever source the core has (composed by
 :class:`BatchAdapterState`):
 
-* :class:`VectorFilter` — evaluates a predicate's batch form over the
-  batch's selected rows and narrows the *selection vector* (row indices
-  where it is TRUE) instead of copying the columns.
+* :class:`VectorFilter` — narrows the *selection vector* (row indices
+  where the predicate is TRUE) instead of copying the columns, one
+  top-level conjunct at a time, each conjunct's batch form over the rows
+  the earlier ones left (MonetDB/X100's selection vectors).  A NULL keeps
+  its row a candidate but never selects it, so each conjunct runs, and
+  raises, on exactly the rows the lazy AND of the row engine runs it on.
 * :class:`VectorProject` — either a C-speed ``itemgetter`` row projection
   (when every select item is a bare column of one relation) or per-item
   batch forms, hidden ORDER BY keys included.
@@ -111,7 +114,7 @@ from ..astutil import split_conjuncts
 from ..errors import (NameResolutionError, QueryCanceledError, SqlError,
                       TypeError_)
 from ..expr import (BatchExpr, BoolColumn, EvalContext, ExprCompiler,
-                    IntColumn, RowOnly, Scope, _make)
+                    IntColumn, RowOnly, Scope, _as_bool, _make, selects)
 from ..functions import AvgAgg, CountAgg, SumAgg, make_aggregate
 from ..profiler import (HASHJOIN_BUILD_ROWS, HASHJOIN_BUILDS, VECTOR_BATCHES,
                         VECTOR_FALLBACKS, VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
@@ -206,23 +209,42 @@ class Batch:
 
 
 class VectorFilter:
-    """Narrows a batch's selection vector to the rows where the
-    batch-compiled predicate is TRUE."""
+    """Narrows a batch's selection vector to the rows where a predicate is
+    TRUE, one top-level conjunct at a time: each conjunct's batch form runs
+    over the rows every earlier one left, and a ``BoolColumn`` result
+    narrows them with ``compress``.  A NULL leaves its row a candidate for
+    the later conjuncts but never selected, so each conjunct sees exactly
+    the rows the lazy AND would evaluate it on, and raises (a non-boolean
+    value included, as :func:`~repro.sql.expr.selects`) exactly when that
+    would."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("fns",)
 
-    def __init__(self, fn: BatchExpr):
-        self.fn = fn
+    def __init__(self, fns: list[BatchExpr]):
+        self.fns = fns
 
     def apply(self, batch: Batch) -> Batch:
         sel = batch.sel
-        pred = self.fn(batch, sel)
         rows = range(batch.n) if sel is None else sel
-        if type(pred) is BoolColumn:
-            keep = list(compress(rows, pred))
-        else:
-            keep = [i for i, v in zip(rows, pred) if v is True]
-        batch.sel = None if len(keep) == batch.n else keep
+        unknown: set = set()
+        for fn in self.fns:
+            pred = fn(batch, sel)
+            if type(pred) is BoolColumn:
+                keep = list(compress(rows, pred))
+            else:
+                keep = [i for i, v in zip(rows, pred)
+                        if v is True or v is None
+                        or v is not False and _as_bool(v)]
+                if None in pred:
+                    unknown.update(i for i, v in zip(rows, pred)
+                                   if v is None)
+            if len(keep) != len(rows):
+                rows = sel = keep
+                if not keep:
+                    break
+        if unknown:
+            rows = [i for i in rows if i not in unknown]
+        batch.sel = None if len(rows) == batch.n else rows
         return batch
 
 
@@ -769,18 +791,26 @@ def _source(node, scope: Scope):
     """The batch source of the :func:`_batchable` FROM tree *node*; raises
     :class:`RowOnly` from a filter, key or residual without a batch form."""
     if isinstance(node, FromLeafPlan):
-        pushed = node.filter_ast
-        return ScanSource(
-            node.source.table_name, node.rel_index,
-            None if pushed is None
-            else VectorFilter(ExprCompiler(scope).compile_batch(pushed)))
+        return ScanSource(node.source.table_name, node.rel_index,
+                          _filter(ExprCompiler(scope), node.filter_ast))
     left, right = _source(node.left, scope), _source(node.right, scope)
     left_keys, right_keys, residual, on_scope = node.asts
-    batch = ExprCompiler(on_scope).compile_batch
+    compiler = ExprCompiler(on_scope)
+    batch = compiler.compile_batch
     return JoinSource(
         node, left, right, [batch(key) for key in left_keys],
-        [batch(key) for key in right_keys],
-        None if residual is None else VectorFilter(batch(residual)))
+        [batch(key) for key in right_keys], _filter(compiler, residual))
+
+
+def _filter(compiler: ExprCompiler,
+            predicate: Optional[A.Expr]) -> Optional[VectorFilter]:
+    """The :class:`VectorFilter` of *predicate* (None: no filter), one
+    batch form per top-level conjunct; raises :class:`RowOnly` like
+    ``compile_batch``."""
+    if predicate is None:
+        return None
+    return VectorFilter([compiler.compile_batch(conjunct)
+                         for conjunct in split_conjuncts(predicate)])
 
 
 @lru_cache(maxsize=None)
@@ -951,11 +981,12 @@ def vectorize_core(base: SelectCorePlan, core: A.SelectCore,
     """
     if base.from_plan is None or not _batchable(base.from_plan):
         return None
-    batch = ExprCompiler(scope).compile_batch
+    compiler = ExprCompiler(scope)
+    batch = compiler.compile_batch
     project = key_fns = arg_fns = None
     try:
         source = _source(base.from_plan, scope)
-        where_filter = VectorFilter(batch(where)) if where is not None else None
+        where_filter = _filter(compiler, where)
         if base.agg_stage is not None:
             key_fns = [batch(key) for key in core.group_by]
             # One batch form per distinct argument: ``sum(v), avg(v)``
@@ -1214,7 +1245,7 @@ class BatchAdapterState(SelectCoreState):
             if stage.having is not None:
                 ctx = EvalContext(self.rt, vec, parent=self.outer,
                                   slots=self.having_slots)
-                if stage.having(ctx) is not True:
+                if not selects(stage.having(ctx)):
                     continue
             out.append(vec)
         return out

@@ -986,6 +986,19 @@ def _as_bool(value: Value) -> Optional[bool]:
     raise TypeError_(f"expected boolean, got {type(value).__name__}")
 
 
+def selects(value: Value) -> bool:
+    """Does a WHERE, ON or HAVING condition whose value is *value* keep its
+    row?  TRUE does; FALSE and NULL do not; any other value raises the
+    ``TypeError_`` the AND of two conditions raises for it (PostgreSQL
+    rejects a non-boolean condition outright).  Every row filter of both
+    engines answers through this rule."""
+    if value is True:
+        return True
+    if value is False or value is None:
+        return False
+    return _as_bool(value)
+
+
 def _number(value: Value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError_(f"expected number, got {type(value).__name__}")

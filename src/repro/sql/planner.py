@@ -29,7 +29,7 @@ from . import ast as A
 from .astutil import (column_bindings, conjoin, contains_aggregate,
                       contains_window_call, expr_equal, references_table,
                       rewrite_expr, split_conjuncts)
-from .errors import NameResolutionError, PlanError
+from .errors import NameResolutionError, PlanError, TypeError_
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
 from .executor.batched_udf import compile_machine
@@ -46,6 +46,7 @@ from .executor.tuples import AppendPlan, LimitPlan, SetOpPlan, SortPlan
 from .executor.vector import vectorize_core
 from .executor.window import WindowCallPlan
 from .functions import is_aggregate_name, is_window_function_name
+from .profiler import RANGE_SCANS_GIVEN_UP, SORTED_INDEX_BUILDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Database
@@ -96,6 +97,12 @@ class _JoinDraft:
 
 #: Cardinality assumed for relations without statistics (subqueries, CTEs).
 _DEFAULT_CARDINALITY = 1000
+
+#: An aggregating core gives a range scan up for the vectorized scan when
+#: its constant range holds more than ``1 / WIDE_RANGE_DIVISOR`` of the
+#: index (_range_is_wide): 2%, where the two cost about the same at 1k and
+#: at 100k rows (``benchmarks/bench_ordered_paths.py``'s sweep).
+WIDE_RANGE_DIVISOR = 50
 
 
 class Planner:
@@ -150,7 +157,7 @@ class Planner:
         leaf = self._plan_from_table(A.TableName(table_name), relations)
         scope = Scope(relations)
         if where is not None:
-            leaf, where = self._try_index_pushdown(where, leaf, scope)
+            leaf, where, _ = self._try_index_pushdown(where, leaf, scope)
         leaf.source.versions = True
         compiler = ExprCompiler(scope, self)
         return (leaf.source, compiler,
@@ -369,21 +376,32 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _plan_core(self, core: A.SelectCore, outer_scope: Optional[Scope],
-                   order_by: list[A.SortItem]) -> Plan:
+                   order_by: list[A.SortItem],
+                   wide_ranges_to_scan: bool = True) -> Plan:
         relations: list[Relation] = []
         from_node = None
         if core.from_clause is not None:
             from_node = self._plan_from(core.from_clause, relations, outer_scope)
         scope = Scope(relations, parent=outer_scope)
+        having = core.having
+        needs_agg = bool(core.group_by) or having is not None or any(
+            contains_aggregate(item.expr) for item in core.items
+            if not isinstance(item, A.Star))
 
-        # Index pushdown: correlated equality predicates on a single base
-        # table become hash-index probes (see IndexScanPlan).
+        # Access path of a single base table (_try_index_pushdown).  An
+        # aggregating core may give a wide constant range up for the
+        # vectorized scan; if vectorize_core then declines the core, it is
+        # planned again with the range scan.
         residual_where = core.where
+        gave_up_range = False
         if (core.where is not None and isinstance(from_node, FromLeafPlan)
                 and isinstance(from_node.source, SeqScanPlan)
                 and not from_node.lateral):
-            from_node, residual_where = self._try_index_pushdown(
-                core.where, from_node, scope)
+            from_node, residual_where, gave_up_range = \
+                self._try_index_pushdown(
+                    core.where, from_node, scope,
+                    wide_to_scan=(wide_ranges_to_scan and needs_agg
+                                  and self.flags.enable_vectorize))
 
         # Join strategy + predicate pushdown: distribute WHERE conjuncts
         # over the FROM tree and pick hash vs nested loop per join.
@@ -408,14 +426,11 @@ class Planner:
             raise PlanError("SELECT list is empty")
         output_columns = [_derive_name(item) for item in items]
         item_exprs = [item.expr for item in items]
-        having = core.having
 
         # Aggregation ----------------------------------------------------
         agg_stage: Optional[AggStagePlan] = None
         agg_rewrite = None
         current_scope = scope
-        needs_agg = bool(core.group_by) or having is not None \
-            or any(contains_aggregate(e) for e in item_exprs)
         if needs_agg:
             (agg_stage, item_exprs, having, current_scope,
              agg_rewrite) = self._plan_aggregation(
@@ -468,9 +483,16 @@ class Planner:
         # the FROM tree first and returns None for any other, or when an
         # expression contains a row-only kernel-table entry, keeping this
         # plan unchanged.
-        if self.flags.enable_vectorize and window_stage is None:
-            plan = vectorize_core(plan, core, item_exprs + hidden_asts, scope,
-                                  residual_where, bool(order_by)) or plan
+        vectorized = (vectorize_core(plan, core, item_exprs + hidden_asts,
+                                     scope, residual_where, bool(order_by))
+                      if self.flags.enable_vectorize and window_stage is None
+                      else None)
+        if gave_up_range:
+            if vectorized is None:
+                return self._plan_core(core, outer_scope, order_by,
+                                       wide_ranges_to_scan=False)
+            self.db.profiler.bump(RANGE_SCANS_GIVEN_UP)
+        plan = vectorized or plan
         if hidden:
             # DISTINCT with hidden keys was rejected in _compile_order_keys,
             # so stripping the keys after the sort is always safe here.
@@ -839,7 +861,7 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _try_index_pushdown(self, where: A.Expr, leaf: FromLeafPlan,
-                            scope: Scope):
+                            scope: Scope, wide_to_scan: bool = False):
         """Access-path selection for a single base-table FROM.
 
         Equality conjuncts ``col = expr`` (where *expr* provably never
@@ -847,7 +869,15 @@ class Planner:
         a hash-index scan; failing that, range conjuncts
         ``col < / <= / > / >= expr`` and ``col BETWEEN lo AND hi`` become a
         bisect-backed :class:`~repro.sql.executor.scan.IndexRangeScanPlan`.
-        Returns the (possibly new) leaf plan and the residual WHERE.
+
+        With *wide_to_scan* (an aggregating core the vectorized engine may
+        take) a range whose bounds are literals is compared with the
+        SeqScan it would replace: when more than ``1 / WIDE_RANGE_DIVISOR``
+        of the column's sorted index lies inside it (:meth:`_range_is_wide`),
+        the SeqScan stays, with every conjunct, because the vectorized core
+        reads a wide range faster than the row engine reads the range scan.
+        Returns the (possibly new) leaf plan, the residual WHERE and
+        whether a range was given up that way.
         """
         from .executor.scan import IndexScanPlan
 
@@ -895,13 +925,15 @@ class Planner:
             new_leaf = FromLeafPlan(leaf.rel_index,
                                     len(source.output_columns),
                                     index_plan, lateral=False)
-            return new_leaf, conjoin(residual)
+            return new_leaf, conjoin(residual), False
         if self.flags.enable_rangescan:
             range_leaf, residual = self._try_range_pushdown(
                 residual, leaf, source, scope, compiler, independent)
             if range_leaf is not None:
-                return range_leaf, conjoin(residual)
-        return leaf, where
+                if wide_to_scan and self._range_is_wide(range_leaf.source):
+                    return leaf, where, True
+                return range_leaf, conjoin(residual), False
+        return leaf, where, False
 
     _RANGE_OPS = {"<": ("upper", False), "<=": ("upper", True),
                   ">": ("lower", False), ">=": ("lower", True)}
@@ -917,7 +949,8 @@ class Planner:
         (``column_bindings``'s ``unknown`` oracle rejects volatile and
         user-defined calls and subqueries).  Returns
         ``(new leaf | None, residual conjuncts)``."""
-        bounds: dict[int, dict] = {}      # column -> side -> (expr, incl, disp)
+        # column -> side -> (compiled, inclusive, display, ast)
+        bounds: dict[int, dict] = {}
         consumed: dict[int, list] = {}    # column -> conjuncts it absorbed
         order: list[int] = []
         residual: list[A.Expr] = []
@@ -948,7 +981,7 @@ class Planner:
                     if not entry:
                         order.append(column)
                     entry[side] = (compiled, inclusive,
-                                   _display_expr(value_side))
+                                   _display_expr(value_side), value_side)
                     consumed.setdefault(column, []).append(conjunct)
                     placed = True
                     break
@@ -960,9 +993,11 @@ class Planner:
                     if low is not None and high is not None:
                         order.append(column)
                         bounds[column] = {
-                            "lower": (low, True, _display_expr(conjunct.low)),
+                            "lower": (low, True, _display_expr(conjunct.low),
+                                      conjunct.low),
                             "upper": (high, True,
-                                      _display_expr(conjunct.high)),
+                                      _display_expr(conjunct.high),
+                                      conjunct.high),
                         }
                         consumed.setdefault(column, []).append(conjunct)
                         placed = True
@@ -982,6 +1017,33 @@ class Planner:
         new_leaf = FromLeafPlan(leaf.rel_index, len(source.output_columns),
                                 range_plan, lateral=False)
         return new_leaf, residual
+
+    def _range_is_wide(self, scan: IndexRangeScanPlan) -> bool:
+        """Do the bounds of the range *scan* hold more than ``1 /
+        WIDE_RANGE_DIVISOR`` of its sorted index?  Only literal bounds are
+        sized, on the index the scan's open would use (built here if it
+        does not exist yet).  A NULL bound (an empty range) and one of
+        another class than the column's values (the scan raises) are not
+        wide."""
+        bounds = [bound for bound in (scan.lower, scan.upper)
+                  if bound is not None]
+        if not all(type(bound[3]) is A.Literal and bound[3].value is not None
+                   for bound in bounds):
+            return False
+        table = self.catalog.tables[scan.table_name]
+        index = table.sorted_index_if_exists(scan.key_columns)
+        if index is None:
+            self.db.profiler.bump(SORTED_INDEX_BUILDS)
+            index = table.sorted_index(scan.key_columns)
+        try:
+            for bound in bounds:
+                index.check_probe(0, bound[3].value)
+        except TypeError_:
+            return False
+        start, stop = index.range_positions(
+            *((bound[3].value, bound[1]) if bound is not None else None
+              for bound in (scan.lower, scan.upper)))
+        return (stop - start) * WIDE_RANGE_DIVISOR > len(index)
 
     def _eliminate_sort(self, order_by: list, items: list,
                         leaf: FromLeafPlan, scope: Scope) -> bool:

@@ -65,10 +65,13 @@ BATCHED_UDF_DISTINCT = "batched udf distinct calls"
 #: by a scan, or eagerly by CREATE INDEX), one "scan" per IndexRangeScan
 #: open (each correlated re-probe is one open), one TopN bump per bounded
 #: heap evaluation ("input rows" counts what streamed through the heap
-#: instead of a full sort).
+#: instead of a full sort).  The planner builds a sorted index too when
+#: it sizes a constant range under an aggregate, and counts one "given
+#: up" per plan that keeps the SeqScan because that range was too wide.
 HASH_INDEX_BUILDS = "hash index builds"
 SORTED_INDEX_BUILDS = "sorted index builds"
 INDEX_RANGE_SCANS = "index range scans"
+RANGE_SCANS_GIVEN_UP = "range scans given up"
 TOPN_SCANS = "topn scans"
 TOPN_INPUT_ROWS = "topn input rows"
 #: Session surface: executions through a PreparedStatement handle (SQL

@@ -40,7 +40,7 @@ from repro.compiler import compile_plsql
 from repro.fuzz.oracle import rows_equal
 from repro.sql import Database
 from repro.sql.errors import (ExecutionError, NameResolutionError, ParseError,
-                              QueryCanceledError)
+                              QueryCanceledError, TypeError_)
 
 
 # ---------------------------------------------------------------------------
@@ -1278,3 +1278,62 @@ class TestVectorizedDifferential:
         for sql in self.QUERIES:
             fast, slow = self._both(db, sql)
             assert rows_equal(slow, fast, ordered=False), sql
+
+
+# ---------------------------------------------------------------------------
+# A non-boolean condition raises on every access path and engine
+# ---------------------------------------------------------------------------
+
+
+class TestNonBooleanCondition:
+    """``WHERE b > 0 AND a`` with an int ``a``: every filter site of both
+    engines raises the ``TypeError_`` the lazy AND raises, whichever access
+    path the planner picks (before, a range scan on ``b`` tested the
+    residual ``a`` with ``is True`` and answered 0)."""
+
+    STATEMENTS = [
+        "SELECT count(*) FROM u WHERE b > 0 AND a",
+        "SELECT a FROM u WHERE b > 0 AND a",
+        "SELECT count(*) FROM u WHERE a",
+        "SELECT a FROM u WHERE b = 2 AND a",
+        "SELECT u.a FROM u JOIN u AS w ON u.a = w.a AND w.b",
+        "SELECT u.a FROM u JOIN u AS w ON u.a = w.a WHERE w.b",
+        "SELECT u.a FROM u JOIN u AS w ON u.a < w.a AND w.b",
+        "SELECT a, count(*) FROM u GROUP BY a HAVING sum(b)",
+    ]
+
+    @staticmethod
+    def _db():
+        db = Database()
+        db.execute("CREATE TABLE u(a int, b int)")
+        db.execute("INSERT INTO u VALUES (1, 2), (0, 3), (5, 0), (2, 2)")
+        return db
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    @pytest.mark.parametrize("rangescan", [True, False])
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_raises_under_every_setting(self, sql, rangescan, vectorize):
+        db = self._db()
+        db.settings.assign("enable_rangescan", rangescan)
+        db.settings.assign("enable_vectorize", vectorize)
+        with pytest.raises(TypeError_, match="expected boolean, got int"):
+            db.query_all(sql)
+
+    @pytest.mark.parametrize("statement", [
+        "UPDATE u SET a = 9 WHERE b > 0 AND a",
+        "DELETE FROM u WHERE a"])
+    def test_raises_in_a_modification(self, statement):
+        db = self._db()
+        with pytest.raises(TypeError_, match="expected boolean, got int"):
+            db.execute(statement)
+        assert db.query_all("SELECT a, b FROM u") == [
+            (1, 2), (0, 3), (5, 0), (2, 2)]
+
+    def test_null_and_boolean_conditions_still_filter(self):
+        db = self._db()
+        for rangescan in (True, False):
+            db.settings.assign("enable_rangescan", rangescan)
+            assert db.query_all("SELECT count(*) FROM u WHERE b > 0 "
+                                "AND a > 0 AND NULL IS NULL") == [(2,)]
+            assert db.query_all("SELECT count(*) FROM u "
+                                "WHERE b > 0 AND NULL") == [(0,)]

@@ -77,15 +77,19 @@ class TestSmokeSweep:
         # re-opened subqueries from the memo, which the SQLite twin
         # checks without one; compiled calls over repeated arguments
         # answer from their sites' memos, which the interpreter checks.
+        # Wide constant ranges under an aggregate go to the vectorized
+        # scan, which the range scan of enable_vectorize = off checks.
         from repro.fuzz.__main__ import run_fuzz
         from repro.sql.profiler import (BATCHED_UDF_DISTINCT,
                                         BATCHED_UDF_ROWS, MEMO_HITS,
+                                        RANGE_SCANS_GIVEN_UP,
                                         VECTOR_FUSED_ROWS, Profiler)
         profiler = Profiler()
         failures = run_fuzz(seed=0, cases=50, reduce_failures=False,
                             emit_dir=None, verbose=False, profiler=profiler)
         assert failures == 0
         assert profiler.counts[VECTOR_FUSED_ROWS] > 0
+        assert profiler.counts[RANGE_SCANS_GIVEN_UP] > 0
         assert profiler.counts[MEMO_HITS] > 0
         calls = profiler.counts[BATCHED_UDF_ROWS]
         assert 0 < profiler.counts[BATCHED_UDF_DISTINCT] < calls

@@ -16,8 +16,9 @@ import pytest
 from repro.sql import Database
 from repro.sql.errors import CatalogError, ExecutionError, TypeError_
 from repro.sql.profiler import (HASH_INDEX_BUILDS, HASHJOIN_BUILDS,
-                                INDEX_RANGE_SCANS, SORTED_INDEX_BUILDS,
-                                TOPN_INPUT_ROWS, TOPN_SCANS)
+                                INDEX_RANGE_SCANS, RANGE_SCANS_GIVEN_UP,
+                                SORTED_INDEX_BUILDS, TOPN_INPUT_ROWS,
+                                TOPN_SCANS, VECTOR_FUSED_ROWS)
 
 
 @pytest.fixture
@@ -120,16 +121,18 @@ class TestIndexDdl:
 
 
 class TestIndexRangeScan:
+    # Two of t's 100 rows: narrow enough that the aggregate keeps the range
+    # scan (a wider one goes to the vectorized scan, TestWideRangeToVector).
     def test_explain_names_the_operator_and_bounds(self, db):
-        plan = db.explain("SELECT count(*) FROM t WHERE b >= 10 AND b < 20")
+        plan = db.explain("SELECT count(*) FROM t WHERE b >= 10 AND b < 12")
         assert "IndexRangeScan on t" in plan
         assert "b >=" in plan and "b <" in plan
 
     def test_between_becomes_a_closed_range(self, db):
-        plan = db.explain("SELECT count(*) FROM t WHERE b BETWEEN 5 AND 8")
+        plan = db.explain("SELECT count(*) FROM t WHERE b BETWEEN 5 AND 6")
         assert "IndexRangeScan" in plan
         assert db.query_value(
-            "SELECT count(*) FROM t WHERE b BETWEEN 5 AND 8") == 4
+            "SELECT count(*) FROM t WHERE b BETWEEN 5 AND 6") == 2
 
     def test_negated_between_stays_a_seqscan_filter(self, db):
         plan = db.explain("SELECT count(*) FROM t WHERE b NOT BETWEEN 5 AND 8")
@@ -177,6 +180,79 @@ class TestIndexRangeScan:
             "SELECT lo.cut, (SELECT count(*) FROM t WHERE b > lo.cut) "
             "FROM lo ORDER BY 1")
         assert rows == [(95, 4), (97, 2), (99, 0)]
+
+
+class TestWideRangeToVector:
+    """An aggregating core gives a wide constant range up for the
+    vectorized scan; a narrow one, parameter and correlated bounds, and a
+    core the vector engine cannot run keep the range scan."""
+
+    WIDE = ("SELECT count(*), sum(a) FROM t WHERE b >= 10 AND b < 90",
+            "SELECT a, count(*), sum(b) FROM t WHERE b > 5 AND b <= 60 "
+            "GROUP BY a ORDER BY a")
+
+    @pytest.mark.parametrize("sql", WIDE)
+    def test_wide_constant_range_runs_fused(self, db, sql):
+        plan = db.explain(sql)
+        assert "VectorScan on t" in plan and "IndexRangeScan" not in plan
+        db.profiler.reset()
+        rows = db.query_all(sql)
+        assert db.profiler.counts[VECTOR_FUSED_ROWS] == 100
+        assert db.profiler.counts[INDEX_RANGE_SCANS] == 0
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 1
+        db.execute("SET enable_rangescan = off")
+        assert db.query_all(sql) == rows
+        db.execute("SET enable_vectorize = off")
+        assert "IndexRangeScan" not in db.explain(sql)
+        assert db.query_all(sql) == rows
+        db.execute("SET enable_rangescan = on")
+        assert "IndexRangeScan" in db.explain(sql)
+        assert db.query_all(sql) == rows
+
+    def test_narrow_range_keeps_the_range_scan(self, db):
+        sql = "SELECT count(*), sum(a) FROM t WHERE b >= 40 AND b < 42"
+        assert "IndexRangeScan on t" in db.explain(sql)
+        db.execute("SET enable_rangescan = off")
+        assert db.query_all(sql) == [(2, 1)]
+
+    def test_streaming_core_keeps_the_range_scan(self, db):
+        assert "IndexRangeScan" in db.explain(
+            "SELECT a FROM t WHERE b >= 10 AND b < 90")
+
+    def test_parameter_bounds_keep_the_range_scan(self, db):
+        db.execute("PREPARE span(int, int) AS SELECT count(*) FROM t "
+                   "WHERE b >= $1 AND b < $2")
+        assert "IndexRangeScan" in db.explain("EXECUTE span(10, 90)")
+        db.profiler.reset()
+        assert db.query_value("EXECUTE span(10, 90)") == 80
+        assert db.profiler.counts[INDEX_RANGE_SCANS] == 1
+
+    def test_correlated_bounds_keep_the_range_scan(self, db):
+        db.execute("CREATE TABLE lo(cut int)")
+        db.execute("INSERT INTO lo VALUES (5), (50)")
+        db.profiler.reset()
+        rows = db.query_all("SELECT cut, (SELECT count(*) FROM t "
+                            "WHERE b > lo.cut) FROM lo ORDER BY 1")
+        assert rows == [(5, 94), (50, 49)]
+        assert db.profiler.counts[INDEX_RANGE_SCANS] == 2
+
+    def test_null_and_incomparable_bounds_keep_the_range_scan(self, db):
+        assert "IndexRangeScan" in db.explain(
+            "SELECT count(*) FROM t WHERE b > NULL AND b < 90")
+        assert db.query_value(
+            "SELECT count(*) FROM t WHERE b > NULL AND b < 90") == 0
+        sql = "SELECT count(*) FROM t WHERE b < 'zzz'"
+        assert "IndexRangeScan" in db.explain(sql)
+        with pytest.raises(TypeError_, match="cannot compare"):
+            db.query_all(sql)
+
+    def test_row_only_core_keeps_the_range_scan(self, db):
+        sql = ("SELECT count(*) FROM t WHERE b >= 10 AND b < 90 "
+               "AND a < (SELECT 5)")
+        db.profiler.reset()
+        assert "IndexRangeScan on t" in db.explain(sql)
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 0
+        assert db.query_value(sql) == 40
 
 
 # ---------------------------------------------------------------------------

@@ -839,3 +839,73 @@ class TestFusedAggregates:
         assert vector._fused_form.cache_info().currsize == len(sources) == 2
         for source in sources:
             assert not any(str(t) in source for t in thresholds), source
+
+
+# ---------------------------------------------------------------------------
+# VectorFilter narrows conjunct by conjunct
+# ---------------------------------------------------------------------------
+
+NROWS = 20
+
+
+def _conjunct_table(db, x=None, y=0):
+    """``c(k, x, y)``: NROWS rows, ``k`` the row number, ``x`` and ``y``
+    small ints, except row 7, whose ``x`` and ``y`` are *x* and *y*."""
+    db.execute("CREATE TABLE c(k int, x int, y int)")
+    table = db.catalog.tables["c"]
+    for k in range(NROWS):
+        table.insert((k, x, y) if k == 7 else (k, k % 4, 1 + k % 5))
+
+
+class TestConjunctNarrowing:
+    def test_null_first_conjunct_reaches_a_raising_second(self, db):
+        # Row 7: x > 0 is NULL, so 10 / y runs on it and divides by zero -
+        # in the lazy AND of the row engine and in the vector filter.  (A
+        # bare column's range would take the range scan: hence ``+ 0``.)
+        _conjunct_table(db, x=None, y=0)
+        sql = "SELECT k FROM c WHERE x + 0 > 0 AND 10 / y > 1"
+        assert "VectorFilter" in _explain(db, sql)
+        assert _outcome(db, sql) == "ExecutionError: division by zero"
+
+    def test_false_first_conjunct_spares_the_second(self, db):
+        _conjunct_table(db, x=0, y=0)
+        sql = "SELECT k FROM c WHERE x + 0 > 0 AND 10 / y > 1"
+        db.profiler.reset()
+        expected = [k for k in range(NROWS)
+                    if k != 7 and k % 4 > 0 and 10 // (1 + k % 5) > 1]
+        assert _outcome(db, sql) == repr([(k,) for k in expected])
+        assert db.profiler.counts["vector fallbacks"] == 0
+
+    @pytest.mark.parametrize("size", [1, NROWS - 1, NROWS, NROWS + 1])
+    def test_three_typed_conjuncts_across_batch_sizes(self, db, monkeypatch,
+                                                      size):
+        monkeypatch.setattr(vector, "BATCH_SIZE", size)
+        _conjunct_table(db, x=3, y=2)
+        db.query_all("SELECT sum(k), sum(x), sum(y) FROM c")  # types c
+        sql = "SELECT k, x FROM c WHERE k + 0 > 2 AND x <> 1 AND k + y < 17"
+        db.profiler.reset()
+        expected = [(k, 3 if k == 7 else k % 4) for k in range(3, NROWS)
+                    if (k == 7 or k % 4 != 1)
+                    and k + (2 if k == 7 else 1 + k % 5) < 17]
+        assert _outcome(db, sql) == repr(expected)
+        assert db.profiler.counts["vector typed rows"] == NROWS
+        assert db.profiler.counts["vector fallbacks"] == 0
+
+    @pytest.mark.parametrize("first", ["k + 0 > 3", "x + 0 < 3", "y <> 2"])
+    def test_typed_conjunct_beside_a_null_column(self, db, first):
+        # x holds a NULL: its conjunct's NULL row stays a candidate for the
+        # typed ones after it, and is never selected.
+        _conjunct_table(db, x=None, y=2)
+        db.query_all("SELECT sum(k), sum(y) FROM c")  # types k and y
+        sql = f"SELECT k FROM c WHERE {first} AND x <> 1 AND k + 0 < 15"
+        assert "(7,)" not in _outcome(db, sql)
+        assert "(7,)" in _outcome(db, "SELECT k FROM c WHERE k + 0 > 3 "
+                                      "AND x IS NULL AND k + 0 < 15")
+
+    def test_non_boolean_conjunct_raises_in_both_engines(self, db):
+        _conjunct_table(db, x=2, y=2)
+        for sql in ("SELECT k FROM c WHERE k > 2 AND x",
+                    "SELECT k FROM c WHERE x", "SELECT count(*) FROM c "
+                    "WHERE y"):
+            assert _outcome(db, sql) == ("TypeError_: expected boolean, "
+                                         "got int"), sql
