@@ -18,14 +18,17 @@ run.
 
 **Gated: the structural facts**, which do not depend on the host —
 EXPLAIN shows the per-call ``Trampoline`` with ``volatility=immutable``
-(``f``'s class) in both variants, both return identical rows, and one
-profiled execution of each makes 10,000 calls and runs 20 activations
-(one per distinct argument value).
+(``f``'s class) in both variants, both return identical rows, the first
+execution of each in a fresh database makes 10,000 calls and runs 20
+activations (one per distinct argument value), and a repeat execution
+runs none and returns identical rows (the memo ``f``'s machine template
+carried over).
 
-**Reported** — both times and their ratio (once gated at >= 2x, when it
-measured the widened batching), and the analyzer's cost: a full
-``CHECK FUNCTION ALL`` sweep over the paper workloads, per function (once
-gated at < 500 ms).
+**Reported** — both times as first executions (every cached plan dropped
+before each run) and their ratio (once gated at >= 2x, when it measured
+the widened batching), and the analyzer's cost: a full ``CHECK FUNCTION
+ALL`` sweep over the paper workloads, per function (once gated at
+< 500 ms).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import analyze_function
-from repro.bench.harness import counted, render_table, time_query
+from repro.bench.harness import profiled, render_table, time_query
 from repro.compiler import compile_plsql
 from repro.sql import Database
 from repro.sql.profiler import BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS
@@ -87,22 +90,24 @@ def _set_inner_volatility(db: Database, declared) -> None:
 
 
 def _timed(db: Database, runs: int = 3) -> float:
-    db.clear_plan_cache()
-    return time_query(db, QUERY, runs=runs, warmup=1).minimum
+    return time_query(db, QUERY, runs=runs, warmup=1, cold=True).minimum
 
 
 def test_argument_volatility_decides_nothing(write_artifact, write_json,
                                              benchmark, demo):
-    db = _build_db()
     explains, results, counts = {}, {}, {}
     # Pessimistic: helper assumed volatile (pre-analyzer rule); inferred:
-    # the analyzer proves it pure.
+    # the analyzer proves it pure.  Each first runs in a fresh database.
     for variant, declared in (("pessimistic", "volatile"),
                               ("inferred", None)):
+        db = _build_db()
         _set_inner_volatility(db, declared)
         explains[variant] = db.explain(QUERY)
-        results[variant] = db.query_all(QUERY)
-        counts[variant] = counted(db, QUERY)
+        results[variant], counts[variant] = profiled(db, QUERY)
+        again, repeat = profiled(db, QUERY)
+        assert again == results[variant], variant
+        assert repeat.get(BATCHED_UDF_ROWS) == ROWS, variant
+        assert repeat.get(BATCHED_UDF_DISTINCT, 0) == 0, variant
 
     # The gate: the same site, the same rows, the same activations.
     for variant, plan in explains.items():
@@ -143,7 +148,8 @@ def test_argument_volatility_decides_nothing(write_artifact, write_json,
         title=f"f(g(x)) over a {ROWS}-row table: g's volatility decides "
               "nothing; gated on: per-call Trampoline volatility=immutable "
               f"in EXPLAIN, identical rows, {ROWS} calls and 20 "
-              "activations in both variants"))
+              "activations on the first execution and 0 on a repeat in "
+              "both variants"))
 
     write_json("analysis", {
         "rows": ROWS,

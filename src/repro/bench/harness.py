@@ -46,11 +46,17 @@ class Timing:
 
 
 def time_query(db: Database, sql: str, params: Sequence = (),
-               runs: int = 5, seed: int = 42, warmup: int = 1) -> Timing:
-    """Time *sql*; RNG reseeded per run; first ``warmup`` runs discarded."""
+               runs: int = 5, seed: int = 42, warmup: int = 1,
+               cold: bool = False) -> Timing:
+    """Time *sql*; RNG reseeded per run; first ``warmup`` runs discarded.
+    *cold*: every cached plan is dropped before each run, so a compiled
+    function's memos start empty as on a statement's first execution (the
+    run then plans the statement too)."""
     samples = []
     for run in range(runs + warmup):
         db.reseed(seed)
+        if cold:
+            db.clear_plan_cache()
         start = time.perf_counter()
         db.execute(sql, params)
         elapsed = time.perf_counter() - start
@@ -59,18 +65,24 @@ def time_query(db: Database, sql: str, params: Sequence = (),
     return Timing(samples)
 
 
-def counted(db: Database, sql: str) -> dict:
-    """The profiler's counters over one execution of *sql* on a database
-    that otherwise runs unprofiled - what the benches gate on (facts that
-    do not depend on the host) beside the time ratios they report."""
+def profiled(db: Database, sql: str) -> tuple[list, dict]:
+    """The rows and the profiler's counters of one execution of *sql* on a
+    database that otherwise runs unprofiled - what the benches gate on
+    (facts that do not depend on the host) beside the time ratios they
+    report."""
     profiler = db.profiler
     profiler.enabled = True
     profiler.reset()
     try:
-        db.execute(sql)
-        return dict(profiler.counts)
+        rows = db.execute(sql).rows
+        return rows, dict(profiler.counts)
     finally:
         profiler.enabled = False
+
+
+def counted(db: Database, sql: str) -> dict:
+    """The counters of :func:`profiled`."""
+    return profiled(db, sql)[1]
 
 
 # ---------------------------------------------------------------------------

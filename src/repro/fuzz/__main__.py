@@ -20,8 +20,8 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
-                                MEMO_HITS, MEMO_MISSES, RANGE_SCANS_GIVEN_UP,
-                                VECTOR_FALLBACKS,
+                                MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
+                                RANGE_SCANS_GIVEN_UP, VECTOR_FALLBACKS,
                                 VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
                                 VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 
@@ -107,6 +107,7 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
               f"{counts[VECTOR_JOIN_ROWS]} vector join rows, "
               f"{counts[RANGE_SCANS_GIVEN_UP]} range scans given up, "
               f"{counts[MEMO_HITS]} memo hits / {counts[MEMO_MISSES]} misses, "
+              f"{counts[MEMO_CARRIED_HITS]} memo carried hits, "
               f"{counts[BATCHED_UDF_ROWS]} memoized calls / "
               f"{counts[BATCHED_UDF_DISTINCT]} activations, "
               f"{counts[FUZZ_DISCREPANCIES]} discrepancies, "

@@ -51,8 +51,8 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
-                                MEMO_HITS, MEMO_MISSES, RANGE_SCANS_GIVEN_UP,
-                                VECTOR_FALLBACKS,
+                                MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
+                                RANGE_SCANS_GIVEN_UP, VECTOR_FALLBACKS,
                                 VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
                                 VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 from repro.sql.values import Row, row_sort_key
@@ -423,6 +423,11 @@ class DifferentialChecker:
         loaded: dict[str, list] = {}    # table -> its rows before any ran
         handles = [db.session.prepare(modification.sql)
                    for modification in case.modifications]
+        # Each compiled variant once more under every config that runs the
+        # trampoline machine (the baseline inlines Qf), in the same
+        # database: what the machine's memos carried from the first
+        # execution must answer as the first execution did.
+        repeats: list[tuple[int, str, str, Outcome]] = []
         db.profiler.enabled = True
         for config in configs:
             config.apply(db)
@@ -433,6 +438,17 @@ class DifferentialChecker:
                         db.reseed(0)
                     by_variant[label][config.label] = run_statement(db, sql)
                     profiler.bump(FUZZ_EXECUTIONS)
+            if db.settings.get("batch_compiled"):
+                for qi, (query, variants) in enumerate(
+                        zip(case.queries, variants_per_query)):
+                    for label, sql in variants:
+                        if label != "compiled":
+                            continue
+                        if query.per_config:
+                            db.reseed(0)
+                        repeats.append((qi, sql, config.label,
+                                        run_statement(db, sql)))
+                        profiler.bump(FUZZ_EXECUTIONS)
             for mi, modification in enumerate(case.modifications):
                 if config is configs[0]:
                     expected_counts.append(
@@ -442,8 +458,8 @@ class DifferentialChecker:
                 profiler.bump(FUZZ_EXECUTIONS)
         for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FUSED_ROWS,
                         VECTOR_JOIN_ROWS, VECTOR_FALLBACKS, MEMO_HITS,
-                        MEMO_MISSES, BATCHED_UDF_ROWS, BATCHED_UDF_DISTINCT,
-                        RANGE_SCANS_GIVEN_UP):
+                        MEMO_MISSES, MEMO_CARRIED_HITS, BATCHED_UDF_ROWS,
+                        BATCHED_UDF_DISTINCT, RANGE_SCANS_GIVEN_UP):
             profiler.bump(counter, db.profiler.counts[counter])
 
         discrepancies: list[Discrepancy] = []
@@ -541,6 +557,21 @@ class DifferentialChecker:
             cross_check(query, reference, baseline_label,
                         lambda conn: _run_sqlite(conn, query.sqlite_sql),
                         ordered=query.order == "total")
+        for qi, sql, label, again in repeats:
+            query = case.queries[qi]
+            first = outcomes[qi]["compiled"][label]
+            where = f"{label}/compiled"
+            profiler.bump(FUZZ_COMPARISONS)
+            if again.crashed:
+                report("crash", query, sql, where, f"{where} again", first,
+                       again)
+            elif (again.status, again.error) != (first.status, first.error):
+                report("status", query, sql, where, f"{where} again", first,
+                       again)
+            elif first.status == "ok" and not rows_equal(
+                    first.rows, again.rows, ordered=query.order == "total"):
+                report("result", query, sql, where, f"{where} again", first,
+                       again)
         for modification, expected, by_config in zip(
                 case.modifications, expected_counts, modified):
             profiler.bump(FUZZ_DML_CHECKS)

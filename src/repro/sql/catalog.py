@@ -79,9 +79,10 @@ class FunctionDef:
     #: What a front end built from the body on first use - the SQL body's
     #: plan, the PL/pgSQL interpreter's FunctionRuntime, the trampoline's
     #: machine rules as closures (executor.batched_udf.MachineCallPlan,
-    #: shared by every call site of every statement) - keyed by the
-    #: ``Database.plan_stamp()`` it was built under, so sessions with
-    #: different plan-affecting settings each keep their own.
+    #: shared by every call site of every statement, memo stores
+    #: included) - keyed by the ``Database.plan_stamp()`` it was built
+    #: under, so sessions with different plan-affecting settings each keep
+    #: their own.
     body_plans: dict = field(default_factory=dict)
     #: Facts cached by the static analyzer (repro.analysis.volatility):
     #: inferred volatility class, whether the body may raise at run time,

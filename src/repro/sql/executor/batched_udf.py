@@ -24,11 +24,16 @@ the RNG state a statement leaves behind and the not-evaluated cases
 inlined Qf and with the interpreter.
 
 A site of a function whose machine is ``shareable`` and that is not
-volatile (a declared VOLATILE counts) keeps, for one statement, the result
-of each activation keyed by the argument values' representations
+volatile (a declared VOLATILE counts) keeps the result of each activation
+keyed by the argument values' representations
 (:class:`repro.sql.executor.memo.MemoTable`, watching the tables the rules
 read): a repeated argument vector answers without running the machine.
-Errors are never cached.
+The results outlive the statement: at ExecutorEnd they go to the
+function's machine template (:class:`~repro.sql.executor.memo.MemoStore`,
+shared by every site of every statement, like the Memoize nodes of the
+rules), and a later statement is answered from them while the watched
+tables are unchanged and fully committed and its session's settings equal
+the builder's.  Errors are never cached.
 
 ``batch_compiled = off`` is the single switch back to the paper's inlined
 pure-SQL Qf at every site; loop-free (Froid) functions have no trampoline
@@ -45,7 +50,7 @@ from ..profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                         TRAMPOLINE_ITERATIONS, TRAMPOLINE_WORKING_ROWS)
 from ..values import representation_key
 from .base import call_site_lines
-from .memo import MemoTable
+from .memo import MemoStore, MemoTable
 from .scan import make_slots
 
 
@@ -170,17 +175,22 @@ class MachineCallPlan:
     """One call site evaluated via compiled transition rules, parked in an
     expression's subplan slots; it runs one activation per call.
     ``memo_tables`` are the tables a memo of its results watches, None
-    when its calls are not memoized."""
+    when its calls are not memoized; ``memo_store`` keeps those results
+    across statements, one per template."""
 
-    __slots__ = ("name", "arg_display", "volatility", "memo_tables", "base",
-                 "base_subplans", "transitions", "trans_subplans")
+    __slots__ = ("name", "arg_display", "volatility", "memo_tables",
+                 "memo_store", "base", "base_subplans", "transitions",
+                 "trans_subplans")
 
     def __init__(self, base, base_subplans, transitions, trans_subplans,
-                 memo_tables: Optional[list] = None):
+                 memo_tables: Optional[list] = None,
+                 memo_store: Optional[MemoStore] = None):
         self.name = ""
         self.arg_display = ""
         self.volatility = ""
         self.memo_tables = memo_tables
+        self.memo_store = memo_store if memo_store is not None \
+            else MemoStore()
         self.base = base
         self.base_subplans = base_subplans
         self.transitions = transitions
@@ -188,10 +198,11 @@ class MachineCallPlan:
 
     def at_call_site(self, name: str, arg_display: str,
                      volatility: str) -> "MachineCallPlan":
-        """A shallow per-call-site copy (the compiled rules are shared)."""
+        """A shallow per-call-site copy (the compiled rules and the memo
+        store are shared)."""
         site = MachineCallPlan(self.base, self.base_subplans,
                                self.transitions, self.trans_subplans,
-                               self.memo_tables)
+                               self.memo_tables, self.memo_store)
         site.name = name
         site.arg_display = arg_display
         site.volatility = volatility
@@ -221,14 +232,14 @@ class MachineCallState:
         self.plan = plan
         self.base_slots = make_slots(rt, ictx, plan.base_subplans)
         self.trans_slots = make_slots(rt, ictx, plan.trans_subplans)
-        self.memo = (MemoTable(rt, plan.memo_tables)
+        self.memo = (MemoTable(rt, plan.memo_tables, plan.memo_store)
                      if plan.memo_tables is not None else None)
 
     def call(self, values: tuple):
         """The call's result, at its own evaluation point: from the memo
-        when an earlier call of this statement passed the same argument
-        representations, else from one activation (stored unless it
-        raised)."""
+        when an earlier call (of this statement, or one the template's
+        store carried in) passed the same argument representations, else
+        from one activation (stored unless it raised)."""
         memo = self.memo
         if memo is None:
             return self.run(values)

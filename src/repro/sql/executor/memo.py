@@ -18,7 +18,9 @@ keyed by its argument values: Hellerstein & Naughton's method caching
 ("Query Execution Techniques for Caching Expensive Methods", SIGMOD 1996).
 
 * **First open** passes straight through to the child: a subplan opened
-  once per instantiation never pays for a key.
+  once per instantiation never pays for a key.  (A memo carried from an
+  earlier execution, see *Lifetime*, is asked first; a miss stores
+  nothing.)
 * **Key**: from the second open on, the outer columns the subquery reads,
   recorded at plan time as ``(depth, relation, column)``, each value keyed
   by representation (:func:`repro.sql.values.representation_key`, the call
@@ -34,15 +36,33 @@ keyed by its argument values: Hellerstein & Naughton's method caching
   it.
 * **Invalidation**, **bound** and **release** are the :class:`MemoTable`'s,
   shared with the call sites.
+
+**Lifetime.** A memo of a plain statement, of a PL/pgSQL embedded query or
+of the inlined Qf lives for one execution: its plan belongs to the
+statement, and its entries are freed at ExecutorEnd.  A memo inside a
+compiled function's machine template (the call sites' argument memo and the
+Memoize nodes of the rules, planned once per function and plan stamp) lives
+as long as the template, in the manner of Oracle's PL/SQL function result
+cache: at ExecutorEnd its *finished* entries (activation results, Memoize
+entries whose child ran dry) go to the template's :class:`MemoStore`, and
+the next execution answers from them.  They are stored and served under the
+condition :meth:`repro.sql.storage.HeapTable.visible_rows` builds and serves
+its cache under - no transaction in flight, a maximally fresh building
+snapshot and a serving one at least as fresh, every watched table's write
+counter unchanged - and only to a session whose setting values all equal
+the builder's (``max_recursion_iterations`` and the other budgets decide
+whether a call raises, and the plan stamp does not cover them).  DDL drops
+the template, and the store with it.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from .. import ast as A
 from ..astutil import walk
-from ..profiler import MEMO_HITS, MEMO_MISSES
+from ..profiler import MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES
 from ..values import representation_key
 from .base import Plan, PlanState
 
@@ -80,38 +100,81 @@ def memo_tables(asts, catalog, cte_env=None) -> Optional[list[str]]:
 
 
 def memoize(plan: Plan, query: A.SelectStmt, reads: dict, catalog,
-            cte_env) -> Plan:
+            cte_env, carried: bool = False) -> Plan:
     """*plan*, of the re-openable subquery *query*, under a MemoizePlan
     keyed by *reads* (``(depth, rel_index, col_index)`` -> display name:
     the outer columns it reads); *plan* itself when it reads none, when it
     calls something volatile (``expr_is_volatile``) or when
-    :func:`memo_tables` refuses it."""
+    :func:`memo_tables` refuses it.  *carried*: the plan belongs to a
+    machine template, and its memo outlives the statement."""
     from ...analysis.volatility import expr_is_volatile
     if not reads or expr_is_volatile(query, catalog):
         return plan
     tables = memo_tables(query, catalog, cte_env)
     if tables is None:
         return plan
-    return MemoizePlan(plan, list(reads), list(reads.values()), tables)
+    return MemoizePlan(plan, list(reads), list(reads.values()), tables,
+                       MemoStore() if carried else None)
+
+
+def _settled_horizon(mgr) -> Optional[int]:
+    """The xmax of the running statement's snapshot (the next xid while it
+    has taken none) when no transaction is in flight anywhere, else None:
+    the part of the visible-rows cache's condition that is about
+    transactions."""
+    if mgr.active_xids:
+        return None
+    txn = mgr.current
+    snapshot = txn.snapshot if txn is not None else None
+    if snapshot is None:
+        return mgr.next_xid
+    return None if snapshot.active else snapshot.xmax
+
+
+class MemoStore:
+    """The finished entries of one memo of a machine template, carried
+    from execution to execution.
+
+    ``state`` is None or ``(versions, xmax, settings, entries)``: the
+    watched tables' write counters, the snapshot horizon and the session's
+    setting values the entries were made under, and the entries (at most
+    :data:`MEMO_ENTRIES`; a finished entry is never changed again).  A
+    state made under the handing-over execution's versions and settings
+    takes its entries in place (its horizon, the older, is still sound:
+    no write touched the tables in between); otherwise a new state
+    replaces it whole."""
+
+    __slots__ = ("state",)
+
+    def __init__(self):
+        self.state: Optional[tuple] = None
 
 
 class MemoTable:
-    """The entries of one memo, for one execution.
+    """The entries of one memo, for one execution, over those its
+    :class:`MemoStore` carried in (``carried``, read-only) when it has one.
 
     * **Invalidation**: the entries are dropped when a watched table has
       moved its write counter since they were made.
     * **Bound**: :data:`MEMO_ENTRIES`; past it, misses go uncached.
     * **Release**: the entries are freed at ExecutorEnd
       (:meth:`repro.sql.expr.RuntimeContext.release`), since expression
-      slot states are never closed.
+      slot states are never closed; the entries *finished* accepts
+      (every entry when it is None) go to the store first.
     """
 
-    __slots__ = ("tables", "versions", "entries")
+    __slots__ = ("db", "tables", "versions", "entries", "store", "carried",
+                 "finished")
 
-    def __init__(self, rt, table_names):
+    def __init__(self, rt, table_names, store: Optional[MemoStore] = None,
+                 finished=None):
+        self.db = rt.db
         self.tables = [rt.catalog.get_table(name) for name in table_names]
         self.versions: Optional[tuple] = None
         self.entries: dict = {}
+        self.store = store
+        self.carried: Optional[dict] = None
+        self.finished = finished
         rt.memos.append(self)
 
     def get(self, key):
@@ -121,14 +184,59 @@ class MemoTable:
         if versions != self.versions:
             self.entries.clear()
             self.versions = versions
-        return self.entries.get(key)
+            if self.store is not None:
+                self.carried = self._carried_in(versions)
+        entry = self.entries.get(key)
+        if entry is None and self.carried is not None:
+            entry = self.carried.get(key)
+            if entry is not None:
+                self.db.profiler.bump(MEMO_CARRIED_HITS)
+        return entry
+
+    def _carried_in(self, versions: tuple) -> Optional[dict]:
+        """The store's entries when this execution may be served them:
+        same table versions and setting values as their builder, no
+        transaction in flight, a snapshot at least as fresh."""
+        state = self.store.state
+        if state is None or state[0] != versions:
+            return None
+        horizon = _settled_horizon(self.db.txnman)
+        if (horizon is None or horizon < state[1]
+                or state[2] != self.db.settings.active):
+            return None
+        return state[3]
 
     def put(self, key, entry) -> None:
         if len(self.entries) < MEMO_ENTRIES:
             self.entries[key] = entry
 
     def release(self) -> None:
+        if self.store is not None and self.entries:
+            self._hand_over()
         self.entries = {}
+        self.carried = None
+
+    def _hand_over(self) -> None:
+        """Store the finished entries, when they were made by a maximally
+        fresh snapshot with no transaction in flight, over tables no write
+        has touched since."""
+        mgr = self.db.txnman
+        versions = self.versions
+        if (_settled_horizon(mgr) != mgr.next_xid or versions
+                != tuple([table._version for table in self.tables])):
+            return
+        settings = self.db.settings.active
+        state = self.store.state
+        if state is None or state[0] != versions or state[2] != settings:
+            state = (versions, mgr.next_xid, settings, {})
+        entries, finished = state[3], self.finished
+        for key, entry in self.entries.items():
+            if len(entries) >= MEMO_ENTRIES:
+                break
+            if finished is None or finished(entry):
+                entries[key] = entry
+        if entries:
+            self.store.state = state
 
 
 class MemoizePlan(Plan):
@@ -137,17 +245,21 @@ class MemoizePlan(Plan):
     ``keys`` are ``(depth, rel_index, col_index)``: the value sits in
     ``rows[rel_index][col_index]`` of the context *depth* parents out from
     the one the subplan is opened with.  ``tables`` names the base tables
-    whose write counters the entries depend on.
+    whose write counters the entries depend on.  ``store`` carries the
+    finished entries across executions, for a plan of a machine template;
+    None for a plan a statement owns.
     """
 
-    __slots__ = ("child", "keys", "key_names", "tables")
+    __slots__ = ("child", "keys", "key_names", "tables", "store")
 
-    def __init__(self, child: Plan, keys, key_names, tables):
+    def __init__(self, child: Plan, keys, key_names, tables,
+                 store: Optional[MemoStore] = None):
         super().__init__(child.output_columns)
         self.child = child
         self.keys = tuple(keys)
         self.key_names = tuple(key_names)
         self.tables = tuple(tables)
+        self.store = store
 
     def label(self) -> str:
         return f"Memoize (keys: {', '.join(self.key_names)})"
@@ -165,6 +277,10 @@ class MemoizePlan(Plan):
         return MemoizeState(rt, self, self.child.instantiate(rt, ictx))
 
 
+#: A Memoize entry is finished once its child ran dry.
+_RAN_DRY = itemgetter(1)
+
+
 class MemoizeState(PlanState):
     """``memo`` maps a key to ``[prefix rows, child ran dry]``; ``entry``
     is the one this open serves (None: passing through), and ``live`` says
@@ -177,7 +293,7 @@ class MemoizeState(PlanState):
         super().__init__(rt)
         self.plan = plan
         self.child = child
-        self.memo = MemoTable(rt, plan.tables)
+        self.memo = MemoTable(rt, plan.tables, plan.store, _RAN_DRY)
         self.entry: Optional[list] = None
         self.pos = 0
         self.live = False
@@ -186,13 +302,19 @@ class MemoizeState(PlanState):
 
     def open(self, outer) -> None:
         self.entry = None
-        if not self.opened:
+        first = not self.opened
+        if first:
             self.opened = True
-            self.child.open(outer)
-            return
+            if self.plan.store is None:
+                self.child.open(outer)
+                return
         key = self._key(outer)
         entry = self.memo.get(key)
         if entry is None:
+            if first:
+                # Only a carried entry answers a first open.
+                self.child.open(outer)
+                return
             self.rt.db.profiler.bump(MEMO_MISSES)
             self.child.open(outer)
             entry = [[], False]

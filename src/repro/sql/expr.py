@@ -47,7 +47,9 @@ class RuntimeContext:
 
     ``memos`` are the memo tables of the Memoize states and memoized call
     sites instantiated under this context (executor/memo.py);
-    :meth:`release` frees them at ExecutorEnd.
+    :meth:`release` frees them at ExecutorEnd, after a memo of a compiled
+    function's machine template has handed its finished entries to the
+    template's store, which outlives the execution.
     """
 
     __slots__ = ("db", "params", "depth", "cancel", "memos")
@@ -74,7 +76,9 @@ class RuntimeContext:
     def release(self) -> None:
         """ExecutorEnd for what ``close`` does not reach: expression slot
         states are never closed, so the memo tables they hold are freed
-        here, where the statement (or embedded-query evaluation) ends."""
+        here, where the statement (or embedded-query evaluation) ends -
+        those of a machine template once they have handed over to its
+        store (never reached when the execution raised)."""
         for memo in self.memos:
             memo.release()
         self.memos.clear()

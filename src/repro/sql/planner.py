@@ -111,11 +111,14 @@ class Planner:
 
     # No stray attributes: planner flags live in the settings store, and
     # assigning one on the planner must fail, not be silently ignored.
-    __slots__ = ("db", "_cte_env")
+    __slots__ = ("db", "_cte_env", "_in_template")
 
     def __init__(self, db: "Database"):
         self.db = db
         self._cte_env: Optional[CteEnv] = None
+        #: Planning a machine template (_trampoline_template), whose
+        #: Memoize nodes keep their entries across statements.
+        self._in_template = False
 
     @property
     def catalog(self):
@@ -212,7 +215,8 @@ class Planner:
         :func:`~.executor.memo.memoize` finds its rows a function of those
         and of the tables it names, and *outer_scope* is not ``one_shot``
         (the PL/pgSQL interpreter's embedded query opens once per
-        instantiation, where a memo could only cost)."""
+        instantiation, where a memo could only cost).  Inside a machine
+        template the memo outlives the statement (executor/memo.py)."""
         if outer_scope is None or outer_scope.one_shot:
             return self.plan_select(query, outer_scope=outer_scope)
         reads: dict[tuple[int, int, int], str] = {}
@@ -223,7 +227,8 @@ class Planner:
                     partial(_record_read, reads, depth, scope)))
                 scope, depth = scope.parent, depth + 1
             plan = self.plan_select(query, outer_scope=outer_scope)
-        return memoize(plan, query, reads, self.catalog, self._cte_env)
+        return memoize(plan, query, reads, self.catalog, self._cte_env,
+                       self._in_template)
 
     def _plan_query_tail(self, stmt: A.SelectStmt,
                          outer_scope: Optional[Scope]) -> Plan:
@@ -1288,21 +1293,21 @@ class Planner:
         Cached on the FunctionDef: the trampoline takes its arguments as
         values (a parameter row) rather than as spliced-in expressions, so
         one compiled template serves every call site of every statement
-        running under the same plan stamp (Database.plan_stamp).  It is
-        therefore compiled outside the calling statement's context: that
-        statement's CTE names must not leak into a plan other statements
-        will run."""
+        running under the same plan stamp (Database.plan_stamp), and so do
+        its memos' stores.  It is therefore compiled outside the calling
+        statement's context: that statement's CTE names must not leak into
+        a plan other statements will run."""
         stamp = self.db.plan_stamp()
         template = fdef.body_plans.get(stamp)
         if template is None:
             from ..analysis.volatility import effective_volatility
             machine = fdef.batch_machine
-            saved = self._cte_env
-            self._cte_env = None
+            saved = self._cte_env, self._in_template
+            self._cte_env, self._in_template = None, True
             try:
                 template = compile_machine(machine, self)
             finally:
-                self._cte_env = saved
+                self._cte_env, self._in_template = saved
             if machine.shareable and effective_volatility(
                     fdef, self.catalog) != "volatile":
                 template.memo_tables = memo_tables(

@@ -142,9 +142,13 @@ VECTOR_FALLBACKS = "vector fallbacks"
 #: Memoized subplans (executor/memo.py): a re-open of a Memoize node is a
 #: "hit" when an earlier open with the same outer values left rows to
 #: serve, else a "miss" that runs its child.  The first open of each
-#: Memoize state passes straight through and counts as neither.
+#: Memoize state passes straight through and counts as neither, unless an
+#: entry carried from an earlier execution answers it (a hit).  "carried
+#: hits" counts the Memoize hits and memoized trampoline calls answered by
+#: an entry a machine template's memo kept from an earlier execution.
 MEMO_HITS = "memo hits"
 MEMO_MISSES = "memo misses"
+MEMO_CARRIED_HITS = "memo carried hits"
 #: Resource governance: statements killed by the cooperative cancel token
 #: (wire CancelRequest, statement_timeout, interpreter budget), WAL logs
 #: compacted to a snapshot prefix (CHECKPOINT or the auto-checkpoint

@@ -150,7 +150,9 @@ SETTINGS: tuple[Setting, ...] = (
     Setting("batch_compiled", "bool", True, True,
             "Run recursive compiled-UDF calls on the trampoline machine "
             "(one activation per call, memoized by argument values where "
-            "the function is not volatile); off inlines the WITH "
+            "the function is not volatile, the results kept by the "
+            "function for later statements while the tables they read "
+            "are unchanged and committed); off inlines the WITH "
             "RECURSIVE Qf at every site."),
     # PostgreSQL's max_stack_depth: directly recursive SQL UDFs (the
     # paper's intermediate UDF form) blow this quickly.

@@ -21,8 +21,8 @@ from repro.sql.catalog import FunctionDef
 from repro.sql.errors import SqlError
 from repro.sql.executor import batched_udf, memo
 from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
-                                MEMO_HITS, MEMO_MISSES, PLAN_CACHE_HIT,
-                                PLAN_INSTANTIATIONS,
+                                MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
+                                PLAN_CACHE_HIT, PLAN_INSTANTIATIONS,
                                 SWITCH_F_TO_Q, TRAMPOLINE_ITERATIONS)
 
 
@@ -488,3 +488,275 @@ BEGIN
   RETURN CAST(x AS text);
 END;
 $$ LANGUAGE plpgsql"""
+
+
+# ---------------------------------------------------------------------------
+# Memos of a machine template, carried across statements
+# ---------------------------------------------------------------------------
+
+PARSE_C = "SELECT id, parse_c(s) FROM inputs ORDER BY id"
+PARSE_I = "SELECT id, parse(s) FROM inputs ORDER BY id"
+WALK_C = "SELECT c.id, walk_c(row(0,0)::coord, 20, -20, 32) FROM calls AS c"
+WALK_I = WALK_C.replace("walk_c(", "walk(")
+#: Turns ',' into a rejected character: every parse above answers anew.
+NO_COMMA = "DELETE FROM fsm WHERE symbol = ','"
+CARRY_COUNTERS = (MEMO_CARRIED_HITS, BATCHED_UDF_ROWS, BATCHED_UDF_DISTINCT,
+                  TRAMPOLINE_ITERATIONS)
+
+
+def carry_db(extra: str = "") -> Database:
+    """parse / walk and their compiled twins, steps_c, four inputs over
+    three strings and two walks; *extra*, a PL/pgSQL function, created
+    and compiled as ``<name>_c`` too."""
+    from repro.compiler import compile_plsql
+    from repro.workloads.loader import WORKLOADS
+    from repro.workloads.parser_fsm import setup_parser
+    from repro.workloads.robot import setup_robot
+    db = Database(seed=0)
+    setup_parser(db)
+    setup_robot(db)
+    for name in ("parse", "walk"):
+        register(db, WORKLOADS[name], f"{name}_c")
+    register(db, STEPS, "steps_c")
+    db.execute("CREATE TABLE inputs(id int, s text)")
+    db.execute("INSERT INTO inputs VALUES (0, '12,3.5,77'), (1, '-7,x1'), "
+               "(2, '12,3.5,77'), (3, '4.25,1,9,10')")
+    if extra:
+        db.execute(extra)
+        artifact = compile_plsql(extra, db)
+        artifact.register(db, name=f"{artifact.name}_c")
+    db.execute("CREATE TABLE calls(id int)")
+    db.execute("INSERT INTO calls VALUES (0), (1)")
+    return db
+
+
+def run_steps(steps, monkeypatch, entries: int, server: bool = False,
+              extra: str = ""):
+    """``(outcome, counters)`` of each ``(session, sql)`` of *steps* on a
+    fresh :func:`carry_db` (of *extra*) whose memo tables hold *entries*;
+    a session is a ``db.connect()`` (a wire client of a ServerThread when
+    *server*) opened on first use."""
+    from contextlib import ExitStack
+    from repro.server import ServerError, ServerThread, connect
+    with monkeypatch.context() as patch, ExitStack() as stack:
+        patch.setattr(memo, "MEMO_ENTRIES", entries)
+        db = carry_db(extra)
+        address = (stack.enter_context(ServerThread(db, workers=2))
+                   if server else None)
+        sessions, results = {}, []
+        for who, sql in steps:
+            if who not in sessions:
+                sessions[who] = (stack.enter_context(connect(*address))
+                                 if server else db.connect())
+            session = sessions[who]
+            db.profiler.reset()
+            try:
+                if server:
+                    out = repr([r.rows for r in session.query(sql)])
+                else:
+                    out = repr(session.execute(sql).rows)
+            except (SqlError, ServerError) as error:
+                out = f"{type(error).__name__}: {error}"
+            results.append((out, {name: db.profiler.counts[name]
+                                  for name in CARRY_COUNTERS}))
+    return results
+
+
+def carried_equals_cold(steps, monkeypatch, server: bool = False,
+                        extra: str = ""):
+    """Run *steps* with the memo and with ``MEMO_ENTRIES = 0``; the
+    outcomes must agree.  Returns them and the memo run's counters."""
+    cold = run_steps(steps, monkeypatch, 0, server, extra)
+    warm = run_steps(steps, monkeypatch, memo.MEMO_ENTRIES, server, extra)
+    assert [out for out, _ in warm] == [out for out, _ in cold]
+    assert all(counts[MEMO_CARRIED_HITS] == 0 for _, counts in cold)
+    return [out for out, _ in warm], [counts for _, counts in warm]
+
+
+class TestCarriedAcrossStatements:
+    """A machine template's memos keep their finished entries from one
+    statement to the next, and serve them only while the watched tables
+    are unchanged and fully committed and the settings are the
+    builder's."""
+
+    def test_repeated_parse_runs_no_activation(self, monkeypatch):
+        outs, counts = carried_equals_cold(
+            [("a", PARSE_C), ("a", PARSE_C), ("a", PARSE_I),
+             ("a", "SET batch_compiled = off"), ("a", PARSE_C)],
+            monkeypatch)
+        assert outs[0] == outs[1] == outs[2] == outs[4] \
+            == repr([(0, 9), (1, -4), (2, 9), (3, 11)])
+        assert counts[0][BATCHED_UDF_DISTINCT] == 3
+        assert counts[0][MEMO_CARRIED_HITS] == 0
+        assert counts[1] == {MEMO_CARRIED_HITS: 4, BATCHED_UDF_ROWS: 4,
+                             BATCHED_UDF_DISTINCT: 0,
+                             TRAMPOLINE_ITERATIONS: 0}
+        # The interpreter and the inlined Qf are never carried.
+        assert counts[2][MEMO_CARRIED_HITS] == counts[4][
+            MEMO_CARRIED_HITS] == 0
+
+    def test_walk_carries_its_rule_lookups_not_its_site(self, monkeypatch):
+        walk = [("a", "SELECT setseed(0.25)"), ("a", WALK_C),
+                ("a", "SELECT random()")]
+        outs, counts = carried_equals_cold(
+            walk + walk + [("a", "SELECT setseed(0.25)"), ("a", WALK_I),
+                           ("a", "SELECT random()")], monkeypatch)
+        assert outs[:3] == outs[3:6] == outs[6:]
+        first, second = counts[1], counts[4]
+        assert first[MEMO_CARRIED_HITS] == 0 < second[MEMO_CARRIED_HITS]
+        assert first[BATCHED_UDF_ROWS] == second[BATCHED_UDF_ROWS] == 0
+        assert first[TRAMPOLINE_ITERATIONS] \
+            == second[TRAMPOLINE_ITERATIONS] > 0
+
+    @pytest.mark.parametrize("server", [False, True],
+                             ids=["connection", "server"])
+    def test_uncommitted_write_of_another_session(self, monkeypatch, server):
+        outs, counts = carried_equals_cold(
+            [("a", PARSE_C), ("b", "BEGIN"), ("b", NO_COMMA),
+             ("a", PARSE_C), ("a", PARSE_C), ("b", "COMMIT"),
+             ("a", PARSE_C), ("a", PARSE_C)], monkeypatch, server)
+        # In flight: the old answers, from activations, none stored.
+        assert outs[0] == outs[3] == outs[4] != outs[6] == outs[7]
+        for step in (3, 4, 6):
+            assert counts[step][MEMO_CARRIED_HITS] == 0, step
+            assert counts[step][BATCHED_UDF_DISTINCT] == 3, step
+        assert counts[7][MEMO_CARRIED_HITS] == 4
+
+    def test_older_snapshot_is_not_served(self, monkeypatch):
+        """b's committed write and b's warm store are newer than a's
+        snapshot: a still parses with the old automaton, from
+        activations."""
+        outs, counts = carried_equals_cold(
+            [("a", PARSE_C), ("a", "BEGIN"),
+             ("a", "SELECT count(*) FROM fsm"), ("b", NO_COMMA),
+             ("b", PARSE_C), ("b", PARSE_C), ("a", PARSE_C),
+             ("a", "COMMIT"), ("a", PARSE_C)], monkeypatch)
+        assert outs[0] == outs[6] != outs[4] == outs[5] == outs[8]
+        assert counts[5][MEMO_CARRIED_HITS] == 4
+        # (fsm_accept, which nobody wrote, may still answer from its
+        # store.)
+        assert counts[6][BATCHED_UDF_DISTINCT] == 3
+        assert counts[8][MEMO_CARRIED_HITS] == 4
+
+    def test_snapshot_that_saw_a_writer_in_flight(self, monkeypatch):
+        """a's snapshot was taken while b's write was in flight: after b
+        commits, what a computes is stored for nobody."""
+        outs, counts = carried_equals_cold(
+            [("b", "BEGIN"), ("b", NO_COMMA), ("a", "BEGIN"),
+             ("a", "SELECT count(*) FROM fsm"), ("b", "COMMIT"),
+             ("a", PARSE_C), ("a", "COMMIT"), ("a", PARSE_C),
+             ("a", PARSE_C), ("a", PARSE_I)], monkeypatch)
+        assert outs[5] != outs[7] == outs[8] == outs[9]
+        assert counts[7][MEMO_CARRIED_HITS] == 0
+        assert counts[8][MEMO_CARRIED_HITS] == 4
+
+    def test_own_writes_and_rollback(self, monkeypatch):
+        outs, counts = carried_equals_cold(
+            [("a", PARSE_C), ("a", "BEGIN"), ("a", NO_COMMA),
+             ("a", PARSE_C), ("a", PARSE_C), ("a", "ROLLBACK"),
+             ("a", PARSE_C), ("a", PARSE_C)], monkeypatch)
+        assert outs[3] == outs[4] != outs[0] == outs[6] == outs[7]
+        for step in (3, 4):
+            assert counts[step][MEMO_CARRIED_HITS] == 0, step
+        # The rolled-back writes moved fsm's write counter: the calls run
+        # again (the fsm_accept lookups inside them, whose table nothing
+        # wrote, may still be carried).
+        assert counts[6][BATCHED_UDF_DISTINCT] == 3
+        assert counts[7][MEMO_CARRIED_HITS] == 4
+
+    def test_committed_write_drops_the_store(self, monkeypatch):
+        outs, counts = carried_equals_cold(
+            [("a", PARSE_C), ("a", NO_COMMA), ("a", PARSE_C),
+             ("a", PARSE_C), ("a", PARSE_I)], monkeypatch)
+        assert outs[0] != outs[2] == outs[3] == outs[4]
+        assert counts[2][MEMO_CARRIED_HITS] == 0
+        assert counts[3][MEMO_CARRIED_HITS] == 4
+
+    def test_settings_of_the_builder(self, monkeypatch):
+        """A call carried under the default budget raises, as it does
+        cold, once the budget is lowered; the entries serve again when
+        the settings are the builder's."""
+        outs, counts = carried_equals_cold(
+            [("a", PARSE_C), ("a", "SET max_recursion_iterations = 8"),
+             ("a", PARSE_C), ("a", "RESET max_recursion_iterations"),
+             ("a", PARSE_C)], monkeypatch)
+        assert "exceeded 8 iterations" in outs[2]
+        assert outs[0] == outs[4]
+        assert counts[2][MEMO_CARRIED_HITS] == 0
+        assert counts[4][MEMO_CARRIED_HITS] == 4
+
+    def test_ddl_drops_the_store(self, monkeypatch):
+        replace = ("CREATE OR REPLACE FUNCTION twice(n int) RETURNS int AS "
+                   "$$ BEGIN RETURN n * 2; END; $$ LANGUAGE plpgsql")
+        outs, counts = carried_equals_cold(
+            [("a", PARSE_C), ("a", "CREATE TABLE unrelated(x int)"),
+             ("a", PARSE_C), ("a", PARSE_C), ("a", replace),
+             ("a", PARSE_C), ("a", replace), ("a", PARSE_C)], monkeypatch)
+        assert outs[0] == outs[2] == outs[3] == outs[5] == outs[7]
+        assert [counts[step][MEMO_CARRIED_HITS] for step in (2, 3, 5, 7)] \
+            == [0, 4, 0, 0]
+
+    def test_raised_activation_is_never_carried(self, monkeypatch):
+        """steps_c(5) divides by zero: every statement runs its
+        activation again, and a statement that raised hands over nothing,
+        not even the calls that answered before the error."""
+        some = "SELECT steps_c(x) FROM (VALUES (1), (2)) AS v(x)"
+        outs, counts = carried_equals_cold(
+            [("a", "SELECT steps_c(5)"), ("a", "SELECT steps_c(5)"),
+             ("a", "SELECT steps_c(x) FROM (VALUES (1), (2), (5)) AS v(x)"),
+             ("a", some), ("a", some)], monkeypatch)
+        assert all("division by zero" in out for out in outs[:3])
+        assert [c[BATCHED_UDF_DISTINCT] for c in counts] == [1, 1, 3, 2, 0]
+        assert counts[4][MEMO_CARRIED_HITS] == 2
+
+    def test_only_finished_memoize_entries_are_carried(self, monkeypatch,
+                                                       stores):
+        """An EXISTS pulls one row of a non-empty subquery: that entry's
+        child never ran dry, and it stays in its statement."""
+        ahead = """CREATE FUNCTION ahead(n int) RETURNS int AS $$
+        DECLARE i int := 0; c int := 0;
+        BEGIN
+          WHILE i < n LOOP
+            IF EXISTS (SELECT 1 FROM inputs AS p WHERE p.id >= i) THEN
+              c := c + 1;
+            END IF;
+            i := i + 1;
+          END LOOP;
+          RETURN c;
+        END; $$ LANGUAGE plpgsql"""
+        sql = "SELECT ahead_c(6), ahead(6)"
+        outs, counts = carried_equals_cold(
+            [("a", sql), ("a", sql), ("a", "SET batch_compiled = off"),
+             ("a", sql)], monkeypatch, extra=ahead)
+        assert outs[0] == outs[1] == outs[3] == repr([(4, 4)])
+        assert counts[1][MEMO_CARRIED_HITS] == 1
+        memoized = [entry for store in stores if store.state is not None
+                    for entry in store.state[3].values()
+                    if isinstance(entry, list)]
+        assert memoized and all(entry[1] for entry in memoized)
+
+    def test_store_never_exceeds_the_bound(self, monkeypatch, stores):
+        monkeypatch.setattr(memo, "MEMO_ENTRIES", 2)
+        db = carry_db()
+        walk = "SELECT setseed(0.5); " + WALK_C
+        for sql in (PARSE_C, PARSE_C, walk, walk):
+            db.execute_script(sql) if ";" in sql else db.query_all(sql)
+        held = [len(store.state[3]) for store in stores
+                if store.state is not None]
+        assert held and max(held) == 2
+        assert db.profiler.counts[MEMO_CARRIED_HITS] > 0
+
+
+@pytest.fixture()
+def stores(monkeypatch) -> list:
+    """The store of every memo table made while the test runs."""
+    kept = []
+    init = memo.MemoTable.__init__
+
+    def keep(table, rt, table_names, store=None, finished=None):
+        init(table, rt, table_names, store, finished)
+        if store is not None:
+            kept.append(store)
+
+    monkeypatch.setattr(memo.MemoTable, "__init__", keep)
+    return kept

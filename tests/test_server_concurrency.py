@@ -334,3 +334,56 @@ class TestLockingRegressions:
             assert observed, "readers never got a turn"
             assert all(0 <= n <= n_rows for n in observed)
             assert db.execute("SELECT count(*) FROM grow").scalar() == n_rows
+
+    def test_carried_memo_under_concurrent_sessions(self):
+        """Readers pair fsm's size with parse_c's answers in one statement
+        while a writer takes the ',' transitions out of fsm and puts them
+        back: every pair is one of the two consistent ones, so no reader
+        was answered from a memo another state of fsm left behind."""
+        from repro.sql.profiler import MEMO_CARRIED_HITS
+        from test_memoize import PARSE_C, carry_db
+        db = carry_db()
+        sql = PARSE_C.replace("SELECT id,",
+                              "SELECT (SELECT count(*) FROM fsm), id,")
+        commas = ", ".join(repr(row).replace('"', "'") for row in
+                           db.query_all("SELECT source, symbol, target "
+                                        "FROM fsm WHERE symbol = ','"))
+        toggles = ("DELETE FROM fsm WHERE symbol = ','",
+                   f"INSERT INTO fsm VALUES {commas}")
+        with ServerThread(db, workers=4) as address:
+            expected = {}
+            with connect(*address) as client:
+                for toggle in toggles:
+                    rows = client.query_rows(sql)
+                    expected[rows[0][0]] = rows
+                    client.query(toggle)
+            assert len(expected) == 2
+            stop = threading.Event()
+            observed = []
+
+            def reader():
+                with connect(*address) as client:
+                    while not stop.is_set():
+                        rows = client.query_rows(sql)
+                        assert rows == expected[rows[0][0]], rows
+                        observed.append(rows[0][0])
+
+            def writer():
+                try:
+                    with connect(*address) as client:
+                        for _ in range(15):
+                            for toggle in toggles:
+                                client.query(toggle)
+                                time.sleep(0.002)
+                finally:
+                    stop.set()
+
+            db.profiler.reset()
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                run_threads([reader, reader, reader, writer])
+            finally:
+                sys.setswitchinterval(old_interval)
+        assert len(set(observed)) == 2
+        assert db.profiler.counts[MEMO_CARRIED_HITS] > 0
