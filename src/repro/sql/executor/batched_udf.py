@@ -92,6 +92,7 @@ def compile_machine(machine, planner) -> "MachineCallPlan":
 
 
 def _compile_node(node, planner, rels: list, subplans: list):
+    from ...analysis.volatility import expr_is_volatile
     from ...compiler.template import (MachineCall, MachineIf, MachineLet,
                                       MachineResult)
 
@@ -107,16 +108,20 @@ def _compile_node(node, planner, rels: list, subplans: list):
         # Let values land in the second relation's mutable row (appended in
         # path order; only one branch runs per row, so indices line up).
         # Whole chains fuse into one closure — a let costs one expression
-        # evaluation plus a list append, nothing more.
+        # evaluation plus a list append, nothing more.  A let of a volatile
+        # value is marked: a memo keyed by it could never hit.
+        lets = rels[1]
+        start = len(lets.columns)
         values = []
-        pushed = 0
         while isinstance(node, MachineLet):
             values.append(compile_expr(node.value))
-            rels[1].columns.append(node.var.lower())
-            pushed += 1
+            if expr_is_volatile(node.value, planner.catalog):
+                lets.volatile.add(len(lets.columns))
+            lets.columns.append(node.var.lower())
             node = node.body
         body_fn = _compile_node(node, planner, rels, subplans)
-        del rels[1].columns[-pushed:]
+        del lets.columns[start:]
+        lets.volatile.difference_update(range(start, start + len(values)))
         if len(values) == 1:
             value0, = values
 

@@ -12,6 +12,25 @@ it over a re-openable subquery (:meth:`repro.sql.planner.Planner.
 plan_subquery`) whose rows :func:`memoize` finds a function of the outer
 values it reads and of the tables it names.
 
+:func:`memoize` leaves a subplan bare when
+
+* it reads no outer value: it is opened once per instantiation anyway;
+* it calls something volatile (``expr_is_volatile``): its rows are no
+  function of the key;
+* :func:`memo_tables` refuses it: a callee that is volatile or reads
+  tables of its own, or a CTE of the enclosing statement;
+* a key column is bound directly to a volatile expression
+  (``Relation.volatile``: a derived table's ``random()`` item, a machine
+  let of one): the planner assumes such a key never repeats, so that
+  every probe would miss and pay for its key and entry.  PostgreSQL 14
+  chooses Memoize by cost from the estimated number of distinct key
+  values, and estimates one per row for a volatile expression.  The
+  assumption holds for a continuous draw - ``walk``'s ``move`` lookup,
+  keyed by the step's float ``roll``, is the case it is made for - but
+  not for a few-valued one such as ``floor(random() * 3)``, which repeats
+  and loses a memo that would have hit: a known, accepted cost in speed
+  only (``tests/test_memoize.py::TestWhereItWraps``).
+
 The same entry table serves the other user, a per-call trampoline site of a
 compiled function (:class:`repro.sql.executor.batched_udf.MachineCallState`),
 keyed by its argument values: Hellerstein & Naughton's method caching
@@ -104,11 +123,13 @@ def memoize(plan: Plan, query: A.SelectStmt, reads: dict, catalog,
     """*plan*, of the re-openable subquery *query*, under a MemoizePlan
     keyed by *reads* (``(depth, rel_index, col_index)`` -> display name:
     the outer columns it reads); *plan* itself when it reads none, when it
-    calls something volatile (``expr_is_volatile``) or when
+    reads a column bound directly to a volatile expression (display name
+    None), when it calls something volatile (``expr_is_volatile``) or when
     :func:`memo_tables` refuses it.  *carried*: the plan belongs to a
     machine template, and its memo outlives the statement."""
     from ...analysis.volatility import expr_is_volatile
-    if not reads or expr_is_volatile(query, catalog):
+    if (not reads or None in reads.values()
+            or expr_is_volatile(query, catalog)):
         return plan
     tables = memo_tables(query, catalog, cte_env)
     if tables is None:
@@ -275,6 +296,20 @@ class MemoizePlan(Plan):
 
     def instantiate(self, rt, ictx=None) -> "MemoizeState":
         return MemoizeState(rt, self, self.child.instantiate(rt, ictx))
+
+
+def memoize_nodes(plans) -> list[MemoizePlan]:
+    """The Memoize nodes in *plans* and beneath them, expression subplan
+    slots included, depth first.  EXPLAIN prints no expression subquery,
+    so this is how a machine template's Memoize nodes are listed."""
+    found = []
+    for plan in plans:
+        if isinstance(plan, MemoizePlan):
+            found.append(plan)
+        if isinstance(plan, Plan):
+            found += memoize_nodes(plan.children())
+            found += memoize_nodes(getattr(plan, "subplans", ()))
+    return found
 
 
 #: A Memoize entry is finished once its child ran dry.

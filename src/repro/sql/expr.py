@@ -22,7 +22,7 @@ import textwrap
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from . import ast as A
 from .errors import (ExecutionError, NameResolutionError, PlanError, SqlError,
@@ -104,13 +104,20 @@ class EvalContext:
 
 
 class Relation:
-    """Plan-time description of one FROM-clause relation."""
+    """Plan-time description of one FROM-clause relation.
 
-    __slots__ = ("alias", "columns")
+    ``volatile`` holds the indexes of the columns bound directly to a
+    volatile expression (a derived table's ``random()`` item, a machine
+    let of one): drawn anew for every row, and assumed never to repeat,
+    so no memo is keyed by one (:func:`repro.sql.executor.memo.memoize`)."""
 
-    def __init__(self, alias: str, columns: Sequence[str]):
+    __slots__ = ("alias", "columns", "volatile")
+
+    def __init__(self, alias: str, columns: Sequence[str],
+                 volatile: Iterable[int] = ()):
         self.alias = alias.lower()
         self.columns = [c.lower() for c in columns]
+        self.volatile = set(volatile)
 
     def __repr__(self) -> str:
         return f"Relation({self.alias}, {self.columns})"

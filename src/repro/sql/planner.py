@@ -219,7 +219,7 @@ class Planner:
         template the memo outlives the statement (executor/memo.py)."""
         if outer_scope is None or outer_scope.one_shot:
             return self.plan_select(query, outer_scope=outer_scope)
-        reads: dict[tuple[int, int, int], str] = {}
+        reads: dict[tuple[int, int, int], str | None] = {}
         with ExitStack() as stack:
             scope, depth = outer_scope, 0
             while scope is not None:
@@ -627,6 +627,7 @@ class Planner:
             sub_outer = outer_scope
         subplan = self.plan_subquery(ref.query, sub_outer)
         columns = list(subplan.output_columns)
+        volatile = self._volatile_items(ref.query)
         if ref.column_aliases:
             aliases = [c.lower() for c in ref.column_aliases]
             if len(aliases) == len(columns):
@@ -636,13 +637,27 @@ class Planner:
                 # template's LATERAL (body) AS iter("call?", args, result)).
                 subplan = RowExpandPlan(subplan, aliases)
                 columns = aliases
+                if volatile:
+                    volatile = set(range(len(aliases)))
             else:
                 raise PlanError(
                     f"alias list for {alias!r} has {len(aliases)} columns, "
                     f"subquery produces {len(columns)}")
         rel_index = len(relations)
-        relations.append(Relation(alias, columns))
+        relations.append(Relation(alias, columns, volatile))
         return FromLeafPlan(rel_index, len(columns), subplan, ref.lateral)
+
+    def _volatile_items(self, query: A.SelectStmt) -> set[int]:
+        """The output columns of the derived table *query* whose select
+        item calls something volatile (``expr_is_volatile``); none for a
+        set operation, VALUES or a select list with a star."""
+        from ..analysis.volatility import expr_is_volatile
+        body = query.body
+        if not isinstance(body, A.SelectCore) or any(
+                isinstance(item, A.Star) for item in body.items):
+            return set()
+        return {index for index, item in enumerate(body.items)
+                if expr_is_volatile(item.expr, self.catalog)}
 
     # ------------------------------------------------------------------
     # Join strategy selection + predicate pushdown
@@ -1349,10 +1364,12 @@ def _record_read(reads: dict, depth: int, scope: Scope, rel_index: int,
                  col_index: int) -> None:
     """``Scope.observe`` callback of :meth:`Planner.plan_subquery`: a name
     resolved into *scope*, *depth* scopes out from the subquery's outer
-    scope; keeps its display name."""
+    scope; keeps its display name, or None for a column bound directly to
+    a volatile expression (``Relation.volatile``)."""
     relation = scope.relations[rel_index]
     reads.setdefault((depth, rel_index, col_index),
-                     f"{relation.alias}.{relation.columns[col_index]}")
+                     None if col_index in relation.volatile
+                     else f"{relation.alias}.{relation.columns[col_index]}")
 
 
 def _sort_item_target(expr: A.Expr, items: list, aliases: list):

@@ -41,13 +41,17 @@ class Row:
     ``walk()`` function work.
     """
 
-    __slots__ = ("values", "names", "type_name")
+    __slots__ = ("values", "names", "type_name", "rep_key")
 
     def __init__(self, values: Sequence[Value], names: Sequence[str] | None = None,
                  type_name: str | None = None):
         self.values = tuple(values)
         self.names = tuple(names) if names is not None else None
         self.type_name = type_name
+        #: :func:`representation_key` of the row, made on first use: a
+        #: row is never changed after it is built (array functions copy,
+        #: PL/pgSQL assignment builds a new row), so neither is its key.
+        self.rep_key = None
         if self.names is not None and len(self.names) != len(self.values):
             raise TypeError_(
                 f"row has {len(self.values)} fields but {len(self.names)} names")
@@ -138,12 +142,25 @@ def compare(a: Value, b: Value) -> int | None:
 
     Rows compare lexicographically field by field; a NULL field makes the
     whole comparison NULL unless an earlier field already decided it.
+
+    Numbers take a fast path: operands that are exactly ``int`` or
+    ``float`` (``type() is`` excludes bool, which is no number in SQL)
+    skip the class checks, which would otherwise double the cost of a
+    comparison in machine-state loops and in a step's ``roll BETWEEN lo
+    AND hi``.  Python orders an int against a float exactly; NaN, the one
+    unordered number, equals NaN and sorts above every other number, as
+    in PostgreSQL.  Every other operand pair takes the generic path below,
+    which orders values of one non-numeric class.
     """
-    if type(a) is int and type(b) is int:
-        # Exact-int fast path (``type() is`` excludes bool): the dominant
-        # case in machine-state inner loops, where the generic class checks
-        # below would double the cost of every comparison.
-        return (a > b) - (a < b)
+    ta, tb = type(a), type(b)
+    if (ta is int or ta is float) and (tb is int or tb is float):
+        if a < b:
+            return -1
+        if a > b:
+            return 1
+        if a == b:
+            return 0
+        return (a != a) - (b != b)  # unordered: a NaN on one side or both
     if a is None or b is None:
         return None
     if isinstance(a, Row) and isinstance(b, Row):
@@ -165,15 +182,6 @@ def compare(a: Value, b: Value) -> int | None:
                 return part
         return (len(a) > len(b)) - (len(a) < len(b))
     _comparable(a, b)
-    # IEEE NaN breaks trichotomy (every ordered comparison is False, which
-    # would make NaN compare equal to everything below).  PostgreSQL orders
-    # float NaN equal to itself and greater than every other number.
-    a_nan = isinstance(a, float) and a != a
-    b_nan = isinstance(b, float) and b != b
-    if a_nan or b_nan:
-        if a_nan and b_nan:
-            return 0
-        return 1 if a_nan else -1
     if a < b:
         return -1
     if a > b:
@@ -408,10 +416,15 @@ def representation_key(value: Value):
     ``-0.0`` compare equal yet cast to different text, and rows equal by
     value may name their fields differently.  Whatever shares one result
     among equal inputs - a memoized call site's argument key, the Memoize
-    node's outer-value key (executor/memo.py) - keys by this."""
+    node's outer-value key (executor/memo.py) - keys by this.  A row keeps
+    its key (``Row.rep_key``): a stored row probes a memo on every step."""
     if isinstance(value, Row):
-        return (("row", value.names)
-                + tuple(representation_key(v) for v in value.values))
+        key = value.rep_key
+        if key is None:
+            key = value.rep_key = (
+                ("row", value.names),
+                *[representation_key(v) for v in value.values])
+        return key
     if isinstance(value, list):
         return ("arr",) + tuple(representation_key(v) for v in value)
     if type(value) is float:

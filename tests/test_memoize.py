@@ -4,19 +4,20 @@ Every statement runs twice - with the memo tables' capacity at its default
 and at 0, where a table caches nothing and every re-open runs the child
 (every call runs an activation) as before - and the two outcomes must
 agree by ``repr``, row order included, errors by class and message.
-Beside that: where the planner wraps (correlated, nothing volatile, base
-tables only, not the PL/pgSQL interpreter's own embedded query), the
-prefix semantics (a hit pulls what the consumer pulls, a longer pull
-refills), invalidation by a write in the same statement, signed-zero keys,
-release at ExecutorEnd, and the compiled call sites memoized by argument
-values through the same table and key function.
+Beside that: where the planner wraps (correlated, nothing volatile, no
+key bound to a volatile expression, base tables only, not the PL/pgSQL
+interpreter's own embedded query), the prefix semantics (a hit pulls what
+the consumer pulls, a longer pull refills), invalidation by a write in the
+same statement, signed-zero keys, row keys made once, release at
+ExecutorEnd, and the compiled call sites memoized by argument values
+through the same table and key function.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sql import Database
+from repro.sql import Database, values
 from repro.sql.catalog import FunctionDef
 from repro.sql.errors import SqlError
 from repro.sql.executor import batched_udf, memo
@@ -181,6 +182,56 @@ class TestWhereItWraps:
                "WHERE u.k = t.k) FROM t")
         assert self.counts(kdb, sql) == (0, 0)
 
+    #: A LATERAL source reading a column of an earlier one; {r} is what
+    #: that column is bound to.
+    LATERAL_KEY = ("SELECT t.id, s.name FROM t, LATERAL (SELECT {r} AS r) "
+                   "AS d, LATERAL (SELECT u.name FROM u WHERE u.k = t.k AND "
+                   "u.v > d.r * 4 ORDER BY u.v LIMIT 1) AS s ORDER BY t.id")
+    #: The same key read by an expression subquery over a plain derived
+    #: table.
+    DERIVED_KEY = ("SELECT d.id, (SELECT count(*) FROM u WHERE u.k = d.k "
+                   "AND u.v > d.r * 4) FROM (SELECT t.id, t.k, {r} AS r "
+                   "FROM t) AS d ORDER BY d.id")
+
+    @pytest.mark.parametrize("shape", ["LATERAL_KEY", "DERIVED_KEY"])
+    def test_key_bound_to_a_draw_is_not_memoized(self, kdb, monkeypatch,
+                                                 shape):
+        """A key column bound directly to ``random()`` takes a new value
+        on every row: no Memoize reads it (PostgreSQL costs Memoize by the
+        key's distinct values, here one per row).  The same shape over a
+        key that repeats keeps its memo."""
+        sql = getattr(self, shape)
+        drawn = sql.format(r="random()")
+        assert "Memoize" not in kdb.explain(drawn)
+        counts = memo_equals_no_memo(kdb, drawn, monkeypatch,
+                                     "SELECT setseed(0.5)")
+        assert counts == {MEMO_HITS: 0, MEMO_MISSES: 0}
+        repeating = sql.format(r="t.k / 2.0")
+        if shape == "LATERAL_KEY":
+            assert "Memoize (keys: t.k, d.r)" in kdb.explain(repeating)
+        assert memo_equals_no_memo(kdb, repeating,
+                                   monkeypatch)[MEMO_HITS] > 0
+
+    def test_few_valued_draw_loses_its_memo(self, kdb, monkeypatch):
+        """The rule assumes a key bound to a volatile expression never
+        repeats, as PostgreSQL's distinct-value estimate does.  A
+        few-valued draw breaks that assumption: ``floor(random() * 3)``
+        takes at most three values over twelve rows, so a memo keyed by it
+        would hit, yet none is built.  This is a known, accepted cost, in
+        speed only: the rows are the plain rescan's.  The same few values
+        read from a column keep a memo that hits."""
+        drawn = self.LATERAL_KEY.format(r="floor(random() * 3)")
+        assert "Memoize" not in kdb.explain(drawn)
+        assert memo_equals_no_memo(kdb, drawn, monkeypatch,
+                                   "SELECT setseed(0.5)") == {
+            MEMO_HITS: 0, MEMO_MISSES: 0}
+        kdb.execute("SELECT setseed(0.5)")
+        draws = kdb.query_all("SELECT d.r FROM t, LATERAL "
+                              "(SELECT floor(random() * 3) AS r) AS d")
+        assert len(set(draws)) <= 3 < len(draws)
+        read = self.LATERAL_KEY.format(r="t.id % 3")
+        assert memo_equals_no_memo(kdb, read, monkeypatch)[MEMO_HITS] > 0
+
     def test_declared_volatile_callee_is_not_memoized(self, kdb):
         kdb.execute("CREATE FUNCTION twice(n int) RETURNS int AS $$ "
                     "BEGIN RETURN n * 2; END; $$ LANGUAGE plpgsql VOLATILE")
@@ -255,6 +306,38 @@ def instantiated(monkeypatch) -> list:
     return states
 
 
+def test_stored_row_key_is_made_once(monkeypatch):
+    """A key over a stored ROW is made once per stored row object, not
+    once per probe: a second run of the statement probes the memo with
+    the same rows and makes no key at all."""
+    db = Database(seed=0)
+    db.execute("CREATE TYPE pt AS (x int, y int)")
+    db.execute("CREATE TABLE t(id int, p pt)")
+    db.execute("CREATE TABLE u(p pt, v int)")
+    db.execute("INSERT INTO t VALUES " + ", ".join(
+        f"({i}, row({i % 3}, 0)::pt)" for i in range(12)))
+    db.execute("INSERT INTO u VALUES " + ", ".join(
+        f"(row({k}, 0)::pt, {v})" for k in range(3) for v in range(3)))
+    made = []
+    original = values.representation_key
+
+    def counting(value):
+        made.append(value)
+        return original(value)
+
+    # Field keys go through the module's name; the memo's own call of a
+    # row key does not, so ``made`` counts the fields of rows keyed anew.
+    monkeypatch.setattr(values, "representation_key", counting)
+    sql = "SELECT t.id, (SELECT sum(u.v) FROM u WHERE u.p = t.p) FROM t"
+    first = memo_equals_no_memo(db, sql, monkeypatch)
+    assert first[MEMO_HITS] > 0
+    # The first open passes through; rows 1..11 are keyed, two fields each.
+    assert len(made) == 2 * 11
+    made.clear()
+    assert memo_equals_no_memo(db, sql, monkeypatch) == first
+    assert made == []
+
+
 def test_tables_are_freed_at_executor_end(kdb, instantiated):
     kdb.profiler.reset()
     kdb.query_all(SHAPES["scalar"])
@@ -311,6 +394,54 @@ class TestWalk:
             robot.execute("RESET batch_compiled")
         assert (rows, draw) == (rows0, draw0)
         assert counts[MEMO_HITS] > 0
+
+    def test_machine_rules_memoize_no_roll(self, robot):
+        """``roll_3 := random()`` draws anew on every step, so the ``move``
+        lookup keyed by it is not memoized; the three lookups keyed by
+        what repeats are: ``policy``, the windowed ``actions`` derived
+        table and ``cells``."""
+        robot.explain(WALK.format(f="walk_c"))
+        template = robot.catalog.get_function("walk_c").body_plans[
+            robot.plan_stamp()]
+        keys = [node.key_names
+                for node in memo.memoize_nodes(template.trans_subplans)]
+        assert keys == [("s.location_2",),
+                        ("s.location_2", "_lets.movement_3"),
+                        ("_lets.location_3",)]
+
+    def test_inlined_qf_memoizes_no_roll(self, robot, instantiated):
+        """The Qf's lookups are expression subqueries, which EXPLAIN does
+        not print, so the Memoize nodes instantiated by a run are read:
+        none is keyed by ``_1.roll_3``, the LATERAL column bound to
+        ``random()``, and the same three lookups keep theirs."""
+        robot.execute("SET batch_compiled = off")
+        try:
+            robot.query_all(WALK.format(f="walk_c"))
+        finally:
+            robot.execute("RESET batch_compiled")
+        keys = {state.plan.key_names for state in instantiated}
+        assert not any("_1.roll_3" in names for names in keys), keys
+        assert {("r.location_2",), ("r.location_2", "_0.movement_3"),
+                ("_2.location_3",)} <= keys
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_every_walk_agrees_with_the_reference(self, robot, seed):
+        """Interpreter, machine and inlined Qf after the same ``setseed``
+        return the same walk and leave the same RNG state, and the walk is
+        the plain-Python one drawn from that seed."""
+        from repro.workloads.robot import default_grid, walk_reference
+        sql = "SELECT {f}(row(0,0)::coord, 8, -8, 40)"
+        seen = []
+        for function, batch in (("walk", "on"), ("walk_c", "on"),
+                                ("walk_c", "off")):
+            robot.execute(f"SET batch_compiled = {batch}")
+            robot.execute(f"SELECT setseed({seed})")
+            seen.append((robot.query_all(sql.format(f=function)),
+                         robot.query_all("SELECT random()")))
+        robot.execute("RESET batch_compiled")
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][0] == [(walk_reference(None, default_grid(), (0, 0),
+                                              8, -8, 40, seed),)]
 
     def test_interpreter_counts_are_untouched(self, robot, monkeypatch,
                                               instantiated):

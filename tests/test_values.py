@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.sql import Database, values
 from repro.sql.errors import TypeError_
 from repro.sql.values import (Row, compare, comparison_class,
-                              hashable_value, render_value, row_sort_key,
-                              sort_key, sql_and, sql_eq, sql_ge, sql_gt,
-                              sql_le, sql_lt, sql_ne, sql_not, sql_or,
+                              hashable_value, render_value, representation_key,
+                              row_sort_key, sort_key, sql_and, sql_eq, sql_ge,
+                              sql_gt, sql_le, sql_lt, sql_ne, sql_not, sql_or,
                               value_byte_size)
 
 
@@ -55,6 +56,91 @@ class TestCompare:
         assert compare([1, 2], [1, 3]) == -1
         assert compare([1, 2], [1, 2]) == 0
         assert compare([1, 2], [1, 2, 3]) == -1
+
+
+#: Numbers at their edges - signed zeros, infinities, NaN, an int no float
+#: holds beside the float it rounds to - and the values a number meets in
+#: a comparison that are no number.
+EDGES = [0, 1, -7, 2 ** 53 + 1, 2 ** 70, 0.0, -0.0, 0.5, -2.5,
+         float(2 ** 53), float("inf"), float("-inf"), float("nan"),
+         True, False, None, "1"]
+
+
+def generic_compare(a, b):
+    """The reference answer for two scalars, written without
+    :func:`compare`'s numeric fast path: NULL wins, one comparability class
+    or a type error, NaN equal to NaN and above every other number."""
+    if a is None or b is None:
+        return None
+    values._comparable(a, b)
+    a_nan = isinstance(a, float) and a != a
+    b_nan = isinstance(b, float) and b != b
+    if a_nan or b_nan:
+        return (a_nan > b_nan) - (a_nan < b_nan)
+    return (a > b) - (a < b)
+
+
+def answer(fn, a, b):
+    try:
+        return fn(a, b)
+    except TypeError_ as error:
+        return f"TypeError_: {error}"
+
+
+class TestNumericFastPath:
+    """``compare``'s numeric fast path answers what the reference
+    :func:`generic_compare` answers, and every comparison kernel goes
+    through it."""
+
+    @pytest.mark.parametrize("a", EDGES, ids=repr)
+    def test_agrees_with_the_reference(self, a):
+        for b in EDGES:
+            assert answer(compare, a, b) == answer(generic_compare, a, b), \
+                (a, b)
+
+    def test_int_beside_the_float_it_rounds_to(self):
+        assert compare(2 ** 53 + 1, float(2 ** 53)) == 1
+        assert compare(float(2 ** 53), 2 ** 53 + 1) == -1
+        assert sql_eq(2 ** 53 + 1, float(2 ** 53)) is False
+        assert compare(-0.0, 0) == compare(0.0, -0.0) == 0
+
+    def test_nan_order(self):
+        nan = float("nan")
+        assert compare(nan, nan) == 0
+        assert compare(nan, float("inf")) == compare(nan, 2 ** 70) == 1
+        assert compare(float("-inf"), nan) == compare(3, nan) == -1
+        assert sql_ge(nan, 1) is True and sql_lt(nan, 1.5) is False
+        assert sql_le(nan, nan) is True and sql_ne(nan, nan) is False
+
+    def test_bool_against_a_number_raises(self):
+        for number in (0, 1, 1.0, float("nan")):
+            for a, b in ((True, number), (number, False)):
+                with pytest.raises(TypeError_, match="cannot compare"):
+                    compare(a, b)
+
+    def test_between_over_nan_rows_equals_vector(self):
+        db = Database(seed=0)
+        db.execute("CREATE TABLE f(id int, x float, lo float, hi float)")
+        nan, inf = "CAST('NaN' AS float)", "CAST('Infinity' AS float)"
+        db.execute(
+            f"INSERT INTO f VALUES (1, {nan}, 0.0, 1.0), (2, 0.5, 0.0, {nan}), "
+            f"(3, {nan}, 1.0, {nan}), (4, 2, 1, 3), (5, NULL, 0.0, 1.0), "
+            f"(6, -0.0, 0.0, 0.0), (7, {inf}, 0, {nan}), (8, 1.5, 2, 1)")
+        queries = [
+            "SELECT id, x BETWEEN lo AND hi, x NOT BETWEEN 0.25 AND hi "
+            "FROM f ORDER BY id",
+            "SELECT count(*) FROM f WHERE x BETWEEN lo AND hi"]
+        seen = {}
+        for setting in ("on", "off"):
+            db.execute(f"SET enable_vectorize = {setting}")
+            for sql in queries:
+                assert ("Vector" in db.explain(sql)) == (setting == "on")
+            seen[setting] = [repr(db.query_all(sql)) for sql in queries]
+        assert seen["on"] == seen["off"]
+        assert seen["off"] == [repr([
+            (1, False, True), (2, True, False), (3, True, False),
+            (4, True, False), (5, None, None), (6, True, True),
+            (7, True, False), (8, False, True)]), repr([(5,)])]
 
 
 class TestThreeValuedLogic:
@@ -129,6 +215,37 @@ class TestRow:
     def test_name_count_mismatch(self):
         with pytest.raises(TypeError_):
             Row([1, 2], names=["only"])
+
+
+class TestRepresentationKey:
+    """A row keeps its ``representation_key`` once made; the key still
+    tells apart whatever a function could tell apart."""
+
+    def test_rows_equal_by_value_key_apart(self):
+        pairs = [(Row([1, 2], ["x", "y"]), Row([1, 2], ["a", "b"])),
+                 (Row([1, 2], ["x", "y"]), Row([1, 2])),
+                 (Row([5, 0]), Row([5.0, 0])),
+                 (Row([1, 0.0]), Row([1, -0.0])),
+                 (Row([Row([0.0])]), Row([Row([-0.0])]))]
+        for left, right in pairs:
+            assert left == right
+            assert representation_key(left) != representation_key(right)
+            # Asked again, from the kept key.
+            assert representation_key(left) != representation_key(right)
+
+    def test_cached_key_equals_uncached(self):
+        array = [1, 2.5, None, Row([-0.0, "a"], ["p", "q"])]
+        row = Row([7, array, Row([float("nan")])], ["a", "b", "c"])
+        first = representation_key(row)
+        assert row.rep_key is first
+        assert representation_key(row) is first
+        twin = Row([7, list(array), Row([float("nan")])], ["a", "b", "c"])
+        assert representation_key(twin) == first
+        assert first == (
+            ("row", ("a", "b", "c")), ("int", 7),
+            ("arr", ("int", 1), ("float", (2.5).hex()), ("NoneType", None),
+             (("row", ("p", "q")), ("float", (-0.0).hex()), ("str", "a"))),
+            (("row", None), ("float", "nan")))
 
 
 class TestSortKeys:
