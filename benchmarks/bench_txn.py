@@ -33,17 +33,28 @@ keep that refactor honest:
   keyed SELECT's, with a loose ceiling of 5x (it was 69x when UPDATE
   tested its WHERE on every version).
 
+* **reader beside a durable writer**: one session runs 300 autocommit
+  ``UPDATE``\\ s against a WAL while another loops a prepared point
+  ``SELECT``.  A commit's fsync runs with the execution lock released and
+  the commit stays in progress until it is done, so the reads go on
+  during it.  Gated on counts, not time: some reads ran entirely while a
+  commit was pending (their start and end saw the same pending commit —
+  impossible while the fsync held the lock), every commit was fsynced
+  unlocked, and no statement had to settle another session's commit.
+
 ``BENCH_txn.json`` is emitted for the cross-PR perf trajectory.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import repro.sql.storage as storage_mod
 from repro.bench.harness import render_table
 from repro.sql import Database
-from repro.sql.profiler import (HASH_INDEX_BUILDS, PARSE, PLAN,
+from repro.sql.profiler import (COMMITS_SYNCED_UNLOCKED, HASH_INDEX_BUILDS,
+                                PARSE, PENDING_COMMITS_SETTLED, PLAN,
                                 PREPARED_REPLANS, SNAPSHOT_SCANS)
 
 COMMITS = 2_000          # single-row INSERT commits per in-memory mode
@@ -52,6 +63,8 @@ SCAN_ROWS = 50_000
 SCAN_REPS = 30
 KEYED_ROWS = 10_000
 KEYED_WRITES = 1_000
+BESIDE_WRITES = 300      # durable autocommit UPDATEs beside the reader
+BESIDE_ACCOUNTS = 200
 
 INSERT = "INSERT INTO tally VALUES ($1, $2)"
 SCAN = "SELECT count(v) FROM big"
@@ -61,6 +74,59 @@ def _time(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
+
+
+def reader_beside_writer(path: str) -> dict:
+    """A prepared point reader in one session beside a durable autocommit
+    writer in another; returns the counts the gate reads."""
+    db = Database(path=path)
+    db.execute("CREATE TABLE acct(id int, bal int)")
+    db.execute("CREATE INDEX acct_id ON acct(id)")
+    writer = db.connect()
+    writer.cursor().executemany("INSERT INTO acct VALUES ($1, 100)",
+                                [(i,) for i in range(BESIDE_ACCOUNTS)])
+    update = writer.prepare("UPDATE acct SET bal = bal + 1 WHERE id = $1")
+    reader = db.connect().prepare("SELECT bal FROM acct WHERE id = $1")
+    reader.execute([0])
+    db.profiler.reset()
+    mgr = db.txnman
+    done = threading.Event()
+    reads = [0, 0]  # all reads, reads that ran while one commit pended
+
+    def write():
+        try:
+            for i in range(BESIDE_WRITES):
+                update.execute([(i * 7) % BESIDE_ACCOUNTS])
+        finally:
+            done.set()
+
+    def read():
+        key = 0
+        while not done.is_set():
+            pending = mgr.pending
+            reader.execute([key])
+            reads[0] += 1
+            if pending is not None and mgr.pending is pending:
+                reads[1] += 1
+            key = (key + 13) % BESIDE_ACCOUNTS
+
+    threads = [threading.Thread(target=write), threading.Thread(target=read)]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    elapsed = time.perf_counter() - start
+    total = db.query_value("SELECT sum(bal) FROM acct")
+    db.wal.close()
+    assert total == 100 * BESIDE_ACCOUNTS + BESIDE_WRITES
+    counts = db.profiler.counts
+    return {"writes": BESIDE_WRITES,
+            "reads": reads[0],
+            "reads_beside_pending_commit": reads[1],
+            "commits_synced_unlocked": counts[COMMITS_SYNCED_UNLOCKED],
+            "pending_commits_settled": counts[PENDING_COMMITS_SETTLED],
+            "seconds": elapsed}
 
 
 def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
@@ -190,6 +256,9 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
     keyed_update_s = _time(lambda: run_keyed(keyed_update))
     keyed_ratio = keyed_update_s / keyed_select_s
 
+    # -- a reader beside a durable writer ---------------------------------
+    beside = reader_beside_writer(str(tmp_path / "beside.wal"))
+
     rows_table = [
         [f"autocommit x {COMMITS}", round(autocommit_s * 1e6 / COMMITS, 1)],
         [f"one BEGIN..COMMIT x {COMMITS}",
@@ -214,6 +283,14 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
         ["  UPDATE vs SELECT (x, ceiling 5)", round(keyed_ratio, 2)],
         [f"  hash index builds over {KEYED_WRITES} UPDATEs (gate: 1)",
          keyed_facts["hash_index_builds"]],
+        [f"reader beside {BESIDE_WRITES} durable UPDATEs, per read",
+         round(beside["seconds"] * 1e6 / max(1, beside["reads"]), 1)],
+        ["  reads run while a commit pended (gate: > 0)",
+         beside["reads_beside_pending_commit"]],
+        ["  commits fsynced unlocked (gate: every write)",
+         beside["commits_synced_unlocked"]],
+        ["  pending commits settled (gate: 0)",
+         beside["pending_commits_settled"]],
     ]
     write_artifact(
         "bench_txn.txt",
@@ -228,6 +305,7 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
         "keyed_rows": KEYED_ROWS,
         "keyed_writes": KEYED_WRITES,
         "keyed_write": keyed_facts,
+        "reader_beside_writer": beside,
         "timings_s": {
             "commit_autocommit": autocommit_s,
             "commit_batched": batched_s,
@@ -272,6 +350,11 @@ def test_commit_throughput_and_scan_overhead(tmp_path, write_artifact,
     assert keyed_facts == {
         "hash_index_builds": 1, "snapshot_scans": 0, "prepared_replans": 0,
         "front_end_after_first": {PARSE: False, PLAN: False}}, keyed_facts
+    # The reader beside a durable writer is gated on what the commit path
+    # lets it do: run while a commit awaits its fsync.
+    assert beside["reads_beside_pending_commit"] > 0, beside
+    assert beside["commits_synced_unlocked"] == BESIDE_WRITES, beside
+    assert beside["pending_commits_settled"] == 0, beside
     assert keyed_ratio <= 5, (
         f"prepared keyed UPDATE {keyed_ratio:.1f}x the keyed SELECT "
         f"({keyed_select_s * 1e3:.0f} ms -> {keyed_update_s * 1e3:.0f} ms)")

@@ -30,6 +30,7 @@ Fault points currently wired in (the catalog ARCHITECTURE.md documents):
 
 =========================  ==============================================
 ``wal.append``             before appending one WAL record (commit path)
+``wal.sync``               before a commit's fsync (records flushed to the OS)
 ``wal.checkpoint.start``   CHECKPOINT admitted, before the snapshot scan
 ``wal.checkpoint.write``   per record written into the snapshot temp file
 ``wal.checkpoint.fsync``   snapshot temp file complete, before its fsync

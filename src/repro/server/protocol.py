@@ -67,6 +67,7 @@ CANCEL_REQUEST_CODE = 80877102
 SQLSTATE_FOR_LABEL = {
     "serialization": "40001",
     "query-canceled": "57014",
+    "io": "58030",
     "parse": "42601",
     "name-resolution": "42704",
     "plan": "0A000",

@@ -157,30 +157,52 @@ class _TxnScope:
       explicit and parks it on the session; the scope then leaves it
       open on exit.
 
-    The scope also takes the database's **execution lock** for its whole
-    duration (statement granularity, not transaction granularity): threaded
+    The scope also takes the database's **execution lock** from entry to
+    exit (statement granularity, not transaction granularity): threaded
     callers — the wire server's worker pool above all — serialize at this
     choke point, so ``txnman.current``, the visible-rows caches and the
     profiler's phase stack are only ever touched by one thread at a time,
     while a session holding an open BEGIN block still releases the lock
     between its statements (conflicting writers fail fast with
-    ``SerializationError`` instead of deadlocking).
+    ``SerializationError`` instead of deadlocking).  The fsync of a
+    commit made in a session activation is not part of the statement: the
+    activation runs it after the scope, with the lock released, and the
+    commit stays in progress to every snapshot until then
+    (:mod:`repro.sql.txn`).
+
+    Hence the scope's one decision, taken before the statement captures its
+    snapshot: a *read_only* statement (a ROWS-kind plan calling no
+    user-defined function, ``Plan.read_only``) runs at once and reads the
+    versions from before a pending commit; any other statement, or one of
+    the session whose commit is pending, settles that commit first
+    (waits for its fsync and finalizes it, holding the lock), so a writer
+    never conflicts with a commit that is only waiting for the disk.
     """
 
-    __slots__ = ("db", "session", "txn", "nested", "mark")
+    __slots__ = ("db", "session", "read_only", "txn", "nested", "mark")
 
-    def __init__(self, db: "Database", session):
+    def __init__(self, db: "Database", session, read_only: bool = False):
         self.db = db
         self.session = session
+        self.read_only = read_only
 
     def __enter__(self):
-        self.db._exec_lock.acquire()
-        mgr = self.db.txnman
+        db = self.db
+        db._exec_lock.acquire()
+        mgr = db.txnman
         if mgr.current is not None:
             self.nested = True
             return self
         self.nested = False
         session = self.session
+        pending = mgr.pending
+        if pending is not None and (not self.read_only
+                                    or pending.session is session):
+            try:
+                mgr.settle(session)
+            except BaseException:
+                db._exec_lock.release()
+                raise
         txn = session._txn if session is not None else None
         if txn is None or txn.finished:
             txn = mgr.begin(session=session)
@@ -272,7 +294,9 @@ class Database:
         #: nest (_execute_info → prepared re-dispatch → _dispatch_ast).
         #: Granularity is one statement: sessions holding an open BEGIN
         #: block release it between statements, so interleaved explicit
-        #: transactions still conflict-check instead of deadlocking.
+        #: transactions still conflict-check instead of deadlocking.  A
+        #: session's commit fsync runs after its statement, with the lock
+        #: released (see _TxnScope).
         self._exec_lock = threading.RLock()
         self.profiler = Profiler(enabled=profile)
         #: MVCC transaction manager: every statement runs inside one of
@@ -418,28 +442,34 @@ class Database:
         ``SELECT``.
         """
         profiler = self.profiler
-        with _TxnScope(self, session):
-            key = None
+        # The cached plan is looked up before the scope opens (it decides
+        # whether the statement may run beside a pending commit), under the
+        # lock the scope would take: the active settings and the cache are
+        # only read there.
+        with self._exec_lock:
+            key = plan = None
             values = self.settings.active
             if values.plan_cache_size > 0:
                 key = (sql, values.fingerprint)
                 plan = self._plan_cache.get(key)
+            with _TxnScope(self, session,
+                           plan is not None and plan.read_only):
                 if plan is not None:
                     profiler.bump(PLAN_CACHE_HIT)
                     return ROWS, self._run_plan(plan, params)
-            with profiler.phase(PARSE):
-                stmt = parse_statement(sql)
-            row = A.STATEMENTS[type(stmt)]
-            if row.plan is None or row.kind != ROWS:
-                return self._dispatch_ast(stmt, params, session)
-            profiler.bump(PLAN_CACHE_MISS)
-            plan = self._plan(stmt)
-            if key is not None:
-                evicted = self._plan_cache.put(key, plan,
-                                               values.plan_cache_size)
-                if evicted:
-                    profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
-            return ROWS, self._run_plan(plan, params)
+                with profiler.phase(PARSE):
+                    stmt = parse_statement(sql)
+                row = A.STATEMENTS[type(stmt)]
+                if row.plan is None or row.kind != ROWS:
+                    return self._dispatch_ast(stmt, params, session)
+                profiler.bump(PLAN_CACHE_MISS)
+                plan = self._plan(stmt)
+                if key is not None:
+                    evicted = self._plan_cache.put(key, plan,
+                                                   values.plan_cache_size)
+                    if evicted:
+                        profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
+                return ROWS, self._run_plan(plan, params)
 
     def _execute_script(self, sql: str, session: "Connection") -> list[Result]:
         with self.profiler.phase(PARSE):
@@ -636,7 +666,7 @@ class Database:
         generation or settings fingerprint moved — see
         ``PreparedStatement.plan``)."""
         self.profiler.bump(PREPARED_EXECUTIONS)
-        with _TxnScope(self, handle.session):
+        with _TxnScope(self, handle.session, handle.read_only()):
             return (A.STATEMENTS[type(handle.statement)].kind,
                     self._run_plan(handle.plan(), args))
 

@@ -77,6 +77,20 @@ class QueryCanceledError(SqlError):
     """
 
 
+class LogFlushError(SqlError):
+    """The write-ahead log could not be made durable (SQLSTATE 58030,
+    PostgreSQL's ``io_error``).
+
+    PostgreSQL's rule: a failed write or fsync of the log is fatal for the
+    log, because the kernel may already have dropped the dirty pages and a
+    retried fsync could report success over data that never reached disk.
+    The commit that met the failure is rolled back in memory and its
+    client gets this error; from then on every statement that would write
+    gets it too, until the database is reopened and replay decides whether
+    that commit's marker reached the disk.  Reads keep working.
+    """
+
+
 class PlsqlError(SqlError):
     """Base class for PL/pgSQL front-end and interpreter errors."""
 
@@ -113,6 +127,7 @@ class LoopNotSupportedError(CompileError):
 _ERROR_TAXONOMY: tuple[tuple[type, str], ...] = (
     (SerializationError, "serialization"),
     (QueryCanceledError, "query-canceled"),
+    (LogFlushError, "io"),
     (ParseError, "parse"),
     (NameResolutionError, "name-resolution"),
     (PlanError, "plan"),

@@ -32,10 +32,12 @@ class Plan:
     executor/recursion.py).
     """
 
-    __slots__ = ("output_columns",)
+    __slots__ = ("output_columns", "read_only")
 
     def __init__(self, output_columns: list[str]):
         self.output_columns = output_columns
+        #: Set on a statement's root plan by ``Planner.plan_statement``.
+        self.read_only = False
 
     @property
     def width(self) -> int:

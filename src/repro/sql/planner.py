@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import ast as A
 from .astutil import (column_bindings, conjoin, contains_aggregate,
                       contains_window_call, expr_equal, references_table,
-                      rewrite_expr, split_conjuncts)
+                      rewrite_expr, split_conjuncts, walk)
 from .errors import NameResolutionError, PlanError, TypeError_
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
@@ -137,8 +137,17 @@ class Planner:
     def plan_statement(self, stmt: A.Statement) -> Plan:
         """The plan of a statement of one of the kinds that are plans:
         the rows of :data:`repro.sql.ast.STATEMENTS` naming a ``plan``
-        rule (SELECT, INSERT, UPDATE, DELETE)."""
-        return getattr(self, A.STATEMENTS[type(stmt)].plan)(stmt)
+        rule (SELECT, INSERT, UPDATE, DELETE).  Its ``read_only`` says
+        whether it may run beside a pending commit: a ROWS-kind statement
+        calling no user-defined function (whose body may write, whatever
+        its volatility class says)."""
+        row = A.STATEMENTS[type(stmt)]
+        plan = getattr(self, row.plan)(stmt)
+        functions = self.catalog.functions
+        plan.read_only = row.kind == A.ROWS and not (functions and any(
+            isinstance(node, A.FuncCall) and node.name.lower() in functions
+            for node in walk(stmt)))
+        return plan
 
     def _plan_insert(self, stmt: A.Insert) -> Plan:
         table = self.catalog.get_table(stmt.table)

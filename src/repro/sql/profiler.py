@@ -107,6 +107,13 @@ FUZZ_DML_CHECKS = "fuzz dml checks"
 TXN_BEGUN = "transactions begun"
 TXN_COMMITTED = "transactions committed"
 TXN_ROLLED_BACK = "transactions rolled back"
+#: Durable commits whose fsync ran with the execution lock released (the
+#: committing session waited for its own record outside the lock), and
+#: statements that had to settle another session's pending commit first
+#: (wait for its fsync and finalize it, holding the lock) — see
+#: :mod:`repro.sql.txn`.
+COMMITS_SYNCED_UNLOCKED = "commits synced unlocked"
+PENDING_COMMITS_SETTLED = "pending commits settled"
 WAL_RECORDS = "wal records written"
 WAL_REPLAYED = "wal records replayed"
 SNAPSHOT_SCANS = "snapshot visibility scans"

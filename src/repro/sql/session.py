@@ -119,6 +119,14 @@ class PreparedStatement:
             self._stamp = stamp
         return self._plan
 
+    def read_only(self) -> bool:
+        """Whether the current plan may run beside a pending commit
+        (``Plan.read_only``); a stale or missing plan, replanned inside the
+        statement, counts as one that may write."""
+        plan = self._plan
+        return (plan is not None and plan.read_only
+                and self._stamp == self.db.plan_stamp())
+
     # -- execution -------------------------------------------------------
 
     def check_arity(self, args: Sequence) -> None:
@@ -427,7 +435,14 @@ class _Activation:
     """Installs a session's setting values and notices on the engine —
     under the database's execution lock, so two threads activating
     different sessions can never interleave (the lock is reentrant; the
-    per-statement ``_TxnScope`` nests inside it)."""
+    per-statement ``_TxnScope`` nests inside it).
+
+    The outermost exit finishes the session's pending commit, if it made
+    one: it releases the lock first, waits for the fsync of the commit
+    record, and retakes the lock to finalize it
+    (:meth:`~repro.sql.txn.TransactionManager.await_pending`), so other
+    sessions' read-only statements run during the fsync while this
+    session's caller still returns only after it."""
 
     __slots__ = ("conn",)
 
@@ -448,13 +463,17 @@ class _Activation:
     def __exit__(self, *exc) -> None:
         conn = self.conn
         db = conn.db
+        pending = None
         try:
             conn._active_depth -= 1
             if conn._active_depth == 0:
                 db.notices = conn._outer_notices
                 db.settings.active = db.settings.globals
+                pending = db.txnman.pending
         finally:
             db._exec_lock.release()
+        if pending is not None and pending.session is conn:
+            db.txnman.await_pending(pending)
 
 
 class Cursor:

@@ -32,14 +32,27 @@ ROLLBACK TO / statement-level atomicity are all just marks into that
 log.  First-writer-wins conflict detection lives here too: stamping
 ``xmax`` over a version some concurrent transaction already claimed
 raises :class:`~repro.sql.errors.SerializationError`.
+
+A durable commit is split in two, in PostgreSQL's order (``XLogFlush``
+before ``ProcArrayEndTransaction``): the WAL append under the execution
+lock, then the fsync.  A commit made inside a session activation becomes
+the manager's **pending** commit: its xid stays in ``active_xids`` and
+out of ``statuses``, so every snapshot still sees it in progress, while
+the session fsyncs with the lock released
+(:meth:`TransactionManager.await_pending`); :meth:`TransactionManager.
+finalize` then marks it COMMITTED.  A statement that may write settles
+the pending commit first (:meth:`TransactionManager.settle`: the fsync and
+finalize under the lock), and every commit happens inside such a
+statement, so at most one commit is ever pending.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .errors import ExecutionError
-from .profiler import TXN_COMMITTED, TXN_ROLLED_BACK
+from .errors import ExecutionError, LogFlushError
+from .profiler import (COMMITS_SYNCED_UNLOCKED, PENDING_COMMITS_SETTLED,
+                       TXN_COMMITTED, TXN_ROLLED_BACK)
 
 #: xmin sentinel for versions whose inserting transaction rolled back.
 ABORTED_XID = 0
@@ -143,7 +156,7 @@ class Transaction:
     __slots__ = ("mgr", "db", "session", "explicit", "finished",
                  "xid", "cid", "snapshot", "undo", "wal_buf",
                  "savepoints", "local_restores", "tables_touched",
-                 "gen_at_begin", "ddl_bumps", "ddl_partial_undo")
+                 "gen_at_begin", "ddl_bumps", "ddl_partial_undo", "lsn")
 
     def __init__(self, mgr: "TransactionManager", session=None,
                  explicit: bool = False):
@@ -163,6 +176,9 @@ class Transaction:
         self.gen_at_begin = db._plan_generation if (db := mgr.db) else 0
         self.ddl_bumps = 0
         self.ddl_partial_undo = False
+        #: LSN of this transaction's commit record (set at a durable
+        #: commit).
+        self.lsn = 0
 
     # -- statement lifecycle ------------------------------------------
 
@@ -194,6 +210,9 @@ class Transaction:
 
     def ensure_xid(self) -> int:
         if self.xid is None:
+            wal = self.mgr.wal
+            if wal is not None and wal.failure is not None:
+                raise wal.failed()  # a broken log refuses every write
             self.xid = self.mgr.assign_xid(self)
             if self.snapshot is not None:
                 self.snapshot.xid = self.xid
@@ -201,8 +220,10 @@ class Transaction:
 
     def record_ddl(self, undo, wal_op) -> None:
         """Log one DDL operation: an undo callable plus its WAL record."""
-        self.ensure_xid()
+        # The undo first: the DDL is applied already, and ensure_xid
+        # raises on a broken log.
         self.undo.append(("ddl", undo))
+        self.ensure_xid()
         if wal_op is not None and self.mgr.wal is not None:
             self.wal_buf.append({"t": "ddl", "x": self.xid, "op": wal_op})
         self.ddl_bumps += 1
@@ -271,19 +292,32 @@ class Transaction:
     # -- finish --------------------------------------------------------
 
     def commit(self) -> None:
+        """Commit.  A durable commit made inside an activation of its
+        session only appends here and becomes the pending commit (see the
+        module docstring); any other one is fsynced before it returns.  A
+        commit the log fails to take is rolled back in memory, and the
+        :class:`~repro.sql.errors.LogFlushError` raised."""
         if self.finished:
             return
         mgr = self.mgr
-        if self.xid is not None:
-            if self.wal_buf and mgr.wal is not None:
-                mgr.wal.commit(self.xid, self.wal_buf)
-            mgr.statuses[self.xid] = COMMITTED
-            mgr.active_xids.discard(self.xid)
-            if mgr.profiler is not None:
-                mgr.profiler.bump(TXN_COMMITTED)
+        wal = mgr.wal
+        if self.wal_buf and wal is not None:
+            try:
+                wal.commit(self.xid, self.wal_buf)
+            except Exception:
+                self.rollback()
+                raise
+            self.lsn = wal.appended_lsn
+            self.finished = True
+            self._apply_local_restores()
+            mgr.pending = self
+            session = self.session
+            if session is None or not session._active_depth:
+                mgr.settle(session)  # no activation to wait in: fsync now
+            return
         self.finished = True
         self._apply_local_restores()
-        mgr.after_finish(self)
+        mgr.finalize(self)
 
     def rollback(self) -> None:
         if self.finished:
@@ -329,7 +363,7 @@ class TransactionManager:
     """
 
     __slots__ = ("db", "profiler", "wal", "next_xid", "statuses",
-                 "active_xids", "current", "open_count")
+                 "active_xids", "current", "open_count", "pending")
 
     def __init__(self, profiler=None, db=None):
         self.db = db
@@ -344,6 +378,9 @@ class TransactionManager:
         #: an old read-only snapshot may still see versions whose deleter
         #: committed after it.
         self.open_count = 0
+        #: The committed transaction whose WAL record awaits its fsync
+        #: (see the module docstring), or None.
+        self.pending: Optional[Transaction] = None
 
     def begin(self, session=None, explicit: bool = False) -> Transaction:
         self.open_count += 1
@@ -374,6 +411,61 @@ class TransactionManager:
 
     def status(self, xid: int) -> Optional[str]:
         return self.statuses.get(xid)
+
+    # -- the commit's second half ---------------------------------------
+
+    def finalize(self, txn: Transaction) -> None:
+        """Mark *txn* COMMITTED (its commit record, if any, is durable) and
+        run what waited for that: ``after_finish``'s vacuum."""
+        if self.pending is txn:
+            self.pending = None
+        if txn.xid is not None:
+            self.statuses[txn.xid] = COMMITTED
+            self.active_xids.discard(txn.xid)
+            if self.profiler is not None:
+                self.profiler.bump(TXN_COMMITTED)
+        self.after_finish(txn)
+
+    def settle(self, session=None) -> None:
+        """Under the execution lock: wait for the pending commit's fsync
+        (running it if no one is) and finalize it.  A statement of
+        *session* that may write does this before it captures its
+        snapshot, so it never conflicts with a commit that only awaits its
+        fsync.  When the log broke first, the commit is rolled back in
+        memory and the :class:`~repro.sql.errors.LogFlushError` raised."""
+        txn = self.pending
+        if txn is None:
+            return
+        if txn.session is not session and self.profiler is not None:
+            self.profiler.bump(PENDING_COMMITS_SETTLED)
+        try:
+            self.wal.sync(txn.lsn)
+        except LogFlushError:
+            self.pending = None
+            txn.finished = False  # reopened only to be rolled back
+            txn.rollback()
+            raise
+        self.finalize(txn)
+
+    def await_pending(self, txn: Transaction) -> None:
+        """The committing session's wait, *without* the execution lock:
+        fsync *txn*'s record, then retake the lock to finalize it (unless
+        a statement settled it meanwhile) and run the auto-checkpoint its
+        statement deferred.  Raises :class:`~repro.sql.errors.
+        LogFlushError` when the record could not be made durable."""
+        wal = self.wal
+        try:
+            wal.sync(txn.lsn)
+        except LogFlushError:
+            pass  # settle meets the failure again, under the lock
+        with self.db._exec_lock:
+            if self.pending is txn:
+                if wal.synced_lsn >= txn.lsn and self.profiler is not None:
+                    self.profiler.bump(COMMITS_SYNCED_UNLOCKED)
+                self.settle(txn.session)
+                wal.maybe_checkpoint()
+            elif self.statuses.get(txn.xid) != COMMITTED:
+                raise wal.failed()  # a statement's settle met the failure
 
     def after_finish(self, txn: Transaction) -> None:
         """Opportunistic vacuum once nothing at all is in flight."""

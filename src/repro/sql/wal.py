@@ -3,9 +3,21 @@
 ``Database(path=...)`` attaches a :class:`WalManager`.  Transactions
 buffer their log records in memory (``Transaction.wal_buf``); nothing
 touches the file until COMMIT, which appends every buffered record plus
-a commit marker, flushes, and ``fsync``\\ s — so the log never contains a
-half-transaction followed by its commit marker, and rollback is free
-(the buffer is simply discarded).
+a commit marker and flushes them to the OS (:meth:`WalManager.commit`,
+under the execution lock) — so the log never contains a half-transaction
+followed by its commit marker, and rollback is free (the buffer is simply
+discarded).  Durability is the second step, :meth:`WalManager.sync`: an
+``fsync`` under the manager's own flush lock, skipped when an earlier
+one already covered the commit's LSN (a count of appended commits).  A
+commit made inside a session activation runs that step with the
+execution lock released, and stays in progress to every snapshot until
+it is done (see :mod:`repro.sql.txn`); the client is acknowledged only
+after it.
+
+A failed append or fsync breaks the log for good (PostgreSQL's rule, see
+:class:`~repro.sql.errors.LogFlushError`): the commit is rolled back in
+memory, and every later commit, sync and checkpoint raises until the
+database is reopened and replay decides what reached the disk.
 
 Record format: one JSON object per line (a torn tail line from a crash
 mid-write is detected and ignored during replay).
@@ -48,20 +60,24 @@ registered programmatically (``register_compiled_function``) are not
 logged or checkpointed — they live in Python objects, not SQL text — and
 must be re-registered after a durable reopen.
 
-Fault injection: the ``wal.append`` and ``wal.checkpoint.*`` points of
-:data:`repro.faults.FAULTS` cover this module.  On ``wal.append``, crash
-hard-exits right after appending the N-th record; torn writes half of
-the N-th record with no newline, then hard-exits.
+Fault injection: the ``wal.append``, ``wal.sync`` and ``wal.checkpoint.*``
+points of :data:`repro.faults.FAULTS` cover this module.  On
+``wal.append``, crash hard-exits right after appending the N-th record;
+torn writes half of the N-th record with no newline, then hard-exits.
+``wal.sync`` fires before a commit fsync, the commit's records already
+flushed to the OS.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from typing import Optional
 
 from ..faults import FAULTS, FaultInjectedError
+from .errors import LogFlushError
 from .profiler import WAL_CHECKPOINTS, WAL_RECORDS, WAL_REPLAYED
 from .values import Row, Value
 
@@ -112,6 +128,17 @@ class WalManager:
         #: Set when an auto-checkpoint failed (the commit that triggered
         #: it still succeeded; the old log stays authoritative).
         self.last_checkpoint_error: Optional[Exception] = None
+        #: Commits appended since open (the newest commit's LSN) and the
+        #: LSN the last fsync covered; neither goes back, checkpoints
+        #: included.
+        self.appended_lsn = 0
+        self.synced_lsn = 0
+        #: Serializes fsyncs of the live log with each other and with the
+        #: checkpoint's swap of it; never held while taking the execution
+        #: lock.
+        self._flush_lock = threading.Lock()
+        #: The append or fsync error that broke the log (None while sound).
+        self.failure: Optional[Exception] = None
         tmp = path + ".ckpt"
         if os.path.exists(tmp):
             # A crash mid-checkpoint left a partial snapshot behind; the
@@ -136,18 +163,61 @@ class WalManager:
     # -- commit path ---------------------------------------------------
 
     def commit(self, xid: int, records: list) -> None:
-        """Append *records* plus the commit marker; flush and fsync.
+        """Append *records* plus the commit marker and flush them to the
+        OS; the commit's LSN is ``appended_lsn`` afterwards.
 
-        The commit marker is what makes the transaction durable: replay
-        ignores any records whose xid never reached its marker.
+        The commit marker is what makes the transaction durable once
+        :meth:`sync` covered it: replay ignores any records whose xid never
+        reached its marker.  Runs under the execution lock.
         """
-        for record in records:
-            self._append(_dumps(record))
-        self._append(_dumps({"t": "commit", "x": xid}))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        if self.failure is not None:
+            raise self.failed()
+        lines = [_dumps(record) for record in records]
+        lines.append(_dumps({"t": "commit", "x": xid}))
+        try:
+            for line in lines:
+                self._append(line)
+            self._fh.flush()
+        except (OSError, FaultInjectedError) as error:
+            raise self._fail(error) from error
+        self.appended_lsn += 1
         if self.profiler is not None:
-            self.profiler.bump(WAL_RECORDS, len(records) + 1)
+            self.profiler.bump(WAL_RECORDS, len(lines))
+
+    def sync(self, lsn: int) -> None:
+        """Make the commits up to LSN *lsn* durable: fsync the log unless
+        an earlier fsync covered it.  Safe with or without the execution
+        lock; one fsync covers every commit appended before it started."""
+        if self.synced_lsn >= lsn:
+            return
+        with self._flush_lock:
+            if self.synced_lsn >= lsn:
+                return
+            if self.failure is not None:
+                raise self.failed()
+            # Every commit counted here was flushed to the OS before it
+            # was counted.
+            target = self.appended_lsn
+            try:
+                FAULTS.fire("wal.sync", self.profiler)
+                os.fsync(self._fh.fileno())
+            except (OSError, FaultInjectedError) as error:
+                raise self._fail(error) from error
+            self.synced_lsn = target
+
+    def _fail(self, error: Exception) -> LogFlushError:
+        """Break the log on *error*: the kernel may have dropped what it
+        could not write, so nothing appended after it is trusted."""
+        if self.failure is None:
+            self.failure = error
+        return self.failed()
+
+    def failed(self) -> LogFlushError:
+        """The error every write meets once the log is broken."""
+        return LogFlushError(
+            f"write-ahead log {self.path} failed "
+            f"({type(self.failure).__name__}: {self.failure}); writes are "
+            f"refused until the database is reopened")
 
     def _append(self, line: str) -> None:
         trigger = FAULTS.check("wal.append", self.profiler)
@@ -168,9 +238,10 @@ class WalManager:
             os._exit(1)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._flush_lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     # -- checkpointing -------------------------------------------------
 
@@ -225,38 +296,46 @@ class WalManager:
         crash leaves either the old complete log (before the rename) or
         the new complete one (after) — never a mixture.  Must run under
         the execution lock with no write transaction in flight (the
-        dispatch layer guarantees both).
+        dispatch layer guarantees both); holds the flush lock, so no
+        commit fsync runs on the handle it swaps.  A broken log is never
+        compacted: replay, not the in-memory state, decides its outcome.
         """
-        profiler = self.profiler
-        FAULTS.fire("wal.checkpoint.start", profiler)
-        lines = self.snapshot_records()
-        tmp = self.path + ".ckpt"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                FAULTS.fire("wal.checkpoint.write", profiler)
-                fh.write(line + "\n")
-            FAULTS.fire("wal.checkpoint.fsync", profiler)
-            fh.flush()
-            os.fsync(fh.fileno())
-        FAULTS.fire("wal.checkpoint.rename", profiler)
-        # Everything appended so far must be on disk in the *old* log
-        # before it stops being the recovery source.
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._fh.close()
-        self._fh = None
-        try:
-            os.rename(tmp, self.path)
-            FAULTS.fire("wal.checkpoint.reopen", profiler)
-        finally:
-            # Reopen whichever file now lives at the path — the new log
-            # after a successful rename, the old one if it failed — so
-            # an injected error leaves the manager appendable.
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._since_checkpoint = 0
-        if profiler is not None:
-            profiler.bump(WAL_CHECKPOINTS)
-        return len(lines)
+        if self.failure is not None:
+            raise self.failed()
+        with self._flush_lock:
+            profiler = self.profiler
+            FAULTS.fire("wal.checkpoint.start", profiler)
+            lines = self.snapshot_records()
+            tmp = self.path + ".ckpt"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for line in lines:
+                    FAULTS.fire("wal.checkpoint.write", profiler)
+                    fh.write(line + "\n")
+                FAULTS.fire("wal.checkpoint.fsync", profiler)
+                fh.flush()
+                os.fsync(fh.fileno())
+            FAULTS.fire("wal.checkpoint.rename", profiler)
+            # Everything appended so far must be on disk in the *old* log
+            # before it stops being the recovery source.
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._fh.close()
+            self._fh = None
+            try:
+                os.rename(tmp, self.path)
+                FAULTS.fire("wal.checkpoint.reopen", profiler)
+            finally:
+                # Reopen whichever file now lives at the path — the new log
+                # after a successful rename, the old one if it failed — so
+                # an injected error leaves the manager appendable.
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._since_checkpoint = 0
+            # The old log was fsynced before the rename, and the snapshot
+            # holds every commit appended so far.
+            self.synced_lsn = self.appended_lsn
+            if profiler is not None:
+                profiler.bump(WAL_CHECKPOINTS)
+            return len(lines)
 
     def maybe_checkpoint(self) -> bool:
         """Auto-checkpoint once the appended-record threshold is crossed.
@@ -268,7 +347,8 @@ class WalManager:
         and authoritative, so the error is recorded and swallowed.
         """
         interval = self.db.settings.active.wal_checkpoint_interval
-        if not interval or self._since_checkpoint < interval:
+        if (not interval or self._since_checkpoint < interval
+                or self.failure is not None):
             return False
         txnman = self.db.txnman
         if txnman.active_xids or txnman.current is not None:

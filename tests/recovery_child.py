@@ -2,8 +2,8 @@
 
 Run as ``python recovery_child.py <wal-path>`` with ``REPRO_FAULTS``
 naming a registry point (see repro.faults): ``wal.append:crash:N`` or
-``wal.append:torn:N`` (see repro.sql.wal), or a ``wal.checkpoint.*``
-point.  Prints
+``wal.append:torn:N`` (see repro.sql.wal), ``wal.sync:crash:N``, or a
+``wal.checkpoint.*`` point.  Prints
 ``COMMITTED <k>`` after each transaction's COMMIT returns, so the parent
 test knows exactly which transactions were acknowledged before the
 injected crash killed the process with ``os._exit(1)``.

@@ -98,6 +98,23 @@ def test_kill_and_recover(tmp_path, fault):
     check_recovered(path, acked)
 
 
+@pytest.mark.parametrize("at, expect_acked", [
+    (2, []),      # before CREATE INDEX's fsync
+    (4, [1]),     # before txn 2's fsync: its marker is with the OS only
+    (9, [1, 2, 3, 4, 5, 6]),
+])
+def test_crash_before_commit_fsync(tmp_path, at, expect_acked):
+    """``wal.sync`` fires before a commit's fsync, which the committing
+    session runs with the execution lock released: the crash leaves the
+    acknowledged prefix, or that prefix plus the one in-flight commit.
+    Sync N is CREATE TABLE's for N = 1, CREATE INDEX's for 2, then txn
+    k's for N = k + 2."""
+    path = str(tmp_path / "sync.wal")
+    acked = run_child(path, f"wal.sync:crash:{at}")
+    assert acked == expect_acked
+    check_recovered(path, acked)
+
+
 def test_unfaulted_child_then_recover(tmp_path):
     """No fault: all 8 transactions acknowledged and recovered."""
     env = dict(os.environ)
