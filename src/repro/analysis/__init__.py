@@ -51,12 +51,8 @@ __all__ = [
 
 def max_severity(diagnostics) -> Optional[str]:
     """Highest severity among *diagnostics*, or None when empty."""
-    worst = None
-    for diagnostic in diagnostics:
-        if worst is None or (SEVERITIES.index(diagnostic.severity)
-                             > SEVERITIES.index(worst)):
-            worst = diagnostic.severity
-    return worst
+    return max((d.severity for d in diagnostics), key=SEVERITIES.index,
+               default=None)
 
 
 def analyze_function(db, fdef) -> list[Diagnostic]:

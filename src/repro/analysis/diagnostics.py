@@ -110,9 +110,3 @@ class DiagnosticSink:
 
     def sorted(self) -> list[Diagnostic]:
         return sorted(self.items, key=Diagnostic.sort_key)
-
-    def max_severity(self) -> Optional[str]:
-        if not self.items:
-            return None
-        return max(self.items,
-                   key=lambda d: SEVERITIES.index(d.severity)).severity

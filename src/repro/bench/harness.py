@@ -12,7 +12,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ..sql.engine import Database
 from ..sql.profiler import EXEC_END, EXEC_RUN, EXEC_START, INTERP
@@ -194,11 +194,6 @@ class SeriesResult:
     x_label: str
     x_values: list
     variants: dict[str, list[Timing]] = field(default_factory=dict)
-
-    def relative(self, variant: str, baseline: str) -> list[float]:
-        return [100.0 * v.mean / b.mean
-                for v, b in zip(self.variants[variant],
-                                self.variants[baseline])]
 
 
 def measure_series(db: Database, x_values: Sequence,

@@ -353,13 +353,8 @@ def inline_anf(program: AnfProgram) -> AnfProgram:
         progress = False
         counts = Counter(name for func in program.functions.values()
                          for name in calls(func.body))
-        # Unreachable functions (no call sites) simply disappear.
-        for name in list(program.functions):
-            if name != program.entry and counts[name] == 0:
-                del program.functions[name]
-                progress = True
-        if progress:
-            continue
+        # Every function has a call site: SSA dropped the dead blocks, and
+        # a graft copies the callee's calls into its callers.
         cyclic = _cyclic_functions(program)
         for name, func in list(program.functions.items()):
             if name == program.entry:
@@ -381,8 +376,6 @@ def inline_anf(program: AnfProgram) -> AnfProgram:
             callers = [caller for caller_name, caller in
                        program.functions.items()
                        if caller_name != name and name in calls(caller.body)]
-            if not callers:
-                continue
             for caller in callers:
                 caller.body = fold(caller.body, call=graft)
             del program.functions[name]

@@ -314,8 +314,11 @@ class SqlRenderer:
             negated = " NOT" if node.negated else ""
             literal = "TRUE" if node.value else "FALSE"
             if not d.boolean_literals:
+                # NULL IS [NOT] v is never NULL: NULL counts as (not v).
                 eq = "<>" if node.negated else "="
-                return f"({self.expr(node.operand)} {eq} {d.boolean(node.value)})"
+                return (f"(COALESCE({self.expr(node.operand)}, "
+                        f"{d.boolean(not node.value)}) {eq} "
+                        f"{d.boolean(node.value)})")
             return f"({self.expr(node.operand)} IS{negated} {literal})"
         if isinstance(node, A.Between):
             negated = "NOT " if node.negated else ""

@@ -14,7 +14,7 @@ comparison pointed (the only delta is recursion support).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from ..sql.errors import LoopNotSupportedError
 from .cfg import build_cfg

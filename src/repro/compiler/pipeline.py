@@ -36,7 +36,7 @@ from .dialects import (DIALECTS, POSTGRES, Dialect, render_create_function,
                        render_select)
 from .optimize import optimize_ssa
 from .ssa import SsaProgram, build_ssa
-from .template import build_batched_machine, build_template_query
+from .template import build_machine, build_template_query
 from .udf import (LET_STYLE_LATERAL, LET_STYLE_NESTED, SqlUdf, build_udf,
                   udf_is_recursive)
 
@@ -82,9 +82,6 @@ class CompiledFunction:
             raise CompileError(f"dialect {dialect.name} lacks WITH ITERATE")
         return render_select(query, dialect)
 
-    def _requery(self, let_style: str) -> A.SelectStmt:
-        return build_template_query(self.udf, self.iterate, let_style)
-
     def udf_sql(self, dialect: Union[str, Dialect] = POSTGRES) -> str:
         """The intermediate UDF form as CREATE FUNCTION text (Figure 7)."""
         dialect = _resolve_dialect(dialect)
@@ -114,17 +111,17 @@ class CompiledFunction:
         """Register Qf with *db* so calls to it are planned with the query.
 
         Recursive functions additionally register the trampoline's *machine
-        form* (:func:`repro.compiler.template.build_batched_machine`), which
+        form* (:func:`repro.compiler.template.build_machine`), which
         the engine runs in place of the inlined ``WITH RECURSIVE`` unless
         ``batch_compiled`` is off: one activation per call, shared by calls
         with equal arguments when no expression in the body is volatile.
         """
-        batch_machine = (build_batched_machine(self.udf, db.catalog)
+        machine = (build_machine(self.udf, db.catalog)
                          if self.is_recursive else None)
         return db.register_compiled_function(
             name or self.name, self.param_names, self.param_types,
             self.return_type, self.query,
-            batch_machine=batch_machine, source=self.source)
+            machine=machine, source=self.source)
 
     def register_udf_form(self, db, name: Optional[str] = None) -> str:
         """Register the *UDF intermediate form* (wrapper + recursive worker)
@@ -134,7 +131,6 @@ class CompiledFunction:
         wrapper_name = (name or self.name + "__udf").lower()
         udf = self.udf
         from .dialects import render_expression
-        from .rename import rename_variables
         if udf_is_recursive(udf):
             star_body = "SELECT " + render_expression(udf.star_body)
             db.execute_ast(A.CreateFunction(

@@ -18,8 +18,7 @@ from typing import Optional
 
 from ..sql import ast as A
 from ..sql.errors import CompileError
-from .cfg import (BasicBlock, CfgAssign, CondGoto, ControlFlowGraph, Goto,
-                  Return, Terminator)
+from .cfg import CondGoto, ControlFlowGraph, Goto, Return, Terminator
 from .dominators import DominatorInfo
 from .rename import rename_variables
 

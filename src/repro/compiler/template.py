@@ -270,7 +270,7 @@ def _dispatch_body(udf: SqlUdf, let_style: str) -> A.Expr:
 # strategy for the same template.  The structures below are that machine,
 # handed to the engine alongside the SQL form: every call site runs one
 # activation of it per call, memoized by argument values when the machine
-# is shareable (executor/batched_udf.py).
+# is shareable (executor/trampoline.py).
 
 
 @dataclass
@@ -308,7 +308,7 @@ class MachineResult:
 
 
 @dataclass
-class BatchedMachine:
+class TrampolineMachine:
     """The template's trampoline as explicit transition rules.
 
     ``base`` is evaluated over one row of ``(param_columns)`` per caller;
@@ -331,7 +331,7 @@ class BatchedMachine:
     transitions: dict[int, object] = field(repr=False)  # type: ignore[assignment]
 
 
-def build_batched_machine(udf: SqlUdf, catalog=None) -> BatchedMachine:
+def build_machine(udf: SqlUdf, catalog=None) -> TrampolineMachine:
     """Derive the template's transition rules from the ANF.
 
     Volatile bodies get a machine too: a :class:`MachineLet` evaluates its
@@ -364,7 +364,7 @@ def build_batched_machine(udf: SqlUdf, catalog=None) -> BatchedMachine:
         label = udf.labels[func.name]
         transitions[label] = rules(func.body)
         own_params[label] = frozenset(p.lower() for p in func.params)
-    return BatchedMachine(
+    return TrampolineMachine(
         param_columns=[p.lower() for p in udf.params],
         state_columns=[p.lower() for p in udf.rec_params],
         own_params=own_params,

@@ -33,6 +33,54 @@ from .txngen import generate_txn_case
 from .wire import check_wire_case
 
 
+def _drive(prefix: str, generate, check, on_failure, *, seed: int,
+           cases: int, start_index: int, time_budget: float | None,
+           max_failures: int, verbose: bool) -> int:
+    """The case loop every axis shares; returns the number of failing
+    cases.  *check* maps a case to its discrepancies, *on_failure* gets a
+    failing case and its discrepancies after the first is printed, and
+    *prefix* starts each case's log line (the axis name)."""
+    started = time.monotonic()
+    failures = 0
+    for index in range(start_index, start_index + cases):
+        if time_budget is not None and \
+                time.monotonic() - started > time_budget:
+            if verbose:
+                print(f"time budget ({time_budget:.0f}s) reached after "
+                      f"{index - start_index} cases")
+            break
+        case = generate(seed, index)
+        try:
+            discrepancies = check(case)
+        except Exception as error:  # noqa: BLE001 — harness must survive
+            failures += 1
+            print(f"{prefix}case {index} (seed {case.seed}): harness error "
+                  f"{type(error).__name__}: {error}", file=sys.stderr)
+        else:
+            if not discrepancies:
+                continue
+            failures += 1
+            print(f"{prefix}case {index} (seed {case.seed}): "
+                  f"{len(discrepancies)} discrepancies", file=sys.stderr)
+            print(discrepancies[0].describe(), file=sys.stderr)
+            on_failure(case, discrepancies)
+        if failures >= max_failures:
+            if verbose:
+                print(f"stopping after {max_failures} failing cases",
+                      file=sys.stderr)
+            break
+    return failures
+
+
+#: The summary columns of the wire and chaos axes.
+AXIS_COLUMNS = ((FUZZ_EXECUTIONS, "executions"),
+                (FUZZ_COMPARISONS, "comparisons"))
+
+
+def _print_script(case, discrepancies) -> None:
+    print("  script:\n" + case.script(), file=sys.stderr)
+
+
 def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
              reduce_failures: bool = True, emit_dir: str | None = None,
              time_budget: float | None = None, max_failures: int = 5,
@@ -45,31 +93,9 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
     checker = DifferentialChecker(use_sqlite=use_sqlite, profiler=profiler)
     profiler = checker.profiler
     started = time.monotonic()
-    failures = 0
     emitted: list[str] = []
-    for index in range(start_index, start_index + cases):
-        if time_budget is not None and \
-                time.monotonic() - started > time_budget:
-            if verbose:
-                print(f"time budget ({time_budget:.0f}s) reached after "
-                      f"{index - start_index} cases")
-            break
-        case = generate_case(seed, index)
-        try:
-            discrepancies = checker.check_case(case)
-        except Exception as error:  # noqa: BLE001 — harness must survive
-            failures += 1
-            print(f"case {index} (seed {case.seed}): harness error "
-                  f"{type(error).__name__}: {error}", file=sys.stderr)
-            if failures >= max_failures:
-                break
-            continue
-        if not discrepancies:
-            continue
-        failures += 1
-        print(f"case {index} (seed {case.seed}): "
-              f"{len(discrepancies)} discrepancies", file=sys.stderr)
-        print(discrepancies[0].describe(), file=sys.stderr)
+
+    def on_failure(case, discrepancies) -> None:
         if reduce_failures:
             reducer = Reducer(checker.check_case)
             case = reducer.reduce(case)
@@ -85,11 +111,11 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
             target.write_text(emit_pytest(case, discrepancies))
             emitted.append(str(target))
             print(f"  reproducer written to {target}", file=sys.stderr)
-        if failures >= max_failures:
-            if verbose:
-                print(f"stopping after {max_failures} failing cases",
-                      file=sys.stderr)
-            break
+
+    failures = _drive("", generate_case, checker.check_case, on_failure,
+                      seed=seed, cases=cases, start_index=start_index,
+                      time_budget=time_budget, max_failures=max_failures,
+                      verbose=verbose)
     if verbose:
         counts = profiler.counts
         print(f"seed {seed}: {counts[FUZZ_CASES]} cases, "
@@ -118,6 +144,24 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
     return failures
 
 
+def _run_axis(axis: str, columns, generate, check, profiler: Profiler,
+              **loop) -> int:
+    """One side axis (txn, wire, chaos): the shared loop, each failure
+    printed with its script, and a summary line of *columns*
+    (``(counter, label)`` pairs)."""
+    started = time.monotonic()
+    failures = _drive(f"{axis} ", generate, check, _print_script, **loop)
+    if loop["verbose"]:
+        counts = profiler.counts
+        parts = [f"{counts[FUZZ_CASES]} cases"]
+        parts += [f"{counts[counter]} {label}" for counter, label in columns]
+        parts += [f"{counts[FUZZ_DISCREPANCIES]} discrepancies",
+                  f"{failures} failing cases"]
+        print(f"{axis} seed {loop['seed']}: {', '.join(parts)} "
+              f"in {time.monotonic() - started:.1f}s")
+    return failures
+
+
 def run_txn_fuzz(seed: int = 0, cases: int = 500, *,
                  use_sqlite: bool = True, time_budget: float | None = None,
                  max_failures: int = 5, start_index: int = 0,
@@ -131,48 +175,15 @@ def run_txn_fuzz(seed: int = 0, cases: int = 500, *,
     SQLite cross-check (see :func:`repro.fuzz.oracle.check_txn_case`).
     """
     profiler = profiler if profiler is not None else Profiler()
-    started = time.monotonic()
-    failures = 0
-    for index in range(start_index, start_index + cases):
-        if time_budget is not None and \
-                time.monotonic() - started > time_budget:
-            if verbose:
-                print(f"time budget ({time_budget:.0f}s) reached after "
-                      f"{index - start_index} cases")
-            break
-        case = generate_txn_case(seed, index)
-        try:
-            discrepancies = check_txn_case(case, use_sqlite=use_sqlite,
-                                           profiler=profiler)
-        except Exception as error:  # noqa: BLE001 — harness must survive
-            failures += 1
-            print(f"txn case {index} (seed {case.seed}): harness error "
-                  f"{type(error).__name__}: {error}", file=sys.stderr)
-            if failures >= max_failures:
-                break
-            continue
-        if not discrepancies:
-            continue
-        failures += 1
-        print(f"txn case {index} (seed {case.seed}): "
-              f"{len(discrepancies)} discrepancies", file=sys.stderr)
-        print(discrepancies[0].describe(), file=sys.stderr)
-        print("  script:\n" + case.script(), file=sys.stderr)
-        if failures >= max_failures:
-            if verbose:
-                print(f"stopping after {max_failures} failing cases",
-                      file=sys.stderr)
-            break
-    if verbose:
-        counts = profiler.counts
-        print(f"txn seed {seed}: {counts[FUZZ_CASES]} cases, "
-              f"{counts[FUZZ_EXECUTIONS]} statements, "
-              f"{counts[FUZZ_COMPARISONS]} state comparisons, "
-              f"{counts[FUZZ_SQLITE_CHECKS]} sqlite cross-checks, "
-              f"{counts[FUZZ_DISCREPANCIES]} discrepancies, "
-              f"{failures} failing cases "
-              f"in {time.monotonic() - started:.1f}s")
-    return failures
+    return _run_axis(
+        "txn", ((FUZZ_EXECUTIONS, "statements"),
+                (FUZZ_COMPARISONS, "state comparisons"),
+                (FUZZ_SQLITE_CHECKS, "sqlite cross-checks")),
+        generate_txn_case,
+        lambda case: check_txn_case(case, use_sqlite=use_sqlite,
+                                    profiler=profiler),
+        profiler, seed=seed, cases=cases, start_index=start_index,
+        time_budget=time_budget, max_failures=max_failures, verbose=verbose)
 
 
 def run_wire_fuzz(seed: int = 0, cases: int = 200, *,
@@ -187,46 +198,11 @@ def run_wire_fuzz(seed: int = 0, cases: int = 200, *,
     agree (see :func:`repro.fuzz.wire.check_wire_case`).
     """
     profiler = profiler if profiler is not None else Profiler()
-    started = time.monotonic()
-    failures = 0
-    for index in range(start_index, start_index + cases):
-        if time_budget is not None and \
-                time.monotonic() - started > time_budget:
-            if verbose:
-                print(f"time budget ({time_budget:.0f}s) reached after "
-                      f"{index - start_index} cases")
-            break
-        case = generate_case(seed, index)
-        try:
-            discrepancies = check_wire_case(case, profiler=profiler)
-        except Exception as error:  # noqa: BLE001 — harness must survive
-            failures += 1
-            print(f"wire case {index} (seed {case.seed}): harness error "
-                  f"{type(error).__name__}: {error}", file=sys.stderr)
-            if failures >= max_failures:
-                break
-            continue
-        if not discrepancies:
-            continue
-        failures += 1
-        print(f"wire case {index} (seed {case.seed}): "
-              f"{len(discrepancies)} discrepancies", file=sys.stderr)
-        print(discrepancies[0].describe(), file=sys.stderr)
-        print("  script:\n" + case.script(), file=sys.stderr)
-        if failures >= max_failures:
-            if verbose:
-                print(f"stopping after {max_failures} failing cases",
-                      file=sys.stderr)
-            break
-    if verbose:
-        counts = profiler.counts
-        print(f"wire seed {seed}: {counts[FUZZ_CASES]} cases, "
-              f"{counts[FUZZ_EXECUTIONS]} executions, "
-              f"{counts[FUZZ_COMPARISONS]} comparisons, "
-              f"{counts[FUZZ_DISCREPANCIES]} discrepancies, "
-              f"{failures} failing cases "
-              f"in {time.monotonic() - started:.1f}s")
-    return failures
+    return _run_axis(
+        "wire", AXIS_COLUMNS, generate_case,
+        lambda case: check_wire_case(case, profiler=profiler),
+        profiler, seed=seed, cases=cases, start_index=start_index,
+        time_budget=time_budget, max_failures=max_failures, verbose=verbose)
 
 
 def run_chaos_fuzz(seed: int = 0, cases: int = 200, *,
@@ -242,46 +218,11 @@ def run_chaos_fuzz(seed: int = 0, cases: int = 200, *,
     under injected send latency (see :mod:`repro.fuzz.chaos`).
     """
     profiler = profiler if profiler is not None else Profiler()
-    started = time.monotonic()
-    failures = 0
-    for index in range(start_index, start_index + cases):
-        if time_budget is not None and \
-                time.monotonic() - started > time_budget:
-            if verbose:
-                print(f"time budget ({time_budget:.0f}s) reached after "
-                      f"{index - start_index} cases")
-            break
-        case = generate_case(seed, index)
-        try:
-            discrepancies = check_chaos_case(case, profiler=profiler)
-        except Exception as error:  # noqa: BLE001 — harness must survive
-            failures += 1
-            print(f"chaos case {index} (seed {case.seed}): harness error "
-                  f"{type(error).__name__}: {error}", file=sys.stderr)
-            if failures >= max_failures:
-                break
-            continue
-        if not discrepancies:
-            continue
-        failures += 1
-        print(f"chaos case {index} (seed {case.seed}): "
-              f"{len(discrepancies)} discrepancies", file=sys.stderr)
-        print(discrepancies[0].describe(), file=sys.stderr)
-        print("  script:\n" + case.script(), file=sys.stderr)
-        if failures >= max_failures:
-            if verbose:
-                print(f"stopping after {max_failures} failing cases",
-                      file=sys.stderr)
-            break
-    if verbose:
-        counts = profiler.counts
-        print(f"chaos seed {seed}: {counts[FUZZ_CASES]} cases, "
-              f"{counts[FUZZ_EXECUTIONS]} executions, "
-              f"{counts[FUZZ_COMPARISONS]} comparisons, "
-              f"{counts[FUZZ_DISCREPANCIES]} discrepancies, "
-              f"{failures} failing cases "
-              f"in {time.monotonic() - started:.1f}s")
-    return failures
+    return _run_axis(
+        "chaos", AXIS_COLUMNS, generate_case,
+        lambda case: check_chaos_case(case, profiler=profiler),
+        profiler, seed=seed, cases=cases, start_index=start_index,
+        time_budget=time_budget, max_failures=max_failures, verbose=verbose)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -331,30 +272,19 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(generate_case(args.seed, index).script())
         return 0
+    loop = dict(seed=args.seed, cases=args.cases,
+                time_budget=args.time_budget,
+                max_failures=args.max_failures, start_index=args.index)
     if args.chaos:
-        failures = run_chaos_fuzz(
-            seed=args.seed, cases=args.cases,
-            time_budget=args.time_budget, max_failures=args.max_failures,
-            start_index=args.index)
-        return 1 if failures else 0
-    if args.server:
-        failures = run_wire_fuzz(
-            seed=args.seed, cases=args.cases,
-            time_budget=args.time_budget, max_failures=args.max_failures,
-            start_index=args.index)
-        return 1 if failures else 0
-    if args.txn:
-        failures = run_txn_fuzz(
-            seed=args.seed, cases=args.cases,
-            use_sqlite=not args.no_sqlite,
-            time_budget=args.time_budget, max_failures=args.max_failures,
-            start_index=args.index)
-        return 1 if failures else 0
-    failures = run_fuzz(
-        seed=args.seed, cases=args.cases, use_sqlite=not args.no_sqlite,
-        reduce_failures=not args.no_reduce, emit_dir=args.emit_dir,
-        time_budget=args.time_budget, max_failures=args.max_failures,
-        start_index=args.index)
+        failures = run_chaos_fuzz(**loop)
+    elif args.server:
+        failures = run_wire_fuzz(**loop)
+    elif args.txn:
+        failures = run_txn_fuzz(use_sqlite=not args.no_sqlite, **loop)
+    else:
+        failures = run_fuzz(use_sqlite=not args.no_sqlite,
+                            reduce_failures=not args.no_reduce,
+                            emit_dir=args.emit_dir, **loop)
     return 1 if failures else 0
 
 

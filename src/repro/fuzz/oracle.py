@@ -134,8 +134,6 @@ def is_sorted_by(rows, keys) -> bool:
     NaN above every number).  The oracle applies this to each outcome of a
     partially-ordered query, where bag comparison alone would let a broken
     ordering slip through."""
-    if not keys:
-        return True
     descending = [desc for _, desc in keys]
     previous = None
     for row in rows:
@@ -230,14 +228,6 @@ class OracleConfig:
             db.execute(statement)
 
 
-def _set_sql(setting, value) -> str:
-    if setting.type == "bool":
-        return f"SET {setting.name} = {'on' if value else 'off'}"
-    if setting.type == "enum":
-        return f"SET {setting.name} = '{value}'"
-    return f"SET {setting.name} = {value}"
-
-
 def settings_matrix(db: Database) -> list[OracleConfig]:
     """The oracle configuration matrix, derived from the registry.
 
@@ -255,7 +245,7 @@ def settings_matrix(db: Database) -> list[OracleConfig]:
 
     def config(label: str, overrides: dict) -> OracleConfig:
         statements = tuple(
-            _set_sql(setting, overrides[setting.name])
+            f"SET {setting.name} = {setting.format(overrides[setting.name])}"
             for setting, _ in axes if setting.name in overrides)
         return OracleConfig(label, statements)
 

@@ -33,8 +33,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .datagen import data_sqlite_safe, generate_data, null_free_table
-from .schema import ColumnSpec, SchemaSpec, TableSpec, generate_schema
+from .datagen import generate_data, null_free_table
+from .schema import SchemaSpec, TableSpec, generate_schema
 
 # ---------------------------------------------------------------------------
 # Generated artifacts

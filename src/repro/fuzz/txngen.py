@@ -56,9 +56,6 @@ class TxnCase:
     def all_tables(self) -> list[str]:
         return self.tables + ([self.shared] if self.shared else [])
 
-    def statement_count(self) -> int:
-        return len(self.setup) + len(self.steps)
-
     def script(self) -> str:
         """Human-readable dump (``--txn --dump``)."""
         out = [f"-- txn case seed {self.seed}: {self.sessions} sessions"]

@@ -152,12 +152,6 @@ class Interpreter:
             raise PlsqlRuntimeError(f"unknown variable {name!r}")
         self.values[index] = self._coerce(value, self.runtime.var_types[index])
 
-    def get_var(self, name: str) -> Value:
-        index = self.runtime.var_index.get(name)
-        if index is None:
-            raise PlsqlRuntimeError(f"unknown variable {name!r}")
-        return self.values[index]
-
     # -- expression / query evaluation ------------------------------------
 
     def eval_expr(self, expr: SA.Expr) -> Value:

@@ -11,7 +11,7 @@ annotate them, but they should be treated as immutable by convention).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .values import Value
 

@@ -71,10 +71,6 @@ class CancelToken:
         """Request cancellation; safe to call from any thread."""
         self._canceled = True
 
-    @property
-    def tripped(self) -> bool:
-        return self._canceled
-
     def check(self) -> None:
         """Raise :class:`QueryCanceledError` if canceled or timed out.
 

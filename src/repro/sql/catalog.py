@@ -16,15 +16,12 @@ Functions come in four flavours, mirroring the paper's cast of characters:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from . import ast as A
 from .errors import CatalogError, NameResolutionError
 from .storage import BufferManager, HeapTable
 from .types import CompositeType
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    pass
 
 
 @dataclass
@@ -61,13 +58,13 @@ class FunctionDef:
     body: Optional[str] = None
     query: Optional[A.SelectStmt] = None
     #: The trampoline as explicit transition rules (the template's machine
-    #: form; repro.compiler.template.BatchedMachine), for every recursive
+    #: form; repro.compiler.template.TrampolineMachine), for every recursive
     #: function: every call site steps it directly
-    #: (executor/batched_udf.py).  Its ``shareable`` flag says whether
+    #: (executor/trampoline.py).  Its ``shareable`` flag says whether
     #: calls may share results (no call in the body that the analyzer
     #: classes volatile - a builtin or a user-defined helper).
     #: None for loop-free functions, which inline as plain expressions.
-    batch_machine: object = None
+    machine: object = None
     #: Volatility class declared in CREATE FUNCTION (IMMUTABLE/STABLE/
     #: VOLATILE), or None when omitted — then the analyzer's inference
     #: (``inferred_volatility``) is authoritative.
@@ -78,7 +75,7 @@ class FunctionDef:
     plsql_source: object = None
     #: What a front end built from the body on first use - the SQL body's
     #: plan, the PL/pgSQL interpreter's FunctionRuntime, the trampoline's
-    #: machine rules as closures (executor.batched_udf.MachineCallPlan,
+    #: machine rules as closures (executor.trampoline.MachineCallPlan,
     #: shared by every call site of every statement, memo stores
     #: included) - keyed by the ``Database.plan_stamp()`` it was built
     #: under, so sessions with different plan-affecting settings each keep
@@ -94,11 +91,6 @@ class FunctionDef:
     @property
     def arity(self) -> int:
         return len(self.param_names)
-
-    @property
-    def volatility(self) -> Optional[str]:
-        """Effective volatility: the declared class wins over inference."""
-        return self.declared_volatility or self.inferred_volatility
 
     def reset_analysis(self) -> None:
         """Forget inferred facts (schema or body may have changed)."""

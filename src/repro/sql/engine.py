@@ -814,16 +814,16 @@ class Database:
     def register_compiled_function(self, name: str, param_names: list[str],
                                    param_types: list[str], return_type: str,
                                    query: A.SelectStmt,
-                                   batch_machine: object = None,
+                                   machine: object = None,
                                    source: object = None,
                                    declared_volatility: Optional[str] = None,
                                    ) -> FunctionDef:
         """Register the pure-SQL query produced by the compiler as *name*.
 
         Subsequent queries calling ``name(...)`` are planned with it
-        (replacing any previous PL/pgSQL definition): with *batch_machine*
+        (replacing any previous PL/pgSQL definition): with *machine*
         (every recursive function; see
-        :func:`repro.compiler.template.build_batched_machine`) a call steps
+        :func:`repro.compiler.template.build_machine`) a call steps
         the trampoline machine, one activation per call, memoized by
         argument values where the function is not volatile; without it, or
         under ``batch_compiled = off``, *query* is inlined at the call site
@@ -833,7 +833,7 @@ class Database:
                            param_names=list(param_names),
                            param_types=list(param_types),
                            return_type=return_type, query=query,
-                           batch_machine=batch_machine,
+                           machine=machine,
                            plsql_source=source,
                            declared_volatility=declared_volatility)
         self.catalog.register_function(fdef, replace=True)

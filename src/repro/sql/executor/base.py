@@ -65,7 +65,7 @@ class Plan:
 
 def call_site_lines(indent: int, *slot_lists) -> list[str]:
     """EXPLAIN lines for the trampoline call sites parked in an operator's
-    expression subplan slots (executor/batched_udf.py).  The subquery
+    expression subplan slots (executor/trampoline.py).  The subquery
     plans sharing those slots - the slots' only other kind, and a
     :class:`Plan` - print nothing: only a site says which evaluator a
     compiled call runs on."""

@@ -32,7 +32,7 @@ values it reads and of the tables it names.
   only (``tests/test_memoize.py::TestWhereItWraps``).
 
 The same entry table serves the other user, a per-call trampoline site of a
-compiled function (:class:`repro.sql.executor.batched_udf.MachineCallState`),
+compiled function (:class:`repro.sql.executor.trampoline.MachineCallState`),
 keyed by its argument values: Hellerstein & Naughton's method caching
 ("Query Execution Techniques for Caching Expensive Methods", SIGMOD 1996).
 

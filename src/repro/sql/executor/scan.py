@@ -340,36 +340,6 @@ class ValuesState(PlanState):
         return tuple(cell(ctx) for cell in row)
 
 
-class OneRowPlan(Plan):
-    """Emits exactly one empty row — the input of a table-less SELECT."""
-
-    def __init__(self):
-        super().__init__([])
-
-    def label(self) -> str:
-        return "Result"
-
-    def instantiate(self, rt, ictx=None) -> "OneRowState":
-        return OneRowState(rt)
-
-
-class OneRowState(PlanState):
-    __slots__ = ("done",)
-
-    def __init__(self, rt):
-        super().__init__(rt)
-        self.done = False
-
-    def open(self, outer) -> None:
-        self.done = False
-
-    def next(self) -> Optional[tuple]:
-        if self.done:
-            return None
-        self.done = True
-        return ()
-
-
 class RowExpandPlan(Plan):
     """Engine extension: expand a single composite column into N columns.
 

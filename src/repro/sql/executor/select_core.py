@@ -17,7 +17,6 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from ..errors import ExecutionError
 from ..expr import EvalContext, selects
 from ..functions import make_aggregate
 from ..profiler import TOPN_INPUT_ROWS, TOPN_SCANS

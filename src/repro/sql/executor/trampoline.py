@@ -6,7 +6,7 @@ call site as a *correlated scalar subquery*, so every evaluation re-opens
 the generic recursive-CTE operators, and every statement re-plans it.  With
 ``batch_compiled`` on (the default) a call to a *recursive* compiled
 function instead runs the template's **machine form**
-(:class:`repro.compiler.template.BatchedMachine`): the transition rules the
+(:class:`repro.compiler.template.TrampolineMachine`): the transition rules the
 SQL template spells out, compiled once into expression closures
 (:func:`compile_machine`, cached on the ``FunctionDef`` and so shared by
 every call site of every statement) and stepped over one live machine
@@ -60,7 +60,7 @@ from .scan import make_slots
 
 
 def compile_machine(machine, planner) -> "MachineCallPlan":
-    """Compile a :class:`~repro.compiler.template.BatchedMachine`'s ASTs
+    """Compile a :class:`~repro.compiler.template.TrampolineMachine`'s ASTs
     into closures.  The base rule sees one argument row ``(params...)``;
     each transition rule sees one state row ``(fn, vars...)`` — with the
     columns that belong to *other* rules masked, so a rule's let-bound

@@ -635,15 +635,8 @@ class VectorAggregate:
             dsets = self.distinct_seen[key]
             gathered: dict = {}
             for index, (call, agg) in enumerate(zip(calls, self.aggs)):
-                if call.star:
-                    if type(agg) is CountAgg:
-                        states[index] += len(rows)
-                    else:
-                        step = agg.step
-                        state = states[index]
-                        for _ in rows:
-                            state = step(state, True)
-                        states[index] = state
+                if call.star:  # count(*)
+                    states[index] += len(rows)
                     continue
                 fn = self.arg_fns[index]
                 if call.distinct:

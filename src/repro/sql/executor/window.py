@@ -23,25 +23,28 @@ from .. import ast as A
 from ..errors import ExecutionError, PlanError
 from ..expr import EvalContext
 from ..functions import make_aggregate
-from ..values import row_sort_key, sort_key
+from ..values import sort_key, sort_keys
 
 
 class WindowCallPlan:
     """One windowed function call, fully compiled."""
 
     __slots__ = ("func_name", "args", "star", "partition_by", "order_by",
-                 "order_desc", "frame", "separator")
+                 "order_desc", "order_nulls", "frame", "separator")
 
     def __init__(self, func_name: str, args: Sequence[Callable], star: bool,
                  partition_by: Sequence[Callable], order_by: Sequence[Callable],
-                 order_desc: Sequence[bool], frame: Optional[A.FrameSpec],
-                 separator: str = ""):
+                 order_desc: Sequence[bool],
+                 order_nulls: Sequence[Optional[bool]],
+                 frame: Optional[A.FrameSpec], separator: str = ""):
         self.func_name = func_name.lower()
         self.args = list(args)
         self.star = star
         self.partition_by = list(partition_by)
         self.order_by = list(order_by)
         self.order_desc = list(order_desc)
+        #: Per key: NULLS FIRST (True) / LAST (False), None = the default.
+        self.order_nulls = list(order_nulls)
         self.frame = frame
         self.separator = separator
 
@@ -61,8 +64,11 @@ def _compute_one_call(rt, input_rows, call: WindowCallPlan, outer, slots):
                 for rows in input_rows]
     part_keys = [tuple(sort_key(e(ctx)) for e in call.partition_by)
                  for ctx in contexts]
-    order_keys = [row_sort_key([e(ctx) for e in call.order_by], call.order_desc)
-                  for ctx in contexts]
+    order_values = [[e(ctx) for e in call.order_by] for ctx in contexts]
+    order_keys = (list(zip(*[
+        sort_keys(column, desc, nulls) for column, desc, nulls in
+        zip(zip(*order_values), call.order_desc, call.order_nulls)]))
+        if call.order_by else [()] * n)
     arg_rows = [[a(ctx) for a in call.args] for ctx in contexts]
 
     partitions: dict[tuple, list[int]] = {}
@@ -241,18 +247,24 @@ def _range_bounds(frame, p, size, starts, ends, ordered, order_keys, call,
     values = [call.order_by[0](contexts[i]) for i in ordered]
     current = values[p]
     if current is None:
-        # NULL ordering group: frame is the peer group.
-        return starts[p], ends[p]
+        # A NULL row's offset bounds are its peer group (the NULLs).
+        return (starts[p] if lo is None else lo, ends[p] if hi is None else hi)
+
+    nulls_first = call.order_nulls[0]
+    nulls_last = not (descending if nulls_first is None else nulls_first)
 
     def in_bound(value, bound: A.FrameBound, is_start: bool) -> bool:
         if value is None:
-            return False
+            # NULLs lie past every bound on their side of the order.
+            return nulls_last if is_start else not nulls_last
         offset = _bound_offset(bound, contexts, ordered, p)
         delta = -offset if bound.kind == "preceding" else offset
         if descending:
             delta = -delta
         limit = current + delta
-        return value >= limit if is_start else value <= limit
+        # Ascending, the frame starts at the first value >= limit and ends
+        # at the last value <= limit; descending, the other way round.
+        return value >= limit if is_start != descending else value <= limit
 
     if lo is None:
         lo = next((q for q in range(size)
@@ -272,17 +284,10 @@ def _groups_bounds(frame, p, size, starts, ends, contexts, ordered):
             return size - 1
         if kind == "current":
             return starts[p] if is_start else ends[p]
-        offset = _bound_offset(bound, contexts, ordered, p)
+        # Walk *offset* peer groups from the current row's group.
+        remaining = _bound_offset(bound, contexts, ordered, p)
         position = starts[p] if is_start else ends[p]
         step = -1 if kind == "preceding" else 1
-        for _ in range(offset):
-            if kind == "preceding":
-                position = starts[position] - 1 if is_start else position
-                position = position if is_start else starts[ends[p]] - 1
-            # GROUPS offsets are rarely used; walk group by group.
-        # Fallback simple implementation: walk groups.
-        position = starts[p] if is_start else ends[p]
-        remaining = offset
         while remaining > 0:
             if step < 0:
                 nxt = starts[position] - 1

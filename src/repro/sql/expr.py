@@ -29,6 +29,7 @@ from .errors import (ExecutionError, NameResolutionError, PlanError, SqlError,
                      TypeError_)
 from .functions import SCALAR_BUILTINS, VOLATILE_FUNCTIONS, is_aggregate_name
 from .types import cast_value
+# sql_and / sql_or are also named by generated kernel code (f"sql_{op}").
 from .values import (Row, Value, sql_and, sql_eq, sql_ge, sql_gt, sql_le,
                      sql_lt, sql_ne, sql_not, sql_or)
 
@@ -144,9 +145,6 @@ class Scope:
         self.parent = parent
         self.observer = None
         self.one_shot = False
-
-    def child(self, relations: Sequence[Relation]) -> "Scope":
-        return Scope(relations, parent=self)
 
     @contextmanager
     def observe(self, observer: Callable[[int, int], None]):
@@ -712,7 +710,7 @@ class ExprCompiler:
                     f"got {len(expr.args)}")
             if fdef.kind == "compiled":
                 if self.planner.flags.batch_compiled \
-                        and fdef.batch_machine is not None:
+                        and fdef.machine is not None:
                     return self._compile_trampoline_call(fdef, expr)
                 # The paper's finalization step: splice the compiled pure-SQL
                 # query Qf into the call site so Q and Qf are planned as one.
@@ -738,7 +736,7 @@ class ExprCompiler:
         node's subplan slots; every evaluation of the call answers here and
         now, from the site's memo or by one activation run to completion -
         as lazily as the inlined Qf it stands in for
-        (executor/batched_udf.py)."""
+        (executor/trampoline.py)."""
         args = self.compile_many(expr.args)
         slot = self._alloc_slot()
         self.subplans.append(self.planner.trampoline_site(fdef, expr))
@@ -898,8 +896,6 @@ def _unary(c: ExprCompiler, e: A.UnaryOp) -> Strict:
     if e.op == "-":
         return Strict([e.operand], "-_number(a)", fast="-a",
                       fast_yields=IntColumn, null=True)
-    if e.op == "+":
-        return Strict([e.operand], "a")
     raise PlanError(f"unknown unary operator {e.op!r}")
 
 

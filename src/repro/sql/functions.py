@@ -18,7 +18,7 @@ import math
 from typing import Any, Callable
 
 from .errors import ExecutionError, NoReturnError, TypeError_
-from .values import Row, Value, compare, is_null
+from .values import Value, compare
 
 # ---------------------------------------------------------------------------
 # Scalar builtins

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from functools import partial
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from . import ast as A
 from .astutil import (column_bindings, conjoin, contains_aggregate,
@@ -32,13 +32,13 @@ from .astutil import (column_bindings, conjoin, contains_aggregate,
 from .errors import NameResolutionError, PlanError, TypeError_
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
-from .executor.batched_udf import compile_machine
+from .executor.trampoline import compile_machine
 from .executor.fromtree import FromJoinPlan, FromLeafPlan, FromNodePlan
 from .executor.hashjoin import HashJoinPlan
 from .executor.memo import memo_tables, memoize
 from .executor.modify import DeletePlan, InsertPlan, UpdatePlan
 from .executor.recursion import CteDef, CTEScanPlan, SelectStmtPlan
-from .executor.scan import (IndexRangeScanPlan, OneRowPlan, RowExpandPlan,
+from .executor.scan import (IndexRangeScanPlan, RowExpandPlan,
                             SeqScanPlan, ValuesPlan)
 from .executor.select_core import (AggCallPlan, AggStagePlan, SelectCorePlan,
                                    TopNPlan, WindowStagePlan)
@@ -1117,10 +1117,8 @@ class Planner:
             return False
         if not isinstance(source, SeqScanPlan):
             return False
-        table = self.catalog.tables.get(source.table_name)
-        if table is None:
-            return False
-        found = table.find_ordered_index(wanted)
+        found = self.catalog.tables[source.table_name].find_ordered_index(
+            wanted)
         if found is None:
             return False
         index, reverse = found
@@ -1220,6 +1218,7 @@ class Planner:
             separator = str(args[1].value)
             args = args[:1]
         if call.star:
+            _check_star(name)
             return AggCallPlan(name, True, None, call.distinct, separator)
         if len(args) != 1:
             raise PlanError(f"aggregate {name}() takes exactly one argument")
@@ -1260,6 +1259,8 @@ class Planner:
         name = call.name.lower()
         if not (is_aggregate_name(name) or is_window_function_name(name)):
             raise PlanError(f"{name}() is not a window function or aggregate")
+        if call.star and is_aggregate_name(name):
+            _check_star(name)
         spec = self._resolve_window_spec(call.window, core)
         if agg_rewrite is not None:
             # Grouped query: the spec's PARTITION BY / ORDER BY expressions
@@ -1290,6 +1291,7 @@ class Planner:
             partition_by=[compiler.compile(e) for e in spec.partition_by],
             order_by=[compiler.compile(s.expr) for s in spec.order_by],
             order_desc=[s.descending for s in spec.order_by],
+            order_nulls=[s.nulls_first for s in spec.order_by],
             frame=frame_compiled,
             separator=separator,
         )
@@ -1325,7 +1327,7 @@ class Planner:
         template = fdef.body_plans.get(stamp)
         if template is None:
             from ..analysis.volatility import effective_volatility
-            machine = fdef.batch_machine
+            machine = fdef.machine
             saved = self._cte_env, self._in_template
             self._cte_env, self._in_template = None, True
             try:
@@ -1398,6 +1400,11 @@ def _sort_item_target(expr: A.Expr, items: list, aliases: list):
             and expr.parts[0].lower() in aliases:
         return "alias", aliases.index(expr.parts[0].lower())
     return "expr", expr
+
+
+def _check_star(name: str) -> None:
+    if name != "count":
+        raise PlanError(f"{name}(*) is not allowed: only count takes *")
 
 
 def _constant_topn_count(stmt: A.SelectStmt) -> Optional[int]:

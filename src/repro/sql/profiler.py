@@ -53,7 +53,7 @@ HASHJOIN_BUILD_ROWS = "hash join build rows"
 TRAMPOLINE_ITERATIONS = "trampoline iterations"
 TRAMPOLINE_WORKING_ROWS = "trampoline working rows"
 RECURSION_DEDUP_DROPPED = "recursion dedup dropped rows"
-#: Memoized compiled-UDF call sites (executor/batched_udf.py): "rows"
+#: Memoized compiled-UDF call sites (executor/trampoline.py): "rows"
 #: counts the calls at a site memoized by argument values, "distinct" the
 #: activations those calls ran (the memo's misses).  The names are those of
 #: the set-oriented stage the memo replaced, which end-to-end reports read.

@@ -84,9 +84,6 @@ class BufferManager:
         self.pages_written = 0
         self.bytes_written = 0
 
-    def snapshot(self) -> tuple[int, int]:
-        return self.pages_written, self.bytes_written
-
 
 def row_byte_size(row: Sequence[Value]) -> int:
     """On-disk size of one tuple under the model above."""
@@ -116,12 +113,6 @@ class TupleStore:
     def extend(self, rows: Iterable[Sequence[Value]]) -> None:
         for row in rows:
             self.append(row)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 _SLOT = attrgetter("slot")
@@ -187,7 +178,7 @@ class SortedIndex:
         #: auto-created) one is dropped instead and rebuilt on its next
         #: probe — if that ever comes.
         self.pinned = False
-        #: Per column: comparability class -> [live count, display name].
+        #: Per column: comparability class -> display type name.
         self._classes: list[dict] = [dict() for _ in self.columns]
         self.rebuild(rows)
 
@@ -219,51 +210,30 @@ class SortedIndex:
         for classes in self._classes:
             classes.clear()
         for row in self.rows:
-            self._track(row, +1)
+            self._track(row)
 
     def insert(self, row: RowVersion) -> None:
         key = self.key_of(row)
         pos = bisect_right(self.keys, key)
         self.keys.insert(pos, key)
         self.rows.insert(pos, row)
-        self._track(row, +1)
+        self._track(row)
 
-    def remove(self, row: RowVersion) -> bool:
-        """Remove the entry for *row*; False when it cannot be located
-        (the caller then falls back to a full rebuild)."""
-        key = self.key_of(row)
-        lo = bisect_left(self.keys, key)
-        hi = bisect_right(self.keys, key)
-        for pos in range(lo, hi):  # versions are unique objects
-            if self.rows[pos] is row:
-                return self._delete_at(pos, row)
-        return False
-
-    def _delete_at(self, pos: int, row: RowVersion) -> bool:
-        del self.keys[pos]
-        del self.rows[pos]
-        self._track(row, -1)
-        return True
-
-    def _track(self, row: RowVersion, delta: int) -> None:
+    def _track(self, row: RowVersion) -> None:
         data = row.data
         for position, column in enumerate(self.columns):
             value = data[column]
             if value is None:
                 continue  # NULL never participates in comparisons
-            kind = key_class(value)
-            entry = self._classes[position].setdefault(
-                kind, [0, type(value).__name__])
-            entry[0] += delta
+            self._classes[position].setdefault(key_class(value),
+                                               type(value).__name__)
 
     # -- probing ---------------------------------------------------------
 
     def probe_classes(self, position: int) -> dict:
-        """Live comparability classes of key column *position*:
+        """Comparability classes of key column *position*'s indexed values:
         ``class -> display type name`` (empty = only NULLs / no rows)."""
-        return {kind: display
-                for kind, (count, display) in self._classes[position].items()
-                if count > 0}
+        return self._classes[position]
 
     def check_probe(self, position: int, value: Value) -> None:
         """Raise like a scan-and-compare would: a probe value whose class
@@ -559,7 +529,7 @@ class HeapTable:
         txn = self._txnman.current
         versions = [self._new_version(row_t, txn) for row_t in staged]
         self._versions.extend(versions)
-        self._maintain_sorted(added=versions)
+        self._maintain_sorted(versions)
         return len(staged)
 
     def _stamp_delete(self, version: RowVersion, txn) -> None:
@@ -647,7 +617,7 @@ class HeapTable:
                 done = position + 1
             out += versions[done:]
             self._versions = out
-        self._maintain_sorted(added=added)
+        self._maintain_sorted(added)
         if txn is None:
             self.maybe_vacuum()
         return len(staged)
@@ -815,35 +785,30 @@ class HeapTable:
             return cols, (False,) * len(cols)
         return cols, tuple(bool(d) for d in descending)
 
-    def _maintain_sorted(self, removed: Sequence[RowVersion] = (),
-                         added: Sequence[RowVersion] = ()) -> None:
-        """Apply a write delta to every sorted index; an entry that cannot
-        be located degrades to a full rebuild rather than going stale.
+    def _maintain_sorted(self, added: Sequence[RowVersion]) -> None:
+        """Enter newly written versions into every sorted index.  Writes
+        only add entries: a delete stamps ``xmax`` on its version, and
+        vacuum rebuilds the indexes.
 
-        Each point remove/insert pays an O(n) list shift, so a bulk
-        change applied row by row would be quadratic; when the delta is a
+        Each point insert pays an O(n) list shift, so a bulk change
+        applied row by row would be quadratic; when the delta is a
         sizeable fraction of the index, one O(n log n) rebuild is cheaper
         and is used instead — and an *unpinned* (lazily auto-created)
         index is simply dropped at that point, deferring the rebuild to
         its next probe, which may never come.
         """
-        if not self._sorted or not (removed or added):
+        if not self._sorted or not added:
             return
-        delta = len(removed) + len(added)
         dropped: list = []
         for key, index in self._sorted.items():
-            if delta > max(16, (len(index) + len(added)) // 8):
+            if len(added) > max(16, (len(index) + len(added)) // 8):
                 if index.pinned:
                     index.rebuild(self._versions)
                 else:
                     dropped.append(key)
                 continue
-            ok = all(index.remove(row) for row in removed)
-            if ok:
-                for row in added:
-                    index.insert(row)
-            else:
-                index.rebuild(self._versions)
+            for row in added:
+                index.insert(row)
         for key in dropped:
             del self._sorted[key]
 

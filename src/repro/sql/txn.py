@@ -409,9 +409,6 @@ class TransactionManager:
             return txn.snapshot
         return self.instant_snapshot()
 
-    def status(self, xid: int) -> Optional[str]:
-        return self.statuses.get(xid)
-
     # -- the commit's second half ---------------------------------------
 
     def finalize(self, txn: Transaction) -> None:

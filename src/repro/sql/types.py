@@ -43,10 +43,6 @@ def normalize_type_name(name: str) -> str:
     return _SCALAR_ALIASES.get(lowered, lowered)
 
 
-def is_scalar_type(name: str) -> bool:
-    return normalize_type_name(name) in {"int", "float", "text", "bool"}
-
-
 @dataclass(frozen=True)
 class CompositeType:
     """A named record type: ``CREATE TYPE name AS (field type, ...)``."""

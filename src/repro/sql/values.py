@@ -88,11 +88,6 @@ class Row:
         return f"({inner})"
 
 
-def is_null(value: Value) -> bool:
-    """True when *value* is SQL NULL."""
-    return value is None
-
-
 def comparison_class(value: Value) -> str:
     """SQL comparability class: values compare only within one class.
 

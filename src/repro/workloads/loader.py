@@ -10,7 +10,6 @@ Conventions used throughout tests, examples, and benchmarks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..compiler import CompiledFunction, compile_plsql
 from ..sql.engine import Database

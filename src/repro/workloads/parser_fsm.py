@@ -24,7 +24,7 @@ consumed on success, or ``-position`` of the offending character.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..sql.engine import Database
 

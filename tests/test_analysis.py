@@ -321,6 +321,27 @@ END;
 """))
     assert "SQ002" not in codes(db, "goodcol")
     assert "SQ001" not in codes(db, "goodcol")
+    create(db, plpgsql("goodcte", """
+DECLARE m int;
+BEGIN
+  m = (WITH c(v) AS (SELECT x FROM t) SELECT max(v) FROM c);
+  m = m + (SELECT count(*) FROM (SELECT x FROM t UNION SELECT n) AS u(w));
+  m = m + (SELECT sum(a.p) FROM t AS a(p, q) GROUP BY a.q
+           HAVING count(a.p) > 0 LIMIT 1);
+  RETURN m;
+END;
+"""))
+    assert not {"SQ001", "SQ002"} & codes(db, "goodcte")
+
+
+def test_sq002_qualified_unknown_column(db):
+    create(db, plpgsql("badqual", """
+BEGIN
+  RETURN (SELECT t.nope FROM t LIMIT 1);
+END;
+"""))
+    rows = by_code(db, "badqual", "SQ002")
+    assert rows and "'nope'" in rows[0][4] and "'t'" in rows[0][4]
 
 
 def test_sq003_unknown_function(db):

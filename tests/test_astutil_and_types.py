@@ -297,6 +297,37 @@ class TestBenchHarness:
         assert len(timing.samples) == 3
         assert timing.minimum <= timing.mean <= timing.maximum
 
+    PROFILED = """CREATE FUNCTION prof(n int) RETURNS int AS $$
+        DECLARE s int = 0;
+        BEGIN
+          FOR i IN 1..n LOOP
+            CONTINUE WHEN i = 2;
+            s = s + (SELECT count(*) FROM t WHERE x <= i);
+          END LOOP;
+          <<once>> LOOP EXIT once; END LOOP;
+          PERFORM 1;
+          IF s > 1000 THEN RETURN NULL; END IF;
+          RETURN s;
+        END; $$ LANGUAGE plpgsql"""
+
+    def test_profile_function_call_shares(self, tdb):
+        from repro.bench.harness import TABLE1_PHASES, profile_function_call
+        tdb.execute(self.PROFILED)
+        breakdown = profile_function_call(tdb, "SELECT prof(3)", label="p")
+        assert breakdown.row()[0] == "p"
+        assert abs(sum(breakdown.shares.values()) - 100.0) < 1e-6
+        assert len(breakdown.row()) == 1 + len(TABLE1_PHASES)
+
+    def test_statement_profile_labels(self, tdb):
+        from repro.bench.harness import statement_profile
+        tdb.execute(self.PROFILED)
+        profile = statement_profile(tdb, "SELECT prof(3)")
+        labels = [label for label, _, _ in profile]
+        assert labels == ["CONTINUE",
+                          "s = (s + (SELECT count(*) FROM t WHERE (x...",
+                          "EXIT once", "PERFORM ...", "RETURN s"]
+        assert abs(sum(share for _, share, _ in profile) - 100.0) < 1e-6
+
     def test_ensure_calls_table(self, db):
         from repro.bench.harness import CALLS_TABLE, ensure_calls_table
         ensure_calls_table(db, 5)

@@ -95,6 +95,67 @@ class TestSmokeSweep:
         assert 0 < profiler.counts[BATCHED_UDF_DISTINCT] < calls
 
 
+def _flagged(case):
+    """A stand-in discrepancy for driving the loop's failure path."""
+    from repro.fuzz.oracle import Discrepancy, Outcome
+    return [Discrepancy("result", case, None, "SELECT 1", "a", "b",
+                        Outcome("ok", rows=[(1,)]), Outcome("ok", rows=[]))]
+
+
+class TestDriverLoop:
+    """The one case loop behind every axis: failing cases are counted,
+    reduced and emitted (main axis) or printed with their script (side
+    axes), a harness error counts as a failure, and the budget and
+    ``--max-failures`` stop it."""
+
+    def test_failing_cases_reduced_and_emitted(self, tmp_path, monkeypatch,
+                                               capsys):
+        from repro.fuzz import __main__ as cli
+        monkeypatch.setattr(DifferentialChecker, "check_case",
+                            lambda self, case: _flagged(case))
+        assert cli.main(["--seed", "0", "--cases", "3", "--max-failures",
+                         "2", "--no-sqlite", "--emit-dir",
+                         str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert "stopping after 2 failing cases" in err
+        assert "reduced to" in err
+        emitted = sorted(tmp_path.glob("test_fuzz_repro_*.py"))
+        assert len(emitted) == 2
+        assert "2 failing cases" in out
+        assert all(str(path) in out for path in emitted)
+
+    def test_side_axis_harness_error_and_script(self, monkeypatch, capsys):
+        from repro.fuzz import __main__ as cli
+        calls = []
+
+        def check(case, **_):
+            calls.append(case)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return _flagged(case)
+
+        monkeypatch.setattr(cli, "check_txn_case", check)
+        assert cli.main(["--txn", "--cases", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert "harness error RuntimeError: boom" in err
+        assert "  script:\n" in err
+        assert len(calls) == 5
+        assert out.startswith("txn seed 0: ") and "5 failing cases" in out
+
+    def test_dump_prints_the_scripts(self, capsys):
+        from repro.fuzz import __main__ as cli
+        assert cli.main(["--dump", "--seed", "3", "--cases", "1"]) == 0
+        assert capsys.readouterr().out == generate_case(3, 0).script()
+        assert cli.main(["--dump", "--txn", "--index", "2",
+                         "--cases", "1"]) == 0
+        assert capsys.readouterr().out == cli.generate_txn_case(0, 2).script()
+
+    def test_time_budget_stops_before_a_case(self, capsys):
+        from repro.fuzz.__main__ import run_chaos_fuzz
+        assert run_chaos_fuzz(cases=5, time_budget=-1) == 0
+        assert "reached after 0 cases" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # rows_equal semantics
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ multi-table schemas by :mod:`repro.fuzz.reduce`):
    behaviour; the fix bounds the SQLite oracle's *input* ints to 32 bits
    (``value_sqlite_arithmetic_safe``) so the cross-check stays sound.
 
+3. Row/batch numeric parity of ``avg()`` under the vectorized executor.
+
+4. **chaos seed 5, case 192 (chaos/wire)** — a false positive: rows that
+   tie under a "total" ORDER BY because ``0.0 = -0.0`` came in different
+   heap orders from the memory and the replayed twin, and their rendered
+   text differs.  The wire sub-check now compares the served twin with its
+   own embedded answer.
+
 A final sweep test re-runs slices of the seeds that were fuzzed clean at
 development time (seeds 0/1/2/7/11 x hundreds of cases each, plus the two
 fixes above), so the "zero unexplained discrepancies" property is
@@ -197,6 +205,61 @@ class TestVectorizedNumericParity:
             for setting in ("on", "off"):
                 db.execute(f"SET enable_vectorize = {setting}")
                 assert db.query_value("SELECT avg(x) FROM t") == 7 / 3
+
+
+# ---------------------------------------------------------------------------
+# 4. Signed zeros tie under a "total" ORDER BY (chaos axis, seed 5 case 192)
+# ---------------------------------------------------------------------------
+
+# ``0.0`` and ``-0.0`` are one SQL value, so rows that differ only there
+# tie under ``ORDER BY 2, 1 DESC`` and come in heap order.  The chaos
+# axis's wire sub-check compared the served, replayed twin's rendered rows
+# ('-0.0' vs '0.0') positionally against the memory twin, whose heap holds
+# the tied rows in another order, and reported a discrepancy.
+SIGNED_ZERO_CASE = Case(
+    seed=18,
+    schema=SchemaSpec(tables=(
+        TableSpec("t1", (ColumnSpec("c0_1", "int", "num", "int"),
+                         ColumnSpec("c1_1", "text", "text", "text"),
+                         ColumnSpec("c2_1", "double precision", "num",
+                                    "float"),
+                         ColumnSpec("c3_1", "boolean", "bool", "bool"))),)),
+    data={"t1": [
+        (-3, '', 3.25, False), (7, 'a', 1.0, True), (0, 'zz', 0.001, False),
+        (1, "quo'te", 0.0, True), (3, 'a', 1.0, True), (5, 'B', 0.0, False),
+        (-3, '', 3.25, False), (0, 'b', -123.5, True), (0, 'ab', 1.0, True),
+        (2, 'ab', 0.001, False), (999, 'a b', -0.0, False),
+        (999, 'a b', -0.0, False), (0, 'zz', 0.001, False),
+        (7, "quo'te", -123.5, False), (1, 'ab', 0.0, True),
+        (3, 'zz', -123.5, False), (100, 'a', -0.0, False),
+        (100, 'ab', 3.25, True), (5, 'B', 0.0, False),
+        (100, "quo'te", -123.5, True), (1, '', 10000000000.0, True),
+        (-3, 'b', -0.0, False), (0, 'B', 0.5, True),
+        (100, "quo'te", 1.0, False), (-1, 'B', -0.0, None),
+        (7, "quo'te", 0.0, False), (0, 'zz', 0.001, False),
+        (100, 'b', 10000000000.0, False), (2, 'ab', 3.25, None),
+        (0, '%_x', 10000000000.0, False), (5, 'ab', 1.0, None),
+        (-3, 'zz', -0.0, False), (-17, "quo'te", 0.5, False),
+        (5, '', -0.0, False)]},
+    functions=(),
+    queries=(Query(sql="SELECT a.c2_1, a.c3_1 FROM t1 a ORDER BY 2, 1 DESC",
+                   sqlite_sql=None, order="total",
+                   order_keys=((1, False), (0, True))),))
+
+
+class TestChaosWireSignedZeroTie:
+    def test_wire_check_runs_and_is_clean(self, monkeypatch):
+        from repro.fuzz import chaos
+        calls = []
+        wire_outcome = chaos.wire_outcome
+
+        def counting(client, sql):
+            calls.append(sql)
+            return wire_outcome(client, sql)
+
+        monkeypatch.setattr(chaos, "wire_outcome", counting)
+        assert chaos.check_chaos_case(SIGNED_ZERO_CASE) == []
+        assert calls == [SIGNED_ZERO_CASE.queries[0].sql]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from repro.sql import Database, values
 from repro.sql.catalog import FunctionDef
 from repro.sql.errors import SqlError
-from repro.sql.executor import batched_udf, memo
+from repro.sql.executor import memo, trampoline
 from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
                                 PLAN_CACHE_HIT, PLAN_INSTANTIATIONS,
@@ -481,8 +481,8 @@ def sites(monkeypatch) -> dict:
     """Calls and activations of every trampoline site while the test runs,
     memoized or not."""
     seen = {"calls": 0, "activations": 0}
-    call, run = batched_udf.MachineCallState.call, \
-        batched_udf.MachineCallState.run
+    call, run = trampoline.MachineCallState.call, \
+        trampoline.MachineCallState.run
 
     def counting_call(state, values):
         seen["calls"] += 1
@@ -492,8 +492,8 @@ def sites(monkeypatch) -> dict:
         seen["activations"] += 1
         return run(state, values)
 
-    monkeypatch.setattr(batched_udf.MachineCallState, "call", counting_call)
-    monkeypatch.setattr(batched_udf.MachineCallState, "run", counting_run)
+    monkeypatch.setattr(trampoline.MachineCallState, "call", counting_call)
+    monkeypatch.setattr(trampoline.MachineCallState, "run", counting_run)
     return seen
 
 
@@ -597,13 +597,13 @@ def test_stable_function_sees_writes_between_executions(kdb, sites):
 def test_call_memo_entries_are_freed_at_executor_end(kdb, monkeypatch):
     register(kdb, STEPS, "steps_c")
     states = []
-    init = batched_udf.MachineCallState.__init__
+    init = trampoline.MachineCallState.__init__
 
     def keep(state, rt, plan, ictx):
         init(state, rt, plan, ictx)
         states.append(state)
 
-    monkeypatch.setattr(batched_udf.MachineCallState, "__init__", keep)
+    monkeypatch.setattr(trampoline.MachineCallState, "__init__", keep)
     kdb.query_all(CALL_SHAPES["select list"])
     [state] = states
     assert state.memo is not None and state.memo.entries == {}

@@ -66,6 +66,24 @@ class TestIndividualPasses:
         entry = program.blocks[program.entry]
         assert isinstance(entry.terminator, Goto)
 
+    @pytest.mark.parametrize("expr,folded", [
+        ("CASE WHEN true THEN 1 ELSE 2 END", "1"),
+        ("CASE WHEN false THEN 1 WHEN n > 0 THEN 2 END",
+         "CASE WHEN n > 0 THEN 2 END"),
+        ("CASE WHEN NULL THEN 1 ELSE 3 END", "3"),
+        ("CASE WHEN false THEN 1 END", "NULL"),
+        ("CASE WHEN n > 0 THEN 1 WHEN true THEN 2 WHEN n < 0 THEN 3 END",
+         "CASE WHEN n > 0 THEN 1 WHEN true THEN 2 END"),
+        ("coalesce(NULL, n, 3, m)", "coalesce(n, 3)"),
+        ("coalesce(NULL, 2 + 2, n)", "4"),
+        ("coalesce(NULL, n)", "n"),
+        ("coalesce(NULL, NULL)", "NULL"),
+        ("1 / 0", "1 / 0"),
+    ])
+    def test_fold_case_and_coalesce(self, expr, folded):
+        from repro.compiler.optimize import _fold_expr
+        assert _fold_expr(parse_expression(expr)) == parse_expression(folded)
+
     def test_dce_removes_unused_chain(self):
         program = ssa_of("DECLARE a int; b int; BEGIN a = n * 2; b = a + 1; "
                          "RETURN n; END")

@@ -190,6 +190,24 @@ class TestEmbeddedQueries:
             END; $$ LANGUAGE plpgsql""",
             [("SELECT {f}($1)", [t]) for t in ("a", "b", "zzz")])
 
+    def test_shadowing_through_unions_and_column_aliases(self, qdb):
+        """A variable named like a column stays a variable only where no
+        FROM source (an aliased table, a derived table, a UNION) has that
+        column."""
+        compile_and_run(qdb, """
+            CREATE FUNCTION shadows(price int) RETURNS int AS $$
+            DECLARE n int = 0;
+            BEGIN
+              WHILE n < 2 LOOP
+                price = price + (SELECT count(*) FROM
+                         (SELECT i.price FROM items AS i(id, price, tag)
+                          UNION SELECT price + 1) AS u(p) WHERE u.p > price);
+                n = n + 1;
+              END LOOP;
+              RETURN price;
+            END; $$ LANGUAGE plpgsql""",
+            [("SELECT {f}($1)", [p]) for p in (0, 20, 100)])
+
     def test_perform_compiles(self, qdb):
         compile_and_run(qdb, """
             CREATE FUNCTION poke(n int) RETURNS int AS $$
@@ -373,3 +391,63 @@ class TestIntermediateForms:
     def test_compile_error_for_non_function(self, db):
         with pytest.raises(CompileError):
             compile_plsql("SELECT 1", db)
+
+
+class TestFroidBaseline:
+    """``froid_compile`` is the prefix of the same pipeline that stops at
+    the first loop: it rejects iteration and, on loop-free bodies, yields
+    exactly what ``compile_plsql`` yields."""
+
+    @pytest.mark.parametrize("body", [
+        "WHILE n > 0 LOOP s = s + n; n = n - 1; END LOOP;",
+        "FOR i IN 1..n LOOP s = s + i; END LOOP;",
+        "LOOP EXIT WHEN n <= 0; s = s + 1; n = n - 1; END LOOP;",
+        "IF n > 0 THEN LOOP s = s + 1; EXIT WHEN s > n; END LOOP; END IF;",
+    ])
+    def test_rejects_every_loop(self, db, body):
+        from repro.compiler import froid_compile
+        from repro.sql.errors import LoopNotSupportedError
+        source = f"""
+            CREATE FUNCTION looped(n int) RETURNS int AS $$
+            DECLARE s int = 0;
+            BEGIN {body} RETURN s; END; $$ LANGUAGE plpgsql"""
+        with pytest.raises(LoopNotSupportedError, match="looped"):
+            froid_compile(source, db)
+        assert compile_plsql(source, db).is_recursive
+
+    @pytest.mark.parametrize("source,calls", [
+        ("""CREATE FUNCTION clamp(x int, lo int, hi int) RETURNS int AS $$
+            DECLARE r int;
+            BEGIN
+              IF x < lo THEN r = lo;
+              ELSIF x > hi THEN r = hi;
+              ELSE r = x;
+              END IF;
+              RETURN r * 2;
+            END; $$ LANGUAGE plpgsql""",
+         [(-5, 0, 10), (5, 0, 10), (50, 0, 10)]),
+        ("""CREATE FUNCTION label(n int) RETURNS text AS $$
+            DECLARE t text = 'n';
+            BEGIN
+              IF n IS NULL THEN RETURN 'none'; END IF;
+              IF n % 2 = 0 THEN t = t || '-even'; END IF;
+              RETURN t || (SELECT count(*) FROM w WHERE w.k <= n);
+            END; $$ LANGUAGE plpgsql""",
+         [(None,), (3,), (4,)]),
+    ])
+    def test_loop_free_equals_compile_plsql(self, db, source, calls):
+        from repro.compiler import DIALECTS, froid_compile
+        db.execute("CREATE TABLE w(k int)")
+        db.execute("INSERT INTO w VALUES (1), (2), (3), (5)")
+        froid = froid_compile(source, db)
+        full = compile_plsql(source, db)
+        assert not froid.is_recursive
+        for dialect in DIALECTS:
+            assert froid.sql(dialect) == full.sql(dialect)
+        db.execute(source)
+        froid.register(db, name="froid_f")
+        name = froid.name
+        for args in calls:
+            holes = ", ".join(f"${i + 1}" for i in range(len(args)))
+            assert db.query_value(f"SELECT froid_f({holes})", list(args)) \
+                == db.query_value(f"SELECT {name}({holes})", list(args))

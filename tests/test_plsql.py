@@ -307,3 +307,38 @@ class TestInterpreter:
               RETURN (SELECT count(*) FROM t WHERE x = x);
             END; $$ LANGUAGE plpgsql""")
         assert tdb.query_value("SELECT conflict(1)") == 4  # x=x over columns
+
+
+class TestLoopEdges:
+    """Loop forms at their edges: EXIT out of FOR-over-query and FOREACH
+    loops, an EXIT that names an outer loop leaving an inner block, a NULL
+    array, and the classified errors of bad FOR / FOREACH operands."""
+
+    @pytest.mark.parametrize("body,expected", [
+        ("FOR r IN SELECT x FROM t ORDER BY x LOOP s := s + r; "
+         "EXIT WHEN s >= 3; END LOOP; RETURN s;", 3),
+        ("FOREACH e IN ARRAY ARRAY[5, 6, 7] LOOP s := s + e; "
+         "EXIT WHEN e = 6; END LOOP; RETURN s;", 11),
+        ("FOREACH e IN ARRAY NULL::int[] LOOP s := 1; END LOOP; RETURN s;", 0),
+        ("<<outer>> LOOP <<inner>> BEGIN s := s + 1; EXIT outer; END; "
+         "END LOOP; RETURN s;", 1),
+    ])
+    def test_exits(self, tdb, body, expected):
+        name = make(tdb, f"""
+            CREATE FUNCTION edge() RETURNS int AS $$
+            DECLARE s int := 0; r int; e int;
+            BEGIN {body} END; $$ LANGUAGE plpgsql""")
+        assert tdb.query_value(f"SELECT {name}()") == expected
+
+    @pytest.mark.parametrize("body,message", [
+        ("FOR i IN 1..NULL LOOP END LOOP;", "must not be NULL"),
+        ("FOR i IN 1..3 BY 0 LOOP END LOOP;", "must be positive"),
+        ("FOREACH e IN ARRAY 3 LOOP END LOOP;", "expects an array"),
+    ])
+    def test_bad_loop_operands(self, db, body, message):
+        name = make(db, f"""
+            CREATE FUNCTION bad() RETURNS int AS $$
+            DECLARE e int;
+            BEGIN {body} RETURN 0; END; $$ LANGUAGE plpgsql""")
+        with pytest.raises(PlsqlRuntimeError, match=message):
+            db.query_value(f"SELECT {name}()")

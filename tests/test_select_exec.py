@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sql.errors import (ExecutionError, NameResolutionError, PlanError)
+from repro.sql.errors import (ExecutionError, NameResolutionError, PlanError,
+                              TypeError_)
 
 
 class TestBasicSelect:
@@ -219,6 +220,27 @@ class TestAggregation:
     def test_having_without_group_by(self, tdb):
         assert tdb.query_all("SELECT sum(x) FROM t HAVING sum(x) > 100") == []
 
+    @pytest.mark.parametrize("vectorize", ["on", "off"])
+    def test_grouped_distinct_aggregates(self, db, vectorize):
+        db.execute(f"SET enable_vectorize = {vectorize}")
+        db.execute("CREATE TABLE s(g int, v int)")
+        db.execute("INSERT INTO s VALUES (1, 1), (1, 1), (1, NULL), (2, 3), "
+                   "(2, 4), (2, 3)")
+        assert db.query_all(
+            "SELECT g, count(DISTINCT v), sum(DISTINCT v), count(*) FROM s "
+            "GROUP BY g ORDER BY g") == [(1, 1, 1, 3), (2, 2, 7, 3)]
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT sum(*) FROM t",
+        "SELECT x % 2, max(*) FROM t GROUP BY x % 2",
+        "SELECT avg(*) OVER () FROM t",
+    ])
+    @pytest.mark.parametrize("vectorize", ["on", "off"])
+    def test_only_count_takes_a_star(self, tdb, sql, vectorize):
+        tdb.execute(f"SET enable_vectorize = {vectorize}")
+        with pytest.raises(PlanError, match="only count takes"):
+            tdb.query_all(sql)
+
     def test_aggregate_of_expression_over_groups(self, tdb):
         rows = tdb.query_all(
             "SELECT (x % 2) + 10, sum(x * 2) FROM t GROUP BY x % 2 ORDER BY 1")
@@ -347,3 +369,38 @@ class TestBulkPull:
         assert state.next() == ((n - 1,) if n else None)  # the two mix
         rows = state.next_rows()
         assert len(rows) == min(max(n - 1, 0), ROWS_PER_PULL)
+
+
+class TestAcceptedSpellings:
+    """Syntax the grammar accepts beside its main spelling, and aggregate
+    corners: each runs and answers like its plain form."""
+
+    @pytest.mark.parametrize("sql,plain", [
+        ("SELECT ALL x FROM t ORDER BY x ASC", "SELECT x FROM t ORDER BY x"),
+        ("SELECT t.x FROM t INNER JOIN t AS u ON u.x = t.x ORDER BY 1",
+         "SELECT t.x FROM t JOIN t AS u ON u.x = t.x ORDER BY 1"),
+        ("SELECT sum(x) OVER (ORDER BY x ROWS BETWEEN 1 PRECEDING AND "
+         "CURRENT ROW EXCLUDE NO OTHERS) FROM t ORDER BY x",
+         "SELECT sum(x) OVER (ORDER BY x ROWS BETWEEN 1 PRECEDING AND "
+         "CURRENT ROW) FROM t ORDER BY x"),
+        ("(SELECT x FROM t ORDER BY x DESC LIMIT 2) UNION ALL SELECT 9 "
+         "ORDER BY 1", "SELECT 3 UNION ALL SELECT 4 UNION ALL SELECT 9"),
+        ("SELECT string_agg(y, '-') OVER (ORDER BY x) FROM t ORDER BY x",
+         "VALUES ('a'), ('a-b'), ('a-b-c'), ('a-b-c')"),
+        ("SELECT bool_and(y > 'a'), bool_or(y > 'b'), string_agg(y, '') "
+         "FROM t", "SELECT false, true, 'abc'"),
+        ("WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT 10 UNION ALL "
+         "SELECT n + 1 FROM r WHERE n < 3) SELECT n FROM r ORDER BY n",
+         "VALUES (1), (2), (3), (10)"),
+    ])
+    def test_same_answer(self, tdb, sql, plain):
+        assert tdb.query_all(sql) == tdb.query_all(plain)
+
+    def test_column_options_and_session_set(self, db):
+        db.execute("CREATE TABLE z(a int UNIQUE, b int DEFAULT 3 NOT NULL)")
+        db.execute("SET SESSION plan_cache_size = 7")
+        assert db.settings.get("plan_cache_size") == 7
+
+    def test_bool_aggregate_rejects_non_booleans(self, tdb):
+        with pytest.raises(TypeError_):
+            tdb.query_all("SELECT bool_and(x) FROM t")

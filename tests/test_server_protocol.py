@@ -616,3 +616,106 @@ class TestCodecGoldenBytes:
         assert len(states) == len(set(states))
         for label, state in protocol.SQLSTATE_FOR_LABEL.items():
             assert protocol.LABEL_FOR_SQLSTATE[state] == label
+
+
+class TestCommandLine:
+    """``python -m repro.server``: serves its demo schema until SIGINT, and
+    a ServerThread that cannot bind says so from ``start``."""
+
+    def test_demo_server_answers_and_stops_on_sigint(self):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from repro.server.client import connect
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "--demo", "--port",
+             str(port), "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        try:
+            banner = proc.stdout.readline()
+            assert f"listening on 127.0.0.1:{port}" in banner
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    client = connect("127.0.0.1", port)
+                    break
+                except OSError:
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.05)
+            with client:
+                assert client.query_rows(
+                    "SELECT name FROM items WHERE id = 2") == [("rope",)]
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=10)
+            assert "shutting down" in out
+            assert proc.returncode == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+    def test_bind_failure_raises_from_start(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            thread = ServerThread(Database(), port=port)
+            with pytest.raises(OSError):
+                thread.start()
+
+
+class TestWireClient:
+    """The library client's result surface over a live server."""
+
+    def test_results_notices_and_empty_queries(self, server):
+        from repro.server.client import ServerError, connect
+        with connect(*server) as client:
+            first, second = client.query("SELECT count(*) FROM items; "
+                                         "ROLLBACK")
+            assert first.scalar() == "3"
+            assert repr(first) == "StatementResult('SELECT 1', 1 rows)"
+            assert repr(second) == "StatementResult('ROLLBACK', - rows)"
+            assert client.notices == [
+                "WARNING: there is no transaction in progress"]
+            assert [r.command_tag for r in client.query("")] == [""]
+            with pytest.raises(ServerError, match="no result set"):
+                client.query_rows("ROLLBACK")
+
+    def test_retry_gives_up_on_other_errors(self, server):
+        from repro.server.client import ServerError, connect
+        with connect(*server) as client:
+            with pytest.raises(ServerError) as caught:
+                client.query_retry("SELECT * FROM no_such_table")
+            assert caught.value.sqlstate != "40001"
+            assert client.query_retry("SELECT 1")[0].scalar() == "1"
+
+
+class TestFastExecute:
+    """The ``EXECUTE name(literals)`` micro-parser answers exactly like
+    the full parser, which handles every shape it declines."""
+
+    @pytest.mark.parametrize("args", ["", "7", "-1.5", "true", "NULL",
+                                      "2, 'x'"])
+    def test_same_rows_as_the_parser(self, args):
+        from repro.server.handler import _fast_execute, run_script
+        from repro.server.telemetry import Telemetry
+        db = Database()
+        session = db.connect()
+        telemetry = Telemetry(db)
+        holes = len([a for a in args.split(",") if a.strip()])
+        body = ", ".join(f"${i + 1}" for i in range(holes)) or "0"
+        run_script(session, f"PREPARE p AS SELECT {body}", telemetry)
+        fast = run_script(session, f"EXECUTE p({args})", telemetry)
+        slow = run_script(session, f"SELECT 1; EXECUTE p({args})",
+                          telemetry)[-1:]
+        assert fast == slow
+        assert (_fast_execute(session, f"EXECUTE p({args})") is None) == \
+            ("'" in args)

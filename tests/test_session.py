@@ -176,6 +176,12 @@ class TestSettings:
             db.execute("SET max_udf_depth = 0")
         with pytest.raises(SettingError, match="integer"):
             db.execute("SET max_udf_depth = 1.5")
+        with pytest.raises(SettingError, match="integer"):
+            db.execute("SET max_udf_depth = 'deep'")
+        with pytest.raises(SettingError, match="integer"):
+            db.settings.assign("max_udf_depth", True)
+        with pytest.raises(SettingError, match="one of"):
+            db.settings.assign("check_function_bodies", 1)
 
     @pytest.mark.parametrize("statement", [
         "SET batch_strategy = sql",
@@ -520,6 +526,17 @@ class TestPreparedStatements:
         assert conn.execute(f"EXECUTE {ps.name}(4)").scalar() == expected
         ps.deallocate()
         assert ps.name not in conn.prepared_names
+
+    def test_programmatic_prepare_names(self, db):
+        conn = db.connect()
+        named = conn.prepare("PREPARE twice(int) AS SELECT $1 * 2")
+        assert named.name == "twice" and named.execute([4]).scalar() == 8
+        conn.execute("PREPARE _stmt1 AS SELECT 1")
+        anonymous = conn.prepare("SELECT 2")
+        assert anonymous.name not in ("twice", "_stmt1")
+        assert conn.execute(f"EXECUTE {anonymous.name}").scalar() == 2
+        assert "PreparedStatement('twice', SelectStmt, params=1)" == \
+            repr(named)
 
     def test_prepared_execution_counter(self, db):
         db.execute("PREPARE q AS SELECT 1")

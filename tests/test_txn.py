@@ -18,7 +18,8 @@ from __future__ import annotations
 import pytest
 
 from repro.sql import Database
-from repro.sql.errors import ExecutionError, SerializationError
+from repro.sql.errors import (ExecutionError, NameResolutionError,
+                              SerializationError)
 from repro.sql.profiler import (SNAPSHOT_SCANS, TXN_BEGUN, TXN_COMMITTED,
                                 TXN_ROLLED_BACK, WAL_RECORDS, WAL_REPLAYED)
 
@@ -388,6 +389,53 @@ class TestTransactionalDdl:
         c1.execute("ROLLBACK")
         assert "t_b" not in db.catalog.indexes
 
+    def test_drop_index_and_function_roll_back(self, db):
+        db.execute("CREATE INDEX t_b ON t(b)")
+        db.execute("CREATE FUNCTION f(n int) RETURNS int LANGUAGE SQL "
+                   "AS 'SELECT n + 1'")
+        c1 = db.connect()
+        c1.execute("BEGIN")
+        c1.execute("DROP INDEX t_b")
+        c1.execute("DROP FUNCTION f")
+        c1.execute("CREATE OR REPLACE FUNCTION g(n int) RETURNS int "
+                   "LANGUAGE SQL AS 'SELECT n'")
+        c1.execute("ROLLBACK")
+        assert "t_b" in db.catalog.indexes
+        assert db.execute("SELECT f(1)").scalar() == 2
+        assert db.catalog.get_function("g") is None
+
+    def test_replaced_function_rolls_back_to_the_prior(self, db):
+        db.execute("CREATE FUNCTION f(n int) RETURNS int LANGUAGE SQL "
+                   "AS 'SELECT n + 1'")
+        c1 = db.connect()
+        c1.execute("BEGIN")
+        c1.execute("CREATE OR REPLACE FUNCTION f(n int) RETURNS int "
+                   "LANGUAGE SQL AS 'SELECT n + 100'")
+        assert c1.execute("SELECT f(1)").scalar() == 101
+        c1.execute("ROLLBACK")
+        assert db.execute("SELECT f(1)").scalar() == 2
+
+    def test_rollback_to_savepoint_undoes_ddl(self, db):
+        c1 = db.connect()
+        c1.execute("BEGIN")
+        c1.execute("SAVEPOINT s")
+        c1.execute("CREATE TABLE u(x int)")
+        c1.execute("SELECT x FROM u")
+        c1.execute("ROLLBACK TO SAVEPOINT s")
+        with pytest.raises(NameResolutionError, match="unknown table 'u'"):
+            c1.execute("SELECT x FROM u")
+        c1.execute("ROLLBACK")
+        assert not db.catalog.has_table("u")
+
+    def test_drop_missing_function_if_exists(self, db):
+        assert db.execute("DROP FUNCTION IF EXISTS nope").rows == []
+
+    def test_outside_a_block(self, db):
+        db.execute("ROLLBACK")
+        assert db.notices[-1] == "WARNING: there is no transaction in progress"
+        with pytest.raises(ExecutionError, match="RELEASE SAVEPOINT"):
+            db.execute("RELEASE SAVEPOINT s")
+
     def test_committed_ddl_sticks(self, db):
         c1 = db.connect()
         c1.execute("BEGIN")
@@ -473,3 +521,30 @@ class TestWalDurability:
         assert not db2.catalog.has_table("gone")
         assert db2.catalog.get_type("pair") is not None
         assert db2.execute("SELECT double(21)").scalar() == 42
+
+    def test_dropped_index_and_function_stay_dropped(self, tmp_path):
+        path = str(tmp_path / "t.wal")
+        db1 = Database(path=path)
+        db1.execute("CREATE TABLE t(a int)")
+        db1.execute("CREATE INDEX t_a ON t(a)")
+        db1.execute("DROP INDEX t_a")
+        db1.execute("CREATE FUNCTION f(n int) RETURNS int LANGUAGE SQL "
+                    "AS 'SELECT n'")
+        db1.execute("DROP FUNCTION f")
+        db1.wal.close()
+        db2 = Database(path=path)
+        assert "t_a" not in db2.catalog.indexes
+        assert db2.catalog.get_function("f") is None
+
+    def test_rows_and_arrays_survive_reopen(self, tmp_path):
+        path = str(tmp_path / "t.wal")
+        db1 = Database(path=path)
+        db1.execute("CREATE TYPE pair AS (x int, y text)")
+        db1.execute("CREATE TABLE t(p pair, a int[])")
+        db1.execute("INSERT INTO t VALUES (ROW(1, 'a')::pair, ARRAY[1, 2]), "
+                    "(ROW(2, NULL)::pair, ARRAY[3])")
+        rows = db1.query_all("SELECT p, a FROM t")
+        db1.wal.close()
+        db2 = Database(path=path)
+        assert db2.query_all("SELECT p, a FROM t") == rows
+        assert db2.query_value("SELECT (p).y FROM t WHERE (p).x = 1") == "a"

@@ -173,3 +173,83 @@ class TestWindowSpecRules:
             "SELECT row_number() OVER (ORDER BY v), "
             "sum(v) OVER (PARTITION BY g) FROM w ORDER BY 1")
         assert len(rows) == 6
+
+
+# ---------------------------------------------------------------------------
+# Frames with offsets (GROUPS, RANGE, ROWS), differentially against sqlite3
+# ---------------------------------------------------------------------------
+
+FRAME_ROWS = [
+    (1, 1, None, 5), (2, 1, 1, 7), (3, 1, 1, None), (4, 1, 3, 2),
+    (5, 1, 3, 11), (6, 1, 4, -1), (7, 1, None, 3), (8, 1, 9, 4),
+    (9, 2, 2, 8), (10, 2, 2, 6), (11, 2, None, None), (12, 2, 5, 1),
+    (13, 2, 7, 10), (14, 2, 7, 12), (15, 2, 7, 9),
+]
+# Bound kinds in frame order: a frame may not start after its end kind.
+BOUND_KINDS = ["UNBOUNDED PRECEDING", "PRECEDING", "CURRENT ROW",
+               "FOLLOWING", "UNBOUNDED FOLLOWING"]
+
+
+def _random_frames(mode: str, count: int, seed: int):
+    """*count* random ``<mode> BETWEEN`` windows with explicit NULLS
+    placement (sqlite3's default differs from PostgreSQL's)."""
+    import random
+    rng = random.Random(seed)
+
+    def bound(kind):
+        return f"{rng.randint(0, 3)} {kind}" if kind in (
+            "PRECEDING", "FOLLOWING") else kind
+
+    frames = []
+    while len(frames) < count:
+        start = rng.randrange(0, 4)
+        end = rng.randrange(max(start, 1), 5)
+        exclude = rng.choice(["", " EXCLUDE CURRENT ROW", " EXCLUDE GROUP",
+                              " EXCLUDE TIES"])
+        frames.append(
+            f"PARTITION BY p ORDER BY k {rng.choice(['ASC', 'DESC'])} "
+            f"NULLS {rng.choice(['FIRST', 'LAST'])} {mode} BETWEEN "
+            f"{bound(BOUND_KINDS[start])} AND {bound(BOUND_KINDS[end])}"
+            f"{exclude}")
+    return frames
+
+
+class TestFramesAgainstSqlite:
+    """Every bound and exclusion of the three frame modes agrees with
+    sqlite3 over duplicate and NULL ORDER BY keys, in both directions and
+    both NULLS placements: the peer-group walk of ``GROUPS n PRECEDING /
+    FOLLOWING``, and ``RANGE`` offsets under DESC and on NULL rows."""
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        import sqlite3
+        from repro.sql import Database
+        db = Database(seed=0)
+        db.execute("CREATE TABLE w(id int, p int, k int, v int)")
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE w(id int, p int, k int, v int)")
+        for row in FRAME_ROWS:
+            db.execute("INSERT INTO w VALUES ($1, $2, $3, $4)", list(row))
+            lite.execute("INSERT INTO w VALUES (?, ?, ?, ?)", row)
+        yield db, lite
+        lite.close()
+
+    @pytest.mark.parametrize("frame", _random_frames("GROUPS", 120, 20)
+                             + _random_frames("RANGE", 80, 21)
+                             + _random_frames("ROWS", 40, 22))
+    def test_agrees(self, engines, frame):
+        db, lite = engines
+        sql = (f"SELECT id, sum(v) OVER ({frame}), count(*) OVER ({frame}), "
+               f"min(v) OVER ({frame}) FROM w ORDER BY id")
+        assert db.query_all(sql) == [tuple(r) for r in lite.execute(sql)]
+
+    def test_offsets_walk_whole_groups(self, engines):
+        db, _ = engines
+        rows = db.query_all(
+            "SELECT id, count(*) OVER (PARTITION BY p ORDER BY k NULLS FIRST "
+            "GROUPS BETWEEN 1 PRECEDING AND 1 FOLLOWING) FROM w "
+            "WHERE p = 2 ORDER BY id")
+        # Groups of p = 2 in order: {11: NULL}, {9, 10: 2}, {12: 5},
+        # {13, 14, 15: 7}.
+        assert rows == [(9, 4), (10, 4), (11, 3), (12, 6), (13, 4),
+                        (14, 4), (15, 4)]
