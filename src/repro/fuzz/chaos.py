@@ -170,8 +170,7 @@ def check_chaos_case(case: Case, *, profiler: Optional[Profiler] = None
         # so are plan-dependent queries, Query.per_config: a replayed
         # heap may hold its rows in another order, and a drawing query
         # draws in scan order).
-        queries = [(q, q.sql if q.function is None
-                    else q.sql.format(f=q.function))
+        queries = [(q, q.variants({})[0][2])
                    for q in case.queries if not q.per_config]
         replayed = []
         for query, sql in queries:

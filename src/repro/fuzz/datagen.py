@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 from .schema import SchemaSpec, TableSpec
 
@@ -77,33 +76,24 @@ def generate_rows(rng: random.Random, table: TableSpec,
 
 def generate_data(rng: random.Random,
                   schema: SchemaSpec) -> dict[str, list[tuple]]:
-    """Contents for every table of *schema*, keyed by table name."""
-    return {t.name: generate_rows(rng, t, schema.extreme)
+    """Contents for every table of *schema*, keyed by table name.  In 40%
+    of cases one non-empty table then has the NULLs of its int columns
+    replaced by values of the pool: every value of such a column is an
+    exact int, which is what the vectorized core's typed columns, and the
+    fused aggregate loops over them (``QueryGen.typed_aggregate``), need
+    to run under the oracles."""
+    data = {t.name: generate_rows(rng, t, schema.extreme)
             for t in schema.tables}
-
-
-#: Share of cases with one table whose int columns are all NULL-free.
-NULL_FREE_SHARE = 0.4
-
-
-def null_free_table(rng: random.Random, schema: SchemaSpec,
-                    data: dict[str, list[tuple]]) -> Optional[TableSpec]:
-    """On a share of draws, one non-empty table of *schema* whose int
-    columns are made NULL-free in *data* (each NULL replaced by a value of
-    the pool), else None.  Every value of such a column is an exact int,
-    which is what the vectorized core's typed columns, and the fused
-    aggregate loops over them, need to run under the oracles."""
-    filled = [t for t in schema.tables if data.get(t.name)]
-    if not filled or rng.random() >= NULL_FREE_SHARE:
-        return None
-    table = rng.choice(filled)
-    ints = {i for i, c in enumerate(table.columns) if c.dtype == "int"}
-    pool = _pool("int", schema.extreme)
-    data[table.name] = [
-        tuple(rng.choice(pool) if value is None and i in ints else value
-              for i, value in enumerate(row))
-        for row in data[table.name]]
-    return table
+    filled = [t for t in schema.tables if data[t.name]]
+    if filled and rng.random() < 0.4:
+        table = rng.choice(filled)
+        ints = {i for i, c in enumerate(table.columns) if c.dtype == "int"}
+        pool = _pool("int", schema.extreme)
+        data[table.name] = [
+            tuple(rng.choice(pool) if value is None and i in ints else value
+                  for i, value in enumerate(row))
+            for row in data[table.name]]
+    return data
 
 
 def value_sqlite_safe(value) -> bool:

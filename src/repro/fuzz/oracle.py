@@ -387,22 +387,12 @@ class DifferentialChecker:
         db, compiled = self.build_database(case)
         configs = settings_matrix(db)
 
-        # Concrete statements per query: (variant label, sql).
-        variants_per_query: list[list[tuple[str, str]]] = []
-        for query in case.queries:
-            if query.function is None:
-                variants_per_query.append([("plain", query.sql)])
-            else:
-                variants = [("interp",
-                             query.sql.format(f=query.function))]
-                twin = compiled.get(query.function)
-                if twin:
-                    variants.append(("compiled", query.sql.format(f=twin)))
-                variants_per_query.append(variants)
+        variants_per_query = [query.variants(compiled)
+                              for query in case.queries]
 
         # Execute everything: outcomes[query index][variant][config label].
         outcomes: list[dict[str, dict[str, Outcome]]] = [
-            {label: {} for label, _ in variants}
+            {label: {} for label, _, _ in variants}
             for variants in variants_per_query]
         # Per modification: what count(*) over its WHERE says (baseline),
         # then per config label the statement's outcome and the table's
@@ -423,7 +413,7 @@ class DifferentialChecker:
             config.apply(db)
             for query, variants, by_variant in zip(
                     case.queries, variants_per_query, outcomes):
-                for label, sql in variants:
+                for label, _, sql in variants:
                     if query.per_config:
                         db.reseed(0)
                     by_variant[label][config.label] = run_statement(db, sql)
@@ -431,7 +421,7 @@ class DifferentialChecker:
             if db.settings.get("batch_compiled"):
                 for qi, (query, variants) in enumerate(
                         zip(case.queries, variants_per_query)):
-                    for label, sql in variants:
+                    for label, _, sql in variants:
                         if label != "compiled":
                             continue
                         if query.per_config:
@@ -488,8 +478,7 @@ class DifferentialChecker:
 
         for qi, (query, variants) in enumerate(
                 zip(case.queries, variants_per_query)):
-            ref_variant = variants[0][0]
-            ref_sql = variants[0][1]
+            ref_variant, _, ref_sql = variants[0]
             reference = outcomes[qi][ref_variant][baseline_label]
             if reference.crashed:
                 report("crash", query, ref_sql, baseline_label,
@@ -504,7 +493,7 @@ class DifferentialChecker:
                 report("order", query, ref_sql, baseline_label,
                        baseline_label, reference, reference)
                 continue
-            for label, sql in variants:
+            for label, _, sql in variants:
                 for config in configs:
                     outcome = outcomes[qi][label][config.label]
                     if query.per_config:
@@ -608,8 +597,7 @@ class DifferentialChecker:
         if sqlite_conn is not None:
             sqlite_conn.close()
         discrepancies.extend(self._check_analyzer_soundness(
-            case, db, compiled, variants_per_query, outcomes,
-            baseline_label))
+            case, db, variants_per_query, outcomes, baseline_label))
         return discrepancies
 
     @staticmethod
@@ -637,7 +625,6 @@ class DifferentialChecker:
         return outcome, contents
 
     def _check_analyzer_soundness(self, case: Case, db: Database,
-                                  compiled: dict,
                                   variants_per_query, outcomes,
                                   baseline_label: str) -> list[Discrepancy]:
         """The static analyzer's soundness oracle: a function that just
@@ -650,15 +637,9 @@ class DifferentialChecker:
         clean: dict[str, tuple] = {}  # fn name -> (query, sql, outcome)
         for qi, (query, variants) in enumerate(
                 zip(case.queries, variants_per_query)):
-            if query.function is None:
-                continue
-            for label, sql in variants:
+            for label, name, sql in variants:
                 outcome = outcomes[qi][label].get(baseline_label)
-                if outcome is None or outcome.status != "ok":
-                    continue
-                name = (query.function if label == "interp"
-                        else compiled.get(query.function))
-                if name:
+                if name and outcome is not None and outcome.status == "ok":
                     clean.setdefault(name.lower(), (query, sql, outcome))
 
         out: list[Discrepancy] = []

@@ -30,10 +30,10 @@ mirror image of PostgreSQL's); constructs SQLite lacks (UDF calls,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .datagen import generate_data, null_free_table
+from .datagen import generate_data
 from .schema import SchemaSpec, TableSpec, generate_schema
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,22 @@ class Query:
     #: with the interpreter under each configuration, each statement run
     #: from the same RNG state, instead of every run with the baseline.
     per_config: bool = False
+    #: The name of the :data:`SHAPES` row that drew the query.
+    shape: Optional[str] = None
+
+    def variants(self, compiled: dict
+                 ) -> list[tuple[str, Optional[str], str]]:
+        """The statements this query stands for, as ``(label, function
+        name or None, sql)``: the query itself (label ``plain``), or its
+        call of the interpreted function (``interp``) and, where
+        *compiled* maps that function to a twin, of the twin
+        (``compiled``)."""
+        if self.function is None:
+            return [("plain", None, self.sql)]
+        names = [("interp", self.function),
+                 ("compiled", compiled.get(self.function))]
+        return [(label, name, self.sql.format(f=name))
+                for label, name in names if name]
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,8 @@ class Modification:
     #: ``SELECT count(*)`` over the same table and WHERE: what the
     #: statement's affected-row count must equal.
     count_sql: str
+    #: The name of the :data:`SHAPES` row that drew the statement.
+    shape: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -130,10 +148,11 @@ class Case:
         for fn in self.functions:
             lines.append(fn.source.strip() + ";")
         for query in self.queries:
-            lines.append(f"-- order={query.order} keys={query.order_keys}")
+            lines.append(f"-- order={query.order} keys={query.order_keys} "
+                         f"shape={query.shape}")
             lines.append(query.sql + ";")
         for modification in self.modifications:
-            lines.append("-- on a fresh copy")
+            lines.append(f"-- on a fresh copy shape={modification.shape}")
             lines.append(modification.sql + ";")
         return "\n".join(lines) + "\n"
 
@@ -402,13 +421,16 @@ class _ExprGen:
 
 
 class QueryGen:
-    """Draws whole statements over a schema (plus optional functions)."""
+    """Draws whole statements over a schema and its data.  The methods
+    that are rows of :data:`SHAPES` return what they drew and leave the
+    functions it calls in :attr:`functions`."""
 
     def __init__(self, rng: random.Random, schema: SchemaSpec,
-                 functions: tuple[FunctionSpec, ...] = ()):
+                 data: dict[str, list[tuple]]):
         self.rng = rng
         self.schema = schema
-        self.functions = functions
+        self.data = data
+        self.functions: tuple[FunctionSpec, ...] = ()
         self._sub_alias = 0
 
     # -- helpers --------------------------------------------------------
@@ -549,17 +571,7 @@ class QueryGen:
 
     # -- statement shapes ----------------------------------------------
 
-    def generate(self) -> Query:
-        shapes = [(self._simple_select, 28), (self._join_select, 20),
-                  (self._aggregate_select, 18), (self._setop_select, 11),
-                  (self._window_select, 11)]
-        if self.functions:
-            shapes.append((self._function_select, 26))
-        maker = self.rng.choices([s for s, _ in shapes],
-                                 weights=[w for _, w in shapes])[0]
-        return maker()
-
-    def _simple_select(self) -> Query:
+    def simple_select(self) -> Query:
         table = self._table()
         gen = _ExprGen(self.rng, [("a", table)], self._subquery,
                         self._exists_subquery)
@@ -575,7 +587,7 @@ class QueryGen:
         body = f"SELECT {distinct}{select} FROM {table.name} a{where}"
         return self._finish(body, body if sqlite_ok else None, len(items))
 
-    def _join_select(self) -> Query:
+    def join_select(self) -> Query:
         """Two tables, sometimes three, joined on same-class column pairs;
         above them plain select items (``_finish`` adds ORDER BY .. LIMIT
         tails) or an aggregate.  A small share of inner joins pair columns
@@ -645,7 +657,7 @@ class QueryGen:
                 f"FROM {from_clause}{where}")
         return self._finish(body, body if sqlite_ok else None, len(items))
 
-    def _aggregate_select(self) -> Query:
+    def aggregate_select(self) -> Query:
         table = self._table()
         gen = _ExprGen(self.rng, [("a", table)], self._subquery,
                         self._exists_subquery)
@@ -705,14 +717,23 @@ class QueryGen:
                          order_keys=keys)
         return Query(sql=body, sqlite_sql=body if sqlite_ok else None)
 
-    def typed_aggregate(self, table: TableSpec) -> Query:
-        """count / sum / avg over *table*'s int columns, filtered by one or
-        two comparisons and grouped on most draws, built from those
-        columns, int literals, ``+ - *``, unary minus, ``/`` and ``%`` by
-        a positive literal, and a division by a column behind its ``<> 0``
-        guard: the shape the vectorized core runs as one fused loop when
-        the columns are NULL-free (``datagen.null_free_table``)."""
+    def typed_aggregate(self) -> Optional[Query]:
+        """count / sum / avg over the int columns of a non-empty table
+        whose int columns hold no NULL (``datagen.generate_data`` makes
+        one so in a share of cases), filtered by one or two comparisons
+        and grouped on most draws, built from those columns, int
+        literals, ``+ - *``, unary minus, ``/`` and ``%`` by a positive
+        literal, and a division by a column behind its ``<> 0`` guard:
+        the shape the vectorized core runs as one fused loop.  None when
+        no table qualifies."""
         rng = self.rng
+        tables = [t for t in self.schema.tables if self.data.get(t.name)
+                  and all(row[i] is not None for row in self.data[t.name]
+                          for i, c in enumerate(t.columns)
+                          if c.dtype == "int")]
+        if not tables:
+            return None
+        table = rng.choice(tables)
         gen = _ExprGen(rng, [("a", table)])
         columns = [f"a.{c.name}" for c in table.columns_of_dtype("int")]
 
@@ -755,17 +776,14 @@ class QueryGen:
                 f"WHERE {where} GROUP BY {', '.join(keys)}{having}")
         return self._grouped(body, len(keys), True)
 
-    def _window_select(self) -> Query:
+    def window_select(self) -> Query:
         """An aggregate over a window.  The default RANGE frame includes
         every peer of the current row, so the window value is a
         deterministic function of the row even when the window ordering
         has ties — which keeps all oracles comparable."""
         table = self._table()
         gen = _ExprGen(self.rng, [("a", table)], None)
-        num_cols = table.columns_of_class("num")
-        if not num_cols:
-            return self._simple_select()
-        agg_col = self.rng.choice(num_cols)
+        agg_col = self.rng.choice(table.columns_of_class("num"))
         fn = self.rng.choice(("sum", "count", "min", "max", "avg"))
         over_parts_engine = []
         over_parts_lite = []
@@ -800,7 +818,7 @@ class QueryGen:
                 if sqlite_ok else None)
         return self._finish(body, lite, len(items) + 1)
 
-    def _setop_select(self) -> Query:
+    def setop_select(self) -> Query:
         arity = self.rng.randint(1, 2)
         classes = [self.rng.choices(("num", "text"), weights=(3, 2))[0]
                    for _ in range(arity)]
@@ -825,14 +843,18 @@ class QueryGen:
         body = f"{left} {op} {right}"
         return self._finish(body, body if ok_l and ok_r else None, arity)
 
-    def _function_select(self) -> Query:
-        fn = self.rng.choice(self.functions)
+    def function_select(self) -> Query:
+        """A call of a loop-bearing function (:func:`generate_function`):
+        alone over literals, under ``sum``, in WHERE or beside other
+        select items."""
+        fn = generate_function(self.rng)
+        self.functions = (fn,)
         table = self._table()
         gen = _ExprGen(self.rng, [("a", table)], None)
         int_cols = table.columns_of_dtype("int")
 
         def arg() -> str:
-            if int_cols and self.rng.random() < 0.75:
+            if self.rng.random() < 0.75:
                 return f"a.{self.rng.choice(int_cols).name}"
             return str(self.rng.randint(0, 12))
 
@@ -849,8 +871,7 @@ class QueryGen:
             body = (f"SELECT sum({call}), count(*) FROM {table.name} a")
             return Query(sql=body, sqlite_sql=None, function=fn.name)
         if shape < 0.45:
-            pred_col = (f"a.{self.rng.choice(int_cols).name}"
-                        if int_cols else "1")
+            pred_col = f"a.{self.rng.choice(int_cols).name}"
             body = (f"SELECT {pred_col} FROM {table.name} a "
                     f"WHERE ({call} % 2 = 0)")
             return self._finish(body, None, 1, function=fn.name)
@@ -859,7 +880,6 @@ class QueryGen:
             items.append(gen.scalar(1).text)
         body = f"SELECT {', '.join(items)} FROM {table.name} a"
         return self._finish(body, None, len(items), function=fn.name)
-
 
     def correlated_in(self) -> Query:
         """``a.x [NOT] IN (SELECT z.v FROM t z WHERE z.k = a.k)``: probed
@@ -882,9 +902,9 @@ class QueryGen:
                 f"FROM {outer.name} a")
         return self._finish(body, body, 3)
 
-    def lazy_call(self, fn: FunctionSpec, data: dict) -> Query:
-        """A call of *fn* (:func:`generate_dividing_function`) that the
-        row engine evaluates lazily or over repeated values (the
+    def lazy_call(self) -> Query:
+        """A call of a :func:`generate_dividing_function` that the row
+        engine evaluates lazily or over repeated values (the
         trampoline site's memo), one of three shapes:
 
         * in a derived table under a streaming LIMIT, dividing by zero on
@@ -898,6 +918,8 @@ class QueryGen:
         An evaluator that runs a block's calls eagerly raises on the first
         two where the interpreter does not."""
         rng = self.rng
+        fn = generate_dividing_function(rng)
+        self.functions = (fn,)
         ordered = [(table, index.columns[0]) for table in self.schema.tables
                    for index in table.indexes
                    if next(c for c in table.columns
@@ -915,12 +937,12 @@ class QueryGen:
             table, (key, desc) = rng.choice(ordered)
             position = table.columns.index(
                 next(c for c in table.columns if c.name == key))
-            rows = sorted((row for row in data.get(table.name, [])
+            rows = sorted((row for row in self.data.get(table.name, [])
                            if row[position] is not None),
                           key=lambda row: row[position], reverse=desc)
         else:
             table = self._table()
-            rows = data.get(table.name, [])
+            rows = self.data.get(table.name, [])
         column = rng.choice(table.columns_of_dtype("int"))
         poison = rows[-1][table.columns.index(column)] if rows else None
         poison = poison if type(poison) is int else 0
@@ -938,10 +960,13 @@ class QueryGen:
                      order_keys=((0, desc),), function=fn.name,
                      per_config=True)
 
-    def volatile_call(self, fn: FunctionSpec) -> Query:
-        """A call of *fn*, a function drawing through a volatile helper,
-        over repeated argument values: a memo keyed by them would drop
-        draws the interpreter makes."""
+    def volatile_call(self) -> Query:
+        """A call of a function drawing through a volatile helper
+        (:func:`generate_volatile_function`), over repeated argument
+        values: a memo keyed by them would drop draws the interpreter
+        makes."""
+        helper, fn = generate_volatile_function(self.rng)
+        self.functions = (helper, fn)
         table = self._table()
         column = self.rng.choice(table.columns_of_dtype("int"))
         body = (f"SELECT a.{column.name}, {{f}}(a.{column.name} % 3) "
@@ -1001,14 +1026,14 @@ class QueryGen:
 
     # -- row-changing statements -----------------------------------------
 
-    def modification(self, data: dict) -> Modification:
-        """An UPDATE or DELETE whose WHERE is drawn from the single-table
-        filter grammar of :meth:`_simple_select` (equality, range,
+    def modification(self, delete: bool) -> Modification:
+        """A DELETE or an UPDATE whose WHERE is drawn from the single-table
+        filter grammar of :meth:`simple_select` (equality, range,
         BETWEEN, IN, correlated EXISTS ...), the table standing under its
         own name since neither statement takes an alias.  Half of them
         lead with an equality or a range on an int column against a value
-        the column holds in *data*, so that the index paths find targets
-        and not only the scan.  SET assigns a literal, NULL, another
+        the column holds in the case's data, so that the index paths find
+        targets and not only the scan.  SET assigns a literal, NULL, another
         column of the same dtype or, to an int column, itself plus a
         constant - indexed columns included."""
         rng = self.rng
@@ -1019,7 +1044,7 @@ class QueryGen:
         sqlite_ok = True
         column = rng.choice(table.columns_of_dtype("int"))
         held = [row[table.columns.index(column)]
-                for row in data.get(table.name, [])]
+                for row in self.data.get(table.name, [])]
         held = [value for value in held if type(value) is int]
         if held and rng.random() < 0.5:
             low, high = (str(v) if v >= 0 else f"({v})"
@@ -1035,7 +1060,7 @@ class QueryGen:
             sqlite_ok = pred.sqlite_ok
         where = " WHERE " + " AND ".join(conjuncts) \
             if rng.random() < 0.95 else ""
-        if rng.random() < 0.4:
+        if delete:
             head = f"DELETE FROM {table.name}"
         else:
             assignments = []
@@ -1070,14 +1095,14 @@ class QueryGen:
 # ---------------------------------------------------------------------------
 
 
-def generate_function(rng: random.Random, index: int) -> FunctionSpec:
+def generate_function(rng: random.Random) -> FunctionSpec:
     """A loop-bearing (or occasionally Froid-style branching) int function
     in the paper's workload family.  Loops always terminate: the counter
     increments unconditionally and bounds derive from ``arg % m + k``.
     Every arithmetic step is total over ints (constant nonzero divisors),
     so interpreter, compiled trampoline and batched execution must agree
     on values *and* errors."""
-    name = f"fz{index}"
+    name = "fz"
     arity = rng.randint(1, 2)
     params = ", ".join(f"{p} int" for p in ("a", "b")[:arity])
     args = ("a", "b")[:arity]
@@ -1129,15 +1154,14 @@ $$ LANGUAGE plpgsql"""
     return FunctionSpec(name, arity, source)
 
 
-def generate_dividing_function(rng: random.Random, index: int
-                               ) -> FunctionSpec:
+def generate_dividing_function(rng: random.Random) -> FunctionSpec:
     """A loop whose every iteration divides by ``a - v``: a call raises
     exactly when ``a = v``, wherever and whenever it is evaluated.  (An
     argument expression that raises would not do: the inlined Qf splices
     argument expressions into the body, so a parameter the body never
     reads leaves its argument unevaluated, where the interpreter and the
     machine evaluate every argument first.)"""
-    name = f"fzd{index}"
+    name = "fzd"
     source = f"""CREATE FUNCTION {name}(a int, v int) RETURNS int AS $$
 DECLARE acc int := {rng.randint(0, 5)}; i int := 0;
 BEGIN
@@ -1151,14 +1175,14 @@ $$ LANGUAGE plpgsql"""
     return FunctionSpec(name, 2, source)
 
 
-def generate_volatile_function(rng: random.Random, index: int
+def generate_volatile_function(rng: random.Random
                                ) -> tuple[FunctionSpec, FunctionSpec]:
     """A loop-free helper that draws ``random()`` and a loop-bearing
     function calling it once per iteration: the function is volatile only
     through the helper, so the compiler must neither drop nor duplicate
     the call, and no call site may share its results."""
-    helper = f"fzh{index}"
-    name = f"fzv{index}"
+    helper = "fzh"
+    name = "fzv"
     scale = rng.randint(2, 9)
     helper_source = f"""CREATE FUNCTION {helper}(n int) RETURNS int AS $$
 BEGIN
@@ -1183,18 +1207,29 @@ $$ LANGUAGE plpgsql"""
 # ---------------------------------------------------------------------------
 
 
-#: Share of cases that end with a :meth:`QueryGen.correlated_in` query.
-CORRELATED_IN_SHARE = 0.3
-#: Share of cases that end with a :func:`generate_dividing_function` and a
-#: :meth:`QueryGen.lazy_call` of it.
-LAZY_CALL_SHARE = 0.12
-#: Share of cases that end with a :func:`generate_volatile_function` pair
-#: and a :meth:`QueryGen.volatile_call` of it.
-VOLATILE_FUNCTION_SHARE = 0.06
-#: Shares of cases that end with a :meth:`QueryGen.range_aggregate` and with
-#: a :meth:`QueryGen.guarded_conjuncts`.
-RANGE_AGGREGATE_SHARE = 0.25
-GUARDED_CONJUNCTS_SHARE = 0.15
+#: What a case holds beyond its schema and data, as ``(name, share,
+#: draw)`` rows.  In its share of cases a row draws one statement with
+#: ``draw(gen)``, a :class:`QueryGen` method that leaves the functions the
+#: statement calls in ``gen.functions`` (and returns None when the case
+#: has nothing it can draw over), from a random stream of its own, seeded
+#: with the case seed and the row's name.  So adding, removing or
+#: reweighting one row leaves every other row's draws as they were.
+SHAPES = (
+    ("select", 0.95, QueryGen.simple_select),
+    ("join", 0.7, QueryGen.join_select),
+    ("aggregate", 0.65, QueryGen.aggregate_select),
+    ("setop", 0.4, QueryGen.setop_select),
+    ("window", 0.4, QueryGen.window_select),
+    ("function", 0.45, QueryGen.function_select),
+    ("update", 1.0, lambda gen: gen.modification(delete=False)),
+    ("delete", 1.0, lambda gen: gen.modification(delete=True)),
+    ("typed_aggregate", 0.6, QueryGen.typed_aggregate),
+    ("correlated_in", 0.3, QueryGen.correlated_in),
+    ("lazy_call", 0.12, QueryGen.lazy_call),
+    ("volatile_call", 0.06, QueryGen.volatile_call),
+    ("range_aggregate", 0.25, QueryGen.range_aggregate),
+    ("guarded_conjuncts", 0.15, QueryGen.guarded_conjuncts),
+)
 
 
 def case_seed(run_seed: int, index: int) -> int:
@@ -1203,48 +1238,28 @@ def case_seed(run_seed: int, index: int) -> int:
     return (run_seed * 1_000_003 + index) & 0xFFFF_FFFF_FFFF
 
 
-def generate_case(run_seed: int, index: int,
-                  queries: Optional[int] = None) -> Case:
-    """Generate fuzz case *index* of the run seeded with *run_seed*."""
+def generate_case(run_seed: int, index: int) -> Case:
+    """Generate fuzz case *index* of the run seeded with *run_seed*: the
+    schema and data from one stream, then the rows of :data:`SHAPES`.
+    (A str seed is hashed with SHA-512: the streams do not depend on
+    ``PYTHONHASHSEED``.)"""
     seed = case_seed(run_seed, index)
-    rng = random.Random(seed)
+    rng = random.Random(f"{seed}/schema")
     schema = generate_schema(rng)
     data = generate_data(rng, schema)
     functions: tuple[FunctionSpec, ...] = ()
-    if rng.random() < 0.55:
-        functions = tuple(generate_function(rng, i)
-                          for i in range(rng.randint(1, 2)))
-    qgen = QueryGen(rng, schema, functions)
-    count = queries if queries is not None else rng.randint(2, 5)
-    drawn = tuple(qgen.generate() for _ in range(count))
-    # Drawn last, so the queries of a seed are what they were before
-    # cases carried modifications ...
-    modifications = (qgen.modification(data), qgen.modification(data))
-    # ... and everything above what it was before a share of them carried
-    # a NULL-free int table with a fused-shape aggregate over it.
-    typed = null_free_table(rng, schema, data)
-    if typed is not None:
-        drawn += (qgen.typed_aggregate(typed),)
-    # ... and everything above what it was before a share of them carried
-    # a correlated IN over repeated keys.
-    if rng.random() < CORRELATED_IN_SHARE:
-        drawn += (qgen.correlated_in(),)
-    # ... and everything above what it was before a share of them carried
-    # compiled calls that must run lazily or must not be memoized.
-    if rng.random() < LAZY_CALL_SHARE:
-        divider = generate_dividing_function(rng, len(functions))
-        functions += (divider,)
-        drawn += (qgen.lazy_call(divider, data),)
-    if rng.random() < VOLATILE_FUNCTION_SHARE:
-        helper, volatile = generate_volatile_function(rng, len(functions))
-        functions += (helper, volatile)
-        drawn += (qgen.volatile_call(volatile),)
-    # ... and everything above what it was before a share of them carried
-    # a constant range under an aggregate and a WHERE whose second conjunct
-    # can raise on rows its first leaves NULL.
-    if rng.random() < RANGE_AGGREGATE_SHARE:
-        drawn += (qgen.range_aggregate(),)
-    if rng.random() < GUARDED_CONJUNCTS_SHARE:
-        drawn += (qgen.guarded_conjuncts(),)
+    queries: list[Query] = []
+    modifications: list[Modification] = []
+    for name, share, draw in SHAPES:
+        rng = random.Random(f"{seed}/{name}")
+        if rng.random() >= share:
+            continue
+        gen = QueryGen(rng, schema, data)
+        statement = draw(gen)
+        if statement is not None:
+            drawn = (modifications if isinstance(statement, Modification)
+                     else queries)
+            drawn.append(replace(statement, shape=name))
+        functions += gen.functions
     return Case(seed=seed, schema=schema, data=data, functions=functions,
-                queries=drawn, modifications=modifications)
+                queries=tuple(queries), modifications=tuple(modifications))

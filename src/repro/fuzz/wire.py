@@ -90,15 +90,9 @@ def check_wire_case(case: Case, *, profiler: Optional[Profiler] = None
     embedded, compiled = builder.build_database(case)
     served, _ = builder.build_database(case)
 
-    variants: list[tuple[Query, str]] = []
-    for query in case.queries:
-        if query.function is None:
-            variants.append((query, query.sql))
-        else:
-            variants.append((query, query.sql.format(f=query.function)))
-            twin = compiled.get(query.function)
-            if twin:
-                variants.append((query, query.sql.format(f=twin)))
+    variants: list[tuple[Query, str]] = [
+        (query, sql) for query in case.queries
+        for _, _, sql in query.variants(compiled)]
     script = None
     if variants:  # one of them again, as the second statement of a script
         flags = [s.name for s, _ in embedded.settings.plan_axes()]

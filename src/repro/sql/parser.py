@@ -736,7 +736,7 @@ class SqlParser:
         # Swallow a parenthesised precision: varchar(10), numeric(8,2).
         if ts.at_op("("):
             ts.advance()
-            while not ts.at_op(")"):
+            while not ts.at_op(")") and not ts.at_end():
                 ts.advance()
             ts.expect_op(")")
         # Array suffix: int[]

@@ -235,6 +235,52 @@ class TestAssignmentCoercion:
         assert db.query_value(f"SELECT {name}_c('12')") == expected
 
 
+DOUBLE_READ = """
+CREATE FUNCTION h(a float) RETURNS float AS $$
+BEGIN
+  RETURN a - a;
+END;
+$$ LANGUAGE plpgsql"""
+
+UNREAD_PARAMETER = """
+CREATE FUNCTION g(a int, b int) RETURNS int AS $$
+DECLARE acc int := 0; i int := 0;
+BEGIN
+  WHILE i < 2 LOOP
+    acc := acc + b;
+    i := i + 1;
+  END LOOP;
+  RETURN acc;
+END;
+$$ LANGUAGE plpgsql"""
+
+
+class TestArgumentsBoundOnce:
+    """Known divergences: a compiled form that splices argument
+    expressions into the body evaluates an argument once per use of its
+    parameter, not once per call.  The interpreter (and the trampoline
+    machine) bind every argument once, before the body."""
+
+    @pytest.mark.xfail(strict=True, reason="Froid's Qf reads a volatile "
+                       "argument once per use of its parameter")
+    @pytest.mark.parametrize("batch", ["on", "off"])
+    def test_a_volatile_argument_is_drawn_once(self, db, batch):
+        name = _register_both(db, DOUBLE_READ)
+        db.execute(f"SET batch_compiled = {batch}")
+        assert db.query_value(f"SELECT {name}(random())") == 0.0
+        assert db.query_value(f"SELECT {name}_c(random())") == 0.0
+
+    @pytest.mark.xfail(strict=True, reason="the inlined Qf never evaluates "
+                       "an argument whose parameter the body never reads")
+    def test_an_unread_argument_is_still_evaluated(self, db):
+        name = _register_both(db, UNREAD_PARAMETER)
+        sql = "SELECT {f}(12 / (x - 3), x) FROM (VALUES (3)) v(x)"
+        db.execute("SET batch_compiled = off")
+        for function in (name, f"{name}_c"):
+            with pytest.raises(ExecutionError, match="division by zero"):
+                db.query_all(sql.format(f=function))
+
+
 # ---------------------------------------------------------------------------
 # The trampoline machine vs the inlined Qf, over whole relations
 # ---------------------------------------------------------------------------

@@ -54,6 +54,45 @@ class TestGeneratorDeterminism:
         assert case_seed(3, 14) != case_seed(3, 15)
         assert case_seed(3, 14) != case_seed(4, 14)
 
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_each_shape_draws_from_its_own_stream(self, monkeypatch, seed):
+        """Setting one row's share to 0 or to 1, or deleting the row,
+        leaves every other row's queries, functions and modifications
+        byte-identical."""
+        from repro.fuzz import querygen
+
+        def others(case, row):
+            """The statements of *case* that rows other than *row* drew."""
+            return [statement for statement
+                    in case.queries + case.modifications
+                    if statement.shape != row]
+
+        shapes = querygen.SHAPES
+        bases = [generate_case(seed, index) for index in range(15)]
+        for position, (row, _, draw) in enumerate(shapes):
+            before, after = shapes[:position], shapes[position + 1:]
+            variants = {}
+            for label, table in (
+                    ("never", before + ((row, 0.0, draw),) + after),
+                    ("always", before + ((row, 1.0, draw),) + after),
+                    ("deleted", before + after)):
+                monkeypatch.setattr(querygen, "SHAPES", table)
+                variants[label] = [generate_case(seed, index)
+                                   for index in range(15)]
+            for index, base in enumerate(bases):
+                # Each row names its functions, so its own are those it
+                # adds when it always draws.
+                own = {f.name for f in variants["always"][index].functions} \
+                    - {f.name for f in variants["deleted"][index].functions}
+                for label, cases in variants.items():
+                    case = cases[index]
+                    assert others(case, row) == others(base, row), \
+                        (label, row, index)
+                    assert [f for f in case.functions if f.name not in own] \
+                        == [f for f in base.functions if f.name not in own]
+                    assert (case.schema, case.data) == \
+                        (base.schema, base.data)
+
     def test_total_orderings_cover_every_output_position(self):
         for index in range(20):
             for query in generate_case(2, index).queries:
@@ -73,7 +112,7 @@ class TestGeneratorDeterminism:
 class TestSmokeSweep:
     def test_fifty_cases_clean_across_matrix(self):
         # The sweep reaches the fused aggregate loops, so row = fused is
-        # among what it checks (datagen.null_free_table), and it answers
+        # among what it checks (datagen.generate_data), and it answers
         # re-opened subqueries from the memo, which the SQLite twin
         # checks without one; compiled calls over repeated arguments
         # answer from their sites' memos, which the interpreter checks.
@@ -622,13 +661,23 @@ class TestFuzzCounters:
                     f"in 48 cases")
 
     def test_generated_join_reaches_the_row_fallback(self):
-        """Case 3 of seed 3 joins on a cross-class key pair: every plan
-        fails alike, the vectorized ones by falling back (no generated
-        query raised inside a vectorized core before ``_join_select`` drew
-        such pairs)."""
+        """A join on a cross-class key pair, as ``join_select`` draws
+        them: every plan fails alike, the vectorized ones by falling back
+        (no generated query raised inside a vectorized core before
+        ``join_select`` drew such pairs)."""
         from repro.sql.profiler import VECTOR_FALLBACKS
+        case = Case(
+            seed=3000012,
+            schema=SchemaSpec(tables=(TableSpec("t0", (
+                ColumnSpec("c0_0", "int", "num", "int"),
+                ColumnSpec("c3_0", "text", "text", "text"))),)),
+            data={"t0": [(0, "a"), (7, "quo'te"), (3, None), (2, "ab")]},
+            functions=(),
+            queries=(Query(sql="SELECT b.c3_0 FROM t0 a "
+                               "JOIN t0 b ON a.c3_0 = b.c0_0",
+                           sqlite_sql=None, shape="join"),))
         checker = DifferentialChecker(use_sqlite=False)
-        assert checker.check_case(generate_case(3, 3)) == []
+        assert checker.check_case(case) == []
         assert checker.profiler.counts[VECTOR_FALLBACKS] > 0
 
 

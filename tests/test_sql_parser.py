@@ -2,13 +2,18 @@
 
 import pytest
 
+import contextlib
 import inspect
+import random
+import re
+import signal
+import time
 
 from repro.plsql.parser import parse_plpgsql_body
 from repro.sql import ast as A
 from repro.sql import lexer
 from repro.sql.engine import Database
-from repro.sql.errors import ParseError
+from repro.sql.errors import ParseError, SqlError
 from repro.sql.parser import (_CLAUSE_KEYWORDS, OPERATORS, PUNCTUATION,
                               SqlParser, parse_expression, parse_script,
                               parse_select, parse_statement)
@@ -265,6 +270,15 @@ class TestStatements:
         with pytest.raises(ParseError):
             parse_expression("case end")
 
+    @pytest.mark.parametrize("text", ["SELECT 1::int(",
+                                      "SELECT CAST(1 AS varchar(10",
+                                      "CREATE FUNCTION f() RETURNS in(t"])
+    def test_unclosed_type_precision_rejected(self, text):
+        """A type's precision left open to the end of input raises; it
+        spun forever looking for its ``)``."""
+        with deadline(1.0), pytest.raises(ParseError):
+            parse_script(text)
+
     def test_missing_from_alias_ok_for_tables(self):
         s = parse_select("SELECT * FROM (SELECT 1) AS q")
         assert s.body.from_clause.alias == "q"
@@ -381,3 +395,104 @@ class TestStatementTable:
             parse_statement("VACUUM")
         with pytest.raises(ParseError, match="unexpected start of statement"):
             parse_statement('"select" 1')
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once *seconds* have passed.  An
+    enclosing real-time timer (pytest-timeout's) gets back what is left
+    of its own time afterwards."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    started = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            left = outer - (time.monotonic() - started)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3))
+
+
+#: Words, numbers, quoted strings, dollar-quote marks, two-character
+#: operators, whitespace runs and single characters: what a token-level
+#: mutant moves as one piece.
+TOKEN = re.compile(r"\s+|\w+|'(?:[^']|'')*'|\$\$|::|:=|<>|<=|>=|\|\||.",
+                   re.S)
+#: Characters a byte-level mutant inserts, and tokens a token-level one
+#: inserts or substitutes half the time (else one of the text's own): the
+#: marks the grammar pairs or separates with.
+CHARACTERS = "()[],;:'\"$.=<>+-*/%|_ a9\n"
+MARKS = ("(", ")", "[", "]", ",", ";", "::", "'", "$$")
+
+
+def mutants(rng: random.Random, text: str):
+    """Single-edit mutants of *text*, one per token: half delete, insert
+    or duplicate a character, half delete, duplicate, insert, replace or
+    swap a token."""
+    tokens = TOKEN.findall(text)
+    for n in range(len(tokens)):
+        if n % 2 == 0:
+            i = rng.randrange(len(text))
+            middle = rng.choice(("", rng.choice(CHARACTERS) + text[i],
+                                 text[i] * 2))
+            yield text[:i] + middle + text[i + 1:]
+            continue
+        out = list(tokens)
+        i = rng.randrange(len(out))
+        new = rng.choice(MARKS if rng.random() < 0.5 else tokens)
+        edit = rng.choice(("delete", "duplicate", "insert", "replace",
+                           "swap"))
+        if edit == "delete":
+            del out[i]
+        elif edit == "duplicate":
+            out.insert(i, out[i])
+        elif edit == "insert":
+            out.insert(i, new)
+        elif edit == "replace":
+            out[i] = new
+        elif i + 1 < len(out):
+            out[i], out[i + 1] = out[i + 1], out[i]
+        yield "".join(out)
+
+
+def fuzz_texts(cases: int):
+    """The setup DDL, function sources, queries and modifications of the
+    first *cases* fuzz cases of seed 0."""
+    from repro.fuzz import generate_case
+    for index in range(cases):
+        case = generate_case(0, index)
+        yield from case.setup_statements()
+        yield from (fn.source for fn in case.functions)
+        yield from (query.variants({})[0][2] for query in case.queries)
+        yield from (modification.sql for modification in case.modifications)
+
+
+class TestMutatedFuzzTexts:
+    def test_only_sql_errors_escape_and_every_parse_ends(self):
+        """Single-edit mutants of generated texts either parse or raise a
+        SqlError, each within a second - statement and PL/pgSQL body
+        alike.  (An uncaught exception is a crash to the fuzzer's
+        taxonomy; a parse that never ends pins a server worker, since
+        ``statement_timeout`` is armed only after the parse.)"""
+        rng = random.Random(0)
+        checked = 0
+        for text in fuzz_texts(20):
+            for mutant in mutants(rng, text):
+                try:
+                    with deadline(1.0):
+                        for statement in parse_script(mutant):
+                            if isinstance(statement, A.CreateFunction) \
+                                    and statement.language == "plpgsql":
+                                parse_plpgsql_body(statement.body)
+                except SqlError:
+                    pass
+                except Exception as error:
+                    pytest.fail(f"{type(error).__name__}: {error} "
+                                f"parsing {mutant!r}")
+                checked += 1
+        assert checked > 5000

@@ -17,6 +17,11 @@ modify plans).  Run it at two commits and compare the files::
 
 A statement that fails to plan prints its error class and message instead,
 so a change in *which* statements plan shows up in the diff as well.
+
+The corpus is whatever ``generate_case`` draws for the seeds, so compare
+only two commits that draw the same cases: a corpus from before the
+generator drew each ``querygen.SHAPES`` row from its own random stream is
+not comparable with one from after.
 """
 
 from __future__ import annotations
@@ -48,13 +53,7 @@ def explain_case(seed: int, index: int, out, later: io.StringIO) -> None:
     for batch_compiled in ("on", "off"):
         db.execute(f"SET batch_compiled = {batch_compiled}")
         for query in case.queries:
-            if query.function is None:
-                statements = [query.sql]
-            else:  # the interpreted function and, if it compiled, its twin
-                twins = (query.function, compiled.get(query.function))
-                statements = [query.sql.format(f=name)
-                              for name in twins if name]
-            for sql in statements:
+            for _, _, sql in query.variants(compiled):
                 explain(db, f"-- seed {seed} case {index} "
                             f"batch_compiled={batch_compiled}", sql, out)
     db.execute("RESET ALL")

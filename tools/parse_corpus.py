@@ -93,12 +93,9 @@ def fuzz_texts(seed: int, index: int):
         except SqlError as error:
             yield f"{origin} compiled {fn.name}", f"-- {error}"
     for query in case.queries:
-        for label, sql in (("query", query.sql), ("sqlite", query.sqlite_sql)):
-            if sql is None:
-                continue
-            if query.function is not None:
-                sql = sql.format(f=query.function)
-            yield f"{origin} {label}", sql
+        yield f"{origin} query", query.variants({})[0][2]
+        if query.sqlite_sql is not None:
+            yield f"{origin} sqlite", query.sqlite_sql
 
 
 def main(argv=None) -> int:
