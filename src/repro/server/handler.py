@@ -47,18 +47,35 @@ def command_tag(stmt, kind: str, result, session: "Connection") -> str:
     the prepared statement's kind, like PostgreSQL."""
     if isinstance(stmt, A.ExecuteStmt):
         try:
-            stmt = session.lookup_prepared(stmt.name).statement
+            stmt = session.lookup_prepared(stmt.name).ast
         except SqlError:  # deallocated meanwhile: tag by result kind
             stmt = None
-    return _tag(stmt, kind, result)
-
-
-def _tag(stmt, kind: str, result) -> str:
     row = A.STATEMENTS.get(type(stmt))
     template = row.tag if row is not None else "SELECT {n}"
     if kind == ROWS:
         return template.format(n=len(result.rows))
     return template.format(n=result.rows[0][0] if result.rows else 0)
+
+
+def _records(session: "Connection", notices_before: int, stmt,
+             outcome) -> list[tuple]:
+    """The output records of one statement: the notices it raised, then
+    its error or its rows and tag.  *outcome* is the ``(kind, result)``
+    it returned or the exception it raised."""
+    records = [("notice", m) for m in session.notices[notices_before:]]
+    if isinstance(outcome, Exception):
+        message = str(outcome) if isinstance(outcome, SqlError) \
+            else f"{type(outcome).__name__}: {outcome}"
+        records.append(("error", sqlstate_for(outcome), message))
+        return records
+    kind, result = outcome
+    tag = command_tag(stmt, kind, result, session)
+    if kind == ROWS:
+        records.append(("rows", list(result.columns),
+                        [render_row(row) for row in result.rows], tag))
+    else:
+        records.append(("complete", tag))
+    return records
 
 
 #: Fast path for the hottest wire shape: ``EXECUTE name(literal, ...)``.
@@ -107,25 +124,15 @@ def _fast_execute(session: "Connection", sql: str):
     if args is None:
         return None
     notices_before = len(session.notices)
+    stmt = error = None
     try:
         with session._activated():
             handle = session.lookup_prepared(match.group(1))
-            kind, result = handle.dispatch(tuple(args))
+            stmt = handle.ast
+            outcome = handle.dispatch(tuple(args))
     except Exception as exc:
-        outputs = [("notice", m)
-                   for m in session.notices[notices_before:]]
-        message = str(exc) if isinstance(exc, SqlError) \
-            else f"{type(exc).__name__}: {exc}"
-        outputs.append(("error", sqlstate_for(exc), message))
-        return outputs, exc
-    tag = _tag(handle.statement, kind, result)
-    outputs = [("notice", m) for m in session.notices[notices_before:]]
-    if kind == ROWS:
-        outputs.append(("rows", list(result.columns),
-                        [render_row(row) for row in result.rows], tag))
-    else:
-        outputs.append(("complete", tag))
-    return outputs, None
+        outcome = error = exc
+    return _records(session, notices_before, stmt, outcome), error
 
 
 def run_script(session: "Connection", sql: str,
@@ -138,21 +145,14 @@ def run_script(session: "Connection", sql: str,
     if fast is not None:
         outputs, error = fast
         return _account(profiler, telemetry, sql, started, error, outputs)
-    outputs = []
     error = None
     try:
         statements = parse_script(sql)
-    except SqlError as exc:
+        outputs = [] if statements else [("empty",)]
+    except Exception as exc:  # a lexer crash too - still answer the client
         error = exc
-        outputs.append(("error", sqlstate_for(exc), str(exc)))
         statements = []
-    except Exception as exc:  # lexer crash — still answer the client
-        error = exc
-        outputs.append(("error", sqlstate_for(exc),
-                        f"{type(exc).__name__}: {exc}"))
-        statements = []
-    if error is None and not statements:
-        outputs.append(("empty",))
+        outputs = _records(session, len(session.notices), None, exc)
     # One Query payload is one script - the scope of SET LOCAL outside a
     # transaction block - exactly as Connection.execute_script.
     session.begin_script()
@@ -164,23 +164,12 @@ def run_script(session: "Connection", sql: str,
                     # Only the dispatch holds the engine lock; tag
                     # derivation and row rendering happen outside it so
                     # concurrent sessions overlap their non-engine CPU.
-                    kind, result = db._dispatch_ast(stmt, (), session)
+                    outcome = db._dispatch_ast(stmt, (), session)
             except Exception as exc:
-                error = exc
-                for message in session.notices[notices_before:]:
-                    outputs.append(("notice", message))
-                message = str(exc) if isinstance(exc, SqlError) \
-                    else f"{type(exc).__name__}: {exc}"
-                outputs.append(("error", sqlstate_for(exc), message))
+                outcome = error = exc
+            outputs += _records(session, notices_before, stmt, outcome)
+            if error is not None:
                 break
-            tag = command_tag(stmt, kind, result, session)
-            for message in session.notices[notices_before:]:
-                outputs.append(("notice", message))
-            if kind == ROWS:
-                outputs.append(("rows", list(result.columns),
-                                [render_row(row) for row in result.rows], tag))
-            else:
-                outputs.append(("complete", tag))
     finally:
         session.end_script()
     return _account(profiler, telemetry, sql, started, error, outputs)

@@ -634,11 +634,12 @@ class StatementKind(NamedTuple):
     #: tagged as the statement it ran.
     tag: Optional[str]
     #: The ``Database`` method ``(stmt, params, session) -> Result`` that
-    #: runs it, by name for the same reason.
-    run: str
+    #: runs it, by name for the same reason; None for the kinds that are
+    #: plans, which ``Database._run`` runs as such.
+    run: Optional[str] = None
     #: The ``Planner`` method that plans it, for the kinds that are plans
-    #: (``Planner.plan_statement``): those run through ``_do_planned``,
-    #: show in EXPLAIN, and are what PREPARE may wrap (PostgreSQL's rule).
+    #: (``Planner.plan_statement``): those show in EXPLAIN and are what
+    #: PREPARE and ``executemany`` take (PostgreSQL's rule).
     plan: Optional[str] = None
 
 
@@ -648,14 +649,13 @@ class StatementKind(NamedTuple):
 #: the dataclass, the parse rule and the handler the row names.
 STATEMENTS: dict[type, StatementKind] = {row.node: row for row in (
     StatementKind(SelectStmt, ("select", "with", "values", "("),
-                  "parse_select", ROWS, "SELECT {n}", "_do_planned",
-                  "plan_select"),
+                  "parse_select", ROWS, "SELECT {n}", plan="plan_select"),
     StatementKind(Insert, ("insert",), "_parse_insert",
-                  COUNT, "INSERT 0 {n}", "_do_planned", "_plan_insert"),
+                  COUNT, "INSERT 0 {n}", plan="_plan_insert"),
     StatementKind(Update, ("update",), "_parse_update",
-                  COUNT, "UPDATE {n}", "_do_planned", "_plan_update"),
+                  COUNT, "UPDATE {n}", plan="_plan_update"),
     StatementKind(Delete, ("delete",), "_parse_delete",
-                  COUNT, "DELETE {n}", "_do_planned", "_plan_delete"),
+                  COUNT, "DELETE {n}", plan="_plan_delete"),
     StatementKind(CreateTable, ("create",), "_parse_create",
                   UTILITY, "CREATE TABLE", "_do_create_table"),
     StatementKind(CreateType, ("create",), "_parse_create",

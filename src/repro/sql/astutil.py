@@ -80,6 +80,15 @@ def walk(node, into_subqueries: bool = True) -> Iterator:
                     stack.append(value)
 
 
+def calls_user_function(node, functions: dict) -> bool:
+    """Whether *node* (as :func:`walk` takes it) calls a function of the
+    catalog's *functions* - one whose body may write, whatever its
+    volatility class says."""
+    return bool(functions) and any(
+        isinstance(current, A.FuncCall) and current.name.lower() in functions
+        for current in walk(node))
+
+
 def rebuild(node, fn: Callable):
     """*node* with *fn* applied to each direct child node (through list,
     tuple and dict fields); *node* itself when every child came back

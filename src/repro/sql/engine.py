@@ -3,8 +3,10 @@
 Execution life cycle (mirroring PostgreSQL, which is what makes the paper's
 cost accounting reproducible here):
 
-1. **Parse** — text to AST (only on plan-cache miss),
-2. **Plan** — AST to immutable plan tree (cached by SQL text + the
+1. **Parse** — text to AST (not on a text-cache hit, nor for a prepared
+   handle),
+2. **Plan** — AST to immutable plan tree, kept on the statement record
+   with the plan stamp it was built under (DDL generation + the
    plan-affecting settings fingerprint),
 3. **ExecutorStart** — instantiate the plan into per-execution state,
 4. **ExecutorRun** — pull all tuples,
@@ -15,17 +17,20 @@ through this same path, so steps 3 and 5 recur per evaluation — that is the
 ``f→Qi`` overhead of Section 1.  A compiled function is inlined into its
 calling query by the planner and thus passes through steps 1–3 exactly once.
 
-Statement dispatch is a single **parse → classify → dispatch** path: every
-statement kind (including SELECTs behind leading comments or parentheses)
-is parsed once and routed from its AST type through the statement table
-(:data:`repro.sql.ast.STATEMENTS`: node class -> result kind and the
-``_do_*`` handler, each ``(stmt, params, session) -> Result``).  SELECT,
-INSERT, UPDATE and DELETE share one handler: each is planned
-(``Planner.plan_statement``) and the plan run by ``_run_plan``, whichever
-door it came in by - text, script, AST, prepared handle, ``executemany``,
-``EXPLAIN``.  Plan-cache eligibility is a property of the statement's row
-in that table (a planned kind producing rows), not a prefix match on the
-SQL text.
+A statement is **one record and one runner**, whichever door it came in
+by - text, script, AST, prepared handle, ``EXECUTE``, ``executemany``,
+``EXPLAIN``.  The door parses (every kind, including SELECTs behind
+leading comments or parentheses) and builds a
+:class:`~repro.sql.statement.Statement` - the AST, its row of the
+statement table (:data:`repro.sql.ast.STATEMENTS`) and, for SELECT,
+INSERT, UPDATE and DELETE, the plan stamped with :meth:`Database.
+plan_stamp` - or finds one: the text cache holds them, a prepared handle
+is one.  :meth:`Database._run` opens the statement's transaction scope,
+deciding from the record alone whether it may run beside a pending
+commit, and either runs the plan (planned, or replanned, there) through
+``_run_plan`` or routes the AST to the ``_do_*`` handler its row names.
+Text-cache eligibility is a property of that row (a planned kind producing
+rows), not a prefix match on the SQL text.
 
 ``Database.execute`` remains the thin compatibility facade over the layered
 session API in :mod:`repro.sql.session`: it runs every statement in the
@@ -39,24 +44,24 @@ from __future__ import annotations
 import itertools
 import random
 import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ast as A
 from .ast import COUNT, ROWS, UTILITY
 from .catalog import Catalog, FunctionDef
 from .errors import (CatalogError, CompileError, ExecutionError,
-                     NameResolutionError, PlanError, PlsqlError,
-                     QueryCanceledError, SqlError, TypeError_)
+                     NameResolutionError, PlsqlError, QueryCanceledError,
+                     TypeError_)
 from .expr import EvalContext, ExprCompiler, RuntimeContext, Scope
 from .parser import parse_script, parse_statement
 from .planner import Planner
 from .profiler import (EXEC_END, EXEC_RUN, EXEC_START, PARSE, PLAN,
-                       PLAN_CACHE_EVICTIONS, PLAN_CACHE_HIT, PLAN_CACHE_MISS,
-                       PLAN_INSTANTIATIONS, PREPARED_EXECUTIONS,
-                       QUERIES_CANCELED, SETTINGS_ASSIGNMENTS, SWITCH_Q_TO_F,
-                       TXN_BEGUN, Profiler)
+                       PLAN_CACHE_HIT, PLAN_CACHE_MISS, PLAN_INSTANTIATIONS,
+                       PREPARED_EXECUTIONS, QUERIES_CANCELED,
+                       SETTINGS_ASSIGNMENTS, SWITCH_Q_TO_F, TXN_BEGUN,
+                       Profiler)
 from .settings import SettingsRegistry
+from .statement import PlanCache, Statement
 from .storage import BufferManager
 from .txn import TransactionManager
 from .types import cast_value
@@ -95,54 +100,12 @@ class Result:
         return f"Result({self.columns}, {len(self.rows)} rows)"
 
 
-class PlanCache:
-    """LRU cache of SELECT plans keyed by (SQL text, settings fingerprint).
-
-    The fingerprint component (see :class:`repro.sql.settings.
-    SettingValues`) makes plan-affecting SET statements —
-    and per-session overlays — safe without explicit invalidation: a plan
-    built under one combination of flags is simply invisible under any
-    other.  The LRU bound (``SET plan_cache_size = N``) keeps long-running
-    sessions from growing memory without bound; evictions are counted.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-
-    def get(self, key: tuple):
-        plan = self._entries.get(key)
-        if plan is not None:
-            self._entries.move_to_end(key)
-        return plan
-
-    def put(self, key: tuple, plan, capacity: int) -> int:
-        """Insert and trim to *capacity*; returns the number of evictions."""
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        return self.trim(capacity)
-
-    def trim(self, capacity: int) -> int:
-        evicted = 0
-        while len(self._entries) > max(capacity, 0):
-            self._entries.popitem(last=False)
-            evicted += 1
-        return evicted
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class _TxnScope:
     """Context manager giving every statement a transaction to run in.
 
-    Reentrant: the outermost scope on the dispatch path wins, inner ones
-    are no-ops (``_execute_info`` wraps ``_dispatch_ast`` wraps prepared
-    re-dispatch, and all three are public entry points).
+    Opened by :meth:`Database._run` (and ``_execute_many``) only.
+    Reentrant: the outermost scope wins and inner ones are no-ops (an
+    ``EXECUTE`` runs its handle through ``_run`` again).
 
     Three cases:
 
@@ -171,9 +134,10 @@ class _TxnScope:
     (:mod:`repro.sql.txn`).
 
     Hence the scope's one decision, taken before the statement captures its
-    snapshot: a *read_only* statement (a ROWS-kind plan calling no
-    user-defined function, ``Plan.read_only``) runs at once and reads the
-    versions from before a pending commit; any other statement, or one of
+    snapshot: a *read_only* statement (:attr:`Statement.read_only`: its
+    record holds a current plan that is a ROWS-kind plan calling no
+    user-defined function) runs at once and reads the versions from
+    before a pending commit; any other statement, or one of
     the session whose commit is pending, settles that commit first
     (waits for its fsync and finalizes it, holding the lock), so a writer
     never conflicts with a commit that is only waiting for the disk.
@@ -181,7 +145,7 @@ class _TxnScope:
 
     __slots__ = ("db", "session", "read_only", "txn", "nested", "mark")
 
-    def __init__(self, db: "Database", session, read_only: bool = False):
+    def __init__(self, db: "Database", session, read_only: bool):
         self.db = db
         self.session = session
         self.read_only = read_only
@@ -290,8 +254,9 @@ class Database:
         #: The execution lock: every statement (and every session
         #: activation) runs under it, making one Database safe to share
         #: between threads — the wire server's bounded worker pool drives
-        #: many sessions concurrently.  An RLock, because dispatch paths
-        #: nest (_execute_info → prepared re-dispatch → _dispatch_ast).
+        #: many sessions concurrently.  An RLock, because the runner nests
+        #: (an EXECUTE runs its handle through _run again) and the session
+        #: activation and the text-cache probe take it around _run.
         #: Granularity is one statement: sessions holding an open BEGIN
         #: block release it between statements, so interleaved explicit
         #: transactions still conflict-check instead of deadlocking.  A
@@ -306,7 +271,7 @@ class Database:
         self.txnman = TransactionManager(self.profiler, db=self)
         self.catalog = Catalog(self.buffers, self.txnman)
         self.planner = Planner(self)
-        self._plan_cache = PlanCache()
+        self._plan_cache = PlanCache(self.profiler)
         #: The DDL half of plan_stamp(): clear_plan_cache() (every DDL
         #: path) moves it to a number never used before, so a stamp taken
         #: inside a rolled-back transaction cannot come true again.
@@ -421,55 +386,40 @@ class Database:
 
     def _trim_plan_cache(self) -> None:
         """Apply a lowered ``plan_cache_size`` immediately."""
-        evicted = self._plan_cache.trim(self.settings.active.plan_cache_size)
-        if evicted:
-            self.profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
+        self._plan_cache.trim(self.settings.active.plan_cache_size)
 
     # ------------------------------------------------------------------
-    # Parse -> classify -> dispatch
+    # The doors, and the one runner they end in
     # ------------------------------------------------------------------
 
     def _execute_info(self, sql: str, params: Sequence[Value],
                       session: "Connection") -> tuple[str, Result]:
         """Execute *sql* in *session*; returns ``(kind, result)``.
 
-        The plan-cache probe happens on the raw text *before* parsing —
-        the cache only ever holds plans of kind ROWS (whether the plans
-        of the row-changing kinds are worth a slot is the admission
-        question of ROADMAP item 1(a)), so a hit both classifies and plans
-        in one dictionary lookup.  Leading comments and parenthesised
-        SELECTs therefore take exactly the same cached path as a bare
-        ``SELECT``.
+        The text cache (records of kind ROWS only) is probed on the raw
+        text *before* parsing, under the execution lock: the active
+        settings and the cache are only read there.
         """
         profiler = self.profiler
-        # The cached plan is looked up before the scope opens (it decides
-        # whether the statement may run beside a pending commit), under the
-        # lock the scope would take: the active settings and the cache are
-        # only read there.
         with self._exec_lock:
-            key = plan = None
+            key = statement = None
             values = self.settings.active
             if values.plan_cache_size > 0:
                 key = (sql, values.fingerprint)
-                plan = self._plan_cache.get(key)
-            with _TxnScope(self, session,
-                           plan is not None and plan.read_only):
-                if plan is not None:
-                    profiler.bump(PLAN_CACHE_HIT)
-                    return ROWS, self._run_plan(plan, params)
+                statement = self._plan_cache.get(key)
+            if statement is not None:
+                profiler.bump(PLAN_CACHE_HIT)
+            else:
                 with profiler.phase(PARSE):
                     stmt = parse_statement(sql)
-                row = A.STATEMENTS[type(stmt)]
-                if row.plan is None or row.kind != ROWS:
-                    return self._dispatch_ast(stmt, params, session)
-                profiler.bump(PLAN_CACHE_MISS)
-                plan = self._plan(stmt)
-                if key is not None:
-                    evicted = self._plan_cache.put(key, plan,
-                                                   values.plan_cache_size)
-                    if evicted:
-                        profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
-                return ROWS, self._run_plan(plan, params)
+                statement = Statement(self, stmt, session)
+                row = statement.row
+                if row.plan is not None and row.kind == ROWS:
+                    profiler.bump(PLAN_CACHE_MISS)
+                    if key is not None:
+                        self._plan_cache.put(key, statement,
+                                             values.plan_cache_size)
+            return self._run(statement, params, session)
 
     def _execute_script(self, sql: str, session: "Connection") -> list[Result]:
         with self.profiler.phase(PARSE):
@@ -492,14 +442,10 @@ class Database:
         result)."""
         with self.profiler.phase(PARSE):
             stmt = parse_statement(sql)
-        row = A.STATEMENTS[type(stmt)]
-        if row.plan is None:
-            raise PlanError(
-                f"executemany supports SELECT, INSERT, UPDATE and DELETE, "
-                f"not {type(stmt).__name__}")
-        kind = row.kind
-        with _TxnScope(self, session):
-            plan = self._plan(stmt)
+        statement = Statement(self, stmt, door="executemany")
+        kind = statement.row.kind
+        with _TxnScope(self, session, statement.read_only):
+            plan = statement.plan()
             txn = self.txnman.current
             total = 0
             for index, params in enumerate(param_sets):
@@ -516,27 +462,19 @@ class Database:
 
     def _dispatch_ast(self, stmt: A.Statement, params: Sequence[Value],
                       session: "Connection") -> tuple[str, Result]:
-        """Route one parsed statement by AST type; returns ``(kind, result)``."""
-        with _TxnScope(self, session):
-            return self._dispatch_in_txn(stmt, params, session)
+        """Run one parsed statement; returns ``(kind, result)``."""
+        return self._run(Statement(self, stmt, session), params, session)
 
-    def _dispatch_in_txn(self, stmt: A.Statement, params: Sequence[Value],
-                         session: "Connection") -> tuple[str, Result]:
-        row = A.STATEMENTS.get(type(stmt))
-        if row is None:
-            raise SqlError(f"unsupported statement {type(stmt).__name__}")
-        outcome = getattr(self, row.run)(stmt, params, session)
+    def _run(self, statement: Statement, params: Sequence[Value],
+             session: "Connection") -> tuple[str, Result]:
+        """The one runner every door ends in; returns ``(kind, result)``."""
+        row = statement.row
+        with _TxnScope(self, session, statement.read_only):
+            if row.plan is not None:
+                return row.kind, self._run_plan(statement.plan(), params)
+            outcome = getattr(self, row.run)(statement.ast, params, session)
         # EXECUTE (no kind of its own) hands back the pair of what it ran.
         return outcome if row.kind is None else (row.kind, outcome)
-
-    def _plan(self, stmt: A.Statement):
-        with self.profiler.phase(PLAN):
-            return self.planner.plan_statement(stmt)
-
-    def _do_planned(self, stmt: A.Statement, params: Sequence[Value],
-                    session: "Connection") -> Result:
-        """SELECT, INSERT, UPDATE, DELETE: plan it, run the plan."""
-        return self._run_plan(self._plan(stmt), params)
 
     # ------------------------------------------------------------------
     # Transaction control
@@ -632,14 +570,7 @@ class Database:
     def _explain_ast(self, stmt: A.Statement, session: "Connection") -> str:
         while isinstance(stmt, A.ExplainStmt):
             stmt = stmt.statement
-        if isinstance(stmt, A.ExecuteStmt):
-            return session.lookup_prepared(stmt.name).explain()
-        row = A.STATEMENTS.get(type(stmt))
-        if row is None or row.plan is None:
-            raise PlanError(
-                f"EXPLAIN supports SELECT, INSERT, UPDATE, DELETE and "
-                f"EXECUTE, not {type(stmt).__name__}")
-        return self._plan(stmt).explain()
+        return Statement(self, stmt, session, door="explain").explain()
 
     # ------------------------------------------------------------------
     # Session statements: prepared execution and settings
@@ -661,14 +592,10 @@ class Database:
         return Result([], [])
 
     def run_prepared(self, handle, args: Sequence[Value]) -> tuple[str, Result]:
-        """Execute a :class:`~repro.sql.session.PreparedStatement` body:
-        run the plan the handle carries (replanned lazily when the DDL
-        generation or settings fingerprint moved — see
-        ``PreparedStatement.plan``)."""
+        """Execute a :class:`~repro.sql.session.PreparedStatement`, a
+        statement record of its own."""
         self.profiler.bump(PREPARED_EXECUTIONS)
-        with _TxnScope(self, handle.session, handle.read_only()):
-            return (A.STATEMENTS[type(handle.statement)].kind,
-                    self._run_plan(handle.plan(), args))
+        return self._run(handle, args, handle.session)
 
     def _eval_standalone(self, exprs: Sequence[A.Expr],
                          params: Sequence[Value]) -> list[Value]:

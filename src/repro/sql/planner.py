@@ -26,9 +26,9 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from . import ast as A
-from .astutil import (column_bindings, conjoin, contains_aggregate,
-                      contains_window_call, expr_equal, references_table,
-                      rewrite_expr, split_conjuncts, walk)
+from .astutil import (calls_user_function, column_bindings, conjoin,
+                      contains_aggregate, contains_window_call, expr_equal,
+                      references_table, rewrite_expr, split_conjuncts)
 from .errors import NameResolutionError, PlanError, TypeError_
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
@@ -143,10 +143,8 @@ class Planner:
         its volatility class says)."""
         row = A.STATEMENTS[type(stmt)]
         plan = getattr(self, row.plan)(stmt)
-        functions = self.catalog.functions
-        plan.read_only = row.kind == A.ROWS and not (functions and any(
-            isinstance(node, A.FuncCall) and node.name.lower() in functions
-            for node in walk(stmt)))
+        plan.read_only = row.kind == A.ROWS and not calls_user_function(
+            stmt, self.catalog.functions)
         return plan
 
     def _plan_insert(self, stmt: A.Insert) -> Plan:

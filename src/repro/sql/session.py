@@ -56,35 +56,25 @@ from . import ast as A
 from .astutil import statement_param_count
 from .cancel import CancelToken
 from .errors import CatalogError, ExecutionError, PlanError
-from .profiler import PLAN, PREPARED_REPLANS
+from .statement import Statement
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Database, Result
 
-#: Statement kinds a prepared statement may wrap (PostgreSQL's rule): the
-#: kinds that are plans.
-_PREPARABLE = tuple(row.node for row in A.STATEMENTS.values() if row.plan)
 
+class PreparedStatement(Statement):
+    """A named statement record: the plan it carries is revalidated
+    against ``(ddl generation, settings fingerprint)`` before every use
+    (:meth:`~repro.sql.statement.Statement.plan`)."""
 
-class PreparedStatement:
-    """A named, parsed, plan-carrying statement handle: the plan is
-    cached on the handle and revalidated against ``(ddl generation,
-    settings fingerprint)`` before every use."""
-
-    __slots__ = ("session", "db", "name", "statement", "param_types",
-                 "param_count", "_plan", "_stamp")
+    __slots__ = ("session", "name", "param_types", "param_count")
 
     def __init__(self, session: "Connection", name: str,
                  statement: A.Statement,
                  param_types: Optional[list[str]] = None):
-        if not isinstance(statement, _PREPARABLE):
-            raise PlanError(
-                f"cannot prepare a {type(statement).__name__}; PREPARE "
-                "supports SELECT, INSERT, UPDATE and DELETE")
+        super().__init__(session.db, statement, door="prepare")
         self.session = session
-        self.db = session.db
         self.name = name
-        self.statement = statement
         self.param_types = param_types
         used = statement_param_count(statement)
         if param_types is not None:
@@ -95,50 +85,16 @@ class PreparedStatement:
             self.param_count = len(param_types)
         else:
             self.param_count = used
-        self._plan = None
-        self._stamp: Optional[tuple] = None
-
-    # -- planning --------------------------------------------------------
-
-    def plan(self):
-        """The current plan, replanning when the stamp went stale.
-
-        Either half of ``Database.plan_stamp`` moving means the cached
-        plan may name dropped structures or the wrong access paths, so it
-        is rebuilt — against whatever catalog now exists, raising the same
-        clean error a fresh query would (e.g. after ``DROP TABLE``).
-        """
-        db = self.db
-        stamp = db.plan_stamp()
-        if self._plan is None or self._stamp != stamp:
-            if self._plan is not None:
-                db.profiler.bump(PREPARED_REPLANS)
-            self._plan = None  # a failed replan must not leave a stale plan
-            with db.profiler.phase(PLAN):
-                self._plan = db.planner.plan_statement(self.statement)
-            self._stamp = stamp
-        return self._plan
-
-    def read_only(self) -> bool:
-        """Whether the current plan may run beside a pending commit
-        (``Plan.read_only``); a stale or missing plan, replanned inside the
-        statement, counts as one that may write."""
-        plan = self._plan
-        return (plan is not None and plan.read_only
-                and self._stamp == self.db.plan_stamp())
 
     # -- execution -------------------------------------------------------
-
-    def check_arity(self, args: Sequence) -> None:
-        if len(args) != self.param_count:
-            raise ExecutionError(
-                f"prepared statement {self.name!r} requires "
-                f"{self.param_count} parameters, got {len(args)}")
 
     def dispatch(self, args: Sequence) -> tuple:
         """Run with the owning session assumed active; returns
         ``(kind, Result)`` (the engine's dispatch contract)."""
-        self.check_arity(args)
+        if len(args) != self.param_count:
+            raise ExecutionError(
+                f"prepared statement {self.name!r} requires "
+                f"{self.param_count} parameters, got {len(args)}")
         if self.param_types:
             # Declared types coerce the arguments, PostgreSQL-style
             # (leniently, like INSERT coercion — the engine is
@@ -152,17 +108,12 @@ class PreparedStatement:
         with self.session._activated():
             return self.dispatch(tuple(params))[1]
 
-    def explain(self) -> str:
-        """Render the *current* plan (replanned if stale) — the SQL-level
-        ``EXPLAIN EXECUTE name`` goes through here."""
-        return self.plan().explain()
-
     def deallocate(self) -> None:
         self.session.deallocate(self.name)
 
     def __repr__(self) -> str:
         return (f"PreparedStatement({self.name!r}, "
-                f"{type(self.statement).__name__}, "
+                f"{type(self.ast).__name__}, "
                 f"params={self.param_count})")
 
 

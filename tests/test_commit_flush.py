@@ -23,6 +23,7 @@ and replay decides what reached the disk.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
 import threading
@@ -103,6 +104,66 @@ def finish(thread):
     assert thread.errors == []
 
 
+#: The read every door of the matrix below runs, one way or another.
+READ = "SELECT x FROM t WHERE id = $1"
+
+
+def _prepared(db, stack):
+    handle = db.connect().prepare(READ)
+    handle.execute([1])
+    return lambda: handle.execute([1]).scalar()
+
+
+def _warm_text(db, stack):
+    conn = db.connect()
+    conn.execute(READ, (1,))
+    return lambda: conn.execute(READ, (1,)).scalar()
+
+
+def _text_execute(db, stack):
+    conn = db.connect()
+    conn.execute(f"PREPARE rd AS {READ}")
+    conn.execute("EXECUTE rd(1)")
+    return lambda: conn.execute("EXECUTE rd(1)").scalar()
+
+
+def _wire_execute(db, stack):
+    client = stack.enter_context(
+        connect(*stack.enter_context(ServerThread(db, workers=2))))
+    client.query(f"PREPARE rd AS {READ}")
+    client.query("EXECUTE rd(1)")
+    # Two statements in one payload: the EXECUTE fast path declines.
+    return lambda: int(client.query("EXECUTE rd(1); EXECUTE rd(1)")[-1]
+                       .scalar())
+
+
+def _script(db, stack):
+    conn = db.connect()
+    return lambda: conn.execute_script(
+        "SELECT x FROM t WHERE id = 1")[0].scalar()
+
+
+def _executemany(db, stack):
+    cursor = db.connect().cursor()
+
+    def read():
+        cursor.executemany(READ, [(1,)])
+    return read
+
+
+def _cold_text(db, stack):
+    conn = db.connect()
+    return lambda: conn.execute(READ + " AND x = x", (1,)).scalar()
+
+
+def _udf_prepared(db, stack):
+    db.execute("CREATE FUNCTION same(n int) RETURNS int "
+               "LANGUAGE SQL AS 'SELECT n'")
+    handle = db.connect().prepare("SELECT same(x) FROM t WHERE id = $1")
+    handle.execute([1])
+    return lambda: handle.execute([1]).scalar()
+
+
 class TestBesideAPendingCommit:
     def test_prepared_read_runs_during_the_fsync(self, durable):
         reader = durable.connect().prepare(
@@ -118,6 +179,34 @@ class TestBesideAPendingCommit:
         assert reader.execute([1]).scalar() == 2
         assert durable.profiler.counts[COMMITS_SYNCED_UNLOCKED] == 1
         assert durable.profiler.counts[PENDING_COMMITS_SETTLED] == 0
+
+    @pytest.mark.parametrize("door, beside", [
+        (_prepared, True), (_warm_text, True), (_text_execute, True),
+        (_wire_execute, True), (_script, False), (_executemany, False),
+        (_cold_text, False), (_udf_prepared, False),
+    ], ids=lambda case: case.__name__[1:] if callable(case)
+        else "beside" if case else "waits")
+    def test_door_matrix(self, durable, door, beside):
+        """A read whose record holds a current read-only plan runs during
+        the fsync and sees the pre-commit row, whichever door it takes;
+        one the engine still has to plan (or that calls a user function)
+        settles the commit first and sees the committed row."""
+        with contextlib.ExitStack() as stack:
+            read = door(durable, stack)
+            thread = commit_held_open(durable,
+                                      "UPDATE t SET x = 2 WHERE id = 1")
+            start = time.monotonic()
+            seen = read()
+            took = time.monotonic() - start
+            finish(thread)
+        if door is not _executemany:  # which hands back no rows
+            assert seen == (1 if beside else 2)
+        if beside:
+            assert took < DELAY / 2
+            assert durable.profiler.counts[PENDING_COMMITS_SETTLED] == 0
+        else:
+            assert took > DELAY / 2
+            assert durable.profiler.counts[PENDING_COMMITS_SETTLED] == 1
 
     def test_writer_settles_and_builds_on_the_committed_row(self, durable):
         writer = durable.connect()

@@ -26,6 +26,7 @@ from repro.sql.profiler import (PLAN_CACHE_EVICTIONS, PLAN_CACHE_HIT,
                                 PLAN_CACHE_MISS, PLAN_INSTANTIATIONS,
                                 PREPARED_EXECUTIONS, PREPARED_REPLANS,
                                 SETTINGS_ASSIGNMENTS)
+from repro.sql.statement import Statement
 
 
 @pytest.fixture
@@ -500,6 +501,24 @@ class TestPreparedStatements:
     def test_only_select_and_dml_preparable(self, db):
         with pytest.raises(PlanError, match="cannot prepare"):
             db.execute("PREPARE q AS CREATE TABLE u(x int)")
+
+    @pytest.mark.parametrize("door", [
+        lambda conn: conn.execute("PREPARE x AS BEGIN"),
+        lambda conn: conn.prepare("BEGIN"),
+        lambda conn: conn.execute("EXPLAIN BEGIN"),
+        lambda conn: conn.cursor().executemany("BEGIN", [()]),
+    ], ids=["PREPARE", "prepare", "EXPLAIN", "executemany"])
+    def test_planned_kinds_only_is_one_check(self, db, door):
+        """Every door that takes plans only refuses a BEGIN in the
+        statement record's constructor, before anything runs."""
+        conn = db.connect()
+        with pytest.raises(PlanError, match=r"cannot \w+ a BeginStmt; only "
+                           "SELECT, INSERT, UPDATE and DELETE have plans"
+                           ) as caught:
+            door(conn)
+        assert caught.traceback[-1].frame.code.raw is \
+            Statement.__init__.__code__
+        assert not conn.in_transaction and conn.prepared_names == []
 
     def test_prepared_dml(self, db):
         db.execute("PREPARE ins AS INSERT INTO t VALUES ($1, $2)")

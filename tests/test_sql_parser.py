@@ -17,6 +17,7 @@ from repro.sql.errors import ParseError, SqlError
 from repro.sql.parser import (_CLAUSE_KEYWORDS, OPERATORS, PUNCTUATION,
                               SqlParser, parse_expression, parse_script,
                               parse_select, parse_statement)
+from repro.sql.planner import Planner
 
 
 class TestExpressions:
@@ -377,9 +378,13 @@ class TestStatementTable:
             assert callable(getattr(SqlParser, row.parse)), row.parse
             for keyword in row.keywords:  # one keyword, one rule
                 assert rules.setdefault(keyword, row.parse) == row.parse
-            handler = inspect.signature(getattr(Database, row.run))
-            assert list(handler.parameters) == \
-                ["self", "stmt", "params", "session"], row.run
+            if row.plan is not None:  # run as a plan, by Database._run
+                assert row.run is None, node
+                assert callable(getattr(Planner, row.plan)), row.plan
+            else:
+                handler = inspect.signature(getattr(Database, row.run))
+                assert list(handler.parameters) == \
+                    ["self", "stmt", "params", "session"], row.run
             if node is A.ExecuteStmt:  # runs, and is tagged as, another
                 assert row.kind is None and row.tag is None
             else:
