@@ -28,6 +28,12 @@ One variant per case is sent a second time as a two-statement payload,
 the embedded twin: a ``Query`` message is a script (the scope of ``SET
 LOCAL``) on both sides, so both plan the query with the flag off.
 
+The variant list is sent :data:`PASSES` times, each pass compared with the
+embedded twin.  A one-statement text is admitted to the text cache on its
+second sight, so the third pass is served from cached statement records:
+when a variant that takes the text door succeeded, the served twin must
+have counted a plan-cache hit (kind ``cache``).
+
 Like the txn axis there is no reducer: a failing case prints its script
 and seed, and ``--index`` replays it.
 """
@@ -38,21 +44,26 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.server import ServerError, ServerThread, connect
+from repro.server.handler import takes_text_door
 from repro.server.protocol import LABEL_FOR_SQLSTATE, render_row
 from repro.sql.profiler import (FUZZ_CASES, FUZZ_COMPARISONS,
                                 FUZZ_DISCREPANCIES, FUZZ_EXECUTIONS,
-                                Profiler)
+                                PLAN_CACHE_HIT, Profiler)
 
 from .oracle import (DifferentialChecker, Outcome, rows_equal,
                      run_statement)
 from .querygen import Case, Query
+
+#: Times the variant list is sent: the first sight of a text, its
+#: admission to the text cache, and a pass served from the cache.
+PASSES = 3
 
 
 @dataclass
 class WireDiscrepancy:
     """One disagreement between the served and embedded twins."""
 
-    kind: str            # 'status' | 'result'
+    kind: str            # 'status' | 'result' | 'cache'
     case: Case
     query: Query
     sql: str
@@ -89,6 +100,7 @@ def check_wire_case(case: Case, *, profiler: Optional[Profiler] = None
     builder = DifferentialChecker(use_sqlite=False, profiler=profiler)
     embedded, compiled = builder.build_database(case)
     served, _ = builder.build_database(case)
+    served.profiler.enabled = True  # the cache check reads its hit count
 
     variants: list[tuple[Query, str]] = [
         (query, sql) for query in case.queries
@@ -108,22 +120,28 @@ def check_wire_case(case: Case, *, profiler: Optional[Profiler] = None
             kind=kind, case=case, query=query, sql=sql,
             embedded=emb, wire=wire))
 
+    cacheable = None  # a one-statement variant that succeeded
     with ServerThread(served, workers=2) as address:
         with connect(*address) as client:
-            for query, sql in variants:
-                emb = run_statement(embedded, sql, script=sql is script)
-                wire = wire_outcome(client, sql)
-                profiler.bump(FUZZ_EXECUTIONS, 2)
-                profiler.bump(FUZZ_COMPARISONS)
-                if emb.status != wire.status:
-                    report("status", query, sql, emb, wire)
-                    continue
-                if emb.status == "error":
-                    if emb.error != wire.error:
+            for _ in range(PASSES):
+                for query, sql in variants:
+                    emb = run_statement(embedded, sql, script=sql is script)
+                    wire = wire_outcome(client, sql)
+                    profiler.bump(FUZZ_EXECUTIONS, 2)
+                    profiler.bump(FUZZ_COMPARISONS)
+                    if emb.status != wire.status:
                         report("status", query, sql, emb, wire)
-                    continue
-                rendered = [render_row(row) for row in emb.rows]
-                if not rows_equal(rendered, wire.rows,
-                                  ordered=query.order == "total"):
-                    report("result", query, sql, emb, wire)
+                        continue
+                    if emb.status == "error":
+                        if emb.error != wire.error:
+                            report("status", query, sql, emb, wire)
+                        continue
+                    if cacheable is None and takes_text_door(sql):
+                        cacheable = (query, sql, emb, wire)
+                    rendered = [render_row(row) for row in emb.rows]
+                    if not rows_equal(rendered, wire.rows,
+                                      ordered=query.order == "total"):
+                        report("result", query, sql, emb, wire)
+    if cacheable is not None and not served.profiler.counts[PLAN_CACHE_HIT]:
+        report("cache", *cacheable)
     return discrepancies

@@ -1,10 +1,23 @@
 """Query handling for one wire session — runs on executor worker threads.
 
 :func:`run_script` is the bridge between a ``Query`` message and the
-engine: it parses the SQL into statements, dispatches each one in the
-connection's session (under the database execution lock, via session
-activation), and renders the outcome into wire-neutral output records the
-async layer encodes without touching the engine:
+engine.  A payload takes one of three paths, each running its statements
+in the connection's session (under the database execution lock, via
+session activation):
+
+* ``EXECUTE name(literals)`` — the fast path: a micro-parser binds the
+  arguments and runs the prepared handle;
+* a payload with no ``;`` inside it — the text door of
+  ``Database.execute``: inside one activation the text cache is probed
+  with ``(payload text, settings fingerprint)``, and a hit runs its
+  statement record without parsing or planning; only a miss parses, and
+  its record is offered to the cache after the run (admitted on second
+  sight, see :class:`repro.sql.statement.PlanCache`);
+* anything else — a script: parsed outside the lock, then one activation
+  per statement, stopping at the first error.  Scripts are never cached.
+
+Outcomes are rendered into wire-neutral output records the async layer
+encodes without touching the engine:
 
 * ``("rows", columns, rendered_rows, tag)`` — RowDescription + DataRows
   + CommandComplete,
@@ -13,14 +26,13 @@ async layer encodes without touching the engine:
 * ``("error", sqlstate, message)`` — ErrorResponse (ends the script),
 * ``("empty",)`` — EmptyQueryResponse.
 
-Multi-statement ``Query`` scripts run sequentially and stop at the first
-error.  (PostgreSQL additionally wraps such scripts in an implicit
-transaction; this engine's autocommit statements commit individually — a
-documented divergence, see ARCHITECTURE.md.)
+Every payload is one script, the scope of ``SET LOCAL`` outside a
+transaction block.  (PostgreSQL additionally wraps multi-statement
+scripts in an implicit transaction; this engine's autocommit statements
+commit individually — a documented divergence, see ARCHITECTURE.md.)
 
-Everything here happens off the event loop; the per-statement engine work
-serializes on ``Database._exec_lock`` while parse and row rendering run
-outside it, so concurrent sessions overlap their non-engine CPU.
+Everything here happens off the event loop; row rendering runs outside
+the engine lock, so concurrent sessions overlap their non-engine CPU.
 """
 
 from __future__ import annotations
@@ -29,39 +41,33 @@ import re
 import time
 from typing import TYPE_CHECKING, Optional
 
-from ..sql import ast as A
 from ..sql.ast import ROWS
 from ..sql.errors import SqlError
 from ..sql.parser import parse_script
 from ..sql.profiler import (SERVER_ERRORS, SERVER_QUERIES,
                             SERVER_SLOW_QUERIES)
+from ..sql.statement import Statement
 from .protocol import render_row, sqlstate_for
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sql.session import Connection
     from .telemetry import Telemetry
 
-def command_tag(stmt, kind: str, result, session: "Connection") -> str:
-    """The CommandComplete tag for one executed statement: the template
-    of its row in the statement table; EXECUTE has none and is tagged by
-    the prepared statement's kind, like PostgreSQL."""
-    if isinstance(stmt, A.ExecuteStmt):
-        try:
-            stmt = session.lookup_prepared(stmt.name).ast
-        except SqlError:  # deallocated meanwhile: tag by result kind
-            stmt = None
-    row = A.STATEMENTS.get(type(stmt))
-    template = row.tag if row is not None else "SELECT {n}"
+def command_tag(statement, kind: str, result) -> str:
+    """The CommandComplete tag for one executed statement record: the
+    template of its row in the statement table; an EXECUTE is tagged by
+    its prepared statement's row, like PostgreSQL."""
+    template = (statement.target or statement).row.tag
     if kind == ROWS:
         return template.format(n=len(result.rows))
     return template.format(n=result.rows[0][0] if result.rows else 0)
 
 
-def _records(session: "Connection", notices_before: int, stmt,
+def _records(session: "Connection", notices_before: int, statement,
              outcome) -> list[tuple]:
     """The output records of one statement: the notices it raised, then
     its error or its rows and tag.  *outcome* is the ``(kind, result)``
-    it returned or the exception it raised."""
+    the record *statement* returned or the exception it raised."""
     records = [("notice", m) for m in session.notices[notices_before:]]
     if isinstance(outcome, Exception):
         message = str(outcome) if isinstance(outcome, SqlError) \
@@ -69,7 +75,7 @@ def _records(session: "Connection", notices_before: int, stmt,
         records.append(("error", sqlstate_for(outcome), message))
         return records
     kind, result = outcome
-    tag = command_tag(stmt, kind, result, session)
+    tag = command_tag(statement, kind, result)
     if kind == ROWS:
         records.append(("rows", list(result.columns),
                         [render_row(row) for row in result.rows], tag))
@@ -124,55 +130,98 @@ def _fast_execute(session: "Connection", sql: str):
     if args is None:
         return None
     notices_before = len(session.notices)
-    stmt = error = None
+    handle = error = None
     try:
         with session._activated():
             handle = session.lookup_prepared(match.group(1))
-            stmt = handle.ast
             outcome = handle.dispatch(tuple(args))
     except Exception as exc:
         outcome = error = exc
-    return _records(session, notices_before, stmt, outcome), error
+    return _records(session, notices_before, handle, outcome), error
 
 
 def run_script(session: "Connection", sql: str,
                telemetry: "Telemetry") -> list[tuple]:
     """Execute one ``Query`` payload; returns wire-neutral output records."""
-    db = session.db
-    profiler = db.profiler
     started = time.perf_counter()
     fast = _fast_execute(session, sql)
     if fast is not None:
         outputs, error = fast
-        return _account(profiler, telemetry, sql, started, error, outputs)
-    error = None
+    else:
+        # One Query payload is one script - the scope of SET LOCAL outside
+        # a transaction block - exactly as Connection.execute_script.
+        session.begin_script()
+        try:
+            if takes_text_door(sql):
+                outputs, error = _run_text(session, sql)
+            else:
+                outputs, error = _run_statements(session, sql)
+        finally:
+            session.end_script()
+    return _account(session.db.profiler, telemetry, sql, started, error,
+                    outputs)
+
+
+def takes_text_door(sql: str) -> bool:
+    """Whether a payload goes through :func:`_run_text`: it has no ``;``
+    before its trailing ones, so it holds at most one statement - or
+    several with no ``;`` between them, which the parse finds out."""
+    return ";" not in sql.rstrip().rstrip(";")
+
+
+def _run_text(session: "Connection", sql: str):
+    """Run a payload with no ``;`` inside it through the text door of
+    ``Database.execute``, in one activation: a text-cache hit runs its
+    record without parsing or planning; a miss parses (under the lock, as
+    ``Connection.execute`` does) and offers its record to the cache after
+    the run.  Returns ``(outputs, error)``."""
+    db = session.db
+    notices_before = len(session.notices)
+    statement = statements = error = None
     try:
-        statements = parse_script(sql)
-        outputs = [] if statements else [("empty",)]
+        with session._activated():
+            statement, key = db._plan_cache.lookup(sql, db.settings.active)
+            if statement is None:
+                statements = parse_script(sql)
+                if len(statements) == 1:
+                    statement = Statement(db, statements[0], session)
+            if statement is not None:
+                outcome = db._dispatch_ast(statement, (), session, key)
     except Exception as exc:  # a lexer crash too - still answer the client
-        error = exc
-        statements = []
-        outputs = _records(session, len(session.notices), None, exc)
-    # One Query payload is one script - the scope of SET LOCAL outside a
-    # transaction block - exactly as Connection.execute_script.
-    session.begin_script()
+        outcome = error = exc
+    if statement is None and error is None:
+        # No statement, or several with no ``;`` between them.
+        return _run_statements(session, sql, statements)
+    return _records(session, notices_before, statement, outcome), error
+
+
+def _run_statements(session: "Connection", sql: str, statements=None):
+    """Run the statements of *sql* (parsed here unless given), one
+    activation each, stopping at the first error; returns ``(outputs,
+    error)``.  Only the dispatch holds the engine lock: parsing, tag
+    derivation and row rendering happen outside it, so concurrent
+    sessions overlap their non-engine CPU."""
+    db = session.db
     try:
-        for stmt in statements:
-            notices_before = len(session.notices)
-            try:
-                with session._activated():
-                    # Only the dispatch holds the engine lock; tag
-                    # derivation and row rendering happen outside it so
-                    # concurrent sessions overlap their non-engine CPU.
-                    outcome = db._dispatch_ast(stmt, (), session)
-            except Exception as exc:
-                outcome = error = exc
-            outputs += _records(session, notices_before, stmt, outcome)
-            if error is not None:
-                break
-    finally:
-        session.end_script()
-    return _account(profiler, telemetry, sql, started, error, outputs)
+        if statements is None:
+            statements = parse_script(sql)
+    except Exception as exc:  # a lexer crash too - still answer the client
+        return _records(session, len(session.notices), None, exc), exc
+    outputs = [] if statements else [("empty",)]
+    error = None
+    for stmt in statements:
+        notices_before = len(session.notices)
+        statement = None
+        try:
+            with session._activated():
+                statement = Statement(db, stmt, session)
+                outcome = db._dispatch_ast(statement, (), session)
+        except Exception as exc:
+            outcome = error = exc
+        outputs += _records(session, notices_before, statement, outcome)
+        if error is not None:
+            break
+    return outputs, error
 
 
 def _account(profiler, telemetry: "Telemetry", sql: str, started: float,

@@ -29,8 +29,14 @@ is one.  :meth:`Database._run` opens the statement's transaction scope,
 deciding from the record alone whether it may run beside a pending
 commit, and either runs the plan (planned, or replanned, there) through
 ``_run_plan`` or routes the AST to the ``_do_*`` handler its row names.
-Text-cache eligibility is a property of that row (a planned kind producing
-rows), not a prefix match on the SQL text.
+
+The text cache (:class:`~repro.sql.statement.PlanCache`) serves both text
+doors, :meth:`Database.execute` and a one-statement wire ``Query``
+(``repro.server.handler``): a hit skips steps 1 and 2, so a repeated text
+is parsed and planned once, like a prepared one.  Eligibility is a
+property of the statement's row (a planned kind producing rows), not a
+prefix match on the SQL text, and a text is admitted on its second sight
+only - a one-shot stream keeps no plan.
 
 ``Database.execute`` remains the thin compatibility facade over the layered
 session API in :mod:`repro.sql.session`: it runs every statement in the
@@ -47,7 +53,7 @@ import threading
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ast as A
-from .ast import COUNT, ROWS, UTILITY
+from .ast import COUNT, UTILITY
 from .catalog import Catalog, FunctionDef
 from .errors import (CatalogError, CompileError, ExecutionError,
                      NameResolutionError, PlsqlError, QueryCanceledError,
@@ -56,10 +62,9 @@ from .expr import EvalContext, ExprCompiler, RuntimeContext, Scope
 from .parser import parse_script, parse_statement
 from .planner import Planner
 from .profiler import (EXEC_END, EXEC_RUN, EXEC_START, PARSE, PLAN,
-                       PLAN_CACHE_HIT, PLAN_CACHE_MISS, PLAN_INSTANTIATIONS,
-                       PREPARED_EXECUTIONS, QUERIES_CANCELED,
-                       SETTINGS_ASSIGNMENTS, SWITCH_Q_TO_F, TXN_BEGUN,
-                       Profiler)
+                       PLAN_INSTANTIATIONS, PREPARED_EXECUTIONS,
+                       QUERIES_CANCELED, SETTINGS_ASSIGNMENTS, SWITCH_Q_TO_F,
+                       TXN_BEGUN, Profiler)
 from .settings import SettingsRegistry
 from .statement import PlanCache, Statement
 from .storage import BufferManager
@@ -396,30 +401,19 @@ class Database:
                       session: "Connection") -> tuple[str, Result]:
         """Execute *sql* in *session*; returns ``(kind, result)``.
 
-        The text cache (records of kind ROWS only) is probed on the raw
-        text *before* parsing, under the execution lock: the active
-        settings and the cache are only read there.
+        The text door (a one-statement wire ``Query`` takes the same one):
+        the text cache is probed on the raw text *before* parsing, under
+        the execution lock, where the active settings and the cache are
+        read; only a miss parses, and its record is offered to the cache
+        once it has run (:class:`~repro.sql.statement.PlanCache`: admitted
+        on second sight, and only holding the plan it built).
         """
-        profiler = self.profiler
         with self._exec_lock:
-            key = statement = None
-            values = self.settings.active
-            if values.plan_cache_size > 0:
-                key = (sql, values.fingerprint)
-                statement = self._plan_cache.get(key)
-            if statement is not None:
-                profiler.bump(PLAN_CACHE_HIT)
-            else:
-                with profiler.phase(PARSE):
-                    stmt = parse_statement(sql)
-                statement = Statement(self, stmt, session)
-                row = statement.row
-                if row.plan is not None and row.kind == ROWS:
-                    profiler.bump(PLAN_CACHE_MISS)
-                    if key is not None:
-                        self._plan_cache.put(key, statement,
-                                             values.plan_cache_size)
-            return self._run(statement, params, session)
+            statement, key = self._plan_cache.lookup(sql, self.settings.active)
+            if statement is None:
+                with self.profiler.phase(PARSE):
+                    statement = Statement(self, parse_statement(sql), session)
+            return self._dispatch_ast(statement, params, session, key)
 
     def _execute_script(self, sql: str, session: "Connection") -> list[Result]:
         with self.profiler.phase(PARSE):
@@ -460,10 +454,22 @@ class Database:
             return COUNT, Result(["count"], [(total,)])
         return UTILITY, Result([], [])
 
-    def _dispatch_ast(self, stmt: A.Statement, params: Sequence[Value],
-                      session: "Connection") -> tuple[str, Result]:
-        """Run one parsed statement; returns ``(kind, result)``."""
-        return self._run(Statement(self, stmt, session), params, session)
+    def _dispatch_ast(self, stmt, params: Sequence[Value],
+                      session: "Connection",
+                      key: Optional[tuple] = None) -> tuple[str, Result]:
+        """Run one statement - a parsed AST, or a record already built or
+        found in the text cache; returns ``(kind, result)``.  *key* marks
+        a text-cache miss: the record is offered to the cache under it
+        after the run, whether the run succeeded or not."""
+        statement = stmt if isinstance(stmt, Statement) \
+            else Statement(self, stmt, session)
+        if key is None:
+            return self._run(statement, params, session)
+        try:
+            return self._run(statement, params, session)
+        finally:
+            self._plan_cache.offer(key, statement,
+                                   self.settings.active.plan_cache_size)
 
     def _run(self, statement: Statement, params: Sequence[Value],
              session: "Connection") -> tuple[str, Result]:

@@ -11,7 +11,8 @@ from typing import TYPE_CHECKING, Optional
 from . import ast as A
 from .astutil import calls_user_function
 from .errors import PlanError, SqlError
-from .profiler import PLAN, PLAN_CACHE_EVICTIONS, PREPARED_REPLANS
+from .profiler import (PLAN, PLAN_CACHE_EVICTIONS, PLAN_CACHE_HIT,
+                       PLAN_CACHE_MISS, PREPARED_REPLANS)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Database
@@ -85,30 +86,62 @@ class Statement:
 
 
 class PlanCache:
-    """The text cache: an LRU of :class:`Statement` records of kind ROWS,
-    keyed by (SQL text, settings fingerprint), so a plan built under one
-    combination of plan-affecting settings is invisible under any other;
-    DDL empties it.  ``SET plan_cache_size = N`` bounds it; evictions are
-    counted.
+    """The text cache: an LRU of :class:`Statement` records, keyed by (SQL
+    text, settings fingerprint), so a plan built under one combination of
+    plan-affecting settings is invisible under any other; DDL empties it.
+    Both text doors use it - ``Database.execute`` / ``Connection.execute``
+    and a one-statement wire ``Query`` - through :meth:`lookup` before
+    parsing and :meth:`offer` after a miss has run.
+
+    Admission is on second sight, after the A1out list of 2Q (Johnson &
+    Shasha, VLDB 1994): a miss only records its key in a *ghost* list, and
+    a record is kept when its key is already there, i.e. when the text
+    came back within ``plan_cache_size`` other misses.  A stream of
+    one-shot texts therefore keeps no plan.  Only a record of a planned
+    kind that produces rows, holding the plan its run built, is offered
+    (a SELECT whose planning failed is not).  ``SET plan_cache_size = N``
+    bounds the cache and the ghost list alike; evictions from the cache
+    are counted.
     """
 
-    __slots__ = ("_entries", "profiler")
+    __slots__ = ("_entries", "_ghosts", "profiler")
 
     def __init__(self, profiler):
         self._entries: OrderedDict[tuple, Statement] = OrderedDict()
+        #: Keys of recent misses, oldest first; values unused.
+        self._ghosts: OrderedDict[tuple, None] = OrderedDict()
         self.profiler = profiler
 
-    def get(self, key: tuple) -> Optional[Statement]:
-        statement = self._entries.get(key)
-        if statement is not None:
-            self._entries.move_to_end(key)
-        return statement
+    def lookup(self, text: str, values) -> tuple:
+        """``(record, None)`` when *text* is cached under the setting
+        *values*, else ``(None, key)``: the key a miss is offered under."""
+        key = (text, values.fingerprint)
+        if values.plan_cache_size > 0:
+            statement = self._entries.get(key)
+            if statement is not None:
+                self._entries.move_to_end(key)
+                self.profiler.bump(PLAN_CACHE_HIT)
+                return statement, None
+        return None, key
 
-    def put(self, key: tuple, statement: Statement, capacity: int) -> None:
-        self._entries[key] = statement
+    def offer(self, key: tuple, statement: Statement, capacity: int) -> None:
+        """A miss has run: count it, and keep *statement* if it may be."""
+        row = statement.row
+        if row.plan is None or row.kind != A.ROWS:
+            return
+        self.profiler.bump(PLAN_CACHE_MISS)
+        if capacity <= 0 or statement._plan is None:
+            return
+        if key in self._ghosts:
+            del self._ghosts[key]
+            self._entries[key] = statement
+        else:
+            self._ghosts[key] = None
         self.trim(capacity)
 
     def trim(self, capacity: int) -> None:
+        for _ in range(len(self._ghosts) - capacity):
+            self._ghosts.popitem(last=False)
         evicted = len(self._entries) - capacity
         for _ in range(evicted):
             self._entries.popitem(last=False)
@@ -117,6 +150,7 @@ class PlanCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._ghosts.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

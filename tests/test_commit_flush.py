@@ -116,7 +116,8 @@ def _prepared(db, stack):
 
 def _warm_text(db, stack):
     conn = db.connect()
-    conn.execute(READ, (1,))
+    for _ in range(2):  # admitted to the text cache on second sight
+        conn.execute(READ, (1,))
     return lambda: conn.execute(READ, (1,)).scalar()
 
 
@@ -135,6 +136,15 @@ def _wire_execute(db, stack):
     # Two statements in one payload: the EXECUTE fast path declines.
     return lambda: int(client.query("EXECUTE rd(1); EXECUTE rd(1)")[-1]
                        .scalar())
+
+
+def _wire_text(db, stack):
+    client = stack.enter_context(
+        connect(*stack.enter_context(ServerThread(db, workers=2))))
+    sql = "SELECT x FROM t WHERE id = 1"
+    for _ in range(2):  # admitted to the text cache on second sight
+        client.query(sql)
+    return lambda: int(client.query(sql)[0].scalar())
 
 
 def _script(db, stack):
@@ -182,8 +192,8 @@ class TestBesideAPendingCommit:
 
     @pytest.mark.parametrize("door, beside", [
         (_prepared, True), (_warm_text, True), (_text_execute, True),
-        (_wire_execute, True), (_script, False), (_executemany, False),
-        (_cold_text, False), (_udf_prepared, False),
+        (_wire_execute, True), (_wire_text, True), (_script, False),
+        (_executemany, False), (_cold_text, False), (_udf_prepared, False),
     ], ids=lambda case: case.__name__[1:] if callable(case)
         else "beside" if case else "waits")
     def test_door_matrix(self, durable, door, beside):

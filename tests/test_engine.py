@@ -83,10 +83,9 @@ class TestResult:
 class TestPlanCache:
     def test_cache_hit_on_repeat(self, tdb):
         tdb.profiler.reset()
-        tdb.query_all("SELECT x FROM t WHERE x = $1", [1])
-        tdb.query_all("SELECT x FROM t WHERE x = $1", [2])
-        tdb.query_all("SELECT x FROM t WHERE x = $1", [3])
-        assert tdb.profiler.counts["plan cache miss"] == 1
+        for x in range(4):  # admitted on second sight
+            tdb.query_all("SELECT x FROM t WHERE x = $1", [x])
+        assert tdb.profiler.counts["plan cache miss"] == 2
         assert tdb.profiler.counts["plan cache hit"] == 2
 
     def test_ddl_invalidates_cache(self, tdb):

@@ -586,6 +586,7 @@ def test_stable_function_sees_writes_between_executions(kdb, sites):
     sql = "SELECT t.id, scaled_c(t.x) FROM t ORDER BY t.id"
     before = kdb.query_all(sql)
     assert sites["activations"] == 5 and sites["calls"] == 12
+    assert kdb.query_all(sql) == before  # second sight: admitted
     kdb.execute("UPDATE w SET v = 10")
     kdb.profiler.reset()
     after = kdb.query_all(sql)

@@ -48,23 +48,24 @@ class TestClassifyDispatch:
         sql = "-- find one row\nSELECT b FROM t WHERE a = $1"
         db.profiler.reset()
         first = db.execute(sql, [3])
-        second = db.execute(sql, [3])
-        assert first.rows == second.rows
-        assert db.profiler.counts[PLAN_CACHE_MISS] == 1
+        db.execute(sql, [3])  # second sight: admitted
+        third = db.execute(sql, [3])
+        assert first.rows == third.rows
+        assert db.profiler.counts[PLAN_CACHE_MISS] == 2
         assert db.profiler.counts[PLAN_CACHE_HIT] == 1
 
     def test_block_comment_prefixed_select_hits_plan_cache(self, db):
         sql = "/* a block\n   comment */ SELECT count(*) FROM t"
         db.profiler.reset()
-        assert db.execute(sql).scalar() == 100
-        assert db.execute(sql).scalar() == 100
+        for _ in range(3):
+            assert db.execute(sql).scalar() == 100
         assert db.profiler.counts[PLAN_CACHE_HIT] == 1
 
     def test_parenthesised_select_hits_plan_cache(self, db):
         sql = "(SELECT sum(b) FROM t)"
         db.profiler.reset()
-        db.execute(sql)
-        db.execute(sql)
+        for _ in range(3):
+            db.execute(sql)
         assert db.profiler.counts[PLAN_CACHE_HIT] == 1
 
     def test_comment_prefixed_dml_dispatches(self, db):
@@ -89,7 +90,8 @@ class TestPlanCacheLru:
         db.execute("SET plan_cache_size = 4")
         db.profiler.reset()
         for i in range(10):
-            db.execute(f"SELECT {i} FROM t LIMIT 1")
+            for _ in range(2):  # admitted on second sight
+                db.execute(f"SELECT {i} FROM t LIMIT 1")
         assert len(db._plan_cache) == 4
         assert db.profiler.counts[PLAN_CACHE_EVICTIONS] == 6
 
@@ -97,16 +99,20 @@ class TestPlanCacheLru:
         db.execute("SET plan_cache_size = 2")
         hot = "SELECT a FROM t LIMIT 1"
         db.execute(hot)
-        for i in range(5):
-            db.execute(f"SELECT {i} + a FROM t LIMIT 1")
-            db.execute(hot)  # keep it warm
+        db.execute(hot)  # admitted on second sight
         db.profiler.reset()
-        db.execute(hot)
-        assert db.profiler.counts[PLAN_CACHE_HIT] == 1
+        for i in range(5):
+            for _ in range(2):  # admitted, so each pushes one entry out
+                db.execute(f"SELECT {i} + a FROM t LIMIT 1")
+            db.execute(hot)  # keep it warm
+        # hot survives four evictions only because each hit renews it
+        assert db.profiler.counts[PLAN_CACHE_HIT] == 5
+        assert db.profiler.counts[PLAN_CACHE_EVICTIONS] == 4
 
     def test_lowering_size_trims_immediately(self, db):
         for i in range(6):
-            db.execute(f"SELECT {i} FROM t LIMIT 1")
+            for _ in range(2):  # admitted on second sight
+                db.execute(f"SELECT {i} FROM t LIMIT 1")
         db.profiler.reset()
         db.execute("SET plan_cache_size = 2")
         assert len(db._plan_cache) == 2
@@ -120,8 +126,8 @@ class TestPlanCacheLru:
         assert db.profiler.counts[PLAN_CACHE_MISS] == 2
         assert db.profiler.counts[PLAN_CACHE_HIT] == 0
         db.execute("RESET plan_cache_size")
-        db.execute("SELECT a FROM t LIMIT 1")
-        db.execute("SELECT a FROM t LIMIT 1")
+        for _ in range(3):  # admitted on second sight, hit on the third
+            db.execute("SELECT a FROM t LIMIT 1")
         assert db.profiler.counts[PLAN_CACHE_HIT] == 1
 
 
