@@ -50,11 +50,6 @@ def main() -> None:
     print(f"parse('12,x') on SQLite -> {rejected} "
           f"(oracle: {fsm.run('12,x')})")
 
-    print("\nOther dialect flavours of the same function:")
-    for dialect in ("postgres", "mysql", "sqlserver", "oracle"):
-        first_line = fib.sql(dialect).splitlines()[0]
-        print(f"  {dialect:<10} {first_line}")
-
 
 if __name__ == "__main__":
     main()

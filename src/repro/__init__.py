@@ -12,11 +12,10 @@ Public API:
 42
 """
 
-from .compiler import (DIALECTS, CompiledFunction, Dialect, compile_plsql,
-                       froid_compile)
+from .compiler import DIALECTS, CompiledFunction, compile_plsql, froid_compile
 from .sql import Database, Result, Row
 
 __version__ = "1.0.0"
 
 __all__ = ["Database", "Result", "Row", "CompiledFunction", "compile_plsql",
-           "froid_compile", "Dialect", "DIALECTS", "__version__"]
+           "froid_compile", "DIALECTS", "__version__"]

@@ -16,12 +16,11 @@ SQL   :mod:`.template` plants the adapted body into the generic
 
 :mod:`.pipeline` drives the stages and exposes every intermediate form;
 :mod:`.froid` is the loop-free Froid baseline; :mod:`.dialects` renders the
-result for PostgreSQL, SQLite3, MySQL, SQL Server, and Oracle.
+result for the two engines that run it, PostgreSQL (this engine) and SQLite3.
 """
 
 from .pipeline import CompiledFunction, compile_plsql
 from .froid import froid_compile
-from .dialects import DIALECTS, Dialect
+from .dialects import DIALECTS
 
-__all__ = ["CompiledFunction", "compile_plsql", "froid_compile",
-           "DIALECTS", "Dialect"]
+__all__ = ["CompiledFunction", "compile_plsql", "froid_compile", "DIALECTS"]

@@ -1,29 +1,26 @@
-"""SQL text emission for five dialects (paper Section 3, "Beyond PostgreSQL").
+"""SQL text emission for the two engines that run it (paper Section 3,
+"Beyond PostgreSQL").
 
 "Modulo syntactic details, we were able to apply the function transformation
 immediately to Oracle, MySQL, SQL Server, and HyPer" — the syntactic details
-live here:
+of the two targets that are executed live here:
 
 ============  ==========================================================
-PostgreSQL    ``LEFT JOIN LATERAL ... ON true``, ``WITH RECURSIVE``, ``$n``
-SQLite3       no LATERAL → the compiler uses the nested-subquery ``let``
-              rewrite; ``WITH RECURSIVE``; ``?n`` parameters
-MySQL 8       ``JOIN LATERAL``, ``WITH RECURSIVE``, ``?`` parameters
-SQL Server    ``OUTER APPLY``, ``WITH`` (no RECURSIVE keyword), ``@pn``,
-              ``[quoted]`` identifiers, 1/0 booleans
-Oracle        ``CROSS APPLY``, plain ``WITH``, ``:n`` parameters,
-              1/0 booleans
+PostgreSQL    ``LEFT JOIN LATERAL ... ON true``, ``WITH RECURSIVE``,
+              ``$n`` parameters, ``WITH ITERATE``; run by this engine
+              (its grammar is a PostgreSQL subset plus WITH ITERATE)
+SQLite3       no LATERAL → the compiler uses the split template and the
+              nested-subquery ``let`` rewrite
+              (:func:`~repro.compiler.template.build_split_template_query`);
+              ``WITH RECURSIVE``; ``?n`` parameters; run by the
+              stdlib :mod:`sqlite3`, on every generated function in the
+              fuzz loop (:mod:`repro.fuzz.oracle`)
 ============  ==========================================================
-
-Only the PostgreSQL dialect is executed (by our engine, whose grammar is a
-PostgreSQL subset plus WITH ITERATE); the others are emitted for inspection
-and round-trip tests where syntax permits.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..sql import ast as A
 from ..sql.errors import CompileError
@@ -41,60 +38,14 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Dialect:
-    """Rendering options for one target system."""
-
-    name: str
-    lateral_join: str = "left_join_lateral"  # | 'outer_apply' | 'cross_apply' | 'join_lateral'
-    let_style: str = "lateral"               # | 'nested' (no LATERAL at all)
-    recursive_keyword: bool = True           # WITH RECURSIVE vs WITH
-    supports_iterate: bool = False           # our engine's extension
-    boolean_literals: bool = True            # true/false vs 1/0
-    param_style: str = "dollar"              # dollar | qmark | colon | at
-    quote_open: str = '"'
-    quote_close: str = '"'
-    supports_frame_exclude: bool = True
-    statement_terminator: str = ";"
-
-    def quote(self, name: str) -> str:
-        if _PLAIN_IDENT.match(name) and name not in _KEYWORDS:
-            return name
-        escaped = name.replace(self.quote_close,
-                               self.quote_close + self.quote_close)
-        return f"{self.quote_open}{escaped}{self.quote_close}"
-
-    def param(self, index: int) -> str:
-        if self.param_style == "dollar":
-            return f"${index}"
-        if self.param_style == "qmark":
-            return f"?{index}"
-        if self.param_style == "colon":
-            return f":{index}"
-        if self.param_style == "at":
-            return f"@p{index}"
-        raise CompileError(f"unknown param style {self.param_style!r}")
-
-    def boolean(self, value: bool) -> str:
-        if self.boolean_literals:
-            return "true" if value else "false"
-        return "1" if value else "0"
+def quote(name: str) -> str:
+    if _PLAIN_IDENT.match(name) and name not in _KEYWORDS:
+        return name
+    return '"' + name.replace('"', '""') + '"'
 
 
-POSTGRES = Dialect(name="postgres", supports_iterate=True)
-SQLITE = Dialect(name="sqlite", let_style="nested", param_style="qmark")
-MYSQL = Dialect(name="mysql", lateral_join="join_lateral", param_style="qmark",
-                supports_frame_exclude=False)
-SQLSERVER = Dialect(name="sqlserver", lateral_join="outer_apply",
-                    recursive_keyword=False, boolean_literals=False,
-                    param_style="at", quote_open="[", quote_close="]",
-                    supports_frame_exclude=False)
-ORACLE = Dialect(name="oracle", lateral_join="cross_apply",
-                 recursive_keyword=False, boolean_literals=False,
-                 param_style="colon", supports_frame_exclude=False)
-
-DIALECTS: dict[str, Dialect] = {d.name: d for d in
-                                (POSTGRES, SQLITE, MYSQL, SQLSERVER, ORACLE)}
+#: The targets, by name: this engine's own text first.
+DIALECTS = ("postgres", "sqlite")
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +54,27 @@ DIALECTS: dict[str, Dialect] = {d.name: d for d in
 
 
 class SqlRenderer:
-    def __init__(self, dialect: Dialect = POSTGRES, pretty: bool = True):
-        self.dialect = dialect
-        self.pretty = pretty
+    def __init__(self, dialect: str = "postgres"):
+        if dialect not in DIALECTS:
+            raise CompileError(f"unknown dialect {dialect!r} "
+                               f"(have: {sorted(DIALECTS)})")
+        #: The one decision the text hangs on: SQLite has no LATERAL, no
+        #: WITH ITERATE, ``?n`` parameters and a few builtins of its own.
+        self.sqlite = dialect == "sqlite"
 
     # -- statements ----------------------------------------------------
 
     def select(self, stmt: A.SelectStmt, indent: int = 0) -> str:
-        d = self.dialect
         parts: list[str] = []
-        pad = "  " * indent if self.pretty else ""
+        pad = "  " * indent
         if stmt.with_clause is not None:
             wc = stmt.with_clause
             if wc.iterate:
-                if not d.supports_iterate:
+                if self.sqlite:
                     raise CompileError(
-                        f"dialect {d.name} does not support WITH ITERATE")
+                        "dialect sqlite does not support WITH ITERATE")
                 keyword = "WITH ITERATE"
-            elif wc.recursive and d.recursive_keyword:
+            elif wc.recursive:
                 keyword = "WITH RECURSIVE"
             else:
                 keyword = "WITH"
@@ -128,9 +82,9 @@ class SqlRenderer:
             for cte in wc.ctes:
                 columns = ""
                 if cte.column_names:
-                    columns = "(" + ", ".join(d.quote(c)
+                    columns = "(" + ", ".join(quote(c)
                                               for c in cte.column_names) + ")"
-                ctes.append(f"{d.quote(cte.name)}{columns} AS (\n"
+                ctes.append(f"{quote(cte.name)}{columns} AS (\n"
                             + self.select(cte.query, indent + 1)
                             + f"\n{pad})")
             parts.append(pad + keyword + " " + (",\n" + pad).join(ctes))
@@ -145,7 +99,7 @@ class SqlRenderer:
         return "\n".join(parts)
 
     def body(self, body, indent: int) -> str:
-        pad = "  " * indent if self.pretty else ""
+        pad = "  " * indent
         if isinstance(body, A.SetOp):
             op = {"union_all": "UNION ALL", "union": "UNION",
                   "intersect": "INTERSECT", "except": "EXCEPT"}[body.op]
@@ -159,16 +113,15 @@ class SqlRenderer:
         return self.core(body, indent)
 
     def core(self, core: A.SelectCore, indent: int) -> str:
-        d = self.dialect
-        pad = "  " * indent if self.pretty else ""
+        pad = "  " * indent
         items = []
         for item in core.items:
             if isinstance(item, A.Star):
-                items.append(f"{d.quote(item.table)}.*" if item.table else "*")
+                items.append(f"{quote(item.table)}.*" if item.table else "*")
             else:
                 text = self.expr(item.expr)
                 if item.alias:
-                    text += f" AS {d.quote(item.alias)}"
+                    text += f" AS {quote(item.alias)}"
                 items.append(text)
         head = pad + "SELECT " + ("DISTINCT " if core.distinct else "") \
             + ", ".join(items)
@@ -184,26 +137,25 @@ class SqlRenderer:
             parts.append(pad + "HAVING " + self.expr(core.having))
         if core.windows:
             windows = ", ".join(
-                f"{d.quote(name)} AS ({self.window_spec(spec)})"
+                f"{quote(name)} AS ({self.window_spec(spec)})"
                 for name, spec in core.windows.items())
             parts.append(pad + "WINDOW " + windows)
         return "\n".join(parts)
 
     def table_ref(self, ref: A.TableRef, indent: int) -> str:
-        d = self.dialect
         if isinstance(ref, A.TableName):
-            text = d.quote(ref.name)
+            text = quote(ref.name)
             if ref.alias and ref.alias != ref.name:
-                text += f" AS {d.quote(ref.alias)}"
+                text += f" AS {quote(ref.alias)}"
             if ref.column_aliases:
-                text += "(" + ", ".join(d.quote(c)
+                text += "(" + ", ".join(quote(c)
                                         for c in ref.column_aliases) + ")"
             return text
         if isinstance(ref, A.SubqueryRef):
             inner = self.select(ref.query, indent + 1)
-            alias = f" AS {d.quote(ref.alias)}"
+            alias = f" AS {quote(ref.alias)}"
             if ref.column_aliases:
-                alias += "(" + ", ".join(d.quote(c)
+                alias += "(" + ", ".join(quote(c)
                                          for c in ref.column_aliases) + ")"
             return "(\n" + inner + "\n" + "  " * indent + ")" + alias
         if isinstance(ref, A.Join):
@@ -211,31 +163,16 @@ class SqlRenderer:
         raise CompileError(f"cannot render {type(ref).__name__}")
 
     def join(self, join: A.Join, indent: int) -> str:
-        d = self.dialect
-        pad = "  " * indent if self.pretty else ""
+        pad = "  " * indent
         left = self.table_ref(join.left, indent)
         lateral = isinstance(join.right, A.SubqueryRef) and join.right.lateral
         right = self.table_ref(join.right, indent)
-        if lateral:
-            style = d.lateral_join
-            if style == "left_join_lateral":
-                connector = "LEFT JOIN LATERAL"
-            elif style == "join_lateral":
-                connector = "JOIN LATERAL"
-            elif style == "outer_apply":
-                return f"{left}\n{pad}OUTER APPLY {right}"
-            elif style == "cross_apply":
-                return f"{left}\n{pad}CROSS APPLY {right}"
-            else:
-                raise CompileError(f"unknown lateral style {style!r}")
-            condition = self.expr(join.condition) if join.condition is not None \
-                else d.boolean(True)
-            return f"{left}\n{pad}{connector} {right} ON {condition}"
-        if join.kind == "cross":
+        if join.kind == "cross" and not lateral:
             return f"{left},\n{pad}     {right}"
-        keyword = {"inner": "JOIN", "left": "LEFT JOIN"}[join.kind]
+        keyword = ("LEFT JOIN LATERAL" if lateral
+                   else {"inner": "JOIN", "left": "LEFT JOIN"}[join.kind])
         condition = self.expr(join.condition) if join.condition is not None \
-            else d.boolean(True)
+            else "true"
         return f"{left}\n{pad}{keyword} {right} ON {condition}"
 
     def sort_item(self, item: A.SortItem) -> str:
@@ -251,7 +188,7 @@ class SqlRenderer:
     def window_spec(self, spec: A.WindowSpec) -> str:
         bits = []
         if spec.ref_name:
-            bits.append(self.dialect.quote(spec.ref_name))
+            bits.append(quote(spec.ref_name))
         if spec.partition_by:
             bits.append("PARTITION BY "
                         + ", ".join(self.expr(e) for e in spec.partition_by))
@@ -276,31 +213,27 @@ class SqlRenderer:
         text = (f"{frame.mode.upper()} BETWEEN {bound(frame.start)} "
                 f"AND {bound(frame.end)}")
         if frame.exclusion:
-            if not self.dialect.supports_frame_exclude:
-                raise CompileError(
-                    f"dialect {self.dialect.name} lacks frame EXCLUDE")
             text += f" EXCLUDE {frame.exclusion.upper()}"
         return text
 
     # -- expressions -----------------------------------------------------
 
     def expr(self, node: A.Expr) -> str:
-        d = self.dialect
         if isinstance(node, A.Literal):
             value = node.value
             if value is None:
                 return "NULL"
             if isinstance(value, bool):
-                return d.boolean(value)
+                return "true" if value else "false"
             if isinstance(value, (int, float)):
                 return repr(value)
             if isinstance(value, str):
                 return "'" + value.replace("'", "''") + "'"
             raise CompileError(f"cannot render literal {value!r}")
         if isinstance(node, A.ColumnRef):
-            return ".".join(d.quote(p) for p in node.parts)
+            return ".".join(quote(p) for p in node.parts)
         if isinstance(node, A.Param):
-            return d.param(node.index)
+            return f"{'?' if self.sqlite else '$'}{node.index}"
         if isinstance(node, A.BinaryOp):
             op = node.op.upper() if node.op in ("and", "or") else node.op
             return f"({self.expr(node.left)} {op} {self.expr(node.right)})"
@@ -313,12 +246,6 @@ class SqlRenderer:
         if isinstance(node, A.IsBool):
             negated = " NOT" if node.negated else ""
             literal = "TRUE" if node.value else "FALSE"
-            if not d.boolean_literals:
-                # NULL IS [NOT] v is never NULL: NULL counts as (not v).
-                eq = "<>" if node.negated else "="
-                return (f"(COALESCE({self.expr(node.operand)}, "
-                        f"{d.boolean(not node.value)}) {eq} "
-                        f"{d.boolean(node.value)})")
             return f"({self.expr(node.operand)} IS{negated} {literal})"
         if isinstance(node, A.Between):
             negated = "NOT " if node.negated else ""
@@ -365,7 +292,7 @@ class SqlRenderer:
             text = f"{node.name}({inner})"
             if node.window is not None:
                 if isinstance(node.window, str):
-                    text += f" OVER {d.quote(node.window)}"
+                    text += f" OVER {quote(node.window)}"
                 else:
                     text += f" OVER ({self.window_spec(node.window)})"
             return text
@@ -378,14 +305,14 @@ class SqlRenderer:
         if isinstance(node, A.ArrayIndex):
             return f"({self.expr(node.operand)})[{self.expr(node.index)}]"
         if isinstance(node, A.FieldAccess):
-            return f"({self.expr(node.operand)}).{d.quote(node.fieldname)}"
+            return f"({self.expr(node.operand)}).{quote(node.fieldname)}"
         if isinstance(node, A.ScalarSubquery):
             return "(" + self.select(node.query) + ")"
         raise CompileError(f"cannot render expression {type(node).__name__}")
 
     def _dialect_function(self, node: A.FuncCall) -> str | None:
-        """Per-dialect scalar-function spelling differences."""
-        if self.dialect.name != "sqlite" or node.window is not None:
+        """SQLite's scalar-function spelling differences."""
+        if not self.sqlite or node.window is not None:
             return None
         name = node.name.lower()
         args = node.args
@@ -404,21 +331,19 @@ class SqlRenderer:
         return None
 
 
-def render_select(stmt: A.SelectStmt, dialect: Dialect = POSTGRES) -> str:
+def render_select(stmt: A.SelectStmt, dialect: str = "postgres") -> str:
     return SqlRenderer(dialect).select(stmt)
 
 
-def render_expression(expr: A.Expr, dialect: Dialect = POSTGRES) -> str:
-    return SqlRenderer(dialect).expr(expr)
+def render_expression(expr: A.Expr) -> str:
+    return SqlRenderer().expr(expr)
 
 
 def render_create_function(name: str, params: list[tuple[str, str]],
-                           return_type: str, body_sql: str,
-                           language: str = "SQL",
-                           dialect: Dialect = POSTGRES) -> str:
-    """CREATE FUNCTION text (PostgreSQL syntax; other systems vary widely
-    for DDL, which the paper sidesteps too — Qf needs no function at all)."""
-    rendered_params = ", ".join(f"{dialect.quote(n)} {t}" for n, t in params)
-    return (f"CREATE FUNCTION {dialect.quote(name)}({rendered_params})\n"
+                           return_type: str, body_sql: str) -> str:
+    """CREATE FUNCTION text in PostgreSQL syntax (SQLite has no CREATE
+    FUNCTION, and the paper sidesteps DDL too — Qf needs no function)."""
+    rendered_params = ", ".join(f"{quote(n)} {t}" for n, t in params)
+    return (f"CREATE FUNCTION {quote(name)}({rendered_params})\n"
             f"RETURNS {return_type} AS $$\n{body_sql}\n"
-            f"$$ LANGUAGE {language};")
+            f"$$ LANGUAGE SQL;")

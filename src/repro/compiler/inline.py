@@ -15,8 +15,8 @@ from ..sql import ast as A
 from ..sql.astutil import substitute_params, transform_select
 from ..sql.errors import CompileError
 from ..sql.parser import parse_select
-from .dialects import POSTGRES, Dialect, render_select
-from .pipeline import CompiledFunction, _resolve_dialect
+from .dialects import render_select
+from .pipeline import CompiledFunction
 
 
 def inline_calls(stmt: A.SelectStmt,
@@ -44,8 +44,8 @@ def inline_calls(stmt: A.SelectStmt,
 
 
 def inline_into_query(sql: str,
-                      compiled: Union[CompiledFunction, list[CompiledFunction]],
-                      dialect: Union[str, Dialect] = POSTGRES) -> str:
+                      compiled: Union[CompiledFunction, list[CompiledFunction]]
+                      ) -> str:
     """Inline one or more compiled functions into query text and re-render.
 
     >>> from repro.sql import Database
@@ -66,4 +66,4 @@ def inline_into_query(sql: str,
     functions = {c.name.lower(): c.query for c in compiled}
     stmt = parse_select(sql)
     merged = inline_calls(stmt, functions)
-    return render_select(merged, _resolve_dialect(dialect))
+    return render_select(merged)

@@ -32,13 +32,12 @@ from ..sql.errors import CompileError
 from ..sql.parser import parse_statement
 from .anf import AnfProgram, inline_anf, ssa_to_anf
 from .cfg import ControlFlowGraph, build_cfg
-from .dialects import (DIALECTS, POSTGRES, Dialect, render_create_function,
-                       render_select)
+from .dialects import SqlRenderer, render_create_function, render_expression
 from .optimize import optimize_ssa
 from .ssa import SsaProgram, build_ssa
-from .template import build_machine, build_template_query
-from .udf import (LET_STYLE_LATERAL, LET_STYLE_NESTED, SqlUdf, build_udf,
-                  udf_is_recursive)
+from .template import (build_machine, build_split_template_query,
+                       build_template_query)
+from .udf import SqlUdf, build_udf, udf_is_recursive
 
 
 @dataclass
@@ -69,40 +68,31 @@ class CompiledFunction:
         """Did the function contain iteration (=> Qf uses WITH RECURSIVE)?"""
         return udf_is_recursive(self.udf)
 
-    def sql(self, dialect: Union[str, Dialect] = POSTGRES) -> str:
-        """Render the pure-SQL query Qf (parameters as placeholders)."""
-        dialect = _resolve_dialect(dialect)
+    def sql(self, dialect: str = "postgres") -> str:
+        """Render the pure-SQL query Qf (parameters as placeholders) as
+        ``"postgres"`` or ``"sqlite"`` text."""
+        renderer = SqlRenderer(dialect.lower())
         query = self.query
-        if dialect.let_style == LET_STYLE_NESTED or dialect.name == "sqlite":
-            # LATERAL-free target: column-wise split template (SQLite).
-            from .template import build_split_template_query
+        if renderer.sqlite:
+            # LATERAL-free target: column-wise split template.
             query = build_split_template_query(self.udf, self.iterate,
                                                self.catalog)
-        if self.iterate and not dialect.supports_iterate:
-            raise CompileError(f"dialect {dialect.name} lacks WITH ITERATE")
-        return render_select(query, dialect)
+        return renderer.select(query)
 
-    def udf_sql(self, dialect: Union[str, Dialect] = POSTGRES) -> str:
-        """The intermediate UDF form as CREATE FUNCTION text (Figure 7)."""
-        dialect = _resolve_dialect(dialect)
-        renderer_style = (LET_STYLE_NESTED if dialect.let_style == "nested"
-                          else LET_STYLE_LATERAL)
+    def udf_sql(self) -> str:
+        """The intermediate UDF form as PostgreSQL CREATE FUNCTION text
+        (Figure 7)."""
         udf = self.udf
-        if renderer_style != LET_STYLE_LATERAL:
-            udf = build_udf(self.udf.anf, renderer_style)
-        from .dialects import render_expression
         statements = []
         if udf_is_recursive(udf):
             star_params = list(zip(udf.rec_params, udf.rec_param_types))
             statements.append(render_create_function(
                 udf.star_name, star_params, udf.return_type,
-                "SELECT " + render_expression(udf.star_body, dialect),
-                dialect=dialect))
+                "SELECT " + render_expression(udf.star_body)))
         wrapper_params = list(zip(udf.params, udf.param_types))
         statements.append(render_create_function(
             udf.name, wrapper_params, udf.return_type,
-            "SELECT " + render_expression(udf.wrapper_body, dialect),
-            dialect=dialect))
+            "SELECT " + render_expression(udf.wrapper_body)))
         return "\n\n".join(statements)
 
     # ------------------------------------------------------------------
@@ -130,7 +120,6 @@ class CompiledFunction:
         depth limits."""
         wrapper_name = (name or self.name + "__udf").lower()
         udf = self.udf
-        from .dialects import render_expression
         if udf_is_recursive(udf):
             star_body = "SELECT " + render_expression(udf.star_body)
             db.execute_ast(A.CreateFunction(
@@ -164,16 +153,6 @@ class CompiledFunction:
         return "\n".join(out)
 
 
-def _resolve_dialect(dialect: Union[str, Dialect]) -> Dialect:
-    if isinstance(dialect, Dialect):
-        return dialect
-    resolved = DIALECTS.get(dialect.lower())
-    if resolved is None:
-        raise CompileError(f"unknown dialect {dialect!r} "
-                           f"(have: {sorted(DIALECTS)})")
-    return resolved
-
-
 def _parse_source(source: Union[str, A.CreateFunction, PlsqlFunctionDef]
                   ) -> PlsqlFunctionDef:
     if isinstance(source, PlsqlFunctionDef):
@@ -193,8 +172,8 @@ def _parse_source(source: Union[str, A.CreateFunction, PlsqlFunctionDef]
 
 
 def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
-                  db=None, optimize: bool = True, iterate: bool = False,
-                  let_style: str = LET_STYLE_LATERAL) -> CompiledFunction:
+                  db=None, optimize: bool = True,
+                  iterate: bool = False) -> CompiledFunction:
     """Compile a PL/pgSQL function into pure SQL (the paper, end to end).
 
     Parameters
@@ -209,9 +188,6 @@ def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
     iterate:
         Emit ``WITH ITERATE`` instead of ``WITH RECURSIVE`` (engine
         extension; Section 3 "When WITH RECURSIVE does too much").
-    let_style:
-        ``"lateral"`` (default, Figure 7) or ``"nested"`` (the SQLite
-        rewrite) for the engine-executed query.
     """
     func = _parse_source(source)
     catalog = db.catalog if db is not None else None
@@ -221,8 +197,8 @@ def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
     if optimize:
         optimize_ssa(ssa, catalog)
     anf = inline_anf(ssa_to_anf(ssa, catalog))
-    udf = build_udf(anf, let_style)
-    query = build_template_query(udf, iterate, let_style)
+    udf = build_udf(anf)
+    query = build_template_query(udf, iterate)
     return CompiledFunction(
         name=func.name,
         param_names=list(func.param_names),

@@ -34,8 +34,8 @@ from ..sql import ast as A
 from ..sql.errors import CompileError
 from .anf import AnfCall, exprs, fold
 from .rename import rename_variables
-from .udf import (LET_STYLE_LATERAL, SqlUdf, call_args, translate_anf,
-                  udf_is_recursive)
+from .udf import (LET_STYLE_LATERAL, LET_STYLE_NESTED, SqlUdf, call_args,
+                  translate_anf, udf_is_recursive)
 
 RUN_ALIAS = "r"
 CALL_COLUMN = "call?"
@@ -117,7 +117,7 @@ def build_split_template_query(udf: SqlUdf, iterate: bool = False,
     """The Figure 8 template without any LATERAL: each run column is an
     independent scalar expression (SQLite-compatible rewrite)."""
     if not udf_is_recursive(udf):
-        return build_template_query(udf, iterate, "nested")
+        return loop_free_query(udf, LET_STYLE_NESTED)
     if udf_contains_volatile(udf, catalog):
         raise CompileError(
             "the LATERAL-free (SQLite) rewrite duplicates expressions per "
@@ -168,28 +168,31 @@ def udf_contains_volatile(udf: SqlUdf, catalog=None) -> bool:
                for expr in exprs(func.body))
 
 
-def build_template_query(udf: SqlUdf, iterate: bool = False,
-                         let_style: str = LET_STYLE_LATERAL) -> A.SelectStmt:
+def loop_free_query(udf: SqlUdf, let_style: str) -> A.SelectStmt:
+    """Qf of a loop-free function: just the translated body, exactly as in
+    Froid, its ``let`` chains in *let_style*."""
+    body = translate_anf(udf.anf.functions[udf.anf.entry].body,
+                         on_call=_no_calls_expected,
+                         on_return=lambda v: v,
+                         let_style=let_style)
+    return _scalar_stmt(_bind_params(udf, body))
+
+
+def _bind_params(udf: SqlUdf, expr: A.Expr) -> A.Expr:
+    param_map = {name: A.Param(index + 1)
+                 for index, name in enumerate(udf.params)}
+    return rename_variables(expr, lambda n: param_map.get(n))
+
+
+def build_template_query(udf: SqlUdf, iterate: bool = False) -> A.SelectStmt:
     """Produce the pure-SQL query Qf for *udf*.
 
     Function parameters appear as ``$n`` placeholders; the planner (or
     :mod:`repro.compiler.inline`) splices call-site arguments into them.
-    Loop-free functions skip the CTE entirely: Qf is just the translated
-    body, exactly as in Froid.
+    Loop-free functions skip the CTE entirely (:func:`loop_free_query`).
     """
-    param_map = {name: A.Param(index + 1)
-                 for index, name in enumerate(udf.params)}
-
-    def bind_params(expr: A.Expr) -> A.Expr:
-        return rename_variables(expr, lambda n: param_map.get(n))
-
     if not udf_is_recursive(udf):
-        entry = udf.anf.functions[udf.anf.entry]
-        body = translate_anf(entry.body,
-                             on_call=_no_calls_expected,
-                             on_return=lambda v: v,
-                             let_style=let_style)
-        return _scalar_stmt(bind_params(body))
+        return loop_free_query(udf, LET_STYLE_LATERAL)
 
     columns = run_columns(udf)
     anf = udf.anf
@@ -199,16 +202,15 @@ def build_template_query(udf: SqlUdf, iterate: bool = False,
     base_expr = translate_anf(
         entry.body,
         on_call=lambda call: _call_row(udf, call),
-        on_return=lambda value: _result_row(udf, value),
-        let_style=let_style)
-    base_expr = bind_params(base_expr)
+        on_return=lambda value: _result_row(udf, value))
+    base_expr = _bind_params(udf, base_expr)
     base_core = A.SelectCore(
         items=[A.Star("base")],
         from_clause=A.SubqueryRef(_scalar_stmt(base_expr), alias="base",
                                   column_aliases=list(columns)))
 
     # Recursive term: the adapted UDF body over the newest run row.
-    body_expr = _dispatch_body(udf, let_style)
+    body_expr = _dispatch_body(udf)
     rec_core = A.SelectCore(
         items=[A.Star("iter")],
         from_clause=A.Join(
@@ -232,7 +234,7 @@ def build_template_query(udf: SqlUdf, iterate: bool = False,
                         final_core)
 
 
-def _dispatch_body(udf: SqlUdf, let_style: str) -> A.Expr:
+def _dispatch_body(udf: SqlUdf) -> A.Expr:
     """Figure 9: the UDF body with rows replacing calls and base cases.
 
     Variable binding is per dispatched function: only *that* function's
@@ -248,8 +250,7 @@ def _dispatch_body(udf: SqlUdf, let_style: str) -> A.Expr:
         body = translate_anf(
             func.body,
             on_call=lambda call: _call_row(udf, call),
-            on_return=lambda value: _result_row(udf, value),
-            let_style=let_style)
+            on_return=lambda value: _result_row(udf, value))
         own = {name: A.ColumnRef((RUN_ALIAS, name)) for name in func.params}
         body = rename_variables(body, lambda n: own.get(n))
         whens.append((condition, body))

@@ -130,7 +130,7 @@ class SqlUdf:
     anf: AnfProgram = field(repr=False, default=None)  # type: ignore[assignment]
 
 
-def build_udf(program: AnfProgram, let_style: str = LET_STYLE_LATERAL) -> SqlUdf:
+def build_udf(program: AnfProgram) -> SqlUdf:
     """Flatten *program* into one directly tail-recursive SQL UDF."""
     rec_functions = program.recursive_functions()
     labels = {func.name: index + 1 for index, func in enumerate(rec_functions)}
@@ -159,7 +159,7 @@ def build_udf(program: AnfProgram, let_style: str = LET_STYLE_LATERAL) -> SqlUdf
     for func in rec_functions:
         condition = A.BinaryOp("=", A.ColumnRef(("fn",)),
                                A.Literal(labels[func.name]))
-        body = translate_anf(func.body, on_call, on_return, let_style)
+        body = translate_anf(func.body, on_call, on_return)
         whens.append((condition, body))
     if not whens:
         star_body: A.Expr = A.Literal(None)
@@ -171,7 +171,7 @@ def build_udf(program: AnfProgram, let_style: str = LET_STYLE_LATERAL) -> SqlUdf
         star_body = A.CaseExpr(None, whens[:-1], whens[-1][1])
 
     entry = program.functions[program.entry]
-    wrapper_body = translate_anf(entry.body, on_call, on_return, let_style)
+    wrapper_body = translate_anf(entry.body, on_call, on_return)
 
     return SqlUdf(
         name=program.func_name,

@@ -19,7 +19,8 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
-                                FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
+                                FUZZ_EXECUTIONS, FUZZ_FUNCTIONS,
+                                FUZZ_SQLITE_CHECKS, FUZZ_SQLITE_FUNCTIONS,
                                 MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
                                 RANGE_SCANS_GIVEN_UP, VECTOR_FALLBACKS,
                                 VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
@@ -121,8 +122,11 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
         print(f"seed {seed}: {counts[FUZZ_CASES]} cases, "
               f"{counts[FUZZ_EXECUTIONS]} oracle executions, "
               f"{counts[FUZZ_COMPARISONS]} comparisons, "
-              f"{counts[FUZZ_SQLITE_CHECKS]} sqlite cross-checks "
+              f"{counts[FUZZ_SQLITE_CHECKS]} sqlite cross-checks of "
+              f"statements and function calls "
               f"({counts[FUZZ_DIALECT_EXPLAINED]} dialect diffs explained), "
+              f"{counts[FUZZ_SQLITE_FUNCTIONS]} of {counts[FUZZ_FUNCTIONS]} "
+              f"functions checked on sqlite, "
               f"{counts.get(FUZZ_ANALYZER_CHECKS, 0)} analyzer soundness "
               f"checks, "
               f"{counts[FUZZ_DML_CHECKS]} dml checks, "

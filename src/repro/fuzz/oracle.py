@@ -21,6 +21,11 @@ One generated case is checked three ways:
   also run on :mod:`sqlite3`, with a *lax* value normalization (bools are
   ints, ``5.0`` is ``5``) and a known-dialect classifier that explains
   away representation limits (int64 overflow) instead of reporting them.
+  So does the SQLite-dialect Qf of every generated non-volatile function
+  (``compiled.sql("sqlite")``), called with a fixed set of argument
+  tuples and compared with the interpreter's answer: a check of the
+  paper's interpreter = compiled claim by an executor that shares no
+  code with this engine.
 
 A case's **modifications** (two UPDATE / DELETE statements over one table
 each) join the first and the third oracle: each runs on a fresh
@@ -40,6 +45,7 @@ engine's deliberate error hierarchy is a **crash** and always reported.
 from __future__ import annotations
 
 import math
+import re
 import sqlite3
 from dataclasses import dataclass
 from typing import Optional
@@ -50,7 +56,8 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
-                                FUZZ_EXECUTIONS, FUZZ_SQLITE_CHECKS,
+                                FUZZ_EXECUTIONS, FUZZ_FUNCTIONS,
+                                FUZZ_SQLITE_CHECKS, FUZZ_SQLITE_FUNCTIONS,
                                 MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
                                 RANGE_SCANS_GIVEN_UP, VECTOR_FALLBACKS,
                                 VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
@@ -284,6 +291,8 @@ _SQLITE_AFFINITY = {"int": "INTEGER", "float": "REAL",
 
 
 def _sqlite_database(case: Case) -> sqlite3.Connection:
+    """The case's schema on sqlite3, and its rows where SQLite-safe."""
+    loaded = data_sqlite_safe(case.data)
     conn = sqlite3.connect(":memory:")
     for table in case.schema.tables:
         columns = ", ".join(
@@ -294,7 +303,7 @@ def _sqlite_database(case: Case) -> sqlite3.Connection:
                              for n, d in index.columns)
             conn.execute(
                 f"CREATE INDEX {index.name} ON {index.table}({cols})")
-        rows = case.data.get(table.name, [])
+        rows = case.data.get(table.name, []) if loaded else []
         if rows:
             holes = ", ".join("?" * len(table.columns))
             conn.executemany(
@@ -303,9 +312,9 @@ def _sqlite_database(case: Case) -> sqlite3.Connection:
     return conn
 
 
-def _run_sqlite(conn: sqlite3.Connection, sql: str) -> Outcome:
+def _run_sqlite(conn: sqlite3.Connection, sql: str, params=()) -> Outcome:
     try:
-        rows = conn.execute(sql).fetchall()
+        rows = conn.execute(sql, params).fetchall()
     except sqlite3.Error as error:
         return Outcome("error", error=f"sqlite-{type(error).__name__}",
                        message=str(error))
@@ -327,6 +336,13 @@ def _sqlite_difference_explained(engine: Outcome, lite: Outcome) -> bool:
                 return True
     return False
 
+
+#: The argument tuples each generated function is called with, by arity:
+#: eighteen each, NULL and zero among them.
+_CALL_ARGUMENTS = {
+    1: [(None,)] + [(v,) for v in range(-6, 11)],
+    2: [(a, b) for a in (None, -5, 0, 2, 7, 11) for b in (-2, 0, 3)],
+}
 
 # ---------------------------------------------------------------------------
 # The checker
@@ -352,7 +368,8 @@ class DifferentialChecker:
     def build_database(self, case: Case) -> tuple[Database, dict]:
         """A fresh engine loaded with the case's schema, data, and both
         the interpreted and (where compilable) compiled function twins.
-        Returns ``(db, {function name: compiled name or None})``."""
+        Returns ``(db, {function name: its CompiledFunction, registered
+        as <name>_c, or None})``."""
         db = Database(seed=0, profile=False)
         for statement in case.setup_statements():
             db.execute(statement)
@@ -369,9 +386,9 @@ class DifferentialChecker:
             db.execute(fn.source)
             try:
                 from repro.compiler import compile_plsql
-                compile_plsql(fn.source, db).register(
-                    db, name=f"{fn.name}_c")
-                compiled[fn.name] = f"{fn.name}_c"
+                twin = compile_plsql(fn.source, db)
+                twin.register(db, name=f"{fn.name}_c")
+                compiled[fn.name] = twin
             except SqlError:
                 # A deliberate CompileError (unsupported shape) leaves an
                 # interpreter-only twin; anything else is a compiler
@@ -384,6 +401,7 @@ class DifferentialChecker:
     def check_case(self, case: Case) -> list[Discrepancy]:
         profiler = self.profiler
         profiler.bump(FUZZ_CASES)
+        profiler.bump(FUZZ_FUNCTIONS, len(case.functions))
         db, compiled = self.build_database(case)
         configs = settings_matrix(db)
 
@@ -452,29 +470,30 @@ class DifferentialChecker:
                 outcome_a=a, outcome_b=b))
 
         baseline_label = configs[0].label
+        portable = self.use_sqlite and data_sqlite_safe(case.data)
         sqlite_conn = None
 
         def cross_check(statement, engine: Outcome, label: str, run_lite,
-                        ordered: bool = False) -> None:
-            """SQLite as oracle for a portable *statement* that succeeded
-            here: ``run_lite(connection)`` must yield *engine*'s rows."""
+                        ordered: bool = False) -> bool:
+            """SQLite as oracle for *statement*, where it succeeded here:
+            ``run_lite(connection)`` must yield *engine*'s rows.  Whether
+            a comparison was made."""
             nonlocal sqlite_conn
-            if not (self.use_sqlite and statement.sqlite_sql is not None
-                    and engine.status == "ok"
-                    and data_sqlite_safe(case.data)):
-                return
+            if engine.status != "ok":
+                return False
             if sqlite_conn is None:
                 sqlite_conn = _sqlite_database(case)
             profiler.bump(FUZZ_SQLITE_CHECKS)
-            lite = run_lite(sqlite_conn)
-            if lite.status == "ok" and rows_equal(
-                    engine.rows, lite.rows, ordered=ordered, lax=True):
-                return
-            if _sqlite_difference_explained(engine, lite):
+            answer = run_lite(sqlite_conn)
+            if answer.status == "ok" and rows_equal(
+                    engine.rows, answer.rows, ordered=ordered, lax=True):
+                return True
+            if _sqlite_difference_explained(engine, answer):
                 profiler.bump(FUZZ_DIALECT_EXPLAINED)
             else:
                 report("sqlite", statement, statement.sqlite_sql, label,
-                       "sqlite3", engine, lite)
+                       "sqlite3", engine, answer)
+            return True
 
         for qi, (query, variants) in enumerate(
                 zip(case.queries, variants_per_query)):
@@ -533,9 +552,10 @@ class DifferentialChecker:
                             outcome.rows, query.order_keys):
                         report("order", query, sql, where, where,
                                outcome, outcome)
-            cross_check(query, reference, baseline_label,
-                        lambda conn: _run_sqlite(conn, query.sqlite_sql),
-                        ordered=query.order == "total")
+            if portable and query.sqlite_sql is not None:
+                cross_check(query, reference, baseline_label,
+                            lambda conn: _run_sqlite(conn, query.sqlite_sql),
+                            ordered=query.order == "total")
         for qi, sql, label, again in repeats:
             query = case.queries[qi]
             first = outcomes[qi]["compiled"][label]
@@ -591,14 +611,48 @@ class DifferentialChecker:
                 conn.rollback()
                 return lite
 
-            if reference.status == "ok":
+            if (portable and modification.sqlite_sql is not None
+                    and reference.status == "ok"):
                 cross_check(modification, Outcome("ok", rows=contents),
                             base, table_after)
+        if self.use_sqlite:
+            self._check_functions_on_sqlite(case, db, compiled, cross_check)
         if sqlite_conn is not None:
             sqlite_conn.close()
         discrepancies.extend(self._check_analyzer_soundness(
             case, db, variants_per_query, outcomes, baseline_label))
         return discrepancies
+
+    def _check_functions_on_sqlite(self, case: Case, db: Database,
+                                   compiled: dict, cross_check) -> None:
+        """Each generated function that compiled and calls nothing
+        volatile (the split rewrite refuses those) runs as its
+        SQLite-dialect Qf on sqlite3 with every argument tuple of its
+        arity, through *cross_check*: wherever the interpreter answers -
+        SQLite answers NULL where this engine raises division by zero -
+        the two must agree.  No generated function reads a table; one
+        that does must be checked only where the case's rows are
+        SQLite-safe, since only then does SQLite hold them."""
+        from repro.compiler.template import udf_contains_volatile
+        for fn in case.functions:
+            twin = compiled.get(fn.name)
+            if twin is None or udf_contains_volatile(twin.udf, twin.catalog):
+                continue
+            qf = twin.sql("sqlite")
+            # sqlite3 binds by position, as many as the highest ?n the
+            # text reads: the optimizer drops parameters the body ignores.
+            bound = max(map(int, re.findall(r"\?(\d+)", qf)), default=0)
+            compared = False
+            for args in _CALL_ARGUMENTS[fn.arity]:
+                call = "SELECT {}({})".format(fn.name, ", ".join(
+                    "NULL" if arg is None else str(arg) for arg in args))
+                compared = cross_check(
+                    Query(sql=call, sqlite_sql=qf, function=fn.name),
+                    run_statement(db, call), call,
+                    lambda conn: _run_sqlite(conn, qf, args[:bound])
+                ) or compared
+            if compared:
+                self.profiler.bump(FUZZ_SQLITE_FUNCTIONS)
 
     @staticmethod
     def _modify_fresh_copy(db: Database, name: str, handle,

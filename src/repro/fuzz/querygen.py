@@ -74,8 +74,8 @@ class Query:
         (``compiled``)."""
         if self.function is None:
             return [("plain", None, self.sql)]
-        names = [("interp", self.function),
-                 ("compiled", compiled.get(self.function))]
+        twin = f"{self.function}_c" if compiled.get(self.function) else None
+        names = [("interp", self.function), ("compiled", twin)]
         return [(label, name, self.sql.format(f=name))
                 for label, name in names if name]
 

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterator, Optional, get_args, get_type_hints
 
 from . import ast as A
 from .errors import PlanError
-from .functions import is_aggregate_name
+from .functions import is_aggregate_name, is_window_function_name
 
 
 _SCALARS = (str, int, float, bool, type(None), Any)
@@ -251,7 +251,6 @@ def column_bindings(expr: A.Expr, scope, catalog=None) -> ColumnBindings:
     user call pins its expression in place.
     """
     from .errors import NameResolutionError
-    from .functions import SCALAR_BUILTINS, VOLATILE_FUNCTIONS
 
     rels: set[int] = set()
     outer = False
@@ -261,22 +260,7 @@ def column_bindings(expr: A.Expr, scope, catalog=None) -> ColumnBindings:
             unknown = True
             continue
         if isinstance(node, A.FuncCall):
-            # Moving an expression changes how often it runs: only pure
-            # calls may move.  Volatile builtins (random, ...) pin the
-            # conjunct in place; user-defined functions do too unless the
-            # analyzer proves them pure (PostgreSQL defaults them to
-            # VOLATILE, and they may raise).
-            name = node.name.lower()
-            pure = (name == "coalesce"
-                    or (name in SCALAR_BUILTINS
-                        and name not in VOLATILE_FUNCTIONS))
-            if not pure and catalog is not None \
-                    and name not in SCALAR_BUILTINS:
-                fdef = catalog.get_function(name)
-                if fdef is not None:
-                    from ..analysis.volatility import function_is_pure
-                    pure = function_is_pure(fdef, catalog)
-            if not pure:
+            if not call_is_pure(node, catalog):
                 unknown = True
             continue
         if isinstance(node, A.ColumnRef):
@@ -290,6 +274,35 @@ def column_bindings(expr: A.Expr, scope, catalog=None) -> ColumnBindings:
             else:
                 outer = True
     return ColumnBindings(frozenset(rels), outer, unknown)
+
+
+def call_is_pure(node: A.FuncCall, catalog=None) -> bool:
+    """May *node* run more or fewer times than the query text says?
+
+    Moving an expression changes how often it runs: only pure calls may
+    move.  Volatile builtins (random, ...) may not; user-defined functions
+    may not unless the analyzer proves them pure (PostgreSQL defaults them
+    to VOLATILE, and they may raise), and without a *catalog* none is."""
+    from .functions import SCALAR_BUILTINS, VOLATILE_FUNCTIONS
+    name = node.name.lower()
+    if name == "coalesce":
+        return True
+    if name in SCALAR_BUILTINS:
+        return name not in VOLATILE_FUNCTIONS
+    fdef = catalog.get_function(name) if catalog is not None else None
+    if fdef is None:
+        return False
+    from ..analysis.volatility import function_is_pure
+    return function_is_pure(fdef, catalog)
+
+
+def calls_only_pure(expr: A.Expr, catalog=None) -> bool:
+    """Is every call in *expr*, its subqueries included, free to move
+    (:func:`call_is_pure`)?  Aggregates and window functions are pure over
+    their input rows."""
+    return all(call_is_pure(node, catalog) or is_aggregate_name(node.name)
+               or is_window_function_name(node.name)
+               for node in walk(expr) if isinstance(node, A.FuncCall))
 
 
 def contains_aggregate(expr: A.Expr) -> bool:

@@ -26,9 +26,10 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from . import ast as A
-from .astutil import (calls_user_function, column_bindings, conjoin,
-                      contains_aggregate, contains_window_call, expr_equal,
-                      references_table, rewrite_expr, split_conjuncts)
+from .astutil import (calls_only_pure, calls_user_function, column_bindings,
+                      conjoin, contains_aggregate, contains_window_call,
+                      expr_equal, references_table, rewrite_expr,
+                      split_conjuncts)
 from .errors import NameResolutionError, PlanError, TypeError_
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
@@ -891,11 +892,13 @@ class Planner:
                             scope: Scope, wide_to_scan: bool = False):
         """Access-path selection for a single base-table FROM.
 
-        Equality conjuncts ``col = expr`` (where *expr* provably never
-        references the scanned relation — correlated keys included) become
-        a hash-index scan; failing that, range conjuncts
-        ``col < / <= / > / >= expr`` and ``col BETWEEN lo AND hi`` become a
-        bisect-backed :class:`~repro.sql.executor.scan.IndexRangeScanPlan`.
+        Equality conjuncts ``col = expr`` become a hash-index scan;
+        failing that, range conjuncts ``col < / <= / > / >= expr`` and
+        ``col BETWEEN lo AND hi`` become a bisect-backed
+        :class:`~repro.sql.executor.scan.IndexRangeScanPlan`.  Either way
+        *expr* is hoisted from per-row WHERE to a per-open probe, so it
+        must provably never read the scanned relation (correlated keys
+        included) and keep its evaluation count (``bindable``).
 
         With *wide_to_scan* (an aggregating core the vectorized engine may
         take) a range whose bounds are literals is compared with the
@@ -916,9 +919,14 @@ class Planner:
         residual: list[A.Expr] = []
         compiler = ExprCompiler(scope, self)
 
-        def independent(value_side: A.Expr):
-            """Compile *value_side* when it provably never reads the
-            scanned relation; None otherwise."""
+        def bindable(value_side: A.Expr):
+            """Compile *value_side* for a probe; None when it calls
+            something volatile or a user function the analyzer cannot prove
+            pure (its subqueries included), or may read the scanned
+            relation.  An uncorrelated subquery of pure calls runs once per
+            open, as PostgreSQL's InitPlan does."""
+            if not calls_only_pure(value_side, self.catalog):
+                return None
             hits: list = []
             try:
                 with scope.observe(lambda rel, col: hits.append((rel, col))):
@@ -935,7 +943,7 @@ class Planner:
                     column = self._leaf_column(column_side, scope)
                     if column is None or column in key_columns:
                         continue
-                    compiled = independent(value_side)
+                    compiled = bindable(value_side)
                     if compiled is None:
                         continue
                     key_columns.append(column)
@@ -955,7 +963,7 @@ class Planner:
             return new_leaf, conjoin(residual), False
         if self.flags.enable_rangescan:
             range_leaf, residual = self._try_range_pushdown(
-                residual, leaf, source, scope, compiler, independent)
+                residual, leaf, source, scope, compiler, bindable)
             if range_leaf is not None:
                 if wide_to_scan and self._range_is_wide(range_leaf.source):
                     return leaf, where, True
@@ -968,13 +976,11 @@ class Planner:
 
     def _try_range_pushdown(self, conjuncts: list, leaf: FromLeafPlan,
                             source: SeqScanPlan, scope: Scope,
-                            compiler: ExprCompiler, independent):
+                            compiler: ExprCompiler, bindable):
         """Accumulate per-column lower/upper bounds from range conjuncts
-        and emit an IndexRangeScan for the best-bounded column.  A bound
-        expression must not read the scanned relation and must keep its
-        evaluation count when hoisted from per-row WHERE to per-open probe
-        (``column_bindings``'s ``unknown`` oracle rejects volatile and
-        user-defined calls and subqueries).  Returns
+        and emit an IndexRangeScan for the best-bounded column; a bound
+        expression is what ``bindable`` compiles, and holds no subquery
+        (``column_bindings``'s ``unknown``).  Returns
         ``(new leaf | None, residual conjuncts)``."""
         # column -> side -> (compiled, inclusive, display, ast)
         bounds: dict[int, dict] = {}
@@ -982,10 +988,10 @@ class Planner:
         order: list[int] = []
         residual: list[A.Expr] = []
 
-        def bindable(value_side: A.Expr):
+        def bound_of(value_side: A.Expr):
             if column_bindings(value_side, scope, self.catalog).unknown:
-                return None  # volatile / user call / subquery: stays put
-            return independent(value_side)
+                return None  # a subquery bound stays in the filter
+            return bindable(value_side)
 
         for conjunct in conjuncts:
             placed = False
@@ -1001,7 +1007,7 @@ class Planner:
                     side, inclusive = self._RANGE_OPS[op]
                     if side in bounds.get(column, {}):
                         continue  # first bound wins; extras stay in WHERE
-                    compiled = bindable(value_side)
+                    compiled = bound_of(value_side)
                     if compiled is None:
                         continue
                     entry = bounds.setdefault(column, {})
@@ -1015,8 +1021,8 @@ class Planner:
             elif isinstance(conjunct, A.Between) and not conjunct.negated:
                 column = self._leaf_column(conjunct.operand, scope)
                 if column is not None and not bounds.get(column):
-                    low = bindable(conjunct.low)
-                    high = bindable(conjunct.high)
+                    low = bound_of(conjunct.low)
+                    high = bound_of(conjunct.high)
                     if low is not None and high is not None:
                         order.append(column)
                         bounds[column] = {

@@ -84,12 +84,14 @@ SETTINGS_ASSIGNMENTS = "settings assignments"
 PLAN_CACHE_EVICTIONS = "plan cache evictions"
 #: Differential fuzzing (repro.fuzz): generated cases checked, individual
 #: statement executions across the oracle settings matrix, outcome pairs
-#: compared, statements cross-checked against SQLite, discrepancies found,
-#: and engine-vs-SQLite differences explained away by the known-dialect
-#: classifier (integer width, NaN storage, ...), and UPDATE / DELETE
-#: statements checked across the matrix (affected rows against count(*),
-#: the table afterwards against every other plan's and SQLite's).  Bumped
-#: on the harness's own profiler, not the per-case scratch databases.
+#: compared, statements and function calls cross-checked against SQLite,
+#: discrepancies found, and engine-vs-SQLite differences explained away by
+#: the known-dialect classifier (integer width, NaN storage, ...), UPDATE /
+#: DELETE statements checked across the matrix (affected rows against
+#: count(*), the table afterwards against every other plan's and SQLite's),
+#: and generated functions and those whose SQLite Qf was compared on
+#: sqlite3 at least once.  Bumped on the harness's own profiler, not the
+#: per-case scratch databases.
 FUZZ_CASES = "fuzz cases"
 FUZZ_EXECUTIONS = "fuzz oracle executions"
 FUZZ_COMPARISONS = "fuzz oracle comparisons"
@@ -98,6 +100,8 @@ FUZZ_DISCREPANCIES = "fuzz discrepancies"
 FUZZ_DIALECT_EXPLAINED = "fuzz dialect differences explained"
 FUZZ_ANALYZER_CHECKS = "fuzz analyzer soundness checks"
 FUZZ_DML_CHECKS = "fuzz dml checks"
+FUZZ_FUNCTIONS = "fuzz functions"
+FUZZ_SQLITE_FUNCTIONS = "fuzz functions checked on sqlite"
 #: Transactions & durability: explicit BEGIN blocks opened, write
 #: transactions committed / rolled back (read-only transactions never
 #: take an xid and are not counted), WAL records written (including the

@@ -1,4 +1,5 @@
-"""Dialect emission: five targets, round-trips, and the SQLite rewrite."""
+"""Dialect emission: the two executed targets (this engine and SQLite),
+round-trips, and the SQLite rewrite."""
 
 import pytest
 
@@ -46,33 +47,18 @@ class TestEmission:
         assert "WITH RECURSIVE" in text
         assert "?1" in text
 
-    def test_sqlserver_uses_apply_and_brackets(self, compiled):
-        text = compiled.sql("sqlserver")
-        assert "OUTER APPLY" in text
-        assert "WITH RECURSIVE" not in text and "WITH " in text
-        assert "[call?]" in text
-        assert "@p1" in text
-        assert " true" not in text.lower().replace("'true'", "")
-
-    def test_oracle_uses_cross_apply_and_colon_params(self, compiled):
-        text = compiled.sql("oracle")
-        assert "CROSS APPLY" in text
-        assert ":1" in text
-
-    def test_mysql_join_lateral(self, compiled):
-        text = compiled.sql("mysql")
-        assert "JOIN LATERAL" in text
-
     def test_unknown_dialect(self, compiled):
-        with pytest.raises(CompileError, match="unknown dialect"):
-            compiled.sql("db2")
+        assert sorted(DIALECTS) == ["postgres", "sqlite"]
+        with pytest.raises(CompileError, match=r"unknown dialect 'oracle' "
+                           r"\(have: \['postgres', 'sqlite'\]\)"):
+            compiled.sql("oracle")
 
     def test_iterate_only_on_our_engine(self):
         from repro.sql import Database
         iterate = compile_plsql(SOURCE, Database(), iterate=True)
         assert "WITH ITERATE" in iterate.sql("postgres")
-        with pytest.raises(CompileError):
-            iterate.sql("oracle")
+        with pytest.raises(CompileError, match="WITH ITERATE"):
+            iterate.sql("sqlite")
 
     @pytest.mark.parametrize("step", [
         "s := s + (random() < 2)::int;",                  # a let value
@@ -99,11 +85,11 @@ class TestEmission:
         with pytest.raises(CompileError, match="volatile functions"):
             compiled.sql("sqlite")
 
-    def test_udf_sql_renders_per_dialect(self, compiled):
-        pg = compiled.udf_sql("postgres")
-        assert "CREATE FUNCTION" in pg and "steps__rec" in pg
-        lite = compiled.udf_sql("sqlite")
-        assert "LATERAL" not in lite.upper()
+    def test_udf_sql_is_postgres_create_function(self, compiled):
+        text = compiled.udf_sql()
+        assert text.count("CREATE FUNCTION") == 2 and "steps__rec" in text
+        assert "LEFT JOIN LATERAL" in text
+        assert text.endswith("$$ LANGUAGE SQL;")
 
 
 class TestRoundTrip:
@@ -120,18 +106,6 @@ class TestRoundTrip:
             direct = db.execute(text.replace("$1", str(n))).scalar()
             assert direct == db.query_value(f"SELECT steps({n})")
             assert direct == db.query_value(f"SELECT steps_c({n})")
-
-    def test_sqlite_style_emission_runs_on_engine(self):
-        """The LATERAL-free rewrite is executable too (our engine accepts
-        both shapes), demonstrating 'scripting for engines without PL/SQL'."""
-        from repro.sql import Database
-        db = Database()
-        compiled = compile_plsql(SOURCE, db, let_style="nested")
-        compiled.register(db, name="steps_nested")
-        db.execute(SOURCE)
-        for n in (0, 5):
-            assert db.query_value(f"SELECT steps_nested({n})") == \
-                db.query_value(f"SELECT steps({n})")
 
     def test_emitted_text_parses(self, compiled):
         stmt = parse_select(compiled.sql("postgres"))
@@ -183,8 +157,8 @@ class TestRenderCorpus:
         assert rows_equal(render_db.query_all(text), render_db.query_all(sql),
                           ordered="ORDER BY" in sql)
 
-    @pytest.mark.parametrize("sql", [RENDER_CORPUS[5], RENDER_CORPUS[8],
-                                     RENDER_CORPUS[9]])
+    @pytest.mark.parametrize("sql", [RENDER_CORPUS[1], RENDER_CORPUS[5],
+                                     RENDER_CORPUS[8], RENDER_CORPUS[9]])
     def test_sqlite_rendering_runs_on_sqlite(self, render_db, sql):
         import sqlite3
         from repro.fuzz.oracle import rows_equal
@@ -192,40 +166,21 @@ class TestRenderCorpus:
         lite.execute("CREATE TABLE t(a int, b text, c bool)")
         lite.executemany("INSERT INTO t VALUES (?, ?, ?)",
                          render_db.query_all("SELECT * FROM t"))
-        text = render_select(parse_select(sql), DIALECTS["sqlite"])
+        text = render_select(parse_select(sql), "sqlite")
         assert rows_equal(lite.execute(text).fetchall(),
                           render_db.query_all(sql), lax=True)
 
-    def test_boolean_tests_without_boolean_literals(self):
-        """``IS [NOT] TRUE / FALSE`` never yields NULL: a NULL operand
-        counts as the opposite of the tested value."""
-        import sqlite3
-        text = render_select(parse_select(RENDER_CORPUS[5]),
-                             DIALECTS["sqlserver"])
-        assert "(COALESCE(c, 0) = 1)" in text
-        assert "(COALESCE(c, 1) <> 0)" in text
-        lite = sqlite3.connect(":memory:")
-        for c, is_true, is_not_false in [(1, 1, 1), (0, 0, 0),
-                                         (None, 0, 1)]:
-            got = lite.execute("SELECT (COALESCE(?, 0) = 1), "
-                               "(COALESCE(?, 1) <> 0)", (c, c)).fetchone()
-            assert got == (is_true, is_not_false)
-
     def test_random_is_scaled_to_a_unit_float_on_sqlite(self):
         import sqlite3
-        text = render_select(parse_select("SELECT random()"),
-                             DIALECTS["sqlite"])
+        text = render_select(parse_select("SELECT random()"), "sqlite")
         value = sqlite3.connect(":memory:").execute(text).fetchone()[0]
         assert 0.0 <= value < 1.0
 
-    @pytest.mark.parametrize("sql,dialect", [
-        (RENDER_CORPUS[1], "mysql"),
-        ("WITH ITERATE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r "
-         "WHERE n < 3) SELECT n FROM r", "mysql"),
-    ])
-    def test_unsupported_constructs_raise(self, sql, dialect):
-        with pytest.raises(CompileError):
-            render_select(parse_select(sql), DIALECTS[dialect])
+    def test_unsupported_constructs_raise(self):
+        sql = ("WITH ITERATE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 "
+               "FROM r WHERE n < 3) SELECT n FROM r")
+        with pytest.raises(CompileError, match="WITH ITERATE"):
+            render_select(parse_select(sql), "sqlite")
 
 
 class TestRealSqlite:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.fuzz import (Case, DifferentialChecker, Query, Reducer, ddmin,
                         emit_pytest, generate_case, rows_equal,
                         settings_matrix)
 from repro.fuzz.oracle import is_sorted_by, normalize_value, run_statement
-from repro.fuzz.querygen import Modification, case_seed
+from repro.fuzz.querygen import FunctionSpec, Modification, case_seed
 from repro.fuzz.schema import ColumnSpec, SchemaSpec, TableSpec
 from repro.sql import Database
 from repro.sql.errors import (CRASH, CatalogError, ExecutionError,
@@ -590,6 +591,70 @@ class TestSqliteOracle:
         assert checker.check_case(case) == []
         assert checker.profiler.counts["fuzz sqlite cross-checks"] == 1
 
+    #: Reads only its first parameter, so its optimized Qf holds ``?1``
+    #: and no ``?2``: sqlite3 takes one positional binding, not two.
+    FIRST_ONLY = FunctionSpec("fz", 2, """CREATE FUNCTION fz(a int, b int)
+        RETURNS int AS $$
+        DECLARE acc int := 1; i int := 0;
+        BEGIN
+          WHILE i < 3 LOOP acc := acc * 2 + a; i := i + 1; END LOOP;
+          RETURN acc;
+        END; $$ LANGUAGE plpgsql""")
+
+    #: Every call raises division by zero in the interpreter, so none is
+    #: compared (SQLite answers NULL there).
+    ALWAYS_RAISES = FunctionSpec("fz", 1, """CREATE FUNCTION fz(a int)
+        RETURNS int AS $$
+        DECLARE z int := 0;
+        BEGIN RETURN 1 / z; END; $$ LANGUAGE plpgsql""")
+
+    @staticmethod
+    def _sqlite_counts(function: FunctionSpec, use_sqlite: bool = True):
+        """The checker's counters over a padding case calling nothing,
+        with and without *function* declared."""
+        from repro.sql.profiler import FUZZ_SQLITE_CHECKS
+        base = _handmade_case(queries=PADDING_QUERIES)
+        plain = DifferentialChecker(use_sqlite=use_sqlite)
+        assert plain.check_case(base) == []
+        checker = DifferentialChecker(use_sqlite=use_sqlite)
+        assert checker.check_case(replace(base, functions=(function,))) == []
+        counts = checker.profiler.counts
+        calls = (counts[FUZZ_SQLITE_CHECKS]
+                 - plain.profiler.counts[FUZZ_SQLITE_CHECKS])
+        return counts, calls
+
+    def test_function_qf_agrees_on_sqlite(self):
+        from repro.sql.profiler import FUZZ_FUNCTIONS, FUZZ_SQLITE_FUNCTIONS
+        counts, calls = self._sqlite_counts(self.FIRST_ONLY)
+        assert counts[FUZZ_FUNCTIONS] == counts[FUZZ_SQLITE_FUNCTIONS] == 1
+        assert calls == 18
+        counts, calls = self._sqlite_counts(self.FIRST_ONLY, use_sqlite=False)
+        assert counts[FUZZ_SQLITE_FUNCTIONS] == calls == 0
+
+    def test_a_function_with_no_call_compared_is_not_checked(self):
+        from repro.sql.profiler import FUZZ_FUNCTIONS, FUZZ_SQLITE_FUNCTIONS
+        counts, calls = self._sqlite_counts(self.ALWAYS_RAISES)
+        assert counts[FUZZ_FUNCTIONS] == 1
+        assert counts[FUZZ_SQLITE_FUNCTIONS] == calls == 0
+
+    def test_a_wrong_sqlite_rendering_is_caught(self, monkeypatch):
+        """A SQLite Qf that answers one more than it should is a
+        ``sqlite`` discrepancy of the function case, naming the call."""
+        from repro.compiler import CompiledFunction
+        render = CompiledFunction.sql
+
+        def off_by_one(self, dialect="postgres"):
+            text = render(self, dialect)
+            return f"SELECT ({text}) + 1" if dialect == "sqlite" else text
+
+        monkeypatch.setattr(CompiledFunction, "sql", off_by_one)
+        case = replace(_handmade_case(queries=PADDING_QUERIES),
+                       functions=(self.FIRST_ONLY,))
+        found = DifferentialChecker(use_sqlite=True).check_case(case)
+        assert found and {d.kind for d in found} == {"sqlite"}
+        assert found[0].config_a.startswith("SELECT fz(")
+        assert found[0].config_b == "sqlite3"
+
     def test_nan_data_disqualifies_sqlite(self):
         from repro.fuzz.datagen import data_sqlite_safe
         assert not data_sqlite_safe({"t": [(NAN,)]})
@@ -627,6 +692,16 @@ class TestFuzzCounters:
         counts = checker.profiler.counts
         assert counts[VECTOR_ROWS] > 0
         assert counts[VECTOR_TYPED_ROWS] >= 0.2 * counts[VECTOR_ROWS]
+
+    def test_sweep_checks_functions_on_sqlite(self):
+        """The generated functions' SQLite-dialect Qf runs on sqlite3:
+        a short sweep reaches some of them, with calls compared."""
+        from repro.sql.profiler import FUZZ_FUNCTIONS, FUZZ_SQLITE_FUNCTIONS
+        checker = DifferentialChecker(use_sqlite=True)
+        for index in range(12):
+            assert checker.check_case(generate_case(0, index)) == []
+        counts = checker.profiler.counts
+        assert 0 < counts[FUZZ_SQLITE_FUNCTIONS] <= counts[FUZZ_FUNCTIONS]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sweep_meets_the_batch_hash_join(self, seed):

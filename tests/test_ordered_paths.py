@@ -148,6 +148,52 @@ class TestIndexRangeScan:
         plan = db.explain("SELECT count(*) FROM t WHERE b < random()")
         assert "IndexRangeScan" not in plan
 
+    def test_volatile_equality_key_is_not_hoisted(self):
+        """A probe key is evaluated once per open, a WHERE conjunct once
+        per row: ``random()`` in an equality stays in the filter, so the
+        query answers what the unindexable ``id + 0`` form answers."""
+        db = Database(seed=1)
+        db.execute("CREATE TABLE r(id int, v int)")
+        db.execute("INSERT INTO r VALUES " + ", ".join(
+            f"({i % 10}, {i})" for i in range(1000)))
+        db.execute("CREATE INDEX r_id ON r(id)")
+        sql = "SELECT count(*) FROM r WHERE {} = floor(random() * 10)::int"
+        plan = db.explain(sql.format("id"))
+        assert "SeqScan on r" in plan and "IndexScan" not in plan
+        answers = []
+        for seed in range(5):
+            db.reseed(seed)
+            answers.append(db.query_value(sql.format("id")))
+            db.reseed(seed)
+            assert db.query_value(sql.format("id + 0")) == answers[-1]
+        assert len(set(answers)) > 1  # a hoisted draw always counts 100
+
+    @pytest.mark.parametrize("where, hidden, probe", [
+        ("a = (SELECT max(k) FROM s)", "a + 0 = (SELECT max(k) FROM s)",
+         True),
+        ("b < (SELECT max(k) FROM s)", "b + 0 < (SELECT max(k) FROM s)",
+         False),
+    ])
+    def test_uncorrelated_subquery_key_is_one_probe(self, db, where, hidden,
+                                                     probe):
+        """An uncorrelated subquery of pure calls is an equality key read
+        once per open, as PostgreSQL's InitPlan is; a range bound holds no
+        subquery.  Either way it answers what the filter does."""
+        db.execute("CREATE TABLE s(k int)")
+        db.execute("INSERT INTO s VALUES (3), (7)")
+        sql = "SELECT count(*) FROM t WHERE {}"
+        plan = db.explain(sql.format(where))
+        assert ("IndexScan on t (a)" in plan) == probe
+        assert ("SeqScan on t" in plan) != probe
+        assert db.query_value(sql.format(where)) \
+            == db.query_value(sql.format(hidden)) > 0
+
+    def test_volatile_call_inside_a_subquery_key_is_not_hoisted(self, db):
+        db.execute("CREATE TABLE s(k int)")
+        plan = db.explain("SELECT count(*) FROM t WHERE a = "
+                          "(SELECT max(k) FROM s WHERE k < random() * 10)")
+        assert "SeqScan on t" in plan and "IndexScan" not in plan
+
     def test_flag_disables_the_path(self, db):
         db.execute("SET enable_rangescan = off")
         plan = db.explain("SELECT count(*) FROM t WHERE b >= 10 AND b < 20")

@@ -209,14 +209,15 @@ class TestLoader:
             "db = build_demo_database(compile_functions=False).db\n"
             "for name, source in sorted(WORKLOADS.items()):\n"
             "    compiled = compile_plsql(source, db)\n"
+            "    print(f'-- {name} udf_sql')\n"
+            "    print(compiled.udf_sql())\n"
             "    for dialect in ('postgres', 'sqlite'):\n"
-            "        for render in (compiled.sql, compiled.udf_sql):\n"
-            "            try:\n"
-            "                text = render(dialect)\n"
-            "            except CompileError as error:\n"
-            "                text = f'CompileError: {error}'\n"
-            "            print(f'-- {name} {dialect} {render.__name__}')\n"
-            "            print(text)\n")
+            "        try:\n"
+            "            text = compiled.sql(dialect)\n"
+            "        except CompileError as error:\n"
+            "            text = f'CompileError: {error}'\n"
+            "        print(f'-- {name} {dialect} sql')\n"
+            "        print(text)\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for hash_seed in ("1", "2"):

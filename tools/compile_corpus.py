@@ -11,12 +11,13 @@ text as it was.  This tool compiles two corpora with ``compile_plsql``:
 * every generated function of ``--seeds`` x ``--cases`` fuzz cases,
   against a database holding the case's schema and functions.
 
-Each function prints its ANF listing (``anf.pretty()``, Figure 6) and then,
-for each dialect of ``repro.compiler.dialects.DIALECTS``, the query Qf
-(``.sql(d)``) and the UDF form (``.udf_sql(d)``); a text the compiler
-refuses prints the error's class and message instead, so a change in
-*which* functions compile for a dialect shows up in the diff as well.  Run
-it at two commits and compare the files::
+Each function prints its ANF listing (``anf.pretty()``, Figure 6), its UDF
+form (``.udf_sql()``, Figure 7, PostgreSQL text) and then, for each of the
+two dialects of ``repro.compiler.dialects.DIALECTS`` (``postgres`` and
+``sqlite``), the query Qf (``.sql(d)``); a text the compiler refuses
+prints the error's class and message instead, so a change in *which*
+functions compile for a dialect shows up in the diff as well.  Run it at
+two commits and compare the files::
 
     python tools/compile_corpus.py --out /tmp/after.txt
     (cd ../parent && python tools/compile_corpus.py --out /tmp/before.txt)
@@ -53,11 +54,10 @@ def compile_function(origin: str, source: str, db, out) -> None:
         out.write(f"!! {type(error).__name__}: {error}\n\n")
         return
     out.write(compiled.anf.pretty() + "\n")
+    out.write(f"-- {origin} udf_sql\n{attempt(compiled.udf_sql)}\n")
     for name in DIALECTS:
         out.write(f"-- {origin} sql {name}\n"
                   f"{attempt(lambda: compiled.sql(name))}\n")
-        out.write(f"-- {origin} udf_sql {name}\n"
-                  f"{attempt(lambda: compiled.udf_sql(name))}\n")
     out.write("\n")
 
 
