@@ -11,11 +11,17 @@ One driver, :func:`analyze_function`, runs four families of passes:
   without RETURN, loops that cannot terminate,
 * dataflow (:mod:`.dataflow`) — use-before-assignment, dead stores,
   unused variables and parameters,
-* embedded SQL (:mod:`.sqlcheck`) — unknown tables/columns/functions,
-  arity and literal-type mismatches, checked against the live catalog,
+* embedded SQL (:mod:`.sqlcheck`) — the error planning each expression
+  raises, with the planner and the variable scope the interpreter uses
+  (unknown tables, columns and functions, wrong argument counts, ...),
+  and literal-type mismatches,
 * volatility (:mod:`.volatility`) — IMMUTABLE/STABLE/VOLATILE inference
   that the planner consumes to decide which compiled call sites are
   memoized and which expressions may move.
+
+Names are resolved once, by that planner: the embedded-SQL diagnostics
+are its errors, and the dataflow pass's read sets are the variables it
+resolved (:func:`.sqlcheck.resolver`).
 
 Results surface three ways: the ``CHECK FUNCTION name | ALL`` statement
 (diagnostic rows), the ``check_function_bodies`` setting (off/warn/error
@@ -35,10 +41,11 @@ from typing import Optional
 
 from ..compiler.cfg import CondGoto, Return, build_cfg
 from ..compiler.dominators import DominatorInfo
+from ..sql.errors import ParseError, PlsqlError, SqlError
 from .controlflow import check_control_flow, exit_blocks, reachable_blocks
 from .dataflow import check_dataflow, undeclared_targets
 from .diagnostics import CATALOG, SEVERITIES, Diagnostic, DiagnosticSink
-from .sqlcheck import SqlChecker, literal_type_mismatch
+from .sqlcheck import error_code, literal_type_mismatch, resolver
 from .volatility import (LEVELS, effective_volatility, function_facts,
                          function_is_pure, plsql_def_for)
 
@@ -58,45 +65,50 @@ def max_severity(diagnostics) -> Optional[str]:
 def analyze_function(db, fdef) -> list[Diagnostic]:
     """Run every analysis pass over *fdef*, returning sorted diagnostics.
 
-    *db* is the owning :class:`~repro.sql.engine.Database`; its catalog
-    scopes the embedded-SQL checks and the volatility walk.  Builtins
-    return no diagnostics (nothing to analyze).
+    *db* is the owning :class:`~repro.sql.engine.Database`: its planner
+    resolves the names of the body and its catalog scopes the volatility
+    walk.  Builtins return no diagnostics (nothing to analyze).
     """
-    catalog = db.catalog
     sink = DiagnosticSink(fdef.name.lower())
     if fdef.kind == "builtin":
         return []
     if fdef.kind == "sql":
-        _analyze_sql_function(fdef, catalog, sink)
+        _analyze_sql_function(db, fdef, sink)
     else:
-        _analyze_plpgsql_function(fdef, catalog, sink)
-    _report_volatility(fdef, catalog, sink)
+        _analyze_plpgsql_function(db, fdef, sink)
+    _report_volatility(fdef, db.catalog, sink)
     return sink.sorted()
+
+
+def _report_planning(sink: DiagnosticSink, error, line: Optional[int],
+                     must_execute: bool) -> None:
+    if error is not None:
+        sink.add(error_code(error), str(error), line=line,
+                 must_execute=must_execute)
 
 
 # -- SQL-language functions -------------------------------------------------
 
-def _analyze_sql_function(fdef, catalog, sink: DiagnosticSink) -> None:
-    from ..sql import ast as A
-    from ..sql.parser import parse_statement
+def _analyze_sql_function(db, fdef, sink: DiagnosticSink) -> None:
     try:
-        body = parse_statement(fdef.body)
-    except Exception as exc:  # parse errors become a diagnostic, not a crash
+        body = db.sql_function_body(fdef)
+    except ParseError as exc:  # a diagnostic, not a crash
         sink.add("CF000", f"body does not parse: {exc}")
         return
-    if not isinstance(body, A.SelectStmt):
-        sink.add("CF000", "body of a SQL function must be a single SELECT")
+    except PlsqlError as exc:
+        sink.add("CF000", str(exc))
         return
-    variables = {name.lower() for name in fdef.param_names}
-    checker = SqlChecker(catalog, variables, sink)
-    # A SQL function's entire body is its only path: must-execute.
-    checker.check_expr(body, line=None, must_execute=True)
+    try:
+        db.planner.plan_select(body)
+    except SqlError as exc:
+        # A SQL function's entire body is its only path: must-execute.
+        _report_planning(sink, exc, line=None, must_execute=True)
 
 
 # -- PL/pgSQL (interpreted or compiled) -------------------------------------
 
-def _analyze_plpgsql_function(fdef, catalog, sink: DiagnosticSink) -> None:
-    func = plsql_def_for(fdef, catalog)
+def _analyze_plpgsql_function(db, fdef, sink: DiagnosticSink) -> None:
+    func = plsql_def_for(fdef, db.catalog)
     if func is None:
         sink.add("CF000", "no analyzable body")
         return
@@ -106,8 +118,12 @@ def _analyze_plpgsql_function(fdef, catalog, sink: DiagnosticSink) -> None:
         sink.add("CF000", f"body does not lower to a CFG: {exc}")
         return
 
+    # The interpreter's variables: undeclared assignment targets (type
+    # 'unknown') are DF005's, and resolve to nothing at run time.
+    resolve = resolver(db, [name for name, type_name in cfg.var_types.items()
+                            if type_name != "unknown"])
     check_control_flow(cfg, sink)
-    check_dataflow(cfg, sink)
+    check_dataflow(cfg, sink, lambda expr: resolve(expr)[0])
 
     reachable = reachable_blocks(cfg)
     exits = exit_blocks(cfg, reachable)
@@ -137,9 +153,7 @@ def _analyze_plpgsql_function(fdef, catalog, sink: DiagnosticSink) -> None:
                  line=line,
                  must_execute=bid is not None and must_execute(bid))
 
-    # Embedded SQL + literal-type checks, block by block.
-    variables = {name for name in cfg.var_types if name != "unknown"}
-    checker = SqlChecker(catalog, variables, sink)
+    # Planning errors + literal-type checks, block by block.
     declared_types = dict(cfg.var_types)
     for bid in sorted(reachable):
         block = cfg.blocks[bid]
@@ -147,18 +161,18 @@ def _analyze_plpgsql_function(fdef, catalog, sink: DiagnosticSink) -> None:
         for stmt in block.stmts:
             if stmt.implicit:
                 continue
-            checker.check_expr(stmt.expr, line=stmt.line, must_execute=me)
+            _report_planning(sink, resolve(stmt.expr)[1], stmt.line, me)
             message = literal_type_mismatch(stmt.expr,
                                             declared_types.get(stmt.target))
             if message is not None:
                 sink.add("SQ005", message, line=stmt.line)
         terminator = block.terminator
         if isinstance(terminator, CondGoto):
-            checker.check_expr(terminator.condition,
-                               line=terminator.line, must_execute=me)
+            _report_planning(sink, resolve(terminator.condition)[1],
+                             terminator.line, me)
         elif isinstance(terminator, Return) and not terminator.synthetic:
-            checker.check_expr(terminator.expr,
-                               line=terminator.line, must_execute=me)
+            _report_planning(sink, resolve(terminator.expr)[1],
+                             terminator.line, me)
             message = literal_type_mismatch(terminator.expr,
                                             cfg.return_type)
             if message is not None:

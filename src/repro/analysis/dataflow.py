@@ -16,30 +16,22 @@ control-flow pass uses:
   *unused variable* (or DF004 *unused parameter*) instead of as a dead
   store per assignment.
 
-Uses inside embedded queries are collected by walking the expression
-dataclasses generically, so reads from a ``WHERE`` clause or a scalar
-subquery count like any other read.  ``__``-prefixed names are compiler
-temporaries and never reported.
+What an expression reads is the caller's ``reads(expr)``: the variables
+the planner resolved while compiling it (:func:`.sqlcheck.resolver`), so
+a read from a ``WHERE`` clause, a scalar subquery or a record field
+(``r.x``) counts, and a name a FROM column shadows does not - as when the
+interpreter runs it.  ``__``-prefixed names are compiler temporaries and
+never reported.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..compiler.cfg import CondGoto, ControlFlowGraph, Return
 from ..sql import ast as A
-from ..sql.astutil import walk
 from .diagnostics import DiagnosticSink
 from .controlflow import reachable_blocks
-
-
-def expr_reads(expr, known: set[str]) -> set[str]:
-    """Names from *known* that *expr* reads, including inside subqueries.
-    A ColumnRef's head part counts (qualified refs like ``t.c`` name a
-    table, not a variable)."""
-    return {node.parts[0].lower() for node in walk(expr)
-            if isinstance(node, A.ColumnRef) and len(node.parts) == 1
-            and node.parts[0].lower() in known}
 
 
 class _BlockSummary:
@@ -55,14 +47,18 @@ class _BlockSummary:
         self.events: list = []
 
 
-def _summarise(cfg: ControlFlowGraph, known: set[str]
+#: ``reads(expr)``: the variables *expr* reads.
+Reads = Callable[[A.Expr], set[str]]
+
+
+def _summarise(cfg: ControlFlowGraph, reads_of: Reads
                ) -> dict[int, _BlockSummary]:
     out: dict[int, _BlockSummary] = {}
     for bid, block in cfg.blocks.items():
         summary = _BlockSummary()
         defined: set[str] = set()
         for stmt in block.stmts:
-            reads = expr_reads(stmt.expr, known)
+            reads = reads_of(stmt.expr)
             summary.uses_before_def |= reads - defined
             kind = "implicit" if stmt.implicit else "def"
             summary.events.append((kind, stmt.target, stmt.line, reads))
@@ -76,7 +72,7 @@ def _summarise(cfg: ControlFlowGraph, known: set[str]
         elif isinstance(terminator, Return):
             term_expr = terminator.expr
         if term_expr is not None:
-            reads = expr_reads(term_expr, known)
+            reads = reads_of(term_expr)
             summary.uses_before_def |= reads - defined
             summary.events.append(("use", None,
                                    getattr(terminator, "line", None), reads))
@@ -133,8 +129,9 @@ def _liveness(cfg: ControlFlowGraph, reachable: set[int],
     return out_sets
 
 
-def check_dataflow(cfg: ControlFlowGraph, sink: DiagnosticSink) -> None:
-    known = {name for name in cfg.var_types}
+def check_dataflow(cfg: ControlFlowGraph, sink: DiagnosticSink,
+                   reads_of: Reads) -> None:
+    known = set(cfg.var_types)
     params = {p.lower() for p in cfg.params}
     # Skip compiler temporaries and undeclared targets (the latter are the
     # DF005 driver's problem; double-reporting them as "unused" is noise).
@@ -142,7 +139,7 @@ def check_dataflow(cfg: ControlFlowGraph, sink: DiagnosticSink) -> None:
                  if not name.startswith("__")
                  and cfg.var_types.get(name) != "unknown"}
     reachable = reachable_blocks(cfg)
-    summaries = _summarise(cfg, known)
+    summaries = _summarise(cfg, reads_of)
 
     # Global read/write census over reachable code for DF003/DF004.
     reads_anywhere: set[str] = set()
@@ -182,11 +179,11 @@ def check_dataflow(cfg: ControlFlowGraph, sink: DiagnosticSink) -> None:
         live = set(live_out[bid])
         terminator = block.terminator
         if isinstance(terminator, CondGoto):
-            live |= expr_reads(terminator.condition, known)
+            live |= reads_of(terminator.condition)
         elif isinstance(terminator, Return):
-            live |= expr_reads(terminator.expr, known)
+            live |= reads_of(terminator.expr)
         for stmt in reversed(block.stmts):
-            reads = expr_reads(stmt.expr, known)
+            reads = reads_of(stmt.expr)
             if (not stmt.implicit and not stmt.decl
                     and stmt.target in user_vars
                     and stmt.target in reads_anywhere

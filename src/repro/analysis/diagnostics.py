@@ -19,7 +19,8 @@ DF003   warning   variable declared but never used
 DF004   info      parameter never used
 DF005   error*    assignment to undeclared variable
 SQ001   error*    embedded query references an unknown table
-SQ002   error*    embedded query references an unknown column
+SQ002   error*    embedded query references an unknown, ambiguous or
+                  ungrouped column (or fails to plan otherwise)
 SQ003   error*    call to an unknown function
 SQ004   error*    call with wrong number of arguments
 SQ005   warning   literal of the wrong type assigned / returned
@@ -58,7 +59,7 @@ CATALOG: dict[str, tuple[str, str]] = {
     "DF004": ("info", "unused parameter"),
     "DF005": ("error", "assignment to undeclared variable"),
     "SQ001": ("error", "unknown table"),
-    "SQ002": ("error", "unknown column"),
+    "SQ002": ("error", "unknown column or other planning error"),
     "SQ003": ("error", "unknown function"),
     "SQ004": ("error", "wrong number of arguments"),
     "SQ005": ("warning", "suspicious literal type"),

@@ -72,6 +72,16 @@ def _is_simple(expr: SA.Expr) -> bool:
     return True
 
 
+def variable_scope(names: list[str]) -> Scope:
+    """The scope a PL/pgSQL body's expressions resolve in: its variables,
+    one relation bound once per evaluation, so every embedded-query
+    evaluation instantiates its plan anew.  The analyzer resolves in it
+    too."""
+    scope = Scope([Relation(_VARS_REL, names)])
+    scope.one_shot = True
+    return scope
+
+
 class FunctionRuntime:
     """Parsed body + compiled-expression cache, kept on the FunctionDef
     (one per plan stamp: the cached plans are that stamp's)."""
@@ -85,9 +95,7 @@ class FunctionRuntime:
         self.var_names = [name for name, _ in variables]
         self.var_types = [type_name for _, type_name in variables]
         self.var_index = {name: i for i, name in enumerate(self.var_names)}
-        self.scope = Scope([Relation(_VARS_REL, self.var_names)])
-        # Every embedded-query evaluation instantiates its plan anew.
-        self.scope.one_shot = True
+        self.scope = variable_scope(self.var_names)
         self._expr_cache: dict[int, CompiledPlExpr] = {}
         self._query_cache: dict[int, object] = {}
 
@@ -195,31 +203,12 @@ class Interpreter:
         return self.eval_expr(expr) is True
 
     def run_query(self, query: SA.SelectStmt):
-        """Run an embedded full query (FOR ... IN SELECT, PERFORM)."""
+        """Run an embedded full query (FOR ... IN SELECT, PERFORM): an
+        f->Qi switch, then the engine's ExecutorStart/Run/End with the
+        variables as the outer row."""
         plan = self.runtime.compiled_query(query)
-        profiler = self.db.profiler
-        profiler.bump(SWITCH_F_TO_Q)
-        rt = RuntimeContext(self.db, ())
-        outer = EvalContext(rt, (tuple(self.values),))
-        profiler.push(EXEC_START)
-        try:
-            state = plan.instantiate(rt)
-            state.open(outer)
-        finally:
-            profiler.pop()
-        profiler.push(EXEC_RUN)
-        try:
-            rows = state.fetch_all()
-        finally:
-            profiler.pop()
-        profiler.push(EXEC_END)
-        try:
-            state.close()
-            del state
-            rt.release()
-        finally:
-            profiler.pop()
-        return rows, list(plan.output_columns)
+        self.db.profiler.bump(SWITCH_F_TO_Q)
+        return self.db._run_plan(plan, (), outer_row=tuple(self.values))
 
     # -- statement execution ---------------------------------------------
 
@@ -336,9 +325,10 @@ class Interpreter:
             current += -step if stmt.reverse else step
 
     def _exec_ForQueryStmt(self, stmt: P.ForQueryStmt) -> None:
-        rows, columns = self.run_query(stmt.query)
-        for row in rows:
-            value: Value = row[0] if len(row) == 1 else Row(row, names=columns)
+        result = self.run_query(stmt.query)
+        for row in result.rows:
+            value: Value = (row[0] if len(row) == 1
+                            else Row(row, names=result.columns))
             self.set_var(stmt.var, value)
             if not self._loop_body(stmt, stmt.body):
                 return

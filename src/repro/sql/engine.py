@@ -648,7 +648,11 @@ class Database:
     # Running plans
     # ------------------------------------------------------------------
 
-    def _run_plan(self, plan, params: Sequence[Value]) -> Result:
+    def _run_plan(self, plan, params: Sequence[Value],
+                  outer_row: Optional[tuple] = None) -> Result:
+        """ExecutorStart / Run / End of *plan*.  *outer_row* is the row its
+        outer references read: a PL/pgSQL body's variables, for the
+        interpreter's FOR ... IN SELECT and PERFORM."""
         profiler = self.profiler
         rt = RuntimeContext(self, params)
         profiler.bump(PLAN_INSTANTIATIONS)
@@ -656,7 +660,8 @@ class Database:
         profiler.push(EXEC_START)
         try:
             state = plan.instantiate(rt)
-            state.open(None)
+            state.open(None if outer_row is None
+                       else EvalContext(rt, (outer_row,)))
         finally:
             profiler.pop()
         profiler.push(EXEC_RUN)
@@ -714,23 +719,7 @@ class Database:
         stamp = self.plan_stamp()
         plan = fdef.body_plans.get(stamp)
         if plan is None:
-            with self.profiler.phase(PARSE):
-                stmt = parse_statement(fdef.body)
-            if not isinstance(stmt, A.SelectStmt):
-                raise PlsqlError(
-                    f"SQL function {fdef.name} body must be a single SELECT")
-            from .astutil import transform_select
-            mapping = {name.lower(): index + 1
-                       for index, name in enumerate(fdef.param_names)}
-
-            def bind(expr: A.Expr) -> Optional[A.Expr]:
-                if isinstance(expr, A.ColumnRef) and len(expr.parts) == 1:
-                    index = mapping.get(expr.parts[0].lower())
-                    if index is not None:
-                        return A.Param(index)
-                return None
-
-            stmt = transform_select(stmt, bind)
+            stmt = self.sql_function_body(fdef)
             with self.profiler.phase(PLAN):
                 plan = self.planner.plan_select(stmt)
             fdef.body_plans[stamp] = plan
@@ -743,6 +732,28 @@ class Database:
             raise ExecutionError(
                 f"SQL function {fdef.name} must return one scalar")
         return result.rows[0][0] if result.rows else None
+
+    def sql_function_body(self, fdef: FunctionDef) -> A.SelectStmt:
+        """The body of LANGUAGE SQL function *fdef* as the SELECT the
+        engine plans: parsed, each parameter name bound to its ``$n``.
+        The analyzer plans the same statement."""
+        with self.profiler.phase(PARSE):
+            stmt = parse_statement(fdef.body)
+        if not isinstance(stmt, A.SelectStmt):
+            raise PlsqlError(
+                f"SQL function {fdef.name} body must be a single SELECT")
+        from .astutil import transform_select
+        mapping = {name.lower(): index + 1
+                   for index, name in enumerate(fdef.param_names)}
+
+        def bind(expr: A.Expr) -> Optional[A.Expr]:
+            if isinstance(expr, A.ColumnRef) and len(expr.parts) == 1:
+                index = mapping.get(expr.parts[0].lower())
+                if index is not None:
+                    return A.Param(index)
+            return None
+
+        return transform_select(stmt, bind)
 
     def register_compiled_function(self, name: str, param_names: list[str],
                                    param_types: list[str], return_type: str,

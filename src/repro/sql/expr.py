@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 from . import ast as A
 from .errors import (ExecutionError, NameResolutionError, PlanError, SqlError,
                      TypeError_)
-from .functions import SCALAR_BUILTINS, VOLATILE_FUNCTIONS, is_aggregate_name
+from .functions import (BUILTIN_ARITY, SCALAR_BUILTINS, VOLATILE_FUNCTIONS,
+                        is_aggregate_name)
 from .types import cast_value
 # sql_and / sql_or are also named by generated kernel code (f"sql_{op}").
 from .values import (Row, Value, sql_and, sql_eq, sql_ge, sql_gt, sql_le,
@@ -558,6 +559,11 @@ def _scatter(out: list, pos, values: list) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _wrong_arity(name: str, takes, given: int) -> PlanError:
+    return PlanError(f"function {name}() takes {takes} arguments, "
+                     f"got {given}")
+
+
 class ExprCompiler:
     """Compiles AST expressions within one plan node's scope, by deriving
     the wanted form from the node's :data:`KERNELS` entry.
@@ -692,6 +698,11 @@ class ExprCompiler:
         builtin = SCALAR_BUILTINS.get(name)
         if builtin is None:
             return None  # user-defined: row-only, _compile_FuncCall
+        fewest, most = BUILTIN_ARITY[name]
+        given = len(expr.args)
+        if most is not None and not fewest <= given <= most:
+            raise _wrong_arity(name, fewest if fewest == most
+                               else f"{fewest} to {most}", given)
         return Strict(expr.args, "builtin(t, *xs)", {"builtin": builtin},
                       pre="rt", variadic=True, errors=name,
                       vectorizable=name not in VOLATILE_FUNCTIONS)
@@ -705,9 +716,7 @@ class ExprCompiler:
             if fdef is None:
                 raise NameResolutionError(f"unknown function {name!r}")
             if len(expr.args) != fdef.arity:
-                raise PlanError(
-                    f"function {name}() takes {fdef.arity} arguments, "
-                    f"got {len(expr.args)}")
+                raise _wrong_arity(name, fdef.arity, len(expr.args))
             if fdef.kind == "compiled":
                 if self.planner.flags.batch_compiled \
                         and fdef.machine is not None:

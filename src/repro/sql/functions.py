@@ -14,8 +14,10 @@ PRECEDING EXCLUDE CURRENT ROW``).
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from .errors import ExecutionError, NoReturnError, TypeError_
 from .values import Value, compare
@@ -28,12 +30,12 @@ from .values import Value, compare
 def _strict(fn: Callable) -> Callable:
     """Wrap *fn* so that any NULL argument yields NULL (SQL STRICT)."""
 
+    @functools.wraps(fn)
     def wrapper(ctx, *args):
         if any(a is None for a in args):
             return None
         return fn(ctx, *args)
 
-    wrapper.__name__ = fn.__name__
     return wrapper
 
 
@@ -84,8 +86,21 @@ def _fn_ceil(ctx, x):
     return math.ceil(_num(x, "ceil"))
 
 
+#: PostgreSQL's NUMERIC_MAX_RESULT_SCALE: ``round`` and ``trunc`` clamp
+#: their scale to +- this, so the scale factor stays bounded.
+MAX_RESULT_SCALE = 2000
+
+#: PostgreSQL's MaxAllocSize: ``repeat`` refuses a longer result.
+MAX_ALLOC_SIZE = 0x3FFFFFFF
+
+
+def _scale(digits):
+    return max(-MAX_RESULT_SCALE, min(digits, MAX_RESULT_SCALE))
+
+
 @_strict
 def _fn_round(ctx, x, digits=0):
+    digits = _scale(digits)
     factor = 10 ** digits
     value = _num(x, "round") * factor
     rounded = math.floor(value + 0.5) if value >= 0 else math.ceil(value - 0.5)
@@ -95,6 +110,7 @@ def _fn_round(ctx, x, digits=0):
 
 @_strict
 def _fn_trunc(ctx, x, digits=0):
+    digits = _scale(digits)
     factor = 10 ** digits
     result = math.trunc(_num(x, "trunc") * factor) / factor
     return int(result) if digits <= 0 else result
@@ -173,7 +189,10 @@ def _fn_replace(ctx, s, old, new):
 
 @_strict
 def _fn_repeat(ctx, s, n):
-    return s * max(int(n), 0)
+    count = max(int(n), 0)
+    if len(s) * count > MAX_ALLOC_SIZE:
+        raise ExecutionError("requested length too large")
+    return s * count
 
 
 @_strict
@@ -355,6 +374,19 @@ SCALAR_BUILTINS: dict[str, Callable] = {
     "pi": _fn_pi,
     "__no_return": _fn_no_return,
 }
+
+
+def _arity(fn: Callable) -> tuple[int, Optional[int]]:
+    """(fewest, most) arguments *fn* takes, its context aside; (0, None)
+    for a variadic builtin, which takes any number."""
+    params = list(inspect.signature(fn).parameters.values())[1:]
+    if any(p.kind is p.VAR_POSITIONAL for p in params):
+        return 0, None
+    return sum(p.default is p.empty for p in params), len(params)
+
+
+#: name -> (fewest, most) arguments, derived once from each signature.
+BUILTIN_ARITY = {name: _arity(fn) for name, fn in SCALAR_BUILTINS.items()}
 
 #: Builtins whose value may change between calls — never constant-folded and
 #: re-evaluated per row even with constant arguments.  ``__no_return``

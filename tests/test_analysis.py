@@ -15,8 +15,11 @@ import pytest
 
 from repro.analysis import (CATALOG, analyze_function, effective_volatility,
                             function_facts, function_is_pure, max_severity)
+from repro.analysis.sqlcheck import error_code
 from repro.sql import Database
-from repro.sql.errors import CompileError, NameResolutionError
+from repro.sql.errors import (CompileError, ExecutionError,
+                              NameResolutionError, PlanError, SqlError)
+from repro.sql.parser import parse_statement
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +724,126 @@ END;
     fdef = db.catalog.get_function("flips")
     # DDL cleared the cached inference; now the callee is known pure.
     assert function_facts(fdef, db.catalog)[0] == "immutable"
+
+
+# ---------------------------------------------------------------------------
+# names resolved by the planner the interpreter runs
+# ---------------------------------------------------------------------------
+
+def call_error(db: Database, name: str) -> str:
+    """The message calling *name* raises at run time."""
+    with pytest.raises(SqlError) as err:
+        db.execute(f"SELECT {name}(1)")
+    return str(err.value)
+
+
+@pytest.mark.parametrize("name, query", [
+    ("derived", "SELECT zz FROM (SELECT x FROM t) AS s"),
+    ("cte_col", "WITH c(v) AS (SELECT x FROM t) SELECT w FROM c"),
+    ("ambiguous", "SELECT x FROM t, u"),
+    ("ungrouped", "SELECT x FROM t GROUP BY y"),
+])
+def test_sq002_is_the_error_a_call_raises(db, name, query):
+    db.execute("CREATE TABLE u(x int)")
+    create(db, plpgsql(name, f"""
+BEGIN
+  RETURN ({query} LIMIT 1);
+END;
+"""))
+    rows = by_code(db, name, "SQ002")
+    assert len(rows) == 1
+    assert rows[0][1] == "error"  # must-execute spine
+    assert rows[0][4] == call_error(db, name)
+
+
+def test_record_field_read_is_a_use(db):
+    create(db, plpgsql("recsum", """
+DECLARE s int = 0; r record;
+BEGIN
+  FOR r IN SELECT x, y FROM t LOOP
+    s = s + r.x + length(r.y);
+  END LOOP;
+  RETURN s;
+END;
+"""))
+    assert "DF003" not in codes(db, "recsum")
+    assert db.execute("SELECT recsum(1)").rows == [(9,)]
+
+
+def test_variable_shadowed_by_a_column_is_unread(db):
+    # The interpreter resolves x to u's column, not to the variable.
+    db.execute("CREATE TABLE u(x int)")
+    db.execute("INSERT INTO u VALUES (7)")
+    create(db, plpgsql("sh", """
+DECLARE x int = n;
+BEGIN
+  RETURN (SELECT x FROM u);
+END;
+"""))
+    rows = by_code(db, "sh", "DF003")
+    assert rows and "'x'" in rows[0][4]
+    assert db.execute("SELECT sh(1)").rows == [(7,)]
+
+
+def planning_error(db: Database, query: str) -> SqlError:
+    with pytest.raises(SqlError) as err:
+        db.planner.plan_select(parse_statement(query))
+    return err.value
+
+
+@pytest.mark.parametrize("query, code", [
+    ("SELECT count(*) FROM no_such_table", "SQ001"),
+    ("SELECT no_such_col FROM t", "SQ002"),
+    ("SELECT no_such_fn(x) FROM t", "SQ003"),
+    ("SELECT callee_one(x, x) FROM t", "SQ004"),
+], ids=["SQ001", "SQ002", "SQ003", "SQ004"])
+def test_planner_error_classification(db, query, code):
+    # The planner's own message picks the code: a reworded message fails
+    # here first.
+    create(db, plpgsql("callee_one", "BEGIN\n  RETURN n + 1;\nEND;"))
+    assert error_code(planning_error(db, query)) == code
+
+
+def test_builtin_arity_is_refused_at_plan_time(db):
+    for query, message in [
+            ("SELECT abs(NULL, 1)", "function abs() takes 1 arguments, got 2"),
+            ("SELECT abs(1, 2)", "function abs() takes 1 arguments, got 2"),
+            ("SELECT upper()", "function upper() takes 1 arguments, got 0"),
+            ("SELECT round()", "function round() takes 1 to 2 arguments, "
+                               "got 0")]:
+        with pytest.raises(PlanError) as err:
+            db.execute(query)
+        assert str(err.value) == message
+        assert error_code(err.value) == "SQ004"
+    create(db, plpgsql("badbuiltin", """
+BEGIN
+  RETURN abs(n, 1);
+END;
+"""))
+    rows = by_code(db, "badbuiltin", "SQ004")
+    assert rows and rows[0][1] == "error"
+    assert rows[0][4] == call_error(db, "badbuiltin")
+
+
+@pytest.mark.parametrize("name", ["round", "trunc"])
+def test_round_scale_is_clamped(db, name):
+    # PostgreSQL's NUMERIC_MAX_RESULT_SCALE: a scale past +-2000 is that
+    # bound, so the scale factor 10^digits stays small.
+    def outcome(digits):
+        try:
+            return db.execute(f"SELECT {name}(1.5, {digits})").rows
+        except SqlError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(2 ** 63 - 1) == outcome(2000)
+    assert outcome(-2 ** 63) == outcome(-2000)
+    assert outcome(2) == [(1.5,)]
+
+
+def test_repeat_refuses_a_result_past_1gb(db):
+    with pytest.raises(ExecutionError, match="requested length too large"):
+        db.execute("SELECT repeat('ab', 10000000000)")
+    assert db.execute("SELECT repeat('ab', 3)").rows == [("ababab",)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from repro.sql import ast as A
-from repro.sql.errors import CRASH, ExecutionError, TypeError_, error_class
+from repro.sql.errors import (CRASH, ExecutionError, PlanError, TypeError_,
+                              error_class)
 from repro.sql.executor.vector import Batch
 from repro.sql.expr import (_ARITH, _COMPARE, KERNELS, ROW_ONLY, EvalContext,
                             ExprCompiler, Relation, RowOnly, RuntimeContext,
@@ -124,7 +125,7 @@ class TestStringsAndPatterns:
         ("chr('x')", ExecutionError),
         ("power('a', 2)", ExecutionError),
         ("repeat(y, 'x')", ExecutionError),
-        ("length(y, y)", TypeError_),  # arity
+        ("length(y, y)", PlanError),  # arity, refused at plan time
     ])
     def test_ill_typed_operands_raise_classified_errors(self, tdb, vectorize,
                                                         expr, error):
@@ -265,8 +266,8 @@ POOL = [None, None, True, False, 0, 1, -1, 3, 7, -7, 2 ** 63 - 1, -2 ** 63,
 
 def _forms() -> list:
     """Expressions over columns x, y, z reaching every vectorizable table
-    entry: every operator, with column and with literal arguments.  The
-    builtin calls come last (``_BUILTIN_FORMS`` of them)."""
+    entry: every operator, with column and with literal arguments, and
+    every builtin with zero to three arguments."""
     texts = ["x", "42", "'s'", "NULL", "$1", "x || y", "x || 'lit'",
              "-x", "+x", "NOT x", "x IS NULL", "x IS NOT NULL",
              "x IS TRUE", "x IS NOT TRUE", "x IS FALSE", "x IS NOT FALSE",
@@ -302,7 +303,6 @@ def _forms() -> list:
 
 
 _BUILTINS = sorted(set(SCALAR_BUILTINS) - VOLATILE_FUNCTIONS)
-_BUILTIN_FORMS = 5 * len(_BUILTINS)
 
 
 def _walk(expr):
@@ -363,17 +363,17 @@ class TestKernelTable:
             same = [v for v in POOL if type(v) is kind]
             rows += [tuple(rng.choice(same + [None]) for _ in "xyz")
                      for _ in range(40)]
-        # Builtins get no bigints: repeat('a', 2^63) and round(x, 2^63)
-        # are resource-limit problems (ROADMAP 5d), not semantics.
-        small = [row for row in rows
-                 if not any(type(v) is int and abs(v) > 7 for v in row)]
-        forms = _forms()
-        for index, form in enumerate(forms):
+        for form in _forms():
             compiler = ExprCompiler(scope)
-            row_fn = compiler.compile(form)
+            try:
+                row_fn = compiler.compile(form)
+            except PlanError:
+                # A plan-time error (a builtin's arity) is both forms'
+                # outcome.
+                with pytest.raises(PlanError):
+                    compiler.compile_batch(form)
+                continue
             batch_fn = compiler.compile_batch(form)
-            if index >= len(forms) - _BUILTIN_FORMS:
-                rows = small
             per_row = [_outcome(lambda: row_fn(EvalContext(rt, (row,))))
                        for row in rows]
             assert ("error", CRASH) not in per_row, form

@@ -467,6 +467,45 @@ def test_anf_module_and_fold_callbacks_are_clean(tmp_path):
     assert lint_source(tmp_path, "repro/compiler/udf.py", ANF_FOLD) == []
 
 
+# ---------------------------------------------------------------------------
+# rule 10: one name resolver
+# ---------------------------------------------------------------------------
+
+SECOND_RESOLVER = """
+def unknown_tables(select, catalog):
+    return [ref.name for ref in select.from_items
+            if catalog.tables.get(ref.name) is None]
+
+def has_column(catalog, table, column):
+    return column in catalog.get_table(table).column_names
+"""
+
+PLANNER_RESOLVER = """
+from ..sql.expr import ExprCompiler
+
+def planning_error(db, scope, expr):
+    try:
+        ExprCompiler(scope, db.planner).compile(expr)
+    except Exception as exc:
+        return exc
+    return None
+"""
+
+
+def test_schema_read_in_the_analyzer_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/analysis/sqlcheck.py",
+                           SECOND_RESOLVER)
+    assert rules(findings) == ["second-resolver"] * 3
+    assert sorted(f.line for f in findings) == [4, 7, 7]
+
+
+def test_planner_resolution_and_schema_reads_elsewhere_are_clean(tmp_path):
+    assert lint_source(tmp_path, "repro/analysis/sqlcheck.py",
+                       PLANNER_RESOLVER) == []
+    assert lint_source(tmp_path, "repro/sql/planner.py",
+                       SECOND_RESOLVER) == []
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

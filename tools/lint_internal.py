@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Nine checks, each born from a real failure mode in this codebase:
+Ten checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
    loops (`WITH RECURSIVE`, batched UDFs), the target collection of UPDATE
@@ -83,6 +83,17 @@ Nine checks, each born from a real failure mode in this codebase:
    else under ``src/repro``, an ``isinstance`` test naming an ANF node
    class is such a recursion regrowing.
 
+10. **One name resolver.**  The analyzer resolves the names of a
+    function body by compiling its expressions with the planner the
+    interpreter runs (``analysis/sqlcheck.resolver``); its embedded-SQL
+    diagnostics are the planner's errors, and its def-use read sets are
+    the names that resolved into the variable scope.  A hand-written
+    scope walk preceded it, silent on derived tables, CTEs and record
+    fields, and a third rule decided which variables a statement reads.
+    Under ``repro/analysis/``, reading the schema - an attribute named
+    ``tables``, ``get_table`` or ``column_names`` - is that resolver
+    regrowing.
+
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
 """
@@ -132,6 +143,10 @@ CALLABLE_PARAMS = {"predicate", "updater"}
 ANF_MODULE = "repro/compiler/anf.py"
 #: ... and the node classes it tells apart.
 ANF_NODES = {"AnfLet", "AnfIf", "AnfCall", "AnfRet"}
+
+#: The analyzer's package (rule 10) and the schema reads banned there.
+ANALYSIS_PACKAGE = "repro/analysis/"
+SCHEMA_READS = {"tables", "get_table", "column_names"}
 
 #: Modules (path prefixes) whose while-loops iterate user-controlled
 #: amounts of work; the executor prefix takes in executor/modify.py.
@@ -518,6 +533,19 @@ def check_anf_dispatch(path: Path, tree: ast.Module) -> list[Finding]:
     return findings
 
 
+# -- rule 10: one name resolver ---------------------------------------------
+
+def check_second_resolver(path: Path, tree: ast.Module) -> list[Finding]:
+    if not path.relative_to(SRC).as_posix().startswith(ANALYSIS_PACKAGE):
+        return []
+    return [Finding(path, node.lineno, "second-resolver",
+                    f".{node.attr}: the analyzer resolves names through the "
+                    "planner (analysis/sqlcheck.resolver), not by reading "
+                    "the schema")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in SCHEMA_READS]
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
@@ -544,6 +572,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_second_statement_list(path, tree, statements))
         findings.extend(check_second_evaluator(path, tree))
         findings.extend(check_anf_dispatch(path, tree))
+        findings.extend(check_second_resolver(path, tree))
     return findings
 
 
