@@ -19,9 +19,9 @@ control-flow pass uses:
 What an expression reads is the caller's ``reads(expr)``: the variables
 the planner resolved while compiling it (:func:`.sqlcheck.resolver`), so
 a read from a ``WHERE`` clause, a scalar subquery or a record field
-(``r.x``) counts, and a name a FROM column shadows does not - as when the
-interpreter runs it.  ``__``-prefixed names are compiler temporaries and
-never reported.
+(``r.x``) counts, and a name that a FROM column supplies too does not
+(the planner refuses it as ambiguous, as when the interpreter runs it).
+``__``-prefixed names are compiler temporaries and never reported.
 """
 
 from __future__ import annotations

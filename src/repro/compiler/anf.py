@@ -21,7 +21,7 @@ from typing import Iterator
 
 from ..sql import ast as A
 from ..sql.errors import CompileError
-from .cfg import CondGoto, Goto, Return
+from .cfg import CondGoto, Goto, Return, block_exprs
 from .rename import collect_variable_uses
 from .ssa import SsaProgram
 
@@ -205,7 +205,7 @@ def calls(expr: AnfExpr) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def ssa_to_anf(program: SsaProgram, catalog=None) -> AnfProgram:
+def ssa_to_anf(program: SsaProgram) -> AnfProgram:
     """Translate SSA blocks into mutually tail-recursive ANF functions."""
     entry_name = "main"
     names = {bid: (entry_name if bid == program.entry else f"l{bid}")
@@ -220,14 +220,7 @@ def ssa_to_anf(program: SsaProgram, catalog=None) -> AnfProgram:
     local_defs: dict[int, set[str]] = {}
     phi_params: dict[int, list[str]] = {}
     for bid, block in program.blocks.items():
-        uses: set[str] = set()
-        for stmt in block.stmts:
-            uses |= collect_variable_uses(stmt.expr, variables, catalog)
-        terminator = block.terminator
-        if isinstance(terminator, CondGoto):
-            uses |= collect_variable_uses(terminator.condition, variables, catalog)
-        elif isinstance(terminator, Return):
-            uses |= collect_variable_uses(terminator.expr, variables, catalog)
+        uses = collect_variable_uses(block_exprs(block), variables)
         for successor in block.successors():
             for phi in program.blocks[successor].phis:
                 operand = phi.args.get(bid)

@@ -16,9 +16,11 @@ Lowering notes (all matching PostgreSQL semantics):
 * FOREACH desugars to an index loop over a hidden array temporary,
 * PERFORM wraps its query in ``(SELECT count(*) FROM (...) ...)`` so the
   query is fully evaluated and the result discarded,
-* RAISE NOTICE/... is dropped (side-effect-free in our engine's model);
-  RAISE EXCEPTION cannot be compiled away and raises
-  :class:`~repro.sql.errors.CompileError`.
+* each RAISE argument becomes an assignment to a hidden temporary, as
+  PERFORM's query does, so the analyzer and the compiled function see what
+  the interpreter evaluates; the message itself is dropped (RAISE NOTICE/...
+  is side-effect-free in our engine's model), and RAISE EXCEPTION cannot be
+  compiled away and raises :class:`~repro.sql.errors.CompileError`.
 """
 
 from __future__ import annotations
@@ -98,6 +100,35 @@ class BasicBlock:
         return []
 
 
+def block_exprs(block) -> list[A.Expr]:
+    """The expressions of a CFG or SSA block: its assignments', then its
+    terminator's condition or value."""
+    t = block.terminator
+    tail = ([t.condition] if isinstance(t, CondGoto)
+            else [t.expr] if isinstance(t, Return) else [])
+    return [stmt.expr for stmt in block.stmts] + tail
+
+
+def map_block_exprs(block, fn) -> bool:
+    """Replace each expression of a CFG or SSA block with ``fn(expr)``, in
+    :func:`block_exprs` order; did any come back a new node?"""
+    changed = False
+    for stmt in block.stmts:
+        new = fn(stmt.expr)
+        changed |= new is not stmt.expr
+        stmt.expr = new
+    t = block.terminator
+    if isinstance(t, CondGoto):
+        new = fn(t.condition)
+        changed |= new is not t.condition
+        t.condition = new
+    elif isinstance(t, Return):
+        new = fn(t.expr)
+        changed |= new is not t.expr
+        t.expr = new
+    return changed
+
+
 @dataclass
 class ControlFlowGraph:
     func_name: str
@@ -123,6 +154,11 @@ class ControlFlowGraph:
         them the parameter order of the ANF functions and the column order
         of the emitted query, must not depend on the process's hash seed."""
         return list(self.var_types)
+
+    def exprs(self) -> list[A.Expr]:
+        """Every expression of the graph, block by block."""
+        return [expr for bid in self.block_ids()
+                for expr in block_exprs(self.blocks[bid])]
 
     def pretty(self) -> str:
         """Render the CFG in the paper's Figure 5 style."""
@@ -448,6 +484,11 @@ class CfgBuilder:
         self.emit(sink, wrapped)
 
     def _lower_RaiseStmt(self, stmt: P.RaiseStmt) -> None:
+        # The interpreter evaluates every argument: the analyzer plans them
+        # and counts their reads, and dead-code elimination keeps the
+        # volatile ones, so a compiled function draws what it draws.
+        for arg in stmt.args:
+            self.emit(self.temp("raise", "text"), arg)
         if stmt.level == "exception":
             if not self.for_analysis:
                 raise CompileError("RAISE EXCEPTION cannot be compiled to SQL")

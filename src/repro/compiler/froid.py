@@ -39,7 +39,7 @@ def has_loop(cfg) -> bool:
     return visit(cfg.entry)
 
 
-def froid_compile(source: Union[str, object], db=None,
+def froid_compile(source: Union[str, object], db,
                   optimize: bool = True) -> CompiledFunction:
     """Compile a *loop-free* PL/pgSQL function the Froid way.
 

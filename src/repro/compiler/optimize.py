@@ -30,7 +30,7 @@ from ..sql import ast as A
 from ..sql.astutil import transform_expr
 from ..sql.errors import SqlError
 from ..sql.expr import ExprCompiler, Scope
-from .cfg import CondGoto, Goto, Return
+from .cfg import CondGoto, Goto, block_exprs, map_block_exprs
 from .rename import collect_variable_uses, rename_variables
 from .ssa import Phi, SsaAssign, SsaProgram
 
@@ -38,9 +38,8 @@ from .ssa import Phi, SsaAssign, SsaProgram
 class _Subst:
     """name -> replacement expression (copies and constants)."""
 
-    def __init__(self, catalog=None):
+    def __init__(self):
         self.map: dict[str, A.Expr] = {}
-        self.catalog = catalog
 
     def resolve(self, name: str) -> Optional[A.Expr]:
         seen = set()
@@ -71,7 +70,7 @@ class _Subst:
     def apply(self, expr: A.Expr) -> A.Expr:
         if not self.map:
             return expr
-        return rename_variables(expr, self.resolve, self.catalog)
+        return rename_variables(expr, self.resolve)
 
 
 def optimize_ssa(program: SsaProgram, catalog=None,
@@ -80,7 +79,7 @@ def optimize_ssa(program: SsaProgram, catalog=None,
     for _ in range(max_rounds):
         changed = False
         changed |= simplify_phis(program)
-        changed |= propagate_copies_and_constants(program, catalog)
+        changed |= propagate_copies_and_constants(program)
         changed |= fold_constants(program)
         changed |= eliminate_dead_code(program, catalog)
         changed |= thread_jumps(program)
@@ -115,9 +114,9 @@ def simplify_phis(program: SsaProgram) -> bool:
     return changed
 
 
-def propagate_copies_and_constants(program: SsaProgram, catalog=None) -> bool:
+def propagate_copies_and_constants(program: SsaProgram) -> bool:
     """Substitute ``x_k := y_j`` copies and ``x_k := literal`` constants."""
-    subst = _Subst(catalog)
+    subst = _Subst()
     for block in program.blocks.values():
         for stmt in block.stmts:
             expr = stmt.expr
@@ -138,22 +137,7 @@ def propagate_copies_and_constants(program: SsaProgram, catalog=None) -> bool:
                 if resolved != operand:
                     phi.args[pred] = resolved
                     changed = True
-        for stmt in block.stmts:
-            new_expr = subst.apply(stmt.expr)
-            if new_expr is not stmt.expr:
-                stmt.expr = new_expr
-                changed = True
-        terminator = block.terminator
-        if isinstance(terminator, CondGoto):
-            new_cond = subst.apply(terminator.condition)
-            if new_cond is not terminator.condition:
-                terminator.condition = new_cond
-                changed = True
-        elif isinstance(terminator, Return):
-            new_expr = subst.apply(terminator.expr)
-            if new_expr is not terminator.expr:
-                terminator.expr = new_expr
-                changed = True
+        changed |= map_block_exprs(block, subst.apply)
     return changed
 
 
@@ -213,28 +197,15 @@ def _fold_node(expr: A.Expr) -> A.Expr:
 def fold_constants(program: SsaProgram) -> bool:
     changed = False
     for block in program.blocks.values():
-        for stmt in block.stmts:
-            folded = _fold_expr(stmt.expr)
-            if folded is not stmt.expr:
-                stmt.expr = folded
-                changed = True
+        changed |= map_block_exprs(block, _fold_expr)
         terminator = block.terminator
-        if isinstance(terminator, CondGoto):
-            folded = _fold_expr(terminator.condition)
-            if folded is not terminator.condition:
-                terminator.condition = folded
-                changed = True
-            if isinstance(terminator.condition, A.Literal):
-                target = (terminator.then_target
-                          if terminator.condition.value is True
-                          else terminator.else_target)
-                block.terminator = Goto(target)
-                changed = True
-        elif isinstance(terminator, Return):
-            folded = _fold_expr(terminator.expr)
-            if folded is not terminator.expr:
-                terminator.expr = folded
-                changed = True
+        if isinstance(terminator, CondGoto) \
+                and isinstance(terminator.condition, A.Literal):
+            target = (terminator.then_target
+                      if terminator.condition.value is True
+                      else terminator.else_target)
+            block.terminator = Goto(target)
+            changed = True
     return changed
 
 
@@ -254,13 +225,7 @@ def eliminate_dead_code(program: SsaProgram, catalog=None) -> bool:
                 for operand in phi.args.values():
                     if operand is not None:
                         used.add(operand)
-            for stmt in block.stmts:
-                used |= collect_variable_uses(stmt.expr, names, catalog)
-            terminator = block.terminator
-            if isinstance(terminator, CondGoto):
-                used |= collect_variable_uses(terminator.condition, names, catalog)
-            elif isinstance(terminator, Return):
-                used |= collect_variable_uses(terminator.expr, names, catalog)
+            used |= collect_variable_uses(block_exprs(block), names)
         removed = False
         for block in program.blocks.values():
             kept_stmts = []

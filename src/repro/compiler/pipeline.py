@@ -25,15 +25,18 @@ import copy
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from ..analysis.sqlcheck import resolver
 from ..plsql.ast import PlsqlFunctionDef
 from ..plsql.parser import parse_plpgsql_function
 from ..sql import ast as A
-from ..sql.errors import CompileError
+from ..sql.astutil import walk_expr
+from ..sql.errors import CompileError, VariableConflictError
 from ..sql.parser import parse_statement
 from .anf import AnfProgram, inline_anf, ssa_to_anf
 from .cfg import ControlFlowGraph, build_cfg
 from .dialects import SqlRenderer, render_create_function, render_expression
 from .optimize import optimize_ssa
+from .rename import collect_variable_uses
 from .ssa import SsaProgram, build_ssa
 from .template import (build_machine, build_split_template_query,
                        build_template_query)
@@ -172,7 +175,7 @@ def _parse_source(source: Union[str, A.CreateFunction, PlsqlFunctionDef]
 
 
 def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
-                  db=None, optimize: bool = True,
+                  db, optimize: bool = True,
                   iterate: bool = False) -> CompiledFunction:
     """Compile a PL/pgSQL function into pure SQL (the paper, end to end).
 
@@ -181,8 +184,10 @@ def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
     source:
         CREATE FUNCTION text, its parsed AST, or a PlsqlFunctionDef.
     db:
-        Optional database; its catalog powers variable-vs-column shadow
-        analysis inside embedded queries (recommended).
+        The database the function is compiled against (required).  Its
+        planner decides, for each name of the body, whether it is a
+        variable or a column (a name that may be both is refused), and the
+        SSA names avoid every column of its catalog.
     optimize:
         Run the SSA cleanup pipeline (disable for ablation).
     iterate:
@@ -190,13 +195,27 @@ def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
         extension; Section 3 "When WITH RECURSIVE does too much").
     """
     func = _parse_source(source)
-    catalog = db.catalog if db is not None else None
+    catalog = db.catalog
     cfg = build_cfg(func)
+    # Plan the body as the analyzer does.  Renaming needs every variable an
+    # embedded query names told from a column, so a planning error there is
+    # refused: an ambiguous name, or one the planner stopped short of.  Any
+    # other (an unknown table, say) is the interpreter's run-time error too.
+    resolve = resolver(db, cfg.variables())
+    for expr in cfg.exprs():
+        error = resolve(expr)[1]
+        queries = [node for node in walk_expr(expr)
+                   if isinstance(node, A.SelectStmt)]
+        if error is not None and collect_variable_uses(queries, cfg.var_types):
+            raise CompileError(
+                str(error) if isinstance(error, VariableConflictError)
+                else f"cannot tell a variable from a column: {error}"
+            ) from error
     ssa_raw = build_ssa(cfg, catalog)
     ssa = copy.deepcopy(ssa_raw)
     if optimize:
         optimize_ssa(ssa, catalog)
-    anf = inline_anf(ssa_to_anf(ssa, catalog))
+    anf = inline_anf(ssa_to_anf(ssa))
     udf = build_udf(anf)
     query = build_template_query(udf, iterate)
     return CompiledFunction(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sql import ast as A
+from ..sql.astutil import spelled_names
 from ..sql.errors import CompileError
 from .cfg import CondGoto, ControlFlowGraph, Goto, Return, Terminator
 from .dominators import DominatorInfo
@@ -108,9 +109,14 @@ class SsaProgram:
 
 
 class SsaBuilder:
-    def __init__(self, cfg: ControlFlowGraph, catalog=None):
+    def __init__(self, cfg: ControlFlowGraph, catalog):
         self.cfg = cfg
-        self.catalog = catalog
+        # What a generated name must not be: a name the body's SQL spells
+        # or a column of the catalog.  One from neither cannot be bound to
+        # a column by any query of the body, whatever its FROM clauses hold.
+        self.taken = spelled_names(cfg.exprs()) | {
+            column for table in catalog.tables.values()
+            for column in table.column_names}
         self.counters: dict[str, int] = {}
         self.stacks: dict[str, list[str]] = {}
         self.base_of: dict[str, str] = {}
@@ -120,7 +126,10 @@ class SsaBuilder:
     # ------------------------------------------------------------------
 
     def fresh(self, base: str) -> str:
+        """The next version of *base* that is not :attr:`taken`."""
         version = self.counters.get(base, 0) + 1
+        while f"{base}_{version}" in self.taken:
+            version += 1
         self.counters[base] = version
         name = f"{base}_{version}"
         self.base_of[name] = base
@@ -210,7 +219,7 @@ class SsaBuilder:
                 return A.Literal(None)
             return A.ColumnRef((current,))
 
-        return rename_variables(expr, rename, self.catalog)
+        return rename_variables(expr, rename)
 
     def _rename_block(self, bid: int, dom: DominatorInfo,
                       preds: dict[int, list[int]]) -> None:
@@ -260,8 +269,9 @@ class SsaBuilder:
             self.stacks[base].pop()
 
 
-def build_ssa(cfg: ControlFlowGraph, catalog=None) -> SsaProgram:
-    """Construct SSA form for *cfg* (paper Figure 5)."""
+def build_ssa(cfg: ControlFlowGraph, catalog) -> SsaProgram:
+    """Construct SSA form for *cfg* (paper Figure 5), its generated names
+    clear of every column of *catalog*."""
     return SsaBuilder(cfg, catalog).build()
 
 

@@ -155,13 +155,12 @@ def udf_contains_volatile(udf: SqlUdf, catalog=None) -> bool:
     volatile (:func:`repro.analysis.volatility.expr_is_volatile`)?
 
     Two consumers.  The split rewrite copies expressions once per run
-    column, which would draw a volatile call more than once.  Batched
-    (set-oriented) execution interleaves the machine steps of many caller
-    rows in one trampoline, which reorders volatile draws relative to
-    one-call-at-a-time evaluation; such functions therefore never batch and
-    run every call as its own activation of the machine.  This is a fact
-    about the body's own text (through the helpers it calls), so a
-    declared ``IMMUTABLE`` does not override it.
+    column, which would draw a volatile call more than once.  The machine
+    form (:func:`build_machine`) is ``shareable`` only without one: a call
+    site memoizes results by argument values, which would skip the draws
+    of a repeated call, so a volatile body runs every call as its own
+    activation.  This is a fact about the body's own text (through the
+    helpers it calls), so a declared ``IMMUTABLE`` does not override it.
     """
     return any(expr_is_volatile(expr, catalog)
                for func in udf.anf.functions.values()

@@ -75,8 +75,9 @@ def _is_simple(expr: SA.Expr) -> bool:
 def variable_scope(names: list[str]) -> Scope:
     """The scope a PL/pgSQL body's expressions resolve in: its variables,
     one relation bound once per evaluation, so every embedded-query
-    evaluation instantiates its plan anew.  The analyzer resolves in it
-    too."""
+    evaluation instantiates its plan anew, and a name a FROM relation also
+    supplies is an error (``Scope.resolve``).  The analyzer and the
+    compiler resolve in it too (:func:`repro.analysis.sqlcheck.resolver`)."""
     scope = Scope([Relation(_VARS_REL, names)])
     scope.one_shot = True
     return scope

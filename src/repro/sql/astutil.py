@@ -120,6 +120,18 @@ def _map_nodes(value, fn):
     return value
 
 
+def spelled_names(node) -> set[str]:
+    """Every string a field of a node under *node* holds (column, table,
+    alias, CTE and function names, ...), lowercased; literals excepted."""
+    return {item.lower() for current in walk(node)
+            if type(current) is not A.Literal
+            for f in dataclasses.fields(current)
+            for value in [getattr(current, f.name)]
+            for item in (value if isinstance(value, (list, tuple))
+                         else [value])
+            if isinstance(item, str)}
+
+
 def walk_expr(expr: A.Expr) -> Iterator:
     """:func:`walk` over *expr* without entering subqueries."""
     return walk(expr, into_subqueries=False)

@@ -32,6 +32,12 @@ class NameResolutionError(SqlError):
     """An identifier (table, column, function, type) could not be resolved."""
 
 
+class VariableConflictError(NameResolutionError):
+    """A bare name that both a FROM relation and an enclosing PL/pgSQL
+    variable scope supply (PostgreSQL's ``plpgsql.variable_conflict =
+    error``, its default)."""
+
+
 class PlanError(SqlError):
     """The planner rejected a query (unsupported shape, arity mismatch, ...)."""
 

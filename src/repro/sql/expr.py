@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from . import ast as A
 from .errors import (ExecutionError, NameResolutionError, PlanError, SqlError,
-                     TypeError_)
+                     TypeError_, VariableConflictError)
 from .functions import (BUILTIN_ARITY, SCALAR_BUILTINS, VOLATILE_FUNCTIONS,
                         is_aggregate_name)
 from .types import cast_value
@@ -137,7 +137,10 @@ class Scope:
 
     ``one_shot`` marks a scope whose row is bound once per instantiation of
     what is planned under it (the PL/pgSQL interpreter's variables): a
-    subquery whose outer scope it is opens once per ExecutorStart.
+    subquery whose outer scope it is opens once per ExecutorStart.  A bare
+    name that a FROM relation and an enclosing such scope both supply is an
+    error (PostgreSQL's ``plpgsql.variable_conflict = error``), unless a
+    :meth:`fence` stands between them.
     """
 
     def __init__(self, relations: Sequence[Relation],
@@ -146,6 +149,7 @@ class Scope:
         self.parent = parent
         self.observer = None
         self.one_shot = False
+        self.fences = 0
 
     @contextmanager
     def observe(self, observer: Callable[[int, int], None]):
@@ -162,6 +166,26 @@ class Scope:
             yield
         finally:
             self.observer = previous
+
+    @contextmanager
+    def fence(self):
+        """Plan a query spelled elsewhere (a spliced Qf, analysed in the
+        callee's namespace) below this scope: no variable conflict."""
+        self.fences += 1
+        try:
+            yield
+        finally:
+            self.fences -= 1
+
+    def shadows_a_variable(self, name: str) -> bool:
+        """Does a ``one_shot`` scope above, short of a fence, supply *name*?"""
+        outer = self.parent
+        while outer is not None and not outer.fences:
+            if outer.one_shot and any(name in rel.columns
+                                      for rel in outer.relations):
+                return True
+            outer = outer.parent
+        return False
 
     def resolve(self, parts: tuple[str, ...]):
         """Resolve a (possibly qualified) name to
@@ -193,6 +217,11 @@ class Scope:
                        for rel_index, rel in enumerate(scope.relations)
                        if first in rel.columns]
             if len(matches) == 1:
+                if len(parts) == 1 and scope.shadows_a_variable(first):
+                    raise VariableConflictError(
+                        f"column reference {first!r} is ambiguous: it may "
+                        "refer to either a PL/pgSQL variable or a table "
+                        "column — qualify the column or rename the variable")
                 rel_index, col_index = matches[0]
                 if scope.observer is not None:
                     scope.observer(rel_index, col_index)
@@ -725,7 +754,9 @@ class ExprCompiler:
                 # query Qf into the call site so Q and Qf are planned as one.
                 from .astutil import substitute_params
                 inlined = substitute_params(fdef.query, list(expr.args))
-                return self._compile_ScalarSubquery(A.ScalarSubquery(inlined))
+                with self.scope.fence():
+                    return self._compile_ScalarSubquery(
+                        A.ScalarSubquery(inlined))
         # SQL / PL/pgSQL: every evaluation is a Q→f context switch through
         # the engine.
         args = self.compile_many(expr.args)

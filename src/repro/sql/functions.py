@@ -98,22 +98,33 @@ def _scale(digits):
     return max(-MAX_RESULT_SCALE, min(digits, MAX_RESULT_SCALE))
 
 
-@_strict
-def _fn_round(ctx, x, digits=0):
+def _at_scale(x, digits, to_int):
+    """*x* cut to *digits* places by *to_int*.  Past the float range a
+    positive scale leaves *x* as it is, a negative one gives 0, as in
+    PostgreSQL."""
     digits = _scale(digits)
     factor = 10 ** digits
-    value = _num(x, "round") * factor
-    rounded = math.floor(value + 0.5) if value >= 0 else math.ceil(value - 0.5)
-    result = rounded / factor
+    try:
+        result = to_int(x * factor) / factor
+    except OverflowError:
+        if digits <= 0:
+            raise
+        result = float(x)
+    except ZeroDivisionError:
+        result = 0
     return int(result) if digits <= 0 else result
+
+
+@_strict
+def _fn_round(ctx, x, digits=0):
+    return _at_scale(_num(x, "round"), digits,
+                     lambda v: math.floor(v + 0.5) if v >= 0
+                     else math.ceil(v - 0.5))
 
 
 @_strict
 def _fn_trunc(ctx, x, digits=0):
-    digits = _scale(digits)
-    factor = 10 ** digits
-    result = math.trunc(_num(x, "trunc") * factor) / factor
-    return int(result) if digits <= 0 else result
+    return _at_scale(_num(x, "trunc"), digits, math.trunc)
 
 
 @_strict

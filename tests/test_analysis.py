@@ -770,19 +770,56 @@ END;
     assert db.execute("SELECT recsum(1)").rows == [(9,)]
 
 
-def test_variable_shadowed_by_a_column_is_unread(db):
-    # The interpreter resolves x to u's column, not to the variable.
+def test_variable_shadowed_by_a_column_is_ambiguous(db):
+    # x is both the variable and u's column (PostgreSQL's default
+    # plpgsql.variable_conflict = error): the call, CHECK FUNCTION and
+    # the compiler report the one error the planner raises.
+    from repro.compiler import compile_plsql
     db.execute("CREATE TABLE u(x int)")
     db.execute("INSERT INTO u VALUES (7)")
-    create(db, plpgsql("sh", """
+    source = plpgsql("sh", """
 DECLARE x int = n;
 BEGIN
   RETURN (SELECT x FROM u);
 END;
+""")
+    create(db, source)
+    message = call_error(db, "sh")
+    assert message.startswith(
+        "column reference 'x' is ambiguous: it may refer to either a "
+        "PL/pgSQL variable or a table column")
+    rows = by_code(db, "sh", "SQ002")
+    assert rows and rows[0][1] == "error" and rows[0][4] == message
+    with pytest.raises(CompileError) as err:
+        compile_plsql(source, db)
+    assert str(err.value) == message
+
+
+def test_raise_argument_is_planned(db):
+    # The interpreter evaluates a RAISE NOTICE's arguments: an unknown
+    # table there fails every call, and the analyzer says so.
+    create(db, plpgsql("noisy", """
+BEGIN
+  RAISE NOTICE 'w is %', (SELECT nope FROM nowhere);
+  RETURN n;
+END;
 """))
-    rows = by_code(db, "sh", "DF003")
-    assert rows and "'x'" in rows[0][4]
-    assert db.execute("SELECT sh(1)").rows == [(7,)]
+    rows = by_code(db, "noisy", "SQ001")
+    assert rows and rows[0][1] == "error"  # must-execute spine
+    assert rows[0][4] == call_error(db, "noisy")
+
+
+def test_raise_argument_is_a_read(db):
+    create(db, plpgsql("told", """
+DECLARE v int = n * 2;
+BEGIN
+  RAISE NOTICE 'v is %', v;
+  RETURN n;
+END;
+"""))
+    assert "DF003" not in codes(db, "told")
+    db.execute("SELECT told(4)")
+    assert db.notices[-1] == "NOTICE: v is 8"
 
 
 def planning_error(db: Database, query: str) -> SqlError:
@@ -838,6 +875,12 @@ def test_round_scale_is_clamped(db, name):
     assert outcome(2 ** 63 - 1) == outcome(2000)
     assert outcome(-2 ** 63) == outcome(-2000)
     assert outcome(2) == [(1.5,)]
+    # Past the float range the answers are PostgreSQL's: a scale finer
+    # than the value's last digit leaves it unchanged, one coarser than
+    # any float gives 0.
+    assert outcome(400) == outcome(2000) == [(1.5,)]
+    assert outcome(-400) == outcome(-2000) == [(0,)]
+    assert db.execute(f"SELECT {name}(15, -400)").rows == [(0,)]
 
 
 def test_repeat_refuses_a_result_past_1gb(db):

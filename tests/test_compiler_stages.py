@@ -14,6 +14,7 @@ from repro.compiler.optimize import optimize_ssa
 from repro.compiler.ssa import build_ssa, evaluate_ssa
 from repro.compiler.udf import build_udf, udf_is_recursive
 from repro.plsql.parser import parse_plpgsql_function
+from repro.sql import Database
 from repro.sql.errors import CompileError
 
 
@@ -165,7 +166,7 @@ SSA_SOURCES = [
 class TestSsa:
     @pytest.mark.parametrize("source", SSA_SOURCES)
     def test_single_assignment_invariant(self, source):
-        ssa = build_ssa(build_cfg(func_of(source)))
+        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
         targets = []
         for block in ssa.blocks.values():
             targets.extend(phi.target for phi in block.phis)
@@ -174,7 +175,7 @@ class TestSsa:
 
     @pytest.mark.parametrize("source", SSA_SOURCES)
     def test_phi_args_match_predecessors(self, source):
-        ssa = build_ssa(build_cfg(func_of(source)))
+        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
         preds = ssa.predecessors()
         for bid, block in ssa.blocks.items():
             for phi in block.phis:
@@ -203,9 +204,10 @@ class TestSsa:
 
     def test_optimization_shrinks_fib(self):
         cfg = build_cfg(func_of(SSA_SOURCES[3]))
-        raw = build_ssa(cfg)
+        raw = build_ssa(cfg, Database().catalog)
         raw_size = sum(len(b.stmts) + len(b.phis) for b in raw.blocks.values())
-        opt = build_ssa(build_cfg(func_of(SSA_SOURCES[3])))
+        opt = build_ssa(build_cfg(func_of(SSA_SOURCES[3])),
+                        Database().catalog)
         optimize_ssa(opt)
         opt_size = sum(len(b.stmts) + len(b.phis) for b in opt.blocks.values())
         assert opt_size <= raw_size
@@ -213,7 +215,7 @@ class TestSsa:
 
     def test_volatile_not_eliminated(self):
         source = ("DECLARE r float; BEGIN r = random(); RETURN 1; END")
-        ssa = build_ssa(build_cfg(func_of(source)))
+        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
         optimize_ssa(ssa)
         exprs = [s for b in ssa.blocks.values() for s in b.stmts]
         assert any("random" in str(s.expr) for s in exprs), \
@@ -249,7 +251,7 @@ class TestSsa:
 
     def test_constant_folding(self):
         source = "DECLARE v int = 2 + 3; BEGIN RETURN v * 10; END"
-        ssa = build_ssa(build_cfg(func_of(source)))
+        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
         optimize_ssa(ssa)
         from repro.sql import ast as A
         ret = [b.terminator for b in ssa.blocks.values()
@@ -258,7 +260,7 @@ class TestSsa:
 
     def test_division_by_zero_not_folded(self, db):
         source = "BEGIN RETURN 1 / (n - n); END"
-        ssa = build_ssa(build_cfg(func_of(source)))
+        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
         optimize_ssa(ssa)
         # error must stay at run time, not compile time
         from repro.sql.errors import ExecutionError
@@ -268,7 +270,7 @@ class TestSsa:
 
 class TestAnf:
     def _anf(self, source, optimize=True):
-        ssa = build_ssa(build_cfg(func_of(source)))
+        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
         if optimize:
             optimize_ssa(ssa)
         return inline_anf(ssa_to_anf(ssa))
@@ -340,12 +342,14 @@ class TestAnf:
 
 class TestUdf:
     def test_loop_free_is_not_recursive(self):
-        ssa = build_ssa(build_cfg(func_of("BEGIN RETURN n; END")))
+        ssa = build_ssa(build_cfg(func_of("BEGIN RETURN n; END")),
+                        Database().catalog)
         udf = build_udf(inline_anf(ssa_to_anf(ssa)))
         assert not udf_is_recursive(udf)
 
     def test_recursive_udf_shape(self):
-        ssa = build_ssa(build_cfg(func_of(SSA_SOURCES[3])))
+        ssa = build_ssa(build_cfg(func_of(SSA_SOURCES[3])),
+                        Database().catalog)
         optimize_ssa(ssa)
         udf = build_udf(inline_anf(ssa_to_anf(ssa)))
         assert udf_is_recursive(udf)

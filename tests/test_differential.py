@@ -12,6 +12,8 @@ results:
   trampoline site (the machine, its memo by argument values included)
   against the inlined scalar-subquery Qf and the interpreter, including
   NULL arguments, zero-row inputs and rows a LIMIT never reaches,
+* functions whose SSA names an embedded query could once see as columns,
+  on the interpreter, the machine, the inlined Qf and SQLite's Qf,
 * calls in every position (volatile bodies, WHERE, CASE arms, aggregate
   arguments, LIMIT) on the per-call trampoline machine against the inlined
   Qf and the interpreter, draw for draw,
@@ -581,6 +583,116 @@ class TestMachineEquivalence:
             "SELECT g, sum_to_c(sum(x) + $1) FROM t GROUP BY g ORDER BY g")
         db.execute("SET batch_compiled = off")
         assert db.query_all(sql, [1]) == grouped == [(0, 10), (1, 36)]
+
+
+# ---------------------------------------------------------------------------
+# No generated name is captured by a column
+# ---------------------------------------------------------------------------
+
+#: shape -> (setup statements, function body, argument).  In each, the SSA
+#: pass versions a variable to a name (``v_3``, ``n_2``) that some embedded
+#: query of the body also sees as a column: a base table's, a derived
+#: table's item the body never reads, a table's read by the loop condition.
+CAPTURE_SHAPES = {
+    "table column": (
+        ["CREATE TABLE t(a int, v_3 int)", "INSERT INTO t VALUES (1, 100)"],
+        """DECLARE v int = 0;
+BEGIN
+  WHILE n > 0 LOOP v = v + 1; n = n - (SELECT v FROM t); END LOOP;
+  RETURN v;
+END;""", 3),
+    "derived-table item": (
+        [],
+        """DECLARE v int = 0;
+BEGIN
+  WHILE n > 0 LOOP
+    v = v + 1; n = n - (SELECT v FROM (SELECT 100 AS v_3) AS s);
+  END LOOP;
+  RETURN v;
+END;""", 3),
+    "loop condition": (
+        ["CREATE TABLE u(k int, n_2 int)",
+         "INSERT INTO u VALUES (1, 0), (2, 0), (3, 0)"],
+        """DECLARE i int = 0;
+BEGIN
+  WHILE (SELECT count(*) FROM u WHERE k <= n) > 0 LOOP
+    n = n - 1; i = i + 1;
+  END LOOP;
+  RETURN i;
+END;""", 3),
+}
+
+
+@pytest.mark.parametrize("shape", list(CAPTURE_SHAPES))
+def test_generated_names_are_never_captured(db, shape):
+    """Interpreter = trampoline machine = inlined Qf = SQLite Qf."""
+    import sqlite3
+
+    setup, body, n = CAPTURE_SHAPES[shape]
+    for statement in setup:
+        db.execute(statement)
+    source = (f"CREATE FUNCTION f(n int) RETURNS int AS $$ {body} "
+              "$$ LANGUAGE plpgsql")
+    db.execute(source)
+    compiled = compile_plsql(source, db)
+    compiled.register(db, name="f_c")
+    lite = sqlite3.connect(":memory:")
+    for name, table in db.catalog.tables.items():
+        columns = table.column_names
+        lite.execute(f"CREATE TABLE {name}({', '.join(columns)})")
+        lite.executemany(
+            f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})",
+            db.query_all(f"SELECT * FROM {name}"))
+    answers = {"interpreter": db.query_value("SELECT f($1)", [n]),
+               "machine": _query_with(db, dict(batch_compiled=True),
+                                      "SELECT f_c($1)", [n])[0][0],
+               "inlined": _query_with(db, dict(batch_compiled=False),
+                                      "SELECT f_c($1)", [n])[0][0],
+               "sqlite": lite.execute(compiled.sql("sqlite"),
+                                      {"1": n}).fetchone()[0]}
+    assert set(answers.values()) == {answers["interpreter"]}, answers
+
+
+@pytest.mark.parametrize("mode, settings", BATCH_MODES)
+def test_a_spliced_query_keeps_its_own_names(db, mode, settings):
+    """A compiled function's query is resolved in its own namespace, as
+    PostgreSQL analyses an inlined function apart from its caller: the
+    column ``k`` it reads is no conflict with the caller's variable ``k``,
+    for the interpreted caller, CHECK FUNCTION and the compiled caller."""
+    db.execute("CREATE TABLE items(id int, k int)")
+    db.execute("INSERT INTO items VALUES (1, 10), (2, 20)")
+    compile_plsql("""CREATE FUNCTION k_of(i int) RETURNS int AS $$
+BEGIN RETURN (SELECT k FROM items WHERE id = i); END;
+$$ LANGUAGE plpgsql""", db).register(db)
+    source = """CREATE FUNCTION g(n int) RETURNS int AS $$
+DECLARE k int = 0;
+BEGIN k = k_of(n); RETURN k + 1; END;
+$$ LANGUAGE plpgsql"""
+    db.execute(source)
+    for name, value in settings.items():
+        db.settings.assign(name, value)
+    assert [row[2] for row in db.query_all("CHECK FUNCTION g")
+            if row[2] == "SQ002"] == []
+    compile_plsql(source, db).register(db, name="g_c")
+    assert db.query_all("SELECT g(2), g_c(2)") == [(21, 21)]
+
+
+def test_raise_arguments_draw_as_the_interpreter_does(db):
+    """A RAISE NOTICE argument is evaluated by the interpreter, so the
+    compiled function keeps its volatile draw: after the same reseed both
+    return the same second draw."""
+    source = """CREATE FUNCTION r(n int) RETURNS float AS $$
+BEGIN RAISE NOTICE 'draw %', random(); RETURN random(); END;
+$$ LANGUAGE plpgsql"""
+    db.execute(source)
+    compile_plsql(source, db).register(db, name="r_c")
+    answers = {}
+    for label, name, settings in [("interpreter", "r", {}),
+                                  ("machine", "r_c", BATCH_MODES[0][1]),
+                                  ("inlined", "r_c", BATCH_MODES[1][1])]:
+        db.reseed(3)
+        answers[label] = _query_with(db, settings, f"SELECT {name}(1)")
+    assert len({str(rows) for rows in answers.values()}) == 1, answers
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,37 @@ def test_planner_resolution_and_schema_reads_elsewhere_are_clean(tmp_path):
                        SECOND_RESOLVER) == []
 
 
+FROM_SCOPE_WALK = """
+def shadowed_columns(core, catalog):
+    ref = core.from_clause
+    if ref.column_aliases:
+        return set(ref.column_aliases)
+    return set(catalog.tables[ref.name].column_names)
+"""
+
+PLANNED_CONFLICT_CHECK = """
+from ..analysis.sqlcheck import resolver
+
+def refuse_conflicts(cfg, db):
+    resolve = resolver(db, cfg.variables())
+    return [resolve(expr)[1] for expr in cfg.exprs()]
+"""
+
+
+def test_from_scope_walk_in_the_compiler_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/compiler/rename.py",
+                           FROM_SCOPE_WALK)
+    assert rules(findings) == ["second-resolver"] * 3
+    assert sorted(f.line for f in findings) == [3, 4, 5]
+
+
+def test_planned_check_and_the_renderer_are_clean(tmp_path):
+    assert lint_source(tmp_path, "repro/compiler/pipeline.py",
+                       PLANNED_CONFLICT_CHECK) == []
+    assert lint_source(tmp_path, "repro/compiler/dialects.py",
+                       FROM_SCOPE_WALK) == []
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

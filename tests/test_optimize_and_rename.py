@@ -1,4 +1,4 @@
-"""Focused unit tests: individual SSA passes and the shadow-aware renamer."""
+"""Focused unit tests: individual SSA passes and the variable renamer."""
 
 import pytest
 
@@ -11,15 +11,16 @@ from repro.compiler.optimize import (eliminate_dead_code,
 from repro.compiler.rename import collect_variable_uses, rename_variables
 from repro.compiler.ssa import build_ssa
 from repro.plsql.parser import parse_plpgsql_function
+from repro.sql import Database
 from repro.sql import ast as A
-from repro.sql.errors import CompileError
+from repro.sql.errors import CompileError, VariableConflictError
 from repro.sql.parser import parse_expression
 
 
 def ssa_of(body: str, params="n int"):
     name, type_name = params.split()
     func = parse_plpgsql_function("f", [name], [type_name], "int", body)
-    return build_ssa(build_cfg(func))
+    return build_ssa(build_cfg(func), Database().catalog)
 
 
 def all_stmts(program):
@@ -145,13 +146,20 @@ class TestVolatility:
             parse_expression("(SELECT max(x) FROM t)"), catalog)
 
 
+def compile_returning(db, expr: str, declare: str = ""):
+    """Compile ``f(x int, other int)`` returning *expr*."""
+    from repro.compiler import compile_plsql
+    return compile_plsql(
+        f"CREATE FUNCTION f(x int, other int) RETURNS int AS $$ {declare} "
+        f"BEGIN RETURN {expr}; END; $$ LANGUAGE plpgsql", db)
+
+
 class TestRenamer:
-    def rename_to_upper(self, text, variables, catalog=None):
+    def rename_to_upper(self, text, variables):
         expr = parse_expression(text)
         out = rename_variables(
             expr,
-            lambda n: A.ColumnRef((n.upper(),)) if n in variables else None,
-            catalog)
+            lambda n: A.ColumnRef((n.upper(),)) if n in variables else None)
         from repro.compiler.dialects import render_expression
         return render_expression(out)
 
@@ -159,36 +167,63 @@ class TestRenamer:
         out = self.rename_to_upper("x + t.x", {"x"})
         assert '"X"' in out and "t.x" in out
 
-    def test_subquery_column_not_renamed(self, tdb):
+    def test_subquery_column_not_renamed(self):
         # x is a column of t; inside the subquery it must stay a column.
-        out = self.rename_to_upper("(SELECT max(x) FROM t) + v", {"v"},
-                                   tdb.catalog)
+        out = self.rename_to_upper("(SELECT max(x) FROM t) + v", {"v"})
         assert "max(x)" in out and '"V"' in out
 
     def test_shadowed_variable_is_ambiguous(self, tdb):
+        # x is both the parameter and t's column: the planner refuses it
+        # when compile_plsql plans the body.
         with pytest.raises(CompileError, match="ambiguous"):
-            self.rename_to_upper("(SELECT count(*) FROM t WHERE x > 0)",
-                                 {"x"}, tdb.catalog)
+            compile_returning(tdb, "(SELECT count(*) FROM t WHERE x > 0)")
 
     def test_derived_table_alias_shadows(self, tdb):
         # inner bare v is both a variable and a derived-table column:
-        # the renamer must refuse rather than silently capture.
+        # the compiler must refuse rather than silently capture.
         with pytest.raises(CompileError, match="ambiguous"):
-            self.rename_to_upper(
+            compile_returning(
+                tdb,
                 "(SELECT q.v FROM (SELECT 1 AS v) AS q WHERE v = 1) + other",
-                {"v", "other"}, tdb.catalog)
+                declare="DECLARE v int = 2;")
 
-    def test_derived_alias_without_conflict_ok(self, tdb):
+    def test_a_name_the_planner_never_reached_is_refused(self, tdb):
+        # The planner stops at the unknown helper() before it reaches the
+        # select list's x, a variable and t's column: the compiler cannot
+        # tell which it is, so it refuses rather than guess the variable.
+        # Once helper() exists, the call raises the ambiguity.
+        from repro.compiler import compile_plsql
+        source = ("CREATE FUNCTION f(x int) RETURNS int AS $$ BEGIN RETURN "
+                  "(SELECT x FROM t WHERE helper(x) > 0); END; $$ "
+                  "LANGUAGE plpgsql")
+        with pytest.raises(CompileError, match="unknown function 'helper'"):
+            compile_plsql(source, tdb)
+        tdb.execute(source)
+        tdb.execute("CREATE FUNCTION helper(v int) RETURNS int AS "
+                    "$$ SELECT v $$ LANGUAGE sql")
+        with pytest.raises(CompileError, match="ambiguous"):
+            compile_plsql(source, tdb)
+        with pytest.raises(VariableConflictError):
+            tdb.execute("SELECT f(1)")
+
+    def test_ambiguity_in_a_raise_argument(self, tdb):
+        from repro.compiler import compile_plsql
+        with pytest.raises(CompileError, match="ambiguous"):
+            compile_plsql(
+                "CREATE FUNCTION f(x int) RETURNS int AS $$ BEGIN RAISE "
+                "NOTICE '%', (SELECT max(x) FROM t); RETURN x; END; $$ "
+                "LANGUAGE plpgsql", tdb)
+
+    def test_derived_alias_without_conflict_ok(self):
         out = self.rename_to_upper(
             "(SELECT q.w FROM (SELECT 1 AS w) AS q WHERE w = 1) + other",
-            {"v", "other"}, tdb.catalog)
+            {"v", "other"})
         assert '"OTHER"' in out and "w = 1" in out.replace("(", "").replace(")", "")
 
-    def test_collect_uses_crosses_subqueries(self, tdb):
+    def test_collect_uses_crosses_subqueries(self):
         expr = parse_expression(
             "(SELECT count(*) FROM t WHERE t.x > threshold) + bias")
-        used = collect_variable_uses(expr, {"threshold", "bias", "unused"},
-                                     tdb.catalog)
+        used = collect_variable_uses(expr, {"threshold", "bias", "unused"})
         assert used == {"threshold", "bias"}
 
 

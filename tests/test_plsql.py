@@ -4,7 +4,8 @@ import pytest
 
 from repro.plsql import ast as P
 from repro.plsql.parser import parse_plpgsql_body, parse_plpgsql_function
-from repro.sql.errors import ParseError, PlsqlRuntimeError
+from repro.sql.errors import (ParseError, PlsqlRuntimeError,
+                              VariableConflictError)
 
 
 def make(db, source: str) -> str:
@@ -298,15 +299,20 @@ class TestInterpreter:
             BEGIN NULL; RETURN 0; END; $$ LANGUAGE plpgsql""")
         assert db.query_value("SELECT idle()") == 0
 
-    def test_variable_conflict_prefers_column(self, tdb):
-        # Our interpreter resolves a bare name to the innermost scope
-        # (the column), like plpgsql.variable_conflict = use_column.
+    def test_variable_conflict_is_an_error(self, tdb):
+        # A bare name that is both a variable and a column of the embedded
+        # query's FROM is refused, as PostgreSQL's default
+        # plpgsql.variable_conflict = error refuses it.
         make(tdb, """
             CREATE FUNCTION conflict(x int) RETURNS int AS $$
             BEGIN
               RETURN (SELECT count(*) FROM t WHERE x = x);
             END; $$ LANGUAGE plpgsql""")
-        assert tdb.query_value("SELECT conflict(1)") == 4  # x=x over columns
+        with pytest.raises(VariableConflictError,
+                           match="column reference 'x' is ambiguous: it may "
+                                 "refer to either a PL/pgSQL variable or a "
+                                 "table column"):
+            tdb.query_value("SELECT conflict(1)")
 
 
 class TestLoopEdges:

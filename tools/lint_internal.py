@@ -92,7 +92,12 @@ Ten checks, each born from a real failure mode in this codebase:
     fields, and a third rule decided which variables a statement reads.
     Under ``repro/analysis/``, reading the schema - an attribute named
     ``tables``, ``get_table`` or ``column_names`` - is that resolver
-    regrowing.
+    regrowing.  The compiler asks the same planner whether a name is a
+    variable (``compile_plsql`` plans every expression of the body); a
+    FROM-scope walk over the catalog preceded it, and missed the SSA
+    names an embedded query captured.  Under ``repro/compiler/``, an
+    attribute named ``from_clause`` or ``column_aliases`` anywhere but
+    the renderer (``dialects.py``) is that walk regrowing.
 
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
@@ -144,9 +149,14 @@ ANF_MODULE = "repro/compiler/anf.py"
 #: ... and the node classes it tells apart.
 ANF_NODES = {"AnfLet", "AnfIf", "AnfCall", "AnfRet"}
 
-#: The analyzer's package (rule 10) and the schema reads banned there.
+#: The analyzer's package (rule 10) and the schema reads banned there ...
 ANALYSIS_PACKAGE = "repro/analysis/"
 SCHEMA_READS = {"tables", "get_table", "column_names"}
+#: ... and the compiler's, its renderer, and the FROM-scope reads banned
+#: elsewhere in it.
+COMPILER_PACKAGE = "repro/compiler/"
+COMPILER_RENDERER = "repro/compiler/dialects.py"
+FROM_SCOPE_READS = {"from_clause", "column_aliases"}
 
 #: Modules (path prefixes) whose while-loops iterate user-controlled
 #: amounts of work; the executor prefix takes in executor/modify.py.
@@ -536,14 +546,20 @@ def check_anf_dispatch(path: Path, tree: ast.Module) -> list[Finding]:
 # -- rule 10: one name resolver ---------------------------------------------
 
 def check_second_resolver(path: Path, tree: ast.Module) -> list[Finding]:
-    if not path.relative_to(SRC).as_posix().startswith(ANALYSIS_PACKAGE):
+    relative = path.relative_to(SRC).as_posix()
+    if relative.startswith(ANALYSIS_PACKAGE):
+        banned, who, what = SCHEMA_READS, "the analyzer", "reading the schema"
+    elif (relative.startswith(COMPILER_PACKAGE)
+          and relative != COMPILER_RENDERER):
+        banned, who, what = (FROM_SCOPE_READS, "the compiler",
+                             "walking FROM scopes")
+    else:
         return []
     return [Finding(path, node.lineno, "second-resolver",
-                    f".{node.attr}: the analyzer resolves names through the "
-                    "planner (analysis/sqlcheck.resolver), not by reading "
-                    "the schema")
+                    f".{node.attr}: {who} resolves names through the "
+                    f"planner (analysis/sqlcheck.resolver), not by {what}")
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in SCHEMA_READS]
+            if isinstance(node, ast.Attribute) and node.attr in banned]
 
 
 # -- driver -----------------------------------------------------------------
