@@ -24,6 +24,7 @@ import re
 
 from ..sql import ast as A
 from ..sql.errors import CompileError
+from ..sql.types import normalize_type_name
 
 _PLAIN_IDENT = re.compile(r"[a-z_][a-z0-9_]*$")
 
@@ -278,7 +279,12 @@ class SqlRenderer:
             bits.append("END")
             return " ".join(bits)
         if isinstance(node, A.Cast):
-            return f"CAST({self.expr(node.operand)} AS {node.type_name})"
+            operand = self.expr(node.operand)
+            if self.sqlite and normalize_type_name(node.type_name) == "int":
+                # SQLite's CAST truncates a real where the engine rounds
+                # half away from zero, as SQLite's round() does.
+                operand = f"round({operand})"
+            return f"CAST({operand} AS {node.type_name})"
         if isinstance(node, A.FuncCall):
             rewritten = self._dialect_function(node)
             if rewritten is not None:

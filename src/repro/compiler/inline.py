@@ -24,9 +24,10 @@ def inline_calls(stmt: A.SelectStmt,
     """Replace calls to the given compiled functions with scalar subqueries.
 
     *functions* maps lower-case function names to their parameterised Qf
-    query; each ``$n`` hole receives the call site's n-th argument
-    expression.  Nested/repeated calls all get their own copy (the engine's
-    planner does exactly the same).
+    query; its one ``$n`` hole per parameter, in the row that binds the
+    arguments, receives the call site's n-th argument expression.
+    Nested/repeated calls all get their own copy (the engine's planner
+    does exactly the same).
     """
 
     def leaf(node: A.Expr) -> Optional[A.Expr]:
@@ -54,12 +55,17 @@ def inline_into_query(sql: str,
     ...     CREATE FUNCTION double(n int) RETURNS int AS $$
     ...     BEGIN RETURN 2 * n; END;
     ...     $$ LANGUAGE PLPGSQL''', Database())
-    >>> inline_into_query("SELECT double(21) AS x", doubled)
-    'SELECT (SELECT (2 * 21)) AS x'
+    >>> print(inline_into_query("SELECT double(21) AS x", doubled))
+    SELECT (SELECT (2 * args.n_1)
+    FROM (
+      SELECT CAST(21 AS int) AS n_1
+    ) AS args) AS x
 
-    A loop-free function inlines as a plain expression (Froid); recursive
-    functions splice in their whole ``WITH RECURSIVE`` query Qf, so the
-    merged text contains no trace of PL/SQL either way.
+    The argument lands in the Qf's one-row FROM (``args``), evaluated once
+    and cast to its parameter's type, and the body reads it from there.  A
+    loop-free function's body is a plain expression (Froid); a recursive
+    function's is its whole ``WITH RECURSIVE`` query, so the merged text
+    contains no trace of PL/SQL either way.
     """
     if isinstance(compiled, CompiledFunction):
         compiled = [compiled]

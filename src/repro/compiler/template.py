@@ -3,16 +3,17 @@
 The tail-recursive UDF ``f*`` is *simulated* by a CTE ``run`` that tracks
 its evaluation::
 
-    WITH RECURSIVE run("call?", fn, <vars...>, result) AS (
-      SELECT base.*                                  -- original invocation
-      FROM (SELECT <adapted main>) AS base(...)
-      UNION ALL
-      SELECT iter.*                                  -- calls and base cases
-      FROM run AS r,
-           LATERAL (SELECT <adapted body>) AS iter(...)
-      WHERE r."call?"
-    )
-    SELECT r.result FROM run AS r WHERE NOT r."call?"
+    SELECT (WITH RECURSIVE run("call?", fn, <vars...>, result) AS (
+              SELECT base.*                          -- original invocation
+              FROM (SELECT <adapted main>) AS base(...)
+              UNION ALL
+              SELECT iter.*                          -- calls and base cases
+              FROM run AS r,
+                   LATERAL (SELECT <adapted body>) AS iter(...)
+              WHERE r."call?"
+            )
+            SELECT r.result FROM run AS r WHERE NOT r."call?")
+    FROM (SELECT CAST($1 AS t1) AS p1, ..) AS args   -- the arguments
 
 Adaptation replaces each recursive call site with a ``ROW(true, args, NULL)``
 constructor and each base-case result with ``ROW(false, NULLs, v)`` — a
@@ -20,7 +21,9 @@ plain AST traversal, done here at the ANF level so the shared translation
 machinery of :mod:`repro.compiler.udf` emits the final SQL.
 
 The run table's ``args`` are flattened into one column per UDF parameter
-(the paper's ``args`` abbreviation, footnote 2).  ``WITH ITERATE`` uses the
+(the paper's ``args`` abbreviation, footnote 2).  Every Qf, loop-free or
+not, reads its parameters from the one-row FROM that binds the call's
+arguments (:func:`bind_arguments`).  ``WITH ITERATE`` uses the
 identical template with the ITERATE keyword — only the engine-side working
 table behaviour differs.
 """
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.volatility import expr_is_volatile
 from ..sql import ast as A
+from ..sql.astutil import spelled_names
 from ..sql.errors import CompileError
 from .anf import AnfCall, exprs, fold
 from .rename import rename_variables
@@ -77,7 +81,7 @@ def _translate_substituted(expr, call, ret) -> A.Expr:
         call=call, ret=ret)
 
 
-def _split_column_exprs(udf: SqlUdf, body, binder) -> list[A.Expr]:
+def _split_column_exprs(udf: SqlUdf, body, binder=None) -> list[A.Expr]:
     """One independent scalar expression per run column (split rewrite)."""
     out = []
     for index in range(len(run_columns(udf))):
@@ -85,7 +89,8 @@ def _split_column_exprs(udf: SqlUdf, body, binder) -> list[A.Expr]:
             body,
             call=lambda node: _call_row(udf, node).items[index],
             ret=lambda node: _result_row(udf, node.expr).items[index])
-        out.append(rename_variables(expr, binder))
+        out.append(expr if binder is None
+                   else rename_variables(expr, binder))
     return out
 
 
@@ -125,13 +130,11 @@ def build_split_template_query(udf: SqlUdf, iterate: bool = False,
             "more than once — not supported for this function")
     columns = run_columns(udf)
     anf = udf.anf
-    param_map = {name: A.Param(index + 1)
-                 for index, name in enumerate(udf.params)}
 
     entry = anf.functions[anf.entry]
     base_core = A.SelectCore(items=[
         A.SelectItem(e, alias=columns[i]) for i, e in enumerate(
-            _split_column_exprs(udf, entry.body, lambda n: param_map.get(n)))])
+            _split_column_exprs(udf, entry.body))])
 
     rec_core = A.SelectCore(
         items=_split_rec_items(udf),
@@ -145,8 +148,9 @@ def build_split_template_query(udf: SqlUdf, iterate: bool = False,
         items=[A.SelectItem(A.ColumnRef((RUN_ALIAS, "result")), alias="result")],
         from_clause=A.TableName("run", alias=RUN_ALIAS),
         where=A.UnaryOp("not", A.ColumnRef((RUN_ALIAS, CALL_COLUMN))))
-    return A.SelectStmt(A.WithClause(recursive=True, ctes=[cte],
-                                     iterate=iterate), final_core)
+    return bind_arguments(udf, A.ScalarSubquery(A.SelectStmt(
+        A.WithClause(recursive=True, ctes=[cte], iterate=iterate),
+        final_core)))
 
 
 def udf_contains_volatile(udf: SqlUdf, catalog=None) -> bool:
@@ -174,21 +178,46 @@ def loop_free_query(udf: SqlUdf, let_style: str) -> A.SelectStmt:
                          on_call=_no_calls_expected,
                          on_return=lambda v: v,
                          let_style=let_style)
-    return _scalar_stmt(_bind_params(udf, body))
+    return bind_arguments(udf, body)
 
 
-def _bind_params(udf: SqlUdf, expr: A.Expr) -> A.Expr:
-    param_map = {name: A.Param(index + 1)
-                 for index, name in enumerate(udf.params)}
-    return rename_variables(expr, lambda n: param_map.get(n))
+def bind_arguments(udf: SqlUdf, body: A.Expr) -> A.SelectStmt:
+    """Qf: *body*, which reads each parameter by its bare SSA name, over
+    one row binding the arguments:
+    ``SELECT <body> FROM (SELECT CAST($1 AS t1) AS p1, ..) AS <alias>``.
+
+    The one place a parameter becomes a ``$k``, each exactly once: a call
+    site's argument is evaluated once per call, before the body, read or
+    not, cast as the interpreter coerces it at entry, and outside the
+    body's FROM clauses, so no callee column captures a name it spells.
+    *alias* is no name the body spells, so nothing inside the body
+    captures its reads ``<alias>.<p>`` either.
+    """
+    if not udf.params:
+        return _scalar_stmt(body)
+    taken = spelled_names(body)
+    alias, version = "args", 0
+    while alias in taken:
+        version += 1
+        alias = f"args_{version}"
+    row = A.SelectStmt(None, A.SelectCore(items=[
+        A.SelectItem(A.Cast(A.Param(index), type_name),
+                     alias=name)
+        for index, (name, type_name)
+        in enumerate(zip(udf.params, udf.param_types), start=1)]))
+    reads = {name: A.ColumnRef((alias, name)) for name in udf.params}
+    return A.SelectStmt(None, A.SelectCore(
+        items=[A.SelectItem(rename_variables(body, reads.get))],
+        from_clause=A.SubqueryRef(row, alias=alias)))
 
 
 def build_template_query(udf: SqlUdf, iterate: bool = False) -> A.SelectStmt:
     """Produce the pure-SQL query Qf for *udf*.
 
-    Function parameters appear as ``$n`` placeholders; the planner (or
-    :mod:`repro.compiler.inline`) splices call-site arguments into them.
-    Loop-free functions skip the CTE entirely (:func:`loop_free_query`).
+    The arguments are bound once, in a one-row FROM over ``$1 .. $n``
+    (:func:`bind_arguments`); the planner (or :mod:`repro.compiler.inline`)
+    substitutes the call site's argument expressions there.  Loop-free
+    functions skip the CTE entirely (:func:`loop_free_query`).
     """
     if not udf_is_recursive(udf):
         return loop_free_query(udf, LET_STYLE_LATERAL)
@@ -202,7 +231,6 @@ def build_template_query(udf: SqlUdf, iterate: bool = False) -> A.SelectStmt:
         entry.body,
         on_call=lambda call: _call_row(udf, call),
         on_return=lambda value: _result_row(udf, value))
-    base_expr = _bind_params(udf, base_expr)
     base_core = A.SelectCore(
         items=[A.Star("base")],
         from_clause=A.SubqueryRef(_scalar_stmt(base_expr), alias="base",
@@ -228,9 +256,9 @@ def build_template_query(udf: SqlUdf, iterate: bool = False) -> A.SelectStmt:
         from_clause=A.TableName("run", alias=RUN_ALIAS),
         where=A.UnaryOp("not", A.ColumnRef((RUN_ALIAS, CALL_COLUMN))))
 
-    return A.SelectStmt(A.WithClause(recursive=True, ctes=[cte],
-                                     iterate=iterate),
-                        final_core)
+    return bind_arguments(udf, A.ScalarSubquery(A.SelectStmt(
+        A.WithClause(recursive=True, ctes=[cte], iterate=iterate),
+        final_core)))
 
 
 def _dispatch_body(udf: SqlUdf) -> A.Expr:

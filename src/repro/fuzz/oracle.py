@@ -45,7 +45,6 @@ engine's deliberate error hierarchy is a **crash** and always reported.
 from __future__ import annotations
 
 import math
-import re
 import sqlite3
 from dataclasses import dataclass
 from typing import Optional
@@ -338,10 +337,11 @@ def _sqlite_difference_explained(engine: Outcome, lite: Outcome) -> bool:
 
 
 #: The argument tuples each generated function is called with, by arity:
-#: eighteen each, NULL and zero among them.
+#: twenty or twenty-one, NULL, zero and a half-way float (cast to the int
+#: parameter, rounding away from zero) among them.
 _CALL_ARGUMENTS = {
-    1: [(None,)] + [(v,) for v in range(-6, 11)],
-    2: [(a, b) for a in (None, -5, 0, 2, 7, 11) for b in (-2, 0, 3)],
+    1: [(None,)] + [(v,) for v in range(-6, 11)] + [(2.5,), (-2.5,)],
+    2: [(a, b) for a in (None, -5, 0, 2, 7, 11, -2.5) for b in (-2, 0, 3)],
 }
 
 # ---------------------------------------------------------------------------
@@ -639,9 +639,6 @@ class DifferentialChecker:
             if twin is None or udf_contains_volatile(twin.udf, twin.catalog):
                 continue
             qf = twin.sql("sqlite")
-            # sqlite3 binds by position, as many as the highest ?n the
-            # text reads: the optimizer drops parameters the body ignores.
-            bound = max(map(int, re.findall(r"\?(\d+)", qf)), default=0)
             compared = False
             for args in _CALL_ARGUMENTS[fn.arity]:
                 call = "SELECT {}({})".format(fn.name, ", ".join(
@@ -649,7 +646,7 @@ class DifferentialChecker:
                 compared = cross_check(
                     Query(sql=call, sqlite_sql=qf, function=fn.name),
                     run_statement(db, call), call,
-                    lambda conn: _run_sqlite(conn, qf, args[:bound])
+                    lambda conn: _run_sqlite(conn, qf, args)
                 ) or compared
             if compared:
                 self.profiler.bump(FUZZ_SQLITE_FUNCTIONS)

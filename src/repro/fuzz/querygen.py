@@ -537,7 +537,7 @@ class QueryGen:
 
     def _finish(self, engine_body: str, lite_body: Optional[str],
                 n_output: int, function: Optional[str] = None,
-                orderable: bool = True) -> Query:
+                orderable: bool = True, per_config: bool = False) -> Query:
         order = "none"
         keys: tuple = ()
         engine_tail = lite_tail = ""
@@ -567,7 +567,8 @@ class QueryGen:
         sqlite_sql = (lite_body + lite_tail
                       if lite_body is not None and function is None else None)
         return Query(sql=sql, sqlite_sql=sqlite_sql, order=order,
-                     order_keys=keys, function=function)
+                     order_keys=keys, function=function,
+                     per_config=per_config)
 
     # -- statement shapes ----------------------------------------------
 
@@ -846,7 +847,10 @@ class QueryGen:
     def function_select(self) -> Query:
         """A call of a loop-bearing function (:func:`generate_function`):
         alone over literals, under ``sum``, in WHERE or beside other
-        select items."""
+        select items.  An argument is a column, a literal, a division by
+        zero over the row (raising wherever the column is not NULL, read
+        by the body or not) or a ``random()`` draw; a query with either of
+        the last two is compared per configuration."""
         fn = generate_function(self.rng)
         self.functions = (fn,)
         table = self._table()
@@ -854,11 +858,18 @@ class QueryGen:
         int_cols = table.columns_of_dtype("int")
 
         def arg() -> str:
-            if self.rng.random() < 0.75:
-                return f"a.{self.rng.choice(int_cols).name}"
+            draw = self.rng.random()
+            column = f"a.{self.rng.choice(int_cols).name}"
+            if draw < 0.65:
+                return column
+            if draw < 0.72:
+                return f"12 / ({column} - {column})"
+            if draw < 0.8:
+                return f"floor(random() * {self.rng.randint(2, 9)})::int"
             return str(self.rng.randint(0, 12))
 
         args = ", ".join(arg() for _ in range(fn.arity))
+        per_config = "/" in args or "random" in args
         call = "{f}(" + args + ")"
         shape = self.rng.random()
         if shape < 0.15:
@@ -869,17 +880,20 @@ class QueryGen:
                          function=fn.name)
         if shape < 0.30:
             body = (f"SELECT sum({call}), count(*) FROM {table.name} a")
-            return Query(sql=body, sqlite_sql=None, function=fn.name)
+            return Query(sql=body, sqlite_sql=None, function=fn.name,
+                         per_config=per_config)
         if shape < 0.45:
             pred_col = f"a.{self.rng.choice(int_cols).name}"
             body = (f"SELECT {pred_col} FROM {table.name} a "
                     f"WHERE ({call} % 2 = 0)")
-            return self._finish(body, None, 1, function=fn.name)
+            return self._finish(body, None, 1, function=fn.name,
+                                per_config=per_config)
         items = [call]
         for _ in range(self.rng.randint(0, 2)):
             items.append(gen.scalar(1).text)
         body = f"SELECT {', '.join(items)} FROM {table.name} a"
-        return self._finish(body, None, len(items), function=fn.name)
+        return self._finish(body, None, len(items), function=fn.name,
+                            per_config=per_config)
 
     def correlated_in(self) -> Query:
         """``a.x [NOT] IN (SELECT z.v FROM t z WHERE z.k = a.k)``: probed
@@ -1156,11 +1170,7 @@ $$ LANGUAGE plpgsql"""
 
 def generate_dividing_function(rng: random.Random) -> FunctionSpec:
     """A loop whose every iteration divides by ``a - v``: a call raises
-    exactly when ``a = v``, wherever and whenever it is evaluated.  (An
-    argument expression that raises would not do: the inlined Qf splices
-    argument expressions into the body, so a parameter the body never
-    reads leaves its argument unevaluated, where the interpreter and the
-    machine evaluate every argument first.)"""
+    exactly when ``a = v``, wherever and whenever it is evaluated."""
     name = "fzd"
     source = f"""CREATE FUNCTION {name}(a int, v int) RETURNS int AS $$
 DECLARE acc int := {rng.randint(0, 5)}; i int := 0;

@@ -141,17 +141,21 @@ class Interpreter:
         func = runtime.func
         for index, (name, type_name) in enumerate(
                 zip(func.param_names, func.param_types)):
-            self.values[runtime.var_index[name]] = self._coerce(args[index],
-                                                                type_name)
+            self.values[runtime.var_index[name]] = self._cast(args[index],
+                                                              type_name)
 
     # -- variable helpers --------------------------------------------------
 
+    def _cast(self, value: Value, type_name: str) -> Value:
+        """*value* as ``CAST(value AS type_name)`` makes it: an argument at
+        entry, where a failed cast raises as it does in PostgreSQL."""
+        return cast_value(value, type_name, self.db.catalog.get_type(type_name))
+
     def _coerce(self, value: Value, type_name: str) -> Value:
-        if value is None or type_name.lower() == "record":
-            return value
-        composite = self.db.catalog.get_type(type_name)
+        """An assigned or returned value cast as :meth:`_cast` does, but
+        kept as it is where that cast fails."""
         try:
-            return cast_value(value, type_name, composite)
+            return self._cast(value, type_name)
         except Exception:
             return value
 

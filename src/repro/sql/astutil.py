@@ -199,8 +199,9 @@ def substitute_params(node, args: list[A.Expr]):
     the n-th expression of *args*, crossing subqueries.
 
     This is how a compiled function is inlined: the stored query template
-    has one ``Param`` hole per function parameter, and the call site's
-    argument expressions are spliced in."""
+    has one ``Param`` hole per function parameter, in the row that binds
+    its arguments (``compiler/template.bind_arguments``), and the call
+    site's argument expressions are substituted there."""
 
     def leaf(node: A.Expr) -> Optional[A.Expr]:
         if isinstance(node, A.Param):

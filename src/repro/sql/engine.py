@@ -69,7 +69,7 @@ from .settings import SettingsRegistry
 from .statement import PlanCache, Statement
 from .storage import BufferManager
 from .txn import TransactionManager
-from .types import cast_value
+from .types import cast_value, type_exists
 from .values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -771,7 +771,10 @@ class Database:
         the trampoline machine, one activation per call, memoized by
         argument values where the function is not volatile; without it, or
         under ``batch_compiled = off``, *query* is inlined at the call site
-        as a scalar subquery.
+        as a scalar subquery, the call's arguments substituted for the
+        ``$1 .. $n`` of the one row that binds them
+        (:func:`repro.compiler.template.bind_arguments`).  Both forms cast
+        each argument to its declared type before the body runs.
         """
         fdef = FunctionDef(name=name.lower(), kind="compiled",
                            param_names=list(param_names),
@@ -850,6 +853,10 @@ class Database:
         language = stmt.language.lower()
         if language not in ("sql", "plpgsql"):
             raise CatalogError(f"unsupported function language {stmt.language!r}")
+        for param in stmt.params:
+            # An argument is cast to its parameter's type at every call.
+            if not type_exists(param.type_name, self.catalog.composite_types):
+                raise CatalogError(f"type {param.type_name!r} does not exist")
         fdef = FunctionDef(
             name=stmt.name.lower(), kind=language,
             param_names=[p.name for p in stmt.params],

@@ -14,9 +14,11 @@ keeps only the most recent step: the CTE's result is the last *non-empty*
 working table, and nothing is ever spilled to the buffer manager.
 
 Engine extension: unlike PostgreSQL, CTE bodies here may reference columns
-of an enclosing query.  Inlined compiled functions need this — their
-argument expressions live inside the CTE's base term.  Each (re)open of the
-enclosing statement therefore invalidates and re-materializes its CTEs.
+of an enclosing query.  Inlined compiled functions need this — the CTE's
+base term reads the parameters from the one-row table that binds the
+call's arguments, in the FROM of the query enclosing the CTE.  Each
+(re)open of the enclosing statement therefore invalidates and
+re-materializes its CTEs.
 """
 
 from __future__ import annotations

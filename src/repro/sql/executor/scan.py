@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import ExecutionError, NameResolutionError
+from ..expr import EvalContext
 from ..profiler import INDEX_RANGE_SCANS, SORTED_INDEX_BUILDS
 from ..values import Row
 from .base import Plan, PlanState
@@ -83,7 +84,6 @@ def mirror_outer_context(state, outer):
     """
     if outer is state._ctx_outer:
         return state._ctx
-    from ..expr import EvalContext
     if outer is not None:
         state._ctx = EvalContext(state.rt, outer.rows, parent=outer.parent,
                                  slots=state.slots)
@@ -317,27 +317,27 @@ class ValuesPlan(Plan):
 
 
 class ValuesState(PlanState):
-    __slots__ = ("plan", "slots", "pos", "outer")
+    __slots__ = ("plan", "slots", "pos", "ctx")
 
     def __init__(self, rt, plan: ValuesPlan, ictx):
         super().__init__(rt)
         self.plan = plan
         self.slots = make_slots(rt, ictx, plan.subplans)
         self.pos = 0
-        self.outer = None
+        self.ctx = None
 
     def open(self, outer) -> None:
         self.pos = 0
-        self.outer = outer
+        if self.ctx is None or self.ctx.parent is not outer:
+            self.ctx = EvalContext(self.rt, (), parent=outer, slots=self.slots)
 
     def next(self) -> Optional[tuple]:
-        from ..expr import EvalContext
         if self.pos >= len(self.plan.rows):
             return None
         row = self.plan.rows[self.pos]
         self.pos += 1
-        ctx = EvalContext(self.rt, (), parent=self.outer, slots=self.slots)
-        return tuple(cell(ctx) for cell in row)
+        ctx = self.ctx
+        return tuple([cell(ctx) for cell in row])
 
 
 class RowExpandPlan(Plan):

@@ -1,12 +1,14 @@
 """The trampoline machine: one per-call site kind, memoized by argument.
 
 The paper's finalization step splices a compiled function's Qf into the
-call site as a *correlated scalar subquery*, so every evaluation re-opens
-(and hence re-materializes) the whole ``WITH RECURSIVE`` trampoline through
-the generic recursive-CTE operators, and every statement re-plans it.  With
-``batch_compiled`` on (the default) a call to a *recursive* compiled
-function instead runs the template's **machine form**
-(:class:`repro.compiler.template.TrampolineMachine`): the transition rules the
+call site as a *correlated scalar subquery*, the call's arguments bound in
+its one-row FROM (:func:`repro.compiler.template.bind_arguments`), so
+every evaluation re-opens (and hence re-materializes) the whole ``WITH
+RECURSIVE`` trampoline through the generic recursive-CTE operators, and
+every statement re-plans it.  With ``batch_compiled`` on (the default) a
+call to a *recursive* compiled function instead runs the template's
+**machine form** (:class:`repro.compiler.template.TrampolineMachine`):
+the transition rules the
 SQL template spells out, compiled once into expression closures
 (:func:`compile_machine`, cached on the ``FunctionDef`` and so shared by
 every call site of every statement) and stepped over one live machine
@@ -17,11 +19,13 @@ ORDER BY, JOIN ON, CASE arm, a subquery), is parked in the owning
 expression's subplan slots (:meth:`repro.sql.expr.ExprCompiler.
 _compile_trampoline_call`), and each evaluation of the call runs **one**
 activation to completion, alone and in place
-(:meth:`MachineCallState.call`).  Nothing is evaluated earlier, later or
-more often than the inlined Qf would evaluate it, so volatile draw order,
-the RNG state a statement leaves behind and the not-evaluated cases
-(untaken CASE arm, rows past LIMIT, rows WHERE rejects) all agree with the
-inlined Qf and with the interpreter.
+(:meth:`MachineCallState.call`) over the argument values, each cast to
+its parameter's declared type, as the Qf's binding row casts them.
+Nothing is evaluated earlier, later or more often than the inlined Qf
+would evaluate it - each argument once per call, before the body - so
+volatile draw order, the RNG state a statement leaves behind and the
+not-evaluated cases (untaken CASE arm, rows past LIMIT, rows WHERE
+rejects) all agree with the inlined Qf and with the interpreter.
 
 A site of a function whose machine is ``shareable`` and that is not
 volatile (a declared VOLATILE counts) keeps the result of each activation
@@ -37,7 +41,7 @@ the builder's.  Errors are never cached.
 
 ``batch_compiled = off`` is the single switch back to the paper's inlined
 pure-SQL Qf at every site; loop-free (Froid) functions have no trampoline
-and always inline as plain expressions.
+and always inline their Qf, a plain expression over the binding row.
 """
 
 from __future__ import annotations

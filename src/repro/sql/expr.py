@@ -29,7 +29,7 @@ from .errors import (ExecutionError, NameResolutionError, PlanError, SqlError,
                      TypeError_, VariableConflictError)
 from .functions import (BUILTIN_ARITY, SCALAR_BUILTINS, VOLATILE_FUNCTIONS,
                         is_aggregate_name)
-from .types import cast_value
+from .types import cast_value, normalize_type_name
 # sql_and / sql_or are also named by generated kernel code (f"sql_{op}").
 from .values import (Row, Value, sql_and, sql_eq, sql_ge, sql_gt, sql_le,
                      sql_lt, sql_ne, sql_not, sql_or)
@@ -776,8 +776,12 @@ class ExprCompiler:
         node's subplan slots; every evaluation of the call answers here and
         now, from the site's memo or by one activation run to completion -
         as lazily as the inlined Qf it stands in for
-        (executor/trampoline.py)."""
-        args = self.compile_many(expr.args)
+        (executor/trampoline.py).  Each argument is cast to its
+        parameter's declared type before the machine runs and before the
+        memo key is built, as the inlined Qf's binding row casts it."""
+        args = self.compile_many([
+            A.Cast(arg, type_name)
+            for arg, type_name in zip(expr.args, fdef.param_types)])
         slot = self._alloc_slot()
         self.subplans.append(self.planner.trampoline_site(fdef, expr))
 
@@ -980,6 +984,29 @@ def _case(c: ExprCompiler, e: A.CaseExpr) -> Lazy:
                 default=e.else_result, operand=e.operand)
 
 
+#: The Python type of each scalar type's values: a value of it is already
+#: what a cast to that type makes of it.
+_PYTHON_TYPE = {"int": "int", "float": "float", "text": "str", "bool": "bool"}
+
+
+def _cast(c: ExprCompiler, e: A.Cast) -> Strict:
+    """Only a composite target reads the catalog."""
+    target = normalize_type_name(e.type_name)
+    if target == "int":
+        return Strict([e.operand], "cast_value(a, 'int')", fast="a",
+                      fast_yields=IntColumn)
+    if target in _PYTHON_TYPE:
+        return Strict([e.operand], f"a if type(a) is {_PYTHON_TYPE[target]} "
+                                   f"else cast_value(a, type_name)",
+                      {"type_name": target})
+    if target.endswith("[]") or target == "record":
+        return Strict([e.operand], "cast_value(a, type_name)",
+                      {"type_name": target})
+    return Strict([e.operand], "cast_value(a, type_name, t)",
+                  {"type_name": e.type_name},
+                  pre="rt.catalog.get_type(type_name)")
+
+
 def _row(c: ExprCompiler, e: A.RowExpr) -> Strict:
     if e.type_name is None:
         return Strict(e.items, "Row(xs)", variadic=True)
@@ -1005,9 +1032,7 @@ KERNELS: dict[type, Callable] = {
     A.InList: _in_list,
     A.Like: _like,
     A.CaseExpr: _case,
-    A.Cast: lambda c, e: Strict(
-        [e.operand], "cast_value(a, type_name, t)",
-        {"type_name": e.type_name}, pre="rt.catalog.get_type(type_name)"),
+    A.Cast: _cast,
     A.RowExpr: _row,
     A.ArrayExpr: lambda c, e: Strict(e.items, "list(xs)", variadic=True),
     A.ArrayIndex: lambda c, e: Strict(

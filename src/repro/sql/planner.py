@@ -633,7 +633,13 @@ class Planner:
                                                parent=outer_scope)
         else:
             sub_outer = outer_scope
-        subplan = self.plan_subquery(ref.query, sub_outer)
+        items = _one_row_items(ref.query)
+        if items is None:
+            subplan = self.plan_subquery(ref.query, sub_outer)
+        else:
+            subplan = self._plan_values(A.ValuesClause([items]), sub_outer)
+            subplan.output_columns = [_derive_name(item)
+                                      for item in ref.query.body.items]
         columns = list(subplan.output_columns)
         volatile = self._volatile_items(ref.query)
         if ref.column_aliases:
@@ -1492,6 +1498,26 @@ def _apply_column_aliases(cte_name: str, derived: list[str],
             f"CTE {cte_name!r} declares {len(aliases)} columns but its query "
             f"produces {len(derived)}")
     return [a.lower() for a in aliases]
+
+
+def _one_row_items(query: A.SelectStmt) -> Optional[list[A.Expr]]:
+    """The select items of *query* if it is one FROM-less projection (no
+    WITH, WHERE, grouping, aggregate, window, DISTINCT, ORDER BY or LIMIT),
+    which makes exactly one row; else None.  As a derived table (a
+    compiled call's binding row, a Qf's LATERAL let) it is planned as a
+    one-row VALUES, evaluated when its FROM opens: a subplan would cost an
+    open per outer row, and a memo a key read as dear as the items."""
+    body = query.body
+    if (query.with_clause is not None or query.order_by
+            or query.limit is not None or query.offset is not None
+            or not isinstance(body, A.SelectCore)
+            or body.from_clause is not None or body.where is not None
+            or body.group_by or body.having is not None or body.distinct
+            or any(isinstance(item, A.Star) or contains_aggregate(item.expr)
+                   or contains_window_call(item.expr)
+                   for item in body.items)):
+        return None
+    return [item.expr for item in body.items]
 
 
 def _derive_name(item: A.SelectItem) -> str:

@@ -15,7 +15,8 @@ from repro.sql.astutil import (contains_aggregate, contains_window_call,
                                walk_expr)
 from repro.sql.errors import PlanError, TypeError_
 from repro.sql.parser import parse_expression, parse_select
-from repro.sql.types import CompositeType, cast_value, normalize_type_name
+from repro.sql.types import (CompositeType, cast_value, normalize_type_name,
+                             type_exists)
 
 
 class TestTypeNames:
@@ -26,6 +27,17 @@ class TestTypeNames:
         assert normalize_type_name("VARCHAR") == "text"
         assert normalize_type_name("BOOLEAN") == "bool"
         assert normalize_type_name("coord") == "coord"
+        assert normalize_type_name("int2") == "int"
+        assert normalize_type_name("FLOAT4") == "float"
+
+    def test_type_exists(self):
+        """What CREATE FUNCTION accepts as a parameter type."""
+        composites = {"pt": CompositeType("pt", ("x",), ("int",))}
+        for name in ("int", "int2[]", "Double Precision", "record", "pt",
+                     "pt[]", "text[][]"):
+            assert type_exists(name, composites), name
+        for name in ("date", "date[]", "coord"):
+            assert not type_exists(name, composites), name
 
 
 class TestCasts:
@@ -51,6 +63,16 @@ class TestCasts:
         assert cast_value(0.5, "int") == 1
         assert cast_value(-0.5, "int") == -1
         assert cast_value(2.4, "int") == 2
+
+    def test_record_takes_any_value_and_arrays_cast_elementwise(self):
+        from repro.sql.values import Row
+        row = Row([1, "a"])
+        assert cast_value(row, "record") is row
+        assert cast_value("abc", "record") == "abc"
+        assert cast_value([1.6, None, "3"], "int[]") == [2, None, 3]
+        assert cast_value([[1.5], [2]], "int2[]") == [[2], [2]]
+        with pytest.raises(TypeError_):
+            cast_value(3, "int[]")
 
 
 class TestExprEqual:

@@ -258,13 +258,11 @@ $$ LANGUAGE plpgsql"""
 
 
 class TestArgumentsBoundOnce:
-    """Known divergences: a compiled form that splices argument
-    expressions into the body evaluates an argument once per use of its
-    parameter, not once per call.  The interpreter (and the trampoline
-    machine) bind every argument once, before the body."""
+    """Every form evaluates each argument once per call, before the body,
+    whether or not the body reads it: the interpreter and the trampoline
+    machine take argument values, and every Qf binds its arguments in one
+    row (``template.bind_arguments``)."""
 
-    @pytest.mark.xfail(strict=True, reason="Froid's Qf reads a volatile "
-                       "argument once per use of its parameter")
     @pytest.mark.parametrize("batch", ["on", "off"])
     def test_a_volatile_argument_is_drawn_once(self, db, batch):
         name = _register_both(db, DOUBLE_READ)
@@ -272,8 +270,6 @@ class TestArgumentsBoundOnce:
         assert db.query_value(f"SELECT {name}(random())") == 0.0
         assert db.query_value(f"SELECT {name}_c(random())") == 0.0
 
-    @pytest.mark.xfail(strict=True, reason="the inlined Qf never evaluates "
-                       "an argument whose parameter the body never reads")
     def test_an_unread_argument_is_still_evaluated(self, db):
         name = _register_both(db, UNREAD_PARAMETER)
         sql = "SELECT {f}(12 / (x - 3), x) FROM (VALUES (3)) v(x)"
@@ -512,9 +508,10 @@ class TestMachineEquivalence:
             "SELECT 900 IN (SELECT inv2_c(x) FROM t)") is True
 
     def test_dedup_distinguishes_sql_equal_representations(self, db):
-        """5 and 5.0 are SQL-equal but integer vs float division differ;
-        the call memo must never merge their activations.  Nor NULL with
-        0, and all-distinct arguments lose nothing."""
+        """5 and 5.0 passed for an int parameter are both cast to 5 before
+        the memo key is built, as the interpreter coerces them at entry:
+        one activation, and both answer as ``halver(5)``.  The memo never
+        merges NULL with 0, and all-distinct arguments lose nothing."""
         from repro.compiler import compile_plsql
         from repro.sql.profiler import BATCHED_UDF_DISTINCT
         source = """CREATE FUNCTION halver(n int) RETURNS int AS $$
@@ -536,7 +533,7 @@ class TestMachineEquivalence:
                    + ", ".join(f"({x})" for x in range(1, 11)))
         distinct = "SELECT halver_c(x) FROM d ORDER BY x"
         machine = []
-        for query, vectors in ((sql, 2), (nulls, 2), (distinct, 10)):
+        for query, vectors in ((sql, 1), (nulls, 2), (distinct, 10)):
             assert "Trampoline halver_c" in db.explain(query)
             # Cold: a new template, whose call memo carries nothing in
             # from the statements before (5 of the first is 5 of the last).
@@ -546,8 +543,10 @@ class TestMachineEquivalence:
             assert db.profiler.counts[BATCHED_UDF_DISTINCT] == vectors
         db.execute("SET batch_compiled = off")
         assert machine == [db.query_all(q) for q in (sql, nulls, distinct)] \
-            == [[(4,), (5.0,)], [(0,), (None,), (0,), (None,)],
+            == [[(4,), (4,)], [(0,), (None,), (0,), (None,)],
                 [(2 * (x // 2),) for x in range(1, 11)]]
+        db.execute(source)
+        assert db.query_all(sql.replace("halver_c", "halver")) == machine[0]
 
     def test_duplicate_call_sites_keep_their_own_memo(self, db):
         from repro.sql.profiler import BATCHED_UDF_DISTINCT

@@ -627,7 +627,7 @@ class TestSqliteOracle:
         from repro.sql.profiler import FUZZ_FUNCTIONS, FUZZ_SQLITE_FUNCTIONS
         counts, calls = self._sqlite_counts(self.FIRST_ONLY)
         assert counts[FUZZ_FUNCTIONS] == counts[FUZZ_SQLITE_FUNCTIONS] == 1
-        assert calls == 18
+        assert calls == 21
         counts, calls = self._sqlite_counts(self.FIRST_ONLY, use_sqlite=False)
         assert counts[FUZZ_SQLITE_FUNCTIONS] == calls == 0
 

@@ -537,6 +537,51 @@ def test_planned_check_and_the_renderer_are_clean(tmp_path):
                        FROM_SCOPE_WALK) == []
 
 
+# ---------------------------------------------------------------------------
+# rule 11: one argument binder
+# ---------------------------------------------------------------------------
+
+SECOND_BINDER = """
+from ..sql import ast as A
+from ..sql.ast import Param
+from .rename import rename_variables
+
+def bind_params(udf, expr):
+    holes = {name: A.Param(index + 1)
+             for index, name in enumerate(udf.params)}
+    return rename_variables(expr, holes.get)
+
+def first_hole():
+    return Param(1)
+"""
+
+ONE_BINDER = """
+from ..sql import ast as A
+
+def bind_arguments(udf, body):
+    row = [A.SelectItem(A.Param(index), alias=name)
+           for index, name in enumerate(udf.params, start=1)]
+    return A.SelectStmt(None, A.SelectCore(items=[A.SelectItem(body)],
+                                           from_clause=row))
+"""
+
+
+def test_param_built_outside_the_binder_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/compiler/template.py",
+                           SECOND_BINDER)
+    assert rules(findings) == ["second-binder"] * 2
+    assert sorted(f.line for f in findings) == [7, 12]
+    assert rules(lint_source(tmp_path, "repro/compiler/inline.py",
+                             ONE_BINDER)) == ["second-binder"]
+
+
+def test_the_binder_and_params_outside_the_compiler_are_clean(tmp_path):
+    module, binder = lint_internal.ARGUMENT_BINDER
+    assert lint_source(tmp_path, module,
+                       ONE_BINDER.replace("bind_arguments", binder)) == []
+    assert lint_source(tmp_path, "repro/sql/parser.py", SECOND_BINDER) == []
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

@@ -232,6 +232,27 @@ class TestWhereItWraps:
         read = self.LATERAL_KEY.format(r="t.id % 3")
         assert memo_equals_no_memo(kdb, read, monkeypatch)[MEMO_HITS] > 0
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT t.id, d.r, d.z FROM t, LATERAL (SELECT t.k * 2 AS r, "
+        "random() AS z{where}) AS d ORDER BY t.id",
+        "SELECT t.id, (SELECT d.r + d.z FROM (SELECT t.x AS r, (SELECT "
+        "max(u.v) FROM u WHERE u.k = t.k) AS z{where}) AS d) FROM t "
+        "ORDER BY t.id"], ids=["lateral", "correlated"])
+    def test_one_row_projection_is_a_values_leaf(self, kdb, monkeypatch,
+                                                 sql):
+        """A derived table of one FROM-less projection (a compiled call's
+        binding row) is evaluated in place when its FROM opens: a
+        ``Values`` leaf, no subplan to re-open or memoize.  It answers and
+        draws as the same projection under a WHERE, which stays a
+        subplan."""
+        leaf, subplan = sql.format(where=""), sql.format(where=" WHERE true")
+        if "LATERAL" in sql:
+            assert "Values (1 rows)" in kdb.explain(leaf)
+            assert "Values" not in kdb.explain(subplan)
+        memo_equals_no_memo(kdb, leaf, monkeypatch, "SELECT setseed(0.5)")
+        assert outcome(kdb, leaf, "SELECT setseed(0.5)") \
+            == outcome(kdb, subplan, "SELECT setseed(0.5)")
+
     def test_declared_volatile_callee_is_not_memoized(self, kdb):
         kdb.execute("CREATE FUNCTION twice(n int) RETURNS int AS $$ "
                     "BEGIN RETURN n * 2; END; $$ LANGUAGE plpgsql VOLATILE")

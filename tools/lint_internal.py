@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Ten checks, each born from a real failure mode in this codebase:
+Eleven checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
    loops (`WITH RECURSIVE`, batched UDFs), the target collection of UPDATE
@@ -99,6 +99,16 @@ Ten checks, each born from a real failure mode in this codebase:
     attribute named ``from_clause`` or ``column_aliases`` anywhere but
     the renderer (``dialects.py``) is that walk regrowing.
 
+11. **One argument binder.**  A compiled function's Qf binds its
+    arguments in one row, ``FROM (SELECT CAST($1 AS t1) AS p1, ..)``, built
+    by ``bind_arguments`` in ``repro/compiler/template.py``: each ``$k``
+    occurs once, so a call site's argument is evaluated once, before the
+    body, out of reach of the callee's columns.  Five places preceded it:
+    two spelled ``$n`` at every use of a parameter, two spliced argument
+    expressions over them, and the SQLite check bound by position around
+    the result.  Under ``repro/compiler/``, an ``A.Param(..)`` built
+    anywhere but that function is a second binder regrowing.
+
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
 """
@@ -157,6 +167,9 @@ SCHEMA_READS = {"tables", "get_table", "column_names"}
 COMPILER_PACKAGE = "repro/compiler/"
 COMPILER_RENDERER = "repro/compiler/dialects.py"
 FROM_SCOPE_READS = {"from_clause", "column_aliases"}
+
+#: The one function that may build a ``$k`` in the compiler (rule 11).
+ARGUMENT_BINDER = ("repro/compiler/template.py", "bind_arguments")
 
 #: Modules (path prefixes) whose while-loops iterate user-controlled
 #: amounts of work; the executor prefix takes in executor/modify.py.
@@ -562,6 +575,28 @@ def check_second_resolver(path: Path, tree: ast.Module) -> list[Finding]:
             if isinstance(node, ast.Attribute) and node.attr in banned]
 
 
+# -- rule 11: one argument binder -------------------------------------------
+
+def check_second_binder(path: Path, tree: ast.Module) -> list[Finding]:
+    relative = path.relative_to(SRC).as_posix()
+    if not relative.startswith(COMPILER_PACKAGE):
+        return []
+    module, binder = ARGUMENT_BINDER
+    exempt: set[int] = set()
+    if relative == module:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == binder:
+                exempt.update(id(inner) for inner in ast.walk(node))
+    return [Finding(path, node.lineno, "second-binder",
+                    "Param(..): a Qf's parameters are bound in one place, "
+                    f"{module}:{binder}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in exempt
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else node.func.attr if isinstance(node.func, ast.Attribute)
+                 else None) == "Param"]
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
@@ -589,6 +624,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_second_evaluator(path, tree))
         findings.extend(check_anf_dispatch(path, tree))
         findings.extend(check_second_resolver(path, tree))
+        findings.extend(check_second_binder(path, tree))
     return findings
 
 
