@@ -91,15 +91,11 @@ def _report_planning(sink: DiagnosticSink, error, line: Optional[int],
 
 def _analyze_sql_function(db, fdef, sink: DiagnosticSink) -> None:
     try:
-        body = db.sql_function_body(fdef)
+        db.planner.plan_select(db.sql_function_body(fdef))  # as a call
     except ParseError as exc:  # a diagnostic, not a crash
         sink.add("CF000", f"body does not parse: {exc}")
-        return
     except PlsqlError as exc:
         sink.add("CF000", str(exc))
-        return
-    try:
-        db.planner.plan_select(body)
     except SqlError as exc:
         # A SQL function's entire body is its only path: must-execute.
         _report_planning(sink, exc, line=None, must_execute=True)
@@ -123,7 +119,7 @@ def _analyze_plpgsql_function(db, fdef, sink: DiagnosticSink) -> None:
     resolve = resolver(db, [name for name, type_name in cfg.var_types.items()
                             if type_name != "unknown"])
     check_control_flow(cfg, sink)
-    check_dataflow(cfg, sink, lambda expr: resolve(expr)[0])
+    check_dataflow(cfg, sink, lambda expr: set(resolve(expr)[0].values()))
 
     reachable = reachable_blocks(cfg)
     exits = exit_blocks(cfg, reachable)

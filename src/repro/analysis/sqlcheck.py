@@ -5,8 +5,9 @@ PostgreSQL's ``check_function_bodies`` only syntax-checks; its
 through PostgreSQL's own parse analysis.  This pass does the same: every
 expression of a PL/pgSQL body is compiled once, by the expression compiler
 and planner the interpreter uses, in the interpreter's own variable scope
-(:func:`repro.plsql.interpreter.variable_scope`).  The names that resolved
-into that scope are the expression's read set (:mod:`.dataflow`); the
+(:func:`repro.plsql.interpreter.variable_scope`).  The references that
+resolved into that scope are what SSA renames (:mod:`repro.compiler.ssa`),
+their variables the expression's read set (:mod:`.dataflow`); the
 planning error, if any, is the error a call raises when it evaluates the
 expression, and :func:`error_code` makes it a diagnostic:
 
@@ -41,9 +42,8 @@ _ERROR_CODES = ((re.compile(r"unknown table "), "SQ001"),
                 (re.compile(r"unknown function "), "SQ003"),
                 (re.compile(r"function \S+\(\) takes "), "SQ004"))
 
-#: The result of resolving one expression: the variables it reads, and the
-#: planning error (None when it plans).
-Resolution = tuple[set[str], Optional[SqlError]]
+#: One expression's ``id(ref) -> variable`` and planning error (or None).
+Resolution = tuple[dict[int, str], Optional[SqlError]]
 
 
 def error_code(error: SqlError) -> str:
@@ -65,14 +65,15 @@ def resolver(db, names: list[str]) -> Callable[[A.Expr], Resolution]:
     def resolve(expr: A.Expr) -> Resolution:
         found = resolved.get(id(expr))
         if found is None:
-            reads: set[str] = set()
+            refs: dict[int, str] = {}
             error = None
-            with scope.observe(lambda _rel, col: reads.add(names[col])):
+            with scope.observe(lambda _rel, col, ref:
+                               refs.update({id(ref): names[col]})):
                 try:
                     ExprCompiler(scope, db.planner).compile(expr)
                 except SqlError as exc:
                     error = exc
-            found = resolved[id(expr)] = (reads, error)
+            found = resolved[id(expr)] = (refs, error)
         return found
 
     return resolve

@@ -25,18 +25,15 @@ import copy
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..analysis.sqlcheck import resolver
 from ..plsql.ast import PlsqlFunctionDef
 from ..plsql.parser import parse_plpgsql_function
 from ..sql import ast as A
-from ..sql.astutil import walk_expr
-from ..sql.errors import CompileError, VariableConflictError
+from ..sql.errors import CompileError
 from ..sql.parser import parse_statement
 from .anf import AnfProgram, inline_anf, ssa_to_anf
 from .cfg import ControlFlowGraph, build_cfg
 from .dialects import SqlRenderer, render_create_function, render_expression
 from .optimize import optimize_ssa
-from .rename import collect_variable_uses
 from .ssa import SsaProgram, build_ssa
 from .template import (build_machine, build_split_template_query,
                        build_template_query)
@@ -73,7 +70,12 @@ class CompiledFunction:
 
     def sql(self, dialect: str = "postgres") -> str:
         """Render the pure-SQL query Qf (parameters as placeholders) as
-        ``"postgres"`` or ``"sqlite"`` text."""
+        ``"postgres"`` or ``"sqlite"`` text.
+
+        The SQLite text is defined only for arguments of the declared
+        types: SQLite has no raising cast, so a text argument that does
+        not cast to an int parameter reads as 0 (``CAST(round('abc') AS
+        int)``) where every engine form raises."""
         renderer = SqlRenderer(dialect.lower())
         query = self.query
         if renderer.sqlite:
@@ -185,9 +187,9 @@ def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
         CREATE FUNCTION text, its parsed AST, or a PlsqlFunctionDef.
     db:
         The database the function is compiled against (required).  Its
-        planner decides, for each name of the body, whether it is a
-        variable or a column (a name that may be both is refused), and the
-        SSA names avoid every column of its catalog.
+        planner decides which references of the body are variables (a name
+        that may be a variable or a column is refused), SSA renames exactly
+        those, and the SSA names avoid every column of its catalog.
     optimize:
         Run the SSA cleanup pipeline (disable for ablation).
     iterate:
@@ -195,26 +197,11 @@ def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
         extension; Section 3 "When WITH RECURSIVE does too much").
     """
     func = _parse_source(source)
-    catalog = db.catalog
     cfg = build_cfg(func)
-    # Plan the body as the analyzer does.  Renaming needs every variable an
-    # embedded query names told from a column, so a planning error there is
-    # refused: an ambiguous name, or one the planner stopped short of.  Any
-    # other (an unknown table, say) is the interpreter's run-time error too.
-    resolve = resolver(db, cfg.variables())
-    for expr in cfg.exprs():
-        error = resolve(expr)[1]
-        queries = [node for node in walk_expr(expr)
-                   if isinstance(node, A.SelectStmt)]
-        if error is not None and collect_variable_uses(queries, cfg.var_types):
-            raise CompileError(
-                str(error) if isinstance(error, VariableConflictError)
-                else f"cannot tell a variable from a column: {error}"
-            ) from error
-    ssa_raw = build_ssa(cfg, catalog)
+    ssa_raw = build_ssa(cfg, db)
     ssa = copy.deepcopy(ssa_raw)
     if optimize:
-        optimize_ssa(ssa, catalog)
+        optimize_ssa(ssa, db.catalog)
     anf = inline_anf(ssa_to_anf(ssa))
     udf = build_udf(anf)
     query = build_template_query(udf, iterate)
@@ -232,5 +219,5 @@ def compile_plsql(source: Union[str, A.CreateFunction, PlsqlFunctionDef],
         query=query,
         iterate=iterate,
         optimized=optimize,
-        catalog=catalog,
+        catalog=db.catalog,
     )

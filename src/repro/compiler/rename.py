@@ -1,7 +1,8 @@
-"""Renaming PL/pgSQL variable references inside expressions: plain
-substitution, since :func:`~repro.compiler.pipeline.compile_plsql` has the
-planner refuse a name that may be a variable or a column, and SSA names are
-never columns (:meth:`~repro.compiler.ssa.SsaBuilder.fresh`).
+"""Renaming the compiler's fresh names (SSA and ANF versions) inside
+expressions: plain substitution, since no query of the body spells them and
+no column has them (:meth:`~repro.compiler.ssa.SsaBuilder.fresh`).  A
+source variable is renamed where the planner resolved it, not here
+(:meth:`~repro.compiler.ssa.SsaBuilder._rename_expr`).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ def _bare_name(node) -> Optional[str]:
 
 
 def rename_variables(expr: A.Expr, rename: Renamer) -> A.Expr:
-    """Rewrite bare variable references in *expr*, embedded queries
-    included, via *rename*: ``rename(name)`` returns the replacement
-    expression (usually a renamed :class:`~repro.sql.ast.ColumnRef`) or
-    ``None`` when the name is not a function variable."""
+    """Rewrite bare references to generated names in *expr*, embedded
+    queries included, via *rename*: ``rename(name)`` returns the
+    replacement expression (usually a renamed
+    :class:`~repro.sql.ast.ColumnRef`) or ``None`` to keep the name."""
     def visit(node):
         name = _bare_name(node)
         if name is None:

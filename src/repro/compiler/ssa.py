@@ -14,14 +14,15 @@ used by the differential tests (PL/SQL interpreter vs SSA vs compiled SQL).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
+from ..analysis.sqlcheck import resolver
 from ..sql import ast as A
-from ..sql.astutil import spelled_names
-from ..sql.errors import CompileError
+from ..sql.astutil import rebuild, spelled_names
+from ..sql.errors import CompileError, VariableConflictError
 from .cfg import CondGoto, ControlFlowGraph, Goto, Return, Terminator
 from .dominators import DominatorInfo
-from .rename import rename_variables
 
 
 @dataclass
@@ -109,13 +110,26 @@ class SsaProgram:
 
 
 class SsaBuilder:
-    def __init__(self, cfg: ControlFlowGraph, catalog):
+    def __init__(self, cfg: ControlFlowGraph, db):
         self.cfg = cfg
+        # id(ref) -> variable, for each reference the planner resolves to
+        # one.  It stops at its first error, so an expression that does not
+        # plan and spells a variable is refused: it may not have got there.
+        self.refs: dict[int, str] = {}
+        resolve = resolver(db, cfg.variables())
+        for expr in cfg.exprs():
+            refs, error = resolve(expr)
+            if error is not None and spelled_names(expr) & set(cfg.var_types):
+                raise CompileError(
+                    str(error) if isinstance(error, VariableConflictError)
+                    else f"cannot tell a variable from a column: {error}"
+                ) from error
+            self.refs.update(refs)
         # What a generated name must not be: a name the body's SQL spells
         # or a column of the catalog.  One from neither cannot be bound to
         # a column by any query of the body, whatever its FROM clauses hold.
         self.taken = spelled_names(cfg.exprs()) | {
-            column for table in catalog.tables.values()
+            column for table in db.catalog.tables.values()
             for column in table.column_names}
         self.counters: dict[str, int] = {}
         self.stacks: dict[str, list[str]] = {}
@@ -210,16 +224,16 @@ class SsaBuilder:
     # ------------------------------------------------------------------
 
     def _rename_expr(self, expr: A.Expr) -> A.Expr:
-        def rename(name: str) -> Optional[A.Expr]:
-            if name not in self.cfg.var_types:
-                return None
-            current = self.current(name)
-            if current is None:
-                # Used before any definition: declared variables are NULL.
-                return A.Literal(None)
-            return A.ColumnRef((current,))
+        def visit(node):
+            base = self.refs.get(id(node))
+            if base is None:
+                return rebuild(node, visit)
+            current = self.current(base)
+            # Used before any definition: declared variables are NULL.
+            value = A.ColumnRef((current,)) if current else A.Literal(None)
+            return reduce(A.FieldAccess, node.parts[1:], value)
 
-        return rename_variables(expr, rename)
+        return visit(expr)
 
     def _rename_block(self, bid: int, dom: DominatorInfo,
                       preds: dict[int, list[int]]) -> None:
@@ -269,10 +283,11 @@ class SsaBuilder:
             self.stacks[base].pop()
 
 
-def build_ssa(cfg: ControlFlowGraph, catalog) -> SsaProgram:
-    """Construct SSA form for *cfg* (paper Figure 5), its generated names
-    clear of every column of *catalog*."""
-    return SsaBuilder(cfg, catalog).build()
+def build_ssa(cfg: ControlFlowGraph, db) -> SsaProgram:
+    """Construct SSA form for *cfg* (paper Figure 5), renaming the
+    references *db*'s planner resolves to a variable to names clear of
+    every column of its catalog."""
+    return SsaBuilder(cfg, db).build()
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,9 @@ def transform_expr(expr: A.Expr, fn: ExprFn) -> A.Expr:
 def transform_select(stmt: A.SelectStmt, leaf: ExprFn) -> A.SelectStmt:
     """Bottom-up rewrite of every expression node everywhere in *stmt*
     (select list, FROM subqueries, window specs, CTE bodies, ...), crossing
-    subqueries.  Used e.g. to bind a SQL function body's named parameters
-    to ``$n`` placeholders."""
+    subqueries.  Used e.g. to bind a SQL function body's parameters: *leaf*
+    returns the ``$n`` for each reference the planner resolved to one
+    (``Database.sql_function_body``)."""
     return _transform(stmt, leaf, into_subqueries=True)
 
 
@@ -278,7 +279,7 @@ def column_bindings(expr: A.Expr, scope, catalog=None) -> ColumnBindings:
             continue
         if isinstance(node, A.ColumnRef):
             try:
-                level, rel_index, _col, _fields = scope.resolve(node.parts)
+                level, rel_index, _col, _fields = scope.resolve(node)
             except NameResolutionError:
                 unknown = True
                 continue

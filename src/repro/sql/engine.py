@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 import random
 import threading
+from functools import reduce
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import ast as A
@@ -58,7 +59,7 @@ from .catalog import Catalog, FunctionDef
 from .errors import (CatalogError, CompileError, ExecutionError,
                      NameResolutionError, PlsqlError, QueryCanceledError,
                      TypeError_)
-from .expr import EvalContext, ExprCompiler, RuntimeContext, Scope
+from .expr import EvalContext, ExprCompiler, Relation, RuntimeContext, Scope
 from .parser import parse_script, parse_statement
 from .planner import Planner
 from .profiler import (EXEC_END, EXEC_RUN, EXEC_START, PARSE, PLAN,
@@ -735,25 +736,25 @@ class Database:
 
     def sql_function_body(self, fdef: FunctionDef) -> A.SelectStmt:
         """The body of LANGUAGE SQL function *fdef* as the SELECT the
-        engine plans: parsed, each parameter name bound to its ``$n``.
-        The analyzer plans the same statement."""
+        engine plans: each reference the planner resolves to a parameter,
+        an outer scope a FROM column shadows (PostgreSQL's
+        ``sql_fn_post_column_ref``), bound to its ``$n``."""
         with self.profiler.phase(PARSE):
             stmt = parse_statement(fdef.body)
         if not isinstance(stmt, A.SelectStmt):
             raise PlsqlError(
                 f"SQL function {fdef.name} body must be a single SELECT")
         from .astutil import transform_select
-        mapping = {name.lower(): index + 1
-                   for index, name in enumerate(fdef.param_names)}
+        params = Scope([Relation("__params", fdef.param_names)])
+        bound: dict[int, A.Expr] = {}
 
-        def bind(expr: A.Expr) -> Optional[A.Expr]:
-            if isinstance(expr, A.ColumnRef) and len(expr.parts) == 1:
-                index = mapping.get(expr.parts[0].lower())
-                if index is not None:
-                    return A.Param(index)
-            return None
+        def bind(_rel: int, col: int, ref: A.ColumnRef) -> None:
+            bound[id(ref)] = reduce(A.FieldAccess, ref.parts[1:],
+                                    A.Param(col + 1))
 
-        return transform_select(stmt, bind)
+        with params.observe(bind), self.profiler.phase(PLAN):
+            self.planner.plan_select(stmt, outer_scope=params)
+        return transform_select(stmt, lambda expr: bound.get(id(expr)))
 
     def register_compiled_function(self, name: str, param_names: list[str],
                                    param_types: list[str], return_type: str,

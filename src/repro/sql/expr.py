@@ -128,12 +128,14 @@ class Relation:
 class Scope:
     """Plan-time name-resolution scope (one per SELECT nesting level).
 
-    ``observer``, when set, is called with ``(rel_index, col_index)`` every
-    time a name (from any nesting depth) resolves into *this* scope's
-    relations — the planner's index-pushdown probe uses this to prove that
-    a key expression never touches the scanned relation, and its subquery
-    planning to record the outer values a subquery reads.  Install one
-    with :meth:`observe`, which chains it after any already there.
+    Each of ``observers`` is called with ``(rel_index, col_index, ref)``
+    every time a :class:`~repro.sql.ast.ColumnRef` *ref* (from any nesting
+    depth) resolves into *this* scope's relations — the planner's
+    index-pushdown probe uses this to prove that a key expression never
+    touches the scanned relation, its subquery planning to record the outer
+    values a subquery reads, and the binders of variables and parameters to
+    rewrite exactly the references that are theirs.  Install one with
+    :meth:`observe`.
 
     ``one_shot`` marks a scope whose row is bound once per instantiation of
     what is planned under it (the PL/pgSQL interpreter's variables): a
@@ -147,25 +149,18 @@ class Scope:
                  parent: Optional["Scope"] = None):
         self.relations = list(relations)
         self.parent = parent
-        self.observer = None
+        self.observers: list[Callable[[int, int, A.ColumnRef], None]] = []
         self.one_shot = False
         self.fences = 0
 
     @contextmanager
-    def observe(self, observer: Callable[[int, int], None]):
+    def observe(self, observer: Callable[[int, int, A.ColumnRef], None]):
         """Call *observer* too while the block runs."""
-        previous = self.observer
-        if previous is None:
-            self.observer = observer
-        else:
-            def both(rel_index: int, col_index: int) -> None:
-                previous(rel_index, col_index)
-                observer(rel_index, col_index)
-            self.observer = both
+        self.observers.append(observer)
         try:
             yield
         finally:
-            self.observer = previous
+            self.observers.pop()
 
     @contextmanager
     def fence(self):
@@ -187,13 +182,14 @@ class Scope:
             outer = outer.parent
         return False
 
-    def resolve(self, parts: tuple[str, ...]):
+    def resolve(self, ref: A.ColumnRef):
         """Resolve a (possibly qualified) name to
         ``(level, rel_index, col_index, field_tail)``.
 
         ``level`` counts how many scopes outward the reference is; a nonzero
         level makes the expression *correlated*.
         """
+        parts = ref.parts
         scope: Optional[Scope] = self
         level = 0
         first = parts[0].lower()
@@ -204,9 +200,9 @@ class Scope:
                     if rel.alias == first:
                         column = parts[1].lower()
                         if column in rel.columns:
-                            if scope.observer is not None:
-                                scope.observer(rel_index,
-                                               rel.columns.index(column))
+                            for observer in scope.observers:
+                                observer(rel_index,
+                                         rel.columns.index(column), ref)
                             return (level, rel_index,
                                     rel.columns.index(column), parts[2:])
                         raise NameResolutionError(
@@ -223,8 +219,8 @@ class Scope:
                         "refer to either a PL/pgSQL variable or a table "
                         "column — qualify the column or rename the variable")
                 rel_index, col_index = matches[0]
-                if scope.observer is not None:
-                    scope.observer(rel_index, col_index)
+                for observer in scope.observers:
+                    observer(rel_index, col_index, ref)
                 return (level, rel_index, col_index, parts[1:])
             if len(matches) > 1:
                 raise NameResolutionError(f"column reference {first!r} is ambiguous")
@@ -691,7 +687,7 @@ class ExprCompiler:
     # -- entries that need the scope -------------------------------------
 
     def _column(self, expr: A.ColumnRef) -> Leaf:
-        level, rel_index, col_index, fields = self.scope.resolve(expr.parts)
+        level, rel_index, col_index, fields = self.scope.resolve(expr)
         if not level and not fields:
             def column(batch, sel):
                 return batch.column(rel_index, col_index, sel)

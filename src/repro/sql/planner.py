@@ -935,7 +935,7 @@ class Planner:
                 return None
             hits: list = []
             try:
-                with scope.observe(lambda rel, col: hits.append((rel, col))):
+                with scope.observe(lambda r, c, _: hits.append((r, c))):
                     compiled = compiler.compile(value_side)
             except NameResolutionError:
                 return None
@@ -1105,7 +1105,7 @@ class Planner:
             if not isinstance(expr, A.ColumnRef):
                 return False
             try:
-                level, rel_index, col_index, fields = scope.resolve(expr.parts)
+                level, rel_index, col_index, fields = scope.resolve(expr)
             except NameResolutionError:
                 return False
             if level != 0 or rel_index != leaf.rel_index or fields:
@@ -1144,7 +1144,7 @@ class Planner:
         if not isinstance(expr, A.ColumnRef):
             return None
         try:
-            level, rel_index, col_index, fields = scope.resolve(expr.parts)
+            level, rel_index, col_index, fields = scope.resolve(expr)
         except NameResolutionError:
             return None
         if level == 0 and rel_index == 0 and not fields:
@@ -1192,6 +1192,8 @@ class Planner:
         def to_agg_column(expr: A.Expr) -> Optional[A.Expr]:
             for key_index, key_expr in enumerate(core.group_by):
                 if expr_equal(expr, key_expr):
+                    # Resolved as the key is, for Scope.observe's sake.
+                    ExprCompiler(scope, self).compile(expr)
                     return A.ColumnRef(("__agg", key_names[key_index]))
             if isinstance(expr, A.FuncCall) and expr.window is None \
                     and is_aggregate_name(expr.name):
@@ -1382,7 +1384,7 @@ class Planner:
 
 
 def _record_read(reads: dict, depth: int, scope: Scope, rel_index: int,
-                 col_index: int) -> None:
+                 col_index: int, _ref: A.ColumnRef) -> None:
     """``Scope.observe`` callback of :meth:`Planner.plan_subquery`: a name
     resolved into *scope*, *depth* scopes out from the subquery's outer
     scope; keeps its display name, or None for a column bound directly to

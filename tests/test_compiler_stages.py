@@ -166,7 +166,7 @@ SSA_SOURCES = [
 class TestSsa:
     @pytest.mark.parametrize("source", SSA_SOURCES)
     def test_single_assignment_invariant(self, source):
-        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
+        ssa = build_ssa(build_cfg(func_of(source)), Database())
         targets = []
         for block in ssa.blocks.values():
             targets.extend(phi.target for phi in block.phis)
@@ -175,7 +175,7 @@ class TestSsa:
 
     @pytest.mark.parametrize("source", SSA_SOURCES)
     def test_phi_args_match_predecessors(self, source):
-        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
+        ssa = build_ssa(build_cfg(func_of(source)), Database())
         preds = ssa.predecessors()
         for bid, block in ssa.blocks.items():
             for phi in block.phis:
@@ -188,7 +188,7 @@ class TestSsa:
                    "$$ LANGUAGE plpgsql")
         db.execute(sql_src)
         expected = db.query_value("SELECT f($1)", [n])
-        ssa = build_ssa(build_cfg(func_of(source)), db.catalog)
+        ssa = build_ssa(build_cfg(func_of(source)), db)
         assert evaluate_ssa(ssa, db, [n]) == expected
 
     @pytest.mark.parametrize("source", SSA_SOURCES)
@@ -198,16 +198,15 @@ class TestSsa:
                    "$$ LANGUAGE plpgsql")
         db.execute(sql_src)
         expected = db.query_value("SELECT f($1)", [n])
-        ssa = build_ssa(build_cfg(func_of(source)), db.catalog)
+        ssa = build_ssa(build_cfg(func_of(source)), db)
         optimize_ssa(ssa, db.catalog)
         assert evaluate_ssa(ssa, db, [n]) == expected
 
     def test_optimization_shrinks_fib(self):
         cfg = build_cfg(func_of(SSA_SOURCES[3]))
-        raw = build_ssa(cfg, Database().catalog)
+        raw = build_ssa(cfg, Database())
         raw_size = sum(len(b.stmts) + len(b.phis) for b in raw.blocks.values())
-        opt = build_ssa(build_cfg(func_of(SSA_SOURCES[3])),
-                        Database().catalog)
+        opt = build_ssa(build_cfg(func_of(SSA_SOURCES[3])), Database())
         optimize_ssa(opt)
         opt_size = sum(len(b.stmts) + len(b.phis) for b in opt.blocks.values())
         assert opt_size <= raw_size
@@ -215,7 +214,7 @@ class TestSsa:
 
     def test_volatile_not_eliminated(self):
         source = ("DECLARE r float; BEGIN r = random(); RETURN 1; END")
-        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
+        ssa = build_ssa(build_cfg(func_of(source)), Database())
         optimize_ssa(ssa)
         exprs = [s for b in ssa.blocks.values() for s in b.stmts]
         assert any("random" in str(s.expr) for s in exprs), \
@@ -251,7 +250,7 @@ class TestSsa:
 
     def test_constant_folding(self):
         source = "DECLARE v int = 2 + 3; BEGIN RETURN v * 10; END"
-        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
+        ssa = build_ssa(build_cfg(func_of(source)), Database())
         optimize_ssa(ssa)
         from repro.sql import ast as A
         ret = [b.terminator for b in ssa.blocks.values()
@@ -260,7 +259,7 @@ class TestSsa:
 
     def test_division_by_zero_not_folded(self, db):
         source = "BEGIN RETURN 1 / (n - n); END"
-        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
+        ssa = build_ssa(build_cfg(func_of(source)), Database())
         optimize_ssa(ssa)
         # error must stay at run time, not compile time
         from repro.sql.errors import ExecutionError
@@ -270,7 +269,7 @@ class TestSsa:
 
 class TestAnf:
     def _anf(self, source, optimize=True):
-        ssa = build_ssa(build_cfg(func_of(source)), Database().catalog)
+        ssa = build_ssa(build_cfg(func_of(source)), Database())
         if optimize:
             optimize_ssa(ssa)
         return inline_anf(ssa_to_anf(ssa))
@@ -343,13 +342,12 @@ class TestAnf:
 class TestUdf:
     def test_loop_free_is_not_recursive(self):
         ssa = build_ssa(build_cfg(func_of("BEGIN RETURN n; END")),
-                        Database().catalog)
+                        Database())
         udf = build_udf(inline_anf(ssa_to_anf(ssa)))
         assert not udf_is_recursive(udf)
 
     def test_recursive_udf_shape(self):
-        ssa = build_ssa(build_cfg(func_of(SSA_SOURCES[3])),
-                        Database().catalog)
+        ssa = build_ssa(build_cfg(func_of(SSA_SOURCES[3])), Database())
         optimize_ssa(ssa)
         udf = build_udf(inline_anf(ssa_to_anf(ssa)))
         assert udf_is_recursive(udf)

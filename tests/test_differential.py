@@ -13,7 +13,10 @@ results:
   against the inlined scalar-subquery Qf and the interpreter, including
   NULL arguments, zero-row inputs and rows a LIMIT never reaches,
 * functions whose SSA names an embedded query could once see as columns,
-  on the interpreter, the machine, the inlined Qf and SQLite's Qf,
+  or that spell a variable's name where the planner resolves something
+  else (an ORDER BY output alias), on the interpreter, the machine, the
+  inlined Qf and SQLite's Qf, and SQL functions whose FROM column shadows
+  a parameter,
 * calls in every position (volatile bodies, WHERE, CASE arms, aggregate
   arguments, LIMIT) on the per-call trampoline machine against the inlined
   Qf and the interpreter, draw for draw,
@@ -41,7 +44,8 @@ import pytest
 from repro.compiler import compile_plsql
 from repro.fuzz.oracle import rows_equal
 from repro.sql import Database
-from repro.sql.errors import (ExecutionError, NameResolutionError, ParseError,
+from repro.sql.errors import (CompileError, ExecutionError,
+                              NameResolutionError, ParseError,
                               QueryCanceledError, TypeError_)
 
 
@@ -622,12 +626,12 @@ END;""", 3),
 }
 
 
-@pytest.mark.parametrize("shape", list(CAPTURE_SHAPES))
-def test_generated_names_are_never_captured(db, shape):
-    """Interpreter = trampoline machine = inlined Qf = SQLite Qf."""
+def _four_ways(db: Database, setup: list, body: str, n: int,
+               sqlite: bool = True) -> dict:
+    """``f(n)`` with *body* on the interpreter, the trampoline machine, the
+    inlined Qf and (unless not *sqlite*) SQLite's Qf."""
     import sqlite3
 
-    setup, body, n = CAPTURE_SHAPES[shape]
     for statement in setup:
         db.execute(statement)
     source = (f"CREATE FUNCTION f(n int) RETURNS int AS $$ {body} "
@@ -646,10 +650,111 @@ def test_generated_names_are_never_captured(db, shape):
                "machine": _query_with(db, dict(batch_compiled=True),
                                       "SELECT f_c($1)", [n])[0][0],
                "inlined": _query_with(db, dict(batch_compiled=False),
-                                      "SELECT f_c($1)", [n])[0][0],
-               "sqlite": lite.execute(compiled.sql("sqlite"),
-                                      {"1": n}).fetchone()[0]}
+                                      "SELECT f_c($1)", [n])[0][0]}
+    if sqlite:
+        answers["sqlite"] = lite.execute(compiled.sql("sqlite"),
+                                         {"1": n}).fetchone()[0]
+    return answers
+
+
+@pytest.mark.parametrize("shape", list(CAPTURE_SHAPES))
+def test_generated_names_are_never_captured(db, shape):
+    """Interpreter = trampoline machine = inlined Qf = SQLite Qf."""
+    answers = _four_ways(db, *CAPTURE_SHAPES[shape])
     assert set(answers.values()) == {answers["interpreter"]}, answers
+
+
+THREE_ROWS = ["CREATE TABLE t(a int)", "INSERT INTO t VALUES (1), (3), (2)"]
+
+
+def test_an_output_alias_spelled_like_a_variable_is_not_renamed(db):
+    """SSA renames the references the planner resolved to a variable, not
+    every name spelled like one: ORDER BY ``v`` is the output alias.
+    Interpreter = trampoline machine = inlined Qf = SQLite Qf."""
+    answers = _four_ways(db, THREE_ROWS, """DECLARE v int = 0;
+BEGIN v = n; RETURN (SELECT a AS v FROM t ORDER BY v DESC LIMIT 1); END;""",
+                         5)
+    assert set(answers.values()) == {3}, answers
+
+
+def test_a_reference_matched_to_a_group_key_is_renamed(db):
+    """The planner matches ``v * 10`` in the select list and ORDER BY to
+    the GROUP BY key, and resolves its names as the key's.  (SQLite does
+    not see an outer column in GROUP BY, so its Qf is not run here.)"""
+    answers = _four_ways(db, THREE_ROWS, """DECLARE v int = 0;
+BEGIN
+  v = n;
+  RETURN (SELECT v * 10 + count(*) FROM t GROUP BY v * 10
+          ORDER BY v * 10 LIMIT 1);
+END;""", 5, sqlite=False)
+    assert set(answers.values()) == {53}, answers
+
+
+def test_a_field_of_a_composite_variable_is_renamed(db):
+    """``q.x`` resolves to the variable ``q`` with a field tail: SSA reads
+    it as ``(q_2).x``.  (SQLite has no composite types.)"""
+    db.execute("CREATE TYPE coord AS (x int, y int)")
+    answers = _four_ways(db, [], """DECLARE q coord;
+BEGIN q = row(n, n + 1)::coord; RETURN q.x * 10 + q.y; END;""", 4,
+                         sqlite=False)
+    assert set(answers.values()) == {45}, answers
+
+
+def test_an_unplanned_expression_naming_a_variable_is_refused(db):
+    """The planner stops at its first error, so it may not have reached a
+    variable's reference: the compiler refuses rather than guess."""
+    source = """CREATE FUNCTION hy(n int) RETURNS int AS $$
+DECLARE y int = 2;
+BEGIN RETURN helper(n) + y; END;
+$$ LANGUAGE plpgsql"""
+    with pytest.raises(CompileError, match="unknown function"):
+        compile_plsql(source, db)
+    db.execute("CREATE FUNCTION helper(k int) RETURNS int AS $$ "
+               "SELECT k * 10 $$ LANGUAGE sql")
+    db.execute(source)
+    compile_plsql(source, db).register(db, name="hy_c")
+    assert db.query_all("SELECT hy(4), hy_c(4)") == [(42, 42)]
+
+
+# ---------------------------------------------------------------------------
+# A SQL function's parameters are bound where the planner resolves them
+# ---------------------------------------------------------------------------
+
+def _sql_function(db: Database, body: str) -> None:
+    db.execute("CREATE TABLE u(x int)")
+    db.execute("INSERT INTO u VALUES (7)")
+    db.execute(f"CREATE FUNCTION g(x int) RETURNS int AS $$ {body} "
+               "$$ LANGUAGE sql")
+
+
+def test_a_from_column_shadows_a_parameter(db):
+    """PostgreSQL resolves a parameter only after the column lookup fails
+    (``sql_fn_post_column_ref``)."""
+    _sql_function(db, "SELECT x FROM u")
+    assert db.query_value("SELECT g(1)") == 7
+
+
+def test_a_bare_parameter_is_bound(db):
+    _sql_function(db, "SELECT x + 1")
+    assert db.query_all("SELECT g(1), g(NULL)") == [(2, None)]
+
+
+def test_a_field_of_a_composite_parameter_is_bound(db):
+    db.execute("CREATE TYPE coord AS (x int, y int)")
+    db.execute("CREATE FUNCTION gy(p coord) RETURNS int AS $$ "
+               "SELECT p.y * 10 + p.x $$ LANGUAGE sql")
+    assert db.query_value("SELECT gy(row(1, 2)::coord)") == 21
+
+
+def test_check_function_reports_what_the_call_raises(db):
+    """With two FROM relations supplying ``x``, the name is ambiguous, not
+    the parameter: the call raises and CHECK FUNCTION says the same."""
+    _sql_function(db, "SELECT x FROM u, (SELECT 1 AS x) AS s")
+    with pytest.raises(NameResolutionError) as raised:
+        db.query_value("SELECT g(1)")
+    assert [row[2:] for row in db.query_all("CHECK FUNCTION g")
+            if row[2].startswith("SQ")] == [
+        ("SQ002", None, str(raised.value))]
 
 
 @pytest.mark.parametrize("mode, settings", BATCH_MODES)

@@ -537,6 +537,73 @@ def test_planned_check_and_the_renderer_are_clean(tmp_path):
                        FROM_SCOPE_WALK) == []
 
 
+# The parameter binder ``Database.sql_function_body`` used before SQL
+# function bodies were bound by resolution: a parameter won over a FROM
+# column of its name.
+SPELLED_BINDER = """
+from .astutil import transform_select
+
+def sql_function_body(self, fdef, stmt):
+    mapping = {name.lower(): index + 1
+               for index, name in enumerate(fdef.param_names)}
+
+    def bind(expr):
+        if isinstance(expr, A.ColumnRef) and len(expr.parts) == 1:
+            index = mapping.get(expr.parts[0].lower())
+            if index is not None:
+                return A.Param(index)
+        return None
+
+    return transform_select(stmt, bind)
+"""
+
+SPELLED_RENAMES = """
+def rename(node, versions):
+    if len(node.parts) == 1:
+        name = node.parts[0].lower()
+        return A.ColumnRef((versions[name],))
+    return (versions[node.parts[0]]
+            if isinstance(node, A.ColumnRef) and len(node.parts) == 1
+            else node)
+"""
+
+RESOLVED_BINDER = """
+def sql_function_body(self, fdef, stmt):
+    params = Scope([Relation("__params", list(fdef.param_names))])
+    bound = {}
+
+    def bind(_rel, col, ref):
+        bound[id(ref)] = A.Param(col + 1)
+
+    with params.observe(bind):
+        self.planner.plan_select(stmt, outer_scope=params)
+    return transform_select(stmt, lambda expr: bound.get(id(expr)))
+
+def copies(program, subst):
+    for stmt in program.stmts:
+        expr = stmt.expr
+        if len(expr.parts) == 1 and expr.parts[0] in program.var_types:
+            subst[stmt.target] = expr
+"""
+
+
+def test_bare_name_lookup_outside_the_planner_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, "repro/sql/engine.py", SPELLED_BINDER)
+    assert rules(findings) == ["second-resolver"]
+    assert [f.line for f in findings] == [10]
+    findings = lint_source(tmp_path, "repro/compiler/ssa.py",
+                           SPELLED_RENAMES)
+    assert rules(findings) == ["second-resolver"] * 2
+    assert sorted(f.line for f in findings) == [5, 6]
+
+
+def test_resolved_binding_and_the_planner_are_clean(tmp_path):
+    assert lint_source(tmp_path, "repro/sql/engine.py",
+                       RESOLVED_BINDER) == []
+    for module in sorted(lint_internal.SPELLING_LOOKUPS):
+        assert lint_source(tmp_path, module, SPELLED_RENAMES) == []
+
+
 # ---------------------------------------------------------------------------
 # rule 11: one argument binder
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.sql.parser import parse_expression
 def ssa_of(body: str, params="n int"):
     name, type_name = params.split()
     func = parse_plpgsql_function("f", [name], [type_name], "int", body)
-    return build_ssa(build_cfg(func), Database().catalog)
+    return build_ssa(build_cfg(func), Database())
 
 
 def all_stmts(program):

@@ -97,7 +97,17 @@ Eleven checks, each born from a real failure mode in this codebase:
     FROM-scope walk over the catalog preceded it, and missed the SSA
     names an embedded query captured.  Under ``repro/compiler/``, an
     attribute named ``from_clause`` or ``column_aliases`` anywhere but
-    the renderer (``dialects.py``) is that walk regrowing.
+    the renderer (``dialects.py``) is that walk regrowing.  A name is
+    bound by resolution, not by spelling: SSA renaming and a SQL
+    function's parameters rewrite exactly the ``ColumnRef`` nodes the
+    planner resolved into their scope (``Scope.observe``).  Two rewrites
+    that bound every bare name spelled like a variable or a parameter
+    preceded it, and renamed an ORDER BY output alias and let a parameter
+    win over a FROM column.  Anywhere under ``repro/`` but the planner
+    (``sql/expr.py``, ``sql/planner.py``) and the renamer of generated
+    names (``compiler/rename.py``), a one-part test ``len(x.parts) == 1``
+    whose ``x.parts[0]`` feeds a lookup (``m.get(..)`` or ``m[..]``) is
+    that substitution regrowing.
 
 11. **One argument binder.**  A compiled function's Qf binds its
     arguments in one row, ``FROM (SELECT CAST($1 AS t1) AS p1, ..)``, built
@@ -167,6 +177,11 @@ SCHEMA_READS = {"tables", "get_table", "column_names"}
 COMPILER_PACKAGE = "repro/compiler/"
 COMPILER_RENDERER = "repro/compiler/dialects.py"
 FROM_SCOPE_READS = {"from_clause", "column_aliases"}
+
+#: Where a bare name may be looked up by its spelling (rule 10): the
+#: planner, and the renamer of the compiler's generated names.
+SPELLING_LOOKUPS = {"repro/sql/expr.py", "repro/sql/planner.py",
+                    "repro/compiler/rename.py"}
 
 #: The one function that may build a ``$k`` in the compiler (rule 11).
 ARGUMENT_BINDER = ("repro/compiler/template.py", "bind_arguments")
@@ -575,6 +590,64 @@ def check_second_resolver(path: Path, tree: ast.Module) -> list[Finding]:
             if isinstance(node, ast.Attribute) and node.attr in banned]
 
 
+def _one_part_subject(node: ast.AST):
+    """``ast.dump`` of *x* when *node* is ``len(x.parts) == 1``."""
+    if (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], ast.Eq)
+            and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name)
+            and node.left.func.id == "len" and len(node.left.args) == 1
+            and isinstance(node.left.args[0], ast.Attribute)
+            and node.left.args[0].attr == "parts"
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value == 1):
+        return ast.dump(node.left.args[0].value)
+    return None
+
+
+def _spells(node: ast.AST, subject: str, names: set[str]) -> bool:
+    """Does *node* read ``<subject>.parts[0]``, or a local in *names*?"""
+    return any(
+        (isinstance(inner, ast.Name) and inner.id in names)
+        or (isinstance(inner, ast.Subscript)
+            and isinstance(inner.value, ast.Attribute)
+            and inner.value.attr == "parts"
+            and ast.dump(inner.value.value) == subject)
+        for inner in ast.walk(node))
+
+
+def check_spelled_binding(path: Path, tree: ast.Module) -> list[Finding]:
+    if path.relative_to(SRC).as_posix() in SPELLING_LOOKUPS:
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        for subject in filter(None, map(_one_part_subject,
+                                        ast.walk(node.test))):
+            names: set[str] = set()  # locals holding the spelled name
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Assign) \
+                        and _spells(inner.value, subject, names):
+                    names.update(target.id for target in inner.targets
+                                 if isinstance(target, ast.Name))
+                if isinstance(inner, ast.Call) \
+                        and isinstance(inner.func, ast.Attribute) \
+                        and inner.func.attr == "get":
+                    keys = inner.args[:1]
+                elif isinstance(inner, ast.Subscript):
+                    keys = [inner.slice]
+                else:
+                    continue
+                if any(_spells(key, subject, names) for key in keys):
+                    findings.append(Finding(
+                        path, inner.lineno, "second-resolver",
+                        "a bare name looked up by its spelling: rewrite "
+                        "the references the planner resolved "
+                        "(Scope.observe)"))
+    return findings
+
+
 # -- rule 11: one argument binder -------------------------------------------
 
 def check_second_binder(path: Path, tree: ast.Module) -> list[Finding]:
@@ -624,6 +697,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_second_evaluator(path, tree))
         findings.extend(check_anf_dispatch(path, tree))
         findings.extend(check_second_resolver(path, tree))
+        findings.extend(check_spelled_binding(path, tree))
         findings.extend(check_second_binder(path, tree))
     return findings
 
