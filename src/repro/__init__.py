@@ -12,10 +12,22 @@ Public API:
 42
 """
 
-from .compiler import DIALECTS, CompiledFunction, compile_plsql, froid_compile
 from .sql import Database, Result, Row
 
 __version__ = "1.0.0"
 
 __all__ = ["Database", "Result", "Row", "CompiledFunction", "compile_plsql",
            "froid_compile", "DIALECTS", "__version__"]
+
+#: Names resolved on first access (PEP 562), so ``import repro.sql`` does
+#: not load the compiler, the PL/pgSQL interpreter or the analyzer.
+_COMPILER_NAMES = ("compile_plsql", "CompiledFunction", "froid_compile",
+                   "DIALECTS")
+
+
+def __getattr__(name: str):
+    if name in _COMPILER_NAMES:
+        from . import compiler
+        value = globals()[name] = getattr(compiler, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

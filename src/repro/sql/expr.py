@@ -143,12 +143,19 @@ class Scope:
     name that a FROM relation and an enclosing such scope both supply is an
     error (PostgreSQL's ``plpgsql.variable_conflict = error``), unless a
     :meth:`fence` stands between them.
+
+    ``ungrouped`` holds the FROM relations of an aggregating query, for the
+    scope of what is computed after aggregation (HAVING, the select list,
+    ORDER BY): a name they supply is refused with PostgreSQL's grouping
+    error there, never looked up in an outer scope it would shadow.
     """
 
     def __init__(self, relations: Sequence[Relation],
-                 parent: Optional["Scope"] = None):
+                 parent: Optional["Scope"] = None,
+                 ungrouped: Sequence[Relation] = ()):
         self.relations = list(relations)
         self.parent = parent
+        self.ungrouped = list(ungrouped)
         self.observers: list[Callable[[int, int, A.ColumnRef], None]] = []
         self.one_shot = False
         self.fences = 0
@@ -213,20 +220,43 @@ class Scope:
                        for rel_index, rel in enumerate(scope.relations)
                        if first in rel.columns]
             if len(matches) == 1:
-                if len(parts) == 1 and scope.shadows_a_variable(first):
-                    raise VariableConflictError(
-                        f"column reference {first!r} is ambiguous: it may "
-                        "refer to either a PL/pgSQL variable or a table "
-                        "column — qualify the column or rename the variable")
+                scope._refuse_conflict(parts)
                 rel_index, col_index = matches[0]
                 for observer in scope.observers:
                     observer(rel_index, col_index, ref)
                 return (level, rel_index, col_index, parts[1:])
             if len(matches) > 1:
                 raise NameResolutionError(f"column reference {first!r} is ambiguous")
+            if scope.ungrouped:
+                scope._refuse_ungrouped(parts)
             scope = scope.parent
             level += 1
         raise NameResolutionError(f"column {'.'.join(parts)!r} does not exist")
+
+    def _refuse_conflict(self, parts: Sequence[str]) -> None:
+        """Raise if the bare name *parts* found here is also a variable."""
+        if len(parts) == 1 and self.shadows_a_variable(parts[0].lower()):
+            raise VariableConflictError(
+                f"column reference {parts[0].lower()!r} is ambiguous: it may "
+                "refer to either a PL/pgSQL variable or a table column — "
+                "qualify the column or rename the variable")
+
+    def _refuse_ungrouped(self, parts: Sequence[str]) -> None:
+        """Raise if an ungrouped FROM relation supplies *parts*."""
+        first = parts[0].lower()
+        found = [(rel.alias, parts[1].lower()) for rel in self.ungrouped
+                 if len(parts) >= 2 and rel.alias == first
+                 and parts[1].lower() in rel.columns]
+        if not found:
+            found = [(rel.alias, first) for rel in self.ungrouped
+                     if first in rel.columns]
+            if not found:
+                return
+            self._refuse_conflict(parts)
+        alias, column = found[0]
+        raise NameResolutionError(
+            f'column "{alias}.{column}" must appear in the GROUP BY '
+            "clause or be used in an aggregate function")
 
 
 CompiledExpr = Callable[[EvalContext], Value]

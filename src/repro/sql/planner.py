@@ -1211,7 +1211,7 @@ class Planner:
         rewritten_having = rewrite(having) if having is not None else None
 
         post_scope = Scope([Relation("__agg", agg_rel_columns)],
-                           parent=outer_scope)
+                           parent=outer_scope, ungrouped=scope.relations)
         having_compiler = ExprCompiler(post_scope, self)
         having_fn = (having_compiler.compile(rewritten_having)
                      if rewritten_having is not None else None)
@@ -1262,7 +1262,7 @@ class Planner:
 
         rewritten = [rewrite_expr(e, to_window_column) for e in item_exprs]
         post_scope = Scope(scope.relations + [Relation("__win", columns)],
-                           parent=outer_scope)
+                           parent=outer_scope, ungrouped=scope.ungrouped)
         return WindowStagePlan(calls, compiler.subplans), rewritten, post_scope
 
     def _make_window_call(self, call: A.FuncCall, core: A.SelectCore,

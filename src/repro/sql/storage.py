@@ -50,6 +50,7 @@ lock-free fast paths here without revisiting that invariant
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -85,9 +86,11 @@ class BufferManager:
         self.bytes_written = 0
 
 
-def row_byte_size(row: Sequence[Value]) -> int:
-    """On-disk size of one tuple under the model above."""
-    return ROW_OVERHEAD + sum(value_byte_size(v) for v in row)
+def rows_byte_size(rows: Sequence[Sequence[Value]]) -> int:
+    """On-disk size of *rows* under the model above.  Charging a batch at
+    once counts the same pages as charging its rows one by one."""
+    return (ROW_OVERHEAD * len(rows)
+            + sum(map(value_byte_size, chain.from_iterable(rows))))
 
 
 class TupleStore:
@@ -108,7 +111,7 @@ class TupleStore:
         row_t = row if type(row) is tuple else tuple(row)
         self.rows.append(row_t)
         if self._tracked:
-            self._buffers.charge(row_byte_size(row_t))
+            self._buffers.charge(rows_byte_size((row_t,)))
 
     def extend(self, rows: Iterable[Sequence[Value]]) -> None:
         for row in rows:
@@ -488,8 +491,8 @@ class HeapTable:
     def _new_version(self, data: tuple, txn,
                      slot: Optional[int] = None) -> RowVersion:
         """Create and account one version and file it in the hash indexes
-        (caller places it and maintains the sorted indexes — insert
-        appends, update splices at *slot*)."""
+        (caller places it, maintains the sorted indexes — insert appends,
+        update splices at *slot* — and charges the buffers)."""
         self._rid_counter += 1
         if txn is not None:
             xid = txn.ensure_xid()
@@ -504,8 +507,6 @@ class HeapTable:
                                  slot)
         self._live += 1
         self._version += 1
-        if self._buffers is not None:
-            self._buffers.charge(row_byte_size(data))
         for index in self._indexes.values():
             index.add(version)
         return version
@@ -514,6 +515,7 @@ class HeapTable:
         row_t = self._prepare_row(row)
         version = self._new_version(row_t, self._txnman.current)
         self._versions.append(version)
+        self._charge((row_t,))
         for index in self._sorted.values():
             index.insert(version)
 
@@ -529,8 +531,13 @@ class HeapTable:
         txn = self._txnman.current
         versions = [self._new_version(row_t, txn) for row_t in staged]
         self._versions.extend(versions)
+        self._charge(staged)
         self._maintain_sorted(versions)
         return len(staged)
+
+    def _charge(self, rows: Sequence[tuple]) -> None:
+        if self._buffers is not None:
+            self._buffers.charge(rows_byte_size(rows))
 
     def _stamp_delete(self, version: RowVersion, txn) -> None:
         """Mark *version* deleted by *txn* (or frozen-deleted), enforcing
@@ -604,6 +611,7 @@ class HeapTable:
             self._stamp_delete(version, txn)
         added = [self._new_version(data, txn, version.slot)
                  for _, version, data in staged]
+        self._charge([data for _, _, data in staged])
         if len(staged) <= _SPLICE_IN_PLACE:
             for (position, _, _), new in zip(reversed(staged),
                                              reversed(added)):

@@ -26,6 +26,8 @@ mid-write is detected and ignored during replay).
 * ``{"t": "del", "x": xid, "tb": table, "r": rid}``
 * ``{"t": "ddl", "x": xid, "op": [opname, ...args]}``
 * ``{"t": "commit", "x": xid}``
+* ``{"t": "img", "x": 1, "tb": table, "r": [rids...], "v": [[values...],
+  ...], "e": [positions...]}`` — checkpoint snapshots only, see below
 
 Row identity across the log is the per-table monotonic ``rid`` stamped
 on every :class:`~repro.sql.txn.RowVersion` — an UPDATE logs a ``del``
@@ -38,18 +40,30 @@ round-trips natively.
 Replay (:meth:`WalManager.replay`) makes two passes: collect the xids
 with a commit marker, then apply only their records in log order.  DDL
 operations are applied structurally against the catalog; ``ins``/``del``
-records fold into per-table ``rid -> row`` maps that bulk-load at the
-end, so sorted and hash indexes — including ones a replayed
-``CREATE INDEX`` declared — are rebuilt consistently by the ordinary
-``insert_many`` maintenance path.
+records and images fold into per-table ``rid -> row`` maps that
+bulk-load at the end, so sorted and hash indexes — including ones a
+replayed ``CREATE INDEX`` declared — are rebuilt consistently by the
+ordinary ``insert_many`` maintenance path, and every row gets back the
+rid it was logged under.
 
 Checkpointing (:meth:`WalManager.checkpoint`) keeps replay O(live data):
-it serializes the committed state — catalog DDL plus every visible row,
-under the frozen pseudo-xid with one commit marker — into a temp file,
-fsyncs it, and atomically renames it over the live log.  The snapshot is
-an ordinary log prefix, so replay needs no special cases; a crash at any
+it serializes the committed state under the frozen pseudo-xid into a
+temp file, fsyncs it, and atomically renames it over the live log.  The
+snapshot is, in order: the composite types, the SQL and PL/pgSQL
+functions, each table's ``create_table`` followed by its images, the
+indexes, and one commit marker.  An image holds at most
+:data:`IMAGE_ROWS` of a table's visible rows in heap order: ``r`` their
+rids, ``v`` their values, ``e`` the column positions whose values are
+tagged by :func:`encode_value` (the columns where some row holds a Row
+or an array; every other value is plain JSON).  One ``json.dumps`` call
+encodes a whole image, where per-row ``ins`` records cost one each;
+replay restores an image in bulk and counts one replayed record
+(``WAL_REPLAYED``) per row, as it counts an ``ins``.  The snapshot is an
+ordinary log prefix, so replay needs no special cases; a crash at any
 step leaves either the complete old log or the complete new one (the
-fault points ``wal.checkpoint.*`` let the recovery suite prove that).
+fault points ``wal.checkpoint.*`` let the recovery suite prove that;
+``wal.checkpoint.write`` fires once per snapshot record, an image being
+one).
 Checkpoints run only while no write transaction is in flight — DDL and
 row versions of an uncommitted transaction are already applied to the
 in-memory catalog/heap, and a snapshot taken mid-flight would promote
@@ -86,6 +100,14 @@ from .values import Row, Value
 #: transaction ever takes xid 1, so its commit marker cannot collide.
 CHECKPOINT_XID = 1
 
+#: Rows per checkpoint image record, at most (as many as the vector
+#: executor's ``BATCH_SIZE``): a snapshot writes each table's visible rows
+#: as images of this many rows, the last one shorter.
+IMAGE_ROWS = 1024
+
+#: Value types JSON round-trips natively (NaN and the infinities too).
+_PLAIN = frozenset({type(None), bool, int, float, str})
+
 
 def encode_value(value: Value):
     """JSON-encodable form of one SQL value (tags Row and array)."""
@@ -112,6 +134,37 @@ def decode_value(value) -> Value:
 
 def _dumps(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
+
+
+def _images(table: str, versions: list) -> list[str]:
+    """Image records of *versions*' rows, in heap order, :data:`IMAGE_ROWS`
+    rows each.
+
+    Only the columns some row fills with a Row or an array go through
+    :func:`encode_value`, decided once for the table from its values
+    rather than its declared types: the engine is dynamically typed, so an
+    ``int`` column keeps a value no cast to int accepts."""
+    data = [version.data for version in versions]
+    tagged = [position for position, column in enumerate(zip(*data))
+              if not _PLAIN.issuperset(map(type, column))]
+    lines = []
+    for start in range(0, len(data), IMAGE_ROWS):
+        rows = data[start:start + IMAGE_ROWS]
+        if tagged:
+            rows = [_tag(row, tagged) for row in rows]
+        lines.append(_dumps({
+            "t": "img", "x": CHECKPOINT_XID, "tb": table,
+            "r": [version.rid for version
+                  in versions[start:start + IMAGE_ROWS]],
+            "v": rows, "e": tagged}))
+    return lines
+
+
+def _tag(row: tuple, positions: list[int]) -> list:
+    row = list(row)
+    for position in positions:
+        row[position] = encode_value(row[position])
+    return row
 
 
 class WalManager:
@@ -248,11 +301,11 @@ class WalManager:
     def snapshot_records(self) -> list[str]:
         """Serialize the committed state as an ordinary log prefix.
 
-        DDL first (types before functions, tables before their rows and
-        indexes), then every row version visible to a fresh snapshot
-        (keeping its real rid, so records appended later keep naming the
-        rows they touch), then one commit marker for the pseudo-xid.
-        Caller must ensure no write transaction is in flight.
+        Types, then functions, then each table's DDL followed by images of
+        the rows a fresh snapshot sees (keeping their real rids, so records
+        appended later keep naming the rows they touch), then indexes, then
+        one commit marker for the pseudo-xid.  Caller must ensure no write
+        transaction is in flight.
         """
         db = self.db
         catalog = db.catalog
@@ -277,10 +330,10 @@ class WalManager:
         for table in catalog.tables.values():
             ddl(["create_table", table.name, list(table.column_names),
                  list(table.column_types)])
-            for version in table._versions:
-                if snapshot.visible(version):
-                    lines.append(_dumps(self.insert_record(
-                        x, table.name, version.rid, version.data)))
+            versions = table._versions
+            if not table.all_visible(snapshot):
+                versions = list(filter(snapshot.visible, versions))
+            lines += _images(table.name, versions)
         for index_def in catalog.indexes.values():
             ddl(["create_index", index_def.name, index_def.table,
                  [[name, bool(desc)] for name, desc
@@ -364,7 +417,8 @@ class WalManager:
 
     def replay(self) -> int:
         """Rebuild the database state from the log; returns the number of
-        records applied (committed-transaction records plus markers)."""
+        records applied (committed-transaction records plus markers, an
+        image counting one per row it restores)."""
         records = []
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -381,8 +435,11 @@ class WalManager:
         # later replay would fold two generations' rows together.
         max_rid: dict[str, int] = {}
         for record in records:
-            if record.get("t") in ("ins", "del"):
+            kind = record.get("t")
+            if kind in ("ins", "del", "img"):
                 name, rid = record["tb"], record["r"]
+                if kind == "img":
+                    rid = max(rid)
                 if rid > max_rid.get(name, 0):
                     max_rid[name] = rid
         applied = 0
@@ -393,6 +450,15 @@ class WalManager:
                     applied += 1
                 continue
             if record.get("x") not in committed:
+                continue
+            if kind == "img":
+                rows = record["v"]
+                for position in record["e"]:
+                    for row in rows:
+                        row[position] = decode_value(row[position])
+                heaps.setdefault(record["tb"], {}).update(
+                    zip(record["r"], map(tuple, rows)))
+                applied += len(rows)
                 continue
             applied += 1
             if kind == "ins":

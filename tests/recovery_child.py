@@ -15,18 +15,22 @@ transaction must be replayed with both rows or neither.
 ``REPRO_CHILD_CHECKPOINT=k`` issues a ``CHECKPOINT`` statement right
 after transaction k commits (printing ``CHECKPOINTED`` if it returns) —
 the hook the parent uses to crash inside the compaction path via the
-``wal.checkpoint.*`` fault points.
+``wal.checkpoint.*`` fault points.  ``REPRO_CHILD_IMAGE_ROWS=n`` sets
+:data:`repro.sql.wal.IMAGE_ROWS`, so the checkpoint writes one table's
+rows as several image records.
 """
 
 import os
 import sys
 
-from repro.sql import Database
+from repro.sql import Database, wal
 
 
 def main() -> None:
     path = sys.argv[1]
     checkpoint_after = int(os.environ.get("REPRO_CHILD_CHECKPOINT", "0"))
+    if "REPRO_CHILD_IMAGE_ROWS" in os.environ:
+        wal.IMAGE_ROWS = int(os.environ["REPRO_CHILD_IMAGE_ROWS"])
     db = Database(path=path)
     db.execute("CREATE TABLE IF NOT EXISTS t(a int, b int)")
     db.execute("CREATE INDEX IF NOT EXISTS t_b ON t(b)")

@@ -46,7 +46,8 @@ from repro.fuzz.oracle import rows_equal
 from repro.sql import Database
 from repro.sql.errors import (CompileError, ExecutionError,
                               NameResolutionError, ParseError,
-                              QueryCanceledError, TypeError_)
+                              QueryCanceledError, TypeError_,
+                              VariableConflictError)
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +756,80 @@ def test_check_function_reports_what_the_call_raises(db):
     assert [row[2:] for row in db.query_all("CHECK FUNCTION g")
             if row[2].startswith("SQ")] == [
         ("SQ002", None, str(raised.value))]
+
+
+# ---------------------------------------------------------------------------
+# After aggregation an ungrouped FROM column is refused, not looked up in
+# the scope outside (a variable, a parameter)
+# ---------------------------------------------------------------------------
+
+GROUPING = ('column "u.x" must appear in the GROUP BY clause or be used in '
+            'an aggregate function')
+
+
+def sq_diagnostics(db: Database, name: str) -> list:
+    return [row[2:] for row in db.query_all(f"CHECK FUNCTION {name}")
+            if row[2].startswith("SQ")]
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT count(*) FROM u HAVING x > 0",
+    "SELECT count(*) FROM u HAVING u.x > 0",
+    "SELECT count(*) FROM u HAVING (SELECT u.x) > 0",
+    "SELECT x, count(*) FROM u",
+    "SELECT count(*) FROM u GROUP BY x + 1 ORDER BY x",
+    "SELECT count(*), x + row_number() OVER () FROM u",
+])
+def test_an_ungrouped_column_raises_the_grouping_error(db, sql):
+    db.execute("CREATE TABLE u(x int)")
+    db.execute("INSERT INTO u VALUES (7)")
+    with pytest.raises(NameResolutionError) as raised:
+        db.query_all(sql)
+    assert str(raised.value) == GROUPING
+
+
+def test_grouped_and_outer_columns_still_resolve(db):
+    db.execute("CREATE TABLE u(x int)")
+    db.execute("CREATE TABLE t(a int)")
+    db.execute("INSERT INTO u VALUES (7), (8)")
+    db.execute("INSERT INTO t VALUES (7), (9)")
+    assert db.query_all("SELECT x, count(*) FROM u GROUP BY x "
+                        "HAVING x > 7") == [(8, 1)]
+    assert db.query_all("SELECT (SELECT count(*) FROM u HAVING max(x) < a) "
+                        "FROM t ORDER BY a") == [(None,), (2,)]
+
+
+def test_having_in_a_sql_function_does_not_read_the_parameter(db):
+    """PostgreSQL finds ``x`` in the FROM relation before the parameter,
+    then refuses it ungrouped: ``g(-5)`` no longer answers NULL."""
+    _sql_function(db, "SELECT count(*) FROM u HAVING x > 0")
+    with pytest.raises(NameResolutionError) as raised:
+        db.query_value("SELECT g(-5)")
+    assert str(raised.value) == GROUPING
+    assert sq_diagnostics(db, "g") == [("SQ002", None, GROUPING)]
+
+
+def test_having_in_a_plpgsql_body_does_not_read_the_variable(db):
+    """Bare, ``x`` is both the column and the variable: the conflict
+    PostgreSQL's column-reference hook raises before any grouping check
+    (as in WHERE).  Qualified, it is the ungrouped column.  The
+    interpreter, the compiler and CHECK FUNCTION say the same."""
+    db.execute("CREATE TABLE u(x int)")
+    db.execute("INSERT INTO u VALUES (7)")
+    for name, ref, error in [("fb", "x", VariableConflictError),
+                             ("fq", "u.x", NameResolutionError)]:
+        source = (f"CREATE FUNCTION {name}(x int) RETURNS int AS $$ BEGIN "
+                  f"RETURN (SELECT count(*) FROM u HAVING {ref} > 0); END; "
+                  "$$ LANGUAGE plpgsql")
+        db.execute(source)
+        with pytest.raises(error) as raised:
+            db.query_value(f"SELECT {name}(1)")
+        message = str(raised.value)
+        assert message == GROUPING or ref == "x"
+        with pytest.raises(CompileError) as refused:
+            compile_plsql(source, db)
+        assert message in str(refused.value)
+        assert sq_diagnostics(db, name) == [("SQ002", 1, message)]
 
 
 @pytest.mark.parametrize("mode, settings", BATCH_MODES)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -72,6 +73,16 @@ def test_main_alternates_sides_and_appends_one_line_per_metric(
         return run(200 if fast else 100, 1.0 if fast else 2.0)
 
     monkeypatch.setattr(pairs, "run_once", run_once)
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    git = ["git", "-C", str(parent)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["-c", "user.name=t", "-c", "user.email=t@t",
+                          "commit", "-q", "--allow-empty", "-m", "p"],
+                   check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert len(head) == 40
     trajectory = tmp_path / "results" / "TRAJECTORY.jsonl"
     trajectory.parent.mkdir()
     trajectory.write_text('{"earlier": true}\n')
@@ -86,8 +97,9 @@ def test_main_alternates_sides_and_appends_one_line_per_metric(
     rows = [json.loads(line) for line in lines[1:]]
     assert [row["metric"] for row in rows] == ["ops_per_s", "p50_ms"]
     for row in rows:
-        assert set(row) == {"commit", "date", "workload", "metric",
-                            "parent_median", "change_median", "pairs", "wins"}
-        assert (row["commit"], row["workload"], row["pairs"], row["wins"]) \
-            == ("abc1234", "udf_compiled", 3, 3)
+        assert set(row) == {"commit", "parent", "date", "workload",
+                            "metric", "parent_median", "change_median",
+                            "pairs", "wins"}
+        assert (row["commit"], row["parent"], row["workload"], row["pairs"],
+                row["wins"]) == ("abc1234", head, "udf_compiled", 3, 3)
     assert (rows[0]["parent_median"], rows[0]["change_median"]) == (100, 200)

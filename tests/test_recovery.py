@@ -35,14 +35,16 @@ CHILD = os.path.join(os.path.dirname(__file__), "recovery_child.py")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_child(path: str, faults: str,
-              checkpoint_after: int = 0) -> list[int]:
+def run_child(path: str, faults: str, checkpoint_after: int = 0,
+              image_rows: int = 0) -> list[int]:
     """Run the child under *faults* (a ``REPRO_FAULTS=point:kind:N``
     registry spec); return the acknowledged ks."""
     env = dict(os.environ)
     env["REPRO_FAULTS"] = faults
     if checkpoint_after:
         env["REPRO_CHILD_CHECKPOINT"] = str(checkpoint_after)
+    if image_rows:
+        env["REPRO_CHILD_IMAGE_ROWS"] = str(image_rows)
     env["PYTHONPATH"] = os.path.abspath(SRC)
     proc = subprocess.run([sys.executable, CHILD, path],
                           capture_output=True, text=True, env=env,
@@ -137,21 +139,27 @@ def test_unfaulted_child_then_recover(tmp_path):
 # Crashes inside the checkpoint path (wal.checkpoint.* fault points)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("faults", [
-    "wal.checkpoint.start:crash:1",    # before the snapshot scan
-    "wal.checkpoint.write:crash:1",    # empty temp file left behind
-    "wal.checkpoint.write:crash:5",    # partial temp file left behind
-    "wal.checkpoint.fsync:crash:1",    # complete but un-fsynced temp file
-    "wal.checkpoint.rename:crash:1",   # complete temp file, old log live
-    "wal.checkpoint.reopen:crash:1",   # rename done: snapshot is the log
+# The snapshot after 4 transactions is 4 records: t's DDL, one image of
+# its 8 rows, the index DDL, the commit marker.  With image_rows=3 it is
+# 6: the DDL, images of 3, 3 and 2 rows, the index DDL, the marker.
+@pytest.mark.parametrize("faults, image_rows", [
+    ("wal.checkpoint.start:crash:1", 0),    # before the snapshot scan
+    ("wal.checkpoint.write:crash:1", 0),    # empty temp file left behind
+    ("wal.checkpoint.write:crash:3", 0),    # partial: DDL and the image
+    ("wal.checkpoint.write:crash:4", 0),    # partial: all but the marker
+    ("wal.checkpoint.write:crash:3", 3),    # between two images of t
+    ("wal.checkpoint.fsync:crash:1", 0),    # complete but un-fsynced file
+    ("wal.checkpoint.rename:crash:1", 0),   # complete temp file, old log
+    ("wal.checkpoint.reopen:crash:1", 0),   # rename done: snapshot is log
 ])
-def test_crash_during_checkpoint_recovers(tmp_path, faults):
+def test_crash_during_checkpoint_recovers(tmp_path, faults, image_rows):
     """A crash at any step of CHECKPOINT leaves either the complete old
     log or the complete new snapshot — recovery sees every acknowledged
     transaction either way, and a leftover ``.ckpt`` temp file never
     shadows the live log."""
     path = str(tmp_path / "ckpt.wal")
-    acked = run_child(path, faults, checkpoint_after=4)
+    acked = run_child(path, faults, checkpoint_after=4,
+                      image_rows=image_rows)
     assert acked == [1, 2, 3, 4]  # died inside the checkpoint, after 4
     check_recovered(path, acked)
     assert not os.path.exists(path + ".ckpt")  # reopen cleaned it up

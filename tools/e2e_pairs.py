@@ -17,9 +17,10 @@ parent's interquartile range.
 
 Each metric's summary is appended as one JSON line to
 ``benchmarks/results/TRAJECTORY.jsonl`` of this checkout (``--trajectory``
-elsewhere): ``{commit, date, workload, metric, parent_median,
+elsewhere): ``{commit, parent, date, workload, metric, parent_median,
 change_median, pairs, wins}``, where ``commit`` names the change (its git
-HEAD unless ``--commit`` says otherwise).  Each run lasts the
+HEAD unless ``--commit`` says otherwise) and ``parent`` is the parent
+checkout's full ``git rev-parse HEAD``.  Each run lasts the
 ``run_seconds`` of its checkout's ``BENCHMARK.json``.
 """
 
@@ -90,10 +91,11 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
-def trajectory_lines(rows: list[dict], commit: str, date: str,
+def trajectory_lines(rows: list[dict], commit: str, parent: str, date: str,
                      workload: str) -> list[str]:
     return [json.dumps({
-        "commit": commit, "date": date, "workload": workload,
+        "commit": commit, "parent": parent, "date": date,
+        "workload": workload,
         "metric": row["metric"], "parent_median": row["parent"][1],
         "change_median": row["change"][1], "pairs": row["pairs"],
         "wins": row["wins"]}) for row in rows]
@@ -106,11 +108,12 @@ def append_lines(path: str, lines: list[str]) -> None:
             handle.write(line + "\n")
 
 
-def git_head(checkout: str) -> str:
+def git_head(checkout: str, short: bool = True) -> str:
+    command = ["git", "-C", checkout, "rev-parse"]
+    command += ["--short", "HEAD"] if short else ["HEAD"]
     try:
-        return subprocess.run(
-            ["git", "-C", checkout, "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True).stdout.strip()
+        return subprocess.run(command, capture_output=True, text=True,
+                              check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
@@ -148,7 +151,8 @@ def main(argv=None) -> int:
     date = datetime.datetime.now(datetime.timezone.utc) \
         .isoformat(timespec="seconds")
     append_lines(args.trajectory, trajectory_lines(
-        rows, args.commit or git_head(args.change), date, args.workload))
+        rows, args.commit or git_head(args.change),
+        git_head(args.parent, short=False), date, args.workload))
     return 0
 
 
