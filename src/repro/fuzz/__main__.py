@@ -21,7 +21,7 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_FUNCTIONS,
                                 FUZZ_SQLITE_CHECKS, FUZZ_SQLITE_FUNCTIONS,
-                                MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
+                                FUZZ_TWIN_CHECKS, MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
                                 RANGE_SCANS_GIVEN_UP, VECTOR_FALLBACKS,
                                 VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
                                 VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
@@ -130,6 +130,7 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
               f"{counts.get(FUZZ_ANALYZER_CHECKS, 0)} analyzer soundness "
               f"checks, "
               f"{counts[FUZZ_DML_CHECKS]} dml checks, "
+              f"{counts[FUZZ_TWIN_CHECKS]} literal twins, "
               f"{counts[VECTOR_ROWS]} vector rows "
               f"({counts[VECTOR_TYPED_ROWS] / max(1, counts[VECTOR_ROWS]):.0%}"
               f" with a typed column, {counts[VECTOR_FUSED_ROWS]} fused, "

@@ -17,6 +17,11 @@ One generated case is checked three ways:
   inputs.  A query whose outcome may rightly depend on the plan
   (``Query.per_config``) compares the two names within each
   configuration, both run from one RNG state.
+* **Cached-vs-fresh** — each query's *literal twin* (:mod:`repro.fuzz.twin`:
+  every literal its cached record's guard does not hold re-drawn) runs
+  under the defaults on the plan the original's text left in the text
+  cache, and again with the cache off: a plan of one text run for
+  another with other values must answer as that text's own plan.
 * **Engine-vs-SQLite** — dialect-portable queries over SQLite-safe data
   also run on :mod:`sqlite3`, with a *lax* value normalization (bools are
   ints, ``5.0`` is ``5``) and a known-dialect classifier that explains
@@ -45,6 +50,7 @@ engine's deliberate error hierarchy is a **crash** and always reported.
 from __future__ import annotations
 
 import math
+import random
 import sqlite3
 from dataclasses import dataclass
 from typing import Optional
@@ -57,14 +63,15 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
                                 FUZZ_EXECUTIONS, FUZZ_FUNCTIONS,
                                 FUZZ_SQLITE_CHECKS, FUZZ_SQLITE_FUNCTIONS,
-                                MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
-                                RANGE_SCANS_GIVEN_UP, VECTOR_FALLBACKS,
-                                VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
+                                FUZZ_TWIN_CHECKS, MEMO_CARRIED_HITS,
+                                MEMO_HITS, MEMO_MISSES, RANGE_SCANS_GIVEN_UP,
+                                VECTOR_FALLBACKS, VECTOR_FUSED_ROWS, VECTOR_JOIN_ROWS,
                                 VECTOR_ROWS, VECTOR_TYPED_ROWS, Profiler)
 from repro.sql.values import Row, row_sort_key
 
 from .datagen import data_sqlite_safe, value_sqlite_safe
 from .querygen import Case, Modification, Query
+from .twin import literal_twin
 from .txngen import CONFLICT, OK, TxnCase
 
 # ---------------------------------------------------------------------------
@@ -234,6 +241,10 @@ class OracleConfig:
             db.execute(statement)
 
 
+#: The label of the defaults without the text cache.
+NOCACHE = "defaults+plan_cache_size=0"
+
+
 def settings_matrix(db: Database) -> list[OracleConfig]:
     """The oracle configuration matrix, derived from the registry.
 
@@ -275,8 +286,7 @@ def settings_matrix(db: Database) -> list[OracleConfig]:
             if value != defaults[setting.name]:
                 add(f"defaults+{setting.name}={setting.format(value)}",
                     {**defaults, setting.name: value})
-    nocache = OracleConfig("defaults+plan_cache_size=0",
-                           ("SET plan_cache_size = 0",))
+    nocache = OracleConfig(NOCACHE, ("SET plan_cache_size = 0",))
     configs.append(nocache)
     return configs
 
@@ -454,6 +464,7 @@ class DifferentialChecker:
                 modified[mi][config.label] = self._modify_fresh_copy(
                     db, modification.table, handles[mi], loaded)
                 profiler.bump(FUZZ_EXECUTIONS)
+        twins = self._run_twins(case, db, configs, variants_per_query)
         for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FUSED_ROWS,
                         VECTOR_JOIN_ROWS, VECTOR_FALLBACKS, MEMO_HITS,
                         MEMO_MISSES, MEMO_CARRIED_HITS, BATCHED_UDF_ROWS,
@@ -571,6 +582,22 @@ class DifferentialChecker:
                     first.rows, again.rows, ordered=query.order == "total"):
                 report("result", query, sql, where, f"{where} again", first,
                        again)
+        for qi, twin, cached, fresh in twins:
+            profiler.bump(FUZZ_TWIN_CHECKS)
+            profiler.bump(FUZZ_COMPARISONS)
+            query = case.queries[qi]
+            if cached.crashed or fresh.crashed:
+                kind = "crash"
+            elif (cached.status, cached.error) != (fresh.status, fresh.error):
+                kind = "status"
+            elif cached.status == "ok" and not rows_equal(
+                    fresh.rows, cached.rows, ordered=query.order == "total"):
+                kind = "result"
+            else:
+                continue
+            report(kind, query, twin, f"{NOCACHE}/twin",
+                   "defaults/twin (the original's cached shape)", fresh,
+                   cached)
         for modification, expected, by_config in zip(
                 case.modifications, expected_counts, modified):
             profiler.bump(FUZZ_DML_CHECKS)
@@ -622,6 +649,41 @@ class DifferentialChecker:
         discrepancies.extend(self._check_analyzer_soundness(
             case, db, variants_per_query, outcomes, baseline_label))
         return discrepancies
+
+    def _run_twins(self, case: Case, db: Database, configs,
+                   variants_per_query) -> list[tuple]:
+        """``(query index, twin, outcome cached, outcome fresh)`` for each
+        query variant whose shape the text cache admits: under the
+        defaults, the original runs twice (the second time it is kept),
+        and its twin - every literal its record's guard does not hold
+        re-drawn - runs on that record; then the twin runs again under
+        ``plan_cache_size = 0``."""
+        by_label = {config.label: config for config in configs}
+        if "defaults" not in by_label or NOCACHE not in by_label:
+            return []
+        rng = random.Random(f"twin:{case.seed}")
+
+        def run(query: Query, sql: str) -> Outcome:
+            if query.per_config:
+                db.reseed(0)
+            self.profiler.bump(FUZZ_EXECUTIONS)
+            return run_statement(db, sql)
+
+        by_label["defaults"].apply(db)
+        twins = []
+        for qi, (query, variants) in enumerate(
+                zip(case.queries, variants_per_query)):
+            for _, _, sql in variants:
+                run(query, sql)
+                run(query, sql)
+                record = db._plan_cache.peek(sql, db.settings.active)
+                twin = None if record is None else literal_twin(
+                    sql, rng, frozenset(record.literals.guards))
+                if twin is not None:
+                    twins.append((qi, query, twin, run(query, twin)))
+        by_label[NOCACHE].apply(db)
+        return [(qi, twin, cached, run(query, twin))
+                for qi, query, twin, cached in twins]
 
     def _check_functions_on_sqlite(self, case: Case, db: Database,
                                    compiled: dict, cross_check) -> None:

@@ -172,26 +172,30 @@ def takes_text_door(sql: str) -> bool:
 def _run_text(session: "Connection", sql: str):
     """Run a payload with no ``;`` inside it through the text door of
     ``Database.execute``, in one activation: a text-cache hit runs its
-    record without parsing or planning; a miss parses (under the lock, as
-    ``Connection.execute`` does) and offers its record to the cache after
-    the run.  Returns ``(outputs, error)``."""
+    record, the text's literals bound as parameters, without parsing or
+    planning; a miss parses the tokens the lookup lexed (under the lock,
+    as ``Connection.execute`` does) and offers its record to the cache
+    after the run.  Returns ``(outputs, error)``."""
     db = session.db
     notices_before = len(session.notices)
-    statement = statements = error = None
+    statement = lexed = error = None
     try:
         with session._activated():
-            statement, key = db._plan_cache.lookup(sql, db.settings.active)
+            statement, params, lexed = db._plan_cache.lookup(
+                sql, (), db.settings.active)
             if statement is None:
-                statements = parse_script(sql)
+                statements = parse_script(lexed)
                 if len(statements) == 1:
-                    statement = Statement(db, statements[0], session)
+                    statement = Statement(db, statements[0], session,
+                                          lexed=lexed)
             if statement is not None:
-                outcome = db._dispatch_ast(statement, (), session, key)
+                outcome = db._dispatch_ast(statement, params, session, lexed)
     except Exception as exc:  # a lexer crash too - still answer the client
         outcome = error = exc
     if statement is None and error is None:
-        # No statement, or several with no ``;`` between them.
-        return _run_statements(session, sql, statements)
+        # No statement, or several with no ``;`` between them: parsed
+        # again, with their literals as written.
+        return _run_statements(session, sql, parse_script(lexed.plain()))
     return _records(session, notices_before, statement, outcome), error
 
 

@@ -60,6 +60,7 @@ from .errors import (CatalogError, CompileError, ExecutionError,
                      NameResolutionError, PlsqlError, QueryCanceledError,
                      TypeError_)
 from .expr import EvalContext, ExprCompiler, Relation, RuntimeContext, Scope
+from .lexer import LexedText
 from .parser import parse_script, parse_statement
 from .planner import Planner
 from .profiler import (EXEC_END, EXEC_RUN, EXEC_START, PARSE, PLAN,
@@ -403,18 +404,22 @@ class Database:
         """Execute *sql* in *session*; returns ``(kind, result)``.
 
         The text door (a one-statement wire ``Query`` takes the same one):
-        the text cache is probed on the raw text *before* parsing, under
-        the execution lock, where the active settings and the cache are
-        read; only a miss parses, and its record is offered to the cache
-        once it has run (:class:`~repro.sql.statement.PlanCache`: admitted
-        on second sight, and only holding the plan it built).
+        the text is lexed and the text cache probed by its shape *before*
+        parsing, under the execution lock, where the active settings and
+        the cache are read.  A hit runs its record with the text's
+        literals as parameters after *params*; only a miss parses (the
+        tokens already lexed), and its record is offered to the cache once
+        it has run (:class:`~repro.sql.statement.PlanCache`: admitted on
+        second sight, and only holding the plan it built).
         """
         with self._exec_lock:
-            statement, key = self._plan_cache.lookup(sql, self.settings.active)
+            statement, params, lexed = self._plan_cache.lookup(
+                sql, params, self.settings.active)
             if statement is None:
                 with self.profiler.phase(PARSE):
-                    statement = Statement(self, parse_statement(sql), session)
-            return self._dispatch_ast(statement, params, session, key)
+                    statement = Statement(self, parse_statement(lexed),
+                                          session, lexed=lexed)
+            return self._dispatch_ast(statement, params, session, lexed)
 
     def _execute_script(self, sql: str, session: "Connection") -> list[Result]:
         with self.profiler.phase(PARSE):
@@ -457,19 +462,20 @@ class Database:
 
     def _dispatch_ast(self, stmt, params: Sequence[Value],
                       session: "Connection",
-                      key: Optional[tuple] = None) -> tuple[str, Result]:
+                      lexed: Optional[LexedText] = None) -> tuple[str, Result]:
         """Run one statement - a parsed AST, or a record already built or
-        found in the text cache; returns ``(kind, result)``.  *key* marks
-        a text-cache miss: the record is offered to the cache under it
-        after the run, whether the run succeeded or not."""
+        found in the text cache; returns ``(kind, result)``.  *lexed*, the
+        text a record was parsed from, marks a text-cache miss: the record
+        is offered to the cache after the run, whether the run succeeded
+        or not."""
         statement = stmt if isinstance(stmt, Statement) \
             else Statement(self, stmt, session)
-        if key is None:
+        if lexed is None:
             return self._run(statement, params, session)
         try:
             return self._run(statement, params, session)
         finally:
-            self._plan_cache.offer(key, statement,
+            self._plan_cache.offer(lexed, statement,
                                    self.settings.active.plan_cache_size)
 
     def _run(self, statement: Statement, params: Sequence[Value],

@@ -103,6 +103,7 @@ sweep batch-boundary edge cases).
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from functools import lru_cache
 from itertools import compress
@@ -815,8 +816,9 @@ def _fused_form(conds: tuple, keys: tuple, args: tuple, columns: int,
     the value of the one distinct aggregate argument, a tuple of them, or
     0 when no aggregate takes one.  Grouped, ``run(groups, c0, ..)`` files
     the items under their group key in *groups*, a ``defaultdict(list)``.
-    The texts name columns and literals, never a value, so the statements
-    of one shape share one entry whatever their literals."""
+    The texts name columns and literals (and parameters), never a value,
+    so the statements of one shape share one entry whatever their
+    literals."""
     cols = [f"c{i}" for i in range(columns)]
     names = [f"x{i}" for i in range(columns)]
     loop = (f"for {names[0]} in {cols[0]}" if columns == 1
@@ -847,30 +849,55 @@ def _fused_form(conds: tuple, keys: tuple, args: tuple, columns: int,
 
 class FusedAggregate:
     """Plan of a fused aggregate core: the generated loop of its shape
-    (:func:`_fused_form`, the statement's literals bound) over the columns
-    ``columns`` of relation ``rel``, its number of group ``keys``, the
-    ``width`` of an item and, per aggregate call, the item position of its
-    argument (None: ``count(*)``).
+    (:func:`_fused_form`'s ``make``, to be given the ``literals``) over the
+    columns ``columns`` of relation ``rel``, its number of group ``keys``,
+    the ``width`` of an item and, per aggregate call, the item position of
+    its argument (None: ``count(*)``).  A literal that is a parameter
+    (``$n``, an ``A.Param`` among the ``literals``) is bound when the plan
+    is opened (:meth:`bind`); the loop of a core with none is ``run``.
 
     It runs only when, at open, the scan's snapshot vouches that every one
-    of those columns is all exact ints (``HeapTable.columns``); otherwise
-    the core takes the per-kernel path.  Its texts are the kernel table's
+    of those columns is all exact ints (``HeapTable.columns``) and every
+    parameter it reads is one; otherwise the core takes the per-kernel
+    path.  Its texts are the kernel table's
     ``fast`` templates (:meth:`ExprCompiler.typed_form`), which for exact
     ints are what the typed batch shapes run, and Python's ``and`` over
     them is SQL AND over non-NULL booleans with the row engine's per-row
     laziness.  An engine error it raises (a division by zero) sends the
     statement to the row engine like any batch error."""
 
-    __slots__ = ("rel", "columns", "run", "keys", "width", "arg_of")
+    __slots__ = ("rel", "columns", "make", "literals", "run", "keys",
+                 "width", "arg_of")
 
-    def __init__(self, rel: int, columns: list[int], run: Callable,
-                 keys: int, width: int, arg_of: list[Optional[int]]):
+    def __init__(self, rel: int, columns: list[int], make: Callable,
+                 literals: tuple, keys: int, width: int,
+                 arg_of: list[Optional[int]]):
         self.rel = rel
         self.columns = columns
-        self.run = run
+        self.make = make
+        self.literals = literals
+        self.run = None if any(type(literal) is A.Param
+                               for literal in literals) else make(*literals)
         self.keys = keys
         self.width = width
         self.arg_of = arg_of
+
+    def bind(self, params: Sequence) -> Optional["FusedAggregate"]:
+        """This core with the values of its parameters in its loop, or
+        None when one of them is not an exact int (or not supplied)."""
+        if self.run is not None:
+            return self
+        values = []
+        for literal in self.literals:
+            if type(literal) is A.Param:
+                index = literal.index - 1
+                literal = params[index] if index < len(params) else None
+                if type(literal) is not int:
+                    return None
+            values.append(literal)
+        bound = copy.copy(self)
+        bound.run = self.make(*values)
+        return bound
 
     def table_columns(self, facts: Sequence) -> Optional[list]:
         """The whole columns the loop reads, out of the scan's column
@@ -928,7 +955,7 @@ def _fuse(base: SelectCorePlan, core: A.SelectCore, where: Optional[A.Expr],
         return None
     make = _fused_form(conds, keys, args, len(columns), len(literals))
     return FusedAggregate(leaf.rel_index, [col for _, col in columns],
-                          make(*literals), len(keys), len(args), arg_of)
+                          make, tuple(literals), len(keys), len(args), arg_of)
 
 
 class VectorSpec:
@@ -1206,6 +1233,10 @@ class BatchAdapterState(SelectCoreState):
         source = self._source
         fused = spec.fused
         columns = None if fused is None else fused.table_columns(source.facts)
+        if columns is not None:
+            fused = fused.bind(self.rt.params)
+            if fused is None:
+                columns = None
         vagg = VectorAggregate(stage, spec.key_fns, spec.arg_fns,
                                None if columns is None else fused)
         # The source drains finite row snapshots and polls the cancel token

@@ -22,6 +22,7 @@ import textwrap
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from . import ast as A
@@ -147,15 +148,21 @@ class Scope:
     ``ungrouped`` holds the FROM relations of an aggregating query, for the
     scope of what is computed after aggregation (HAVING, the select list,
     ORDER BY): a name they supply is refused with PostgreSQL's grouping
-    error there, never looked up in an outer scope it would shadow.
+    error there, never looked up in an outer scope it would shadow -
+    unless a group key is that column: ``grouped`` holds each key's name
+    parts (None for an expression key), in the order of the key columns
+    that open the first relation, and such a name resolves to its key's
+    column.
     """
 
     def __init__(self, relations: Sequence[Relation],
                  parent: Optional["Scope"] = None,
-                 ungrouped: Sequence[Relation] = ()):
+                 ungrouped: Sequence[Relation] = (),
+                 grouped: Sequence[Optional[tuple]] = ()):
         self.relations = list(relations)
         self.parent = parent
         self.ungrouped = list(ungrouped)
+        self.grouped = list(grouped)
         self.observers: list[Callable[[int, int, A.ColumnRef], None]] = []
         self.one_shot = False
         self.fences = 0
@@ -228,10 +235,26 @@ class Scope:
             if len(matches) > 1:
                 raise NameResolutionError(f"column reference {first!r} is ambiguous")
             if scope.ungrouped:
-                scope._refuse_ungrouped(parts)
+                key = scope._refuse_ungrouped(parts)
+                if key is not None:
+                    col_index, tail = key
+                    for observer in scope.observers:
+                        observer(0, col_index, ref)
+                    return (level, 0, col_index, tail)
             scope = scope.parent
             level += 1
         raise NameResolutionError(f"column {'.'.join(parts)!r} does not exist")
+
+    def _key_column(self, key: tuple) -> Optional[tuple[str, str]]:
+        """``(alias, column)`` of the ungrouped column a group key that is
+        a bare or qualified column name names, else None."""
+        names = [part.lower() for part in key]
+        if len(names) == 2:
+            return names[0], names[1]
+        if len(names) == 1:
+            return next(((rel.alias, names[0]) for rel in self.ungrouped
+                         if names[0] in rel.columns), None)
+        return None
 
     def _refuse_conflict(self, parts: Sequence[str]) -> None:
         """Raise if the bare name *parts* found here is also a variable."""
@@ -241,19 +264,26 @@ class Scope:
                 "refer to either a PL/pgSQL variable or a table column — "
                 "qualify the column or rename the variable")
 
-    def _refuse_ungrouped(self, parts: Sequence[str]) -> None:
-        """Raise if an ungrouped FROM relation supplies *parts*."""
+    def _refuse_ungrouped(self, parts: Sequence[str]):
+        """Raise if an ungrouped FROM relation supplies *parts*, unless the
+        column it names is a group key: then ``(its column, field tail)``
+        (None when no such relation supplies *parts*)."""
         first = parts[0].lower()
         found = [(rel.alias, parts[1].lower()) for rel in self.ungrouped
                  if len(parts) >= 2 and rel.alias == first
                  and parts[1].lower() in rel.columns]
+        tail = parts[2:]
         if not found:
             found = [(rel.alias, first) for rel in self.ungrouped
                      if first in rel.columns]
             if not found:
-                return
+                return None
             self._refuse_conflict(parts)
+            tail = parts[1:]
         alias, column = found[0]
+        for index, key in enumerate(self.grouped):
+            if key is not None and self._key_column(key) == (alias, column):
+                return index, tail
         raise NameResolutionError(
             f'column "{alias}.{column}" must appear in the GROUP BY '
             "clause or be used in an aggregate function")
@@ -675,13 +705,16 @@ class ExprCompiler:
         templates with their arguments substituted (parenthesized): a bare
         column is the name *columns* gives it (``x<i>``, keyed by ``(rel,
         col)``), an exact-int literal the name ``l<i>`` (its value appended
-        to *literals*, so the text holds no statement data).  None for any
-        other node, and for a template that repeats a compound argument
-        (its text would evaluate the argument twice)."""
-        if type(expr) is A.Literal:
-            if type(expr.value) is not int:
+        to *literals*, so the text holds no statement data) - as is a
+        parameter, the ``A.Param`` appended in its place, bound to its value
+        when the plan is opened (an exact int, or the core does not fuse).
+        None for any other node, and for a template that repeats a
+        compound argument (its text would evaluate the argument twice)."""
+        kind = type(expr)
+        if kind is A.Literal or kind is A.Param:
+            if kind is A.Literal and type(expr.value) is not int:
                 return None
-            literals.append(expr.value)
+            literals.append(expr if kind is A.Param else expr.value)
             return f"l{len(literals) - 1}", IntColumn
         entry = self.entry(expr)
         if isinstance(entry, Leaf):
@@ -912,13 +945,22 @@ def _param(c: ExprCompiler, e: A.Param) -> Leaf:
         raise PlanError("parameters are numbered from $1")
 
     def run(ctx) -> Value:
-        params = ctx.rt.params
-        if index >= len(params):
-            raise ExecutionError(f"no value supplied for parameter ${index + 1}")
-        return params[index]
+        try:
+            return ctx.rt.params[index]
+        except IndexError:
+            raise ExecutionError(
+                f"no value supplied for parameter ${index + 1}") from None
 
-    # A Batch carries ``rt`` like an EvalContext, which is all ``run`` reads.
-    return Leaf(run, lambda batch, sel: _broadcast(run(batch), batch, sel))
+    def batch_form(batch, sel) -> list:
+        # A Batch carries ``rt`` like an EvalContext, which is all ``run``
+        # reads.  An exact int makes a typed column, so the typed shapes
+        # of the kernels take it.
+        value = run(batch)
+        if type(value) is int:
+            return IntColumn(repeat(value, _count(batch, sel)))
+        return _broadcast(value, batch, sel)
+
+    return Leaf(run, batch_form)
 
 
 #: operator -> (exact-int kernel, generic kernel).

@@ -89,6 +89,8 @@ def tokenize(text: str) -> list[Token]:
     """Lex *text* into a token list ending with an EOF token."""
     tokens: list[Token] = []
     append = tokens.append
+    # Token's own __new__ is a Python-level call per token; this is not.
+    new = tuple.__new__
     match = _TOKEN.match
     line, line_start, pos = 1, 0, 0
     while True:
@@ -97,20 +99,20 @@ def tokenize(text: str) -> list[Token]:
         start, pos = m.span(kind)
         column = start - line_start + 1
         if kind == "ident":
-            append(Token(IDENT, text[start:pos].lower(), line, column))
+            append(new(Token, (IDENT, text[start:pos].lower(), line, column)))
         elif kind == "op":
-            append(Token(OP, text[start:pos], line, column))
+            append(new(Token, (OP, text[start:pos], line, column)))
         elif kind == "int":
-            append(Token(NUMBER, int(text[start:pos]), line, column))
+            append(new(Token, (NUMBER, int(text[start:pos]), line, column)))
         elif kind == "newline":
             line += 1
             line_start = pos
         elif kind == "float":
-            append(Token(NUMBER, float(text[start:pos]), line, column))
+            append(new(Token, (NUMBER, float(text[start:pos]), line, column)))
         elif kind == "param":
-            append(Token(PARAM, int(text[start + 1:pos]), line, column))
+            append(new(Token, (PARAM, int(text[start + 1:pos]), line, column)))
         elif kind == "end":
-            append(Token(EOF, None, line, column))
+            append(new(Token, (EOF, None, line, column)))
             return tokens
         elif kind == "bad":
             ch = text[start]
@@ -120,10 +122,10 @@ def tokenize(text: str) -> list[Token]:
         elif kind != "skip":  # the four forms that may span lines
             if kind == "string":
                 value = text[start + 1:pos - 1].replace("''", "'")
-                append(Token(STRING, value, line, column))
+                append(new(Token, (STRING, value, line, column)))
             elif kind == "qident":
                 value = text[start + 1:pos - 1].replace('""', '"')
-                append(Token(QIDENT, value, line, column))
+                append(new(Token, (QIDENT, value, line, column)))
             elif kind == "dollar":
                 tag = text[start:pos]  # "$$" or "$body$"
                 close = text.find(tag, pos)
@@ -131,7 +133,7 @@ def tokenize(text: str) -> list[Token]:
                     raise ParseError(
                         f"unterminated dollar-quoted string {tag}",
                         line, column)
-                append(Token(STRING, text[pos:close], line, column))
+                append(new(Token, (STRING, text[pos:close], line, column)))
                 pos = close + len(tag)
             else:  # comment: to the ``*/`` that closes this ``/*``
                 depth = 1
@@ -146,6 +148,58 @@ def tokenize(text: str) -> list[Token]:
             if newlines:
                 line += newlines
                 line_start = text.rfind("\n", start, pos) + 1
+
+
+class LexedText:
+    """A text lexed once for the text cache and the parser.
+
+    :meth:`parameterize` reads its literals: ``shape`` is the token list
+    with every NUMBER / STRING literal replaced by the type of its value
+    (``int``, ``float`` or ``str``) and the positions dropped, so the texts
+    that differ only in their literals (and blanks and comments) share it;
+    ``literals`` are those values in text order, and ``first`` is the
+    highest ``$n`` the text spells.  While ``params`` is set (token index
+    -> ``$k``), the parser reads the literal at a token as the parameter
+    ``$k``, numbered after the text's own: ``$first + 1`` is the first
+    literal.  Otherwise (and in :meth:`plain`) the literals are parsed as
+    written.
+    """
+
+    __slots__ = ("tokens", "shape", "literals", "first", "params")
+
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
+        self.shape = self.literals = self.params = None
+        self.first = 0
+
+    def parameterize(self) -> None:
+        shape: list = []
+        literals: list = []
+        where: list[int] = []
+        first = 0
+        for index, (kind, value, _, _) in enumerate(self.tokens):
+            if kind is NUMBER or kind is STRING:
+                where.append(index)
+                literals.append(value)
+                shape.append(type(value))
+            elif kind is IDENT or kind is OP:
+                shape.append(value)
+            else:
+                if kind is PARAM and value > first:
+                    first = value
+                shape.append((kind, value))
+        self.shape = tuple(shape)
+        self.literals = literals
+        self.first = first
+        self.params = {index: first + k
+                       for k, index in enumerate(where, start=1)}
+
+    def plain(self) -> "LexedText":
+        lexed = object.__new__(LexedText)
+        lexed.tokens, lexed.shape, lexed.literals, lexed.first = \
+            self.tokens, self.shape, self.literals, self.first
+        lexed.params = None
+        return lexed
 
 
 class TokenStream:

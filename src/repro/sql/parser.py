@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import ast as A
 from .errors import ParseError
-from .lexer import EOF, IDENT, NUMBER, OP, PARAM, QIDENT, STRING, TokenStream
+from .lexer import (EOF, IDENT, NUMBER, OP, PARAM, QIDENT, STRING,
+                    LexedText, TokenStream)
 
 # Keywords that terminate an expression / cannot start an alias.
 _CLAUSE_KEYWORDS = {
@@ -98,10 +99,17 @@ PUNCTUATION = frozenset({"(", ")", "[", "]", ",", ";", ".", ":", "::", ":=",
 
 
 class SqlParser:
-    """Stateful wrapper pairing a :class:`TokenStream` with grammar rules."""
+    """Stateful wrapper pairing a :class:`TokenStream` with grammar rules.
 
-    def __init__(self, stream: TokenStream):
+    Given a :class:`~repro.sql.lexer.LexedText` whose ``params`` are set,
+    it reads each literal as the parameter the text cache numbered it -
+    except an ORDER BY ordinal (:meth:`_parse_sort_item`)."""
+
+    def __init__(self, stream: TokenStream,
+                 lexed: Optional[LexedText] = None):
         self.ts = stream
+        self.lexed = lexed
+        self.params = None if lexed is None else lexed.params
 
     # ------------------------------------------------------------------
     # Entry points
@@ -503,6 +511,8 @@ class SqlParser:
 
     def _parse_sort_item(self) -> A.SortItem:
         expr = self.parse_expression()
+        if self.params is not None:
+            expr = self._as_written(expr)
         descending = False
         if self.ts.accept_keyword("asc"):
             pass
@@ -516,6 +526,21 @@ class SqlParser:
                 self.ts.expect_keyword("last")
                 nulls_first = False
         return A.SortItem(expr, descending, nulls_first)
+
+    def _as_written(self, expr: A.Expr) -> A.Expr:
+        """A sort key that is one number literal, possibly signed, as the
+        literal the text spells: an ordinal names an output column, so it
+        is part of what the statement means, never a parameter."""
+        operand, negated = expr, False
+        while type(operand) is A.UnaryOp and operand.op == "-":
+            operand, negated = operand.operand, not negated
+        lexed = self.lexed
+        if type(operand) is not A.Param or operand.index <= lexed.first:
+            return expr
+        value = lexed.literals[operand.index - lexed.first - 1]
+        if type(value) is str:
+            return expr
+        return A.Literal(-value if negated else value)
 
     # ------------------------------------------------------------------
     # Expressions
@@ -634,6 +659,10 @@ class SqlParser:
         ts = self.ts
         token = ts.peek()
         if token.type in (NUMBER, STRING):
+            if self.params is not None:
+                index = self.params[ts.save()]
+                ts.advance()
+                return A.Param(index)
             ts.advance()
             return A.Literal(token.value)
         if token.type == PARAM:
@@ -978,8 +1007,16 @@ def _is_distinct(left: A.Expr, right: A.Expr, negated: bool) -> A.Expr:
 # ---------------------------------------------------------------------------
 
 
-def parse_statement(text: str) -> A.Statement:
-    parser = SqlParser(TokenStream.from_text(text))
+def _parser(source: "str | LexedText") -> SqlParser:
+    """A parser over *source*: a text, or a text the cache already lexed
+    (its literals read as parameters while its ``params`` are set)."""
+    if isinstance(source, str):
+        return SqlParser(TokenStream.from_text(source))
+    return SqlParser(TokenStream(source.tokens), source)
+
+
+def parse_statement(source: "str | LexedText") -> A.Statement:
+    parser = _parser(source)
     statement = parser.parse_statement()
     parser.ts.accept_op(";")
     parser.expect_end("statement")
@@ -1000,5 +1037,5 @@ def parse_expression(text: str) -> A.Expr:
     return expr
 
 
-def parse_script(text: str) -> list[A.Statement]:
-    return SqlParser(TokenStream.from_text(text)).parse_script()
+def parse_script(source: "str | LexedText") -> list[A.Statement]:
+    return _parser(source).parse_script()

@@ -2,9 +2,11 @@
 
 Planning does all name resolution and expression compilation once; the
 resulting :class:`~repro.sql.executor.base.Plan` tree is immutable and can be
-cached by SQL text (see :mod:`repro.sql.engine`).  Execution then only pays
-*instantiation* (ExecutorStart) and *pulling* (ExecutorRun) — the cost split
-the paper's Table 1 measures.
+cached by statement shape (see :mod:`repro.sql.statement`; a plan-time
+choice made from a literal's value reads it through
+:meth:`Planner.constant`).  Execution then only pays *instantiation*
+(ExecutorStart) and *pulling* (ExecutorRun) — the cost split the paper's
+Table 1 measures.
 
 Highlights:
 
@@ -105,6 +107,10 @@ _DEFAULT_CARDINALITY = 1000
 #: at 100k rows (``benchmarks/bench_ordered_paths.py``'s sweep).
 WIDE_RANGE_DIVISOR = 50
 
+#: What :meth:`Planner.constant` answers for an expression that stands for
+#: no constant.
+NOT_CONSTANT = object()
+
 
 class Planner:
     """Plans SELECT, INSERT, UPDATE and DELETE statements against a
@@ -112,7 +118,7 @@ class Planner:
 
     # No stray attributes: planner flags live in the settings store, and
     # assigning one on the planner must fail, not be silently ignored.
-    __slots__ = ("db", "_cte_env", "_in_template")
+    __slots__ = ("db", "_cte_env", "_in_template", "_bound")
 
     def __init__(self, db: "Database"):
         self.db = db
@@ -120,6 +126,9 @@ class Planner:
         #: Planning a machine template (_trampoline_template), whose
         #: Memoize nodes keep their entries across statements.
         self._in_template = False
+        #: The text's literals while planning a statement from its shape
+        #: (:meth:`plan_bound`), read only by :meth:`constant`.
+        self._bound = None
 
     @property
     def catalog(self):
@@ -147,6 +156,48 @@ class Planner:
         plan.read_only = row.kind == A.ROWS and not calls_user_function(
             stmt, self.catalog.functions)
         return plan
+
+    def plan_bound(self, stmt: A.Statement, literals) -> Plan:
+        """:meth:`plan_statement` of a statement parsed from a text's shape,
+        whose literals are parameters: *literals* (a
+        :class:`~repro.sql.statement.Literals`) gives :meth:`constant`
+        their values and collects the guard."""
+        self._bound = literals
+        try:
+            return self.plan_statement(stmt)
+        finally:
+            self._bound = None
+
+    def constant(self, expr: A.Expr):
+        """The value *expr* stands for at plan time, else
+        :data:`NOT_CONSTANT` - the one read of a literal's value in the
+        planner (lint rule 12), so that every plan-time choice made from a
+        value is guarded.
+
+        A literal is its value; so is a literal of the text that the text
+        cache made a parameter (an *auto-parameter*), whose position and
+        value go into the guard of the plan (``Literals.guards``): the
+        cache runs the plan only for texts with that value there.  A minus
+        over an auto-parameter negates it, as the parser folds ``-5``.
+        """
+        kind = type(expr)
+        if kind is A.Literal:
+            return expr.value
+        bound = self._bound
+        if bound is None:
+            return NOT_CONSTANT
+        if kind is A.Param:
+            slot = bound.slots.get(id(expr))
+            if slot is None:
+                return NOT_CONSTANT
+            value = bound.guards[slot] = bound.values[slot]
+            return value
+        if kind is A.UnaryOp and expr.op == "-" \
+                and type(expr.operand) in (A.Param, A.UnaryOp):
+            value = self.constant(expr.operand)
+            if type(value) in (int, float):
+                return -value
+        return NOT_CONSTANT
 
     def _plan_insert(self, stmt: A.Insert) -> Plan:
         table = self.catalog.get_table(stmt.table)
@@ -257,7 +308,7 @@ class Planner:
             # best limit+offset rows in a bounded heap instead of sorting
             # the whole input.  (When sort elimination already removed the
             # Sort, the streaming LimitPlan alone stops after k rows.)
-            count = _constant_topn_count(stmt)
+            count = self._constant_topn_count(stmt)
             if (self.flags.enable_topn and count is not None
                     and isinstance(plan, SortPlan)):
                 plan = TopNPlan(plan, count)
@@ -306,9 +357,8 @@ class Planner:
         indices: list[int] = []
         for item in order_by:
             expr = item.expr
-            if isinstance(expr, A.Literal) and isinstance(expr.value, int) \
-                    and not isinstance(expr.value, bool):
-                position = expr.value
+            position = self.constant(expr)
+            if type(position) is int:
                 if not 1 <= position <= plan.width:
                     raise PlanError(f"ORDER BY position {position} is out of range")
                 indices.append(position - 1)
@@ -529,7 +579,7 @@ class Planner:
         indices = []
         aliases = [(_derive_name(i) or "").lower() for i in items]
         for sort_item in order_by:
-            kind, value = _sort_item_target(sort_item.expr, items, aliases)
+            kind, value = self._sort_item_target(sort_item.expr, items, aliases)
             if kind == "position":
                 indices.append(value - 1)
             else:
@@ -546,7 +596,7 @@ class Planner:
         aliases = [(_derive_name(i) or "").lower() for i in items]
         all_positional = True
         for sort_item in order_by:
-            kind, value = _sort_item_target(sort_item.expr, items, aliases)
+            kind, value = self._sort_item_target(sort_item.expr, items, aliases)
             if kind == "position":
                 if not 1 <= value <= len(items):
                     raise PlanError(f"ORDER BY position {value} is out of range")
@@ -559,7 +609,7 @@ class Planner:
                             "appear in the select list")
         hidden, asts = [], []
         for sort_item in order_by:
-            kind, value = _sort_item_target(sort_item.expr, items, aliases)
+            kind, value = self._sort_item_target(sort_item.expr, items, aliases)
             if kind == "expr":
                 hidden.append(compiler.compile(value))
                 asts.append(value)
@@ -586,8 +636,7 @@ class Planner:
             if ref.condition is not None:
                 if ref.kind == "cross":
                     raise PlanError("CROSS JOIN cannot have an ON condition")
-                if not (isinstance(ref.condition, A.Literal)
-                        and ref.condition.value is True):
+                if self.constant(ref.condition) is not True:
                     condition = ref.condition
             elif ref.kind in ("inner", "left"):
                 raise PlanError(f"{ref.kind.upper()} JOIN requires ON")
@@ -1064,10 +1113,11 @@ class Planner:
         does not exist yet).  A NULL bound (an empty range) and one of
         another class than the column's values (the scan raises) are not
         wide."""
-        bounds = [bound for bound in (scan.lower, scan.upper)
-                  if bound is not None]
-        if not all(type(bound[3]) is A.Literal and bound[3].value is not None
-                   for bound in bounds):
+        values = [None if bound is None else self.constant(bound[3])
+                  for bound in (scan.lower, scan.upper)]
+        bounds = [value for bound, value in zip((scan.lower, scan.upper),
+                                                values) if bound is not None]
+        if any(value is NOT_CONSTANT or value is None for value in bounds):
             return False
         table = self.catalog.tables[scan.table_name]
         index = table.sorted_index_if_exists(scan.key_columns)
@@ -1075,14 +1125,46 @@ class Planner:
             self.db.profiler.bump(SORTED_INDEX_BUILDS)
             index = table.sorted_index(scan.key_columns)
         try:
-            for bound in bounds:
-                index.check_probe(0, bound[3].value)
+            for value in bounds:
+                index.check_probe(0, value)
         except TypeError_:
             return False
         start, stop = index.range_positions(
-            *((bound[3].value, bound[1]) if bound is not None else None
-              for bound in (scan.lower, scan.upper)))
+            *((value, bound[1]) if bound is not None else None
+              for bound, value in zip((scan.lower, scan.upper), values)))
         return (stop - start) * WIDE_RANGE_DIVISOR > len(index)
+
+    def _sort_item_target(self, expr: A.Expr, items: list, aliases: list):
+        """Classify an ORDER BY expression against the select list — the
+        one resolution rule shared by hidden-key compilation, positional
+        sorting and sort elimination, which must agree or an eliminated
+        sort could order by a different column than the Sort it replaces.
+
+        Returns ``("position", ordinal)`` for a 1-based integer literal,
+        ``("alias", item index)`` for a bare name matching a select alias,
+        else ``("expr", expr)``.
+        """
+        position = self.constant(expr)
+        if type(position) is int:
+            return "position", position
+        if isinstance(expr, A.ColumnRef) and len(expr.parts) == 1 \
+                and expr.parts[0].lower() in aliases:
+            return "alias", aliases.index(expr.parts[0].lower())
+        return "expr", expr
+
+    def _constant_topn_count(self, stmt: A.SelectStmt) -> Optional[int]:
+        """``limit + offset`` when both are non-negative integer constants
+        (LIMIT required), else None — only constants let the planner bound
+        the Top-N heap without changing when the bound expressions run."""
+        limit = self.constant(stmt.limit)
+        if type(limit) is not int or limit < 0:
+            return None
+        if stmt.offset is None:
+            return limit
+        offset = self.constant(stmt.offset)
+        if type(offset) is not int or offset < 0:
+            return None
+        return limit + offset
 
     def _eliminate_sort(self, order_by: list, items: list,
                         leaf: FromLeafPlan, scope: Scope) -> bool:
@@ -1093,7 +1175,7 @@ class Planner:
         aliases = [(_derive_name(i) or "").lower() for i in items]
         wanted: list[tuple[int, bool]] = []
         for sort_item in order_by:
-            kind, value = _sort_item_target(sort_item.expr, items, aliases)
+            kind, value = self._sort_item_target(sort_item.expr, items, aliases)
             if kind == "position":
                 if not 1 <= value <= len(items):
                     return False  # keep the sort path's range error
@@ -1211,7 +1293,9 @@ class Planner:
         rewritten_having = rewrite(having) if having is not None else None
 
         post_scope = Scope([Relation("__agg", agg_rel_columns)],
-                           parent=outer_scope, ungrouped=scope.relations)
+                           parent=outer_scope, ungrouped=scope.relations,
+                           grouped=[key.parts if type(key) is A.ColumnRef
+                                    else None for key in core.group_by])
         having_compiler = ExprCompiler(post_scope, self)
         having_fn = (having_compiler.compile(rewritten_having)
                      if rewritten_having is not None else None)
@@ -1219,15 +1303,21 @@ class Planner:
                              pre_compiler.subplans, having_compiler.subplans)
         return stage, rewritten_items, None, post_scope, rewrite
 
+    def _separator(self, args: list) -> str:
+        """string_agg's separator, a constant of the plan."""
+        separator = self.constant(args[1]) if len(args) == 2 \
+            else NOT_CONSTANT
+        if separator is NOT_CONSTANT:
+            raise PlanError("string_agg requires (value, constant separator)")
+        return str(separator)
+
     def _make_agg_call(self, call: A.FuncCall,
                        compiler: ExprCompiler) -> AggCallPlan:
         name = call.name.lower()
         separator = ""
         args = list(call.args)
         if name == "string_agg":
-            if len(args) != 2 or not isinstance(args[1], A.Literal):
-                raise PlanError("string_agg requires (value, constant separator)")
-            separator = str(args[1].value)
+            separator = self._separator(args)
             args = args[:1]
         if call.star:
             _check_star(name)
@@ -1262,7 +1352,8 @@ class Planner:
 
         rewritten = [rewrite_expr(e, to_window_column) for e in item_exprs]
         post_scope = Scope(scope.relations + [Relation("__win", columns)],
-                           parent=outer_scope, ungrouped=scope.ungrouped)
+                           parent=outer_scope, ungrouped=scope.ungrouped,
+                           grouped=scope.grouped)
         return WindowStagePlan(calls, compiler.subplans), rewritten, post_scope
 
     def _make_window_call(self, call: A.FuncCall, core: A.SelectCore,
@@ -1282,9 +1373,7 @@ class Planner:
         separator = ""
         args = list(call.args)
         if name == "string_agg":
-            if len(args) != 2 or not isinstance(args[1], A.Literal):
-                raise PlanError("string_agg requires (value, constant separator)")
-            separator = str(args[1].value)
+            separator = self._separator(args)
             args = args[:1]
         frame = spec.frame
         frame_compiled = None
@@ -1395,45 +1484,9 @@ def _record_read(reads: dict, depth: int, scope: Scope, rel_index: int,
                      else f"{relation.alias}.{relation.columns[col_index]}")
 
 
-def _sort_item_target(expr: A.Expr, items: list, aliases: list):
-    """Classify an ORDER BY expression against the select list — the one
-    resolution rule shared by hidden-key compilation, positional sorting
-    and sort elimination, which must agree or an eliminated sort could
-    order by a different column than the Sort it replaces.
-
-    Returns ``("position", ordinal)`` for a 1-based integer literal,
-    ``("alias", item index)`` for a bare name matching a select alias,
-    else ``("expr", expr)``.
-    """
-    if isinstance(expr, A.Literal) and isinstance(expr.value, int) \
-            and not isinstance(expr.value, bool):
-        return "position", expr.value
-    if isinstance(expr, A.ColumnRef) and len(expr.parts) == 1 \
-            and expr.parts[0].lower() in aliases:
-        return "alias", aliases.index(expr.parts[0].lower())
-    return "expr", expr
-
-
 def _check_star(name: str) -> None:
     if name != "count":
         raise PlanError(f"{name}(*) is not allowed: only count takes *")
-
-
-def _constant_topn_count(stmt: A.SelectStmt) -> Optional[int]:
-    """``limit + offset`` when both are non-negative integer literals
-    (LIMIT required), else None — only constants let the planner bound the
-    Top-N heap without changing when the bound expressions run."""
-    limit = stmt.limit
-    if not (isinstance(limit, A.Literal) and type(limit.value) is int
-            and limit.value >= 0):
-        return None
-    offset = stmt.offset
-    if offset is None:
-        return limit.value
-    if not (isinstance(offset, A.Literal) and type(offset.value) is int
-            and offset.value >= 0):
-        return None
-    return limit.value + offset.value
 
 
 def _flatten_union(body, op: str, cte_name: str) -> list:

@@ -175,8 +175,8 @@ class WalManager:
         self.path = path
         self.profiler = db.profiler
         #: Records appended since the last checkpoint (or since open,
-        #: seeded with the replayed backlog so a long-lived log compacts
-        #: on the first eligible commit after reopening).
+        #: seeded with the log's records past its snapshot so a long-lived
+        #: log compacts on the first eligible commit after reopening).
         self._since_checkpoint = 0
         #: Set when an auto-checkpoint failed (the commit that triggered
         #: it still succeeded; the old log stays authoritative).
@@ -198,10 +198,9 @@ class WalManager:
             # live log is still authoritative.
             os.remove(tmp)
         if os.path.exists(path):
-            replayed = self.replay()
+            replayed, self._since_checkpoint = self.replay()
             if replayed and self.profiler is not None:
                 self.profiler.bump(WAL_REPLAYED, replayed)
-            self._since_checkpoint = replayed
         self._fh = open(path, "a", encoding="utf-8")
 
     # -- record builders (storage calls these while buffering) ---------
@@ -415,10 +414,12 @@ class WalManager:
 
     # -- replay --------------------------------------------------------
 
-    def replay(self) -> int:
+    def replay(self) -> tuple[int, int]:
         """Rebuild the database state from the log; returns the number of
         records applied (committed-transaction records plus markers, an
-        image counting one per row it restores)."""
+        image counting one per row it restores) and the number of records
+        past the snapshot's commit marker (all of them when the log has no
+        snapshot): the appends a checkpoint would compact."""
         records = []
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -429,6 +430,11 @@ class WalManager:
                 except ValueError:
                     break  # corrupt tail line; nothing after it counts
         committed = {r["x"] for r in records if r.get("t") == "commit"}
+        backlog = len(records)
+        for position, record in enumerate(records):
+            if record.get("t") == "commit" and record["x"] == CHECKPOINT_XID:
+                backlog = len(records) - position - 1
+                break
         heaps: dict[str, dict[int, tuple]] = {}
         # Highest rid mentioned per table — committed or not: versions
         # appended after this reopen must not reuse a logged rid, or a
@@ -485,7 +491,7 @@ class WalManager:
             if table is not None and table._rid_counter < top:
                 table._rid_counter = top
         self.db.clear_plan_cache()
-        return applied
+        return applied, backlog
 
     def _apply_ddl(self, op: list, heaps: dict) -> None:
         catalog = self.db.catalog

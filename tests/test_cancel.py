@@ -541,6 +541,24 @@ class TestCheckpoint:
         # Two DDL records, one per live row, the marker.
         assert reopened.profiler.counts[WAL_REPLAYED] == 18
 
+    def test_a_reopened_snapshot_is_no_backlog(self, durable):
+        """What counts towards the next auto-checkpoint after a reopen is
+        the records past the snapshot's commit marker, not the rows the
+        snapshot restored."""
+        db, path = durable
+        db.execute("CREATE TABLE big(x int)")
+        db.catalog.get_table("big").insert_many([(i,) for i in range(20000)])
+        db.execute("CHECKPOINT")
+        db.execute("INSERT INTO big VALUES (-1)")
+        db.wal.close()
+        reopened = Database(seed=0, path=path)
+        assert reopened.profiler.counts[WAL_REPLAYED] == 20000 + 4
+        assert reopened.wal._since_checkpoint == 2  # the INSERT, its marker
+        reopened.execute("SET wal_checkpoint_interval = 2000")
+        reopened.execute("INSERT INTO big VALUES (-2)")
+        assert reopened.profiler.counts[WAL_CHECKPOINTS] == 0
+        assert reopened.query_value("SELECT count(*) FROM big") == 20002
+
     @pytest.mark.parametrize("image_rows", [1, 7, KIND_ROWS - 1, KIND_ROWS,
                                             KIND_ROWS + 1])
     def test_images_round_trip_every_value_kind(self, durable, monkeypatch,

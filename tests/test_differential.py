@@ -799,6 +799,27 @@ def test_grouped_and_outer_columns_still_resolve(db):
                         "FROM t ORDER BY a") == [(None,), (2,)]
 
 
+@pytest.mark.parametrize("sql, rows", [
+    ("SELECT x, (SELECT x) FROM u GROUP BY x ORDER BY x",
+     [(7, 7), (8, 8)]),
+    ("SELECT x, (SELECT u.x + y FROM u AS w WHERE w.x = u.x) FROM u "
+     "GROUP BY u.x ORDER BY u.x", [(7, 8), (8, 10)]),
+    ("SELECT count(*) FROM u GROUP BY x HAVING (SELECT x) > 7", [(1,)]),
+    ("SELECT x FROM u GROUP BY x ORDER BY u.x DESC", [(8,), (7,)]),
+])
+def test_a_group_key_column_resolves_inside_a_subquery(db, sql, rows):
+    """PostgreSQL's answers: a bare-column group key is the key's value
+    wherever the column is named after aggregation, a subquery included;
+    ``y``, grouped by no key, is still refused there."""
+    db.execute("CREATE TABLE u(x int, y int)")
+    db.execute("INSERT INTO u VALUES (7, 1), (8, 2)")
+    assert db.query_all(sql) == rows
+    with pytest.raises(NameResolutionError, match='"u.y" must appear'):
+        db.query_all(sql.replace("(SELECT x)", "(SELECT y)")
+                     if "(SELECT x)" in sql else
+                     "SELECT x, (SELECT y) FROM u GROUP BY x")
+
+
 def test_having_in_a_sql_function_does_not_read_the_parameter(db):
     """PostgreSQL finds ``x`` in the FROM relation before the parameter,
     then refuses it ungrouped: ``g(-5)`` no longer answers NULL."""

@@ -649,6 +649,53 @@ def test_the_binder_and_params_outside_the_compiler_are_clean(tmp_path):
     assert lint_source(tmp_path, "repro/sql/parser.py", SECOND_BINDER) == []
 
 
+# ---------------------------------------------------------------------------
+# rule 12: one reader of a literal's value
+# ---------------------------------------------------------------------------
+
+GUARDED_READS = """
+from . import ast as A
+
+NOT_CONSTANT = object()
+
+
+class Planner:
+    def constant(self, expr):
+        if type(expr) is A.Literal:
+            return expr.value
+        bound = self._bound
+        return NOT_CONSTANT if bound is None else bound.values[0]
+
+    def _range_is_wide(self, scan):
+        values = [self.constant(bound[3]) for bound in scan.bounds]
+        return all(value is not NOT_CONSTANT for value in values)
+
+
+def _display_expr(expr):
+    return repr(expr.value) if isinstance(expr, A.Literal) else "<expr>"
+"""
+
+UNGUARDED_READ = GUARDED_READS.replace(
+    "values = [self.constant(bound[3]) for bound in scan.bounds]",
+    "values = [bound[3].value for bound in scan.bounds\n"
+    "                  if type(bound[3]) is A.Literal]")
+
+
+def test_a_value_read_outside_constant_is_flagged(tmp_path):
+    findings = lint_source(tmp_path, lint_internal.PLANNER, UNGUARDED_READ)
+    assert rules(findings) == ["second-constant-reader"]
+    assert findings[0].line == 15
+    reads_bound = GUARDED_READS.replace("return all(",
+                                        "return self._bound and all(")
+    assert rules(lint_source(tmp_path, lint_internal.PLANNER,
+                             reads_bound)) == ["second-constant-reader"]
+
+
+def test_constant_and_other_modules_are_clean(tmp_path):
+    assert lint_source(tmp_path, lint_internal.PLANNER, GUARDED_READS) == []
+    assert lint_source(tmp_path, "repro/sql/expr.py", UNGUARDED_READ) == []
+
+
 def test_main_exit_status(tmp_path, capsys):
     assert lint_internal.main() == 0
     out = capsys.readouterr().out

@@ -83,6 +83,9 @@ class TestClassifyDispatch:
 # ---------------------------------------------------------------------------
 # LRU plan cache (SET plan_cache_size)
 # ---------------------------------------------------------------------------
+#
+# The texts below differ in an alias, so each is a shape of its own: texts
+# that differ only in literals share one entry (tests/test_text_cache.py).
 
 
 class TestPlanCacheLru:
@@ -91,7 +94,7 @@ class TestPlanCacheLru:
         db.profiler.reset()
         for i in range(10):
             for _ in range(2):  # admitted on second sight
-                db.execute(f"SELECT {i} FROM t LIMIT 1")
+                db.execute(f"SELECT {i} AS c{i} FROM t LIMIT 1")
         assert len(db._plan_cache) == 4
         assert db.profiler.counts[PLAN_CACHE_EVICTIONS] == 6
 
@@ -103,7 +106,7 @@ class TestPlanCacheLru:
         db.profiler.reset()
         for i in range(5):
             for _ in range(2):  # admitted, so each pushes one entry out
-                db.execute(f"SELECT {i} + a FROM t LIMIT 1")
+                db.execute(f"SELECT {i} + a AS c{i} FROM t LIMIT 1")
             db.execute(hot)  # keep it warm
         # hot survives four evictions only because each hit renews it
         assert db.profiler.counts[PLAN_CACHE_HIT] == 5
@@ -112,7 +115,7 @@ class TestPlanCacheLru:
     def test_lowering_size_trims_immediately(self, db):
         for i in range(6):
             for _ in range(2):  # admitted on second sight
-                db.execute(f"SELECT {i} FROM t LIMIT 1")
+                db.execute(f"SELECT {i} AS c{i} FROM t LIMIT 1")
         db.profiler.reset()
         db.execute("SET plan_cache_size = 2")
         assert len(db._plan_cache) == 2

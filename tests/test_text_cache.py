@@ -1,19 +1,24 @@
 """The text cache behind both text doors - ``Database.execute`` and a
 wire ``Query`` payload with no ``;`` inside it.
 
-A miss only records its key in a ghost list bounded by
-``plan_cache_size``; a text is admitted when it comes back while its key
-is still there (2Q's A1out), and only with the plan its run built.  A hit
-runs the cached statement record without parsing or planning.
+A record is keyed by the statement's shape (its literals are parameters)
+and the guard of its plan (the literals a plan-time choice read).  A miss
+only records its key in a ghost list bounded by ``plan_cache_size``; a
+key is admitted when it comes back while it is still there (2Q's A1out),
+and only with the plan its run built.  A hit lexes the text and runs the
+cached statement record without parsing or planning.
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.server import ServerError, ServerThread, connect, handler
-from repro.sql import Database
-from repro.sql.errors import SqlError
+from repro.sql import Database, ast as A
+from repro.sql import parser as sql_parser
+from repro.sql.errors import PlanError, SqlError
 from repro.sql.planner import Planner
 from repro.sql.profiler import PLAN, PLAN_CACHE_HIT, PLAN_CACHE_MISS
 
@@ -85,10 +90,22 @@ class TestOverTheWire:
         assert PLAN not in db.profiler.times
 
     def test_one_shot_texts_keep_no_plan(self, db, client):
+        # Twelve shapes (the alias differs), each sent once.
         client.query("SET plan_cache_size = 4")
         for i in range(3 * 4):
-            client.query(f"SELECT a + {i} FROM t")
+            client.query(f"SELECT a + {i} AS c{i} FROM t")
         assert cached(db) == (0, 4)
+
+    def test_texts_differing_in_literals_share_one_record(self, db, client):
+        for i in range(2):
+            assert client.query(f"SELECT b + {i} FROM t WHERE a = 2")[0] \
+                .rows == [(str(20 + i),)]
+        db.profiler.reset()
+        for i in range(5, 8):
+            assert client.query(f"SELECT b + {i} FROM t WHERE a = 3")[0] \
+                .rows == [(str(30 + i),)]
+        assert db.profiler.counts[PLAN_CACHE_HIT] == 3
+        assert cached(db) == (1, 0)
 
     def test_size_zero_keeps_cache_and_ghosts_empty(self, db, client):
         client.query("SET plan_cache_size = 0")
@@ -142,3 +159,142 @@ class TestOverTheWire:
             assert [r.rows for r in results] == [[("1",)], [("3",)]]
         assert cached(db) == (0, 0)
         assert db.profiler.counts[PLAN_CACHE_HIT] == 0
+
+
+# ---------------------------------------------------------------------------
+# Shapes: literals as parameters, guards where a plan reads a value
+# ---------------------------------------------------------------------------
+
+
+def admitted(db, sql: str, params=()):
+    """Run *sql* twice, so that its shape is admitted; returns the rows."""
+    db.execute(sql, params)
+    return db.query_all(sql, params)
+
+
+def fresh(db, sql: str, params=()):
+    """The rows of *sql* planned as written, with no cache (lowering the
+    size empties the cache, as a session's ``SET`` does)."""
+    conn = db.connect()
+    conn.execute("SET plan_cache_size = 0")
+    return conn.query_all(sql, params)
+
+
+def bounds_hidden(explained: str) -> str:
+    return re.sub(r"<expr>|-?\b\d+\b", "?", explained)
+
+
+def record(db, sql: str, params=()):
+    """The statement record a hit on *sql* runs (the cache is probed)."""
+    statement, _, _ = db._plan_cache.lookup(sql, params, db.settings.active)
+    return statement
+
+
+class TestShapes:
+    def test_a_hit_neither_parses_nor_plans(self, db, monkeypatch):
+        admitted(db, "SELECT b FROM t WHERE a = 1")
+        descents, plans = [], []
+        monkeypatch.setattr(sql_parser.SqlParser, "parse_statement",
+                            lambda self: descents.append(self))
+        monkeypatch.setattr(Planner, "plan_statement",
+                            lambda self, stmt: plans.append(stmt))
+        db.profiler.reset()
+        for key in (1, 2, 3):
+            assert db.query_all(f"SELECT b FROM t WHERE a = {key}") \
+                == [(10 * key,)]
+        assert (descents, plans) == ([], [])
+        assert db.profiler.counts[PLAN_CACHE_HIT] == 3
+        assert cached(db) == (1, 0)
+
+    def test_an_int_and_a_text_literal_are_two_shapes(self, db):
+        admitted(db, "SELECT a, 10 FROM t WHERE a = 1")
+        assert record(db, "SELECT a, 20 FROM t WHERE a = 2") is not None
+        assert record(db, "SELECT a, '20' FROM t WHERE a = 2") is None
+        assert record(db, "SELECT a, 2.5 FROM t WHERE a = 2") is None
+        assert admitted(db, "SELECT a, '20' FROM t WHERE a = 2") \
+            == [(2, "20")]
+        assert cached(db) == (2, 0)
+
+    @pytest.mark.parametrize("sql, values", [
+        # An ordinal names an output column.
+        ("SELECT k, b FROM u ORDER BY {} DESC, 1 LIMIT 5", (1, 2, -1)),
+        # A constant LIMIT bounds the Top-N heap.
+        ("SELECT k FROM u ORDER BY b DESC, k LIMIT {}", (1, 3, 0)),
+        # A range holding more than 2% of the index keeps the vectorized
+        # SeqScan.
+        ("SELECT count(*), sum(b) FROM u WHERE k >= {} AND k < 600",
+         (590, 100, 599)),
+    ])
+    def test_a_value_the_plan_reads_makes_a_variant(self, db, sql, values):
+        db.execute("CREATE TABLE u(k int, b int)")
+        db.execute("INSERT INTO u VALUES " + ", ".join(
+            f"({k}, {k % 7})" for k in range(1, 1001)))
+        db.execute("CREATE INDEX u_k ON u(k)")
+        uncached = db.connect()
+        uncached.execute("SET plan_cache_size = 0")
+        planned = set()
+        for value in values * 2:
+            text = sql.format(value)
+            try:
+                expected = uncached.query_all(text)
+            except SqlError as error:
+                with pytest.raises(type(error), match=re.escape(str(error))):
+                    admitted(db, text)
+                continue
+            assert admitted(db, text) == expected
+            # The plan a fresh text gets; only a bound's display differs.
+            assert bounds_hidden(record(db, text).explain()) \
+                == bounds_hidden(db.explain(text))
+            planned.add(value)
+        # One record per value that planned (a run may fail after).
+        assert len(db._plan_cache) >= len(planned) > 1
+        assert len({key[0] for key in db._plan_cache._entries}) == 1
+
+    def test_an_order_by_ordinal_stays_a_literal(self, db):
+        admitted(db, "SELECT a, b FROM t ORDER BY 2 DESC")
+        [item] = record(db, "SELECT a, b FROM t ORDER BY 2 DESC").ast.order_by
+        assert item.expr == A.Literal(2)
+        assert db.query_all("SELECT a, b FROM t ORDER BY 1 DESC") \
+            == [(3, 30), (2, 20), (1, 10)]
+        with pytest.raises(PlanError, match="position 3"):
+            db.execute("SELECT a, b FROM t ORDER BY 3")
+
+    def test_caller_parameters_come_first(self, db):
+        sql = "SELECT a, b + {} FROM t WHERE a >= $1 AND b < $2 ORDER BY a"
+        for bump, low, high in ((1, 1, 25), (2, 2, 35), (3, 1, 15)):
+            text = sql.format(bump)
+            assert admitted(db, text, [low, high]) \
+                == fresh(db, text, [low, high])
+        assert len(db._plan_cache) == 1
+        with pytest.raises(SqlError, match=r"no value supplied for "
+                                           r"parameter \$2"):
+            db.execute(sql.format(4), [1])
+
+    def test_a_string_agg_separator_is_planned_as_written(self, db):
+        sql = "SELECT string_agg(a::text, {}) FROM t"
+        for separator in ("','", "'-'", "','"):
+            text = sql.format(separator)
+            assert admitted(db, text) == fresh(db, text)
+        assert db.query_all(sql.format("'; '")) == [("1; 2; 3",)]
+        assert len(db._plan_cache) == 2
+
+    def test_a_shape_that_does_not_plan_is_planned_as_written(
+            self, db, monkeypatch):
+        def refuse(self, stmt, literals):
+            raise PlanError("refused")
+
+        monkeypatch.setattr(Planner, "plan_bound", refuse)
+        db.profiler.reset()
+        for key in (1, 1, 2, 2):
+            assert db.query_all(f"SELECT b FROM t WHERE a = {key}") \
+                == [(10 * key,)]
+        assert db.profiler.counts[PLAN_CACHE_MISS] == 4
+        assert cached(db) == (0, 0)
+
+    def test_ddl_empties_the_cache(self, db):
+        admitted(db, "SELECT b FROM t WHERE a = 1")
+        admitted(db, "SELECT a FROM t ORDER BY b LIMIT 2")
+        assert cached(db) == (2, 0)
+        db.execute("CREATE TABLE v(x int)")
+        assert cached(db) == (0, 0)
+        assert db._plan_cache._guards == {}

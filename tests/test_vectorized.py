@@ -799,11 +799,30 @@ class TestFusedAggregates:
     ])
     def test_other_shapes_take_the_per_kernel_path(self, db, monkeypatch,
                                                     sql):
+        # Prepared, so that the literals stay as written (the text door
+        # makes them parameters); the parameter is no exact int.
         _fused_table(db)
         db.execute("PREPARE p AS " + sql)
-        sql = "EXECUTE p (7)" if "$1" in sql else sql
+        sql = "EXECUTE p (7.5)" if "$1" in sql else "EXECUTE p"
         assert _three_ways(db, monkeypatch, sql)[1] == 0
         assert db.profiler.counts["vector batches"] > 0
+
+    @pytest.mark.parametrize("door", [
+        "EXECUTE p ({})",
+        "SELECT count(*), sum(v) FROM f WHERE k + v < {}"])
+    def test_a_parameter_is_bound_at_open(self, db, monkeypatch, door):
+        # One plan serves every value of $1 (or of the text's literal, a
+        # parameter of its shape's cached plan): each execution's loop
+        # holds its own.
+        _fused_table(db)
+        db.execute("PREPARE p AS SELECT count(*), sum(v) FROM f "
+                   "WHERE k + v < $1")
+        outcomes = set()
+        for bound in (7, 12, 30, 7, 12, 30):
+            outcome, fused = _three_ways(db, monkeypatch, door.format(bound))
+            assert fused == FROWS
+            outcomes.add(outcome)
+        assert len(outcomes) == 3
 
     def test_one_null_keeps_the_per_kernel_path_until_it_is_gone(
             self, db, monkeypatch):

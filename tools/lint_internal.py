@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Project-specific lint over ``src/`` — rules a generic linter can't know.
 
-Eleven checks, each born from a real failure mode in this codebase:
+Twelve checks, each born from a real failure mode in this codebase:
 
 1. **Unbounded loops must poll cancellation.**  The executor's trampoline
    loops (`WITH RECURSIVE`, batched UDFs), the target collection of UPDATE
@@ -119,6 +119,19 @@ Eleven checks, each born from a real failure mode in this codebase:
     the result.  Under ``repro/compiler/``, an ``A.Param(..)`` built
     anywhere but that function is a second binder regrowing.
 
+12. **One reader of a literal's value.**  The text cache plans a text's
+    shape once, its literals as parameters, and runs that plan for every
+    text of the shape whose *guard* holds: the literals a plan-time choice
+    read (an ORDER BY ordinal, a Top-N count, a range's width, a
+    string_agg separator), recorded as they are read by
+    ``Planner.constant`` in ``repro/sql/planner.py``.  A choice made from
+    a value read any other way is one the guard does not know: the plan
+    would be run for texts it was not built for (or, reading only
+    ``A.Literal`` nodes, built unlike a fresh plan of the text).  In that
+    module, an attribute ``.value`` or ``._bound`` read anywhere but
+    ``Planner.constant`` is such a read (``_display_expr``, which renders
+    EXPLAIN text and decides nothing, may read ``.value``).
+
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
 """
@@ -185,6 +198,12 @@ SPELLING_LOOKUPS = {"repro/sql/expr.py", "repro/sql/planner.py",
 
 #: The one function that may build a ``$k`` in the compiler (rule 11).
 ARGUMENT_BINDER = ("repro/compiler/template.py", "bind_arguments")
+
+#: The planner, the attributes that hold a literal's value or the text's
+#: literals (rule 12), and the functions that may read them.
+PLANNER = "repro/sql/planner.py"
+VALUE_READS = {"value", "_bound"}
+VALUE_READERS = {"constant": VALUE_READS, "_display_expr": {"value"}}
 
 #: Modules (path prefixes) whose while-loops iterate user-controlled
 #: amounts of work; the executor prefix takes in executor/modify.py.
@@ -670,6 +689,26 @@ def check_second_binder(path: Path, tree: ast.Module) -> list[Finding]:
                  else None) == "Param"]
 
 
+# -- rule 12: one reader of a literal's value ------------------------------
+
+def check_second_constant_reader(path: Path,
+                                 tree: ast.Module) -> list[Finding]:
+    if path.relative_to(SRC).as_posix() != PLANNER:
+        return []
+    allowed: dict[int, set] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in VALUE_READERS:
+            for inner in ast.walk(node):
+                allowed[id(inner)] = VALUE_READERS[node.name]
+    return [Finding(path, node.lineno, "second-constant-reader",
+                    f".{node.attr} read outside Planner.constant: a "
+                    "plan-time read of a literal's value must be guarded")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and node.attr in VALUE_READS
+            and node.attr not in allowed.get(id(node), ())]
+
+
 # -- driver -----------------------------------------------------------------
 
 def run(paths=None) -> list[Finding]:
@@ -699,6 +738,7 @@ def run(paths=None) -> list[Finding]:
         findings.extend(check_second_resolver(path, tree))
         findings.extend(check_spelled_binding(path, tree))
         findings.extend(check_second_binder(path, tree))
+        findings.extend(check_second_constant_reader(path, tree))
     return findings
 
 
