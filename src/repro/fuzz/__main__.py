@@ -19,7 +19,8 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
-                                FUZZ_EXECUTIONS, FUZZ_FUNCTIONS,
+                                FUZZ_DML_TWIN_CHECKS, FUZZ_EXECUTIONS,
+                                FUZZ_FUNCTIONS,
                                 FUZZ_SQLITE_CHECKS, FUZZ_SQLITE_FUNCTIONS,
                                 FUZZ_TWIN_CHECKS, MEMO_CARRIED_HITS, MEMO_HITS, MEMO_MISSES,
                                 RANGE_SCANS_GIVEN_UP, VECTOR_FALLBACKS,
@@ -130,7 +131,8 @@ def run_fuzz(seed: int = 0, cases: int = 200, *, use_sqlite: bool = True,
               f"{counts.get(FUZZ_ANALYZER_CHECKS, 0)} analyzer soundness "
               f"checks, "
               f"{counts[FUZZ_DML_CHECKS]} dml checks, "
-              f"{counts[FUZZ_TWIN_CHECKS]} literal twins, "
+              f"{counts[FUZZ_TWIN_CHECKS]} literal twins "
+              f"({counts[FUZZ_DML_TWIN_CHECKS]} of modifications), "
               f"{counts[VECTOR_ROWS]} vector rows "
               f"({counts[VECTOR_TYPED_ROWS] / max(1, counts[VECTOR_ROWS]):.0%}"
               f" with a typed column, {counts[VECTOR_FUSED_ROWS]} fused, "

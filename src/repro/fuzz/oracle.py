@@ -17,11 +17,12 @@ One generated case is checked three ways:
   inputs.  A query whose outcome may rightly depend on the plan
   (``Query.per_config``) compares the two names within each
   configuration, both run from one RNG state.
-* **Cached-vs-fresh** — each query's *literal twin* (:mod:`repro.fuzz.twin`:
-  every literal its cached record's guard does not hold re-drawn) runs
-  under the defaults on the plan the original's text left in the text
-  cache, and again with the cache off: a plan of one text run for
-  another with other values must answer as that text's own plan.
+* **Cached-vs-fresh** — each query's and each modification's *literal
+  twin* (:mod:`repro.fuzz.twin`: every literal its cached record's guard
+  does not hold re-drawn) runs under the defaults on the plan the
+  original's text left in the text cache, and again with the cache off:
+  a plan of one text run for another with other values must answer as
+  that text's own plan.
 * **Engine-vs-SQLite** — dialect-portable queries over SQLite-safe data
   also run on :mod:`sqlite3`, with a *lax* value normalization (bools are
   ints, ``5.0`` is ``5``) and a known-dialect classifier that explains
@@ -33,11 +34,13 @@ One generated case is checked three ways:
   code with this engine.
 
 A case's **modifications** (two UPDATE / DELETE statements over one table
-each) join the first and the third oracle: each runs on a fresh
+each) join the first, the third and the last oracle: each runs on a fresh
 copy of its table under every configuration, whichever target scan that
 configuration plans; the affected-row count must equal ``count(*)`` over
 the same WHERE, and the table's contents afterwards must be the same bag
-under all configurations and on SQLite.
+under all configurations and on SQLite.  Its literal twin must affect
+as many rows, fail with the same error class and leave the same bag on
+the cached plan as on a fresh one.
 
 Outcomes compare as row *bags* by default; a query whose ORDER BY covers
 every output column compares as a list, and a partial ordering is checked
@@ -61,7 +64,8 @@ from repro.sql.profiler import (BATCHED_UDF_DISTINCT, BATCHED_UDF_ROWS,
                                 FUZZ_ANALYZER_CHECKS, FUZZ_CASES,
                                 FUZZ_COMPARISONS, FUZZ_DIALECT_EXPLAINED,
                                 FUZZ_DISCREPANCIES, FUZZ_DML_CHECKS,
-                                FUZZ_EXECUTIONS, FUZZ_FUNCTIONS,
+                                FUZZ_DML_TWIN_CHECKS, FUZZ_EXECUTIONS,
+                                FUZZ_FUNCTIONS,
                                 FUZZ_SQLITE_CHECKS, FUZZ_SQLITE_FUNCTIONS,
                                 FUZZ_TWIN_CHECKS, MEMO_CARRIED_HITS,
                                 MEMO_HITS, MEMO_MISSES, RANGE_SCANS_GIVEN_UP,
@@ -190,6 +194,18 @@ def run_statement(db: Database, sql: str, params=(),
     an :class:`Outcome` with the engine's error taxonomy applied."""
     return _outcome(lambda: db.execute_script(sql)[-1] if script
                     else db.execute(sql, list(params)))
+
+
+def _difference(a: Outcome, b: Outcome, ordered: bool) -> Optional[str]:
+    """The kind of discrepancy between two outcomes of one statement
+    ('crash', 'status', 'result'), or None when they agree."""
+    if a.crashed or b.crashed:
+        return "crash"
+    if (a.status, a.error) != (b.status, b.error):
+        return "status"
+    if a.status == "ok" and not rows_equal(a.rows, b.rows, ordered=ordered):
+        return "result"
+    return None
 
 
 def _outcome(run) -> Outcome:
@@ -462,9 +478,10 @@ class DifferentialChecker:
                     expected_counts.append(
                         run_statement(db, modification.count_sql))
                 modified[mi][config.label] = self._modify_fresh_copy(
-                    db, modification.table, handles[mi], loaded)
+                    db, modification.table, handles[mi].execute, loaded)
                 profiler.bump(FUZZ_EXECUTIONS)
-        twins = self._run_twins(case, db, configs, variants_per_query)
+        twins = self._run_twins(case, db, configs, variants_per_query,
+                                loaded)
         for counter in (VECTOR_ROWS, VECTOR_TYPED_ROWS, VECTOR_FUSED_ROWS,
                         VECTOR_JOIN_ROWS, VECTOR_FALLBACKS, MEMO_HITS,
                         MEMO_MISSES, MEMO_CARRIED_HITS, BATCHED_UDF_ROWS,
@@ -582,22 +599,27 @@ class DifferentialChecker:
                     first.rows, again.rows, ordered=query.order == "total"):
                 report("result", query, sql, where, f"{where} again", first,
                        again)
-        for qi, twin, cached, fresh in twins:
+        for query, twin, cached, fresh in twins:
             profiler.bump(FUZZ_TWIN_CHECKS)
             profiler.bump(FUZZ_COMPARISONS)
-            query = case.queries[qi]
-            if cached.crashed or fresh.crashed:
-                kind = "crash"
-            elif (cached.status, cached.error) != (fresh.status, fresh.error):
-                kind = "status"
-            elif cached.status == "ok" and not rows_equal(
-                    fresh.rows, cached.rows, ordered=query.order == "total"):
-                kind = "result"
+            if isinstance(query, Modification):
+                profiler.bump(FUZZ_DML_TWIN_CHECKS)
+                (cached, cached_after), (fresh, fresh_after) = cached, fresh
+                kind = _difference(fresh, cached, ordered=True)
+                if kind == "result":
+                    kind = "count"
+                elif kind is None and not rows_equal(fresh_after,
+                                                     cached_after):
+                    kind = "result"
+                    cached = Outcome("ok", rows=cached_after)
+                    fresh = Outcome("ok", rows=fresh_after)
             else:
-                continue
-            report(kind, query, twin, f"{NOCACHE}/twin",
-                   "defaults/twin (the original's cached shape)", fresh,
-                   cached)
+                kind = _difference(fresh, cached,
+                                   ordered=query.order == "total")
+            if kind is not None:
+                report(kind, query, twin, f"{NOCACHE}/twin",
+                       "defaults/twin (the original's cached shape)", fresh,
+                       cached)
         for modification, expected, by_config in zip(
                 case.modifications, expected_counts, modified):
             profiler.bump(FUZZ_DML_CHECKS)
@@ -651,13 +673,15 @@ class DifferentialChecker:
         return discrepancies
 
     def _run_twins(self, case: Case, db: Database, configs,
-                   variants_per_query) -> list[tuple]:
-        """``(query index, twin, outcome cached, outcome fresh)`` for each
-        query variant whose shape the text cache admits: under the
+                   variants_per_query, loaded: dict) -> list[tuple]:
+        """``(query, twin, cached, fresh)`` for each query variant and each
+        modification whose shape the text cache admits: under the
         defaults, the original runs twice (the second time it is kept),
         and its twin - every literal its record's guard does not hold
         re-drawn - runs on that record; then the twin runs again under
-        ``plan_cache_size = 0``."""
+        ``plan_cache_size = 0``.  A query's *cached* and *fresh* are
+        outcomes; a modification's are ``(outcome, table contents)``,
+        every run of it on a fresh copy of its table."""
         by_label = {config.label: config for config in configs}
         if "defaults" not in by_label or NOCACHE not in by_label:
             return []
@@ -669,21 +693,36 @@ class DifferentialChecker:
             self.profiler.bump(FUZZ_EXECUTIONS)
             return run_statement(db, sql)
 
+        def modify(modification: Modification, sql: str) -> tuple:
+            self.profiler.bump(FUZZ_EXECUTIONS)
+            return self._modify_fresh_copy(
+                db, modification.table, lambda: db.execute(sql), loaded)
+
+        def twin_of(sql: str) -> Optional[str]:
+            record = db._plan_cache.peek(sql, db.settings.active)
+            return None if record is None else literal_twin(
+                sql, rng, frozenset(record.literals.guards))
+
         by_label["defaults"].apply(db)
         twins = []
-        for qi, (query, variants) in enumerate(
-                zip(case.queries, variants_per_query)):
+        for query, variants in zip(case.queries, variants_per_query):
             for _, _, sql in variants:
                 run(query, sql)
                 run(query, sql)
-                record = db._plan_cache.peek(sql, db.settings.active)
-                twin = None if record is None else literal_twin(
-                    sql, rng, frozenset(record.literals.guards))
+                twin = twin_of(sql)
                 if twin is not None:
-                    twins.append((qi, query, twin, run(query, twin)))
+                    twins.append((query, twin, run(query, twin)))
+        for modification in case.modifications:
+            modify(modification, modification.sql)
+            modify(modification, modification.sql)
+            twin = twin_of(modification.sql)
+            if twin is not None:
+                twins.append((modification, twin, modify(modification, twin)))
         by_label[NOCACHE].apply(db)
-        return [(qi, twin, cached, run(query, twin))
-                for qi, query, twin, cached in twins]
+        return [(query, twin, cached,
+                 modify(query, twin) if isinstance(query, Modification)
+                 else run(query, twin))
+                for query, twin, cached in twins]
 
     def _check_functions_on_sqlite(self, case: Case, db: Database,
                                    compiled: dict, cross_check) -> None:
@@ -714,11 +753,12 @@ class DifferentialChecker:
                 self.profiler.bump(FUZZ_SQLITE_FUNCTIONS)
 
     @staticmethod
-    def _modify_fresh_copy(db: Database, name: str, handle,
+    def _modify_fresh_copy(db: Database, name: str, execute,
                            loaded: dict) -> tuple[Outcome, list]:
-        """Run the modification *handle* prepared (it replans whenever the
-        settings in force differ from those it was last planned under),
-        read what table *name* holds afterwards and, if that is not what
+        """Run a modification - *execute* runs it, through a prepared
+        handle (which replans whenever the settings in force differ from
+        those it was last planned under) or the text door -, read what
+        table *name* holds afterwards and, if that is not what
         it held when the case was *loaded*, put those rows back: truncate
         and reload, through the table API, so that the next configuration
         (and the queries it runs first) starts from the loaded state
@@ -726,11 +766,11 @@ class DifferentialChecker:
         here."""
         table = db.catalog.tables.get(name)
         if table is None:  # the reducer dropped it
-            return _outcome(handle.execute), []
+            return _outcome(execute), []
         before = loaded.get(name)
         if before is None:
             before = loaded[name] = list(table.rows)
-        outcome = _outcome(handle.execute)
+        outcome = _outcome(execute)
         contents = list(table.rows)
         if contents != before:
             table.truncate()

@@ -1,4 +1,4 @@
-"""Literal twins: a generated SELECT with its literals re-drawn.
+"""Literal twins: a generated statement with its literals re-drawn.
 
 The text cache plans a statement's *shape* once - its literals become
 parameters - and runs that plan for every text of the shape whose guard

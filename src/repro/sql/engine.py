@@ -34,8 +34,8 @@ The text cache (:class:`~repro.sql.statement.PlanCache`) serves both text
 doors, :meth:`Database.execute` and a one-statement wire ``Query``
 (``repro.server.handler``): a hit skips steps 1 and 2, so a repeated text
 is parsed and planned once, like a prepared one.  Eligibility is a
-property of the statement's row (a planned kind producing rows), not a
-prefix match on the SQL text, and a text is admitted on its second sight
+property of the statement's row (a planned kind, what PREPARE takes), not
+a prefix match on the SQL text, and a text is admitted on its second sight
 only - a one-shot stream keeps no plan.
 
 ``Database.execute`` remains the thin compatibility facade over the layered

@@ -101,6 +101,7 @@ FUZZ_DIALECT_EXPLAINED = "fuzz dialect differences explained"
 FUZZ_ANALYZER_CHECKS = "fuzz analyzer soundness checks"
 FUZZ_DML_CHECKS = "fuzz dml checks"
 FUZZ_TWIN_CHECKS = "fuzz literal twin checks"
+FUZZ_DML_TWIN_CHECKS = "fuzz dml literal twin checks"
 FUZZ_FUNCTIONS = "fuzz functions"
 FUZZ_SQLITE_FUNCTIONS = "fuzz functions checked on sqlite"
 #: Transactions & durability: explicit BEGIN blocks opened, write

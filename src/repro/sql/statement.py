@@ -27,12 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import Database
 
 
-#: The leading words of the statements the text cache keeps: the planned
-#: kinds that return rows (DML, utilities and EXPLAIN are never kept, so
-#: they are parsed with their literals as written).
+#: The leading words of the statements the text cache keeps: the kinds
+#: that are plans, the ones PREPARE takes (SELECT, INSERT, UPDATE,
+#: DELETE).  Utilities and EXPLAIN are never kept, so they are parsed with
+#: their literals as written.
 _CACHED_KEYWORDS = frozenset(
     keyword for row in A.STATEMENTS.values()
-    if row.plan is not None and row.kind == A.ROWS for keyword in row.keywords)
+    if row.plan is not None for keyword in row.keywords)
 
 
 class Literals:
@@ -166,9 +167,10 @@ class PlanCache:
 
     :meth:`lookup` lexes the text once.  A hit binds the text's literals
     as parameters after the caller's and runs the record's plan: no parse,
-    no plan.  A miss parses the same tokens, a statement that returns rows
-    with its literals as parameters (``$first + 1`` on), and plans that
-    under :class:`Literals`: the literals whose values the plan reads make
+    no plan.  A miss parses the same tokens, a statement of a kind that is
+    a plan (SELECT, INSERT, UPDATE, DELETE: what PREPARE takes) with its
+    literals as parameters (``$first + 1`` on), and plans that under
+    :class:`Literals`: the literals whose values the plan reads make
     its guard, so a text with other values there is another record (a
     *variant* of the shape) and runs the plan a fresh plan of its own
     text would build.  A statement whose shape does not plan is planned
@@ -179,10 +181,10 @@ class PlanCache:
     a record is kept when its key is already there, i.e. when its shape and
     guard came back within ``plan_cache_size`` other misses.  A stream of
     one-shot shapes therefore keeps no plan.  Only a record of a planned
-    kind that produces rows, holding the plan its run built, is offered
-    (a SELECT whose planning failed is not).  ``SET plan_cache_size = N``
-    bounds the cache and the ghost list alike; evictions from the cache
-    are counted.
+    kind holding the plan its run built is offered (a statement whose
+    planning failed is not; one whose run failed is).  ``SET
+    plan_cache_size = N`` bounds the cache and the ghost list alike;
+    evictions from the cache are counted.
     """
 
     __slots__ = ("_entries", "_ghosts", "_guards", "profiler")
@@ -243,8 +245,7 @@ class PlanCache:
         """A miss has run: count it, and keep *statement* if it may be:
         under the settings its plan was built with, while that plan is
         current."""
-        row = statement.row
-        if row.plan is None or row.kind != A.ROWS:
+        if statement.row.plan is None:
             return
         self.profiler.bump(PLAN_CACHE_MISS)
         literals, stamp = statement.literals, statement._stamp

@@ -22,6 +22,8 @@ import pytest
 from repro.sql import Database
 from repro.sql.errors import (CatalogError, ExecutionError,
                               NameResolutionError, PlanError, SettingError)
+from repro.sql.parser import SqlParser
+from repro.sql.planner import Planner
 from repro.sql.profiler import (PLAN_CACHE_EVICTIONS, PLAN_CACHE_HIT,
                                 PLAN_CACHE_MISS, PLAN_INSTANTIATIONS,
                                 PREPARED_EXECUTIONS, PREPARED_REPLANS,
@@ -33,8 +35,9 @@ from repro.sql.statement import Statement
 def db():
     database = Database()
     database.execute("CREATE TABLE t(a int, b int)")
-    for i in range(100):
-        database.execute("INSERT INTO t VALUES ($1, $2)", (i % 10, i))
+    # Loaded through the table, so that the cache starts empty.
+    database.catalog.get_table("t").insert_many(
+        (i % 10, i) for i in range(100))
     return database
 
 
@@ -74,10 +77,37 @@ class TestClassifyDispatch:
         db.execute("/* gone */ DELETE FROM t WHERE a = 0")
         assert db.query_value("SELECT count(*) FROM t WHERE a = 0") == 0
 
-    def test_non_select_statements_are_not_cached(self, db):
-        db.execute("INSERT INTO t VALUES (99, 99)")
-        assert all(isinstance(key, tuple) and "INSERT" not in key[0].upper()
-                   for key in db._plan_cache._entries)
+    def test_dml_shapes_are_kept_and_other_kinds_never(self, db,
+                                                        monkeypatch):
+        # Utilities, EXPLAIN and DDL are neither kept nor remembered.
+        for _ in range(3):
+            for sql in ("SET enable_topn = off", "SHOW enable_topn",
+                        "RESET enable_topn", "BEGIN", "COMMIT",
+                        "EXPLAIN UPDATE t SET b = 1 WHERE a = 1",
+                        "CREATE INDEX t_b ON t(b)", "DROP INDEX t_b"):
+                db.execute(sql)
+        assert (len(db._plan_cache), len(db._plan_cache._ghosts)) == (0, 0)
+        assert db.profiler.counts[PLAN_CACHE_MISS] == 0
+        # A DML shape is kept on its second sight ...
+        sql = "UPDATE t SET b = b + {} WHERE a = {}"
+        db.execute(sql.format(1, 1))
+        db.execute(sql.format(2, 2))
+        assert len(db._plan_cache) == 1
+        assert db._plan_cache.peek(sql.format(3, 3),
+                                   db.settings.active) is not None
+        # ... and on its third it is neither parsed nor planned.
+        parsed, planned = [], []
+        monkeypatch.setattr(SqlParser, "parse_statement",
+                            lambda self: parsed.append(self))
+        monkeypatch.setattr(Planner, "plan_statement",
+                            lambda self, stmt: planned.append(stmt))
+        db.profiler.reset()
+        assert db.execute(sql.format(3, 3)).rows == [(10,)]
+        assert (parsed, planned) == ([], [])
+        assert db.profiler.counts[PLAN_CACHE_HIT] == 1
+        monkeypatch.undo()
+        assert db.query_value("SELECT sum(b) FROM t WHERE a = 3") \
+            == sum(range(3, 100, 10)) + 3 * 10
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,16 @@ from repro.sql import Database, ast as A
 from repro.sql import parser as sql_parser
 from repro.sql.errors import PlanError, SqlError
 from repro.sql.planner import Planner
-from repro.sql.profiler import PLAN, PLAN_CACHE_HIT, PLAN_CACHE_MISS
+from repro.sql.profiler import (PLAN, PLAN_CACHE_HIT, PLAN_CACHE_MISS,
+                                RANGE_SCANS_GIVEN_UP)
 
 
 @pytest.fixture
 def db():
     database = Database()
     database.execute("CREATE TABLE t(a int, b int)")
-    database.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+    # Loaded through the table, so that the cache starts empty.
+    database.catalog.get_table("t").insert_many([(1, 10), (2, 20), (3, 30)])
     return database
 
 
@@ -298,3 +300,146 @@ class TestShapes:
         db.execute("CREATE TABLE v(x int)")
         assert cached(db) == (0, 0)
         assert db._plan_cache._guards == {}
+
+
+# ---------------------------------------------------------------------------
+# DML: a hit does what a fresh plan of the same text does
+# ---------------------------------------------------------------------------
+
+
+def effects(db, texts, tables=("t",)) -> list:
+    """Run *texts* in turn: what each did (its rows, or its error's class
+    and message), then every table of *tables* as its heap holds it (read
+    from the table, not through the cache)."""
+    done = []
+    for text in texts:
+        try:
+            done.append(db.query_all(text))
+        except SqlError as error:
+            done.append((type(error).__name__, str(error)))
+    return done + [list(db.catalog.get_table(name).rows) for name in tables]
+
+
+def assert_hits_equal_fresh(setup: str, texts, tables=("t",),
+                            hits: int = 1) -> Database:
+    """*texts* do the same on a database loaded by the ``;``-separated
+    *setup*, where at least *hits* of them are text-cache hits, as on one
+    that plans every text as written; returns the first."""
+    cached, uncached = Database(), Database()
+    for db in (cached, uncached):
+        db.execute_script(setup)
+    uncached.execute("SET plan_cache_size = 0")
+    cached.profiler.reset()
+    assert effects(cached, texts, tables) == effects(uncached, texts, tables)
+    assert cached.profiler.counts[PLAN_CACHE_HIT] >= hits
+    return cached
+
+
+WIDE = "CREATE TABLE u(k int, b int); INSERT INTO u VALUES " + ", ".join(
+    f"({k}, {k % 7})" for k in range(1, 1001)) + "; CREATE INDEX u_k ON u(k)"
+
+
+class TestDml:
+    @pytest.mark.parametrize("column", ["i", "f", "s"])
+    @pytest.mark.parametrize("values", [
+        ("7", "8", "9"), ("2.5", "0.25", "3.0"), ("'x'", "'12'", "''"),
+        ("-1", "-2", "-7")])
+    def test_a_literal_of_each_kind_into_each_column_type(self, column,
+                                                          values):
+        texts = [f"INSERT INTO w({column}) VALUES ({value})"
+                 for value in values]
+        texts += [f"UPDATE w SET {column} = {value} WHERE i = {value}"
+                  for value in values]
+        assert_hits_equal_fresh("CREATE TABLE w(i int, f float, s text)",
+                                texts, tables=("w",), hits=2)
+
+    def test_a_negative_literal_is_a_shape_of_its_own(self):
+        texts = [f"UPDATE t SET b = b + {delta} WHERE a = 2"
+                 for delta in ("1", "2", "-3", "-4", "- 5", "-6", "7")]
+        db = assert_hits_equal_fresh(
+            "CREATE TABLE t(a int, b int); INSERT INTO t VALUES (2, 20)",
+            texts, hits=3)
+        # `b + int` and `b + - int`: two shapes, one record each.
+        assert cached(db) == (2, 0)
+
+    def test_an_index_probed_update(self):
+        texts = [f"UPDATE u SET b = b * {k} WHERE k = {k}"
+                 for k in (3, 5, 700, 5, 2000)]
+        db = assert_hits_equal_fresh(WIDE, texts, tables=("u",), hits=3)
+        assert "IndexScan on u (k)" in record(db, texts[0]).explain()
+
+    def test_a_wide_range_in_a_delete_makes_a_variant(self):
+        # Each run deletes one row of the range its subquery counts.
+        sql = ("DELETE FROM u WHERE k = {0} + (SELECT count(*) FROM u "
+               "WHERE k >= {0} AND k < 600) % 5")
+        texts = [sql.format(low) for low in (590, 590, 590, 100, 100, 100)]
+        db = assert_hits_equal_fresh(WIDE, texts, tables=("u",), hits=2)
+        assert [record.literals.guards for record
+                in db._plan_cache._entries.values()] \
+            == [{1: 590, 2: 600}, {1: 100, 2: 600}]
+        assert len({key[0] for key in db._plan_cache._entries}) == 1
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] >= 1
+
+    def test_an_insert_select_top_n_count_is_a_guard(self):
+        sql = "INSERT INTO v SELECT k, b FROM u ORDER BY b DESC, k LIMIT {}"
+        texts = [sql.format(n) for n in (3, 1, 3, 1, 3, 0, 1)]
+        db = assert_hits_equal_fresh(WIDE + "; CREATE TABLE v(k int, b int)",
+                                     texts, tables=("v",), hits=2)
+        assert [record.literals.guards for record
+                in db._plan_cache._entries.values()] == [{0: 3}, {0: 1}]
+
+    def test_division_by_zero_on_every_hit(self):
+        texts = [f"UPDATE t SET b = b / 0 WHERE a = {a}" for a in (1, 2, 3, 1)]
+        db = assert_hits_equal_fresh(
+            "CREATE TABLE t(a int, b int); "
+            "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)", texts, hits=2)
+        assert cached(db) == (1, 0)
+
+    def test_a_hit_inside_a_rolled_back_transaction(self):
+        texts = ["UPDATE t SET b = b + 1 WHERE a = 1",
+                 "UPDATE t SET b = b + 2 WHERE a = 2", "BEGIN",
+                 "UPDATE t SET b = b + 3 WHERE a = 3",
+                 "INSERT INTO t VALUES (4, 40)",
+                 "INSERT INTO t VALUES (5, 50)",
+                 "SELECT * FROM t", "ROLLBACK",
+                 "INSERT INTO t VALUES (6, 60)"]
+        db = assert_hits_equal_fresh(
+            "CREATE TABLE t(a int, b int); "
+            "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)", texts, hits=2)
+        assert db.query_all("SELECT * FROM t") \
+            == [(1, 11), (2, 22), (3, 30), (6, 60)]
+
+    def test_a_record_is_replanned_after_ddl(self):
+        setup = ("CREATE TABLE t(a int, b int); "
+                 "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        texts = [f"UPDATE t SET b = b + {a} WHERE a = {a}" for a in (1, 2, 3)]
+        db = Database()
+        db.execute_script(setup)
+        effects(db, texts)
+        kept = record(db, texts[0])
+        db.execute("CREATE INDEX t_a ON t(a)")
+        assert record(db, texts[0]) is None
+        effects(db, texts)
+        assert record(db, texts[0]) not in (None, kept)
+        # A table made anew with its columns swapped: the record's target
+        # positions are the new table's.
+        ddl = ["CREATE INDEX t_a ON t(a)", "DROP TABLE t",
+               "CREATE TABLE t(b int, a int)",
+               "INSERT INTO t VALUES (10, 1), (20, 2), (30, 3)"]
+        assert_hits_equal_fresh(setup, texts + ddl + texts, hits=2)
+
+    def test_over_the_wire(self, db, client):
+        for key in (1, 2, 3):
+            [result] = client.query(
+                f"UPDATE t SET b = b + {key} WHERE a = {key}")
+            assert result.command_tag == "UPDATE 1"
+        [result] = client.query("DELETE FROM t WHERE a = 3")
+        assert result.command_tag == "DELETE 1"
+        for key in (4, 5, 6):
+            [result] = client.query(f"INSERT INTO t VALUES ({key}, 0)")
+            assert result.command_tag == "INSERT 0 1"
+        assert db.profiler.counts[PLAN_CACHE_HIT] == 2
+        # UPDATE and INSERT kept, DELETE seen once.
+        assert cached(db) == (2, 1)
+        assert db.query_all("SELECT * FROM t") \
+            == [(1, 11), (2, 22), (4, 0), (5, 0), (6, 0)]
