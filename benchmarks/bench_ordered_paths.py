@@ -25,9 +25,11 @@ profiler's counters on one counted execution per statement (ROADMAP item
   scalar subquery re-opened for 20 outer rows, its small side filtered on
   the outer row, hashes the stable big side once for all 20.
 * **range width sweep**: ``count(*), sum(v)`` over a constant ``ts`` range
-  of 0.1% to 20% of the table plans an ``IndexRangeScan`` while the range
-  holds at most ``1 / WIDE_RANGE_DIVISOR`` of the rows, and above that a
-  vectorized core whose fused loop reads all ``ROWS`` rows.
+  of 0.1% to 20% of the table plans a ``ChooseRange`` node, whose open runs
+  the ``IndexRangeScan`` branch while the range holds at most ``1 /
+  WIDE_RANGE_DIVISOR`` of the rows, and above that the vectorized core
+  whose fused loop reads all ``ROWS`` rows (told apart by the counters of
+  the branch that ran: one range scan, or one range scan given up).
 
 **Reported: the times.**  Each ordered path against the seed's SeqScan +
 full sort on the row engine (the seed configuration also turns
@@ -44,9 +46,10 @@ from __future__ import annotations
 
 from repro.bench.harness import counted, render_table, time_query
 from repro.sql import Database
-from repro.sql.planner import WIDE_RANGE_DIVISOR
+from repro.sql.executor.scan import WIDE_RANGE_DIVISOR
 from repro.sql.profiler import (HASHJOIN_BUILDS, INDEX_RANGE_SCANS,
-                                TOPN_INPUT_ROWS, VECTOR_FUSED_ROWS)
+                                RANGE_SCANS_GIVEN_UP, TOPN_INPUT_ROWS,
+                                VECTOR_FUSED_ROWS)
 
 ROWS = 100_000
 OUTER_ROWS = 20
@@ -229,30 +232,31 @@ def test_ordered_paths_beat_scan_and_sort(write_artifact, write_json):
 
 
 def _range_width_sweep(db: Database):
-    """Gate the plan of each swept range width and time both paths: the
-    range scan (``enable_vectorize = off``, the plan it replaces) and the
-    vectorized scan (``enable_rangescan = off``).  Returns table rows and
-    the JSON entries."""
+    """Gate the branch each swept range width runs and time both paths:
+    the range scan (``enable_vectorize = off``, the plan it replaces) and
+    the vectorized scan (``enable_rangescan = off``).  Returns table rows
+    and the JSON entries."""
     _fast(db, True)
     rows, entries = [], []
     for share in SWEEP:
         sql = SWEPT.format(int(share * 1_000_000))
         in_range = db.query_all(sql)[0][0]
         plan = db.explain(sql)
+        assert "ChooseRange" in plan, plan
         counts = counted(db, sql)
+        wide = counts.get(RANGE_SCANS_GIVEN_UP, 0) == 1
         if in_range * WIDE_RANGE_DIVISOR > ROWS:
-            assert "VectorScan on events" in plan, plan
+            assert wide and not counts.get(INDEX_RANGE_SCANS), counts
             assert counts.get(VECTOR_FUSED_ROWS, 0) == ROWS, counts
         else:
-            assert "IndexRangeScan on events" in plan, plan
-            assert counts.get(INDEX_RANGE_SCANS, 0) == 1, counts
+            assert not wide and counts.get(INDEX_RANGE_SCANS) == 1, counts
         db.settings.assign("enable_vectorize", False)
         ranged = time_query(db, sql, runs=3, warmup=1).minimum
         db.settings.assign("enable_vectorize", True)
         db.settings.assign("enable_rangescan", False)
         scanned = time_query(db, sql, runs=3, warmup=1).minimum
         db.settings.assign("enable_rangescan", True)
-        chosen = "vector" if "VectorScan" in plan else "range"
+        chosen = "vector" if wide else "range"
         rows.append([f"count(*), sum(v) over {share:.1%} of ts: range scan "
                      f"/ vectorized scan (plans {chosen})",
                      f"{ranged * 1e3:.2f} / {scanned * 1e3:.2f}"])

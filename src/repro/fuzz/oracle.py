@@ -18,8 +18,8 @@ One generated case is checked three ways:
   (``Query.per_config``) compares the two names within each
   configuration, both run from one RNG state.
 * **Cached-vs-fresh** — each query's and each modification's *literal
-  twin* (:mod:`repro.fuzz.twin`: every literal its cached record's guard
-  does not hold re-drawn) runs under the defaults on the plan the
+  twin* (:mod:`repro.fuzz.twin`: every literal the parser did not pin
+  re-drawn) runs under the defaults on the plan the
   original's text left in the text cache, and again with the cache off:
   a plan of one text run for another with other values must answer as
   that text's own plan.
@@ -677,8 +677,8 @@ class DifferentialChecker:
         """``(query, twin, cached, fresh)`` for each query variant and each
         modification whose shape the text cache admits: under the
         defaults, the original runs twice (the second time it is kept),
-        and its twin - every literal its record's guard does not hold
-        re-drawn - runs on that record; then the twin runs again under
+        and its twin - every literal the parser did not pin re-drawn -
+        runs on that record; then the twin runs again under
         ``plan_cache_size = 0``.  A query's *cached* and *fresh* are
         outcomes; a modification's are ``(outcome, table contents)``,
         every run of it on a fresh copy of its table."""
@@ -701,7 +701,7 @@ class DifferentialChecker:
         def twin_of(sql: str) -> Optional[str]:
             record = db._plan_cache.peek(sql, db.settings.active)
             return None if record is None else literal_twin(
-                sql, rng, frozenset(record.literals.guards))
+                sql, rng, frozenset(record.literals.pinned))
 
         by_label["defaults"].apply(db)
         twins = []

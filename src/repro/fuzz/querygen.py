@@ -993,8 +993,8 @@ class QueryGen:
         a bare int column (one that leads an index where there is one) and
         grouped on some draws.  The range is wide - most of the value pool
         - or narrow - between two pool values, so it holds no row: the
-        planner gives the first to the vectorized scan and keeps the range
-        scan for the second (``planner.WIDE_RANGE_DIVISOR``)."""
+        plan's ChooseRange node runs the vectorized scan for the first and
+        the range scan for the second (``scan.WIDE_RANGE_DIVISOR``)."""
         rng = self.rng
         table = self._table()
         ints = table.columns_of_dtype("int")

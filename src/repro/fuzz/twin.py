@@ -1,13 +1,13 @@
 """Literal twins: a generated statement with its literals re-drawn.
 
 The text cache plans a statement's *shape* once - its literals become
-parameters - and runs that plan for every text of the shape whose guard
-holds (the literals a plan-time choice read keep their values).  A twin
-is a text of the original's shape with every other literal re-drawn, so
-the oracle runs it on the plan the original's text left in the cache and,
-under ``plan_cache_size = 0``, on a plan of its own (see
-``DifferentialChecker.check_case``): a value a plan depends on that its
-guard does not hold shows as a difference.
+parameters - and runs that plan for every text of the shape with the same
+pinned literals (the ones the parser keeps as written).  A twin is a text
+of the original's shape with every other literal re-drawn, so the oracle
+runs it on the plan the original's text left in the cache and, under
+``plan_cache_size = 0``, on a plan of its own (see
+``DifferentialChecker.check_case``): a value the plan reads wrong when it
+opens (a Top-N count, a separator, a range's width) shows as a difference.
 """
 
 from __future__ import annotations

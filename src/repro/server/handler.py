@@ -195,7 +195,8 @@ def _run_text(session: "Connection", sql: str):
     if statement is None and error is None:
         # No statement, or several with no ``;`` between them: parsed
         # again, with their literals as written.
-        return _run_statements(session, sql, parse_script(lexed.plain()))
+        lexed.params = None
+        return _run_statements(session, sql, parse_script(lexed))
     return _records(session, notices_before, statement, outcome), error
 
 

@@ -392,8 +392,8 @@ class Database:
             fdef.reset_analysis()
 
     def _trim_plan_cache(self) -> None:
-        """Apply a lowered ``plan_cache_size`` immediately."""
-        self._plan_cache.trim(self.settings.active.plan_cache_size)
+        """Apply a lowered global ``plan_cache_size`` immediately."""
+        self._plan_cache.trim(self.settings.globals.plan_cache_size)
 
     # ------------------------------------------------------------------
     # The doors, and the one runner they end in
@@ -475,8 +475,7 @@ class Database:
         try:
             return self._run(statement, params, session)
         finally:
-            self._plan_cache.offer(lexed, statement,
-                                   self.settings.active.plan_cache_size)
+            self._plan_cache.offer(lexed, statement, self.settings)
 
     def _run(self, statement: Statement, params: Sequence[Value],
              session: "Connection") -> tuple[str, Result]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import ExecutionError, NameResolutionError
+from ..errors import ExecutionError, NameResolutionError, SqlError
 from ..expr import EvalContext
-from ..profiler import INDEX_RANGE_SCANS, SORTED_INDEX_BUILDS
+from ..profiler import (INDEX_RANGE_SCANS, RANGE_SCANS_GIVEN_UP,
+                        SORTED_INDEX_BUILDS)
 from ..values import Row
 from .base import Plan, PlanState
 
@@ -247,41 +248,15 @@ class IndexRangeScanState(PlanState):
 
     def open(self, outer) -> None:
         plan = self.plan
-        ctx = mirror_outer_context(self, outer)
         profiler = self.rt.db.profiler
-        index = self.table.sorted_index_if_exists(plan.key_columns,
-                                                  plan.key_desc)
-        if index is None:
-            profiler.bump(SORTED_INDEX_BUILDS)
-            index = self.table.sorted_index(plan.key_columns, plan.key_desc)
         profiler.bump(INDEX_RANGE_SCANS)
-        lower = upper = None
-        empty = False
-        if plan.lower is not None:
-            value = plan.lower[0](ctx)
-            if value is None:
-                empty = True  # col > NULL is never TRUE
-            else:
-                index.check_probe(0, value)
-                lower = (value, plan.lower[1])
-        if plan.upper is not None and not empty:
-            value = plan.upper[0](ctx)
-            if value is None:
-                empty = True
-            else:
-                index.check_probe(0, value)
-                upper = (value, plan.upper[1])
+        index, start, stop = range_window(
+            self.table, plan, mirror_outer_context(self, outer), profiler)
         self.rows = index.rows
         # Index entries are row versions: when anything in the table may
         # be invisible to this statement's snapshot, next() filters.
         self.snapshot = self.table.current_snapshot()
         self.check = not self.table.all_visible(self.snapshot)
-        if empty:
-            start = stop = 0
-        elif lower is None and upper is None:
-            start, stop = 0, len(self.rows)
-        else:
-            start, stop = index.range_positions(lower, upper)
         if plan.reverse:
             self.pos, self.stop, self.step = stop - 1, start - 1, -1
         else:
@@ -297,6 +272,114 @@ class IndexRangeScanState(PlanState):
                 continue
             return version if self.plan.versions else version.data
         return None
+
+
+#: An aggregating core reads a range holding more than ``1 /
+#: WIDE_RANGE_DIVISOR`` of the index faster by the vectorized SeqScan than
+#: by the range scan: 2%, where the two cost about the same at 1k and at
+#: 100k rows (``benchmarks/bench_ordered_paths.py``'s sweep).
+WIDE_RANGE_DIVISOR = 50
+
+
+def range_window(table, plan: IndexRangeScanPlan, ctx, profiler) -> tuple:
+    """``(index, start, stop)``: the sorted index the range scan *plan*
+    reads (built if it does not exist yet) and the positions its bounds,
+    evaluated in *ctx*, cut from it.  A NULL bound is an empty range
+    (``col > NULL`` is never TRUE); one of another class than the
+    column's values raises."""
+    index = table.sorted_index_if_exists(plan.key_columns, plan.key_desc)
+    if index is None:
+        profiler.bump(SORTED_INDEX_BUILDS)
+        index = table.sorted_index(plan.key_columns, plan.key_desc)
+    bounds = []
+    for bound in (plan.lower, plan.upper):
+        if bound is None:
+            bounds.append(None)
+            continue
+        value = bound[0](ctx)
+        if value is None:
+            return index, 0, 0
+        index.check_probe(0, value)
+        bounds.append((value, bound[1]))
+    if bounds == [None, None]:
+        return index, 0, len(index.rows)
+    return (index, *index.range_positions(*bounds))
+
+
+def range_is_wide(rt, scan: IndexRangeScanPlan, outer) -> bool:
+    """Do the bounds of the range *scan*, evaluated in *outer*, hold more
+    than ``1 / WIDE_RANGE_DIVISOR`` of its sorted index?  A bound that
+    fails to evaluate or to compare with the column is not wide: the
+    scan raises."""
+    try:
+        index, start, stop = range_window(
+            rt.catalog.tables[scan.table_name], scan,
+            EvalContext(rt, (), parent=outer), rt.db.profiler)
+    except SqlError:
+        return False
+    return (stop - start) * WIDE_RANGE_DIVISOR > len(index)
+
+
+class ChooseRangePlan(Plan):
+    """A choose-plan node (Graefe & Ward, "Dynamic Query Evaluation
+    Plans", SIGMOD 1989) over an aggregating core with a range pushdown:
+    ``narrow`` is the row core over the IndexRangeScan *scan*, ``wide``
+    the vectorized core over the SeqScan.  Each open sizes the range's
+    bounds (literals and parameters) with :func:`range_is_wide` and
+    instantiates and runs only the branch it picks; opening the wide one
+    counts a range scan given up."""
+
+    __slots__ = ("scan", "narrow", "wide")
+
+    def __init__(self, scan: IndexRangeScanPlan, narrow: Plan, wide: Plan):
+        super().__init__(wide.output_columns)
+        self.scan = scan
+        self.narrow = narrow
+        self.wide = wide
+
+    def label(self) -> str:
+        return (f"ChooseRange (wide above 1/{WIDE_RANGE_DIVISOR} of "
+                f"{self.scan.table_name})")
+
+    def children(self) -> list[Plan]:
+        return [self.narrow, self.wide]
+
+    def instantiate(self, rt, ictx=None) -> "ChooseRangeState":
+        return ChooseRangeState(rt, self, ictx)
+
+
+class ChooseRangeState(PlanState):
+    __slots__ = ("plan", "ictx", "branches", "child")
+
+    def __init__(self, rt, plan: ChooseRangePlan, ictx):
+        super().__init__(rt)
+        self.plan = plan
+        self.ictx = ictx
+        #: The narrow and the wide branch, each once it has been chosen.
+        self.branches: list[Optional[PlanState]] = [None, None]
+        self.child: Optional[PlanState] = None
+
+    def open(self, outer) -> None:
+        plan = self.plan
+        wide = range_is_wide(self.rt, plan.scan, outer)
+        if wide:
+            self.rt.db.profiler.bump(RANGE_SCANS_GIVEN_UP)
+        if self.branches[wide] is None:
+            self.branches[wide] = (plan.wide if wide else plan.narrow) \
+                .instantiate(self.rt, self.ictx)
+        self.child = self.branches[wide]
+        self.child.open(outer)
+
+    def next(self) -> Optional[tuple]:
+        return self.child.next()
+
+    def next_rows(self) -> list[tuple]:
+        return self.child.next_rows()
+
+    def close(self) -> None:
+        for child in self.branches:
+            if child is not None:
+                child.close()
 
 
 class ValuesPlan(Plan):

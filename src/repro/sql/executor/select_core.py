@@ -17,71 +17,81 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
+from ..errors import SqlError
 from ..expr import EvalContext, selects
 from ..functions import make_aggregate
 from ..profiler import TOPN_INPUT_ROWS, TOPN_SCANS
 from ..values import hashable_row as _hashable_row
 from ..values import hashable_value as _hashable_value
 from . import base
-from .base import Plan, PlanState, RowListState, call_site_lines
+from .base import Plan, PlanState, call_site_lines
 from .fromtree import FromNodePlan
 from .scan import make_slots
-from .tuples import SortPlan, cut_sort_keys, make_row_keys
+from .tuples import SortPlan, SortState, cut_sort_keys, make_row_keys
 from .window import WindowCallPlan, compute_window_columns
 
 
-class TopNPlan(Plan):
+class TopNPlan(SortPlan):
     """Bounded ``ORDER BY ... LIMIT``: Sort's answer to small limits.
 
     Replaces a :class:`~repro.sql.executor.tuples.SortPlan` when the
-    statement carries a constant LIMIT (plus optional constant OFFSET) and
-    no index delivers the order: instead of materializing and sorting all
-    n input rows (O(n log n) comparisons), the best
-    ``count = limit + offset`` rows are kept while the child is pulled a
-    chunk at a time (``heapq.nsmallest`` over the kept entries and the
-    chunk's: O(n log count) comparisons, O(count + one chunk) memory).
-    Key semantics (direction, NULLS placement, stable ties by arrival
-    order) are shared with Sort via
+    statement's LIMIT (and OFFSET, if any) is a literal or a parameter and
+    no index delivers the order.  Each open reads ``count = limit +
+    offset``, as PostgreSQL's ``ExecLimit`` recomputes its bounds per
+    rescan: instead of materializing and sorting all n input rows (O(n log
+    n) comparisons), the best ``count`` rows are kept while the child is
+    pulled a chunk at a time (``heapq.nsmallest`` over the kept entries and
+    the chunk's: O(n log count) comparisons, O(count + one chunk) memory).
+    A NULL, negative or non-integer bound sorts in full, and the Limit
+    above answers or raises as over a Sort.  Key semantics (direction,
+    NULLS placement, stable ties by arrival order) are shared with Sort via
     :func:`~repro.sql.executor.tuples.make_row_keys`, so the two operators
     are observably identical — differentially tested.
     """
 
-    __slots__ = ("child", "key_start", "descending", "nulls_first", "strip",
-                 "key_indices", "count")
+    __slots__ = ("limit", "offset", "shown")
 
-    def __init__(self, sort: SortPlan, count: int):
-        super().__init__(sort.output_columns)
-        self.child = sort.child
-        self.key_start = sort.key_start
-        self.descending = sort.descending
-        self.nulls_first = sort.nulls_first
-        self.strip = sort.strip
-        self.key_indices = sort.key_indices
-        self.count = count
+    def __init__(self, sort: SortPlan, limit: Callable,
+                 offset: Optional[Callable], shown: str):
+        super().__init__(sort.child, sort.output_columns, sort.key_start,
+                         sort.descending, sort.nulls_first, sort.strip,
+                         sort.key_indices)
+        self.limit = limit
+        self.offset = offset
+        #: The count as EXPLAIN shows it.
+        self.shown = shown
 
     def label(self) -> str:
-        return f"TopN (n={self.count})"
-
-    def children(self) -> list[Plan]:
-        return [self.child]
+        return f"TopN (n={self.shown})"
 
     def instantiate(self, rt, ictx=None) -> "TopNState":
         return TopNState(rt, self, self.child.instantiate(rt, ictx))
 
+    def count(self, ctx: EvalContext) -> Optional[int]:
+        """``limit + offset`` when both are non-negative integers in
+        *ctx*, else None (one that fails to evaluate too: the Limit above
+        raises, after the rows, as over a Sort)."""
+        try:
+            values = [bound(ctx) for bound in (self.limit, self.offset)
+                      if bound is not None]
+        except SqlError:
+            return None
+        if all(type(value) is int and value >= 0 for value in values):
+            return sum(values)
+        return None
 
-class TopNState(RowListState):
-    __slots__ = ("plan", "child")
 
-    def __init__(self, rt, plan: TopNPlan, child: PlanState):
-        super().__init__(rt)
-        self.plan = plan
-        self.child = child
+class TopNState(SortState):
+    __slots__ = ()
 
     def open(self, outer) -> None:
         plan = self.plan
+        count = plan.count(EvalContext(self.rt, (), parent=outer))
+        if count is None:
+            super().open(outer)
+            return
         self.child.open(outer)
         keys_of = make_row_keys(plan)
-        count = plan.count
         #: The best ``count`` (key, arrival, row) entries so far, in order.
         #: Arrival numbers are unique, so ties fall to arrival order - a
         #: stable full sort cut at ``count`` - and rows are never compared.
@@ -107,22 +117,21 @@ class TopNState(RowListState):
         self.rows = cut_sort_keys(plan, map(itemgetter(2), best))
         self.pos = 0
 
-    def close(self) -> None:
-        self.child.close()
-
 
 class AggCallPlan:
     """One aggregate call in the SELECT/HAVING of a grouped query.
 
     ``arg_ast`` keeps the (unrewritten) argument expression alongside the
     compiled closure so the vectorized executor can batch-compile the same
-    expression; it is None for ``count(*)``.
+    expression; it is None for ``count(*)``.  ``separator`` is string_agg's
+    compiled separator, evaluated once per execution (``make_aggregate``).
     """
 
     __slots__ = ("name", "star", "arg", "distinct", "separator", "arg_ast")
 
     def __init__(self, name: str, star: bool, arg: Optional[Callable],
-                 distinct: bool, separator: str = "", arg_ast=None):
+                 distinct: bool, separator: Optional[Callable] = None,
+                 arg_ast=None):
         self.name = name.lower()
         self.star = star
         self.arg = arg
@@ -368,7 +377,8 @@ class SelectCoreState(PlanState):
         groups: dict[tuple, list] = {}
         group_values: dict[tuple, tuple] = {}
         distinct_seen: dict[tuple, list[set]] = {}
-        aggs = [make_aggregate(c.name, c.star, c.separator)
+        once = EvalContext(self.rt, (), parent=self.outer)
+        aggs = [make_aggregate(c.name, c.star, c.separator, once)
                 for c in stage.agg_calls]
         for _tick in self._ticks():
             ctx = EvalContext(self.rt, self.vector, parent=self.outer,

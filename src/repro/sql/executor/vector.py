@@ -556,7 +556,7 @@ class VectorAggregate:
                  "filed", "filed_batches")
 
     def __init__(self, stage: AggStagePlan, key_fns: list[BatchExpr],
-                 arg_fns: list[Optional[BatchExpr]],
+                 arg_fns: list[Optional[BatchExpr]], once: EvalContext,
                  fused: Optional["FusedAggregate"] = None):
         self.stage = stage
         self.key_fns = key_fns
@@ -565,7 +565,7 @@ class VectorAggregate:
         self.fused = fused
         self.filed: dict = defaultdict(list)
         self.filed_batches = 0
-        self.aggs = [make_aggregate(c.name, c.star, c.separator)
+        self.aggs = [make_aggregate(c.name, c.star, c.separator, once)
                      for c in stage.agg_calls]
         self.groups: dict[tuple, list] = {}
         self.group_values: dict[tuple, tuple] = {}
@@ -1238,6 +1238,7 @@ class BatchAdapterState(SelectCoreState):
             if fused is None:
                 columns = None
         vagg = VectorAggregate(stage, spec.key_fns, spec.arg_fns,
+                               EvalContext(self.rt, (), parent=self.outer),
                                None if columns is None else fused)
         # The source drains finite row snapshots and polls the cancel token
         # once per batch.

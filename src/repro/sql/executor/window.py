@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from .. import ast as A
 from ..errors import ExecutionError, PlanError
 from ..expr import EvalContext
-from ..functions import make_aggregate
+from ..functions import is_aggregate_name, make_aggregate
 from ..values import sort_key, sort_keys
 
 
@@ -36,7 +36,8 @@ class WindowCallPlan:
                  partition_by: Sequence[Callable], order_by: Sequence[Callable],
                  order_desc: Sequence[bool],
                  order_nulls: Sequence[Optional[bool]],
-                 frame: Optional[A.FrameSpec], separator: str = ""):
+                 frame: Optional[A.FrameSpec],
+                 separator: Optional[Callable] = None):
         self.func_name = func_name.lower()
         self.args = list(args)
         self.star = star
@@ -46,6 +47,7 @@ class WindowCallPlan:
         #: Per key: NULLS FIRST (True) / LAST (False), None = the default.
         self.order_nulls = list(order_nulls)
         self.frame = frame
+        #: string_agg's compiled separator (``make_aggregate``).
         self.separator = separator
 
 
@@ -75,9 +77,14 @@ def _compute_one_call(rt, input_rows, call: WindowCallPlan, outer, slots):
     for i in range(n):
         partitions.setdefault(part_keys[i], []).append(i)
 
+    # One aggregate per call and execution; each frame creates its state.
+    agg = (make_aggregate(call.func_name, call.star, call.separator,
+                          EvalContext(rt, (), parent=outer))
+           if is_aggregate_name(call.func_name) else None)
     for indices in partitions.values():
         ordered = sorted(indices, key=lambda i: order_keys[i])
-        _eval_partition(call, ordered, order_keys, arg_rows, contexts, results)
+        _eval_partition(call, agg, ordered, order_keys, arg_rows, contexts,
+                        results)
     return results
 
 
@@ -104,8 +111,8 @@ def _peer_group_ends(starts: list[int]) -> list[int]:
     return ends
 
 
-def _eval_partition(call: WindowCallPlan, ordered, order_keys, arg_rows,
-                    contexts, results) -> None:
+def _eval_partition(call: WindowCallPlan, agg, ordered, order_keys,
+                    arg_rows, contexts, results) -> None:
     name = call.func_name
     size = len(ordered)
     starts = _peer_groups(ordered, order_keys)
@@ -159,7 +166,6 @@ def _eval_partition(call: WindowCallPlan, ordered, order_keys, arg_rows,
             else:
                 results[i] = None
         else:
-            agg = make_aggregate(name, star=call.star, separator=call.separator)
             state = agg.create()
             for q in frame:
                 value = True if call.star else arg_rows[ordered[q]][0]

@@ -571,8 +571,11 @@ AGGREGATE_NAMES = {"count", "sum", "avg", "min", "max", "bool_and", "bool_or",
                    "every", "array_agg", "string_agg"}
 
 
-def make_aggregate(name: str, star: bool = False, separator: str = "") -> Aggregate:
-    """Instantiate the aggregate *name* (already validated to be aggregate)."""
+def make_aggregate(name: str, star: bool = False, separator=None,
+                   ctx=None) -> Aggregate:
+    """Instantiate the aggregate *name* (already validated to be aggregate);
+    string_agg's compiled *separator* is evaluated in *ctx*, once per
+    execution."""
     lowered = name.lower()
     if lowered == "count":
         return CountAgg(star)
@@ -591,7 +594,7 @@ def make_aggregate(name: str, star: bool = False, separator: str = "") -> Aggreg
     if lowered == "array_agg":
         return ArrayAgg()
     if lowered == "string_agg":
-        return StringAgg(separator)
+        return StringAgg(str(separator(ctx)))
     raise ExecutionError(f"unknown aggregate {name!r}")
 
 

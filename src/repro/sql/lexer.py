@@ -161,8 +161,7 @@ class LexedText:
     highest ``$n`` the text spells.  While ``params`` is set (token index
     -> ``$k``), the parser reads the literal at a token as the parameter
     ``$k``, numbered after the text's own: ``$first + 1`` is the first
-    literal.  Otherwise (and in :meth:`plain`) the literals are parsed as
-    written.
+    literal.  Otherwise the literals are parsed as written.
     """
 
     __slots__ = ("tokens", "shape", "literals", "first", "params")
@@ -193,13 +192,6 @@ class LexedText:
         self.first = first
         self.params = {index: first + k
                        for k, index in enumerate(where, start=1)}
-
-    def plain(self) -> "LexedText":
-        lexed = object.__new__(LexedText)
-        lexed.tokens, lexed.shape, lexed.literals, lexed.first = \
-            self.tokens, self.shape, self.literals, self.first
-        lexed.params = None
-        return lexed
 
 
 class TokenStream:

@@ -2,9 +2,10 @@
 
 Planning does all name resolution and expression compilation once; the
 resulting :class:`~repro.sql.executor.base.Plan` tree is immutable and can be
-cached by statement shape (see :mod:`repro.sql.statement`; a plan-time
-choice made from a literal's value reads it through
-:meth:`Planner.constant`).  Execution then only pays *instantiation*
+cached by statement shape (see :mod:`repro.sql.statement`: the planner
+reads no parameter's value, and a choice made from one - a Top-N count, a
+string_agg separator, a range's width - is made when the plan opens).
+Execution then only pays *instantiation*
 (ExecutorStart) and *pulling* (ExecutorRun) — the cost split the paper's
 Table 1 measures.
 
@@ -32,7 +33,7 @@ from .astutil import (calls_only_pure, calls_user_function, column_bindings,
                       conjoin, contains_aggregate, contains_window_call,
                       expr_equal, references_table, rewrite_expr,
                       split_conjuncts)
-from .errors import NameResolutionError, PlanError, TypeError_
+from .errors import NameResolutionError, PlanError
 from .expr import ExprCompiler, Relation, Scope
 from .executor.base import Plan
 from .executor.trampoline import compile_machine
@@ -41,15 +42,14 @@ from .executor.hashjoin import HashJoinPlan
 from .executor.memo import memo_tables, memoize
 from .executor.modify import DeletePlan, InsertPlan, UpdatePlan
 from .executor.recursion import CteDef, CTEScanPlan, SelectStmtPlan
-from .executor.scan import (IndexRangeScanPlan, RowExpandPlan,
-                            SeqScanPlan, ValuesPlan)
+from .executor.scan import (ChooseRangePlan, IndexRangeScanPlan,
+                            RowExpandPlan, SeqScanPlan, ValuesPlan)
 from .executor.select_core import (AggCallPlan, AggStagePlan, SelectCorePlan,
                                    TopNPlan, WindowStagePlan)
 from .executor.tuples import AppendPlan, LimitPlan, SetOpPlan, SortPlan
 from .executor.vector import vectorize_core
 from .executor.window import WindowCallPlan
 from .functions import is_aggregate_name, is_window_function_name
-from .profiler import RANGE_SCANS_GIVEN_UP, SORTED_INDEX_BUILDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Database
@@ -101,12 +101,6 @@ class _JoinDraft:
 #: Cardinality assumed for relations without statistics (subqueries, CTEs).
 _DEFAULT_CARDINALITY = 1000
 
-#: An aggregating core gives a range scan up for the vectorized scan when
-#: its constant range holds more than ``1 / WIDE_RANGE_DIVISOR`` of the
-#: index (_range_is_wide): 2%, where the two cost about the same at 1k and
-#: at 100k rows (``benchmarks/bench_ordered_paths.py``'s sweep).
-WIDE_RANGE_DIVISOR = 50
-
 #: What :meth:`Planner.constant` answers for an expression that stands for
 #: no constant.
 NOT_CONSTANT = object()
@@ -118,7 +112,7 @@ class Planner:
 
     # No stray attributes: planner flags live in the settings store, and
     # assigning one on the planner must fail, not be silently ignored.
-    __slots__ = ("db", "_cte_env", "_in_template", "_bound")
+    __slots__ = ("db", "_cte_env", "_in_template")
 
     def __init__(self, db: "Database"):
         self.db = db
@@ -126,9 +120,6 @@ class Planner:
         #: Planning a machine template (_trampoline_template), whose
         #: Memoize nodes keep their entries across statements.
         self._in_template = False
-        #: The text's literals while planning a statement from its shape
-        #: (:meth:`plan_bound`), read only by :meth:`constant`.
-        self._bound = None
 
     @property
     def catalog(self):
@@ -157,47 +148,12 @@ class Planner:
             stmt, self.catalog.functions)
         return plan
 
-    def plan_bound(self, stmt: A.Statement, literals) -> Plan:
-        """:meth:`plan_statement` of a statement parsed from a text's shape,
-        whose literals are parameters: *literals* (a
-        :class:`~repro.sql.statement.Literals`) gives :meth:`constant`
-        their values and collects the guard."""
-        self._bound = literals
-        try:
-            return self.plan_statement(stmt)
-        finally:
-            self._bound = None
-
     def constant(self, expr: A.Expr):
-        """The value *expr* stands for at plan time, else
-        :data:`NOT_CONSTANT` - the one read of a literal's value in the
-        planner (lint rule 12), so that every plan-time choice made from a
-        value is guarded.
-
-        A literal is its value; so is a literal of the text that the text
-        cache made a parameter (an *auto-parameter*), whose position and
-        value go into the guard of the plan (``Literals.guards``): the
-        cache runs the plan only for texts with that value there.  A minus
-        over an auto-parameter negates it, as the parser folds ``-5``.
-        """
-        kind = type(expr)
-        if kind is A.Literal:
-            return expr.value
-        bound = self._bound
-        if bound is None:
-            return NOT_CONSTANT
-        if kind is A.Param:
-            slot = bound.slots.get(id(expr))
-            if slot is None:
-                return NOT_CONSTANT
-            value = bound.guards[slot] = bound.values[slot]
-            return value
-        if kind is A.UnaryOp and expr.op == "-" \
-                and type(expr.operand) in (A.Param, A.UnaryOp):
-            value = self.constant(expr.operand)
-            if type(value) in (int, float):
-                return -value
-        return NOT_CONSTANT
+        """The value of *expr* when it is a literal, else
+        :data:`NOT_CONSTANT` - the planner's one read of a value (lint rule
+        12).  A parameter's is never read: a text-cache record's literals
+        are parameters, so a choice made from one is made at open."""
+        return expr.value if type(expr) is A.Literal else NOT_CONSTANT
 
     def _plan_insert(self, stmt: A.Insert) -> Plan:
         table = self.catalog.get_table(stmt.table)
@@ -219,7 +175,7 @@ class Planner:
         leaf = self._plan_from_table(A.TableName(table_name), relations)
         scope = Scope(relations)
         if where is not None:
-            leaf, where, _ = self._try_index_pushdown(where, leaf, scope)
+            leaf, where = self._try_index_pushdown(where, leaf, scope)
         leaf.source.versions = True
         compiler = ExprCompiler(scope, self)
         return (leaf.source, compiler,
@@ -304,14 +260,15 @@ class Planner:
             limit = compiler.compile(stmt.limit) if stmt.limit is not None else None
             offset = (compiler.compile(stmt.offset)
                       if stmt.offset is not None else None)
-            # Top-N: a constant LIMIT (+OFFSET) over a sort keeps only the
-            # best limit+offset rows in a bounded heap instead of sorting
-            # the whole input.  (When sort elimination already removed the
-            # Sort, the streaming LimitPlan alone stops after k rows.)
-            count = self._constant_topn_count(stmt)
-            if (self.flags.enable_topn and count is not None
-                    and isinstance(plan, SortPlan)):
-                plan = TopNPlan(plan, count)
+            # Top-N: a LIMIT (+OFFSET) of values over a sort keeps only the
+            # best limit+offset rows, counted at open, in a bounded heap
+            # instead of sorting the whole input.  (When sort elimination
+            # removed the Sort, the LimitPlan alone stops after k rows.)
+            if (self.flags.enable_topn and isinstance(plan, SortPlan)
+                    and _is_value(stmt.limit)
+                    and (stmt.offset is None or _is_value(stmt.offset))):
+                plan = TopNPlan(plan, limit, offset,
+                                self._topn_shown(stmt.limit, stmt.offset))
             plan = LimitPlan(plan, limit, offset, compiler.subplans)
         return plan
 
@@ -439,8 +396,10 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _plan_core(self, core: A.SelectCore, outer_scope: Optional[Scope],
-                   order_by: list[A.SortItem],
-                   wide_ranges_to_scan: bool = True) -> Plan:
+                   order_by: list[A.SortItem], narrow: bool = False) -> Plan:
+        """The plan of one SELECT block, ORDER BY's Sort included; with
+        *narrow*, the block over its range scan before that Sort: the
+        narrow branch of a :class:`ChooseRangePlan`."""
         relations: list[Relation] = []
         from_node = None
         if core.from_clause is not None:
@@ -452,19 +411,22 @@ class Planner:
             if not isinstance(item, A.Star))
 
         # Access path of a single base table (_try_index_pushdown).  An
-        # aggregating core may give a wide constant range up for the
-        # vectorized scan; if vectorize_core then declines the core, it is
-        # planned again with the range scan.
-        residual_where = core.where
-        gave_up_range = False
+        # aggregating core leaves a range whose bounds are values to be
+        # chosen at open: planned here over the SeqScan for the vectorized
+        # engine, and again with the range scan (the narrow branch).
+        residual_where, given_up = core.where, None
         if (core.where is not None and isinstance(from_node, FromLeafPlan)
                 and isinstance(from_node.source, SeqScanPlan)
                 and not from_node.lateral):
-            from_node, residual_where, gave_up_range = \
-                self._try_index_pushdown(
-                    core.where, from_node, scope,
-                    wide_to_scan=(wide_ranges_to_scan and needs_agg
-                                  and self.flags.enable_vectorize))
+            leaf = from_node
+            from_node, residual_where = self._try_index_pushdown(
+                core.where, leaf, scope)
+            scan = from_node.source
+            if (not narrow and needs_agg and self.flags.enable_vectorize
+                    and isinstance(scan, IndexRangeScanPlan)
+                    and all(_is_value(bound[3]) for bound
+                            in (scan.lower, scan.upper) if bound is not None)):
+                from_node, residual_where, given_up = leaf, core.where, scan
 
         # Join strategy + predicate pushdown: distribute WHERE conjuncts
         # over the FROM tree and pick hash vs nested loop per join.
@@ -550,17 +512,21 @@ class Planner:
                                      scope, residual_where, bool(order_by))
                       if self.flags.enable_vectorize and window_stage is None
                       else None)
-        if gave_up_range:
-            if vectorized is None:
-                return self._plan_core(core, outer_scope, order_by,
-                                       wide_ranges_to_scan=False)
-            self.db.profiler.bump(RANGE_SCANS_GIVEN_UP)
         plan = vectorized or plan
+        if hidden:
+            plan.output_columns = output_columns + [f"__sort{i}"
+                                                    for i in range(len(hidden))]
+        if narrow:
+            return plan
+        if given_up is not None:
+            # The vectorized core is the wide branch, if it took the core.
+            narrow_plan = self._plan_core(core, outer_scope, order_by,
+                                          narrow=True)
+            plan = narrow_plan if vectorized is None \
+                else ChooseRangePlan(given_up, narrow_plan, plan)
         if hidden:
             # DISTINCT with hidden keys was rejected in _compile_order_keys,
             # so stripping the keys after the sort is always safe here.
-            plan.output_columns = output_columns + [f"__sort{i}"
-                                                    for i in range(len(hidden))]
             plan = SortPlan(plan, output_columns, key_start=len(items),
                             descending=[i.descending for i in order_by],
                             nulls_first=[i.nulls_first for i in order_by],
@@ -944,7 +910,7 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _try_index_pushdown(self, where: A.Expr, leaf: FromLeafPlan,
-                            scope: Scope, wide_to_scan: bool = False):
+                            scope: Scope):
         """Access-path selection for a single base-table FROM.
 
         Equality conjuncts ``col = expr`` become a hash-index scan;
@@ -953,16 +919,8 @@ class Planner:
         :class:`~repro.sql.executor.scan.IndexRangeScanPlan`.  Either way
         *expr* is hoisted from per-row WHERE to a per-open probe, so it
         must provably never read the scanned relation (correlated keys
-        included) and keep its evaluation count (``bindable``).
-
-        With *wide_to_scan* (an aggregating core the vectorized engine may
-        take) a range whose bounds are literals is compared with the
-        SeqScan it would replace: when more than ``1 / WIDE_RANGE_DIVISOR``
-        of the column's sorted index lies inside it (:meth:`_range_is_wide`),
-        the SeqScan stays, with every conjunct, because the vectorized core
-        reads a wide range faster than the row engine reads the range scan.
-        Returns the (possibly new) leaf plan, the residual WHERE and
-        whether a range was given up that way.
+        included) and keep its evaluation count (``bindable``).  Returns
+        the (possibly new) leaf plan and the residual WHERE.
         """
         from .executor.scan import IndexScanPlan
 
@@ -1015,15 +973,13 @@ class Planner:
             new_leaf = FromLeafPlan(leaf.rel_index,
                                     len(source.output_columns),
                                     index_plan, lateral=False)
-            return new_leaf, conjoin(residual), False
+            return new_leaf, conjoin(residual)
         if self.flags.enable_rangescan:
             range_leaf, residual = self._try_range_pushdown(
                 residual, leaf, source, scope, compiler, bindable)
             if range_leaf is not None:
-                if wide_to_scan and self._range_is_wide(range_leaf.source):
-                    return leaf, where, True
-                return range_leaf, conjoin(residual), False
-        return leaf, where, False
+                return range_leaf, conjoin(residual)
+        return leaf, where
 
     _RANGE_OPS = {"<": ("upper", False), "<=": ("upper", True),
                   ">": ("lower", False), ">=": ("lower", True)}
@@ -1106,34 +1062,6 @@ class Planner:
                                 range_plan, lateral=False)
         return new_leaf, residual
 
-    def _range_is_wide(self, scan: IndexRangeScanPlan) -> bool:
-        """Do the bounds of the range *scan* hold more than ``1 /
-        WIDE_RANGE_DIVISOR`` of its sorted index?  Only literal bounds are
-        sized, on the index the scan's open would use (built here if it
-        does not exist yet).  A NULL bound (an empty range) and one of
-        another class than the column's values (the scan raises) are not
-        wide."""
-        values = [None if bound is None else self.constant(bound[3])
-                  for bound in (scan.lower, scan.upper)]
-        bounds = [value for bound, value in zip((scan.lower, scan.upper),
-                                                values) if bound is not None]
-        if any(value is NOT_CONSTANT or value is None for value in bounds):
-            return False
-        table = self.catalog.tables[scan.table_name]
-        index = table.sorted_index_if_exists(scan.key_columns)
-        if index is None:
-            self.db.profiler.bump(SORTED_INDEX_BUILDS)
-            index = table.sorted_index(scan.key_columns)
-        try:
-            for value in bounds:
-                index.check_probe(0, value)
-        except TypeError_:
-            return False
-        start, stop = index.range_positions(
-            *((value, bound[1]) if bound is not None else None
-              for bound, value in zip((scan.lower, scan.upper), values)))
-        return (stop - start) * WIDE_RANGE_DIVISOR > len(index)
-
     def _sort_item_target(self, expr: A.Expr, items: list, aliases: list):
         """Classify an ORDER BY expression against the select list — the
         one resolution rule shared by hidden-key compilation, positional
@@ -1152,19 +1080,14 @@ class Planner:
             return "alias", aliases.index(expr.parts[0].lower())
         return "expr", expr
 
-    def _constant_topn_count(self, stmt: A.SelectStmt) -> Optional[int]:
-        """``limit + offset`` when both are non-negative integer constants
-        (LIMIT required), else None — only constants let the planner bound
-        the Top-N heap without changing when the bound expressions run."""
-        limit = self.constant(stmt.limit)
-        if type(limit) is not int or limit < 0:
-            return None
-        if stmt.offset is None:
-            return limit
-        offset = self.constant(stmt.offset)
-        if type(offset) is not int or offset < 0:
-            return None
-        return limit + offset
+    def _topn_shown(self, limit: A.Expr, offset: Optional[A.Expr]) -> str:
+        """A Top-N's count as EXPLAIN shows it: the sum of its bounds when
+        they are non-negative integer literals (else read at open)."""
+        bounds = [limit] if offset is None else [limit, offset]
+        values = [self.constant(bound) for bound in bounds]
+        if all(type(value) is int and value >= 0 for value in values):
+            return str(sum(values))
+        return " + ".join(map(_display_expr, bounds))
 
     def _eliminate_sort(self, order_by: list, items: list,
                         leaf: FromLeafPlan, scope: Scope) -> bool:
@@ -1303,21 +1226,20 @@ class Planner:
                              pre_compiler.subplans, having_compiler.subplans)
         return stage, rewritten_items, None, post_scope, rewrite
 
-    def _separator(self, args: list) -> str:
-        """string_agg's separator, a constant of the plan."""
-        separator = self.constant(args[1]) if len(args) == 2 \
-            else NOT_CONSTANT
-        if separator is NOT_CONSTANT:
+    def _separator(self, args: list, compiler: ExprCompiler):
+        """string_agg's separator, a literal or a parameter, compiled: its
+        value is read once per execution (``make_aggregate``)."""
+        if len(args) != 2 or not _is_value(args[1]):
             raise PlanError("string_agg requires (value, constant separator)")
-        return str(separator)
+        return compiler.compile(args[1])
 
     def _make_agg_call(self, call: A.FuncCall,
                        compiler: ExprCompiler) -> AggCallPlan:
         name = call.name.lower()
-        separator = ""
+        separator = None
         args = list(call.args)
         if name == "string_agg":
-            separator = self._separator(args)
+            separator = self._separator(args, compiler)
             args = args[:1]
         if call.star:
             _check_star(name)
@@ -1370,10 +1292,10 @@ class Planner:
             # reference pre-aggregation columns; map them to the __agg
             # relation exactly like the select list was mapped.
             spec = agg_rewrite(spec)
-        separator = ""
+        separator = None
         args = list(call.args)
         if name == "string_agg":
-            separator = self._separator(args)
+            separator = self._separator(args, compiler)
             args = args[:1]
         frame = spec.frame
         frame_compiled = None
@@ -1533,6 +1455,14 @@ def _contains_lateral(plan) -> bool:
     if isinstance(plan, FromLeafPlan):
         return plan.lateral
     return _contains_lateral(plan.left) or _contains_lateral(plan.right)
+
+
+def _is_value(expr: A.Expr) -> bool:
+    """Whether *expr* is a literal or a parameter, possibly negated: a
+    value a plan may read when it opens, with nothing to evaluate twice."""
+    while type(expr) is A.UnaryOp and expr.op == "-":
+        expr = expr.operand
+    return type(expr) is A.Literal or type(expr) is A.Param
 
 
 def _display_expr(expr: A.Expr) -> str:

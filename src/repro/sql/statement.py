@@ -5,9 +5,10 @@ text cache that holds records - what PostgreSQL's ``CachedPlanSource``
 The text cache keys a record by the statement's *shape* (its tokens with
 every literal replaced by the literal's type): the literals of a text
 become parameters, so the texts of one shape share one plan, as SQL
-Server's simple parameterization does.  A plan-time choice that reads a
-literal's value (:meth:`Planner.constant <repro.sql.planner.Planner.constant>`)
-makes that value part of the key: a *guard*.
+Server's simple parameterization does.  The planner reads no parameter's
+value - a choice made from one is made when the plan opens - so one
+record serves every text of its shape but for the literals the parser
+keeps as written (ORDER BY ordinals, type modifiers).
 """
 
 from __future__ import annotations
@@ -37,33 +38,22 @@ _CACHED_KEYWORDS = frozenset(
 
 
 class Literals:
-    """The literals of the text a record was parsed from, when they are
-    parameters (``$first + 1`` on): their ``values`` in text order, the
-    position of each ``Param`` node that holds one (``slots``, keyed by
-    ``id``: nothing else in a plan's reach is that node), and the guard -
-    ``guards`` maps a position to its value for every literal the
-    statement depends on: one the parser kept as written (an ORDER BY
-    ordinal) and one :meth:`Planner.constant` read while planning."""
+    """The literals of the text a record was parsed from that the parser
+    kept as written, not as parameters (an ORDER BY ordinal, a type
+    modifier): ``pinned`` maps each one's position, in text order, to its
+    value.  Another text of the record's shape runs the record only with
+    the same values there."""
 
-    __slots__ = ("values", "slots", "pinned", "guards", "lexed")
+    __slots__ = ("pinned", "lexed")
 
     def __init__(self, ast: A.Statement, lexed: LexedText):
         first = lexed.first
-        self.values = lexed.literals
-        self.slots = {id(node): node.index - first - 1 for node in walk(ast)
-                      if type(node) is A.Param and node.index > first}
-        held = set(self.slots.values())
-        self.pinned = {slot: value for slot, value in enumerate(self.values)
+        held = {node.index - first - 1 for node in walk(ast)
+                if type(node) is A.Param and node.index > first}
+        self.pinned = {slot: value for slot, value in enumerate(lexed.literals)
                        if slot not in held}
-        self.guards = dict(self.pinned)
         #: Kept until the first plan, for a fallback to the text as written.
         self.lexed: Optional[LexedText] = lexed
-
-    def guard(self) -> tuple:
-        """``(positions, values)`` of the guard, the half of a cache key
-        after the shape."""
-        positions = tuple(sorted(self.guards))
-        return positions, tuple(self.values[p] for p in positions)
 
 
 class Statement:
@@ -78,7 +68,8 @@ class Statement:
     (``prepare``, ``explain``, ``executemany``) names itself and is
     refused any other kind here - the one place that rule is checked.
     A record parsed from a text whose literals are parameters (*lexed*,
-    see :class:`PlanCache`) holds them as ``literals``.
+    see :class:`PlanCache`) holds the ones the parser kept as written as
+    ``literals``.
     """
 
     __slots__ = ("db", "ast", "row", "target", "literals", "_plan", "_stamp")
@@ -119,21 +110,21 @@ class Statement:
         return self._plan
 
     def _planned(self):
-        planner, literals = self.db.planner, self.literals
-        if literals is None:
-            return planner.plan_statement(self.ast)
-        literals.guards = dict(literals.pinned)
+        literals = self.literals
         try:
-            plan = planner.plan_bound(self.ast, literals)
+            plan = self.db.planner.plan_statement(self.ast)
         except SqlError:
-            if literals.lexed is None:
+            if literals is None or literals.lexed is None:
                 raise
-            # The shape does not plan: the text as written, kept by no
-            # shape.
-            self.ast = parse_statement(literals.lexed.plain())
+            # The shape does not plan - ``GROUP BY x % 2`` matches a
+            # select item ``x % 2`` only while both twos are literals -:
+            # the text as written, kept by no shape.
+            literals.lexed.params = None
+            self.ast = parse_statement(literals.lexed)
             self.literals = None
-            return planner.plan_statement(self.ast)
-        literals.lexed = None
+            return self.db.planner.plan_statement(self.ast)
+        if literals is not None:
+            literals.lexed = None
         return plan
 
     @property
@@ -157,52 +148,45 @@ class Statement:
 
 
 class PlanCache:
-    """The text cache: an LRU of :class:`Statement` records, keyed by the
-    statement's shape, the setting values' fingerprint (a plan built under
+    """The text cache: an LRU of :class:`Statement` records, one per
+    statement shape and setting values' fingerprint (a plan built under
     one combination of plan-affecting settings is invisible under any
-    other) and the guard of the record's plan; DDL empties it.  Both text
-    doors use it - ``Database.execute`` / ``Connection.execute`` and a
-    one-statement wire ``Query`` - through :meth:`lookup` before parsing
-    and :meth:`offer` after a miss has run.
+    other); DDL empties it.  Both text doors use it - ``Database.execute``
+    / ``Connection.execute`` and a one-statement wire ``Query`` - through
+    :meth:`lookup` before parsing and :meth:`offer` after a miss has run.
 
     :meth:`lookup` lexes the text once.  A hit binds the text's literals
     as parameters after the caller's and runs the record's plan: no parse,
     no plan.  A miss parses the same tokens, a statement of a kind that is
     a plan (SELECT, INSERT, UPDATE, DELETE: what PREPARE takes) with its
-    literals as parameters (``$first + 1`` on), and plans that under
-    :class:`Literals`: the literals whose values the plan reads make
-    its guard, so a text with other values there is another record (a
-    *variant* of the shape) and runs the plan a fresh plan of its own
-    text would build.  A statement whose shape does not plan is planned
-    as written, and not kept.
+    literals as parameters (``$first + 1`` on), and plans that.  A record
+    holds only for texts with its pinned literals (:class:`Literals`):
+    another text of its shape misses, and its record replaces it.
 
     Admission is on second sight, after the A1out list of 2Q (Johnson &
     Shasha, VLDB 1994): a miss only records its key in a *ghost* list, and
-    a record is kept when its key is already there, i.e. when its shape and
-    guard came back within ``plan_cache_size`` other misses.  A stream of
-    one-shot shapes therefore keeps no plan.  Only a record of a planned
-    kind holding the plan its run built is offered (a statement whose
-    planning failed is not; one whose run failed is).  ``SET
-    plan_cache_size = N`` bounds the cache and the ghost list alike;
-    evictions from the cache are counted.
+    a record is kept when its key is already there (or kept), i.e. when
+    its shape came back within ``plan_cache_size`` other misses, and only
+    holding the plan its run built (a run may have failed; its planning
+    may not).  A stream of one-shot shapes therefore keeps no plan.  The
+    global ``plan_cache_size`` bounds the cache and the ghost list alike
+    (evictions are counted); a session's own ``0`` only stops that
+    session's lookups and offers.
     """
 
-    __slots__ = ("_entries", "_ghosts", "_guards", "profiler")
+    __slots__ = ("_entries", "_ghosts", "profiler")
 
     def __init__(self, profiler):
         self._entries: OrderedDict[tuple, Statement] = OrderedDict()
         #: Keys of recent misses, oldest first; values unused.
         self._ghosts: OrderedDict[tuple, None] = OrderedDict()
-        #: (shape, fingerprint) -> {guard positions: records kept with
-        #: them}: the guards a lookup of that shape tries.
-        self._guards: dict[tuple, dict[tuple, int]] = {}
         self.profiler = profiler
 
     def lookup(self, text: str, params, values) -> tuple:
         """Lex *text*: ``(record, params, None)`` when a record of its
-        shape is cached under the setting *values* and its guard holds,
-        where *params* are the caller's followed by the text's literals;
-        else ``(None, params, lexed)``, what a miss parses (and offers)."""
+        shape that holds for it is cached under the setting *values*, where
+        *params* are the caller's followed by the text's literals; else
+        ``(None, params, lexed)``, what a miss parses (and offers)."""
         lexed = LexedText(text)
         if values.plan_cache_size <= 0 \
                 or lexed.tokens[0].value not in _CACHED_KEYWORDS:
@@ -232,58 +216,48 @@ class PlanCache:
         return None if key is None else self._entries[key]
 
     def _find(self, lexed: LexedText, values) -> Optional[tuple]:
-        shape = (lexed.shape, values.fingerprint)
-        literals = lexed.literals
-        for positions in self._guards.get(shape, ()):
-            key = (shape, positions, tuple(literals[p] for p in positions))
-            if key in self._entries:
-                return key
-        return None
+        key = (lexed.shape, values.fingerprint)
+        record = self._entries.get(key)
+        if record is None or any(lexed.literals[slot] != value for slot, value
+                                 in record.literals.pinned.items()):
+            return None
+        return key
 
     def offer(self, lexed: LexedText, statement: Statement,
-              capacity: int) -> None:
+              settings) -> None:
         """A miss has run: count it, and keep *statement* if it may be:
         under the settings its plan was built with, while that plan is
-        current."""
+        current, and unless the session's ``plan_cache_size`` (in
+        *settings*, the registry) is 0."""
         if statement.row.plan is None:
             return
         self.profiler.bump(PLAN_CACHE_MISS)
-        literals, stamp = statement.literals, statement._stamp
-        if capacity <= 0 or statement._plan is None or literals is None \
+        stamp = statement._stamp
+        if settings.active.plan_cache_size <= 0 or statement._plan is None \
+                or statement.literals is None \
                 or stamp != statement.db.plan_stamp():
             return
-        shape = (lexed.shape, stamp[1])
-        positions, guarded = literals.guard()
-        key = (shape, positions, guarded)
-        if key in self._ghosts:
-            del self._ghosts[key]
-            if key not in self._entries:
-                guards = self._guards.setdefault(shape, {})
-                guards[positions] = guards.get(positions, 0) + 1
+        key = (lexed.shape, stamp[1])
+        if key in self._entries or key in self._ghosts:
+            self._ghosts.pop(key, None)
             self._entries[key] = statement
+            self._entries.move_to_end(key)
         else:
             self._ghosts[key] = None
-        self.trim(capacity)
+        self.trim(settings.globals.plan_cache_size)
 
     def trim(self, capacity: int) -> None:
         for _ in range(len(self._ghosts) - capacity):
             self._ghosts.popitem(last=False)
         evicted = len(self._entries) - capacity
         for _ in range(evicted):
-            (shape, positions, _), _ = self._entries.popitem(last=False)
-            guards = self._guards[shape]
-            guards[positions] -= 1
-            if not guards[positions]:
-                del guards[positions]
-                if not guards:
-                    del self._guards[shape]
+            self._entries.popitem(last=False)
         if evicted > 0:
             self.profiler.bump(PLAN_CACHE_EVICTIONS, evicted)
 
     def clear(self) -> None:
         self._entries.clear()
         self._ghosts.clear()
-        self._guards.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -650,7 +650,7 @@ def test_the_binder_and_params_outside_the_compiler_are_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# rule 12: one reader of a literal's value
+# rule 12: the planner reads no parameter's value
 # ---------------------------------------------------------------------------
 
 GUARDED_READS = """
@@ -661,14 +661,11 @@ NOT_CONSTANT = object()
 
 class Planner:
     def constant(self, expr):
-        if type(expr) is A.Literal:
-            return expr.value
-        bound = self._bound
-        return NOT_CONSTANT if bound is None else bound.values[0]
+        return expr.value if type(expr) is A.Literal else NOT_CONSTANT
 
-    def _range_is_wide(self, scan):
-        values = [self.constant(bound[3]) for bound in scan.bounds]
-        return all(value is not NOT_CONSTANT for value in values)
+    def _topn_shown(self, limit):
+        count = self.constant(limit)
+        return str(count) if type(count) is int else "?"
 
 
 def _display_expr(expr):
@@ -676,19 +673,22 @@ def _display_expr(expr):
 """
 
 UNGUARDED_READ = GUARDED_READS.replace(
-    "values = [self.constant(bound[3]) for bound in scan.bounds]",
-    "values = [bound[3].value for bound in scan.bounds\n"
-    "                  if type(bound[3]) is A.Literal]")
+    "count = self.constant(limit)",
+    "count = limit.value if type(limit) is A.Literal else None")
 
 
 def test_a_value_read_outside_constant_is_flagged(tmp_path):
     findings = lint_source(tmp_path, lint_internal.PLANNER, UNGUARDED_READ)
     assert rules(findings) == ["second-constant-reader"]
-    assert findings[0].line == 15
-    reads_bound = GUARDED_READS.replace("return all(",
-                                        "return self._bound and all(")
+    assert findings[0].line == 12
+
+
+@pytest.mark.parametrize("read", ["self.db.params[limit.index - 1]",
+                                  "self.statement.literals[0]"])
+def test_a_parameter_value_read_is_flagged(tmp_path, read):
+    reads_parameter = GUARDED_READS.replace("self.constant(limit)", read)
     assert rules(lint_source(tmp_path, lint_internal.PLANNER,
-                             reads_bound)) == ["second-constant-reader"]
+                             reads_parameter)) == ["second-constant-reader"]
 
 
 def test_constant_and_other_modules_are_clean(tmp_path):

@@ -229,9 +229,11 @@ class TestIndexRangeScan:
 
 
 class TestWideRangeToVector:
-    """An aggregating core gives a wide constant range up for the
-    vectorized scan; a narrow one, parameter and correlated bounds, and a
-    core the vector engine cannot run keep the range scan."""
+    """An aggregating core whose range bounds are literals or parameters
+    is planned both ways under a ChooseRange node, which gives a wide
+    range up for the vectorized scan when it opens; a narrow range, NULL
+    and incomparable bounds keep the range scan, and correlated bounds and
+    a core the vector engine cannot run have no choice to make."""
 
     WIDE = ("SELECT count(*), sum(a) FROM t WHERE b >= 10 AND b < 90",
             "SELECT a, count(*), sum(b) FROM t WHERE b > 5 AND b <= 60 "
@@ -240,65 +242,77 @@ class TestWideRangeToVector:
     @pytest.mark.parametrize("sql", WIDE)
     def test_wide_constant_range_runs_fused(self, db, sql):
         plan = db.explain(sql)
-        assert "VectorScan on t" in plan and "IndexRangeScan" not in plan
+        assert "ChooseRange" in plan and "VectorScan on t" in plan
         db.profiler.reset()
         rows = db.query_all(sql)
         assert db.profiler.counts[VECTOR_FUSED_ROWS] == 100
         assert db.profiler.counts[INDEX_RANGE_SCANS] == 0
         assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 1
         db.execute("SET enable_rangescan = off")
+        assert "ChooseRange" not in db.explain(sql)
         assert db.query_all(sql) == rows
         db.execute("SET enable_vectorize = off")
         assert "IndexRangeScan" not in db.explain(sql)
         assert db.query_all(sql) == rows
         db.execute("SET enable_rangescan = on")
-        assert "IndexRangeScan" in db.explain(sql)
+        plan = db.explain(sql)
+        assert "IndexRangeScan" in plan and "ChooseRange" not in plan
         assert db.query_all(sql) == rows
 
     def test_narrow_range_keeps_the_range_scan(self, db):
         sql = "SELECT count(*), sum(a) FROM t WHERE b >= 40 AND b < 42"
-        assert "IndexRangeScan on t" in db.explain(sql)
+        assert "ChooseRange" in db.explain(sql)
+        db.profiler.reset()
+        assert db.query_all(sql) == [(2, 1)]
+        assert db.profiler.counts[INDEX_RANGE_SCANS] == 1
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 0
         db.execute("SET enable_rangescan = off")
         assert db.query_all(sql) == [(2, 1)]
 
     def test_streaming_core_keeps_the_range_scan(self, db):
-        assert "IndexRangeScan" in db.explain(
-            "SELECT a FROM t WHERE b >= 10 AND b < 90")
+        plan = db.explain("SELECT a FROM t WHERE b >= 10 AND b < 90")
+        assert "IndexRangeScan" in plan and "ChooseRange" not in plan
 
-    def test_parameter_bounds_keep_the_range_scan(self, db):
+    def test_parameter_bounds_are_sized_at_open(self, db):
         db.execute("PREPARE span(int, int) AS SELECT count(*) FROM t "
                    "WHERE b >= $1 AND b < $2")
-        assert "IndexRangeScan" in db.explain("EXECUTE span(10, 90)")
+        assert "ChooseRange" in db.explain("EXECUTE span(10, 90)")
         db.profiler.reset()
         assert db.query_value("EXECUTE span(10, 90)") == 80
+        assert db.profiler.counts[INDEX_RANGE_SCANS] == 0
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 1
+        assert db.query_value("EXECUTE span(40, 42)") == 2
         assert db.profiler.counts[INDEX_RANGE_SCANS] == 1
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 1
 
     def test_correlated_bounds_keep_the_range_scan(self, db):
         db.execute("CREATE TABLE lo(cut int)")
         db.execute("INSERT INTO lo VALUES (5), (50)")
+        sql = ("SELECT cut, (SELECT count(*) FROM t WHERE b > lo.cut) "
+               "FROM lo ORDER BY 1")
+        assert "ChooseRange" not in db.explain(sql)
         db.profiler.reset()
-        rows = db.query_all("SELECT cut, (SELECT count(*) FROM t "
-                            "WHERE b > lo.cut) FROM lo ORDER BY 1")
-        assert rows == [(5, 94), (50, 49)]
+        assert db.query_all(sql) == [(5, 94), (50, 49)]
         assert db.profiler.counts[INDEX_RANGE_SCANS] == 2
 
     def test_null_and_incomparable_bounds_keep_the_range_scan(self, db):
-        assert "IndexRangeScan" in db.explain(
-            "SELECT count(*) FROM t WHERE b > NULL AND b < 90")
+        db.profiler.reset()
         assert db.query_value(
             "SELECT count(*) FROM t WHERE b > NULL AND b < 90") == 0
-        sql = "SELECT count(*) FROM t WHERE b < 'zzz'"
-        assert "IndexRangeScan" in db.explain(sql)
+        assert db.profiler.counts[INDEX_RANGE_SCANS] == 1
         with pytest.raises(TypeError_, match="cannot compare"):
-            db.query_all(sql)
+            db.query_all("SELECT count(*) FROM t WHERE b < 'zzz'")
+        assert db.profiler.counts[INDEX_RANGE_SCANS] == 2
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 0
 
     def test_row_only_core_keeps_the_range_scan(self, db):
         sql = ("SELECT count(*) FROM t WHERE b >= 10 AND b < 90 "
                "AND a < (SELECT 5)")
+        plan = db.explain(sql)
+        assert "IndexRangeScan on t" in plan and "ChooseRange" not in plan
         db.profiler.reset()
-        assert "IndexRangeScan on t" in db.explain(sql)
-        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 0
         assert db.query_value(sql) == 40
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 wire ``Query`` payload with no ``;`` inside it.
 
 A record is keyed by the statement's shape (its literals are parameters)
-and the guard of its plan (the literals a plan-time choice read).  A miss
-only records its key in a ghost list bounded by ``plan_cache_size``; a
-key is admitted when it comes back while it is still there (2Q's A1out),
-and only with the plan its run built.  A hit lexes the text and runs the
-cached statement record without parsing or planning.
+and holds for the texts of that shape with its pinned literals (those the
+parser keeps as written); a value the plan reads is read when it opens.
+A miss only records its key in a ghost list bounded by the global
+``plan_cache_size``; a key is admitted when it comes back while it is
+still there (2Q's A1out), and only with the plan its run built.  A hit
+lexes the text and runs the cached statement record without parsing or
+planning.
 """
 
 from __future__ import annotations
@@ -15,13 +17,18 @@ import re
 
 import pytest
 
+from repro.fuzz.oracle import DifferentialChecker
+from repro.fuzz.querygen import generate_case
+from repro.fuzz.twin import _spell
 from repro.server import ServerError, ServerThread, connect, handler
 from repro.sql import Database, ast as A
 from repro.sql import parser as sql_parser
 from repro.sql.errors import PlanError, SqlError
+from repro.sql.lexer import NUMBER, PARAM, STRING, tokenize
 from repro.sql.planner import Planner
-from repro.sql.profiler import (PLAN, PLAN_CACHE_HIT, PLAN_CACHE_MISS,
-                                RANGE_SCANS_GIVEN_UP)
+from repro.sql.profiler import (INDEX_RANGE_SCANS, PLAN, PLAN_CACHE_HIT,
+                                PLAN_CACHE_MISS, RANGE_SCANS_GIVEN_UP,
+                                TOPN_SCANS)
 
 
 @pytest.fixture
@@ -92,8 +99,9 @@ class TestOverTheWire:
         assert PLAN not in db.profiler.times
 
     def test_one_shot_texts_keep_no_plan(self, db, client):
-        # Twelve shapes (the alias differs), each sent once.
-        client.query("SET plan_cache_size = 4")
+        # Twelve shapes (the alias differs), each sent once; the global
+        # size bounds the ghost list.
+        db.execute("SET plan_cache_size = 4")
         for i in range(3 * 4):
             client.query(f"SELECT a + {i} AS c{i} FROM t")
         assert cached(db) == (0, 4)
@@ -164,7 +172,7 @@ class TestOverTheWire:
 
 
 # ---------------------------------------------------------------------------
-# Shapes: literals as parameters, guards where a plan reads a value
+# Shapes: literals as parameters, read when the plan opens
 # ---------------------------------------------------------------------------
 
 
@@ -175,15 +183,11 @@ def admitted(db, sql: str, params=()):
 
 
 def fresh(db, sql: str, params=()):
-    """The rows of *sql* planned as written, with no cache (lowering the
-    size empties the cache, as a session's ``SET`` does)."""
+    """The rows of *sql* planned as written, in a session that uses no
+    cache."""
     conn = db.connect()
     conn.execute("SET plan_cache_size = 0")
     return conn.query_all(sql, params)
-
-
-def bounds_hidden(explained: str) -> str:
-    return re.sub(r"<expr>|-?\b\d+\b", "?", explained)
 
 
 def record(db, sql: str, params=()):
@@ -218,39 +222,39 @@ class TestShapes:
         assert cached(db) == (2, 0)
 
     @pytest.mark.parametrize("sql, values", [
-        # An ordinal names an output column.
-        ("SELECT k, b FROM u ORDER BY {} DESC, 1 LIMIT 5", (1, 2, -1)),
-        # A constant LIMIT bounds the Top-N heap.
+        # A Top-N count.
         ("SELECT k FROM u ORDER BY b DESC, k LIMIT {}", (1, 3, 0)),
-        # A range holding more than 2% of the index keeps the vectorized
-        # SeqScan.
+        # A range's width, against 2% of the index.
         ("SELECT count(*), sum(b) FROM u WHERE k >= {} AND k < 600",
          (590, 100, 599)),
+        # A string_agg separator.
+        ("SELECT string_agg(k::text, {}) FROM u WHERE k < 4",
+         ("','", "'-'", "''")),
     ])
-    def test_a_value_the_plan_reads_makes_a_variant(self, db, sql, values):
+    def test_a_value_read_at_open_shares_one_record(self, db, sql, values):
         db.execute("CREATE TABLE u(k int, b int)")
         db.execute("INSERT INTO u VALUES " + ", ".join(
             f"({k}, {k % 7})" for k in range(1, 1001)))
         db.execute("CREATE INDEX u_k ON u(k)")
         uncached = db.connect()
         uncached.execute("SET plan_cache_size = 0")
-        planned = set()
+        expected = {value: uncached.query_all(sql.format(value))
+                    for value in values}
+        admitted(db, sql.format(values[0]))
+        db.profiler.reset()
         for value in values * 2:
-            text = sql.format(value)
-            try:
-                expected = uncached.query_all(text)
-            except SqlError as error:
-                with pytest.raises(type(error), match=re.escape(str(error))):
-                    admitted(db, text)
-                continue
-            assert admitted(db, text) == expected
-            # The plan a fresh text gets; only a bound's display differs.
-            assert bounds_hidden(record(db, text).explain()) \
-                == bounds_hidden(db.explain(text))
-            planned.add(value)
-        # One record per value that planned (a run may fail after).
-        assert len(db._plan_cache) >= len(planned) > 1
-        assert len({key[0] for key in db._plan_cache._entries}) == 1
+            assert db.query_all(sql.format(value)) == expected[value]
+        assert db.profiler.counts[PLAN_CACHE_HIT] == 2 * len(values)
+        assert cached(db) == (1, 0)
+
+    def test_a_pinned_literal_replaces_the_record(self, db):
+        sql = "SELECT a, b FROM t ORDER BY {} DESC"
+        admitted(db, sql.format(2))
+        assert record(db, sql.format(1)) is None
+        assert db.query_all(sql.format(1)) == [(3, 30), (2, 20), (1, 10)]
+        assert record(db, sql.format(2)) is None
+        assert record(db, sql.format(1)).ast.order_by[0].expr == A.Literal(1)
+        assert cached(db) == (1, 0)
 
     def test_an_order_by_ordinal_stays_a_literal(self, db):
         admitted(db, "SELECT a, b FROM t ORDER BY 2 DESC")
@@ -272,25 +276,15 @@ class TestShapes:
                                            r"parameter \$2"):
             db.execute(sql.format(4), [1])
 
-    def test_a_string_agg_separator_is_planned_as_written(self, db):
-        sql = "SELECT string_agg(a::text, {}) FROM t"
-        for separator in ("','", "'-'", "','"):
-            text = sql.format(separator)
-            assert admitted(db, text) == fresh(db, text)
-        assert db.query_all(sql.format("'; '")) == [("1; 2; 3",)]
-        assert len(db._plan_cache) == 2
-
-    def test_a_shape_that_does_not_plan_is_planned_as_written(
-            self, db, monkeypatch):
-        def refuse(self, stmt, literals):
-            raise PlanError("refused")
-
-        monkeypatch.setattr(Planner, "plan_bound", refuse)
+    def test_a_shape_that_does_not_plan_is_planned_as_written(self, db):
+        # The select item's 2 and the GROUP BY's 2 are two parameters of
+        # the shape, which therefore names an ungrouped column.
+        sql = "SELECT a % {0}, count(*) FROM t GROUP BY a % {0} ORDER BY 1"
         db.profiler.reset()
-        for key in (1, 1, 2, 2):
-            assert db.query_all(f"SELECT b FROM t WHERE a = {key}") \
-                == [(10 * key,)]
-        assert db.profiler.counts[PLAN_CACHE_MISS] == 4
+        for modulus, rows in ((2, [(0, 1), (1, 2)]), (2, [(0, 1), (1, 2)]),
+                              (3, [(0, 1), (1, 1), (2, 1)])):
+            assert db.query_all(sql.format(modulus)) == rows
+        assert db.profiler.counts[PLAN_CACHE_MISS] == 3
         assert cached(db) == (0, 0)
 
     def test_ddl_empties_the_cache(self, db):
@@ -299,7 +293,126 @@ class TestShapes:
         assert cached(db) == (2, 0)
         db.execute("CREATE TABLE v(x int)")
         assert cached(db) == (0, 0)
-        assert db._plan_cache._guards == {}
+
+
+class TestSharedCache:
+    """One cache for every session: the global ``plan_cache_size`` bounds
+    it, and a session's own value decides only whether that session looks
+    records up and offers them."""
+
+    SHAPES = ("SELECT b FROM t WHERE a = 1", "SELECT a FROM t WHERE b = 10",
+              "SELECT a + 1 FROM t")
+
+    def test_a_sessions_size_of_one_trims_nothing(self, db):
+        for sql in self.SHAPES:
+            admitted(db, sql)
+        assert cached(db) == (3, 0)
+        other = db.connect()
+        other.execute("SET plan_cache_size = 1")
+        for _ in range(2):
+            assert other.query_all("SELECT a, b FROM t WHERE a = 3") \
+                == [(3, 30)]
+        assert cached(db) == (4, 0)
+        db.execute("SET plan_cache_size = 1")
+        assert cached(db) == (1, 0)
+
+    def test_a_sessions_size_of_zero_neither_looks_up_nor_offers(self, db):
+        for sql in self.SHAPES:
+            admitted(db, sql)
+        other = db.connect()
+        other.execute("SET plan_cache_size = 0")
+        db.profiler.reset()
+        for sql in self.SHAPES + ("SELECT a, b FROM t WHERE a = 3",) * 2:
+            other.query_all(sql)
+        assert db.profiler.counts[PLAN_CACHE_HIT] == 0
+        assert db.profiler.counts[PLAN_CACHE_MISS] == 5
+        assert cached(db) == (3, 0)
+        assert db.query_all(self.SHAPES[0]) == [(10,)]
+        assert db.profiler.counts[PLAN_CACHE_HIT] == 1
+
+
+# ---------------------------------------------------------------------------
+# Doors: a text and its prepared form plan alike
+# ---------------------------------------------------------------------------
+
+
+def prepared_form(sql: str, pinned) -> str:
+    """*sql* with each literal whose position is not *pinned* spelled as
+    the parameter the text cache makes of it."""
+    tokens = tokenize(sql)
+    first = max((t.value for t in tokens if t.type == PARAM), default=0)
+    spelled, position = [], 0
+    for token in tokens[:-1]:  # the EOF
+        if token.type in (NUMBER, STRING):
+            position += 1
+            if position - 1 not in pinned:
+                spelled.append(f"${first + position}")
+                continue
+        spelled.append(_spell(token.type, token.value))
+    return " ".join(spelled)
+
+
+class TestDoorParity:
+    def test_the_fuzz_corpus_plans_alike_by_both_doors(self):
+        compared = 0
+        for index in range(16):
+            case = generate_case(0, index)
+            db, compiled = DifferentialChecker(
+                use_sqlite=False).build_database(case)
+            for query in case.queries:
+                for _, _, sql in query.variants(compiled):
+                    for _ in range(2):
+                        try:
+                            db.execute(sql)
+                        except SqlError:
+                            pass
+                    kept = db._plan_cache.peek(sql, db.settings.active)
+                    if kept is None:
+                        continue
+                    name = f"door{compared}"
+                    db.execute(f"PREPARE {name} AS " + prepared_form(
+                        sql, kept.literals.pinned))
+                    assert db.explain(f"EXECUTE {name}") == kept.explain(), sql
+                    compared += 1
+        assert compared >= 80
+
+    @pytest.fixture
+    def items(self, db):
+        db.execute("CREATE TABLE items(id int, cat int, price int)")
+        db.catalog.get_table("items").insert_many(
+            [(i, i % 20, (i * 37) % 1000) for i in range(1000)])
+        db.execute("CREATE INDEX items_id ON items(id)")
+        return db
+
+    def test_a_prepared_separator_answers(self, db):
+        db.execute("PREPARE joined(text) AS "
+                   "SELECT string_agg(a::text, $1) FROM t")
+        assert db.query_all("EXECUTE joined('; ')") == [("1; 2; 3",)]
+        assert db.query_all("EXECUTE joined('-')") == [("1-2-3",)]
+
+    def test_a_prepared_limit_is_a_top_n(self, items):
+        items.execute("PREPARE best(int) AS SELECT id FROM items "
+                      "ORDER BY price DESC, id LIMIT $1")
+        assert "TopN (n=<expr>)" in items.explain("EXECUTE best(3)")
+        items.profiler.reset()
+        assert items.query_all("EXECUTE best(2)") \
+            == items.query_all("SELECT id FROM items ORDER BY price DESC, id")[:2]
+        assert items.profiler.counts[TOPN_SCANS] == 1
+
+    def test_a_prepared_window_chooses_its_branch_at_open(self, items):
+        items.execute(
+            "PREPARE window(int, int) AS SELECT cat, count(*), sum(price) "
+            "FROM items WHERE id >= $1 AND id < $2 GROUP BY cat ORDER BY cat")
+        items.profiler.reset()
+        wide = items.query_all("EXECUTE window(400, 600)")
+        assert (items.profiler.counts[RANGE_SCANS_GIVEN_UP],
+                items.profiler.counts[INDEX_RANGE_SCANS]) == (1, 0)
+        narrow = items.query_all("EXECUTE window(400, 410)")
+        assert (items.profiler.counts[RANGE_SCANS_GIVEN_UP],
+                items.profiler.counts[INDEX_RANGE_SCANS]) == (1, 1)
+        assert [row[1] for row in wide] == [10] * 20
+        assert narrow == [(cat, 1, (i * 37) % 1000) for i, cat in
+                          sorted((i, i % 20) for i in range(400, 410))]
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +481,22 @@ class TestDml:
         db = assert_hits_equal_fresh(WIDE, texts, tables=("u",), hits=3)
         assert "IndexScan on u (k)" in record(db, texts[0]).explain()
 
-    def test_a_wide_range_in_a_delete_makes_a_variant(self):
+    def test_a_wide_range_in_a_delete_is_one_record(self):
         # Each run deletes one row of the range its subquery counts.
         sql = ("DELETE FROM u WHERE k = {0} + (SELECT count(*) FROM u "
                "WHERE k >= {0} AND k < 600) % 5")
         texts = [sql.format(low) for low in (590, 590, 590, 100, 100, 100)]
-        db = assert_hits_equal_fresh(WIDE, texts, tables=("u",), hits=2)
-        assert [record.literals.guards for record
-                in db._plan_cache._entries.values()] \
-            == [{1: 590, 2: 600}, {1: 100, 2: 600}]
-        assert len({key[0] for key in db._plan_cache._entries}) == 1
-        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] >= 1
+        db = assert_hits_equal_fresh(WIDE, texts, tables=("u",), hits=4)
+        assert cached(db) == (1, 0)
+        assert db.profiler.counts[RANGE_SCANS_GIVEN_UP] == 3
 
-    def test_an_insert_select_top_n_count_is_a_guard(self):
+    def test_an_insert_select_top_n_count_is_read_at_open(self):
         sql = "INSERT INTO v SELECT k, b FROM u ORDER BY b DESC, k LIMIT {}"
         texts = [sql.format(n) for n in (3, 1, 3, 1, 3, 0, 1)]
         db = assert_hits_equal_fresh(WIDE + "; CREATE TABLE v(k int, b int)",
-                                     texts, tables=("v",), hits=2)
-        assert [record.literals.guards for record
-                in db._plan_cache._entries.values()] == [{0: 3}, {0: 1}]
+                                     texts, tables=("v",), hits=5)
+        assert cached(db) == (1, 0)
+        assert db.profiler.counts[TOPN_SCANS] == len(texts)
 
     def test_division_by_zero_on_every_hit(self):
         texts = [f"UPDATE t SET b = b / 0 WHERE a = {a}" for a in (1, 2, 3, 1)]

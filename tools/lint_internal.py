@@ -119,18 +119,19 @@ Twelve checks, each born from a real failure mode in this codebase:
     the result.  Under ``repro/compiler/``, an ``A.Param(..)`` built
     anywhere but that function is a second binder regrowing.
 
-12. **One reader of a literal's value.**  The text cache plans a text's
-    shape once, its literals as parameters, and runs that plan for every
-    text of the shape whose *guard* holds: the literals a plan-time choice
-    read (an ORDER BY ordinal, a Top-N count, a range's width, a
-    string_agg separator), recorded as they are read by
-    ``Planner.constant`` in ``repro/sql/planner.py``.  A choice made from
-    a value read any other way is one the guard does not know: the plan
-    would be run for texts it was not built for (or, reading only
-    ``A.Literal`` nodes, built unlike a fresh plan of the text).  In that
-    module, an attribute ``.value`` or ``._bound`` read anywhere but
-    ``Planner.constant`` is such a read (``_display_expr``, which renders
-    EXPLAIN text and decides nothing, may read ``.value``).
+12. **The planner reads no parameter's value.**  The text cache plans a
+    text's shape once, its literals as parameters, and runs that plan for
+    every text of the shape, as a prepared statement runs its plan for
+    every set of arguments.  A choice made from a value a parameter may
+    hold (a Top-N count, a range's width, a string_agg separator) is
+    therefore made when the plan opens, from the bound value; the planner
+    reads only the value of a literal the parser keeps as written (an
+    ORDER BY ordinal), in ``Planner.constant`` in
+    ``repro/sql/planner.py``.  In that module, an attribute ``.value``
+    read anywhere but ``Planner.constant`` (``_display_expr``, which
+    renders EXPLAIN text and decides nothing, may read it too), and any
+    read of ``.literals`` (a text's literal values) or ``.params`` (a
+    run's bound values), is a plan-time read of a value.
 
 Exit status 0 when clean, 1 with findings on stderr — suitable for CI
 (see .github/workflows/ci.yml) and wrapped by tests/test_lint_internal.py.
@@ -199,10 +200,11 @@ SPELLING_LOOKUPS = {"repro/sql/expr.py", "repro/sql/planner.py",
 #: The one function that may build a ``$k`` in the compiler (rule 11).
 ARGUMENT_BINDER = ("repro/compiler/template.py", "bind_arguments")
 
-#: The planner, the attributes that hold a literal's value or the text's
-#: literals (rule 12), and the functions that may read them.
+#: The planner, the attributes that hold a literal's value, a text's
+#: literal values or a run's bound values (rule 12), and the functions
+#: that may read them.
 PLANNER = "repro/sql/planner.py"
-VALUE_READS = {"value", "_bound"}
+VALUE_READS = {"value", "literals", "params"}
 VALUE_READERS = {"constant": VALUE_READS, "_display_expr": {"value"}}
 
 #: Modules (path prefixes) whose while-loops iterate user-controlled
@@ -689,7 +691,7 @@ def check_second_binder(path: Path, tree: ast.Module) -> list[Finding]:
                  else None) == "Param"]
 
 
-# -- rule 12: one reader of a literal's value ------------------------------
+# -- rule 12: the planner reads no parameter's value -------------------------
 
 def check_second_constant_reader(path: Path,
                                  tree: ast.Module) -> list[Finding]:
@@ -701,8 +703,9 @@ def check_second_constant_reader(path: Path,
             for inner in ast.walk(node):
                 allowed[id(inner)] = VALUE_READERS[node.name]
     return [Finding(path, node.lineno, "second-constant-reader",
-                    f".{node.attr} read outside Planner.constant: a "
-                    "plan-time read of a literal's value must be guarded")
+                    f".{node.attr} read outside Planner.constant: the "
+                    "planner reads no parameter's value; a choice made "
+                    "from one is made when the plan opens")
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load) and node.attr in VALUE_READS
